@@ -8,8 +8,8 @@ message delivery, and the MARP decision function.
 import pytest
 
 from repro.agents.identity import AgentId
-from repro.core.locking_table import LockingTable
-from repro.core.priority import decide
+from repro.core.machines.priority import decide
+from repro.core.machines.table import LockingTable
 from repro.experiments.runner import RunConfig, run_once
 from repro.replication.server import SharedView
 from repro.sim.core import Environment
@@ -81,7 +81,7 @@ def test_decide_scales_with_table_width(benchmark, n_servers):
     """The priority rule over wide tables (the ROADMAP's
     hundreds-of-replicas sweeps) — exercises the packed top scan and
     the mutation-counter memo."""
-    from repro.core.priority import rank_queue
+    from repro.core.machines.priority import rank_queue
 
     table = LockingTable()
     agents = [AgentId("h", float(n), 0) for n in range(20)]

@@ -5,7 +5,7 @@ Three checks under explicit budgets, each in its own subprocess so
 
 1. **Bulk streaming run** — a 100k-request Zipf scenario (the canonical
    ``scale_config``: 5 replicas x 20k requests, 256 keys, skew 0.99,
-   vectorized workload, hygiene windows) must finish consistent within
+   hygiene windows) must finish consistent within
    the wall-clock and peak-RSS budgets below. This is the shape of the
    acceptance 1M run at a CI-compatible size; throughput is linear in
    request count past ~10k, so a 100k pass predicts the 1M behaviour.
@@ -17,10 +17,10 @@ Three checks under explicit budgets, each in its own subprocess so
 3. **Saturation artifact** — a miniature ``run_scale`` sweep (MARP vs
    a quorum baseline) writes the ``repro-scale/v1`` saturation-curve
    JSON that CI uploads as an artifact, and sanity-checks its schema.
-4. **Hundreds-of-replicas delta tour** — a fixed-seed N=150 MARP run
-   with ``delta_views=True`` (every agent tours all 150 replicas on
-   the O(Δ) shared-view plane) must finish consistent, fully
-   committed, and within its own wall/RSS budgets.
+4. **Hundreds-of-replicas tour** — a fixed-seed N=150 MARP run (every
+   agent tours all 150 replicas, exchanging O(Δ) view deltas) must
+   finish consistent, fully committed, and within its own wall/RSS
+   budgets.
 
 Runs standalone (``python benchmarks/bench_scale_smoke.py [OUT.json]``)
 and under pytest. Budgets are generous vs the measured values (locally
@@ -66,12 +66,11 @@ streaming = sys.argv[1] == "1"
 requests = int(sys.argv[2])
 protocol = sys.argv[3]
 n_replicas = int(sys.argv[4])
-delta = sys.argv[5] == "1"
-gap = float(sys.argv[6])
+gap = float(sys.argv[5])
 config = scale_config(
     protocol,
     ScaleVariant(label="smoke", n_replicas=n_replicas, n_keys=256,
-                 key_skew=0.99, delta_views=delta),
+                 key_skew=0.99),
     gap,
     requests,
     seed=3,
@@ -90,13 +89,12 @@ print(json.dumps({
 
 def _child_run(streaming: bool, requests: int,
                protocol: str = SMOKE_PROTOCOL, n_replicas: int = 5,
-               delta: bool = False, gap: float = 100.0):
+               gap: float = 100.0):
     """One isolated run; returns (doc, wall_seconds)."""
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-c", _CHILD, "1" if streaming else "0",
-         str(requests), protocol, str(n_replicas),
-         "1" if delta else "0", str(gap)],
+         str(requests), protocol, str(n_replicas), str(gap)],
         capture_output=True, text=True,
     )
     wall = time.perf_counter() - start
@@ -165,7 +163,7 @@ def test_saturation_artifact(out_path="output/scale_smoke.json"):
 def test_delta_view_tour_at_150_replicas():
     doc, wall = _child_run(
         True, DELTA_REQUESTS, protocol="marp",
-        n_replicas=DELTA_REPLICAS, delta=True, gap=500.0,
+        n_replicas=DELTA_REPLICAS, gap=500.0,
     )
     print(f"delta tour N={DELTA_REPLICAS}: wall {wall:.1f}s "
           f"rss {doc['rss_mb']:.1f}MB p99 {doc['att_p99']:.1f}ms")

@@ -6,8 +6,8 @@ The DES backend reproduces the figures; this backend reproduces the
 ``--process``) with its own mailbox, and an agent migration is a genuine
 pickle round-trip over a latency-injected queue, like an Aglet being
 serialised between Tahiti servers. The MARP decision logic
-(:func:`repro.core.priority.decide` over the Locking Table) is the very
-same code the simulator runs.
+(:func:`repro.core.machines.priority.decide` over the Locking Table) is
+the very same code the simulator runs.
 
 Run:  python examples/live_runtime.py [--process]
 """

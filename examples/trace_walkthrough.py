@@ -14,7 +14,7 @@ Run:  python examples/trace_walkthrough.py
 """
 
 from repro import Deployment, MARP
-from repro.core.priority import rank_queue
+from repro.core.machines.priority import rank_queue
 
 
 def main() -> None:

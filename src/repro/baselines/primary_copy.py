@@ -13,7 +13,7 @@ from typing import Optional
 
 from repro.net.message import Message
 from repro.replication.deployment import Deployment
-from repro.replication.history import CommitRecord
+from repro.core.machines.structures import CommitRecord
 from repro.replication.protocol import ReplicationProtocol
 from repro.replication.requests import RequestRecord
 from repro.replication.server import WriteOp

@@ -1,8 +1,7 @@
 """MARP — the paper's contribution: mobile-agent replication control."""
 
 from repro.core.config import MARPConfig
-from repro.core.locking_table import LockingTable
-from repro.core.priority import (
+from repro.core.machines.priority import (
     OTHER,
     STALEMATE,
     UNDECIDED,
@@ -11,6 +10,7 @@ from repro.core.priority import (
     decide,
     rank_queue,
 )
+from repro.core.machines.table import LockingTable
 from repro.core.protocol import MARP
 from repro.core.update_agent import UpdateAgent
 

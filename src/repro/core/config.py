@@ -57,10 +57,6 @@ class MARPConfig:
     ack_timeout: float = DES_TUNABLES.ack_timeout
     max_claims: int = DES_TUNABLES.max_claims
     claim_backoff: float = DES_TUNABLES.claim_backoff
-    #: Delta-view data plane: must match the replicas' setting so agent
-    #: Locking Tables report the compact wire encoding and hand servers
-    #: their acked sequence (see ProtocolTunables.delta_views).
-    delta_views: bool = DES_TUNABLES.delta_views
 
     def __post_init__(self) -> None:
         if self.read_strategy not in ("local", "quorum"):

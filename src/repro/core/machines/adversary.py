@@ -364,6 +364,10 @@ class ScheduleOutcome:
     chains: Dict[str, List[Tuple[int, Any]]]
     killed: int
     events: int
+    #: view-exchange coverage: visits served a delta / returning
+    #: visitors served a full snapshot (journal reset or base evicted)
+    deltas: int = 0
+    fallbacks: int = 0
 
 
 def _settle_window(tunables: ProtocolTunables, msg_latency: float) -> float:
@@ -524,6 +528,8 @@ def check_schedule(
         chains=harness.commit_chains(),
         killed=len(harness.killed),
         events=harness.events_processed,
+        deltas=sum(r.deltas_served for r in harness.replicas.values()),
+        fallbacks=sum(r.fallbacks_served for r in harness.replicas.values()),
     )
 
 
@@ -740,6 +746,8 @@ class CampaignReport:
     passed: int
     failures: List[CampaignFailure]
     events: int
+    deltas: int = 0
+    fallbacks: int = 0
 
     @property
     def ok(self) -> bool:
@@ -751,7 +759,9 @@ class CampaignReport:
         return (
             f"adversary campaign: {self.passed}/{self.schedules} schedules "
             f"ok, {len(self.failures)} violations, "
-            f"{self.events} harness events (seed {self.seed})"
+            f"{self.events} harness events, {self.deltas} deltas + "
+            f"{self.fallbacks} snapshot fallbacks served "
+            f"(seed {self.seed})"
         )
 
 
@@ -814,7 +824,7 @@ def run_campaign(
         )
 
     passed = 0
-    events = 0
+    events = deltas = fallbacks = 0
     failures: List[CampaignFailure] = []
     for index in range(n_schedules):
         schedule = generate_schedule(
@@ -825,6 +835,8 @@ def run_campaign(
             passed += 1
             if isinstance(outcome, ScheduleOutcome):
                 events += outcome.events
+                deltas += outcome.deltas
+                fallbacks += outcome.fallbacks
                 if c_events is not None:
                     c_events.inc(outcome.events)
             if c_schedules is not None:
@@ -869,4 +881,6 @@ def run_campaign(
         passed=passed,
         failures=failures,
         events=events,
+        deltas=deltas,
+        fallbacks=fallbacks,
     )

@@ -30,9 +30,7 @@ __all__ = ["ProtocolTunables", "DES_TUNABLES", "LIVE_TUNABLES"]
 #: Attribute names the agent machine reads off its tunables object.
 AGENT_TUNABLE_FIELDS = ("park_timeout", "ack_timeout", "max_claims", "claim_backoff")
 #: Attribute names the replica machine reads off its tunables object.
-REPLICA_TUNABLE_FIELDS = (
-    "grant_ttl", "enable_bulletin", "ul_retention", "delta_views",
-)
+REPLICA_TUNABLE_FIELDS = ("grant_ttl", "enable_bulletin", "ul_retention")
 
 
 @dataclass(frozen=True)
@@ -68,17 +66,6 @@ class ProtocolTunables:
         :class:`repro.core.machines.structures.UpdatedList` for the
         safety argument. Must comfortably exceed ``grant_ttl`` plus the
         worst RELEASE propagation delay when set.
-    delta_views:
-        Opt into the delta-view data plane: replicas keep a mutation
-        journal (:class:`repro.core.machines.delta.DeltaJournal`) and
-        hand returning visitors a
-        :class:`~repro.core.machines.wire.SharedViewDelta` — only what
-        changed since the visitor's acknowledged sequence — instead of a
-        full snapshot, and agent Locking Tables report the compact
-        interned wire encoding. Off by default: view wire sizes feed the
-        network latency model, so flipping this changes event timing
-        (never commit outcomes — see ``tests/integration/
-        test_delta_conformance.py``).
     """
 
     park_timeout: float = 100.0
@@ -88,7 +75,6 @@ class ProtocolTunables:
     grant_ttl: float = 10_000.0
     enable_bulletin: bool = True
     ul_retention: "float | None" = None
-    delta_views: bool = False
 
     def __post_init__(self) -> None:
         if self.park_timeout <= 0:

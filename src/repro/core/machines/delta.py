@@ -1,10 +1,10 @@
-"""The replica-side mutation journal behind the delta-view data plane.
+"""The replica-side mutation journal behind the view exchange.
 
 Every migrating agent carries one :class:`~repro.core.machines.wire
 .SharedView` per known server, and every visit re-merges all of them —
 so both the suitcase wire size and the per-tour merge cost grow as
 O(replicas × agents × keys) even when almost nothing changed between
-visits. The delta plane replaces the repeat traffic with "ship only
+visits. The view exchange replaces the repeat traffic with "ship only
 what the receiver hasn't seen": each :class:`ReplicaMachine` keeps a
 monotone sequence number plus a bounded changelog of its lock-state
 mutations, and a returning visitor that acknowledges sequence ``s``

@@ -95,20 +95,20 @@ class ReplicaMachine:
         self.grant_epoch: int = 0
         self.grant_expires_at: float = float("-inf")
 
-        #: delta-view data plane (opt-in): a mutation journal that lets
-        #: :meth:`begin_visit` hand returning visitors only what changed
-        #: since their acknowledged sequence. ``None`` = classic plane;
-        #: nothing below journals and every view ships unstamped.
-        self.journal: Optional[DeltaJournal] = (
-            DeltaJournal(host)
-            if getattr(tunables, "delta_views", False)
-            else None
-        )
+        #: mutation journal that lets :meth:`begin_visit` hand returning
+        #: visitors only what changed since their acknowledged sequence.
+        self.journal = DeltaJournal(host)
 
         self.acks_sent = 0
         self.nacks_sent = 0
         self.commits_applied = 0
         self.recoveries = 0
+        #: visits answered with a :class:`SharedViewDelta`
+        self.deltas_served = 0
+        #: returning visitors (``acked`` >= 0) handed a full snapshot
+        #: because their base was evicted from, or reset out of, the
+        #: journal window
+        self.fallbacks_served = 0
 
     @property
     def n_replicas(self) -> int:
@@ -119,8 +119,7 @@ class ReplicaMachine:
     # ------------------------------------------------------------------
 
     def begin_visit(
-        self, agent_id: AgentId, request_id: int, now: float,
-        acked: Optional[int] = None,
+        self, agent_id: AgentId, request_id: int, now: float, acked: int,
     ) -> Tuple[VisitData, List[Effect]]:
         """One agent visit: guarded lock enqueue + information exchange.
 
@@ -131,12 +130,12 @@ class ReplicaMachine:
         :meth:`post_bulletin` by the driver.
 
         ``acked`` is the visitor's acknowledged sequence for this server
-        (:meth:`LockingTable.acked_seq`). When the delta plane is on and
-        the journal still retains that base, the handed view is a
-        :class:`SharedViewDelta` covering only what changed since —
-        including this visit's own enqueue, exactly like the full
-        snapshot would. First contact (``acked`` = -1), an evicted base,
-        or the classic plane all fall back to the full snapshot.
+        (:meth:`LockingTable.acked_seq`). While the journal still
+        retains that base, the handed view is a :class:`SharedViewDelta`
+        covering only what changed since — including this visit's own
+        enqueue, exactly like the full snapshot would. First contact
+        (``acked`` = -1) or an evicted/reset base fall back to the full
+        snapshot.
         """
         effects: List[Effect] = []
         enqueued = False
@@ -146,10 +145,12 @@ class ReplicaMachine:
         ):
             effects.extend(self.request_lock(agent_id, request_id, now))
             enqueued = True
-        view: Any = None
-        if self.journal is not None and acked is not None:
-            view = self.delta_view(now, acked)
-        if view is None:
+        view: Any = self.delta_view(now, acked)
+        if view is not None:
+            self.deltas_served += 1
+        else:
+            if acked >= 0:
+                self.fallbacks_served += 1
             view = self.lock_view(now)
         data = VisitData(
             view=view,
@@ -175,8 +176,7 @@ class ReplicaMachine:
             LockEntry(agent_id=agent_id, request_id=request_id,
                       enqueued_at=now)
         )
-        if self.journal is not None:
-            self.journal.bump("enq", agent_id)
+        self.journal.bump("enq", agent_id)
         return [QueueChanged()]
 
     def requeue_lock(
@@ -195,10 +195,9 @@ class ReplicaMachine:
             LockEntry(agent_id=agent_id, request_id=request_id,
                       enqueued_at=now)
         )
-        if self.journal is not None:
-            if removed:
-                self.journal.bump("deq", agent_id)
-            self.journal.bump("enq", agent_id)
+        if removed:
+            self.journal.bump("deq", agent_id)
+        self.journal.bump("enq", agent_id)
         return [ReleaseNotify()]
 
     def lock_view(self, now: float) -> SharedView:
@@ -210,22 +209,20 @@ class ReplicaMachine:
             view=self.locking_list.view(),
             updated=self.updated_list.as_set(),
             versions=self.store.version_vector(),
-            seq=self.journal.seq if self.journal is not None else -1,
+            seq=self.journal.seq,
         )
 
     def delta_view(
         self, now: float, base_seq: int
     ) -> Optional[SharedViewDelta]:
         """Delta since ``base_seq``, or None when only a full snapshot
-        will do (classic plane, first contact, base evicted/reset).
+        will do (first contact, base evicted/reset).
 
         Under a finite ``ul_retention`` the receiver's reconstructed
         ``updated`` set is a monotone *superset* of this server's pruned
         UL — safe (finished is monotone knowledge; pruning only forgets),
         and exact in the default keep-forever configuration.
         """
-        if self.journal is None:
-            return None
         self.updated_list.prune(now)
         return self.journal.delta_since(base_seq, now)
 
@@ -381,8 +378,7 @@ class ReplicaMachine:
                     )
                 )
                 self.commits_applied += 1
-                if journal is not None:
-                    journal.bump("ver", (write.key, write.version))
+                journal.bump("ver", (write.key, write.version))
                 effects.append(
                     CommitApplied(
                         payload.agent_id, write.request_id,
@@ -393,11 +389,10 @@ class ReplicaMachine:
         self.release_grant(payload.agent_id)
         removed = self.locking_list.remove(payload.agent_id)
         finished = self.updated_list.add(payload.agent_id, at=now)
-        if journal is not None:
-            if removed:
-                journal.bump("deq", payload.agent_id)
-            if finished:
-                journal.bump("fin", payload.agent_id)
+        if removed:
+            journal.bump("deq", payload.agent_id)
+        if finished:
+            journal.bump("fin", payload.agent_id)
         effects.append(QueueChanged())
         effects.append(ReleaseNotify())
         return effects
@@ -408,11 +403,10 @@ class ReplicaMachine:
         self.release_grant(payload.agent_id)
         removed = self.locking_list.remove(payload.agent_id)
         finished = self.updated_list.add(payload.agent_id, at=now)
-        if self.journal is not None:
-            if removed:
-                self.journal.bump("deq", payload.agent_id)
-            if finished:
-                self.journal.bump("fin", payload.agent_id)
+        if removed:
+            self.journal.bump("deq", payload.agent_id)
+        if finished:
+            self.journal.bump("fin", payload.agent_id)
         return [QueueChanged(), ReleaseNotify()]
 
     def _on_release(self, payload: UpdatePayload) -> List[Effect]:
@@ -447,11 +441,10 @@ class ReplicaMachine:
                 self.locking_list.remove(agent_id)
         if self.grant_holder is not None and self.grant_holder in self.updated_list:
             self.release_grant(self.grant_holder)
-        if self.journal is not None:
-            # Recovery rewrote store/UL/LL state in one stroke; rather
-            # than journal a bulk diff, invalidate the window so every
-            # visitor takes the full-snapshot fallback once.
-            self.journal.reset()
+        # Recovery rewrote store/UL/LL state in one stroke; rather than
+        # journal a bulk diff, invalidate the window so every visitor
+        # takes the full-snapshot fallback once.
+        self.journal.reset()
         return [Recovered(src), QueueChanged(), ReleaseNotify()]
 
     def _on_read_query(

@@ -15,9 +15,7 @@ algorithms reason about:
   by :mod:`repro.analysis.consistency`.
 
 They live here (rather than in :mod:`repro.replication`) so the kernel
-has no import edge back into any execution backend; the historical
-``repro.replication.locking`` / ``store`` / ``history`` modules re-export
-these names unchanged.
+has no import edge back into any execution backend.
 """
 
 from __future__ import annotations

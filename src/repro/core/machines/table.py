@@ -43,7 +43,7 @@ __all__ = ["LockingTable"]
 class LockingTable:
     """Per-agent accumulated lock knowledge."""
 
-    def __init__(self, delta_views: bool = False) -> None:
+    def __init__(self) -> None:
         self.views: Dict[str, SharedView] = {}
         self.ual = UpdatedList()
         # Monotone max committed version per key, folded from *every*
@@ -53,16 +53,12 @@ class LockingTable:
         # map dominates every commit the UAL knows about — the property
         # that makes version assignment ([D3]) collision-free.
         self.max_versions: Dict[str, int] = {}
-        #: delta-view data plane: report the compact wire encoding from
-        #: :meth:`wire_size` (the merge paths need no flag — they engage
-        #: on stamped sequence numbers alone).
-        self.delta_views = delta_views
         #: highest server sequence fully merged, per host. Advanced only
         #: when this table holds the complete state at that sequence
         #: (an adopted full view, or an applied delta).
         self.acked: Dict[str, int] = {}
         #: per host, the wire cells of the last version payload merged —
-        #: the delta-plane cost model for per-host version deviations.
+        #: :meth:`wire_size`'s cost model for per-host version deviations.
         self._ver_dev: Dict[str, int] = {}
         self._init_packed()
 
@@ -93,26 +89,20 @@ class LockingTable:
     # and never order anything.
 
     def __getstate__(self):
-        state = {
+        return {
             "views": self.views,
             "ual": self.ual,
             "max_versions": self.max_versions,
+            "acked": self.acked,
+            "ver_dev": self._ver_dev,
         }
-        # The delta-plane fields ride only when the plane is on, so the
-        # classic pickle payload stays byte-identical.
-        if self.delta_views or self.acked:
-            state["delta_views"] = self.delta_views
-            state["acked"] = self.acked
-            state["ver_dev"] = self._ver_dev
-        return state
 
     def __setstate__(self, state) -> None:
         self.views = state["views"]
         self.ual = state["ual"]
         self.max_versions = state["max_versions"]
-        self.delta_views = state.get("delta_views", False)
-        self.acked = state.get("acked", {})
-        self._ver_dev = state.get("ver_dev", {})
+        self.acked = state["acked"]
+        self._ver_dev = state["ver_dev"]
         self._init_packed()
         for agent_id in self.ual:
             self._finish_slot(agent_id)
@@ -185,9 +175,9 @@ class LockingTable:
         the version vector, and an adopted view is interned into its
         packed form immediately — nothing is re-materialised later.
 
-        Delta plane: a view stamped with a server sequence number at or
-        below this table's acknowledged sequence for that host is
-        discarded in O(1) — both its queue (``as_of`` cannot be fresher)
+        A view stamped with a server sequence number at or below this
+        table's acknowledged sequence for that host is discarded in
+        O(1) — both its queue (``as_of`` cannot be fresher)
         and its updated/version knowledge (monotone in ``seq``) are
         subsets of what was already merged. This is what turns the
         per-visit bulletin re-merge from O(hosts × agents) into O(hosts).
@@ -243,7 +233,8 @@ class LockingTable:
         snapshot at ``delta.seq`` would have been (queue reconstruction
         is exact because LL appends land strictly at the tail), so
         everything downstream — bulletin deposits, freshness checks,
-        pickled suitcases — is indistinguishable from the full plane.
+        pickled suitcases — is indistinguishable from having merged the
+        full snapshot.
 
         Returns True if anything changed.
         """
@@ -418,37 +409,29 @@ class LockingTable:
         }
 
     def wire_size(self) -> int:
-        """Approximate bytes the LT adds to the agent's migrations."""
-        if self.delta_views:
-            # Compact suitcase encoding enabled by the interner: the id
-            # dictionary ships once, every per-host queue is 4-byte slot
-            # indices into it, and the UAL plus each view's finished set
-            # are dense slot bitsets — instead of repeating the full
-            # AgentId tuple for every occurrence in every view. Version
-            # vectors are charged at their last-merged deviation per
-            # host (the full vector travels once via max_versions).
-            slots = len(self._done)
-            bitset = (slots + 7) // 8
-            value = self._ids.value
-            total = 16 + bitset  # container + global UAL bitset
-            total += sum(value(slot).wire_size() for slot in range(slots))
-            total += 16 * len(self.max_versions)
-            for host, view in self.views.items():
-                total += 16 + len(host) + 8 + 8  # host + as_of + seq
-                total += 4 * len(self._packed[host])
-                total += bitset  # the view's updated-set bitset
-                total += 16 * self._ver_dev.get(
-                    host, len(view.versions) if view.versions else 0
-                )
-            return total
-        total = 16
-        for view in self.views.values():
-            total += 16 + len(view.host) + 8  # host + as_of
-            total += sum(a.wire_size() for a in view.view)
-            total += sum(a.wire_size() for a in view.updated)
-            if view.versions:
-                total += 16 * len(view.versions)
-        total += sum(a.wire_size() for a in self.ual)
+        """Approximate bytes the LT adds to the agent's migrations.
+
+        Compact suitcase encoding enabled by the interner: the id
+        dictionary ships once, every per-host queue is 4-byte slot
+        indices into it, and the UAL plus each view's finished set are
+        dense slot bitsets — instead of repeating the full AgentId tuple
+        for every occurrence in every view. Version vectors are charged
+        at their last-merged deviation per host (the full vector travels
+        once via ``max_versions``).
+        """
+        slots = len(self._done)
+        bitset = (slots + 7) // 8
+        value = self._ids.value
+        total = 16 + bitset  # container + global UAL bitset
+        total += sum(value(slot).wire_size() for slot in range(slots))
+        total += 16 * len(self.max_versions)
+        for host, view in self.views.items():
+            total += 16 + len(host) + 8 + 8  # host + as_of + seq
+            total += 4 * len(self._packed[host])
+            total += bitset  # the view's updated-set bitset
+            total += 16 * self._ver_dev.get(
+                host, len(view.versions) if view.versions else 0
+            )
         return total
 
     def __repr__(self) -> str:

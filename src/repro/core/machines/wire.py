@@ -33,9 +33,9 @@ class SharedView:
     that server had applied.
 
     ``seq`` is the server's monotone mutation sequence number at
-    snapshot time, stamped only when the delta-view data plane is on
-    (``-1`` = unstamped, the classic full-view plane). A receiver that
-    has already merged this server's state through ``seq`` can discard
+    snapshot time (``-1`` = unstamped: a hand-built view with no
+    journal behind it, always merged in full). A receiver that has
+    already merged this server's state through ``seq`` can discard
     the whole view in O(1): with the paper's keep-forever Updated List,
     everything a lower-or-equal-seq snapshot knows is a subset of what
     the receiver merged.
@@ -61,7 +61,7 @@ class SharedView:
 class SharedViewDelta:
     """What changed at one server since the receiver's acked sequence.
 
-    The delta-view data plane's wire format: instead of a full
+    The returning-visitor wire format: instead of a full
     :class:`SharedView` (whole locking list, whole updated set, whole
     version vector — O(agents + keys) per snapshot), a server hands a
     returning visitor only the mutations logged between the visitor's
@@ -206,9 +206,10 @@ class VisitData:
     Produced by :meth:`ReplicaMachine.begin_visit` and fed into the
     agent machine as part of an :class:`~repro.core.machines.events.Arrived`
     input: the fresh lock view, the bulletin board, and the agent's rank
-    in the Locking List (for tracing). Under the delta-view data plane
-    ``view`` is a :class:`SharedViewDelta` whenever the visitor's acked
-    sequence is inside the server's journal window.
+    in the Locking List (for tracing). ``view`` is a
+    :class:`SharedViewDelta` whenever the visitor's acked sequence is
+    inside the server's journal window, a full :class:`SharedView`
+    otherwise.
     """
 
     view: Any  # SharedView | SharedViewDelta

@@ -87,11 +87,6 @@ class UpdateAgent(MobileAgent):
             batch_id=self.batch_id,
             requests=[(r.request_id, r.key, r.value) for r in self.records],
         )
-        # Delta plane: the carried table reports the compact suitcase
-        # encoding and tracks per-server acked sequences.
-        self.core.table.delta_views = getattr(
-            self.config, "delta_views", False
-        )
         self.machine = AgentMachine(
             self.core, marp.deployment.hosts, self.config, votes=marp.votes
         )

@@ -49,23 +49,7 @@ __all__ = [
 
 #: Bump when the cached RunResult surface changes shape; invalidates
 #: every existing entry (alongside the package version).
-CACHE_SCHEMA_VERSION = 2
-
-#: Config fields introduced after the fingerprint contract was frozen.
-#: They are omitted from the payload while at their default value, so a
-#: config that doesn't use them serialises exactly as it did before they
-#: existed — pinned fingerprints (bench baselines, determinism goldens)
-#: survive each data-plane extension. Non-default values *are* included
-#: and therefore distinguish cache keys and fingerprints as usual.
-_OMIT_AT_DEFAULT: Dict[str, Any] = {
-    "streaming": False,
-    "key_skew": 0.0,
-    "n_keys": None,
-    "workload_chunk": None,
-    "ul_retention": None,
-    "inbox_ttl": None,
-    "delta_views": False,
-}
+CACHE_SCHEMA_VERSION = 3
 
 
 def code_version() -> str:
@@ -78,11 +62,6 @@ def config_payload(config: RunConfig) -> Dict[str, Any]:
     payload: Dict[str, Any] = {}
     for field in dataclasses.fields(config):
         value = getattr(config, field.name)
-        if (
-            field.name in _OMIT_AT_DEFAULT
-            and value == _OMIT_AT_DEFAULT[field.name]
-        ):
-            continue
         if field.name == "faults":
             value = value.payload() if value is not None else None
         elif isinstance(value, tuple):
@@ -140,7 +119,7 @@ def result_payload(result: RunResult) -> Dict[str, Any]:
         for r in result.records
     ]
     audit = result.audit
-    payload = {
+    return {
         "config": config_payload(result.config),
         "protocol": result.protocol_name,
         "committed": result.committed,
@@ -169,19 +148,14 @@ def result_payload(result: RunResult) -> Dict[str, Any]:
             for key, version, request_id, value in result.commit_slots
         ],
         "records": records,
-    }
-    if getattr(result.config, "streaming", False):
         # Streaming runs carry no records/commit slots; their measured
-        # surface is the reservoir estimates + rolling chain digests.
-        # Gated on the config flag so classic runs serialise unchanged.
-        payload["streaming"] = {
-            "att_p50": result.att_p50,
-            "att_p99": result.att_p99,
-            "chain_digests": [
-                [host, digest] for host, digest in result.chain_digests
-            ],
-        }
-    return payload
+        # surface is the percentile estimates + rolling chain digests.
+        "att_p50": result.att_p50,
+        "att_p99": result.att_p99,
+        "chain_digests": [
+            [host, digest] for host, digest in result.chain_digests
+        ],
+    }
 
 
 def result_fingerprint(result: RunResult) -> str:

@@ -78,21 +78,17 @@ class RunConfig:
     # through process-pool workers and the result cache, neither of
     # which can carry the live deployment.
     audit_exclude: Tuple[str, ...] = ()
-    # -- million-request data plane (all defaults preserve the classic
-    # run byte-for-byte; config_payload omits them at default values so
-    # existing fingerprints and bench baselines are unchanged) ---------
+    # -- million-request data plane --------------------------------------
     #: Streaming accounting: terminal records sweep into constant-memory
     #: reservoirs (Welford/P²) and rolling chain digests instead of
-    #: accumulating; RunResult.records comes back empty.
+    #: accumulating; RunResult.records comes back empty. Figure modules
+    #: and exact-percentile runs need the records (False); the scale
+    #: family must not keep them (True).
     streaming: bool = False
     #: Zipf skew over the key population (0 = uniform).
     key_skew: float = 0.0
     #: Generate a synthetic key population k0..k{n-1} (overrides `keys`).
     n_keys: Optional[int] = None
-    #: Vectorized workload generation: pre-draw this many gaps/ops/keys
-    #: per batch from per-field streams (None = scalar draws on the
-    #: classic interleaved stream).
-    workload_chunk: Optional[int] = None
     #: Updated-List retention window in ms (None = paper semantics).
     ul_retention: Optional[float] = None
     #: Network inbox hygiene window in ms: delivered messages unclaimed
@@ -100,10 +96,6 @@ class RunConfig:
     #: accumulate without bound and make long runs quadratic). None =
     #: keep everything, the exact historical semantics.
     inbox_ttl: Optional[float] = None
-    #: Delta-view data plane: agents and replicas exchange
-    #: SharedViewDeltas and compact suitcase encodings (see
-    #: ProtocolTunables.delta_views). MARP-only; baselines ignore it.
-    delta_views: bool = False
 
     def with_(self, **changes) -> "RunConfig":
         """A modified copy (convenience for sweeps)."""
@@ -190,7 +182,6 @@ def _build_deployment(config: RunConfig) -> Deployment:
         update_apply_time=config.update_apply_time,
         enable_bulletin=config.enable_bulletin,
         ul_retention=config.ul_retention,
-        delta_views=config.delta_views,
     )
     topology = None
     if config.topology == "random-costs":
@@ -217,7 +208,6 @@ def build_protocol(deployment: Deployment, config: RunConfig):
             itinerary=config.itinerary,
             batch_size=config.batch_size,
             read_strategy=config.read_strategy,
-            delta_views=config.delta_views,
         )
         return MARP(deployment, config=marp_config)
     cls = PROTOCOLS.get(config.protocol)
@@ -280,7 +270,6 @@ def run_once(config: RunConfig) -> RunResult:
             key_skew=config.key_skew,
         ),
         max_requests_per_client=config.requests_per_client,
-        chunk=config.workload_chunk,
         keep_records=not streaming,
     )
     deployment.run(until=config.horizon)

@@ -9,10 +9,9 @@ four axes — replica count, key-population size, Zipf skew and WAN
 latency — so the first MARP-vs-quorum bend is visible per axis.
 
 Every run uses the million-request data plane: streaming accounting
-(constant-memory Welford/P² reservoirs + rolling chain digests),
-vectorized workload generation (``workload_chunk``) and a bounded
-Updated-List retention window. Runs dispatch through the parallel
-runner, so ``-j``/the result cache apply, and results are
+(constant-memory Welford/P² reservoirs + rolling chain digests) and a
+bounded Updated-List retention window. Runs dispatch through the
+parallel runner, so ``-j``/the result cache apply, and results are
 bit-deterministic per seed like every other family.
 """
 
@@ -52,9 +51,6 @@ class ScaleVariant:
     n_keys: int = 16
     key_skew: float = 0.9
     latency: str = "lan"
-    #: delta-view data plane (hundreds-of-replicas sweeps need it: the
-    #: per-tour SharedView merge cost dominates otherwise).
-    delta_views: bool = False
 
     def payload(self) -> Dict[str, Any]:
         return {
@@ -63,7 +59,6 @@ class ScaleVariant:
             "n_keys": self.n_keys,
             "key_skew": self.key_skew,
             "latency": self.latency,
-            "delta_views": self.delta_views,
         }
 
 
@@ -226,20 +221,12 @@ def replica_sweep_variants(
     n_keys: int = 256,
     key_skew: float = 0.9,
     latency: str = "lan",
-    delta_views: bool = True,
 ) -> List[ScaleVariant]:
-    """The hundreds-of-replicas axis: one variant per cluster size.
-
-    Defaults to the delta-view data plane — at these sizes each agent
-    carries O(N) views and every visit re-merges them, so the full plane
-    spends its time in Table.update rather than in the protocol under
-    test. Pass ``delta_views=False`` for the A/B against the full plane.
-    """
+    """The hundreds-of-replicas axis: one variant per cluster size."""
     return [
         ScaleVariant(
-            label=f"N={n}{'' if delta_views else '/full'}",
-            n_replicas=n, n_keys=n_keys, key_skew=key_skew,
-            latency=latency, delta_views=delta_views,
+            label=f"N={n}", n_replicas=n, n_keys=n_keys,
+            key_skew=key_skew, latency=latency,
         )
         for n in counts
     ]
@@ -250,7 +237,6 @@ def geo_variants(
     n_keys: int = 256,
     key_skew: float = 0.9,
     profiles: Sequence[str] = ("lan", "wan", "hybrid"),
-    delta_views: bool = True,
 ) -> List[ScaleVariant]:
     """The geo-topology axis at one cluster size: lan / wan / hybrid.
 
@@ -262,7 +248,7 @@ def geo_variants(
         ScaleVariant(
             label=f"geo={profile}",
             n_replicas=n_replicas, n_keys=n_keys, key_skew=key_skew,
-            latency=profile, delta_views=delta_views,
+            latency=profile,
         )
         for profile in profiles
     ]
@@ -274,11 +260,10 @@ def scale_config(
     mean_interarrival: float,
     requests_per_client: int,
     seed: int = 0,
-    workload_chunk: int = 1024,
     ul_retention: Optional[float] = 15_000.0,
     inbox_ttl: Optional[float] = 20_000.0,
 ) -> RunConfig:
-    """The canonical scale-family RunConfig: streaming + vectorized.
+    """The canonical scale-family RunConfig: streaming + hygiene windows.
 
     The two hygiene windows keep long runs linear: ``ul_retention``
     bounds the Updated List and ``inbox_ttl`` reaps dead claim-round
@@ -304,10 +289,8 @@ def scale_config(
         streaming=True,
         key_skew=variant.key_skew,
         n_keys=variant.n_keys,
-        workload_chunk=workload_chunk,
         ul_retention=ul_retention,
         inbox_ttl=inbox_ttl,
-        delta_views=variant.delta_views,
     )
 
 
@@ -318,7 +301,6 @@ def run_scale(
     requests_per_client: int = 200,
     repeats: int = 1,
     seed: int = 0,
-    workload_chunk: int = 1024,
     ul_retention: Optional[float] = 15_000.0,
     inbox_ttl: Optional[float] = 20_000.0,
     runner=None,
@@ -333,8 +315,7 @@ def run_scale(
     cells = [
         (protocol, variant, gap, scale_config(
             protocol, variant, gap, requests_per_client,
-            seed=seed, workload_chunk=workload_chunk,
-            ul_retention=ul_retention, inbox_ttl=inbox_ttl,
+            seed=seed, ul_retention=ul_retention, inbox_ttl=inbox_ttl,
         ))
         for protocol in protocols
         for variant in variants

@@ -81,9 +81,9 @@ def _scn_event_loop(quick: bool):
 
 def _scn_decide(quick: bool):
     from repro.agents.identity import AgentId
-    from repro.core.locking_table import LockingTable
-    from repro.core.priority import decide
-    from repro.replication.server import SharedView
+    from repro.core.machines.priority import decide
+    from repro.core.machines.table import LockingTable
+    from repro.core.machines.wire import SharedView
 
     calls = 2_000 if quick else 20_000
     table = LockingTable()
@@ -101,101 +101,80 @@ def _scn_decide(quick: bool):
     return calls, None, {"calls": calls, "servers": 5}
 
 
-def _scn_delta_merge(name: str, delta: bool) -> ScenarioFn:
-    """The hundreds-of-replicas suitcase-merge A/B.
+def _scn_delta_merge(quick: bool):
+    """The hundreds-of-replicas suitcase merge.
 
     Models one agent's table re-merging the bulletin across an
     N-replica tour: every round each host's view is presented again,
-    but only a few hosts actually changed since the last round. The
-    full plane pays the O(agents + keys) knowledge merge for every
-    unchanged host; the delta plane pays an O(1) sequence skip for
-    unchanged hosts and an O(changed) delta application for the rest.
-    Params record both suitcase wire sizes for the bytes-per-tour A/B.
+    but only a few hosts actually changed since the last round —
+    unchanged hosts cost an O(1) sequence skip, changed ones an
+    O(changed) delta application.
     """
+    from repro.agents.identity import AgentId
+    from repro.core.machines.delta import DeltaJournal
+    from repro.core.machines.table import LockingTable
+    from repro.core.machines.wire import SharedView
 
-    def fn(quick: bool):
-        import hashlib
+    n_hosts = 40 if quick else 200
+    rounds = 10 if quick else 60
+    queue_len, ual_len, n_keys, churn = 30, 50, 64, 4
+    ids = [AgentId("h", float(n), 0) for n in range(queue_len + ual_len)]
 
-        from repro.agents.identity import AgentId
-        from repro.core.locking_table import LockingTable
-        from repro.core.machines.delta import DeltaJournal
-        from repro.replication.server import SharedView
-
-        n_hosts = 40 if quick else 200
-        rounds = 10 if quick else 60
-        queue_len, ual_len, n_keys, churn = 30, 50, 64, 4
-        ids = [AgentId("h", float(n), 0) for n in range(queue_len + ual_len)]
-
-        hosts: Dict[str, Dict[str, Any]] = {}
-        for index in range(n_hosts):
-            host = f"s{index + 1}"
-            hosts[host] = {
-                "queue": list(ids[:queue_len]),
-                "updated": set(ids[queue_len:]),
-                "versions": {f"k{k}": 1 for k in range(n_keys)},
-                "journal": DeltaJournal(host),
-            }
-
-        def snapshot(host: str, now: float) -> SharedView:
-            s = hosts[host]
-            return SharedView(
-                host=host, as_of=now, view=tuple(s["queue"]),
-                updated=frozenset(s["updated"]),
-                versions=dict(s["versions"]),
-                seq=s["journal"].seq if delta else -1,
-            )
-
-        table = LockingTable(delta_views=delta)
-        now = 1.0
-        views = {host: snapshot(host, now) for host in hosts}
-        for view in views.values():
-            table.update(view)
-
-        merges = 0
-        for rnd in range(rounds):
-            now += 1.0
-            changed = {f"s{(rnd * churn + i) % n_hosts + 1}"
-                       for i in range(churn)}
-            for host in changed:
-                s = hosts[host]
-                journal = s["journal"]
-                moved = s["queue"].pop(0)  # a requeue: head to tail
-                s["queue"].append(moved)
-                journal.bump("deq", moved)
-                journal.bump("enq", moved)
-                key = f"k{(rnd + len(host)) % n_keys}"
-                s["versions"][key] += 1
-                journal.bump("ver", (key, s["versions"][key]))
-            for host, view in views.items():
-                if host in changed and delta:
-                    patch = hosts[host]["journal"].delta_since(
-                        table.acked_seq(host), now)
-                    table.apply_delta(patch)
-                elif host in changed:
-                    views[host] = snapshot(host, now)
-                    table.update(views[host])
-                else:
-                    table.update(view)  # the repeat merge
-                merges += 1
-
-        table.delta_views = True
-        delta_bytes = table.wire_size()
-        table.delta_views = False
-        full_bytes = table.wire_size()
-        table.delta_views = delta
-        fingerprint = hashlib.sha256(json.dumps(
-            [merges, delta_bytes, full_bytes], sort_keys=True,
-        ).encode()).hexdigest()[:16]
-        return merges, fingerprint, {
-            "hosts": n_hosts,
-            "rounds": rounds,
-            "suitcase_bytes": delta_bytes if delta else full_bytes,
-            "suitcase_bytes_full": full_bytes,
-            "suitcase_bytes_delta": delta_bytes,
+    hosts: Dict[str, Dict[str, Any]] = {}
+    for index in range(n_hosts):
+        host = f"s{index + 1}"
+        hosts[host] = {
+            "queue": list(ids[:queue_len]),
+            "updated": set(ids[queue_len:]),
+            "versions": {f"k{k}": 1 for k in range(n_keys)},
+            "journal": DeltaJournal(host),
         }
 
-    fn.__name__ = name
-    return fn
+    table = LockingTable()
+    views = {
+        host: SharedView(
+            host=host, as_of=1.0, view=tuple(s["queue"]),
+            updated=frozenset(s["updated"]), versions=dict(s["versions"]),
+            seq=s["journal"].seq,
+        )
+        for host, s in hosts.items()
+    }
+    for view in views.values():
+        table.update(view)
+
+    merges = 0
+    now = 1.0
+    for rnd in range(rounds):
+        now += 1.0
+        changed = {f"s{(rnd * churn + i) % n_hosts + 1}"
+                   for i in range(churn)}
+        for host in changed:
+            s = hosts[host]
+            journal = s["journal"]
+            moved = s["queue"].pop(0)  # a requeue: head to tail
+            s["queue"].append(moved)
+            journal.bump("deq", moved)
+            journal.bump("enq", moved)
+            key = f"k{(rnd + len(host)) % n_keys}"
+            s["versions"][key] += 1
+            journal.bump("ver", (key, s["versions"][key]))
+        for host, view in views.items():
+            if host in changed:
+                table.apply_delta(hosts[host]["journal"].delta_since(
+                    table.acked_seq(host), now))
+            else:
+                table.update(view)  # the repeat merge
+            merges += 1
+
+    suitcase_bytes = table.wire_size()
+    fingerprint = hashlib.sha256(json.dumps(
+        [merges, suitcase_bytes],
+    ).encode()).hexdigest()[:16]
+    return merges, fingerprint, {
+        "hosts": n_hosts,
+        "rounds": rounds,
+        "suitcase_bytes": suitcase_bytes,
+    }
 
 
 def _scn_des(name: str, gap: float) -> ScenarioFn:
@@ -301,11 +280,11 @@ from repro.experiments.runner import run_once
 from repro.experiments.scale import ScaleVariant, scale_config
 
 protocol, requests, gap = sys.argv[1], int(sys.argv[2]), float(sys.argv[3])
-n_replicas, delta_views = int(sys.argv[4]), sys.argv[5] == "1"
+n_replicas = int(sys.argv[4])
 config = scale_config(
     protocol,
     ScaleVariant(label="bench", n_replicas=n_replicas, n_keys=256,
-                 key_skew=0.99, delta_views=delta_views),
+                 key_skew=0.99),
     gap,
     requests,
     seed=3,
@@ -327,8 +306,7 @@ print(json.dumps({
 
 def _scn_scale(name: str, protocol: str, quick_requests: int,
                full_requests: int, gap: float = 100.0,
-               n_replicas: int = 5,
-               delta_views: bool = False) -> ScenarioFn:
+               n_replicas: int = 5) -> ScenarioFn:
     """A streaming Zipf scale scenario (canonical ``scale_config``:
     256 keys, skew 0.99, vectorized workload, hygiene windows),
     isolated in a subprocess for a clean peak-RSS reading."""
@@ -340,8 +318,7 @@ def _scn_scale(name: str, protocol: str, quick_requests: int,
         requests = quick_requests if quick else full_requests
         proc = subprocess.run(
             [sys.executable, "-c", _SCALE_CHILD,
-             protocol, str(requests), str(gap),
-             str(n_replicas), "1" if delta_views else "0"],
+             protocol, str(requests), str(gap), str(n_replicas)],
             capture_output=True, text=True,
         )
         if proc.returncode != 0:
@@ -357,7 +334,6 @@ def _scn_scale(name: str, protocol: str, quick_requests: int,
             "requests": requests * n_replicas,  # one client per replica
             "mean_interarrival": gap,
             "n_replicas": n_replicas,
-            "delta_views": delta_views,
             "committed": doc["committed"],
             "peak_rss_mb": doc["peak_rss_mb"],
         }
@@ -374,10 +350,8 @@ SUITES: Dict[str, Sequence[Scenario]] = {
                  fn=_scn_des("des_contended", 25.0)),
         Scenario("des_uncontended", "events/s", repeats=2,
                  fn=_scn_des("des_uncontended", 200.0)),
-        Scenario("delta_merge_full", "merges/s", repeats=3,
-                 fn=_scn_delta_merge("delta_merge_full", False)),
         Scenario("delta_merge_delta", "merges/s", repeats=3,
-                 fn=_scn_delta_merge("delta_merge_delta", True)),
+                 fn=_scn_delta_merge),
     ),
     "parallel": (
         Scenario("sweep_serial", "runs/s", repeats=1, fn=_scn_sweep(1)),
@@ -397,12 +371,11 @@ SUITES: Dict[str, Sequence[Scenario]] = {
         Scenario("scale_stream_bulk", "events/s", repeats=1,
                  fn=_scn_scale("scale_stream_bulk", "primary-copy",
                                1_000, 200_000)),
-        # The hundreds-of-replicas tour with the delta plane on: 150
-        # replicas, one client each, every agent touring all of them.
+        # The hundreds-of-replicas tour: 150 replicas, one client
+        # each, every agent touring all of them.
         Scenario("scale_delta_n150", "events/s", repeats=1,
                  fn=_scn_scale("scale_delta_n150", "marp", 1, 2,
-                               gap=500.0, n_replicas=150,
-                               delta_views=True)),
+                               gap=500.0, n_replicas=150)),
     ),
 }
 

@@ -1,10 +1,12 @@
 """Replication substrate: versioned stores, locking structures, replica
 servers (the paper's Algorithm 2), deployment wiring and clients."""
 
+from repro.core.machines.structures import (
+    CommitRecord, HistoryLog, LockEntry, LockingList, LockView,
+    UpdatedList, VersionedStore, VersionedValue,
+)
 from repro.replication.client import Client, attach_clients
 from repro.replication.deployment import Deployment
-from repro.replication.history import CommitRecord, HistoryLog
-from repro.replication.locking import LockEntry, LockingList, LockView, UpdatedList
 from repro.replication.protocol import ReplicationProtocol
 from repro.replication.requests import READ, WRITE, RequestRecord, new_request_id
 from repro.replication.server import (
@@ -14,7 +16,6 @@ from repro.replication.server import (
     UpdatePayload,
     WriteOp,
 )
-from repro.replication.store import VersionedStore, VersionedValue
 
 __all__ = [
     "VersionedStore",

@@ -96,8 +96,6 @@ class ReplicaConfig:
     #: Updated List retention window (ms); None = paper semantics
     #: (keep forever). See ProtocolTunables.ul_retention.
     ul_retention: Optional[float] = DES_TUNABLES.ul_retention
-    #: Delta-view data plane (see ProtocolTunables.delta_views).
-    delta_views: bool = DES_TUNABLES.delta_views
 
 
 class ReplicaServer:
@@ -205,8 +203,7 @@ class ReplicaServer:
     # ------------------------------------------------------------------
 
     def begin_visit(
-        self, agent_id: AgentId, request_id: int,
-        acked: Optional[int] = None,
+        self, agent_id: AgentId, request_id: int, acked: int,
     ) -> VisitData:
         """One agent visit: guarded lock enqueue + information exchange."""
         data, effects = self.machine.begin_visit(

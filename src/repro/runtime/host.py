@@ -105,8 +105,6 @@ class LiveConfig:
     tick: float = 10.0
     enable_bulletin: bool = LIVE_TUNABLES.enable_bulletin
     ul_retention: "float | None" = LIVE_TUNABLES.ul_retention
-    #: Delta-view data plane (see ProtocolTunables.delta_views).
-    delta_views: bool = LIVE_TUNABLES.delta_views
 
 
 @dataclass
@@ -331,7 +329,6 @@ class HostRuntime:
             location=self.host,
             dispatched_at=now,
         )
-        state.table.delta_views = self.config.delta_views
         state.trace_id = str(state.agent_id)
         state.lock_wait_since = now
         if self._obs is not None:

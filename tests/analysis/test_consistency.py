@@ -5,7 +5,7 @@ import pytest
 from repro.errors import ConsistencyViolation
 from repro.analysis.consistency import assert_consistent, audit
 from repro.replication.deployment import Deployment
-from repro.replication.history import CommitRecord
+from repro.core.machines.structures import CommitRecord
 
 
 def commit(rid, key, value, version, at, origin="s1"):

@@ -27,7 +27,6 @@ from repro.sim.monitor import (
 BASE = RunConfig(
     n_replicas=5, seed=13, mean_interarrival=30.0,
     requests_per_client=40, n_keys=8, key_skew=0.9,
-    workload_chunk=32,
 )
 
 
@@ -282,7 +281,7 @@ class TestHistoryLogStreaming:
 class TestULRetention:
     def test_prune_drops_only_stale_entries(self):
         from repro.agents.identity import AgentId
-        from repro.replication.locking import UpdatedList
+        from repro.core.machines.structures import UpdatedList
 
         ul = UpdatedList(retention=100.0)
         old, fresh = AgentId("h", 1.0, 0), AgentId("h", 2.0, 0)
@@ -294,7 +293,7 @@ class TestULRetention:
 
     def test_no_retention_never_prunes(self):
         from repro.agents.identity import AgentId
-        from repro.replication.locking import UpdatedList
+        from repro.core.machines.structures import UpdatedList
 
         ul = UpdatedList()
         ul.add(AgentId("h", 1.0, 0), at=0.0)

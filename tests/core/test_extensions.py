@@ -166,8 +166,8 @@ class TestWeightedVoting:
 
     def test_weighted_decide_unit(self):
         from repro.agents.identity import AgentId
-        from repro.core.locking_table import LockingTable
-        from repro.core.priority import WIN, decide
+        from repro.core.machines.table import LockingTable
+        from repro.core.machines.priority import WIN, decide
         from repro.replication.server import SharedView
 
         table = LockingTable()

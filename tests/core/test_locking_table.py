@@ -1,7 +1,7 @@
 """Unit tests for the agent's Locking Table."""
 
 from repro.agents.identity import AgentId
-from repro.core.locking_table import LockingTable
+from repro.core.machines.table import LockingTable
 from repro.replication.server import SharedView
 
 

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.agents.identity import AgentId
-from repro.core.locking_table import LockingTable
-from repro.core.priority import OTHER, STALEMATE, UNDECIDED, WIN, decide
+from repro.core.machines.table import LockingTable
+from repro.core.machines.priority import OTHER, STALEMATE, UNDECIDED, WIN, decide
 from repro.replication.server import SharedView
 
 

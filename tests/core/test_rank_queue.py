@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.agents.identity import AgentId
-from repro.core.locking_table import LockingTable
-from repro.core.priority import rank_queue
+from repro.core.machines.table import LockingTable
+from repro.core.machines.priority import rank_queue
 from repro.replication.server import SharedView
 
 

@@ -12,10 +12,13 @@ import pickle
 
 import pytest
 
+from repro._version import __version__
 from repro.experiments.cache import (
+    CACHE_SCHEMA_VERSION,
     ResultCache,
     code_version,
     config_key,
+    config_payload,
     result_fingerprint,
 )
 from repro.experiments.parallel import ParallelRunner
@@ -50,10 +53,8 @@ FIELD_CHANGES = {
     "streaming": True,
     "key_skew": 0.8,
     "n_keys": 32,
-    "workload_chunk": 256,
     "ul_retention": 5_000.0,
     "inbox_ttl": 10_000.0,
-    "delta_views": True,
 }
 
 
@@ -68,6 +69,14 @@ def _fault_plan(drop=0.0, crash_window=(10.0, 20.0), outage=None):
 class TestConfigKey:
     def test_identical_configs_same_key(self):
         assert config_key(BASE) == config_key(BASE.with_())
+
+    def test_every_field_is_in_the_payload_even_at_its_default(self):
+        import dataclasses
+
+        payload = config_payload(RunConfig())
+        assert set(payload) == {
+            f.name for f in dataclasses.fields(RunConfig)
+        }
 
     def test_every_field_change_changes_key(self):
         import dataclasses
@@ -129,6 +138,22 @@ class TestResultCache:
         ResultCache(tmp_path).put(BASE, run_once(BASE))
         newer = ResultCache(tmp_path, version=code_version() + ".post1")
         assert newer.get(BASE) is None
+
+    def test_schema_2_envelope_is_a_miss(self, tmp_path):
+        # Schema 2 keyed configs with defaults omitted and ran them on
+        # the classic view plane: such an entry must never be served.
+        assert CACHE_SCHEMA_VERSION == 3
+        old = ResultCache(tmp_path, version=f"{__version__}+schema2")
+        old.put(BASE, run_once(BASE))
+        cache = ResultCache(tmp_path)
+        assert cache.get(BASE) is None
+        # Even sitting at today's key, the envelope's version rejects it.
+        old_path = old._path(config_key(BASE, old.version))
+        new_path = cache._path(config_key(BASE))
+        new_path.parent.mkdir(parents=True, exist_ok=True)
+        old_path.rename(new_path)
+        assert cache.get(BASE) is None
+        assert (cache.hits, cache.misses) == (0, 2)
 
     def test_uncacheable_config_is_silently_skipped(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -1,7 +1,7 @@
 """The scale saturation family: variants, curves, bends, payloads.
 
 The family sweeps offered load per (protocol, variant) pair through the
-parallel runner with the streaming + vectorized data plane. These tests
+parallel runner with the streaming data plane. These tests
 pin the pure shape logic (variant matrix, saturation-knee detection,
 JSON artifact schema) without simulation, then run one real miniature
 sweep end-to-end: determinism, cache interaction, consistency and the
@@ -66,28 +66,20 @@ class TestVariants:
     def test_replica_sweep_covers_hundreds_with_delta_plane(self):
         variants = replica_sweep_variants()
         assert [v.n_replicas for v in variants] == [100, 150, 200, 300]
-        assert all(v.delta_views for v in variants)
-        full = replica_sweep_variants(counts=(200,), delta_views=False)
-        assert full[0].label == "N=200/full" and not full[0].delta_views
+        assert [v.label for v in variants] == [
+            "N=100", "N=150", "N=200", "N=300",
+        ]
 
     def test_geo_matrix_spans_lan_wan_hybrid(self):
         variants = geo_variants()
         assert [v.latency for v in variants] == ["lan", "wan", "hybrid"]
         assert len({v.label for v in variants}) == 3
 
-    def test_variant_delta_flag_reaches_the_run_config(self):
-        variant = ScaleVariant(label="d", delta_views=True)
-        assert scale_config("marp", variant, 50.0, 100).delta_views
-        assert not scale_config(
-            "marp", ScaleVariant(label="f"), 50.0, 100
-        ).delta_views
-
 
 class TestScaleConfig:
     def test_canonical_config_is_streaming_and_vectorized(self):
         config = scale_config("marp", ScaleVariant(label="x"), 50.0, 100)
         assert config.streaming
-        assert config.workload_chunk is not None
         assert config.ul_retention is not None and config.inbox_ttl is not None
         # hygiene windows respect the grant_ttl safety bound (10 s)
         assert config.ul_retention > 10_000.0
@@ -157,7 +149,6 @@ MINI_KW = dict(
     variants=MINI_VARIANTS,
     requests_per_client=6,
     seed=7,
-    workload_chunk=16,
 )
 
 

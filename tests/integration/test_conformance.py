@@ -15,6 +15,12 @@ or when exactly a fault lands. Chains are normalized to
 canonical-JSON + sha256 recipe as ``repro.experiments.cache
 .result_fingerprint``.
 
+Both backends exchange lock views by the acked-sequence protocol
+(deltas to returning visitors, full snapshots otherwise), so chain
+equality here is also the end-to-end check that the exchange never
+changes *what* commits; the last test drives the DES through a crash
+recovery to pin the full-snapshot fallback on that path.
+
 This file is the ``runtime-parity`` CI job's workload.
 """
 
@@ -204,3 +210,47 @@ class TestCommitChainConformance:
         assert des_chains == expected
         assert live_chains == expected
         assert chain_fingerprint(des_chains) == chain_fingerprint(live_chains)
+
+
+# -- the full-snapshot fallback, end to end ------------------------------------
+
+
+def test_recovery_forces_the_snapshot_fallback_and_chains_stay_gapless():
+    """s3 crashes and recovers (SYNC resets its journal), then s2 dies
+    for good so every later agent must come back to s3: the first
+    returning visitor's acked base is gone and it is handed a full
+    snapshot, the next one a delta cut against that snapshot."""
+    crashes = CrashSchedule()
+    crashes.add("s3", 5_000.0, 10_000.0)
+    crashes.add("s2", 15_000.0, FOREVER)
+    dep = Deployment(n_replicas=3, seed=505, faults=FaultPlan(crashes=crashes))
+    marp = MARP(dep)
+
+    def write(home: str, number: int) -> None:
+        record = marp.submit_write(home, "x", f"recovery-{number}")
+        deadline = dep.env.now + 2_000_000
+        while record.status != "committed":
+            assert dep.env.now < deadline, f"write {number} did not commit"
+            dep.run(until=dep.env.now + 200)
+
+    for number, home in enumerate(("s1", "s2", "s3"), start=1):
+        write(home, number)
+    dep.run(until=6_000.0)  # s3 is down
+    write("s1", 4)
+    write("s2", 5)
+    dep.run(until=16_000.0)  # s3 recovered, s2 gone
+    recovered = dep.server("s3").machine
+    assert recovered.recoveries == 1 and recovered.journal.resets == 1
+    for number, home in enumerate(("s1", "s3", "s1"), start=6):
+        write(home, number)
+    dep.run(until=dep.env.now + 10_000)
+
+    assert recovered.fallbacks_served >= 1
+    assert recovered.deltas_served >= 1
+    versions = {
+        commit.version
+        for host in ("s1", "s3")
+        for commit in dep.server(host).history
+    }
+    assert versions == set(range(1, 9))
+    assert dep.server("s3").store.read("x").version == 8

@@ -58,7 +58,7 @@ class TestCrashRecovery:
 class TestLinkFaults:
     def test_lossy_links_do_not_break_consistency(self):
         faults = FaultPlan(links=TransientLinkFaults(drop_probability=0.05))
-        dep = Deployment(n_replicas=5, seed=34, faults=faults)
+        dep = Deployment(n_replicas=5, seed=36, faults=faults)
         marp = MARP(dep)
         attach_clients(
             marp, ExponentialArrivals(120.0), OperationMix(1.0),

@@ -44,6 +44,16 @@ def test_corpus_schedule_upholds_invariants(path):
     assert outcome.statuses or schedule.ops, path.stem
 
 
+def test_corpus_exercises_the_view_exchange():
+    """[D1] and liveness only mean something here if the corpus drives
+    the acked-seq protocol: returning visitors must have been served
+    deltas, and a crash/restart schedule must have forced the
+    full-snapshot fallback through ``journal.reset()``."""
+    outcomes = [check_schedule(Schedule.load(str(path))) for path in CORPUS]
+    assert sum(outcome.deltas for outcome in outcomes) >= 1
+    assert sum(outcome.fallbacks for outcome in outcomes) >= 1
+
+
 @pytest.mark.parametrize("path", CORPUS, ids=corpus_ids)
 def test_corpus_schedule_replays_deterministically(path):
     schedule = Schedule.load(str(path))
@@ -95,6 +105,21 @@ class TestKnownOutcomes:
             self.load("partition_heal_races_grant_ttl")
         )
         assert harness.commit_chains() == {"x": [(1, "a"), (2, "b")]}
+
+    def test_restart_resets_the_journal_then_serves_snapshot_then_delta(self):
+        harness, _ = run_schedule(
+            self.load("restart_forces_snapshot_fallback")
+        )
+        assert harness.commit_chains() == {
+            "x": [(1, "a"), (2, "b"), (3, "c")]
+        }
+        restarted = harness.replicas["s1"]
+        # Recovery invalidated every acked base: the next returning
+        # visitor paid for a full snapshot, the one after it a delta
+        # cut against that snapshot's sequence.
+        assert restarted.journal.resets == 1
+        assert restarted.fallbacks_served == 1
+        assert restarted.deltas_served == 1
 
     def test_majority_cex_passes_on_the_real_kernel(self):
         # Its counterpart in tests/properties/test_prop_adversary.py

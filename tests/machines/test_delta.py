@@ -1,4 +1,4 @@
-"""Unit coverage for the delta-view data plane's kernel pieces.
+"""Unit coverage for the view-exchange kernel pieces.
 
 Three layers:
 
@@ -111,7 +111,7 @@ class TestDeltaJournal:
 
 class TestApplyDelta:
     def _seeded_table(self):
-        table = LockingTable(delta_views=True)
+        table = LockingTable()
         table.update(view(
             "s1", 1.0, ids=[aid(1), aid(2), aid(3)],
             versions={"x": 1}, seq=3,
@@ -147,7 +147,7 @@ class TestApplyDelta:
             table.apply_delta(stale)
 
     def test_delta_for_unknown_host_raises(self):
-        table = LockingTable(delta_views=True)
+        table = LockingTable()
         with pytest.raises(ProtocolError):
             table.apply_delta(
                 SharedViewDelta(host="s9", as_of=1.0, base_seq=-1, seq=2)
@@ -172,7 +172,7 @@ class TestApplyDelta:
         ))
         assert aid(9) not in table.ual
         assert table._mutations == before
-        # An unstamped copy (classic plane) still merges knowledge.
+        # An unstamped (hand-built) copy still merges knowledge.
         assert not table.update(view("s1", 0.5, ids=[aid(1)],
                                      updated=[aid(9)]))
         assert aid(9) in table.ual
@@ -229,35 +229,38 @@ class TestUpdateEdgeCases:
 
 class TestDeltaWireSize:
     def test_delta_tables_report_smaller_suitcases(self):
-        def load(table):
-            for h in range(20):
-                table.update(view(
-                    f"s{h}", 1.0,
-                    ids=[aid(n) for n in range(50)],
-                    updated=[aid(n) for n in range(25)],
-                    versions={f"k{i}": 1 for i in range(10)},
-                    seq=h if table.delta_views else -1,
-                ))
+        table = LockingTable()
+        for h in range(20):
+            table.update(view(
+                f"s{h}", 1.0,
+                ids=[aid(n) for n in range(50)],
+                updated=[aid(n) for n in range(25)],
+                versions={f"k{i}": 1 for i in range(10)},
+                seq=h,
+            ))
+        # What shipping every view structurally would cost: each
+        # AgentId repeated per occurrence, each version vector whole.
+        repeated = 16 + sum(a.wire_size() for a in table.ual) + sum(
+            16 + len(v.host) + 8
+            + sum(a.wire_size() for a in v.view)
+            + sum(a.wire_size() for a in v.updated)
+            + 16 * len(v.versions)
+            for v in table.views.values()
+        )
+        # The shared id dictionary + slot/bitset encoding beats that 2×
+        # even when every host was adopted as a full snapshot.
+        assert table.wire_size() * 2 < repeated
 
-        full = LockingTable()
-        compact = LockingTable(delta_views=True)
-        load(full)
-        load(compact)
-        # Same knowledge, same decisions ...
-        assert compact.tops() == full.tops()
-        # ... but the shared ids/bitset encoding beats per-view repeats
-        # of full AgentId tuples (2× even when every host was adopted as
-        # a full snapshot; the bench measures the much larger delta-mode
-        # ratio at N=200).
-        assert compact.wire_size() * 2 < full.wire_size()
-
-    def test_classic_table_wire_size_is_unchanged_by_the_flag_field(self):
+    def test_table_wire_size_pins_the_compact_encoding(self):
         table = LockingTable()
         table.update(view("s1", 1.0, ids=[aid(1)], versions={"x": 1}))
         expected = (
-            16  # table container
-            + 16 + len("s1") + 8  # host + as_of
-            + aid(1).wire_size()  # queue entry
+            16 + 1  # table container + UAL bitset (1 slot)
+            + aid(1).wire_size()  # id dictionary
+            + 16 * 1  # max_versions cell
+            + 16 + len("s1") + 8 + 8  # host + as_of + seq
+            + 4 * 1  # queue entry as a slot index
+            + 1  # the view's updated-set bitset
             + 16 * 1  # version cell
         )
         assert table.wire_size() == expected

@@ -169,7 +169,11 @@ def test_pickle_round_trip_rebuilds_packed_index(data):
     assert clone.max_versions == table.max_versions
     assert clone.tops(extra_done) == table.tops(extra_done)
     assert clone.top_counts() == table.top_counts()
-    assert clone.wire_size() == table.wire_size()
+    # The id dictionary is rebuilt from what views and UAL still
+    # reference: ids only a since-replaced view mentioned stop being
+    # charged, and a second round trip is a fixed point.
+    assert clone.wire_size() <= table.wire_size()
+    assert pickle.loads(pickle.dumps(clone)).wire_size() == clone.wire_size()
     for agent in agents:
         assert decide(clone, n_hosts, aid(agent)) == decide(
             table, n_hosts, aid(agent)

@@ -1,12 +1,12 @@
-"""Differential property: the delta plane is invisible to table state.
+"""Differential property: ``apply_delta`` ≡ ``update(full snapshot)``.
 
-One seeded :class:`ReplicaMachine` (journal on) is driven through an
-arbitrary interleaving of lock-state mutations — enqueues, commits,
-aborts, requeues, recovery resets — while two agent-side
-:class:`LockingTable`\\ s observe it:
+The executable spec of the full-snapshot fallback. One seeded
+:class:`ReplicaMachine` is driven through an arbitrary interleaving of
+lock-state mutations — enqueues, commits, aborts, requeues, recovery
+resets — while two agent-side :class:`LockingTable`\\ s observe it:
 
 * the **full** table is handed a full ``lock_view`` snapshot at every
-  sync point (the classic plane);
+  sync point (what first contact and every fallback do);
 * the **delta** table asks for a delta against its acknowledged
   sequence, exactly like ``begin_visit`` does, taking the full-snapshot
   fallback whenever the journal declines (first contact, evicted base,
@@ -16,9 +16,8 @@ After every sync point both tables must agree on *everything*
 decision-relevant: stored views (queue, updated set, versions, as_of,
 seq), the merged UAL, the version ceilings, effective tops and host
 lists. Stale re-deliveries of previously seen snapshots (the bulletin
-path) are interleaved too — the delta table drops them via the O(1)
-seq-skip, the full table via the classic merge, and they must still
-agree.
+path) are interleaved too — both tables drop them via the O(1)
+seq-skip, and they must still agree.
 
 Journal capacity is drawn small on purpose so eviction-forced fallbacks
 actually happen inside the window of a few dozen operations.
@@ -33,7 +32,7 @@ from repro.core.machines.replica import ReplicaMachine
 from repro.core.machines.table import LockingTable
 from repro.core.machines.wire import UpdatePayload, WriteOp
 
-TUNABLES = ProtocolTunables(delta_views=True)
+TUNABLES = ProtocolTunables()
 
 KEYS = ("x", "y", "z")
 
@@ -86,7 +85,7 @@ def test_delta_and_full_merge_sequences_agree(ops, capacity):
     machine.journal.capacity = capacity
 
     full = LockingTable()
-    delta = LockingTable(delta_views=True)
+    delta = LockingTable()
     seen_snapshots = []  # history for stale bulletin re-deliveries
     now = 0.0
     next_version = {key: 0 for key in KEYS}

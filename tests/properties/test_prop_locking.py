@@ -4,8 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.agents.identity import AgentId
-from repro.replication.locking import LockEntry, LockingList, UpdatedList
-from repro.replication.store import VersionedStore
+from repro.core.machines.structures import (
+    LockEntry,
+    LockingList,
+    UpdatedList,
+    VersionedStore,
+)
 
 
 agent_numbers = st.lists(

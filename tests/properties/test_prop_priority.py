@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.agents.identity import AgentId
-from repro.core.locking_table import LockingTable
-from repro.core.priority import OTHER, STALEMATE, UNDECIDED, WIN, decide
+from repro.core.machines.table import LockingTable
+from repro.core.machines.priority import OTHER, STALEMATE, UNDECIDED, WIN, decide
 from repro.replication.server import SharedView
 
 

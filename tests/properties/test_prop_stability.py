@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.agents.identity import AgentId
-from repro.replication.locking import LockEntry, LockingList
+from repro.core.machines.structures import LockEntry, LockingList
 
 
 def aid(n: int) -> AgentId:

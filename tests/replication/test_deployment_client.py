@@ -64,7 +64,6 @@ class TestClient:
         with pytest.raises(WorkloadError):
             Client(
                 marp, "s1", DeterministicArrivals(10), OperationMix(),
-                dep.streams.stream("c"),
             )
 
     def test_submits_max_requests(self):
@@ -72,7 +71,7 @@ class TestClient:
         marp = MARP(dep)
         client = Client(
             marp, "s1", DeterministicArrivals(10), OperationMix(1.0),
-            dep.streams.stream("c"), max_requests=4,
+            max_requests=4,
         )
         dep.run(until=10_000)
         assert len(client.submitted) == 4
@@ -83,7 +82,7 @@ class TestClient:
         marp = MARP(dep)
         client = Client(
             marp, "s1", DeterministicArrivals(10), OperationMix(1.0),
-            dep.streams.stream("c"), until=35.0,
+            until=35.0,
         )
         dep.run(until=10_000)
         assert len(client.submitted) == 3  # t=10,20,30
@@ -94,7 +93,7 @@ class TestClient:
         trace = WorkloadTrace()
         Client(
             marp, "s1", DeterministicArrivals(5), OperationMix(1.0),
-            dep.streams.stream("c"), max_requests=3, trace=trace,
+            max_requests=3, trace=trace,
         )
         dep.run(until=10_000)
         assert len(trace) == 3

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.replication.history import CommitRecord, HistoryLog
+from repro.core.machines.structures import CommitRecord, HistoryLog
 from repro.replication.requests import (
     READ,
     WRITE,

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ProtocolError
 from repro.agents.identity import AgentId
-from repro.replication.locking import LockEntry, LockingList, UpdatedList
+from repro.core.machines.structures import LockEntry, LockingList, UpdatedList
 
 
 def aid(n: int) -> AgentId:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.replication.store import VersionedStore, VersionedValue
+from repro.core.machines.structures import VersionedStore, VersionedValue
 
 
 class TestReads:

@@ -1,17 +1,17 @@
 """Vectorized workload generation: determinism and distribution shape.
 
-The chunked data plane must be a pure performance change: batch draws
-are element-wise identical to scalar draws from an equally-seeded
-stream, the chunk size never leaks into what a client submits, and the
-serial and process-pool engines agree on chunked runs bit-for-bit.
+Batch draws are element-wise identical to scalar draws from an
+equally-seeded stream (the scalar draws are the reference), the chunk
+size never leaks into what a client submits, and the serial and
+process-pool engines agree bit-for-bit.
 """
 
 import numpy as np
-import pytest
 
 from repro.experiments.cache import result_fingerprint
 from repro.experiments.parallel import ParallelRunner
 from repro.experiments.runner import RunConfig, run_once
+from repro.replication import client as client_module
 from repro.sim.rng import RandomStreams
 from repro.workload.arrivals import ExponentialArrivals, UniformArrivals
 from repro.workload.mix import OperationMix
@@ -108,13 +108,13 @@ class TestChunkInvariance:
         requests_per_client=12, n_keys=8, key_skew=0.9,
     )
 
-    def test_chunk_size_never_changes_the_run(self):
-        # Chunked mode draws from dedicated per-field streams (not the
-        # scalar path's interleaved stream), so the invariant is that
-        # the chunk size — a pure batching knob — never changes what a
-        # client submits. chunk=1 is the reference.
-        def surface(config):
-            result = run_once(config)
+    def test_chunk_size_never_changes_the_run(self, monkeypatch):
+        # Clients draw from dedicated per-field streams, so the chunk
+        # size — a pure batching constant — never changes what a client
+        # submits. chunk=1 is the reference.
+        def surface(chunk):
+            monkeypatch.setattr(client_module, "WORKLOAD_CHUNK", chunk)
+            result = run_once(self.BASE)
             base = min(r.request_id for r in result.records)
             return [
                 (r.request_id - base, r.home, r.op, r.key,
@@ -122,41 +122,26 @@ class TestChunkInvariance:
                 for r in result.records
             ]
 
-        reference = surface(self.BASE.with_(workload_chunk=1))
+        reference = surface(1)
         for chunk in (5, 64, 4096):
-            chunked = surface(self.BASE.with_(workload_chunk=chunk))
+            chunked = surface(chunk)
             assert chunked == reference, f"chunk={chunk} changed the run"
 
-    def test_chunk_invariance_under_truncation(self):
+    def test_chunk_invariance_under_truncation(self, monkeypatch):
         # `until` cuts generation mid-chunk; the submitted prefix must
         # still be chunk-size-invariant.
         base = self.BASE.with_(horizon=400.0)
-        reference = run_once(base.with_(workload_chunk=1))
-        chunked = run_once(base.with_(workload_chunk=64))
+        monkeypatch.setattr(client_module, "WORKLOAD_CHUNK", 1)
+        reference = run_once(base)
+        monkeypatch.setattr(client_module, "WORKLOAD_CHUNK", 64)
+        chunked = run_once(base)
         assert (
             [r.key for r in chunked.records]
             == [r.key for r in reference.records]
         )
 
     def test_serial_vs_pool_identical_for_chunked_runs(self):
-        config = self.BASE.with_(workload_chunk=32)
-        serial = run_once(config)
+        serial = run_once(self.BASE)
         with ParallelRunner(jobs=2) as runner:
-            pooled = runner.run_one(config)
+            pooled = runner.run_one(self.BASE)
         assert result_fingerprint(pooled) == result_fingerprint(serial)
-
-
-class TestValidation:
-    def test_chunk_requires_field_streams(self):
-        from repro.replication.deployment import Deployment
-        from repro.replication.client import Client
-        from repro.baselines import PrimaryCopy
-
-        deployment = Deployment(n_replicas=3, seed=0)
-        protocol = PrimaryCopy(deployment)
-        with pytest.raises(Exception):
-            Client(
-                protocol, deployment.hosts[0],
-                ExponentialArrivals(10.0), OperationMix(),
-                deployment.streams.stream("c"), chunk=8,
-            )
