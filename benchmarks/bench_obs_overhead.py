@@ -45,7 +45,7 @@ MAX_LIVE_DISABLED_OVERHEAD = 0.20
 LIVE_REPEATS = 3
 LIVE_WRITES = 9
 
-BENCH_CONFIG = RunConfig(
+OVERHEAD_CONFIG = RunConfig(
     protocol="marp",
     n_replicas=5,
     mean_interarrival=20.0,
@@ -59,7 +59,7 @@ def _timed_run(hub):
     previous = set_hub(hub)
     try:
         start = time.perf_counter()
-        result = run_once(BENCH_CONFIG)
+        result = run_once(OVERHEAD_CONFIG)
         elapsed = time.perf_counter() - start
     finally:
         set_hub(previous)

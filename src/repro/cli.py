@@ -12,8 +12,6 @@ Usage::
     python -m repro live             # live threaded backend demo
     python -m repro obs              # instrumented demo run + report
     python -m repro obs --self-check # observability pipeline self-test
-    python -m repro bench            # perf baselines -> BENCH_*.json
-    python -m repro bench --compare OLD NEW   # regression gate
     python -m repro adversary --schedules 200 --seed 0   # fault campaign
     python -m repro adversary --seed 0 --index 46        # one schedule
     python -m repro adversary --replay failure.json      # replay a script
@@ -58,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
             "fig2", "fig3", "fig4", "compare", "wan", "theorems",
             "ablations", "scale", "scalability", "availability",
             "throughput", "live",
-            "obs", "bench", "adversary", "all",
+            "obs", "adversary", "all",
         ],
         help="which experiment to regenerate",
     )
@@ -121,34 +119,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="with the obs command: run the observability self-test",
     )
     parser.add_argument(
-        "--compare", nargs=2, metavar=("OLD", "NEW"), default=None,
-        help=(
-            "with the bench command: diff two BENCH_*.json files (or "
-            "directories of them); exit 1 on a throughput regression"
-        ),
-    )
-    parser.add_argument(
-        "--bench-suite",
-        choices=["kernel", "parallel", "live", "scale", "all"],
-        default="all",
-        help="with the bench command: which scenario suite(s) to run",
-    )
-    parser.add_argument(
         "--scale-out", metavar="FILE.json", default=None,
         help=(
             "with the scale command: also write the saturation curves "
             "as a JSON document (the CI scale-smoke artifact)"
-        ),
-    )
-    parser.add_argument(
-        "--out-dir", metavar="DIR", default=".",
-        help="with the bench command: where to write BENCH_*.json",
-    )
-    parser.add_argument(
-        "--threshold", type=float, default=0.10, metavar="FRAC",
-        help=(
-            "with bench --compare: relative throughput drop that counts "
-            "as a regression (default 0.10)"
         ),
     )
     parser.add_argument(
@@ -411,45 +385,6 @@ def _obs_self_check() -> int:
     return 0 if report.ok else 1
 
 
-def _bench(args) -> int:
-    from repro.obs.bench import (
-        BenchError, SUITES, compare_paths, run_suite, write_bench,
-    )
-
-    try:
-        if args.compare is not None:
-            old_path, new_path = args.compare
-            result = compare_paths(old_path, new_path,
-                                   threshold=args.threshold)
-            for line in result.lines:
-                print(line)
-            for warning in result.warnings:
-                print(f"warning: {warning}")
-            if result.regressions:
-                for regression in result.regressions:
-                    print(f"REGRESSION: {regression}", file=sys.stderr)
-                return 1
-            print(f"bench compare: no regressions "
-                  f"(threshold -{args.threshold:.0%})")
-            return 0
-        suites = (
-            sorted(SUITES) if args.bench_suite == "all"
-            else [args.bench_suite]
-        )
-        for suite in suites:
-            doc = run_suite(suite, quick=args.quick)
-            path = write_bench(doc, out_dir=args.out_dir)
-            for scenario in doc["scenarios"]:
-                print(f"  {suite}/{scenario['name']:24s} "
-                      f"{scenario['rate']:12g} {scenario['unit']:10s} "
-                      f"(wall {scenario['wall_s'] * 1e3:.1f} ms)")
-            print(f"wrote {path}")
-        return 0
-    except BenchError as exc:
-        print(f"repro-marp: bench error: {exc}", file=sys.stderr)
-        return 2
-
-
 def _adversary(args) -> int:
     """The ``adversary`` command: fault campaigns over the kernel.
 
@@ -586,8 +521,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if command == "obs" and args.self_check:
         return _obs_self_check()
-    if command == "bench":
-        return _bench(args)
 
     hub = None
     if command == "obs" or args.metrics_out or args.trace_out:

@@ -25,12 +25,26 @@ from dataclasses import dataclass
 
 from repro.errors import ProtocolError
 
-__all__ = ["ProtocolTunables", "DES_TUNABLES", "LIVE_TUNABLES"]
+__all__ = [
+    "ProtocolTunables", "DES_TUNABLES", "LIVE_TUNABLES",
+    "UL_WINDOW_FACTOR", "INBOX_WINDOW_FACTOR",
+]
 
 #: Attribute names the agent machine reads off its tunables object.
 AGENT_TUNABLE_FIELDS = ("park_timeout", "ack_timeout", "max_claims", "claim_backoff")
 #: Attribute names the replica machine reads off its tunables object.
-REPLICA_TUNABLE_FIELDS = ("grant_ttl", "enable_bulletin", "ul_retention")
+REPLICA_TUNABLE_FIELDS = ("grant_ttl", "enable_bulletin")
+
+# Hygiene windows, as multiples of ``grant_ttl``. Both must exceed
+# ``grant_ttl`` plus the worst RELEASE/reply propagation delay (see
+# docs/scale.md, "Hygiene windows"); at the DES default they are the
+# 15 s / 20 s every scale run has used.
+#: A replica's Updated List forgets a completed agent after
+#: ``UL_WINDOW_FACTOR * grant_ttl`` ms.
+UL_WINDOW_FACTOR = 1.5
+#: A DES endpoint reaps a delivered-but-unclaimed message after
+#: ``INBOX_WINDOW_FACTOR * grant_ttl`` ms.
+INBOX_WINDOW_FACTOR = 2.0
 
 
 @dataclass(frozen=True)
@@ -58,14 +72,6 @@ class ProtocolTunables:
     enable_bulletin:
         Paper §3.1 information sharing via server bulletin boards.
         Off for the A2 ablation.
-    ul_retention:
-        Retention window (ms) for the server-side Updated List. ``None``
-        (the paper's semantics, and the default) keeps completed-agent
-        ids forever; scale runs set a finite window so per-view UL cost
-        stays O(window) instead of O(total agents). See
-        :class:`repro.core.machines.structures.UpdatedList` for the
-        safety argument. Must comfortably exceed ``grant_ttl`` plus the
-        worst RELEASE propagation delay when set.
     """
 
     park_timeout: float = 100.0
@@ -74,7 +80,6 @@ class ProtocolTunables:
     claim_backoff: float = 25.0
     grant_ttl: float = 10_000.0
     enable_bulletin: bool = True
-    ul_retention: "float | None" = None
 
     def __post_init__(self) -> None:
         if self.park_timeout <= 0:
@@ -87,8 +92,6 @@ class ProtocolTunables:
             raise ProtocolError("claim_backoff must be >= 0")
         if self.grant_ttl <= 0:
             raise ProtocolError("grant_ttl must be > 0")
-        if self.ul_retention is not None and self.ul_retention <= 0:
-            raise ProtocolError("ul_retention must be > 0 (or None)")
 
 
 #: Defaults for the discrete-event backend (simulated milliseconds;

@@ -39,6 +39,7 @@ from repro.core.machines.effects import (
     ReleaseNotify,
     Send,
 )
+from repro.core.machines.config import UL_WINDOW_FACTOR
 from repro.core.machines.delta import DeltaJournal
 from repro.core.machines.events import MsgReceived
 from repro.core.machines.structures import (
@@ -74,13 +75,14 @@ class ReplicaMachine:
         self.host = host
         self.peers = list(peers)
         #: duck-typed: only ``grant_ttl`` and ``enable_bulletin`` are read,
-        #: and they are read per-call so live config mutation is honoured.
+        #: and they are read per-call so live config mutation is honoured
+        #: (the UL window below is fixed from ``grant_ttl`` here).
         self.tunables = tunables
 
         self.store = VersionedStore()
         self.locking_list = LockingList(host)
         self.updated_list = UpdatedList(
-            retention=getattr(tunables, "ul_retention", None)
+            retention=UL_WINDOW_FACTOR * tunables.grant_ttl
         )
         self.history = HistoryLog(host)
         self.bulletin: Dict[str, SharedView] = {}
@@ -218,10 +220,9 @@ class ReplicaMachine:
         """Delta since ``base_seq``, or None when only a full snapshot
         will do (first contact, base evicted/reset).
 
-        Under a finite ``ul_retention`` the receiver's reconstructed
-        ``updated`` set is a monotone *superset* of this server's pruned
-        UL — safe (finished is monotone knowledge; pruning only forgets),
-        and exact in the default keep-forever configuration.
+        The receiver's reconstructed ``updated`` set is a monotone
+        *superset* of this server's UL once the window has pruned it —
+        safe: finished is monotone knowledge, pruning only forgets.
         """
         self.updated_list.prune(now)
         return self.journal.delta_since(base_seq, now)

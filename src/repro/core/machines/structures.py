@@ -141,13 +141,15 @@ class UpdatedList:
 
     Retention
     ---------
-    The paper keeps the UL forever, which is what the default
-    (``retention=None``) does — and what every conformance scenario and
-    fingerprint pins. Long runs cannot afford that: the UL is carried in
-    every ``SharedView`` and merged into every visiting agent's Locking
-    Table, so an unbounded UL makes per-event cost *and* memory grow
-    with total completed agents (quadratic wall time over a run). With
-    ``retention=r`` set, entries older than ``now - r`` are pruned.
+    The paper keeps the UL forever. A server cannot afford that: its UL
+    is carried in every ``SharedView`` and merged into every visiting
+    agent's Locking Table, so an unbounded UL makes per-event cost *and*
+    memory grow with total completed agents (quadratic wall time over a
+    run). A :class:`~repro.core.machines.replica.ReplicaMachine`
+    therefore builds its UL with ``retention = UL_WINDOW_FACTOR *
+    grant_ttl`` and entries older than ``now - retention`` are pruned;
+    an agent's own UAL (``retention=None``) lives only as long as the
+    agent and is never pruned.
 
     Pruning is safe but not free: the UAL is an optimisation that lets
     deciders disregard stale LL entries of completed agents. A pruned id
@@ -156,9 +158,9 @@ class UpdatedList:
     liveness cost, never a safety violation, because write exclusivity
     is enforced by the server-side update grant, not the UAL. Under
     fault-free operation a RELEASE removes the LL entry within one
-    message delay of completion, so any retention comfortably above the
-    RTT + grant TTL window makes the pruned-but-still-queued case
-    vanishingly rare.
+    message delay of completion, so a window above ``grant_ttl`` plus
+    the RELEASE propagation delay makes the pruned-but-still-queued
+    case vanishingly rare.
     """
 
     def __init__(self, retention: Optional[float] = None) -> None:

@@ -36,9 +36,10 @@ class SharedView:
     snapshot time (``-1`` = unstamped: a hand-built view with no
     journal behind it, always merged in full). A receiver that has
     already merged this server's state through ``seq`` can discard
-    the whole view in O(1): with the paper's keep-forever Updated List,
-    everything a lower-or-equal-seq snapshot knows is a subset of what
-    the receiver merged.
+    the whole view in O(1): everything a lower-or-equal-seq snapshot
+    knows is a subset of what the receiver merged, bar finished ids the
+    server's Updated List window pruned in between — and forgetting
+    those is the window's own, liveness-only, cost.
     """
 
     host: str

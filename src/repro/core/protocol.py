@@ -72,7 +72,11 @@ class MARP(ReplicationProtocol):
             sum(votes.values()) if votes else deployment.n_replicas
         )
         self.vote_majority = self.total_votes // 2 + 1
+        #: every launched agent; in streaming mode only the live ones
+        #: (see :meth:`retire_agent`)
         self.agents: List[UpdateAgent] = []
+        #: hops of the agents a streaming run has let go of
+        self._retired_hops = 0
         self._batcher: Optional[BatchDispatcher] = None
         if self.config.batch_size > 1:
             self._batcher = BatchDispatcher(self)
@@ -123,13 +127,26 @@ class MARP(ReplicationProtocol):
         platform.launch(agent)
         return agent
 
+    def retire_agent(self, agent: UpdateAgent) -> None:
+        """A finished agent reports in, right after disposing itself.
+
+        A streaming run drops it here, the way its records leave
+        :attr:`records` — an agent holds its Locking Table and a view
+        per visited host, so keeping every one is O(requests) memory.
+        Full-record runs keep it for inspection.
+        """
+        if self._stream_sink is not None:
+            self._retired_hops += agent.hops
+            self.agents.remove(agent)
+
     # -- introspection -------------------------------------------------------------
 
     def live_agents(self) -> List[UpdateAgent]:
         return [agent for agent in self.agents if not agent.disposed]
 
     def total_agent_hops(self) -> int:
-        return sum(agent.hops for agent in self.agents)
+        """Migrations completed by every agent ever launched."""
+        return self._retired_hops + sum(agent.hops for agent in self.agents)
 
     @property
     def batcher(self) -> Optional[BatchDispatcher]:

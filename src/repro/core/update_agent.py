@@ -455,3 +455,4 @@ class UpdateAgent(MobileAgent):
                 if status == "committed" and record.lock_time is not None:
                     self._m_alt.observe(record.lock_time)
         self.dispose()
+        self.marp.retire_agent(self)

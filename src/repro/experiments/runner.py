@@ -89,13 +89,6 @@ class RunConfig:
     key_skew: float = 0.0
     #: Generate a synthetic key population k0..k{n-1} (overrides `keys`).
     n_keys: Optional[int] = None
-    #: Updated-List retention window in ms (None = paper semantics).
-    ul_retention: Optional[float] = None
-    #: Network inbox hygiene window in ms: delivered messages unclaimed
-    #: for longer are reaped (dead claim-round replies otherwise
-    #: accumulate without bound and make long runs quadratic). None =
-    #: keep everything, the exact historical semantics.
-    inbox_ttl: Optional[float] = None
 
     def with_(self, **changes) -> "RunConfig":
         """A modified copy (convenience for sweeps)."""
@@ -181,7 +174,6 @@ def _build_deployment(config: RunConfig) -> Deployment:
         agent_service_time=config.agent_service_time,
         update_apply_time=config.update_apply_time,
         enable_bulletin=config.enable_bulletin,
-        ul_retention=config.ul_retention,
     )
     topology = None
     if config.topology == "random-costs":
@@ -197,7 +189,6 @@ def _build_deployment(config: RunConfig) -> Deployment:
         topology=topology,
         faults=config.faults,
         replica_config=replica_config,
-        inbox_ttl=config.inbox_ttl,
     )
 
 

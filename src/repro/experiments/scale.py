@@ -260,17 +260,8 @@ def scale_config(
     mean_interarrival: float,
     requests_per_client: int,
     seed: int = 0,
-    ul_retention: Optional[float] = 15_000.0,
-    inbox_ttl: Optional[float] = 20_000.0,
 ) -> RunConfig:
-    """The canonical scale-family RunConfig: streaming + hygiene windows.
-
-    The two hygiene windows keep long runs linear: ``ul_retention``
-    bounds the Updated List and ``inbox_ttl`` reaps dead claim-round
-    replies. Both comfortably exceed ``grant_ttl`` (10 s) plus any
-    RELEASE/reply propagation delay — the documented safety margins —
-    yet stay small against run length, so they change the memory/scan
-    cost profile, not outcomes.
+    """The canonical scale-family RunConfig: streaming accounting.
 
     The horizon grows with the offered workload (20× the expected
     arrival span, floored at the RunConfig default) so bulk runs —
@@ -289,8 +280,6 @@ def scale_config(
         streaming=True,
         key_skew=variant.key_skew,
         n_keys=variant.n_keys,
-        ul_retention=ul_retention,
-        inbox_ttl=inbox_ttl,
     )
 
 
@@ -301,8 +290,6 @@ def run_scale(
     requests_per_client: int = 200,
     repeats: int = 1,
     seed: int = 0,
-    ul_retention: Optional[float] = 15_000.0,
-    inbox_ttl: Optional[float] = 20_000.0,
     runner=None,
 ) -> ScaleFamily:
     """Sweep the offered load per (protocol, variant) pair.
@@ -314,8 +301,7 @@ def run_scale(
     variants = list(variants) if variants is not None else default_variants()
     cells = [
         (protocol, variant, gap, scale_config(
-            protocol, variant, gap, requests_per_client,
-            seed=seed, ul_retention=ul_retention, inbox_ttl=inbox_ttl,
+            protocol, variant, gap, requests_per_client, seed=seed,
         ))
         for protocol in protocols
         for variant in variants

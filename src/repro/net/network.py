@@ -68,8 +68,6 @@ class Endpoint:
         runs stay bit-deterministic per seed.
         """
         ttl = self.network.inbox_ttl
-        if ttl is None:
-            return 0
         items = self.inbox.items
         now = self.network.env.now
         if len(items) < self.REAP_MIN_BACKLOG or now < self._next_reap:
@@ -181,6 +179,11 @@ class Network:
         earlier one's arrival instant. Default false — the paper's model
         only promises reliability, not ordering, and the protocols must
         (and do) tolerate reordering.
+    inbox_ttl:
+        Inbox hygiene window in ms, required and positive: a delivered
+        message no receiver claimed for this long is reaped (see
+        :meth:`Endpoint.maybe_reap`). A :class:`Deployment` passes
+        ``INBOX_WINDOW_FACTOR * grant_ttl``.
     """
 
     def __init__(
@@ -192,7 +195,8 @@ class Network:
         streams: Optional[RandomStreams] = None,
         scale_by_cost: bool = True,
         fifo_links: bool = False,
-        inbox_ttl: Optional[float] = None,
+        *,
+        inbox_ttl: float,
     ) -> None:
         self.env = env
         self.topology = topology
@@ -201,12 +205,10 @@ class Network:
         self.streams = streams or RandomStreams(0)
         self.scale_by_cost = scale_by_cost
         self.fifo_links = fifo_links
-        if inbox_ttl is not None and inbox_ttl <= 0:
+        if inbox_ttl <= 0:
             raise NetworkError(f"inbox_ttl must be positive: {inbox_ttl}")
         #: Inbox hygiene window (ms): delivered messages unclaimed for
         #: longer than this are reaped (see Endpoint.maybe_reap).
-        #: None (default) keeps every unclaimed message forever — the
-        #: exact historical semantics.
         self.inbox_ttl = inbox_ttl
         self.stats = NetworkStats()
         self.endpoints: Dict[str, Endpoint] = {}
@@ -293,8 +295,7 @@ class Network:
         # lookup close to delivery for symmetry with live backends.
         endpoint = self.endpoints[msg.dst]
         endpoint.inbox.put(msg)
-        if self.inbox_ttl is not None:
-            endpoint.maybe_reap()
+        endpoint.maybe_reap()
 
     # -- agent migration ------------------------------------------------------
 

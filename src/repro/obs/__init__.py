@@ -16,17 +16,11 @@ Typical use::
     print(obs.format_report(hub))
     obs.write_jsonl(hub, "metrics.jsonl")
 
-The time-series monitors from :mod:`repro.sim.monitor` are re-exported
-here so analysis code has a single import for all measurement types.
+The time-weighted :class:`StateMonitor` from :mod:`repro.sim.monitor` is
+re-exported here so analysis code has a single import for all
+measurement types.
 """
 
-from repro.obs.bench import (
-    compare_docs,
-    compare_paths,
-    load_bench,
-    run_suite,
-    write_bench,
-)
 from repro.obs.export import (
     chrome_trace,
     format_report,
@@ -61,7 +55,7 @@ from repro.obs.journeys import (
 )
 from repro.obs.selfcheck import SelfCheckReport, self_check
 from repro.obs.tracing import ObsEvent, Span, SpanTracer
-from repro.sim.monitor import Monitor, StateMonitor
+from repro.sim.monitor import StateMonitor
 
 __all__ = [
     # hub lifecycle
@@ -96,16 +90,9 @@ __all__ = [
     "reconstruct_journeys",
     "critical_path",
     "format_journey_report",
-    # perf trajectory
-    "run_suite",
-    "write_bench",
-    "load_bench",
-    "compare_docs",
-    "compare_paths",
     # diagnostics
     "self_check",
     "SelfCheckReport",
-    # time-series monitors (re-exported for one-stop imports)
-    "Monitor",
+    # time-series monitor (re-exported for one-stop imports)
     "StateMonitor",
 ]

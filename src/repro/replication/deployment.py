@@ -15,6 +15,7 @@ from repro.errors import ReplicationError
 from repro.agents.directory import PlatformDirectory
 from repro.agents.mobility import MigrationCostModel
 from repro.agents.platform import AgentPlatform, MobilityPolicy
+from repro.core.machines.config import INBOX_WINDOW_FACTOR
 from repro.net.faults import FaultPlan
 from repro.net.latency import LatencyModel, lan_profile
 from repro.net.network import Network
@@ -49,10 +50,6 @@ class Deployment:
         deployment with. Defaults to the process-wide hub installed via
         :func:`repro.obs.enable` (``None``/disabled → no telemetry and
         no overhead).
-    inbox_ttl:
-        Network inbox hygiene window in ms (see
-        :meth:`repro.net.network.Endpoint.maybe_reap`); ``None``
-        (default) never reaps — the exact historical semantics.
     """
 
     def __init__(
@@ -67,7 +64,6 @@ class Deployment:
         cost_model: Optional[MigrationCostModel] = None,
         host_prefix: str = "s",
         obs=None,
-        inbox_ttl: Optional[float] = None,
     ) -> None:
         from repro.obs.hub import get_hub
 
@@ -89,18 +85,18 @@ class Deployment:
         self.streams = RandomStreams(seed)
         self.topology = topology
         self.faults = faults or FaultPlan.none()
+        self.replica_config = replica_config or ReplicaConfig()
         self.network = Network(
             self.env,
             topology,
             latency=latency if latency is not None else lan_profile(),
             faults=self.faults,
             streams=self.streams,
-            inbox_ttl=inbox_ttl,
+            inbox_ttl=INBOX_WINDOW_FACTOR * self.replica_config.grant_ttl,
         )
         if self.obs is not None:
             self.network.attach_observability(self.obs)
         self.directory = PlatformDirectory()
-        self.replica_config = replica_config or ReplicaConfig()
         policy = mobility_policy or MobilityPolicy()
         costs = cost_model or MigrationCostModel()
 

@@ -93,9 +93,6 @@ class ReplicaConfig:
     enable_bulletin: bool = DES_TUNABLES.enable_bulletin
     recover_on_restart: bool = True
     grant_ttl: float = DES_TUNABLES.grant_ttl
-    #: Updated List retention window (ms); None = paper semantics
-    #: (keep forever). See ProtocolTunables.ul_retention.
-    ul_retention: Optional[float] = DES_TUNABLES.ul_retention
 
 
 class ReplicaServer:

@@ -104,7 +104,6 @@ class LiveConfig:
     claim_backoff: float = LIVE_TUNABLES.claim_backoff
     tick: float = 10.0
     enable_bulletin: bool = LIVE_TUNABLES.enable_bulletin
-    ul_retention: "float | None" = LIVE_TUNABLES.ul_retention
 
 
 @dataclass

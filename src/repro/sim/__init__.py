@@ -23,7 +23,7 @@ from repro.sim.conditions import AllOf, AnyOf, Condition
 from repro.sim.core import NORMAL, URGENT, Environment, Process, Timeout
 from repro.sim.events import PENDING, Event
 from repro.sim.interrupts import Interrupt
-from repro.sim.monitor import Monitor, StateMonitor
+from repro.sim.monitor import StateMonitor
 from repro.sim.resources import PriorityResource, Request, Resource
 from repro.sim.rng import RandomStreams, Stream
 from repro.sim.stores import FilterStore, PriorityItem, PriorityStore, Store
@@ -44,7 +44,6 @@ __all__ = [
     "Resource",
     "PriorityResource",
     "Request",
-    "Monitor",
     "StateMonitor",
     "RandomStreams",
     "Stream",

@@ -1,69 +1,17 @@
 """Time-series measurement collection.
 
-A :class:`Monitor` records ``(time, value)`` observations; a
-:class:`StateMonitor` tracks a piecewise-constant state variable and can
-compute its time-weighted average (e.g. mean locking-list length). Both
-convert to numpy arrays for the analysis layer.
+A :class:`StateMonitor` tracks a piecewise-constant state variable and
+can compute its time-weighted average (e.g. mean locking-list length);
+its samples convert to numpy arrays for the analysis layer.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-__all__ = [
-    "Monitor", "StateMonitor", "StreamingMonitor", "StreamingStateMonitor",
-]
-
-
-class Monitor:
-    """Append-only series of timestamped observations."""
-
-    __slots__ = ("name", "_times", "_values")
-
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self._times: List[float] = []
-        self._values: List[float] = []
-
-    def record(self, time: float, value: float) -> None:
-        self._times.append(float(time))
-        self._values.append(float(value))
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.asarray(self._times, dtype=float)
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.asarray(self._values, dtype=float)
-
-    def mean(self) -> float:
-        """Arithmetic mean of the observed values (nan when empty)."""
-        if not self._values:
-            return float("nan")
-        return float(np.mean(self._values))
-
-    def percentile(self, q: float) -> float:
-        if not self._values:
-            return float("nan")
-        return float(np.percentile(self._values, q))
-
-    def clear(self) -> None:
-        self._times.clear()
-        self._values.clear()
-
-    def reset(self) -> None:
-        """Drop all observations (alias of :meth:`clear`, for symmetry
-        with :meth:`StateMonitor.reset`)."""
-        self.clear()
-
-    def __repr__(self) -> str:
-        return f"<Monitor {self.name!r} n={len(self)}>"
+__all__ = ["StateMonitor"]
 
 
 class StateMonitor:
@@ -136,125 +84,3 @@ class StateMonitor:
 
     def __repr__(self) -> str:
         return f"<StateMonitor {self.name!r} n={len(self._times)}>"
-
-
-class StreamingMonitor:
-    """Constant-memory :class:`Monitor`: running mean + P² percentiles.
-
-    API-compatible with :class:`Monitor` for ``record``/``mean``/
-    ``percentile``/``clear``/``len``, but holds no series — long
-    streaming runs record millions of observations without growing.
-    ``percentile`` serves only the quantiles requested at construction
-    (default p50/p95/p99), as P² tracks one marker set per quantile.
-    """
-
-    __slots__ = ("name", "_welford", "_quantiles")
-
-    def __init__(
-        self, name: str = "", quantiles: Tuple[float, ...] = (50.0, 95.0, 99.0)
-    ) -> None:
-        from repro.analysis.stats import P2Quantile, Welford
-
-        self.name = name
-        self._welford = Welford()
-        self._quantiles: Dict[float, object] = {
-            float(q): P2Quantile(float(q) / 100.0) for q in quantiles
-        }
-
-    def record(self, time: float, value: float) -> None:
-        value = float(value)
-        self._welford.observe(value)
-        for estimator in self._quantiles.values():
-            estimator.observe(value)
-
-    def __len__(self) -> int:
-        return self._welford.count
-
-    def mean(self) -> float:
-        return self._welford.result()
-
-    def percentile(self, q: float) -> float:
-        estimator = self._quantiles.get(float(q))
-        if estimator is None:
-            raise ValueError(
-                f"StreamingMonitor {self.name!r} tracks "
-                f"{sorted(self._quantiles)}; p{q} was not requested at "
-                "construction"
-            )
-        return estimator.result()
-
-    def clear(self) -> None:
-        quantiles = tuple(self._quantiles)
-        self.__init__(self.name, quantiles)  # noqa: PLC2801
-
-    reset = clear
-
-    def __repr__(self) -> str:
-        return f"<StreamingMonitor {self.name!r} n={len(self)}>"
-
-
-class StreamingStateMonitor:
-    """Constant-memory :class:`StateMonitor`: running step integral.
-
-    Tracks only ``(first_time, last_time, last_state, integral)``; the
-    time average over ``[first sample, until]`` is exact — identical to
-    the batch monitor's ``np.dot`` over the full series — because the
-    integral of a step function accumulates associatively.
-    """
-
-    __slots__ = ("name", "_first_time", "_last_time", "_last_state",
-                 "_integral", "_count")
-
-    def __init__(self, name: str = "", initial: Optional[float] = None,
-                 time: float = 0.0) -> None:
-        self.name = name
-        self._first_time: Optional[float] = None
-        self._last_time = 0.0
-        self._last_state = 0.0
-        self._integral = 0.0
-        self._count = 0
-        if initial is not None:
-            self.set(time, initial)
-
-    def set(self, time: float, state: float) -> None:
-        time = float(time)
-        if self._first_time is None:
-            self._first_time = time
-        elif time < self._last_time:
-            raise ValueError(
-                f"StateMonitor time went backwards: {time} < {self._last_time}"
-            )
-        else:
-            self._integral += (time - self._last_time) * self._last_state
-        self._last_time = time
-        self._last_state = float(state)
-        self._count += 1
-
-    @property
-    def current(self) -> float:
-        if self._count == 0:
-            raise ValueError("StateMonitor has no samples")
-        return self._last_state
-
-    def time_average(self, until: float) -> float:
-        if self._first_time is None:
-            return float("nan")
-        until = float(until)
-        total = until - self._first_time
-        if total <= 0:
-            return self._last_state
-        tail = (until - self._last_time) * self._last_state
-        return (self._integral + tail) / total
-
-    def reset(self, initial: Optional[float] = None,
-              time: float = 0.0) -> None:
-        self._first_time = None
-        self._last_time = 0.0
-        self._last_state = 0.0
-        self._integral = 0.0
-        self._count = 0
-        if initial is not None:
-            self.set(time, initial)
-
-    def __repr__(self) -> str:
-        return f"<StreamingStateMonitor {self.name!r} n={self._count}>"

@@ -39,7 +39,7 @@ def make_world(env, hosts=("a", "b", "c"), faults=None, policy=None):
     topo = Topology.full_mesh(list(hosts))
     network = Network(
         env, topo, latency=ConstantLatency(2.0), faults=faults,
-        streams=RandomStreams(0),
+        streams=RandomStreams(0), inbox_ttl=20_000.0,
     )
     directory = PlatformDirectory()
     platforms = {

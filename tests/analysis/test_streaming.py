@@ -17,12 +17,6 @@ from repro.analysis.consistency import ChainDigest, audit, streaming_audit
 from repro.analysis.stats import P2Quantile, Welford
 from repro.errors import ProtocolError, ReplicationError
 from repro.experiments.runner import RunConfig, run_once
-from repro.sim.monitor import (
-    Monitor,
-    StateMonitor,
-    StreamingMonitor,
-    StreamingStateMonitor,
-)
 
 BASE = RunConfig(
     n_replicas=5, seed=13, mean_interarrival=30.0,
@@ -87,43 +81,6 @@ class TestP2Quantile:
             p50.observe(float(x))
             p99.observe(float(x))
         assert p50.result() < p99.result()
-
-
-class TestStreamingMonitors:
-    def test_mean_matches_batch_monitor(self):
-        rng = np.random.default_rng(5)
-        batch, streaming = Monitor("m"), StreamingMonitor("m")
-        for t, v in enumerate(rng.exponential(4.0, size=3000)):
-            batch.record(float(t), float(v))
-            streaming.record(float(t), float(v))
-        assert len(streaming) == len(batch)
-        assert streaming.mean() == pytest.approx(batch.mean(), rel=1e-12)
-        assert streaming.percentile(99.0) == pytest.approx(
-            batch.percentile(99.0), rel=0.05
-        )
-
-    def test_untracked_quantile_raises(self):
-        with pytest.raises(ValueError):
-            StreamingMonitor("m", quantiles=(50.0,)).percentile(99.0)
-
-    def test_state_monitor_time_average_exact(self):
-        rng = np.random.default_rng(11)
-        times = np.cumsum(rng.exponential(2.0, size=1000))
-        states = rng.integers(0, 7, size=1000)
-        batch = StateMonitor("ll", initial=0.0)
-        streaming = StreamingStateMonitor("ll", initial=0.0)
-        for t, s in zip(times, states):
-            batch.set(float(t), float(s))
-            streaming.set(float(t), float(s))
-        until = float(times[-1] + 5.0)
-        assert streaming.time_average(until) == pytest.approx(
-            batch.time_average(until), rel=1e-12
-        )
-
-    def test_state_monitor_backwards_time_raises(self):
-        monitor = StreamingStateMonitor("ll", initial=1.0, time=10.0)
-        with pytest.raises(ValueError):
-            monitor.set(5.0, 2.0)
 
 
 class TestStreamingBatchParity:
@@ -254,6 +211,40 @@ class TestProtocolSweep:
             protocol.enable_streaming(lambda r: None, sweep_every=0)
 
 
+class TestStreamingRetiresAgents:
+    """A streaming MARP run lets go of each agent as it finishes."""
+
+    WRITES = 30
+
+    def _marp(self, streaming):
+        from repro.core.protocol import MARP
+        from repro.replication.deployment import Deployment
+
+        deployment = Deployment(n_replicas=3, seed=7)
+        marp = MARP(deployment)
+        if streaming:
+            marp.enable_streaming(lambda record: None, sweep_every=8)
+        for index in range(self.WRITES):
+            marp.submit_write(deployment.hosts[index % 3], "x", index)
+        return deployment, marp
+
+    def test_only_live_agents_are_held_and_hops_stay_exact(self):
+        full_deployment, full = self._marp(streaming=False)
+        deployment, marp = self._marp(streaming=True)
+        for until in (60.0, 150.0, None):  # twice mid-flight, then drained
+            full_deployment.run(until=until)
+            deployment.run(until=until)
+            marp.finalize_streaming()
+            assert len(full.agents) == self.WRITES  # kept for inspection
+            assert len(marp.agents) == marp.open_requests()
+            assert marp.agents == marp.live_agents()
+            assert marp.total_agent_hops() == full.total_agent_hops()
+            if until == 60.0:
+                assert 0 < len(marp.agents) < self.WRITES
+        assert marp.agents == [] and marp.swept == self.WRITES
+        assert all(agent.disposed for agent in full.agents)
+
+
 class TestHistoryLogStreaming:
     def test_stream_to_forwards_without_retaining(self):
         deployment, protocol = (
@@ -301,6 +292,13 @@ class TestULRetention:
         assert len(ul) == 1
 
     def test_run_with_retention_stays_consistent(self):
-        result = run_once(BASE.with_(ul_retention=500.0))
+        # A streaming run with 25 s of arrivals against the derived 15 s
+        # window (1.5 x the 10 s grant_ttl): every replica prunes, the
+        # chain-digest audit still holds and nothing is lost.
+        result = run_once(BASE.with_(
+            streaming=True, mean_interarrival=250.0, requests_per_client=100,
+        ))
         assert result.audit.consistent
-        assert result.committed == BASE.requests_per_client * BASE.n_replicas
+        assert result.committed == 100 * BASE.n_replicas
+        for server in result.deployment.servers.values():
+            assert server.machine.updated_list.pruned_total > 0

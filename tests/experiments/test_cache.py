@@ -53,8 +53,6 @@ FIELD_CHANGES = {
     "streaming": True,
     "key_skew": 0.8,
     "n_keys": 32,
-    "ul_retention": 5_000.0,
-    "inbox_ttl": 10_000.0,
 }
 
 
@@ -139,11 +137,8 @@ class TestResultCache:
         newer = ResultCache(tmp_path, version=code_version() + ".post1")
         assert newer.get(BASE) is None
 
-    def test_schema_2_envelope_is_a_miss(self, tmp_path):
-        # Schema 2 keyed configs with defaults omitted and ran them on
-        # the classic view plane: such an entry must never be served.
-        assert CACHE_SCHEMA_VERSION == 3
-        old = ResultCache(tmp_path, version=f"{__version__}+schema2")
+    def _assert_old_schema_is_a_miss(self, tmp_path, schema):
+        old = ResultCache(tmp_path, version=f"{__version__}+schema{schema}")
         old.put(BASE, run_once(BASE))
         cache = ResultCache(tmp_path)
         assert cache.get(BASE) is None
@@ -154,6 +149,17 @@ class TestResultCache:
         old_path.rename(new_path)
         assert cache.get(BASE) is None
         assert (cache.hits, cache.misses) == (0, 2)
+
+    def test_schema_2_envelope_is_a_miss(self, tmp_path):
+        # Schema 2 keyed configs with defaults omitted and ran them on
+        # the classic view plane: such an entry must never be served.
+        self._assert_old_schema_is_a_miss(tmp_path, 2)
+
+    def test_schema_3_envelope_is_a_miss(self, tmp_path):
+        # Schema 3 keyed configs by ul_retention/inbox_ttl and ran the
+        # default ones with neither window in force.
+        assert CACHE_SCHEMA_VERSION == 4
+        self._assert_old_schema_is_a_miss(tmp_path, 3)
 
     def test_uncacheable_config_is_silently_skipped(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -12,7 +12,7 @@ class TestParser:
         parser = build_parser()
         for command in (
             "fig2", "fig3", "fig4", "compare", "wan", "theorems",
-            "ablations", "live", "obs", "bench", "adversary", "all",
+            "ablations", "live", "obs", "adversary", "all",
         ):
             assert parser.parse_args([command]).command == command
 
@@ -31,10 +31,6 @@ class TestParser:
         assert args.trace_out is None
         assert args.trace_format == "jsonl"
         assert not args.self_check
-        assert args.compare is None
-        assert args.bench_suite == "all"
-        assert args.out_dir == "."
-        assert args.threshold == 0.10
         assert args.schedules == 200
         assert args.index is None
         assert args.replay is None
@@ -226,56 +222,23 @@ class TestAdversaryCommand:
 
 
 class TestBenchCommand:
-    def test_bench_kernel_quick_writes_schema_versioned_file(
-        self, tmp_path, capsys
-    ):
-        code = main(["bench", "--quick", "--bench-suite", "kernel",
-                     "--out-dir", str(tmp_path)])
-        assert code == 0
-        with open(tmp_path / "BENCH_kernel.json", encoding="utf-8") as f:
-            doc = json.load(f)
-        assert doc["schema"] == "repro-bench/v1"
-        assert doc["suite"] == "kernel"
-        assert doc["scenarios"]
-        assert "wrote" in capsys.readouterr().out
-
-    def test_bench_compare_exit_codes(self, tmp_path, capsys):
-        from repro.obs.bench import SCHEMA_VERSION, write_bench
-
-        doc = {
-            "schema": SCHEMA_VERSION, "suite": "kernel", "quick": True,
-            "created_unix": 0.0,
-            "host": {"platform": "t", "python": "3", "cpus": 1},
-            "scenarios": [{
-                "name": "event_loop", "unit": "events/s", "repeats": 1,
-                "events": 100, "wall_s": 0.01, "rate": 10000.0,
-                "fingerprint": None, "params": {},
-            }],
+    def test_bench_command_and_flags_are_gone(self, capsys):
+        # benchmarks/marpbench/run.py is the only bench harness.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+        flags = {
+            flag for action in build_parser()._actions
+            for flag in action.option_strings
         }
-        old_dir = tmp_path / "old"
-        new_dir = tmp_path / "new"
-        old_dir.mkdir()
-        new_dir.mkdir()
-        write_bench(doc, out_dir=str(old_dir))
-        slow = json.loads(json.dumps(doc))
-        slow["scenarios"][0]["rate"] = 5000.0  # synthetic -50%
-        write_bench(slow, out_dir=str(new_dir))
+        assert not flags & {"--compare", "--out-dir", "--threshold"}
+        assert not any("bench" in flag for flag in flags)
+        import repro.obs
 
-        assert main(["bench", "--compare",
-                     str(old_dir), str(old_dir)]) == 0
-        capsys.readouterr()
-        assert main(["bench", "--compare",
-                     str(old_dir), str(new_dir)]) == 1
-        captured = capsys.readouterr()
-        assert "REGRESSION" in captured.err
-        # a looser threshold lets the same drop through
-        assert main(["bench", "--compare", str(old_dir), str(new_dir),
-                     "--threshold", "0.6"]) == 0
-
-    def test_bench_compare_bad_input_exits_2(self, tmp_path, capsys):
-        assert main(["bench", "--compare",
-                     str(tmp_path), str(tmp_path)]) == 2
-        assert "bench error" in capsys.readouterr().err
+        for name in ("run_suite", "write_bench", "load_bench",
+                     "compare_docs", "compare_paths", "bench"):
+            assert not hasattr(repro.obs, name)
 
     def test_obs_leaves_no_global_hub(self):
         from repro.obs import get_hub

@@ -80,10 +80,9 @@ class TestScaleConfig:
     def test_canonical_config_is_streaming_and_vectorized(self):
         config = scale_config("marp", ScaleVariant(label="x"), 50.0, 100)
         assert config.streaming
-        assert config.ul_retention is not None and config.inbox_ttl is not None
-        # hygiene windows respect the grant_ttl safety bound (10 s)
-        assert config.ul_retention > 10_000.0
-        assert config.inbox_ttl > 10_000.0
+        # it carries no hygiene knob: the windows are derived, for every
+        # run alike (tests/integration/test_hygiene_windows.py)
+        assert not {"ul_retention", "inbox_ttl"} & set(vars(config))
 
     def test_horizon_scales_with_workload(self):
         small = scale_config("marp", ScaleVariant(label="x"), 50.0, 100)

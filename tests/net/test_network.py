@@ -12,7 +12,7 @@ from repro.sim.rng import RandomStreams
 
 def make_network(env, hosts=("a", "b", "c"), latency=None, faults=None,
                  cost=1.0, scale_by_cost=True, fifo_links=False,
-                 inbox_ttl=None):
+                 inbox_ttl=20_000.0):
     topo = Topology.full_mesh(list(hosts), cost=cost)
     network = Network(
         env,
@@ -292,8 +292,8 @@ class TestAttemptTransfer:
 
 
 class TestInboxHygiene:
-    """The opt-in inbox TTL: dead unclaimed messages (e.g. ACK/NACKs
-    for an abandoned claim round) are reaped on later deliveries."""
+    """The inbox window: dead unclaimed messages (e.g. ACK/NACKs for an
+    abandoned claim round) are reaped on later deliveries."""
 
     def test_invalid_ttl_rejected(self, env):
         with pytest.raises(NetworkError):
@@ -301,19 +301,9 @@ class TestInboxHygiene:
         with pytest.raises(NetworkError):
             make_network(env, inbox_ttl=-5.0)
 
-    def test_default_keeps_unclaimed_messages_forever(self, env):
-        _network, eps = make_network(env)
-
-        def late(env):
-            yield env.timeout(10_000.0)
-            eps["a"].send("b", "PING")
-
-        for index in range(40):
-            eps["a"].send("b", "ACK", index)
-        env.process(late(env))
-        env.run()
-        assert len(eps["b"].inbox.items) == 41  # historical semantics
-        assert eps["b"].reaped == 0
+    def test_window_is_required(self, env):
+        with pytest.raises(TypeError):
+            Network(env, Topology.full_mesh(["a", "b"]))
 
     def test_stale_backlog_reaped_on_fresh_delivery(self, env):
         network, eps = make_network(env, inbox_ttl=100.0)

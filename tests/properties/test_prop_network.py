@@ -15,7 +15,7 @@ def build(seed: int, fifo: bool):
     topo = Topology.full_mesh(["a", "b"])
     network = Network(
         env, topo, latency=UniformLatency(1.0, 20.0),
-        streams=RandomStreams(seed), fifo_links=fifo,
+        streams=RandomStreams(seed), fifo_links=fifo, inbox_ttl=20_000.0,
     )
     endpoints = {h: network.register(h) for h in ("a", "b")}
     return env, network, endpoints

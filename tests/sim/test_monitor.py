@@ -1,49 +1,10 @@
-"""Unit tests for Monitor / StateMonitor."""
+"""Unit tests for StateMonitor."""
 
 import math
 
 import pytest
 
-from repro.sim.monitor import Monitor, StateMonitor
-
-
-class TestMonitor:
-    def test_record_and_mean(self):
-        monitor = Monitor("latency")
-        for t, v in [(0, 10), (1, 20), (2, 30)]:
-            monitor.record(t, v)
-        assert monitor.mean() == 20.0
-        assert len(monitor) == 3
-
-    def test_empty_mean_is_nan(self):
-        assert math.isnan(Monitor().mean())
-
-    def test_percentile(self):
-        monitor = Monitor()
-        for v in range(1, 101):
-            monitor.record(v, v)
-        assert monitor.percentile(50) == pytest.approx(50.5)
-
-    def test_empty_percentile_is_nan(self):
-        assert math.isnan(Monitor().percentile(95))
-
-    def test_arrays(self):
-        monitor = Monitor()
-        monitor.record(1.0, 5.0)
-        assert monitor.times.tolist() == [1.0]
-        assert monitor.values.tolist() == [5.0]
-
-    def test_clear(self):
-        monitor = Monitor()
-        monitor.record(0, 1)
-        monitor.clear()
-        assert len(monitor) == 0
-
-    def test_reset_aliases_clear(self):
-        monitor = Monitor()
-        monitor.record(0, 1)
-        monitor.reset()
-        assert len(monitor) == 0
+from repro.sim.monitor import StateMonitor
 
 
 class TestStateMonitor:
