@@ -47,8 +47,11 @@ REQUESTS_PER_CLIENT = 20_000  # x5 replicas = 100k requests
 SMOKE_PROTOCOL = "primary-copy"  # the fast bulk plane; MARP-rate runs
                                  # of this size belong to `repro scale`
 
-#: wall-clock budget (s) for the fixed-seed N=150 delta-view tour.
-DELTA_WALL_BUDGET_S = 300.0
+#: wall-clock budget (s) for the fixed-seed N=150 delta-view tour:
+#: about 10.7x the ~20.5 s it takes on the 2-core reference host — the
+#: headroom ratio the earlier 300 s budget had over the ~28 s the tour
+#: took before table ingestion and size accounting became O(delta).
+DELTA_WALL_BUDGET_S = 220.0
 #: peak-RSS budget (MB) for the fixed-seed N=150 delta-view tour.
 DELTA_RSS_BUDGET_MB = 500.0
 DELTA_REPLICAS = 150

@@ -14,13 +14,33 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import total_ordering
-from typing import Dict
+from operator import attrgetter
+from typing import Collection, Dict
 
-__all__ = ["AgentId", "AgentIdFactory"]
+__all__ = ["AgentId", "AgentIdFactory", "ids_wire_size"]
 
-#: UTF-8 length per host name — identifiers are sized once per message
-#: per carried id, and the host-name population is tiny.
-_HOST_BYTES: Dict[str, int] = {}
+
+class _HostBytes(dict):
+    """UTF-8 length per host name — identifiers are sized once per
+    message per carried id, and the host-name population is tiny."""
+
+    def __missing__(self, host: str) -> int:
+        self[host] = size = len(host.encode("utf-8"))
+        return size
+
+
+_HOST_BYTES = _HostBytes()
+#: Bytes of an identifier beyond its host name: created_at + seq.
+_FIXED_BYTES = 8 + 4
+_host_of = attrgetter("host")
+
+
+def ids_wire_size(ids: "Collection[AgentId]") -> int:
+    """Summed :meth:`AgentId.wire_size` of ``ids``, without a Python
+    frame per identifier (a table sizes a whole Updated List window)."""
+    return _FIXED_BYTES * len(ids) + sum(
+        map(_HOST_BYTES.__getitem__, map(_host_of, ids))
+    )
 
 
 @total_ordering
@@ -35,6 +55,26 @@ class AgentId:
     def _key(self):
         return (self.created_at, self.host, self.seq)
 
+    # Identifiers are hashed on every set/dict probe of the kernel's
+    # Locking Lists and Updated Lists, so the (field-tuple) hash the
+    # dataclass would generate is computed once and kept on the
+    # instance. String hashes are salted per process: the cached value
+    # is excluded from the pickled state and recomputed on first use
+    # wherever the identifier lands.
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash((self.host, self.created_at, self.seq))
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    def __getstate__(self):
+        return {
+            "host": self.host, "created_at": self.created_at, "seq": self.seq,
+        }
+
     def __lt__(self, other: "AgentId") -> bool:
         if not isinstance(other, AgentId):
             return NotImplemented
@@ -45,11 +85,7 @@ class AgentId:
 
     def wire_size(self) -> int:
         """Bytes this identifier occupies on the wire."""
-        host = self.host
-        size = _HOST_BYTES.get(host)
-        if size is None:
-            _HOST_BYTES[host] = size = len(host.encode("utf-8"))
-        return size + 8 + 4
+        return _HOST_BYTES[self.host] + _FIXED_BYTES
 
 
 class AgentIdFactory:

@@ -138,19 +138,20 @@ class AvailableCopies(QuorumProtocol):
                     "reply_to": record.home,
                 },
             )
+            # A grant from a host already given up on may still be queued
+            # for this round; only this rung's host counts.
             grant = endpoint.receive(
-                kind=f"{prefix}_GRANT",
+                self._round_replies,
+                key=(record.request_id, 1),
                 match=lambda m, h=host: (
-                    m.payload["rid"] == record.request_id
-                    and m.payload["from"] == h
+                    m.kind == f"{prefix}_GRANT" and m.payload["from"] == h
                 ),
             )
             yield grant | env.timeout(self.detection_timeout)
             if grant.processed:
                 grants[host] = grant.value.payload["version"]
             else:
-                if not grant.triggered:
-                    grant.succeed(None)
+                grant.cancel()
                 # Declared unavailable; cancel the (possibly queued) lock.
                 endpoint.send(
                     host,

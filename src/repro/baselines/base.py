@@ -22,6 +22,7 @@ so daemons coexist with the MARP replica server on the same endpoints.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Dict, Optional, Set, Tuple
 
 from repro.net.message import Message
@@ -32,6 +33,11 @@ from repro.replication.requests import RequestRecord
 from repro.replication.server import WriteOp
 
 __all__ = ["BaselineDaemon", "QuorumProtocol"]
+
+#: Correlation keys of the coordinators' replies (see Network.route):
+#: a lock round reads its own GRANT/NACKs, a quorum read its own RVALs.
+_ROUND_KEY = itemgetter("rid", "epoch")
+_RID_KEY = itemgetter("rid")
 
 
 class BaselineDaemon:
@@ -45,12 +51,14 @@ class BaselineDaemon:
         self.endpoint = protocol.deployment.platform(host).endpoint
         self.server = protocol.deployment.server(host)
         prefix = protocol.prefix
-        self._kinds = {
+        #: handled in arrival order across kinds: one shared inbox queue
+        self._kinds = (
             f"{prefix}_LOCK",
             f"{prefix}_APPLY",
             f"{prefix}_ABORT",
             f"{prefix}_READV",
-        }
+        )
+        self.network.route(self._kinds)
         # key -> (holder rid, holder epoch, lease expiry). The epoch
         # guards against a retry's LOCK overtaking the previous
         # attempt's ABORT in the network: a release may only clear a
@@ -65,9 +73,7 @@ class BaselineDaemon:
     def _loop(self):
         prefix = self.protocol.prefix
         while True:
-            msg: Message = yield self.endpoint.receive(
-                match=lambda m: m.kind in self._kinds
-            )
+            msg: Message = yield self.endpoint.receive(self._kinds)
             if not self.network.host_up(self.host):
                 continue
             apply_time = self.server.config.update_apply_time
@@ -239,6 +245,10 @@ class QuorumProtocol(ReplicationProtocol):
         self.retry_backoff = retry_backoff
         self.max_rounds = max_rounds
         self.local_reads = local_reads
+        #: the lock round's replies, one inbox queue per (rid, epoch)
+        self._round_replies = (f"{self.prefix}_GRANT", f"{self.prefix}_NACK")
+        deployment.network.route(self._round_replies, key=_ROUND_KEY)
+        deployment.network.route((f"{self.prefix}_RVAL",), key=_RID_KEY)
         self.daemons = {h: self.daemon_class(self, h) for h in hosts}
         self._stream = deployment.streams.stream(f"{self.prefix}.backoff")
 
@@ -315,17 +325,10 @@ class QuorumProtocol(ReplicationProtocol):
         granted_votes = 0
         deadline = env.timeout(self.lock_timeout)
         while granted_votes < self.write_quorum:
-            reply = endpoint.receive(
-                match=lambda m: (
-                    m.kind in (f"{prefix}_GRANT", f"{prefix}_NACK")
-                    and m.payload["rid"] == rid
-                    and m.payload["epoch"] == epoch
-                ),
-            )
+            reply = endpoint.receive(self._round_replies, key=(rid, epoch))
             yield reply | deadline
             if not reply.processed:
-                if not reply.triggered:
-                    reply.succeed(None)
+                reply.cancel()
                 break
             msg = reply.value
             p = msg.payload
@@ -396,13 +399,11 @@ class QuorumProtocol(ReplicationProtocol):
         deadline = env.timeout(self.lock_timeout)
         while votes < self.read_quorum:
             reply = endpoint.receive(
-                kind=f"{prefix}_RVAL",
-                match=lambda m: m.payload["rid"] == record.request_id,
+                f"{prefix}_RVAL", key=record.request_id
             )
             yield reply | deadline
             if not reply.processed:
-                if not reply.triggered:
-                    reply.succeed(None)
+                reply.cancel()
                 break
             p = reply.value.payload
             if p["from"] in replied:

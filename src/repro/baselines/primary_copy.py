@@ -9,6 +9,7 @@ crashed primary stalls every write until it recovers.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Optional
 
 from repro.net.message import Message
@@ -19,6 +20,9 @@ from repro.replication.requests import RequestRecord
 from repro.replication.server import WriteOp
 
 __all__ = ["PrimaryCopy"]
+
+#: A write's PC_DONE waits in an inbox queue of its own (Network.route).
+_RID_KEY = itemgetter("rid")
 
 
 class PrimaryCopy(ReplicationProtocol):
@@ -41,6 +45,7 @@ class PrimaryCopy(ReplicationProtocol):
             raise ValueError(f"write_timeout must be > 0: {write_timeout}")
         self.write_timeout = write_timeout
         self.writes_serialized = 0
+        deployment.network.route(("PC_DONE",), key=_RID_KEY)
         self.env.process(self._primary_loop(), name="pc-primary")
 
     # -- primary ----------------------------------------------------------
@@ -152,17 +157,13 @@ class PrimaryCopy(ReplicationProtocol):
                 "origin": record.home,
             },
         )
-        done = endpoint.receive(
-            kind="PC_DONE",
-            match=lambda m: m.payload["rid"] == record.request_id,
-        )
+        done = endpoint.receive("PC_DONE", key=record.request_id)
         yield done | env.timeout(self.write_timeout)
         if done.processed:
             record.completed_at = env.now
             record.status = "committed"
         else:
-            if not done.triggered:
-                done.succeed(None)
+            done.cancel()
             record.completed_at = env.now
             record.status = "failed"
 

@@ -30,7 +30,7 @@ it only sizes how often the fallback pays full price.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.core.machines.wire import SharedViewDelta
 
@@ -96,22 +96,26 @@ class DeltaJournal:
         locking-list edit (an id enqueued and dequeued inside the window
         cancels out; a requeue becomes remove + re-append), the newly
         finished ids, and the changed version cells at their newest
-        values.
+        values. The log is walked back from its newest entry to the
+        base, so the cost is the events replayed, not the window held.
         """
         if not self.can_delta(base_seq):
             return None
+        events: List[Tuple[int, str, Any]] = []
+        for event in reversed(self._log):
+            if event[0] <= base_seq:
+                break
+            events.append(event)
         removed: List[Any] = []
-        appended: List[Any] = []
+        appended: Dict[Any, None] = {}  # insertion-ordered set
         finished: List[Any] = []
         versions = None
-        for seq, kind, payload in self._log:
-            if seq <= base_seq:
-                continue
+        for _seq, kind, payload in reversed(events):
             if kind == "enq":
-                appended.append(payload)
+                appended[payload] = None
             elif kind == "deq":
                 if payload in appended:
-                    appended.remove(payload)
+                    del appended[payload]
                 else:
                     removed.append(payload)
             elif kind == "fin":

@@ -26,7 +26,7 @@ Two invariants keep interning invisible to the protocol:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, List, Optional
+from typing import AbstractSet, Any, Dict, Hashable, List, Optional
 
 __all__ = ["Interner"]
 
@@ -67,6 +67,15 @@ class Interner:
     def index_of(self, value: Hashable) -> Optional[int]:
         """Slot of ``value`` if already interned, else ``None``."""
         return self._index.get(value)
+
+    def known(self, values: AbstractSet) -> AbstractSet:
+        """The members of the set ``values`` that are interned.
+
+        One intersection of two sets, which reuses the hashes both
+        already store (a dict view on either side would rehash every
+        value); copying the index first costs its size, not theirs.
+        """
+        return values & set(self._index)
 
     def value(self, slot: int) -> Any:
         """The original value stored in ``slot``."""

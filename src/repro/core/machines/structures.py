@@ -22,14 +22,17 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from itertools import repeat
+from typing import (
+    AbstractSet, Any, Callable, Deque, Dict, List, Optional, Tuple,
+)
 
 from repro.errors import ProtocolError
 from repro.agents.identity import AgentId
 
 __all__ = [
     "LockEntry", "LockingList", "UpdatedList", "LockView",
-    "VersionedValue", "VersionedStore",
+    "VersionedValue", "VersionVector", "VersionedStore",
     "CommitRecord", "HistoryLog",
 ]
 
@@ -164,15 +167,38 @@ class UpdatedList:
     """
 
     def __init__(self, retention: Optional[float] = None) -> None:
-        #: (agent_id, completed_at) in nondecreasing completion time.
-        self._entries: Deque[Tuple[AgentId, float]] = deque()
+        #: the ids in nondecreasing completion time, and those times, in
+        #: step (two flat deques: no per-entry object to allocate when a
+        #: whole window of ids is absorbed at once)
+        self._order: Deque[AgentId] = deque()
+        self._times: Deque[float] = deque()
         self._members: set = set()
         self._frozen: Optional[frozenset] = None
         self.retention = retention
         self.pruned_total = 0
 
+    # The pickled form stays one deque of (id, time) pairs, so the bytes
+    # the live backend ships per hop (an agent's UAL rides inside its
+    # Locking Table) do not depend on the in-memory layout.
+
+    def __getstate__(self):
+        return {
+            "_entries": deque(zip(self._order, self._times)),
+            "_members": self._members,
+            "_frozen": self._frozen,
+            "retention": self.retention,
+            "pruned_total": self.pruned_total,
+        }
+
+    def __setstate__(self, state) -> None:
+        entries = state.pop("_entries")
+        self.__dict__.update(state)
+        order, times = zip(*entries) if entries else ((), ())
+        self._order = deque(order)
+        self._times = deque(times)
+
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._order)
 
     def __contains__(self, agent_id: AgentId) -> bool:
         return agent_id in self._members
@@ -182,23 +208,32 @@ class UpdatedList:
         if agent_id in self._members:
             return False
         self._members.add(agent_id)
-        self._entries.append((agent_id, at))
+        self._order.append(agent_id)
+        self._times.append(at)
         self._frozen = None
         return True
 
     def merge(self, other_ids, at: float = 0.0) -> int:
         """Union in another UL/UAL; returns number of new entries."""
-        members = self._members
-        entries = self._entries
-        added = 0
-        for agent_id in other_ids:
-            if agent_id not in members:
-                members.add(agent_id)
-                entries.append((agent_id, at))
-                added += 1
-        if added:
+        return sum(self.add(agent_id, at) for agent_id in other_ids)
+
+    def absorb(self, ids: AbstractSet, at: float = 0.0) -> AbstractSet:
+        """Union in a *set* of finished ids; returns the ones that were
+        new.
+
+        One set difference instead of a probe per id: an agent merges
+        the whole Updated List window of every server it visits, and
+        after the first visit nearly all of it is already known. The
+        new ids join in the set's iteration order, which carries no
+        meaning (they share one completion time).
+        """
+        new = ids - self._members
+        if new:
+            self._members |= new
+            self._order.extend(new)
+            self._times.extend(repeat(at, len(new)))
             self._frozen = None
-        return added
+        return new
 
     def prune(self, now: float) -> int:
         """Drop entries older than the retention window (no-op when
@@ -206,15 +241,16 @@ class UpdatedList:
         retention = self.retention
         if retention is None:
             return 0
-        entries = self._entries
-        if not entries:
+        times = self._times
+        if not times:
             return 0
         cutoff = now - retention
+        order = self._order
         members = self._members
         dropped = 0
-        while entries and entries[0][1] < cutoff:
-            agent_id, _ = entries.popleft()
-            members.discard(agent_id)
+        while times and times[0] < cutoff:
+            times.popleft()
+            members.discard(order.popleft())
             dropped += 1
         if dropped:
             self._frozen = None
@@ -223,7 +259,7 @@ class UpdatedList:
 
     def ids(self) -> Tuple[AgentId, ...]:
         """Completion order as an immutable tuple."""
-        return tuple(agent_id for agent_id, _ in self._entries)
+        return tuple(self._order)
 
     def as_set(self) -> frozenset:
         """Frozen membership snapshot (cached between mutations — one
@@ -235,10 +271,10 @@ class UpdatedList:
         return cached
 
     def __iter__(self):
-        return iter(agent_id for agent_id, _ in self._entries)
+        return iter(self._order)
 
     def __repr__(self) -> str:
-        return f"<UpdatedList n={len(self._entries)}>"
+        return f"<UpdatedList n={len(self._order)}>"
 
 
 @dataclass(frozen=True)
@@ -251,6 +287,21 @@ class VersionedValue:
 
     def __repr__(self) -> str:
         return f"VersionedValue(v{self.version}={self.value!r} @ {self.updated_at:g})"
+
+
+class VersionVector(dict):
+    """A ``key -> version`` snapshot that knows its own wire size.
+
+    The size is the structural estimate of the plain dict (16 B of
+    container, each key at its UTF-8 length plus 8 B per version),
+    kept up to date by the store as keys appear, so sizing a message
+    that carries the vector does not walk it. Treat as read-only.
+    """
+
+    __slots__ = ("_wire_size",)
+
+    def wire_size(self) -> int:
+        return self._wire_size
 
 
 class VersionedStore:
@@ -274,6 +325,8 @@ class VersionedStore:
         self._values: Dict[str, Any] = {}
         self._versions: Dict[str, int] = {}
         self._times: Dict[str, float] = {}
+        #: wire bytes of the version vector (see VersionVector)
+        self._vector_bytes = 16
         #: versions applied, in application order, per key (for audits)
         self.applied_log: List[Tuple[str, int, float]] = []
         self.stale_rejections = 0
@@ -320,9 +373,11 @@ class VersionedStore:
             for key, version in self._versions.items()
         }
 
-    def version_vector(self) -> Dict[str, int]:
+    def version_vector(self) -> VersionVector:
         """``key -> version`` for every key present."""
-        return self._versions.copy()
+        vector = VersionVector(self._versions)
+        vector._wire_size = self._vector_bytes
+        return vector
 
     # -- writes -------------------------------------------------------------
 
@@ -340,6 +395,8 @@ class VersionedStore:
         if current is not None and version <= current:
             self.stale_rejections += 1
             return False
+        if current is None:
+            self._vector_bytes += len(key.encode("utf-8")) + 8
         self._values[key] = value
         self._versions[key] = version
         self._times[key] = timestamp

@@ -16,23 +16,30 @@ in their locking tables").
 
 Flat-state backing (see ``docs/architecture.md``, "Kernel internals"):
 alongside the wire-format ``views`` dict the table keeps each known
-locking list *packed* as a list of interned integer ids and the UAL as
-a flag ``bytearray`` indexed by interned id. The effective-top scan —
+locking list *packed* as a list of interned integer ids and, for the
+ids that appear in some locking list, a finished flag in a
+``bytearray`` indexed by interned id. The effective-top scan —
 the inner loop of every priority evaluation — thereby probes a byte
 slab instead of hashing ``AgentId`` dataclasses, and the top-per-host /
 tally computation is cached against a mutation counter so repeated
 ``decide`` calls on an unchanged table cost one cache probe. The packed
 state is a pure index over ``views``/``ual`` (rebuilt on unpickle, never
 serialised), so the wire and replay formats are unchanged.
+
+Ingestion costs what a view *adds*, not what it repeats: the finished
+ids of a view are merged as one set difference against the UAL, an id
+that is only ever known as finished (the common case — a completed
+agent has left every queue) is never interned, and :meth:`wire_size`
+reads totals kept up to date as ids, queues and version cells arrive.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Optional, Tuple
+from typing import AbstractSet, Dict, List, Optional, Tuple
 
 from repro.errors import ProtocolError
-from repro.agents.identity import AgentId
+from repro.agents.identity import AgentId, ids_wire_size
 from repro.core.machines.intern import Interner
 from repro.core.machines.structures import UpdatedList
 from repro.core.machines.wire import SharedView, SharedViewDelta
@@ -64,13 +71,23 @@ class LockingTable:
 
     def _init_packed(self) -> None:
         """Fresh flat-state index (also used on unpickle)."""
-        #: AgentId <-> dense slot; slot order is first-seen and carries
-        #: no protocol meaning (tie-breaks sort by the AgentId itself).
+        #: AgentId <-> dense slot for every id seen in a locking list;
+        #: slot order is first-seen and carries no protocol meaning
+        #: (tie-breaks sort by the AgentId itself).
         self._ids = Interner()
         #: per host, the known locking list as interned slots, queue order
         self._packed: Dict[str, List[int]] = {}
-        #: finished flag per slot (the UAL, flat)
+        #: finished flag per slot (the UAL restricted to queued ids)
         self._done = bytearray()
+        # :meth:`wire_size` totals, maintained as state arrives: the
+        # distinct ids known (queued or finished) with their summed id
+        # bytes, and the per-view host-name / queue-slot / version-cell
+        # sums.
+        self._n_ids = 0
+        self._id_bytes = 0
+        self._host_chars = 0
+        self._queue_slots = 0
+        self._ver_cells = 0
         #: bumped on every change that can move an effective top
         self._mutations = 0
         #: (mutations, tops host->slot|None, counts slot->n) memo
@@ -104,25 +121,58 @@ class LockingTable:
         self.acked = state["acked"]
         self._ver_dev = state["ver_dev"]
         self._init_packed()
-        for agent_id in self.ual:
-            self._finish_slot(agent_id)
+        self._n_ids = len(self.ual)
+        self._id_bytes = ids_wire_size(self.ual)
         for host, view in self.views.items():
             self._packed[host] = self._pack(view.view)
+            self._charge(host, +1)
 
     # -- packed-index plumbing ---------------------------------------------
 
     def _slot(self, agent_id: AgentId) -> int:
-        """Interned slot of ``agent_id``, growing the flag slab if new."""
+        """Interned slot of a queued ``agent_id``, growing the flag slab
+        if new (an id already known finished starts out flagged)."""
         slot = self._ids.intern(agent_id)
         if slot == len(self._done):
-            self._done.append(0)
+            if agent_id in self.ual:
+                self._done.append(1)
+            else:
+                self._done.append(0)
+                self._n_ids += 1
+                self._id_bytes += agent_id.wire_size()
         return slot
-
-    def _finish_slot(self, agent_id: AgentId) -> None:
-        self._done[self._slot(agent_id)] = 1
 
     def _pack(self, view_ids) -> List[int]:
         return [self._slot(agent_id) for agent_id in view_ids]
+
+    def _finish(self, new_ids: AbstractSet) -> None:
+        """Ids that just joined the UAL: flag the queued ones, account
+        the rest — they appear in no stored locking list, so no effective
+        top can depend on them and they need no slot."""
+        queued = self._ids.known(new_ids)
+        if queued:
+            index_of = self._ids.index_of
+            for agent_id in queued:
+                self._done[index_of(agent_id)] = 1
+            new_ids = new_ids - queued
+        self._n_ids += len(new_ids)
+        self._id_bytes += ids_wire_size(new_ids)
+
+    def _cells(self, host: str) -> int:
+        """Version cells :meth:`wire_size` charges for ``host``'s view:
+        the last merged deviation, else the stored vector."""
+        cells = self._ver_dev.get(host)
+        if cells is None:
+            versions = self.views[host].versions
+            cells = len(versions) if versions else 0
+        return cells
+
+    def _charge(self, host: str, sign: int) -> None:
+        """Add (+1) ``host``'s stored view to the :meth:`wire_size`
+        totals, or take it out (-1) before it is replaced."""
+        self._host_chars += sign * len(host)
+        self._queue_slots += sign * len(self._packed[host])
+        self._ver_cells += sign * self._cells(host)
 
     def _tops_slots(
         self, extra_done: frozenset = frozenset()
@@ -193,33 +243,37 @@ class LockingTable:
                 # fresher one without re-merging (the packed index and
                 # every memo stay valid — no effective top can move).
                 if view.is_newer_than(self.views.get(view.host)):
+                    self._charge(view.host, -1)
                     self.views[view.host] = view
+                    self._charge(view.host, +1)
                     return True
                 return False
-        changed = False
-        ual_add = self.ual.add
-        for agent_id in view.updated:
-            if ual_add(agent_id):
-                self._done[self._slot(agent_id)] = 1
-                changed = True
+        new_ids = self.ual.absorb(view.updated)
+        if new_ids:
+            self._finish(new_ids)
         if view.versions:
             max_versions = self.max_versions
             for key, version in view.versions.items():
                 if version > max_versions.get(key, 0):
                     max_versions[key] = version
-        if view.is_newer_than(self.views.get(view.host)):
-            self.views[view.host] = view
-            self._packed[view.host] = self._pack(view.view)
+        host = view.host
+        stored = self.views.get(host)
+        if view.is_newer_than(stored):
+            if stored is not None:
+                self._charge(host, -1)
+            self.views[host] = view
+            self._packed[host] = self._pack(view.view)
             self._mutations += 1
             if seq >= 0:
                 # A full snapshot at seq was adopted wholesale: this
                 # table now holds the complete state at that sequence.
-                self.acked[view.host] = seq
-                self._ver_dev[view.host] = (
+                self.acked[host] = seq
+                self._ver_dev[host] = (
                     len(view.versions) if view.versions else 0
                 )
+            self._charge(host, +1)
             return True
-        if changed:
+        if new_ids:
             self._mutations += 1
         return False
 
@@ -247,14 +301,14 @@ class LockingTable:
                 f"{self.acked.get(host, -1)} (view "
                 f"{'present' if stored is not None else 'missing'})"
             )
+        self._charge(host, -1)
         changed = False
-        done = self._done
         if delta.finished:
             ual_add = self.ual.add
-            for agent_id in delta.finished:
-                if ual_add(agent_id):
-                    done[self._slot(agent_id)] = 1
-                    changed = True
+            finished = {a for a in delta.finished if ual_add(a)}
+            if finished:
+                self._finish(finished)
+                changed = True
         if delta.versions:
             max_versions = self.max_versions
             for key, version in delta.versions.items():
@@ -299,6 +353,7 @@ class LockingTable:
             seq=delta.seq,
         )
         self.acked[host] = delta.seq
+        self._charge(host, +1)
         if changed:
             self._mutations += 1
         return changed
@@ -411,28 +466,27 @@ class LockingTable:
     def wire_size(self) -> int:
         """Approximate bytes the LT adds to the agent's migrations.
 
-        Compact suitcase encoding enabled by the interner: the id
-        dictionary ships once, every per-host queue is 4-byte slot
-        indices into it, and the UAL plus each view's finished set are
-        dense slot bitsets — instead of repeating the full AgentId tuple
-        for every occurrence in every view. Version vectors are charged
-        at their last-merged deviation per host (the full vector travels
-        once via ``max_versions``).
+        Compact suitcase encoding: the dictionary of every id this
+        table has seen (queued or finished) ships once, every per-host
+        queue is 4-byte indices into it, and the UAL plus each view's
+        finished set are dense bitsets over it — instead of repeating
+        the full AgentId tuple for every occurrence in every view.
+        Version vectors are charged at their last-merged deviation per
+        host (the full vector travels once via ``max_versions``). Every
+        term is a running total, so this is O(1).
         """
-        slots = len(self._done)
-        bitset = (slots + 7) // 8
-        value = self._ids.value
-        total = 16 + bitset  # container + global UAL bitset
-        total += sum(value(slot).wire_size() for slot in range(slots))
-        total += 16 * len(self.max_versions)
-        for host, view in self.views.items():
-            total += 16 + len(host) + 8 + 8  # host + as_of + seq
-            total += 4 * len(self._packed[host])
-            total += bitset  # the view's updated-set bitset
-            total += 16 * self._ver_dev.get(
-                host, len(view.versions) if view.versions else 0
-            )
-        return total
+        hosts = len(self.views)
+        bitset = (self._n_ids + 7) // 8
+        return (
+            16 + bitset  # container + global UAL bitset
+            + self._id_bytes
+            + 16 * len(self.max_versions)
+            # per view: host + as_of + seq, queue slots, the view's
+            # updated-set bitset, version cells
+            + (16 + 8 + 8 + bitset) * hosts + self._host_chars
+            + 4 * self._queue_slots
+            + 16 * self._ver_cells
+        )
 
     def __repr__(self) -> str:
         return (

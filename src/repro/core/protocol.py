@@ -24,7 +24,7 @@ from typing import Any, Callable, Dict
 from repro.core.batching import BatchDispatcher
 from repro.core.config import MARPConfig
 from repro.core.read import start_local_read, start_quorum_read
-from repro.core.update_agent import UpdateAgent
+from repro.core.update_agent import UpdateAgent, route_replies
 from repro.errors import ProtocolError
 from repro.replication.deployment import Deployment
 from repro.replication.protocol import ReplicationProtocol
@@ -58,6 +58,7 @@ class MARP(ReplicationProtocol):
         votes: Optional[Dict[str, int]] = None,
     ) -> None:
         super().__init__(deployment)
+        route_replies(deployment.network)
         self.config = config or MARPConfig()
         if votes is not None:
             unknown = set(votes) - set(deployment.hosts)

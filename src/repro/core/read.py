@@ -55,14 +55,10 @@ def start_quorum_read(marp: "MARP", record: RequestRecord) -> None:
         replies = 0
         deadline = env.timeout(marp.config.ack_timeout)
         while replies < majority:
-            get_reply = endpoint.receive(
-                "READR",
-                match=lambda m: m.payload["request_id"] == record.request_id,
-            )
+            get_reply = endpoint.receive("READR", key=record.request_id)
             yield get_reply | deadline
             if not get_reply.processed:
-                if not get_reply.triggered:
-                    get_reply.succeed(None)
+                get_reply.cancel()
                 break
             payload = get_reply.value.payload
             replies += 1

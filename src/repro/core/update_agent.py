@@ -25,6 +25,7 @@ and feeds whichever fires first.
 from __future__ import annotations
 
 from collections import deque
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.errors import ProtocolError, ReplicaUnavailable
@@ -61,7 +62,21 @@ from repro.replication.requests import RequestRecord
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.protocol import MARP
 
-__all__ = ["UpdateAgent"]
+__all__ = ["UpdateAgent", "CLAIM_REPLIES", "route_replies"]
+
+#: The claim round's replies share one inbox queue per ``(batch_id,
+#: epoch)``: a round reads its own ACK/NACKs in arrival order and never
+#: meets those of an abandoned epoch or of another agent at this host.
+CLAIM_REPLIES = ("ACK", "NACK")
+_CLAIM_KEY = itemgetter("batch_id", "epoch")
+_READ_KEY = itemgetter("request_id")
+
+
+def route_replies(network) -> None:
+    """Declare how the replies MARP's agents and readers wait for are
+    filed in every inbox (see :meth:`Network.route`)."""
+    network.route(CLAIM_REPLIES, key=_CLAIM_KEY)
+    network.route(("READR",), key=_READ_KEY)
 
 
 class UpdateAgent(MobileAgent):
@@ -370,19 +385,13 @@ class UpdateAgent(MobileAgent):
         endpoint = self.platform.endpoint
         awaiting = self.machine.awaiting
         if awaiting == "acks":
-            epoch = self.core.epoch
             reply = endpoint.receive(
-                match=lambda m: (
-                    m.kind in ("ACK", "NACK")
-                    and m.payload["batch_id"] == self.batch_id
-                    and m.payload["epoch"] == epoch
-                ),
+                CLAIM_REPLIES, key=(self.batch_id, self.core.epoch)
             )
         elif awaiting == "fetch":
-            fetch_id = (self.batch_id, self.core.epoch, self.core.fetch_key)
             reply = endpoint.receive(
-                kind="READR",
-                match=lambda m: m.payload["request_id"] == fetch_id,
+                "READR",
+                key=(self.batch_id, self.core.epoch, self.core.fetch_key),
             )
         else:  # pragma: no cover - kernel contract violation
             raise ProtocolError(
@@ -392,8 +401,7 @@ class UpdateAgent(MobileAgent):
         if not reply.processed:
             # The deadline fired; withdraw the pending receive so it
             # cannot swallow a message meant for a later epoch check.
-            if not reply.triggered:
-                reply.succeed(None)
+            reply.cancel()
             fired, self._deadline = self._deadline_kind, None
             self._deadline_kind = None
             return self.machine.on(TimerFired(fired, env.now))

@@ -14,14 +14,17 @@ fail-stop. Concretely:
   timeout-and-retry logic, and agent *migrations* surface failures to the
   platform's retry policy (paper §2).
 
-Every host gets an :class:`Endpoint` with a filterable inbox; processes
-receive with ``yield endpoint.receive(kind="ACK")``.
+Every host gets an :class:`Endpoint` whose inbox is a routed mailbox:
+a delivered message is filed once, by its kind (and, for kinds declared
+with :meth:`Network.route`, by a correlation key read from its payload),
+and ``yield endpoint.receive(kind="ACK")`` pops the head of that queue.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import (
+    Any, Callable, Dict, Hashable, Iterable, List, Optional, Tuple, Union,
+)
 
 from repro.errors import MigrationError, NetworkError
 from repro.net.faults import FaultPlan
@@ -31,13 +34,18 @@ from repro.net.stats import NetworkStats
 from repro.net.topology import Topology
 from repro.sim.core import Environment
 from repro.sim.rng import RandomStreams
-from repro.sim.stores import FilterStore
+from repro.sim.stores import RoutedStore
 
 __all__ = ["Network", "Endpoint"]
 
 
+#: One declared route: the kinds sharing a queue, the queue's name, and
+#: the function reading a message's correlation key from its payload.
+_Route = Tuple[Tuple[str, ...], str, Optional[Callable[[Any], Hashable]]]
+
+
 class Endpoint:
-    """A host's attachment point: inbox plus convenience senders."""
+    """A host's attachment point: routed inbox plus convenience senders."""
 
     #: Don't bother reaping inboxes shorter than this.
     REAP_MIN_BACKLOG = 32
@@ -45,7 +53,7 @@ class Endpoint:
     def __init__(self, network: "Network", host: str) -> None:
         self.network = network
         self.host = host
-        self.inbox: FilterStore = FilterStore(network.env)
+        self.inbox = RoutedStore(network.env, network.route_of)
         #: expired messages dropped by inbox hygiene (see maybe_reap)
         self.reaped = 0
         self._next_reap = 0.0
@@ -60,48 +68,51 @@ class Endpoint:
         zero-delay instant it triggers the reply, so an unclaimed
         message that has outlived every protocol timeout is dead (the
         classic case: ACK/NACKs for a claim round the agent abandoned
-        at its deadline). Without hygiene those corpses accumulate
-        without bound and every filtered receive scans past all of
-        them — quadratic wall time on long runs. The reap is amortised
-        (only on delivery, only past :data:`REAP_MIN_BACKLOG`, at most
-        every ``ttl/4``) and purely a function of simulation state, so
-        runs stay bit-deterministic per seed.
+        at its deadline, each left in the queue of a correlation key
+        nobody will ask for again). Without hygiene those corpses
+        accumulate without bound. The reap is amortised (only on
+        delivery, only past :data:`REAP_MIN_BACKLOG` messages over all
+        queues, at most every ``ttl/4``, so one sweep of the backlog
+        pays for a quarter window of deliveries) and purely a function
+        of simulation state, so runs stay bit-deterministic per seed.
         """
         ttl = self.network.inbox_ttl
-        items = self.inbox.items
         now = self.network.env.now
-        if len(items) < self.REAP_MIN_BACKLOG or now < self._next_reap:
+        if len(self.inbox) < self.REAP_MIN_BACKLOG or now < self._next_reap:
             return 0
         self._next_reap = now + ttl / 4.0
         cutoff = now - ttl
-        kept = deque(m for m in items if m.sent_at >= cutoff)
-        dropped = len(items) - len(kept)
+        dropped = self.inbox.discard(lambda m: m.sent_at < cutoff)
         if dropped:
-            self.inbox.items = kept
             self.reaped += dropped
             self.network.stats.record_expired(dropped)
         return dropped
 
     def receive(
         self,
-        kind: Optional[str] = None,
+        kind: Union[None, str, Tuple[str, ...]] = None,
         match: Optional[Callable[[Message], bool]] = None,
+        key: Optional[Hashable] = None,
     ):
         """Event that fires with the next matching message.
 
-        Without arguments, receives the oldest queued message of any kind.
+        ``kind`` names one queue of the inbox: a kind, or the tuple of
+        kinds that :meth:`Network.route` declared to share a queue
+        (the oldest message of *any* of them comes first). A route
+        declared with a correlation key needs ``key`` — the receive
+        then waits on that conversation's own queue and pops its head
+        in O(1), whatever else has piled up. ``match`` further
+        restricts the receive to messages it accepts; it is evaluated
+        on that one queue only.
+
+        Without a kind, receives the oldest queued message of any
+        queue (optionally the oldest that ``match`` accepts).
         """
-        if kind is None and match is None:
-            return self.inbox.get()
-
-        def _filter(msg: Message) -> bool:
-            if kind is not None and msg.kind != kind:
-                return False
-            if match is not None and not match(msg):
-                return False
-            return True
-
-        return self.inbox.get(_filter)
+        if kind is None:
+            if key is not None:
+                raise NetworkError("a correlation key needs a kind")
+            return self.inbox.get(None, match)
+        return self.inbox.get(self.network.queue_for(kind, key), match)
 
     def send(
         self,
@@ -147,8 +158,8 @@ class Endpoint:
 
     @property
     def pending(self) -> int:
-        """Number of queued, unreceived messages."""
-        return len(self.inbox.items)
+        """Number of queued, unreceived messages, over all queues."""
+        return len(self.inbox)
 
     def __repr__(self) -> str:
         return f"<Endpoint {self.host!r} pending={self.pending}>"
@@ -181,9 +192,9 @@ class Network:
         (and do) tolerate reordering.
     inbox_ttl:
         Inbox hygiene window in ms, required and positive: a delivered
-        message no receiver claimed for this long is reaped (see
-        :meth:`Endpoint.maybe_reap`). A :class:`Deployment` passes
-        ``INBOX_WINDOW_FACTOR * grant_ttl``.
+        message no receiver claimed for this long is reaped from
+        whichever queue holds it (see :meth:`Endpoint.maybe_reap`). A
+        :class:`Deployment` passes ``INBOX_WINDOW_FACTOR * grant_ttl``.
     """
 
     def __init__(
@@ -212,6 +223,8 @@ class Network:
         self.inbox_ttl = inbox_ttl
         self.stats = NetworkStats()
         self.endpoints: Dict[str, Endpoint] = {}
+        #: kind -> declared route; an undeclared kind has its own queue
+        self._routes: Dict[str, _Route] = {}
         self._latency_stream = self.streams.stream("net.latency")
         self._fault_stream = self.streams.stream("net.faults")
         # per-(src, dst) arrival horizon used by fifo_links
@@ -243,6 +256,66 @@ class Network:
     def host_up(self, host: str) -> bool:
         """Is the host currently alive (per the fault plan)?"""
         return self.faults.host_up(host, self.env.now)
+
+    # -- mailbox routing -----------------------------------------------------
+
+    def route(
+        self,
+        kinds: Iterable[str],
+        key: Optional[Callable[[Any], Hashable]] = None,
+    ) -> None:
+        """Declare that messages of ``kinds`` share one inbox queue.
+
+        A consumer that handles several kinds in arrival order (a
+        server's request loop) declares them together and receives with
+        ``kind=kinds``. ``key(payload)`` names the conversation a reply
+        belongs to (a claim round's ``(batch_id, epoch)``, a fetch's
+        ``request_id``): each conversation then gets a queue of its own,
+        computed once at delivery, and ``receive(kinds, key=...)`` never
+        meets another conversation's messages. Declare before traffic
+        of these kinds flows; repeating a declaration is a no-op.
+        """
+        kinds = tuple(kinds)
+        rule: _Route = (kinds, "+".join(kinds), key)
+        for kind in kinds:
+            known = self._routes.get(kind)
+            if known is not None and (known[0] != kinds or known[2] is not key):
+                raise NetworkError(
+                    f"kind {kind!r} is already routed with {known[0]!r}"
+                )
+            self._routes[kind] = rule
+
+    def route_of(self, msg: Message) -> Hashable:
+        """The inbox queue ``msg`` is filed in at its destination."""
+        rule = self._routes.get(msg.kind)
+        if rule is None:
+            return msg.kind
+        _kinds, queue, key = rule
+        return queue if key is None else (queue, key(msg.payload))
+
+    def queue_for(
+        self, kind: Union[str, Tuple[str, ...]], key: Optional[Hashable]
+    ) -> Hashable:
+        """The inbox queue a ``receive(kind, key=key)`` waits on."""
+        kinds = (kind,) if kind.__class__ is str else tuple(kind)
+        rule = self._routes.get(kinds[0])
+        if rule is None:
+            if len(kinds) > 1 or key is not None:
+                raise NetworkError(f"no route was declared for {kinds!r}")
+            return kind
+        declared, queue, key_of = rule
+        if declared != kinds:
+            raise NetworkError(
+                f"{kinds!r} is routed together with {declared!r}; "
+                "receive the declared kinds as one"
+            )
+        if (key is None) != (key_of is None):
+            raise NetworkError(
+                f"route {declared!r} "
+                + ("needs" if key is None else "takes no")
+                + " correlation key"
+            )
+        return queue if key is None else (queue, key)
 
     # -- delays --------------------------------------------------------------
 

@@ -127,6 +127,9 @@ class ReplicaServer:
         #: optional ObservabilityHub, injected by the deployment
         self._obs = None
 
+        # One inbox queue for every kind the loop handles: it takes them
+        # in arrival order across kinds by popping that queue's head.
+        network.route(self._HANDLED_KINDS)
         self._loop_process = env.process(
             self._message_loop(), name=f"replica-loop-{host}"
         )
@@ -263,11 +266,8 @@ class ReplicaServer:
     )
 
     def _message_loop(self):
-        handled = set(self._HANDLED_KINDS)
         while True:
-            msg: Message = yield self.endpoint.receive(
-                match=lambda m: m.kind in handled
-            )
+            msg: Message = yield self.endpoint.receive(self._HANDLED_KINDS)
             if not self.network.host_up(self.host):
                 # Fail-stop: a crashed server processes nothing. (Messages
                 # delivered during the crash window are already dropped by

@@ -26,7 +26,7 @@ from repro.sim.interrupts import Interrupt
 from repro.sim.monitor import StateMonitor
 from repro.sim.resources import PriorityResource, Request, Resource
 from repro.sim.rng import RandomStreams, Stream
-from repro.sim.stores import FilterStore, PriorityItem, PriorityStore, Store
+from repro.sim.stores import PriorityItem, PriorityStore, RoutedStore, Store
 
 __all__ = [
     "Environment",
@@ -38,7 +38,7 @@ __all__ = [
     "AnyOf",
     "Condition",
     "Store",
-    "FilterStore",
+    "RoutedStore",
     "PriorityStore",
     "PriorityItem",
     "Resource",

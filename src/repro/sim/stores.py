@@ -1,22 +1,22 @@
 """Producer/consumer channels for processes.
 
 :class:`Store` is an asynchronous FIFO buffer: ``put`` and ``get`` return
-events a process yields on. :class:`FilterStore` lets consumers wait for
-the first item matching a predicate. :class:`PriorityStore` delivers items
-in priority order. These are the building blocks used by mailboxes in the
-network substrate and by the agent platforms.
+events a process yields on. :class:`PriorityStore` delivers items in
+priority order. :class:`RoutedStore` files every item under a route
+computed once at ``put`` and lets each consumer wait on its own route —
+the mailbox of the network substrate's endpoints.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any, Callable, Deque, List, Optional
+from typing import Any, Callable, Deque, Dict, Hashable, List, Optional, Tuple
 
 from repro.errors import SimulationError
-from repro.sim.events import Event
+from repro.sim.events import PENDING, Event
 
-__all__ = ["Store", "FilterStore", "PriorityStore", "PriorityItem"]
+__all__ = ["Store", "RoutedStore", "PriorityStore", "PriorityItem"]
 
 
 class StorePut(Event):
@@ -32,13 +32,10 @@ class StorePut(Event):
 class StoreGet(Event):
     """Event returned by :meth:`Store.get`; fires with the retrieved item."""
 
-    __slots__ = ("filter",)
+    __slots__ = ()
 
-    def __init__(
-        self, store: "Store", filter: Optional[Callable[[Any], bool]] = None
-    ) -> None:
+    def __init__(self, store: "Store") -> None:
         super().__init__(store.env)
-        self.filter = filter
 
 
 class Store:
@@ -111,9 +108,9 @@ class Store:
                     progress = True
                 else:
                     break
-            # Gets are served in FIFO order, but a FilterStore get that
-            # matches nothing must not block later gets, so scan the
-            # queue (the spill deque is only built once a get blocks).
+            # Gets are served in FIFO order; one that cannot be served
+            # must not block later gets, so scan the queue (the spill
+            # deque is only built once a get blocks).
             remaining: Optional[Deque[StoreGet]] = None
             while self._get_waiters:
                 get_event = self._get_waiters.popleft()
@@ -139,25 +136,174 @@ class _NoItem:
 _NO_ITEM = _NoItem()
 
 
-class FilterStore(Store):
-    """A store whose consumers may wait for items matching a predicate."""
+class RoutedGet(Event):
+    """Event returned by :meth:`RoutedStore.get`; fires with the item."""
+
+    __slots__ = ("store", "route", "match")
+
+    def __init__(
+        self,
+        store: "RoutedStore",
+        route: Optional[Hashable],
+        match: Optional[Callable[[Any], bool]],
+    ) -> None:
+        super().__init__(store.env)
+        self.store = store
+        self.route = route
+        self.match = match
+
+    def cancel(self) -> None:
+        """Withdraw a get that has not fired: it can no longer take an
+        item meant for a later getter of the same route, and the store
+        forgets it. Fires the event with ``None``."""
+        if self._value is PENDING:
+            self.store._forget(self)
+            self.succeed(None)
+
+
+class RoutedStore:
+    """An unbounded store that files each item under a *route*.
+
+    ``route_of(item)`` is evaluated once, when the item is put, and
+    names the queue the item joins; ``get(route)`` fires with the
+    oldest item of that queue. A consumer that knows what it is
+    waiting for (a message kind, a reply's correlation key) therefore
+    pops its own queue head in O(1) and never looks at items filed for
+    anybody else, however many of those have piled up.
+
+    * ``get(route, match=pred)`` takes the oldest item of that route
+      satisfying ``pred`` — the scan stays inside the one queue.
+    * ``get()`` with no route takes the oldest item of the whole store
+      (it compares the queue heads, so it costs O(queues)).
+    * An item is offered first to the pending getters of its route in
+      the order they asked, then to the route-less getters.
+
+    Empty queues and served or cancelled getters are dropped at once:
+    the store holds nothing for a route that has neither. ``None`` is
+    not a route (it files the route-less getters).
+    """
+
+    def __init__(self, env, route_of: Callable[[Any], Hashable]) -> None:
+        self.env = env
+        self._route_of = route_of
+        #: route -> (arrival number, item), oldest first
+        self._queues: Dict[Hashable, Deque[Tuple[int, Any]]] = {}
+        #: route -> getters still waiting, in the order they asked;
+        #: the route-less ones under None
+        self._getters: Dict[Optional[Hashable], List[RoutedGet]] = {}
+        self._arrivals = 0
+        self._size = 0
+
+    def __len__(self) -> int:
+        return self._size
+
+    @property
+    def items(self) -> List[Any]:
+        """Every queued item in arrival order (a copy, for inspection)."""
+        entries = sorted(
+            (entry for queue in self._queues.values() for entry in queue),
+            key=_arrival,
+        )
+        return [item for _number, item in entries]
+
+    # -- public API ------------------------------------------------------
+
+    def put(self, item: Any) -> None:
+        """File ``item``; a waiting getter it satisfies fires now."""
+        route = self._route_of(item)
+        if self._getters and (
+            self._offer(route, item) or self._offer(None, item)
+        ):
+            return
+        self._arrivals += 1
+        queue = self._queues.get(route)
+        if queue is None:
+            queue = self._queues[route] = deque()
+        queue.append((self._arrivals, item))
+        self._size += 1
 
     def get(
-        self, filter: Optional[Callable[[Any], bool]] = None
-    ) -> StoreGet:  # type: ignore[override]
-        event = StoreGet(self, filter)
-        self._get_waiters.append(event)
-        self._dispatch()
+        self,
+        route: Optional[Hashable] = None,
+        match: Optional[Callable[[Any], bool]] = None,
+    ) -> RoutedGet:
+        """Request the oldest item of ``route`` (of the whole store when
+        ``route`` is None) that satisfies ``match``."""
+        event = RoutedGet(self, route, match)
+        source = self._oldest_route(match) if route is None else route
+        queue = self._queues.get(source)
+        index = None
+        if queue is not None:
+            index = 0 if match is None else next(
+                (i for i, entry in enumerate(queue) if match(entry[1])), None
+            )
+        if index is None:
+            self._getters.setdefault(route, []).append(event)
+            return event
+        item = queue[index][1]
+        del queue[index]
+        if not queue:
+            del self._queues[source]
+        self._size -= 1
+        event.succeed(item)
         return event
 
-    def _extract(self, event: StoreGet) -> Any:
-        if event.filter is None:
-            return super()._extract(event)
-        for index, item in enumerate(self.items):
-            if event.filter(item):
-                del self.items[index]
-                return item
-        return _NO_ITEM
+    def discard(self, unwanted: Callable[[Any], bool]) -> int:
+        """Drop every queued item ``unwanted`` accepts; returns how many."""
+        dropped = 0
+        for route in list(self._queues):
+            queue = self._queues[route]
+            kept = deque(entry for entry in queue if not unwanted(entry[1]))
+            if len(kept) == len(queue):
+                continue
+            dropped += len(queue) - len(kept)
+            if kept:
+                self._queues[route] = kept
+            else:
+                del self._queues[route]
+        self._size -= dropped
+        return dropped
+
+    # -- internals ---------------------------------------------------------
+
+    def _oldest_route(
+        self, match: Optional[Callable[[Any], bool]]
+    ) -> Optional[Hashable]:
+        """Route holding the store's oldest item that ``match`` accepts."""
+        best, best_number = None, None
+        for route, queue in self._queues.items():
+            for number, item in queue:
+                if best_number is not None and number > best_number:
+                    break
+                if match is None or match(item):
+                    best, best_number = route, number
+                    break
+        return best
+
+    def _offer(self, route: Optional[Hashable], item: Any) -> bool:
+        """Hand ``item`` to the first getter of ``route`` that accepts it."""
+        getters = self._getters.get(route)
+        if getters is None:
+            return False
+        for index, getter in enumerate(getters):
+            if getter.match is None or getter.match(item):
+                del getters[index]
+                if not getters:
+                    del self._getters[route]
+                getter.succeed(item)
+                return True
+        return False
+
+    def _forget(self, event: RoutedGet) -> None:
+        getters = self._getters.get(event.route)
+        if getters is not None and event in getters:
+            getters.remove(event)
+            if not getters:
+                del self._getters[event.route]
+
+
+def _arrival(entry: Tuple[int, Any]) -> int:
+    return entry[0]
 
 
 class PriorityItem:

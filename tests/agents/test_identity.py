@@ -1,6 +1,14 @@
 """Unit tests for agent identity and its total order."""
 
-from repro.agents.identity import AgentId, AgentIdFactory
+import json
+import os
+import pickle
+import subprocess
+import sys
+
+import repro
+from repro.agents.identity import AgentId, AgentIdFactory, ids_wire_size
+from repro.core.machines import LockingTable, SharedView, decide
 
 
 class TestAgentIdOrdering:
@@ -41,6 +49,93 @@ class TestAgentIdOrdering:
 
     def test_wire_size_positive(self):
         assert AgentId("server-1", 0.0, 0).wire_size() > 0
+
+    def test_ids_wire_size_is_the_sum_of_the_parts(self):
+        ids = {AgentId(f"hôst-{n % 3}", float(n), n) for n in range(9)}
+        assert ids_wire_size(ids) == sum(a.wire_size() for a in ids)
+        assert ids_wire_size(()) == 0
+
+
+# What the child interpreter of TestCachedHash runs: unpickle what the
+# parent shipped, use every identifier as a set member and a dict key,
+# and report the decisions taken over the shipped table.
+_CHILD = """
+import json, pickle, sys
+from repro.agents.identity import AgentId
+from repro.core.machines import decide
+
+ids, table = pickle.loads(sys.stdin.buffer.read())
+fresh = [AgentId(a.host, a.created_at, a.seq) for a in ids]
+report = {
+    "set_members": all(a in set(ids) for a in fresh),
+    "dict_keys": [{a: n for n, a in enumerate(ids)}[a] for a in fresh],
+    "hash_is_field_hash": all(
+        hash(a) == hash((a.host, a.created_at, a.seq)) for a in ids
+    ),
+    "ual": sorted(str(a) for a in fresh if a in table.ual),
+    "tops": {h: str(t) for h, t in table.tops().items()},
+    "decide": [
+        [d.outcome, str(d.winner), d.reason]
+        for d in (decide(table, 3, a) for a in fresh)
+    ],
+    "wire_size": table.wire_size(),
+}
+print(json.dumps(report))
+"""
+
+
+class TestCachedHash:
+    """The hash is computed once per instance — and never leaves the
+    process: string hashes are salted per interpreter."""
+
+    def test_cached_value_is_the_field_tuple_hash(self):
+        agent_id = AgentId("s1", 2.5, 3)
+        assert hash(agent_id) == hash(("s1", 2.5, 3))
+        assert hash(agent_id) == hash(AgentId("s1", 2.5, 3))
+        assert agent_id == AgentId("s1", 2.5, 3)
+
+    def test_pickle_does_not_carry_the_cache(self):
+        agent_id = AgentId("s1", 2.5, 3)
+        cold = pickle.dumps(agent_id, protocol=pickle.HIGHEST_PROTOCOL)
+        hash(agent_id)
+        assert pickle.dumps(agent_id, protocol=pickle.HIGHEST_PROTOCOL) == cold
+        assert vars(pickle.loads(cold)) == {
+            "host": "s1", "created_at": 2.5, "seq": 3,
+        }
+
+    def test_ids_and_tables_survive_a_differently_salted_interpreter(self):
+        ids = [AgentId(f"s{n % 3 + 1}", float(n), n) for n in range(8)]
+        table = LockingTable()
+        for index, host in enumerate(("s1", "s2", "s3")):
+            table.update(SharedView(
+                host=host, as_of=1.0 + index,
+                view=tuple(ids[index:index + 4]),
+                updated=frozenset(ids[:index + 1]), versions={"k": index},
+            ))
+        for agent_id in ids:
+            hash(agent_id)  # every shipped id carries a warm cache
+        expected = {
+            "set_members": True,
+            "dict_keys": list(range(len(ids))),
+            "hash_is_field_hash": True,
+            "ual": sorted(str(a) for a in ids if a in table.ual),
+            "tops": {h: str(t) for h, t in table.tops().items()},
+            "decide": [
+                [d.outcome, str(d.winner), d.reason]
+                for d in (decide(table, 3, a) for a in ids)
+            ],
+            "wire_size": table.wire_size(),
+        }
+        blob = pickle.dumps((ids, table), protocol=pickle.HIGHEST_PROTOCOL)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        for salt in ("1", "2"):
+            child = subprocess.run(
+                [sys.executable, "-c", _CHILD], input=blob,
+                capture_output=True, timeout=120,
+                env={**os.environ, "PYTHONHASHSEED": salt, "PYTHONPATH": src},
+            )
+            assert child.returncode == 0, child.stderr.decode()
+            assert json.loads(child.stdout) == expected
 
 
 class TestAgentIdFactory:

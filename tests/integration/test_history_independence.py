@@ -1,0 +1,183 @@
+"""The DES MARP hot path costs what the event is, not what the run was.
+
+Two guards, both deterministic counts (no wall clock):
+
+* a contended run four times as long must do the same work per receive,
+  per commit and per agent table — before the routed mailbox, every
+  receive re-scanned the dead ACK/NACKs of all earlier claim rounds and
+  every fresh agent interned the whole Updated List window, so each of
+  these ratios grew with the run (the 7 s of simulated time stay inside
+  one inbox hygiene window, so nothing is reaped to hide that;
+  ``test_hygiene_windows.py`` covers the reaper);
+* the routed mailbox keeps the ordering the protocol drivers rely on:
+  the server loop takes its kinds oldest-first, a reply that beat its
+  receive to the inbox is still claimed, and a withdrawn receive never
+  swallows a later round's reply.
+"""
+
+import os
+import sys
+
+import pytest
+
+from repro.core.protocol import MARP
+from repro.core.update_agent import CLAIM_REPLIES
+from repro.replication.client import attach_clients
+from repro.replication.deployment import Deployment
+from repro.workload.arrivals import ExponentialArrivals
+from repro.workload.mix import OperationMix
+
+#: source files whose calls count as mailbox work
+_MAILBOX_FILES = (
+    os.sep + os.path.join("repro", "sim", "stores.py"),
+    os.sep + os.path.join("repro", "net", "network.py"),
+)
+
+
+def _contended_run(writes_per_client):
+    """marp_contended_n5's regime (N=5, 16 Zipf-0.9 keys, 60 ms gaps),
+    counting Python calls: all, inside the mailbox, and receives."""
+    deployment = Deployment(n_replicas=5, seed=7)
+    marp = MARP(deployment)
+    attach_clients(
+        marp,
+        ExponentialArrivals(60.0),
+        OperationMix(
+            write_fraction=1.0, keys=[f"k{i}" for i in range(16)],
+            key_skew=0.9,
+        ),
+        max_requests_per_client=writes_per_client,
+    )
+    calls = {"all": 0, "mailbox": 0, "receive": 0}
+
+    def count(frame, event, _arg):
+        if event == "call":
+            calls["all"] += 1
+            code = frame.f_code
+            if code.co_filename.endswith(_MAILBOX_FILES):
+                calls["mailbox"] += 1
+                if code.co_name == "receive":
+                    calls["receive"] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        deployment.run(until=2_000_000)
+    finally:
+        sys.setprofile(previous)
+    commits = len(marp.completed_writes())
+    assert commits == 5 * writes_per_client
+    return {
+        "calls_per_commit": calls["all"] / commits,
+        "mailbox_calls_per_receive": calls["mailbox"] / calls["receive"],
+        "table_slots": max(len(agent.table._ids) for agent in marp.agents),
+    }
+
+
+class TestCostDoesNotGrowWithTheRun:
+    @pytest.fixture(scope="class")
+    def short_and_long(self):
+        return _contended_run(30), _contended_run(120)
+
+    def test_mailbox_work_per_receive_is_constant(self, short_and_long):
+        short, long = short_and_long
+        assert (
+            long["mailbox_calls_per_receive"]
+            <= 1.25 * short["mailbox_calls_per_receive"]
+        )
+
+    def test_calls_per_commit_are_constant(self, short_and_long):
+        short, long = short_and_long
+        assert long["calls_per_commit"] <= 1.25 * short["calls_per_commit"]
+
+    def test_agent_tables_intern_queues_not_history(self, short_and_long):
+        short, long = short_and_long
+        # a table interns the agents it saw queued somewhere, a handful
+        # under this load — never the finished ids of the run so far
+        assert long["table_slots"] <= 2 * short["table_slots"]
+        assert long["table_slots"] < 100
+
+
+class TestRoutedMailboxOrdering:
+    @pytest.fixture
+    def cluster(self):
+        deployment = Deployment(n_replicas=3, seed=1)
+        MARP(deployment)  # declares the claim-round and fetch replies
+        return deployment
+
+    def test_server_kinds_are_taken_oldest_first(self, cluster):
+        """While the server applies one UPDATE, a RELEASE, a READQ and a
+        second UPDATE queue up behind it; it takes them in that order."""
+        env = cluster.env
+        server = cluster.server("s2")
+        handled = []
+        on_message = server.machine.on_message
+
+        def spy(kind, payload, src="", now=0.0):
+            handled.append(kind)
+            return on_message(kind, payload, src=src, now=now)
+
+        server.machine.on_message = spy
+        sender = cluster.platform("s2").endpoint  # zero-delay self-sends
+
+        def burst():
+            from repro.agents.identity import AgentId
+            from repro.core.machines.wire import UpdatePayload
+
+            def payload(batch):
+                return UpdatePayload(
+                    batch_id=batch, agent_id=AgentId("s2", 0.0, batch),
+                    origin="s2", reply_to="s2", epoch=1,
+                )
+
+            sender.send("s2", "UPDATE", payload(1))
+            yield env.timeout(0.1)  # the loop is now inside apply time
+            sender.send("s2", "RELEASE", payload(1))
+            sender.send("s2", "READQ", {"request_id": 99, "key": "k"})
+            sender.send("s2", "UPDATE", payload(2))
+
+        env.process(burst())
+        env.run(until=50.0)
+        assert handled == ["UPDATE", "RELEASE", "READQ", "UPDATE"]
+
+    def test_reply_delivered_before_its_receive_is_claimed(self, cluster):
+        env = cluster.env
+        endpoint = cluster.platform("s1").endpoint
+        got = []
+
+        def late_receiver():
+            endpoint.send("s1", "ACK", {"batch_id": 5, "epoch": 1, "from": "s1"})
+            yield env.timeout(3.0)
+            assert endpoint.pending == 1  # queued, nobody asked yet
+            msg = yield endpoint.receive(CLAIM_REPLIES, key=(5, 1))
+            got.append((msg.kind, env.now))
+
+        env.process(late_receiver())
+        env.run(until=50.0)
+        assert got == [("ACK", 3.0)]
+        assert endpoint.pending == 0
+
+    def test_withdrawn_receive_never_swallows_a_later_epoch(self, cluster):
+        env = cluster.env
+        endpoint = cluster.platform("s1").endpoint
+        got = []
+
+        def claimer():
+            first = endpoint.receive(CLAIM_REPLIES, key=(5, 1))
+            yield first | env.timeout(2.0)
+            assert not first.processed
+            first.cancel()  # epoch 1's deadline fired
+            second = endpoint.receive(CLAIM_REPLIES, key=(5, 2))
+            endpoint.send("s1", "NACK", {"batch_id": 5, "epoch": 1, "from": "s1"})
+            endpoint.send("s1", "ACK", {"batch_id": 5, "epoch": 2, "from": "s1"})
+            msg = yield second
+            got.append((msg.kind, msg.payload["epoch"]))
+
+        env.process(claimer())
+        env.run(until=50.0)
+        assert got == [("ACK", 2)]
+        # the stale NACK waits in epoch 1's queue for the reaper; the
+        # withdrawn receive left nothing behind (only the server loop
+        # still waits, on its own queue)
+        assert endpoint.pending == 1
+        assert len(endpoint.inbox._getters) == 1

@@ -49,8 +49,16 @@ class TestDefaultRunIsBounded:
         network = result.deployment.network
         assert network.inbox_ttl == INBOX_WINDOW_FACTOR * DES_TUNABLES.grant_ttl
         assert network.stats.expired > 0
+        assert network.stats.expired == sum(
+            endpoint.reaped for endpoint in network.endpoints.values()
+        )
         for endpoint in network.endpoints.values():
-            sent = [message.sent_at for message in endpoint.inbox.items]
+            left = endpoint.inbox.items
+            # what nobody claimed is the surplus replies of finished
+            # claim rounds, each in its round's own queue
+            assert {message.kind for message in left} <= {"ACK", "NACK"}
+            assert endpoint.pending == len(left)
+            sent = [message.sent_at for message in left]
             if sent:
                 # a reap runs at most every ttl/4 and keeps one ttl
                 assert max(sent) - min(sent) <= 1.25 * network.inbox_ttl

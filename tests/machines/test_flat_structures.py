@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.agents.identity import AgentId
+from repro.net.message import estimate_size
 from repro.core.machines import (
     Interner,
     LockEntry,
@@ -34,6 +35,61 @@ from repro.core.machines import (
 
 def aid(n: int) -> AgentId:
     return AgentId("h", float(n), 0)
+
+
+# -- size accounting: the formulas the running totals must reproduce --------
+
+
+class ReferenceSuitcase:
+    """The pre-incremental ``LockingTable.wire_size()``, kept as spec.
+
+    That implementation interned every id a table met — the newly
+    finished ones and the queue of every adopted view — and summed over
+    all slots, all hosts, on every call. The id set it accumulated is
+    exactly "every id the UAL or a stored queue has held so far", which
+    :meth:`observe` re-derives from the table's observable state after
+    each merge; a pickle hop starts the set afresh from what survives.
+    """
+
+    def __init__(self) -> None:
+        self.ever_seen = set()
+
+    def observe(self, table: LockingTable) -> None:
+        self.ever_seen.update(table.ual)
+        for view in table.views.values():
+            self.ever_seen.update(view.view)
+
+    def after_pickle_hop(self, table: LockingTable) -> None:
+        self.ever_seen.clear()
+        self.observe(table)
+
+    def wire_size(self, table: LockingTable) -> int:
+        slots = len(self.ever_seen)
+        bitset = (slots + 7) // 8
+        total = 16 + bitset  # container + global UAL bitset
+        total += sum(agent_id.wire_size() for agent_id in self.ever_seen)
+        total += 16 * len(table.max_versions)
+        for host, view in table.views.items():
+            total += 16 + len(host) + 8 + 8  # host + as_of + seq
+            total += 4 * len(view.view)
+            total += bitset  # the view's updated-set bitset
+            total += 16 * table._ver_dev.get(
+                host, len(view.versions) if view.versions else 0
+            )
+        return total
+
+    def check(self, table: LockingTable) -> None:
+        self.observe(table)
+        assert table.wire_size() == self.wire_size(table)
+
+
+def reference_vector_size(vector) -> int:
+    """The recursive structural estimate of a ``key -> version`` dict,
+    as ``estimate_size`` computed it by walking every cell."""
+    return 16 + sum(
+        estimate_size(key) + estimate_size(version)
+        for key, version in vector.items()
+    )
 
 
 # -- randomized table states ------------------------------------------------
@@ -153,6 +209,56 @@ def test_rank_queue_matches_reference_composition(data):
         order.append(decision.winner)
         done.add(decision.winner)
     assert rank_queue(table, n_hosts) == tuple(order)
+
+
+# -- incremental size accounting == the summing formulas --------------------
+
+
+@given(data=lock_tables(), hop_after=st.integers(min_value=0, max_value=12))
+@settings(max_examples=200, deadline=None)
+def test_table_wire_size_matches_the_summing_formula(data, hop_after):
+    """Every merge — stale or fresh views, ids finished before, while
+    and after they are queued somewhere — and a pickle hop in the
+    middle leave ``wire_size()`` at what summing over all slots gives."""
+    _n_hosts, _agents, _table, views, _extra, _unavail = data
+    table = LockingTable()
+    reference = ReferenceSuitcase()
+    reference.check(table)
+    for index, view in enumerate(views):
+        if index == hop_after:
+            table = pickle.loads(pickle.dumps(table))
+            reference.after_pickle_hop(table)
+            reference.check(table)
+        table.update(view)
+        reference.check(table)
+
+
+def test_finished_only_ids_are_charged_but_not_interned():
+    """An id known only as finished costs its bytes and its bit in
+    every bitset, exactly once, whether it is queued later or not."""
+    table = LockingTable()
+    reference = ReferenceSuitcase()
+    table.update(SharedView(
+        host="s1", as_of=1.0, view=(aid(1),),
+        updated=frozenset({aid(2), aid(3)}), versions={"x": 1},
+    ))
+    reference.check(table)
+    assert len(table._ids) == 1  # aid(1); the finished two hold no slot
+    # aid(2) turns up in a queue after it was known finished: flagged on
+    # arrival, not charged twice, never an effective top.
+    table.update(SharedView(
+        host="s2", as_of=2.0, view=(aid(2), aid(1)),
+        updated=frozenset({aid(3)}), versions={"x": 1},
+    ))
+    reference.check(table)
+    assert table.effective_top("s2") == aid(1)
+    # aid(1) finishes while queued at both hosts.
+    table.update(SharedView(
+        host="s3", as_of=3.0, view=(),
+        updated=frozenset({aid(1)}), versions=None,
+    ))
+    reference.check(table)
+    assert table.tops() == {"s1": None, "s2": None, "s3": None}
 
 
 # -- interning is invisible -------------------------------------------------
@@ -308,7 +414,7 @@ def test_updated_list_matches_model(ops):
 @given(
     writes=st.lists(
         st.tuples(
-            st.sampled_from(["x", "y", "z"]),
+            st.sampled_from(["x", "y", "clé-z"]),
             st.integers(min_value=1, max_value=9),
         ),
         max_size=40,
@@ -317,6 +423,7 @@ def test_updated_list_matches_model(ops):
 @settings(max_examples=150, deadline=None)
 def test_versioned_store_matches_model(writes):
     store = VersionedStore()
+    assert estimate_size(store.version_vector()) == estimate_size({})
     model = {}  # key -> (value, version, time)
     applied = []
     stale = 0
@@ -332,6 +439,14 @@ def test_versioned_store_matches_model(writes):
         else:
             stale += 1
         assert store.version_of(key) == model.get(key, (None, 0, 0.0))[1]
+        # an ACK is sized without walking the vector, at the same bytes
+        vector = store.version_vector()
+        assert vector.wire_size() == reference_vector_size(vector)
+        assert estimate_size(vector) == estimate_size(dict(vector))
+        ack = {"batch_id": 1, "epoch": 1, "from": "s1", "versions": vector}
+        assert estimate_size(ack) == estimate_size(
+            {**ack, "versions": dict(vector)}
+        )
     assert store.version_vector() == {
         key: version for key, (_v, version, _t) in model.items()
     }

@@ -1,5 +1,7 @@
 """Unit tests for the asynchronous network."""
 
+from operator import itemgetter
+
 import pytest
 
 from repro.errors import MigrationError, NetworkError
@@ -127,6 +129,87 @@ class TestDelivery:
         env.process(receiver(env))
         env.run()
         assert got == [2]
+
+    def test_routed_kinds_share_one_queue_oldest_first(self, env):
+        network, eps = make_network(env)
+        network.route(("UPDATE", "COMMIT", "RELEASE"))
+        got = []
+
+        def receiver(env):
+            yield env.timeout(10)
+            for _ in range(3):
+                msg = yield eps["b"].receive(("UPDATE", "COMMIT", "RELEASE"))
+                got.append(msg.kind)
+
+        eps["a"].send("b", "COMMIT")
+        eps["a"].send("b", "NOISE")
+        eps["a"].send("b", "UPDATE")
+        eps["a"].send("b", "RELEASE")
+        env.process(receiver(env))
+        env.run()
+        assert got == ["COMMIT", "UPDATE", "RELEASE"]
+        assert eps["b"].pending == 1  # NOISE, in a queue of its own
+
+    def test_correlated_route_gives_each_conversation_its_queue(self, env):
+        network, eps = make_network(env)
+        network.route(("ACK", "NACK"), key=itemgetter("batch_id", "epoch"))
+        got = []
+
+        def receiver(env):
+            yield env.timeout(10)  # every reply is already queued
+            for _ in range(2):
+                msg = yield eps["b"].receive(("ACK", "NACK"), key=(7, 2))
+                got.append((msg.kind, msg.payload["from"]))
+
+        for kind, epoch, sender in [
+            ("ACK", 1, "x"), ("NACK", 2, "y"), ("ACK", 2, "z"),
+        ]:
+            eps["a"].send("b", kind, {"batch_id": 7, "epoch": epoch,
+                                      "from": sender})
+        env.process(receiver(env))
+        env.run()
+        assert got == [("NACK", "y"), ("ACK", "z")]
+        assert eps["b"].pending == 1  # epoch 1's ACK: nobody asks again
+
+    def test_match_scans_only_the_conversation(self, env):
+        network, eps = make_network(env)
+        network.route(("GRANT",), key=itemgetter("rid"))
+        seen = []
+
+        def receiver(env):
+            yield env.timeout(10)
+            msg = yield eps["b"].receive(
+                "GRANT", key=1,
+                match=lambda m: seen.append(m.payload) or
+                m.payload["from"] == "c",
+            )
+            seen.append(("got", msg.payload["from"]))
+
+        for rid in (2, 3, 4):
+            eps["a"].send("b", "GRANT", {"rid": rid, "from": "c"})
+        eps["a"].send("b", "GRANT", {"rid": 1, "from": "a"})
+        eps["a"].send("b", "GRANT", {"rid": 1, "from": "c"})
+        env.process(receiver(env))
+        env.run()
+        assert seen == [
+            {"rid": 1, "from": "a"}, {"rid": 1, "from": "c"}, ("got", "c"),
+        ]
+
+    def test_route_misuse_is_rejected(self, env):
+        network, eps = make_network(env)
+        by_rid = itemgetter("rid")
+        network.route(("GRANT", "DENY"), key=by_rid)
+        network.route(("GRANT", "DENY"), key=by_rid)  # repeating is fine
+        with pytest.raises(NetworkError):
+            network.route(("GRANT",))  # already routed with DENY
+        with pytest.raises(NetworkError):
+            eps["b"].receive(("GRANT", "DENY"))  # needs its key
+        with pytest.raises(NetworkError):
+            eps["b"].receive("GRANT", key=1)  # routed together with DENY
+        with pytest.raises(NetworkError):
+            eps["b"].receive("PLAIN", key=1)  # undeclared: takes no key
+        with pytest.raises(NetworkError):
+            eps["b"].receive(key=1)
 
     def test_broadcast_excludes_self_by_default(self, env):
         _network, eps = make_network(env)
@@ -321,6 +404,32 @@ class TestInboxHygiene:
         assert [m.kind for m in eps["b"].inbox.items] == ["PING"]
         assert network.stats.expired == 40
 
+    def test_abandoned_round_replies_are_reaped_from_their_queues(self, env):
+        """ACK/NACKs of claim rounds nobody waits for any more each sit
+        in the queue of their own correlation key; the sweep finds them
+        there, counts them, and leaves no empty queue behind."""
+        network, eps = make_network(env, inbox_ttl=100.0)
+        network.route(("ACK", "NACK"), key=itemgetter("batch_id", "epoch"))
+
+        def late(env):
+            yield env.timeout(200.0)
+            eps["a"].send("b", "PING")
+
+        for index in range(40):
+            eps["a"].send(
+                "b", "ACK" if index % 2 else "NACK",
+                {"batch_id": index // 2, "epoch": 1},
+            )
+        env.process(late(env))
+        env.run(until=100.0)
+        assert eps["b"].pending == 40  # 20 queues of two
+        env.run()
+        assert eps["b"].reaped == 40
+        assert network.stats.expired == 40
+        assert eps["b"].pending == 1
+        assert [m.kind for m in eps["b"].inbox.items] == ["PING"]
+        assert list(eps["b"].inbox._queues) == ["PING"]
+
     def test_small_backlogs_are_left_alone(self, env):
         """Below REAP_MIN_BACKLOG the scan cost is trivial, so even
         stale messages stay (cheaper than scanning tiny inboxes)."""
@@ -335,7 +444,7 @@ class TestInboxHygiene:
         env.process(late(env))
         env.run()
         assert eps["b"].reaped == 0
-        assert len(eps["b"].inbox.items) == 11
+        assert eps["b"].pending == 11
 
     def test_fresh_messages_survive_and_are_claimable(self, env):
         _network, eps = make_network(env, inbox_ttl=100.0)

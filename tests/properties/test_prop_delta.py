@@ -21,7 +21,15 @@ seq-skip, and they must still agree.
 
 Journal capacity is drawn small on purpose so eviction-forced fallbacks
 actually happen inside the window of a few dozen operations.
+
+The same interleavings pin the incremental size accounting: after every
+merge each table's ``wire_size()`` must equal the summing formula kept
+in ``tests/machines/test_flat_structures.py``, and halfway through the
+delta table takes a pickle hop (the live backend's migration) and must
+keep agreeing on everything above.
 """
+
+import pickle
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,6 +39,7 @@ from repro.core.machines.config import ProtocolTunables
 from repro.core.machines.replica import ReplicaMachine
 from repro.core.machines.table import LockingTable
 from repro.core.machines.wire import UpdatePayload, WriteOp
+from tests.machines.test_flat_structures import ReferenceSuitcase
 
 TUNABLES = ProtocolTunables()
 
@@ -86,6 +95,8 @@ def test_delta_and_full_merge_sequences_agree(ops, capacity):
 
     full = LockingTable()
     delta = LockingTable()
+    full_size = ReferenceSuitcase()
+    delta_size = ReferenceSuitcase()
     seen_snapshots = []  # history for stale bulletin re-deliveries
     now = 0.0
     next_version = {key: 0 for key in KEYS}
@@ -97,8 +108,14 @@ def test_delta_and_full_merge_sequences_agree(ops, capacity):
         patch = machine.delta_view(at, delta.acked_seq("s1"))
         delta.ingest(patch if patch is not None else snapshot)
         assert_tables_agree(full, delta)
+        full_size.check(full)
+        delta_size.check(delta)
 
-    for op, arg in ops:
+    for step, (op, arg) in enumerate(ops):
+        if step == len(ops) // 2:
+            delta = pickle.loads(pickle.dumps(delta))
+            delta_size.after_pickle_hop(delta)
+            delta_size.check(delta)
         now += 1.0
         agent = aid(arg)
         if op == "enq":
@@ -136,6 +153,8 @@ def test_delta_and_full_merge_sequences_agree(ops, capacity):
             full.update(stale)
             delta.update(stale)
             assert_tables_agree(full, delta)
+            full_size.check(full)
+            delta_size.check(delta)
         else:
             sync(now)
 
