@@ -23,10 +23,11 @@ Three checks under explicit budgets, each in its own subprocess so
    budgets.
 
 Runs standalone (``python benchmarks/bench_scale_smoke.py [OUT.json]``)
-and under pytest. Budgets are generous vs the measured values (locally
-the bulk run takes ~2 min and ~130 MB) to absorb shared-runner noise
-without letting a quadratic regression through: the pre-hygiene data
-plane blew the wall budget at this size by an order of magnitude.
+and under pytest. Budgets are generous vs the measured values (on the
+2-core reference host the bulk run takes ~19 s and ~56 MB) to absorb
+shared-runner noise without letting a quadratic regression through:
+the pre-hygiene data plane blew the wall budget at this size by an
+order of magnitude.
 """
 
 import json
@@ -35,8 +36,12 @@ import subprocess
 import sys
 import time
 
-#: wall-clock budget (s) for the 100k-request streaming run.
-WALL_BUDGET_S = 900.0
+#: wall-clock budget (s) for the 100k-request streaming run: about 22x
+#: the ~19 s it takes on the 2-core reference host — the headroom ratio
+#: the earlier 900 s budget had over the ~41 s the run took before
+#: delivery became one event per message and log shipping O(touched
+#: keys).
+WALL_BUDGET_S = 420.0
 #: peak-RSS budget (MB) for the 100k-request streaming run.
 RSS_BUDGET_MB = 500.0
 #: full-record accounting must cost at least this many times the

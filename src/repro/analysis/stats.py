@@ -12,11 +12,6 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-try:  # scipy is an optional dependency of the analysis layer
-    from scipy import stats as _scipy_stats
-except ImportError:  # pragma: no cover - scipy is installed in CI
-    _scipy_stats = None
-
 __all__ = [
     "Summary", "summarize", "confidence_interval",
     "Welford", "P2Quantile",
@@ -196,10 +191,14 @@ class Summary:
 
 
 def _t_critical(df: int, confidence: float) -> float:
-    if _scipy_stats is not None:
-        return float(_scipy_stats.t.ppf(0.5 + confidence / 2.0, df))
-    # Normal approximation fallback (df large enough in practice).
-    return {0.90: 1.645, 0.95: 1.96, 0.99: 2.576}.get(confidence, 1.96)
+    # scipy.stats costs ~0.8 s and ~60 MB to import and only cross-run
+    # confidence intervals need it, so a single run never pays for it.
+    try:  # scipy is an optional dependency of the analysis layer
+        from scipy import stats as scipy_stats
+    except ImportError:  # pragma: no cover - scipy is installed in CI
+        # Normal approximation fallback (df large enough in practice).
+        return {0.90: 1.645, 0.95: 1.96, 0.99: 2.576}.get(confidence, 1.96)
+    return float(scipy_stats.t.ppf(0.5 + confidence / 2.0, df))
 
 
 def confidence_interval(

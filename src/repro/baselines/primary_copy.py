@@ -47,6 +47,9 @@ class PrimaryCopy(ReplicationProtocol):
         self.writes_serialized = 0
         deployment.network.route(("PC_DONE",), key=_RID_KEY)
         self.env.process(self._primary_loop(), name="pc-primary")
+        self._backups = [h for h in deployment.hosts if h != self.primary]
+        for host in self._backups:
+            self.env.process(self._backup_loop(host), name=f"pc-backup-{host}")
 
     # -- primary ----------------------------------------------------------
 
@@ -71,13 +74,11 @@ class PrimaryCopy(ReplicationProtocol):
             self._apply_local(server, write, p["origin"])
             self.writes_serialized += 1
             # Eager push to every backup, then acknowledge the origin.
-            for host in self.deployment.hosts:
-                if host != self.primary:
-                    endpoint.send(
-                        host,
-                        "PC_APPLY",
-                        payload={"writes": (write,), "origin": p["origin"]},
-                    )
+            endpoint.multicast(
+                self._backups,
+                "PC_APPLY",
+                payload={"writes": (write,), "origin": p["origin"]},
+            )
             endpoint.send(
                 p["origin"], "PC_DONE", payload={"rid": p["rid"]}
             )
@@ -100,44 +101,49 @@ class PrimaryCopy(ReplicationProtocol):
 
     # -- backups -------------------------------------------------------------
 
-    def _ensure_backup_loop(self, host: str) -> None:
-        if getattr(self, "_backup_loops", None) is None:
-            self._backup_loops = set()
-        if host in self._backup_loops or host == self.primary:
-            return
-        self._backup_loops.add(host)
-        self.env.process(self._backup_loop(host), name=f"pc-backup-{host}")
-
     def _backup_loop(self, host: str):
         endpoint = self.deployment.platform(host).endpoint
         server = self.deployment.server(host)
         network = self.deployment.network
         # The network is not FIFO, but primary-copy log shipping must
         # apply in order: hold out-of-order versions until their
-        # predecessors arrive.
+        # predecessors arrive. Between messages no buffered version is
+        # the next one of its key, so only the keys a message carries
+        # can have become drainable — unless a recovery SYNC installed
+        # a snapshot under the buffer, which may unblock any of them.
         reorder: dict = {}  # key -> {version: (write, origin)}
+        version_of = server.store.version_of
+        recoveries = server.recoveries
         while True:
             msg: Message = yield endpoint.receive(kind="PC_APPLY")
             if not network.host_up(host):
                 continue
             if server.config.update_apply_time > 0:
                 yield self.env.timeout(server.config.update_apply_time)
-            for write in msg.payload["writes"]:
+            writes = msg.payload["writes"]
+            origin = msg.payload["origin"]
+            for write in writes:
                 reorder.setdefault(write.key, {})[write.version] = (
-                    write, msg.payload["origin"],
+                    write, origin,
                 )
-            for key, buffered in reorder.items():
-                next_version = server.store.version_of(key) + 1
+            if server.recoveries != recoveries:
+                recoveries = server.recoveries
+                touched = list(reorder)
+            else:
+                touched = dict.fromkeys(write.key for write in writes)
+            for key in touched:
+                buffered = reorder[key]
+                next_version = version_of(key) + 1
                 while next_version in buffered:
                     write, origin = buffered.pop(next_version)
                     self._apply_local(server, write, origin)
                     next_version += 1
+                if not buffered:
+                    del reorder[key]
 
     # -- client-facing paths ----------------------------------------------------
 
     def _start_write(self, record: RequestRecord) -> None:
-        for host in self.deployment.hosts:
-            self._ensure_backup_loop(host)
         self.env.process(
             self._write_coordinator(record),
             name=f"pc-write-{record.request_id}",

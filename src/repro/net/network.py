@@ -29,10 +29,11 @@ from typing import (
 from repro.errors import MigrationError, NetworkError
 from repro.net.faults import FaultPlan
 from repro.net.latency import LatencyModel, lan_profile
-from repro.net.message import Message
+from repro.net.message import HEADER_BYTES, Message, estimate_size
 from repro.net.stats import NetworkStats
 from repro.net.topology import Topology
-from repro.sim.core import Environment
+from repro.sim.core import Environment, Timeout, Urgent
+from repro.sim.events import Event
 from repro.sim.rng import RandomStreams
 from repro.sim.stores import RoutedStore
 
@@ -141,8 +142,17 @@ class Endpoint:
         payload: Any = None,
         category: str = "control",
     ) -> List[Message]:
-        """One unicast per destination (excluding self unless listed)."""
-        return [self.send(dst, kind, payload, category) for dst in dsts]
+        """One unicast per destination (excluding self unless listed).
+
+        Every copy carries the same payload, so it is sized once and the
+        size handed to each :class:`Message` — the same bytes per
+        destination that per-message sizing would account.
+        """
+        size_bytes = HEADER_BYTES + estimate_size(payload)
+        return [
+            self.send(dst, kind, payload, category, size_bytes)
+            for dst in dsts
+        ]
 
     def broadcast(
         self, kind: str, payload: Any = None, category: str = "control",
@@ -350,22 +360,27 @@ class Network:
         )
         if self.fifo_links and msg.src != msg.dst:
             link = (msg.src, msg.dst)
-            arrival = max(
+            horizon = max(
                 self.env.now + delay, self._link_horizon.get(link, 0.0)
             )
-            self._link_horizon[link] = arrival
-            delay = arrival - self.env.now
-        self.env.process(self._deliver(msg, delay), name=f"deliver-{msg.kind}")
+            self._link_horizon[link] = horizon
+            delay = horizon - self.env.now
+        # Delivery is one scheduled event carrying the message. A
+        # zero-delay arrival (a self-send) lands after the sender's
+        # current step and before every ordinary event of the instant.
+        arrival = (
+            Timeout(self.env, delay, msg) if delay > 0
+            else Urgent(self.env, msg)
+        )
+        arrival.callbacks.append(self._arrive)
 
-    def _deliver(self, msg: Message, delay: float):
-        if delay > 0:
-            yield self.env.timeout(delay)
+    def _arrive(self, arrival: Event) -> None:
+        """Arrival callback: file the message at its destination."""
+        msg: Message = arrival.value
         if not self.host_up(msg.dst):
             # Fail-stop destination: the message vanishes.
             self.stats.record_drop(msg.category, msg.kind)
             return
-        # Re-fetch: the destination cannot have unregistered, but keep the
-        # lookup close to delivery for symmetry with live backends.
         endpoint = self.endpoints[msg.dst]
         endpoint.inbox.put(msg)
         endpoint.maybe_reap()

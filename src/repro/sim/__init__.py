@@ -20,7 +20,9 @@ Quick example::
 """
 
 from repro.sim.conditions import AllOf, AnyOf, Condition
-from repro.sim.core import NORMAL, URGENT, Environment, Process, Timeout
+from repro.sim.core import (
+    NORMAL, URGENT, Environment, Process, Timeout, Urgent,
+)
 from repro.sim.events import PENDING, Event
 from repro.sim.interrupts import Interrupt
 from repro.sim.monitor import StateMonitor
@@ -33,6 +35,7 @@ __all__ = [
     "Process",
     "Event",
     "Timeout",
+    "Urgent",
     "Interrupt",
     "AllOf",
     "AnyOf",

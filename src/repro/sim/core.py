@@ -20,7 +20,7 @@ from repro.errors import SimulationError, StopSimulation
 from repro.sim.events import PENDING, Event
 from repro.sim.interrupts import Interrupt
 
-__all__ = ["Environment", "Process", "Timeout", "URGENT", "NORMAL"]
+__all__ = ["Environment", "Process", "Timeout", "Urgent", "URGENT", "NORMAL"]
 
 #: Scheduling tier for interrupts and process bootstrap.
 URGENT = 0
@@ -62,16 +62,20 @@ class Timeout(Event):
         return f"<Timeout delay={self.delay!r} at {hex(id(self))}>"
 
 
-class _Initialize(Event):
-    """Urgent event that starts a freshly created process."""
+class Urgent(Event):
+    """An event that fires at the current instant in the urgent tier.
+
+    Its callbacks run after the step that created it has finished and
+    before every ordinary event of the same instant, including ones
+    scheduled earlier: the slot in which a freshly created process
+    takes its first step and a zero-delay message is delivered.
+    """
 
     __slots__ = ()
 
-    def __init__(self, env: "Environment", process: "Process") -> None:
+    def __init__(self, env: "Environment", value: Any = None) -> None:
         super().__init__(env)
-        self.callbacks.append(process._resume)
-        self._ok = True
-        self._value = None
+        self._value = value
         env.schedule(self, priority=URGENT)
 
 
@@ -134,7 +138,7 @@ class Process(Event):
         self._generator = generator
         self._target: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
-        _Initialize(env, self)
+        Urgent(env).callbacks.append(self._resume)
 
     @property
     def is_alive(self) -> bool:

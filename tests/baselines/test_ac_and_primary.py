@@ -7,6 +7,7 @@ from repro.baselines.available_copies import AvailableCopies
 from repro.baselines.primary_copy import PrimaryCopy
 from repro.net.faults import CrashSchedule, FaultPlan, TransientLinkFaults
 from repro.replication.deployment import Deployment
+from repro.replication.server import WriteOp
 
 
 class TestAvailableCopies:
@@ -131,3 +132,82 @@ class TestPrimaryCopy:
         dep = Deployment(n_replicas=3, seed=0)
         with pytest.raises(ValueError):
             PrimaryCopy(dep, write_timeout=0)
+
+
+class TestPrimaryCopyLogShipping:
+    """The backup's reorder buffer, driven by hand-shipped PC_APPLYs
+    (the network is not FIFO, so any arrival order is a legal one)."""
+
+    GAP = 100.0  # ms between shipments, far above LAN latency
+
+    @staticmethod
+    def _ship(dep, pc, schedule):
+        """``schedule``: [(backup, key, version)] shipped GAP ms apart."""
+        endpoint = dep.platform(pc.primary).endpoint
+
+        def shipper():
+            for rid, (backup, key, version) in enumerate(schedule, 1):
+                write = WriteOp(
+                    request_id=rid, key=key, value=f"{key}{version}",
+                    version=version,
+                )
+                endpoint.send(
+                    backup, "PC_APPLY",
+                    payload={"writes": (write,), "origin": pc.primary},
+                )
+                yield dep.env.timeout(TestPrimaryCopyLogShipping.GAP)
+
+        dep.env.process(shipper())
+
+    @staticmethod
+    def _chain(dep, host, key):
+        return [
+            (c.version, c.value)
+            for c in dep.server(host).history
+            if c.key == key
+        ]
+
+    def test_out_of_order_versions_apply_in_order_per_key(self):
+        dep = Deployment(n_replicas=3, seed=0)
+        pc = PrimaryCopy(dep)
+        # s2 sees a: 3, 1, 2 with b's version 2 gapped throughout;
+        # s3 sees everything in order. b@1 reaches both last.
+        self._ship(dep, pc, [
+            ("s2", "b", 2), ("s2", "a", 3), ("s2", "a", 1), ("s2", "a", 2),
+            ("s3", "a", 1), ("s3", "a", 2), ("s3", "a", 3), ("s3", "b", 2),
+        ])
+        dep.run(until=8 * self.GAP)
+        for host in ("s2", "s3"):
+            assert self._chain(dep, host, "a") == [
+                (1, "a1"), (2, "a2"), (3, "a3"),
+            ]
+            # b's gap stays buffered: nothing of b is visible yet
+            assert dep.server(host).store.version_of("b") == 0
+        self._ship(dep, pc, [("s2", "b", 1), ("s3", "b", 1)])
+        dep.run(until=11 * self.GAP)
+        for host in ("s2", "s3"):
+            assert self._chain(dep, host, "b") == [(1, "b1"), (2, "b2")]
+        assert list(dep.server("s2").store.applied_log) != list(
+            dep.server("s3").store.applied_log
+        )  # different arrival orders ...
+        for key in ("a", "b"):  # ... same per-key histories
+            assert self._chain(dep, "s2", key) == self._chain(dep, "s3", key)
+
+    def test_recovery_sync_unblocks_a_buffered_version(self):
+        """A SYNC snapshot moves the store under the reorder buffer: the
+        version it unblocks applies with the next PC_APPLY of *any* key."""
+        dep = Deployment(n_replicas=3, seed=0)
+        pc = PrimaryCopy(dep)
+        primary = dep.server(pc.primary)
+        for version in (1, 2):  # s3 missed these while it was down
+            primary.store.apply("a", f"a{version}", version, 0.0)
+        self._ship(dep, pc, [("s3", "a", 3)])
+        dep.run(until=self.GAP)
+        assert dep.server("s3").store.version_of("a") == 0
+        dep.server("s3").request_sync(pc.primary)
+        dep.run(until=2 * self.GAP)
+        assert dep.server("s3").store.version_of("a") == 2
+        self._ship(dep, pc, [("s3", "b", 1)])
+        dep.run(until=3 * self.GAP)
+        assert dep.server("s3").store.version_of("a") == 3
+        assert dep.server("s3").store.read("a").value == "a3"

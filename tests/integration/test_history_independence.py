@@ -1,6 +1,6 @@
-"""The DES MARP hot path costs what the event is, not what the run was.
+"""The DES hot paths cost what the event is, not what the run was.
 
-Two guards, both deterministic counts (no wall clock):
+Three guards, all deterministic counts (no wall clock):
 
 * a contended run four times as long must do the same work per receive,
   per commit and per agent table — before the routed mailbox, every
@@ -9,6 +9,9 @@ Two guards, both deterministic counts (no wall clock):
   these ratios grew with the run (the 7 s of simulated time stay inside
   one inbox hygiene window, so nothing is reaped to hide that;
   ``test_hygiene_windows.py`` covers the reaper);
+* a primary-copy backup asks its store for one version per write a
+  ``PC_APPLY`` carries, however many keys the run has touched — before,
+  every message re-scanned the reorder buffer of every key seen so far;
 * the routed mailbox keeps the ordering the protocol drivers rely on:
   the server loop takes its kinds oldest-first, a reply that beat its
   receive to the inbox is still claimed, and a withdrawn receive never
@@ -20,6 +23,7 @@ import sys
 
 import pytest
 
+from repro.baselines.primary_copy import PrimaryCopy
 from repro.core.protocol import MARP
 from repro.core.update_agent import CLAIM_REPLIES
 from repro.replication.client import attach_clients
@@ -96,6 +100,50 @@ class TestCostDoesNotGrowWithTheRun:
         # under this load — never the finished ids of the run so far
         assert long["table_slots"] <= 2 * short["table_slots"]
         assert long["table_slots"] < 100
+
+
+def _backup_version_lookups_per_apply(n_keys, writes_per_client=40):
+    """bulk_primary_n5's regime in small: ``VersionedStore.version_of``
+    calls on backup s2's store, per PC_APPLY delivered to s2."""
+    deployment = Deployment(n_replicas=3, seed=7)
+    protocol = PrimaryCopy(deployment)
+    attach_clients(
+        protocol,
+        ExponentialArrivals(20.0),
+        OperationMix(
+            write_fraction=1.0, keys=[f"k{i}" for i in range(n_keys)],
+        ),
+        max_requests_per_client=writes_per_client,
+    )
+    backup_store = deployment.server("s2").store
+    lookups = 0
+
+    def count(frame, event, _arg):
+        nonlocal lookups
+        if (
+            event == "call"
+            and frame.f_code.co_name == "version_of"
+            and frame.f_locals.get("self") is backup_store
+        ):
+            lookups += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        deployment.run(until=2_000_000)
+    finally:
+        sys.setprofile(previous)
+    applies = len(protocol.completed_writes())  # one PC_APPLY per write
+    assert applies == 3 * writes_per_client
+    assert len(deployment.server("s2").history) == applies
+    return lookups / applies
+
+
+class TestLogShippingCostDoesNotGrowWithTheKeySpace:
+    def test_one_version_lookup_per_shipped_write(self):
+        few = _backup_version_lookups_per_apply(16)
+        many = _backup_version_lookups_per_apply(256)
+        assert few == many == 1.0
 
 
 class TestRoutedMailboxOrdering:

@@ -7,6 +7,7 @@ import pytest
 from repro.errors import MigrationError, NetworkError
 from repro.net.faults import CrashSchedule, FaultPlan, TransientLinkFaults
 from repro.net.latency import ConstantLatency
+from repro.net.message import HEADER_BYTES, Message, estimate_size
 from repro.net.network import Network
 from repro.net.topology import Topology
 from repro.sim.rng import RandomStreams
@@ -225,6 +226,82 @@ class TestDelivery:
         _network, eps = make_network(env)
         sent = eps["a"].multicast(["b", "c"], "X")
         assert sorted(m.dst for m in sent) == ["b", "c"]
+
+
+class TestOneEventPerMessage:
+    """Delivery is one scheduled event whose callback files the message."""
+
+    def test_delayed_sends_schedule_one_event_each(self, env):
+        _network, eps = make_network(env)
+        for index in range(7):
+            eps["a"].send("b", "SEQ", index)
+        steps = 0
+        while env.peek() != float("inf"):
+            env.step()
+            steps += 1
+        assert steps == 7
+        assert eps["b"].pending == 7
+
+    def test_self_send_lands_after_the_step_before_normal_events(self, env):
+        _network, eps = make_network(env)
+        seen = []
+
+        def sender(env):
+            # Scheduled for "now" *before* the send, at NORMAL priority:
+            # the self-send must still overtake it.
+            normal = env.event().succeed()
+            normal.callbacks.append(
+                lambda _e: seen.append(("normal", eps["a"].pending))
+            )
+            eps["a"].send("a", "LOOP")
+            seen.append(("step", eps["a"].pending))
+            yield env.timeout(5)
+
+        env.process(sender(env))
+        env.run()
+        assert seen == [("step", 0), ("normal", 1)]
+        assert eps["a"].inbox.items[0].sent_at == 0.0
+
+    def test_destination_crashing_in_flight_drops_once(self, env):
+        faults = FaultPlan(crashes=CrashSchedule().add("b", 1, 100))
+        network, eps = make_network(env, faults=faults)
+        eps["a"].send("b", "PING")  # leaves at 0, b is up; lands at 2
+        env.run()
+        assert eps["b"].pending == 0
+        assert network.stats.dropped == {("control", "PING"): 1}
+        assert network.stats.messages == {("control", "PING"): 1}
+
+    def test_crashed_source_accounts_and_schedules_nothing(self, env):
+        faults = FaultPlan(crashes=CrashSchedule().add("a", 0, 100))
+        network, eps = make_network(env, faults=faults)
+        msg = eps["a"].send("b", "PING", "xx")
+        assert env.peek() == float("inf")
+        assert network.stats.messages == {("control", "PING"): 1}
+        assert network.stats.bytes == {("control", "PING"): msg.size_bytes}
+        assert network.stats.dropped == {("control", "PING"): 1}
+
+    def test_broadcast_sizes_the_shared_payload_once(self, env, monkeypatch):
+        from repro.net import network as network_module
+
+        network, eps = make_network(env, hosts=("a", "b", "c", "d"))
+        payload = {"writes": ("k", 3, [1.5, "value"]), "origin": "a"}
+        calls = []
+
+        def counting(value):
+            calls.append(value)
+            return estimate_size(value)
+
+        monkeypatch.setattr(network_module, "estimate_size", counting)
+        sent = eps["a"].broadcast("APPLY", payload, include_self=True)
+        assert calls == [payload]
+        expected = HEADER_BYTES + estimate_size(payload)
+        assert [m.size_bytes for m in sent] == [expected] * 4
+        # ... which is what sizing every copy on its own accounts
+        per_destination = sum(
+            Message("a", m.dst, "APPLY", payload).size_bytes for m in sent
+        )
+        assert network.stats.total_bytes() == per_destination
+        assert network.stats.total_messages() == 4
 
 
 class TestFaultsAndStats:

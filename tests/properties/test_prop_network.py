@@ -3,21 +3,22 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net.latency import UniformLatency
+from repro.net.latency import EmpiricalLatency, UniformLatency
+from repro.net.message import HEADER_BYTES, Message, estimate_size
 from repro.net.network import Network
 from repro.net.topology import Topology
 from repro.sim.core import Environment
 from repro.sim.rng import RandomStreams
 
 
-def build(seed: int, fifo: bool):
+def build(seed: int, fifo: bool, latency=None, hosts=("a", "b")):
     env = Environment()
-    topo = Topology.full_mesh(["a", "b"])
+    topo = Topology.full_mesh(list(hosts))
     network = Network(
-        env, topo, latency=UniformLatency(1.0, 20.0),
+        env, topo, latency=latency or UniformLatency(1.0, 20.0),
         streams=RandomStreams(seed), fifo_links=fifo, inbox_ttl=20_000.0,
     )
-    endpoints = {h: network.register(h) for h in ("a", "b")}
+    endpoints = {h: network.register(h) for h in hosts}
     return env, network, endpoints
 
 
@@ -83,3 +84,74 @@ def test_byte_accounting_is_exact(seed, sizes):
         total += size or 1
     env.run()
     assert network.stats.total_bytes() == total
+
+
+@given(
+    count=st.integers(min_value=2, max_value=40),
+    seed=st.integers(min_value=0, max_value=1000),
+)
+@settings(max_examples=60, deadline=None)
+def test_fifo_horizon_ties_keep_send_order(count, seed):
+    """Three whole-ms delays: most messages are held back to an earlier
+    one's arrival instant, and messages tied there keep send order."""
+    env, _network, eps = build(
+        seed, fifo=True, latency=EmpiricalLatency([1.0, 2.0, 3.0])
+    )
+    received = []
+
+    def receiver(env):
+        for _ in range(count):
+            msg = yield eps["b"].receive()
+            received.append((msg.payload, env.now))
+
+    for index in range(count):
+        eps["a"].send("b", "SEQ", index)
+    env.process(receiver(env))
+    env.run()
+    assert [payload for payload, _at in received] == list(range(count))
+    assert len({at for _payload, at in received}) <= 3
+
+
+@given(
+    count=st.integers(min_value=0, max_value=30),
+    self_sends=st.integers(min_value=0, max_value=5),
+    seed=st.integers(min_value=0, max_value=1000),
+    fifo=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_every_message_is_one_scheduled_event(count, self_sends, seed, fifo):
+    env, _network, eps = build(seed, fifo)
+    for index in range(count):
+        eps["a"].send("b", "SEQ", index)
+    for index in range(self_sends):
+        eps["b"].send("b", "SEQ", index)
+    steps = 0
+    while env.peek() != float("inf"):
+        env.step()
+        steps += 1
+    assert steps == count + self_sends
+    assert eps["b"].pending == count + self_sends
+
+
+_payloads = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@given(payload=_payloads, include_self=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_broadcast_bytes_equal_per_destination_sizing(payload, include_self):
+    hosts = ("a", "b", "c", "d")
+    env, network, eps = build(0, fifo=False, hosts=hosts)
+    sent = eps["a"].broadcast("DATA", payload, include_self=include_self)
+    assert len(sent) == len(hosts) - (0 if include_self else 1)
+    assert all(
+        m.size_bytes == HEADER_BYTES + estimate_size(payload) for m in sent
+    )
+    assert network.stats.total_bytes() == sum(
+        Message("a", m.dst, "DATA", payload).size_bytes for m in sent
+    )
