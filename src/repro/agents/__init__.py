@@ -1,13 +1,9 @@
-"""Mobile-agent platform substrate (the Aglets stand-in).
+"""What is agent-specific and backend-independent: identity
+(:class:`AgentId`, totally ordered — the priority tie-break) and the
+pluggable itinerary strategies. How an agent is hosted, shipped and
+timed is the substrate's business (see
+:mod:`repro.core.machines.interpreter`)."""
 
-Agents have identity (:class:`AgentId`), carried state sizing their
-migrations (:class:`MigrationCostModel`), a per-host runtime
-(:class:`AgentPlatform`) with the paper's retry/unavailability policy,
-and pluggable itinerary strategies.
-"""
-
-from repro.agents.agent import MobileAgent
-from repro.agents.directory import PlatformDirectory
 from repro.agents.identity import AgentId, AgentIdFactory
 from repro.agents.itinerary import (
     CostSorted,
@@ -17,17 +13,10 @@ from repro.agents.itinerary import (
     StaticOrder,
     make_itinerary,
 )
-from repro.agents.mobility import MigrationCostModel
-from repro.agents.platform import AgentPlatform, MobilityPolicy
 
 __all__ = [
     "AgentId",
     "AgentIdFactory",
-    "MobileAgent",
-    "AgentPlatform",
-    "MobilityPolicy",
-    "PlatformDirectory",
-    "MigrationCostModel",
     "ItineraryStrategy",
     "CostSorted",
     "InitialCostOrder",

@@ -118,7 +118,7 @@ class AvailableCopies(QuorumProtocol):
 
     def _write_coordinator(self, record: RequestRecord):
         env = self.env
-        endpoint = self.deployment.platform(record.home).endpoint
+        endpoint = self.deployment.network.endpoints[record.home]
         prefix = self.prefix
         record.dispatched_at = env.now
 

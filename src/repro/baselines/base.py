@@ -48,7 +48,7 @@ class BaselineDaemon:
         self.host = host
         self.env = protocol.env
         self.network = protocol.deployment.network
-        self.endpoint = protocol.deployment.platform(host).endpoint
+        self.endpoint = protocol.deployment.network.endpoints[host]
         self.server = protocol.deployment.server(host)
         prefix = protocol.prefix
         #: handled in arrival order across kinds: one shared inbox queue
@@ -265,7 +265,7 @@ class QuorumProtocol(ReplicationProtocol):
 
     def _write_coordinator(self, record: RequestRecord):
         env = self.env
-        endpoint = self.deployment.platform(record.home).endpoint
+        endpoint = self.deployment.network.endpoints[record.home]
         prefix = self.prefix
         record.dispatched_at = env.now
 
@@ -381,7 +381,7 @@ class QuorumProtocol(ReplicationProtocol):
 
     def _read_coordinator(self, record: RequestRecord):
         env = self.env
-        endpoint = self.deployment.platform(record.home).endpoint
+        endpoint = self.deployment.network.endpoints[record.home]
         prefix = self.prefix
         record.dispatched_at = env.now
         endpoint.broadcast(

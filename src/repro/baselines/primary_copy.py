@@ -54,7 +54,7 @@ class PrimaryCopy(ReplicationProtocol):
     # -- primary ----------------------------------------------------------
 
     def _primary_loop(self):
-        endpoint = self.deployment.platform(self.primary).endpoint
+        endpoint = self.deployment.network.endpoints[self.primary]
         server = self.deployment.server(self.primary)
         network = self.deployment.network
         while True:
@@ -102,7 +102,7 @@ class PrimaryCopy(ReplicationProtocol):
     # -- backups -------------------------------------------------------------
 
     def _backup_loop(self, host: str):
-        endpoint = self.deployment.platform(host).endpoint
+        endpoint = self.deployment.network.endpoints[host]
         server = self.deployment.server(host)
         network = self.deployment.network
         # The network is not FIFO, but primary-copy log shipping must
@@ -151,7 +151,7 @@ class PrimaryCopy(ReplicationProtocol):
 
     def _write_coordinator(self, record: RequestRecord):
         env = self.env
-        endpoint = self.deployment.platform(record.home).endpoint
+        endpoint = self.deployment.network.endpoints[record.home]
         record.dispatched_at = env.now
         endpoint.send(
             self.primary,

@@ -11,10 +11,15 @@ execution backend:
   application, release wake-ups);
 * :mod:`~repro.core.machines.events` / :mod:`~repro.core.machines.effects`
   — the typed inputs the machines consume and the typed effects they
-  emit; drivers (the DES :class:`~repro.core.update_agent.UpdateAgent`
-  and :class:`~repro.replication.server.ReplicaServer`, the live
-  :class:`~repro.runtime.host.HostRuntime`) perform all I/O, timing,
-  randomness and observability;
+  emit;
+* :mod:`~repro.core.machines.interpreter` — :class:`EffectInterpreter`,
+  the one place that says what each effect means (which input it feeds
+  back, the parked and claim tables, timer tokens, milestone spans and
+  metrics), over a small :class:`Substrate` a backend supplies — clock,
+  transport, timers, randomness, record-keeping. The DES
+  :class:`~repro.replication.server.ReplicaServer`, the live
+  :class:`~repro.runtime.host.HostRuntime` and the replay harness are
+  the three substrates;
 * :mod:`~repro.core.machines.structures` / :mod:`~repro.core.machines.wire`
   / :mod:`~repro.core.machines.table` / :mod:`~repro.core.machines.priority`
   — the protocol-owned data structures and the priority calculation;
@@ -102,6 +107,11 @@ from repro.core.machines.effects import (
 )
 from repro.core.machines.replica import ReplicaMachine
 from repro.core.machines.agent import AgentCoreState, AgentMachine
+from repro.core.machines.interpreter import (
+    EffectInterpreter,
+    Resident,
+    Substrate,
+)
 from repro.core.machines.replay import (
     DROPPABLE_KINDS,
     EventBudgetExceeded,
@@ -149,8 +159,9 @@ __all__ = [
     "CommitApplied", "Dispose", "Effect", "Granted", "LockWon", "Migrate",
     "Nacked", "Note", "Park", "PostBulletin", "QueueChanged", "Recovered",
     "ReleaseNotify", "Send", "SetTimer", "Visit",
-    # machines + harness
+    # machines + interpreter + harness
     "ReplicaMachine", "AgentCoreState", "AgentMachine",
+    "EffectInterpreter", "Resident", "Substrate",
     "KernelHarness", "replay", "EventBudgetExceeded", "DROPPABLE_KINDS",
     # adversary
     "Schedule", "ScheduleOutcome", "InvariantViolation",

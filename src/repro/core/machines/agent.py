@@ -116,6 +116,21 @@ class AgentCoreState:
     fetch_plan: List[Tuple[str, str]] = field(default_factory=list)
     fetch_key: Optional[str] = None
     base_values: Dict[str, Any] = field(default_factory=dict)
+    # -- journey log (observational only) -------------------------------
+    # Stamped by the effect interpreter, never read by the machine. The
+    # measurements end up in the request records; the ``*_since`` /
+    # ``migrate_*`` stamps are phase start times, carried so that the
+    # host that *completes* a phase can record its span — a hop's send
+    # time travels to the destination, the lock-wait window start to
+    # wherever the lock is finally won.
+    dispatched_at: Optional[float] = None
+    lock_acquired_at: Optional[float] = None
+    visits_to_lock: Optional[int] = None
+    hops: int = 0
+    lock_wait_since: Optional[float] = None
+    parked_since: Optional[float] = None
+    migrate_sent_at: Optional[float] = None
+    migrate_src: Optional[str] = None
 
 
 class AgentMachine:

@@ -2,17 +2,19 @@
 
 Because the machines are sans-IO, an entire multi-agent, multi-replica
 protocol run can be executed with **no** simulator, no threads, no
-clocks and no randomness — just a manual event queue interpreting the
-machines' effects. That is what this module provides:
+clocks and no randomness — just a manual event queue under the same
+:class:`~repro.core.machines.interpreter.EffectInterpreter` the real
+backends run. That is what this module provides:
 
 * :func:`replay` — feed a recorded input script straight into a single
   machine and collect the effect batches it emits. The unit-level tool:
   any interleaving (a COMMIT overtaking an ACK round, a grant expiring
   mid-claim, a park wake racing a release) can be written down as a
   literal list of inputs and asserted on, byte for byte.
-* :class:`KernelHarness` — a miniature deterministic world wiring N
-  replica machines and any number of agent machines together through a
-  priority event queue with fixed hop and message latencies. Where the
+* :class:`KernelHarness` — a miniature deterministic world: one
+  interpreter per host over N replica machines and any number of agent
+  machines, on a priority event queue with fixed hop and message
+  latencies. Where the
   DES backend uses seeded randomness (itinerary choice, back-off
   sampling), the harness is deliberately degenerate — lowest-named
   candidate, back-off equal to its mean — so every run is a pure
@@ -47,29 +49,17 @@ without booting either real backend.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.agents.identity import AgentId
 from repro.core.machines.agent import AgentCoreState, AgentMachine
 from repro.core.machines.config import DES_TUNABLES
-from repro.core.machines.effects import (
-    Backoff,
-    Broadcast,
-    CancelTimer,
-    Dispose,
-    Migrate,
-    Note,
-    Park,
-    PostBulletin,
-    ReleaseNotify,
-    Send,
-    SetTimer,
-    Visit,
+from repro.core.machines.interpreter import (
+    EffectInterpreter,
+    Resident,
+    Substrate,
 )
-from repro.core.machines.events import Arrived, MsgReceived, ReplicaDown, TimerFired
 from repro.core.machines.replica import ReplicaMachine
-from repro.core.machines.wire import UpdatePayload
 
 __all__ = [
     "replay",
@@ -119,30 +109,71 @@ def replay(machine, inputs) -> List[List[Any]]:
     return [list(machine.on(event)) for event in inputs]
 
 
-#: Replies a replica addresses to the *agent* waiting at a host, not to
-#: the replica process itself.
-_AGENT_BOUND = ("ACK", "NACK", "READR")
+class _AgentRun(Resident):
+    """One agent of the harness world, with what became of it."""
+
+    def __init__(self, machine: AgentMachine, host: str) -> None:
+        super().__init__(machine)
+        #: where the agent is (its origin, while a hop is in flight)
+        self.host = host
+        self.status: Optional[str] = None
+        self.writes: Tuple = ()
+        #: ``(time, kind, detail)`` per protocol milestone
+        self.notes: List[Tuple[float, str, str]] = []
 
 
-@dataclass
-class _AgentRun:
-    machine: AgentMachine
-    host: str
-    status: Optional[str] = None
-    writes: Tuple = ()
-    notes: List[Tuple[float, str, str]] = field(default_factory=list)
-    timer_token: Dict[str, int] = field(default_factory=dict)
-    wake_token: int = 0
+class _Port(Substrate):
+    """One host's side of the harness: fixed latencies, the lowest-named
+    candidate, a back-off of exactly its mean."""
+
+    def __init__(self, harness: "KernelHarness", host: str) -> None:
+        self.harness = harness
+        self.host = host
+
+    def now(self) -> float:
+        return self.harness.now
+
+    def send(self, dst, kind, payload, category="control") -> None:
+        self.harness._deliver_later(dst, kind, payload, src=self.host)
+
+    def broadcast(self, kind, payload) -> None:
+        for dst in self.harness.hosts:
+            self.harness._deliver_later(dst, kind, payload, src=self.host)
+
+    def set_timer(self, delay, fire) -> None:
+        self.harness._schedule(self.harness.now + delay, fire)
+
+    def ship_agent(self, agent, dst) -> None:
+        harness = self.harness
+        harness._schedule(
+            harness.now + harness.hop_latency, harness._land, agent, dst
+        )
+
+    def choose(self, agent, candidates) -> str:
+        return min(candidates)
+
+    def sample_backoff(self, agent, mean) -> float:
+        return mean
+
+    def disposed(self, agent, effect) -> None:
+        agent.status = effect.status
+        agent.writes = effect.writes
+        self.harness.results[agent.machine.state.batch_id] = effect.status
+
+    def emit(self, kind, agent_id, request_id, detail, host) -> None:
+        run = self.harness.agents.get(agent_id)
+        if run is not None:
+            run.notes.append((self.harness.now, kind, detail))
 
 
 class KernelHarness:
-    """A deterministic interpreter wiring machines together.
+    """A deterministic world of interpreters wired through one queue.
 
     Latencies are fixed (``hop_latency`` per migration, ``msg_latency``
     per message) and the back-off "sample" is exactly its mean, so the
     whole run is reproducible from the call sequence alone. Hosts can be
     crashed and restarted (fail-stop: a down replica machine receives
-    nothing, and migrating to it yields a ``ReplicaDown`` input).
+    nothing, and visiting it yields a ``ReplicaDown`` input).
     """
 
     def __init__(
@@ -160,12 +191,14 @@ class KernelHarness:
             host: ReplicaMachine(host, self.hosts, tunables)
             for host in self.hosts
         }
-        self.down: Set[str] = set()
+        self.interpreters: Dict[str, EffectInterpreter] = {
+            host: EffectInterpreter(host, replica, _Port(self, host))
+            for host, replica in self.replicas.items()
+        }
         self.now = 0.0
         self.agents: Dict[AgentId, _AgentRun] = {}
-        self.parked: Dict[str, Set[AgentId]] = {h: set() for h in self.hosts}
         self.results: Dict[int, str] = {}
-        self._queue: List[Tuple[float, int, Tuple]] = []
+        self._queue: List[Tuple[float, int, Callable, Tuple]] = []
         self._seq = 0
         # -- fault-injection state (all empty => classic behaviour) -----
         self.partition: Optional[Dict[str, int]] = None
@@ -177,6 +210,14 @@ class KernelHarness:
         self.dropped: List[Tuple[float, str, str, str]] = []
         self.killed: Set[AgentId] = set()
         self.events_processed = 0
+
+    @property
+    def down(self) -> Set[str]:
+        """The hosts currently crashed."""
+        return {
+            host for host, interpreter in self.interpreters.items()
+            if interpreter.down
+        }
 
     # -- workload & faults ----------------------------------------------
 
@@ -200,18 +241,17 @@ class KernelHarness:
             location=home,
         )
         run = _AgentRun(
-            machine=AgentMachine(state, self.hosts, self.tunables),
-            host=home,
+            AgentMachine(state, self.hosts, self.tunables), host=home
         )
         self.agents[agent_id] = run
-        self._schedule(at, ("visit", agent_id, home))
+        self._schedule(at, self._start, run)
         return agent_id
 
     def crash(self, host: str, at: Optional[float] = None) -> None:
         if at is None:
-            self.down.add(host)
+            self.interpreters[host].down = True
         else:
-            self._schedule(at, ("crash", host))
+            self._schedule(at, self.crash, host)
 
     def restart(
         self,
@@ -229,10 +269,26 @@ class KernelHarness:
         round-trip during which the stale replica could already answer
         claims.
         """
-        if at is None:
-            self._do_restart(host, sync_from, atomic)
-        else:
-            self._schedule(at, ("restart", host, sync_from, atomic))
+        if at is not None:
+            self._schedule(at, self.restart, host, None, sync_from, atomic)
+            return
+        self.interpreters[host].down = False
+        if atomic:
+            down = self.down
+            peer = sync_from or min(
+                (h for h in self.hosts if h not in down and h != host),
+                default=None,
+            )
+            if peer is None:
+                return  # no live peer: rejoin on durable state alone
+            (reply,) = self.replicas[peer].on_message(
+                "SYNC_REQUEST", {}, src=host, now=self.now
+            )
+            self.interpreters[host].deliver(
+                "SYNC_REPLY", reply.payload, src=peer
+            )
+        elif sync_from is not None:
+            self._deliver_later(sync_from, "SYNC_REQUEST", {}, src=host)
 
     def kill(self, agent_id: AgentId, at: Optional[float] = None) -> None:
         """Remove an agent from the world (mid-flight churn).
@@ -242,10 +298,13 @@ class KernelHarness:
         agent's host platform dies. Grant-TTL expiry is what unwedges
         the servers it claimed at.
         """
-        if at is None:
-            self._do_kill(agent_id)
-        else:
-            self._schedule(at, ("kill", agent_id))
+        if at is not None:
+            self._schedule(at, self.kill, agent_id)
+            return
+        run = self.agents.pop(agent_id, None)
+        if run is not None:
+            self.killed.add(agent_id)
+            self.interpreters[run.host].evict(run)
 
     def set_partition(self, groups, at: Optional[float] = None) -> None:
         """Split the cluster into ``groups`` (iterables of host names).
@@ -257,7 +316,9 @@ class KernelHarness:
         replaces the previous one wholesale.
         """
         if at is not None:
-            self._schedule(at, ("partition", tuple(map(tuple, groups))))
+            self._schedule(
+                at, self.set_partition, tuple(map(tuple, groups))
+            )
             return
         mapping: Dict[str, int] = {}
         for index, group in enumerate(groups):
@@ -275,13 +336,14 @@ class KernelHarness:
     def heal_partition(self, at: Optional[float] = None) -> None:
         """Remove the partition and deliver every buffered message."""
         if at is not None:
-            self._schedule(at, ("heal",))
+            self._schedule(at, self.heal_partition)
             return
         self.partition = None
         buffered, self._partition_buffer = self._partition_buffer, []
         for dst, kind, payload, src in buffered:
             self._schedule(
-                self.now + self.msg_latency, ("deliver", dst, kind, payload, src)
+                self.now + self.msg_latency,
+                self._deliver, dst, kind, payload, src,
             )
 
     def drop_message(self, nth: int) -> None:
@@ -306,40 +368,6 @@ class KernelHarness:
             return True
         return self.partition.get(src) == self.partition.get(dst)
 
-    def _do_restart(
-        self, host: str, sync_from: Optional[str], atomic: bool
-    ) -> None:
-        self.down.discard(host)
-        if atomic:
-            peer = sync_from or min(
-                (h for h in self.hosts if h not in self.down and h != host),
-                default=None,
-            )
-            if peer is None:
-                return  # no live peer: rejoin on durable state alone
-            replica = self.replicas[host]
-            for effect in self.replicas[peer].on_message(
-                "SYNC_REQUEST", {}, src=host, now=self.now
-            ):
-                if isinstance(effect, Send) and effect.kind == "SYNC_REPLY":
-                    self._run_replica(
-                        replica,
-                        replica.on_message(
-                            "SYNC_REPLY", effect.payload, src=peer,
-                            now=self.now,
-                        ),
-                    )
-        elif sync_from is not None:
-            self._deliver_later(sync_from, "SYNC_REQUEST", {}, src=host)
-
-    def _do_kill(self, agent_id: AgentId) -> None:
-        run = self.agents.pop(agent_id, None)
-        if run is None:
-            return
-        self.killed.add(agent_id)
-        for waiting in self.parked.values():
-            waiting.discard(agent_id)
-
     # -- event loop -----------------------------------------------------
 
     def run(self, until: float = 1e9, max_events: int = 100_000) -> float:
@@ -357,14 +385,14 @@ class KernelHarness:
                 raise EventBudgetExceeded(
                     max_events, self.now, len(self._queue)
                 )
-            when, _seq, action = heapq.heappop(self._queue)
+            when, _seq, action, args = heapq.heappop(self._queue)
             self.now = when
-            self._handle(action)
+            action(*args)
         return self.now
 
-    def _schedule(self, when: float, action: Tuple) -> None:
+    def _schedule(self, when: float, action: Callable, *args) -> None:
         self._seq += 1
-        heapq.heappush(self._queue, (when, self._seq, action))
+        heapq.heappush(self._queue, (when, self._seq, action, args))
 
     def _deliver_later(
         self, dst: str, kind: str, payload: Any, src: str
@@ -379,179 +407,33 @@ class KernelHarness:
             return
         latency = self.msg_latency + self.delay_msgs.get(index, 0.0)
         self._schedule(
-            self.now + latency, ("deliver", dst, kind, payload, src)
+            self.now + latency, self._deliver, dst, kind, payload, src
         )
         if index in self.dup_msgs:
             self._schedule(
                 self.now + latency + self.dup_msgs[index],
-                ("deliver", dst, kind, payload, src),
+                self._deliver, dst, kind, payload, src,
             )
 
-    def _handle(self, action: Tuple) -> None:
-        op = action[0]
-        if op == "visit":
-            self._do_visit(action[1], action[2])
-        elif op == "deliver":
-            self._do_deliver(action[1], action[2], action[3], action[4])
-        elif op == "timer":
-            _op, agent_id, kind, token = action
-            run = self.agents.get(agent_id)
-            if run is None or run.timer_token.get(kind) != token:
-                return  # cancelled or superseded
-            self._run_agent(run, run.machine.on(TimerFired(kind, self.now)))
-        elif op == "wake":
-            _op, agent_id, token = action
-            run = self.agents.get(agent_id)
-            if run is None or run.wake_token != token:
-                return
-            self._wake(agent_id)
-        elif op == "crash":
-            self.down.add(action[1])
-        elif op == "restart":
-            _op, host, sync_from, atomic = action
-            self._do_restart(host, sync_from, atomic)
-        elif op == "partition":
-            self.set_partition(action[1])
-        elif op == "heal":
-            self.heal_partition()
-        elif op == "kill":
-            self._do_kill(action[1])
+    def _deliver(self, dst: str, kind: str, payload: Any, src: str) -> None:
+        self.interpreters[dst].deliver(kind, payload, src)
 
-    # -- visits ----------------------------------------------------------
+    # -- agents on the move -----------------------------------------------
 
-    def _do_visit(self, agent_id: AgentId, host: str) -> None:
-        run = self.agents.get(agent_id)
-        if run is None:
-            return
-        # run.host is still the origin until the visit lands, so the
-        # reachability check covers migrations across a partition cut.
-        if host in self.down or not self._reachable(run.host, host):
-            self._run_agent(run, run.machine.on(ReplicaDown(host, self.now)))
-            return
-        run.host = host
-        run.machine.state.location = host
-        replica = self.replicas[host]
-        data, effects = replica.begin_visit(
-            agent_id, run.machine.state.batch_id, self.now,
-            acked=run.machine.state.table.acked_seq(host),
-        )
-        self._run_replica(replica, effects)
-        self._run_agent(
-            run,
-            run.machine.on(
-                Arrived(
-                    host=host,
-                    now=self.now,
-                    view=data.view,
-                    bulletin=data.bulletin,
-                    rank=data.rank,
-                    ll_len=data.ll_len,
-                )
-            ),
-        )
+    def _start(self, run: _AgentRun) -> None:
+        if run.machine.state.agent_id in self.agents:
+            self.interpreters[run.host].launch(run)
 
-    def _wake(self, agent_id: AgentId) -> None:
-        run = self.agents.get(agent_id)
-        if run is None:
-            return
-        self.parked[run.host].discard(agent_id)
-        run.wake_token += 1
-        self._do_visit(agent_id, run.host)
-
-    # -- message delivery -------------------------------------------------
-
-    def _do_deliver(
-        self, dst: str, kind: str, payload: Any, src: str
-    ) -> None:
-        if kind in _AGENT_BOUND:
-            # Addressed to whatever agent is waiting at the host; the
-            # machines' batch/epoch guards discard mismatches.
-            for run in list(self.agents.values()):
-                if run.host == dst and run.status is None:
-                    self._run_agent(
-                        run,
-                        run.machine.on(
-                            MsgReceived(kind, payload, self.now, src=src)
-                        ),
-                    )
-            return
-        if dst in self.down:
-            return  # fail-stop: a crashed server processes nothing
-        replica = self.replicas[dst]
-        self._run_replica(
-            replica,
-            replica.on_message(kind, payload, src=src, now=self.now),
-        )
-
-    # -- effect interpretation ---------------------------------------------
-
-    def _run_agent(self, run: _AgentRun, effects) -> None:
-        agent_id = run.machine.state.agent_id
-        for effect in effects:
-            if isinstance(effect, Note):
-                run.notes.append((self.now, effect.kind, effect.detail))
-            elif isinstance(effect, PostBulletin):
-                if run.host not in self.down:
-                    self.replicas[run.host].post_bulletin(effect.views)
-            elif isinstance(effect, Migrate):
-                dst = min(effect.candidates)
-                self._schedule(
-                    self.now + self.hop_latency, ("visit", agent_id, dst)
-                )
-            elif isinstance(effect, Park):
-                self.parked[run.host].add(agent_id)
-                self._schedule(
-                    self.now + effect.timeout,
-                    ("wake", agent_id, run.wake_token),
-                )
-            elif isinstance(effect, Backoff):
-                # Deterministic "sample": exactly the mean.
-                token = run.timer_token.get("backoff", 0) + 1
-                run.timer_token["backoff"] = token
-                self._schedule(
-                    self.now + effect.mean,
-                    ("timer", agent_id, "backoff", token),
-                )
-            elif isinstance(effect, Visit):
-                self._do_visit(agent_id, run.host)
-            elif isinstance(effect, SetTimer):
-                token = run.timer_token.get(effect.kind, 0) + 1
-                run.timer_token[effect.kind] = token
-                self._schedule(
-                    self.now + effect.delay,
-                    ("timer", agent_id, effect.kind, token),
-                )
-            elif isinstance(effect, CancelTimer):
-                run.timer_token[effect.kind] = (
-                    run.timer_token.get(effect.kind, 0) + 1
-                )
-            elif isinstance(effect, Send):
-                self._deliver_later(
-                    effect.dst, effect.kind, effect.payload, src=run.host
-                )
-            elif isinstance(effect, Broadcast):
-                for host in self.hosts:
-                    self._deliver_later(
-                        host, effect.kind, effect.payload, src=run.host
-                    )
-            elif isinstance(effect, Dispose):
-                run.status = effect.status
-                run.writes = effect.writes
-                self.results[run.machine.state.batch_id] = effect.status
-            # LockWon / ClaimStarted / ClaimResolved are bookkeeping
-            # milestones; the harness has no spans or records to update.
-
-    def _run_replica(self, replica: ReplicaMachine, effects) -> None:
-        for effect in effects:
-            if isinstance(effect, Send):
-                self._deliver_later(
-                    effect.dst, effect.kind, effect.payload, src=replica.host
-                )
-            elif isinstance(effect, ReleaseNotify):
-                for agent_id in list(self.parked[replica.host]):
-                    self._wake(agent_id)
-            # Granted / Nacked / CommitApplied / QueueChanged / Recovered
-            # are observability milestones with no harness action.
+    def _land(self, run: _AgentRun, dst: str) -> None:
+        """A hop ends: at ``dst``, or back at the origin if ``dst`` is
+        down or across a partition cut."""
+        if run.machine.state.agent_id not in self.agents:
+            return  # killed in flight
+        if self.interpreters[dst].down or not self._reachable(run.host, dst):
+            self.interpreters[run.host].unreachable(run, dst)
+        else:
+            run.host = dst
+            self.interpreters[dst].arrived(run)
 
     # -- inspection --------------------------------------------------------
 
@@ -570,15 +452,3 @@ class KernelHarness:
 
     def statuses(self) -> Dict[int, str]:
         return dict(self.results)
-
-
-def update_payload_from_dict(p: Dict[str, Any]) -> UpdatePayload:
-    """Helper for tests replaying wire-level dict payloads."""
-    return UpdatePayload(
-        batch_id=p["batch_id"],
-        agent_id=p["agent_id"],
-        origin=p.get("origin", ""),
-        writes=tuple(p.get("writes", ())),
-        reply_to=p.get("reply_to", ""),
-        epoch=p.get("epoch", 0),
-    )

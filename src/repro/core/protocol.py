@@ -24,11 +24,12 @@ from typing import Any, Callable, Dict
 from repro.core.batching import BatchDispatcher
 from repro.core.config import MARPConfig
 from repro.core.read import start_local_read, start_quorum_read
-from repro.core.update_agent import UpdateAgent, route_replies
+from repro.core.update_agent import UpdateAgent
 from repro.errors import ProtocolError
 from repro.replication.deployment import Deployment
 from repro.replication.protocol import ReplicationProtocol
 from repro.replication.requests import RequestRecord, Transform
+from repro.replication.server import route_replies
 
 __all__ = ["MARP"]
 
@@ -122,14 +123,14 @@ class MARP(ReplicationProtocol):
         self, home: str, records: List[RequestRecord]
     ) -> UpdateAgent:
         """Create and launch one update agent carrying ``records``."""
-        platform = self.deployment.platform(home)
-        agent = UpdateAgent(platform.new_agent_id(), self, records)
+        server = self.deployment.server(home)
+        agent = UpdateAgent(server.new_agent_id(), self, records)
         self.agents.append(agent)
-        platform.launch(agent)
+        server.launch(agent)
         return agent
 
     def retire_agent(self, agent: UpdateAgent) -> None:
-        """A finished agent reports in, right after disposing itself.
+        """A finished agent reports in, right after its records close.
 
         A streaming run drops it here, the way its records leave
         :attr:`records` — an agent holds its Locking Table and a view

@@ -43,7 +43,7 @@ def start_quorum_read(marp: "MARP", record: RequestRecord) -> None:
 
     def reader():
         env = marp.env
-        endpoint = marp.deployment.platform(record.home).endpoint
+        endpoint = marp.deployment.network.endpoints[record.home]
         majority = marp.deployment.majority
         endpoint.broadcast(
             "READQ",

@@ -17,9 +17,7 @@ __all__ = [
     "HostUnreachable",
     "AgentError",
     "MigrationError",
-    "AgentDisposed",
     "ReplicationError",
-    "ReplicaUnavailable",
     "ConsistencyViolation",
     "ProtocolError",
     "WorkloadError",
@@ -73,20 +71,8 @@ class MigrationError(AgentError):
         self.attempts = attempts
 
 
-class AgentDisposed(AgentError):
-    """An operation was attempted on an agent that has been disposed."""
-
-
 class ReplicationError(ReproError):
     """Base class for replication-layer failures."""
-
-
-class ReplicaUnavailable(ReplicationError):
-    """A replica was declared unavailable after repeated failed attempts."""
-
-    def __init__(self, message: str, replica=None):
-        super().__init__(message)
-        self.replica = replica
 
 
 class ConsistencyViolation(ReplicationError):

@@ -1,10 +1,10 @@
 """Deployment wiring: one call builds a complete replicated system.
 
 A :class:`Deployment` owns the environment, random streams, topology,
-network, one agent platform + replica server per host, and the post-crash
-recovery processes. Protocols (MARP and the message-passing baselines)
-are constructed *on top of* a deployment, so every protocol runs over the
-identical substrate.
+network, one replica server (with its effect interpreter) per host, and
+the post-crash recovery processes. Protocols (MARP and the
+message-passing baselines) are constructed *on top of* a deployment, so
+every protocol runs over the identical substrate.
 """
 
 from __future__ import annotations
@@ -12,9 +12,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.errors import ReplicationError
-from repro.agents.directory import PlatformDirectory
-from repro.agents.mobility import MigrationCostModel
-from repro.agents.platform import AgentPlatform, MobilityPolicy
 from repro.core.machines.config import INBOX_WINDOW_FACTOR
 from repro.net.faults import FaultPlan
 from repro.net.latency import LatencyModel, lan_profile
@@ -43,8 +40,8 @@ class Deployment:
         ``s1..sN``.
     faults:
         Crash windows / link faults (default: none).
-    replica_config, mobility_policy, cost_model:
-        Substrate tunables, shared by all hosts.
+    replica_config:
+        Server tunables, shared by all hosts.
     obs:
         An :class:`~repro.obs.hub.ObservabilityHub` to instrument this
         deployment with. Defaults to the process-wide hub installed via
@@ -60,8 +57,6 @@ class Deployment:
         topology: Optional[Topology] = None,
         faults: Optional[FaultPlan] = None,
         replica_config: Optional[ReplicaConfig] = None,
-        mobility_policy: Optional[MobilityPolicy] = None,
-        cost_model: Optional[MigrationCostModel] = None,
         host_prefix: str = "s",
         obs=None,
     ) -> None:
@@ -96,26 +91,13 @@ class Deployment:
         )
         if self.obs is not None:
             self.network.attach_observability(self.obs)
-        self.directory = PlatformDirectory()
-        policy = mobility_policy or MobilityPolicy()
-        costs = cost_model or MigrationCostModel()
-
-        self.platforms: Dict[str, AgentPlatform] = {}
         self.servers: Dict[str, ReplicaServer] = {}
         for host in self.hosts:
-            platform = AgentPlatform(
-                self.env, self.network, host, self.directory,
-                policy=policy, cost_model=costs,
-            )
-            server = ReplicaServer(
-                self.env, host, platform.endpoint, self.network,
+            self.servers[host] = ReplicaServer(
+                self.env, host, self.network.register(host), self.network,
                 peers=self.hosts, config=self.replica_config,
+                servers=self.servers, obs=self.obs,
             )
-            platform.provide("replica", server)
-            if self.obs is not None:
-                server.attach_observability(self.obs)
-            self.platforms[host] = platform
-            self.servers[host] = server
 
         #: optional structured protocol trace (see enable_tracing)
         self.trace = None
@@ -128,7 +110,8 @@ class Deployment:
     def enable_tracing(self, capacity: Optional[int] = None):
         """Turn on structured protocol tracing; returns the trace.
 
-        The MARP agents and every replica server start recording
+        Every replica server — for itself and its visiting agents —
+        starts recording
         :class:`~repro.analysis.tracelog.TraceEvent`s. ``capacity``
         bounds memory for long runs (events beyond it are counted as
         dropped).
@@ -192,19 +175,14 @@ class Deployment:
 
         monitors = {}
         for host, server in self.servers.items():
-            if server.queue_monitor is None:
-                server.queue_monitor = StateMonitor(
+            interpreter = server.interpreter
+            if interpreter.queue_monitor is None:
+                interpreter.queue_monitor = StateMonitor(
                     name=f"ll-{host}", initial=len(server.locking_list),
                     time=self.env.now,
                 )
-            monitors[host] = server.queue_monitor
+            monitors[host] = interpreter.queue_monitor
         return monitors
-
-    def platform(self, host: str) -> AgentPlatform:
-        try:
-            return self.platforms[host]
-        except KeyError:
-            raise ReplicationError(f"unknown host {host!r}") from None
 
     def server(self, host: str) -> ReplicaServer:
         try:

@@ -1,56 +1,94 @@
-"""The replicated server — the DES driver for the paper's Algorithm 2.
+"""The replicated server — the DES substrate of one host.
 
-All protocol *logic* lives in the sans-IO
-:class:`~repro.core.machines.replica.ReplicaMachine`; this class is the
-discrete-event **driver** around it: it owns the simulation process, the
-network endpoint, tracing, observability, and the release-waiter events
-parked agents block on. Every machine effect is translated into exactly
-one driver action:
+All protocol *logic* lives in the sans-IO machines and all effect
+*interpretation* in :class:`~repro.core.machines.interpreter.EffectInterpreter`;
+this class is the discrete-event :class:`Substrate` under one host's
+interpreter. It supplies only what a simulated host is made of:
 
-* ``Send`` → :meth:`Endpoint.send`;
-* ``Granted`` / ``Nacked`` / ``CommitApplied`` / ``Recovered`` → the
-  grant/apply counters' metrics and the protocol trace;
-* ``QueueChanged`` → Locking-List gauge/monitor refresh;
-* ``ReleaseNotify`` → wake agents parked at this server ([D2]).
+* the clock (``env.now``) and the network endpoint (sends, the claim
+  replies' routed receives, the message loop that serialises UPDATE and
+  COMMIT processing behind ``update_apply_time``);
+* timers as simulation events — a plain ``Timeout`` for service and
+  back-off delays, ``release | timeout`` for a park, ``reply | deadline``
+  for a claim round;
+* agent shipping with the paper's §2 failure policy: an attempt that
+  does not complete within :data:`MIGRATION_TIMEOUT` is retried, and
+  after :data:`MAX_ATTEMPTS` the destination is declared unavailable
+  for the round;
+* the visiting agent's own randomness (itinerary choice, back-off
+  draw) and the protocol trace.
 
-Visiting mobile agents still interact with the server **locally**
-(direct method calls — "taking the advantage of being in the same site
-as the peer process"); those calls delegate to the machine's local
-interface. Servers also run an optional recovery process: after each
-crash window (fail-stop with recovery, §2) they resynchronise their
-store from a live peer via SYNC messages.
+Visiting agents interact with the server **locally** ("taking the
+advantage of being in the same site as the peer process"): the
+interpreter calls the co-located :class:`ReplicaMachine` directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, List, Optional
 
-from repro.errors import ProtocolError
-from repro.agents.identity import AgentId
-from repro.core.machines.effects import (
-    CommitApplied,
-    Granted,
-    Nacked,
-    QueueChanged,
-    Recovered,
-    ReleaseNotify,
-    Send,
-)
+from repro.errors import MigrationError, ProtocolError
+from repro.agents.identity import AgentId, AgentIdFactory
 from repro.core.machines.config import DES_TUNABLES
+from repro.core.machines.interpreter import EffectInterpreter, Substrate
 from repro.core.machines.replica import ReplicaMachine
-from repro.core.machines.wire import (
-    SharedView,
-    UpdatePayload,
-    VisitData,
-    WriteOp,
-)
-from repro.net.message import Message
+from repro.core.machines.wire import SharedView, UpdatePayload, WriteOp
+from repro.net.message import Message, estimate_size
 from repro.net.network import Endpoint, Network
-from repro.sim.core import Environment
+from repro.sim.core import Environment, Urgent
 from repro.sim.events import Event
 
-__all__ = ["ReplicaServer", "ReplicaConfig", "SharedView", "UpdatePayload"]
+__all__ = [
+    "ReplicaServer", "ReplicaConfig", "SharedView", "UpdatePayload",
+    "WriteOp", "CLAIM_REPLIES", "route_replies",
+]
+
+#: The claim round's replies share one inbox queue per ``(batch_id,
+#: epoch)``: a round reads its own ACK/NACKs in arrival order and never
+#: meets those of an abandoned epoch or of another agent at this host.
+CLAIM_REPLIES = ("ACK", "NACK")
+_CLAIM_KEY = itemgetter("batch_id", "epoch")
+_READ_KEY = itemgetter("request_id")
+
+# Paper §2: "If a mobile agent cannot migrate ... after certain amount of
+# time, the protocol assumes that the replica process at the host has
+# temporarily failed ... After certain number of such unsuccessful
+# attempts, the protocol declares the replica unavailable."
+#: Ms after which an in-flight migration is presumed failed.
+MIGRATION_TIMEOUT = 500.0
+#: Attempts before the destination is declared unavailable.
+MAX_ATTEMPTS = 3
+#: Extra ms between attempts, multiplied by the attempt number.
+RETRY_BACKOFF = 50.0
+#: Fixed bytes of a shipped agent's code + runtime envelope (the Aglets
+#: prototype shipped Java bytecode with each aglet).
+BASE_BYTES = 2048
+#: Multiplier on the carried-state estimate (headers, type tags).
+SERIALIZATION_OVERHEAD = 1.2
+
+
+def route_replies(network: Network) -> None:
+    """Declare how the replies MARP's agents and readers wait for are
+    filed in every inbox (see :meth:`Network.route`)."""
+    network.route(CLAIM_REPLIES, key=_CLAIM_KEY)
+    network.route(("READR",), key=_READ_KEY)
+
+
+def run_steps(generator) -> None:
+    """Advance ``generator`` from each event it yields to the next by
+    callback — what a simulation process does, without the bootstrap
+    and termination events of one."""
+
+    def resume(event=None):
+        try:
+            waited = generator.send(None if event is None else event.value)
+        except StopIteration:
+            return
+        waited.callbacks.append(resume)
+
+    resume()
 
 
 @dataclass
@@ -61,7 +99,7 @@ class ReplicaConfig:
     default to the kernel's :data:`~repro.core.machines.config.DES_TUNABLES`
     and are read by the :class:`ReplicaMachine` directly (this dataclass
     *is* the machine's tunables object); the service-time fields are
-    DES-only costs charged by this driver.
+    DES-only costs charged by this substrate.
 
     Attributes
     ----------
@@ -95,8 +133,18 @@ class ReplicaConfig:
     grant_ttl: float = DES_TUNABLES.grant_ttl
 
 
-class ReplicaServer:
-    """DES driver around a :class:`ReplicaMachine` (Algorithm 2)."""
+class ReplicaServer(Substrate):
+    """One simulated host: replica machine, interpreter, endpoint.
+
+    ``servers`` is the deployment's host → server map (shared, filled as
+    the cluster is built): shipping an agent hands it to the destination
+    server's interpreter. ``obs`` is an enabled hub or ``None``.
+    """
+
+    _HANDLED_KINDS = (
+        "UPDATE", "COMMIT", "ABORT", "RELEASE",
+        "SYNC_REQUEST", "SYNC_REPLY", "READQ",
+    )
 
     def __init__(
         self,
@@ -106,6 +154,8 @@ class ReplicaServer:
         network: Network,
         peers: List[str],
         config: Optional[ReplicaConfig] = None,
+        servers: Optional[Dict[str, "ReplicaServer"]] = None,
+        obs=None,
     ) -> None:
         if host not in peers:
             raise ProtocolError(f"peers list must include the host {host!r}")
@@ -115,17 +165,17 @@ class ReplicaServer:
         self.network = network
         self.peers = list(peers)
         self.config = config or ReplicaConfig()
+        self.servers = servers if servers is not None else {host: self}
         #: the sans-IO protocol kernel; the config doubles as tunables
         self.machine = ReplicaMachine(host, self.peers, self.config)
-
-        self._release_waiters: List[Event] = []
+        self.interpreter = EffectInterpreter(
+            host, self.machine, self, obs=obs, backend="des"
+        )
         #: optional ProtocolTrace, injected by Deployment.enable_tracing
         self.trace = None
-        #: optional StateMonitor of the Locking List length, injected by
-        #: Deployment.enable_queue_monitoring
-        self.queue_monitor = None
-        #: optional ObservabilityHub, injected by the deployment
-        self._obs = None
+        self.id_factory = AgentIdFactory(host)
+        self.migrations_out = 0
+        self.migrations_failed = 0
 
         # One inbox queue for every kind the loop handles: it takes them
         # in arrival order across kinds by popping that queue's head.
@@ -135,12 +185,8 @@ class ReplicaServer:
         )
 
     # ------------------------------------------------------------------
-    # Machine state, exposed for drivers/tests/analysis
+    # Machine state, exposed for tests/analysis
     # ------------------------------------------------------------------
-
-    @property
-    def n_replicas(self) -> int:
-        return len(self.peers)
 
     @property
     def store(self):
@@ -163,32 +209,12 @@ class ReplicaServer:
         return self.machine.bulletin
 
     @property
-    def _pending_updates(self) -> Dict[int, UpdatePayload]:
-        return self.machine.pending_updates
-
-    @property
     def _grant_holder(self) -> Optional[AgentId]:
         return self.machine.grant_holder
 
     @property
-    def _grant_batch(self) -> Optional[int]:
-        return self.machine.grant_batch
-
-    @property
     def _grant_epoch(self) -> int:
         return self.machine.grant_epoch
-
-    @property
-    def _grant_expires_at(self) -> float:
-        return self.machine.grant_expires_at
-
-    @property
-    def acks_sent(self) -> int:
-        return self.machine.acks_sent
-
-    @property
-    def nacks_sent(self) -> int:
-        return self.machine.nacks_sent
 
     @property
     def commits_applied(self) -> int:
@@ -199,28 +225,19 @@ class ReplicaServer:
         return self.machine.recoveries
 
     # ------------------------------------------------------------------
-    # Local interface used by co-located mobile agents
+    # Local interface (tests and alternative policies; visiting agents go
+    # through the interpreter)
     # ------------------------------------------------------------------
-
-    def begin_visit(
-        self, agent_id: AgentId, request_id: int, acked: int,
-    ) -> VisitData:
-        """One agent visit: guarded lock enqueue + information exchange."""
-        data, effects = self.machine.begin_visit(
-            agent_id, request_id, self.env.now, acked=acked
-        )
-        self._perform_all(effects)
-        return data
 
     def request_lock(self, agent_id: AgentId, request_id: int) -> None:
         """Append the visiting agent to the Locking List (idempotent)."""
-        self._perform_all(
+        self.interpreter.run_replica(
             self.machine.request_lock(agent_id, request_id, self.env.now)
         )
 
     def requeue_lock(self, agent_id: AgentId, request_id: int) -> None:
         """Move the agent's lock entry to the tail of the Locking List."""
-        self._perform_all(
+        self.interpreter.run_replica(
             self.machine.requeue_lock(agent_id, request_id, self.env.now)
         )
 
@@ -240,30 +257,13 @@ class ReplicaServer:
         """Local read — the paper's fast read path (not guaranteed fresh)."""
         return self.machine.read(key)
 
-    def version_of(self, key: str) -> int:
-        return self.machine.version_of(key)
-
-    def last_update_time(self, key: str) -> float:
-        return self.machine.last_update_time(key)
-
-    def wait_release(self) -> Event:
-        """Event that fires at the next lock release at this server.
-
-        Parked losers ([D2]) yield this to learn when to start a refresh
-        tour.
-        """
-        event = Event(self.env)
-        self._release_waiters.append(event)
-        return event
+    def request_sync(self, peer: str) -> None:
+        """Ask ``peer`` for a store snapshot (post-crash catch-up)."""
+        self.endpoint.send(peer, "SYNC_REQUEST", payload={})
 
     # ------------------------------------------------------------------
     # Message handling (Algorithm 2's message clauses)
     # ------------------------------------------------------------------
-
-    _HANDLED_KINDS = (
-        "UPDATE", "COMMIT", "ABORT", "RELEASE",
-        "SYNC_REQUEST", "SYNC_REPLY", "READQ",
-    )
 
     def _message_loop(self):
         while True:
@@ -278,116 +278,131 @@ class ReplicaServer:
                 and self.config.update_apply_time > 0
             ):
                 yield self.env.timeout(self.config.update_apply_time)
-            effects = self.machine.on_message(
-                msg.kind, msg.payload, src=msg.src, now=self.env.now
+            self.interpreter.deliver(
+                msg.kind, msg.payload, msg.src, msg.sent_at
             )
-            self._perform_all(effects, msg)
-
-    def request_sync(self, peer: str) -> None:
-        """Ask ``peer`` for a store snapshot (post-crash catch-up)."""
-        self.endpoint.send(peer, "SYNC_REQUEST", payload={})
 
     # ------------------------------------------------------------------
-    # Effect interpretation
+    # Agents
     # ------------------------------------------------------------------
 
-    def _perform_all(self, effects, msg: Optional[Message] = None) -> None:
-        for effect in effects:
-            self._perform(effect, msg)
+    def new_agent_id(self) -> AgentId:
+        return self.id_factory.new(self.env.now)
 
-    def _perform(self, effect, msg: Optional[Message] = None) -> None:
-        if isinstance(effect, Send):
-            self.endpoint.send(
-                effect.dst,
-                effect.kind,
-                payload=effect.payload,
-                category=effect.category or "control",
-            )
-        elif isinstance(effect, Granted):
-            if self._obs is not None:
-                self._obs_grants.inc(host=self.host, outcome="ack")
-                if msg is not None:
-                    self._obs_grant_latency.observe(
-                        self.env.now - msg.sent_at, host=self.host
-                    )
-            self._trace("grant", agent_id=effect.agent_id,
-                        request_id=effect.batch_id,
-                        detail=f"epoch {effect.epoch}")
-        elif isinstance(effect, Nacked):
-            if self._obs is not None:
-                self._obs_grants.inc(host=self.host, outcome="nack")
-            self._trace("nack", agent_id=effect.agent_id,
-                        request_id=effect.batch_id,
-                        detail=f"held by {effect.holder}")
-        elif isinstance(effect, CommitApplied):
-            if self._obs is not None:
-                self._obs_applies.inc(host=self.host)
-            self._trace("apply", agent_id=effect.agent_id,
-                        request_id=effect.request_id,
-                        detail=f"{effect.key}=v{effect.version}")
-        elif isinstance(effect, Recovered):
-            self._trace("recover", detail=f"snapshot from {effect.src}")
-        elif isinstance(effect, QueueChanged):
-            self._note_queue()
-        elif isinstance(effect, ReleaseNotify):
-            self._notify_release()
+    def launch(self, agent) -> None:
+        """Start a freshly created agent here. Its first step runs in
+        the urgent tier: after the creating step, before every ordinary
+        event of the instant."""
+        agent.travel_log.append((self.env.now, self.host))
 
-    # ------------------------------------------------------------------
-    # Observability & tracing
-    # ------------------------------------------------------------------
+        def start(_event) -> None:
+            agent.dispatched(self.env.now)
+            self.interpreter.launch(agent)
 
-    def attach_observability(self, hub) -> None:
-        """Register this replica's metric families with a hub.
+        Urgent(self.env).callbacks.append(start)
 
-        Emits the Locking-List length gauge, the grant-latency histogram
-        (UPDATE send → ACK issued, i.e. what a claimer actually waits
-        per replica) and grant/apply counters, all labelled by host.
-        """
-        if hub is None or not getattr(hub, "enabled", False):
+    def ship_agent(self, agent, dst: str) -> None:
+        run_steps(self._transfer(agent, dst))
+
+    def _transfer(self, agent, dst: str):
+        """One migration under the §2 policy, as simulation steps."""
+        size = int(
+            BASE_BYTES + SERIALIZATION_OVERHEAD * estimate_size(agent.state())
+        )
+        for attempt in range(1, MAX_ATTEMPTS + 1):
+            self.migrations_out += 1
+            try:
+                yield from self.network.attempt_transfer(
+                    self.host, dst, size, timeout=MIGRATION_TIMEOUT,
+                    kind="AGENT",
+                )
+            except MigrationError:
+                self.migrations_failed += 1
+                if attempt < MAX_ATTEMPTS:
+                    yield self.env.timeout(RETRY_BACKOFF * attempt)
+                continue
+            agent.travel_log.append((self.env.now, dst))
+            self.servers[dst].interpreter.arrived(agent)
             return
-        self._obs = hub
-        self._obs_ll = hub.gauge(
-            "replica_ll_length", "Locking List length", ("host",)
-        )
-        self._obs_grant_latency = hub.histogram(
-            "replica_grant_latency_ms",
-            "latency from UPDATE send to grant (ACK) issued", ("host",),
-        )
-        self._obs_grants = hub.counter(
-            "replica_grants_total", "grant decisions on UPDATE messages",
-            ("host", "outcome"),
-        )
-        self._obs_applies = hub.counter(
-            "replica_commits_applied_total", "committed writes applied",
-            ("host",),
-        )
-        self._obs_ll.set(len(self.locking_list), host=self.host)
+        self.interpreter.unreachable(agent, dst)
 
-    def _note_queue(self) -> None:
-        if self.queue_monitor is not None:
-            self.queue_monitor.set(self.env.now, len(self.locking_list))
-        if self._obs is not None:
-            self._obs_ll.set(len(self.locking_list), host=self.host)
+    # ------------------------------------------------------------------
+    # Substrate: clock, transport, timers, randomness, trace
+    # ------------------------------------------------------------------
 
-    def _trace(self, kind: str, agent_id=None, request_id=None,
-               detail: str = "") -> None:
+    def now(self) -> float:
+        return self.env.now
+
+    def send(self, dst, kind, payload, category) -> None:
+        self.endpoint.send(dst, kind, payload=payload, category=category)
+
+    def broadcast(self, kind, payload) -> None:
+        self.endpoint.broadcast(kind, payload, include_self=True)
+
+    def set_timer(self, delay, fire) -> None:
+        self.env.timeout(delay).callbacks.append(lambda _event: fire())
+
+    def park(self, timeout, fire):
+        release = Event(self.env)
+        (release | self.env.timeout(timeout)).callbacks.append(
+            lambda _event: fire()
+        )
+        return lambda: release.triggered or release.succeed()
+
+    def set_deadline(self, delay, fire):
+        # No callback of its own: the deadline only ever fires as one
+        # side of the ``reply | deadline`` wait that listen() posts.
+        return self.env.timeout(delay), fire
+
+    def listen(self, agent, deadline) -> None:
+        core = agent.machine.state
+        if core.awaiting == "acks":
+            reply = self.endpoint.receive(
+                CLAIM_REPLIES, key=(core.batch_id, core.epoch)
+            )
+        else:
+            reply = self.endpoint.receive(
+                "READR", key=(core.batch_id, core.epoch, core.fetch_key)
+            )
+        timeout, fire = deadline
+
+        def resume(_event) -> None:
+            if reply.processed:
+                msg = reply.value
+                self.interpreter.deliver(msg.kind, msg.payload, msg.src)
+            else:
+                # The deadline fired; withdraw the pending receive so it
+                # cannot swallow a message meant for a later epoch check.
+                reply.cancel()
+                fire()
+
+        (reply | timeout).callbacks.append(resume)
+
+    def visit_cost(self) -> float:
+        return self.config.agent_service_time
+
+    def choose(self, agent, candidates) -> str:
+        return agent.itinerary.next_host(
+            self.host, candidates, self.network.topology, agent.stream
+        )
+
+    def sample_backoff(self, agent, mean) -> float:
+        return agent.stream.exponential(mean)
+
+    def lock_won(self, agent, effect) -> None:
+        agent.lock_won(effect, self.env.now)
+
+    def disposed(self, agent, effect) -> None:
+        agent.finished(effect, self.env.now)
+
+    def emit(self, kind, agent_id, request_id, detail, host) -> None:
         if self.trace is not None:
             self.trace.record(
-                self.env.now, kind, host=self.host,
+                self.env.now, kind,
+                host=host if host is not None else self.host,
                 agent=str(agent_id) if agent_id is not None else None,
                 request_id=request_id, detail=detail,
             )
-
-    def _notify_release(self) -> None:
-        waiters, self._release_waiters = self._release_waiters, []
-        for event in waiters:
-            if not event.triggered:
-                event.succeed(self.env.now)
-
-    # ------------------------------------------------------------------
-
-    def alive(self) -> bool:
-        return self.network.host_up(self.host)
 
     def __repr__(self) -> str:
         return (

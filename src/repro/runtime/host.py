@@ -1,28 +1,21 @@
 """Live host runtime: one replica server as a real thread/process.
 
-Each :class:`HostRuntime` is the live **driver** for the same sans-IO
-protocol kernel the DES backend runs: one
-:class:`~repro.core.machines.replica.ReplicaMachine` for the replica
-side, and one :class:`~repro.core.machines.agent.AgentMachine` rebuilt
-around every visiting agent's shipped state. The runtime owns only the
-execution substrate — the real clock, the transport mailboxes, pickled
-migration, claim deadlines, the parked-agent table and the back-off RNG
-— and translates kernel effects into transport sends, shipments, parks
-and result records. This is the Aglets-prototype-shaped half of the
-reproduction; consistency comes from the shared kernel, not from
-re-implemented control flow.
+Each :class:`HostRuntime` is the live :class:`Substrate` under one
+:class:`~repro.core.machines.interpreter.EffectInterpreter` — the same
+interpreter, over the same sans-IO machines, that the DES backend runs.
+The runtime owns only the execution substrate: the real clock, the
+transport mailboxes, pickled migration (a fresh
+:class:`~repro.core.machines.agent.AgentMachine` is built around every
+arriving agent's shipped state), a table of timer deadlines polled once
+per loop tick, the back-off RNG and the result records. This is the
+Aglets-prototype-shaped half of the reproduction; consistency comes
+from the shared kernel, not from re-implemented control flow.
 
 Observability: when a hub is attached (injected, or process-wide via
-:func:`repro.obs.enable` before the cluster starts), the runtime emits
-the same span vocabulary as the DES driver — ``request`` /
-``lock-wait`` / ``migrate`` / ``park`` / ``claim`` — with one twist:
-an agent's spans are recorded by *several host threads*, stitched into
-one journey by the trace context (``trace_id`` + root span id) carried
-in the migrating :class:`~repro.runtime.shipping.LiveAgentState`.
-Phase spans are recorded retroactively by whichever host completes the
-phase (the phase's start timestamp travels with the agent), so no host
-ever needs to mutate another thread's open span except the journey
-root, which the disposing host finishes by id.
+:func:`repro.obs.enable` before the cluster starts), the interpreter
+emits the same spans and metrics as under the DES. An agent's spans are
+recorded by *several host threads* and stitched into one journey by the
+trace context carried in its migrating state.
 """
 
 from __future__ import annotations
@@ -31,38 +24,19 @@ import hashlib
 import queue
 import random
 import time
-from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.agents.identity import AgentId
-from repro.core.machines.agent import BACKOFF, PARKED, AgentMachine
+from repro.core.machines.agent import AgentMachine
 from repro.core.machines.config import LIVE_TUNABLES
-from repro.core.machines.effects import (
-    Backoff,
-    Broadcast,
-    CancelTimer,
-    ClaimResolved,
-    ClaimStarted,
-    Dispose,
-    LockWon,
-    Migrate,
-    Park,
-    PostBulletin,
-    ReleaseNotify,
-    Send,
-    SetTimer,
-    Visit,
-)
-from repro.core.machines.events import (
-    Arrived,
-    MsgReceived,
-    ReplicaDown,
-    TimerFired,
+from repro.core.machines.effects import Dispose
+from repro.core.machines.interpreter import (
+    EffectInterpreter,
+    Resident,
+    Substrate,
 )
 from repro.core.machines.replica import ReplicaMachine
-from repro.core.machines.structures import LockEntry
-from repro.core.machines.wire import UpdatePayload, WriteOp
 from repro.runtime.shipping import LiveAgentState, ship, unship
 from repro.runtime.transport import LiveMessage, LiveTransport
 
@@ -94,7 +68,7 @@ class LiveConfig:
     The protocol fields double as the kernel machines' tunables object
     (they are read per-use, so tests may mutate them) and default to the
     kernel's :data:`~repro.core.machines.config.LIVE_TUNABLES`; ``tick``
-    is the driver's own mailbox poll interval.
+    is the runtime's own mailbox poll interval.
     """
 
     park_timeout: float = LIVE_TUNABLES.park_timeout
@@ -106,77 +80,7 @@ class LiveConfig:
     enable_bulletin: bool = LIVE_TUNABLES.enable_bulletin
 
 
-@dataclass
-class _Claim:
-    """A claim round in flight at this host (driver-side bookkeeping)."""
-
-    machine: AgentMachine
-    state: LiveAgentState
-    deadline: Optional[float] = None
-    timer_kind: str = "ack"
-    started_at: float = 0.0
-
-
-class _StoreView:
-    """Dict-flavoured facade over the kernel's :class:`VersionedStore`.
-
-    Keeps the live runtime's historical ``store[key] == (value, version)``
-    surface (used by tests and the final dumps) while the machine owns
-    the real versioned state.
-    """
-
-    def __init__(self, store) -> None:
-        self._store = store
-
-    def __setitem__(self, key: str, pair: Tuple[object, int]) -> None:
-        value, version = pair
-        self._store.apply(key, value, version, 0.0)
-
-    def __getitem__(self, key: str) -> Tuple[object, int]:
-        entry = self._store.read(key)
-        if entry is None:
-            raise KeyError(key)
-        return (entry.value, entry.version)
-
-    def __contains__(self, key: str) -> bool:
-        return self._store.read(key) is not None
-
-    def __len__(self) -> int:
-        return len(self._store.keys())
-
-    def items(self):
-        for key in self._store.keys():
-            entry = self._store.read(key)
-            yield key, (entry.value, entry.version)
-
-    def keys(self):
-        return self._store.keys()
-
-
-class _LockingListView:
-    """``[(agent_id, batch_id), ...]`` facade over the kernel's LL."""
-
-    def __init__(self, locking_list) -> None:
-        self._ll = locking_list
-
-    def __iter__(self):
-        return iter(
-            [(e.agent_id, e.request_id) for e in self._ll.entries()]
-        )
-
-    def __len__(self) -> int:
-        return len(self._ll)
-
-    def append(self, pair: Tuple[AgentId, int]) -> None:
-        agent_id, batch_id = pair
-        entries = self._ll.entries()
-        at = entries[-1].enqueued_at if entries else 0.0
-        self._ll.append(
-            LockEntry(agent_id=agent_id, request_id=batch_id, enqueued_at=at)
-        )
-
-
-class HostRuntime:
+class HostRuntime(Substrate):
     """The event loop of one live replica host."""
 
     def __init__(
@@ -190,30 +94,28 @@ class HostRuntime:
     ) -> None:
         self.host = host
         self.peers = sorted(peers)
-        self.n = len(self.peers)
-        self.majority = self.n // 2 + 1
         self.transport = transport
         self.config = config or LiveConfig()
         self.seed = seed
         # Same zero-cost discipline as the DES components: resolve the
-        # hub once, at construction; every record below is behind one
-        # `is not None` check. (With the thread backend all hosts share
-        # the process hub, so spans from different hosts land in one
-        # tracer and cross-hop parent links stay resolvable.)
+        # hub once, at construction. (With the thread backend all hosts
+        # share the process hub, so spans from different hosts land in
+        # one tracer and cross-hop parent links stay resolvable.)
         if obs is None:
             from repro.obs.hub import get_hub
 
             obs = get_hub()
-        self._obs = obs
 
         #: the replica-side protocol kernel (single-owner: only this
         #: runtime's thread feeds it).
         self.machine = ReplicaMachine(host, self.peers, self.config)
-        self.store = _StoreView(self.machine.store)
-        self.locking_list = _LockingListView(self.machine.locking_list)
-
-        self.parked: Dict[AgentId, Tuple[LiveAgentState, float]] = {}
-        self.claims: Dict[int, _Claim] = {}
+        self.interpreter = EffectInterpreter(
+            host, self.machine, self, obs=obs, backend="live"
+        )
+        #: the loop's clock: the reading taken for the step in progress
+        self._now = 0.0
+        #: armed timers: fire callable -> deadline
+        self._timers: Dict[Callable[[], None], float] = {}
         self._agent_seq = 0
         self._rng = random.Random(stable_seed(host, seed))
         self._stopping = False
@@ -221,32 +123,6 @@ class HostRuntime:
         #: quiet ms after STOP before the final dump, so in-flight
         #: COMMITs (still sitting in delivery timers) are not lost.
         self.stop_grace = 150.0
-
-    # -- machine state, exposed for tests/audits --------------------------
-
-    @property
-    def history(self) -> List[Tuple[int, str, int]]:
-        return self.machine.history.identities()
-
-    @property
-    def updated(self):
-        return self.machine.updated_list
-
-    @property
-    def bulletin(self):
-        return self.machine.bulletin
-
-    @property
-    def grant_holder(self) -> Optional[AgentId]:
-        return self.machine.grant_holder
-
-    @property
-    def grant_epoch(self) -> int:
-        return self.machine.grant_epoch
-
-    @property
-    def grant_expires(self) -> float:
-        return self.machine.grant_expires_at
 
     # ------------------------------------------------------------------
 
@@ -268,56 +144,30 @@ class HostRuntime:
             self._check_timers(now)
             if (
                 self._stopping
-                and not self.claims
+                and not self.interpreter.claims
                 and now - self._last_activity > self.stop_grace
             ):
                 self._emit_final()
                 return
 
-    def _send(self, dst: str, kind: str, payload, size: int = 0) -> None:
-        self.transport.send(
-            LiveMessage(
-                kind=kind, src=self.host, dst=dst, payload=payload,
-                size_bytes=size,
-            )
-        )
-
-    def _broadcast(self, kind: str, payload) -> None:
-        for peer in self.peers:
-            self._send(peer, kind, payload)
-
-    # -- dispatch --------------------------------------------------------
-
     def _dispatch(self, msg: LiveMessage, now: float) -> None:
+        self._now = now
         kind = msg.kind
         if kind == "WRITE":
-            self._on_write(msg, now)
+            self._on_write(msg.payload, now)
         elif kind == "AGENT":
-            state = unship(msg.payload)
-            state.hops += 1
-            if state.migrate_sent_at is not None:
-                # The hop completes here: record it against the send
-                # time the origin host stamped into the suitcase.
-                self._hop_span(
-                    state, "migrate", state.migrate_sent_at, now,
-                    src=state.migrate_src or "", dst=self.host,
-                )
-                state.migrate_sent_at = None
-                state.migrate_src = None
-            self._drive(state, now)
-        elif kind in ("ACK", "NACK"):
-            self._on_reply(kind, msg, now)
-        elif kind in ("UPDATE", "COMMIT", "ABORT", "RELEASE"):
-            self._on_replica_msg(msg, now)
+            self.interpreter.arrived(self._resident(unship(msg.payload)))
         elif kind == "STOP":
             self._stopping = True
+        else:
+            self.interpreter.deliver(kind, msg.payload, msg.src)
 
-    # -- client writes ------------------------------------------------------
+    def _resident(self, state: LiveAgentState) -> Resident:
+        return Resident(AgentMachine(state, self.peers, self.config))
 
-    def _on_write(self, msg: LiveMessage, now: float) -> None:
-        p = msg.payload
+    def _on_write(self, p: dict, now: float) -> None:
         self._agent_seq += 1
-        state = LiveAgentState(
+        self.interpreter.launch(self._resident(LiveAgentState(
             agent_id=AgentId(self.host, now, self._agent_seq),
             home=self.host,
             batch_id=p["request_id"],
@@ -326,343 +176,86 @@ class HostRuntime:
             ],
             tour_remaining=[h for h in self.peers if h != self.host],
             location=self.host,
-            dispatched_at=now,
+        )))
+
+    def _check_timers(self, now: float) -> None:
+        self._now = now
+        due = [
+            fire for fire, deadline in self._timers.items() if now > deadline
+        ]
+        for fire in due:
+            del self._timers[fire]
+            fire()
+
+    # -- substrate ---------------------------------------------------------
+
+    def now(self) -> float:
+        return self._now
+
+    def send(self, dst, kind, payload, category="control") -> None:
+        self.transport.send(
+            LiveMessage(kind=kind, src=self.host, dst=dst, payload=payload)
         )
-        state.trace_id = str(state.agent_id)
-        state.lock_wait_since = now
-        if self._obs is not None:
-            root = self._obs.start_span(
-                "request", start=now, trace_id=state.trace_id,
-                agent=str(state.agent_id), host=self.host,
-                batch_id=state.batch_id, protocol="marp", backend="live",
-            )
-            state.trace_root = root.span_id
-        self._drive(state, now)
 
-    # -- span recording (all guarded on the resolved hub) -----------------
+    def broadcast(self, kind, payload) -> None:
+        for peer in self.peers:
+            self.send(peer, kind, payload)
 
-    def _hop_span(self, state: LiveAgentState, name: str, start: float,
-                  end: float, status: str = "ok", **attrs) -> None:
-        """Record one completed phase span of an agent's journey."""
-        if self._obs is None:
-            return
-        self._obs.start_span(
-            name, start=start, parent=state.trace_root,
-            trace_id=state.trace_id, agent=str(state.agent_id), **attrs
-        ).finish(end=end, status=status)
+    def set_timer(self, delay, fire) -> None:
+        self._timers[fire] = self._now + delay
 
-    def _finish_lock_wait(self, state: LiveAgentState, now: float,
-                          status: str = "ok", **attrs) -> None:
-        """Close the current lock-wait window (idempotent)."""
-        if state.lock_wait_since is not None:
-            self._hop_span(
-                state, "lock-wait", state.lock_wait_since, now,
-                status=status, **attrs,
-            )
-            state.lock_wait_since = None
+    def cancel_timer(self, fire) -> None:
+        self._timers.pop(fire, None)
 
-    # -- agent driving (the kernel's effects, interpreted live) --------------
-
-    def _drive(self, state: LiveAgentState, now: float) -> None:
-        """An agent is at this host: visit, then claim/migrate/park."""
-        machine = AgentMachine(state, self.peers, self.config)
-        self._run_agent(machine, [Visit()], now)
-
-    def _wake(self, state: LiveAgentState, now: float) -> None:
-        """A parked or backing-off agent re-enters the acquisition loop."""
-        machine = AgentMachine(state, self.peers, self.config)
-        if state.phase == BACKOFF:
-            effects = machine.on(TimerFired("backoff", now))
-        else:
-            if state.parked_since is not None:
-                self._hop_span(
-                    state, "park", state.parked_since, now, host=self.host
-                )
-            # Mark parked so the machine applies its wake semantics
-            # ([D2] refresh tour) on the next arrival.
-            state.phase = PARKED
-            effects = [Visit()]
-        state.parked_since = None
-        self._run_agent(machine, effects, now)
-
-    def _start_claim(self, state: LiveAgentState, now: float) -> None:
-        """Open a claim round directly (the lock is already held)."""
-        machine = AgentMachine(state, self.peers, self.config)
-        state.location = self.host
-        # ALT boundary: the last (successful) acquisition wins, matching
-        # the DES backend's semantics for re-claims.
-        state.lock_acquired_at = now
-        state.visits_to_lock = len(state.visited)
-        self._finish_lock_wait(state, now)
-        self._run_agent(machine, machine.start_claim(now), now)
-
-    def _run_agent(self, machine: AgentMachine, effects, now: float) -> None:
-        """Flat interpretation loop over one agent machine's effects."""
-        state: LiveAgentState = machine.state
-        pending = deque(effects)
-        while pending:
-            effect = pending.popleft()
-            if isinstance(effect, Visit):
-                state.location = self.host
-                data, reffects = self.machine.begin_visit(
-                    state.agent_id, state.batch_id, now,
-                    acked=state.table.acked_seq(self.host),
-                )
-                self._perform_replica(reffects, now)
-                pending.extend(
-                    machine.on(
-                        Arrived(
-                            host=self.host, now=now, view=data.view,
-                            bulletin=data.bulletin, rank=data.rank,
-                            ll_len=data.ll_len,
-                        )
-                    )
-                )
-            elif isinstance(effect, PostBulletin):
-                self.machine.post_bulletin(effect.views)
-            elif isinstance(effect, Migrate):
-                # The live itinerary is static name order (the kernel
-                # emits the candidates sorted).
-                dst = effect.candidates[0]
-                # Stamp the hop start *into* the suitcase: the receiving
-                # host closes the migrate span against this timestamp.
-                state.migrate_sent_at = now
-                state.migrate_src = self.host
-                blob = ship(state)
-                if not self._send_agent(dst, blob):
-                    # Unreachable (blocked link) — the live equivalent of
-                    # the paper's failed-migration detection.
-                    self._hop_span(
-                        state, "migrate", now, now,
-                        status="unavailable", src=self.host, dst=dst,
-                    )
-                    state.migrate_sent_at = None
-                    state.migrate_src = None
-                    pending.extend(machine.on(ReplicaDown(dst, now)))
-            elif isinstance(effect, Park):
-                state.parked_since = now
-                self.parked[state.agent_id] = (state, now + effect.timeout)
-            elif isinstance(effect, Backoff):
-                # Randomized backoff, then rejoin via the park machinery.
-                # The lock must be re-acquired, so a fresh lock-wait
-                # window opens here (DES parity: see UpdateAgent._backoff).
-                state.lock_wait_since = now
-                delay = (
-                    self._rng.expovariate(1.0 / effect.mean)
-                    if effect.mean > 0 else 0.0
-                )
-                self.parked[state.agent_id] = (state, now + delay)
-            elif isinstance(effect, LockWon):
-                state.lock_acquired_at = now
-                state.visits_to_lock = effect.visits
-                self._finish_lock_wait(
-                    state, now,
-                    visits=effect.visit_events, reason=effect.reason,
-                )
-            elif isinstance(effect, ClaimStarted):
-                self.claims[state.batch_id] = _Claim(
-                    machine=machine, state=state, started_at=now
-                )
-            elif isinstance(effect, SetTimer):
-                claim = self.claims.get(state.batch_id)
-                if claim is not None:
-                    claim.deadline = now + effect.delay
-                    claim.timer_kind = effect.kind
-            elif isinstance(effect, CancelTimer):
-                claim = self.claims.get(state.batch_id)
-                if claim is not None and claim.timer_kind == effect.kind:
-                    claim.deadline = None
-            elif isinstance(effect, ClaimResolved):
-                claim = self.claims.pop(state.batch_id, None)
-                if claim is not None:
-                    self._hop_span(
-                        state, "claim", claim.started_at, now,
-                        status=effect.outcome, epoch=effect.epoch,
-                    )
-            elif isinstance(effect, Broadcast):
-                self._broadcast(
-                    effect.kind, self._wire(effect.kind, effect.payload)
-                )
-            elif isinstance(effect, Send):
-                self._send(effect.dst, effect.kind, effect.payload)
-            elif isinstance(effect, Dispose):
-                self._emit_records(state, effect, now)
-                if effect.status != "committed":
-                    # An aborted journey never won its lock: close the
-                    # open wait window with the failure status (DES
-                    # parity: see UpdateAgent._finish).
-                    self._finish_lock_wait(state, now, status=effect.status)
-                if self._obs is not None and state.trace_root is not None:
-                    root = self._obs.tracer.get(state.trace_root)
-                    if root is not None:
-                        root.finish(end=now, status=effect.status)
-            # Note effects carry trace detail; the live runtime keeps no
-            # protocol trace.
-
-    def _send_agent(self, dst: str, blob: bytes) -> bool:
+    def ship_agent(self, agent, dst) -> None:
+        blob = ship(agent.machine.state)
         delay = self.transport.send(
             LiveMessage(
                 kind="AGENT", src=self.host, dst=dst, payload=blob,
                 size_bytes=len(blob),
             )
         )
-        return delay >= 0
+        if delay < 0:
+            # Blocked link — the live equivalent of the paper's
+            # failed-migration detection.
+            self.interpreter.unreachable(agent, dst)
 
-    # -- wire format (unchanged from the pre-kernel runtime) ----------------
+    def choose(self, agent, candidates) -> str:
+        # The live itinerary is static name order (the kernel emits the
+        # candidates sorted).
+        return candidates[0]
 
-    @staticmethod
-    def _wire(kind: str, payload: UpdatePayload) -> dict:
-        """Kernel payload -> the live wire's plain-dict format."""
-        if kind == "UPDATE":
-            return {
-                "batch_id": payload.batch_id,
-                "epoch": payload.epoch,
-                "agent_id": payload.agent_id,
-                "reply_to": payload.reply_to,
-                "trace_id": payload.trace_id,
-            }
-        if kind == "COMMIT":
-            return {
-                "batch_id": payload.batch_id,
-                "agent_id": payload.agent_id,
-                "writes": tuple(
-                    (w.request_id, w.key, w.value, w.version)
-                    for w in payload.writes
-                ),
-                "origin": payload.origin,
-                "trace_id": payload.trace_id,
-            }
-        if kind == "RELEASE":
-            return {
-                "batch_id": payload.batch_id,
-                "agent_id": payload.agent_id,
-                "epoch": payload.epoch,
-            }
-        return {  # ABORT
-            "batch_id": payload.batch_id,
-            "agent_id": payload.agent_id,
-        }
+    def sample_backoff(self, agent, mean) -> float:
+        return self._rng.expovariate(1.0 / mean)
 
-    @staticmethod
-    def _payload_from_wire(p: dict) -> UpdatePayload:
-        """Live wire dict -> kernel payload.
-
-        A RELEASE without an ``epoch`` key maps to ``epoch=None``, which
-        the kernel treats as an unconditional (unguarded) release.
-        """
-        return UpdatePayload(
-            batch_id=p.get("batch_id"),
-            agent_id=p.get("agent_id"),
-            origin=p.get("origin", ""),
-            writes=tuple(
-                WriteOp(
-                    request_id=w[0], key=w[1], value=w[2], version=w[3]
-                )
-                for w in p.get("writes", ())
-            ),
-            reply_to=p.get("reply_to", ""),
-            epoch=p.get("epoch"),
-            trace_id=p.get("trace_id"),
+    def disposed(self, agent, effect: Dispose) -> None:
+        state: LiveAgentState = agent.machine.state
+        committed = effect.status == "committed"
+        request_ids = (
+            [write.request_id for write in effect.writes] if committed
+            else [request[0] for request in state.requests]
         )
-
-    # -- replica-side messages ------------------------------------------------
-
-    def _on_replica_msg(self, msg: LiveMessage, now: float) -> None:
-        payload = self._payload_from_wire(msg.payload)
-        effects = self.machine.on_message(
-            msg.kind, payload, src=msg.src, now=now
-        )
-        self._perform_replica(effects, now)
-
-    def _perform_replica(self, effects, now: float) -> None:
-        for effect in effects:
-            if isinstance(effect, Send):
-                self._send(effect.dst, effect.kind, effect.payload)
-            elif isinstance(effect, ReleaseNotify):
-                self._wake_parked(now)
-            # Granted / Nacked / CommitApplied / QueueChanged / Recovered
-            # are observability milestones; the live runtime has no hub.
-
-    # -- claim replies --------------------------------------------------------
-
-    def _on_reply(self, kind: str, msg: LiveMessage, now: float) -> None:
-        claim = self.claims.get(msg.payload["batch_id"])
-        if claim is None:
-            return
-        effects = claim.machine.on(
-            MsgReceived(kind, msg.payload, now, src=msg.src)
-        )
-        self._run_agent(claim.machine, effects, now)
-
-    def _emit_records(
-        self, state: LiveAgentState, dispose: Dispose, now: float
-    ) -> None:
-        if dispose.status == "committed":
-            for write in dispose.writes:
-                self.transport.results.put(
-                    {
-                        "type": "record",
-                        "request_id": write.request_id,
-                        "status": "committed",
-                        "home": state.home,
-                        "dispatched_at": state.dispatched_at,
-                        "lock_acquired_at": state.lock_acquired_at,
-                        "completed_at": now,
-                        "visits_to_lock": state.visits_to_lock,
-                        "hops": state.hops,
-                        "agent_id": str(state.agent_id),
-                    }
-                )
-            return
-        for request in state.requests:
+        for request_id in request_ids:
             self.transport.results.put(
                 {
                     "type": "record",
-                    "request_id": request[0],
-                    "status": "failed",
+                    "request_id": request_id,
+                    "status": "committed" if committed else "failed",
                     "home": state.home,
                     "dispatched_at": state.dispatched_at,
-                    "lock_acquired_at": None,
-                    "completed_at": now,
-                    "visits_to_lock": None,
+                    "lock_acquired_at": (
+                        state.lock_acquired_at if committed else None
+                    ),
+                    "completed_at": self._now,
+                    "visits_to_lock": (
+                        state.visits_to_lock if committed else None
+                    ),
                     "hops": state.hops,
                     "agent_id": str(state.agent_id),
                 }
             )
 
-    # -- parked agents ([D2]) --------------------------------------------------
-
-    def _wake_parked(self, now: float) -> None:
-        woken, self.parked = self.parked, {}
-        for state, _deadline in woken.values():
-            self._wake(state, now)
-
-    # -- timers -------------------------------------------------------------------
-
-    def _check_timers(self, now: float) -> None:
-        for batch_id in list(self.claims):
-            claim = self.claims.get(batch_id)
-            if (
-                claim is not None
-                and claim.deadline is not None
-                and now > claim.deadline
-            ):
-                claim.deadline = None
-                self._run_agent(
-                    claim.machine,
-                    claim.machine.on(TimerFired(claim.timer_kind, now)),
-                    now,
-                )
-        due = [
-            agent_id
-            for agent_id, (_state, deadline) in self.parked.items()
-            if now > deadline
-        ]
-        for agent_id in due:
-            state, _deadline = self.parked.pop(agent_id)
-            self._wake(state, now)
-
-    # -- shutdown --------------------------------------------------------------------
+    # -- shutdown ----------------------------------------------------------
 
     def _emit_final(self) -> None:
         self.transport.results.put(
@@ -670,10 +263,11 @@ class HostRuntime:
                 "type": "final",
                 "host": self.host,
                 "store": {
-                    k: (repr(v), ver) for k, (v, ver) in self.store.items()
+                    key: (repr(entry.value), entry.version)
+                    for key, entry in self.machine.store.snapshot().items()
                 },
-                "history": list(self.history),
-                "locking_list_len": len(self.locking_list),
-                "parked": len(self.parked),
+                "history": self.machine.history.identities(),
+                "locking_list_len": len(self.machine.locking_list),
+                "parked": len(self.interpreter.parked),
             }
         )

@@ -4,20 +4,17 @@ In the live runtime an agent migration is a real pickle round-trip —
 exactly what Aglets did with Java serialisation. The carried state is
 the paper's suitcase: the Request List, the Locking Table (a genuine
 :class:`repro.core.machines.table.LockingTable`), the Un-visited
-Servers List and the identifiers.
-
-:class:`LiveAgentState` extends the kernel's
-:class:`~repro.core.machines.agent.AgentCoreState` with the live-only
-measurement fields (dispatch/lock timestamps, hop count); the protocol
-fields are exactly the ones every :class:`AgentMachine` operates over,
-so a host rebuilds a machine around the unshipped state at every hop.
+Servers List, the identifiers, and the journey log the effect
+interpreter stamps (dispatch/lock timestamps, hop count, open phase
+starts) — all of it fields of the kernel's
+:class:`~repro.core.machines.agent.AgentCoreState`, so a host rebuilds
+an :class:`AgentMachine` around the unshipped state at every hop.
 """
 
 from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.core.machines.agent import AgentCoreState
 
@@ -31,22 +28,6 @@ class LiveAgentState(AgentCoreState):
     ``requests`` entries are ``(request_id, key, value, created_at_ms)``
     — the kernel reads the first three elements and ignores the rest.
     """
-
-    dispatched_at: Optional[float] = None
-    lock_acquired_at: Optional[float] = None
-    visits_to_lock: Optional[int] = None
-    hops: int = 0
-    # -- cross-hop span bookkeeping (observational only) ----------------
-    # Spans in the live backend are recorded *retroactively* by whichever
-    # host completes a phase, so the phase start times must migrate with
-    # the agent: a hop's send time travels to the destination host, the
-    # current lock-wait window start travels to wherever the lock is
-    # finally won. (The trace id / root span id live on the kernel's
-    # AgentCoreState — they are protocol-payload-visible.)
-    lock_wait_since: Optional[float] = None
-    parked_since: Optional[float] = None
-    migrate_sent_at: Optional[float] = None
-    migrate_src: Optional[str] = None
 
 
 def ship(state: LiveAgentState) -> bytes:

@@ -1,234 +1,158 @@
-"""Unit tests for the agent platform: launch, services, migration policy."""
+"""What survives of the agent platform: how the DES substrate ships an agent.
 
-import pytest
+The per-host platform, its directory and its service registry are gone
+(the effect interpreter hosts agents now); what they did that the
+simulation depends on is the §2 migration policy and the suitcase
+sizing, both in :meth:`ReplicaServer.ship_agent`. These tests drive
+that method directly, with a recorder in the interpreter's place.
+"""
 
-from repro.errors import (
-    AgentDisposed,
-    AgentError,
-    ReplicaUnavailable,
-)
-from repro.agents.agent import MobileAgent
-from repro.agents.directory import PlatformDirectory
-from repro.agents.mobility import MigrationCostModel
-from repro.agents.platform import AgentPlatform, MobilityPolicy
+
 from repro.net.faults import CrashSchedule, FaultPlan
 from repro.net.latency import ConstantLatency
 from repro.net.network import Network
 from repro.net.topology import Topology
+from repro.replication import server as server_mod
+from repro.replication.server import ReplicaServer
 from repro.sim.rng import RandomStreams
 
 
-class HopAgent(MobileAgent):
-    """Test agent that follows a fixed route and records arrivals."""
+class HopAgent:
+    """The little a server needs of an agent to ship it."""
 
-    def __init__(self, agent_id, route):
-        super().__init__(agent_id)
-        self.route = route
-        self.errors = []
+    def __init__(self, bulk=""):
+        self.bulk = bulk
+        self.travel_log = []
 
-    def behavior(self):
-        for dst in self.route:
-            try:
-                yield from self.migrate(dst)
-            except ReplicaUnavailable as err:
-                self.errors.append(err)
-        self.dispose()
+    def state(self):
+        return {"bulk": self.bulk}
 
 
-def make_world(env, hosts=("a", "b", "c"), faults=None, policy=None):
-    topo = Topology.full_mesh(list(hosts))
-    network = Network(
-        env, topo, latency=ConstantLatency(2.0), faults=faults,
-        streams=RandomStreams(0), inbox_ttl=20_000.0,
-    )
-    directory = PlatformDirectory()
-    platforms = {
-        h: AgentPlatform(env, network, h, directory, policy=policy)
-        for h in hosts
-    }
-    return network, directory, platforms
+class Recorder:
+    """Stands where a host's interpreter would: logs what shipping
+    reports, and forwards an arrived agent along ``route``."""
+
+    def __init__(self, world, host):
+        self.world = world
+        self.host = host
+
+    def arrived(self, agent):
+        self.world.log.append((self.world.env.now, "arrived", self.host))
+        if self.world.route:
+            self.world.servers[self.host].ship_agent(
+                agent, self.world.route.pop(0)
+            )
+
+    def unreachable(self, agent, dst):
+        self.world.log.append((self.world.env.now, "unreachable", dst))
 
 
-class TestServices:
-    def test_provide_and_lookup(self, env):
-        _n, _d, platforms = make_world(env)
-        marker = object()
-        platforms["a"].provide("replica", marker)
-        assert platforms["a"].service("replica") is marker
+class World:
+    def __init__(self, env, hosts=("a", "b", "c"), faults=None, route=()):
+        self.env = env
+        self.route = list(route)
+        self.log = []
+        self.network = Network(
+            env, Topology.full_mesh(list(hosts)),
+            latency=ConstantLatency(2.0), faults=faults,
+            streams=RandomStreams(0), inbox_ttl=20_000.0,
+        )
+        self.servers = {}
+        for host in hosts:
+            server = ReplicaServer(
+                env, host, self.network.register(host), self.network,
+                peers=list(hosts), servers=self.servers,
+            )
+            server.interpreter = Recorder(self, host)
+            self.servers[host] = server
 
-    def test_missing_service_raises(self, env):
-        _n, _d, platforms = make_world(env)
-        with pytest.raises(AgentError):
-            platforms["a"].service("ghost")
-
-    def test_double_provide_rejected(self, env):
-        _n, _d, platforms = make_world(env)
-        platforms["a"].provide("x", 1)
-        with pytest.raises(AgentError):
-            platforms["a"].provide("x", 2)
-
-
-class TestDirectory:
-    def test_lookup(self, env):
-        _n, directory, platforms = make_world(env)
-        assert directory.lookup("b") is platforms["b"]
-
-    def test_unknown_host(self, env):
-        _n, directory, _p = make_world(env)
-        with pytest.raises(AgentError):
-            directory.lookup("zz")
-
-    def test_duplicate_registration_rejected(self, env):
-        _n, directory, platforms = make_world(env)
-        with pytest.raises(AgentError):
-            directory.register(platforms["a"])
-
-    def test_len_and_hosts(self, env):
-        _n, directory, _p = make_world(env)
-        assert len(directory) == 3
-        assert directory.hosts == ["a", "b", "c"]
+    def ship(self, agent, src, route):
+        self.route = list(route)
+        self.servers[src].ship_agent(agent, self.route.pop(0))
+        self.env.run()
 
 
 class TestLaunchAndMigration:
     def test_agent_travels_route(self, env):
-        _n, _d, platforms = make_world(env)
-        agent = HopAgent(platforms["a"].new_agent_id(), ["b", "c"])
-        platforms["a"].launch(agent)
-        env.run()
-        assert [h for _t, h in agent.travel_log] == ["a", "b", "c"]
-        assert agent.hops == 2
-        assert agent.disposed
+        world = World(env)
+        agent = HopAgent()
+        world.ship(agent, "a", ["b", "c"])
+        assert [h for _t, h in agent.travel_log] == ["b", "c"]
+        assert [(what, host) for _t, what, host in world.log] == [
+            ("arrived", "b"), ("arrived", "c"),
+        ]
+        assert world.servers["a"].migrations_out == 1
+        assert world.servers["b"].migrations_out == 1
 
     def test_migration_takes_network_time(self, env):
-        _n, _d, platforms = make_world(env)
-        agent = HopAgent(platforms["a"].new_agent_id(), ["b"])
-        platforms["a"].launch(agent)
-        env.run()
-        times = [t for t, _h in agent.travel_log]
-        assert times == [0.0, 2.0]
+        world = World(env)
+        agent = HopAgent()
+        world.ship(agent, "a", ["b"])
+        assert agent.travel_log == [(2.0, "b")]
 
-    def test_self_migration_is_noop(self, env):
-        _n, _d, platforms = make_world(env)
-        agent = HopAgent(platforms["a"].new_agent_id(), ["a"])
-        platforms["a"].launch(agent)
-        env.run()
-        assert agent.hops == 0
-        assert agent.location is None  # disposed
 
-    def test_launch_twice_rejected(self, env):
-        _n, _d, platforms = make_world(env)
-        agent = HopAgent(platforms["a"].new_agent_id(), [])
-        platforms["a"].launch(agent)
-        with pytest.raises(AgentError):
-            platforms["b"].launch(agent)
+    def test_resident_sets_updated(self):
+        """Where an agent is held moves with it: mid-claim it is in the
+        claim table of the host it claims from, and of no other."""
+        from repro.core.protocol import MARP
+        from repro.replication.deployment import Deployment
 
-    def test_unknown_destination_rejected(self, env):
-        _n, _d, platforms = make_world(env)
+        dep = Deployment(n_replicas=3, seed=0)
+        marp = MARP(dep)
+        marp.submit_write("s1", "x", 1)
+        agent = marp.agents[0]
 
-        class BadAgent(MobileAgent):
-            def behavior(self):
-                yield from self.migrate("nowhere")
+        def claiming():
+            return [
+                host for host in dep.hosts
+                if dep.server(host).interpreter.claims
+            ]
 
-        agent = BadAgent(platforms["a"].new_agent_id())
-        platforms["a"].launch(agent)
-        with pytest.raises(AgentError):
-            env.run()
-
-    def test_disposed_agent_cannot_migrate(self, env):
-        _n, _d, platforms = make_world(env)
-
-        class ZombieAgent(MobileAgent):
-            def behavior(self):
-                self.dispose()
-                yield from self.migrate("b")
-
-        agent = ZombieAgent(platforms["a"].new_agent_id())
-        platforms["a"].launch(agent)
-        with pytest.raises(AgentDisposed):
-            env.run()
-
-    def test_dispose_idempotent(self, env):
-        _n, _d, platforms = make_world(env)
-        agent = HopAgent(platforms["a"].new_agent_id(), [])
-        platforms["a"].launch(agent)
-        env.run()
-        agent.dispose()  # second time: no error
-        assert agent.disposed
-
-    def test_resident_sets_updated(self, env):
-        _n, _d, platforms = make_world(env)
-
-        class Sitter(MobileAgent):
-            def behavior(self):
-                yield from self.migrate("b")
-                yield self.platform.env.timeout(100)
-
-        agent = Sitter(platforms["a"].new_agent_id())
-        platforms["a"].launch(agent)
-        env.run(until=50)
-        assert agent not in platforms["a"].residents
-        assert agent in platforms["b"].residents
+        while not claiming():
+            dep.env.step()
+        # One hop made a majority of three; the claim runs from there.
+        (host,) = claiming()
+        assert host == agent.travel_log[-1][1] != "s1"
+        assert list(dep.server(host).interpreter.claims.values()) == [agent]
+        dep.run(until=10_000)
+        assert claiming() == [] and agent.disposed
 
 
 class TestRetryPolicy:
-    def test_unavailable_after_max_attempts(self, env):
+    def test_unavailable_after_max_attempts(self, env, monkeypatch):
+        monkeypatch.setattr(server_mod, "MIGRATION_TIMEOUT", 10.0)
+        monkeypatch.setattr(server_mod, "RETRY_BACKOFF", 5.0)
         faults = FaultPlan(crashes=CrashSchedule().add("b", 0, 10_000))
-        policy = MobilityPolicy(
-            migration_timeout=10, max_attempts=3, retry_backoff=5
-        )
-        _n, _d, platforms = make_world(env, faults=faults, policy=policy)
-        agent = HopAgent(platforms["a"].new_agent_id(), ["b"])
-        platforms["a"].launch(agent)
-        env.run()
-        assert len(agent.errors) == 1
-        assert agent.errors[0].replica == "b"
-        assert platforms["a"].migrations_failed == 3
-        assert agent.location is None  # disposed at home after failure
+        world = World(env, faults=faults)
+        agent = HopAgent()
+        world.ship(agent, "a", ["b"])
+        # Three attempts, each waiting out the detection timeout, with a
+        # growing pause between them: 10 + 5 + 10 + 10 + 10 = 45 ms.
+        assert world.log == [(45.0, "unreachable", "b")]
+        assert world.servers["a"].migrations_out == 3
+        assert world.servers["a"].migrations_failed == 3
+        assert agent.travel_log == []  # never left
 
-    def test_policy_validation(self):
-        with pytest.raises(AgentError):
-            MobilityPolicy(migration_timeout=0)
-        with pytest.raises(AgentError):
-            MobilityPolicy(max_attempts=0)
-        with pytest.raises(AgentError):
-            MobilityPolicy(retry_backoff=-1)
-
-    def test_transfer_from_wrong_platform_rejected(self, env):
-        _n, _d, platforms = make_world(env)
-
-        class Confused(MobileAgent):
-            def __init__(self, agent_id, wrong_platform):
-                super().__init__(agent_id)
-                self.wrong_platform = wrong_platform
-
-            def behavior(self):
-                yield from self.wrong_platform.transfer(self, "c")
-
-        agent = Confused(platforms["a"].new_agent_id(), platforms["b"])
-        platforms["a"].launch(agent)
-        with pytest.raises(AgentError):
-            env.run()
+    def test_recovers_on_a_later_attempt(self, env, monkeypatch):
+        monkeypatch.setattr(server_mod, "MIGRATION_TIMEOUT", 10.0)
+        monkeypatch.setattr(server_mod, "RETRY_BACKOFF", 5.0)
+        # Down for the first attempt only (arrival at t=2 is refused and
+        # detected at t=10; the retry leaves at t=15).
+        faults = FaultPlan(crashes=CrashSchedule().add("b", 0, 12))
+        world = World(env, faults=faults)
+        agent = HopAgent()
+        world.ship(agent, "a", ["b"])
+        assert world.log == [(17.0, "arrived", "b")]
+        assert world.servers["a"].migrations_failed == 1
 
 
 class TestMigrationCost:
-    def test_bigger_state_bigger_size(self):
-        from repro.agents.identity import AgentId
-
-        model = MigrationCostModel(base_bytes=100)
-
-        class Light(MobileAgent):
-            def behavior(self):
-                yield
-
-        class Heavy(Light):
-            def state(self):
-                return {"bulk": "x" * 10_000}
-
-        agent_id = AgentId("h", 0.0, 0)
-        assert model.size_of(Heavy(agent_id)) > model.size_of(Light(agent_id))
-
-    def test_cost_model_validation(self):
-        with pytest.raises(ValueError):
-            MigrationCostModel(base_bytes=-1)
-        with pytest.raises(ValueError):
-            MigrationCostModel(serialization_overhead=0.5)
+    def test_bigger_state_bigger_size(self, env):
+        sizes = []
+        for bulk in ("", "x" * 10_000):
+            world = World(env)
+            world.ship(HopAgent(bulk), "a", ["b"])
+            sizes.append(world.network.stats.total_bytes("agent"))
+        light, heavy = sizes
+        assert light >= server_mod.BASE_BYTES
+        assert heavy > light + 10_000

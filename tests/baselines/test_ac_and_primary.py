@@ -143,7 +143,7 @@ class TestPrimaryCopyLogShipping:
     @staticmethod
     def _ship(dep, pc, schedule):
         """``schedule``: [(backup, key, version)] shipped GAP ms apart."""
-        endpoint = dep.platform(pc.primary).endpoint
+        endpoint = dep.network.endpoints[pc.primary]
 
         def shipper():
             for rid, (backup, key, version) in enumerate(schedule, 1):

@@ -62,18 +62,17 @@ class TestLocalReadSemantics:
 
 class TestAgentStateAndIdentity:
     def test_agent_state_sizes_grow_with_table(self):
-        from repro.agents.mobility import MigrationCostModel
+        from repro.net.message import estimate_size
 
         dep = Deployment(n_replicas=5, seed=73)
         marp = MARP(dep)
         record = marp.submit_write("s1", "x", 1)
         agent = marp.agents[0]
-        model = MigrationCostModel()
-        initial = model.size_of(agent)
+        initial = estimate_size(agent.state())
         dep.run(until=100_000)
         assert record.status == "committed"
         # after touring, the Locking Table adds to the carried state
-        assert model.size_of(agent) > initial
+        assert estimate_size(agent.state()) > initial
 
     def test_travel_log_matches_visits(self):
         dep = Deployment(n_replicas=3, seed=74)

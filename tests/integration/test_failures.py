@@ -52,7 +52,7 @@ class TestCrashRecovery:
         dep.run(until=1_000_000)
         # With s2 down, the agent needs s1 + s3 = the full live majority.
         assert record.status == "committed"
-        assert dep.platform("s1").migrations_failed > 0
+        assert dep.server("s1").migrations_failed > 0
 
 
 class TestLinkFaults:

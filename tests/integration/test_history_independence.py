@@ -25,7 +25,7 @@ import pytest
 
 from repro.baselines.primary_copy import PrimaryCopy
 from repro.core.protocol import MARP
-from repro.core.update_agent import CLAIM_REPLIES
+from repro.replication.server import CLAIM_REPLIES
 from repro.replication.client import attach_clients
 from repro.replication.deployment import Deployment
 from repro.workload.arrivals import ExponentialArrivals
@@ -166,7 +166,7 @@ class TestRoutedMailboxOrdering:
             return on_message(kind, payload, src=src, now=now)
 
         server.machine.on_message = spy
-        sender = cluster.platform("s2").endpoint  # zero-delay self-sends
+        sender = cluster.network.endpoints["s2"]  # zero-delay self-sends
 
         def burst():
             from repro.agents.identity import AgentId
@@ -190,7 +190,7 @@ class TestRoutedMailboxOrdering:
 
     def test_reply_delivered_before_its_receive_is_claimed(self, cluster):
         env = cluster.env
-        endpoint = cluster.platform("s1").endpoint
+        endpoint = cluster.network.endpoints["s1"]
         got = []
 
         def late_receiver():
@@ -207,7 +207,7 @@ class TestRoutedMailboxOrdering:
 
     def test_withdrawn_receive_never_swallows_a_later_epoch(self, cluster):
         env = cluster.env
-        endpoint = cluster.platform("s1").endpoint
+        endpoint = cluster.network.endpoints["s1"]
         got = []
 
         def claimer():

@@ -209,3 +209,49 @@ class TestBackendParity:
                 committed = [s for s in journey.named("claim")
                              if s.status == "committed"]
                 assert len(committed) == 1
+
+    #: what one interpreter emits for every backend: replica-side and
+    #: agent-side metric families alike
+    SHARED_FAMILIES = (
+        "replica_grants_total", "replica_commits_applied_total",
+        "replica_ll_length",
+        "marp_requests_total", "marp_claims_total", "marp_migrations_total",
+        "marp_alt_ms", "marp_att_ms", "marp_visits_to_lock",
+    )
+
+    def test_same_metric_families_from_both_backends(self, des, live):
+        des_hub, des_result = des
+        live_hub, live_records = live
+        for hub in (des_hub, live_hub):
+            for name in self.SHARED_FAMILIES:
+                assert name in hub.registry, name
+        committed = {
+            des_hub: des_result.committed,
+            live_hub: sum(
+                1 for r in live_records if r["status"] == "committed"
+            ),
+        }
+        assert des_hub.registry.get("marp_requests_total").value(
+            status="committed"
+        ) == des_result.committed
+        # (live hosts bump that one series from three threads; the
+        # replica families below are labelled by host, one writer each)
+        for hub, writes in committed.items():
+            registry = hub.registry
+            # every committed write is applied once per replica, and took
+            # at least a majority of grants
+            assert registry.get(
+                "replica_commits_applied_total"
+            ).total() == 3 * writes
+            grants = registry.get("replica_grants_total")
+            assert sum(
+                grants.value(host=host, outcome="ack")
+                for host in hosts_of(hub)
+            ) >= 2 * writes
+
+
+def hosts_of(hub):
+    return {
+        sample.labels["host"]
+        for sample in hub.registry.get("replica_ll_length").samples()
+    }

@@ -25,13 +25,11 @@ class TestDeployment:
 
     def test_platform_and_server_lookup(self):
         dep = Deployment(n_replicas=2)
-        assert dep.platform("s1").host == "s1"
+        assert dep.server("s1").interpreter.host == "s1"
         assert dep.server("s2").host == "s2"
 
     def test_unknown_host_rejected(self):
         dep = Deployment(n_replicas=2)
-        with pytest.raises(ReplicationError):
-            dep.platform("zz")
         with pytest.raises(ReplicationError):
             dep.server("zz")
 
@@ -41,7 +39,12 @@ class TestDeployment:
 
     def test_replica_service_provided(self):
         dep = Deployment(n_replicas=2)
-        assert dep.platform("s1").service("replica") is dep.server("s1")
+        # What a visiting agent meets at s1 is s1's replica, and shipping
+        # it onward goes through the deployment's own host map.
+        server = dep.server("s1")
+        assert server.interpreter.replica is server.machine
+        assert server.interpreter.substrate is server
+        assert server.servers is dep.servers
 
     def test_alive_hosts_tracks_faults(self):
         faults = FaultPlan(crashes=CrashSchedule().add("s1", 0, 100))

@@ -88,10 +88,20 @@ class TestLocalInterface:
     def test_wait_release_fires_on_commit(self, dep):
         server = dep.server("s1")
         server.request_lock(aid(1), 101)
-        release = server.wait_release()
-        dep.platform("s2").endpoint.send("s1", "COMMIT", payload(1))
+        woken = []
+
+        class Waiter:
+            """A parked agent, as far as a release is concerned."""
+
+            release = staticmethod(
+                server.park(1e6, lambda: woken.append(dep.env.now))
+            )
+
+        server.interpreter.parked[aid(2)] = Waiter
+        dep.network.endpoints["s2"].send("s1", "COMMIT", payload(1))
         dep.run(until=100)
-        assert release.triggered
+        assert len(woken) == 1  # by the commit, long before the timeout
+        assert server.interpreter.parked == {}
         assert server.locking_list.top() is None
 
 
@@ -99,7 +109,7 @@ class TestGrantMachinery:
     def test_update_grants_and_acks_with_versions(self, dep):
         server = dep.server("s1")
         server.store.apply("x", "old", 4, 0.0)
-        sender = dep.platform("s2").endpoint
+        sender = dep.network.endpoints["s2"]
         received = []
 
         def listener(env):
@@ -113,7 +123,7 @@ class TestGrantMachinery:
         assert server._grant_holder == aid(1)
 
     def test_second_agent_nacked_while_granted(self, dep):
-        sender = dep.platform("s2").endpoint
+        sender = dep.network.endpoints["s2"]
         kinds = []
 
         def listener(env):
@@ -130,7 +140,7 @@ class TestGrantMachinery:
         assert sorted(kinds) == ["ACK", "NACK"]
 
     def test_same_agent_reack(self, dep):
-        sender = dep.platform("s2").endpoint
+        sender = dep.network.endpoints["s2"]
         kinds = []
 
         def listener(env):
@@ -148,7 +158,7 @@ class TestGrantMachinery:
 
     def test_release_frees_grant(self, dep):
         server = dep.server("s1")
-        sender = dep.platform("s2").endpoint
+        sender = dep.network.endpoints["s2"]
         sender.send("s1", "UPDATE", payload(1, reply_to="s2"))
         dep.run(until=50)
         assert server._grant_holder == aid(1)
@@ -164,7 +174,7 @@ class TestGrantMachinery:
         must not free the epoch-2 grant, or a second claimer could slip
         into the critical section."""
         server = dep.server("s1")
-        sender = dep.platform("s2").endpoint
+        sender = dep.network.endpoints["s2"]
         sender.send("s1", "UPDATE", payload(1, reply_to="s2", epoch=2))
         dep.run(until=50)
         assert server._grant_holder == aid(1)
@@ -179,7 +189,7 @@ class TestGrantMachinery:
 
     def test_stale_update_does_not_roll_epoch_back(self, dep):
         server = dep.server("s1")
-        sender = dep.platform("s2").endpoint
+        sender = dep.network.endpoints["s2"]
         sender.send("s1", "UPDATE", payload(1, reply_to="s2", epoch=3))
         dep.run(until=50)
         sender.send("s1", "UPDATE", payload(1, reply_to="s2", epoch=2))
@@ -189,7 +199,7 @@ class TestGrantMachinery:
     def test_grant_expires_after_ttl(self, dep):
         server = dep.server("s1")
         server.config.grant_ttl = 10.0
-        sender = dep.platform("s2").endpoint
+        sender = dep.network.endpoints["s2"]
         kinds = []
 
         def listener(env):
@@ -215,7 +225,7 @@ class TestCommitAndAbort:
     def test_commit_applies_and_cleans_up(self, dep):
         server = dep.server("s1")
         server.request_lock(aid(1), 1)
-        dep.platform("s2").endpoint.send(
+        dep.network.endpoints["s2"].send(
             "s1", "COMMIT", payload(1, version=1, value="committed")
         )
         dep.run(until=100)
@@ -226,7 +236,7 @@ class TestCommitAndAbort:
 
     def test_commit_is_idempotent_on_redelivery(self, dep):
         server = dep.server("s1")
-        endpoint = dep.platform("s2").endpoint
+        endpoint = dep.network.endpoints["s2"]
         endpoint.send("s1", "COMMIT", payload(1))
         endpoint.send("s1", "COMMIT", payload(1))
         dep.run(until=100)
@@ -235,7 +245,7 @@ class TestCommitAndAbort:
 
     def test_stale_commit_not_applied(self, dep):
         server = dep.server("s1")
-        endpoint = dep.platform("s2").endpoint
+        endpoint = dep.network.endpoints["s2"]
         endpoint.send("s1", "COMMIT", payload(2, version=5, value="new"))
         dep.run(until=50)
         endpoint.send("s1", "COMMIT", payload(1, version=3, value="old"))
@@ -246,7 +256,7 @@ class TestCommitAndAbort:
     def test_abort_releases_everything(self, dep):
         server = dep.server("s1")
         server.request_lock(aid(1), 1)
-        endpoint = dep.platform("s2").endpoint
+        endpoint = dep.network.endpoints["s2"]
         endpoint.send("s1", "UPDATE", payload(1, reply_to="s2"))
         dep.run(until=50)
         endpoint.send("s1", "ABORT", payload(1, reply_to="s2"))
@@ -261,7 +271,7 @@ class TestReadQueryAndSync:
     def test_readq_replies_with_version(self, dep):
         server = dep.server("s1")
         server.store.apply("x", "answer", 7, 0.0)
-        asker = dep.platform("s2").endpoint
+        asker = dep.network.endpoints["s2"]
         replies = []
 
         def listener(env):
@@ -275,7 +285,7 @@ class TestReadQueryAndSync:
         assert replies[0]["value"] == "answer"
 
     def test_readq_missing_key(self, dep):
-        asker = dep.platform("s2").endpoint
+        asker = dep.network.endpoints["s2"]
         replies = []
 
         def listener(env):
