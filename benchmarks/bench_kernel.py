@@ -2,10 +2,12 @@
 
 ``benchmarks/marpbench/micro.py`` times the event loop (``Timeout``)
 and ``decide``, and its workloads time ``run_once``; what is left here
-is the store matching loop, ``rank_queue`` over wide tables, the
-packed-priority heap and the ``LockingTable`` merge fold (marpbench's
-two merge micros still pass the deleted ``delta_views`` argument and
-report null).
+is ``rank_queue`` over wide tables, the packed-priority heap and the
+``LockingTable`` merge fold (marpbench's two merge micros still pass the
+deleted ``delta_views`` argument and report null). Needs the
+``benchmark`` fixture of pytest-benchmark, which is not in the ``dev``
+extra: ``pytest benchmarks/bench_kernel.py`` where it is installed;
+nothing in CI runs this file.
 """
 
 import pytest
@@ -15,31 +17,6 @@ from repro.core.machines.priority import decide
 from repro.core.machines.table import LockingTable
 from repro.replication.server import SharedView
 from repro.sim.core import Environment
-from repro.sim.stores import Store
-
-
-@pytest.mark.benchmark(group="kernel")
-def test_store_put_get_throughput(benchmark):
-    def run_store():
-        env = Environment()
-        store = Store(env)
-        moved = []
-
-        def producer(env):
-            for index in range(1000):
-                yield store.put(index)
-
-        def consumer(env):
-            for _ in range(1000):
-                item = yield store.get()
-                moved.append(item)
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        env.run()
-        return len(moved)
-
-    assert benchmark(run_store) == 1000
 
 
 @pytest.mark.benchmark(group="kernel")

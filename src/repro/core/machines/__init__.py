@@ -68,7 +68,6 @@ from repro.core.machines.priority import (
     WIN,
     Decision,
     decide,
-    decide_reference,
     rank_queue,
 )
 from repro.core.machines.config import (
@@ -149,7 +148,7 @@ __all__ = [
     # table + priority
     "LockingTable",
     "OTHER", "STALEMATE", "UNDECIDED", "WIN",
-    "Decision", "decide", "decide_reference", "rank_queue",
+    "Decision", "decide", "rank_queue",
     # config
     "DES_TUNABLES", "LIVE_TUNABLES", "ProtocolTunables",
     # events

@@ -23,26 +23,21 @@ and the protocol has tie-break *losers* re-queue their lock entries
 (back-off), which lets the designated winner rise to a genuine, safely
 actionable majority. Rules 2–3 therefore drive liveness, never safety.
 
-Two implementations live here, deliberately:
-
-* :func:`decide` — the hot path. It evaluates the same rule cascade
-  over the Locking Table's *packed* state (interned integer slots and a
-  flag slab, see :mod:`repro.core.machines.table`), and memoises the
-  self-independent core of the decision against the table's mutation
-  counter: re-evaluating an unchanged table is one cache probe. Tie
-  groups are still ordered by the **AgentId's own total order** (via
-  the interner's sort-key slab) — interned slot numbers never order
-  anything.
-* :func:`decide_reference` — the original dataclass-and-dict
-  evaluation, kept as the executable specification. The weighted-voting
-  generalisation always routes here (it is off the per-event path), and
-  ``tests/machines/test_flat_structures.py`` property-checks
-  ``decide == decide_reference`` over randomized tables.
+Implementation: :func:`decide` evaluates the rule cascade over the
+Locking Table's *packed* state (interned integer slots and a flag slab,
+see :mod:`repro.core.machines.table`), and memoises the
+self-independent core of the unweighted decision against the table's
+mutation counter: re-evaluating an unchanged table is one cache probe.
+Tie groups are ordered by the **AgentId's own total order** (via the
+interner's sort-key slab) — interned slot numbers never order anything.
+The dataclass-and-dict evaluation it replaced is the executable
+specification kept in ``tests/machines/``, where
+``test_flat_structures.py`` property-checks ``decide`` equal to it over
+randomized tables, weighted and unweighted.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Tuple
 
@@ -50,7 +45,7 @@ from repro.agents.identity import AgentId
 from repro.core.machines.table import LockingTable
 
 __all__ = [
-    "Decision", "decide", "decide_reference", "rank_queue",
+    "Decision", "decide", "rank_queue",
     "WIN", "OTHER", "STALEMATE", "UNDECIDED",
 ]
 
@@ -118,18 +113,19 @@ def decide(
     total votes. The paper's early tie-break guard only applies to the
     unweighted case; weighted deployments rely on the complete-
     information rule (liveness is unaffected — the claim round's grants
-    provide safety either way). Weighted evaluation runs on the
-    reference implementation; it is not on the per-event hot path.
+    provide safety either way). A weighted evaluation is not memoised
+    (the vote map is not part of the memo key).
     """
     if n_replicas < 1:
         raise ValueError(f"n_replicas must be >= 1: {n_replicas}")
-    if votes is not None or type(table) is not LockingTable:
-        return decide_reference(
-            table, n_replicas, self_id, votes=votes,
-            extra_done=extra_done, unavailable=unavailable,
-        )
-    majority = n_replicas // 2 + 1
-    if not extra_done:
+    if votes is None:
+        majority = n_replicas // 2 + 1
+    else:
+        total_votes = sum(votes.values())
+        if total_votes < 1:
+            raise ValueError("total vote weight must be >= 1")
+        majority = total_votes // 2 + 1
+    if votes is None and not extra_done:
         key = (table._mutations, n_replicas, unavailable)
         cache = table._decide_cache
         if cache is not None and cache[0] == key:
@@ -140,7 +136,7 @@ def decide(
             table._decide_cache = (key, core)
     else:
         core = _decide_core(table, n_replicas, majority,
-                            extra_done, unavailable)
+                            extra_done, unavailable, votes)
     reason, winner, counts, quorum = core
     if reason == "majority":
         return Decision(
@@ -166,15 +162,22 @@ def _decide_core(
     majority: int,
     extra_done: frozenset,
     unavailable: frozenset,
+    votes: Optional[Mapping[str, int]] = None,
 ):
     """The self-independent part of the rule cascade, over packed slots.
 
     Returns ``(reason, winner, top_counts, quorum_hosts)`` with
     ``reason`` in ``{"majority", "paper-tie-break", "complete-info",
-    ""}`` and ``winner is None`` exactly when undecided. Mirrors
-    :func:`decide_reference` rule for rule.
+    ""}`` and ``winner is None`` exactly when undecided.
     """
     tops_slots, counts_slots = table._tops_slots(extra_done)
+    if votes is not None:
+        # Topping a server earns its vote weight; a zero-vote top still
+        # appears in the tally (with 0).
+        counts_slots = {}
+        for host, top in tops_slots.items():
+            if top is not None:
+                counts_slots[top] = counts_slots.get(top, 0) + votes.get(host, 0)
     value = table._ids.value
     counts = {value(slot): n for slot, n in counts_slots.items()}
 
@@ -204,7 +207,7 @@ def _decide_core(
     # tie group it could not reach a majority, so waiting cannot resolve
     # the tie.
     unclaimed = n_replicas - m_tied * top_score
-    if m_tied > 1 and top_score + unclaimed < majority:
+    if votes is None and m_tied > 1 and top_score + unclaimed < majority:
         return ("paper-tie-break", value(winner_slot), counts, ())
 
     # Rule 3 ([D1]): complete information, every list non-empty, no
@@ -215,88 +218,6 @@ def _decide_core(
         if top is None:
             return ("", None, counts, ())
     return ("complete-info", value(winner_slot), counts, ())
-
-
-def decide_reference(
-    table: LockingTable,
-    n_replicas: int,
-    self_id: AgentId,
-    votes: Optional[Mapping[str, int]] = None,
-    extra_done: frozenset = frozenset(),
-    unavailable: frozenset = frozenset(),
-) -> Decision:
-    """Executable specification of :func:`decide` (original code path).
-
-    Operates through the table's public dataclass API only; the fast
-    path is property-tested equal to this on randomized tables. Also the
-    live path for weighted voting.
-    """
-    if n_replicas < 1:
-        raise ValueError(f"n_replicas must be >= 1: {n_replicas}")
-    tops = table.tops(extra_done)
-    if votes is None:
-        majority = n_replicas // 2 + 1
-        counts = table.top_counts(extra_done)
-    else:
-        total_votes = sum(votes.values())
-        if total_votes < 1:
-            raise ValueError("total vote weight must be >= 1")
-        majority = total_votes // 2 + 1
-        counts = Counter()
-        for host, top in tops.items():
-            if top is not None:
-                counts[top] += votes.get(host, 0)
-
-    # Rule 1: majority of top-ranks.
-    for agent_id, count in counts.items():
-        if count >= majority:
-            quorum = tuple(
-                sorted(h for h, top in tops.items() if top == agent_id)
-            )
-            outcome = WIN if agent_id == self_id else OTHER
-            return Decision(
-                outcome=outcome,
-                winner=agent_id,
-                reason="majority",
-                top_counts=dict(counts),
-                quorum_hosts=quorum,
-            )
-
-    known_or_unavailable = len(tops) + len(unavailable - set(tops))
-    if known_or_unavailable < n_replicas or not counts:
-        return Decision(outcome=UNDECIDED, top_counts=dict(counts))
-
-    # All N views known. Identify the leading tie group.
-    top_score = max(counts.values())
-    tied = sorted(a for a, c in counts.items() if c == top_score)
-    m_tied = len(tied)
-
-    # Rule 2: the paper's early tie-break guard (unweighted only). Even
-    # if a tied agent captured every server not currently topped by the
-    # tie group it could not reach a majority, so waiting cannot resolve
-    # the tie.
-    unclaimed = n_replicas - m_tied * top_score
-    if votes is None and m_tied > 1 and top_score + unclaimed < majority:
-        return Decision(
-            outcome=STALEMATE,
-            winner=tied[0],
-            reason="paper-tie-break",
-            top_counts=dict(counts),
-        )
-
-    # Rule 3 ([D1]): complete information, every list non-empty, no
-    # majority -> frozen stalemate; designate by identifier.
-    if all(top is not None for top in tops.values()):
-        return Decision(
-            outcome=STALEMATE,
-            winner=tied[0],
-            reason="complete-info",
-            top_counts=dict(counts),
-        )
-
-    # Some locking list is empty: tops can still change freely (a new
-    # arrival becomes top there), so keep gathering.
-    return Decision(outcome=UNDECIDED, top_counts=dict(counts))
 
 
 def rank_queue(

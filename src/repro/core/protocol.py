@@ -17,9 +17,7 @@ configuration.
 
 from __future__ import annotations
 
-from typing import List, Optional
-
-from typing import Any, Callable, Dict
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.batching import BatchDispatcher
 from repro.core.config import MARPConfig

@@ -1,9 +1,12 @@
 """Deterministic discrete-event simulation kernel.
 
-A self-contained, generator-based DES engine in the style of SimPy:
-processes are Python generators that advance by yielding
-:class:`~repro.sim.events.Event` objects; the
-:class:`~repro.sim.core.Environment` owns the clock and the event queue.
+A self-contained, generator-based DES engine holding exactly what the
+MARP substrate schedules: processes are Python generators that advance
+by yielding :class:`~repro.sim.events.Event` objects (a
+:class:`~repro.sim.core.Timeout`, a :class:`~repro.sim.stores.RoutedStore`
+get, an ``a | b`` :class:`~repro.sim.conditions.AnyOf`); the
+:class:`~repro.sim.core.Environment` owns the clock and the event queue;
+:class:`~repro.sim.rng.RandomStreams` names the random streams.
 
 Quick example::
 
@@ -19,16 +22,14 @@ Quick example::
     env.run(until=5)
 """
 
-from repro.sim.conditions import AllOf, AnyOf, Condition
+from repro.sim.conditions import AnyOf
 from repro.sim.core import (
     NORMAL, URGENT, Environment, Process, Timeout, Urgent,
 )
 from repro.sim.events import PENDING, Event
-from repro.sim.interrupts import Interrupt
 from repro.sim.monitor import StateMonitor
-from repro.sim.resources import PriorityResource, Request, Resource
 from repro.sim.rng import RandomStreams, Stream
-from repro.sim.stores import PriorityItem, PriorityStore, RoutedStore, Store
+from repro.sim.stores import RoutedStore
 
 __all__ = [
     "Environment",
@@ -36,17 +37,8 @@ __all__ = [
     "Event",
     "Timeout",
     "Urgent",
-    "Interrupt",
-    "AllOf",
     "AnyOf",
-    "Condition",
-    "Store",
     "RoutedStore",
-    "PriorityStore",
-    "PriorityItem",
-    "Resource",
-    "PriorityResource",
-    "Request",
     "StateMonitor",
     "RandomStreams",
     "Stream",

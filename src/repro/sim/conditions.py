@@ -1,15 +1,15 @@
-"""Composite wait conditions: wait for *all* or *any* of several events.
+"""Composite wait condition: wait for *any* of several events.
 
-``AllOf`` triggers when every constituent event has been processed;
-``AnyOf`` triggers as soon as one has. Both produce a dictionary mapping
-the constituent events to their values (for ``AnyOf``, only constituents
-already processed at fire time appear). A failure of any constituent
-fails the condition with the same exception.
+``AnyOf`` triggers as soon as one constituent event has been processed,
+with a dictionary mapping the constituents already processed at fire
+time to their values. A failure of any constituent fails the condition
+with the same exception. It is what a process yields to wait for a
+reply *or* a timeout (``get | env.timeout(ttl)``).
 
-Implementation note: conditions count *processed* events (callbacks run),
-not merely *triggered* ones — a :class:`~repro.sim.core.Timeout` carries
-its value from construction and is therefore "triggered" long before it
-actually occurs.
+Implementation note: the condition counts *processed* events (callbacks
+run), not merely *triggered* ones — a :class:`~repro.sim.core.Timeout`
+carries its value from construction and is therefore "triggered" long
+before it actually occurs.
 """
 
 from __future__ import annotations
@@ -19,13 +19,17 @@ from typing import Dict, List
 from repro.errors import SimulationError
 from repro.sim.events import Event
 
-__all__ = ["Condition", "AllOf", "AnyOf"]
+__all__ = ["AnyOf"]
 
 
-class Condition(Event):
-    """Base class implementing the bookkeeping shared by All/Any."""
+class AnyOf(Event):
+    """Triggers as soon as one constituent event occurs.
 
-    __slots__ = ("_events", "_processed_count")
+    An ``AnyOf`` over zero events triggers immediately (vacuously), which
+    keeps ``reduce``-style composition total.
+    """
+
+    __slots__ = ("_events",)
 
     def __init__(self, env, events: List[Event]) -> None:
         super().__init__(env)
@@ -35,7 +39,7 @@ class Condition(Event):
                 raise SimulationError(
                     "all events of a condition must share one environment"
                 )
-        self._processed_count = 0
+        satisfied = not self._events
         for event in self._events:
             if event.callbacks is None:
                 # Already processed before the condition was built.
@@ -43,18 +47,11 @@ class Condition(Event):
                     event._defused = True
                     self.fail(event._value)
                     return
-                self._processed_count += 1
+                satisfied = True
             else:
                 event.callbacks.append(self._check)
-        if not self.triggered and self._satisfied():
+        if satisfied:
             self.succeed(self._collect())
-
-    # Subclass contract -------------------------------------------------
-
-    def _satisfied(self) -> bool:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    # Internals -----------------------------------------------------------
 
     def _collect(self) -> Dict[Event, object]:
         return {
@@ -64,38 +61,9 @@ class Condition(Event):
         }
 
     def _check(self, event: Event) -> None:
-        if self.triggered:
-            if not event._ok:
-                event._defused = True
-            return
         if not event._ok:
             event._defused = True
-            self.fail(event._value)
-            return
-        self._processed_count += 1
-        if self._satisfied():
+            if not self.triggered:
+                self.fail(event._value)
+        elif not self.triggered:
             self.succeed(self._collect())
-
-
-class AllOf(Condition):
-    """Triggers once every constituent event has occurred."""
-
-    __slots__ = ()
-
-    def _satisfied(self) -> bool:
-        return self._processed_count == len(self._events)
-
-
-class AnyOf(Condition):
-    """Triggers as soon as one constituent event occurs.
-
-    An ``AnyOf`` over zero events triggers immediately (vacuously), which
-    keeps ``reduce``-style composition total.
-    """
-
-    __slots__ = ()
-
-    def _satisfied(self) -> bool:
-        if not self._events:
-            return True
-        return self._processed_count >= 1

@@ -5,8 +5,8 @@
 :class:`~repro.sim.events.Event` objects. The kernel is deterministic:
 events scheduled for the same instant are processed in FIFO order of
 scheduling (stable via a monotone sequence number), with an urgency tier
-so that interrupts and process initialisation run before ordinary events
-at the same timestamp.
+so that process initialisation and zero-delay deliveries run before
+ordinary events at the same timestamp.
 """
 
 from __future__ import annotations
@@ -14,15 +14,14 @@ from __future__ import annotations
 import time as _time
 from bisect import bisect_left as _bisect_left
 from heapq import heappop, heappush
-from typing import Any, Generator, Iterable, List, Optional, Tuple
+from typing import Any, Generator, List, Optional, Tuple
 
 from repro.errors import SimulationError, StopSimulation
 from repro.sim.events import PENDING, Event
-from repro.sim.interrupts import Interrupt
 
 __all__ = ["Environment", "Process", "Timeout", "Urgent", "URGENT", "NORMAL"]
 
-#: Scheduling tier for interrupts and process bootstrap.
+#: Scheduling tier for process bootstrap and zero-delay delivery.
 URGENT = 0
 #: Scheduling tier for ordinary events.
 NORMAL = 1
@@ -79,40 +78,6 @@ class Urgent(Event):
         env.schedule(self, priority=URGENT)
 
 
-class _Interruption(Event):
-    """Urgent event that delivers an :class:`Interrupt` to a process."""
-
-    __slots__ = ("process",)
-
-    def __init__(self, process: "Process", cause: Any) -> None:
-        super().__init__(process.env)
-        if process.triggered:
-            raise SimulationError(f"{process!r} has already terminated")
-        if process is self.env.active_process:
-            raise SimulationError("a process is not allowed to interrupt itself")
-        self.process = process
-        self.callbacks.append(self._deliver)
-        self._ok = False
-        self._value = Interrupt(cause)
-        self._defused = True  # the interrupt is delivered, never re-raised
-        self.env.schedule(self, priority=URGENT)
-
-    def _deliver(self, event: Event) -> None:
-        process = self.process
-        if process.triggered:
-            return  # process ended before the interrupt arrived; drop it
-        # Detach the process from whatever it was waiting on, then resume
-        # it with the failing interruption event so Interrupt is raised at
-        # the yield point.
-        target = process._target
-        if target is not None and target.callbacks is not None:
-            try:
-                target.callbacks.remove(process._resume)
-            except ValueError:
-                pass
-        process._resume(self)
-
-
 class Process(Event):
     """A running simulation process.
 
@@ -122,7 +87,7 @@ class Process(Event):
     for its completion.
     """
 
-    __slots__ = ("_generator", "_target", "name")
+    __slots__ = ("_generator", "name")
 
     def __init__(
         self,
@@ -136,7 +101,6 @@ class Process(Event):
             )
         super().__init__(env)
         self._generator = generator
-        self._target: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
         Urgent(env).callbacks.append(self._resume)
 
@@ -144,10 +108,6 @@ class Process(Event):
     def is_alive(self) -> bool:
         """True while the generator has not terminated."""
         return self._value is PENDING
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Raise :class:`Interrupt` inside the process at its yield point."""
-        _Interruption(self, cause)
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with the outcome of ``event``."""
@@ -189,7 +149,6 @@ class Process(Event):
             if next_event.callbacks is not None:
                 # Event still pending or scheduled: park until it fires.
                 next_event.callbacks.append(self._resume)
-                self._target = next_event
                 break
             # Event already processed: feed its value back immediately.
             event = next_event
@@ -285,16 +244,6 @@ class Environment:
     ) -> Process:
         """Start a new process from ``generator``."""
         return Process(self, generator, name=name)
-
-    def all_of(self, events: Iterable[Event]) -> Event:
-        from repro.sim.conditions import AllOf
-
-        return AllOf(self, list(events))
-
-    def any_of(self, events: Iterable[Event]) -> Event:
-        from repro.sim.conditions import AnyOf
-
-        return AnyOf(self, list(events))
 
     # -- scheduling -------------------------------------------------------
 

@@ -137,11 +137,6 @@ class Event:
 
     # -- composition ---------------------------------------------------
 
-    def __and__(self, other: "Event") -> "Event":
-        from repro.sim.conditions import AllOf
-
-        return AllOf(self.env, [self, other])
-
     def __or__(self, other: "Event") -> "Event":
         from repro.sim.conditions import AnyOf
 

@@ -1,139 +1,19 @@
-"""Producer/consumer channels for processes.
+"""The producer/consumer channel of the network substrate.
 
-:class:`Store` is an asynchronous FIFO buffer: ``put`` and ``get`` return
-events a process yields on. :class:`PriorityStore` delivers items in
-priority order. :class:`RoutedStore` files every item under a route
-computed once at ``put`` and lets each consumer wait on its own route —
-the mailbox of the network substrate's endpoints.
+:class:`RoutedStore` files every item under a route computed once at
+``put`` and lets each consumer wait on its own route — the mailbox of
+the network substrate's endpoints. ``get`` returns an event a process
+yields on.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from typing import Any, Callable, Deque, Dict, Hashable, List, Optional, Tuple
 
-from repro.errors import SimulationError
 from repro.sim.events import PENDING, Event
 
-__all__ = ["Store", "RoutedStore", "PriorityStore", "PriorityItem"]
-
-
-class StorePut(Event):
-    """Event returned by :meth:`Store.put`; fires when the item is stored."""
-
-    __slots__ = ("item",)
-
-    def __init__(self, store: "Store", item: Any) -> None:
-        super().__init__(store.env)
-        self.item = item
-
-
-class StoreGet(Event):
-    """Event returned by :meth:`Store.get`; fires with the retrieved item."""
-
-    __slots__ = ()
-
-    def __init__(self, store: "Store") -> None:
-        super().__init__(store.env)
-
-
-class Store:
-    """Unbounded-or-bounded FIFO buffer with blocking put/get events."""
-
-    def __init__(self, env, capacity: float = float("inf")) -> None:
-        if capacity <= 0:
-            raise SimulationError(f"store capacity must be positive: {capacity}")
-        self.env = env
-        self.capacity = capacity
-        self.items: Deque[Any] = deque()
-        self._put_waiters: Deque[StorePut] = deque()
-        self._get_waiters: Deque[StoreGet] = deque()
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    # -- public API ------------------------------------------------------
-
-    def put(self, item: Any) -> StorePut:
-        """Request to add ``item``; the returned event fires when stored."""
-        event = StorePut(self, item)
-        self._put_waiters.append(event)
-        self._dispatch()
-        return event
-
-    def get(self) -> StoreGet:
-        """Request to remove the oldest item; the event fires with it."""
-        event = StoreGet(self)
-        self._get_waiters.append(event)
-        self._dispatch()
-        return event
-
-    # -- matching machinery ------------------------------------------------
-
-    def _do_put(self, event: StorePut) -> bool:
-        if len(self.items) < self.capacity:
-            self._insert(event.item)
-            event.succeed()
-            return True
-        return False
-
-    def _do_get(self, event: StoreGet) -> bool:
-        item = self._extract(event)
-        if item is not _NO_ITEM:
-            event.succeed(item)
-            return True
-        return False
-
-    def _insert(self, item: Any) -> None:
-        self.items.append(item)
-
-    def _extract(self, event: StoreGet) -> Any:
-        if self.items:
-            return self.items.popleft()
-        return _NO_ITEM
-
-    def _dispatch(self) -> None:
-        """Run the put/get matching loop until no more progress is made."""
-        progress = True
-        while progress:
-            progress = False
-            while self._put_waiters:
-                put_event = self._put_waiters[0]
-                if put_event.triggered:  # cancelled externally
-                    self._put_waiters.popleft()
-                    continue
-                if self._do_put(put_event):
-                    self._put_waiters.popleft()
-                    progress = True
-                else:
-                    break
-            # Gets are served in FIFO order; one that cannot be served
-            # must not block later gets, so scan the queue (the spill
-            # deque is only built once a get blocks).
-            remaining: Optional[Deque[StoreGet]] = None
-            while self._get_waiters:
-                get_event = self._get_waiters.popleft()
-                if get_event.triggered:
-                    continue
-                if self._do_get(get_event):
-                    progress = True
-                else:
-                    if remaining is None:
-                        remaining = deque()
-                    remaining.append(get_event)
-            if remaining is not None:
-                self._get_waiters = remaining
-
-
-class _NoItem:
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return "<NO_ITEM>"
-
-
-_NO_ITEM = _NoItem()
+__all__ = ["RoutedStore"]
 
 
 class RoutedGet(Event):
@@ -304,50 +184,3 @@ class RoutedStore:
 
 def _arrival(entry: Tuple[int, Any]) -> int:
     return entry[0]
-
-
-class PriorityItem:
-    """Wrapper pairing a sortable priority with an arbitrary payload.
-
-    Lower priority values are delivered first; ties are FIFO (stable via a
-    monotone sequence number assigned at insertion).
-    """
-
-    __slots__ = ("priority", "item", "_seq")
-
-    def __init__(self, priority: Any, item: Any) -> None:
-        self.priority = priority
-        self.item = item
-        self._seq = 0
-
-    def __lt__(self, other: "PriorityItem") -> bool:
-        if self.priority != other.priority:
-            return self.priority < other.priority
-        return self._seq < other._seq
-
-    def __repr__(self) -> str:
-        return f"PriorityItem({self.priority!r}, {self.item!r})"
-
-
-class PriorityStore(Store):
-    """A store that releases the lowest-priority item first.
-
-    Items must be :class:`PriorityItem` instances (or anything mutually
-    orderable).
-    """
-
-    def __init__(self, env, capacity: float = float("inf")) -> None:
-        super().__init__(env, capacity)
-        self.items: List[Any] = []  # heap
-        self._insert_seq = 0
-
-    def _insert(self, item: Any) -> None:
-        if isinstance(item, PriorityItem):
-            self._insert_seq += 1
-            item._seq = self._insert_seq
-        heapq.heappush(self.items, item)
-
-    def _extract(self, event: StoreGet) -> Any:
-        if self.items:
-            return heapq.heappop(self.items)
-        return _NO_ITEM

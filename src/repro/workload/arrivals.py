@@ -27,22 +27,15 @@ class ArrivalProcess:
 
     name = "abstract"
 
-    def next_gap(self, stream: Stream) -> float:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def gaps(self, stream: Stream, count: int) -> np.ndarray:
+    def gaps(
+        self, stream: Stream, count: int
+    ) -> np.ndarray:  # pragma: no cover - abstract
         """``count`` successive gaps as a float64 array.
 
-        The base implementation loops over :meth:`next_gap` so custom
-        processes stay correct; the built-in processes override it with
-        a single vectorized draw that consumes the stream identically
-        (numpy batch draws are element-wise equal to scalar draws).
+        The built-in processes make one vectorized draw, element-wise
+        equal to ``count`` scalar draws from the same stream.
         """
-        return np.fromiter(
-            (self.next_gap(stream) for _ in range(int(count))),
-            dtype=np.float64,
-            count=int(count),
-        )
+        raise NotImplementedError
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__}>"
@@ -57,9 +50,6 @@ class ExponentialArrivals(ArrivalProcess):
         if mean <= 0:
             raise WorkloadError(f"mean inter-arrival must be > 0: {mean}")
         self.mean = mean
-
-    def next_gap(self, stream: Stream) -> float:
-        return stream.exponential(self.mean)
 
     def gaps(self, stream: Stream, count: int) -> np.ndarray:
         return stream.exponential_batch(self.mean, count)
@@ -79,9 +69,6 @@ class UniformArrivals(ArrivalProcess):
         self.low = low
         self.high = high
 
-    def next_gap(self, stream: Stream) -> float:
-        return stream.uniform(self.low, self.high)
-
     def gaps(self, stream: Stream, count: int) -> np.ndarray:
         return stream.uniform_batch(self.low, self.high, count)
 
@@ -98,9 +85,6 @@ class DeterministicArrivals(ArrivalProcess):
         if interval <= 0:
             raise WorkloadError(f"interval must be > 0: {interval}")
         self.interval = interval
-
-    def next_gap(self, stream: Stream) -> float:
-        return self.interval
 
     def gaps(self, stream: Stream, count: int) -> np.ndarray:
         return np.full(int(count), self.interval, dtype=np.float64)

@@ -51,30 +51,16 @@ class OperationMix:
         self.key_skew = key_skew
         self._value_counter = 0
 
-    def sample(self, stream: Stream) -> Tuple[str, str, Optional[int]]:
-        """One (op, key, value) draw; reads carry ``value=None``."""
-        op = WRITE if stream.random() < self.write_fraction else READ
-        if len(self.keys) == 1:
-            key = self.keys[0]
-        else:
-            key = self.keys[stream.zipf_index(len(self.keys), self.key_skew)]
-        value = None
-        if op == WRITE:
-            self._value_counter += 1
-            value = self._value_counter
-        return op, key, value
-
     def sample_batch(
         self, count: int, op_stream: Stream, key_stream: Stream
     ) -> List[Tuple[str, str, Optional[int]]]:
         """``count`` (op, key, value) draws via vectorized sampling.
 
-        Operations and keys come from *separate* named streams (unlike
-        :meth:`sample`, which interleaves both on one stream) so the
+        Operations and keys come from *separate* named streams so the
         sequence is invariant under chunk size: the i-th triple is the
         same whether the run draws one chunk of 10_000 or ten of 1_000.
-        Write values continue the same monotone counter as
-        :meth:`sample`.
+        Write values count up from 1 across calls; reads carry
+        ``value=None``.
         """
         count = int(count)
         is_write = op_stream.random_batch(count) < self.write_fraction

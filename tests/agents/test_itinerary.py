@@ -1,6 +1,5 @@
 """Unit tests for itinerary strategies."""
 
-import networkx as nx
 import pytest
 
 from repro.agents.itinerary import (
@@ -16,14 +15,14 @@ from repro.sim.rng import RandomStreams
 
 @pytest.fixture
 def topo():
-    graph = nx.Graph()
-    graph.add_edge("home", "near", cost=1.0)
-    graph.add_edge("home", "mid", cost=2.0)
-    graph.add_edge("home", "far", cost=5.0)
-    graph.add_edge("near", "mid", cost=0.5)
-    graph.add_edge("near", "far", cost=0.7)
-    graph.add_edge("mid", "far", cost=9.0)
-    return Topology(graph)
+    return Topology(["home", "near", "mid", "far"], [
+        ("home", "near", 1.0),
+        ("home", "mid", 2.0),
+        ("home", "far", 5.0),
+        ("near", "mid", 0.5),
+        ("near", "far", 0.7),
+        ("mid", "far", 9.0),
+    ])
 
 
 @pytest.fixture

@@ -3,7 +3,12 @@
 import pytest
 
 from repro.errors import ExperimentError
-from repro.experiments.ablations import theorem3_bounds
+from repro.experiments.ablations import (
+    run_batching_ablation,
+    run_bulletin_ablation,
+    run_itinerary_ablation,
+    theorem3_bounds,
+)
 from repro.experiments.common import latency_sweep
 from repro.experiments.fig2_alt import project_fig2
 from repro.experiments.fig3_att import project_fig3
@@ -11,6 +16,7 @@ from repro.experiments.fig4_prk import run_fig4
 from repro.experiments.runner import RunConfig, build_protocol, run_once, run_repeats
 from repro.experiments.sweeps import sweep
 from repro.experiments.table_comparison import run_comparison
+from repro.experiments.throughput import run_throughput
 from repro.replication.deployment import Deployment
 
 FAST = dict(requests_per_client=5, mean_interarrival=60.0)
@@ -110,7 +116,7 @@ class TestFigures:
     @pytest.fixture(scope="class")
     def small_sweep(self):
         return latency_sweep(
-            server_counts=(3,),
+            server_counts=(3, 4, 5),
             interarrivals=(30.0, 120.0),
             requests_per_client=6,
             repeats=1,
@@ -118,24 +124,39 @@ class TestFigures:
 
     def test_fig2_shape(self, small_sweep):
         figure = project_fig2(small_sweep)
-        series = figure.series["3 servers"]
-        assert len(series) == 2
-        assert series[0] > series[1]  # contention raises ALT
+        for servers in ("3 servers", "4 servers", "5 servers"):
+            series = figure.series[servers]
+            assert len(series) == 2
+            assert series[0] > series[1]  # contention raises ALT
+        # at high contention, more servers means a costlier lock
+        assert figure.series["5 servers"][0] > figure.series["3 servers"][0]
         assert figure.all_consistent
         assert "Figure 2" in figure.text
 
     def test_fig3_dominates_fig2(self, small_sweep):
-        alt_series = project_fig2(small_sweep).series["3 servers"]
-        att_series = project_fig3(small_sweep).series["3 servers"]
-        assert all(a <= t for a, t in zip(alt_series, att_series))
+        figure = project_fig3(small_sweep)
+        assert figure.all_consistent
+        alt_figure = project_fig2(small_sweep)
+        for servers in ("3 servers", "4 servers", "5 servers"):
+            alt_series = alt_figure.series[servers]
+            att_series = figure.series[servers]
+            # ATT is ALT plus the update round, and falls with the load
+            assert all(a <= t for a, t in zip(alt_series, att_series))
+            assert att_series[0] > att_series[-1]
+        assert figure.series["5 servers"][-1] > figure.series["3 servers"][-1]
 
     def test_fig4_mass_shifts_with_rate(self):
         figure = run_fig4(
             interarrivals=(15.0, 150.0), requests_per_client=8, repeats=1,
         )
+        assert figure.all_consistent
         k3, k5 = figure.series["K=3"], figure.series["K=5"]
         assert k5[0] > k5[1]  # high rate -> more full tours
         assert k3[1] > k3[0]  # low rate -> more minimum tours
+        # the paper's reading: under contention most agents visit all 5
+        # servers, at low rates most stop at 3 = (N+1)/2
+        assert k5[0] > 50.0 and k5[0] > k3[0]
+        assert k3[1] > 50.0 and k3[1] > k5[1]
         for idx in range(2):
             total = sum(figure.series[f"K={k}"][idx] for k in (3, 4, 5))
             assert total == pytest.approx(100.0)
@@ -156,6 +177,45 @@ class TestComparisonAndTheorems:
         assert pc_row.agent_migrations == 0
         assert "protocol" in table.text
 
+    def test_contention_favours_marp(self):
+        """T1, the paper's §1/§5 claim: under write contention the voting
+        protocols burn retry rounds; MARP needs less than half their
+        control messages and finishes sooner."""
+        table = run_comparison(
+            protocols=("marp", "mcv", "weighted-voting"),
+            mean_interarrival=25.0, requests_per_client=8, repeats=1,
+        )
+        marp, mcv, wv = (
+            table.row_for(p) for p in ("marp", "mcv", "weighted-voting")
+        )
+        for row in (marp, mcv, wv):
+            assert row.committed == 40.0
+            assert row.consistent
+        assert marp.control_messages < mcv.control_messages / 2
+        assert marp.control_messages < wv.control_messages / 2
+        assert marp.att < mcv.att
+        assert marp.att < wv.att
+        assert marp.agent_migrations > 0
+        assert mcv.agent_migrations == 0
+
+    def test_wan_slows_everyone_and_marp_keeps_the_smaller_bill(self):
+        """T2: the WAN profile is several times slower for every
+        protocol, and MARP's message bill stays below the voting one."""
+        protocols = ("marp", "mcv", "weighted-voting")
+        table = run_comparison(
+            protocols=protocols, latencies=("lan", "wan"),
+            mean_interarrival=400.0, requests_per_client=4, repeats=1,
+        )
+        for protocol in protocols:
+            lan = table.row_for(protocol, "lan")
+            wan = table.row_for(protocol, "wan")
+            assert lan.consistent and wan.consistent
+            assert wan.att > 5 * lan.att
+        assert (
+            table.row_for("marp", "wan").control_messages
+            < table.row_for("mcv", "wan").control_messages
+        )
+
     def test_row_for_missing_raises(self):
         table = run_comparison(
             protocols=("marp",), requests_per_client=3, repeats=1,
@@ -164,11 +224,56 @@ class TestComparisonAndTheorems:
             table.row_for("mcv")
 
     def test_theorem3_bounds_hold(self):
-        report = theorem3_bounds(
-            n_replicas=3, requests_per_client=6, repeats=1,
-            mean_interarrival=40.0,
+        for n in (3, 5):
+            report = theorem3_bounds(
+                n_replicas=n, requests_per_client=6, repeats=1,
+                mean_interarrival=40.0,
+            )
+            assert report.holds
+            assert report.lower_bound == n // 2 + 1
+            assert report.upper_bound == n
+            assert report.commits == 6 * n
+            assert "HOLDS" in report.text
+        # at negligible load the winner stops at exactly (N+1)/2 visits
+        idle = theorem3_bounds(
+            n_replicas=5, requests_per_client=3, repeats=1,
+            mean_interarrival=500.0,
         )
-        assert report.holds
-        assert report.lower_bound == 2
-        assert report.upper_bound == 3
-        assert "HOLDS" in report.text
+        assert idle.observed_min == 3
+
+
+class TestAblationsAndThroughput:
+    def test_every_itinerary_commits_consistently(self):
+        table = run_itinerary_ablation(requests_per_client=4, repeats=1)
+        for strategy in (
+            "cost-sorted", "initial-cost-order", "static-order",
+            "random-order",
+        ):
+            assert table.column(strategy, "consistent")
+            assert table.column(strategy, "committed") == 20.0
+
+    def test_bulletin_sharing_is_optional_for_consistency(self):
+        table = run_bulletin_ablation(requests_per_client=4, repeats=1)
+        assert table.column(True, "consistent")
+        assert table.column(False, "consistent")
+
+    def test_batching_amortises_migrations(self):
+        table = run_batching_ablation(
+            batch_sizes=(1, 4), requests_per_client=8, repeats=1,
+        )
+        assert table.column(1, "consistent")
+        assert table.column(4, "consistent")
+        assert table.column(4, "agent hops") < table.column(1, "agent hops")
+
+    def test_throughput_saturates_at_the_lock_handoff_rate(self):
+        """X1: the two highest offered loads achieve the same
+        throughput; the lightest one is served almost in full."""
+        table = run_throughput(
+            interarrivals=(10.0, 30.0, 160.0), requests_per_client=10,
+            repeats=1,
+        )
+        offered, achieved = table.offered(), table.achieved()
+        assert achieved[0] < offered[0] * 0.5
+        assert achieved[0] == pytest.approx(achieved[1], rel=0.25)
+        assert achieved[-1] > offered[-1] * 0.5
+        assert all(row[-1] for row in table.rows)

@@ -27,6 +27,23 @@ class TestScalability:
         att = table.series("marp", "ATT(ms)")
         assert att[5] > att[3]
 
+    def test_voting_degrades_faster_than_marp(self):
+        """S1 with the voting baseline beside MARP: per-commit cost grows
+        with N for both, and MCV's latency grows faster from 5 to 7
+        (bigger quorums mean more conflicting vote rounds)."""
+        table = run_scalability(
+            protocols=("marp", "mcv"), replica_counts=(3, 5, 7),
+            requests_per_client=4, repeats=1,
+        )
+        growth = {}
+        for protocol in ("marp", "mcv"):
+            att = table.series(protocol, "ATT(ms)")
+            msgs = table.series(protocol, "msgs/commit")
+            assert att[7] > att[3]
+            assert msgs[7] > msgs[3]
+            growth[protocol] = att[7] / att[5]
+        assert growth["mcv"] > growth["marp"]
+
     def test_series_accessor(self, table):
         msgs = table.series("marp", "msgs/commit")
         assert set(msgs) == {3, 5}
@@ -49,6 +66,23 @@ class TestAvailability:
     def test_graceful_degradation_with_minority_down(self, table):
         # 2 of 5 homes are dead: only their clients are denied.
         assert table.availability("marp")[2] == pytest.approx(60.0)
+
+    def test_availability_steps_down_to_the_quorum_bound(self):
+        """F1: each crashed home costs its own clients only while a
+        majority lives; below it nothing commits. Primary-copy dies
+        with its primary, the first crash victim."""
+        table = run_availability(
+            protocols=("marp", "primary-copy"), crash_counts=(0, 1, 2, 3),
+            requests_per_client=3, repeats=1, horizon=200_000.0,
+        )
+        marp = table.availability("marp")
+        assert marp[0] == 100.0
+        assert marp[1] == pytest.approx(80.0)
+        assert marp[2] == pytest.approx(60.0)
+        assert marp[3] == 0.0
+        primary = table.availability("primary-copy")
+        assert primary[0] == 100.0
+        assert primary[1] == 0.0
 
     def test_survivors_stay_consistent(self, table):
         for row in table.rows:

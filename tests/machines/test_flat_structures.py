@@ -5,8 +5,8 @@ The flat-state rewrite backs ``LockingList``/``UpdatedList``/
 per-host arrays and mutation-counter memos (``docs/architecture.md``,
 "Kernel internals"). Nothing interned ever crosses the wire, so the
 whole rewrite must be *invisible*: these tests hold the fast path to
-plain-Python models and to the retained executable specification
-``decide_reference``, and check that interning survives every
+plain-Python models and to the executable specification
+``decide_reference`` (``tests/machines/decide_reference.py``), and check that interning survives every
 serialisation boundary (pickle, adversary-schedule JSON) without
 leaking into observable behaviour.
 """
@@ -28,9 +28,9 @@ from repro.core.machines import (
     UpdatedList,
     VersionedStore,
     decide,
-    decide_reference,
     rank_queue,
 )
+from tests.machines.decide_reference import decide_reference
 
 
 def aid(n: int) -> AgentId:
@@ -171,6 +171,67 @@ def test_decide_matches_reference(data):
             extra_done=extra_done, unavailable=unavailable,
         )
         assert fast == ref
+
+
+@st.composite
+def vote_maps(draw, max_hosts=6):
+    """Vote weights for some of ``s1..s6``: hosts left out and hosts
+    given 0 both weigh nothing; the total is at least 1."""
+    votes = draw(
+        st.dictionaries(
+            st.sampled_from([f"s{k + 1}" for k in range(max_hosts)]),
+            st.integers(min_value=0, max_value=4),
+            min_size=1,
+        )
+    )
+    if not any(votes.values()):
+        votes[draw(st.sampled_from(sorted(votes)))] = draw(
+            st.integers(min_value=1, max_value=4)
+        )
+    return votes
+
+
+@given(data=lock_tables(), votes=vote_maps())
+@settings(max_examples=300, deadline=None)
+def test_weighted_decide_matches_reference(data, votes):
+    """Weighted voting runs on the packed cascade too: the whole
+    ``Decision`` — outcome, designee, reason, vote tally (zero-vote tops
+    included) and quorum hosts — is the specification's."""
+    n_hosts, agents, table, _views, extra_done, unavailable = data
+    decide(table, n_hosts, aid(agents[0]))  # a primed memo must not answer
+    for agent in agents:
+        fast = decide(
+            table, n_hosts, aid(agent), votes=votes,
+            extra_done=extra_done, unavailable=unavailable,
+        )
+        ref = decide_reference(
+            table, n_hosts, aid(agent), votes=votes,
+            extra_done=extra_done, unavailable=unavailable,
+        )
+        assert fast == ref
+    # ... and a weighted evaluation leaves nothing behind for the
+    # unweighted one.
+    assert decide(table, n_hosts, aid(agents[0])) == decide_reference(
+        table, n_hosts, aid(agents[0])
+    )
+
+
+def test_weights_decide_the_outcome():
+    """One heavy server outvotes two light ones: skipping the weights
+    (a count majority for agent 2) would get this wrong."""
+    table = LockingTable()
+    for host, top in (("s1", 1), ("s2", 2), ("s3", 2)):
+        table.update(SharedView(
+            host=host, as_of=1.0, view=(aid(top),),
+            updated=frozenset(), versions={},
+        ))
+    votes = {"s1": 3, "s2": 1, "s3": 1}
+    assert decide(table, 3, aid(1)).winner == aid(2)
+    weighted = decide(table, 3, aid(1), votes=votes)
+    assert weighted == decide_reference(table, 3, aid(1), votes=votes)
+    assert (weighted.outcome, weighted.winner) == ("win", aid(1))
+    assert weighted.top_counts == {aid(1): 3, aid(2): 2}
+    assert weighted.quorum_hosts == ("s1",)
 
 
 @given(data=lock_tables())

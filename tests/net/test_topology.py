@@ -1,6 +1,5 @@
 """Unit tests for the topology substrate."""
 
-import networkx as nx
 import pytest
 
 from repro.errors import HostUnreachable, NetworkError
@@ -16,7 +15,7 @@ def stream():
 class TestConstruction:
     def test_full_mesh_edges(self):
         topo = Topology.full_mesh(["a", "b", "c"])
-        assert topo.graph.number_of_edges() == 3
+        assert len(topo.links) == 3
         assert topo.cost("a", "b") == 1.0
 
     def test_full_mesh_jitter_requires_stream(self):
@@ -26,7 +25,7 @@ class TestConstruction:
     def test_full_mesh_jitter(self, stream):
         topo = Topology.full_mesh(["a", "b", "c"], cost=2.0, jitter=0.5,
                                   stream=stream)
-        costs = [d["cost"] for _u, _v, d in topo.graph.edges(data=True)]
+        costs = [cost for _u, _v, cost in topo.links]
         assert all(1.5 <= c <= 2.5 for c in costs)
 
     def test_star(self):
@@ -43,18 +42,35 @@ class TestConstruction:
 
     def test_random_costs_in_range(self, stream):
         topo = Topology.random_costs(["a", "b", "c"], stream, low=0.5, high=2.0)
-        costs = [d["cost"] for _u, _v, d in topo.graph.edges(data=True)]
+        costs = [cost for _u, _v, cost in topo.links]
         assert all(0.5 <= c <= 2.0 for c in costs)
 
     def test_empty_graph_rejected(self):
         with pytest.raises(NetworkError):
-            Topology(nx.Graph())
+            Topology([])
 
     def test_nonpositive_cost_rejected(self):
-        graph = nx.Graph()
-        graph.add_edge("a", "b", cost=0)
         with pytest.raises(NetworkError):
-            Topology(graph)
+            Topology(["a", "b"], [("a", "b", 0)])
+
+    @pytest.mark.parametrize("link", [("a", "b"), ("a", "b", None)])
+    def test_link_without_a_cost_rejected(self, link):
+        with pytest.raises(NetworkError):
+            Topology(["a", "b"], [link])
+
+    def test_constructor_copies_its_input(self):
+        hosts, links = ["a", "b"], [("a", "b", 2)]
+        topo = Topology(hosts, links)
+        topo.set_cost("a", "b", 5.0)
+        hosts.append("c")
+        assert (hosts, links) == (["a", "b", "c"], [("a", "b", 2)])
+        assert topo.hosts == ["a", "b"]
+        assert topo.links == [("a", "b", 5.0)]
+
+    def test_hosts_keep_insertion_order_and_links_name_new_ones(self):
+        topo = Topology(["z", "a"], [("a", "m", 1.0)])
+        assert topo.hosts == ["z", "a", "m"]
+        assert Topology(topo.hosts, topo.links).links == topo.links
 
 
 class TestRouting:
@@ -70,27 +86,20 @@ class TestRouting:
             topo.routing_table("zz")
 
     def test_cost_shortest_path(self):
-        graph = nx.Graph()
-        graph.add_edge("a", "b", cost=10.0)
-        graph.add_edge("a", "c", cost=1.0)
-        graph.add_edge("c", "b", cost=1.0)
-        topo = Topology(graph)
+        topo = Topology(
+            [], [("a", "b", 10.0), ("a", "c", 1.0), ("c", "b", 1.0)]
+        )
         assert topo.cost("a", "b") == 2.0  # via c
 
     def test_cost_unreachable(self):
-        graph = nx.Graph()
-        graph.add_node("island")
-        graph.add_edge("a", "b", cost=1.0)
-        topo = Topology(graph)
+        topo = Topology(["island"], [("a", "b", 1.0)])
         with pytest.raises(HostUnreachable):
             topo.cost("a", "island")
 
     def test_neighbors_by_cost_sorted(self):
-        graph = nx.Graph()
-        graph.add_edge("src", "near", cost=1.0)
-        graph.add_edge("src", "far", cost=5.0)
-        graph.add_edge("src", "mid", cost=2.0)
-        topo = Topology(graph)
+        topo = Topology(
+            [], [("src", "near", 1.0), ("src", "far", 5.0), ("src", "mid", 2.0)]
+        )
         assert topo.neighbors_by_cost("src", ["far", "near", "mid"]) == [
             "near", "mid", "far",
         ]
@@ -107,10 +116,48 @@ class TestRouting:
     def test_invalidate_routes_recomputes(self):
         topo = Topology.full_mesh(["a", "b"], cost=1.0)
         assert topo.cost("a", "b") == 1.0
-        topo.graph["a"]["b"]["cost"] = 3.0
-        topo.invalidate_routes()
+        topo.set_cost("a", "b", 3.0)
         assert topo.cost("a", "b") == 3.0
+        assert topo.cost("b", "a") == 3.0
+
+    def test_set_cost_validates(self):
+        topo = Topology.full_mesh(["a", "b"])
+        with pytest.raises(NetworkError):
+            topo.set_cost("a", "b", -1.0)
+        with pytest.raises(NetworkError):
+            topo.set_cost("a", "zz", 1.0)
+        assert topo.cost("a", "b") == 1.0
 
     def test_hosts_property(self):
         topo = Topology.full_mesh(["b", "a"])
         assert sorted(topo.hosts) == ["a", "b"]
+
+
+def test_random_costs_routing_table_is_pinned_to_the_digit(stream):
+    """The six-host ``random_costs`` table networkx's Dijkstra produced
+    at 564554c, float for float. s1-s4, s1-s5, s2-s4 and s5-s6 are
+    two-hop routes (the direct links cost 1.67, 1.96, 1.71 and 1.93), so
+    the sums pin the order a path's links are added in."""
+    hosts = ["s1", "s2", "s3", "s4", "s5", "s6"]
+    topo = Topology.random_costs(hosts, stream)
+    assert ("s1", "s4", 1.6719815293621332) in topo.links  # not the route
+    assert {host: topo.routing_table(host) for host in hosts} == {
+        "s1": {"s1": 0.0, "s2": 1.1997880203923235, "s3": 1.325394301949795,
+               "s4": 1.448042711922977, "s5": 1.9210774120906948,
+               "s6": 0.5846364246842172},
+        "s2": {"s1": 1.1997880203923235, "s2": 0.0, "s3": 0.7124051595203886,
+               "s4": 1.42545424032886, "s5": 0.7212893916983714,
+               "s6": 1.5642224992329496},
+        "s3": {"s1": 1.325394301949795, "s2": 0.7124051595203886, "s3": 0.0,
+               "s4": 1.2935119887393718, "s5": 1.1992208691992596,
+               "s6": 1.596038902690139},
+        "s4": {"s1": 1.448042711922977, "s2": 1.42545424032886,
+               "s3": 1.2935119887393718, "s4": 0.0, "s5": 0.7041648486304886,
+               "s6": 0.8634062872387599},
+        "s5": {"s1": 1.9210774120906948, "s2": 0.7212893916983714,
+               "s3": 1.1992208691992596, "s4": 0.7041648486304886, "s5": 0.0,
+               "s6": 1.5675711358692483},
+        "s6": {"s1": 0.5846364246842172, "s2": 1.5642224992329496,
+               "s3": 1.596038902690139, "s4": 0.8634062872387599,
+               "s5": 1.5675711358692483, "s6": 0.0},
+    }

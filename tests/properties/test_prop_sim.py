@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.core import Environment
-from repro.sim.stores import Store
+from repro.sim.stores import RoutedStore
 
 
 @given(
@@ -59,28 +59,45 @@ def test_equal_time_events_fifo_by_creation(delays):
 )
 @settings(max_examples=60, deadline=None)
 def test_store_preserves_fifo(items, consumer_first):
+    """Each route of a RoutedStore is FIFO, whether its consumer asked
+    before the items came or after, and a route-less get sees arrival
+    order across the routes."""
     env = Environment()
-    store = Store(env)
-    out = []
+    store = RoutedStore(env, lambda item: item % 3)
+    out = {0: [], 1: [], 2: []}
 
     def producer(env):
         for item in items:
-            yield store.put(item)
+            store.put(item)
             yield env.timeout(0.5)
 
-    def consumer(env):
-        for _ in items:
-            value = yield store.get()
-            out.append(value)
+    def consumer(env, route):
+        for _ in range(sum(item % 3 == route for item in items)):
+            value = yield store.get(route)
+            out[route].append(value)
 
+    procs = [consumer(env, route) for route in out]
     if consumer_first:
-        env.process(consumer(env))
-        env.process(producer(env))
+        procs.append(producer(env))
     else:
-        env.process(producer(env))
-        env.process(consumer(env))
+        procs.insert(0, producer(env))
+    for proc in procs:
+        env.process(proc)
     env.run()
-    assert out == items
+    assert out == {r: [i for i in items if i % 3 == r] for r in out}
+    assert len(store) == 0
+
+    for item in items:
+        store.put(item)
+    drained = []
+
+    def drain(env):
+        for _ in items:
+            drained.append((yield store.get()))
+
+    env.process(drain(env))
+    env.run()
+    assert drained == items
 
 
 @given(

@@ -52,4 +52,8 @@ class TestLiveWorkloadDriver:
             records = driver.run(timeout=60.0)
         assert len(records) == driver.total_writes == 9
         assert len(committed_writes(records)) == 9
-        assert cluster.audit().consistent
+        report = cluster.audit()
+        assert report.consistent
+        assert report.total_commits == 9
+        for record in committed_writes(records):
+            assert record.visits_to_lock >= 2  # ceil((3+1)/2)

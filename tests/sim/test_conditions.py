@@ -1,9 +1,9 @@
-"""Unit tests for AllOf / AnyOf conditions."""
+"""Unit tests for the AnyOf condition."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.conditions import AllOf, AnyOf
+from repro.sim.conditions import AnyOf
 from repro.sim.core import Environment
 
 
@@ -48,36 +48,6 @@ class TestAnyOf:
         env.run()
 
 
-class TestAllOf:
-    def test_waits_for_all(self, env):
-        def proc(env):
-            result = yield env.timeout(1, "x") & env.timeout(4, "y")
-            assert env.now == 4.0
-            assert sorted(result.values()) == ["x", "y"]
-
-        env.process(proc(env))
-        env.run()
-
-    def test_empty_allof_fires_immediately(self, env):
-        def proc(env):
-            yield AllOf(env, [])
-            assert env.now == 0.0
-
-        env.process(proc(env))
-        env.run()
-
-    def test_result_maps_events_to_values(self, env):
-        def proc(env):
-            t1 = env.timeout(1, 10)
-            t2 = env.timeout(2, 20)
-            result = yield AllOf(env, [t1, t2])
-            assert result[t1] == 10
-            assert result[t2] == 20
-
-        env.process(proc(env))
-        env.run()
-
-
 class TestConditionFailures:
     def test_constituent_failure_fails_condition(self, env):
         def boom(env, event):
@@ -88,7 +58,7 @@ class TestConditionFailures:
             event = env.event()
             env.process(boom(env, event))
             with pytest.raises(RuntimeError, match="kapow"):
-                yield event & env.timeout(10)
+                yield event | env.timeout(10)
 
         env.process(proc(env))
         env.run()
@@ -98,7 +68,7 @@ class TestConditionFailures:
             failed = env.event()
             failed.fail(RuntimeError("pre-failed"))
             yield env.timeout(1)  # let it be processed... it raises
-            yield failed & env.timeout(5)
+            yield failed | env.timeout(5)
 
         env.process(proc(env))
         with pytest.raises(RuntimeError, match="pre-failed"):
@@ -107,16 +77,17 @@ class TestConditionFailures:
     def test_mixed_environment_rejected(self, env):
         other = Environment()
         with pytest.raises(SimulationError):
-            AllOf(env, [env.timeout(1), other.timeout(1)])
+            AnyOf(env, [env.timeout(1), other.timeout(1)])
 
 
 class TestConditionComposition:
     def test_nested_conditions(self, env):
         def proc(env):
-            inner = env.timeout(1, "a") | env.timeout(2, "b")
-            result = yield inner & env.timeout(3, "c")
-            assert env.now == 3.0
-            assert len(result) == 2  # inner condition + the timeout
+            first = env.timeout(2, "a")
+            inner = first | env.timeout(3, "b")
+            result = yield inner | env.timeout(5, "c")
+            assert env.now == 2.0
+            assert result == {inner: {first: "a"}}
 
         env.process(proc(env))
         env.run()
@@ -125,9 +96,9 @@ class TestConditionComposition:
         def proc(env):
             done = env.timeout(1, "early")
             yield env.timeout(2)  # `done` processed at t=1
-            result = yield AllOf(env, [done, env.timeout(1, "late")])
-            assert env.now == 3.0
-            assert sorted(result.values()) == ["early", "late"]
+            result = yield AnyOf(env, [done, env.timeout(1, "late")])
+            assert env.now == 2.0  # satisfied at construction
+            assert list(result.values()) == ["early"]
 
         env.process(proc(env))
         env.run()

@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim.core import NORMAL, URGENT, Environment
-from repro.sim.interrupts import Interrupt
 
 
 class TestClock:
@@ -218,43 +217,3 @@ class TestProcess:
 
         process = env.process(gen(env), name="worker-7")
         assert process.name == "worker-7"
-
-
-class TestInterruptViaProcess:
-    def test_interrupting_dead_process_raises(self, env):
-        def proc(env):
-            yield env.timeout(1)
-
-        process = env.process(proc(env))
-        env.run()
-        with pytest.raises(SimulationError):
-            process.interrupt()
-
-    def test_self_interrupt_rejected(self, env):
-        def proc(env):
-            env.active_process.interrupt()
-            yield env.timeout(1)
-
-        env.process(proc(env))
-        with pytest.raises(SimulationError, match="interrupt itself"):
-            env.run()
-
-    def test_interrupted_process_can_continue(self, env):
-        log = []
-
-        def sleeper(env):
-            try:
-                yield env.timeout(100)
-            except Interrupt as interrupt:
-                log.append(("interrupted", env.now, interrupt.cause))
-            yield env.timeout(1)
-            log.append(("resumed", env.now))
-
-        def waker(env, target):
-            yield env.timeout(5)
-            target.interrupt("wake")
-
-        target = env.process(sleeper(env))
-        env.process(waker(env, target))
-        env.run()
-        assert log == [("interrupted", 5.0, "wake"), ("resumed", 6.0)]

@@ -110,12 +110,6 @@ class TestEventCallbacks:
 
 
 class TestEventComposition:
-    def test_and_creates_allof(self, env):
-        from repro.sim.conditions import AllOf
-
-        combined = env.event() & env.event()
-        assert isinstance(combined, AllOf)
-
     def test_or_creates_anyof(self, env):
         from repro.sim.conditions import AnyOf
 

@@ -1,98 +1,6 @@
-"""Unit tests for Store / RoutedStore / PriorityStore."""
+"""Unit tests for RoutedStore."""
 
-import pytest
-
-from repro.errors import SimulationError
-from repro.sim.stores import PriorityItem, PriorityStore, RoutedStore, Store
-
-
-class TestStore:
-    def test_put_then_get_fifo(self, env):
-        store = Store(env)
-        out = []
-
-        def producer(env):
-            for item in ("a", "b", "c"):
-                yield store.put(item)
-
-        def consumer(env):
-            for _ in range(3):
-                item = yield store.get()
-                out.append(item)
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        env.run()
-        assert out == ["a", "b", "c"]
-
-    def test_get_blocks_until_item_available(self, env):
-        store = Store(env)
-        got_at = []
-
-        def consumer(env):
-            yield store.get()
-            got_at.append(env.now)
-
-        def producer(env):
-            yield env.timeout(7)
-            yield store.put("late")
-
-        env.process(consumer(env))
-        env.process(producer(env))
-        env.run()
-        assert got_at == [7.0]
-
-    def test_capacity_blocks_put(self, env):
-        store = Store(env, capacity=1)
-        put_times = []
-
-        def producer(env):
-            yield store.put(1)
-            put_times.append(env.now)
-            yield store.put(2)
-            put_times.append(env.now)
-
-        def consumer(env):
-            yield env.timeout(5)
-            yield store.get()
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        env.run()
-        assert put_times == [0.0, 5.0]
-
-    def test_invalid_capacity(self, env):
-        with pytest.raises(SimulationError):
-            Store(env, capacity=0)
-
-    def test_len_reflects_items(self, env):
-        store = Store(env)
-
-        def producer(env):
-            yield store.put("x")
-
-        env.process(producer(env))
-        env.run()
-        assert len(store) == 1
-
-    def test_multiple_consumers_fifo(self, env):
-        store = Store(env)
-        served = []
-
-        def consumer(env, name):
-            item = yield store.get()
-            served.append((name, item))
-
-        def producer(env):
-            yield env.timeout(1)
-            yield store.put("first")
-            yield store.put("second")
-
-        env.process(consumer(env, "c1"))
-        env.process(consumer(env, "c2"))
-        env.process(producer(env))
-        env.run()
-        assert served == [("c1", "first"), ("c2", "second")]
+from repro.sim.stores import RoutedStore
 
 
 def _parity(item):
@@ -218,55 +126,3 @@ class TestRoutedStore:
         assert len(store) == 3
         assert store.discard(lambda x: True) == 3
         assert store._queues == {}
-
-
-class TestPriorityStore:
-    def test_lowest_priority_first(self, env):
-        store = PriorityStore(env)
-        out = []
-
-        def producer(env):
-            yield store.put(PriorityItem(3, "low"))
-            yield store.put(PriorityItem(1, "high"))
-            yield store.put(PriorityItem(2, "mid"))
-
-        def consumer(env):
-            yield env.timeout(1)  # let the producer fill the heap first
-            for _ in range(3):
-                item = yield store.get()
-                out.append(item.item)
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        env.run()
-        assert out == ["high", "mid", "low"]
-
-    def test_equal_priority_fifo(self, env):
-        store = PriorityStore(env)
-        out = []
-
-        def producer(env):
-            for tag in ("first", "second", "third"):
-                yield store.put(PriorityItem(5, tag))
-
-        def consumer(env):
-            yield env.timeout(1)
-            for _ in range(3):
-                item = yield store.get()
-                out.append(item.item)
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        env.run()
-        assert out == ["first", "second", "third"]
-
-
-def test_priority_item_ordering():
-    a = PriorityItem(1, "a")
-    b = PriorityItem(2, "b")
-    assert a < b
-    assert not (b < a)
-
-
-def test_priority_item_repr():
-    assert "PriorityItem(1, 'x')" == repr(PriorityItem(1, "x"))

@@ -1,7 +1,10 @@
 """Package-level quality gates: imports, docstrings, public API."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -22,6 +25,22 @@ class TestImports:
 
     def test_package_has_version(self):
         assert repro.__version__
+
+    def test_a_run_imports_no_graph_or_stats_library(self):
+        """What every run and every benchmark child imports pulls in
+        neither networkx (``net.topology`` routes by itself) nor scipy
+        (``analysis.stats`` imports it at its one call site)."""
+        code = (
+            "import sys, repro.experiments.runner, repro.cli; "
+            "print(sorted({'networkx', 'scipy'} & set(sys.modules)))"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        child = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            timeout=120, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.strip() == "[]"
 
 
 class TestDocstrings:

@@ -1,9 +1,13 @@
 """Vectorized workload generation: determinism and distribution shape.
 
 Batch draws are element-wise identical to scalar draws from an
-equally-seeded stream (the scalar draws are the reference), the chunk
-size never leaks into what a client submits, and the serial and
-process-pool engines agree bit-for-bit.
+equally-seeded stream, the chunk size never leaks into what a client
+submits, and the serial and process-pool engines agree bit-for-bit.
+
+The scalar samplers below are the reference: one draw at a time from
+the scalar ``Stream`` methods, the oracle for ``ArrivalProcess.gaps``
+and ``OperationMix.sample_batch`` (clients only ever draw
+``WORKLOAD_CHUNK`` requests at a time).
 """
 
 import numpy as np
@@ -21,25 +25,51 @@ def _stream(name="vec-tests", seed=7):
     return RandomStreams(seed).stream(name)
 
 
+def scalar_gap(arrivals, stream):
+    """One inter-arrival gap from one scalar draw."""
+    if isinstance(arrivals, ExponentialArrivals):
+        return stream.exponential(arrivals.mean)
+    if isinstance(arrivals, UniformArrivals):
+        return stream.uniform(arrivals.low, arrivals.high)
+    return arrivals.interval
+
+
+class ScalarMix:
+    """``OperationMix`` one (op, key, value) at a time: a uniform for
+    the operation, a Zipf index for the key, a counter for the value."""
+
+    def __init__(self, write_fraction, keys, key_skew):
+        self.write_fraction = write_fraction
+        self.keys = list(keys)
+        self.key_skew = key_skew
+        self.writes = 0
+
+    def sample(self, op_stream, key_stream):
+        write = op_stream.random() < self.write_fraction
+        key = self.keys[0]
+        if len(self.keys) > 1:
+            key = self.keys[
+                key_stream.zipf_index(len(self.keys), self.key_skew)
+            ]
+        if not write:
+            return "read", key, None
+        self.writes += 1
+        return "write", key, self.writes
+
+
 class TestBatchScalarEquivalence:
     def test_exponential_batch_matches_scalar(self):
-        batch = ExponentialArrivals(20.0).gaps(_stream(), 500)
-        scalar = [
-            ExponentialArrivals(20.0).next_gap(_stream())
-            for _ in range(1)
-        ]
-        assert batch[0] == scalar[0]
-        # and the whole batch equals 500 scalar draws from a twin stream
-        twin = _stream()
         arrivals = ExponentialArrivals(20.0)
-        expected = np.array([arrivals.next_gap(twin) for _ in range(500)])
+        batch = arrivals.gaps(_stream(), 500)
+        twin = _stream()
+        expected = np.array([scalar_gap(arrivals, twin) for _ in range(500)])
         np.testing.assert_array_equal(batch, expected)
 
     def test_uniform_batch_matches_scalar(self):
-        batch = UniformArrivals(5.0, 9.0).gaps(_stream(), 300)
-        twin = _stream()
         arrivals = UniformArrivals(5.0, 9.0)
-        expected = np.array([arrivals.next_gap(twin) for _ in range(300)])
+        batch = arrivals.gaps(_stream(), 300)
+        twin = _stream()
+        expected = np.array([scalar_gap(arrivals, twin) for _ in range(300)])
         np.testing.assert_array_equal(batch, expected)
 
     def test_zipf_batch_matches_scalar(self):
@@ -57,22 +87,23 @@ class TestBatchScalarEquivalence:
         np.testing.assert_array_equal(batch, expected)
 
     def test_mix_sample_batch_matches_scalar(self):
-        mix = OperationMix(write_fraction=0.7, keys=tuple(
-            f"k{i}" for i in range(32)
-        ), key_skew=0.9)
-        ops = _stream("ops")
-        keys = _stream("keys")
-        batch = mix.sample_batch(250, ops, keys)
-        twin_mix = OperationMix(write_fraction=0.7, keys=tuple(
-            f"k{i}" for i in range(32)
-        ), key_skew=0.9)
-        # Scalar twin: one uniform for the op, one for the key, drawn
-        # from equally-seeded twin streams.
+        population = tuple(f"k{i}" for i in range(32))
+        mix = OperationMix(write_fraction=0.7, keys=population, key_skew=0.9)
+        ops, keys = _stream("ops"), _stream("keys")
+        # two chunks: the write counter carries over
+        batch = mix.sample_batch(200, ops, keys) + mix.sample_batch(50, ops, keys)
+        twin = ScalarMix(0.7, population, 0.9)
         twin_ops, twin_keys = _stream("ops"), _stream("keys")
-        for op, key, _value in batch:
-            want_write = twin_ops.random() < 0.7
-            assert (op == "write") == want_write
-            assert key == f"k{twin_keys.zipf_index(32, 0.9)}"
+        assert batch == [twin.sample(twin_ops, twin_keys) for _ in range(250)]
+
+    def test_single_key_mix_draws_no_key(self):
+        mix = OperationMix(write_fraction=0.5)
+        keys = _stream("keys")
+        batch = mix.sample_batch(100, _stream("ops"), keys)
+        twin = ScalarMix(0.5, ["x"], 0.0)
+        twin_ops, twin_keys = _stream("ops"), _stream("keys")
+        assert batch == [twin.sample(twin_ops, twin_keys) for _ in range(100)]
+        assert keys.random() == twin_keys.random()  # both left it untouched
 
 
 class TestZipfShape:

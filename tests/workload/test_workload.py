@@ -21,10 +21,15 @@ def stream():
     return RandomStreams(5).stream("workload-tests")
 
 
+@pytest.fixture
+def key_stream():
+    return RandomStreams(5).stream("workload-test-keys")
+
+
 class TestArrivals:
     def test_exponential_mean(self, stream):
         arrivals = ExponentialArrivals(20.0)
-        gaps = [arrivals.next_gap(stream) for _ in range(4000)]
+        gaps = arrivals.gaps(stream, 4000)
         assert 18.0 < np.mean(gaps) < 22.0
 
     def test_exponential_validation(self):
@@ -33,7 +38,7 @@ class TestArrivals:
 
     def test_uniform_bounds(self, stream):
         arrivals = UniformArrivals(5.0, 10.0)
-        assert all(5 <= arrivals.next_gap(stream) <= 10 for _ in range(200))
+        assert all(5 <= gap <= 10 for gap in arrivals.gaps(stream, 200))
 
     def test_uniform_validation(self):
         with pytest.raises(WorkloadError):
@@ -43,7 +48,7 @@ class TestArrivals:
 
     def test_deterministic_fixed(self, stream):
         arrivals = DeterministicArrivals(7.0)
-        assert [arrivals.next_gap(stream) for _ in range(3)] == [7.0] * 3
+        assert list(arrivals.gaps(stream, 3)) == [7.0] * 3
 
     def test_deterministic_validation(self):
         with pytest.raises(WorkloadError):
@@ -64,43 +69,43 @@ class TestArrivals:
 
 
 class TestOperationMix:
-    def test_all_writes(self, stream):
+    def test_all_writes(self, stream, key_stream):
         mix = OperationMix(write_fraction=1.0)
-        ops = {mix.sample(stream)[0] for _ in range(50)}
+        ops = {t[0] for t in mix.sample_batch(50, stream, key_stream)}
         assert ops == {WRITE}
 
-    def test_all_reads(self, stream):
+    def test_all_reads(self, stream, key_stream):
         mix = OperationMix(write_fraction=0.0)
-        ops = {mix.sample(stream)[0] for _ in range(50)}
+        ops = {t[0] for t in mix.sample_batch(50, stream, key_stream)}
         assert ops == {READ}
 
-    def test_mixed_fraction(self, stream):
+    def test_mixed_fraction(self, stream, key_stream):
         mix = OperationMix(write_fraction=0.5)
-        ops = [mix.sample(stream)[0] for _ in range(1000)]
+        ops = [t[0] for t in mix.sample_batch(1000, stream, key_stream)]
         write_rate = ops.count(WRITE) / len(ops)
         assert 0.4 < write_rate < 0.6
 
-    def test_write_values_unique_increasing(self, stream):
+    def test_write_values_unique_increasing(self, stream, key_stream):
         mix = OperationMix(write_fraction=1.0)
-        values = [mix.sample(stream)[2] for _ in range(5)]
+        values = [t[2] for t in mix.sample_batch(5, stream, key_stream)]
         assert values == [1, 2, 3, 4, 5]
 
-    def test_reads_have_no_value(self, stream):
+    def test_reads_have_no_value(self, stream, key_stream):
         mix = OperationMix(write_fraction=0.0)
-        assert mix.sample(stream)[2] is None
+        assert mix.sample_batch(1, stream, key_stream)[0][2] is None
 
-    def test_default_single_key(self, stream):
+    def test_default_single_key(self, stream, key_stream):
         mix = OperationMix()
-        assert mix.sample(stream)[1] == "x"
+        assert mix.sample_batch(1, stream, key_stream)[0][1] == "x"
 
-    def test_multiple_keys_all_hit(self, stream):
+    def test_multiple_keys_all_hit(self, stream, key_stream):
         mix = OperationMix(keys=["a", "b", "c"])
-        keys = {mix.sample(stream)[1] for _ in range(200)}
+        keys = {t[1] for t in mix.sample_batch(200, stream, key_stream)}
         assert keys == {"a", "b", "c"}
 
-    def test_zipf_skew_prefers_first_key(self, stream):
+    def test_zipf_skew_prefers_first_key(self, stream, key_stream):
         mix = OperationMix(keys=[f"k{i}" for i in range(10)], key_skew=1.5)
-        keys = [mix.sample(stream)[1] for _ in range(1000)]
+        keys = [t[1] for t in mix.sample_batch(1000, stream, key_stream)]
         assert keys.count("k0") > keys.count("k9")
 
     def test_validation(self):
