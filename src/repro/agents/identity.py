@@ -17,7 +17,7 @@ from functools import total_ordering
 from operator import attrgetter
 from typing import Collection, Dict
 
-__all__ = ["AgentId", "AgentIdFactory", "ids_wire_size"]
+__all__ = ["AgentId", "AgentIdFactory", "host_bytes", "ids_wire_size"]
 
 
 class _HostBytes(dict):
@@ -30,6 +30,8 @@ class _HostBytes(dict):
 
 
 _HOST_BYTES = _HostBytes()
+#: ``host_bytes(name)``: UTF-8 length of a host name, computed once.
+host_bytes = _HOST_BYTES.__getitem__
 #: Bytes of an identifier beyond its host name: created_at + seq.
 _FIXED_BYTES = 8 + 4
 _host_of = attrgetter("host")
@@ -38,9 +40,7 @@ _host_of = attrgetter("host")
 def ids_wire_size(ids: "Collection[AgentId]") -> int:
     """Summed :meth:`AgentId.wire_size` of ``ids``, without a Python
     frame per identifier (a table sizes a whole Updated List window)."""
-    return _FIXED_BYTES * len(ids) + sum(
-        map(_HOST_BYTES.__getitem__, map(_host_of, ids))
-    )
+    return _FIXED_BYTES * len(ids) + sum(map(host_bytes, map(_host_of, ids)))
 
 
 @total_ordering

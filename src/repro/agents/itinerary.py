@@ -55,7 +55,7 @@ class CostSorted(ItineraryStrategy):
     def next_host(self, current, unvisited, topology, stream=None) -> str:
         if not unvisited:
             raise ValueError("no unvisited hosts to choose from")
-        return topology.neighbors_by_cost(current, unvisited)[0]
+        return topology.nearest(current, unvisited)
 
 
 class InitialCostOrder(ItineraryStrategy):

@@ -45,6 +45,7 @@ from repro.core.machines.effects import (
     PostBulletin,
     Send,
     SetTimer,
+    Text,
     Visit,
 )
 from repro.core.machines.events import (
@@ -65,6 +66,8 @@ PARKED = "parked"
 BACKOFF = "backoff"
 CLAIMING = "claiming"
 DONE = "done"
+
+_NO_HOSTS: frozenset = frozenset()
 
 
 @dataclass
@@ -201,14 +204,14 @@ class AgentMachine:
         s.location = event.host
         s.table.ingest(event.view)
         s.table.merge_bulletin(event.bulletin)
-        effects: List[Effect] = [
-            PostBulletin(s.table.shareable_views(event.host))
-        ]
+        # The table's own dict, not a copy (see PostBulletin): the
+        # replica skips its own entry.
+        effects: List[Effect] = [PostBulletin(s.table.views)]
         s.visited.add(event.host)
         s.visit_events += 1
         s.tour_remaining.discard(event.host)
         effects.append(
-            Note("visit", f"rank {event.rank} of {event.ll_len}")
+            Note("visit", Text("rank %s of %s", event.rank, event.ll_len))
         )
 
         decision = self._decide()
@@ -247,7 +250,9 @@ class AgentMachine:
             self.n_replicas,
             s.agent_id,
             votes=self.votes,
-            unavailable=frozenset(s.unavailable),
+            unavailable=(
+                frozenset(s.unavailable) if s.unavailable else _NO_HOSTS
+            ),
         )
 
     def _holds_lock(self, decision: Decision) -> bool:
@@ -262,7 +267,9 @@ class AgentMachine:
     def _advance(self) -> List[Effect]:
         """One movement step: tour onward, or park and refresh ([D2])."""
         s = self.state
-        candidates = s.tour_remaining - s.unavailable
+        candidates = s.tour_remaining
+        if s.unavailable:
+            candidates = candidates - s.unavailable
         if candidates:
             return [Migrate(tuple(sorted(candidates)))]
         s.park_count += 1

@@ -30,6 +30,7 @@ it only sizes how often the fallback pays full price.
 from __future__ import annotations
 
 from collections import deque
+from itertools import islice
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.core.machines.wire import SharedViewDelta
@@ -96,21 +97,20 @@ class DeltaJournal:
         locking-list edit (an id enqueued and dequeued inside the window
         cancels out; a requeue becomes remove + re-append), the newly
         finished ids, and the changed version cells at their newest
-        values. The log is walked back from its newest entry to the
-        base, so the cost is the events replayed, not the window held.
+        values, in one forward pass over those events.
         """
         if not self.can_delta(base_seq):
             return None
-        events: List[Tuple[int, str, Any]] = []
-        for event in reversed(self._log):
-            if event[0] <= base_seq:
-                break
-            events.append(event)
         removed: List[Any] = []
         appended: Dict[Any, None] = {}  # insertion-ordered set
         finished: List[Any] = []
         versions = None
-        for _seq, kind, payload in reversed(events):
+        # Sequence numbers in the window are consecutive, so the events
+        # after the base are exactly the newest ``seq - base_seq``.
+        log = self._log
+        for _seq, kind, payload in islice(
+            log, len(log) - (self.seq - base_seq), None
+        ):
             if kind == "enq":
                 appended[payload] = None
             elif kind == "deq":

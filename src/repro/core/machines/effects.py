@@ -126,17 +126,43 @@ class Broadcast(Effect):
 
 @dataclass(frozen=True)
 class PostBulletin(Effect):
-    """Deposit the agent's shareable views on the local bulletin board."""
+    """Deposit the agent's views on the local bulletin board.
+
+    ``views`` is the Locking Table's own ``host -> view`` dict, handed
+    over without a copy: it is current only until the machine's next
+    input, so an interpreter deposits it at once and keeps the
+    :class:`SharedView` objects, never the dict. The visited server's
+    own entry may be in it; the replica ignores that one.
+    """
 
     views: Dict[str, SharedView]
 
 
+class Text:
+    """Trace text formatted only if somebody records it:
+    ``str(Text("rank %s of %s", 0, 3)) == "rank 0 of 3"``. (Not an
+    effect, so not in ``__all__``, which is the effect vocabulary.)"""
+
+    __slots__ = ("template", "args")
+
+    def __init__(self, template: str, *args: Any) -> None:
+        self.template = template
+        self.args = args
+
+    def __str__(self) -> str:
+        return self.template % self.args
+
+
 @dataclass(frozen=True)
 class Note(Effect):
-    """A trace-worthy protocol event (kind/detail match the DES trace)."""
+    """A trace-worthy protocol event (kind/detail match the DES trace).
+
+    ``detail`` is the text or a :class:`Text`; a driver that records the
+    note takes ``str()`` of it, one that does not never formats it.
+    """
 
     kind: str
-    detail: str = ""
+    detail: Any = ""
     host: Optional[str] = None
 
 

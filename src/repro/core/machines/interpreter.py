@@ -193,9 +193,10 @@ class Substrate:
         """Keep the records of a lock acquisition."""
 
     def emit(self, kind: str, agent_id: Optional[AgentId],
-             request_id: Optional[int], detail: str,
+             request_id: Optional[int], detail: Any,
              host: Optional[str]) -> None:
-        """One line of the protocol trace (``host`` None = this host)."""
+        """One line of the protocol trace (``host`` None = this host;
+        the text is ``str(detail)``, see :class:`Note`)."""
 
 
 class EffectInterpreter:

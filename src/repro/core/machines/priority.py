@@ -25,9 +25,9 @@ actionable majority. Rules 2–3 therefore drive liveness, never safety.
 
 Implementation: :func:`decide` evaluates the rule cascade over the
 Locking Table's *packed* state (interned integer slots and a flag slab,
-see :mod:`repro.core.machines.table`), and memoises the
-self-independent core of the unweighted decision against the table's
-mutation counter: re-evaluating an unchanged table is one cache probe.
+see :mod:`repro.core.machines.table`) and reads the top-per-host tally
+the table maintains incrementally, so an evaluation costs the distinct
+tops, not the hosts or the queues behind them.
 Tie groups are ordered by the **AgentId's own total order** (via the
 interner's sort-key slab) — interned slot numbers never order anything.
 The dataclass-and-dict evaluation it replaced is the executable
@@ -113,8 +113,7 @@ def decide(
     total votes. The paper's early tie-break guard only applies to the
     unweighted case; weighted deployments rely on the complete-
     information rule (liveness is unaffected — the claim round's grants
-    provide safety either way). A weighted evaluation is not memoised
-    (the vote map is not part of the memo key).
+    provide safety either way).
     """
     if n_replicas < 1:
         raise ValueError(f"n_replicas must be >= 1: {n_replicas}")
@@ -125,25 +124,15 @@ def decide(
         if total_votes < 1:
             raise ValueError("total vote weight must be >= 1")
         majority = total_votes // 2 + 1
-    if votes is None and not extra_done:
-        key = (table._mutations, n_replicas, unavailable)
-        cache = table._decide_cache
-        if cache is not None and cache[0] == key:
-            core = cache[1]
-        else:
-            core = _decide_core(table, n_replicas, majority,
-                                frozenset(), unavailable)
-            table._decide_cache = (key, core)
-    else:
-        core = _decide_core(table, n_replicas, majority,
-                            extra_done, unavailable, votes)
-    reason, winner, counts, quorum = core
+    reason, winner, counts, quorum = _decide_core(
+        table, n_replicas, majority, extra_done, unavailable, votes
+    )
     if reason == "majority":
         return Decision(
             outcome=WIN if winner == self_id else OTHER,
             winner=winner,
             reason="majority",
-            top_counts=dict(counts),
+            top_counts=counts,
             quorum_hosts=quorum,
         )
     if winner is not None:
@@ -151,9 +140,9 @@ def decide(
             outcome=STALEMATE,
             winner=winner,
             reason=reason,
-            top_counts=dict(counts),
+            top_counts=counts,
         )
-    return Decision(outcome=UNDECIDED, top_counts=dict(counts))
+    return Decision(outcome=UNDECIDED, top_counts=counts)
 
 
 def _decide_core(
@@ -189,9 +178,11 @@ def _decide_core(
             ))
             return ("majority", value(slot), counts, quorum)
 
-    known_or_unavailable = (
-        len(tops_slots) + len(unavailable - set(tops_slots))
-    )
+    known_or_unavailable = len(tops_slots)
+    if unavailable:
+        known_or_unavailable += sum(
+            1 for host in unavailable if host not in tops_slots
+        )
     if known_or_unavailable < n_replicas or not counts_slots:
         return ("", None, counts, ())
 

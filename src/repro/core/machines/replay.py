@@ -163,7 +163,7 @@ class _Port(Substrate):
     def emit(self, kind, agent_id, request_id, detail, host) -> None:
         run = self.harness.agents.get(agent_id)
         if run is not None:
-            run.notes.append((self.harness.now, kind, detail))
+            run.notes.append((self.harness.now, kind, str(detail)))
 
 
 class KernelHarness:

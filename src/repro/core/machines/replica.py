@@ -156,7 +156,9 @@ class ReplicaMachine:
             view = self.lock_view(now)
         data = VisitData(
             view=view,
-            bulletin=self.read_bulletin(),
+            # The board itself, not a copy: the visitor only reads it,
+            # and posts back after it has.
+            bulletin=self.bulletin if self.tunables.enable_bulletin else {},
             rank=self.locking_list.rank(agent_id),
             ll_len=len(self.locking_list),
             enqueued=enqueued,
@@ -236,16 +238,22 @@ class ReplicaMachine:
     def post_bulletin(self, views: Dict[str, SharedView]) -> int:
         """Deposit lock views; keeps only the freshest per server.
 
-        Returns the number of entries that were news to this server.
+        ``views`` may be a visitor's whole table, this server's own
+        entry included (ignored: our own state is always fresher
+        locally); nothing of it is kept but the view objects. Returns
+        the number of entries that were news to this server.
         """
         if not self.tunables.enable_bulletin:
             return 0
         posted = 0
+        board = self.bulletin
+        own = self.host
         for host, view in views.items():
-            if host == self.host:
-                continue  # our own state is always fresher locally
-            if view.is_newer_than(self.bulletin.get(host)):
-                self.bulletin[host] = view
+            current = board.get(host)
+            if view is current or host == own:
+                continue
+            if current is None or view.as_of > current.as_of:
+                board[host] = view
                 posted += 1
         return posted
 

@@ -20,6 +20,7 @@ has no import edge back into any execution backend.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from itertools import repeat
@@ -55,9 +56,11 @@ LockView = Tuple[AgentId, ...]
 class LockingList:
     """FIFO list of pending lock requests at one replica server.
 
-    Flat-state backing: alongside the ordered entry list, membership is
-    a set (O(1) probes instead of an equality scan — the guarded enqueue
-    in ``begin_visit`` probes on every visit) and the immutable
+    Flat-state backing: every entry gets the next arrival number, and
+    since entries only join at the tail the numbers of the queued
+    entries are ascending — so membership is a dict probe and an
+    agent's position a bisection on its number, neither an equality
+    scan (``begin_visit`` asks for both on every visit). The immutable
     :meth:`view` tuple is cached between mutations, since one queue
     state is snapshotted into many ``SharedView``s.
     """
@@ -65,7 +68,11 @@ class LockingList:
     def __init__(self, host: str) -> None:
         self.host = host
         self._entries: List[LockEntry] = []
-        self._members: set = set()
+        #: arrival number per entry, in step with ``_entries``
+        self._arrivals: List[int] = []
+        #: queued agent id -> its entry's arrival number
+        self._members: Dict[AgentId, int] = {}
+        self._next_arrival = 0
         self._view_cache: Optional[LockView] = None
 
     def __len__(self) -> int:
@@ -86,7 +93,9 @@ class LockingList:
                 f"lock entries at {self.host} must be appended in time order"
             )
         self._entries.append(entry)
-        self._members.add(entry.agent_id)
+        self._arrivals.append(self._next_arrival)
+        self._members[entry.agent_id] = self._next_arrival
+        self._next_arrival += 1
         self._view_cache = None
 
     def top(self) -> Optional[AgentId]:
@@ -95,24 +104,21 @@ class LockingList:
 
     def rank(self, agent_id: AgentId) -> Optional[int]:
         """0-based position of the agent, or None if absent."""
-        if agent_id not in self._members:
+        arrival = self._members.get(agent_id)
+        if arrival is None:
             return None
-        for index, entry in enumerate(self._entries):
-            if entry.agent_id == agent_id:
-                return index
-        return None
+        return bisect_left(self._arrivals, arrival)
 
     def remove(self, agent_id: AgentId) -> bool:
         """Remove the agent's entry (after its COMMIT). True if present."""
-        if agent_id not in self._members:
+        arrival = self._members.pop(agent_id, None)
+        if arrival is None:
             return False
-        for index, entry in enumerate(self._entries):
-            if entry.agent_id == agent_id:
-                del self._entries[index]
-                self._members.discard(agent_id)
-                self._view_cache = None
-                return True
-        return False
+        index = bisect_left(self._arrivals, arrival)
+        del self._entries[index]
+        del self._arrivals[index]
+        self._view_cache = None
+        return True
 
     def view(self) -> LockView:
         """Immutable ordered snapshot of the queued agent ids."""
@@ -127,6 +133,7 @@ class LockingList:
 
     def clear(self) -> None:
         self._entries.clear()
+        self._arrivals.clear()
         self._members.clear()
         self._view_cache = None
 

@@ -20,11 +20,12 @@ locking list *packed* as a list of interned integer ids and, for the
 ids that appear in some locking list, a finished flag in a
 ``bytearray`` indexed by interned id. The effective-top scan —
 the inner loop of every priority evaluation — thereby probes a byte
-slab instead of hashing ``AgentId`` dataclasses, and the top-per-host /
-tally computation is cached against a mutation counter so repeated
-``decide`` calls on an unchanged table cost one cache probe. The packed
-state is a pure index over ``views``/``ual`` (rebuilt on unpickle, never
-serialised), so the wire and replay formats are unchanged.
+slab instead of hashing ``AgentId`` dataclasses, and the top-per-host
+map and its tally are *maintained*, not recomputed: a change marks the
+hosts whose top it can move, and the next query rescans only those
+(see :meth:`LockingTable._settle`). The packed state is a pure index
+over ``views``/``ual`` (rebuilt on unpickle, never serialised), so the
+wire and replay formats are unchanged.
 
 Ingestion costs what a view *adds*, not what it repeats: the finished
 ids of a view are merged as one set difference against the UAL, an id
@@ -88,14 +89,17 @@ class LockingTable:
         self._host_chars = 0
         self._queue_slots = 0
         self._ver_cells = 0
-        #: bumped on every change that can move an effective top
-        self._mutations = 0
-        #: (mutations, tops host->slot|None, counts slot->n) memo
-        self._tops_cache: Optional[Tuple[int, dict, dict]] = None
-        #: single-entry memo used by priority.decide (key, core result)
-        self._decide_cache: Optional[tuple] = None
-        #: (mutations, sorted hosts) memo for :attr:`known_hosts`
-        self._hosts_cache: Optional[Tuple[int, List[str]]] = None
+        # The tally. Invariant: ``_counts`` is exactly the tally of the
+        # non-None values of ``_tops``, and for every host *not* in
+        # ``_dirty``, ``_tops[host]`` is the first unflagged slot of
+        # ``_packed[host]``. Whatever can break the second half — a
+        # new or edited queue, a flag set on a current top — puts the
+        # host in ``_dirty``; :meth:`_settle` restores it per host.
+        #: host -> effective-top slot | None, in first-adoption order
+        self._tops: Dict[str, Optional[int]] = {}
+        #: slot -> number of hosts it tops
+        self._counts: Dict[int, int] = {}
+        self._dirty: set = set()
 
     # -- pickling ----------------------------------------------------------
 
@@ -126,6 +130,7 @@ class LockingTable:
         for host, view in self.views.items():
             self._packed[host] = self._pack(view.view)
             self._charge(host, +1)
+        self._dirty.update(self._packed)
 
     # -- packed-index plumbing ---------------------------------------------
 
@@ -143,7 +148,14 @@ class LockingTable:
         return slot
 
     def _pack(self, view_ids) -> List[int]:
-        return [self._slot(agent_id) for agent_id in view_ids]
+        """The queue as slots; only an id never queued anywhere before
+        is interned one at a time."""
+        packed = self._ids.slots(view_ids)
+        if None in packed:
+            for at, slot in enumerate(packed):
+                if slot is None:
+                    packed[at] = self._slot(view_ids[at])
+        return packed
 
     def _finish(self, new_ids: AbstractSet) -> None:
         """Ids that just joined the UAL: flag the queued ones, account
@@ -152,8 +164,16 @@ class LockingTable:
         queued = self._ids.known(new_ids)
         if queued:
             index_of = self._ids.index_of
+            counts = self._counts
             for agent_id in queued:
-                self._done[index_of(agent_id)] = 1
+                slot = index_of(agent_id)
+                self._done[slot] = 1
+                if slot in counts:
+                    # A current top finished: its hosts need a rescan.
+                    self._dirty.update(
+                        host for host, top in self._tops.items()
+                        if top == slot
+                    )
             new_ids = new_ids - queued
         self._n_ids += len(new_ids)
         self._id_bytes += ids_wire_size(new_ids)
@@ -174,41 +194,63 @@ class LockingTable:
         self._queue_slots += sign * len(self._packed[host])
         self._ver_cells += sign * self._cells(host)
 
+    def _settle(self) -> None:
+        """Rescan the dirty hosts and move their tally entries."""
+        done = self._done
+        tops = self._tops
+        counts = self._counts
+        packed_of = self._packed
+        for host in self._dirty:
+            top = None
+            for slot in packed_of[host]:
+                if not done[slot]:
+                    top = slot
+                    break
+            old = tops.get(host)
+            tops[host] = top
+            if top != old:
+                if old is not None:
+                    if counts[old] == 1:
+                        del counts[old]
+                    else:
+                        counts[old] -= 1
+                if top is not None:
+                    counts[top] = counts.get(top, 0) + 1
+        self._dirty.clear()
+
     def _tops_slots(
         self, extra_done: frozenset = frozenset()
     ) -> Tuple[Dict[str, Optional[int]], Dict[int, int]]:
-        """(host -> top slot | None, slot -> top tally), memoised.
+        """(host -> top slot | None, slot -> top tally).
 
-        The memo only covers the ``extra_done``-free case — the per-event
-        decision path; the pipelining extension passes growing
-        ``extra_done`` sets and recomputes.
+        Without ``extra_done`` — the per-event decision path — these
+        are the maintained maps themselves (read-only to the caller).
+        The pipelining extension passes growing ``extra_done`` sets:
+        only a host whose top is one of those ids is scanned again.
         """
+        if self._dirty:
+            self._settle()
         if not extra_done:
-            cache = self._tops_cache
-            if cache is not None and cache[0] == self._mutations:
-                return cache[1], cache[2]
-            extra = None
-        else:
-            index_of = self._ids.index_of
-            extra = {
-                slot
-                for slot in map(index_of, extra_done)
-                if slot is not None
-            }
+            return self._tops, self._counts
+        index_of = self._ids.index_of
+        extra = {
+            slot
+            for slot in map(index_of, extra_done)
+            if slot is not None
+        }
         done = self._done
-        tops: Dict[str, Optional[int]] = {}
+        tops = dict(self._tops)
         counts: Dict[int, int] = {}
-        for host, packed in self._packed.items():
-            top = None
-            for slot in packed:
-                if not done[slot] and (extra is None or slot not in extra):
-                    top = slot
-                    break
-            tops[host] = top
+        for host, top in tops.items():
+            if top in extra:
+                top = None
+                for slot in self._packed[host]:
+                    if not done[slot] and slot not in extra:
+                        top = slot
+                        break
+                tops[host] = top
             if top is not None:
                 counts[top] = counts.get(top, 0) + 1
-        if extra is None:
-            self._tops_cache = (self._mutations, tops, counts)
         return tops, counts
 
     # -- ingestion --------------------------------------------------------
@@ -241,7 +283,7 @@ class LockingTable:
                 # Same sequence → identical queue/updated/versions
                 # content; only the timestamp can differ. Adopt a
                 # fresher one without re-merging (the packed index and
-                # every memo stay valid — no effective top can move).
+                # the tally stay valid — no effective top can move).
                 if view.is_newer_than(self.views.get(view.host)):
                     self._charge(view.host, -1)
                     self.views[view.host] = view
@@ -263,7 +305,7 @@ class LockingTable:
                 self._charge(host, -1)
             self.views[host] = view
             self._packed[host] = self._pack(view.view)
-            self._mutations += 1
+            self._dirty.add(host)
             if seq >= 0:
                 # A full snapshot at seq was adopted wholesale: this
                 # table now holds the complete state at that sequence.
@@ -273,8 +315,6 @@ class LockingTable:
                 )
             self._charge(host, +1)
             return True
-        if new_ids:
-            self._mutations += 1
         return False
 
     def apply_delta(self, delta: SharedViewDelta) -> bool:
@@ -303,59 +343,56 @@ class LockingTable:
             )
         self._charge(host, -1)
         changed = False
+        new_updated = stored.updated
         if delta.finished:
-            ual_add = self.ual.add
-            finished = {a for a in delta.finished if ual_add(a)}
-            if finished:
-                self._finish(finished)
+            # Hashed once, for the UAL and for the rebuilt snapshot.
+            finished = frozenset(delta.finished)
+            new_updated = new_updated | finished
+            new_ids = self.ual.absorb(finished)
+            if new_ids:
+                self._finish(new_ids)
                 changed = True
+        new_versions = stored.versions
         if delta.versions:
             max_versions = self.max_versions
             for key, version in delta.versions.items():
                 if version > max_versions.get(key, 0):
                     max_versions[key] = version
-        # Rebuild this host's stored snapshot at delta.seq.
-        if delta.removed or delta.appended:
-            removed = set(delta.removed)
-            new_ids = tuple(
-                a for a in stored.view if a not in removed
-            ) + delta.appended
-            packed = self._packed[host]
-            if removed:
-                index_of = self._ids.index_of
-                gone = {
-                    slot for slot in map(index_of, removed)
-                    if slot is not None
-                }
-                packed = [slot for slot in packed if slot not in gone]
-            if delta.appended:
-                packed = packed + [
-                    self._slot(a) for a in delta.appended
-                ]
-            self._packed[host] = packed
-            changed = True
-        else:
-            new_ids = stored.view
-        new_updated = stored.updated
-        if delta.finished:
-            new_updated = stored.updated.union(delta.finished)
-        new_versions = stored.versions
-        if delta.versions:
-            new_versions = dict(stored.versions or ())
+            new_versions = dict(new_versions or ())
             new_versions.update(delta.versions)
             self._ver_dev[host] = len(delta.versions)
+        # Rebuild this host's queue at delta.seq. The packed list
+        # mirrors the stored one position for position, so an id to
+        # drop is located as an int and deleted from both.
+        queue = stored.view
+        if delta.removed or delta.appended:
+            packed = self._packed[host].copy()
+            if delta.removed:
+                ids = list(queue)
+                for slot in self._ids.slots(delta.removed):
+                    try:
+                        at = packed.index(slot)
+                    except ValueError:
+                        continue  # not queued in the base: nothing to drop
+                    del packed[at]
+                    del ids[at]
+                queue = tuple(ids)
+            if delta.appended:
+                queue += delta.appended
+                packed.extend(self._pack(delta.appended))
+            self._packed[host] = packed
+            self._dirty.add(host)
+            changed = True
         self.views[host] = SharedView(
             host=host,
             as_of=delta.as_of,
-            view=new_ids,
+            view=queue,
             updated=new_updated,
             versions=new_versions,
             seq=delta.seq,
         )
         self.acked[host] = delta.seq
         self._charge(host, +1)
-        if changed:
-            self._mutations += 1
         return changed
 
     def ingest(self, view) -> bool:
@@ -370,10 +407,33 @@ class LockingTable:
         return self.acked.get(host, -1)
 
     def merge_bulletin(self, views: Dict[str, SharedView]) -> int:
-        """Ingest a server's bulletin board; returns views adopted."""
+        """Ingest a server's bulletin board; returns views adopted.
+
+        Equal to calling :meth:`update` on every entry, but the entries
+        that call would discard are recognised here, before it: the very
+        object already stored (a board mostly holds what earlier visitors
+        carried, and this table has often merged the same snapshots), or
+        a sequence below — or equal to and no fresher than — the one
+        acknowledged for that host. Only a view that can change
+        something pays for a merge.
+        """
         adopted = 0
+        acked = self.acked
+        mine = self.views
+        update = self.update
         for view in views.values():
-            if self.update(view):
+            stored = mine.get(view.host)
+            if view is stored:
+                continue
+            seq = view.seq
+            if seq >= 0:
+                known = acked.get(view.host, -1)
+                if seq < known or (
+                    seq == known and stored is not None
+                    and view.as_of <= stored.as_of
+                ):
+                    continue
+            if update(view):
                 adopted += 1
         return adopted
 
@@ -381,18 +441,8 @@ class LockingTable:
 
     @property
     def known_hosts(self) -> List[str]:
-        """Sorted hosts with a known view, memoised against mutations.
-
-        Callers treat the result as read-only; every adoption of a view
-        for a new host bumps ``_mutations``, so the memo can never serve
-        a stale host list.
-        """
-        cache = self._hosts_cache
-        if cache is not None and cache[0] == self._mutations:
-            return cache[1]
-        hosts = sorted(self.views)
-        self._hosts_cache = (self._mutations, hosts)
-        return hosts
+        """Sorted hosts with a known view."""
+        return sorted(self.views)
 
     def view_of(self, host: str) -> Optional[SharedView]:
         return self.views.get(host)
@@ -454,14 +504,6 @@ class LockingTable:
             if view is not None:
                 best = max(best, view.version_of(key))
         return best
-
-    def shareable_views(self, exclude_host: str) -> Dict[str, SharedView]:
-        """Views worth leaving on ``exclude_host``'s bulletin board."""
-        return {
-            host: view
-            for host, view in self.views.items()
-            if host != exclude_host
-        }
 
     def wire_size(self) -> int:
         """Approximate bytes the LT adds to the agent's migrations.

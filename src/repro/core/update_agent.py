@@ -18,12 +18,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, List, Tuple
 
-from repro.agents.identity import AgentId
+from repro.agents.identity import AgentId, host_bytes
 from repro.agents.itinerary import make_itinerary
 from repro.core.machines.agent import AgentCoreState, AgentMachine
 from repro.core.machines.effects import Dispose, LockWon
 from repro.core.machines.interpreter import Resident
 from repro.core.machines.table import LockingTable
+from repro.net.message import estimate_size
 from repro.replication.requests import RequestRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -66,6 +67,16 @@ class UpdateAgent(Resident):
         #: ``(time, host)`` per arrival, launch included
         self.travel_log: List[Tuple[float, str]] = []
         self.disposed = False
+        # What :meth:`state` holds that does not change while the agent
+        # travels — container, the four keys, identifier, Request List,
+        # the (empty) un-visited list — sized once.
+        keys = ("agent_id", "requests", "unvisited", "table")
+        self._fixed_size = (
+            16 + sum(map(len, keys))
+            + agent_id.wire_size()
+            + estimate_size(self.core.requests)
+            + 16
+        )
 
     @property
     def table(self) -> LockingTable:
@@ -77,7 +88,8 @@ class UpdateAgent(Resident):
         return self.core.hops
 
     def state(self) -> Dict[str, Any]:
-        """Everything packed in the suitcase (sizes a migration)."""
+        """Everything packed in the suitcase — the specification of
+        :meth:`suitcase_size`, which is what sizes a migration."""
         return {
             "agent_id": self.agent_id,
             "requests": [
@@ -86,6 +98,16 @@ class UpdateAgent(Resident):
             "unvisited": sorted(self.core.tour_remaining),
             "table": self.core.table,  # has wire_size()
         }
+
+    def suitcase_size(self) -> int:
+        """``estimate_size(self.state())`` without building the dict:
+        the fixed share, the un-visited names from cached byte lengths,
+        and the table's own running total."""
+        return (
+            self._fixed_size
+            + sum(map(host_bytes, self.core.tour_remaining))
+            + self.core.table.wire_size()
+        )
 
     # -- record keeping (called by the hosting server) ----------------------
 

@@ -35,6 +35,12 @@ class CrashSchedule:
     def __init__(self) -> None:
         self._windows: Dict[str, List[Tuple[float, float]]] = {}
 
+    @property
+    def by_host(self) -> Dict[str, List[Tuple[float, float]]]:
+        """The live ``host -> sorted windows`` map (read-only to the
+        caller; empty while nothing is scheduled, filled by :meth:`add`)."""
+        return self._windows
+
     def add(self, host: str, down_at: float, up_at: float) -> "CrashSchedule":
         if down_at < 0 or up_at <= down_at:
             raise NetworkError(

@@ -110,7 +110,7 @@ class Message:
     payload: Any = None
     size_bytes: int = 0
     category: str = "control"
-    msg_id: int = field(default_factory=lambda: next(_msg_counter))
+    msg_id: int = field(default_factory=_msg_counter.__next__)
     sent_at: float = 0.0
 
     def __post_init__(self) -> None:

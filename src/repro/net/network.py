@@ -223,6 +223,8 @@ class Network:
         self.topology = topology
         self.latency = latency if latency is not None else lan_profile()
         self.faults = faults or FaultPlan.none()
+        #: the crash schedule's live host -> windows map
+        self._crash_windows = self.faults.crashes.by_host
         self.streams = streams or RandomStreams(0)
         self.scale_by_cost = scale_by_cost
         self.fifo_links = fifo_links
@@ -265,6 +267,10 @@ class Network:
 
     def host_up(self, host: str) -> bool:
         """Is the host currently alive (per the fault plan)?"""
+        # Asked several times per message: with no crash window
+        # scheduled (yet) there is nothing to look up.
+        if not self._crash_windows:
+            return True
         return self.faults.host_up(host, self.env.now)
 
     # -- mailbox routing -----------------------------------------------------

@@ -40,6 +40,8 @@ class Topology:
     def __init__(self, hosts: Iterable[str], links: Iterable[Link] = ()) -> None:
         self._links: Dict[str, Dict[str, float]] = {host: {} for host in hosts}
         self._routes: Dict[str, Dict[str, float]] = {}
+        #: per source, each reachable host's position in (cost, name) order
+        self._ranks: Dict[str, Dict[str, int]] = {}
         for link in links:
             try:
                 u, v, cost = link
@@ -140,6 +142,7 @@ class Topology:
             raise NetworkError(f"link cost must be > 0: {u}-{v} ({cost!r})")
         self._links[u][v] = self._links[v][u] = float(cost)
         self._routes.clear()
+        self._ranks.clear()
 
     def routing_table(self, src: str) -> Dict[str, float]:
         """Cost from ``src`` to every reachable host (the paper's table)."""
@@ -164,6 +167,20 @@ class Topology:
         """
         table = self._routes_from(src)
         return sorted(candidates, key=lambda h: (table.get(h, _INF), h))
+
+    def nearest(self, src: str, candidates: Iterable[str]) -> str:
+        """The first of :meth:`neighbors_by_cost`, without the sort."""
+        rank = self._ranks.get(src)
+        if rank is None:
+            routed = self.neighbors_by_cost(src, self._routes_from(src))
+            rank = self._ranks[src] = {
+                host: index for index, host in enumerate(routed)
+            }
+        try:
+            return min(candidates, key=rank.__getitem__)
+        except KeyError:
+            # A candidate with no route ranks after every routed one.
+            return self.neighbors_by_cost(src, candidates)[0]
 
     def _routes_from(self, src: str) -> Dict[str, float]:
         """Dijkstra from ``src``, cached until the next :meth:`set_cost`.

@@ -306,9 +306,11 @@ class ReplicaServer(Substrate):
 
     def _transfer(self, agent, dst: str):
         """One migration under the §2 policy, as simulation steps."""
-        size = int(
-            BASE_BYTES + SERIALIZATION_OVERHEAD * estimate_size(agent.state())
-        )
+        # An agent that keeps its own running size says so; one that
+        # only describes its suitcase has the description sized.
+        sizer = getattr(agent, "suitcase_size", None)
+        carried = sizer() if sizer else estimate_size(agent.state())
+        size = int(BASE_BYTES + SERIALIZATION_OVERHEAD * carried)
         for attempt in range(1, MAX_ATTEMPTS + 1):
             self.migrations_out += 1
             try:
@@ -401,7 +403,7 @@ class ReplicaServer(Substrate):
                 self.env.now, kind,
                 host=host if host is not None else self.host,
                 agent=str(agent_id) if agent_id is not None else None,
-                request_id=request_id, detail=detail,
+                request_id=request_id, detail=str(detail),
             )
 
     def __repr__(self) -> str:

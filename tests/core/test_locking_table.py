@@ -1,6 +1,8 @@
 """Unit tests for the agent's Locking Table."""
 
 from repro.agents.identity import AgentId
+from repro.core.machines.config import DES_TUNABLES
+from repro.core.machines.replica import ReplicaMachine
 from repro.core.machines.table import LockingTable
 from repro.replication.server import SharedView
 
@@ -103,12 +105,19 @@ class TestVersionsAndSharing:
         table.update(view("s1", 1.0, versions={"x": 3}))
         assert table.version_ceiling("x", hosts=["s1"]) == 3
 
-    def test_shareable_views_excludes_current_host(self):
+    def test_posted_table_skips_the_servers_own_entry(self):
+        # An agent posts its table's own dict (PostBulletin carries no
+        # filtered copy); the visited server drops the entry about itself.
         table = LockingTable()
         table.update(view("s1", 1.0))
         table.update(view("s2", 1.0))
-        shared = table.shareable_views("s1")
-        assert set(shared) == {"s2"}
+        replica = ReplicaMachine("s1", ["s1", "s2"], DES_TUNABLES)
+        assert replica.post_bulletin(table.views) == 1
+        assert set(replica.bulletin) == {"s2"}
+        assert replica.bulletin["s2"] is table.views["s2"]
+        # ... and keeps the view objects, never the dict it was handed.
+        table.update(view("s3", 1.0))
+        assert set(replica.bulletin) == {"s2"}
 
     def test_wire_size_grows_with_content(self):
         table = LockingTable()

@@ -180,3 +180,67 @@ class TestBatching:
         assert server.store.read("x").version == 2
         assert server.store.read("x").value == "b"
         assert [v for _r, _k, v in server.history.identities()] == [1, 2]
+
+
+class TestSuitcaseSizing:
+    def test_running_size_equals_the_sized_description_at_every_hop(
+        self, monkeypatch
+    ):
+        """A migration is sized from ``suitcase_size()``, which must be
+        ``estimate_size(state())`` — the executable description of the
+        suitcase — whenever it is asked: on first tours, and after a
+        park has reset the un-visited list for a refresh tour. N=12,
+        every host writing the same key at once."""
+        from repro.core.update_agent import UpdateAgent
+        from repro.net.message import estimate_size
+
+        running = UpdateAgent.suitcase_size
+        asked = []
+
+        def checked(agent):
+            size = running(agent)
+            assert size == estimate_size(agent.state())
+            asked.append((agent.core.park_count, len(agent.core.tour_remaining)))
+            return size
+
+        monkeypatch.setattr(UpdateAgent, "suitcase_size", checked)
+        deployment = Deployment(n_replicas=12, seed=23)
+        marp = MARP(deployment)
+        records = [
+            marp.submit_write(host, "x", index)
+            for index, host in enumerate(deployment.hosts)
+        ]
+        deployment.run(until=1_000_000)
+        assert all(record.status == "committed" for record in records)
+        # one sizing per migration (no attempt failed: one per hop)
+        assert len(asked) == marp.total_agent_hops()
+        # sized mid-tour (un-visited list part-way down) and on a refresh
+        # tour (list reset after a park)
+        assert any(parks == 0 and 0 < left < 10 for parks, left in asked)
+        assert any(parks > 0 and left > 0 for parks, left in asked)
+
+    def test_an_agent_that_only_describes_its_suitcase_is_still_sized(self):
+        """``ReplicaServer`` falls back to sizing ``state()`` (the
+        contract of ``tests/agents/test_platform.py::HopAgent``)."""
+        from repro.net.message import estimate_size
+        from repro.replication.server import (
+            BASE_BYTES,
+            SERIALIZATION_OVERHEAD,
+        )
+
+        class Described:
+            travel_log = []
+
+            def state(self):
+                return {"bulk": "x" * 1000}
+
+        deployment = Deployment(n_replicas=3, seed=1)
+        landed = []
+        deployment.server("s2").interpreter.arrived = landed.append
+        agent = Described()
+        deployment.server("s1").ship_agent(agent, "s2")
+        deployment.run(until=1_000)
+        assert landed == [agent]
+        assert deployment.network.stats.total_bytes("agent") == int(
+            BASE_BYTES + SERIALIZATION_OVERHEAD * estimate_size(agent.state())
+        )

@@ -1,6 +1,7 @@
-"""The DES hot paths cost what the event is, not what the run was.
+"""The DES hot paths cost what the event is, not what the run was —
+nor how many replicas there are.
 
-Three guards, all deterministic counts (no wall clock):
+Four guards, all deterministic counts (no wall clock):
 
 * a contended run four times as long must do the same work per receive,
   per commit and per agent table — before the routed mailbox, every
@@ -12,6 +13,11 @@ Three guards, all deterministic counts (no wall clock):
 * a primary-copy backup asks its store for one version per write a
   ``PC_APPLY`` carries, however many keys the run has touched — before,
   every message re-scanned the reorder buffer of every key seen so far;
+* a tour over three times as many replicas merges as many views per
+  visit and sizes a migration with as many ``estimate_size`` calls —
+  before, every visit called ``LockingTable.update`` once per bulletin
+  entry and every migration re-encoded the whole suitcase description,
+  un-visited host names included, so both counts grew with N;
 * the routed mailbox keeps the ordering the protocol drivers rely on:
   the server loop takes its kinds oldest-first, a reply that beat its
   receive to the inbox is still claimed, and a withdrawn receive never
@@ -144,6 +150,83 @@ class TestLogShippingCostDoesNotGrowWithTheKeySpace:
         few = _backup_version_lookups_per_apply(16)
         many = _backup_version_lookups_per_apply(256)
         assert few == many == 1.0
+
+
+def _tour_run(n_replicas):
+    """marp_tour_n80's regime in small (one write per replica, 500 ms
+    gaps, 256 Zipf-0.9 keys), counting ``LockingTable.update`` calls
+    and the ``estimate_size`` calls made to size a migration."""
+    from repro.core.machines.table import LockingTable
+    from repro.net.message import estimate_size
+    from repro.replication.server import ReplicaServer
+
+    deployment = Deployment(n_replicas=n_replicas, seed=7)
+    marp = MARP(deployment)
+    attach_clients(
+        marp,
+        ExponentialArrivals(500.0),
+        OperationMix(
+            write_fraction=1.0, keys=[f"k{i}" for i in range(256)],
+            key_skew=0.9,
+        ),
+        max_requests_per_client=1,
+    )
+    update, sizing = LockingTable.update.__code__, estimate_size.__code__
+    transfer = ReplicaServer._transfer.__code__
+    calls = {"update": 0, "estimate_size": 0}
+
+    def count(frame, event, _arg):
+        if event != "call":
+            return
+        if frame.f_code is update:
+            calls["update"] += 1
+        elif frame.f_code is sizing:
+            caller = frame.f_back
+            while caller is not None and caller.f_code is not transfer:
+                caller = caller.f_back
+            if caller is not None:
+                calls["estimate_size"] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        deployment.run(until=2_000_000)
+    finally:
+        sys.setprofile(previous)
+    writes = marp.completed_writes()
+    assert len(writes) == n_replicas
+    visits = sum(record.total_visits for record in writes)
+    migrations = marp.total_agent_hops()
+    assert visits > n_replicas * (n_replicas // 2) and migrations > 0
+    return {
+        "updates_per_visit": calls["update"] / visits,
+        "estimate_size_per_migration": calls["estimate_size"] / migrations,
+    }
+
+
+class TestVisitCostDoesNotGrowWithTheClusterSize:
+    """At ac0e213 these read 12.7 / 47.1 ``update`` calls per visit and
+    27.1 / 47.5 ``estimate_size`` calls per migration at N=20 / N=60;
+    now 1.5 / 1.8 and 0.47 / 0.10."""
+
+    @pytest.fixture(scope="class")
+    def small_and_large(self):
+        return _tour_run(20), _tour_run(60)
+
+    def test_views_merged_per_visit_are_constant(self, small_and_large):
+        small, large = small_and_large
+        # the visited server's own view, plus the board entries that
+        # are news: a couple, however long the board
+        assert large["updates_per_visit"] <= 1.5 * small["updates_per_visit"]
+        assert large["updates_per_visit"] < 4.0
+
+    def test_sizing_calls_per_migration_are_constant(self, small_and_large):
+        small, large = small_and_large
+        # what is left is the Request List, sized once per agent
+        assert (
+            large["estimate_size_per_migration"]
+            <= small["estimate_size_per_migration"] < 1.0
+        )
 
 
 class TestRoutedMailboxOrdering:

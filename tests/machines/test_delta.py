@@ -9,8 +9,8 @@ Three layers:
   seq-skip in :meth:`LockingTable.update`;
 * the :meth:`LockingTable.update` edge cases the delta path must
   preserve: monotone merge of ``updated`` knowledge from stale views,
-  no adoption at equal ``as_of``, and memo invalidation on UAL-only
-  changes (plus the memoised ``known_hosts``).
+  no adoption at equal ``as_of``, and the tally following UAL-only
+  changes (plus ``known_hosts``).
 """
 
 import pytest
@@ -164,14 +164,14 @@ class TestApplyDelta:
 
     def test_seq_skip_discards_already_acked_views(self):
         table = self._seeded_table()
-        before = table._mutations
+        table.tops()  # settles the tally
         # A replayed/bulletin copy at or below the acked sequence is
-        # dropped in O(1) — no merge, no memo invalidation.
+        # dropped in O(1) — no merge, no host to rescan.
         assert not table.update(view(
             "s1", 0.5, ids=[aid(1)], updated=[aid(9)], seq=3,
         ))
         assert aid(9) not in table.ual
-        assert table._mutations == before
+        assert not table._dirty
         # An unstamped (hand-built) copy still merges knowledge.
         assert not table.update(view("s1", 0.5, ids=[aid(1)],
                                      updated=[aid(9)]))
@@ -209,17 +209,15 @@ class TestUpdateEdgeCases:
     def test_tops_cache_invalidated_by_ual_only_change(self):
         table = LockingTable()
         table.update(view("s1", 1.0, ids=[aid(1), aid(2)]))
-        assert table.tops() == {"s1": aid(1)}  # primes the memo
+        assert table.tops() == {"s1": aid(1)}  # settles the tally
         # Stale view, no adoption — only the UAL changes.
         table.update(view("s1", 0.5, updated=[aid(1)]))
         assert table.tops() == {"s1": aid(2)}
 
-    def test_known_hosts_is_cached_until_a_new_host_lands(self):
+    def test_known_hosts_stay_sorted_as_new_hosts_land(self):
         table = LockingTable()
         table.update(view("s2", 1.0))
-        first = table.known_hosts
-        assert first == ["s2"]
-        assert table.known_hosts is first  # memo hit, no re-sort
+        assert table.known_hosts == ["s2"]
         table.update(view("s1", 1.0))
         assert table.known_hosts == ["s1", "s2"]
 

@@ -2,8 +2,9 @@
 
 The flat-state rewrite backs ``LockingList``/``UpdatedList``/
 ``LockingTable``/``VersionedStore`` with interned integer slots, packed
-per-host arrays and mutation-counter memos (``docs/architecture.md``,
-"Kernel internals"). Nothing interned ever crosses the wire, so the
+per-host arrays and a maintained top-per-host tally
+(``docs/architecture.md``, "Kernel internals"). Nothing interned ever
+crosses the wire, so the
 whole rewrite must be *invisible*: these tests hold the fast path to
 plain-Python models and to the executable specification
 ``decide_reference`` (``tests/machines/decide_reference.py``), and check that interning survives every
@@ -20,11 +21,14 @@ from hypothesis import strategies as st
 from repro.agents.identity import AgentId
 from repro.net.message import estimate_size
 from repro.core.machines import (
+    DES_TUNABLES,
     Interner,
     LockEntry,
     LockingList,
     LockingTable,
+    ReplicaMachine,
     SharedView,
+    UpdatePayload,
     UpdatedList,
     VersionedStore,
     decide,
@@ -90,6 +94,29 @@ def reference_vector_size(vector) -> int:
         estimate_size(key) + estimate_size(version)
         for key, version in vector.items()
     )
+
+
+def reference_tops(table: LockingTable, extra_done=frozenset()):
+    """``(host -> top slot | None, slot -> tally)`` recomputed from the
+    whole table: the scan over every known queue that every mutation
+    used to trigger, kept as the specification of the maintained tally
+    (:meth:`LockingTable._tops_slots`)."""
+    index_of = table._ids.index_of
+    extra = {
+        slot for slot in map(index_of, extra_done) if slot is not None
+    }
+    done = table._done
+    tops, counts = {}, {}
+    for host, packed in table._packed.items():
+        top = None
+        for slot in packed:
+            if not done[slot] and slot not in extra:
+                top = slot
+                break
+        tops[host] = top
+        if top is not None:
+            counts[top] = counts.get(top, 0) + 1
+    return tops, counts
 
 
 # -- randomized table states ------------------------------------------------
@@ -159,7 +186,7 @@ def lock_tables(draw, max_hosts=7, max_agents=8):
 @given(data=lock_tables())
 @settings(max_examples=300, deadline=None)
 def test_decide_matches_reference(data):
-    """The packed/memoised rule cascade is the specification, exactly."""
+    """The packed rule cascade is the specification, exactly."""
     n_hosts, agents, table, _views, extra_done, unavailable = data
     for agent in agents:
         fast = decide(
@@ -171,6 +198,128 @@ def test_decide_matches_reference(data):
             extra_done=extra_done, unavailable=unavailable,
         )
         assert fast == ref
+
+
+# -- the maintained tally == a whole-table recompute --------------------------
+
+TALLY_HOSTS = ("s1", "s2", "s3")
+TALLY_AGENTS = 4
+
+#: (op, host index, agent) — few hosts and agents, so that queues
+#: overlap and one id tops several hosts at once; enqueues and visits
+#: drawn twice as often as the rest.
+TALLY_OPS = st.lists(
+    st.tuples(
+        st.sampled_from([
+            "enq", "enq", "visit", "visit",
+            "commit", "requeue", "bulletin", "stale", "hop",
+        ]),
+        st.integers(min_value=0, max_value=len(TALLY_HOSTS) - 1),
+        st.integers(min_value=0, max_value=TALLY_AGENTS - 1),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+def assert_tally_is_a_recompute(table, n_hosts, extra_done=frozenset()):
+    assert table._tops_slots() == reference_tops(table)
+    assert table._tops_slots(extra_done) == reference_tops(table, extra_done)
+    for agent in range(TALLY_AGENTS):
+        assert decide(table, n_hosts, aid(agent)) == decide_reference(
+            table, n_hosts, aid(agent)
+        )
+
+
+@given(
+    ops=TALLY_OPS,
+    extra=st.lists(
+        st.integers(min_value=0, max_value=TALLY_AGENTS - 1), max_size=2
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_incremental_tally_matches_a_recompute(ops, extra):
+    """Whatever order ``update`` / ``apply_delta`` / ``merge_bulletin``
+    and pickle hops come in, the tops and tallies the table maintains
+    are those of a from-scratch scan, and ``decide`` is the reference's.
+
+    Three real replica machines are mutated at random; one table visits
+    them (delta when the journal allows, snapshot otherwise), merges
+    boards of their current and of long-stale snapshots, and is shipped
+    through pickle now and then — every way a host becomes dirty.
+    """
+    machines = [
+        ReplicaMachine(host, list(TALLY_HOSTS), DES_TUNABLES)
+        for host in TALLY_HOSTS
+    ]
+    old_snapshots = []
+    table = LockingTable()
+    extra_done = frozenset(aid(n) for n in extra)
+    now = 0.0
+    for op, at, n in ops:
+        now += 1.0
+        machine = machines[at]
+        agent = aid(n)
+        if op == "enq":
+            if (
+                agent not in machine.updated_list
+                and agent not in machine.locking_list
+            ):
+                machine.request_lock(agent, n, now)
+        elif op == "commit":
+            # a COMMIT reaches every replica, as the broadcast does
+            for each in machines:
+                each.on_message(
+                    "COMMIT",
+                    UpdatePayload(batch_id=n, agent_id=agent, origin="s1"),
+                    src="s1", now=now,
+                )
+        elif op == "requeue":
+            if agent in machine.locking_list:
+                machine.requeue_lock(agent, n, now)
+        elif op == "visit":
+            patch = machine.delta_view(now, table.acked_seq(machine.host))
+            snapshot = machine.lock_view(now)
+            old_snapshots.append(snapshot)
+            table.ingest(patch if patch is not None else snapshot)
+        elif op == "bulletin":
+            board = {each.host: each.lock_view(now) for each in machines}
+            old_snapshots.extend(board.values())
+            del board[machine.host]
+            table.merge_bulletin(board)
+        elif op == "stale" and old_snapshots:
+            pick = old_snapshots[n % len(old_snapshots)]
+            table.merge_bulletin({pick.host: pick})
+        elif op == "hop":
+            table = pickle.loads(pickle.dumps(table))
+        assert_tally_is_a_recompute(table, len(TALLY_HOSTS), extra_done)
+
+
+def test_a_top_that_finishes_elsewhere_moves_every_host_it_topped():
+    """The one way a host's top moves without its queue being touched:
+    the id is reported finished by *another* server's view."""
+    table = LockingTable()
+    for host in ("s1", "s2"):
+        table.update(SharedView(
+            host=host, as_of=1.0, view=(aid(1), aid(2)),
+            updated=frozenset(), versions={},
+        ))
+    assert table.top_counts() == {aid(1): 2}
+    table.update(SharedView(
+        host="s3", as_of=1.0, view=(aid(2),),
+        updated=frozenset({aid(1)}), versions={},
+    ))
+    assert_tally_is_a_recompute(table, 3)
+    assert table.tops() == {"s1": aid(2), "s2": aid(2), "s3": aid(2)}
+    assert table.top_counts() == {aid(2): 3}
+    # a stale view, not adopted, that only adds to the finished set
+    table.update(SharedView(
+        host="s1", as_of=0.5, view=(), updated=frozenset({aid(2)}),
+        versions={},
+    ))
+    assert_tally_is_a_recompute(table, 3)
+    assert table.tops() == {"s1": None, "s2": None, "s3": None}
+    assert table.top_counts() == {}
 
 
 @st.composite
@@ -198,7 +347,7 @@ def test_weighted_decide_matches_reference(data, votes):
     ``Decision`` — outcome, designee, reason, vote tally (zero-vote tops
     included) and quorum hosts — is the specification's."""
     n_hosts, agents, table, _views, extra_done, unavailable = data
-    decide(table, n_hosts, aid(agents[0]))  # a primed memo must not answer
+    decide(table, n_hosts, aid(agents[0]))  # must leave nothing behind
     for agent in agents:
         fast = decide(
             table, n_hosts, aid(agent), votes=votes,
@@ -237,9 +386,10 @@ def test_weights_decide_the_outcome():
 @given(data=lock_tables())
 @settings(max_examples=150, deadline=None)
 def test_decide_memo_survives_further_mutation(data):
-    """A cached decision must be invalidated by any top-moving change."""
+    """No earlier evaluation may outlive a top-moving change: the
+    tally it settled has to follow the change."""
     n_hosts, agents, table, _views, _extra, _unavail = data
-    decide(table, n_hosts, aid(agents[0]))  # prime the memo
+    decide(table, n_hosts, aid(agents[0]))  # settles the tally
     newcomer = aid(99)
     table.update(SharedView(
         host="s1", as_of=99.0,

@@ -280,6 +280,35 @@ class TestOneEventPerMessage:
         assert network.stats.bytes == {("control", "PING"): msg.size_bytes}
         assert network.stats.dropped == {("control", "PING"): 1}
 
+    def test_host_up_consults_the_schedule_only_once_it_has_windows(
+        self, env, monkeypatch
+    ):
+        """No window scheduled: ``host_up`` answers without asking the
+        fault plan. A window added after the network was built (the
+        conformance tests do that) is honoured from then on."""
+        faults = FaultPlan()
+        network, eps = make_network(env, faults=faults)
+        asked = []
+        is_up = faults.crashes.is_up
+
+        def spying(host, time):
+            asked.append(host)
+            return is_up(host, time)
+
+        monkeypatch.setattr(faults.crashes, "is_up", spying)
+        eps["a"].send("b", "PING")
+        env.run()
+        assert eps["b"].pending == 1 and asked == []
+        faults.crashes.add("b", 10, 100)
+        assert network.host_up("b") and network.host_up("a")
+        env.run(until=50)
+        assert not network.host_up("b") and network.host_up("a")
+        eps["a"].send("b", "PING")
+        env.run()
+        assert eps["b"].pending == 1
+        assert network.stats.dropped == {("control", "PING"): 1}
+        assert asked
+
     def test_broadcast_sizes_the_shared_payload_once(self, env, monkeypatch):
         from repro.net import network as network_module
 

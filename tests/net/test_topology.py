@@ -1,5 +1,7 @@
 """Unit tests for the topology substrate."""
 
+from itertools import combinations
+
 import pytest
 
 from repro.errors import HostUnreachable, NetworkError
@@ -108,6 +110,34 @@ class TestRouting:
         topo = Topology.full_mesh(["a", "b", "c", "d"])
         assert topo.neighbors_by_cost("a", ["d", "c", "b"]) == ["b", "c", "d"]
 
+    def test_nearest_is_the_head_of_the_sort_on_name_ties(self):
+        topo = Topology.full_mesh(["a", "b", "c", "d"])
+        for candidates in (["d", "c", "b"], ["c", "d"], ["d"], ("b", "a")):
+            assert topo.nearest("a", candidates) == (
+                topo.neighbors_by_cost("a", candidates)[0]
+            )
+        assert topo.nearest("a", ["d", "c"]) == "c"
+
+    def test_nearest_follows_a_repriced_link(self):
+        topo = Topology(
+            [], [("src", "near", 1.0), ("src", "far", 5.0), ("src", "mid", 2.0)]
+        )
+        assert topo.nearest("src", ["far", "mid", "near"]) == "near"
+        topo.set_cost("src", "far", 0.5)  # drops the cached ranks too
+        assert topo.nearest("src", ["far", "mid", "near"]) == "far"
+        assert topo.nearest("near", ["far", "mid"]) == (
+            topo.neighbors_by_cost("near", ["far", "mid"])[0]
+        )
+
+    def test_nearest_with_an_unrouted_candidate_falls_back_to_the_sort(self):
+        topo = Topology(["island", "atoll"], [("a", "b", 1.0), ("a", "c", 2.0)])
+        # an unreachable host sorts after every routed one, by name among
+        # its kind — whatever position it is offered in
+        assert topo.nearest("a", ["island", "c", "b"]) == "b"
+        assert topo.nearest("a", ["island"]) == "island"
+        assert topo.nearest("a", ["island", "atoll"]) == "atoll"
+        assert topo.nearest("a", ["nowhere", "c"]) == "c"
+
     def test_contains(self):
         topo = Topology.full_mesh(["a", "b"])
         assert "a" in topo
@@ -161,3 +191,12 @@ def test_random_costs_routing_table_is_pinned_to_the_digit(stream):
                "s3": 1.596038902690139, "s4": 0.8634062872387599,
                "s5": 1.5675711358692483, "s6": 0.0},
     }
+    # The ranked choice a cost-sorted itinerary makes is the head of the
+    # full sort, from every host, for every set of places left to visit.
+    for src in hosts:
+        others = [host for host in hosts if host != src]
+        for size in range(1, len(others) + 1):
+            for candidates in combinations(others, size):
+                assert topo.nearest(src, candidates) == (
+                    topo.neighbors_by_cost(src, candidates)[0]
+                )

@@ -155,6 +155,32 @@ class TestTracingRegression:
         assert len(baseline) == len(observed)
         assert self.normalized(baseline) == self.normalized(observed)
 
+    def test_visit_lines_carry_the_rank_as_text(self):
+        """The visit note's text is formatted by whoever records it
+        (``effects.Text``), and the rank behind it comes from the
+        Locking List's arrival index, not a scan: the recorded lines
+        are those of ac0e213, strings included."""
+        trace = self.run_traced(None)
+        assert all(type(e.detail) is str for e in trace.events)
+        visits = [
+            (round(e.time, 6), e.host, e.agent, e.detail)
+            for e in trace.events if e.kind == "visit"
+        ]
+        assert visits == [
+            (2.0, "s1", "s1@0#0", "rank 0 of 1"),
+            (2.0, "s2", "s2@0#0", "rank 0 of 1"),
+            (2.0, "s3", "s3@0#0", "rank 0 of 1"),
+            (5.2568, "s1", "s2@0#0", "rank 1 of 2"),
+            (6.773214, "s2", "s1@0#0", "rank 1 of 2"),
+            (6.885413, "s1", "s3@0#0", "rank 2 of 3"),
+            (8.882205, "s3", "s2@0#0", "rank 1 of 2"),
+            (11.091028, "s2", "s3@0#0", "rank 2 of 3"),
+            (11.492601, "s3", "s1@0#0", "rank 2 of 3"),
+            (17.962294, "s3", "s2@0#0", "rank 1 of 2"),
+            (19.115761, "s2", "s3@0#0", "rank 1 of 2"),
+            (25.121775, "s2", "s3@0#0", "rank 0 of 1"),
+        ]
+
     def test_trace_events_join_hub_stream(self):
         hub = ObservabilityHub()
         trace = self.run_traced(hub)

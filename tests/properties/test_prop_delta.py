@@ -27,6 +27,10 @@ merge each table's ``wire_size()`` must equal the summing formula kept
 in ``tests/machines/test_flat_structures.py``, and halfway through the
 delta table takes a pickle hop (the live backend's migration) and must
 keep agreeing on everything above.
+
+A second property holds ``merge_bulletin`` — which decides per entry,
+before the call, whether ``update`` could change anything — to calling
+``update`` on every entry of the board.
 """
 
 import pickle
@@ -38,7 +42,7 @@ from repro.agents.identity import AgentId
 from repro.core.machines.config import ProtocolTunables
 from repro.core.machines.replica import ReplicaMachine
 from repro.core.machines.table import LockingTable
-from repro.core.machines.wire import UpdatePayload, WriteOp
+from repro.core.machines.wire import SharedView, UpdatePayload, WriteOp
 from tests.machines.test_flat_structures import ReferenceSuitcase
 
 TUNABLES = ProtocolTunables()
@@ -159,3 +163,75 @@ def test_delta_and_full_merge_sequences_agree(ops, capacity):
             sync(now)
 
     sync(now + 1.0)
+
+
+# -- merge_bulletin's pre-checks == update on every entry ---------------------
+
+BOARD_HOSTS = ("s1", "s2", "s3")
+
+
+@st.composite
+def board_views(draw):
+    """A pool of views per host as boards carry them: server-stamped
+    snapshots whose content is a function of ``(host, seq)`` (the
+    invariant the seq-skip rests on) seen at several instants, and
+    unstamped hand-built ones."""
+    pool = []
+    for host in BOARD_HOSTS:
+        for seq in draw(st.lists(st.integers(0, 4), max_size=4, unique=True)):
+            queue = tuple(aid(n) for n in range(seq, seq + 2))
+            for as_of in draw(
+                st.lists(st.integers(0, 3), min_size=1, max_size=2,
+                         unique=True)
+            ):
+                pool.append(SharedView(
+                    host=host, as_of=float(10 * seq + as_of), view=queue,
+                    updated=frozenset(aid(n) for n in range(seq)),
+                    versions={"x": seq + 1}, seq=seq,
+                ))
+        for as_of in draw(st.lists(st.integers(0, 50), max_size=2)):
+            pool.append(SharedView(
+                host=host, as_of=float(as_of),
+                view=(aid(draw(st.integers(0, 6))),),
+                updated=frozenset({aid(draw(st.integers(0, 6)))}),
+                versions={"y": draw(st.integers(1, 5))},
+            ))
+    return pool
+
+
+@given(
+    pool=board_views(),
+    boards=st.lists(
+        st.lists(st.integers(0, 200), min_size=1, max_size=4),
+        min_size=1, max_size=12,
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_merge_bulletin_prechecks_equal_update_on_every_entry(pool, boards):
+    """A board is merged by looking at each entry before calling
+    ``update``; skipping must never change what ``update`` would have
+    done. Boards also carry back the very objects the table stores —
+    the common case, since they were posted from tables like it."""
+    if not pool:
+        return
+    merged = LockingTable()
+    plain = LockingTable()
+    for picks in boards:
+        board = {}
+        for pick in picks:
+            view = pool[pick % len(pool)]
+            if pick % 3 == 0 and view.host in merged.views:
+                view = merged.views[view.host]  # the stored object itself
+            board[view.host] = view
+        adopted = sum(plain.update(view) for view in board.values())
+        assert merged.merge_bulletin(board) == adopted
+        assert merged.views == plain.views
+        assert all(
+            merged.views[host] is plain.views[host] for host in plain.views
+        )
+        assert merged.ual.as_set() == plain.ual.as_set()
+        assert merged.max_versions == plain.max_versions
+        assert merged.acked == plain.acked
+        assert merged._dirty == plain._dirty
+        assert merged.wire_size() == plain.wire_size()
+        assert merged.tops() == plain.tops()
