@@ -29,6 +29,8 @@ class ItineraryStrategy:
     """Chooses the next destination from the unvisited set."""
 
     name = "abstract"
+    #: does :meth:`next_host` draw from ``stream``?
+    draws = False
 
     def next_host(
         self,
@@ -98,6 +100,7 @@ class RandomOrder(ItineraryStrategy):
     """Uniformly random next hop (a lower bound for planned itineraries)."""
 
     name = "random-order"
+    draws = True
 
     def next_host(self, current, unvisited, topology, stream=None) -> str:
         if not unvisited:

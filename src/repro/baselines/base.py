@@ -51,14 +51,6 @@ class BaselineDaemon:
         self.endpoint = protocol.deployment.network.endpoints[host]
         self.server = protocol.deployment.server(host)
         prefix = protocol.prefix
-        #: handled in arrival order across kinds: one shared inbox queue
-        self._kinds = (
-            f"{prefix}_LOCK",
-            f"{prefix}_APPLY",
-            f"{prefix}_ABORT",
-            f"{prefix}_READV",
-        )
-        self.network.route(self._kinds)
         # key -> (holder rid, holder epoch, lease expiry). The epoch
         # guards against a retry's LOCK overtaking the previous
         # attempt's ABORT in the network: a release may only clear a
@@ -66,28 +58,23 @@ class BaselineDaemon:
         self.locks: Dict[str, Tuple[int, int, float]] = {}
         self.grants_given = 0
         self.nacks_given = 0
-        self.env.process(self._loop(), name=f"{prefix}-daemon-{host}")
+        #: handled one at a time, in arrival order across kinds: one
+        #: shared inbox queue
+        handlers = {
+            f"{prefix}_LOCK": self._on_lock,
+            f"{prefix}_APPLY": self._on_apply,
+            f"{prefix}_ABORT": self._on_abort,
+            f"{prefix}_READV": self._on_readv,
+        }
+        self._kinds = tuple(handlers)
+        self.network.route(self._kinds)
+        self.endpoint.serve(
+            self._kinds,
+            lambda _msg: self.server.config.update_apply_time,
+            lambda msg: handlers[msg.kind](msg),
+        )
 
     # ------------------------------------------------------------------
-
-    def _loop(self):
-        prefix = self.protocol.prefix
-        while True:
-            msg: Message = yield self.endpoint.receive(self._kinds)
-            if not self.network.host_up(self.host):
-                continue
-            apply_time = self.server.config.update_apply_time
-            if apply_time > 0:
-                yield self.env.timeout(apply_time)
-            kind = msg.kind[len(prefix) + 1 :]
-            if kind == "LOCK":
-                self._on_lock(msg)
-            elif kind == "APPLY":
-                self._on_apply(msg)
-            elif kind == "ABORT":
-                self._on_abort(msg)
-            elif kind == "READV":
-                self._on_readv(msg)
 
     def _lock_is_free(self, key: str, rid: int) -> bool:
         held = self.locks.get(key)
@@ -358,26 +345,13 @@ class QuorumProtocol(ReplicationProtocol):
 
     def _start_read(self, record: RequestRecord) -> None:
         if self.local_reads or self.read_quorum <= 1:
-            self._start_local_read(record)
+            record.dispatched_at = self.env.now
+            self._read_local(record)
         else:
             self.env.process(
                 self._read_coordinator(record),
                 name=f"{self.prefix}-read-{record.request_id}",
             )
-
-    def _start_local_read(self, record: RequestRecord) -> None:
-        def reader():
-            server = self.deployment.server(record.home)
-            if server.config.read_service_time > 0:
-                yield self.env.timeout(server.config.read_service_time)
-            entry = server.read(record.key)
-            record.value = entry.value if entry else None
-            record.extra["version"] = entry.version if entry else 0
-            record.completed_at = self.env.now
-            record.status = "read-done"
-
-        record.dispatched_at = self.env.now
-        self.env.process(reader(), name=f"{self.prefix}-lread-{record.request_id}")
 
     def _read_coordinator(self, record: RequestRecord):
         env = self.env

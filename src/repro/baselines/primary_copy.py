@@ -45,43 +45,44 @@ class PrimaryCopy(ReplicationProtocol):
             raise ValueError(f"write_timeout must be > 0: {write_timeout}")
         self.write_timeout = write_timeout
         self.writes_serialized = 0
-        deployment.network.route(("PC_DONE",), key=_RID_KEY)
-        self.env.process(self._primary_loop(), name="pc-primary")
+        network = deployment.network
+        network.route(("PC_DONE",), key=_RID_KEY)
         self._backups = [h for h in deployment.hosts if h != self.primary]
+        network.endpoints[self.primary].serve(
+            ("PC_WRITE",), self._apply_time(self.primary), self._serialize
+        )
         for host in self._backups:
-            self.env.process(self._backup_loop(host), name=f"pc-backup-{host}")
+            network.endpoints[host].serve(
+                ("PC_APPLY",), self._apply_time(host), self._backup(host)
+            )
+
+    def _apply_time(self, host: str):
+        config = self.deployment.server(host).config
+        return lambda _msg: config.update_apply_time
 
     # -- primary ----------------------------------------------------------
 
-    def _primary_loop(self):
+    def _serialize(self, msg: Message) -> None:
+        """The primary's turn: order one write, apply it, ship it."""
         endpoint = self.deployment.network.endpoints[self.primary]
         server = self.deployment.server(self.primary)
-        network = self.deployment.network
-        while True:
-            msg: Message = yield endpoint.receive(kind="PC_WRITE")
-            if not network.host_up(self.primary):
-                continue
-            if server.config.update_apply_time > 0:
-                yield self.env.timeout(server.config.update_apply_time)
-            p = msg.payload
-            version = server.store.version_of(p["key"]) + 1
-            write = WriteOp(
-                request_id=p["rid"],
-                key=p["key"],
-                value=p["value"],
-                version=version,
-            )
-            self._apply_local(server, write, p["origin"])
-            self.writes_serialized += 1
-            # Eager push to every backup, then acknowledge the origin.
-            endpoint.multicast(
-                self._backups,
-                "PC_APPLY",
-                payload={"writes": (write,), "origin": p["origin"]},
-            )
-            endpoint.send(
-                p["origin"], "PC_DONE", payload={"rid": p["rid"]}
-            )
+        p = msg.payload
+        version = server.store.version_of(p["key"]) + 1
+        write = WriteOp(
+            request_id=p["rid"],
+            key=p["key"],
+            value=p["value"],
+            version=version,
+        )
+        self._apply_local(server, write, p["origin"])
+        self.writes_serialized += 1
+        # Eager push to every backup, then acknowledge the origin.
+        endpoint.multicast(
+            self._backups,
+            "PC_APPLY",
+            payload={"writes": (write,), "origin": p["origin"]},
+        )
+        endpoint.send(p["origin"], "PC_DONE", payload={"rid": p["rid"]})
 
     def _apply_local(self, server, write: WriteOp, origin: str) -> None:
         applied = server.store.apply(
@@ -101,10 +102,9 @@ class PrimaryCopy(ReplicationProtocol):
 
     # -- backups -------------------------------------------------------------
 
-    def _backup_loop(self, host: str):
-        endpoint = self.deployment.network.endpoints[host]
+    def _backup(self, host: str):
+        """The handler of ``host``'s PC_APPLY messages."""
         server = self.deployment.server(host)
-        network = self.deployment.network
         # The network is not FIFO, but primary-copy log shipping must
         # apply in order: hold out-of-order versions until their
         # predecessors arrive. Between messages no buffered version is
@@ -114,12 +114,9 @@ class PrimaryCopy(ReplicationProtocol):
         reorder: dict = {}  # key -> {version: (write, origin)}
         version_of = server.store.version_of
         recoveries = server.recoveries
-        while True:
-            msg: Message = yield endpoint.receive(kind="PC_APPLY")
-            if not network.host_up(host):
-                continue
-            if server.config.update_apply_time > 0:
-                yield self.env.timeout(server.config.update_apply_time)
+
+        def apply(msg: Message) -> None:
+            nonlocal recoveries
             writes = msg.payload["writes"]
             origin = msg.payload["origin"]
             for write in writes:
@@ -141,15 +138,11 @@ class PrimaryCopy(ReplicationProtocol):
                 if not buffered:
                     del reorder[key]
 
+        return apply
+
     # -- client-facing paths ----------------------------------------------------
 
     def _start_write(self, record: RequestRecord) -> None:
-        self.env.process(
-            self._write_coordinator(record),
-            name=f"pc-write-{record.request_id}",
-        )
-
-    def _write_coordinator(self, record: RequestRecord):
         env = self.env
         endpoint = self.deployment.network.endpoints[record.home]
         record.dispatched_at = env.now
@@ -163,26 +156,13 @@ class PrimaryCopy(ReplicationProtocol):
                 "origin": record.home,
             },
         )
-        done = endpoint.receive("PC_DONE", key=record.request_id)
-        yield done | env.timeout(self.write_timeout)
-        if done.processed:
+
+        def done(reply: Optional[Message]) -> None:
             record.completed_at = env.now
-            record.status = "committed"
-        else:
-            done.cancel()
-            record.completed_at = env.now
-            record.status = "failed"
+            record.status = "committed" if reply is not None else "failed"
+
+        endpoint.wait("PC_DONE", record.request_id, self.write_timeout, done)
 
     def _start_read(self, record: RequestRecord) -> None:
-        def reader():
-            server = self.deployment.server(record.home)
-            if server.config.read_service_time > 0:
-                yield self.env.timeout(server.config.read_service_time)
-            entry = server.read(record.key)
-            record.value = entry.value if entry else None
-            record.extra["version"] = entry.version if entry else 0
-            record.completed_at = self.env.now
-            record.status = "read-done"
-
         record.dispatched_at = self.env.now
-        self.env.process(reader(), name=f"pc-read-{record.request_id}")
+        self._read_local(record)

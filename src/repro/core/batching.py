@@ -39,10 +39,9 @@ class BatchDispatcher:
             self._flush(record.home)
         elif not self._flusher_running.get(record.home):
             self._flusher_running[record.home] = True
-            self.marp.env.process(
-                self._flush_timer(record.home),
-                name=f"batch-timer-{record.home}",
-            )
+            self.marp.env.timeout(
+                self.flush_interval, record.home
+            ).callbacks.append(self._flush_timer)
 
     def _flush(self, home: str) -> None:
         buffer = self._buffers.get(home)
@@ -52,9 +51,9 @@ class BatchDispatcher:
         self.flushes += 1
         self.marp.launch_agent(home, records)
 
-    def _flush_timer(self, home: str):
+    def _flush_timer(self, timeout) -> None:
         """Periodic dispatch of partial batches ("or periodically")."""
-        yield self.marp.env.timeout(self.flush_interval)
+        home = timeout.value
         self._flusher_running[home] = False
         if self._buffers.get(home):
             self.timer_flushes += 1

@@ -106,11 +106,11 @@ class DeltaJournal:
         finished: List[Any] = []
         versions = None
         # Sequence numbers in the window are consecutive, so the events
-        # after the base are exactly the newest ``seq - base_seq``.
-        log = self._log
-        for _seq, kind, payload in islice(
-            log, len(log) - (self.seq - base_seq), None
-        ):
+        # after the base are exactly the newest ``seq - base_seq``:
+        # taken from the right, so the older ones are never walked.
+        newest = list(islice(reversed(self._log), self.seq - base_seq))
+        newest.reverse()
+        for _seq, kind, payload in newest:
             if kind == "enq":
                 appended[payload] = None
             elif kind == "deq":

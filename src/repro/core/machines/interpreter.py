@@ -130,7 +130,8 @@ class Substrate:
 
     The first group has no default. The second has the defaults of a
     backend whose transport pushes messages at it and whose visits are
-    free; the discrete-event backend overrides them.
+    free; the discrete-event backend overrides the park, the visit cost
+    and the record-keeping, and pushes claim replies like the others.
     """
 
     def now(self) -> float:
@@ -182,8 +183,11 @@ class Substrate:
 
     def listen(self, agent: Resident, deadline: Any) -> None:
         """``agent`` is blocked on a claim reply: make sure the next one
-        reaches :meth:`EffectInterpreter.deliver` (a pull-style inbox
-        posts a receive here; a push transport needs nothing)."""
+        reaches :meth:`EffectInterpreter.deliver`. Every backend in the
+        tree pushes replies at ``deliver`` as they arrive (the DES
+        through ``Endpoint.serve``, the live transport, the harness) and
+        needs nothing here; a backend with a pull-style inbox would
+        post its receive."""
 
     def visit_cost(self) -> float:
         """Ms one local exchange with the replica takes."""

@@ -27,7 +27,6 @@ from repro.errors import ProtocolError
 from repro.replication.deployment import Deployment
 from repro.replication.protocol import ReplicationProtocol
 from repro.replication.requests import RequestRecord, Transform
-from repro.replication.server import route_replies
 
 __all__ = ["MARP"]
 
@@ -57,7 +56,6 @@ class MARP(ReplicationProtocol):
         votes: Optional[Dict[str, int]] = None,
     ) -> None:
         super().__init__(deployment)
-        route_replies(deployment.network)
         self.config = config or MARPConfig()
         if votes is not None:
             unknown = set(votes) - set(deployment.hosts)

@@ -24,18 +24,8 @@ __all__ = ["start_local_read", "start_quorum_read"]
 def start_local_read(marp: "MARP", record: RequestRecord) -> None:
     """Serve the read from the home replica's local copy."""
 
-    def reader():
-        server = marp.deployment.server(record.home)
-        if server.config.read_service_time > 0:
-            yield marp.env.timeout(server.config.read_service_time)
-        entry = server.read(record.key)
-        record.value = entry.value if entry is not None else None
-        record.extra["version"] = entry.version if entry is not None else 0
-        record.extra["read_strategy"] = "local"
-        record.completed_at = marp.env.now
-        record.status = "read-done"
-
-    marp.env.process(reader(), name=f"read-{record.request_id}")
+    record.extra["read_strategy"] = "local"
+    marp._read_local(record)
 
 
 def start_quorum_read(marp: "MARP", record: RequestRecord) -> None:

@@ -63,7 +63,7 @@ class UpdateAgent(Resident):
             AgentMachine(self.core, hosts, marp.config, votes=marp.votes)
         )
         self.itinerary = make_itinerary(marp.config.itinerary, home=self.home)
-        self.stream = marp.deployment.streams.stream(f"agent.{agent_id}")
+        self._stream = None
         #: ``(time, host)`` per arrival, launch included
         self.travel_log: List[Tuple[float, str]] = []
         self.disposed = False
@@ -77,6 +77,17 @@ class UpdateAgent(Resident):
             + estimate_size(self.core.requests)
             + 16
         )
+
+    @property
+    def stream(self):
+        """The agent's private random stream, derived at the first draw
+        (it is a function of its name): an agent that never backs off
+        and follows a deterministic itinerary never builds one."""
+        if self._stream is None:
+            self._stream = self.marp.deployment.streams.stream(
+                f"agent.{self.agent_id}"
+            )
+        return self._stream
 
     @property
     def table(self) -> LockingTable:

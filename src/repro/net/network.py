@@ -16,8 +16,12 @@ fail-stop. Concretely:
 
 Every host gets an :class:`Endpoint` whose inbox is a routed mailbox:
 a delivered message is filed once, by its kind (and, for kinds declared
-with :meth:`Network.route`, by a correlation key read from its payload),
-and ``yield endpoint.receive(kind="ACK")`` pops the head of that queue.
+with :meth:`Network.route`, by a correlation key read from its payload).
+A stationary process takes its kinds one message at a time by callback
+(:meth:`Endpoint.serve`), a one-shot reply is awaited the same way
+(:meth:`Endpoint.wait`), and a coordinator that keeps loop state across
+its waits pulls: ``yield endpoint.receive(kind="Q_GRANT", key=...)``
+pops the head of that queue.
 """
 
 from __future__ import annotations
@@ -68,8 +72,9 @@ class Endpoint:
         protocols every consumer registers its receive in the same
         zero-delay instant it triggers the reply, so an unclaimed
         message that has outlived every protocol timeout is dead (the
-        classic case: ACK/NACKs for a claim round the agent abandoned
-        at its deadline, each left in the queue of a correlation key
+        classic case: the GRANTs a quorum coordinator no longer needed
+        once it had its majority, or those of a round it abandoned at
+        its deadline, each left in the queue of a correlation key
         nobody will ask for again). Without hygiene those corpses
         accumulate without bound. The reap is amortised (only on
         delivery, only past :data:`REAP_MIN_BACKLOG` messages over all
@@ -114,6 +119,110 @@ class Endpoint:
                 raise NetworkError("a correlation key needs a kind")
             return self.inbox.get(None, match)
         return self.inbox.get(self.network.queue_for(kind, key), match)
+
+    def serve(
+        self,
+        kinds: Tuple[str, ...],
+        service_time: Optional[Callable[[Message], float]],
+        handle: Callable[[Message], None],
+    ) -> None:
+        """Serve the messages of ``kinds`` one at a time, by callback.
+
+        A single-server queue over the inbox queue ``kinds`` share: a
+        message that finds the server idle starts its service in the
+        step that delivered it — ``handle(msg)`` runs
+        ``service_time(msg)`` ms later, or in that same step when the
+        time is zero — and one that finds it busy waits in the inbox
+        (so :attr:`pending`, :meth:`maybe_reap` and the crash boundary
+        below see it) until the messages before it are done. Fail-stop:
+        a message that comes off the queue while the host is down is
+        dropped unhandled (one that *arrives* then never got this far,
+        see :meth:`Network._arrive`); the one in service when the host
+        went down is still handled, and what it sends is lost.
+
+        ``service_time=None`` serves every message in no time: the
+        queue never forms and each message is pushed at ``handle`` as
+        it arrives.
+        """
+        network = self.network
+        env, inbox, host = network.env, self.inbox, self.host
+        queue = network.shared_queue(kinds)
+        if service_time is None:
+            def pushed(msg: Message) -> bool:
+                handle(msg)
+                return True
+
+            inbox.consume(queue, pushed)
+            return
+        busy = False
+
+        def arrived(msg: Message) -> bool:
+            if busy:
+                return False
+            work(msg)
+            return True
+
+        def work(msg: Optional[Message]) -> None:
+            """Take messages, ``msg`` first then the backlog, up to the
+            first one whose service takes time."""
+            nonlocal busy
+            busy = True
+            while msg is not None:
+                delay = service_time(msg)
+                if delay > 0:
+                    Timeout(env, delay, msg).callbacks.append(served)
+                    return
+                handle(msg)
+                msg = backlog()
+            busy = False
+
+        def served(service: Event) -> None:
+            handle(service._value)
+            work(backlog())
+
+        def backlog() -> Optional[Message]:
+            while True:
+                msg = inbox.pop(queue)
+                if msg is None or network.host_up(host):
+                    return msg
+
+        inbox.consume(queue, arrived)
+        work(backlog())
+
+    def wait(
+        self,
+        kind: str,
+        key: Hashable,
+        timeout: float,
+        done: Callable[[Optional[Message]], None],
+    ) -> None:
+        """One reply or a deadline, by callback: ``done(msg)`` with the
+        first message of conversation ``key`` on the keyed route of
+        ``kind`` — at once if it is already here — or ``done(None)``
+        ``timeout`` ms from now. A reply after the deadline is nobody's
+        and stays in the inbox for the reaper."""
+        inbox = self.inbox
+        queue = self.network.queue_for(kind, key)
+        msg = inbox.pop(queue)
+        if msg is not None:
+            done(msg)
+            return
+        waiting = True
+
+        def replied(msg: Message) -> bool:
+            nonlocal waiting
+            waiting = False
+            inbox.consume(queue, None)
+            done(msg)
+            return True
+
+        def deadline(_timeout: Event) -> None:
+            if waiting:
+                inbox.consume(queue, None)
+                done(None)
+
+        inbox.consume(queue, replied)
+        Timeout(self.network.env, timeout).callbacks.append(deadline)
 
     def send(
         self,
@@ -285,11 +394,14 @@ class Network:
         A consumer that handles several kinds in arrival order (a
         server's request loop) declares them together and receives with
         ``kind=kinds``. ``key(payload)`` names the conversation a reply
-        belongs to (a claim round's ``(batch_id, epoch)``, a fetch's
+        belongs to (a lock round's ``(rid, epoch)``, a quorum read's
         ``request_id``): each conversation then gets a queue of its own,
         computed once at delivery, and ``receive(kinds, key=...)`` never
-        meets another conversation's messages. Declare before traffic
-        of these kinds flows; repeating a declaration is a no-op.
+        meets another conversation's messages. A message whose key is
+        ``None`` belongs to no conversation and joins the queue the
+        kinds share (the one :meth:`Endpoint.serve` takes from). Declare
+        before traffic of these kinds flows; repeating a declaration is
+        a no-op.
         """
         kinds = tuple(kinds)
         rule: _Route = (kinds, "+".join(kinds), key)
@@ -307,24 +419,37 @@ class Network:
         if rule is None:
             return msg.kind
         _kinds, queue, key = rule
-        return queue if key is None else (queue, key(msg.payload))
+        if key is None:
+            return queue
+        conversation = key(msg.payload)
+        return queue if conversation is None else (queue, conversation)
+
+    def _rule(self, kinds: Tuple[str, ...]) -> _Route:
+        """The route ``kinds`` were declared with (a lone undeclared
+        kind is a route of its own)."""
+        rule = self._routes.get(kinds[0])
+        if rule is None:
+            if len(kinds) > 1:
+                raise NetworkError(f"no route was declared for {kinds!r}")
+            return kinds, kinds[0], None
+        if rule[0] != kinds:
+            raise NetworkError(
+                f"{kinds!r} is routed together with {rule[0]!r}; "
+                "receive the declared kinds as one"
+            )
+        return rule
+
+    def shared_queue(self, kinds: Iterable[str]) -> Hashable:
+        """The inbox queue holding the messages of ``kinds`` that belong
+        to no conversation."""
+        return self._rule(tuple(kinds))[1]
 
     def queue_for(
         self, kind: Union[str, Tuple[str, ...]], key: Optional[Hashable]
     ) -> Hashable:
         """The inbox queue a ``receive(kind, key=key)`` waits on."""
         kinds = (kind,) if kind.__class__ is str else tuple(kind)
-        rule = self._routes.get(kinds[0])
-        if rule is None:
-            if len(kinds) > 1 or key is not None:
-                raise NetworkError(f"no route was declared for {kinds!r}")
-            return kind
-        declared, queue, key_of = rule
-        if declared != kinds:
-            raise NetworkError(
-                f"{kinds!r} is routed together with {declared!r}; "
-                "receive the declared kinds as one"
-            )
+        declared, queue, key_of = self._rule(kinds)
         if (key is None) != (key_of is None):
             raise NetworkError(
                 f"route {declared!r} "

@@ -148,21 +148,26 @@ class Deployment:
             return
         self._anti_entropy_running = True
         for host in self.hosts:
-            self.env.process(
-                self._anti_entropy_loop(host, mean_interval),
-                name=f"anti-entropy-{host}",
-            )
+            peers = [h for h in self.hosts if h != host]
+            if peers:
+                self._anti_entropy(host, mean_interval, peers)
 
-    def _anti_entropy_loop(self, host: str, mean_interval: float):
+    def _anti_entropy(self, host: str, mean_interval: float, peers) -> None:
+        """``host`` pulls from a random peer, forever, at exponential
+        intervals: each pull arms the next."""
         stream = self.streams.stream(f"anti-entropy.{host}")
-        peers = [h for h in self.hosts if h != host]
-        if not peers:
-            return
-        while True:
-            yield self.env.timeout(stream.exponential(mean_interval))
-            if not self.network.host_up(host):
-                continue
-            self.servers[host].request_sync(stream.choice(peers))
+
+        def arm() -> None:
+            self.env.timeout(
+                stream.exponential(mean_interval)
+            ).callbacks.append(pull)
+
+        def pull(_timeout) -> None:
+            if self.network.host_up(host):
+                self.servers[host].request_sync(stream.choice(peers))
+            arm()
+
+        arm()
 
     def enable_queue_monitoring(self) -> Dict[str, "object"]:
         """Track each server's Locking-List length over time.
@@ -202,21 +207,20 @@ class Deployment:
 
     def _start_recovery_processes(self) -> None:
         """After each crash window, resync the store from a live peer."""
-        for host in self.faults.crashes.hosts_with_faults():
-            if host in self.servers:
-                self.env.process(
-                    self._recovery_loop(host), name=f"recovery-{host}"
-                )
-
-    def _recovery_loop(self, host: str):
         grace = 1.0  # let the clock pass the exact boundary instant
-        for _down_at, up_at in self.faults.crashes.windows(host):
-            wait = up_at + grace - self.env.now
-            if wait > 0:
-                yield self.env.timeout(wait)
-            peers = [h for h in self.alive_hosts() if h != host]
-            if peers:
-                self.servers[host].request_sync(peers[0])
+        for host in self.faults.crashes.hosts_with_faults():
+            if host not in self.servers:
+                continue
+            for _down_at, up_at in self.faults.crashes.windows(host):
+                self.env.timeout(
+                    max(0.0, up_at + grace - self.env.now), host
+                ).callbacks.append(self._recover)
+
+    def _recover(self, restart) -> None:
+        host = restart.value
+        peers = [h for h in self.alive_hosts() if h != host]
+        if peers:
+            self.servers[host].request_sync(peers[0])
 
     def run(self, until=None):
         """Convenience passthrough to the environment's run loop."""

@@ -20,9 +20,9 @@ class ReplicationProtocol:
     """Base class for replication control protocols.
 
     Subclasses implement :meth:`_start_write` and :meth:`_start_read`,
-    which must *asynchronously* process the request (spawning simulation
-    processes) and fill in the record's timeline fields, finally setting
-    ``record.status``.
+    which must *asynchronously* process the request (scheduling
+    simulation events) and fill in the record's timeline fields, finally
+    setting ``record.status``.
     """
 
     name = "abstract"
@@ -89,6 +89,26 @@ class ReplicationProtocol:
 
     def _start_read(self, record: RequestRecord) -> None:  # pragma: no cover
         raise NotImplementedError
+
+    def _read_local(self, record: RequestRecord) -> None:
+        """Serve ``record`` from its home replica's copy once the
+        server's ``read_service_time`` has passed — the read-one path
+        (fast, not guaranteed fresh)."""
+        server = self.deployment.server(record.home)
+
+        def read(_timeout=None) -> None:
+            entry = server.read(record.key)
+            record.value = entry.value if entry is not None else None
+            record.extra["version"] = entry.version if entry is not None else 0
+            record.completed_at = self.env.now
+            record.status = "read-done"
+
+        if server.config.read_service_time > 0:
+            self.env.timeout(
+                server.config.read_service_time
+            ).callbacks.append(read)
+        else:
+            read()
 
     # -- streaming accounting -----------------------------------------------
 

@@ -5,12 +5,13 @@ All protocol *logic* lives in the sans-IO machines and all effect
 this class is the discrete-event :class:`Substrate` under one host's
 interpreter. It supplies only what a simulated host is made of:
 
-* the clock (``env.now``) and the network endpoint (sends, the claim
-  replies' routed receives, the message loop that serialises UPDATE and
-  COMMIT processing behind ``update_apply_time``);
-* timers as simulation events — a plain ``Timeout`` for service and
-  back-off delays, ``release | timeout`` for a park, ``reply | deadline``
-  for a claim round;
+* the clock (``env.now``) and the network endpoint: sends, the
+  single-server queue that serialises UPDATE and COMMIT processing
+  behind ``update_apply_time``, and the claim replies, which the
+  endpoint pushes at the interpreter as they arrive (what the live
+  transport does);
+* timers as simulation events — a plain ``Timeout`` for service,
+  back-off and claim-round deadlines, ``release | timeout`` for a park;
 * agent shipping with the paper's §2 failure policy: an attempt that
   does not complete within :data:`MIGRATION_TIMEOUT` is retried, and
   after :data:`MAX_ATTEMPTS` the destination is declared unavailable
@@ -26,13 +27,14 @@ interpreter calls the co-located :class:`ReplicaMachine` directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Dict, List, Optional
+from typing import Dict, Hashable, List, Optional
 
 from repro.errors import MigrationError, ProtocolError
 from repro.agents.identity import AgentId, AgentIdFactory
 from repro.core.machines.config import DES_TUNABLES
-from repro.core.machines.interpreter import EffectInterpreter, Substrate
+from repro.core.machines.interpreter import (
+    AGENT_BOUND, EffectInterpreter, Substrate,
+)
 from repro.core.machines.replica import ReplicaMachine
 from repro.core.machines.wire import SharedView, UpdatePayload, WriteOp
 from repro.net.message import Message, estimate_size
@@ -42,15 +44,8 @@ from repro.sim.events import Event
 
 __all__ = [
     "ReplicaServer", "ReplicaConfig", "SharedView", "UpdatePayload",
-    "WriteOp", "CLAIM_REPLIES", "route_replies",
+    "WriteOp",
 ]
-
-#: The claim round's replies share one inbox queue per ``(batch_id,
-#: epoch)``: a round reads its own ACK/NACKs in arrival order and never
-#: meets those of an abandoned epoch or of another agent at this host.
-CLAIM_REPLIES = ("ACK", "NACK")
-_CLAIM_KEY = itemgetter("batch_id", "epoch")
-_READ_KEY = itemgetter("request_id")
 
 # Paper §2: "If a mobile agent cannot migrate ... after certain amount of
 # time, the protocol assumes that the replica process at the host has
@@ -69,11 +64,13 @@ BASE_BYTES = 2048
 SERIALIZATION_OVERHEAD = 1.2
 
 
-def route_replies(network: Network) -> None:
-    """Declare how the replies MARP's agents and readers wait for are
-    filed in every inbox (see :meth:`Network.route`)."""
-    network.route(CLAIM_REPLIES, key=_CLAIM_KEY)
-    network.route(("READR",), key=_READ_KEY)
+def _reader_of(payload) -> Optional[Hashable]:
+    """Whose READR this is: a client's quorum read waits for its own
+    (by request id, see :func:`repro.core.read.start_quorum_read`); an
+    RMW fetch's — its id is the ``(batch_id, epoch, key)`` tuple — is
+    the claiming agent's and is pushed with the other claim replies."""
+    request_id = payload["request_id"]
+    return None if request_id.__class__ is tuple else request_id
 
 
 def run_steps(generator) -> None:
@@ -177,12 +174,14 @@ class ReplicaServer(Substrate):
         self.migrations_out = 0
         self.migrations_failed = 0
 
-        # One inbox queue for every kind the loop handles: it takes them
-        # in arrival order across kinds by popping that queue's head.
+        # One inbox queue for every kind the replica handles: it takes
+        # them one at a time, in arrival order across kinds.
         network.route(self._HANDLED_KINDS)
-        self._loop_process = env.process(
-            self._message_loop(), name=f"replica-loop-{host}"
-        )
+        endpoint.serve(self._HANDLED_KINDS, self._service_time, self._handle)
+        # Replies to an agent claiming from here wait for nothing.
+        network.route(("READR",), key=_reader_of)
+        for kind in AGENT_BOUND:
+            endpoint.serve((kind,), None, self._handle)
 
     # ------------------------------------------------------------------
     # Machine state, exposed for tests/analysis
@@ -265,22 +264,13 @@ class ReplicaServer(Substrate):
     # Message handling (Algorithm 2's message clauses)
     # ------------------------------------------------------------------
 
-    def _message_loop(self):
-        while True:
-            msg: Message = yield self.endpoint.receive(self._HANDLED_KINDS)
-            if not self.network.host_up(self.host):
-                # Fail-stop: a crashed server processes nothing. (Messages
-                # delivered during the crash window are already dropped by
-                # the network; this guards the exact boundary instant.)
-                continue
-            if (
-                msg.kind in ("UPDATE", "COMMIT")
-                and self.config.update_apply_time > 0
-            ):
-                yield self.env.timeout(self.config.update_apply_time)
-            self.interpreter.deliver(
-                msg.kind, msg.payload, msg.src, msg.sent_at
-            )
+    def _service_time(self, msg: Message) -> float:
+        if msg.kind in ("UPDATE", "COMMIT"):
+            return self.config.update_apply_time
+        return 0.0
+
+    def _handle(self, msg: Message) -> None:
+        self.interpreter.deliver(msg.kind, msg.payload, msg.src, msg.sent_at)
 
     # ------------------------------------------------------------------
     # Agents
@@ -351,41 +341,14 @@ class ReplicaServer(Substrate):
         )
         return lambda: release.triggered or release.succeed()
 
-    def set_deadline(self, delay, fire):
-        # No callback of its own: the deadline only ever fires as one
-        # side of the ``reply | deadline`` wait that listen() posts.
-        return self.env.timeout(delay), fire
-
-    def listen(self, agent, deadline) -> None:
-        core = agent.machine.state
-        if core.awaiting == "acks":
-            reply = self.endpoint.receive(
-                CLAIM_REPLIES, key=(core.batch_id, core.epoch)
-            )
-        else:
-            reply = self.endpoint.receive(
-                "READR", key=(core.batch_id, core.epoch, core.fetch_key)
-            )
-        timeout, fire = deadline
-
-        def resume(_event) -> None:
-            if reply.processed:
-                msg = reply.value
-                self.interpreter.deliver(msg.kind, msg.payload, msg.src)
-            else:
-                # The deadline fired; withdraw the pending receive so it
-                # cannot swallow a message meant for a later epoch check.
-                reply.cancel()
-                fire()
-
-        (reply | timeout).callbacks.append(resume)
-
     def visit_cost(self) -> float:
         return self.config.agent_service_time
 
     def choose(self, agent, candidates) -> str:
-        return agent.itinerary.next_host(
-            self.host, candidates, self.network.topology, agent.stream
+        itinerary = agent.itinerary
+        return itinerary.next_host(
+            self.host, candidates, self.network.topology,
+            agent.stream if itinerary.draws else None,
         )
 
     def sample_backoff(self, agent, mean) -> float:

@@ -2,8 +2,10 @@
 
 :class:`RoutedStore` files every item under a route computed once at
 ``put`` and lets each consumer wait on its own route — the mailbox of
-the network substrate's endpoints. ``get`` returns an event a process
-yields on.
+the network substrate's endpoints. A consumer either *pulls* (``get``
+returns an event a process yields on) or *stands* on its route
+(``consume``: ``put`` calls it with the item, inside the step that put
+it, and ``pop`` hands it the backlog — no event either way).
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Deque, Dict, Hashable, List, Optional, Tuple
 
+from repro.errors import SimulationError
 from repro.sim.events import PENDING, Event
 
 __all__ = ["RoutedStore"]
@@ -55,7 +58,8 @@ class RoutedStore:
       satisfying ``pred`` — the scan stays inside the one queue.
     * ``get()`` with no route takes the oldest item of the whole store
       (it compares the queue heads, so it costs O(queues)).
-    * An item is offered first to the pending getters of its route in
+    * An item is offered first to the standing consumer of its route
+      (:meth:`consume`), then to the pending getters of that route in
       the order they asked, then to the route-less getters.
 
     Empty queues and served or cancelled getters are dropped at once:
@@ -71,6 +75,8 @@ class RoutedStore:
         #: route -> getters still waiting, in the order they asked;
         #: the route-less ones under None
         self._getters: Dict[Optional[Hashable], List[RoutedGet]] = {}
+        #: route -> its standing consumer
+        self._consumers: Dict[Hashable, Callable[[Any], bool]] = {}
         self._arrivals = 0
         self._size = 0
 
@@ -89,8 +95,12 @@ class RoutedStore:
     # -- public API ------------------------------------------------------
 
     def put(self, item: Any) -> None:
-        """File ``item``; a waiting getter it satisfies fires now."""
+        """File ``item``; a consumer that takes it or a waiting getter
+        it satisfies has it now."""
         route = self._route_of(item)
+        consumer = self._consumers.get(route)
+        if consumer is not None and consumer(item):
+            return
         if self._getters and (
             self._offer(route, item) or self._offer(None, item)
         ):
@@ -127,6 +137,35 @@ class RoutedStore:
         self._size -= 1
         event.succeed(item)
         return event
+
+    def consume(
+        self, route: Hashable, consumer: Optional[Callable[[Any], bool]]
+    ) -> None:
+        """Stand ``consumer`` on ``route`` (``None`` withdraws it).
+
+        ``put`` calls ``consumer(item)`` before filing an item of the
+        route: true means the consumer took it, false that the item
+        waits in the route's queue until the consumer comes for it
+        with :meth:`pop`. A route has at most one.
+        """
+        if consumer is None:
+            self._consumers.pop(route, None)
+        elif route in self._consumers:
+            raise SimulationError(f"route {route!r} already has a consumer")
+        else:
+            self._consumers[route] = consumer
+
+    def pop(self, route: Hashable) -> Any:
+        """The oldest queued item of ``route``, or ``None`` — now, with
+        no event."""
+        queue = self._queues.get(route)
+        if queue is None:
+            return None
+        item = queue.popleft()[1]
+        if not queue:
+            del self._queues[route]
+        self._size -= 1
+        return item
 
     def discard(self, unwanted: Callable[[Any], bool]) -> int:
         """Drop every queued item ``unwanted`` accepts; returns how many."""

@@ -15,6 +15,7 @@ from typing import Dict, List
 from repro.errors import WorkloadError
 from repro.replication.protocol import ReplicationProtocol
 from repro.replication.requests import RequestRecord
+from repro.sim.core import Timeout
 from repro.workload.trace import WorkloadTrace
 
 __all__ = ["TraceReplayer", "record_workload"]
@@ -33,20 +34,26 @@ class TraceReplayer:
         self.protocol = protocol
         self.trace = trace
         self.submitted: List[RequestRecord] = []
-        self.process = protocol.env.process(
-            self._replay(), name="trace-replayer"
-        )
+        self._entries = iter(trace)
+        self._replay()
 
-    def _replay(self):
+    def _replay(self, waited=None) -> None:
+        """Submit the entry whose wait just ended and every later one
+        that is due; wait for the first that is not."""
         env = self.protocol.env
-        for entry in self.trace:
+        entry = waited.value if waited is not None else None
+        while True:
+            if entry is not None:
+                self.submitted.append(self.protocol.submit(
+                    entry.home, entry.op, entry.key, entry.value
+                ))
+            entry = next(self._entries, None)
+            if entry is None:
+                return
             gap = entry.at - env.now
             if gap > 0:
-                yield env.timeout(gap)
-            record = self.protocol.submit(
-                entry.home, entry.op, entry.key, entry.value
-            )
-            self.submitted.append(record)
+                Timeout(env, gap, entry).callbacks.append(self._replay)
+                return
 
     def __repr__(self) -> str:
         return (

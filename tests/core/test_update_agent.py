@@ -182,6 +182,40 @@ class TestBatching:
         assert [v for _r, _k, v in server.history.identities()] == [1, 2]
 
 
+class TestPrivateStream:
+    """An agent's stream is a function of its name, so it is derived at
+    the first draw: most agents never back off and never need one."""
+
+    def test_a_run_without_a_failed_claim_creates_no_agent_stream(
+        self, deployment5
+    ):
+        marp = MARP(deployment5)
+        for n, home in enumerate(deployment5.hosts):
+            marp.submit_write(home, f"k{n}", n)
+        deployment5.run(until=100_000)
+        assert [r.status for r in marp.records] == ["committed"] * 5
+        assert all(r.extra["failed_claims"] == 0 for r in marp.records)
+        assert not any(
+            f"agent.{agent.agent_id}" in deployment5.streams
+            for agent in marp.agents
+        )
+
+    def test_first_back_off_is_the_first_draw_of_the_named_stream(
+        self, deployment5
+    ):
+        from repro.sim.rng import RandomStreams
+
+        marp = MARP(deployment5)
+        marp.submit_write("s1", "x", 1)
+        agent = marp.agents[0]
+        name = f"agent.{agent.agent_id}"
+        assert name not in deployment5.streams
+        eager = RandomStreams(deployment5.streams.seed).stream(name)
+        drawn = deployment5.server("s1").sample_backoff(agent, 25.0)
+        assert drawn == eager.exponential(25.0)
+        assert name in deployment5.streams
+
+
 class TestSuitcaseSizing:
     def test_running_size_equals_the_sized_description_at_every_hop(
         self, monkeypatch

@@ -1,15 +1,16 @@
 """The DES hot paths cost what the event is, not what the run was —
 nor how many replicas there are.
 
-Four guards, all deterministic counts (no wall clock):
+Five guards, all deterministic counts (no wall clock):
 
-* a contended run four times as long must do the same work per receive,
-  per commit and per agent table — before the routed mailbox, every
-  receive re-scanned the dead ACK/NACKs of all earlier claim rounds and
-  every fresh agent interned the whole Updated List window, so each of
-  these ratios grew with the run (the 7 s of simulated time stay inside
-  one inbox hygiene window, so nothing is reaped to hide that;
-  ``test_hygiene_windows.py`` covers the reaper);
+* a contended run four times as long must do the same work per
+  delivered message, per commit and per agent table — before the routed
+  mailbox, every receive re-scanned the dead ACK/NACKs of all earlier
+  claim rounds and every fresh agent interned the whole Updated List
+  window, so each of these ratios grew with the run (a MARP write run
+  posts no receive at all now: its servers take their kinds by
+  callback and claim replies are pushed, so the mailbox work is
+  divided by the messages delivered);
 * a primary-copy backup asks its store for one version per write a
   ``PC_APPLY`` carries, however many keys the run has touched — before,
   every message re-scanned the reorder buffer of every key seen so far;
@@ -19,9 +20,13 @@ Four guards, all deterministic counts (no wall clock):
   entry and every migration re-encoded the whole suitcase description,
   un-visited host names included, so both counts grew with N;
 * the routed mailbox keeps the ordering the protocol drivers rely on:
-  the server loop takes its kinds oldest-first, a reply that beat its
+  the server takes its kinds oldest-first, a reply that beat its
   receive to the inbox is still claimed, and a withdrawn receive never
-  swallows a later round's reply.
+  swallows a later round's reply;
+* nothing on a hot path runs as a simulation ``Process``: the number a
+  run creates does not depend on how many requests it serves, and a
+  primary-copy write costs the thirteen heap events that carry
+  simulated time.
 """
 
 import os
@@ -31,7 +36,6 @@ import pytest
 
 from repro.baselines.primary_copy import PrimaryCopy
 from repro.core.protocol import MARP
-from repro.replication.server import CLAIM_REPLIES
 from repro.replication.client import attach_clients
 from repro.replication.deployment import Deployment
 from repro.workload.arrivals import ExponentialArrivals
@@ -46,7 +50,7 @@ _MAILBOX_FILES = (
 
 def _contended_run(writes_per_client):
     """marp_contended_n5's regime (N=5, 16 Zipf-0.9 keys, 60 ms gaps),
-    counting Python calls: all, inside the mailbox, and receives."""
+    counting Python calls: all, inside the mailbox, and deliveries."""
     deployment = Deployment(n_replicas=5, seed=7)
     marp = MARP(deployment)
     attach_clients(
@@ -58,7 +62,7 @@ def _contended_run(writes_per_client):
         ),
         max_requests_per_client=writes_per_client,
     )
-    calls = {"all": 0, "mailbox": 0, "receive": 0}
+    calls = {"all": 0, "mailbox": 0, "delivered": 0}
 
     def count(frame, event, _arg):
         if event == "call":
@@ -66,8 +70,8 @@ def _contended_run(writes_per_client):
             code = frame.f_code
             if code.co_filename.endswith(_MAILBOX_FILES):
                 calls["mailbox"] += 1
-                if code.co_name == "receive":
-                    calls["receive"] += 1
+                if code.co_name == "_arrive":
+                    calls["delivered"] += 1
 
     previous = sys.getprofile()
     sys.setprofile(count)
@@ -79,7 +83,7 @@ def _contended_run(writes_per_client):
     assert commits == 5 * writes_per_client
     return {
         "calls_per_commit": calls["all"] / commits,
-        "mailbox_calls_per_receive": calls["mailbox"] / calls["receive"],
+        "mailbox_calls_per_message": calls["mailbox"] / calls["delivered"],
         "table_slots": max(len(agent.table._ids) for agent in marp.agents),
     }
 
@@ -92,8 +96,8 @@ class TestCostDoesNotGrowWithTheRun:
     def test_mailbox_work_per_receive_is_constant(self, short_and_long):
         short, long = short_and_long
         assert (
-            long["mailbox_calls_per_receive"]
-            <= 1.25 * short["mailbox_calls_per_receive"]
+            long["mailbox_calls_per_message"]
+            <= 1.25 * short["mailbox_calls_per_message"]
         )
 
     def test_calls_per_commit_are_constant(self, short_and_long):
@@ -232,9 +236,9 @@ class TestVisitCostDoesNotGrowWithTheClusterSize:
 class TestRoutedMailboxOrdering:
     @pytest.fixture
     def cluster(self):
-        deployment = Deployment(n_replicas=3, seed=1)
-        MARP(deployment)  # declares the claim-round and fetch replies
-        return deployment
+        # READR is the route of MARP's that still pulls: a quorum read
+        # waits for its own replies, by request id
+        return Deployment(n_replicas=3, seed=1)
 
     def test_server_kinds_are_taken_oldest_first(self, cluster):
         """While the server applies one UPDATE, a RELEASE, a READQ and a
@@ -262,7 +266,7 @@ class TestRoutedMailboxOrdering:
                 )
 
             sender.send("s2", "UPDATE", payload(1))
-            yield env.timeout(0.1)  # the loop is now inside apply time
+            yield env.timeout(0.1)  # the server is now inside apply time
             sender.send("s2", "RELEASE", payload(1))
             sender.send("s2", "READQ", {"request_id": 99, "key": "k"})
             sender.send("s2", "UPDATE", payload(2))
@@ -277,15 +281,15 @@ class TestRoutedMailboxOrdering:
         got = []
 
         def late_receiver():
-            endpoint.send("s1", "ACK", {"batch_id": 5, "epoch": 1, "from": "s1"})
+            endpoint.send("s1", "READR", {"request_id": 5, "from": "s1"})
             yield env.timeout(3.0)
             assert endpoint.pending == 1  # queued, nobody asked yet
-            msg = yield endpoint.receive(CLAIM_REPLIES, key=(5, 1))
+            msg = yield endpoint.receive("READR", key=5)
             got.append((msg.kind, env.now))
 
         env.process(late_receiver())
         env.run(until=50.0)
-        assert got == [("ACK", 3.0)]
+        assert got == [("READR", 3.0)]
         assert endpoint.pending == 0
 
     def test_withdrawn_receive_never_swallows_a_later_epoch(self, cluster):
@@ -293,22 +297,81 @@ class TestRoutedMailboxOrdering:
         endpoint = cluster.network.endpoints["s1"]
         got = []
 
-        def claimer():
-            first = endpoint.receive(CLAIM_REPLIES, key=(5, 1))
+        def reader():
+            first = endpoint.receive("READR", key=5)
             yield first | env.timeout(2.0)
             assert not first.processed
-            first.cancel()  # epoch 1's deadline fired
-            second = endpoint.receive(CLAIM_REPLIES, key=(5, 2))
-            endpoint.send("s1", "NACK", {"batch_id": 5, "epoch": 1, "from": "s1"})
-            endpoint.send("s1", "ACK", {"batch_id": 5, "epoch": 2, "from": "s1"})
+            first.cancel()  # read 5's deadline fired
+            second = endpoint.receive("READR", key=6)
+            endpoint.send("s1", "READR", {"request_id": 5, "from": "s1"})
+            endpoint.send("s1", "READR", {"request_id": 6, "from": "s1"})
             msg = yield second
-            got.append((msg.kind, msg.payload["epoch"]))
+            got.append((msg.kind, msg.payload["request_id"]))
 
-        env.process(claimer())
+        env.process(reader())
         env.run(until=50.0)
-        assert got == [("ACK", 2)]
-        # the stale NACK waits in epoch 1's queue for the reaper; the
-        # withdrawn receive left nothing behind (only the server loop
-        # still waits, on its own queue)
+        assert got == [("READR", 6)]
+        # the stale reply waits in read 5's queue for the reaper; the
+        # withdrawn receive left nothing behind (the servers hold no
+        # receive at all: they stand on their queues)
         assert endpoint.pending == 1
-        assert len(endpoint.inbox._getters) == 1
+        assert not endpoint.inbox._getters
+
+
+def _census(protocol, requests_per_client, write_fraction):
+    """One observed ``run_once``: the ``Process`` objects it created
+    and its result (``deployment.env.events_processed`` is the heap
+    events it popped)."""
+    from repro.experiments.runner import RunConfig, run_once
+    from repro.obs import hub as hub_mod
+    from repro.sim import core
+
+    created = 0
+    init = core.Process.__init__
+
+    def counting_init(self, *args, **kwargs):
+        nonlocal created
+        created += 1
+        init(self, *args, **kwargs)
+
+    previous = hub_mod._active_hub
+    hub_mod.set_hub(hub_mod.ObservabilityHub())
+    core.Process.__init__ = counting_init
+    try:
+        result = run_once(RunConfig(
+            protocol=protocol, n_replicas=5, seed=7,
+            mean_interarrival=40.0,
+            requests_per_client=requests_per_client,
+            write_fraction=write_fraction, n_keys=64,
+        ))
+    finally:
+        core.Process.__init__ = init
+        hub_mod.set_hub(previous)
+    return created, result
+
+
+class TestNoHotPathRunsAsAProcess:
+    """At 998487c these runs created a ``Process`` per server loop, per
+    client, per local read and per primary-copy write — 58 and 199 on
+    the two MARP runs, 115 and 415 on the primary-copy ones — and a
+    primary-copy write cost 22 heap events."""
+
+    def test_marp_processes_do_not_grow_with_the_run(self):
+        short, result = _census("marp", 20, write_fraction=0.5)
+        long, _ = _census("marp", 80, write_fraction=0.5)
+        statuses = {record.status for record in result.records}
+        assert statuses == {"committed", "read-done"}
+        assert short == long == 0
+
+    def test_primary_copy_processes_do_not_grow_with_the_run(self):
+        short, _ = _census("primary-copy", 20, write_fraction=1.0)
+        long, result = _census("primary-copy", 80, write_fraction=1.0)
+        assert result.committed == 5 * 80
+        assert short == long == 0
+
+    def test_a_primary_copy_write_costs_thirteen_events(self):
+        # gap, PC_WRITE, the primary's apply time, four PC_APPLYs and
+        # four backup apply times, PC_DONE, the write's deadline
+        _, result = _census("primary-copy", 80, write_fraction=1.0)
+        events = result.deployment.env.events_processed
+        assert events / result.committed <= 14

@@ -89,6 +89,38 @@ class TestDeltaJournal:
         assert j.delta_since(0, as_of=1.0) is None  # base fell off
         assert j.delta_since(j.seq - 2, as_of=1.0) is not None
 
+    def test_a_cut_from_a_full_window_walks_only_its_own_events(self):
+        """68 events against a full 1,024-event window: the cut reaches
+        its base from the newest end and never visits the 956 older
+        retained events it has to skip."""
+        from collections import deque
+
+        steps = 0
+
+        class CountingLog(deque):
+            def _counted(self, entries):
+                nonlocal steps
+                for entry in entries:
+                    steps += 1
+                    yield entry
+
+            def __iter__(self):
+                return self._counted(super().__iter__())
+
+            def __reversed__(self):
+                return self._counted(super().__reversed__())
+
+        j = DeltaJournal("s1")
+        for n in range(3 * j.capacity):
+            j.bump("enq", aid(n))
+        assert len(j._log) == j.capacity
+        j._log = CountingLog(j._log)
+        d = j.delta_since(j.seq - 68, as_of=1.0)
+        assert d.appended == tuple(
+            aid(n) for n in range(3 * j.capacity - 68, 3 * j.capacity)
+        )
+        assert steps == 68
+
     def test_reset_invalidates_every_base(self):
         j = DeltaJournal("s1")
         j.bump("enq", aid(1))

@@ -4,8 +4,13 @@ import pytest
 
 from repro.errors import ProtocolError
 from repro.agents.identity import AgentId
+from repro.net.network import Network
+from repro.net.topology import Topology
 from repro.replication.deployment import Deployment
-from repro.replication.server import SharedView, UpdatePayload, WriteOp
+from repro.replication.server import (
+    ReplicaServer, SharedView, UpdatePayload, WriteOp,
+)
+from repro.sim.core import Environment
 
 
 def aid(n: int) -> AgentId:
@@ -28,6 +33,21 @@ def payload(agent_n: int, version: int = 1, value="v", epoch: int = 1,
 @pytest.fixture
 def dep():
     return Deployment(n_replicas=3, seed=0)
+
+
+@pytest.fixture
+def watched():
+    """Replica server ``s1`` and, beside it, a host that runs none: a
+    server pushes the ACK/NACKs its host receives at its interpreter,
+    so a test that wants to read them has them sent to ``watch``."""
+    env = Environment()
+    network = Network(
+        env, Topology.full_mesh(["s1", "watch"]), inbox_ttl=60_000.0
+    )
+    server = ReplicaServer(
+        env, "s1", network.register("s1"), network, peers=["s1"]
+    )
+    return env, server, network.register("watch")
 
 
 class TestLocalInterface:
@@ -106,54 +126,54 @@ class TestLocalInterface:
 
 
 class TestGrantMachinery:
-    def test_update_grants_and_acks_with_versions(self, dep):
-        server = dep.server("s1")
+    def test_update_grants_and_acks_with_versions(self, watched):
+        env, server, watch = watched
         server.store.apply("x", "old", 4, 0.0)
-        sender = dep.network.endpoints["s2"]
         received = []
 
         def listener(env):
-            msg = yield sender.receive(kind="ACK")
+            msg = yield watch.receive(kind="ACK")
             received.append(msg.payload)
 
-        dep.env.process(listener(dep.env))
-        sender.send("s1", "UPDATE", payload(1, reply_to="s2"))
-        dep.run(until=100)
+        env.process(listener(env))
+        watch.send("s1", "UPDATE", payload(1, reply_to="watch"))
+        env.run(until=100)
         assert received[0]["versions"] == {"x": 4}
         assert server._grant_holder == aid(1)
 
-    def test_second_agent_nacked_while_granted(self, dep):
-        sender = dep.network.endpoints["s2"]
+    def test_second_agent_nacked_while_granted(self, watched):
+        env, server, watch = watched
         kinds = []
 
         def listener(env):
             for _ in range(2):
-                msg = yield sender.receive(
+                msg = yield watch.receive(
                     match=lambda m: m.kind in ("ACK", "NACK")
                 )
                 kinds.append(msg.kind)
 
-        dep.env.process(listener(dep.env))
-        sender.send("s1", "UPDATE", payload(1, reply_to="s2"))
-        sender.send("s1", "UPDATE", payload(2, reply_to="s2"))
-        dep.run(until=100)
+        env.process(listener(env))
+        watch.send("s1", "UPDATE", payload(1, reply_to="watch"))
+        watch.send("s1", "UPDATE", payload(2, reply_to="watch"))
+        env.run(until=100)
         assert sorted(kinds) == ["ACK", "NACK"]
+        assert (server.machine.acks_sent, server.machine.nacks_sent) == (1, 1)
 
-    def test_same_agent_reack(self, dep):
-        sender = dep.network.endpoints["s2"]
+    def test_same_agent_reack(self, watched):
+        env, _server, watch = watched
         kinds = []
 
         def listener(env):
             for _ in range(2):
-                msg = yield sender.receive(
+                msg = yield watch.receive(
                     match=lambda m: m.kind in ("ACK", "NACK")
                 )
                 kinds.append(msg.kind)
 
-        dep.env.process(listener(dep.env))
-        sender.send("s1", "UPDATE", payload(1, reply_to="s2", epoch=1))
-        sender.send("s1", "UPDATE", payload(1, reply_to="s2", epoch=2))
-        dep.run(until=100)
+        env.process(listener(env))
+        watch.send("s1", "UPDATE", payload(1, reply_to="watch", epoch=1))
+        watch.send("s1", "UPDATE", payload(1, reply_to="watch", epoch=2))
+        env.run(until=100)
         assert kinds == ["ACK", "ACK"]
 
     def test_release_frees_grant(self, dep):
@@ -196,27 +216,26 @@ class TestGrantMachinery:
         dep.run(until=100)
         assert server._grant_epoch == 3
 
-    def test_grant_expires_after_ttl(self, dep):
-        server = dep.server("s1")
+    def test_grant_expires_after_ttl(self, watched):
+        env, server, watch = watched
         server.config.grant_ttl = 10.0
-        sender = dep.network.endpoints["s2"]
         kinds = []
 
         def listener(env):
-            sender.send("s1", "UPDATE", payload(1, reply_to="s2"))
-            msg = yield sender.receive(
+            watch.send("s1", "UPDATE", payload(1, reply_to="watch"))
+            msg = yield watch.receive(
                 match=lambda m: m.kind in ("ACK", "NACK")
             )
             kinds.append(msg.kind)
             yield env.timeout(50)  # let the TTL lapse
-            sender.send("s1", "UPDATE", payload(2, reply_to="s2"))
-            msg = yield sender.receive(
+            watch.send("s1", "UPDATE", payload(2, reply_to="watch"))
+            msg = yield watch.receive(
                 match=lambda m: m.kind in ("ACK", "NACK")
             )
             kinds.append(msg.kind)
 
-        dep.env.process(listener(dep.env))
-        dep.run(until=200)
+        env.process(listener(env))
+        env.run(until=200)
         assert kinds == ["ACK", "ACK"]
         assert server._grant_holder == aid(2)
 
@@ -275,7 +294,7 @@ class TestReadQueryAndSync:
         replies = []
 
         def listener(env):
-            msg = yield asker.receive(kind="READR")
+            msg = yield asker.receive(kind="READR", key=9)
             replies.append(msg.payload)
 
         dep.env.process(listener(dep.env))
@@ -289,7 +308,7 @@ class TestReadQueryAndSync:
         replies = []
 
         def listener(env):
-            msg = yield asker.receive(kind="READR")
+            msg = yield asker.receive(kind="READR", key=9)
             replies.append(msg.payload)
 
         dep.env.process(listener(dep.env))
