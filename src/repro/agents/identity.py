@@ -12,9 +12,7 @@ agents created at the same host at the same instant remain distinct.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import total_ordering
-from operator import attrgetter
+from operator import itemgetter
 from typing import Collection, Dict
 
 __all__ = ["AgentId", "AgentIdFactory", "host_bytes", "ids_wire_size"]
@@ -34,7 +32,7 @@ _HOST_BYTES = _HostBytes()
 host_bytes = _HOST_BYTES.__getitem__
 #: Bytes of an identifier beyond its host name: created_at + seq.
 _FIXED_BYTES = 8 + 4
-_host_of = attrgetter("host")
+_host_of = itemgetter(1)
 
 
 def ids_wire_size(ids: "Collection[AgentId]") -> int:
@@ -43,49 +41,38 @@ def ids_wire_size(ids: "Collection[AgentId]") -> int:
     return _FIXED_BYTES * len(ids) + sum(map(host_bytes, map(_host_of, ids)))
 
 
-@total_ordering
-@dataclass(frozen=True)
-class AgentId:
-    """Globally unique, totally ordered mobile-agent identifier."""
+class AgentId(tuple):
+    """Globally unique, totally ordered mobile-agent identifier.
 
-    host: str
-    created_at: float
-    seq: int = 0
+    Stored as the tuple ``(created_at, host, seq)``: the total order is
+    the tuple's own, and so are hashing and equality — they run in C,
+    on every set and dict probe of the kernel's Locking and Updated
+    Lists. Built and read by name: ``AgentId(host, created_at, seq)``.
+    String hashes are salted per process, so a hash never travels: a
+    pickle carries the three fields and the receiver hashes afresh.
+    """
 
-    def _key(self):
-        return (self.created_at, self.host, self.seq)
+    __slots__ = ()
 
-    # Identifiers are hashed on every set/dict probe of the kernel's
-    # Locking Lists and Updated Lists, so the (field-tuple) hash the
-    # dataclass would generate is computed once and kept on the
-    # instance. String hashes are salted per process: the cached value
-    # is excluded from the pickled state and recomputed on first use
-    # wherever the identifier lands.
+    def __new__(cls, host: str, created_at: float, seq: int = 0) -> "AgentId":
+        return tuple.__new__(cls, (created_at, host, seq))
 
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            value = hash((self.host, self.created_at, self.seq))
-            object.__setattr__(self, "_hash", value)
-            return value
+    created_at = property(itemgetter(0))
+    host = property(itemgetter(1))
+    seq = property(itemgetter(2))
 
-    def __getstate__(self):
-        return {
-            "host": self.host, "created_at": self.created_at, "seq": self.seq,
-        }
+    def __getnewargs__(self):
+        return self[1], self[0], self[2]
 
-    def __lt__(self, other: "AgentId") -> bool:
-        if not isinstance(other, AgentId):
-            return NotImplemented
-        return self._key() < other._key()
+    def __repr__(self) -> str:
+        return f"AgentId(host={self[1]!r}, created_at={self[0]!r}, seq={self[2]!r})"
 
     def __str__(self) -> str:
-        return f"{self.host}@{self.created_at:g}#{self.seq}"
+        return f"{self[1]}@{self[0]:g}#{self[2]}"
 
     def wire_size(self) -> int:
         """Bytes this identifier occupies on the wire."""
-        return _HOST_BYTES[self.host] + _FIXED_BYTES
+        return _HOST_BYTES[self[1]] + _FIXED_BYTES
 
 
 class AgentIdFactory:

@@ -32,7 +32,7 @@ from repro.replication.deployment import Deployment
 
 __all__ = [
     "AuditReport", "audit", "assert_consistent", "commit_slots",
-    "ChainDigest", "streaming_audit",
+    "ChainDigest", "commit_token", "streaming_audit",
 ]
 
 
@@ -60,6 +60,36 @@ class AuditReport:
             f"monotone={self.monotone} complete={self.complete} "
             f"identical={self.identical_histories} commits={self.total_commits}>"
         )
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def commit_token(key, version, offset, value_repr, origin) -> bytes:
+    """The bytes :class:`ChainDigest` folds for one commit: the compact
+    JSON array ``[key, version, offset, value_repr, origin]``.
+
+    For the shape every commit has — three strings and two ints — the
+    array is written out directly, byte for byte what ``json.dumps``
+    gives (``ensure_ascii`` quoting, ``int.__repr__`` numbers); any
+    other shape goes through ``json.dumps``, which builds an encoder
+    per call.
+    """
+    if (
+        key.__class__ is str and version.__class__ is int
+        and offset.__class__ is int and value_repr.__class__ is str
+        and origin.__class__ is str
+    ):
+        text = (
+            f"[{_quote(key)},{version!r},{offset!r},"
+            f"{_quote(value_repr)},{_quote(origin)}]"
+        )
+    else:
+        text = json.dumps(
+            [key, version, offset, value_repr, origin],
+            separators=(",", ":"),
+        )
+    return text.encode("utf-8")
 
 
 class ChainDigest:
@@ -110,11 +140,10 @@ class ChainDigest:
                     f"{prev} for key {key!r}"
                 )
         self._last_version[key] = version
-        token = json.dumps(
-            [key, version, record.request_id - self.id_base,
-             repr(record.value), record.origin],
-            separators=(",", ":"),
-        ).encode("utf-8")
+        token = commit_token(
+            key, version, record.request_id - self.id_base,
+            repr(record.value), record.origin,
+        )
         self._whole.update(token)
         per_key = self._per_key.get(key)
         if per_key is None:

@@ -39,9 +39,9 @@ class BatchDispatcher:
             self._flush(record.home)
         elif not self._flusher_running.get(record.home):
             self._flusher_running[record.home] = True
-            self.marp.env.timeout(
-                self.flush_interval, record.home
-            ).callbacks.append(self._flush_timer)
+            self.marp.env.call_in(
+                self.flush_interval, self._flush_timer, record.home
+            )
 
     def _flush(self, home: str) -> None:
         buffer = self._buffers.get(home)
@@ -51,9 +51,8 @@ class BatchDispatcher:
         self.flushes += 1
         self.marp.launch_agent(home, records)
 
-    def _flush_timer(self, timeout) -> None:
+    def _flush_timer(self, home: str) -> None:
         """Periodic dispatch of partial batches ("or periodically")."""
-        home = timeout.value
         self._flusher_running[home] = False
         if self._buffers.get(home):
             self.timer_flushes += 1

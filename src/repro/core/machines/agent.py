@@ -271,7 +271,7 @@ class AgentMachine:
         if s.unavailable:
             candidates = candidates - s.unavailable
         if candidates:
-            return [Migrate(tuple(sorted(candidates)))]
+            return [Migrate(frozenset(candidates))]
         s.park_count += 1
         s.phase = PARKED
         return [Note("park"), Park(self.tunables.park_timeout)]

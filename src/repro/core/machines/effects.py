@@ -5,6 +5,9 @@ protocol state and now needs the outside world to move something. The
 kernel never performs I/O, sleeps, or samples randomness — it asks for
 those through effects, and the driver (DES generator, live event loop,
 or the replay harness) interprets them however its substrate requires.
+Effects are slotted dataclasses, read-only by convention: once emitted,
+nobody changes a field (one is built per protocol step, so the frozen
+variant's per-field ``object.__setattr__`` is not paid).
 
 Effect vocabulary (agent machine)
 ---------------------------------
@@ -44,7 +47,7 @@ Effect vocabulary (replica machine)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Optional, Tuple
 
 from repro.agents.identity import AgentId
 from repro.core.machines.wire import SharedView, WriteOp
@@ -65,33 +68,34 @@ class Effect:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Migrate(Effect):
-    """Move the agent to one of ``candidates`` (driver picks which)."""
+    """Move the agent to one of ``candidates`` (driver picks which;
+    the set has no order, so a policy that ranks by name sorts)."""
 
-    candidates: Tuple[str, ...]
+    candidates: FrozenSet[str]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Visit(Effect):
     """Re-run the local exchange at the agent's current host."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Park(Effect):
     """Wait for a lock release here, or at most ``timeout`` ms ([D2])."""
 
     timeout: float
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Backoff(Effect):
     """Sleep an exponential delay (mean ``mean`` ms; 0 = no sleep)."""
 
     mean: float
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SetTimer(Effect):
     """Arm the named timer for ``delay`` ms from now."""
 
@@ -99,14 +103,14 @@ class SetTimer(Effect):
     delay: float
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CancelTimer(Effect):
     """Disarm the named timer."""
 
     kind: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Send(Effect):
     """Transmit one protocol message to ``dst``."""
 
@@ -116,7 +120,7 @@ class Send(Effect):
     category: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Broadcast(Effect):
     """Transmit one protocol message to every replica (self included)."""
 
@@ -124,7 +128,7 @@ class Broadcast(Effect):
     payload: Any
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PostBulletin(Effect):
     """Deposit the agent's views on the local bulletin board.
 
@@ -153,7 +157,7 @@ class Text:
         return self.template % self.args
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Note(Effect):
     """A trace-worthy protocol event (kind/detail match the DES trace).
 
@@ -166,7 +170,7 @@ class Note(Effect):
     host: Optional[str] = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LockWon(Effect):
     """The agent holds the distributed lock; claim round follows."""
 
@@ -176,14 +180,14 @@ class LockWon(Effect):
     parks: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ClaimStarted(Effect):
     """A claim round (UPDATE broadcast) is beginning."""
 
     epoch: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ClaimResolved(Effect):
     """A claim round ended: committed, conflict, or timeout."""
 
@@ -191,7 +195,7 @@ class ClaimResolved(Effect):
     epoch: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Dispose(Effect):
     """The agent's lifecycle ended with ``status``."""
 
@@ -199,7 +203,7 @@ class Dispose(Effect):
     writes: Tuple[WriteOp, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Granted(Effect):
     """Replica issued its exclusive update grant (an ACK follows)."""
 
@@ -208,7 +212,7 @@ class Granted(Effect):
     epoch: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Nacked(Effect):
     """Replica refused an UPDATE; the grant is held by ``holder``."""
 
@@ -217,7 +221,7 @@ class Nacked(Effect):
     holder: Optional[AgentId] = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CommitApplied(Effect):
     """One committed write was applied to the replica's store."""
 
@@ -227,17 +231,17 @@ class CommitApplied(Effect):
     version: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ReleaseNotify(Effect):
     """A lock release happened here: wake parked agents ([D2])."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class QueueChanged(Effect):
     """The Locking List length changed (refresh gauges/monitors)."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Recovered(Effect):
     """A recovery snapshot from ``src`` was installed."""
 

@@ -4,6 +4,7 @@ Every way the world can poke the protocol is one of these values. Time
 enters the kernel **only** through the ``now`` field — the machines
 never read a clock — and the inputs carry data, never live objects
 (no sockets, queues, events or Environments).
+Like the effects they are slotted dataclasses, read-only by convention.
 
 Input vocabulary
 ----------------
@@ -34,7 +35,7 @@ from repro.core.machines.wire import SharedView
 __all__ = ["Arrived", "ReplicaDown", "MsgReceived", "TimerFired"]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Arrived:
     """Agent input: a completed visit (arrival + local exchange)."""
 
@@ -46,7 +47,7 @@ class Arrived:
     ll_len: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ReplicaDown:
     """Agent input: ``host`` declared unavailable for this round."""
 
@@ -54,7 +55,7 @@ class ReplicaDown:
     now: float
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MsgReceived:
     """A delivered protocol message (agent or replica machine)."""
 
@@ -65,7 +66,7 @@ class MsgReceived:
     sent_at: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TimerFired:
     """A previously requested timer elapsed."""
 

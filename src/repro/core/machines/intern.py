@@ -14,8 +14,8 @@ Two invariants keep interning invisible to the protocol:
 * **Ids are aliases, never order.** Protocol tie-breaks sort by the
   *AgentId's own* total order, never by slot number — slot assignment
   depends on visit interleavings and must not leak into any decision.
-  :meth:`Interner.sort_key` exposes the identifier's ordering key for
-  exactly this reason.
+  An identifier is its own sort key, so :meth:`Interner.value` is what
+  a tie-break orders slots by.
 * **Interning is process-local.** Nothing interned ever crosses the
   wire: ``SharedView`` / ``UpdatePayload`` / replay & adversary JSON
   carry full identifiers, and each structure re-interns on ingestion,
@@ -32,20 +32,13 @@ __all__ = ["Interner"]
 
 
 class Interner:
-    """First-seen-order bijection between hashable values and dense ints.
+    """First-seen-order bijection between hashable values and dense ints."""
 
-    Also maintains a parallel ``sort_key`` slab so callers can order
-    interned slots by the underlying value's ``_key()`` (AgentId's total
-    order) without re-touching the objects, and grows any number of
-    registered flat side-arrays (e.g. membership flags) in lock step.
-    """
-
-    __slots__ = ("_values", "_index", "_sort_keys")
+    __slots__ = ("_values", "_index")
 
     def __init__(self) -> None:
         self._values: List[Any] = []
         self._index: Dict[Any, int] = {}
-        self._sort_keys: List[Any] = []
 
     def __len__(self) -> int:
         return len(self._values)
@@ -60,8 +53,6 @@ class Interner:
             slot = len(self._values)
             self._index[value] = slot
             self._values.append(value)
-            key = getattr(value, "_key", None)
-            self._sort_keys.append(key() if callable(key) else value)
         return slot
 
     def index_of(self, value: Hashable) -> Optional[int]:
@@ -85,10 +76,6 @@ class Interner:
     def value(self, slot: int) -> Any:
         """The original value stored in ``slot``."""
         return self._values[slot]
-
-    def sort_key(self, slot: int) -> Any:
-        """The value's own ordering key (``_key()`` when it has one)."""
-        return self._sort_keys[slot]
 
     def values(self):
         """All interned values, slot order (a direct, do-not-mutate view)."""

@@ -155,8 +155,10 @@ class Substrate:
         interpreter there, or ``unreachable(agent, dst)`` on this one."""
         raise NotImplementedError
 
-    def choose(self, agent: Resident, candidates: tuple) -> str:
-        """The itinerary policy: which of ``candidates`` to visit next."""
+    def choose(self, agent: Resident, candidates: frozenset) -> str:
+        """The itinerary policy: which of ``candidates`` to visit next.
+        The candidates are unordered: a policy that goes by name takes
+        ``min(candidates)``."""
         raise NotImplementedError
 
     def sample_backoff(self, agent: Resident, mean: float) -> float:

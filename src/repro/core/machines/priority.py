@@ -28,8 +28,8 @@ Locking Table's *packed* state (interned integer slots and a flag slab,
 see :mod:`repro.core.machines.table`) and reads the top-per-host tally
 the table maintains incrementally, so an evaluation costs the distinct
 tops, not the hosts or the queues behind them.
-Tie groups are ordered by the **AgentId's own total order** (via the
-interner's sort-key slab) — interned slot numbers never order anything.
+Tie groups are ordered by the **AgentId's own total order** (an id is
+its own sort key) — interned slot numbers never order anything.
 The dataclass-and-dict evaluation it replaced is the executable
 specification kept in ``tests/machines/``, where
 ``test_flat_structures.py`` property-checks ``decide`` equal to it over
@@ -56,9 +56,9 @@ STALEMATE = "stalemate"
 UNDECIDED = "undecided"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Decision:
-    """Result of one priority evaluation.
+    """Result of one priority evaluation (read-only by convention).
 
     Attributes
     ----------
@@ -190,7 +190,7 @@ def _decide_core(
     # the smallest by the AgentId's own total order, never by slot.
     top_score = max(counts_slots.values())
     tied = [s for s, n in counts_slots.items() if n == top_score]
-    winner_slot = min(tied, key=table._ids.sort_key)
+    winner_slot = min(tied, key=value)
     m_tied = len(tied)
 
     # Rule 2: the paper's early tie-break guard (unweighted only). Even

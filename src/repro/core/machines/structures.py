@@ -16,6 +16,9 @@ algorithms reason about:
 
 They live here (rather than in :mod:`repro.replication`) so the kernel
 has no import edge back into any execution backend.
+
+The records among them (:class:`LockEntry`, :class:`VersionedValue`,
+:class:`CommitRecord`) are slotted dataclasses, read-only by convention.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LockEntry:
     """One agent's pending lock request at one server."""
 
@@ -284,7 +287,7 @@ class UpdatedList:
         return f"<UpdatedList n={len(self._order)}>"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class VersionedValue:
     """One key's current state at a replica."""
 
@@ -430,7 +433,7 @@ class VersionedStore:
         return f"<VersionedStore keys={len(self._versions)}>"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CommitRecord:
     """One committed update as seen by one replica."""
 

@@ -20,7 +20,7 @@ locking list *packed* as a list of interned integer ids and, for the
 ids that appear in some locking list, a finished flag in a
 ``bytearray`` indexed by interned id. The effective-top scan —
 the inner loop of every priority evaluation — thereby probes a byte
-slab instead of hashing ``AgentId`` dataclasses, and the top-per-host
+slab instead of hashing ``AgentId`` tuples, and the top-per-host
 map and its tally are *maintained*, not recomputed: a change marks the
 hosts whose top it can move, and the next query rescans only those
 (see :meth:`LockingTable._settle`). The packed state is a pure index

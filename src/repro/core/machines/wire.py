@@ -4,7 +4,8 @@ These are the values the machines put *inside* their ``Send`` /
 ``Broadcast`` effects and expect back inside ``MsgReceived`` inputs.
 They carry no behaviour beyond pure accessors, and they are all
 picklable — the live backend ships them (or dict renderings of them)
-across real queues.
+across real queues. The records are slotted dataclasses, read-only by
+convention: nothing changes a field once the record is built.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SharedView:
     """A (possibly stale) snapshot of one server's lock state.
 
@@ -58,7 +59,7 @@ class SharedView:
         return other is None or self.as_of > other.as_of
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SharedViewDelta:
     """What changed at one server since the receiver's acked sequence.
 
@@ -110,7 +111,7 @@ class SharedViewDelta:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class WriteOp:
     """One write within an UPDATE batch (the agent's Request List)."""
 
@@ -131,7 +132,7 @@ class WriteOp:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class UpdatePayload:
     """Body of UPDATE/COMMIT/ABORT/RELEASE messages.
 
@@ -156,20 +157,16 @@ class UpdatePayload:
     trace_id: Optional[str] = None
 
     def wire_size(self) -> int:
-        # Equals the generic structural estimate exactly (see WriteOp);
-        # cached because a broadcast ships one frozen payload N times.
-        size = self.__dict__.get("_wire_size")
-        if size is None:
-            size = (
-                16 + 8 + self.agent_id.wire_size()
-                + len(self.origin.encode("utf-8"))
-                + 16 + sum(op.wire_size() for op in self.writes)
-                + len(self.reply_to.encode("utf-8")) + 8
-                + (0 if self.trace_id is None
-                   else len(self.trace_id.encode("utf-8")))
-            )
-            object.__setattr__(self, "_wire_size", size)
-        return size
+        # Equals the generic structural estimate exactly (see WriteOp).
+        # A broadcast sizes its payload once for all N copies.
+        return (
+            16 + 8 + self.agent_id.wire_size()
+            + len(self.origin.encode("utf-8"))
+            + 16 + sum(op.wire_size() for op in self.writes)
+            + len(self.reply_to.encode("utf-8")) + 8
+            + (0 if self.trace_id is None
+               else len(self.trace_id.encode("utf-8")))
+        )
 
 
 class Transform:
@@ -200,7 +197,7 @@ class Transform:
         return f"Transform({self.description})"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class VisitData:
     """What a replica hands a co-located agent during one visit.
 

@@ -9,15 +9,14 @@ protocols that know better can pass ``size_bytes`` explicitly.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Optional
 
 __all__ = ["Message", "estimate_size", "HEADER_BYTES"]
 
 #: Fixed per-message header overhead (addresses, kind, ids) in bytes.
 HEADER_BYTES = 64
 
-_msg_counter = itertools.count(1)
+_next_msg_id = itertools.count(1).__next__
 
 
 def estimate_size(payload: Any) -> int:
@@ -84,7 +83,6 @@ def estimate_size(payload: Any) -> int:
     return 32  # opaque object fallback
 
 
-@dataclass
 class Message:
     """A single network transmission.
 
@@ -99,23 +97,42 @@ class Message:
         Arbitrary protocol data.
     size_bytes:
         Wire size including header; estimated from the payload when not
-        given.
+        given (``<= 0``).
     category:
         Accounting bucket (``"control"``, ``"agent"``, ``"data"``).
+    msg_id:
+        Process-unique, increasing; drawn when not given.
+    sent_at:
+        Simulated send time, stamped by the network.
     """
 
-    src: str
-    dst: str
-    kind: str
-    payload: Any = None
-    size_bytes: int = 0
-    category: str = "control"
-    msg_id: int = field(default_factory=_msg_counter.__next__)
-    sent_at: float = 0.0
+    __slots__ = (
+        "src", "dst", "kind", "payload", "size_bytes", "category",
+        "msg_id", "sent_at",
+    )
 
-    def __post_init__(self) -> None:
-        if self.size_bytes <= 0:
-            self.size_bytes = HEADER_BYTES + estimate_size(self.payload)
+    def __init__(
+        self,
+        src: str,
+        dst: str,
+        kind: str,
+        payload: Any = None,
+        size_bytes: int = 0,
+        category: str = "control",
+        msg_id: Optional[int] = None,
+        sent_at: float = 0.0,
+    ) -> None:
+        self.src = src
+        self.dst = dst
+        self.kind = kind
+        self.payload = payload
+        self.size_bytes = (
+            size_bytes if size_bytes > 0
+            else HEADER_BYTES + estimate_size(payload)
+        )
+        self.category = category
+        self.msg_id = _next_msg_id() if msg_id is None else msg_id
+        self.sent_at = sent_at
 
     def __repr__(self) -> str:
         return (

@@ -36,8 +36,7 @@ from repro.net.latency import LatencyModel, lan_profile
 from repro.net.message import HEADER_BYTES, Message, estimate_size
 from repro.net.stats import NetworkStats
 from repro.net.topology import Topology
-from repro.sim.core import Environment, Timeout, Urgent
-from repro.sim.events import Event
+from repro.sim.core import Environment
 from repro.sim.rng import RandomStreams
 from repro.sim.stores import RoutedStore
 
@@ -170,20 +169,26 @@ class Endpoint:
             while msg is not None:
                 delay = service_time(msg)
                 if delay > 0:
-                    Timeout(env, delay, msg).callbacks.append(served)
+                    env.call_in(delay, served, msg)
                     return
                 handle(msg)
                 msg = backlog()
             busy = False
 
-        def served(service: Event) -> None:
-            handle(service._value)
+        def served(msg: Message) -> None:
+            handle(msg)
             work(backlog())
+
+        crashes = network._crash_windows
+        faults = network.faults
 
         def backlog() -> Optional[Message]:
             while True:
                 msg = inbox.pop(queue)
-                if msg is None or network.host_up(host):
+                if (
+                    msg is None or not crashes
+                    or faults.host_up(host, env._now)
+                ):
                     return msg
 
         inbox.consume(queue, arrived)
@@ -216,13 +221,13 @@ class Endpoint:
             done(msg)
             return True
 
-        def deadline(_timeout: Event) -> None:
+        def deadline(_arg: None) -> None:
             if waiting:
                 inbox.consume(queue, None)
                 done(None)
 
         inbox.consume(queue, replied)
-        Timeout(self.network.env, timeout).callbacks.append(deadline)
+        self.network.env.call_in(timeout, deadline)
 
     def send(
         self,
@@ -471,44 +476,47 @@ class Network:
 
     def send(self, msg: Message) -> None:
         """Asynchronously transmit ``msg``; never blocks the sender."""
-        msg.sent_at = self.env.now
+        env = self.env
+        now = msg.sent_at = env._now
+        src, dst = msg.src, msg.dst
         self.stats.record_send(msg.category, msg.kind, msg.size_bytes)
 
-        if msg.dst not in self.endpoints:
-            raise NetworkError(f"unknown destination host {msg.dst!r}")
-        if not self.host_up(msg.src):
+        if dst not in self.endpoints:
+            raise NetworkError(f"unknown destination host {dst!r}")
+        # host_up(src), inline: with no crash window scheduled there is
+        # nothing to look up.
+        if self._crash_windows and not self.faults.host_up(src, now):
             # A crashed host cannot send; account and drop.
             self.stats.record_drop(msg.category, msg.kind)
             return
-        if msg.src != msg.dst and self.faults.transmission_fails(
-            msg.src, msg.dst, self.env.now, self._fault_stream
+        if src == dst:
+            # A self-send lands after the sender's current step and
+            # before every ordinary event of the instant.
+            env.call_urgent(self._arrive, msg)
+            return
+        if self.faults.transmission_fails(
+            src, dst, now, self._fault_stream
         ):
             self.stats.record_drop(msg.category, msg.kind)
             return
 
-        delay = 0.0 if msg.src == msg.dst else self.sample_delay(
-            msg.src, msg.dst, msg.size_bytes
-        )
-        if self.fifo_links and msg.src != msg.dst:
-            link = (msg.src, msg.dst)
-            horizon = max(
-                self.env.now + delay, self._link_horizon.get(link, 0.0)
-            )
+        delay = self.sample_delay(src, dst, msg.size_bytes)
+        if self.fifo_links:
+            link = (src, dst)
+            horizon = max(now + delay, self._link_horizon.get(link, 0.0))
             self._link_horizon[link] = horizon
-            delay = horizon - self.env.now
-        # Delivery is one scheduled event carrying the message. A
-        # zero-delay arrival (a self-send) lands after the sender's
-        # current step and before every ordinary event of the instant.
-        arrival = (
-            Timeout(self.env, delay, msg) if delay > 0
-            else Urgent(self.env, msg)
-        )
-        arrival.callbacks.append(self._arrive)
+            delay = horizon - now
+        # Delivery is one heap entry carrying the message.
+        if delay > 0:
+            env.call_in(delay, self._arrive, msg)
+        else:
+            env.call_urgent(self._arrive, msg)
 
-    def _arrive(self, arrival: Event) -> None:
+    def _arrive(self, msg: Message) -> None:
         """Arrival callback: file the message at its destination."""
-        msg: Message = arrival.value
-        if not self.host_up(msg.dst):
+        if self._crash_windows and not self.faults.host_up(
+            msg.dst, self.env._now
+        ):
             # Fail-stop destination: the message vanishes.
             self.stats.record_drop(msg.category, msg.kind)
             return

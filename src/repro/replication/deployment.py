@@ -158,11 +158,9 @@ class Deployment:
         stream = self.streams.stream(f"anti-entropy.{host}")
 
         def arm() -> None:
-            self.env.timeout(
-                stream.exponential(mean_interval)
-            ).callbacks.append(pull)
+            self.env.call_in(stream.exponential(mean_interval), pull)
 
-        def pull(_timeout) -> None:
+        def pull(_arg: None) -> None:
             if self.network.host_up(host):
                 self.servers[host].request_sync(stream.choice(peers))
             arm()
@@ -212,12 +210,12 @@ class Deployment:
             if host not in self.servers:
                 continue
             for _down_at, up_at in self.faults.crashes.windows(host):
-                self.env.timeout(
-                    max(0.0, up_at + grace - self.env.now), host
-                ).callbacks.append(self._recover)
+                self.env.call_in(
+                    max(0.0, up_at + grace - self.env.now),
+                    self._recover, host,
+                )
 
-    def _recover(self, restart) -> None:
-        host = restart.value
+    def _recover(self, host: str) -> None:
         peers = [h for h in self.alive_hosts() if h != host]
         if peers:
             self.servers[host].request_sync(peers[0])

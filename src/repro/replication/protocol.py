@@ -96,7 +96,7 @@ class ReplicationProtocol:
         (fast, not guaranteed fresh)."""
         server = self.deployment.server(record.home)
 
-        def read(_timeout=None) -> None:
+        def read(_arg: None = None) -> None:
             entry = server.read(record.key)
             record.value = entry.value if entry is not None else None
             record.extra["version"] = entry.version if entry is not None else 0
@@ -104,9 +104,7 @@ class ReplicationProtocol:
             record.status = "read-done"
 
         if server.config.read_service_time > 0:
-            self.env.timeout(
-                server.config.read_service_time
-            ).callbacks.append(read)
+            self.env.call_in(server.config.read_service_time, read)
         else:
             read()
 

@@ -10,8 +10,8 @@ interpreter. It supplies only what a simulated host is made of:
   behind ``update_apply_time``, and the claim replies, which the
   endpoint pushes at the interpreter as they arrive (what the live
   transport does);
-* timers as simulation events — a plain ``Timeout`` for service,
-  back-off and claim-round deadlines, ``release | timeout`` for a park;
+* timers as heap callbacks (``env.call_in``) for visits, back-off and
+  claim-round deadlines, and ``release | timeout`` for a park;
 * agent shipping with the paper's §2 failure policy: an attempt that
   does not complete within :data:`MIGRATION_TIMEOUT` is retried, and
   after :data:`MAX_ATTEMPTS` the destination is declared unavailable
@@ -39,7 +39,7 @@ from repro.core.machines.replica import ReplicaMachine
 from repro.core.machines.wire import SharedView, UpdatePayload, WriteOp
 from repro.net.message import Message, estimate_size
 from repro.net.network import Endpoint, Network
-from repro.sim.core import Environment, Urgent
+from repro.sim.core import Environment
 from repro.sim.events import Event
 
 __all__ = [
@@ -71,6 +71,11 @@ def _reader_of(payload) -> Optional[Hashable]:
     the claiming agent's and is pushed with the other claim replies."""
     request_id = payload["request_id"]
     return None if request_id.__class__ is tuple else request_id
+
+
+def _call(fire) -> None:
+    """Heap action of a substrate timer (``fire`` takes no argument)."""
+    fire()
 
 
 def run_steps(generator) -> None:
@@ -284,12 +289,11 @@ class ReplicaServer(Substrate):
         the urgent tier: after the creating step, before every ordinary
         event of the instant."""
         agent.travel_log.append((self.env.now, self.host))
+        self.env.call_urgent(self._start, agent)
 
-        def start(_event) -> None:
-            agent.dispatched(self.env.now)
-            self.interpreter.launch(agent)
-
-        Urgent(self.env).callbacks.append(start)
+    def _start(self, agent) -> None:
+        agent.dispatched(self.env.now)
+        self.interpreter.launch(agent)
 
     def ship_agent(self, agent, dst: str) -> None:
         run_steps(self._transfer(agent, dst))
@@ -332,7 +336,7 @@ class ReplicaServer(Substrate):
         self.endpoint.broadcast(kind, payload, include_self=True)
 
     def set_timer(self, delay, fire) -> None:
-        self.env.timeout(delay).callbacks.append(lambda _event: fire())
+        self.env.call_in(delay, _call, fire)
 
     def park(self, timeout, fire):
         release = Event(self.env)

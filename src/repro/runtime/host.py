@@ -221,9 +221,8 @@ class HostRuntime(Substrate):
             self.interpreter.unreachable(agent, dst)
 
     def choose(self, agent, candidates) -> str:
-        # The live itinerary is static name order (the kernel emits the
-        # candidates sorted).
-        return candidates[0]
+        # The live itinerary is static name order.
+        return min(candidates)
 
     def sample_backoff(self, agent, mean) -> float:
         return self._rng.expovariate(1.0 / mean)

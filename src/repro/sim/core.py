@@ -14,7 +14,7 @@ from __future__ import annotations
 import time as _time
 from bisect import bisect_left as _bisect_left
 from heapq import heappop, heappush
-from typing import Any, Generator, List, Optional, Tuple
+from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from repro.errors import SimulationError, StopSimulation
 from repro.sim.events import PENDING, Event
@@ -26,15 +26,30 @@ URGENT = 0
 #: Scheduling tier for ordinary events.
 NORMAL = 1
 
-#: Heap entries are ``(time, key, event)`` with
-#: ``key = (priority << _TIER_SHIFT) | seq``. Priority is 0 or 1 and the
-#: monotone seq stays far below 2**52 in any feasible run, so comparing
-#: the packed key is exactly the old ``(priority, seq)`` lexicographic
-#: order while allocating a 3-tuple instead of a 4-tuple per schedule.
+#: Heap entries are ``(time, key, fn, arg)``: popping one sets the clock
+#: to ``time`` and calls ``fn(arg)``. ``key = (priority << _TIER_SHIFT) |
+#: seq``; priority is 0 or 1 and the monotone seq stays far below 2**52
+#: in any feasible run, so comparing the packed key is exactly the
+#: ``(priority, seq)`` lexicographic order, and keys are unique, so the
+#: comparison never reaches ``fn``. An :class:`Event` is the entry
+#: ``(time, key, _fire, event)``; :meth:`Environment.call_in` and
+#: :meth:`Environment.call_urgent` push a bare callback, with no event.
 _TIER_SHIFT = 52
+_URGENT_KEY_BASE = URGENT << _TIER_SHIFT
 _NORMAL_KEY_BASE = NORMAL << _TIER_SHIFT
 
 ProcessGenerator = Generator[Event, Any, Any]
+
+
+def _fire(event: Event) -> None:
+    """Heap action of an event: run its callbacks; a failure that none
+    of them defused raises out of :meth:`Environment.run`."""
+    callbacks = event.callbacks
+    event.callbacks = None
+    for callback in callbacks:
+        callback(event)
+    if not event._ok and not event._defused:
+        raise event._value
 
 
 class Timeout(Event):
@@ -55,7 +70,9 @@ class Timeout(Event):
         self._defused = False
         self.delay = delay
         env._seq = seq = env._seq + 1
-        heappush(env._queue, (env._now + delay, _NORMAL_KEY_BASE + seq, self))
+        heappush(
+            env._queue, (env._now + delay, _NORMAL_KEY_BASE + seq, _fire, self)
+        )
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self.delay!r} at {hex(id(self))}>"
@@ -170,7 +187,7 @@ class Environment:
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
-        self._queue: List[Tuple[float, int, Event]] = []
+        self._queue: List[Tuple[float, int, Callable[[Any], None], Any]] = []
         self._seq = 0
         self._active_process: Optional[Process] = None
         # Observability (None = disabled; see attach_observability). The
@@ -256,8 +273,30 @@ class Environment:
         self._seq = seq = self._seq + 1
         heappush(
             self._queue,
-            (self._now + delay, (priority << _TIER_SHIFT) + seq, event),
+            (self._now + delay, (priority << _TIER_SHIFT) + seq, _fire, event),
         )
+
+    def call_in(self, delay: float, fn: Callable[[Any], None],
+                arg: Any = None) -> None:
+        """Call ``fn(arg)`` ``delay`` units from now, in the normal tier.
+
+        The heap slot of ``Timeout(env, delay, arg)`` with ``fn`` as its
+        one callback — same sequence number, same place in the FIFO of
+        its instant — without the event: for a wait nothing yields on,
+        composes or cancels.
+        """
+        if delay < 0:
+            raise SimulationError(f"negative timeout delay: {delay!r}")
+        self._seq = seq = self._seq + 1
+        heappush(
+            self._queue, (self._now + delay, _NORMAL_KEY_BASE + seq, fn, arg)
+        )
+
+    def call_urgent(self, fn: Callable[[Any], None], arg: Any = None) -> None:
+        """Call ``fn(arg)`` at this instant in the urgent tier: the heap
+        slot of ``Urgent(env, arg)`` with ``fn`` as its one callback."""
+        self._seq = seq = self._seq + 1
+        heappush(self._queue, (self._now, _URGENT_KEY_BASE + seq, fn, arg))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
@@ -273,17 +312,9 @@ class Environment:
         """
         if not self._queue:
             raise SimulationError("step() on an empty schedule")
-        when, _key, event = heappop(self._queue)
+        when, _key, fn, arg = heappop(self._queue)
         self._now = when
-
-        callbacks = event.callbacks
-        event.callbacks = None
-        for callback in callbacks:
-            callback(event)
-
-        if not event._ok and not event._defused:
-            exc = event._value
-            raise exc
+        fn(arg)
 
     def _step_observed(self) -> None:
         """Instrumented variant of :meth:`step` (bound by
@@ -363,14 +394,9 @@ class Environment:
                 h_totals = hist._totals
                 _bisect = _bisect_left
                 while queue:
-                    when, _key, event = heappop(queue)
+                    when, _key, fn, arg = heappop(queue)
                     self._now = when
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    for callback in callbacks:
-                        callback(event)
-                    if not event._ok and not event._defused:
-                        raise event._value
+                    fn(arg)
                     self._steps += 1
                     ev_series[()] = ev_series.get((), 0.0) + 1.0
                     depth = len(queue)
@@ -391,14 +417,9 @@ class Environment:
                 # common unobserved run pays no per-event call frame.
                 queue = self._queue
                 while queue:
-                    when, _key, event = heappop(queue)
+                    when, _key, fn, arg = heappop(queue)
                     self._now = when
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    for callback in callbacks:
-                        callback(event)
-                    if not event._ok and not event._defused:
-                        raise event._value
+                    fn(arg)
         except StopSimulation as stop:
             return stop.value
         finally:

@@ -87,7 +87,13 @@ class Stream:
         return float(self.generator.exponential(mean))
 
     def uniform(self, low: float, high: float) -> float:
-        return float(self.generator.uniform(low, high))
+        """One draw from U[low, high): numpy's own formula over one
+        double, ``low + (high - low) * random()``, so the value and the
+        stream position equal ``generator.uniform(low, high)``'s —
+        without the argument broadcasting of a numpy call."""
+        if high < low:
+            raise ValueError(f"uniform needs low <= high: [{low}, {high}]")
+        return low + (high - low) * self.generator.random()
 
     def lognormal(self, mean: float, sigma: float) -> float:
         return float(self.generator.lognormal(mean, sigma))

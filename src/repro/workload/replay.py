@@ -15,7 +15,6 @@ from typing import Dict, List
 from repro.errors import WorkloadError
 from repro.replication.protocol import ReplicationProtocol
 from repro.replication.requests import RequestRecord
-from repro.sim.core import Timeout
 from repro.workload.trace import WorkloadTrace
 
 __all__ = ["TraceReplayer", "record_workload"]
@@ -37,11 +36,10 @@ class TraceReplayer:
         self._entries = iter(trace)
         self._replay()
 
-    def _replay(self, waited=None) -> None:
+    def _replay(self, entry=None) -> None:
         """Submit the entry whose wait just ended and every later one
         that is due; wait for the first that is not."""
         env = self.protocol.env
-        entry = waited.value if waited is not None else None
         while True:
             if entry is not None:
                 self.submitted.append(self.protocol.submit(
@@ -52,7 +50,7 @@ class TraceReplayer:
                 return
             gap = entry.at - env.now
             if gap > 0:
-                Timeout(env, gap, entry).callbacks.append(self._replay)
+                env.call_in(gap, self._replay, entry)
                 return
 
     def __repr__(self) -> str:

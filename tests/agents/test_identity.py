@@ -56,9 +56,9 @@ class TestAgentIdOrdering:
         assert ids_wire_size(()) == 0
 
 
-# What the child interpreter of TestCachedHash runs: unpickle what the
-# parent shipped, use every identifier as a set member and a dict key,
-# and report the decisions taken over the shipped table.
+# What the child interpreter of TestTupleIdentity runs: unpickle what
+# the parent shipped, use every identifier as a set member and a dict
+# key, and report the decisions taken over the shipped table.
 _CHILD = """
 import json, pickle, sys
 from repro.agents.identity import AgentId
@@ -69,8 +69,8 @@ fresh = [AgentId(a.host, a.created_at, a.seq) for a in ids]
 report = {
     "set_members": all(a in set(ids) for a in fresh),
     "dict_keys": [{a: n for n, a in enumerate(ids)}[a] for a in fresh],
-    "hash_is_field_hash": all(
-        hash(a) == hash((a.host, a.created_at, a.seq)) for a in ids
+    "hash_is_tuple_hash": all(
+        hash(a) == hash((a.created_at, a.host, a.seq)) for a in ids
     ),
     "ual": sorted(str(a) for a in fresh if a in table.ual),
     "tops": {h: str(t) for h, t in table.tops().items()},
@@ -84,24 +84,32 @@ print(json.dumps(report))
 """
 
 
-class TestCachedHash:
-    """The hash is computed once per instance — and never leaves the
-    process: string hashes are salted per interpreter."""
+class TestTupleIdentity:
+    """An identifier is the tuple ``(created_at, host, seq)``: hash,
+    equality and order are the tuple's own, computed in C — and a hash
+    never leaves the process, since string hashes are salted per
+    interpreter."""
 
-    def test_cached_value_is_the_field_tuple_hash(self):
+    def test_hash_equality_and_order_come_from_the_tuple(self):
         agent_id = AgentId("s1", 2.5, 3)
-        assert hash(agent_id) == hash(("s1", 2.5, 3))
-        assert hash(agent_id) == hash(AgentId("s1", 2.5, 3))
-        assert agent_id == AgentId("s1", 2.5, 3)
+        assert tuple(agent_id) == (2.5, "s1", 3)
+        assert (agent_id.host, agent_id.created_at, agent_id.seq) == (
+            "s1", 2.5, 3,
+        )
+        assert hash(agent_id) == hash((2.5, "s1", 3))
+        assert agent_id == AgentId(host="s1", created_at=2.5, seq=3)
+        for method in ("__hash__", "__eq__", "__lt__"):
+            assert getattr(AgentId, method) is getattr(tuple, method)
+        assert not hasattr(agent_id, "__dict__")
+        assert repr(agent_id) == "AgentId(host='s1', created_at=2.5, seq=3)"
 
-    def test_pickle_does_not_carry_the_cache(self):
-        agent_id = AgentId("s1", 2.5, 3)
-        cold = pickle.dumps(agent_id, protocol=pickle.HIGHEST_PROTOCOL)
-        hash(agent_id)
-        assert pickle.dumps(agent_id, protocol=pickle.HIGHEST_PROTOCOL) == cold
-        assert vars(pickle.loads(cold)) == {
-            "host": "s1", "created_at": 2.5, "seq": 3,
-        }
+    def test_pickle_round_trips_at_every_protocol(self):
+        agent_id = AgentId("hôst", 2.5, 3)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(agent_id, protocol=protocol))
+            assert type(back) is AgentId
+            assert back == agent_id and hash(back) == hash(agent_id)
+            assert (back.host, back.created_at, back.seq) == ("hôst", 2.5, 3)
 
     def test_ids_and_tables_survive_a_differently_salted_interpreter(self):
         ids = [AgentId(f"s{n % 3 + 1}", float(n), n) for n in range(8)]
@@ -112,12 +120,10 @@ class TestCachedHash:
                 view=tuple(ids[index:index + 4]),
                 updated=frozenset(ids[:index + 1]), versions={"k": index},
             ))
-        for agent_id in ids:
-            hash(agent_id)  # every shipped id carries a warm cache
         expected = {
             "set_members": True,
             "dict_keys": list(range(len(ids))),
-            "hash_is_field_hash": True,
+            "hash_is_tuple_hash": True,
             "ual": sorted(str(a) for a in ids if a in table.ual),
             "tops": {h: str(t) for h, t in table.tops().items()},
             "decide": [

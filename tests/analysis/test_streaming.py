@@ -8,12 +8,17 @@ bound, and the incremental chain digests must equal a replay of the
 stored histories.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.analysis.consistency import ChainDigest, audit, streaming_audit
+from repro.analysis.consistency import (
+    ChainDigest, audit, commit_token, streaming_audit,
+)
 from repro.analysis.stats import P2Quantile, Welford
 from repro.errors import ProtocolError, ReplicationError
 from repro.experiments.runner import RunConfig, run_once
@@ -181,6 +186,40 @@ class TestChainDigestReplay:
         digest.observe(FakeRecord(1))  # repeat version
         assert not digest.monotone
         assert digest.problems
+
+
+#: Text the digest token must quote exactly as json.dumps does: non-ASCII,
+#: astral and control characters, quotes and backslashes included.
+_TEXT = st.text(
+    alphabet=st.one_of(
+        st.characters(), st.sampled_from('"\\\x00\x1f\x7f\u2028/'),
+    ),
+    max_size=12,
+)
+
+
+class TestCommitToken:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        key=_TEXT, version=st.integers(-2**70, 2**70),
+        offset=st.integers(-2**40, 2**40), value=_TEXT, origin=_TEXT,
+    )
+    def test_token_is_the_json_dumps_token(
+        self, key, version, offset, value, origin
+    ):
+        value_repr = repr(value)
+        assert commit_token(key, version, offset, value_repr, origin) == (
+            json.dumps(
+                [key, version, offset, value_repr, origin],
+                separators=(",", ":"),
+            ).encode("utf-8")
+        )
+
+    def test_other_shapes_take_json_dumps(self):
+        # bool is not int here, and a float is not quoted like a string
+        assert commit_token("k", True, 1.5, "'v'", "s1") == (
+            b'["k",true,1.5,"\'v\'","s1"]'
+        )
 
 
 class TestProtocolSweep:

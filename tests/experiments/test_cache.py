@@ -158,8 +158,13 @@ class TestResultCache:
     def test_schema_3_envelope_is_a_miss(self, tmp_path):
         # Schema 3 keyed configs by ul_retention/inbox_ttl and ran the
         # default ones with neither window in force.
-        assert CACHE_SCHEMA_VERSION == 4
         self._assert_old_schema_is_a_miss(tmp_path, 3)
+
+    def test_schema_4_envelope_is_a_miss(self, tmp_path):
+        # Schema 4 pickled kernel records with a __dict__; the slotted
+        # classes cannot load them.
+        assert CACHE_SCHEMA_VERSION == 5
+        self._assert_old_schema_is_a_miss(tmp_path, 4)
 
     def test_uncacheable_config_is_silently_skipped(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -542,10 +542,11 @@ def test_interner_round_trip_and_sort_keys():
     for agent_id, slot in zip(ids, slots):
         assert interner.value(slot) == agent_id
         assert interner.index_of(agent_id) == slot
-    # Slot order is *not* agent order: tie-breaks use the sort-key slab,
-    # which must mirror the AgentId's own total order.
-    assert min(slots, key=interner.sort_key) == 2
-    assert interner.value(min(slots, key=interner.sort_key)) == min(ids)
+    # Slot order is *not* agent order: tie-breaks sort slots by the
+    # interned value, an identifier being its own sort key.
+    assert min(slots) == 0
+    assert min(slots, key=interner.value) == 2
+    assert interner.value(min(slots, key=interner.value)) == min(ids)
     assert interner.index_of(AgentId("zz", 9.0, 9)) is None
     assert len(interner) == 3
 

@@ -59,7 +59,7 @@ class FakeSubstrate(Substrate):
         self.world.shipped.append((self.host, agent, dst))
 
     def choose(self, agent, candidates):
-        return candidates[0]
+        return min(candidates)
 
     def sample_backoff(self, agent, mean):
         return mean

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.core import NORMAL, URGENT, Environment
+from repro.sim.core import NORMAL, URGENT, Environment, Timeout, Urgent
 
 
 class TestClock:
@@ -68,6 +68,49 @@ class TestScheduling:
     def test_step_on_empty_schedule_raises(self, env):
         with pytest.raises(SimulationError):
             env.step()
+
+
+class TestCallbackEntries:
+    """``call_in`` / ``call_urgent`` take the heap slot a Timeout / Urgent
+    with one callback would, with no event object."""
+
+    def test_share_one_fifo_per_instant_urgent_tier_first(self, env):
+        order = []
+        env.call_in(1, order.append, "call-1")
+        env.timeout(1).callbacks.append(lambda _e: order.append("timeout"))
+        env.call_in(1, order.append, "call-2")
+
+        def at_one(_arg):
+            # Scheduled at t=1 from inside t=1: urgent ones run before
+            # every normal entry still due, old or new.
+            env.call_in(0, order.append, "call-0")
+            env.call_urgent(order.append, "urgent-call")
+            Urgent(env).callbacks.append(lambda _e: order.append("urgent"))
+
+        env.call_in(0.5, lambda _arg: env.call_in(0.5, at_one))
+        env.run()
+        assert order == [
+            "call-1", "timeout", "call-2", "urgent-call", "urgent", "call-0",
+        ]
+        assert env.now == 1.0
+
+    def test_same_sequence_numbers_as_the_events_they_replace(self, env):
+        env.call_in(2, print)
+        env.call_urgent(print)
+        assert env._seq == 2
+        Timeout(env, 2)
+        Urgent(env)
+        assert env._seq == 4
+
+    def test_negative_delay_rejected(self, env):
+        with pytest.raises(SimulationError):
+            env.call_in(-1, print)
+
+    def test_a_failing_event_still_raises_out_of_run(self, env):
+        env.call_in(1, lambda _arg: None)
+        env.event().fail(ValueError("boom"))
+        with pytest.raises(ValueError, match="boom"):
+            env.run()
 
 
 class TestRunUntil:

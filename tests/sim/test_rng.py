@@ -109,3 +109,27 @@ class TestDistributions:
     def test_lognormal_positive(self):
         stream = RandomStreams(0).stream("ln")
         assert all(stream.lognormal(1.0, 0.5) > 0 for _ in range(100))
+
+
+class TestUniformIsNumpysFormula:
+    """``Stream.uniform`` draws one double and applies numpy's formula,
+    so a run's latency draws equal ``Generator.uniform``'s bit for bit
+    and leave the stream where numpy would."""
+
+    @pytest.mark.parametrize("low, high", [(1.0, 3.0), (0.5, 2.0), (0.0, 1e-3)])
+    def test_bit_identical_to_generator_uniform(self, low, high):
+        ours = RandomStreams(7).stream("uni")
+        numpy_side = np.random.default_rng(ours.generator.bit_generator.seed_seq)
+        draws = np.array([ours.uniform(low, high) for _ in range(100_000)])
+        expected = np.array([
+            numpy_side.uniform(low, high) for _ in range(100_000)
+        ])
+        assert np.array_equal(draws.view(np.uint64), expected.view(np.uint64))
+        assert ours.generator.random() == numpy_side.random()
+
+    def test_high_below_low_raises(self):
+        stream = RandomStreams(0).stream("uni")
+        with pytest.raises(ValueError):
+            stream.uniform(3.0, 1.0)
+        with pytest.raises(ValueError):
+            np.random.default_rng(0).uniform(3.0, 1.0)
