@@ -1,8 +1,9 @@
 """Microbenchmarks of substrate paths marpbench has no micro for.
 
-``benchmarks/marpbench/micro.py`` times the event loop (``Timeout``)
-and ``decide``, and its workloads time ``run_once``; what is left here
-is ``rank_queue`` over wide tables, the packed-priority heap and the
+``benchmarks/marpbench/micro.py`` times ``decide`` (its event-loop
+micro still yields ``env.timeout`` and reports null), and its workloads
+time ``run_once``; what is left here is ``rank_queue`` over wide
+tables, the packed-priority callback heap and the
 ``LockingTable`` merge fold (marpbench's two merge micros still pass the
 deleted ``delta_views`` argument and report null). Needs the
 ``benchmark`` fixture of pytest-benchmark, which is not in the ``dev``
@@ -78,12 +79,11 @@ def test_table_merge_throughput(benchmark):
 
 @pytest.mark.benchmark(group="kernel")
 def test_packed_priority_schedule_throughput(benchmark):
-    """The packed heap entry under mixed priorities: scheduling folds
-    ``(priority, seq)`` into one int key, so the heap compares 3-tuples
-    of scalars instead of the old 4-tuples — this pins the win and the
-    ordering contract (priority beats insertion order at equal time)."""
-
-    from repro.sim.core import URGENT
+    """The packed heap entry under mixed priorities: ``call_in`` /
+    ``call_urgent`` fold ``(priority, seq)`` into one int key, so the
+    heap compares ``(when, key)`` scalars and never reaches the callback
+    — this pins the cost and the ordering contract (priority beats
+    insertion order at equal time)."""
 
     def churn():
         env = Environment()
@@ -91,11 +91,9 @@ def test_packed_priority_schedule_throughput(benchmark):
         append = fired.append
         for index in range(1500):
             if index % 3 == 0:  # a third through the urgent tier
-                event = env.event()
-                event.callbacks.append(append)
-                env.schedule(event, float(index % 11), priority=URGENT)
+                env.call_urgent(append, index)
             else:
-                env.timeout(float(index % 11)).callbacks.append(append)
+                env.call_in(float(index % 11), append, index)
         env.run()
         return len(fired)
 

@@ -22,7 +22,7 @@ the integration tests.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Optional
+from typing import Deque, Dict, List, Optional
 
 from repro.baselines.base import BaselineDaemon, QuorumProtocol
 from repro.net.message import Message
@@ -116,50 +116,55 @@ class AvailableCopies(QuorumProtocol):
             )
         self.detection_timeout = detection_timeout
 
-    def _write_coordinator(self, record: RequestRecord):
-        env = self.env
-        endpoint = self.deployment.network.endpoints[record.home]
-        prefix = self.prefix
-        record.dispatched_at = env.now
-
+    def _start_write(self, record: RequestRecord) -> None:
         # Sequential lock acquisition in global host order: all writers
         # climb the same ladder, so there is no deadlock and queues at
         # each rung drain FIFO.
-        grants: Dict[str, int] = {}  # host -> version at grant
-        skipped = []
-        for host in self.deployment.hosts:
-            endpoint.send(
-                host,
-                f"{prefix}_LOCK",
-                payload={
-                    "rid": record.request_id,
-                    "epoch": 1,
-                    "key": record.key,
-                    "reply_to": record.home,
-                },
-            )
-            # A grant from a host already given up on may still be queued
-            # for this round; only this rung's host counts.
-            grant = endpoint.receive(
-                self._round_replies,
-                key=(record.request_id, 1),
-                match=lambda m, h=host: (
-                    m.kind == f"{prefix}_GRANT" and m.payload["from"] == h
-                ),
-            )
-            yield grant | env.timeout(self.detection_timeout)
-            if grant.processed:
-                grants[host] = grant.value.payload["version"]
-            else:
-                grant.cancel()
-                # Declared unavailable; cancel the (possibly queued) lock.
-                endpoint.send(
-                    host,
-                    f"{prefix}_ABORT",
-                    payload={"rid": record.request_id, "epoch": 1},
-                )
-                skipped.append(host)
+        record.dispatched_at = self.env.now
+        self._rung(record, 0, {}, [])
 
+    def _rung(self, record: RequestRecord, index: int,
+              grants: Dict[str, int], skipped: List[str]) -> None:
+        """Ask ``hosts[index]`` for its lock and wait for its grant;
+        ``grants`` maps the hosts that granted to their version."""
+        hosts = self.deployment.hosts
+        if index == len(hosts):
+            self._climbed(record, grants, skipped)
+            return
+        endpoint = self.deployment.network.endpoints[record.home]
+        prefix = self.prefix
+        host = hosts[index]
+        payload = {"rid": record.request_id, "epoch": 1}
+        endpoint.send(
+            host,
+            f"{prefix}_LOCK",
+            payload={**payload, "key": record.key, "reply_to": record.home},
+        )
+
+        def granted(msg: Optional[Message]) -> bool:
+            if msg is None:
+                # Declared unavailable; cancel the (possibly queued) lock.
+                endpoint.send(host, f"{prefix}_ABORT", payload=payload)
+                skipped.append(host)
+            elif msg.kind != f"{prefix}_GRANT" or msg.payload["from"] != host:
+                # A grant from a host already given up on may still come
+                # in this round; only this rung's host counts.
+                return False
+            else:
+                grants[host] = msg.payload["version"]
+            self._rung(record, index + 1, grants, skipped)
+            return True
+
+        endpoint.wait(
+            self._round_replies, (record.request_id, 1),
+            self.detection_timeout, granted,
+        )
+
+    def _climbed(self, record: RequestRecord, grants: Dict[str, int],
+                 skipped: List[str]) -> None:
+        env = self.env
+        endpoint = self.deployment.network.endpoints[record.home]
+        prefix = self.prefix
         if not grants:
             record.completed_at = env.now
             record.extra["skipped"] = skipped

@@ -245,89 +245,95 @@ class QuorumProtocol(ReplicationProtocol):
     # -- write path -------------------------------------------------------
 
     def _start_write(self, record: RequestRecord) -> None:
-        self.env.process(
-            self._write_coordinator(record),
-            name=f"{self.prefix}-write-{record.request_id}",
+        record.dispatched_at = self.env.now
+        self._lock_round(record, 1)
+
+    def _lock_round(self, record: RequestRecord, attempt: int) -> None:
+        """Lock round ``attempt`` (its epoch): broadcast LOCK, then tally
+        GRANT/NACK replies until quorum, impossibility or timeout."""
+        endpoint = self.deployment.network.endpoints[record.home]
+        rid = record.request_id
+        grant_kind = f"{self.prefix}_GRANT"
+        endpoint.broadcast(
+            f"{self.prefix}_LOCK",
+            payload={
+                "rid": rid,
+                "epoch": attempt,
+                "key": record.key,
+                "reply_to": record.home,
+            },
+            include_self=True,
+        )
+        grants: Dict[str, Tuple[int, int]] = {}  # host -> (votes, version)
+        granted_votes = 0
+        nack_votes = 0
+
+        def tally(msg: Optional[Message]) -> bool:
+            nonlocal granted_votes, nack_votes
+            if msg is not None:
+                p = msg.payload
+                if msg.kind == grant_kind:
+                    if p["from"] not in grants:
+                        grants[p["from"]] = (p["votes"], p["version"])
+                        granted_votes += p["votes"]
+                    if granted_votes < self.write_quorum:
+                        return False
+                else:
+                    nack_votes += p["votes"]
+                    if self.total_votes - nack_votes >= self.write_quorum:
+                        return False
+            self._round_over(record, attempt, grants, granted_votes)
+            return True
+
+        endpoint.wait(
+            self._round_replies, (rid, attempt), self.lock_timeout, tally
         )
 
-    def _write_coordinator(self, record: RequestRecord):
+    def _round_over(self, record: RequestRecord, attempt: int,
+                    grants: Dict[str, Tuple[int, int]],
+                    granted_votes: int) -> None:
+        """Commit with a write quorum; otherwise release everything and
+        retry after a randomized, linearly growing backoff (the classic
+        voting retry loop) — the last round backs off before failing."""
         env = self.env
         endpoint = self.deployment.network.endpoints[record.home]
-        prefix = self.prefix
-        record.dispatched_at = env.now
+        if granted_votes >= self.write_quorum:
+            record.lock_acquired_at = env.now
+            record.extra["lock_rounds"] = attempt
+            version = 1 + max(v for _host, (_w, v) in grants.items())
+            writes = (
+                WriteOp(
+                    request_id=record.request_id,
+                    key=record.key,
+                    value=record.value,
+                    version=version,
+                ),
+            )
+            self._apply(endpoint, record, writes, grants)
+            record.completed_at = env.now
+            record.status = "committed"
+            return
+        endpoint.broadcast(
+            f"{self.prefix}_ABORT",
+            payload={"rid": record.request_id, "epoch": attempt},
+            include_self=True,
+        )
+        if self.retry_backoff > 0:
+            env.call_in(
+                self._stream.exponential(self.retry_backoff * attempt),
+                self._next_round, (record, attempt),
+            )
+        else:
+            self._next_round((record, attempt))
 
-        for attempt in range(1, self.max_rounds + 1):
-            epoch = attempt
-            endpoint.broadcast(
-                f"{prefix}_LOCK",
-                payload={
-                    "rid": record.request_id,
-                    "epoch": epoch,
-                    "key": record.key,
-                    "reply_to": record.home,
-                },
-                include_self=True,
-            )
-            grants, granted_votes = yield from self._gather_grants(
-                endpoint, record.request_id, epoch
-            )
-            if granted_votes >= self.write_quorum:
-                record.lock_acquired_at = env.now
-                record.extra["lock_rounds"] = attempt
-                version = 1 + max(v for _host, (_w, v) in grants.items())
-                writes = (
-                    WriteOp(
-                        request_id=record.request_id,
-                        key=record.key,
-                        value=record.value,
-                        version=version,
-                    ),
-                )
-                self._apply(endpoint, record, writes, grants)
-                record.completed_at = env.now
-                record.status = "committed"
-                return
-            # Conflict: release everything and retry after a randomized,
-            # linearly growing backoff (the classic voting retry loop).
-            endpoint.broadcast(
-                f"{prefix}_ABORT",
-                payload={"rid": record.request_id, "epoch": epoch},
-                include_self=True,
-            )
-            if self.retry_backoff > 0:
-                yield env.timeout(
-                    self._stream.exponential(self.retry_backoff * attempt)
-                )
-        record.completed_at = env.now
+    def _next_round(self, after: Tuple[RequestRecord, int]) -> None:
+        record, attempt = after
+        if attempt < self.max_rounds:
+            self._lock_round(record, attempt + 1)
+            return
+        record.completed_at = self.env.now
         record.extra["lock_rounds"] = self.max_rounds
         record.status = "failed"
-
-    def _gather_grants(self, endpoint, rid: int, epoch: int):
-        """Collect GRANT/NACK replies until quorum, impossibility or
-        timeout. Returns ``(grants, granted_votes)``."""
-        env = self.env
-        prefix = self.prefix
-        grants: Dict[str, Tuple[int, int]] = {}  # host -> (votes, version)
-        nack_votes = 0
-        granted_votes = 0
-        deadline = env.timeout(self.lock_timeout)
-        while granted_votes < self.write_quorum:
-            reply = endpoint.receive(self._round_replies, key=(rid, epoch))
-            yield reply | deadline
-            if not reply.processed:
-                reply.cancel()
-                break
-            msg = reply.value
-            p = msg.payload
-            if msg.kind == f"{prefix}_GRANT":
-                if p["from"] not in grants:
-                    grants[p["from"]] = (p["votes"], p["version"])
-                    granted_votes += p["votes"]
-            else:
-                nack_votes += p["votes"]
-                if self.total_votes - nack_votes < self.write_quorum:
-                    break
-        return grants, granted_votes
 
     def _apply(self, endpoint, record, writes, grants) -> None:
         """Propagate the accepted update. Default: write-all broadcast."""
@@ -344,22 +350,14 @@ class QuorumProtocol(ReplicationProtocol):
     # -- read path ---------------------------------------------------------------
 
     def _start_read(self, record: RequestRecord) -> None:
-        if self.local_reads or self.read_quorum <= 1:
-            record.dispatched_at = self.env.now
-            self._read_local(record)
-        else:
-            self.env.process(
-                self._read_coordinator(record),
-                name=f"{self.prefix}-read-{record.request_id}",
-            )
-
-    def _read_coordinator(self, record: RequestRecord):
         env = self.env
-        endpoint = self.deployment.network.endpoints[record.home]
-        prefix = self.prefix
         record.dispatched_at = env.now
+        if self.local_reads or self.read_quorum <= 1:
+            self._read_local(record)
+            return
+        endpoint = self.deployment.network.endpoints[record.home]
         endpoint.broadcast(
-            f"{prefix}_READV",
+            f"{self.prefix}_READV",
             payload={
                 "rid": record.request_id,
                 "key": record.key,
@@ -370,23 +368,26 @@ class QuorumProtocol(ReplicationProtocol):
         best_version, best_value = 0, None
         votes = 0
         replied: Set[str] = set()
-        deadline = env.timeout(self.lock_timeout)
-        while votes < self.read_quorum:
-            reply = endpoint.receive(
-                f"{prefix}_RVAL", key=record.request_id
+
+        def tally(msg: Optional[Message]) -> bool:
+            nonlocal best_version, best_value, votes
+            if msg is not None:
+                p = msg.payload
+                if p["from"] not in replied:
+                    replied.add(p["from"])
+                    votes += p["votes"]
+                    if p["version"] >= best_version:
+                        best_version, best_value = p["version"], p["value"]
+                if votes < self.read_quorum:
+                    return False
+            record.value = best_value
+            record.extra["version"] = best_version
+            record.completed_at = env.now
+            record.status = (
+                "read-done" if votes >= self.read_quorum else "failed"
             )
-            yield reply | deadline
-            if not reply.processed:
-                reply.cancel()
-                break
-            p = reply.value.payload
-            if p["from"] in replied:
-                continue
-            replied.add(p["from"])
-            votes += p["votes"]
-            if p["version"] >= best_version:
-                best_version, best_value = p["version"], p["value"]
-        record.value = best_value
-        record.extra["version"] = best_version
-        record.completed_at = env.now
-        record.status = "read-done" if votes >= self.read_quorum else "failed"
+            return True
+
+        endpoint.wait(
+            f"{self.prefix}_RVAL", record.request_id, self.lock_timeout, tally
+        )

@@ -157,9 +157,10 @@ class PrimaryCopy(ReplicationProtocol):
             },
         )
 
-        def done(reply: Optional[Message]) -> None:
+        def done(reply: Optional[Message]) -> bool:
             record.completed_at = env.now
             record.status = "committed" if reply is not None else "failed"
+            return True
 
         endpoint.wait("PC_DONE", record.request_id, self.write_timeout, done)
 

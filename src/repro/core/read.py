@@ -11,8 +11,9 @@ reached a majority.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
+from repro.net.message import Message
 from repro.replication.requests import RequestRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -31,35 +32,34 @@ def start_local_read(marp: "MARP", record: RequestRecord) -> None:
 def start_quorum_read(marp: "MARP", record: RequestRecord) -> None:
     """Query every replica; return the freshest of a majority of replies."""
 
-    def reader():
-        env = marp.env
-        endpoint = marp.deployment.network.endpoints[record.home]
-        majority = marp.deployment.majority
-        endpoint.broadcast(
-            "READQ",
-            payload={"request_id": record.request_id, "key": record.key},
-            include_self=True,
-        )
-        best_version = 0
-        best_value = None
-        replies = 0
-        deadline = env.timeout(marp.config.ack_timeout)
-        while replies < majority:
-            get_reply = endpoint.receive("READR", key=record.request_id)
-            yield get_reply | deadline
-            if not get_reply.processed:
-                get_reply.cancel()
-                break
-            payload = get_reply.value.payload
+    env = marp.env
+    endpoint = marp.deployment.network.endpoints[record.home]
+    majority = marp.deployment.majority
+    endpoint.broadcast(
+        "READQ",
+        payload={"request_id": record.request_id, "key": record.key},
+        include_self=True,
+    )
+    best_version = 0
+    best_value = None
+    replies = 0
+
+    def tally(reply: Optional[Message]) -> bool:
+        nonlocal best_version, best_value, replies
+        if reply is not None:
+            payload = reply.payload
             replies += 1
             if payload["version"] >= best_version:
                 best_version = payload["version"]
                 best_value = payload["value"]
+            if replies < majority:
+                return False
         record.value = best_value
         record.extra["version"] = best_version
         record.extra["read_strategy"] = "quorum"
         record.extra["replies"] = replies
         record.completed_at = env.now
         record.status = "read-done" if replies >= majority else "failed"
+        return True
 
-    marp.env.process(reader(), name=f"qread-{record.request_id}")
+    endpoint.wait("READR", record.request_id, marp.config.ack_timeout, tally)

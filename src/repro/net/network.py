@@ -17,11 +17,12 @@ fail-stop. Concretely:
 Every host gets an :class:`Endpoint` whose inbox is a routed mailbox:
 a delivered message is filed once, by its kind (and, for kinds declared
 with :meth:`Network.route`, by a correlation key read from its payload).
-A stationary process takes its kinds one message at a time by callback
-(:meth:`Endpoint.serve`), a one-shot reply is awaited the same way
-(:meth:`Endpoint.wait`), and a coordinator that keeps loop state across
-its waits pulls: ``yield endpoint.receive(kind="Q_GRANT", key=...)``
-pops the head of that queue.
+Nothing pulls from it: a stationary process takes its kinds one message
+at a time by callback (:meth:`Endpoint.serve`), and a coordinator
+gathers the replies of one conversation the same way, until its tally
+is satisfied or a deadline passes (:meth:`Endpoint.wait`). A migration
+attempt (:meth:`Network.attempt_transfer`) reports its outcome by
+callback too.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ class Endpoint:
     def __init__(self, network: "Network", host: str) -> None:
         self.network = network
         self.host = host
-        self.inbox = RoutedStore(network.env, network.route_of)
+        self.inbox = RoutedStore(network.route_of)
         #: expired messages dropped by inbox hygiene (see maybe_reap)
         self.reaped = 0
         self._next_reap = 0.0
@@ -92,32 +93,6 @@ class Endpoint:
             self.reaped += dropped
             self.network.stats.record_expired(dropped)
         return dropped
-
-    def receive(
-        self,
-        kind: Union[None, str, Tuple[str, ...]] = None,
-        match: Optional[Callable[[Message], bool]] = None,
-        key: Optional[Hashable] = None,
-    ):
-        """Event that fires with the next matching message.
-
-        ``kind`` names one queue of the inbox: a kind, or the tuple of
-        kinds that :meth:`Network.route` declared to share a queue
-        (the oldest message of *any* of them comes first). A route
-        declared with a correlation key needs ``key`` — the receive
-        then waits on that conversation's own queue and pops its head
-        in O(1), whatever else has piled up. ``match`` further
-        restricts the receive to messages it accepts; it is evaluated
-        on that one queue only.
-
-        Without a kind, receives the oldest queued message of any
-        queue (optionally the oldest that ``match`` accepts).
-        """
-        if kind is None:
-            if key is not None:
-                raise NetworkError("a correlation key needs a kind")
-            return self.inbox.get(None, match)
-        return self.inbox.get(self.network.queue_for(kind, key), match)
 
     def serve(
         self,
@@ -196,33 +171,45 @@ class Endpoint:
 
     def wait(
         self,
-        kind: str,
+        kind: Union[str, Tuple[str, ...]],
         key: Hashable,
         timeout: float,
-        done: Callable[[Optional[Message]], None],
+        done: Callable[[Optional[Message]], bool],
     ) -> None:
-        """One reply or a deadline, by callback: ``done(msg)`` with the
-        first message of conversation ``key`` on the keyed route of
-        ``kind`` — at once if it is already here — or ``done(None)``
-        ``timeout`` ms from now. A reply after the deadline is nobody's
-        and stays in the inbox for the reaper."""
+        """Replies until satisfied, or a deadline, by callback.
+
+        ``done(msg)`` is called with each message of conversation
+        ``key`` on the keyed route of ``kind`` (a kind, or the tuple
+        :meth:`Network.route` declared), those already here first, and
+        says whether the wait is satisfied: a tally returns false until
+        it has its quorum, and the wait keeps taking replies. If it is
+        not satisfied ``timeout`` ms from now, ``done(None)``. Either
+        way the wait has withdrawn before that last call, so ``done``
+        may start the next wait on the same conversation; a reply after
+        the end is nobody's and stays in the inbox for the reaper.
+        """
         inbox = self.inbox
         queue = self.network.queue_for(kind, key)
         msg = inbox.pop(queue)
-        if msg is not None:
-            done(msg)
-            return
+        while msg is not None:
+            if done(msg):
+                return
+            msg = inbox.pop(queue)
         waiting = True
 
         def replied(msg: Message) -> bool:
             nonlocal waiting
-            waiting = False
             inbox.consume(queue, None)
-            done(msg)
+            if done(msg):
+                waiting = False
+            else:
+                inbox.consume(queue, replied)
             return True
 
         def deadline(_arg: None) -> None:
+            nonlocal waiting
             if waiting:
+                waiting = False
                 inbox.consume(queue, None)
                 done(None)
 
@@ -397,11 +384,11 @@ class Network:
         """Declare that messages of ``kinds`` share one inbox queue.
 
         A consumer that handles several kinds in arrival order (a
-        server's request loop) declares them together and receives with
-        ``kind=kinds``. ``key(payload)`` names the conversation a reply
+        server's request loop) declares them together and serves
+        ``kinds``. ``key(payload)`` names the conversation a reply
         belongs to (a lock round's ``(rid, epoch)``, a quorum read's
         ``request_id``): each conversation then gets a queue of its own,
-        computed once at delivery, and ``receive(kinds, key=...)`` never
+        computed once at delivery, and ``wait(kinds, key, ...)`` never
         meets another conversation's messages. A message whose key is
         ``None`` belongs to no conversation and joins the queue the
         kinds share (the one :meth:`Endpoint.serve` takes from). Declare
@@ -440,7 +427,7 @@ class Network:
         if rule[0] != kinds:
             raise NetworkError(
                 f"{kinds!r} is routed together with {rule[0]!r}; "
-                "receive the declared kinds as one"
+                "take the declared kinds as one"
             )
         return rule
 
@@ -452,7 +439,8 @@ class Network:
     def queue_for(
         self, kind: Union[str, Tuple[str, ...]], key: Optional[Hashable]
     ) -> Hashable:
-        """The inbox queue a ``receive(kind, key=key)`` waits on."""
+        """The inbox queue of conversation ``key`` on the route of
+        ``kind`` (the queue the kinds share when ``key`` is None)."""
         kinds = (kind,) if kind.__class__ is str else tuple(kind)
         declared, queue, key_of = self._rule(kinds)
         if (key is None) != (key_of is None):
@@ -532,53 +520,63 @@ class Network:
         dst: str,
         size_bytes: int,
         timeout: float,
+        done: Callable[[Optional[MigrationError]], None],
         kind: str = "AGENT",
-    ):
-        """Sub-generator performing one migration attempt.
+    ) -> None:
+        """One migration attempt, reported by callback.
 
-        Use from a process as ``yield from network.attempt_transfer(...)``.
-        On success it simply returns after the sampled transfer delay; on
-        failure (link fault at departure, or destination down at arrival)
-        it waits out ``timeout`` — the paper's failure-detection delay —
-        and raises :class:`MigrationError`.
+        On success ``done(None)`` runs after the sampled transfer delay
+        (in this step when it is zero); on failure (link fault at
+        departure, or destination down at arrival) ``done(error)`` runs
+        once ``timeout`` — the paper's failure-detection delay — has
+        passed since the attempt began.
         """
+        env = self.env
         self.stats.record_send("agent", kind, size_bytes)
         failed_at_send = (
             not self.host_up(src)
             or (
                 src != dst
                 and self.faults.transmission_fails(
-                    src, dst, self.env.now, self._fault_stream
+                    src, dst, env.now, self._fault_stream
                 )
             )
         )
         if failed_at_send:
             self.stats.record_drop("agent", kind)
-            yield self.env.timeout(timeout)
-            raise MigrationError(
+            env.call_in(timeout, done, MigrationError(
                 f"migration {src}->{dst} lost in transit", destination=dst
-            )
+            ))
+            return
 
         delay = 0.0 if src == dst else self.sample_delay(src, dst, size_bytes)
         if delay > timeout:
             # The receiver would see the agent too late; the sender's
             # detector fires first.
-            yield self.env.timeout(timeout)
-            raise MigrationError(
+            env.call_in(timeout, done, MigrationError(
                 f"migration {src}->{dst} timed out after {timeout}ms",
                 destination=dst,
-            )
-        if delay > 0:
-            yield self.env.timeout(delay)
-        if not self.host_up(dst):
+            ))
+            return
+
+        def arrived(_arg: None) -> None:
+            if self.host_up(dst):
+                done(None)
+                return
             self.stats.record_drop("agent", kind)
-            remaining = max(0.0, timeout - delay)
-            if remaining > 0:
-                yield self.env.timeout(remaining)
-            raise MigrationError(
+            failure = MigrationError(
                 f"destination {dst} is down", destination=dst
             )
-        return None
+            remaining = max(0.0, timeout - delay)
+            if remaining > 0:
+                env.call_in(remaining, done, failure)
+            else:
+                done(failure)
+
+        if delay > 0:
+            env.call_in(delay, arrived)
+        else:
+            arrived(None)
 
     def __repr__(self) -> str:
         return (

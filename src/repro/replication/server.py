@@ -10,8 +10,9 @@ interpreter. It supplies only what a simulated host is made of:
   behind ``update_apply_time``, and the claim replies, which the
   endpoint pushes at the interpreter as they arrive (what the live
   transport does);
-* timers as heap callbacks (``env.call_in``) for visits, back-off and
-  claim-round deadlines, and ``release | timeout`` for a park;
+* timers as heap callbacks (``env.call_in``) for visits, back-off,
+  claim-round deadlines and parks (a release wakes the parked agent in
+  a step of its own);
 * agent shipping with the paper's §2 failure policy: an attempt that
   does not complete within :data:`MIGRATION_TIMEOUT` is retried, and
   after :data:`MAX_ATTEMPTS` the destination is declared unavailable
@@ -40,7 +41,6 @@ from repro.core.machines.wire import SharedView, UpdatePayload, WriteOp
 from repro.net.message import Message, estimate_size
 from repro.net.network import Endpoint, Network
 from repro.sim.core import Environment
-from repro.sim.events import Event
 
 __all__ = [
     "ReplicaServer", "ReplicaConfig", "SharedView", "UpdatePayload",
@@ -65,10 +65,11 @@ SERIALIZATION_OVERHEAD = 1.2
 
 
 def _reader_of(payload) -> Optional[Hashable]:
-    """Whose READR this is: a client's quorum read waits for its own
-    (by request id, see :func:`repro.core.read.start_quorum_read`); an
-    RMW fetch's — its id is the ``(batch_id, epoch, key)`` tuple — is
-    the claiming agent's and is pushed with the other claim replies."""
+    """Whose READR this is: a client's quorum read gathers its own by
+    request id (``Endpoint.wait``, see
+    :func:`repro.core.read.start_quorum_read`); an RMW fetch's — its id
+    is the ``(batch_id, epoch, key)`` tuple — belongs to no conversation
+    and is pushed at the claiming agent with the other claim replies."""
     request_id = payload["request_id"]
     return None if request_id.__class__ is tuple else request_id
 
@@ -76,21 +77,6 @@ def _reader_of(payload) -> Optional[Hashable]:
 def _call(fire) -> None:
     """Heap action of a substrate timer (``fire`` takes no argument)."""
     fire()
-
-
-def run_steps(generator) -> None:
-    """Advance ``generator`` from each event it yields to the next by
-    callback — what a simulation process does, without the bootstrap
-    and termination events of one."""
-
-    def resume(event=None):
-        try:
-            waited = generator.send(None if event is None else event.value)
-        except StopIteration:
-            return
-        waited.callbacks.append(resume)
-
-    resume()
 
 
 @dataclass
@@ -296,31 +282,36 @@ class ReplicaServer(Substrate):
         self.interpreter.launch(agent)
 
     def ship_agent(self, agent, dst: str) -> None:
-        run_steps(self._transfer(agent, dst))
-
-    def _transfer(self, agent, dst: str):
-        """One migration under the §2 policy, as simulation steps."""
+        """Ship ``agent`` to ``dst`` under the §2 migration policy."""
         # An agent that keeps its own running size says so; one that
         # only describes its suitcase has the description sized.
         sizer = getattr(agent, "suitcase_size", None)
         carried = sizer() if sizer else estimate_size(agent.state())
         size = int(BASE_BYTES + SERIALIZATION_OVERHEAD * carried)
-        for attempt in range(1, MAX_ATTEMPTS + 1):
-            self.migrations_out += 1
-            try:
-                yield from self.network.attempt_transfer(
-                    self.host, dst, size, timeout=MIGRATION_TIMEOUT,
-                    kind="AGENT",
+        self._attempt(agent, dst, size, 1)
+
+    def _attempt(self, agent, dst: str, size: int, attempt: int) -> None:
+        """Migration attempt number ``attempt``; a failed one is retried
+        after a back-off until :data:`MAX_ATTEMPTS` have failed."""
+        self.migrations_out += 1
+
+        def landed(failure: Optional[MigrationError]) -> None:
+            if failure is None:
+                agent.travel_log.append((self.env.now, dst))
+                self.servers[dst].interpreter.arrived(agent)
+                return
+            self.migrations_failed += 1
+            if attempt < MAX_ATTEMPTS:
+                self.env.call_in(
+                    RETRY_BACKOFF * attempt,
+                    lambda _arg: self._attempt(agent, dst, size, attempt + 1),
                 )
-            except MigrationError:
-                self.migrations_failed += 1
-                if attempt < MAX_ATTEMPTS:
-                    yield self.env.timeout(RETRY_BACKOFF * attempt)
-                continue
-            agent.travel_log.append((self.env.now, dst))
-            self.servers[dst].interpreter.arrived(agent)
-            return
-        self.interpreter.unreachable(agent, dst)
+            else:
+                self.interpreter.unreachable(agent, dst)
+
+        self.network.attempt_transfer(
+            self.host, dst, size, MIGRATION_TIMEOUT, landed, kind="AGENT"
+        )
 
     # ------------------------------------------------------------------
     # Substrate: clock, transport, timers, randomness, trace
@@ -339,11 +330,11 @@ class ReplicaServer(Substrate):
         self.env.call_in(delay, _call, fire)
 
     def park(self, timeout, fire):
-        release = Event(self.env)
-        (release | self.env.timeout(timeout)).callbacks.append(
-            lambda _event: fire()
-        )
-        return lambda: release.triggered or release.succeed()
+        # Whichever of the timeout and the release comes second finds
+        # the interpreter's timer spent and does nothing. A release
+        # wakes the agent in a step of its own, after the releasing one.
+        self.set_timer(timeout, fire)
+        return lambda: self.set_timer(0.0, fire)
 
     def visit_cost(self) -> float:
         return self.config.agent_service_time

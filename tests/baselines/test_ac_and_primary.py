@@ -43,6 +43,29 @@ class TestAvailableCopies:
         assert dep.server("s1").store.read("x").value == 1
         assert dep.server("s3").store.read("x") is None  # left behind
 
+    def test_a_late_grant_of_a_skipped_host_is_not_the_next_rungs(self):
+        """s2 and s3 are down: the ladder gives s2 up at its rung's
+        deadline and moves on to s3. A GRANT from s2 landing during s3's
+        rung is not s3's grant, so s3 is skipped too."""
+        crashes = CrashSchedule().add("s2", 0, 1_000_000)
+        crashes.add("s3", 0, 1_000_000)
+        dep = Deployment(n_replicas=3, seed=0,
+                         faults=FaultPlan(crashes=crashes))
+        ac = AvailableCopies(dep, detection_timeout=50.0)
+        record = ac.submit_write("s1", "x", 1)
+        endpoint = dep.network.endpoints["s1"]
+        grant = {"rid": record.request_id, "epoch": 1, "from": "s2",
+                 "votes": 1, "version": 99}
+        # s1's rung ends within a few ms; s2's at ~50, s3's at ~100
+        dep.env.call_in(
+            75, lambda _arg: endpoint.send("s1", "AC_GRANT", grant)
+        )
+        dep.run(until=1_000_000)
+        assert record.status == "committed"
+        assert record.extra["skipped"] == ["s2", "s3"]
+        assert record.extra["available_copies"] == ["s1"]
+        assert dep.server("s1").store.read("x").version == 1
+
     def test_local_reads(self):
         dep = Deployment(n_replicas=3, seed=0)
         ac = AvailableCopies(dep)
@@ -145,19 +168,19 @@ class TestPrimaryCopyLogShipping:
         """``schedule``: [(backup, key, version)] shipped GAP ms apart."""
         endpoint = dep.network.endpoints[pc.primary]
 
-        def shipper():
-            for rid, (backup, key, version) in enumerate(schedule, 1):
-                write = WriteOp(
-                    request_id=rid, key=key, value=f"{key}{version}",
-                    version=version,
-                )
-                endpoint.send(
-                    backup, "PC_APPLY",
-                    payload={"writes": (write,), "origin": pc.primary},
-                )
-                yield dep.env.timeout(TestPrimaryCopyLogShipping.GAP)
+        def ship(step):
+            rid, (backup, key, version) = step
+            write = WriteOp(
+                request_id=rid, key=key, value=f"{key}{version}",
+                version=version,
+            )
+            endpoint.send(
+                backup, "PC_APPLY",
+                payload={"writes": (write,), "origin": pc.primary},
+            )
 
-        dep.env.process(shipper())
+        for index, step in enumerate(enumerate(schedule, 1)):
+            dep.env.call_in(TestPrimaryCopyLogShipping.GAP * index, ship, step)
 
     @staticmethod
     def _chain(dep, host, key):

@@ -120,6 +120,52 @@ class TestQuorumEngineEdgeCases:
         dep.run(until=1_000_000)
         assert record.status == "failed"
 
+    def test_quorum_read_with_a_majority_crashed_fails_at_lock_timeout(self):
+        from repro.net.faults import CrashSchedule, FaultPlan
+
+        crashes = CrashSchedule()
+        for host in ("s3", "s4", "s5"):
+            crashes.add(host, 0, 10_000_000)
+        dep = Deployment(n_replicas=5, seed=0,
+                         faults=FaultPlan(crashes=crashes))
+        mcv = MajorityConsensusVoting(dep, lock_timeout=100)
+        record = mcv.submit_read("s1", "x")
+        dep.run(until=1_000_000)
+        assert record.status == "failed"
+        assert record.completed_at == record.dispatched_at + 100
+
+    @pytest.mark.parametrize("epoch, status", [(1, "failed"), (2, "committed")])
+    def test_a_grant_after_its_round_is_not_counted_in_the_next(
+        self, epoch, status
+    ):
+        """Round 1 (s1's own grant; s2 and s3 are down) ends at its
+        deadline t=100 and round 2 starts at once. s2's GRANT landing at
+        t=150 counts in round 2 only if it is round 2's; round 1's is
+        left in round 1's queue for the reaper."""
+        from repro.net.faults import CrashSchedule, FaultPlan
+
+        crashes = CrashSchedule().add("s2", 0, 10_000_000)
+        crashes.add("s3", 0, 10_000_000)
+        dep = Deployment(n_replicas=3, seed=0,
+                         faults=FaultPlan(crashes=crashes))
+        mcv = MajorityConsensusVoting(
+            dep, lock_timeout=100, retry_backoff=0, max_rounds=2,
+        )
+        record = mcv.submit_write("s1", "x", 1)
+        endpoint = dep.network.endpoints["s1"]
+        grant = {"rid": record.request_id, "epoch": epoch, "from": "s2",
+                 "votes": 1, "version": 0}
+        dep.env.call_in(
+            150, lambda _arg: endpoint.send("s1", "MCV_GRANT", grant)
+        )
+        dep.run(until=1_000_000)
+        assert record.status == status
+        assert record.extra["lock_rounds"] == 2
+        late = endpoint.inbox.pop(dep.network.queue_for(
+            mcv._round_replies, (record.request_id, 1)
+        ))
+        assert (late is not None) == (epoch == 1)
+
     def test_daemon_counts_grants_and_nacks(self):
         dep = Deployment(n_replicas=3, seed=0)
         mcv = MajorityConsensusVoting(dep)

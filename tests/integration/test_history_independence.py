@@ -21,12 +21,14 @@ Five guards, all deterministic counts (no wall clock):
   un-visited host names included, so both counts grew with N;
 * the routed mailbox keeps the ordering the protocol drivers rely on:
   the server takes its kinds oldest-first, a reply that beat its
-  receive to the inbox is still claimed, and a withdrawn receive never
+  wait to the inbox is still claimed, and a wait that ended never
   swallows a later round's reply;
-* nothing on a hot path runs as a simulation ``Process``: the number a
-  run creates does not depend on how many requests it serves, and a
-  primary-copy write costs the thirteen heap events that carry
-  simulated time.
+* a committed write costs a pinned number of heap events per protocol
+  (a primary-copy write exactly the thirteen that carry simulated
+  time): the kernel is a callback heap, and a wait that came back as a
+  generator hop — a bootstrap, a termination, an ``a | b`` hand-over —
+  would show up here; and no run, short or long, enters a generator
+  function of the package at all.
 """
 
 import os
@@ -176,7 +178,7 @@ def _tour_run(n_replicas):
         max_requests_per_client=1,
     )
     update, sizing = LockingTable.update.__code__, estimate_size.__code__
-    transfer = ReplicaServer._transfer.__code__
+    transfer = ReplicaServer.ship_agent.__code__
     calls = {"update": 0, "estimate_size": 0}
 
     def count(frame, event, _arg):
@@ -236,8 +238,8 @@ class TestVisitCostDoesNotGrowWithTheClusterSize:
 class TestRoutedMailboxOrdering:
     @pytest.fixture
     def cluster(self):
-        # READR is the route of MARP's that still pulls: a quorum read
-        # waits for its own replies, by request id
+        # READR is MARP's keyed route: a quorum read gathers its own
+        # replies, by request id
         return Deployment(n_replicas=3, seed=1)
 
     def test_server_kinds_are_taken_oldest_first(self, cluster):
@@ -255,23 +257,23 @@ class TestRoutedMailboxOrdering:
         server.machine.on_message = spy
         sender = cluster.network.endpoints["s2"]  # zero-delay self-sends
 
-        def burst():
-            from repro.agents.identity import AgentId
-            from repro.core.machines.wire import UpdatePayload
+        from repro.agents.identity import AgentId
+        from repro.core.machines.wire import UpdatePayload
 
-            def payload(batch):
-                return UpdatePayload(
-                    batch_id=batch, agent_id=AgentId("s2", 0.0, batch),
-                    origin="s2", reply_to="s2", epoch=1,
-                )
+        def payload(batch):
+            return UpdatePayload(
+                batch_id=batch, agent_id=AgentId("s2", 0.0, batch),
+                origin="s2", reply_to="s2", epoch=1,
+            )
 
-            sender.send("s2", "UPDATE", payload(1))
-            yield env.timeout(0.1)  # the server is now inside apply time
+        def behind(_arg):
+            # the server is now inside the first UPDATE's apply time
             sender.send("s2", "RELEASE", payload(1))
             sender.send("s2", "READQ", {"request_id": 99, "key": "k"})
             sender.send("s2", "UPDATE", payload(2))
 
-        env.process(burst())
+        sender.send("s2", "UPDATE", payload(1))
+        env.call_in(0.1, behind)
         env.run(until=50.0)
         assert handled == ["UPDATE", "RELEASE", "READQ", "UPDATE"]
 
@@ -280,14 +282,15 @@ class TestRoutedMailboxOrdering:
         endpoint = cluster.network.endpoints["s1"]
         got = []
 
-        def late_receiver():
-            endpoint.send("s1", "READR", {"request_id": 5, "from": "s1"})
-            yield env.timeout(3.0)
+        def late_wait(_arg):
             assert endpoint.pending == 1  # queued, nobody asked yet
-            msg = yield endpoint.receive("READR", key=5)
-            got.append((msg.kind, env.now))
+            endpoint.wait(
+                "READR", 5, 10.0,
+                lambda msg: got.append((msg.kind, env.now)) or True,
+            )
 
-        env.process(late_receiver())
+        endpoint.send("s1", "READR", {"request_id": 5, "from": "s1"})
+        env.call_in(3.0, late_wait)
         env.run(until=50.0)
         assert got == [("READR", 3.0)]
         assert endpoint.pending == 0
@@ -297,46 +300,73 @@ class TestRoutedMailboxOrdering:
         endpoint = cluster.network.endpoints["s1"]
         got = []
 
-        def reader():
-            first = endpoint.receive("READR", key=5)
-            yield first | env.timeout(2.0)
-            assert not first.processed
-            first.cancel()  # read 5's deadline fired
-            second = endpoint.receive("READR", key=6)
+        def second(msg):
+            got.append((msg.kind, msg.payload["request_id"]))
+            return True
+
+        def first(msg):
+            assert msg is None  # read 5's deadline fired
+            endpoint.wait("READR", 6, 10.0, second)
             endpoint.send("s1", "READR", {"request_id": 5, "from": "s1"})
             endpoint.send("s1", "READR", {"request_id": 6, "from": "s1"})
-            msg = yield second
-            got.append((msg.kind, msg.payload["request_id"]))
+            return True
 
-        env.process(reader())
+        endpoint.wait("READR", 5, 2.0, first)
         env.run(until=50.0)
         assert got == [("READR", 6)]
         # the stale reply waits in read 5's queue for the reaper; the
-        # withdrawn receive left nothing behind (the servers hold no
-        # receive at all: they stand on their queues)
+        # ended waits left no consumer behind
         assert endpoint.pending == 1
-        assert not endpoint.inbox._getters
+        queues = {cluster.network.queue_for("READR", rid) for rid in (5, 6)}
+        assert not queues & set(endpoint.inbox._consumers)
 
 
-def _census(protocol, requests_per_client, write_fraction):
-    """One observed ``run_once``: the ``Process`` objects it created
-    and its result (``deployment.env.events_processed`` is the heap
-    events it popped)."""
+def _events_per_commit(protocol, requests_per_client):
+    """One observed all-writes ``run_once`` at a fixed seed: heap
+    entries popped (``deployment.env.events_processed``) per commit."""
     from repro.experiments.runner import RunConfig, run_once
     from repro.obs import hub as hub_mod
-    from repro.sim import core
-
-    created = 0
-    init = core.Process.__init__
-
-    def counting_init(self, *args, **kwargs):
-        nonlocal created
-        created += 1
-        init(self, *args, **kwargs)
 
     previous = hub_mod._active_hub
     hub_mod.set_hub(hub_mod.ObservabilityHub())
-    core.Process.__init__ = counting_init
+    try:
+        result = run_once(RunConfig(
+            protocol=protocol, n_replicas=5, seed=7,
+            mean_interarrival=40.0,
+            requests_per_client=requests_per_client,
+            write_fraction=1.0, n_keys=64,
+        ))
+    finally:
+        hub_mod.set_hub(previous)
+    assert result.committed == 5 * requests_per_client
+    return result.deployment.env.events_processed / result.committed
+
+
+def _census(protocol, requests_per_client, write_fraction):
+    """One observed ``run_once``: how many times it entered a generator
+    function of the package (a coroutine "process"; generator
+    expressions are loops, not processes, and are not counted) and its
+    result."""
+    import inspect
+
+    import repro
+    from repro.experiments.runner import RunConfig, run_once
+    from repro.obs import hub as hub_mod
+
+    root = os.path.dirname(repro.__file__)
+    entered = 0
+
+    def count(frame, event, _arg):
+        nonlocal entered
+        code = frame.f_code
+        if (event == "call" and code.co_flags & inspect.CO_GENERATOR
+                and code.co_name != "<genexpr>"
+                and code.co_filename.startswith(root)):
+            entered += 1
+
+    previous = hub_mod._active_hub
+    hub_mod.set_hub(hub_mod.ObservabilityHub())
+    sys.setprofile(count)
     try:
         result = run_once(RunConfig(
             protocol=protocol, n_replicas=5, seed=7,
@@ -345,16 +375,21 @@ def _census(protocol, requests_per_client, write_fraction):
             write_fraction=write_fraction, n_keys=64,
         ))
     finally:
-        core.Process.__init__ = init
+        sys.setprofile(None)
         hub_mod.set_hub(previous)
-    return created, result
+    return entered, result
 
 
 class TestNoHotPathRunsAsAProcess:
-    """At 998487c these runs created a ``Process`` per server loop, per
-    client, per local read and per primary-copy write — 58 and 199 on
-    the two MARP runs, 115 and 415 on the primary-copy ones — and a
-    primary-copy write cost 22 heap events."""
+    """Heap events per committed write, N=5, seed 7, 20 writes a client.
+    While the coordinators and parks were generator processes these were
+    57.66 (MARP), 13 (primary copy), 35 (MCV) and 43 (Available Copies):
+    a bootstrap and a termination event per coordinator, two hand-over
+    hops per reply it counted and one per park. At 998487c a
+    primary-copy write cost 22, and these runs created a ``Process``
+    per server loop, per client, per local read and per primary-copy
+    write — 58 and 199 on the two MARP runs, 115 and 415 on the
+    primary-copy ones."""
 
     def test_marp_processes_do_not_grow_with_the_run(self):
         short, result = _census("marp", 20, write_fraction=0.5)
@@ -369,9 +404,16 @@ class TestNoHotPathRunsAsAProcess:
         assert result.committed == 5 * 80
         assert short == long == 0
 
+    @pytest.mark.parametrize("protocol, bound", [
+        ("marp", 53.0),
+        ("primary-copy", 13.0),
+        ("mcv", 27.0),
+        ("available-copies", 31.0),
+    ])
+    def test_heap_events_per_commit_are_pinned(self, protocol, bound):
+        assert _events_per_commit(protocol, 20) <= bound
+
     def test_a_primary_copy_write_costs_thirteen_events(self):
         # gap, PC_WRITE, the primary's apply time, four PC_APPLYs and
         # four backup apply times, PC_DONE, the write's deadline
-        _, result = _census("primary-copy", 80, write_fraction=1.0)
-        events = result.deployment.env.events_processed
-        assert events / result.committed <= 14
+        assert _events_per_commit("primary-copy", 80) == 13

@@ -31,6 +31,19 @@ def make_network(env, hosts=("a", "b", "c"), latency=None, faults=None,
     return network, endpoints
 
 
+def pushed(env, endpoint, kinds=("PING",)):
+    """Serve ``kinds`` at ``endpoint`` in no time; returns the
+    ``(now, msg)`` log of the messages as they arrive."""
+    log = []
+    endpoint.serve(kinds, None, lambda msg: log.append((env.now, msg)))
+    return log
+
+
+def take(endpoint, kind, key=None):
+    """Pop the head of the inbox queue of ``kind`` (and ``key``)."""
+    return endpoint.inbox.pop(endpoint.network.queue_for(kind, key))
+
+
 class TestRegistration:
     def test_register_unknown_host_rejected(self, env):
         network, _ = make_network(env)
@@ -46,54 +59,31 @@ class TestRegistration:
 class TestDelivery:
     def test_unicast_arrives_after_latency(self, env):
         _network, eps = make_network(env)
-
-        def receiver(env):
-            msg = yield eps["b"].receive()
-            assert msg.payload == "hello"
-            assert env.now == 2.0
-
+        log = pushed(env, eps["b"])
         eps["a"].send("b", "PING", "hello")
-        env.process(receiver(env))
         env.run()
+        assert [(now, msg.payload) for now, msg in log] == [(2.0, "hello")]
 
     def test_latency_scaled_by_cost(self, env):
         _network, eps = make_network(env, cost=3.0)
-        arrival = []
-
-        def receiver(env):
-            yield eps["b"].receive()
-            arrival.append(env.now)
-
+        log = pushed(env, eps["b"])
         eps["a"].send("b", "PING")
-        env.process(receiver(env))
         env.run()
-        assert arrival == [6.0]  # 2ms x cost 3
+        assert [now for now, _msg in log] == [6.0]  # 2ms x cost 3
 
     def test_no_cost_scaling_when_disabled(self, env):
         _network, eps = make_network(env, cost=3.0, scale_by_cost=False)
-        arrival = []
-
-        def receiver(env):
-            yield eps["b"].receive()
-            arrival.append(env.now)
-
+        log = pushed(env, eps["b"])
         eps["a"].send("b", "PING")
-        env.process(receiver(env))
         env.run()
-        assert arrival == [2.0]
+        assert [now for now, _msg in log] == [2.0]
 
     def test_self_send_is_instant(self, env):
         _network, eps = make_network(env)
-        arrival = []
-
-        def receiver(env):
-            yield eps["a"].receive()
-            arrival.append(env.now)
-
+        log = pushed(env, eps["a"], ("LOOP",))
         eps["a"].send("a", "LOOP")
-        env.process(receiver(env))
         env.run()
-        assert arrival == [0.0]
+        assert [now for now, _msg in log] == [0.0]
 
     def test_unknown_destination_rejected(self, env):
         _network, eps = make_network(env)
@@ -102,73 +92,62 @@ class TestDelivery:
 
     def test_receive_filters_by_kind(self, env):
         _network, eps = make_network(env)
-        got = []
-
-        def receiver(env):
-            msg = yield eps["b"].receive(kind="WANTED")
-            got.append(msg.kind)
-
+        log = pushed(env, eps["b"], ("WANTED",))
         eps["a"].send("b", "NOISE")
         eps["a"].send("b", "WANTED")
-        env.process(receiver(env))
         env.run()
-        assert got == ["WANTED"]
+        assert [msg.kind for _now, msg in log] == ["WANTED"]
         assert eps["b"].pending == 1  # NOISE still queued
+        assert take(eps["b"], "NOISE").kind == "NOISE"
 
     def test_receive_filters_by_match(self, env):
-        _network, eps = make_network(env)
+        """A wait whose ``done`` declines a message keeps standing and
+        takes the next one of its conversation."""
+        network, eps = make_network(env)
+        network.route(("ACK",), key=itemgetter("rid"))
         got = []
 
-        def receiver(env):
-            msg = yield eps["b"].receive(
-                kind="ACK", match=lambda m: m.payload == 2
-            )
-            got.append(msg.payload)
+        def done(msg):
+            got.append(None if msg is None else msg.payload["n"])
+            return msg is None or msg.payload["n"] == 2
 
-        eps["a"].send("b", "ACK", 1)
-        eps["a"].send("b", "ACK", 2)
-        env.process(receiver(env))
+        eps["b"].wait("ACK", 9, 50.0, done)
+        eps["a"].send("b", "ACK", {"rid": 9, "n": 1})
+        eps["a"].send("b", "ACK", {"rid": 9, "n": 2})
+        eps["a"].send("b", "ACK", {"rid": 9, "n": 3})
         env.run()
-        assert got == [2]
+        assert got == [1, 2]
+        assert eps["b"].pending == 1  # after the end: left for the reaper
 
     def test_routed_kinds_share_one_queue_oldest_first(self, env):
         network, eps = make_network(env)
         network.route(("UPDATE", "COMMIT", "RELEASE"))
-        got = []
-
-        def receiver(env):
-            yield env.timeout(10)
-            for _ in range(3):
-                msg = yield eps["b"].receive(("UPDATE", "COMMIT", "RELEASE"))
-                got.append(msg.kind)
-
         eps["a"].send("b", "COMMIT")
         eps["a"].send("b", "NOISE")
         eps["a"].send("b", "UPDATE")
         eps["a"].send("b", "RELEASE")
-        env.process(receiver(env))
         env.run()
+        kinds = ("UPDATE", "COMMIT", "RELEASE")
+        got = [take(eps["b"], kinds).kind for _ in range(3)]
         assert got == ["COMMIT", "UPDATE", "RELEASE"]
         assert eps["b"].pending == 1  # NOISE, in a queue of its own
 
     def test_correlated_route_gives_each_conversation_its_queue(self, env):
         network, eps = make_network(env)
         network.route(("ACK", "NACK"), key=itemgetter("batch_id", "epoch"))
-        got = []
-
-        def receiver(env):
-            yield env.timeout(10)  # every reply is already queued
-            for _ in range(2):
-                msg = yield eps["b"].receive(("ACK", "NACK"), key=(7, 2))
-                got.append((msg.kind, msg.payload["from"]))
-
         for kind, epoch, sender in [
             ("ACK", 1, "x"), ("NACK", 2, "y"), ("ACK", 2, "z"),
         ]:
             eps["a"].send("b", kind, {"batch_id": 7, "epoch": epoch,
                                       "from": sender})
-        env.process(receiver(env))
-        env.run()
+        env.run()  # every reply is queued before anyone asks
+        got = []
+
+        def done(msg):
+            got.append((msg.kind, msg.payload["from"]))
+            return len(got) == 2
+
+        eps["b"].wait(("ACK", "NACK"), (7, 2), 50.0, done)
         assert got == [("NACK", "y"), ("ACK", "z")]
         assert eps["b"].pending == 1  # epoch 1's ACK: nobody asks again
 
@@ -176,25 +155,19 @@ class TestDelivery:
         network, eps = make_network(env)
         network.route(("GRANT",), key=itemgetter("rid"))
         seen = []
-
-        def receiver(env):
-            yield env.timeout(10)
-            msg = yield eps["b"].receive(
-                "GRANT", key=1,
-                match=lambda m: seen.append(m.payload) or
-                m.payload["from"] == "c",
-            )
-            seen.append(("got", msg.payload["from"]))
-
         for rid in (2, 3, 4):
             eps["a"].send("b", "GRANT", {"rid": rid, "from": "c"})
         eps["a"].send("b", "GRANT", {"rid": 1, "from": "a"})
         eps["a"].send("b", "GRANT", {"rid": 1, "from": "c"})
-        env.process(receiver(env))
         env.run()
-        assert seen == [
-            {"rid": 1, "from": "a"}, {"rid": 1, "from": "c"}, ("got", "c"),
-        ]
+
+        def done(msg):
+            seen.append(msg.payload)
+            return msg.payload["from"] == "c"
+
+        eps["b"].wait("GRANT", 1, 50.0, done)
+        assert seen == [{"rid": 1, "from": "a"}, {"rid": 1, "from": "c"}]
+        assert eps["b"].pending == 3  # the other conversations, unseen
 
     def test_route_misuse_is_rejected(self, env):
         network, eps = make_network(env)
@@ -204,13 +177,13 @@ class TestDelivery:
         with pytest.raises(NetworkError):
             network.route(("GRANT",))  # already routed with DENY
         with pytest.raises(NetworkError):
-            eps["b"].receive(("GRANT", "DENY"))  # needs its key
+            network.queue_for(("GRANT", "DENY"), None)  # needs its key
         with pytest.raises(NetworkError):
-            eps["b"].receive("GRANT", key=1)  # routed together with DENY
+            eps["b"].wait("GRANT", 1, 5.0, bool)  # routed with DENY
         with pytest.raises(NetworkError):
-            eps["b"].receive("PLAIN", key=1)  # undeclared: takes no key
+            eps["b"].wait("PLAIN", 1, 5.0, bool)  # undeclared: no key
         with pytest.raises(NetworkError):
-            eps["b"].receive(key=1)
+            eps["b"].serve(("GRANT", "NOTE"), None, print)  # undeclared
 
     def test_broadcast_excludes_self_by_default(self, env):
         _network, eps = make_network(env)
@@ -246,18 +219,16 @@ class TestOneEventPerMessage:
         _network, eps = make_network(env)
         seen = []
 
-        def sender(env):
+        def sender(_arg):
             # Scheduled for "now" *before* the send, at NORMAL priority:
             # the self-send must still overtake it.
-            normal = env.event().succeed()
-            normal.callbacks.append(
-                lambda _e: seen.append(("normal", eps["a"].pending))
+            env.call_in(
+                0, lambda _arg: seen.append(("normal", eps["a"].pending))
             )
             eps["a"].send("a", "LOOP")
             seen.append(("step", eps["a"].pending))
-            yield env.timeout(5)
 
-        env.process(sender(env))
+        env.call_in(0, sender)
         env.run()
         assert seen == [("step", 0), ("normal", 1)]
         assert eps["a"].inbox.items[0].sent_at == 0.0
@@ -370,26 +341,18 @@ class TestFaultsAndStats:
         faults = FaultPlan(crashes=CrashSchedule().add("b", 5, 10))
         network, _ = make_network(env, faults=faults)
         assert network.host_up("b")
-        env.timeout(6)
-        env.run()
+        env.run(until=6)
         assert not network.host_up("b")
 
 
 class TestFifoLinks:
     @staticmethod
     def _send_and_collect(env, eps, count):
-        received = []
-
-        def receiver(env):
-            for _ in range(count):
-                msg = yield eps["b"].receive()
-                received.append(msg.payload)
-
+        log = pushed(env, eps["b"], ("SEQ",))
         for index in range(count):
             eps["a"].send("b", "SEQ", index)
-        env.process(receiver(env))
         env.run()
-        return received
+        return [msg.payload for _now, msg in log]
 
     def test_default_links_can_reorder(self, env):
         from repro.net.latency import UniformLatency
@@ -412,70 +375,48 @@ class TestFifoLinks:
 
     def test_fifo_links_are_per_direction(self, env):
         _network, eps = make_network(env, fifo_links=True)
-        arrivals = []
-
-        def receiver(env, name):
-            msg = yield eps[name].receive()
-            arrivals.append((name, env.now, msg.payload))
-
+        logs = [pushed(env, eps[name], ("X",)) for name in ("a", "b")]
         eps["a"].send("b", "X", "ab")
         eps["b"].send("a", "X", "ba")
-        env.process(receiver(env, "b"))
-        env.process(receiver(env, "a"))
         env.run()
         # opposite directions don't serialise against each other
-        assert {t for _n, t, _p in arrivals} == {2.0}
+        assert [now for log in logs for now, _msg in log] == [2.0, 2.0]
 
 
 class TestAttemptTransfer:
+    @staticmethod
+    def _attempt(env, network, size, timeout):
+        """Run one attempt; returns ``(now, error)`` of its outcome."""
+        outcome = []
+        network.attempt_transfer(
+            "a", "b", size, timeout,
+            lambda error: outcome.append((env.now, error)),
+        )
+        env.run()
+        assert len(outcome) == 1
+        return outcome[0]
+
     def test_successful_transfer_takes_latency(self, env):
         network, _ = make_network(env)
-        done = []
-
-        def mover(env):
-            yield from network.attempt_transfer("a", "b", 1000, timeout=50)
-            done.append(env.now)
-
-        env.process(mover(env))
-        env.run()
-        assert done == [2.0]
+        assert self._attempt(env, network, 1000, 50) == (2.0, None)
 
     def test_transfer_to_down_host_times_out(self, env):
         faults = FaultPlan(crashes=CrashSchedule().add("b", 0, 1000))
         network, _ = make_network(env, faults=faults)
-        outcome = []
-
-        def mover(env):
-            try:
-                yield from network.attempt_transfer("a", "b", 100, timeout=50)
-            except MigrationError:
-                outcome.append(env.now)
-
-        env.process(mover(env))
-        env.run()
-        assert outcome == [50.0]  # full detection timeout elapses
+        now, error = self._attempt(env, network, 100, 50)
+        assert now == 50.0  # full detection timeout elapses
+        assert isinstance(error, MigrationError)
+        assert error.destination == "b"
 
     def test_transfer_slower_than_timeout_fails(self, env):
         network, _ = make_network(env, latency=ConstantLatency(100.0))
-        outcome = []
-
-        def mover(env):
-            with pytest.raises(MigrationError):
-                yield from network.attempt_transfer("a", "b", 0, timeout=10)
-            outcome.append(env.now)
-
-        env.process(mover(env))
-        env.run()
-        assert outcome == [10.0]
+        now, error = self._attempt(env, network, 0, 10)
+        assert now == 10.0
+        assert isinstance(error, MigrationError)
 
     def test_transfer_accounted_as_agent_traffic(self, env):
         network, _ = make_network(env)
-
-        def mover(env):
-            yield from network.attempt_transfer("a", "b", 2048, timeout=50)
-
-        env.process(mover(env))
-        env.run()
+        self._attempt(env, network, 2048, 50)
         assert network.stats.total_messages("agent") == 1
         assert network.stats.total_bytes("agent") == 2048
 
@@ -497,13 +438,10 @@ class TestInboxHygiene:
     def test_stale_backlog_reaped_on_fresh_delivery(self, env):
         network, eps = make_network(env, inbox_ttl=100.0)
 
-        def late(env):
-            yield env.timeout(200.0)
-            eps["a"].send("b", "PING")
+        env.call_in(200.0, lambda _arg: eps["a"].send("b", "PING"))
 
         for index in range(40):
             eps["a"].send("b", "ACK", index)  # all sent at t=0
-        env.process(late(env))
         env.run()
         # the t=200 delivery finds 40 messages older than the ttl
         assert eps["b"].reaped == 40
@@ -517,16 +455,13 @@ class TestInboxHygiene:
         network, eps = make_network(env, inbox_ttl=100.0)
         network.route(("ACK", "NACK"), key=itemgetter("batch_id", "epoch"))
 
-        def late(env):
-            yield env.timeout(200.0)
-            eps["a"].send("b", "PING")
+        env.call_in(200.0, lambda _arg: eps["a"].send("b", "PING"))
 
         for index in range(40):
             eps["a"].send(
                 "b", "ACK" if index % 2 else "NACK",
                 {"batch_id": index // 2, "epoch": 1},
             )
-        env.process(late(env))
         env.run(until=100.0)
         assert eps["b"].pending == 40  # 20 queues of two
         env.run()
@@ -541,30 +476,19 @@ class TestInboxHygiene:
         stale messages stay (cheaper than scanning tiny inboxes)."""
         _network, eps = make_network(env, inbox_ttl=100.0)
 
-        def late(env):
-            yield env.timeout(500.0)
-            eps["a"].send("b", "PING")
+        env.call_in(500.0, lambda _arg: eps["a"].send("b", "PING"))
 
         for index in range(10):
             eps["a"].send("b", "ACK", index)
-        env.process(late(env))
         env.run()
         assert eps["b"].reaped == 0
         assert eps["b"].pending == 11
 
     def test_fresh_messages_survive_and_are_claimable(self, env):
         _network, eps = make_network(env, inbox_ttl=100.0)
-        got = []
-
-        def flood_then_claim(env):
-            for index in range(40):
-                eps["a"].send("b", "ACK", index)
-            yield env.timeout(200.0)
-            eps["a"].send("b", "DATA", "fresh")
-            msg = yield eps["b"].receive(kind="DATA")
-            got.append(msg.payload)
-
-        env.process(flood_then_claim(env))
+        for index in range(40):
+            eps["a"].send("b", "ACK", index)
+        env.call_in(200.0, lambda _arg: eps["a"].send("b", "DATA", "fresh"))
         env.run()
-        assert got == ["fresh"]
+        assert take(eps["b"], "DATA").payload == "fresh"
         assert eps["b"].reaped == 40

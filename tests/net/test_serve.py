@@ -1,7 +1,8 @@
 """``Endpoint.serve`` and ``Endpoint.wait``: the callback single-server
-queue a stationary process takes its messages through, and the one-shot
-reply-or-deadline wait — no ``Process``, no event but the service
-``Timeout`` and the deadline."""
+queue a stationary process takes its messages through, and the wait
+that gathers one conversation's replies until its tally is satisfied or
+a deadline passes — heap callbacks only: the service time and the
+deadline."""
 
 from operator import itemgetter
 
@@ -36,7 +37,7 @@ def serve(env, endpoint, service_time=5.0):
 
 
 def at(env, when, action):
-    env.timeout(when - env.now).callbacks.append(lambda _event: action())
+    env.call_in(when - env.now, lambda _arg: action())
 
 
 class TestServe:
@@ -155,7 +156,7 @@ class TestWait:
         env.run()
         assert b.pending == 1
         got = []
-        b.wait("DONE", 7, 50.0, lambda msg: got.append((env.now, msg)))
+        b.wait("DONE", 7, 50.0, lambda msg: got.append((env.now, msg)) or True)
         assert got[0][0] == 2.0 and got[0][1].payload == {"rid": 7}
         assert b.pending == 0
         env.run()
@@ -166,7 +167,10 @@ class TestWait:
         got = []
         a.send("b", "DONE", {"rid": 7})
         a.send("b", "DONE", {"rid": 8})      # another conversation
-        b.wait("DONE", 7, 50.0, lambda msg: got.append((env.now, msg.payload)))
+        b.wait(
+            "DONE", 7, 50.0,
+            lambda msg: got.append((env.now, msg.payload)) or True,
+        )
         env.run()
         assert got == [(2.0, {"rid": 7})]    # once: the deadline is spent
         assert b.pending == 1
@@ -174,15 +178,70 @@ class TestWait:
     def test_deadline_first(self, env, replies):
         _network, _a, b = replies
         got = []
-        b.wait("DONE", 7, 50.0, lambda msg: got.append((env.now, msg)))
+        b.wait("DONE", 7, 50.0, lambda msg: got.append((env.now, msg)) or True)
         env.run()
         assert got == [(50.0, None)]
 
     def test_reply_after_the_deadline_is_left_for_the_reaper(self, env, replies):
         _network, a, b = replies
         got = []
-        b.wait("DONE", 7, 50.0, lambda msg: got.append((env.now, msg)))
+        b.wait("DONE", 7, 50.0, lambda msg: got.append((env.now, msg)) or True)
         at(env, 60.0, lambda: a.send("b", "DONE", {"rid": 7}))
         env.run()
         assert got == [(50.0, None)]
         assert b.pending == 1 and not b.inbox._consumers
+
+    def test_a_tally_keeps_the_wait_standing_until_satisfied(
+        self, env, replies
+    ):
+        _network, a, b = replies
+        got = []
+
+        def tally(msg):
+            got.append((env.now, msg and msg.payload["n"]))
+            return msg is None or len(got) == 3
+
+        a.send("b", "DONE", {"rid": 7, "n": 0})
+        env.run()                            # one reply already here
+        b.wait("DONE", 7, 50.0, tally)
+        at(env, 10.0, lambda: a.send("b", "DONE", {"rid": 7, "n": 1}))
+        at(env, 20.0, lambda: a.send("b", "DONE", {"rid": 7, "n": 2}))
+        at(env, 30.0, lambda: a.send("b", "DONE", {"rid": 7, "n": 3}))
+        env.run()
+        assert got == [(2.0, 0), (12.0, 1), (22.0, 2)]
+        assert b.pending == 1                # the fourth: nobody's
+
+    def test_an_unsatisfied_tally_ends_at_the_deadline(self, env, replies):
+        _network, a, b = replies
+        got = []
+
+        def tally(msg):
+            got.append((env.now, msg and msg.payload["n"]))
+            return msg is None
+
+        b.wait("DONE", 7, 50.0, tally)
+        a.send("b", "DONE", {"rid": 7, "n": 1})
+        env.run()
+        assert got == [(2.0, 1), (50.0, None)]
+        assert not b.inbox._consumers
+
+    def test_done_may_start_the_next_wait_on_the_same_conversation(
+        self, env, replies
+    ):
+        _network, a, b = replies
+        got = []
+
+        def second(msg):
+            got.append(("second", env.now, msg and msg.payload["n"]))
+            return True
+
+        def first(msg):
+            got.append(("first", env.now, msg and msg.payload["n"]))
+            b.wait("DONE", 7, 50.0, second)
+            return True
+
+        b.wait("DONE", 7, 50.0, first)
+        at(env, 60.0, lambda: a.send("b", "DONE", {"rid": 7, "n": 1}))
+        env.run()
+        # the first wait's deadline (50) does not fire the second wait's
+        assert got == [("first", 50.0, None), ("second", 62.0, 1)]

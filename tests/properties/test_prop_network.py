@@ -33,14 +33,9 @@ def test_reliable_channels_deliver_exactly_once(count, seed, fifo):
     env, network, eps = build(seed, fifo)
     received = []
 
-    def receiver(env):
-        for _ in range(count):
-            msg = yield eps["b"].receive()
-            received.append(msg.payload)
-
+    eps["b"].serve(("SEQ",), None, lambda msg: received.append(msg.payload))
     for index in range(count):
         eps["a"].send("b", "SEQ", index)
-    env.process(receiver(env))
     env.run()
     assert sorted(received) == list(range(count))
     assert network.stats.total_messages() == count
@@ -56,14 +51,9 @@ def test_fifo_links_never_reorder(count, seed):
     env, _network, eps = build(seed, fifo=True)
     received = []
 
-    def receiver(env):
-        for _ in range(count):
-            msg = yield eps["b"].receive()
-            received.append(msg.payload)
-
+    eps["b"].serve(("SEQ",), None, lambda msg: received.append(msg.payload))
     for index in range(count):
         eps["a"].send("b", "SEQ", index)
-    env.process(receiver(env))
     env.run()
     assert received == list(range(count))
 
@@ -99,14 +89,11 @@ def test_fifo_horizon_ties_keep_send_order(count, seed):
     )
     received = []
 
-    def receiver(env):
-        for _ in range(count):
-            msg = yield eps["b"].receive()
-            received.append((msg.payload, env.now))
-
+    eps["b"].serve(
+        ("SEQ",), None, lambda msg: received.append((msg.payload, env.now))
+    )
     for index in range(count):
         eps["a"].send("b", "SEQ", index)
-    env.process(receiver(env))
     env.run()
     assert [payload for payload, _at in received] == list(range(count))
     assert len({at for _payload, at in received}) <= 3

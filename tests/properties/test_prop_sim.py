@@ -18,39 +18,37 @@ from repro.sim.stores import RoutedStore
 def test_timeouts_fire_in_nondecreasing_time_order(delays):
     env = Environment()
     fired = []
-
-    def waiter(env, delay):
-        yield env.timeout(delay)
-        fired.append(env.now)
-
     for delay in delays:
-        env.process(waiter(env, delay))
+        env.call_in(delay, lambda _arg: fired.append(env.now))
     env.run()
     assert fired == sorted(fired)
     assert len(fired) == len(delays)
 
 
 @given(
-    delays=st.lists(
-        st.sampled_from([0.0, 1.0, 2.0]), min_size=2, max_size=30
+    entries=st.lists(
+        st.tuples(st.sampled_from([0.0, 1.0, 2.0]), st.booleans()),
+        min_size=2, max_size=30,
     )
 )
 @settings(max_examples=60, deadline=None)
-def test_equal_time_events_fifo_by_creation(delays):
+def test_equal_time_events_fifo_by_creation(entries):
+    """Entries of one instant run in creation order, and an urgent entry
+    pushed by one of them runs before the next normal one."""
     env = Environment()
     fired = []
 
-    def waiter(env, index, delay):
-        yield env.timeout(delay)
+    def record(index):
         fired.append((env.now, index))
 
-    for index, delay in enumerate(delays):
-        env.process(waiter(env, index, delay))
+    for index, (delay, urgent) in enumerate(entries):
+        if urgent:
+            env.call_in(delay, lambda i: env.call_urgent(record, i), index)
+        else:
+            env.call_in(delay, record, index)
     env.run()
-    # Among events at the same instant, creation order is preserved.
-    for time_value in set(t for t, _ in fired):
-        indices = [i for t, i in fired if t == time_value]
-        assert indices == sorted(indices)
+    assert fired == sorted(fired)
+    assert len(fired) == len(entries)
 
 
 @given(
@@ -59,45 +57,23 @@ def test_equal_time_events_fifo_by_creation(delays):
 )
 @settings(max_examples=60, deadline=None)
 def test_store_preserves_fifo(items, consumer_first):
-    """Each route of a RoutedStore is FIFO, whether its consumer asked
-    before the items came or after, and a route-less get sees arrival
-    order across the routes."""
-    env = Environment()
-    store = RoutedStore(env, lambda item: item % 3)
+    """Each route of a RoutedStore is FIFO, whether its consumer stood
+    on it before the items came or popped them after, and ``items``
+    lists arrival order across the routes."""
+    store = RoutedStore(lambda item: item % 3)
     out = {0: [], 1: [], 2: []}
-
-    def producer(env):
-        for item in items:
-            store.put(item)
-            yield env.timeout(0.5)
-
-    def consumer(env, route):
-        for _ in range(sum(item % 3 == route for item in items)):
-            value = yield store.get(route)
-            out[route].append(value)
-
-    procs = [consumer(env, route) for route in out]
     if consumer_first:
-        procs.append(producer(env))
-    else:
-        procs.insert(0, producer(env))
-    for proc in procs:
-        env.process(proc)
-    env.run()
-    assert out == {r: [i for i in items if i % 3 == r] for r in out}
-    assert len(store) == 0
-
+        for route in out:
+            store.consume(route, lambda item, r=route: out[r].append(item) or True)
     for item in items:
         store.put(item)
-    drained = []
-
-    def drain(env):
-        for _ in items:
-            drained.append((yield store.get()))
-
-    env.process(drain(env))
-    env.run()
-    assert drained == items
+    if not consumer_first:
+        assert store.items == items
+        for route in out:
+            while (item := store.pop(route)) is not None:
+                out[route].append(item)
+    assert out == {r: [i for i in items if i % 3 == r] for r in out}
+    assert len(store) == 0
 
 
 @given(

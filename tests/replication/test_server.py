@@ -50,6 +50,11 @@ def watched():
     return env, server, network.register("watch")
 
 
+def replies_at(endpoint):
+    """The ACK/NACKs queued at ``endpoint``, in arrival order."""
+    return [m for m in endpoint.inbox.items if m.kind in ("ACK", "NACK")]
+
+
 class TestLocalInterface:
     def test_request_lock_appends(self, dep):
         server = dep.server("s1")
@@ -129,52 +134,26 @@ class TestGrantMachinery:
     def test_update_grants_and_acks_with_versions(self, watched):
         env, server, watch = watched
         server.store.apply("x", "old", 4, 0.0)
-        received = []
-
-        def listener(env):
-            msg = yield watch.receive(kind="ACK")
-            received.append(msg.payload)
-
-        env.process(listener(env))
         watch.send("s1", "UPDATE", payload(1, reply_to="watch"))
         env.run(until=100)
-        assert received[0]["versions"] == {"x": 4}
+        (ack,) = replies_at(watch)
+        assert ack.kind == "ACK" and ack.payload["versions"] == {"x": 4}
         assert server._grant_holder == aid(1)
 
     def test_second_agent_nacked_while_granted(self, watched):
         env, server, watch = watched
-        kinds = []
-
-        def listener(env):
-            for _ in range(2):
-                msg = yield watch.receive(
-                    match=lambda m: m.kind in ("ACK", "NACK")
-                )
-                kinds.append(msg.kind)
-
-        env.process(listener(env))
         watch.send("s1", "UPDATE", payload(1, reply_to="watch"))
         watch.send("s1", "UPDATE", payload(2, reply_to="watch"))
         env.run(until=100)
-        assert sorted(kinds) == ["ACK", "NACK"]
+        assert sorted(m.kind for m in replies_at(watch)) == ["ACK", "NACK"]
         assert (server.machine.acks_sent, server.machine.nacks_sent) == (1, 1)
 
     def test_same_agent_reack(self, watched):
         env, _server, watch = watched
-        kinds = []
-
-        def listener(env):
-            for _ in range(2):
-                msg = yield watch.receive(
-                    match=lambda m: m.kind in ("ACK", "NACK")
-                )
-                kinds.append(msg.kind)
-
-        env.process(listener(env))
         watch.send("s1", "UPDATE", payload(1, reply_to="watch", epoch=1))
         watch.send("s1", "UPDATE", payload(1, reply_to="watch", epoch=2))
         env.run(until=100)
-        assert kinds == ["ACK", "ACK"]
+        assert [m.kind for m in replies_at(watch)] == ["ACK", "ACK"]
 
     def test_release_frees_grant(self, dep):
         server = dep.server("s1")
@@ -219,24 +198,15 @@ class TestGrantMachinery:
     def test_grant_expires_after_ttl(self, watched):
         env, server, watch = watched
         server.config.grant_ttl = 10.0
-        kinds = []
-
-        def listener(env):
-            watch.send("s1", "UPDATE", payload(1, reply_to="watch"))
-            msg = yield watch.receive(
-                match=lambda m: m.kind in ("ACK", "NACK")
-            )
-            kinds.append(msg.kind)
-            yield env.timeout(50)  # let the TTL lapse
-            watch.send("s1", "UPDATE", payload(2, reply_to="watch"))
-            msg = yield watch.receive(
-                match=lambda m: m.kind in ("ACK", "NACK")
-            )
-            kinds.append(msg.kind)
-
-        env.process(listener(env))
+        watch.send("s1", "UPDATE", payload(1, reply_to="watch"))
+        env.run(until=10)
+        assert [m.kind for m in replies_at(watch)] == ["ACK"]
+        # 50 ms later the TTL has lapsed: the second agent is granted
+        env.call_in(50, lambda _arg: watch.send(
+            "s1", "UPDATE", payload(2, reply_to="watch")
+        ))
         env.run(until=200)
-        assert kinds == ["ACK", "ACK"]
+        assert [m.kind for m in replies_at(watch)] == ["ACK", "ACK"]
         assert server._grant_holder == aid(2)
 
 
@@ -292,12 +262,10 @@ class TestReadQueryAndSync:
         server.store.apply("x", "answer", 7, 0.0)
         asker = dep.network.endpoints["s2"]
         replies = []
-
-        def listener(env):
-            msg = yield asker.receive(kind="READR", key=9)
-            replies.append(msg.payload)
-
-        dep.env.process(listener(dep.env))
+        asker.wait(
+            "READR", 9, 100.0,
+            lambda msg: replies.append(msg and msg.payload) or True,
+        )
         asker.send("s1", "READQ", {"request_id": 9, "key": "x"})
         dep.run(until=100)
         assert replies[0]["version"] == 7
@@ -306,12 +274,10 @@ class TestReadQueryAndSync:
     def test_readq_missing_key(self, dep):
         asker = dep.network.endpoints["s2"]
         replies = []
-
-        def listener(env):
-            msg = yield asker.receive(kind="READR", key=9)
-            replies.append(msg.payload)
-
-        dep.env.process(listener(dep.env))
+        asker.wait(
+            "READR", 9, 100.0,
+            lambda msg: replies.append(msg and msg.payload) or True,
+        )
         asker.send("s1", "READQ", {"request_id": 9, "key": "ghost"})
         dep.run(until=100)
         assert replies[0]["version"] == 0
