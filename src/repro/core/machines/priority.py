@@ -159,8 +159,10 @@ def _decide_core(
     ``reason`` in ``{"majority", "paper-tie-break", "complete-info",
     ""}`` and ``winner is None`` exactly when undecided.
     """
-    tops_slots, counts_slots = table._tops_slots(extra_done)
-    if votes is not None:
+    tops_slots, topped = table._tops_slots(extra_done)
+    if votes is None:
+        counts_slots = {slot: len(hosts) for slot, hosts in topped.items()}
+    else:
         # Topping a server earns its vote weight; a zero-vote top still
         # appears in the tally (with 0).
         counts_slots = {}
@@ -173,10 +175,7 @@ def _decide_core(
     # Rule 1: majority of top-ranks (at most one candidate can qualify).
     for slot, n in counts_slots.items():
         if n >= majority:
-            quorum = tuple(sorted(
-                host for host, top in tops_slots.items() if top == slot
-            ))
-            return ("majority", value(slot), counts, quorum)
+            return ("majority", value(slot), counts, tuple(sorted(topped[slot])))
 
     known_or_unavailable = len(tops_slots)
     if unavailable:

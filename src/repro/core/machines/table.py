@@ -22,8 +22,9 @@ ids that appear in some locking list, a finished flag in a
 the inner loop of every priority evaluation — thereby probes a byte
 slab instead of hashing ``AgentId`` tuples, and the top-per-host
 map and its tally are *maintained*, not recomputed: a change marks the
-hosts whose top it can move, and the next query rescans only those
-(see :meth:`LockingTable._settle`). The packed state is a pure index
+hosts whose top it can move, and the next query rescans only those,
+each from where its last scan stopped (see
+:meth:`LockingTable._settle`). The packed state is a pure index
 over ``views``/``ual`` (rebuilt on unpickle, never serialised), so the
 wire and replay formats are unchanged.
 
@@ -37,7 +38,7 @@ reads totals kept up to date as ids, queues and version cells arrive.
 from __future__ import annotations
 
 from collections import Counter
-from typing import AbstractSet, Dict, List, Optional, Tuple
+from typing import AbstractSet, Dict, List, Optional, Set, Tuple
 
 from repro.errors import ProtocolError
 from repro.agents.identity import AgentId, ids_wire_size
@@ -89,16 +90,22 @@ class LockingTable:
         self._host_chars = 0
         self._queue_slots = 0
         self._ver_cells = 0
-        # The tally. Invariant: ``_counts`` is exactly the tally of the
-        # non-None values of ``_tops``, and for every host *not* in
+        # The tally. Invariant: ``_topped`` is exactly ``_tops``
+        # inverted (its non-None values), and for every host *not* in
         # ``_dirty``, ``_tops[host]`` is the first unflagged slot of
         # ``_packed[host]``. Whatever can break the second half — a
         # new or edited queue, a flag set on a current top — puts the
         # host in ``_dirty``; :meth:`_settle` restores it per host.
         #: host -> effective-top slot | None, in first-adoption order
         self._tops: Dict[str, Optional[int]] = {}
-        #: slot -> number of hosts it tops
-        self._counts: Dict[int, int] = {}
+        #: slot -> the hosts it tops; the tally is each set's size, and
+        #: a finished top dirties just its own hosts
+        self._topped: Dict[int, Set[str]] = {}
+        #: host -> where its next rescan starts: every slot of
+        #: ``_packed[host]`` before it is flagged. Flags only go 0 -> 1,
+        #: so this holds until the queue is replaced or loses entries,
+        #: which drop the host's entry (a scan from 0).
+        self._scan_from: Dict[str, int] = {}
         self._dirty: set = set()
 
     # -- pickling ----------------------------------------------------------
@@ -164,16 +171,14 @@ class LockingTable:
         queued = self._ids.known(new_ids)
         if queued:
             index_of = self._ids.index_of
-            counts = self._counts
+            topped = self._topped
             for agent_id in queued:
                 slot = index_of(agent_id)
                 self._done[slot] = 1
-                if slot in counts:
+                hosts = topped.get(slot)
+                if hosts:
                     # A current top finished: its hosts need a rescan.
-                    self._dirty.update(
-                        host for host, top in self._tops.items()
-                        if top == slot
-                    )
+                    self._dirty.update(hosts)
             new_ids = new_ids - queued
         self._n_ids += len(new_ids)
         self._id_bytes += ids_wire_size(new_ids)
@@ -195,33 +200,45 @@ class LockingTable:
         self._ver_cells += sign * self._cells(host)
 
     def _settle(self) -> None:
-        """Rescan the dirty hosts and move their tally entries."""
+        """Rescan the dirty hosts and move their tally entries.
+
+        A host's scan resumes at ``_scan_from``, its last top's index:
+        the slots before it were flagged then and still are.
+        """
         done = self._done
         tops = self._tops
-        counts = self._counts
+        topped = self._topped
+        scan_from = self._scan_from
         packed_of = self._packed
         for host in self._dirty:
-            top = None
-            for slot in packed_of[host]:
-                if not done[slot]:
-                    top = slot
-                    break
+            packed = packed_of[host]
+            at = scan_from.get(host, 0)
+            end = len(packed)
+            while at < end and done[packed[at]]:
+                at += 1
+            scan_from[host] = at
+            top = packed[at] if at < end else None
             old = tops.get(host)
             tops[host] = top
             if top != old:
                 if old is not None:
-                    if counts[old] == 1:
-                        del counts[old]
+                    hosts = topped[old]
+                    if len(hosts) == 1:
+                        del topped[old]
                     else:
-                        counts[old] -= 1
+                        hosts.discard(host)
                 if top is not None:
-                    counts[top] = counts.get(top, 0) + 1
+                    hosts = topped.get(top)
+                    if hosts is None:
+                        topped[top] = {host}
+                    else:
+                        hosts.add(host)
         self._dirty.clear()
 
     def _tops_slots(
         self, extra_done: frozenset = frozenset()
-    ) -> Tuple[Dict[str, Optional[int]], Dict[int, int]]:
-        """(host -> top slot | None, slot -> top tally).
+    ) -> Tuple[Dict[str, Optional[int]], Dict[int, Set[str]]]:
+        """(host -> top slot | None, slot -> the hosts it tops).
 
         Without ``extra_done`` — the per-event decision path — these
         are the maintained maps themselves (read-only to the caller).
@@ -231,7 +248,7 @@ class LockingTable:
         if self._dirty:
             self._settle()
         if not extra_done:
-            return self._tops, self._counts
+            return self._tops, self._topped
         index_of = self._ids.index_of
         extra = {
             slot
@@ -240,7 +257,7 @@ class LockingTable:
         }
         done = self._done
         tops = dict(self._tops)
-        counts: Dict[int, int] = {}
+        topped: Dict[int, Set[str]] = {}
         for host, top in tops.items():
             if top in extra:
                 top = None
@@ -250,8 +267,11 @@ class LockingTable:
                         break
                 tops[host] = top
             if top is not None:
-                counts[top] = counts.get(top, 0) + 1
-        return tops, counts
+                if top in topped:
+                    topped[top].add(host)
+                else:
+                    topped[top] = {host}
+        return tops, topped
 
     # -- ingestion --------------------------------------------------------
 
@@ -305,6 +325,7 @@ class LockingTable:
                 self._charge(host, -1)
             self.views[host] = view
             self._packed[host] = self._pack(view.view)
+            self._scan_from.pop(host, None)
             self._dirty.add(host)
             if seq >= 0:
                 # A full snapshot at seq was adopted wholesale: this
@@ -376,6 +397,7 @@ class LockingTable:
                         continue  # not queued in the base: nothing to drop
                     del packed[at]
                     del ids[at]
+                    self._scan_from.pop(host, None)
                 queue = tuple(ids)
             if delta.appended:
                 queue += delta.appended
@@ -479,7 +501,7 @@ class LockingTable:
         self, extra_done: frozenset = frozenset()
     ) -> Dict[str, Optional[AgentId]]:
         """Effective top per known host (None = empty/unknown)."""
-        tops_slots, _counts = self._tops_slots(extra_done)
+        tops_slots, _topped = self._tops_slots(extra_done)
         value = self._ids.value
         return {
             host: (None if slot is None else value(slot))
@@ -488,9 +510,11 @@ class LockingTable:
 
     def top_counts(self, extra_done: frozenset = frozenset()) -> Counter:
         """How many known servers each agent currently tops."""
-        _tops, counts = self._tops_slots(extra_done)
+        _tops, topped = self._tops_slots(extra_done)
         value = self._ids.value
-        return Counter({value(slot): n for slot, n in counts.items()})
+        return Counter(
+            {value(slot): len(hosts) for slot, hosts in topped.items()}
+        )
 
     def version_ceiling(self, key: str, hosts=()) -> int:
         """Highest version of ``key`` this agent knows committed ([D3]).

@@ -9,6 +9,7 @@ paper's metrics.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -217,7 +218,25 @@ def run_once(config: RunConfig) -> RunResult:
     :func:`repro.obs.enable`, since the deployment is built here), the
     run is wrapped in an ``experiment.run`` span and finishes with an
     ``experiment.summary`` event plus per-protocol summary counters.
+
+    CPython's cyclic garbage collector is paused for the whole call and
+    left as the caller had it on the way out, raise or return. No DES
+    path builds a reference cycle (``docs/architecture.md``, "Memory";
+    ``tests/experiments/test_cyclic_garbage.py``), so reference counting
+    frees all a run discards, and the collector's passes would only
+    re-walk the live heap.
     """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _measure(config)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _measure(config: RunConfig) -> RunResult:
+    """:func:`run_once`'s body."""
     deployment = _build_deployment(config)
     protocol = build_protocol(deployment, config)
     hub = deployment.obs

@@ -195,26 +195,9 @@ class Endpoint:
             if done(msg):
                 return
             msg = inbox.pop(queue)
-        waiting = True
-
-        def replied(msg: Message) -> bool:
-            nonlocal waiting
-            inbox.consume(queue, None)
-            if done(msg):
-                waiting = False
-            else:
-                inbox.consume(queue, replied)
-            return True
-
-        def deadline(_arg: None) -> None:
-            nonlocal waiting
-            if waiting:
-                waiting = False
-                inbox.consume(queue, None)
-                done(None)
-
-        inbox.consume(queue, replied)
-        self.network.env.call_in(timeout, deadline)
+        wait = _Wait(inbox, queue, done)
+        inbox.consume(queue, wait.replied)
+        self.network.env.call_in(timeout, wait.deadline)
 
     def send(
         self,
@@ -274,6 +257,50 @@ class Endpoint:
 
     def __repr__(self) -> str:
         return f"<Endpoint {self.host!r} pending={self.pending}>"
+
+
+class _Wait:
+    """One :meth:`Endpoint.wait` in progress.
+
+    The consumer standing on the conversation's queue and the deadline
+    in the heap are this object's bound methods. A closure that stood
+    *itself* back on the queue would refer to itself through its cell:
+    a reference cycle per wait, holding ``done`` and all it captured
+    until the cyclic collector came by. This object refers to nothing
+    that refers back to it, so a finished wait is freed as soon as the
+    inbox and the heap let go of it.
+    """
+
+    __slots__ = ("inbox", "queue", "done", "waiting")
+
+    def __init__(
+        self,
+        inbox: RoutedStore,
+        queue: Hashable,
+        done: Callable[[Optional[Message]], bool],
+    ) -> None:
+        self.inbox = inbox
+        self.queue = queue
+        self.done = done
+        self.waiting = True
+
+    def replied(self, msg: Message) -> bool:
+        """A reply of the conversation: withdraw, hand it to ``done``,
+        and stand again unless that satisfied the wait."""
+        inbox = self.inbox
+        inbox.consume(self.queue, None)
+        if self.done(msg):
+            self.waiting = False
+        else:
+            inbox.consume(self.queue, self.replied)
+        return True
+
+    def deadline(self, _arg: None) -> None:
+        """Time is up: withdraw, then ``done(None)`` unless satisfied."""
+        if self.waiting:
+            self.waiting = False
+            self.inbox.consume(self.queue, None)
+            self.done(None)
 
 
 class Network:

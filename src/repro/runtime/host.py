@@ -6,8 +6,9 @@ interpreter, over the same sans-IO machines, that the DES backend runs.
 The runtime owns only the execution substrate: the real clock, the
 transport mailboxes, pickled migration (a fresh
 :class:`~repro.core.machines.agent.AgentMachine` is built around every
-arriving agent's shipped state), a table of timer deadlines polled once
-per loop tick, the back-off RNG and the result records. This is the
+arriving agent's shipped state), a table of timer deadlines checked at
+every loop step (the loop blocks no longer than the earliest one), the
+back-off RNG and the result records. This is the
 Aglets-prototype-shaped half of the reproduction; consistency comes
 from the shared kernel, not from re-implemented control flow.
 
@@ -68,7 +69,8 @@ class LiveConfig:
     The protocol fields double as the kernel machines' tunables object
     (they are read per-use, so tests may mutate them) and default to the
     kernel's :data:`~repro.core.machines.config.LIVE_TUNABLES`; ``tick``
-    is the runtime's own mailbox poll interval.
+    is the runtime's own mailbox poll interval, the longest the loop
+    blocks while no timer is due sooner.
     """
 
     park_timeout: float = LIVE_TUNABLES.park_timeout
@@ -132,9 +134,14 @@ class HostRuntime(Substrate):
             stable_seed(self.host, self.seed, salt="transport") & 0xFFFFFFFF
         )
         mailbox = self.transport.mailbox(self.host)
+        timers = self._timers
         while True:
+            # Block for a tick, or until the earliest timer is due.
+            wait = self.config.tick
+            if timers:
+                wait = max(0.0, min(wait, min(timers.values()) - now_ms()))
             try:
-                msg = mailbox.get(timeout=self.config.tick / 1000.0)
+                msg = mailbox.get(timeout=wait / 1000.0)
             except queue.Empty:
                 msg = None
             now = now_ms()
@@ -181,7 +188,7 @@ class HostRuntime(Substrate):
     def _check_timers(self, now: float) -> None:
         self._now = now
         due = [
-            fire for fire, deadline in self._timers.items() if now > deadline
+            fire for fire, deadline in self._timers.items() if now >= deadline
         ]
         for fire in due:
             del self._timers[fire]

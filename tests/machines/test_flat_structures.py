@@ -34,6 +34,7 @@ from repro.core.machines import (
     decide,
     rank_queue,
 )
+from repro.core.machines.wire import SharedViewDelta
 from tests.machines.decide_reference import decide_reference
 
 
@@ -97,16 +98,16 @@ def reference_vector_size(vector) -> int:
 
 
 def reference_tops(table: LockingTable, extra_done=frozenset()):
-    """``(host -> top slot | None, slot -> tally)`` recomputed from the
-    whole table: the scan over every known queue that every mutation
-    used to trigger, kept as the specification of the maintained tally
-    (:meth:`LockingTable._tops_slots`)."""
+    """``(host -> top slot | None, slot -> the hosts it tops)``
+    recomputed from the whole table: the scan over every known queue
+    that every mutation used to trigger, kept as the specification of
+    the maintained tally (:meth:`LockingTable._tops_slots`)."""
     index_of = table._ids.index_of
     extra = {
         slot for slot in map(index_of, extra_done) if slot is not None
     }
     done = table._done
-    tops, counts = {}, {}
+    tops, topped = {}, {}
     for host, packed in table._packed.items():
         top = None
         for slot in packed:
@@ -115,8 +116,8 @@ def reference_tops(table: LockingTable, extra_done=frozenset()):
                 break
         tops[host] = top
         if top is not None:
-            counts[top] = counts.get(top, 0) + 1
-    return tops, counts
+            topped.setdefault(top, set()).add(host)
+    return tops, topped
 
 
 # -- randomized table states ------------------------------------------------
@@ -293,6 +294,87 @@ def test_incremental_tally_matches_a_recompute(ops, extra):
         elif op == "hop":
             table = pickle.loads(pickle.dumps(table))
         assert_tally_is_a_recompute(table, len(TALLY_HOSTS), extra_done)
+
+
+#: (op, host index, agent): appends, removals and finished flags arrive
+#: as deltas, "replace" as a full snapshot, "hop" is a pickle round trip.
+SCAN_OPS = st.lists(
+    st.tuples(
+        st.sampled_from([
+            "append", "append", "flag", "flag", "remove", "replace", "hop",
+        ]),
+        st.integers(min_value=0, max_value=len(TALLY_HOSTS) - 1),
+        st.integers(min_value=0, max_value=5),
+    ),
+    min_size=1,
+    max_size=50,
+)
+
+
+def assert_scan_indexes_hold(table):
+    """The tops and their inverse are a from-scratch rescan, and every
+    slot before a host's scan start is flagged."""
+    assert table._tops_slots() == reference_tops(table)
+    for host, start in table._scan_from.items():
+        packed = table._packed[host]
+        assert start <= len(packed)
+        assert all(table._done[slot] for slot in packed[:start])
+
+
+@given(ops=SCAN_OPS)
+@settings(max_examples=300, deadline=None)
+def test_resumed_scans_and_the_top_index_match_a_rescan(ops):
+    """Flags, appends, removals, whole-queue replacements and pickle
+    hops in any order: a rescan that resumes at the last top, and a
+    finished top that dirties only the hosts it topped, give the tally
+    a scan of every queue from its head gives."""
+    queues = {host: [] for host in TALLY_HOSTS}
+    seqs = dict.fromkeys(TALLY_HOSTS, 0)
+    table = LockingTable()
+    for host in TALLY_HOSTS:
+        table.update(SharedView(
+            host=host, as_of=0.0, view=(), updated=frozenset(), seq=0,
+        ))
+    now = 0.0
+    for op, at, n in ops:
+        now += 1.0
+        host = TALLY_HOSTS[at]
+        queue = queues[host]
+        agent = aid(n)
+        if op == "hop":
+            table = pickle.loads(pickle.dumps(table))
+        elif op == "replace":
+            # a fresh snapshot: the queue rotated, the agent appended
+            queue[:] = queue[1:] + queue[:1]
+            if agent not in queue:
+                queue.append(agent)
+            seqs[host] += 1
+            table.update(SharedView(
+                host=host, as_of=now, view=tuple(queue),
+                updated=frozenset(), seq=seqs[host],
+            ))
+        else:
+            change = {}
+            if op == "append" and agent not in queue:
+                queue.append(agent)
+                change["appended"] = (agent,)
+            elif op == "remove" and agent in queue:
+                queue.remove(agent)
+                change["removed"] = (agent,)
+            elif op == "flag":
+                change["finished"] = (agent,)
+            table.apply_delta(SharedViewDelta(
+                host=host, as_of=now, base_seq=seqs[host],
+                seq=seqs[host] + 1, **change,
+            ))
+            seqs[host] += 1
+        assert_scan_indexes_hold(table)
+        assert table.tops() == {
+            each: next(
+                (a for a in queues[each] if a not in table.ual), None
+            )
+            for each in TALLY_HOSTS
+        }
 
 
 def test_a_top_that_finishes_elsewhere_moves_every_host_it_topped():

@@ -163,6 +163,59 @@ class TestRouting:
         assert sorted(topo.hosts) == ["a", "b"]
 
 
+def reference_routes(topo, src):
+    """Textbook Dijkstra over ``topo.links``: settles the cheapest
+    tentative host next (name breaking ties), sums source-outward."""
+    links = {}
+    for u, v, cost in topo.links:
+        links.setdefault(u, {})[v] = cost
+        links.setdefault(v, {})[u] = cost
+    dist, tentative = {}, {src: 0.0}
+    while tentative:
+        host = min(tentative, key=lambda h: (tentative[h], h))
+        dist[host] = tentative.pop(host)
+        for peer, cost in links.get(host, {}).items():
+            through = dist[host] + cost
+            if peer not in dist and through < tentative.get(peer, float("inf")):
+                tentative[peer] = through
+    return dist
+
+
+def _topologies(stream):
+    hosts = [f"s{i}" for i in range(1, 9)]
+    return {
+        "full_mesh": Topology.full_mesh(hosts),
+        "jittered": Topology.full_mesh(hosts, jitter=0.4, stream=stream),
+        # some sources route around a direct link
+        "random_costs": Topology.random_costs(hosts, stream),
+        "ring": Topology.ring(hosts[:6]),
+        "star": Topology.star("hub", hosts[:5], cost=2.0),
+    }
+
+
+@pytest.mark.parametrize(
+    "name", ["full_mesh", "jittered", "random_costs", "ring", "star"]
+)
+def test_routing_tables_are_a_textbook_dijkstras(name, stream):
+    """Every source's table is the reference's, float for float and in
+    settling order — before and after re-pricing a link."""
+    topo = _topologies(stream)[name]
+
+    def check():
+        for src in topo.hosts:
+            expected = reference_routes(topo, src)
+            assert list(topo.routing_table(src).items()) == list(
+                expected.items()
+            )
+
+    check()
+    u, v, cost = topo.links[0]
+    topo.set_cost(u, v, cost / 3.0)  # a new cheapest link
+    check()
+    topo.set_cost(u, v, cost * 5.0)  # a dear one: a detour beats it
+    check()
+
+
 def test_random_costs_routing_table_is_pinned_to_the_digit(stream):
     """The six-host ``random_costs`` table networkx's Dijkstra produced
     at 564554c, float for float. s1-s4, s1-s5, s2-s4 and s5-s6 are

@@ -2,20 +2,22 @@
 
 These drive ``_dispatch`` directly — no threads, no timers — so the live
 host's state machine (grants, locking list, parking, claims, commits)
-can be tested exactly like the DES server. State is read where it
+can be tested exactly like the DES server; only :class:`TestTimers`
+runs the host loop on a thread, to time it. State is read where it
 lives: the replica machine (``host.machine``) and the interpreter's
 parked and claim tables (``host.interpreter``); the wire carries the
 kernel's own :class:`UpdatePayload`.
 """
 
 import queue
+import threading
 
 import pytest
 
 from repro.agents.identity import AgentId
 from repro.core.machines.structures import LockEntry
 from repro.core.machines.wire import SharedView, UpdatePayload, WriteOp
-from repro.runtime.host import HostRuntime, LiveConfig
+from repro.runtime.host import HostRuntime, LiveConfig, now_ms
 from repro.runtime.shipping import LiveAgentState, ship
 from repro.runtime.transport import LiveMessage, LiveTransport
 
@@ -220,3 +222,32 @@ class TestCommitPath:
         # backs off and will retry.
         assert agent.machine.state.failed_claims == 0
         assert "backoff" in agent.timers
+
+
+class TestTimers:
+    def test_a_timer_fires_at_its_deadline_not_the_next_tick(self, transport):
+        """The loop blocks for a tick only while no timer is due sooner."""
+        host = HostRuntime("h1", HOSTS, transport, LiveConfig(tick=1000.0))
+        host.stop_grace = -1.0  # leave as soon as STOP is handled
+        fired = threading.Event()
+        armed_at = now_ms()
+        host._now = armed_at
+        host.set_timer(5.0, fired.set)
+        loop = threading.Thread(target=host.run, daemon=True)
+        loop.start()
+        try:
+            assert fired.wait(timeout=5.0)
+            assert now_ms() - armed_at < 500.0
+        finally:
+            transport.send(LiveMessage(kind="STOP", src="h1", dst="h1"))
+            loop.join(timeout=5.0)
+        assert not loop.is_alive()
+
+    def test_a_timer_is_due_at_its_deadline(self, host):
+        fired = []
+        host._now = 100.0
+        host.set_timer(5.0, lambda: fired.append(host.now()))
+        host._check_timers(now=104.9)
+        assert fired == []
+        host._check_timers(now=105.0)
+        assert fired == [105.0]
