@@ -58,18 +58,15 @@ class BaselineDaemon:
         self.locks: Dict[str, Tuple[int, int, float]] = {}
         self.grants_given = 0
         self.nacks_given = 0
-        #: handled one at a time, in arrival order across kinds: one
-        #: shared inbox queue
+        #: handled one at a time, in arrival order across kinds
         handlers = {
             f"{prefix}_LOCK": self._on_lock,
             f"{prefix}_APPLY": self._on_apply,
             f"{prefix}_ABORT": self._on_abort,
             f"{prefix}_READV": self._on_readv,
         }
-        self._kinds = tuple(handlers)
-        self.network.route(self._kinds)
         self.endpoint.serve(
-            self._kinds,
+            tuple(handlers),
             lambda _msg: self.server.config.update_apply_time,
             lambda msg: handlers[msg.kind](msg),
         )
@@ -232,7 +229,7 @@ class QuorumProtocol(ReplicationProtocol):
         self.retry_backoff = retry_backoff
         self.max_rounds = max_rounds
         self.local_reads = local_reads
-        #: the lock round's replies, one inbox queue per (rid, epoch)
+        #: the lock round's replies, one conversation per (rid, epoch)
         self._round_replies = (f"{self.prefix}_GRANT", f"{self.prefix}_NACK")
         deployment.network.route(self._round_replies, key=_ROUND_KEY)
         deployment.network.route((f"{self.prefix}_RVAL",), key=_RID_KEY)

@@ -21,7 +21,7 @@ from repro.replication.server import WriteOp
 
 __all__ = ["PrimaryCopy"]
 
-#: A write's PC_DONE waits in an inbox queue of its own (Network.route).
+#: A write's PC_DONE goes to that write's own wait (Network.route).
 _RID_KEY = itemgetter("rid")
 
 

@@ -27,7 +27,7 @@ from repro.errors import ProtocolError
 
 __all__ = [
     "ProtocolTunables", "DES_TUNABLES", "LIVE_TUNABLES",
-    "UL_WINDOW_FACTOR", "INBOX_WINDOW_FACTOR",
+    "UL_WINDOW_FACTOR",
 ]
 
 #: Attribute names the agent machine reads off its tunables object.
@@ -35,16 +35,13 @@ AGENT_TUNABLE_FIELDS = ("park_timeout", "ack_timeout", "max_claims", "claim_back
 #: Attribute names the replica machine reads off its tunables object.
 REPLICA_TUNABLE_FIELDS = ("grant_ttl", "enable_bulletin")
 
-# Hygiene windows, as multiples of ``grant_ttl``. Both must exceed
-# ``grant_ttl`` plus the worst RELEASE/reply propagation delay (see
-# docs/scale.md, "Hygiene windows"); at the DES default they are the
-# 15 s / 20 s every scale run has used.
+# The hygiene window, as a multiple of ``grant_ttl``. It must exceed
+# ``grant_ttl`` plus the worst RELEASE propagation delay (see
+# docs/scale.md, "Hygiene window"); at the DES default it is the 15 s
+# every scale run has used.
 #: A replica's Updated List forgets a completed agent after
 #: ``UL_WINDOW_FACTOR * grant_ttl`` ms.
 UL_WINDOW_FACTOR = 1.5
-#: A DES endpoint reaps a delivered-but-unclaimed message after
-#: ``INBOX_WINDOW_FACTOR * grant_ttl`` ms.
-INBOX_WINDOW_FACTOR = 2.0
 
 
 @dataclass(frozen=True)

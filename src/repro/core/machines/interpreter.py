@@ -91,8 +91,6 @@ class Resident:
         self.timers: Dict[str, "_Timer"] = {}
         #: effects still to interpret, while a batch of them is running
         self.batch: Optional[deque] = None
-        #: what :meth:`Substrate.set_deadline` returned for the claim timer
-        self.deadline: Any = None
         #: cuts the current park short (from :meth:`Substrate.park`)
         self.release: Optional[Fire] = None
         self.claim_started_at = 0.0
@@ -129,9 +127,10 @@ class Substrate:
     """What an execution backend supplies to an :class:`EffectInterpreter`.
 
     The first group has no default. The second has the defaults of a
-    backend whose transport pushes messages at it and whose visits are
-    free; the discrete-event backend overrides the park, the visit cost
-    and the record-keeping, and pushes claim replies like the others.
+    backend whose visits are free; the discrete-event backend overrides
+    the park, the visit cost and the record-keeping. Every backend
+    pushes the messages it receives, claim replies included, at
+    :meth:`EffectInterpreter.deliver` as they arrive.
     """
 
     def now(self) -> float:
@@ -177,19 +176,6 @@ class Substrate:
         """Arm a park timer; returns what releases the agent early."""
         self.set_timer(timeout, fire)
         return fire
-
-    def set_deadline(self, delay: float, fire: Fire) -> Any:
-        """Arm a claim-round deadline; the result is handed to
-        :meth:`listen` for as long as the round waits on replies."""
-        return self.set_timer(delay, fire)
-
-    def listen(self, agent: Resident, deadline: Any) -> None:
-        """``agent`` is blocked on a claim reply: make sure the next one
-        reaches :meth:`EffectInterpreter.deliver`. Every backend in the
-        tree pushes replies at ``deliver`` as they arrive (the DES
-        through ``Endpoint.serve``, the live transport, the harness) and
-        needs nothing here; a backend with a pull-style inbox would
-        post its receive."""
 
     def visit_cost(self) -> float:
         """Ms one local exchange with the replica takes."""
@@ -360,7 +346,7 @@ class EffectInterpreter:
         self.claims.pop(state.batch_id, None)
         for kind in list(agent.timers):
             self._disarm(agent, kind)
-        agent.release = agent.deadline = None
+        agent.release = None
 
     # -- the two interpretation loops ---------------------------------------
 
@@ -379,8 +365,6 @@ class EffectInterpreter:
                 handlers[effect.__class__](agent, effect)
         finally:
             agent.batch = None
-        if agent.machine.state.awaiting is not None:
-            self.substrate.listen(agent, agent.deadline)
 
     def run_replica(self, effects: Iterable[Effect]) -> None:
         """Interpret effects of this host's replica machine."""
@@ -447,19 +431,15 @@ class EffectInterpreter:
             self.substrate.cancel_timer(timer)
             self._wake(agent)
         else:
-            agent.deadline = None
             self._run(agent, agent.machine.on_timer(
                 TimerFired(kind, self.substrate.now())
             ))
 
     def _set_timer(self, agent: Resident, effect: SetTimer) -> None:
-        agent.deadline = self._arm(
-            agent, effect.kind, effect.delay, self.substrate.set_deadline
-        )
+        self._arm(agent, effect.kind, effect.delay, self.substrate.set_timer)
 
     def _cancel_timer(self, agent: Resident, effect: CancelTimer) -> None:
         self._disarm(agent, effect.kind)
-        agent.deadline = None
 
     def _backoff(self, agent: Resident, effect: Backoff) -> None:
         # The lock has to be re-acquired: a fresh lock-wait window opens.

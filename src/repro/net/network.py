@@ -14,21 +14,25 @@ fail-stop. Concretely:
   timeout-and-retry logic, and agent *migrations* surface failures to the
   platform's retry policy (paper §2).
 
-Every host gets an :class:`Endpoint` whose inbox is a routed mailbox:
-a delivered message is filed once, by its kind (and, for kinds declared
-with :meth:`Network.route`, by a correlation key read from its payload).
-Nothing pulls from it: a stationary process takes its kinds one message
-at a time by callback (:meth:`Endpoint.serve`), and a coordinator
-gathers the replies of one conversation the same way, until its tally
-is satisfied or a deadline passes (:meth:`Endpoint.wait`). A migration
-attempt (:meth:`Network.attempt_transfer`) reports its outcome by
-callback too.
+Every host gets an :class:`Endpoint`, and a delivered message is
+dispatched the moment it arrives; nothing is filed for later. A kind a
+stationary process serves goes to its :meth:`Endpoint.serve` handler,
+one message at a time. A reply that belongs to a conversation (kinds
+declared with a correlation key by :meth:`Network.route`) goes to the
+coordinator gathering that conversation's replies until its tally is
+satisfied or a deadline passes (:meth:`Endpoint.wait`). A message that
+finds neither — a reply after its wait ended, a kind nobody serves — is
+dropped and counted in :attr:`NetworkStats.expired`: under the paper's
+§2 model the sender has already given up on it. A migration attempt
+(:meth:`Network.attempt_transfer`) reports its outcome by callback too.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import (
-    Any, Callable, Dict, Hashable, Iterable, List, Optional, Tuple, Union,
+    Any, Callable, Deque, Dict, Hashable, Iterable, List, Optional, Tuple,
+    Union,
 )
 
 from repro.errors import MigrationError, NetworkError
@@ -39,60 +43,27 @@ from repro.net.stats import NetworkStats
 from repro.net.topology import Topology
 from repro.sim.core import Environment
 from repro.sim.rng import RandomStreams
-from repro.sim.stores import RoutedStore
 
 __all__ = ["Network", "Endpoint"]
 
 
-#: One declared route: the kinds sharing a queue, the queue's name, and
-#: the function reading a message's correlation key from its payload.
-_Route = Tuple[Tuple[str, ...], str, Optional[Callable[[Any], Hashable]]]
+#: One declared correlation key: the kinds replying in one conversation,
+#: and the function reading the conversation from a message's payload.
+_Keyed = Tuple[Tuple[str, ...], Callable[[Any], Hashable]]
 
 
 class Endpoint:
-    """A host's attachment point: routed inbox plus convenience senders."""
-
-    #: Don't bother reaping inboxes shorter than this.
-    REAP_MIN_BACKLOG = 32
+    """A host's attachment point: who takes what arrives, plus senders."""
 
     def __init__(self, network: "Network", host: str) -> None:
         self.network = network
         self.host = host
-        self.inbox = RoutedStore(network.route_of)
-        #: expired messages dropped by inbox hygiene (see maybe_reap)
-        self.reaped = 0
-        self._next_reap = 0.0
-
-    def maybe_reap(self) -> int:
-        """Drop delivered-but-unclaimed messages older than the
-        network's ``inbox_ttl``; returns how many were dropped.
-
-        A message still sitting in the inbox is one that *no registered
-        waiter matched at delivery time* — under this codebase's
-        protocols every consumer registers its receive in the same
-        zero-delay instant it triggers the reply, so an unclaimed
-        message that has outlived every protocol timeout is dead (the
-        classic case: the GRANTs a quorum coordinator no longer needed
-        once it had its majority, or those of a round it abandoned at
-        its deadline, each left in the queue of a correlation key
-        nobody will ask for again). Without hygiene those corpses
-        accumulate without bound. The reap is amortised (only on
-        delivery, only past :data:`REAP_MIN_BACKLOG` messages over all
-        queues, at most every ``ttl/4``, so one sweep of the backlog
-        pays for a quarter window of deliveries) and purely a function
-        of simulation state, so runs stay bit-deterministic per seed.
-        """
-        ttl = self.network.inbox_ttl
-        now = self.network.env.now
-        if len(self.inbox) < self.REAP_MIN_BACKLOG or now < self._next_reap:
-            return 0
-        self._next_reap = now + ttl / 4.0
-        cutoff = now - ttl
-        dropped = self.inbox.discard(lambda m: m.sent_at < cutoff)
-        if dropped:
-            self.reaped += dropped
-            self.network.stats.record_expired(dropped)
-        return dropped
+        #: kind -> what takes its messages that belong to no conversation
+        self._served: Dict[str, Callable[[Message], None]] = {}
+        #: the serves that queue, for :attr:`pending`
+        self._servers: List[_Server] = []
+        #: (declared kinds, conversation) -> the wait standing on it
+        self._waits: Dict[Tuple[Tuple[str, ...], Hashable], _Wait] = {}
 
     def serve(
         self,
@@ -102,72 +73,35 @@ class Endpoint:
     ) -> None:
         """Serve the messages of ``kinds`` one at a time, by callback.
 
-        A single-server queue over the inbox queue ``kinds`` share: a
-        message that finds the server idle starts its service in the
-        step that delivered it — ``handle(msg)`` runs
-        ``service_time(msg)`` ms later, or in that same step when the
-        time is zero — and one that finds it busy waits in the inbox
-        (so :attr:`pending`, :meth:`maybe_reap` and the crash boundary
-        below see it) until the messages before it are done. Fail-stop:
-        a message that comes off the queue while the host is down is
-        dropped unhandled (one that *arrives* then never got this far,
-        see :meth:`Network._arrive`); the one in service when the host
-        went down is still handled, and what it sends is lost.
+        A single-server FIFO queue over all of ``kinds``: a message that
+        finds the server idle starts its service in the step that
+        delivered it — ``handle(msg)`` runs ``service_time(msg)`` ms
+        later, or in that same step when the time is zero — and one that
+        finds it busy joins the serve's backlog (so :attr:`pending` sees
+        it) until the messages before it are done. Fail-stop: a message
+        that leaves the backlog while the host is down is dropped
+        unhandled (one that *arrives* then never got this far, see
+        :meth:`Network._arrive`); the one in service when the host went
+        down is still handled, and what it sends is lost.
 
         ``service_time=None`` serves every message in no time: the
         queue never forms and each message is pushed at ``handle`` as
-        it arrives.
+        it arrives. A kind has at most one serve per host.
         """
-        network = self.network
-        env, inbox, host = network.env, self.inbox, self.host
-        queue = network.shared_queue(kinds)
+        served = self._served
+        for kind in kinds:
+            if kind in served:
+                raise NetworkError(
+                    f"kind {kind!r} is already served at {self.host!r}"
+                )
         if service_time is None:
-            def pushed(msg: Message) -> bool:
-                handle(msg)
-                return True
-
-            inbox.consume(queue, pushed)
-            return
-        busy = False
-
-        def arrived(msg: Message) -> bool:
-            if busy:
-                return False
-            work(msg)
-            return True
-
-        def work(msg: Optional[Message]) -> None:
-            """Take messages, ``msg`` first then the backlog, up to the
-            first one whose service takes time."""
-            nonlocal busy
-            busy = True
-            while msg is not None:
-                delay = service_time(msg)
-                if delay > 0:
-                    env.call_in(delay, served, msg)
-                    return
-                handle(msg)
-                msg = backlog()
-            busy = False
-
-        def served(msg: Message) -> None:
-            handle(msg)
-            work(backlog())
-
-        crashes = network._crash_windows
-        faults = network.faults
-
-        def backlog() -> Optional[Message]:
-            while True:
-                msg = inbox.pop(queue)
-                if (
-                    msg is None or not crashes
-                    or faults.host_up(host, env._now)
-                ):
-                    return msg
-
-        inbox.consume(queue, arrived)
-        work(backlog())
+            take = handle
+        else:
+            server = _Server(self, service_time, handle)
+            self._servers.append(server)
+            take = server.arrived
+        for kind in kinds:
+            served[kind] = take
 
     def wait(
         self,
@@ -179,24 +113,31 @@ class Endpoint:
         """Replies until satisfied, or a deadline, by callback.
 
         ``done(msg)`` is called with each message of conversation
-        ``key`` on the keyed route of ``kind`` (a kind, or the tuple
-        :meth:`Network.route` declared), those already here first, and
-        says whether the wait is satisfied: a tally returns false until
-        it has its quorum, and the wait keeps taking replies. If it is
-        not satisfied ``timeout`` ms from now, ``done(None)``. Either
-        way the wait has withdrawn before that last call, so ``done``
-        may start the next wait on the same conversation; a reply after
-        the end is nobody's and stays in the inbox for the reaper.
+        ``key`` of ``kind`` (a kind, or the tuple :meth:`Network.route`
+        declared with a correlation key) and says whether the wait is
+        satisfied: a tally returns false until it has its quorum, and
+        the wait keeps taking replies. If it is not satisfied ``timeout``
+        ms from now, ``done(None)``. Either way the wait has withdrawn
+        before that last call, so ``done`` may start the next wait on the
+        same conversation. A reply that comes when no wait stands on its
+        conversation — before one started, or after it ended — is
+        nobody's: it is dropped at arrival and counted as expired.
         """
-        inbox = self.inbox
-        queue = self.network.queue_for(kind, key)
-        msg = inbox.pop(queue)
-        while msg is not None:
-            if done(msg):
-                return
-            msg = inbox.pop(queue)
-        wait = _Wait(inbox, queue, done)
-        inbox.consume(queue, wait.replied)
+        kinds = (kind,) if kind.__class__ is str else tuple(kind)
+        keyed = self.network._keys.get(kinds[0])
+        if keyed is None or keyed[0] != kinds:
+            raise NetworkError(
+                f"no correlation key was declared for {kinds!r}"
+            )
+        if key is None:
+            raise NetworkError(f"a wait on {kinds!r} needs its key")
+        conversation = (keyed[0], key)
+        waits = self._waits
+        if conversation in waits:
+            raise NetworkError(
+                f"conversation {key!r} of {kinds!r} is already awaited"
+            )
+        wait = waits[conversation] = _Wait(waits, conversation, done)
         self.network.env.call_in(timeout, wait.deadline)
 
     def send(
@@ -252,54 +193,109 @@ class Endpoint:
 
     @property
     def pending(self) -> int:
-        """Number of queued, unreceived messages, over all queues."""
-        return len(self.inbox)
+        """Messages waiting for a busy server, over all serves."""
+        return sum(len(server.backlog) for server in self._servers)
 
     def __repr__(self) -> str:
         return f"<Endpoint {self.host!r} pending={self.pending}>"
 
 
-class _Wait:
-    """One :meth:`Endpoint.wait` in progress.
+class _Server:
+    """One queueing :meth:`Endpoint.serve`: the server and its backlog;
+    a service in progress is a heap entry of its bound :meth:`served`."""
 
-    The consumer standing on the conversation's queue and the deadline
-    in the heap are this object's bound methods. A closure that stood
-    *itself* back on the queue would refer to itself through its cell:
-    a reference cycle per wait, holding ``done`` and all it captured
-    until the cyclic collector came by. This object refers to nothing
-    that refers back to it, so a finished wait is freed as soon as the
-    inbox and the heap let go of it.
-    """
-
-    __slots__ = ("inbox", "queue", "done", "waiting")
+    __slots__ = ("network", "host", "service_time", "handle", "backlog",
+                 "busy")
 
     def __init__(
         self,
-        inbox: RoutedStore,
-        queue: Hashable,
+        endpoint: Endpoint,
+        service_time: Callable[[Message], float],
+        handle: Callable[[Message], None],
+    ) -> None:
+        self.network = endpoint.network
+        self.host = endpoint.host
+        self.service_time = service_time
+        self.handle = handle
+        self.backlog: Deque[Message] = deque()
+        self.busy = False
+
+    def arrived(self, msg: Message) -> None:
+        if self.busy:
+            self.backlog.append(msg)
+        else:
+            self.work(msg)
+
+    def work(self, msg: Optional[Message]) -> None:
+        """Take messages, ``msg`` first then the backlog, up to the first
+        one whose service takes time."""
+        self.busy = True
+        service_time, handle = self.service_time, self.handle
+        while msg is not None:
+            delay = service_time(msg)
+            if delay > 0:
+                self.network.env.call_in(delay, self.served, msg)
+                return
+            handle(msg)
+            msg = self.next()
+        self.busy = False
+
+    def served(self, msg: Message) -> None:
+        self.handle(msg)
+        self.work(self.next())
+
+    def next(self) -> Optional[Message]:
+        """The oldest backlogged message the host is up to take."""
+        backlog, network = self.backlog, self.network
+        while backlog:
+            msg = backlog.popleft()
+            if not network._crash_windows or network.faults.host_up(
+                self.host, network.env._now
+            ):
+                return msg
+        return None
+
+
+class _Wait:
+    """One :meth:`Endpoint.wait` in progress.
+
+    The entry standing on the conversation and the deadline in the heap
+    are this object's bound methods. A closure that stood *itself* back
+    on the conversation would refer to itself through its cell: a
+    reference cycle per wait, holding ``done`` and all it captured
+    until the cyclic collector came by. This object refers to nothing
+    that refers back to it, so a finished wait is freed as soon as the
+    endpoint and the heap let go of it.
+    """
+
+    __slots__ = ("waits", "conversation", "done", "waiting")
+
+    def __init__(
+        self,
+        waits: Dict[Hashable, "_Wait"],
+        conversation: Hashable,
         done: Callable[[Optional[Message]], bool],
     ) -> None:
-        self.inbox = inbox
-        self.queue = queue
+        self.waits = waits
+        self.conversation = conversation
         self.done = done
         self.waiting = True
 
-    def replied(self, msg: Message) -> bool:
+    def replied(self, msg: Message) -> None:
         """A reply of the conversation: withdraw, hand it to ``done``,
         and stand again unless that satisfied the wait."""
-        inbox = self.inbox
-        inbox.consume(self.queue, None)
+        waits = self.waits
+        del waits[self.conversation]
         if self.done(msg):
             self.waiting = False
         else:
-            inbox.consume(self.queue, self.replied)
-        return True
+            waits[self.conversation] = self
 
     def deadline(self, _arg: None) -> None:
         """Time is up: withdraw, then ``done(None)`` unless satisfied."""
         if self.waiting:
             self.waiting = False
-            self.inbox.consume(self.queue, None)
+            del self.waits[self.conversation]
             self.done(None)
 
 
@@ -328,11 +324,6 @@ class Network:
         earlier one's arrival instant. Default false — the paper's model
         only promises reliability, not ordering, and the protocols must
         (and do) tolerate reordering.
-    inbox_ttl:
-        Inbox hygiene window in ms, required and positive: a delivered
-        message no receiver claimed for this long is reaped from
-        whichever queue holds it (see :meth:`Endpoint.maybe_reap`). A
-        :class:`Deployment` passes ``INBOX_WINDOW_FACTOR * grant_ttl``.
     """
 
     def __init__(
@@ -344,8 +335,6 @@ class Network:
         streams: Optional[RandomStreams] = None,
         scale_by_cost: bool = True,
         fifo_links: bool = False,
-        *,
-        inbox_ttl: float,
     ) -> None:
         self.env = env
         self.topology = topology
@@ -356,15 +345,10 @@ class Network:
         self.streams = streams or RandomStreams(0)
         self.scale_by_cost = scale_by_cost
         self.fifo_links = fifo_links
-        if inbox_ttl <= 0:
-            raise NetworkError(f"inbox_ttl must be positive: {inbox_ttl}")
-        #: Inbox hygiene window (ms): delivered messages unclaimed for
-        #: longer than this are reaped (see Endpoint.maybe_reap).
-        self.inbox_ttl = inbox_ttl
         self.stats = NetworkStats()
         self.endpoints: Dict[str, Endpoint] = {}
-        #: kind -> declared route; an undeclared kind has its own queue
-        self._routes: Dict[str, _Route] = {}
+        #: kind -> its declared correlation key (see route)
+        self._keys: Dict[str, _Keyed] = {}
         self._latency_stream = self.streams.stream("net.latency")
         self._fault_stream = self.streams.stream("net.faults")
         # per-(src, dst) arrival horizon used by fifo_links
@@ -401,82 +385,32 @@ class Network:
             return True
         return self.faults.host_up(host, self.env.now)
 
-    # -- mailbox routing -----------------------------------------------------
+    # -- conversations ----------------------------------------------------
 
     def route(
-        self,
-        kinds: Iterable[str],
-        key: Optional[Callable[[Any], Hashable]] = None,
+        self, kinds: Iterable[str], key: Callable[[Any], Hashable]
     ) -> None:
-        """Declare that messages of ``kinds`` share one inbox queue.
+        """Declare that replies of ``kinds`` belong to conversations.
 
-        A consumer that handles several kinds in arrival order (a
-        server's request loop) declares them together and serves
-        ``kinds``. ``key(payload)`` names the conversation a reply
-        belongs to (a lock round's ``(rid, epoch)``, a quorum read's
-        ``request_id``): each conversation then gets a queue of its own,
-        computed once at delivery, and ``wait(kinds, key, ...)`` never
-        meets another conversation's messages. A message whose key is
-        ``None`` belongs to no conversation and joins the queue the
-        kinds share (the one :meth:`Endpoint.serve` takes from). Declare
-        before traffic of these kinds flows; repeating a declaration is
-        a no-op.
+        ``key(payload)`` names the conversation a reply belongs to (a
+        lock round's ``(rid, epoch)``, a quorum read's ``request_id``),
+        read once, at arrival: the reply goes to the
+        :meth:`Endpoint.wait` on ``(kinds, key)`` at its destination,
+        never to another conversation's, or is dropped when none stands
+        there. A message whose key is ``None`` belongs to no
+        conversation and goes to the serve of its kind. Declare before
+        traffic of these kinds flows; repeating a declaration is a
+        no-op.
         """
         kinds = tuple(kinds)
-        rule: _Route = (kinds, "+".join(kinds), key)
+        keyed: _Keyed = (kinds, key)
         for kind in kinds:
-            known = self._routes.get(kind)
-            if known is not None and (known[0] != kinds or known[2] is not key):
+            known = self._keys.get(kind)
+            if known is not None and (known[0] != kinds or known[1] is not key):
                 raise NetworkError(
-                    f"kind {kind!r} is already routed with {known[0]!r}"
+                    f"kind {kind!r} is already keyed with {known[0]!r}"
                 )
-            self._routes[kind] = rule
-
-    def route_of(self, msg: Message) -> Hashable:
-        """The inbox queue ``msg`` is filed in at its destination."""
-        rule = self._routes.get(msg.kind)
-        if rule is None:
-            return msg.kind
-        _kinds, queue, key = rule
-        if key is None:
-            return queue
-        conversation = key(msg.payload)
-        return queue if conversation is None else (queue, conversation)
-
-    def _rule(self, kinds: Tuple[str, ...]) -> _Route:
-        """The route ``kinds`` were declared with (a lone undeclared
-        kind is a route of its own)."""
-        rule = self._routes.get(kinds[0])
-        if rule is None:
-            if len(kinds) > 1:
-                raise NetworkError(f"no route was declared for {kinds!r}")
-            return kinds, kinds[0], None
-        if rule[0] != kinds:
-            raise NetworkError(
-                f"{kinds!r} is routed together with {rule[0]!r}; "
-                "take the declared kinds as one"
-            )
-        return rule
-
-    def shared_queue(self, kinds: Iterable[str]) -> Hashable:
-        """The inbox queue holding the messages of ``kinds`` that belong
-        to no conversation."""
-        return self._rule(tuple(kinds))[1]
-
-    def queue_for(
-        self, kind: Union[str, Tuple[str, ...]], key: Optional[Hashable]
-    ) -> Hashable:
-        """The inbox queue of conversation ``key`` on the route of
-        ``kind`` (the queue the kinds share when ``key`` is None)."""
-        kinds = (kind,) if kind.__class__ is str else tuple(kind)
-        declared, queue, key_of = self._rule(kinds)
-        if (key is None) != (key_of is None):
-            raise NetworkError(
-                f"route {declared!r} "
-                + ("needs" if key is None else "takes no")
-                + " correlation key"
-            )
-        return queue if key is None else (queue, key)
+            self._keys[kind] = keyed
 
     # -- delays --------------------------------------------------------------
 
@@ -492,12 +426,11 @@ class Network:
     def send(self, msg: Message) -> None:
         """Asynchronously transmit ``msg``; never blocks the sender."""
         env = self.env
-        now = msg.sent_at = env._now
         src, dst = msg.src, msg.dst
-        self.stats.record_send(msg.category, msg.kind, msg.size_bytes)
-
         if dst not in self.endpoints:
             raise NetworkError(f"unknown destination host {dst!r}")
+        now = msg.sent_at = env._now
+        self.stats.record_send(msg.category, msg.kind, msg.size_bytes)
         # host_up(src), inline: with no crash window scheduled there is
         # nothing to look up.
         if self._crash_windows and not self.faults.host_up(src, now):
@@ -528,7 +461,8 @@ class Network:
             env.call_urgent(self._arrive, msg)
 
     def _arrive(self, msg: Message) -> None:
-        """Arrival callback: file the message at its destination."""
+        """Arrival callback: hand the message to its conversation's wait
+        or its kind's serve at the destination, or drop it."""
         if self._crash_windows and not self.faults.host_up(
             msg.dst, self.env._now
         ):
@@ -536,8 +470,22 @@ class Network:
             self.stats.record_drop(msg.category, msg.kind)
             return
         endpoint = self.endpoints[msg.dst]
-        endpoint.inbox.put(msg)
-        endpoint.maybe_reap()
+        kind = msg.kind
+        keyed = self._keys.get(kind)
+        if keyed is not None:
+            conversation = keyed[1](msg.payload)
+            if conversation is not None:
+                wait = endpoint._waits.get((keyed[0], conversation))
+                if wait is None:
+                    self.stats.record_expired()
+                else:
+                    wait.replied(msg)
+                return
+        take = endpoint._served.get(kind)
+        if take is None:
+            self.stats.record_expired()
+        else:
+            take(msg)
 
     # -- agent migration ------------------------------------------------------
 

@@ -51,7 +51,7 @@ class NetworkStats:
         )
         self._obs_expired = hub.counter(
             "net_expired_total",
-            "unclaimed messages reaped by inbox hygiene",
+            "replies that arrived for no waiter",
             (),
         )
 
@@ -70,12 +70,13 @@ class NetworkStats:
         if self._hub is not None:
             self._obs_dropped.inc(category=category, kind=kind)
 
-    def record_expired(self, count: int = 1) -> None:
-        """Delivered-but-never-claimed messages reaped by inbox
-        hygiene (distinct from :meth:`record_drop`: these *arrived*)."""
-        self.expired += count
+    def record_expired(self) -> None:
+        """Replies that arrived for no waiter (and messages of a kind
+        nobody serves), dropped at arrival — distinct from
+        :meth:`record_drop`: these *arrived*."""
+        self.expired += 1
         if self._hub is not None:
-            self._obs_expired.inc(count)
+            self._obs_expired.inc()
 
     # -- queries -----------------------------------------------------------
 

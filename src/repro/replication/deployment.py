@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.errors import ReplicationError
-from repro.core.machines.config import INBOX_WINDOW_FACTOR
 from repro.net.faults import FaultPlan
 from repro.net.latency import LatencyModel, lan_profile
 from repro.net.network import Network
@@ -87,7 +86,6 @@ class Deployment:
             latency=latency if latency is not None else lan_profile(),
             faults=self.faults,
             streams=self.streams,
-            inbox_ttl=INBOX_WINDOW_FACTOR * self.replica_config.grant_ttl,
         )
         if self.obs is not None:
             self.network.attach_observability(self.obs)

@@ -38,7 +38,7 @@ from repro.core.machines.interpreter import (
 )
 from repro.core.machines.replica import ReplicaMachine
 from repro.core.machines.wire import SharedView, UpdatePayload, WriteOp
-from repro.net.message import Message, estimate_size
+from repro.net.message import Message
 from repro.net.network import Endpoint, Network
 from repro.sim.core import Environment
 
@@ -165,9 +165,8 @@ class ReplicaServer(Substrate):
         self.migrations_out = 0
         self.migrations_failed = 0
 
-        # One inbox queue for every kind the replica handles: it takes
-        # them one at a time, in arrival order across kinds.
-        network.route(self._HANDLED_KINDS)
+        # The replica takes every kind it handles one at a time, in
+        # arrival order across kinds.
         endpoint.serve(self._HANDLED_KINDS, self._service_time, self._handle)
         # Replies to an agent claiming from here wait for nothing.
         network.route(("READR",), key=_reader_of)
@@ -283,11 +282,7 @@ class ReplicaServer(Substrate):
 
     def ship_agent(self, agent, dst: str) -> None:
         """Ship ``agent`` to ``dst`` under the §2 migration policy."""
-        # An agent that keeps its own running size says so; one that
-        # only describes its suitcase has the description sized.
-        sizer = getattr(agent, "suitcase_size", None)
-        carried = sizer() if sizer else estimate_size(agent.state())
-        size = int(BASE_BYTES + SERIALIZATION_OVERHEAD * carried)
+        size = int(BASE_BYTES + SERIALIZATION_OVERHEAD * agent.suitcase_size())
         self._attempt(agent, dst, size, 1)
 
     def _attempt(self, agent, dst: str, size: int, attempt: int) -> None:

@@ -2,10 +2,9 @@
 
 A self-contained DES engine holding exactly what the MARP substrate
 schedules: the :class:`~repro.sim.core.Environment` owns the clock and
-a heap of callbacks (``call_in`` / ``call_urgent``); a
-:class:`~repro.sim.stores.RoutedStore` is the routed mailbox its
-consumers stand on; :class:`~repro.sim.rng.RandomStreams` names the
-random streams.
+a heap of callbacks (``call_in`` / ``call_urgent``);
+:class:`~repro.sim.rng.RandomStreams` names the random streams and a
+:class:`~repro.sim.monitor.StateMonitor` records a time series.
 
 Quick example::
 
@@ -25,11 +24,9 @@ Quick example::
 from repro.sim.core import NORMAL, URGENT, Environment
 from repro.sim.monitor import StateMonitor
 from repro.sim.rng import RandomStreams, Stream
-from repro.sim.stores import RoutedStore
 
 __all__ = [
     "Environment",
-    "RoutedStore",
     "StateMonitor",
     "RandomStreams",
     "Stream",

@@ -10,6 +10,7 @@ that method directly, with a recorder in the interpreter's place.
 
 from repro.net.faults import CrashSchedule, FaultPlan
 from repro.net.latency import ConstantLatency
+from repro.net.message import estimate_size
 from repro.net.network import Network
 from repro.net.topology import Topology
 from repro.replication import server as server_mod
@@ -24,8 +25,8 @@ class HopAgent:
         self.bulk = bulk
         self.travel_log = []
 
-    def state(self):
-        return {"bulk": self.bulk}
+    def suitcase_size(self):
+        return estimate_size({"bulk": self.bulk})
 
 
 class Recorder:
@@ -55,7 +56,7 @@ class World:
         self.network = Network(
             env, Topology.full_mesh(list(hosts)),
             latency=ConstantLatency(2.0), faults=faults,
-            streams=RandomStreams(0), inbox_ttl=20_000.0,
+            streams=RandomStreams(0),
         )
         self.servers = {}
         for host in hosts:

@@ -252,29 +252,3 @@ class TestSuitcaseSizing:
         # tour (list reset after a park)
         assert any(parks == 0 and 0 < left < 10 for parks, left in asked)
         assert any(parks > 0 and left > 0 for parks, left in asked)
-
-    def test_an_agent_that_only_describes_its_suitcase_is_still_sized(self):
-        """``ReplicaServer`` falls back to sizing ``state()`` (the
-        contract of ``tests/agents/test_platform.py::HopAgent``)."""
-        from repro.net.message import estimate_size
-        from repro.replication.server import (
-            BASE_BYTES,
-            SERIALIZATION_OVERHEAD,
-        )
-
-        class Described:
-            travel_log = []
-
-            def state(self):
-                return {"bulk": "x" * 1000}
-
-        deployment = Deployment(n_replicas=3, seed=1)
-        landed = []
-        deployment.server("s2").interpreter.arrived = landed.append
-        agent = Described()
-        deployment.server("s1").ship_agent(agent, "s2")
-        deployment.run(until=1_000)
-        assert landed == [agent]
-        assert deployment.network.stats.total_bytes("agent") == int(
-            BASE_BYTES + SERIALIZATION_OVERHEAD * estimate_size(agent.state())
-        )

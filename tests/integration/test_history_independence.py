@@ -19,10 +19,9 @@ Five guards, all deterministic counts (no wall clock):
   before, every visit called ``LockingTable.update`` once per bulletin
   entry and every migration re-encoded the whole suitcase description,
   un-visited host names included, so both counts grew with N;
-* the routed mailbox keeps the ordering the protocol drivers rely on:
-  the server takes its kinds oldest-first, a reply that beat its
-  wait to the inbox is still claimed, and a wait that ended never
-  swallows a later round's reply;
+* dispatch at arrival keeps the ordering the protocol drivers rely
+  on: the server takes its kinds oldest-first, and a wait that ended
+  never swallows a later round's reply;
 * a committed write costs a pinned number of heap events per protocol
   (a primary-copy write exactly the thirteen that carry simulated
   time): the kernel is a callback heap, and a wait that came back as a
@@ -43,11 +42,9 @@ from repro.replication.deployment import Deployment
 from repro.workload.arrivals import ExponentialArrivals
 from repro.workload.mix import OperationMix
 
-#: source files whose calls count as mailbox work
-_MAILBOX_FILES = (
-    os.sep + os.path.join("repro", "sim", "stores.py"),
-    os.sep + os.path.join("repro", "net", "network.py"),
-)
+#: the source file whose calls count as mailbox work: delivery and
+#: dispatch at arrival
+_MAILBOX_FILES = os.sep + os.path.join("repro", "net", "network.py")
 
 
 def _contended_run(writes_per_client):
@@ -277,24 +274,6 @@ class TestRoutedMailboxOrdering:
         env.run(until=50.0)
         assert handled == ["UPDATE", "RELEASE", "READQ", "UPDATE"]
 
-    def test_reply_delivered_before_its_receive_is_claimed(self, cluster):
-        env = cluster.env
-        endpoint = cluster.network.endpoints["s1"]
-        got = []
-
-        def late_wait(_arg):
-            assert endpoint.pending == 1  # queued, nobody asked yet
-            endpoint.wait(
-                "READR", 5, 10.0,
-                lambda msg: got.append((msg.kind, env.now)) or True,
-            )
-
-        endpoint.send("s1", "READR", {"request_id": 5, "from": "s1"})
-        env.call_in(3.0, late_wait)
-        env.run(until=50.0)
-        assert got == [("READR", 3.0)]
-        assert endpoint.pending == 0
-
     def test_withdrawn_receive_never_swallows_a_later_epoch(self, cluster):
         env = cluster.env
         endpoint = cluster.network.endpoints["s1"]
@@ -314,11 +293,10 @@ class TestRoutedMailboxOrdering:
         endpoint.wait("READR", 5, 2.0, first)
         env.run(until=50.0)
         assert got == [("READR", 6)]
-        # the stale reply waits in read 5's queue for the reaper; the
-        # ended waits left no consumer behind
-        assert endpoint.pending == 1
-        queues = {cluster.network.queue_for("READR", rid) for rid in (5, 6)}
-        assert not queues & set(endpoint.inbox._consumers)
+        # the stale reply was nobody's and dropped at arrival; the ended
+        # waits left nothing standing
+        assert cluster.network.stats.expired == 1
+        assert not endpoint._waits
 
 
 def _events_per_commit(protocol, requests_per_client):

@@ -1,11 +1,10 @@
-"""The two hygiene windows are derived from ``grant_ttl``, for every run.
+"""The hygiene window is derived from ``grant_ttl``, for every run.
 
 A replica's Updated List forgets a completed agent after
-``UL_WINDOW_FACTOR * grant_ttl`` and a DES endpoint reaps an unclaimed
-message (a pulled reply its coordinator no longer wanted) after
-``INBOX_WINDOW_FACTOR * grant_ttl``; no config carries
-either window, so a plain ``RunConfig`` run is bounded by them exactly
-like a ``scale_config`` one.
+``UL_WINDOW_FACTOR * grant_ttl``; no config carries the window, so a
+plain ``RunConfig`` run is bounded by it exactly like a ``scale_config``
+one. A DES endpoint needs no window at all: a reply that finds no wait
+on its conversation is dropped the moment it arrives.
 """
 
 import pytest
@@ -13,11 +12,11 @@ import pytest
 from repro.agents.identity import AgentId
 from repro.core.machines.config import (
     DES_TUNABLES,
-    INBOX_WINDOW_FACTOR,
     LIVE_TUNABLES,
     UL_WINDOW_FACTOR,
 )
 from repro.experiments.runner import RunConfig, run_once
+from repro.net import network as network_module
 from repro.replication.deployment import Deployment
 from repro.replication.server import ReplicaConfig
 from repro.runtime.host import HostRuntime, LiveConfig
@@ -28,7 +27,7 @@ class TestDefaultRunIsBounded:
     @pytest.fixture(scope="class")
     def result(self):
         # 2000 writes on 16 Zipf-0.9 keys over ~80 simulated seconds,
-        # four times the longer window.
+        # several times the window.
         return run_once(RunConfig(
             n_replicas=5, seed=3, mean_interarrival=200.0,
             requests_per_client=400, n_keys=16, key_skew=0.9,
@@ -47,38 +46,42 @@ class TestDefaultRunIsBounded:
             assert len(updated) + updated.pruned_total == result.committed
 
     def test_inbox_backlogs_hold_one_window_not_the_run(self, result):
+        # no window is needed: the surplus replies of a finished claim
+        # round are pushed at an interpreter that has closed the round
+        # and drops them there, and a serve's backlog empties as it works
         network = result.deployment.network
-        assert network.inbox_ttl == INBOX_WINDOW_FACTOR * DES_TUNABLES.grant_ttl
-        # the surplus replies of a finished claim round are pushed at an
-        # interpreter that has closed the round and drops them there:
-        # nothing is left in an inbox for the reaper to find
         assert network.stats.expired == 0
         for endpoint in network.endpoints.values():
-            assert endpoint.pending == endpoint.reaped == 0
+            assert endpoint.pending == 0 and not endpoint._waits
 
-    def test_pulled_replies_are_still_reaped(self):
-        """A quorum coordinator pulls its GRANTs and stops at a majority;
-        the surplus waits in its round's own queue for the reaper."""
+    def test_surplus_quorum_replies_are_dropped_at_arrival(self, monkeypatch):
+        """A quorum coordinator stops at a majority of GRANTs (a write)
+        or RVALs (a read); each reply after that finds no wait and is
+        dropped and counted as it lands, so nothing is left behind."""
+        replied = network_module._Wait.replied
+        taken = []
+
+        def counted(wait, msg):
+            taken.append(msg.kind)
+            return replied(wait, msg)
+
+        monkeypatch.setattr(network_module._Wait, "replied", counted)
         result = run_once(RunConfig(
             protocol="mcv", n_replicas=5, seed=3, mean_interarrival=200.0,
             requests_per_client=400, n_keys=16, key_skew=0.9,
+            write_fraction=0.5,
         ))
-        assert (result.committed, result.failed, result.open) == (2000, 0, 0)
+        assert (result.failed, result.open) == (0, 0)
         network = result.deployment.network
-        assert network.stats.expired > 0
-        assert network.stats.expired == sum(
-            endpoint.reaped for endpoint in network.endpoints.values()
+        replies = sum(
+            count for (_category, kind), count in network.stats.messages.items()
+            if kind in ("MCV_GRANT", "MCV_NACK", "MCV_RVAL")
         )
+        assert network.stats.total_dropped() == 0
+        assert set(taken) <= {"MCV_GRANT", "MCV_NACK", "MCV_RVAL"}
+        assert network.stats.expired == replies - len(taken) > 0
         for endpoint in network.endpoints.values():
-            left = endpoint.inbox.items
-            assert {message.kind for message in left} <= {
-                "MCV_GRANT", "MCV_NACK",
-            }
-            assert endpoint.pending == len(left)
-            sent = [message.sent_at for message in left]
-            if sent:
-                # a reap runs at most every ttl/4 and keeps one ttl
-                assert max(sent) - min(sent) <= 1.25 * network.inbox_ttl
+            assert endpoint.pending == 0 and not endpoint._waits
 
 
 def _prune_horizon(machine, grant_ttl):
@@ -98,7 +101,6 @@ class TestWindowsTrackGrantTTL:
         deployment = Deployment(
             n_replicas=3, replica_config=ReplicaConfig(grant_ttl=grant_ttl),
         )
-        assert deployment.network.inbox_ttl == INBOX_WINDOW_FACTOR * grant_ttl
         _prune_horizon(deployment.server("s1").machine, grant_ttl)
 
     @pytest.mark.parametrize("grant_ttl", [

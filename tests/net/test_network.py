@@ -14,8 +14,7 @@ from repro.sim.rng import RandomStreams
 
 
 def make_network(env, hosts=("a", "b", "c"), latency=None, faults=None,
-                 cost=1.0, scale_by_cost=True, fifo_links=False,
-                 inbox_ttl=20_000.0):
+                 cost=1.0, scale_by_cost=True, fifo_links=False):
     topo = Topology.full_mesh(list(hosts), cost=cost)
     network = Network(
         env,
@@ -25,7 +24,6 @@ def make_network(env, hosts=("a", "b", "c"), latency=None, faults=None,
         streams=RandomStreams(0),
         scale_by_cost=scale_by_cost,
         fifo_links=fifo_links,
-        inbox_ttl=inbox_ttl,
     )
     endpoints = {h: network.register(h) for h in hosts}
     return network, endpoints
@@ -37,11 +35,6 @@ def pushed(env, endpoint, kinds=("PING",)):
     log = []
     endpoint.serve(kinds, None, lambda msg: log.append((env.now, msg)))
     return log
-
-
-def take(endpoint, kind, key=None):
-    """Pop the head of the inbox queue of ``kind`` (and ``key``)."""
-    return endpoint.inbox.pop(endpoint.network.queue_for(kind, key))
 
 
 class TestRegistration:
@@ -86,19 +79,26 @@ class TestDelivery:
         assert [now for now, _msg in log] == [0.0]
 
     def test_unknown_destination_rejected(self, env):
-        _network, eps = make_network(env)
+        network, eps = make_network(env)
         with pytest.raises(NetworkError):
             eps["a"].send("nowhere", "PING")
+        # rejected before it was accounted: no total moved
+        stats = network.stats
+        assert (
+            stats.total_messages(), stats.total_bytes(),
+            stats.total_dropped(), stats.expired,
+        ) == (0, 0, 0, 0)
 
     def test_receive_filters_by_kind(self, env):
-        _network, eps = make_network(env)
+        network, eps = make_network(env)
         log = pushed(env, eps["b"], ("WANTED",))
         eps["a"].send("b", "NOISE")
         eps["a"].send("b", "WANTED")
         env.run()
         assert [msg.kind for _now, msg in log] == ["WANTED"]
-        assert eps["b"].pending == 1  # NOISE still queued
-        assert take(eps["b"], "NOISE").kind == "NOISE"
+        # nobody serves NOISE: dropped at arrival, and counted
+        assert eps["b"].pending == 0
+        assert network.stats.expired == 1
 
     def test_receive_filters_by_match(self, env):
         """A wait whose ``done`` declines a message keeps standing and
@@ -117,20 +117,27 @@ class TestDelivery:
         eps["a"].send("b", "ACK", {"rid": 9, "n": 3})
         env.run()
         assert got == [1, 2]
-        assert eps["b"].pending == 1  # after the end: left for the reaper
+        assert network.stats.expired == 1  # after the end: nobody's
 
     def test_routed_kinds_share_one_queue_oldest_first(self, env):
+        """The kinds of one serve queue behind its busy server together,
+        oldest first; a kind it does not serve never joins them."""
         network, eps = make_network(env)
-        network.route(("UPDATE", "COMMIT", "RELEASE"))
+        got = []
+        eps["b"].serve(
+            ("UPDATE", "COMMIT", "RELEASE"),
+            lambda _msg: 1.0,
+            lambda msg: got.append(msg.kind),
+        )
         eps["a"].send("b", "COMMIT")
         eps["a"].send("b", "NOISE")
         eps["a"].send("b", "UPDATE")
         eps["a"].send("b", "RELEASE")
+        env.run(until=2.5)
+        assert eps["b"].pending == 2  # behind COMMIT, in service
         env.run()
-        kinds = ("UPDATE", "COMMIT", "RELEASE")
-        got = [take(eps["b"], kinds).kind for _ in range(3)]
         assert got == ["COMMIT", "UPDATE", "RELEASE"]
-        assert eps["b"].pending == 1  # NOISE, in a queue of its own
+        assert network.stats.expired == 1  # NOISE
 
     def test_correlated_route_gives_each_conversation_its_queue(self, env):
         network, eps = make_network(env)
@@ -140,7 +147,6 @@ class TestDelivery:
         ]:
             eps["a"].send("b", kind, {"batch_id": 7, "epoch": epoch,
                                       "from": sender})
-        env.run()  # every reply is queued before anyone asks
         got = []
 
         def done(msg):
@@ -148,8 +154,9 @@ class TestDelivery:
             return len(got) == 2
 
         eps["b"].wait(("ACK", "NACK"), (7, 2), 50.0, done)
+        env.run()
         assert got == [("NACK", "y"), ("ACK", "z")]
-        assert eps["b"].pending == 1  # epoch 1's ACK: nobody asks again
+        assert network.stats.expired == 1  # epoch 1's ACK: nobody asked
 
     def test_match_scans_only_the_conversation(self, env):
         network, eps = make_network(env)
@@ -159,15 +166,15 @@ class TestDelivery:
             eps["a"].send("b", "GRANT", {"rid": rid, "from": "c"})
         eps["a"].send("b", "GRANT", {"rid": 1, "from": "a"})
         eps["a"].send("b", "GRANT", {"rid": 1, "from": "c"})
-        env.run()
 
         def done(msg):
             seen.append(msg.payload)
             return msg.payload["from"] == "c"
 
         eps["b"].wait("GRANT", 1, 50.0, done)
+        env.run()
         assert seen == [{"rid": 1, "from": "a"}, {"rid": 1, "from": "c"}]
-        assert eps["b"].pending == 3  # the other conversations, unseen
+        assert network.stats.expired == 3  # the other conversations
 
     def test_route_misuse_is_rejected(self, env):
         network, eps = make_network(env)
@@ -175,15 +182,18 @@ class TestDelivery:
         network.route(("GRANT", "DENY"), key=by_rid)
         network.route(("GRANT", "DENY"), key=by_rid)  # repeating is fine
         with pytest.raises(NetworkError):
-            network.route(("GRANT",))  # already routed with DENY
+            network.route(("GRANT",), key=by_rid)  # already with DENY
         with pytest.raises(NetworkError):
-            network.queue_for(("GRANT", "DENY"), None)  # needs its key
+            network.route(("GRANT", "DENY"), key=itemgetter("epoch"))
+        with pytest.raises(NetworkError):
+            eps["b"].wait(("GRANT", "DENY"), None, 5.0, bool)  # no key
         with pytest.raises(NetworkError):
             eps["b"].wait("GRANT", 1, 5.0, bool)  # routed with DENY
         with pytest.raises(NetworkError):
             eps["b"].wait("PLAIN", 1, 5.0, bool)  # undeclared: no key
+        eps["b"].wait(("GRANT", "DENY"), 1, 5.0, bool)
         with pytest.raises(NetworkError):
-            eps["b"].serve(("GRANT", "NOTE"), None, print)  # undeclared
+            eps["b"].wait(("GRANT", "DENY"), 1, 5.0, bool)  # awaited
 
     def test_broadcast_excludes_self_by_default(self, env):
         _network, eps = make_network(env)
@@ -202,10 +212,12 @@ class TestDelivery:
 
 
 class TestOneEventPerMessage:
-    """Delivery is one scheduled event whose callback files the message."""
+    """Delivery is one scheduled event whose callback dispatches the
+    message."""
 
     def test_delayed_sends_schedule_one_event_each(self, env):
         _network, eps = make_network(env)
+        log = pushed(env, eps["b"], ("SEQ",))
         for index in range(7):
             eps["a"].send("b", "SEQ", index)
         steps = 0
@@ -213,25 +225,24 @@ class TestOneEventPerMessage:
             env.step()
             steps += 1
         assert steps == 7
-        assert eps["b"].pending == 7
+        assert [msg.payload for _now, msg in log] == list(range(7))
 
     def test_self_send_lands_after_the_step_before_normal_events(self, env):
         _network, eps = make_network(env)
+        log = pushed(env, eps["a"], ("LOOP",))
         seen = []
 
         def sender(_arg):
             # Scheduled for "now" *before* the send, at NORMAL priority:
             # the self-send must still overtake it.
-            env.call_in(
-                0, lambda _arg: seen.append(("normal", eps["a"].pending))
-            )
+            env.call_in(0, lambda _arg: seen.append(("normal", len(log))))
             eps["a"].send("a", "LOOP")
-            seen.append(("step", eps["a"].pending))
+            seen.append(("step", len(log)))
 
         env.call_in(0, sender)
         env.run()
         assert seen == [("step", 0), ("normal", 1)]
-        assert eps["a"].inbox.items[0].sent_at == 0.0
+        assert log[0][1].sent_at == 0.0
 
     def test_destination_crashing_in_flight_drops_once(self, env):
         faults = FaultPlan(crashes=CrashSchedule().add("b", 1, 100))
@@ -259,6 +270,7 @@ class TestOneEventPerMessage:
         conformance tests do that) is honoured from then on."""
         faults = FaultPlan()
         network, eps = make_network(env, faults=faults)
+        log = pushed(env, eps["b"])
         asked = []
         is_up = faults.crashes.is_up
 
@@ -269,14 +281,14 @@ class TestOneEventPerMessage:
         monkeypatch.setattr(faults.crashes, "is_up", spying)
         eps["a"].send("b", "PING")
         env.run()
-        assert eps["b"].pending == 1 and asked == []
+        assert len(log) == 1 and asked == []
         faults.crashes.add("b", 10, 100)
         assert network.host_up("b") and network.host_up("a")
         env.run(until=50)
         assert not network.host_up("b") and network.host_up("a")
         eps["a"].send("b", "PING")
         env.run()
-        assert eps["b"].pending == 1
+        assert len(log) == 1
         assert network.stats.dropped == {("control", "PING"): 1}
         assert asked
 
@@ -421,74 +433,35 @@ class TestAttemptTransfer:
         assert network.stats.total_bytes("agent") == 2048
 
 
-class TestInboxHygiene:
-    """The inbox window: dead unclaimed messages (e.g. ACK/NACKs for an
-    abandoned claim round) are reaped on later deliveries."""
+class TestNobodysMessages:
+    """Dispatch at arrival: a message that finds neither a wait on its
+    conversation nor a serve of its kind is dropped and counted as
+    expired (it *arrived*, so it is not a drop)."""
 
-    def test_invalid_ttl_rejected(self, env):
-        with pytest.raises(NetworkError):
-            make_network(env, inbox_ttl=0.0)
-        with pytest.raises(NetworkError):
-            make_network(env, inbox_ttl=-5.0)
-
-    def test_window_is_required(self, env):
-        with pytest.raises(TypeError):
-            Network(env, Topology.full_mesh(["a", "b"]))
-
-    def test_stale_backlog_reaped_on_fresh_delivery(self, env):
-        network, eps = make_network(env, inbox_ttl=100.0)
-
-        env.call_in(200.0, lambda _arg: eps["a"].send("b", "PING"))
-
+    def test_an_unserved_kind_is_dropped_at_arrival_and_counted(self, env):
+        network, eps = make_network(env)
+        log = pushed(env, eps["b"])
         for index in range(40):
-            eps["a"].send("b", "ACK", index)  # all sent at t=0
+            eps["a"].send("b", "ACK", index)
+        eps["a"].send("b", "PING")
         env.run()
-        # the t=200 delivery finds 40 messages older than the ttl
-        assert eps["b"].reaped == 40
-        assert [m.kind for m in eps["b"].inbox.items] == ["PING"]
+        assert [msg.kind for _now, msg in log] == ["PING"]
         assert network.stats.expired == 40
+        assert network.stats.total_dropped() == 0
+        assert eps["b"].pending == 0
 
-    def test_abandoned_round_replies_are_reaped_from_their_queues(self, env):
-        """ACK/NACKs of claim rounds nobody waits for any more each sit
-        in the queue of their own correlation key; the sweep finds them
-        there, counts them, and leaves no empty queue behind."""
-        network, eps = make_network(env, inbox_ttl=100.0)
+    def test_abandoned_round_replies_are_dropped_at_arrival_and_counted(
+        self, env
+    ):
+        """ACK/NACKs of claim rounds nobody waits for any more are
+        counted as they land, and leave nothing standing behind."""
+        network, eps = make_network(env)
         network.route(("ACK", "NACK"), key=itemgetter("batch_id", "epoch"))
-
-        env.call_in(200.0, lambda _arg: eps["a"].send("b", "PING"))
-
         for index in range(40):
             eps["a"].send(
                 "b", "ACK" if index % 2 else "NACK",
                 {"batch_id": index // 2, "epoch": 1},
             )
-        env.run(until=100.0)
-        assert eps["b"].pending == 40  # 20 queues of two
         env.run()
-        assert eps["b"].reaped == 40
         assert network.stats.expired == 40
-        assert eps["b"].pending == 1
-        assert [m.kind for m in eps["b"].inbox.items] == ["PING"]
-        assert list(eps["b"].inbox._queues) == ["PING"]
-
-    def test_small_backlogs_are_left_alone(self, env):
-        """Below REAP_MIN_BACKLOG the scan cost is trivial, so even
-        stale messages stay (cheaper than scanning tiny inboxes)."""
-        _network, eps = make_network(env, inbox_ttl=100.0)
-
-        env.call_in(500.0, lambda _arg: eps["a"].send("b", "PING"))
-
-        for index in range(10):
-            eps["a"].send("b", "ACK", index)
-        env.run()
-        assert eps["b"].reaped == 0
-        assert eps["b"].pending == 11
-
-    def test_fresh_messages_survive_and_are_claimable(self, env):
-        _network, eps = make_network(env, inbox_ttl=100.0)
-        for index in range(40):
-            eps["a"].send("b", "ACK", index)
-        env.call_in(200.0, lambda _arg: eps["a"].send("b", "DATA", "fresh"))
-        env.run()
-        assert take(eps["b"], "DATA").payload == "fresh"
-        assert eps["b"].reaped == 40
+        assert eps["b"].pending == 0 and not eps["b"]._waits

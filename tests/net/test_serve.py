@@ -8,18 +8,16 @@ from operator import itemgetter
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import NetworkError
 from repro.net.faults import CrashSchedule, FaultPlan
 from tests.net.test_network import make_network as make_mesh
 
 KINDS = ("WORK", "NOTE")
 
 
-def make_network(env, faults=None, inbox_ttl=20_000.0):
+def make_network(env, faults=None):
     """Hosts ``a`` and ``b``, 2 ms apart."""
-    network, endpoints = make_mesh(
-        env, hosts=("a", "b"), faults=faults, inbox_ttl=inbox_ttl,
-    )
+    network, endpoints = make_mesh(env, hosts=("a", "b"), faults=faults)
     return network, endpoints["a"], endpoints["b"]
 
 
@@ -27,7 +25,6 @@ def serve(env, endpoint, service_time=5.0):
     """Serve KINDS at ``endpoint``: WORK takes ``service_time``, NOTE
     none. Returns the ``(now, kind, payload)`` log of handled messages."""
     handled = []
-    endpoint.network.route(KINDS)
     endpoint.serve(
         KINDS,
         lambda msg: service_time if msg.kind == "WORK" else 0.0,
@@ -57,7 +54,7 @@ class TestServe:
         a.send("b", "WORK", "first")
         a.send("b", "WORK", "second")        # both arrive at 2.0
         env.run(until=4.0)
-        assert b.pending == 1                # the second waits in the inbox
+        assert b.pending == 1                # the second waits its turn
         env.run()
         # the second starts when the first ends, not when it arrived
         assert handled == [(7.0, "WORK", "first"), (12.0, "WORK", "second")]
@@ -82,14 +79,15 @@ class TestServe:
         env.run()
         assert handled == [(7.0, "WORK", 1), (7.0, "NOTE", 2), (7.0, "NOTE", 3)]
 
-    def test_messages_queued_before_serve_come_first(self, env):
+    def test_messages_before_serve_are_dropped_and_counted(self, env):
         network, a, b = make_network(env)
-        network.route(KINDS)
         a.send("b", "NOTE", "early")
         env.run()
-        assert b.pending == 1
         handled = serve(env, b)
-        assert handled == [(2.0, "NOTE", "early")] and b.pending == 0
+        a.send("b", "NOTE", "served")
+        env.run()
+        assert handled == [(4.0, "NOTE", "served")] and b.pending == 0
+        assert network.stats.expired == 1
 
     def test_arrival_while_the_host_is_down_is_dropped(self, env):
         faults = FaultPlan(crashes=CrashSchedule().add("b", 1.0, 10.0))
@@ -116,16 +114,17 @@ class TestServe:
         assert handled == [(7.0, "WORK", "in service"), (16.0, "WORK", "after")]
         assert b.pending == 0
 
-    def test_a_queued_message_older_than_the_ttl_is_still_reaped(self, env):
-        network, a, b = make_network(env, inbox_ttl=100.0)
-        handled = serve(env, b, service_time=1_000.0)
-        a.send("b", "WORK", "slow")          # in service 2.0 -> 1002.0
-        for n in range(b.REAP_MIN_BACKLOG):
-            a.send("b", "NOTE", n)           # wait in the inbox from 2.0
-        at(env, 500.0, lambda: a.send("b", "NOTE", "fresh"))
+    def test_a_backlog_is_served_however_long_it_waits(self, env):
+        """A backlog is the server's work to do, not a stale reply:
+        nothing ages out of it."""
+        network, a, b = make_network(env)
+        handled = serve(env, b, service_time=60_000.0)
+        a.send("b", "WORK", "slow")          # in service 2 ms -> 60.002 s
+        for n in range(40):
+            a.send("b", "NOTE", n)           # backlogged from 2 ms
         env.run()
-        assert network.stats.expired == b.reaped == b.REAP_MIN_BACKLOG
-        assert [p for _now, _kind, p in handled] == ["slow", "fresh"]
+        assert [p for _now, _kind, p in handled] == ["slow", *range(40)]
+        assert network.stats.expired == 0 and b.pending == 0
 
     def test_no_service_time_pushes_every_message_as_it_arrives(self, env):
         _network, a, b = make_network(env)
@@ -139,8 +138,10 @@ class TestServe:
     def test_a_route_is_served_once(self, env):
         _network, _a, b = make_network(env)
         serve(env, b)
-        with pytest.raises(SimulationError):
+        with pytest.raises(NetworkError):
             b.serve(KINDS, None, lambda msg: None)
+        with pytest.raises(NetworkError):
+            b.serve(("NOTE", "OTHER"), None, lambda msg: None)
 
 
 class TestWait:
@@ -150,20 +151,18 @@ class TestWait:
         network.route(("DONE",), key=itemgetter("rid"))
         return network, a, b
 
-    def test_reply_before_the_wait_is_taken_at_once(self, env, replies):
-        _network, a, b = replies
+    def test_reply_before_the_wait_is_dropped_and_counted(self, env, replies):
+        network, a, b = replies
         a.send("b", "DONE", {"rid": 7})
         env.run()
-        assert b.pending == 1
+        assert network.stats.expired == 1
         got = []
         b.wait("DONE", 7, 50.0, lambda msg: got.append((env.now, msg)) or True)
-        assert got[0][0] == 2.0 and got[0][1].payload == {"rid": 7}
-        assert b.pending == 0
         env.run()
-        assert len(got) == 1                 # no deadline was armed
+        assert got == [(52.0, None)]         # the early reply is gone
 
     def test_reply_within_the_deadline(self, env, replies):
-        _network, a, b = replies
+        network, a, b = replies
         got = []
         a.send("b", "DONE", {"rid": 7})
         a.send("b", "DONE", {"rid": 8})      # another conversation
@@ -173,7 +172,7 @@ class TestWait:
         )
         env.run()
         assert got == [(2.0, {"rid": 7})]    # once: the deadline is spent
-        assert b.pending == 1
+        assert network.stats.expired == 1    # rid 8: nobody waits on it
 
     def test_deadline_first(self, env, replies):
         _network, _a, b = replies
@@ -182,34 +181,35 @@ class TestWait:
         env.run()
         assert got == [(50.0, None)]
 
-    def test_reply_after_the_deadline_is_left_for_the_reaper(self, env, replies):
-        _network, a, b = replies
+    def test_reply_after_the_deadline_is_dropped_and_counted(
+        self, env, replies
+    ):
+        network, a, b = replies
         got = []
         b.wait("DONE", 7, 50.0, lambda msg: got.append((env.now, msg)) or True)
         at(env, 60.0, lambda: a.send("b", "DONE", {"rid": 7}))
         env.run()
         assert got == [(50.0, None)]
-        assert b.pending == 1 and not b.inbox._consumers
+        assert network.stats.expired == 1 and not b._waits
 
     def test_a_tally_keeps_the_wait_standing_until_satisfied(
         self, env, replies
     ):
-        _network, a, b = replies
+        network, a, b = replies
         got = []
 
         def tally(msg):
             got.append((env.now, msg and msg.payload["n"]))
             return msg is None or len(got) == 3
 
-        a.send("b", "DONE", {"rid": 7, "n": 0})
-        env.run()                            # one reply already here
         b.wait("DONE", 7, 50.0, tally)
+        a.send("b", "DONE", {"rid": 7, "n": 0})
         at(env, 10.0, lambda: a.send("b", "DONE", {"rid": 7, "n": 1}))
         at(env, 20.0, lambda: a.send("b", "DONE", {"rid": 7, "n": 2}))
         at(env, 30.0, lambda: a.send("b", "DONE", {"rid": 7, "n": 3}))
         env.run()
         assert got == [(2.0, 0), (12.0, 1), (22.0, 2)]
-        assert b.pending == 1                # the fourth: nobody's
+        assert network.stats.expired == 1    # the fourth: nobody's
 
     def test_an_unsatisfied_tally_ends_at_the_deadline(self, env, replies):
         _network, a, b = replies
@@ -223,7 +223,7 @@ class TestWait:
         a.send("b", "DONE", {"rid": 7, "n": 1})
         env.run()
         assert got == [(2.0, 1), (50.0, None)]
-        assert not b.inbox._consumers
+        assert not b._waits
 
     def test_done_may_start_the_next_wait_on_the_same_conversation(
         self, env, replies

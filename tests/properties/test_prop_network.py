@@ -3,7 +3,9 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net.latency import EmpiricalLatency, UniformLatency
+from repro.net.latency import (
+    ConstantLatency, EmpiricalLatency, UniformLatency,
+)
 from repro.net.message import HEADER_BYTES, Message, estimate_size
 from repro.net.network import Network
 from repro.net.topology import Topology
@@ -16,7 +18,7 @@ def build(seed: int, fifo: bool, latency=None, hosts=("a", "b")):
     topo = Topology.full_mesh(list(hosts))
     network = Network(
         env, topo, latency=latency or UniformLatency(1.0, 20.0),
-        streams=RandomStreams(seed), fifo_links=fifo, inbox_ttl=20_000.0,
+        streams=RandomStreams(seed), fifo_links=fifo,
     )
     endpoints = {h: network.register(h) for h in hosts}
     return env, network, endpoints
@@ -100,6 +102,37 @@ def test_fifo_horizon_ties_keep_send_order(count, seed):
 
 
 @given(
+    items=st.lists(
+        st.integers(min_value=0, max_value=5), min_size=1, max_size=50,
+    ),
+    spaced=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_serve_preserves_fifo(items, spaced):
+    """One serve over three kinds takes its messages in arrival order
+    across the kinds, whether a message found the server idle or queued
+    behind a service (``item % 3`` ms, so some take none)."""
+    env, _network, eps = build(0, fifo=False, latency=ConstantLatency(1.0))
+    kinds = ("K0", "K1", "K2")
+    handled = []
+    eps["b"].serve(
+        kinds,
+        lambda msg: float(msg.payload[1] % 3),
+        lambda msg: handled.append(msg.payload),
+    )
+    for index, item in enumerate(items):
+        payload = (index, item)
+        env.call_in(
+            index if spaced else 0.0,
+            lambda p: eps["a"].send("b", kinds[p[1] % 3], p),
+            payload,
+        )
+    env.run()
+    assert handled == list(enumerate(items))
+    assert eps["b"].pending == 0
+
+
+@given(
     count=st.integers(min_value=0, max_value=30),
     self_sends=st.integers(min_value=0, max_value=5),
     seed=st.integers(min_value=0, max_value=1000),
@@ -107,7 +140,7 @@ def test_fifo_horizon_ties_keep_send_order(count, seed):
 )
 @settings(max_examples=60, deadline=None)
 def test_every_message_is_one_scheduled_event(count, self_sends, seed, fifo):
-    env, _network, eps = build(seed, fifo)
+    env, network, eps = build(seed, fifo)
     for index in range(count):
         eps["a"].send("b", "SEQ", index)
     for index in range(self_sends):
@@ -117,7 +150,8 @@ def test_every_message_is_one_scheduled_event(count, self_sends, seed, fifo):
         env.step()
         steps += 1
     assert steps == count + self_sends
-    assert eps["b"].pending == count + self_sends
+    # nobody serves SEQ: each arrival is dropped and counted
+    assert network.stats.expired == count + self_sends
 
 
 _payloads = st.recursive(

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.core import Environment
-from repro.sim.stores import RoutedStore
 
 
 @given(
@@ -49,31 +48,6 @@ def test_equal_time_events_fifo_by_creation(entries):
     env.run()
     assert fired == sorted(fired)
     assert len(fired) == len(entries)
-
-
-@given(
-    items=st.lists(st.integers(), min_size=1, max_size=50),
-    consumer_first=st.booleans(),
-)
-@settings(max_examples=60, deadline=None)
-def test_store_preserves_fifo(items, consumer_first):
-    """Each route of a RoutedStore is FIFO, whether its consumer stood
-    on it before the items came or popped them after, and ``items``
-    lists arrival order across the routes."""
-    store = RoutedStore(lambda item: item % 3)
-    out = {0: [], 1: [], 2: []}
-    if consumer_first:
-        for route in out:
-            store.consume(route, lambda item, r=route: out[r].append(item) or True)
-    for item in items:
-        store.put(item)
-    if not consumer_first:
-        assert store.items == items
-        for route in out:
-            while (item := store.pop(route)) is not None:
-                out[route].append(item)
-    assert out == {r: [i for i in items if i % 3 == r] for r in out}
-    assert len(store) == 0
 
 
 @given(

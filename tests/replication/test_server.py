@@ -35,24 +35,26 @@ def dep():
     return Deployment(n_replicas=3, seed=0)
 
 
+class Watch:
+    """A host that runs no server: it logs the ACK/NACKs it receives."""
+
+    def __init__(self, endpoint):
+        self.send = endpoint.send
+        self.replies = []
+        endpoint.serve(("ACK", "NACK"), None, self.replies.append)
+
+
 @pytest.fixture
 def watched():
     """Replica server ``s1`` and, beside it, a host that runs none: a
     server pushes the ACK/NACKs its host receives at its interpreter,
     so a test that wants to read them has them sent to ``watch``."""
     env = Environment()
-    network = Network(
-        env, Topology.full_mesh(["s1", "watch"]), inbox_ttl=60_000.0
-    )
+    network = Network(env, Topology.full_mesh(["s1", "watch"]))
     server = ReplicaServer(
         env, "s1", network.register("s1"), network, peers=["s1"]
     )
-    return env, server, network.register("watch")
-
-
-def replies_at(endpoint):
-    """The ACK/NACKs queued at ``endpoint``, in arrival order."""
-    return [m for m in endpoint.inbox.items if m.kind in ("ACK", "NACK")]
+    return env, server, Watch(network.register("watch"))
 
 
 class TestLocalInterface:
@@ -136,7 +138,7 @@ class TestGrantMachinery:
         server.store.apply("x", "old", 4, 0.0)
         watch.send("s1", "UPDATE", payload(1, reply_to="watch"))
         env.run(until=100)
-        (ack,) = replies_at(watch)
+        (ack,) = watch.replies
         assert ack.kind == "ACK" and ack.payload["versions"] == {"x": 4}
         assert server._grant_holder == aid(1)
 
@@ -145,7 +147,7 @@ class TestGrantMachinery:
         watch.send("s1", "UPDATE", payload(1, reply_to="watch"))
         watch.send("s1", "UPDATE", payload(2, reply_to="watch"))
         env.run(until=100)
-        assert sorted(m.kind for m in replies_at(watch)) == ["ACK", "NACK"]
+        assert sorted(m.kind for m in watch.replies) == ["ACK", "NACK"]
         assert (server.machine.acks_sent, server.machine.nacks_sent) == (1, 1)
 
     def test_same_agent_reack(self, watched):
@@ -153,7 +155,7 @@ class TestGrantMachinery:
         watch.send("s1", "UPDATE", payload(1, reply_to="watch", epoch=1))
         watch.send("s1", "UPDATE", payload(1, reply_to="watch", epoch=2))
         env.run(until=100)
-        assert [m.kind for m in replies_at(watch)] == ["ACK", "ACK"]
+        assert [m.kind for m in watch.replies] == ["ACK", "ACK"]
 
     def test_release_frees_grant(self, dep):
         server = dep.server("s1")
@@ -200,13 +202,13 @@ class TestGrantMachinery:
         server.config.grant_ttl = 10.0
         watch.send("s1", "UPDATE", payload(1, reply_to="watch"))
         env.run(until=10)
-        assert [m.kind for m in replies_at(watch)] == ["ACK"]
+        assert [m.kind for m in watch.replies] == ["ACK"]
         # 50 ms later the TTL has lapsed: the second agent is granted
         env.call_in(50, lambda _arg: watch.send(
             "s1", "UPDATE", payload(2, reply_to="watch")
         ))
         env.run(until=200)
-        assert [m.kind for m in replies_at(watch)] == ["ACK", "ACK"]
+        assert [m.kind for m in watch.replies] == ["ACK", "ACK"]
         assert server._grant_holder == aid(2)
 
 
