@@ -1,6 +1,6 @@
 """CI scale-smoke: the million-request data plane at 100k requests.
 
-Three checks under explicit budgets, each in its own subprocess so
+Five checks under explicit budgets, the runs each in its own subprocess so
 ``ru_maxrss`` measures that run alone:
 
 1. **Bulk streaming run** — a 100k-request Zipf scenario (the canonical
@@ -21,6 +21,11 @@ Three checks under explicit budgets, each in its own subprocess so
    agent tours all 150 replicas, exchanging O(Δ) view deltas) must
    finish consistent, fully committed, and within its own wall/RSS
    budgets.
+5. **Full-record MARP memory** — a fixed-seed full-record MARP run
+   (N=5, 16 Zipf-0.9 keys, 60 ms gaps, 2,400 writes) must finish
+   consistent, fully committed, under a peak-RSS budget: memory is
+   what the run records plus the agents in flight, never every Locking
+   Table ever built.
 
 Runs standalone (``python benchmarks/bench_scale_smoke.py [OUT.json]``)
 and under pytest. Budgets are generous vs the measured values (on the
@@ -65,6 +70,14 @@ DELTA_RSS_BUDGET_MB = 500.0
 DELTA_REPLICAS = 150
 DELTA_REQUESTS = 1  # per client; one client per replica
 
+#: writes per client (x5 replicas) of the full-record MARP run, in
+#: marp_contended_n5's regime: 16 Zipf-0.9 keys, 60 ms gaps, seed 3.
+MARP_FULL_REQUESTS = 480
+#: peak-RSS budget (MB) for that run. A run holds its records, its
+#: replica histories and the agents in flight; while it also kept every
+#: finished agent's Locking Table this run peaked at ~609 MB.
+MARP_FULL_RSS_BUDGET_MB = 160.0
+
 _CHILD = """\
 import json
 import resource
@@ -78,10 +91,12 @@ requests = int(sys.argv[2])
 protocol = sys.argv[3]
 n_replicas = int(sys.argv[4])
 gap = float(sys.argv[5])
+n_keys = int(sys.argv[6])
+key_skew = float(sys.argv[7])
 config = scale_config(
     protocol,
-    ScaleVariant(label="smoke", n_replicas=n_replicas, n_keys=256,
-                 key_skew=0.99),
+    ScaleVariant(label="smoke", n_replicas=n_replicas, n_keys=n_keys,
+                 key_skew=key_skew),
     gap,
     requests,
     seed=3,
@@ -100,12 +115,14 @@ print(json.dumps({
 
 def _child_run(streaming: bool, requests: int,
                protocol: str = SMOKE_PROTOCOL, n_replicas: int = 5,
-               gap: float = 100.0):
+               gap: float = 100.0, n_keys: int = 256,
+               key_skew: float = 0.99):
     """One isolated run; returns (doc, wall_seconds)."""
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-c", _CHILD, "1" if streaming else "0",
-         str(requests), protocol, str(n_replicas), str(gap)],
+         str(requests), protocol, str(n_replicas), str(gap), str(n_keys),
+         str(key_skew)],
         capture_output=True, text=True,
     )
     wall = time.perf_counter() - start
@@ -188,12 +205,27 @@ def test_delta_view_tour_at_150_replicas():
     )
 
 
+def test_full_record_marp_memory_within_budget():
+    doc, wall = _child_run(
+        False, MARP_FULL_REQUESTS, protocol="marp", gap=60.0, n_keys=16,
+        key_skew=0.9,
+    )
+    print(f"full-record MARP {MARP_FULL_REQUESTS * 5}: wall {wall:.1f}s "
+          f"rss {doc['rss_mb']:.1f}MB p99 {doc['att_p99']:.1f}ms")
+    assert doc["committed"] == MARP_FULL_REQUESTS * 5
+    assert doc["consistent"]
+    assert doc["rss_mb"] < MARP_FULL_RSS_BUDGET_MB, (
+        f"peak RSS {doc['rss_mb']:.1f}MB over {MARP_FULL_RSS_BUDGET_MB}MB"
+    )
+
+
 def main() -> int:
     out_path = sys.argv[1] if len(sys.argv) > 1 else "output/scale_smoke.json"
     test_bulk_streaming_run_within_budgets()
     test_streaming_memory_at_least_5x_below_full_record()
     test_saturation_artifact(out_path)
     test_delta_view_tour_at_150_replicas()
+    test_full_record_marp_memory_within_budget()
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     print(f"scale smoke OK (driver RSS {rss:.1f}MB)")
     return 0

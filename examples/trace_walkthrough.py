@@ -8,7 +8,8 @@ and the COMMIT fan-out — the textual equivalent of the visualisation
 interface the paper's prototype provided.
 
 Also demonstrates the lock-pipelining extension (paper §3.3): predicting
-the full grant order from one agent's Locking Table.
+the full grant order from one agent's Locking Table, read while that
+agent is parked.
 
 Run:  python examples/trace_walkthrough.py
 """
@@ -26,6 +27,15 @@ def main() -> None:
     # for the distributed lock.
     first = marp.submit_write("s1", "x", "from-s1")
     second = marp.submit_write("s2", "x", "from-s2")
+    agents = list(marp.agents)  # held: a finished agent leaves marp.agents
+
+    # The pipelining extension: any agent's Locking Table predicts the
+    # grant order. Ask the agent that has to wait, when it parks: it is
+    # still in flight, and its table has seen every server by then.
+    while not any(agent.core.park_count for agent in agents):
+        deployment.env.step()
+    waiting = next(agent for agent in agents if agent.core.park_count)
+    predicted = rank_queue(waiting.table, deployment.n_replicas, limit=3)
     deployment.run(until=100_000)
 
     print(trace.render_log(limit=None))
@@ -45,15 +55,8 @@ def main() -> None:
         f"{deployment.server('s3').store.read('x').value!r} (v2)"
     )
 
-    # The pipelining extension: any agent's Locking Table predicts the
-    # grant order. Reconstruct the losing agent's mid-run prediction by
-    # replaying a fresh table over the servers' current state.
-    loser_agent = next(a for a in marp.agents if str(a.agent_id) ==
-                       order[1].agent_id)
-    predicted = rank_queue(loser_agent.table, deployment.n_replicas,
-                           limit=3)
-    print("grant-order prediction from the second agent's table:",
-          [str(agent_id) for agent_id in predicted] or "(all served)")
+    print(f"grant-order prediction from {waiting.agent_id}'s table "
+          f"when it parked:", [str(agent_id) for agent_id in predicted])
 
 
 if __name__ == "__main__":

@@ -114,7 +114,6 @@ class AgentCoreState:
     acked_votes: int = 0
     nack_votes: int = 0
     nack_hosts: Set[str] = field(default_factory=set)
-    quorum_hosts: Tuple[str, ...] = ()
     #: remaining (key, source_host) RMW base-value fetches, in key order
     fetch_plan: List[Tuple[str, str]] = field(default_factory=list)
     fetch_key: Optional[str] = None
@@ -290,13 +289,9 @@ class AgentMachine:
                 parks=s.park_count,
             )
         ]
-        return effects + self.start_claim(
-            now, quorum_hosts=decision.quorum_hosts
-        )
+        return effects + self.start_claim(now)
 
-    def start_claim(
-        self, now: float, quorum_hosts: Tuple[str, ...] = ()
-    ) -> List[Effect]:
+    def start_claim(self, now: float) -> List[Effect]:
         """Open a claim round: broadcast UPDATE, await a grant majority.
 
         Public so the live backend can drive a claim directly; the epoch
@@ -311,7 +306,6 @@ class AgentMachine:
         s.acked_votes = 0
         s.nack_votes = 0
         s.nack_hosts = set()
-        s.quorum_hosts = tuple(quorum_hosts)
         s.fetch_plan = []
         s.fetch_key = None
         s.base_values = {}
@@ -462,7 +456,7 @@ class AgentMachine:
         for req in s.requests:
             request_id, key, value = req[0], req[1], req[2]
             if key not in next_version:
-                ceiling = s.table.version_ceiling(key, s.quorum_hosts)
+                ceiling = s.table.version_ceiling(key)
                 for versions in s.acked_versions.values():
                     ceiling = max(ceiling, versions.get(key, 0))
                 next_version[key] = ceiling + 1

@@ -55,13 +55,17 @@ class LockingTable:
     def __init__(self) -> None:
         self.views: Dict[str, SharedView] = {}
         self.ual = UpdatedList()
-        # Monotone max committed version per key, folded from *every*
-        # ingested view (even stale ones). Knowledge of a finished agent
-        # always arrives inside a SharedView whose version vector already
-        # reflects that agent's commit at the snapshotting server, so this
-        # map dominates every commit the UAL knows about — the property
-        # that makes version assignment ([D3]) collision-free.
-        self.max_versions: Dict[str, int] = {}
+        # The committed-version cells of every ingested view (even stale
+        # ones) that no stored view covers: an unstamped view, a stamped
+        # view merged but not adopted, and a stored view replaced by one
+        # that does not succeed it. A stored view covers its own vector,
+        # and a successor covers its predecessor's, because one server's
+        # vector only grows with its journal ``seq``; so the floor plus
+        # the stored vectors is :attr:`max_versions` without folding
+        # every relayed view cell by cell.
+        self._ver_floor: Dict[str, int] = {}
+        #: the keys of :attr:`max_versions`, for :meth:`wire_size`
+        self._ver_keys: Set[str] = set()
         #: highest server sequence fully merged, per host. Advanced only
         #: when this table holds the complete state at that sequence
         #: (an adopted full view, or an applied delta).
@@ -120,7 +124,7 @@ class LockingTable:
         return {
             "views": self.views,
             "ual": self.ual,
-            "max_versions": self.max_versions,
+            "ver_floor": self._ver_floor,
             "acked": self.acked,
             "ver_dev": self._ver_dev,
         }
@@ -128,9 +132,10 @@ class LockingTable:
     def __setstate__(self, state) -> None:
         self.views = state["views"]
         self.ual = state["ual"]
-        self.max_versions = state["max_versions"]
+        self._ver_floor = state["ver_floor"]
         self.acked = state["acked"]
         self._ver_dev = state["ver_dev"]
+        self._ver_keys = set(self.max_versions)
         self._init_packed()
         self._n_ids = len(self.ual)
         self._id_bytes = ids_wire_size(self.ual)
@@ -198,6 +203,14 @@ class LockingTable:
         self._host_chars += sign * len(host)
         self._queue_slots += sign * len(self._packed[host])
         self._ver_cells += sign * self._cells(host)
+
+    def _fold(self, versions: Dict[str, int]) -> None:
+        """Fold a vector no stored view will cover into the floor."""
+        floor = self._ver_floor
+        for key, version in versions.items():
+            if version > floor.get(key, 0):
+                floor[key] = version
+                self._ver_keys.add(key)
 
     def _settle(self) -> None:
         """Rescan the dirty hosts and move their tally entries.
@@ -283,9 +296,11 @@ class LockingTable:
         Returns True if the view replaced the stored one.
 
         This is the flattened LL/UL->LT merge: one pass marks newly
-        finished agents in both the UAL and the flag slab, one pass folds
-        the version vector, and an adopted view is interned into its
-        packed form immediately — nothing is re-materialised later.
+        finished agents in both the UAL and the flag slab, and an
+        adopted view is interned into its packed form immediately —
+        nothing is re-materialised later. A stamped view that succeeds
+        the stored one folds no version cells: it covers its own vector
+        (see ``_ver_floor``).
 
         A view stamped with a server sequence number at or below this
         table's acknowledged sequence for that host is discarded in
@@ -313,16 +328,28 @@ class LockingTable:
         new_ids = self.ual.absorb(view.updated)
         if new_ids:
             self._finish(new_ids)
-        if view.versions:
-            max_versions = self.max_versions
-            for key, version in view.versions.items():
-                if version > max_versions.get(key, 0):
-                    max_versions[key] = version
         host = view.host
         stored = self.views.get(host)
-        if view.is_newer_than(stored):
+        adopt = view.is_newer_than(stored)
+        versions = view.versions
+        if versions and (seq < 0 or not adopt):
+            # Nothing certifies that what replaces (or outlives) this
+            # view covers its vector.
+            self._fold(versions)
+        if adopt:
             if stored is not None:
                 self._charge(host, -1)
+                if stored.seq > seq and stored.versions:
+                    # A stamped view replaced by one that does not
+                    # succeed it.
+                    self._fold(stored.versions)
+            if seq >= 0 and versions and (
+                stored is None or stored.seq < 0
+                or len(versions) > len(stored.versions or ())
+            ):
+                # A successor's keys are its predecessor's unless its
+                # vector grew.
+                self._ver_keys.update(versions)
             self.views[host] = view
             self._packed[host] = self._pack(view.view)
             self._scan_from.pop(host, None)
@@ -342,7 +369,7 @@ class LockingTable:
         """Patch one host's state in place from a server delta.
 
         O(changed entries): only newly finished ids touch the UAL flag
-        slab, only changed cells fold into the version ceiling, and the
+        slab, only changed cells are copied into the vector, and the
         packed slot list is edited rather than re-packed. The stored
         :class:`SharedView` is rebuilt to exactly what the server's full
         snapshot at ``delta.seq`` would have been (queue reconstruction
@@ -375,12 +402,13 @@ class LockingTable:
                 changed = True
         new_versions = stored.versions
         if delta.versions:
-            max_versions = self.max_versions
-            for key, version in delta.versions.items():
-                if version > max_versions.get(key, 0):
-                    max_versions[key] = version
+            # The cells only grow, so the rebuilt vector covers the
+            # stored one.
             new_versions = dict(new_versions or ())
+            known = len(new_versions)
             new_versions.update(delta.versions)
+            if len(new_versions) > known:
+                self._ver_keys.update(delta.versions)
             self._ver_dev[host] = len(delta.versions)
         # Rebuild this host's queue at delta.seq. The packed list
         # mirrors the stored one position for position, so an id to
@@ -516,17 +544,35 @@ class LockingTable:
             {value(slot): len(hosts) for slot, hosts in topped.items()}
         )
 
-    def version_ceiling(self, key: str, hosts=()) -> int:
-        """Highest version of ``key`` this agent knows committed ([D3]).
+    @property
+    def max_versions(self) -> Dict[str, int]:
+        """Highest committed version per key over every view ingested,
+        even stale ones (built on each read).
 
-        Dominated by :attr:`max_versions`; the per-host views of ``hosts``
-        are folded in for completeness but can never exceed it.
+        Knowledge of a finished agent always arrives inside a view whose
+        version vector already reflects that agent's commit at the
+        snapshotting server, so this map dominates every commit the UAL
+        knows about — the property that makes version assignment ([D3])
+        collision-free.
         """
-        best = self.max_versions.get(key, 0)
-        for host in hosts:
-            view = self.views.get(host)
-            if view is not None:
-                best = max(best, view.version_of(key))
+        best = dict(self._ver_floor)
+        for view in self.views.values():
+            if view.versions:
+                for key, version in view.versions.items():
+                    if version > best.get(key, 0):
+                        best[key] = version
+        return best
+
+    def version_ceiling(self, key: str) -> int:
+        """Highest version of ``key`` this agent knows committed ([D3]):
+        ``max_versions[key]``, from the floor and the stored views."""
+        best = self._ver_floor.get(key, 0)
+        for view in self.views.values():
+            versions = view.versions
+            if versions:
+                version = versions.get(key, 0)
+                if version > best:
+                    best = version
         return best
 
     def wire_size(self) -> int:
@@ -546,7 +592,7 @@ class LockingTable:
         return (
             16 + bitset  # container + global UAL bitset
             + self._id_bytes
-            + 16 * len(self.max_versions)
+            + 16 * len(self._ver_keys)
             # per view: host + as_of + seq, queue slots, the view's
             # updated-set bitset, version cells
             + (16 + 8 + 8 + bitset) * hosts + self._host_chars

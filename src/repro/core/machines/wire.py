@@ -50,11 +50,6 @@ class SharedView:
     versions: Optional[Dict[str, int]] = None
     seq: int = -1
 
-    def version_of(self, key: str) -> int:
-        if not self.versions:
-            return 0
-        return self.versions.get(key, 0)
-
     def is_newer_than(self, other: Optional["SharedView"]) -> bool:
         return other is None or self.as_of > other.as_of
 

@@ -70,10 +70,10 @@ class MARP(ReplicationProtocol):
             sum(votes.values()) if votes else deployment.n_replicas
         )
         self.vote_majority = self.total_votes // 2 + 1
-        #: every launched agent; in streaming mode only the live ones
-        #: (see :meth:`retire_agent`)
+        #: the agents in flight; a finished one leaves (see
+        #: :meth:`retire_agent`)
         self.agents: List[UpdateAgent] = []
-        #: hops of the agents a streaming run has let go of
+        #: hops of the agents that have finished
         self._retired_hops = 0
         self._batcher: Optional[BatchDispatcher] = None
         if self.config.batch_size > 1:
@@ -126,21 +126,18 @@ class MARP(ReplicationProtocol):
         return agent
 
     def retire_agent(self, agent: UpdateAgent) -> None:
-        """A finished agent reports in, right after its records close.
+        """A finished agent reports in, right after its records close,
+        and leaves the run ("broadcasts COMMIT, disposes").
 
-        A streaming run drops it here, the way its records leave
-        :attr:`records` — an agent holds its Locking Table and a view
-        per visited host, so keeping every one is O(requests) memory.
-        Full-record runs keep it for inspection.
+        Only its hop count is kept. An agent holds its Locking Table and
+        a view per known host, so keeping every one would make a run's
+        memory grow with its length; to inspect a finished agent, hold a
+        reference to it before it finishes, or read the trace.
         """
-        if self._stream_sink is not None:
-            self._retired_hops += agent.hops
-            self.agents.remove(agent)
+        self._retired_hops += agent.hops
+        self.agents.remove(agent)
 
     # -- introspection -------------------------------------------------------------
-
-    def live_agents(self) -> List[UpdateAgent]:
-        return [agent for agent in self.agents if not agent.disposed]
 
     def total_agent_hops(self) -> int:
         """Migrations completed by every agent ever launched."""

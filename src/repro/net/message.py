@@ -28,10 +28,9 @@ def estimate_size(payload: Any) -> int:
     this to account for their carried state.
 
     Exact builtin types are dispatched up front (they can never carry a
-    ``wire_size`` method, so this is pure reordering): the recursion
-    spends most of its time on the ints, strings and containers inside
-    ``SharedView`` payloads, and the old leading ``getattr`` probe cost
-    one failed attribute lookup per scalar.
+    ``wire_size`` method, so this is pure reordering), and a container's
+    int, float, str and None members are sized in its own loop
+    (:func:`_members`): only a member of another type costs a call.
     """
     if payload is None:
         return 0
@@ -39,15 +38,13 @@ def estimate_size(payload: Any) -> int:
     if cls is int or cls is float:
         return 8
     if cls is str:
-        return len(payload.encode("utf-8"))
+        return len(payload) if payload.isascii() else len(payload.encode("utf-8"))
     if cls is bool:
         return 1
     if cls is dict:
-        return 16 + sum(
-            estimate_size(k) + estimate_size(v) for k, v in payload.items()
-        )
+        return _members(payload.values(), _members(payload, 16))
     if cls is list or cls is tuple or cls is set or cls is frozenset:
-        return 16 + sum(estimate_size(item) for item in payload)
+        return _members(payload, 16)
     if cls is bytes:
         return len(payload)
     wire_size = getattr(payload, "wire_size", None)
@@ -62,11 +59,9 @@ def estimate_size(payload: Any) -> int:
     if isinstance(payload, bytes):
         return len(payload)
     if isinstance(payload, dict):
-        return 16 + sum(
-            estimate_size(k) + estimate_size(v) for k, v in payload.items()
-        )
+        return _members(payload.values(), _members(payload, 16))
     if isinstance(payload, (list, tuple, set, frozenset)):
-        return 16 + sum(estimate_size(item) for item in payload)
+        return _members(payload, 16)
     # Dataclass-like objects: account their public attribute dict.
     attrs = getattr(payload, "__dict__", None)
     if attrs is not None:
@@ -81,6 +76,20 @@ def estimate_size(payload: Any) -> int:
             if not name.startswith("_")
         )
     return 32  # opaque object fallback
+
+
+def _members(items, total: int) -> int:
+    """``total`` plus the sizes of ``items``; the common member types
+    inline, the rest through :func:`estimate_size`."""
+    for item in items:
+        cls = item.__class__
+        if cls is str:
+            total += len(item) if item.isascii() else len(item.encode("utf-8"))
+        elif cls is int or cls is float:
+            total += 8
+        elif item is not None:
+            total += estimate_size(item)
+    return total
 
 
 class Message:

@@ -251,7 +251,8 @@ class TestProtocolSweep:
 
 
 class TestStreamingRetiresAgents:
-    """A streaming MARP run lets go of each agent as it finishes."""
+    """A MARP run lets go of each agent as it finishes, whether it
+    streams its records or keeps them."""
 
     WRITES = 30
 
@@ -274,14 +275,16 @@ class TestStreamingRetiresAgents:
             full_deployment.run(until=until)
             deployment.run(until=until)
             marp.finalize_streaming()
-            assert len(full.agents) == self.WRITES  # kept for inspection
             assert len(marp.agents) == marp.open_requests()
-            assert marp.agents == marp.live_agents()
+            assert not any(agent.disposed for agent in marp.agents)
+            assert [a.agent_id for a in full.agents] == [
+                a.agent_id for a in marp.agents
+            ]
             assert marp.total_agent_hops() == full.total_agent_hops()
             if until == 60.0:
                 assert 0 < len(marp.agents) < self.WRITES
-        assert marp.agents == [] and marp.swept == self.WRITES
-        assert all(agent.disposed for agent in full.agents)
+        assert marp.agents == full.agents == [] and marp.swept == self.WRITES
+        assert len(full.records) == self.WRITES
 
 
 class TestHistoryLogStreaming:

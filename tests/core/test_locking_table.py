@@ -101,9 +101,11 @@ class TestVersionsAndSharing:
         assert table.version_ceiling("missing") == 0
 
     def test_version_ceiling_includes_quorum_hosts(self):
+        # every stored view counts, the quorum's among them
         table = LockingTable()
         table.update(view("s1", 1.0, versions={"x": 3}))
-        assert table.version_ceiling("x", hosts=["s1"]) == 3
+        table.update(view("s2", 1.0, versions={"x": 1}))
+        assert table.version_ceiling("x") == 3
 
     def test_posted_table_skips_the_servers_own_entry(self):
         # An agent posts its table's own dict (PostBulletin carries no

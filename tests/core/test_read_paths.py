@@ -78,8 +78,9 @@ class TestAgentStateAndIdentity:
         dep = Deployment(n_replicas=3, seed=74)
         marp = MARP(dep)
         marp.submit_write("s2", "x", 1)
+        agent = marp.agents[0]  # held: a finished agent leaves the run
         dep.run(until=100_000)
-        agent = marp.agents[0]
+        assert marp.agents == [] and agent.disposed
         hosts_visited = [h for _t, h in agent.travel_log]
         assert hosts_visited[0] == "s2"  # home first
         assert len(hosts_visited) == agent.hops + 1

@@ -56,7 +56,7 @@ class TestSingleUpdate:
         marp = MARP(deployment5)
         marp.submit_write("s1", "x", 1)
         deployment5.run(until=100_000)
-        assert marp.live_agents() == []
+        assert marp.agents == []
         assert marp.total_agent_hops() >= 2
 
     def test_empty_batch_rejected(self, deployment5):
@@ -66,6 +66,49 @@ class TestSingleUpdate:
         marp = MARP(deployment5)
         with pytest.raises(ValueError):
             UpdateAgent(AgentId("s1", 0.0, 0), marp, [])
+
+
+class TestFinishedAgentsLeave:
+    def test_a_drained_full_record_run_holds_no_agent_or_table(self):
+        """An agent leaves the run when it finishes, in every accounting
+        mode: marp_contended_n5's regime (N=5, 16 Zipf-0.9 keys, 60 ms
+        gaps), full records, 40 writes a client. Keeping them held one
+        ``UpdateAgent`` and one ``LockingTable`` per write."""
+        import gc
+
+        from repro.core.machines.table import LockingTable
+        from repro.core.update_agent import UpdateAgent
+        from repro.replication.client import attach_clients
+        from repro.workload.arrivals import ExponentialArrivals
+        from repro.workload.mix import OperationMix
+
+        def census():
+            objects = gc.get_objects()
+            return (
+                sum(isinstance(o, UpdateAgent) for o in objects),
+                sum(isinstance(o, LockingTable) for o in objects),
+            )
+
+        gc.collect()
+        before = census()
+        deployment = Deployment(n_replicas=5, seed=7)
+        marp = MARP(deployment)
+        attach_clients(
+            marp,
+            ExponentialArrivals(60.0),
+            OperationMix(
+                write_fraction=1.0, keys=[f"k{i}" for i in range(16)],
+                key_skew=0.9,
+            ),
+            max_requests_per_client=40,
+        )
+        deployment.run(until=2_000_000)
+        assert len(marp.completed_writes()) == len(marp.records) == 200
+        assert marp.agents == []
+        assert census() == before
+        # the hops of every agent are still counted (pinned: the value
+        # when every agent was kept)
+        assert marp.total_agent_hops() == 650
 
 
 class TestContention:
@@ -157,9 +200,10 @@ class TestBatching:
         config = MARPConfig(batch_size=3)
         marp = MARP(deployment5, config=config)
         records = [marp.submit_write("s1", "x", i) for i in range(3)]
+        assert len(marp.agents) == 1
         deployment5.run(until=100_000)
         assert all(r.status == "committed" for r in records)
-        assert len(marp.agents) == 1
+        assert marp.agents == []
         assert len({r.agent_id for r in records}) == 1
 
     def test_partial_batch_flushed_by_timer(self, deployment5):
@@ -192,12 +236,14 @@ class TestPrivateStream:
         marp = MARP(deployment5)
         for n, home in enumerate(deployment5.hosts):
             marp.submit_write(home, f"k{n}", n)
+        agents = list(marp.agents)
         deployment5.run(until=100_000)
         assert [r.status for r in marp.records] == ["committed"] * 5
         assert all(r.extra["failed_claims"] == 0 for r in marp.records)
+        assert len(agents) == 5
         assert not any(
             f"agent.{agent.agent_id}" in deployment5.streams
-            for agent in marp.agents
+            for agent in agents
         )
 
     def test_first_back_off_is_the_first_draw_of_the_named_stream(

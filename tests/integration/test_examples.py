@@ -42,6 +42,12 @@ class TestExamples:
         out = run_example("trace_walkthrough.py")
         assert "protocol trace" in out
         assert "[commit]" in out
+        # read from the parked agent's table while it was in flight:
+        # both agents, winner first
+        assert (
+            "grant-order prediction from s2@0#0's table when it parked: "
+            "['s1@0#0', 's2@0#0']"
+        ) in out
 
     def test_live_runtime(self):
         out = run_example("live_runtime.py")

@@ -62,6 +62,15 @@ def _contended_run(writes_per_client):
         max_requests_per_client=writes_per_client,
     )
     calls = {"all": 0, "mailbox": 0, "delivered": 0}
+    # a finished agent leaves the run: size its table as it retires
+    table_slots = []
+    retire = marp.retire_agent
+
+    def retire_and_measure(agent):
+        table_slots.append(len(agent.table._ids))
+        retire(agent)
+
+    marp.retire_agent = retire_and_measure
 
     def count(frame, event, _arg):
         if event == "call":
@@ -80,10 +89,11 @@ def _contended_run(writes_per_client):
         sys.setprofile(previous)
     commits = len(marp.completed_writes())
     assert commits == 5 * writes_per_client
+    assert len(table_slots) == commits and marp.agents == []
     return {
         "calls_per_commit": calls["all"] / commits,
         "mailbox_calls_per_message": calls["mailbox"] / calls["delivered"],
-        "table_slots": max(len(agent.table._ids) for agent in marp.agents),
+        "table_slots": max(table_slots),
     }
 
 

@@ -85,10 +85,7 @@ def assert_tables_agree(full: LockingTable, delta: LockingTable) -> None:
     assert delta.tops() == full.tops()
     assert delta.top_counts() == full.top_counts()
     for key in KEYS:
-        assert (
-            delta.version_ceiling(key, delta.known_hosts)
-            == full.version_ceiling(key, full.known_hosts)
-        )
+        assert delta.version_ceiling(key) == full.version_ceiling(key)
 
 
 @given(ops=OPS, capacity=st.sampled_from([2, 8, 1024]))
