@@ -121,19 +121,18 @@ class HostRuntime(Substrate):
         self._agent_seq = 0
         self._rng = random.Random(stable_seed(host, seed))
         self._stopping = False
-        self._last_activity = float("-inf")
-        #: quiet ms after STOP before the final dump, so in-flight
-        #: COMMITs (still sitting in delivery timers) are not lost.
-        self.stop_grace = 150.0
 
     # ------------------------------------------------------------------
 
     def run(self) -> None:
-        """The host's main loop; exits after STOP once claims drain."""
-        self.transport.reseed(
+        """The host's main loop; exits after STOP once the cluster is
+        quiescent: no message in flight and no agent alive anywhere, so
+        every COMMIT still on its way has landed first."""
+        transport = self.transport
+        transport.reseed(
             stable_seed(self.host, self.seed, salt="transport") & 0xFFFFFFFF
         )
-        mailbox = self.transport.mailbox(self.host)
+        mailbox = transport.mailbox(self.host)
         timers = self._timers
         while True:
             # Block for a tick, or until the earliest timer is due.
@@ -146,13 +145,13 @@ class HostRuntime(Substrate):
                 msg = None
             now = now_ms()
             if msg is not None:
-                self._last_activity = now
                 self._dispatch(msg, now)
+                transport.work_done()
             self._check_timers(now)
             if (
                 self._stopping
                 and not self.interpreter.claims
-                and now - self._last_activity > self.stop_grace
+                and transport.quiescent()
             ):
                 self._emit_final()
                 return
@@ -174,6 +173,7 @@ class HostRuntime(Substrate):
 
     def _on_write(self, p: dict, now: float) -> None:
         self._agent_seq += 1
+        self.transport.work_began()  # the agent, until it is disposed
         self.interpreter.launch(self._resident(LiveAgentState(
             agent_id=AgentId(self.host, now, self._agent_seq),
             home=self.host,
@@ -260,6 +260,7 @@ class HostRuntime(Substrate):
                     "agent_id": str(state.agent_id),
                 }
             )
+        self.transport.work_done()
 
     # -- shutdown ----------------------------------------------------------
 

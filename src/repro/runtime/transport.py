@@ -1,19 +1,33 @@
 """Live transport: real queues with injected latency.
 
 Each host owns a mailbox (``queue.Queue`` for the thread backend,
-``multiprocessing.Queue`` for the process backend). A send schedules
-delivery after a uniformly random delay via a daemon timer thread in the
-*sending* runtime, so messages really do arrive asynchronously and out
-of order — the live equivalent of the DES network.
+``multiprocessing.Queue`` for the process backend). A send samples a
+uniformly random delay and hands the message to the *sending* process's
+delivery courier: one daemon thread draining one heap of
+``(due, seq, mailbox, msg)`` in due order, so messages really do arrive
+asynchronously and out of order (a later send with a shorter delay
+overtakes an earlier one) — the live equivalent of the DES network.
+Sub-tick delays are delivered synchronously.
+
+The courier starts on the first delayed send in a process. A thread
+does not survive ``fork``, so a forked process-backend host gets an
+empty courier of its own and starts its thread on its first send.
+
+The transport also keeps the cluster's outstanding-work count, which is
+how a stopping host knows nothing is left in flight (see
+:meth:`LiveTransport.quiescent`).
 """
 
 from __future__ import annotations
 
+import heapq
 import multiprocessing
+import os
 import queue
 import random
 import threading
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass
 from typing import Any, Dict, Tuple
 
 from repro.errors import NetworkError
@@ -30,7 +44,59 @@ class LiveMessage:
     dst: str
     payload: Any = None
     size_bytes: int = 0
-    meta: Dict[str, Any] = field(default_factory=dict)
+
+
+class _Courier:
+    """Delivers delayed messages of this process in due order."""
+
+    def __init__(self) -> None:
+        self._heap: list = []
+        self._seq = 0
+        self._ready = threading.Condition(threading.Lock())
+        self._thread = None
+
+    def post(self, delay_ms: float, mailbox, msg: LiveMessage) -> None:
+        due = time.monotonic() + delay_ms / 1000.0
+        with self._ready:
+            self._seq += 1
+            heapq.heappush(self._heap, (due, self._seq, mailbox, msg))
+            if self._thread is None:
+                self._thread = threading.Thread(
+                    target=self._run, name="live-courier", daemon=True
+                )
+                self._thread.start()
+            elif self._heap[0][1] == self._seq:
+                self._ready.notify()  # the new message is due first
+
+    def _run(self) -> None:
+        heap, ready = self._heap, self._ready
+        while True:
+            with ready:
+                now = time.monotonic()
+                while not heap or heap[0][0] > now:
+                    ready.wait(heap[0][0] - now if heap else None)
+                    now = time.monotonic()
+                due = []
+                while heap and heap[0][0] <= now:
+                    due.append(heapq.heappop(heap))
+            # Put outside the lock, so a send never waits on a mailbox.
+            for _, _, mailbox, msg in due:
+                mailbox.put(msg)
+
+
+#: This process's courier, shared by every transport in it: one thread
+#: for the life of the process, however many clusters come and go.
+_courier = _Courier()
+
+
+def _fresh_courier() -> None:
+    # The child of a fork has the parent's heap but not its thread, and
+    # perhaps a lock the thread held: start over, empty.
+    global _courier
+    _courier = _Courier()
+
+
+os.register_at_fork(after_in_child=_fresh_courier)
 
 
 class LiveTransport:
@@ -53,15 +119,21 @@ class LiveTransport:
         self.hosts = list(hosts)
         self.latency_range = (low, high)
         self.bandwidth = bandwidth_bytes_per_ms
+        ctx = multiprocessing.get_context("fork")
         if backend == "thread":
             self.mailboxes: Dict[str, Any] = {
                 h: queue.Queue() for h in self.hosts
             }
             self.results: Any = queue.Queue()
         else:
-            ctx = multiprocessing.get_context("fork")
             self.mailboxes = {h: ctx.Queue() for h in self.hosts}
             self.results = ctx.Queue()
+        # Outstanding work of the whole cluster: messages sent and not
+        # yet dispatched, plus agents launched and not yet disposed. One
+        # shared-memory cell, so forked hosts count into it too.
+        work = ctx.Value("q", 0)
+        self._work_lock = work.get_lock()
+        self._work = work.get_obj()
         # stdlib RNG: picklable-free per-runtime usage; each runtime gets
         # its own child seed in practice, here one shared lock suffices
         # for the thread backend and each forked process re-seeds.
@@ -109,6 +181,8 @@ class LiveTransport:
         """Schedule delivery; returns the sampled delay in ms.
 
         Returns ``-1.0`` when the link is blocked (message dropped).
+        A message not dropped counts as outstanding work until its host
+        has dispatched it (:meth:`work_done`).
         """
         if msg.dst not in self.mailboxes:
             raise NetworkError(f"unknown destination {msg.dst!r}")
@@ -116,16 +190,32 @@ class LiveTransport:
             return -1.0
         delay = self._delay_ms(msg.size_bytes)
         mailbox = self.mailboxes[msg.dst]
+        self.work_began()
         if delay < 0.05:  # sub-tick delays: deliver synchronously
             mailbox.put(msg)
         else:
-            timer = threading.Timer(delay / 1000.0, mailbox.put, args=(msg,))
-            timer.daemon = True
-            timer.start()
+            _courier.post(delay, mailbox, msg)
         return delay
 
     def mailbox(self, host: str):
         return self.mailboxes[host]
+
+    # -- quiescence ----------------------------------------------------------
+
+    def work_began(self) -> None:
+        """One more unit of outstanding work (a send, an agent launch)."""
+        with self._work_lock:
+            self._work.value += 1
+
+    def work_done(self) -> None:
+        """One unit is over (a message dispatched, an agent disposed)."""
+        with self._work_lock:
+            self._work.value -= 1
+
+    def quiescent(self) -> bool:
+        """Nothing is in flight and no agent is alive, cluster-wide."""
+        with self._work_lock:
+            return self._work.value == 0
 
     def __repr__(self) -> str:
         return (

@@ -164,8 +164,6 @@ def run_des(scenario: Scenario) -> Dict[str, List[Tuple[int, int]]]:
 
 
 def run_live(scenario: Scenario) -> Dict[str, List[Tuple[int, int]]]:
-    import time
-
     with LiveCluster(n_replicas=scenario.n, backend="thread",
                      seed=scenario.seed) as cluster:
         for index in scenario.down_from_start:
@@ -182,7 +180,7 @@ def run_live(scenario: Scenario) -> Dict[str, List[Tuple[int, int]]]:
             )
             if scenario.midrun_crash and number == scenario.midrun_crash[0]:
                 cluster.transport.isolate(f"h{scenario.midrun_crash[1]}")
-        time.sleep(0.3)  # let trailing COMMIT broadcasts land
+        # shutdown waits for the trailing COMMIT broadcasts to land
         finals = cluster.shutdown()
 
     observers = [

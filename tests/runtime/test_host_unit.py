@@ -226,9 +226,10 @@ class TestCommitPath:
 
 class TestTimers:
     def test_a_timer_fires_at_its_deadline_not_the_next_tick(self, transport):
-        """The loop blocks for a tick only while no timer is due sooner."""
+        """The loop blocks for a tick only while no timer is due sooner,
+        and leaves as soon as STOP is handled, not a tick later: with no
+        message in flight and no agent alive the cluster is quiescent."""
         host = HostRuntime("h1", HOSTS, transport, LiveConfig(tick=1000.0))
-        host.stop_grace = -1.0  # leave as soon as STOP is handled
         fired = threading.Event()
         armed_at = now_ms()
         host._now = armed_at
@@ -239,9 +240,13 @@ class TestTimers:
             assert fired.wait(timeout=5.0)
             assert now_ms() - armed_at < 500.0
         finally:
+            stopped_at = now_ms()
             transport.send(LiveMessage(kind="STOP", src="h1", dst="h1"))
             loop.join(timeout=5.0)
         assert not loop.is_alive()
+        assert now_ms() - stopped_at < 500.0
+        assert transport.quiescent()
+        assert transport.results.get_nowait()["type"] == "final"
 
     def test_a_timer_is_due_at_its_deadline(self, host):
         fired = []
