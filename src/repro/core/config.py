@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.agents.itinerary import make_itinerary
 from repro.core.machines.config import DES_TUNABLES
 from repro.errors import ProtocolError
 
@@ -63,6 +64,10 @@ class MARPConfig:
             raise ProtocolError(
                 f"unknown read strategy {self.read_strategy!r}"
             )
+        try:
+            make_itinerary(self.itinerary)
+        except ValueError as error:
+            raise ProtocolError(str(error)) from None
         if self.batch_size < 1:
             raise ProtocolError(f"batch_size must be >= 1: {self.batch_size}")
         if self.batch_flush_interval <= 0:

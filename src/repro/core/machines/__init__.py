@@ -8,7 +8,8 @@ execution backend:
   picklable :class:`AgentCoreState`;
 * :mod:`~repro.core.machines.replica` — :class:`ReplicaMachine`,
   Algorithm 2 (lock append, bulletin exchange, UPDATE grants, COMMIT
-  application, release wake-ups);
+  application, release wake-ups), and :mod:`~repro.core.machines.reader`
+  — :class:`ReaderMachine`, the client quorum read ([D5]);
 * :mod:`~repro.core.machines.events` / :mod:`~repro.core.machines.effects`
   — the typed inputs the machines consume and the typed effects they
   emit;
@@ -98,6 +99,7 @@ from repro.core.machines.effects import (
     Park,
     PostBulletin,
     QueueChanged,
+    ReadDone,
     Recovered,
     ReleaseNotify,
     Send,
@@ -105,6 +107,7 @@ from repro.core.machines.effects import (
     Visit,
 )
 from repro.core.machines.replica import ReplicaMachine
+from repro.core.machines.reader import ReaderMachine
 from repro.core.machines.agent import AgentCoreState, AgentMachine
 from repro.core.machines.interpreter import (
     EffectInterpreter,
@@ -156,10 +159,10 @@ __all__ = [
     # effects
     "Backoff", "Broadcast", "CancelTimer", "ClaimResolved", "ClaimStarted",
     "CommitApplied", "Dispose", "Effect", "Granted", "LockWon", "Migrate",
-    "Nacked", "Note", "Park", "PostBulletin", "QueueChanged", "Recovered",
-    "ReleaseNotify", "Send", "SetTimer", "Visit",
+    "Nacked", "Note", "Park", "PostBulletin", "QueueChanged", "ReadDone",
+    "Recovered", "ReleaseNotify", "Send", "SetTimer", "Visit",
     # machines + interpreter + harness
-    "ReplicaMachine", "AgentCoreState", "AgentMachine",
+    "ReplicaMachine", "ReaderMachine", "AgentCoreState", "AgentMachine",
     "EffectInterpreter", "Resident", "Substrate",
     "KernelHarness", "replay", "EventBudgetExceeded", "DROPPABLE_KINDS",
     # adversary

@@ -42,6 +42,7 @@ Effect vocabulary (replica machine)
 ``ReleaseNotify`` wake agents parked at this replica ([D2]).
 ``QueueChanged``  the Locking List length changed (gauge refresh).
 ``Recovered``     a crash-recovery snapshot was installed.
+``ReadDone``      (quorum reader) the read ended; ``ok``: a majority replied.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ __all__ = [
     "Send", "Broadcast", "PostBulletin", "Note",
     "LockWon", "ClaimStarted", "ClaimResolved", "Dispose",
     "Granted", "Nacked", "CommitApplied", "ReleaseNotify",
-    "QueueChanged", "Recovered",
+    "QueueChanged", "Recovered", "ReadDone",
 ]
 
 
@@ -246,3 +247,14 @@ class Recovered(Effect):
     """A recovery snapshot from ``src`` was installed."""
 
     src: str
+
+
+@dataclass(slots=True)
+class ReadDone(Effect):
+    """A quorum read ended (``ok``: its ``replies`` were a majority)."""
+
+    request_id: int
+    value: Any
+    version: int
+    replies: int
+    ok: bool

@@ -11,13 +11,13 @@ One :class:`EffectInterpreter` serves one host: its
 :class:`~repro.core.machines.replica.ReplicaMachine` and whatever
 agents are currently there. It owns
 
-* the dispatch of all fourteen agent effects and seven replica effects
-  (a handler table keyed by effect class; an effect without a handler
-  is a :class:`~repro.errors.ProtocolError`, never a silent skip);
+* the dispatch of every agent, replica and reader effect (a handler
+  table keyed by effect class; an effect without a handler is a
+  :class:`~repro.errors.ProtocolError`, never a silent skip);
 * the **parked table** ([D2]) — insertion-ordered, so a lock release
   wakes agents in the order they parked, on every backend;
 * the **claim table** — ACK/NACK/READR replies are routed to the
-  claiming agent by batch id;
+  claiming agent by batch id, or to the quorum read by request id;
 * **timer tokens** — a timer that was cancelled or replaced before it
   fired is recognised and dropped here, so a substrate may forget a
   cancelled timer but never has to;
@@ -28,9 +28,9 @@ agents are currently there. It owns
   whether the agent crossed a simulated link, a pickle hop or nothing.
 
 The substrate calls in through :meth:`~EffectInterpreter.launch`,
-:meth:`~EffectInterpreter.arrived`, :meth:`~EffectInterpreter.unreachable`
-and :meth:`~EffectInterpreter.deliver`, and through the ``fire``
-callables it was handed with each timer.
+:meth:`~EffectInterpreter.arrived`, :meth:`~EffectInterpreter.unreachable`,
+:meth:`~EffectInterpreter.deliver` and :meth:`~EffectInterpreter.read`,
+and through the ``fire`` callables it was handed with each timer.
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ from repro.core.machines.effects import (
     Park,
     PostBulletin,
     QueueChanged,
+    ReadDone,
     Recovered,
     ReleaseNotify,
     Send,
@@ -69,15 +70,15 @@ from repro.core.machines.replica import ReplicaMachine
 
 __all__ = ["EffectInterpreter", "Resident", "Substrate"]
 
-#: Replies a replica addresses to the agent claiming at a host, not to
-#: that host's replica.
+#: Replies a replica addresses to a claim or a quorum read at a host,
+#: not to that host's replica.
 AGENT_BOUND = ("ACK", "NACK", "READR")
 
 Fire = Callable[[], None]
 
 
 class Resident:
-    """One agent as the interpreter holds it while it is at a host.
+    """One agent (or quorum read) as the interpreter holds it at a host.
 
     Backends subclass it to hang their per-agent records on; a backend
     that ships agents as bytes builds a fresh one around the unshipped
@@ -184,6 +185,9 @@ class Substrate:
     def lock_won(self, agent: Resident, effect: LockWon) -> None:
         """Keep the records of a lock acquisition."""
 
+    def read_done(self, reader: Resident, effect: ReadDone) -> None:
+        """Keep the records of a finished quorum read."""
+
     def emit(self, kind: str, agent_id: Optional[AgentId],
              request_id: Optional[int], detail: Any,
              host: Optional[str]) -> None:
@@ -211,7 +215,7 @@ class EffectInterpreter:
         self.down = False
         #: agents parked here awaiting a release, in park order ([D2])
         self.parked: Dict[AgentId, Resident] = {}
-        #: batch id -> the agent running a claim round from this host
+        #: batch (or quorum read) id -> who takes its replies at this host
         self.claims: Dict[int, Resident] = {}
         #: optional ``set(now, length)`` observer of the Locking List
         self.queue_monitor = None
@@ -237,6 +241,7 @@ class EffectInterpreter:
             Recovered: self._recovered,
             QueueChanged: self._queue_changed,
             ReleaseNotify: self._release_notify,
+            ReadDone: self._read_done,
         })
         self._obs = obs
         if obs is not None:
@@ -326,11 +331,10 @@ class EffectInterpreter:
         """A protocol message reached this host."""
         now = self.substrate.now()
         if kind in AGENT_BOUND:
-            batch_id = (
-                payload["request_id"][0] if kind == "READR"
-                else payload["batch_id"]
-            )
-            agent = self.claims.get(batch_id)
+            taker = payload["request_id" if kind == "READR" else "batch_id"]
+            if taker.__class__ is tuple:  # an RMW fetch's (batch, epoch, key)
+                taker = taker[0]
+            agent = self.claims.get(taker)
             if agent is not None:
                 self._run(agent, agent.machine.on_message(kind, payload, now))
         elif not self.down:
@@ -338,6 +342,12 @@ class EffectInterpreter:
             self.run_replica(
                 self.replica.on_message(kind, payload, src=src, now=now)
             )
+
+    def read(self, reader: Resident) -> None:
+        """A quorum read (a resident ``ReaderMachine``) starts here; its
+        READRs reach it through the claim table."""
+        self.claims[reader.machine.request_id] = reader
+        self._run(reader, reader.machine.start())
 
     def evict(self, agent: Resident) -> None:
         """Forget an agent that vanished mid-flight (harness churn)."""
@@ -587,6 +597,10 @@ class EffectInterpreter:
                 state, "claim-failed",
                 f"epoch {effect.epoch} ({effect.outcome})",
             )
+
+    def _read_done(self, reader: Resident, effect: ReadDone) -> None:
+        self.claims.pop(effect.request_id, None)
+        self.substrate.read_done(reader, effect)
 
     def _dispose(self, agent: Resident, effect: Dispose) -> None:
         state = agent.machine.state

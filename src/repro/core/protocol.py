@@ -21,7 +21,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.batching import BatchDispatcher
 from repro.core.config import MARPConfig
-from repro.core.read import start_local_read, start_quorum_read
+from repro.core.machines import ReaderMachine, Resident
 from repro.core.update_agent import UpdateAgent
 from repro.errors import ProtocolError
 from repro.replication.deployment import Deployment
@@ -29,6 +29,17 @@ from repro.replication.protocol import ReplicationProtocol
 from repro.replication.requests import RequestRecord, Transform
 
 __all__ = ["MARP"]
+
+
+class _QuorumRead(Resident):
+    """A quorum read as the DES holds it: the reader and its record."""
+
+    def __init__(self, record: RequestRecord, majority: int,
+                 timeout: float) -> None:
+        super().__init__(ReaderMachine(
+            record.request_id, record.key, majority, timeout
+        ))
+        self.record = record
 
 
 class MARP(ReplicationProtocol):
@@ -94,9 +105,12 @@ class MARP(ReplicationProtocol):
 
     def _start_read(self, record: RequestRecord) -> None:
         if self.config.read_strategy == "quorum":
-            start_quorum_read(self, record)
+            self.deployment.server(record.home).interpreter.read(_QuorumRead(
+                record, self.deployment.majority, self.config.ack_timeout
+            ))
         else:
-            start_local_read(self, record)
+            record.extra["read_strategy"] = "local"
+            self._read_local(record)
 
     # -- read-modify-write extension -----------------------------------------
 

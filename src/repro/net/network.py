@@ -397,10 +397,8 @@ class Network:
         read once, at arrival: the reply goes to the
         :meth:`Endpoint.wait` on ``(kinds, key)`` at its destination,
         never to another conversation's, or is dropped when none stands
-        there. A message whose key is ``None`` belongs to no
-        conversation and goes to the serve of its kind. Declare before
-        traffic of these kinds flows; repeating a declaration is a
-        no-op.
+        there. Declare before traffic of these kinds flows; repeating a
+        declaration is a no-op.
         """
         kinds = tuple(kinds)
         keyed: _Keyed = (kinds, key)
@@ -473,14 +471,12 @@ class Network:
         kind = msg.kind
         keyed = self._keys.get(kind)
         if keyed is not None:
-            conversation = keyed[1](msg.payload)
-            if conversation is not None:
-                wait = endpoint._waits.get((keyed[0], conversation))
-                if wait is None:
-                    self.stats.record_expired()
-                else:
-                    wait.replied(msg)
-                return
+            wait = endpoint._waits.get((keyed[0], keyed[1](msg.payload)))
+            if wait is None:
+                self.stats.record_expired()
+            else:
+                wait.replied(msg)
+            return
         take = endpoint._served.get(kind)
         if take is None:
             self.stats.record_expired()

@@ -7,9 +7,9 @@ interpreter. It supplies only what a simulated host is made of:
 
 * the clock (``env.now``) and the network endpoint: sends, the
   single-server queue that serialises UPDATE and COMMIT processing
-  behind ``update_apply_time``, and the claim replies, which the
-  endpoint pushes at the interpreter as they arrive (what the live
-  transport does);
+  behind ``update_apply_time``, and the claim and quorum-read replies,
+  which the endpoint pushes at the interpreter as they arrive (what the
+  live transport does);
 * timers as heap callbacks (``env.call_in``) for visits, back-off,
   claim-round deadlines and parks (a release wakes the parked agent in
   a step of its own);
@@ -28,7 +28,7 @@ interpreter calls the co-located :class:`ReplicaMachine` directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional
+from typing import Dict, List, Optional
 
 from repro.errors import MigrationError, ProtocolError
 from repro.agents.identity import AgentId, AgentIdFactory
@@ -62,16 +62,6 @@ RETRY_BACKOFF = 50.0
 BASE_BYTES = 2048
 #: Multiplier on the carried-state estimate (headers, type tags).
 SERIALIZATION_OVERHEAD = 1.2
-
-
-def _reader_of(payload) -> Optional[Hashable]:
-    """Whose READR this is: a client's quorum read gathers its own by
-    request id (``Endpoint.wait``, see
-    :func:`repro.core.read.start_quorum_read`); an RMW fetch's — its id
-    is the ``(batch_id, epoch, key)`` tuple — belongs to no conversation
-    and is pushed at the claiming agent with the other claim replies."""
-    request_id = payload["request_id"]
-    return None if request_id.__class__ is tuple else request_id
 
 
 def _call(fire) -> None:
@@ -168,13 +158,12 @@ class ReplicaServer(Substrate):
         # The replica takes every kind it handles one at a time, in
         # arrival order across kinds.
         endpoint.serve(self._HANDLED_KINDS, self._service_time, self._handle)
-        # Replies to an agent claiming from here wait for nothing.
-        network.route(("READR",), key=_reader_of)
-        for kind in AGENT_BOUND:
-            endpoint.serve((kind,), None, self._handle)
+        # Replies to a claim or a quorum read from here wait for nothing.
+        endpoint.serve(AGENT_BOUND, None, self._handle)
 
     # ------------------------------------------------------------------
-    # Machine state, exposed for tests/analysis
+    # Machine state and the local interface (visiting agents go through
+    # the interpreter)
     # ------------------------------------------------------------------
 
     @property
@@ -194,53 +183,12 @@ class ReplicaServer(Substrate):
         return self.machine.history
 
     @property
-    def bulletin(self) -> Dict[str, SharedView]:
-        return self.machine.bulletin
-
-    @property
-    def _grant_holder(self) -> Optional[AgentId]:
-        return self.machine.grant_holder
-
-    @property
-    def _grant_epoch(self) -> int:
-        return self.machine.grant_epoch
-
-    @property
     def commits_applied(self) -> int:
         return self.machine.commits_applied
 
     @property
     def recoveries(self) -> int:
         return self.machine.recoveries
-
-    # ------------------------------------------------------------------
-    # Local interface (tests and alternative policies; visiting agents go
-    # through the interpreter)
-    # ------------------------------------------------------------------
-
-    def request_lock(self, agent_id: AgentId, request_id: int) -> None:
-        """Append the visiting agent to the Locking List (idempotent)."""
-        self.interpreter.run_replica(
-            self.machine.request_lock(agent_id, request_id, self.env.now)
-        )
-
-    def requeue_lock(self, agent_id: AgentId, request_id: int) -> None:
-        """Move the agent's lock entry to the tail of the Locking List."""
-        self.interpreter.run_replica(
-            self.machine.requeue_lock(agent_id, request_id, self.env.now)
-        )
-
-    def lock_view(self) -> SharedView:
-        """Fresh snapshot of this server's lock state."""
-        return self.machine.lock_view(self.env.now)
-
-    def read_bulletin(self) -> Dict[str, SharedView]:
-        """Views of *other* servers deposited by previous visitors."""
-        return self.machine.read_bulletin()
-
-    def post_bulletin(self, views: Dict[str, SharedView]) -> int:
-        """Deposit lock views; keeps only the freshest per server."""
-        return self.machine.post_bulletin(views)
 
     def read(self, key: str):
         """Local read — the paper's fast read path (not guaranteed fresh)."""
@@ -349,6 +297,14 @@ class ReplicaServer(Substrate):
 
     def disposed(self, agent, effect) -> None:
         agent.finished(effect, self.env.now)
+
+    def read_done(self, reader, effect) -> None:
+        record = reader.record
+        record.value = effect.value
+        record.extra.update(version=effect.version, read_strategy="quorum",
+                            replies=effect.replies)
+        record.completed_at = self.env.now
+        record.status = "read-done" if effect.ok else "failed"
 
     def emit(self, kind, agent_id, request_id, detail, host) -> None:
         if self.trace is not None:

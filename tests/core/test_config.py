@@ -17,6 +17,11 @@ class TestMARPConfig:
         with pytest.raises(ProtocolError):
             MARPConfig(read_strategy="psychic")
 
+    def test_bad_itinerary(self):
+        # refused at construction, not by the first write mid-run
+        with pytest.raises(ProtocolError, match="psychic"):
+            MARPConfig(itinerary="psychic")
+
     def test_bad_batch_size(self):
         with pytest.raises(ProtocolError):
             MARPConfig(batch_size=0)

@@ -32,6 +32,7 @@ Five guards, all deterministic counts (no wall clock):
 
 import os
 import sys
+from operator import itemgetter
 
 import pytest
 
@@ -245,8 +246,6 @@ class TestVisitCostDoesNotGrowWithTheClusterSize:
 class TestRoutedMailboxOrdering:
     @pytest.fixture
     def cluster(self):
-        # READR is MARP's keyed route: a quorum read gathers its own
-        # replies, by request id
         return Deployment(n_replicas=3, seed=1)
 
     def test_server_kinds_are_taken_oldest_first(self, cluster):
@@ -285,7 +284,10 @@ class TestRoutedMailboxOrdering:
         assert handled == ["UPDATE", "RELEASE", "READQ", "UPDATE"]
 
     def test_withdrawn_receive_never_swallows_a_later_epoch(self, cluster):
+        # MARP declares no conversation (its replies reach their takers
+        # through the interpreter): the test keys a kind of its own
         env = cluster.env
+        cluster.network.route(("PROBE",), key=itemgetter("request_id"))
         endpoint = cluster.network.endpoints["s1"]
         got = []
 
@@ -294,15 +296,15 @@ class TestRoutedMailboxOrdering:
             return True
 
         def first(msg):
-            assert msg is None  # read 5's deadline fired
-            endpoint.wait("READR", 6, 10.0, second)
-            endpoint.send("s1", "READR", {"request_id": 5, "from": "s1"})
-            endpoint.send("s1", "READR", {"request_id": 6, "from": "s1"})
+            assert msg is None  # probe 5's deadline fired
+            endpoint.wait("PROBE", 6, 10.0, second)
+            endpoint.send("s1", "PROBE", {"request_id": 5, "from": "s1"})
+            endpoint.send("s1", "PROBE", {"request_id": 6, "from": "s1"})
             return True
 
-        endpoint.wait("READR", 5, 2.0, first)
+        endpoint.wait("PROBE", 5, 2.0, first)
         env.run(until=50.0)
-        assert got == [("READR", 6)]
+        assert got == [("PROBE", 6)]
         # the stale reply was nobody's and dropped at arrival; the ended
         # waits left nothing standing
         assert cluster.network.stats.expired == 1

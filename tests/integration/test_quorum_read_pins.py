@@ -1,0 +1,92 @@
+"""Regression pins of MARP's two READR takers: the client quorum read
+and the read-modify-write base fetch.
+
+Both reach their taker through the home host's claim table. The
+values were measured while the quorum read was still a network
+conversation of its own, and a move of the reader must not change
+them: same records, same messages, same bytes.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from repro.core.config import MARPConfig
+from repro.core.protocol import MARP
+from repro.experiments.cache import result_fingerprint
+from repro.experiments.runner import RunConfig, run_once
+from repro.net.faults import CrashSchedule, FaultPlan
+from repro.replication.deployment import Deployment
+
+
+def quorum_run(seed, write_fraction, **overrides):
+    fields = dict(
+        read_strategy="quorum", write_fraction=write_fraction, n_keys=8,
+        key_skew=0.9, requests_per_client=60, mean_interarrival=30.0,
+        seed=seed,
+    )
+    return run_once(RunConfig(**{**fields, **overrides}))
+
+
+@pytest.mark.parametrize("seed,write_fraction,prefix,commits,reads", [
+    (1, 0.5, "cd975657145ce8f4", 152, 148),
+    (1, 0.1, "608e9c76b38c2358", 23, 277),
+    (2, 0.5, "4be3afb7adde7908", 146, 154),
+    (2, 0.1, "7641495c339705d6", 29, 271),
+])
+def test_quorum_read_runs_are_pinned(seed, write_fraction, prefix, commits,
+                                     reads):
+    result = quorum_run(seed, write_fraction)
+    assert result.committed == commits
+    assert sum(r.status == "read-done" for r in result.records) == reads
+    assert result_fingerprint(result).startswith(prefix)
+
+
+def increment(value):
+    return (value or 0) + 1
+
+
+def test_concurrent_rmw_then_quorum_reads_are_pinned():
+    """15 concurrent increments spread over 5 hosts (each winner fetches
+    its base with a tuple-id READR), then one quorum read per host."""
+    deployment = Deployment(n_replicas=5, seed=9)
+    marp = MARP(deployment, config=MARPConfig(read_strategy="quorum"))
+    hosts = deployment.hosts
+    for n in range(15):
+        marp.submit_rmw(hosts[n % 5], "ctr", increment)
+    deployment.run()
+    for host in hosts:
+        marp.submit_read(host, "ctr")
+    deployment.run()
+    stats = deployment.network.stats
+    rows = [(r.status, repr(r.value), r.completed_at) for r in marp.records]
+    assert sorted(int(value) for _s, value, _t in rows[:15]) == list(
+        range(1, 16)
+    )
+    assert [row[:2] for row in rows[15:]] == [("read-done", "15")] * 5
+    assert (stats.total_messages("control"),
+            stats.total_bytes("control")) == (303, 45014)
+    text = json.dumps([rows, stats.total_messages("control"),
+                       stats.total_bytes("control")])
+    assert hashlib.sha256(text.encode()).hexdigest().startswith(
+        "e7aee1a10fca2ef6"
+    )
+
+
+@pytest.mark.parametrize("crash", [False, True])
+def test_a_quorum_read_run_leaves_no_claim_behind(crash):
+    """Every read and every claim round resolved, on time or not, takes
+    itself out of the claim table: nothing is left once the run drains
+    (and a surplus READR found no taker, rather than an old one)."""
+    faults = None
+    if crash:
+        crashes = CrashSchedule()
+        for host in ("s2", "s3", "s4"):  # a majority, for a while
+            crashes.add(host, 200.0, 1_200.0)
+        faults = FaultPlan(crashes=crashes)
+    result = quorum_run(3, 0.5, requests_per_client=20, faults=faults)
+    statuses = {r.status for r in result.records if r.op == "read"}
+    assert statuses == ({"read-done", "failed"} if crash else {"read-done"})
+    for server in result.deployment.servers.values():
+        assert server.interpreter.claims == {}

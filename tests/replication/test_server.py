@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ProtocolError
 from repro.agents.identity import AgentId
+from repro.core.machines.interpreter import Resident
 from repro.net.network import Network
 from repro.net.topology import Topology
 from repro.replication.deployment import Deployment
@@ -15,6 +16,19 @@ from repro.sim.core import Environment
 
 def aid(n: int) -> AgentId:
     return AgentId("client", float(n), 0)
+
+
+def request_lock(server, n: int, request_id: int) -> None:
+    """Append agent ``n`` to the server's Locking List, as a visit does."""
+    server.interpreter.run_replica(
+        server.machine.request_lock(aid(n), request_id, server.env.now)
+    )
+
+
+def requeue_lock(server, n: int, request_id: int) -> None:
+    server.interpreter.run_replica(
+        server.machine.requeue_lock(aid(n), request_id, server.env.now)
+    )
 
 
 def payload(agent_n: int, version: int = 1, value="v", epoch: int = 1,
@@ -60,61 +74,61 @@ def watched():
 class TestLocalInterface:
     def test_request_lock_appends(self, dep):
         server = dep.server("s1")
-        server.request_lock(aid(1), 101)
+        request_lock(server, 1, 101)
         assert server.locking_list.top() == aid(1)
 
     def test_request_lock_idempotent(self, dep):
         server = dep.server("s1")
-        server.request_lock(aid(1), 101)
-        server.request_lock(aid(1), 101)
+        request_lock(server, 1, 101)
+        request_lock(server, 1, 101)
         assert len(server.locking_list) == 1
 
     def test_request_lock_after_completion_rejected(self, dep):
         server = dep.server("s1")
         server.updated_list.add(aid(1))
         with pytest.raises(ProtocolError):
-            server.request_lock(aid(1), 101)
+            request_lock(server, 1, 101)
 
     def test_lock_view_contents(self, dep):
         server = dep.server("s1")
-        server.request_lock(aid(1), 101)
+        request_lock(server, 1, 101)
         server.store.apply("x", "v", 3, 0.0)
-        view = server.lock_view()
+        view = server.machine.lock_view(dep.env.now)
         assert view.host == "s1"
         assert view.view == (aid(1),)
         assert view.versions == {"x": 3}
 
     def test_requeue_lock_moves_to_tail(self, dep):
         server = dep.server("s1")
-        server.request_lock(aid(1), 101)
-        server.request_lock(aid(2), 102)
-        server.requeue_lock(aid(1), 101)
+        request_lock(server, 1, 101)
+        request_lock(server, 2, 102)
+        requeue_lock(server, 1, 101)
         assert server.locking_list.view() == (aid(2), aid(1))
 
     def test_bulletin_keeps_freshest(self, dep):
         server = dep.server("s1")
         old = SharedView("s2", 1.0, (), frozenset(), {})
         new = SharedView("s2", 2.0, (aid(1),), frozenset(), {})
-        assert server.post_bulletin({"s2": old}) == 1
-        assert server.post_bulletin({"s2": new}) == 1
-        assert server.post_bulletin({"s2": old}) == 0
-        assert server.read_bulletin()["s2"].as_of == 2.0
+        assert server.machine.post_bulletin({"s2": old}) == 1
+        assert server.machine.post_bulletin({"s2": new}) == 1
+        assert server.machine.post_bulletin({"s2": old}) == 0
+        assert server.machine.read_bulletin()["s2"].as_of == 2.0
 
     def test_bulletin_ignores_own_host(self, dep):
         server = dep.server("s1")
         own = SharedView("s1", 1.0, (), frozenset(), {})
-        assert server.post_bulletin({"s1": own}) == 0
+        assert server.machine.post_bulletin({"s1": own}) == 0
 
     def test_bulletin_disabled(self, dep):
         server = dep.server("s1")
         server.config.enable_bulletin = False
         view = SharedView("s2", 1.0, (), frozenset(), {})
-        assert server.post_bulletin({"s2": view}) == 0
-        assert server.read_bulletin() == {}
+        assert server.machine.post_bulletin({"s2": view}) == 0
+        assert server.machine.read_bulletin() == {}
 
     def test_wait_release_fires_on_commit(self, dep):
         server = dep.server("s1")
-        server.request_lock(aid(1), 101)
+        request_lock(server, 1, 101)
         woken = []
 
         class Waiter:
@@ -140,7 +154,7 @@ class TestGrantMachinery:
         env.run(until=100)
         (ack,) = watch.replies
         assert ack.kind == "ACK" and ack.payload["versions"] == {"x": 4}
-        assert server._grant_holder == aid(1)
+        assert server.machine.grant_holder == aid(1)
 
     def test_second_agent_nacked_while_granted(self, watched):
         env, server, watch = watched
@@ -162,10 +176,10 @@ class TestGrantMachinery:
         sender = dep.network.endpoints["s2"]
         sender.send("s1", "UPDATE", payload(1, reply_to="s2"))
         dep.run(until=50)
-        assert server._grant_holder == aid(1)
+        assert server.machine.grant_holder == aid(1)
         sender.send("s1", "RELEASE", payload(1, reply_to="s2"))
         dep.run(until=100)
-        assert server._grant_holder is None
+        assert server.machine.grant_holder is None
         # lock entry survives a RELEASE (the agent is still queued)
         assert server.updated_list.as_set() == frozenset()
 
@@ -178,15 +192,15 @@ class TestGrantMachinery:
         sender = dep.network.endpoints["s2"]
         sender.send("s1", "UPDATE", payload(1, reply_to="s2", epoch=2))
         dep.run(until=50)
-        assert server._grant_holder == aid(1)
-        assert server._grant_epoch == 2
+        assert server.machine.grant_holder == aid(1)
+        assert server.machine.grant_epoch == 2
         sender.send("s1", "RELEASE", payload(1, reply_to="s2", epoch=1))
         dep.run(until=100)
-        assert server._grant_holder == aid(1)  # survived the stale release
+        assert server.machine.grant_holder == aid(1)  # survived the stale release
         # An in-order release (same epoch) does clear it.
         sender.send("s1", "RELEASE", payload(1, reply_to="s2", epoch=2))
         dep.run(until=150)
-        assert server._grant_holder is None
+        assert server.machine.grant_holder is None
 
     def test_stale_update_does_not_roll_epoch_back(self, dep):
         server = dep.server("s1")
@@ -195,7 +209,7 @@ class TestGrantMachinery:
         dep.run(until=50)
         sender.send("s1", "UPDATE", payload(1, reply_to="s2", epoch=2))
         dep.run(until=100)
-        assert server._grant_epoch == 3
+        assert server.machine.grant_epoch == 3
 
     def test_grant_expires_after_ttl(self, watched):
         env, server, watch = watched
@@ -209,13 +223,13 @@ class TestGrantMachinery:
         ))
         env.run(until=200)
         assert [m.kind for m in watch.replies] == ["ACK", "ACK"]
-        assert server._grant_holder == aid(2)
+        assert server.machine.grant_holder == aid(2)
 
 
 class TestCommitAndAbort:
     def test_commit_applies_and_cleans_up(self, dep):
         server = dep.server("s1")
-        server.request_lock(aid(1), 1)
+        request_lock(server, 1, 1)
         dep.network.endpoints["s2"].send(
             "s1", "COMMIT", payload(1, version=1, value="committed")
         )
@@ -246,44 +260,58 @@ class TestCommitAndAbort:
 
     def test_abort_releases_everything(self, dep):
         server = dep.server("s1")
-        server.request_lock(aid(1), 1)
+        request_lock(server, 1, 1)
         endpoint = dep.network.endpoints["s2"]
         endpoint.send("s1", "UPDATE", payload(1, reply_to="s2"))
         dep.run(until=50)
         endpoint.send("s1", "ABORT", payload(1, reply_to="s2"))
         dep.run(until=100)
-        assert server._grant_holder is None
+        assert server.machine.grant_holder is None
         assert aid(1) not in server.locking_list
         assert aid(1) in server.updated_list
         assert len(server.store) == 0
 
 
+class Taker:
+    """A machine that takes the READRs of one request id at a host's
+    interpreter (through its claim table, as a quorum read does)."""
+
+    def __init__(self):
+        self.replies = []
+
+    def on_message(self, kind, payload, now):
+        self.replies.append((kind, payload))
+        return []
+
+
+@pytest.fixture
+def asked(dep):
+    """``s2`` asks with request id 9; what reaches its taker is logged."""
+    taker = Taker()
+    dep.server("s2").interpreter.claims[9] = Resident(taker)
+    return dep.network.endpoints["s2"], taker.replies
+
+
 class TestReadQueryAndSync:
-    def test_readq_replies_with_version(self, dep):
-        server = dep.server("s1")
-        server.store.apply("x", "answer", 7, 0.0)
-        asker = dep.network.endpoints["s2"]
-        replies = []
-        asker.wait(
-            "READR", 9, 100.0,
-            lambda msg: replies.append(msg and msg.payload) or True,
-        )
+    def test_readq_replies_with_version(self, dep, asked):
+        asker, replies = asked
+        dep.server("s1").store.apply("x", "answer", 7, 0.0)
         asker.send("s1", "READQ", {"request_id": 9, "key": "x"})
         dep.run(until=100)
-        assert replies[0]["version"] == 7
-        assert replies[0]["value"] == "answer"
+        assert replies == [("READR", {
+            "request_id": 9, "key": "x", "from": "s1",
+            "version": 7, "value": "answer",
+        })]
+        assert dep.network.stats.expired == 0
 
-    def test_readq_missing_key(self, dep):
-        asker = dep.network.endpoints["s2"]
-        replies = []
-        asker.wait(
-            "READR", 9, 100.0,
-            lambda msg: replies.append(msg and msg.payload) or True,
-        )
+    def test_readq_missing_key(self, dep, asked):
+        asker, replies = asked
         asker.send("s1", "READQ", {"request_id": 9, "key": "ghost"})
         dep.run(until=100)
-        assert replies[0]["version"] == 0
-        assert replies[0]["value"] is None
+        ((kind, reply),) = replies
+        assert kind == "READR" and reply["from"] == "s1"
+        assert reply["version"] == 0
+        assert reply["value"] is None
 
     def test_sync_transfers_store_and_clears_stale_locks(self, dep):
         source = dep.server("s2")
@@ -291,7 +319,7 @@ class TestReadQueryAndSync:
         source.updated_list.add(aid(1))
 
         target = dep.server("s1")
-        target.request_lock(aid(1), 1)  # stale entry of a finished agent
+        request_lock(target, 1, 1)  # stale entry of a finished agent
         target.request_sync("s2")
         dep.run(until=200)
         assert target.store.read("x").value == "fresh"
