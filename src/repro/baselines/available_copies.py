@@ -10,7 +10,8 @@ Implementation: strict two-phase locking with *blocking* (queueing) lock
 daemons, acquired sequentially in a fixed global host order so writers
 cannot deadlock. A replica that does not grant within the detection
 timeout is declared unavailable and skipped — timeouts are the failure
-detector — and catches up later through the recovery sync. Reads are
+detector — and catches up later through the recovery sync (the ladder is
+:class:`~repro.core.machines.coordinators.LadderMachine`). Reads are
 local (read-one).
 
 Because availability is judged per-coordinator with no quorum
@@ -22,13 +23,13 @@ the integration tests.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, Optional
 
 from repro.baselines.base import BaselineDaemon, QuorumProtocol
+from repro.core.machines import LadderMachine
 from repro.net.message import Message
 from repro.replication.deployment import Deployment
 from repro.replication.requests import RequestRecord
-from repro.replication.server import WriteOp
 
 __all__ = ["AvailableCopies", "QueueingDaemon"]
 
@@ -120,79 +121,15 @@ class AvailableCopies(QuorumProtocol):
         # Sequential lock acquisition in global host order: all writers
         # climb the same ladder, so there is no deadlock and queues at
         # each rung drain FIFO.
-        record.dispatched_at = self.env.now
-        self._rung(record, 0, {}, [])
+        self._coordinate(LadderMachine(
+            self.prefix, record.request_id, record.key, record.value,
+            record.home, self.deployment.hosts, self.detection_timeout,
+        ), record, _climbed)
 
-    def _rung(self, record: RequestRecord, index: int,
-              grants: Dict[str, int], skipped: List[str]) -> None:
-        """Ask ``hosts[index]`` for its lock and wait for its grant;
-        ``grants`` maps the hosts that granted to their version."""
-        hosts = self.deployment.hosts
-        if index == len(hosts):
-            self._climbed(record, grants, skipped)
-            return
-        endpoint = self.deployment.network.endpoints[record.home]
-        prefix = self.prefix
-        host = hosts[index]
-        payload = {"rid": record.request_id, "epoch": 1}
-        endpoint.send(
-            host,
-            f"{prefix}_LOCK",
-            payload={**payload, "key": record.key, "reply_to": record.home},
-        )
 
-        def granted(msg: Optional[Message]) -> bool:
-            if msg is None:
-                # Declared unavailable; cancel the (possibly queued) lock.
-                endpoint.send(host, f"{prefix}_ABORT", payload=payload)
-                skipped.append(host)
-            elif msg.kind != f"{prefix}_GRANT" or msg.payload["from"] != host:
-                # A grant from a host already given up on may still come
-                # in this round; only this rung's host counts.
-                return False
-            else:
-                grants[host] = msg.payload["version"]
-            self._rung(record, index + 1, grants, skipped)
-            return True
-
-        endpoint.wait(
-            self._round_replies, (record.request_id, 1),
-            self.detection_timeout, granted,
-        )
-
-    def _climbed(self, record: RequestRecord, grants: Dict[str, int],
-                 skipped: List[str]) -> None:
-        env = self.env
-        endpoint = self.deployment.network.endpoints[record.home]
-        prefix = self.prefix
-        if not grants:
-            record.completed_at = env.now
-            record.extra["skipped"] = skipped
-            record.status = "failed"
-            return
-
-        record.lock_acquired_at = env.now
-        record.extra["available_copies"] = sorted(grants)
-        record.extra["skipped"] = skipped
-        version = 1 + max(grants.values())
-        writes = (
-            WriteOp(
-                request_id=record.request_id,
-                key=record.key,
-                value=record.value,
-                version=version,
-            ),
-        )
-        # Write-all-*available*: only the replicas that granted.
-        for host in grants:
-            endpoint.send(
-                host,
-                f"{prefix}_APPLY",
-                payload={
-                    "rid": record.request_id,
-                    "writes": writes,
-                    "origin": record.home,
-                },
-            )
-        record.completed_at = env.now
-        record.status = "committed"
+def _climbed(record: RequestRecord, machine: LadderMachine,
+             now: float) -> None:
+    if machine.writes:
+        record.lock_acquired_at = now
+        record.extra["available_copies"] = sorted(machine.grants)
+    record.extra["skipped"] = machine.skipped

@@ -9,10 +9,14 @@ the *same* deployment substrate as MARP:
 
 * every host runs a :class:`BaselineDaemon` — the stationary process that
   votes/locks/applies on behalf of the protocol;
-* writes are driven by a coordinator process at the request's home server
-  using rounds of ``LOCK → GRANT/NACK → APPLY`` (or ``ABORT`` + retry)
+* writes are driven by a coordinator at the request's home server using
+  rounds of ``LOCK → GRANT/NACK → APPLY`` (or ``ABORT`` + retry)
   messages, with per-key leases and epoch-tagged replies so stale
-  messages from abandoned rounds are ignored;
+  messages from abandoned rounds are ignored. The coordinator is a
+  sans-IO machine (:mod:`repro.core.machines.coordinators`; a quorum
+  read is the kernel's :class:`~repro.core.machines.reader.ReaderMachine`)
+  run by the home host's effect interpreter, which hands it its replies
+  through the claim table (:func:`take_replies`);
 * stores/histories are the very same per-replica objects MARP uses, so
   the consistency auditor applies unchanged.
 
@@ -22,22 +26,55 @@ so daemons coexist with the MARP replica server on the same endpoints.
 
 from __future__ import annotations
 
-from operator import itemgetter
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
+from repro.core.machines import (
+    Broadcast, Done, ReaderMachine, Resident, VotingMachine,
+)
 from repro.net.message import Message
 from repro.replication.deployment import Deployment
 from repro.core.machines.structures import CommitRecord
 from repro.replication.protocol import ReplicationProtocol
 from repro.replication.requests import RequestRecord
-from repro.replication.server import WriteOp
 
-__all__ = ["BaselineDaemon", "QuorumProtocol"]
+__all__ = ["BaselineDaemon", "Coordinator", "QuorumProtocol", "take_replies"]
 
-#: Correlation keys of the coordinators' replies (see Network.route):
-#: a lock round reads its own GRANT/NACKs, a quorum read its own RVALs.
-_ROUND_KEY = itemgetter("rid", "epoch")
-_RID_KEY = itemgetter("rid")
+
+def take_replies(deployment: Deployment, kinds: Iterable[str]) -> None:
+    """Serve ``kinds`` at every host in no time, handing each reply to
+    that host's claim table under its ``rid``: the coordinator of that
+    request takes it, and one nobody claims is dropped there."""
+    kinds = tuple(kinds)
+    for host in deployment.hosts:
+        reply = deployment.server(host).interpreter.reply
+        deployment.network.endpoints[host].serve(
+            kinds, None,
+            lambda msg, reply=reply: reply(
+                msg.payload["rid"], msg.kind, msg.payload
+            ),
+        )
+
+
+class Coordinator(Resident):
+    """A baseline coordinator as its home host holds it: the machine,
+    the request's record and the protocol's back-off stream (the DES
+    substrate draws a ``Backoff`` from ``stream``). ``close(record,
+    machine, now)``, if given, fills in what the machine found when it
+    is done; the status and completion time are every coordinator's."""
+
+    def __init__(self, machine, record: RequestRecord, stream=None,
+                 close=None) -> None:
+        super().__init__(machine)
+        self.record = record
+        self.stream = stream
+        self.close = close
+
+    def finished(self, effect: Done, now: float) -> None:
+        record = self.record
+        if self.close is not None:
+            self.close(record, self.machine, now)
+        record.completed_at = now
+        record.status = effect.status
 
 
 class BaselineDaemon:
@@ -203,7 +240,18 @@ class QuorumProtocol(ReplicationProtocol):
         super().__init__(deployment)
         hosts = deployment.hosts
         self.votes: Dict[str, int] = votes or {h: 1 for h in hosts}
+        unknown = sorted(set(self.votes) - set(hosts))
+        if unknown:
+            raise ValueError(f"votes for hosts not deployed: {unknown}")
+        if any(weight < 0 for weight in self.votes.values()):
+            raise ValueError(f"vote weights must be >= 0: {self.votes}")
         total = sum(self.votes.values())
+        if total < 1:
+            raise ValueError(f"total votes must be >= 1: {total}")
+        if lock_timeout <= 0:
+            raise ValueError(f"lock_timeout must be > 0: {lock_timeout}")
+        if max_rounds < 1:
+            raise ValueError(f"max_rounds must be >= 1: {max_rounds}")
         self.total_votes = total
         self.write_quorum = (
             write_quorum if write_quorum is not None else total // 2 + 1
@@ -229,162 +277,55 @@ class QuorumProtocol(ReplicationProtocol):
         self.retry_backoff = retry_backoff
         self.max_rounds = max_rounds
         self.local_reads = local_reads
-        #: the lock round's replies, one conversation per (rid, epoch)
-        self._round_replies = (f"{self.prefix}_GRANT", f"{self.prefix}_NACK")
-        deployment.network.route(self._round_replies, key=_ROUND_KEY)
-        deployment.network.route((f"{self.prefix}_RVAL",), key=_RID_KEY)
+        take_replies(deployment, (
+            f"{self.prefix}_GRANT", f"{self.prefix}_NACK",
+            f"{self.prefix}_RVAL",
+        ))
         self.daemons = {h: self.daemon_class(self, h) for h in hosts}
         self._stream = deployment.streams.stream(f"{self.prefix}.backoff")
 
     def votes_of(self, host: str) -> int:
         return self.votes.get(host, 0)
 
+    def _coordinate(self, machine, record: RequestRecord, close) -> None:
+        """Run ``machine`` for ``record`` at its home host."""
+        record.dispatched_at = self.env.now
+        self.deployment.server(record.home).interpreter.coordinate(
+            Coordinator(machine, record, self._stream, close)
+        )
+
     # -- write path -------------------------------------------------------
 
     def _start_write(self, record: RequestRecord) -> None:
-        record.dispatched_at = self.env.now
-        self._lock_round(record, 1)
-
-    def _lock_round(self, record: RequestRecord, attempt: int) -> None:
-        """Lock round ``attempt`` (its epoch): broadcast LOCK, then tally
-        GRANT/NACK replies until quorum, impossibility or timeout."""
-        endpoint = self.deployment.network.endpoints[record.home]
-        rid = record.request_id
-        grant_kind = f"{self.prefix}_GRANT"
-        endpoint.broadcast(
-            f"{self.prefix}_LOCK",
-            payload={
-                "rid": rid,
-                "epoch": attempt,
-                "key": record.key,
-                "reply_to": record.home,
-            },
-            include_self=True,
-        )
-        grants: Dict[str, Tuple[int, int]] = {}  # host -> (votes, version)
-        granted_votes = 0
-        nack_votes = 0
-
-        def tally(msg: Optional[Message]) -> bool:
-            nonlocal granted_votes, nack_votes
-            if msg is not None:
-                p = msg.payload
-                if msg.kind == grant_kind:
-                    if p["from"] not in grants:
-                        grants[p["from"]] = (p["votes"], p["version"])
-                        granted_votes += p["votes"]
-                    if granted_votes < self.write_quorum:
-                        return False
-                else:
-                    nack_votes += p["votes"]
-                    if self.total_votes - nack_votes >= self.write_quorum:
-                        return False
-            self._round_over(record, attempt, grants, granted_votes)
-            return True
-
-        endpoint.wait(
-            self._round_replies, (rid, attempt), self.lock_timeout, tally
-        )
-
-    def _round_over(self, record: RequestRecord, attempt: int,
-                    grants: Dict[str, Tuple[int, int]],
-                    granted_votes: int) -> None:
-        """Commit with a write quorum; otherwise release everything and
-        retry after a randomized, linearly growing backoff (the classic
-        voting retry loop) — the last round backs off before failing."""
-        env = self.env
-        endpoint = self.deployment.network.endpoints[record.home]
-        if granted_votes >= self.write_quorum:
-            record.lock_acquired_at = env.now
-            record.extra["lock_rounds"] = attempt
-            version = 1 + max(v for _host, (_w, v) in grants.items())
-            writes = (
-                WriteOp(
-                    request_id=record.request_id,
-                    key=record.key,
-                    value=record.value,
-                    version=version,
-                ),
-            )
-            self._apply(endpoint, record, writes, grants)
-            record.completed_at = env.now
-            record.status = "committed"
-            return
-        endpoint.broadcast(
-            f"{self.prefix}_ABORT",
-            payload={"rid": record.request_id, "epoch": attempt},
-            include_self=True,
-        )
-        if self.retry_backoff > 0:
-            env.call_in(
-                self._stream.exponential(self.retry_backoff * attempt),
-                self._next_round, (record, attempt),
-            )
-        else:
-            self._next_round((record, attempt))
-
-    def _next_round(self, after: Tuple[RequestRecord, int]) -> None:
-        record, attempt = after
-        if attempt < self.max_rounds:
-            self._lock_round(record, attempt + 1)
-            return
-        record.completed_at = self.env.now
-        record.extra["lock_rounds"] = self.max_rounds
-        record.status = "failed"
-
-    def _apply(self, endpoint, record, writes, grants) -> None:
-        """Propagate the accepted update. Default: write-all broadcast."""
-        endpoint.broadcast(
-            f"{self.prefix}_APPLY",
-            payload={
-                "rid": record.request_id,
-                "writes": writes,
-                "origin": record.home,
-            },
-            include_self=True,
-        )
+        self._coordinate(VotingMachine(
+            self.prefix, record.request_id, record.key, record.value,
+            record.home, self.total_votes, self.write_quorum,
+            self.lock_timeout, self.retry_backoff, self.max_rounds,
+        ), record, _voted)
 
     # -- read path ---------------------------------------------------------------
 
     def _start_read(self, record: RequestRecord) -> None:
-        env = self.env
-        record.dispatched_at = env.now
         if self.local_reads or self.read_quorum <= 1:
+            record.dispatched_at = self.env.now
             self._read_local(record)
             return
-        endpoint = self.deployment.network.endpoints[record.home]
-        endpoint.broadcast(
-            f"{self.prefix}_READV",
-            payload={
-                "rid": record.request_id,
-                "key": record.key,
-                "reply_to": record.home,
-            },
-            include_self=True,
-        )
-        best_version, best_value = 0, None
-        votes = 0
-        replied: Set[str] = set()
+        rid = record.request_id
+        self._coordinate(ReaderMachine(
+            rid,
+            Broadcast(f"{self.prefix}_READV", {
+                "rid": rid, "key": record.key, "reply_to": record.home,
+            }),
+            self.read_quorum, self.lock_timeout, votes=self.votes,
+        ), record, _read)
 
-        def tally(msg: Optional[Message]) -> bool:
-            nonlocal best_version, best_value, votes
-            if msg is not None:
-                p = msg.payload
-                if p["from"] not in replied:
-                    replied.add(p["from"])
-                    votes += p["votes"]
-                    if p["version"] >= best_version:
-                        best_version, best_value = p["version"], p["value"]
-                if votes < self.read_quorum:
-                    return False
-            record.value = best_value
-            record.extra["version"] = best_version
-            record.completed_at = env.now
-            record.status = (
-                "read-done" if votes >= self.read_quorum else "failed"
-            )
-            return True
 
-        endpoint.wait(
-            f"{self.prefix}_RVAL", record.request_id, self.lock_timeout, tally
-        )
+def _voted(record: RequestRecord, machine: VotingMachine, now: float) -> None:
+    if machine.writes:
+        record.lock_acquired_at = now
+    record.extra["lock_rounds"] = machine.attempt
+
+
+def _read(record: RequestRecord, machine: ReaderMachine, now: float) -> None:
+    record.value = machine.value
+    record.extra["version"] = machine.version

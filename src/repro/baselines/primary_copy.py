@@ -1,6 +1,7 @@
 """Primary Copy — the centralised baseline.
 
-All writes are forwarded to one designated primary, which serialises
+All writes are forwarded to one designated primary (the home host's
+:class:`~repro.core.machines.coordinators.ForwardMachine`), which serialises
 them locally (a trivially consistent total order), applies eagerly at
 every replica, and acknowledges the origin. Reads are local. It is the
 latency floor for uncontended writes and the availability worst case: a
@@ -9,9 +10,10 @@ crashed primary stalls every write until it recovers.
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Optional
 
+from repro.baselines.base import Coordinator, take_replies
+from repro.core.machines import ForwardMachine
 from repro.net.message import Message
 from repro.replication.deployment import Deployment
 from repro.core.machines.structures import CommitRecord
@@ -20,9 +22,6 @@ from repro.replication.requests import RequestRecord
 from repro.replication.server import WriteOp
 
 __all__ = ["PrimaryCopy"]
-
-#: A write's PC_DONE goes to that write's own wait (Network.route).
-_RID_KEY = itemgetter("rid")
 
 
 class PrimaryCopy(ReplicationProtocol):
@@ -46,7 +45,7 @@ class PrimaryCopy(ReplicationProtocol):
         self.write_timeout = write_timeout
         self.writes_serialized = 0
         network = deployment.network
-        network.route(("PC_DONE",), key=_RID_KEY)
+        take_replies(deployment, ("PC_DONE",))
         self._backups = [h for h in deployment.hosts if h != self.primary]
         network.endpoints[self.primary].serve(
             ("PC_WRITE",), self._apply_time(self.primary), self._serialize
@@ -143,26 +142,13 @@ class PrimaryCopy(ReplicationProtocol):
     # -- client-facing paths ----------------------------------------------------
 
     def _start_write(self, record: RequestRecord) -> None:
-        env = self.env
-        endpoint = self.deployment.network.endpoints[record.home]
-        record.dispatched_at = env.now
-        endpoint.send(
-            self.primary,
-            "PC_WRITE",
-            payload={
-                "rid": record.request_id,
-                "key": record.key,
-                "value": record.value,
-                "origin": record.home,
-            },
+        record.dispatched_at = self.env.now
+        self.deployment.server(record.home).interpreter.coordinate(
+            Coordinator(ForwardMachine(
+                self.prefix, record.request_id, record.key, record.value,
+                record.home, self.primary, self.write_timeout,
+            ), record)
         )
-
-        def done(reply: Optional[Message]) -> bool:
-            record.completed_at = env.now
-            record.status = "committed" if reply is not None else "failed"
-            return True
-
-        endpoint.wait("PC_DONE", record.request_id, self.write_timeout, done)
 
     def _start_read(self, record: RequestRecord) -> None:
         record.dispatched_at = self.env.now

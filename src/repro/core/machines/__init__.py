@@ -9,7 +9,11 @@ execution backend:
 * :mod:`~repro.core.machines.replica` — :class:`ReplicaMachine`,
   Algorithm 2 (lock append, bulletin exchange, UPDATE grants, COMMIT
   application, release wake-ups), and :mod:`~repro.core.machines.reader`
-  — :class:`ReaderMachine`, the client quorum read ([D5]);
+  — :class:`ReaderMachine`, the client quorum read ([D5]), which the
+  voting baselines' reads reuse;
+* :mod:`~repro.core.machines.coordinators` — the message-passing
+  baselines' write coordinators (the voting round, the Available Copies
+  ladder, primary copy's forward), run through the same claim table;
 * :mod:`~repro.core.machines.events` / :mod:`~repro.core.machines.effects`
   — the typed inputs the machines consume and the typed effects they
   emit;
@@ -90,6 +94,7 @@ from repro.core.machines.effects import (
     ClaimStarted,
     CommitApplied,
     Dispose,
+    Done,
     Effect,
     Granted,
     LockWon,
@@ -99,7 +104,6 @@ from repro.core.machines.effects import (
     Park,
     PostBulletin,
     QueueChanged,
-    ReadDone,
     Recovered,
     ReleaseNotify,
     Send,
@@ -108,6 +112,11 @@ from repro.core.machines.effects import (
 )
 from repro.core.machines.replica import ReplicaMachine
 from repro.core.machines.reader import ReaderMachine
+from repro.core.machines.coordinators import (
+    ForwardMachine,
+    LadderMachine,
+    VotingMachine,
+)
 from repro.core.machines.agent import AgentCoreState, AgentMachine
 from repro.core.machines.interpreter import (
     EffectInterpreter,
@@ -158,11 +167,12 @@ __all__ = [
     "Arrived", "MsgReceived", "ReplicaDown", "TimerFired",
     # effects
     "Backoff", "Broadcast", "CancelTimer", "ClaimResolved", "ClaimStarted",
-    "CommitApplied", "Dispose", "Effect", "Granted", "LockWon", "Migrate",
-    "Nacked", "Note", "Park", "PostBulletin", "QueueChanged", "ReadDone",
+    "CommitApplied", "Dispose", "Done", "Effect", "Granted", "LockWon",
+    "Migrate", "Nacked", "Note", "Park", "PostBulletin", "QueueChanged",
     "Recovered", "ReleaseNotify", "Send", "SetTimer", "Visit",
     # machines + interpreter + harness
     "ReplicaMachine", "ReaderMachine", "AgentCoreState", "AgentMachine",
+    "VotingMachine", "LadderMachine", "ForwardMachine",
     "EffectInterpreter", "Resident", "Substrate",
     "KernelHarness", "replay", "EventBudgetExceeded", "DROPPABLE_KINDS",
     # adversary

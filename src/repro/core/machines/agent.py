@@ -119,7 +119,8 @@ class AgentCoreState:
     fetch_key: Optional[str] = None
     base_values: Dict[str, Any] = field(default_factory=dict)
     # -- journey log (observational only) -------------------------------
-    # Stamped by the effect interpreter, never read by the machine. The
+    # Stamped by the effect interpreter (``lock_wait_since`` also by the
+    # machine, when it backs off), never read by the machine. The
     # measurements end up in the request records; the ``*_since`` /
     # ``migrate_*`` stamps are phase start times, carried so that the
     # host that *completes* a phase can record its span — a hop's send
@@ -354,7 +355,7 @@ class AgentMachine:
             s.nack_votes += self.vote_of(sender)
             # Early exit when a majority is provably out of reach.
             if self.total_votes - s.nack_votes < self.vote_majority:
-                return self._fail_claim("conflict", fired=None)
+                return self._fail_claim("conflict", None, now)
             return []
         if kind == "READR":
             if s.awaiting != "fetch" or s.fetch_key is None:
@@ -374,9 +375,9 @@ class AgentMachine:
         s = self.state
         if event.kind == "ack" and s.awaiting == "acks":
             outcome = "conflict" if s.nack_votes > 0 else "timeout"
-            return self._fail_claim(outcome, fired="ack")
+            return self._fail_claim(outcome, "ack", event.now)
         if event.kind == "fetch" and s.awaiting == "fetch":
-            return self._fail_claim("timeout", fired="fetch")
+            return self._fail_claim("timeout", "fetch", event.now)
         if event.kind == "backoff" and s.phase == BACKOFF:
             s.phase = TOURING
             return [Visit()]
@@ -474,7 +475,8 @@ class AgentMachine:
             next_version[key] += 1
         return tuple(writes)
 
-    def _fail_claim(self, outcome: str, fired: Optional[str]) -> List[Effect]:
+    def _fail_claim(self, outcome: str, fired: Optional[str],
+                    now: float) -> List[Effect]:
         """Release grants, then abort, or back off and retry.
 
         ``fired`` names the timer that caused the failure (its
@@ -511,5 +513,7 @@ class AgentMachine:
                 4 * self.tunables.claim_backoff, self.tunables.park_timeout
             )
         s.phase = BACKOFF
+        # The lock has to be re-acquired: a fresh lock-wait window opens.
+        s.lock_wait_since = now
         effects.append(Backoff(backoff_mean))
         return effects

@@ -42,7 +42,13 @@ Effect vocabulary (replica machine)
 ``ReleaseNotify`` wake agents parked at this replica ([D2]).
 ``QueueChanged``  the Locking List length changed (gauge refresh).
 ``Recovered``     a crash-recovery snapshot was installed.
-``ReadDone``      (quorum reader) the read ended; ``ok``: a majority replied.
+
+Effect vocabulary (coordinators)
+--------------------------------
+A coordinator (the quorum reader, a baseline's write round) is claimed
+at its home host under its request id, emits ``Send`` / ``Broadcast`` /
+``SetTimer`` / ``CancelTimer`` / ``Backoff``, and ends with
+``Done``        the request's final ``status``.
 """
 
 from __future__ import annotations
@@ -59,7 +65,7 @@ __all__ = [
     "Send", "Broadcast", "PostBulletin", "Note",
     "LockWon", "ClaimStarted", "ClaimResolved", "Dispose",
     "Granted", "Nacked", "CommitApplied", "ReleaseNotify",
-    "QueueChanged", "Recovered", "ReadDone",
+    "QueueChanged", "Recovered", "Done",
 ]
 
 
@@ -250,11 +256,9 @@ class Recovered(Effect):
 
 
 @dataclass(slots=True)
-class ReadDone(Effect):
-    """A quorum read ended (``ok``: its ``replies`` were a majority)."""
+class Done(Effect):
+    """A coordinator (a quorum read, a baseline write) ended: ``status``
+    is its request's final status; what it found is on the machine."""
 
     request_id: int
-    value: Any
-    version: int
-    replies: int
-    ok: bool
+    status: str

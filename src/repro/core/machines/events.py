@@ -18,8 +18,10 @@ Input vocabulary
     (paper §2's unavailability declaration).
 ``MsgReceived``
     A protocol message was delivered. For the agent machine: ACK, NACK,
-    READR. For the reader machine: READR. For the replica machine:
-    UPDATE, COMMIT, ABORT, RELEASE, SYNC_REQUEST, SYNC_REPLY, READQ.
+    READR. For a coordinator: the replies to its request (a quorum
+    read's READRs or RVALs, a voting round's GRANT/NACKs, ...). For the
+    replica machine: UPDATE, COMMIT, ABORT, RELEASE, SYNC_REQUEST,
+    SYNC_REPLY, READQ.
 ``TimerFired``
     A timer previously requested via a ``SetTimer``/``Backoff`` effect
     elapsed. ``kind`` is the timer's name ("ack", "fetch", "backoff").

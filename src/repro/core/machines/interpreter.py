@@ -11,13 +11,14 @@ One :class:`EffectInterpreter` serves one host: its
 :class:`~repro.core.machines.replica.ReplicaMachine` and whatever
 agents are currently there. It owns
 
-* the dispatch of every agent, replica and reader effect (a handler
+* the dispatch of every agent, replica and coordinator effect (a handler
   table keyed by effect class; an effect without a handler is a
   :class:`~repro.errors.ProtocolError`, never a silent skip);
 * the **parked table** ([D2]) — insertion-ordered, so a lock release
   wakes agents in the order they parked, on every backend;
 * the **claim table** — ACK/NACK/READR replies are routed to the
-  claiming agent by batch id, or to the quorum read by request id;
+  claiming agent by batch id; a coordinator (a quorum read, a baseline's
+  write) takes its replies under its request id;
 * **timer tokens** — a timer that was cancelled or replaced before it
   fired is recognised and dropped here, so a substrate may forget a
   cancelled timer but never has to;
@@ -29,8 +30,9 @@ agents are currently there. It owns
 
 The substrate calls in through :meth:`~EffectInterpreter.launch`,
 :meth:`~EffectInterpreter.arrived`, :meth:`~EffectInterpreter.unreachable`,
-:meth:`~EffectInterpreter.deliver` and :meth:`~EffectInterpreter.read`,
-and through the ``fire`` callables it was handed with each timer.
+:meth:`~EffectInterpreter.deliver`, :meth:`~EffectInterpreter.reply` and
+:meth:`~EffectInterpreter.coordinate`, and through the ``fire`` callables
+it was handed with each timer.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from repro.core.machines.effects import (
     ClaimStarted,
     CommitApplied,
     Dispose,
+    Done,
     Effect,
     Granted,
     LockWon,
@@ -58,7 +61,6 @@ from repro.core.machines.effects import (
     Park,
     PostBulletin,
     QueueChanged,
-    ReadDone,
     Recovered,
     ReleaseNotify,
     Send,
@@ -71,14 +73,15 @@ from repro.core.machines.replica import ReplicaMachine
 __all__ = ["EffectInterpreter", "Resident", "Substrate"]
 
 #: Replies a replica addresses to a claim or a quorum read at a host,
-#: not to that host's replica.
+#: not to that host's replica. (A baseline serves its own reply kinds
+#: and hands each to :meth:`EffectInterpreter.reply` itself.)
 AGENT_BOUND = ("ACK", "NACK", "READR")
 
 Fire = Callable[[], None]
 
 
 class Resident:
-    """One agent (or quorum read) as the interpreter holds it at a host.
+    """One agent (or coordinator) as the interpreter holds it at a host.
 
     Backends subclass it to hang their per-agent records on; a backend
     that ships agents as bytes builds a fresh one around the unshipped
@@ -185,8 +188,8 @@ class Substrate:
     def lock_won(self, agent: Resident, effect: LockWon) -> None:
         """Keep the records of a lock acquisition."""
 
-    def read_done(self, reader: Resident, effect: ReadDone) -> None:
-        """Keep the records of a finished quorum read."""
+    def done(self, coordinator: Resident, effect: Done) -> None:
+        """Keep the records of a finished coordinator."""
 
     def emit(self, kind: str, agent_id: Optional[AgentId],
              request_id: Optional[int], detail: Any,
@@ -215,10 +218,9 @@ class EffectInterpreter:
         self.down = False
         #: agents parked here awaiting a release, in park order ([D2])
         self.parked: Dict[AgentId, Resident] = {}
-        #: batch (or quorum read) id -> who takes its replies at this host
+        #: batch (or coordinator's request) id -> who takes its replies
+        #: at this host
         self.claims: Dict[int, Resident] = {}
-        #: optional ``set(now, length)`` observer of the Locking List
-        self.queue_monitor = None
         self._sent_at: Optional[float] = None
         self._handlers = _Handlers({
             Migrate: self._migrate,
@@ -241,7 +243,7 @@ class EffectInterpreter:
             Recovered: self._recovered,
             QueueChanged: self._queue_changed,
             ReleaseNotify: self._release_notify,
-            ReadDone: self._read_done,
+            Done: self._done,
         })
         self._obs = obs
         if obs is not None:
@@ -329,25 +331,34 @@ class EffectInterpreter:
     def deliver(self, kind: str, payload: Any, src: str = "",
                 sent_at: Optional[float] = None) -> None:
         """A protocol message reached this host."""
-        now = self.substrate.now()
         if kind in AGENT_BOUND:
             taker = payload["request_id" if kind == "READR" else "batch_id"]
             if taker.__class__ is tuple:  # an RMW fetch's (batch, epoch, key)
                 taker = taker[0]
-            agent = self.claims.get(taker)
-            if agent is not None:
-                self._run(agent, agent.machine.on_message(kind, payload, now))
+            self.reply(taker, kind, payload)
         elif not self.down:
             self._sent_at = sent_at
-            self.run_replica(
-                self.replica.on_message(kind, payload, src=src, now=now)
-            )
+            self.run_replica(self.replica.on_message(
+                kind, payload, src=src, now=self.substrate.now()
+            ))
 
-    def read(self, reader: Resident) -> None:
-        """A quorum read (a resident ``ReaderMachine``) starts here; its
-        READRs reach it through the claim table."""
-        self.claims[reader.machine.request_id] = reader
-        self._run(reader, reader.machine.start())
+    def reply(self, taker: int, kind: str, payload: Any) -> None:
+        """A reply to whoever claimed ``taker`` here: a claiming agent's
+        batch, a coordinator's request. One nobody claims (any more) is
+        dropped."""
+        claimer = self.claims.get(taker)
+        if claimer is not None:
+            self._run(claimer, claimer.machine.on_message(
+                kind, payload, self.substrate.now()
+            ))
+
+    def coordinate(self, coordinator: Resident) -> None:
+        """A coordinator starts here: a resident machine with a
+        ``request_id`` (a :class:`~repro.core.machines.reader.ReaderMachine`,
+        a baseline's write). It takes its replies through the claim table
+        until it emits ``Done``."""
+        self.claims[coordinator.machine.request_id] = coordinator
+        self._run(coordinator, coordinator.machine.start())
 
     def evict(self, agent: Resident) -> None:
         """Forget an agent that vanished mid-flight (harness churn)."""
@@ -452,8 +463,6 @@ class EffectInterpreter:
         self._disarm(agent, effect.kind)
 
     def _backoff(self, agent: Resident, effect: Backoff) -> None:
-        # The lock has to be re-acquired: a fresh lock-wait window opens.
-        now = agent.machine.state.lock_wait_since = self.substrate.now()
         if effect.mean > 0:
             self._arm(
                 agent, "backoff",
@@ -462,7 +471,7 @@ class EffectInterpreter:
             )
         else:
             self._run(agent, agent.machine.on_timer(
-                TimerFired("backoff", now)
+                TimerFired("backoff", self.substrate.now())
             ))
 
     # -- movement and parking -----------------------------------------------
@@ -598,9 +607,9 @@ class EffectInterpreter:
                 f"epoch {effect.epoch} ({effect.outcome})",
             )
 
-    def _read_done(self, reader: Resident, effect: ReadDone) -> None:
+    def _done(self, coordinator: Resident, effect: Done) -> None:
         self.claims.pop(effect.request_id, None)
-        self.substrate.read_done(reader, effect)
+        self.substrate.done(coordinator, effect)
 
     def _dispose(self, agent: Resident, effect: Dispose) -> None:
         state = agent.machine.state
@@ -659,8 +668,5 @@ class EffectInterpreter:
         )
 
     def _queue_changed(self, _agent, effect: QueueChanged) -> None:
-        length = len(self.replica.locking_list)
-        if self.queue_monitor is not None:
-            self.queue_monitor.set(self.substrate.now(), length)
         if self._obs is not None:
-            self._m_ll.set(length, host=self.host)
+            self._m_ll.set(len(self.replica.locking_list), host=self.host)

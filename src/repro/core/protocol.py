@@ -21,7 +21,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.batching import BatchDispatcher
 from repro.core.config import MARPConfig
-from repro.core.machines import ReaderMachine, Resident
+from repro.core.machines import Broadcast, Done, ReaderMachine, Resident
 from repro.core.update_agent import UpdateAgent
 from repro.errors import ProtocolError
 from repro.replication.deployment import Deployment
@@ -36,10 +36,20 @@ class _QuorumRead(Resident):
 
     def __init__(self, record: RequestRecord, majority: int,
                  timeout: float) -> None:
+        rid = record.request_id
         super().__init__(ReaderMachine(
-            record.request_id, record.key, majority, timeout
+            rid, Broadcast("READQ", {"request_id": rid, "key": record.key}),
+            majority, timeout,
         ))
         self.record = record
+
+    def finished(self, effect: Done, now: float) -> None:
+        reader, record = self.machine, self.record
+        record.value = reader.value
+        record.extra.update(version=reader.version, read_strategy="quorum",
+                            replies=len(reader.replied))
+        record.completed_at = now
+        record.status = effect.status
 
 
 class MARP(ReplicationProtocol):
@@ -105,9 +115,10 @@ class MARP(ReplicationProtocol):
 
     def _start_read(self, record: RequestRecord) -> None:
         if self.config.read_strategy == "quorum":
-            self.deployment.server(record.home).interpreter.read(_QuorumRead(
-                record, self.deployment.majority, self.config.ack_timeout
-            ))
+            self.deployment.server(record.home).interpreter.coordinate(
+                _QuorumRead(record, self.deployment.majority,
+                            self.config.ack_timeout)
+            )
         else:
             record.extra["read_strategy"] = "local"
             self._read_local(record)

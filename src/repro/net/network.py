@@ -5,8 +5,8 @@ asynchronous with unpredictable but finite delays; processes are
 fail-stop. Concretely:
 
 * :meth:`Network.send` is non-blocking; delivery happens after a delay
-  drawn from the latency model, optionally scaled by the topology cost of
-  the (src, dst) pair.
+  drawn from the latency model, scaled by the topology cost of the
+  (src, dst) pair.
 * Messages to a crashed host are silently dropped (fail-stop: the host
   neither receives nor responds; senders use timeouts).
 * Transient link faults drop individual transmissions; reliable unicast
@@ -15,25 +15,21 @@ fail-stop. Concretely:
   platform's retry policy (paper §2).
 
 Every host gets an :class:`Endpoint`, and a delivered message is
-dispatched the moment it arrives; nothing is filed for later. A kind a
-stationary process serves goes to its :meth:`Endpoint.serve` handler,
-one message at a time. A reply that belongs to a conversation (kinds
-declared with a correlation key by :meth:`Network.route`) goes to the
-coordinator gathering that conversation's replies until its tally is
-satisfied or a deadline passes (:meth:`Endpoint.wait`). A message that
-finds neither — a reply after its wait ended, a kind nobody serves — is
-dropped and counted in :attr:`NetworkStats.expired`: under the paper's
-§2 model the sender has already given up on it. A migration attempt
-(:meth:`Network.attempt_transfer`) reports its outcome by callback too.
+dispatched the moment it arrives; nothing is filed for later. The
+network carries messages and knows no conversation: a message goes to
+its kind's :meth:`Endpoint.serve` handler at the destination, or, when
+nobody serves that kind there, is dropped and counted in
+:attr:`NetworkStats.expired`. Replies reach the coordinator that waits
+for them through a serve too: the host's effect interpreter takes them
+in its claim table, and drops those nobody claims any more. A migration
+attempt (:meth:`Network.attempt_transfer`) reports its outcome by
+callback.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import (
-    Any, Callable, Deque, Dict, Hashable, Iterable, List, Optional, Tuple,
-    Union,
-)
+from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import MigrationError, NetworkError
 from repro.net.faults import FaultPlan
@@ -47,23 +43,16 @@ from repro.sim.rng import RandomStreams
 __all__ = ["Network", "Endpoint"]
 
 
-#: One declared correlation key: the kinds replying in one conversation,
-#: and the function reading the conversation from a message's payload.
-_Keyed = Tuple[Tuple[str, ...], Callable[[Any], Hashable]]
-
-
 class Endpoint:
     """A host's attachment point: who takes what arrives, plus senders."""
 
     def __init__(self, network: "Network", host: str) -> None:
         self.network = network
         self.host = host
-        #: kind -> what takes its messages that belong to no conversation
+        #: kind -> what takes its messages
         self._served: Dict[str, Callable[[Message], None]] = {}
         #: the serves that queue, for :attr:`pending`
         self._servers: List[_Server] = []
-        #: (declared kinds, conversation) -> the wait standing on it
-        self._waits: Dict[Tuple[Tuple[str, ...], Hashable], _Wait] = {}
 
     def serve(
         self,
@@ -102,43 +91,6 @@ class Endpoint:
             take = server.arrived
         for kind in kinds:
             served[kind] = take
-
-    def wait(
-        self,
-        kind: Union[str, Tuple[str, ...]],
-        key: Hashable,
-        timeout: float,
-        done: Callable[[Optional[Message]], bool],
-    ) -> None:
-        """Replies until satisfied, or a deadline, by callback.
-
-        ``done(msg)`` is called with each message of conversation
-        ``key`` of ``kind`` (a kind, or the tuple :meth:`Network.route`
-        declared with a correlation key) and says whether the wait is
-        satisfied: a tally returns false until it has its quorum, and
-        the wait keeps taking replies. If it is not satisfied ``timeout``
-        ms from now, ``done(None)``. Either way the wait has withdrawn
-        before that last call, so ``done`` may start the next wait on the
-        same conversation. A reply that comes when no wait stands on its
-        conversation — before one started, or after it ended — is
-        nobody's: it is dropped at arrival and counted as expired.
-        """
-        kinds = (kind,) if kind.__class__ is str else tuple(kind)
-        keyed = self.network._keys.get(kinds[0])
-        if keyed is None or keyed[0] != kinds:
-            raise NetworkError(
-                f"no correlation key was declared for {kinds!r}"
-            )
-        if key is None:
-            raise NetworkError(f"a wait on {kinds!r} needs its key")
-        conversation = (keyed[0], key)
-        waits = self._waits
-        if conversation in waits:
-            raise NetworkError(
-                f"conversation {key!r} of {kinds!r} is already awaited"
-            )
-        wait = waits[conversation] = _Wait(waits, conversation, done)
-        self.network.env.call_in(timeout, wait.deadline)
 
     def send(
         self,
@@ -256,49 +208,6 @@ class _Server:
         return None
 
 
-class _Wait:
-    """One :meth:`Endpoint.wait` in progress.
-
-    The entry standing on the conversation and the deadline in the heap
-    are this object's bound methods. A closure that stood *itself* back
-    on the conversation would refer to itself through its cell: a
-    reference cycle per wait, holding ``done`` and all it captured
-    until the cyclic collector came by. This object refers to nothing
-    that refers back to it, so a finished wait is freed as soon as the
-    endpoint and the heap let go of it.
-    """
-
-    __slots__ = ("waits", "conversation", "done", "waiting")
-
-    def __init__(
-        self,
-        waits: Dict[Hashable, "_Wait"],
-        conversation: Hashable,
-        done: Callable[[Optional[Message]], bool],
-    ) -> None:
-        self.waits = waits
-        self.conversation = conversation
-        self.done = done
-        self.waiting = True
-
-    def replied(self, msg: Message) -> None:
-        """A reply of the conversation: withdraw, hand it to ``done``,
-        and stand again unless that satisfied the wait."""
-        waits = self.waits
-        del waits[self.conversation]
-        if self.done(msg):
-            self.waiting = False
-        else:
-            waits[self.conversation] = self
-
-    def deadline(self, _arg: None) -> None:
-        """Time is up: withdraw, then ``done(None)`` unless satisfied."""
-        if self.waiting:
-            self.waiting = False
-            del self.waits[self.conversation]
-            self.done(None)
-
-
 class Network:
     """Simulated wide-area network binding topology, latency and faults.
 
@@ -314,16 +223,11 @@ class Network:
         Crash windows and link faults; default none.
     streams:
         Random streams (for latency jitter and fault draws).
-    scale_by_cost:
-        When true (default), sampled delays are multiplied by the
-        topology's (src, dst) cost, making "distant" hosts slower.
-    fifo_links:
-        When true, messages on the same (src, dst) link are delivered in
-        send order (TCP-like ordered channels): a message whose sampled
-        delay would let it overtake an earlier one is held back to the
-        earlier one's arrival instant. Default false — the paper's model
-        only promises reliability, not ordering, and the protocols must
-        (and do) tolerate reordering.
+
+    Sampled delays are multiplied by the topology's (src, dst) cost,
+    making "distant" hosts slower. Links do not keep send order: the
+    paper's model only promises reliability, and the protocols must (and
+    do) tolerate reordering.
     """
 
     def __init__(
@@ -333,8 +237,6 @@ class Network:
         latency: Optional[LatencyModel] = None,
         faults: Optional[FaultPlan] = None,
         streams: Optional[RandomStreams] = None,
-        scale_by_cost: bool = True,
-        fifo_links: bool = False,
     ) -> None:
         self.env = env
         self.topology = topology
@@ -343,16 +245,10 @@ class Network:
         #: the crash schedule's live host -> windows map
         self._crash_windows = self.faults.crashes.by_host
         self.streams = streams or RandomStreams(0)
-        self.scale_by_cost = scale_by_cost
-        self.fifo_links = fifo_links
         self.stats = NetworkStats()
         self.endpoints: Dict[str, Endpoint] = {}
-        #: kind -> its declared correlation key (see route)
-        self._keys: Dict[str, _Keyed] = {}
         self._latency_stream = self.streams.stream("net.latency")
         self._fault_stream = self.streams.stream("net.faults")
-        # per-(src, dst) arrival horizon used by fifo_links
-        self._link_horizon: Dict[tuple, float] = {}
 
     # -- observability -----------------------------------------------------
 
@@ -385,37 +281,12 @@ class Network:
             return True
         return self.faults.host_up(host, self.env.now)
 
-    # -- conversations ----------------------------------------------------
-
-    def route(
-        self, kinds: Iterable[str], key: Callable[[Any], Hashable]
-    ) -> None:
-        """Declare that replies of ``kinds`` belong to conversations.
-
-        ``key(payload)`` names the conversation a reply belongs to (a
-        lock round's ``(rid, epoch)``, a quorum read's ``request_id``),
-        read once, at arrival: the reply goes to the
-        :meth:`Endpoint.wait` on ``(kinds, key)`` at its destination,
-        never to another conversation's, or is dropped when none stands
-        there. Declare before traffic of these kinds flows; repeating a
-        declaration is a no-op.
-        """
-        kinds = tuple(kinds)
-        keyed: _Keyed = (kinds, key)
-        for kind in kinds:
-            known = self._keys.get(kind)
-            if known is not None and (known[0] != kinds or known[1] is not key):
-                raise NetworkError(
-                    f"kind {kind!r} is already keyed with {known[0]!r}"
-                )
-            self._keys[kind] = keyed
-
     # -- delays --------------------------------------------------------------
 
     def sample_delay(self, src: str, dst: str, size_bytes: int) -> float:
         """One latency draw for a (src, dst, size) transmission."""
         delay = self.latency.sample(src, dst, size_bytes, self._latency_stream)
-        if self.scale_by_cost and src != dst:
+        if src != dst:
             delay *= self.topology.cost(src, dst)
         return delay
 
@@ -447,11 +318,6 @@ class Network:
             return
 
         delay = self.sample_delay(src, dst, msg.size_bytes)
-        if self.fifo_links:
-            link = (src, dst)
-            horizon = max(now + delay, self._link_horizon.get(link, 0.0))
-            self._link_horizon[link] = horizon
-            delay = horizon - now
         # Delivery is one heap entry carrying the message.
         if delay > 0:
             env.call_in(delay, self._arrive, msg)
@@ -459,25 +325,15 @@ class Network:
             env.call_urgent(self._arrive, msg)
 
     def _arrive(self, msg: Message) -> None:
-        """Arrival callback: hand the message to its conversation's wait
-        or its kind's serve at the destination, or drop it."""
+        """Arrival callback: hand the message to its kind's serve at the
+        destination, or drop it."""
         if self._crash_windows and not self.faults.host_up(
             msg.dst, self.env._now
         ):
             # Fail-stop destination: the message vanishes.
             self.stats.record_drop(msg.category, msg.kind)
             return
-        endpoint = self.endpoints[msg.dst]
-        kind = msg.kind
-        keyed = self._keys.get(kind)
-        if keyed is not None:
-            wait = endpoint._waits.get((keyed[0], keyed[1](msg.payload)))
-            if wait is None:
-                self.stats.record_expired()
-            else:
-                wait.replied(msg)
-            return
-        take = endpoint._served.get(kind)
+        take = self.endpoints[msg.dst]._served.get(msg.kind)
         if take is None:
             self.stats.record_expired()
         else:

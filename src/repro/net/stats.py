@@ -51,7 +51,7 @@ class NetworkStats:
         )
         self._obs_expired = hub.counter(
             "net_expired_total",
-            "replies that arrived for no waiter",
+            "messages of a kind nobody serves at their destination",
             (),
         )
 
@@ -71,9 +71,10 @@ class NetworkStats:
             self._obs_dropped.inc(category=category, kind=kind)
 
     def record_expired(self) -> None:
-        """Replies that arrived for no waiter (and messages of a kind
-        nobody serves), dropped at arrival — distinct from
-        :meth:`record_drop`: these *arrived*."""
+        """A message of a kind nobody serves at its destination, dropped
+        at arrival — distinct from :meth:`record_drop`: it *arrived*. (A
+        reply nobody claims any more reaches its host's claim table and
+        is dropped there, uncounted.)"""
         self.expired += 1
         if self._hub is not None:
             self._obs_expired.inc()

@@ -15,10 +15,6 @@ Typical use::
     table = run_comparison(...)         # any experiment entry point
     print(obs.format_report(hub))
     obs.write_jsonl(hub, "metrics.jsonl")
-
-The time-weighted :class:`StateMonitor` from :mod:`repro.sim.monitor` is
-re-exported here so analysis code has a single import for all
-measurement types.
 """
 
 from repro.obs.export import (
@@ -55,7 +51,6 @@ from repro.obs.journeys import (
 )
 from repro.obs.selfcheck import SelfCheckReport, self_check
 from repro.obs.tracing import ObsEvent, Span, SpanTracer
-from repro.sim.monitor import StateMonitor
 
 __all__ = [
     # hub lifecycle
@@ -93,6 +88,4 @@ __all__ = [
     # diagnostics
     "self_check",
     "SelfCheckReport",
-    # time-series monitor (re-exported for one-stop imports)
-    "StateMonitor",
 ]

@@ -165,26 +165,6 @@ class Deployment:
 
         arm()
 
-    def enable_queue_monitoring(self) -> Dict[str, "object"]:
-        """Track each server's Locking-List length over time.
-
-        Returns ``{host: StateMonitor}``; the monitors' time-weighted
-        averages quantify lock queueing (the dominant ALT component at
-        high contention).
-        """
-        from repro.sim.monitor import StateMonitor
-
-        monitors = {}
-        for host, server in self.servers.items():
-            interpreter = server.interpreter
-            if interpreter.queue_monitor is None:
-                interpreter.queue_monitor = StateMonitor(
-                    name=f"ll-{host}", initial=len(server.locking_list),
-                    time=self.env.now,
-                )
-            monitors[host] = interpreter.queue_monitor
-        return monitors
-
     def server(self, host: str) -> ReplicaServer:
         try:
             return self.servers[host]

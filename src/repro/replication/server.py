@@ -9,7 +9,8 @@ interpreter. It supplies only what a simulated host is made of:
   single-server queue that serialises UPDATE and COMMIT processing
   behind ``update_apply_time``, and the claim and quorum-read replies,
   which the endpoint pushes at the interpreter as they arrive (what the
-  live transport does);
+  live transport does; a baseline pushes its own replies at the same
+  claim table);
 * timers as heap callbacks (``env.call_in``) for visits, back-off,
   claim-round deadlines and parks (a release wakes the parked agent in
   a step of its own);
@@ -298,13 +299,8 @@ class ReplicaServer(Substrate):
     def disposed(self, agent, effect) -> None:
         agent.finished(effect, self.env.now)
 
-    def read_done(self, reader, effect) -> None:
-        record = reader.record
-        record.value = effect.value
-        record.extra.update(version=effect.version, read_strategy="quorum",
-                            replies=effect.replies)
-        record.completed_at = self.env.now
-        record.status = "read-done" if effect.ok else "failed"
+    def done(self, coordinator, effect) -> None:
+        coordinator.finished(effect, self.env.now)
 
     def emit(self, kind, agent_id, request_id, detail, host) -> None:
         if self.trace is not None:

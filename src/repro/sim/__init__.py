@@ -2,9 +2,8 @@
 
 A self-contained DES engine holding exactly what the MARP substrate
 schedules: the :class:`~repro.sim.core.Environment` owns the clock and
-a heap of callbacks (``call_in`` / ``call_urgent``);
-:class:`~repro.sim.rng.RandomStreams` names the random streams and a
-:class:`~repro.sim.monitor.StateMonitor` records a time series.
+a heap of callbacks (``call_in`` / ``call_urgent``), and
+:class:`~repro.sim.rng.RandomStreams` names the random streams.
 
 Quick example::
 
@@ -22,12 +21,10 @@ Quick example::
 """
 
 from repro.sim.core import NORMAL, URGENT, Environment
-from repro.sim.monitor import StateMonitor
 from repro.sim.rng import RandomStreams, Stream
 
 __all__ = [
     "Environment",
-    "StateMonitor",
     "RandomStreams",
     "Stream",
     "URGENT",

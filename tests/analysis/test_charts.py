@@ -60,33 +60,3 @@ class TestAsciiChart:
             series={"s": [3.0, 4.0]},
         )
         assert "o s" in figure.chart
-
-
-class TestQueueMonitoring:
-    def test_ll_lengths_tracked_over_time(self):
-        from repro import Deployment, MARP
-
-        dep = Deployment(n_replicas=3, seed=1)
-        monitors = dep.enable_queue_monitoring()
-        marp = MARP(dep)
-        for host in dep.hosts:
-            marp.submit_write(host, "x", 1)
-        dep.run(until=200_000)
-        for host, monitor in monitors.items():
-            # queues drained back to zero and saw some occupancy
-            assert monitor.current == 0
-            average = monitor.time_average(until=dep.env.now)
-            assert average >= 0
-        # at least one server actually queued more than one agent
-        peak = max(
-            max(m.samples()[1]) for m in monitors.values()
-        )
-        assert peak >= 2
-
-    def test_idempotent_enable(self):
-        from repro import Deployment
-
-        dep = Deployment(n_replicas=2, seed=0)
-        first = dep.enable_queue_monitoring()
-        second = dep.enable_queue_monitoring()
-        assert first["s1"] is second["s1"]

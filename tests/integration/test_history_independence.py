@@ -32,7 +32,6 @@ Five guards, all deterministic counts (no wall clock):
 
 import os
 import sys
-from operator import itemgetter
 
 import pytest
 
@@ -282,33 +281,6 @@ class TestRoutedMailboxOrdering:
         env.call_in(0.1, behind)
         env.run(until=50.0)
         assert handled == ["UPDATE", "RELEASE", "READQ", "UPDATE"]
-
-    def test_withdrawn_receive_never_swallows_a_later_epoch(self, cluster):
-        # MARP declares no conversation (its replies reach their takers
-        # through the interpreter): the test keys a kind of its own
-        env = cluster.env
-        cluster.network.route(("PROBE",), key=itemgetter("request_id"))
-        endpoint = cluster.network.endpoints["s1"]
-        got = []
-
-        def second(msg):
-            got.append((msg.kind, msg.payload["request_id"]))
-            return True
-
-        def first(msg):
-            assert msg is None  # probe 5's deadline fired
-            endpoint.wait("PROBE", 6, 10.0, second)
-            endpoint.send("s1", "PROBE", {"request_id": 5, "from": "s1"})
-            endpoint.send("s1", "PROBE", {"request_id": 6, "from": "s1"})
-            return True
-
-        endpoint.wait("PROBE", 5, 2.0, first)
-        env.run(until=50.0)
-        assert got == [("PROBE", 6)]
-        # the stale reply was nobody's and dropped at arrival; the ended
-        # waits left nothing standing
-        assert cluster.network.stats.expired == 1
-        assert not endpoint._waits
 
 
 def _events_per_commit(protocol, requests_per_client):

@@ -3,8 +3,8 @@
 A replica's Updated List forgets a completed agent after
 ``UL_WINDOW_FACTOR * grant_ttl``; no config carries the window, so a
 plain ``RunConfig`` run is bounded by it exactly like a ``scale_config``
-one. A DES endpoint needs no window at all: a reply that finds no wait
-on its conversation is dropped the moment it arrives.
+one. A DES endpoint needs no window at all: a reply that nobody claims
+at its destination's claim table is dropped the moment it arrives.
 """
 
 import pytest
@@ -15,8 +15,8 @@ from repro.core.machines.config import (
     LIVE_TUNABLES,
     UL_WINDOW_FACTOR,
 )
+from repro.core.machines.interpreter import EffectInterpreter
 from repro.experiments.runner import RunConfig, run_once
-from repro.net import network as network_module
 from repro.replication.deployment import Deployment
 from repro.replication.server import ReplicaConfig
 from repro.runtime.host import HostRuntime, LiveConfig
@@ -52,20 +52,24 @@ class TestDefaultRunIsBounded:
         network = result.deployment.network
         assert network.stats.expired == 0
         for endpoint in network.endpoints.values():
-            assert endpoint.pending == 0 and not endpoint._waits
+            assert endpoint.pending == 0
+        for server in result.deployment.servers.values():
+            assert server.interpreter.claims == {}
 
     def test_surplus_quorum_replies_are_dropped_at_arrival(self, monkeypatch):
-        """A quorum coordinator stops at a majority of GRANTs (a write)
-        or RVALs (a read); each reply after that finds no wait and is
-        dropped and counted as it lands, so nothing is left behind."""
-        replied = network_module._Wait.replied
-        taken = []
+        """A quorum coordinator stops at a write quorum of GRANTs (a
+        write) or a read quorum of RVALs (a read) and leaves its home
+        host's claim table; each reply after that reaches the claim table
+        as it lands and is dropped there, so nothing is left behind."""
+        reply = EffectInterpreter.reply
+        taken, dropped = [], []
 
-        def counted(wait, msg):
-            taken.append(msg.kind)
-            return replied(wait, msg)
+        def counted(interpreter, taker, kind, payload):
+            claimed = taker in interpreter.claims
+            (taken if claimed else dropped).append(kind)
+            return reply(interpreter, taker, kind, payload)
 
-        monkeypatch.setattr(network_module._Wait, "replied", counted)
+        monkeypatch.setattr(EffectInterpreter, "reply", counted)
         result = run_once(RunConfig(
             protocol="mcv", n_replicas=5, seed=3, mean_interarrival=200.0,
             requests_per_client=400, n_keys=16, key_skew=0.9,
@@ -78,10 +82,15 @@ class TestDefaultRunIsBounded:
             if kind in ("MCV_GRANT", "MCV_NACK", "MCV_RVAL")
         )
         assert network.stats.total_dropped() == 0
-        assert set(taken) <= {"MCV_GRANT", "MCV_NACK", "MCV_RVAL"}
-        assert network.stats.expired == replies - len(taken) > 0
+        assert set(taken + dropped) == {"MCV_GRANT", "MCV_NACK", "MCV_RVAL"}
+        # every reply landed at its claim table; the surplus was dropped
+        # there, and the network counted none as nobody's
+        assert len(taken) + len(dropped) == replies
+        assert dropped and network.stats.expired == 0
         for endpoint in network.endpoints.values():
-            assert endpoint.pending == 0 and not endpoint._waits
+            assert endpoint.pending == 0
+        for server in result.deployment.servers.values():
+            assert server.interpreter.claims == {}
 
 
 def _prune_horizon(machine, grant_ttl):

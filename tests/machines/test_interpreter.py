@@ -5,7 +5,8 @@ that records what the interpreter asks of it and lets the test decide
 when a timer fires, a shipment lands or a message arrives. The scripts
 walk one agent through the protocol's turning points — win, park and
 wake, lost claim and back-off, unreachable host, superseded timer —
-and one test pins that every effect of the vocabulary has a handler.
+and coordinators (a quorum read, a voting round) through the claim
+table; one test pins that every effect of the vocabulary has a handler.
 """
 
 import json
@@ -20,7 +21,9 @@ from repro.agents.identity import AgentId
 from repro.core.machines import effects as effects_mod
 from repro.core.machines.agent import AgentCoreState, AgentMachine
 from repro.core.machines.config import ProtocolTunables
-from repro.core.machines.effects import Effect
+from repro.core.machines.coordinators import VotingMachine
+from repro.core.machines.effects import Broadcast, Done, Effect
+from repro.core.machines.reader import ReaderMachine
 from repro.core.machines.interpreter import (
     EffectInterpreter,
     Resident,
@@ -67,6 +70,9 @@ class FakeSubstrate(Substrate):
     def disposed(self, agent, effect):
         self.world.disposed.append((agent, effect.status))
 
+    def done(self, coordinator, effect):
+        self.world.finished.append((coordinator, effect))
+
     def emit(self, kind, agent_id, request_id, detail, host):
         self.world.trace.append(kind)
 
@@ -77,7 +83,7 @@ class World:
     def __init__(self):
         self.now = 0.0
         self.sent, self.timers, self.shipped = [], [], []
-        self.disposed, self.trace = [], []
+        self.disposed, self.trace, self.finished = [], [], []
         self.hosts = {
             host: EffectInterpreter(
                 host, ReplicaMachine(host, HOSTS, TUNABLES),
@@ -189,6 +195,8 @@ class TestScripts:
         assert len(kinds(world, "RELEASE")) == 3
         assert "claim-failed" in world.trace
         assert set(agent.timers) == {"backoff"}
+        # the machine opened a fresh lock-wait window as it backed off
+        assert agent.machine.state.lock_wait_since == world.now
         # A silent round is a timeout, not a conflict: the long back-off.
         (deadline, _fire), = world.timers
         assert deadline == world.now + max(
@@ -245,6 +253,93 @@ class TestScripts:
             world.fire()
         assert world.disposed == []
         assert kinds(world, "COMMIT") == []
+
+
+class TestCoordinators:
+    def test_a_coordinator_takes_only_its_own_replies(self):
+        """A quorum read is claimed at its home host under its request
+        id: a READR of another request, or an RMW fetch's (which goes to
+        the claim of its batch), never reaches it. Its own end it, and it
+        leaves the claim table."""
+        world = World()
+        s1 = world.hosts["s1"]
+        reader = Resident(ReaderMachine(
+            7, Broadcast("READQ", {"request_id": 7, "key": "x"}), 2, 100.0,
+        ))
+        s1.coordinate(reader)
+        assert s1.claims == {7: reader} and set(reader.timers) == {"read"}
+        assert len(kinds(world, "READQ")) == 3
+        for request_id in (8, (8, 1, "x")):
+            s1.deliver("READR", {
+                "request_id": request_id, "key": "x", "from": "s2",
+                "version": 5, "value": "theirs",
+            }, "s2")
+        assert not reader.machine.replied
+        world.flush()  # every replica answers the READQ
+        assert world.finished == [(reader, Done(7, "read-done"))]
+        assert reader.machine.value is None and len(reader.machine.replied) == 2
+        assert s1.claims == {} and reader.timers == {}
+
+    def test_replies_of_other_requests_never_reach_a_round(self):
+        """Rounds of requests 1 and 2 claimed at s2: GRANTs of requests
+        2, 3 and 4 never count in request 1's, which takes its own in
+        order and commits at the second; 3's and 4's, claimed by nobody,
+        are dropped."""
+        world = World()
+        s2 = world.hosts["s2"]
+        ours, other = (
+            Resident(VotingMachine("MCV", rid, "x", "v", "s2", 3, 2, 50.0,
+                                   20.0, 2))
+            for rid in (1, 2)
+        )
+        s2.coordinate(ours)
+        s2.coordinate(other)
+
+        def grant(rid, host, version):
+            s2.reply(rid, "MCV_GRANT", {"rid": rid, "epoch": 1, "from": host,
+                                        "votes": 1, "version": version})
+
+        for rid in (2, 3, 4):
+            grant(rid, "s3", 9)
+        assert ours.machine.grants == {} and other.machine.grants == {"s3": 9}
+        grant(1, "s1", 3)
+        assert ours.machine.grants == {"s1": 3} and world.finished == []
+        grant(1, "s3", 4)
+        assert world.finished == [(ours, Done(1, "committed"))]
+        assert kinds(world, "MCV_APPLY")[0][3]["writes"][0].version == 5
+        assert s2.claims == {2: other}
+
+    def test_a_voting_round_backs_off_and_retries(self):
+        """Two NACKs of three make a quorum of two impossible: ABORT, and
+        the back-off the substrate draws; the next round's GRANTs commit.
+        A reply after that is nobody's."""
+        world = World()
+        s2 = world.hosts["s2"]
+        voting = Resident(
+            VotingMachine("MCV", 7, "x", "v", "s2", 3, 2, 50.0, 20.0, 2)
+        )
+        s2.coordinate(voting)
+        assert len(kinds(world, "MCV_LOCK")) == 3
+        for host in ("s1", "s3"):
+            s2.reply(7, "MCV_NACK",
+                     {"rid": 7, "epoch": 1, "from": host, "votes": 1})
+        assert len(kinds(world, "MCV_ABORT")) == 3
+        assert set(voting.timers) == {"backoff"}
+        (deadline, _fire), = [
+            timer for timer in world.timers if timer[1].kind == "backoff"
+        ]
+        assert deadline == 20.0  # the fake draw is the mean: 20 x attempt 1
+        world.fire(index=world.timers.index((deadline, _fire)))
+        assert voting.machine.attempt == 2
+        for host in ("s1", "s2"):
+            s2.reply(7, "MCV_GRANT", {"rid": 7, "epoch": 2, "from": host,
+                                      "votes": 1, "version": 4})
+        assert world.finished == [(voting, Done(7, "committed"))]
+        assert kinds(world, "MCV_APPLY")[0][3]["writes"][0].version == 5
+        assert s2.claims == {} and voting.timers == {}
+        s2.reply(7, "MCV_GRANT", {"rid": 7, "epoch": 2, "from": "s3",
+                                  "votes": 1, "version": 4})
+        assert len(world.finished) == 1
 
 
 class TestVocabulary:

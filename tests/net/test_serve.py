@@ -1,10 +1,7 @@
-"""``Endpoint.serve`` and ``Endpoint.wait``: the callback single-server
-queue a stationary process takes its messages through, and the wait
-that gathers one conversation's replies until its tally is satisfied or
-a deadline passes — heap callbacks only: the service time and the
-deadline."""
-
-from operator import itemgetter
+"""``Endpoint.serve``: the callback single-server queue a stationary
+process takes its messages through — heap callbacks only: the service
+time. (A coordinator's replies reach it through a serve too, at its
+host's claim table: tests/baselines/test_claim_table.py.)"""
 
 import pytest
 
@@ -142,106 +139,3 @@ class TestServe:
             b.serve(KINDS, None, lambda msg: None)
         with pytest.raises(NetworkError):
             b.serve(("NOTE", "OTHER"), None, lambda msg: None)
-
-
-class TestWait:
-    @pytest.fixture
-    def replies(self, env):
-        network, a, b = make_network(env)
-        network.route(("DONE",), key=itemgetter("rid"))
-        return network, a, b
-
-    def test_reply_before_the_wait_is_dropped_and_counted(self, env, replies):
-        network, a, b = replies
-        a.send("b", "DONE", {"rid": 7})
-        env.run()
-        assert network.stats.expired == 1
-        got = []
-        b.wait("DONE", 7, 50.0, lambda msg: got.append((env.now, msg)) or True)
-        env.run()
-        assert got == [(52.0, None)]         # the early reply is gone
-
-    def test_reply_within_the_deadline(self, env, replies):
-        network, a, b = replies
-        got = []
-        a.send("b", "DONE", {"rid": 7})
-        a.send("b", "DONE", {"rid": 8})      # another conversation
-        b.wait(
-            "DONE", 7, 50.0,
-            lambda msg: got.append((env.now, msg.payload)) or True,
-        )
-        env.run()
-        assert got == [(2.0, {"rid": 7})]    # once: the deadline is spent
-        assert network.stats.expired == 1    # rid 8: nobody waits on it
-
-    def test_deadline_first(self, env, replies):
-        _network, _a, b = replies
-        got = []
-        b.wait("DONE", 7, 50.0, lambda msg: got.append((env.now, msg)) or True)
-        env.run()
-        assert got == [(50.0, None)]
-
-    def test_reply_after_the_deadline_is_dropped_and_counted(
-        self, env, replies
-    ):
-        network, a, b = replies
-        got = []
-        b.wait("DONE", 7, 50.0, lambda msg: got.append((env.now, msg)) or True)
-        at(env, 60.0, lambda: a.send("b", "DONE", {"rid": 7}))
-        env.run()
-        assert got == [(50.0, None)]
-        assert network.stats.expired == 1 and not b._waits
-
-    def test_a_tally_keeps_the_wait_standing_until_satisfied(
-        self, env, replies
-    ):
-        network, a, b = replies
-        got = []
-
-        def tally(msg):
-            got.append((env.now, msg and msg.payload["n"]))
-            return msg is None or len(got) == 3
-
-        b.wait("DONE", 7, 50.0, tally)
-        a.send("b", "DONE", {"rid": 7, "n": 0})
-        at(env, 10.0, lambda: a.send("b", "DONE", {"rid": 7, "n": 1}))
-        at(env, 20.0, lambda: a.send("b", "DONE", {"rid": 7, "n": 2}))
-        at(env, 30.0, lambda: a.send("b", "DONE", {"rid": 7, "n": 3}))
-        env.run()
-        assert got == [(2.0, 0), (12.0, 1), (22.0, 2)]
-        assert network.stats.expired == 1    # the fourth: nobody's
-
-    def test_an_unsatisfied_tally_ends_at_the_deadline(self, env, replies):
-        _network, a, b = replies
-        got = []
-
-        def tally(msg):
-            got.append((env.now, msg and msg.payload["n"]))
-            return msg is None
-
-        b.wait("DONE", 7, 50.0, tally)
-        a.send("b", "DONE", {"rid": 7, "n": 1})
-        env.run()
-        assert got == [(2.0, 1), (50.0, None)]
-        assert not b._waits
-
-    def test_done_may_start_the_next_wait_on_the_same_conversation(
-        self, env, replies
-    ):
-        _network, a, b = replies
-        got = []
-
-        def second(msg):
-            got.append(("second", env.now, msg and msg.payload["n"]))
-            return True
-
-        def first(msg):
-            got.append(("first", env.now, msg and msg.payload["n"]))
-            b.wait("DONE", 7, 50.0, second)
-            return True
-
-        b.wait("DONE", 7, 50.0, first)
-        at(env, 60.0, lambda: a.send("b", "DONE", {"rid": 7, "n": 1}))
-        env.run()
-        # the first wait's deadline (50) does not fire the second wait's
-        assert got == [("first", 50.0, None), ("second", 62.0, 1)]

@@ -3,9 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net.latency import (
-    ConstantLatency, EmpiricalLatency, UniformLatency,
-)
+from repro.net.latency import ConstantLatency, UniformLatency
 from repro.net.message import HEADER_BYTES, Message, estimate_size
 from repro.net.network import Network
 from repro.net.topology import Topology
@@ -13,12 +11,12 @@ from repro.sim.core import Environment
 from repro.sim.rng import RandomStreams
 
 
-def build(seed: int, fifo: bool, latency=None, hosts=("a", "b")):
+def build(seed: int, latency=None, hosts=("a", "b")):
     env = Environment()
     topo = Topology.full_mesh(list(hosts))
     network = Network(
         env, topo, latency=latency or UniformLatency(1.0, 20.0),
-        streams=RandomStreams(seed), fifo_links=fifo,
+        streams=RandomStreams(seed),
     )
     endpoints = {h: network.register(h) for h in hosts}
     return env, network, endpoints
@@ -27,12 +25,11 @@ def build(seed: int, fifo: bool, latency=None, hosts=("a", "b")):
 @given(
     count=st.integers(min_value=1, max_value=40),
     seed=st.integers(min_value=0, max_value=1000),
-    fifo=st.booleans(),
 )
 @settings(max_examples=60, deadline=None)
-def test_reliable_channels_deliver_exactly_once(count, seed, fifo):
+def test_reliable_channels_deliver_exactly_once(count, seed):
     """Without faults, every message is delivered exactly once."""
-    env, network, eps = build(seed, fifo)
+    env, network, eps = build(seed)
     received = []
 
     eps["b"].serve(("SEQ",), None, lambda msg: received.append(msg.payload))
@@ -45,22 +42,6 @@ def test_reliable_channels_deliver_exactly_once(count, seed, fifo):
 
 
 @given(
-    count=st.integers(min_value=2, max_value=40),
-    seed=st.integers(min_value=0, max_value=1000),
-)
-@settings(max_examples=60, deadline=None)
-def test_fifo_links_never_reorder(count, seed):
-    env, _network, eps = build(seed, fifo=True)
-    received = []
-
-    eps["b"].serve(("SEQ",), None, lambda msg: received.append(msg.payload))
-    for index in range(count):
-        eps["a"].send("b", "SEQ", index)
-    env.run()
-    assert received == list(range(count))
-
-
-@given(
     seed=st.integers(min_value=0, max_value=1000),
     sizes=st.lists(
         st.integers(min_value=0, max_value=100_000), min_size=1,
@@ -69,36 +50,13 @@ def test_fifo_links_never_reorder(count, seed):
 )
 @settings(max_examples=60, deadline=None)
 def test_byte_accounting_is_exact(seed, sizes):
-    env, network, eps = build(seed, fifo=False)
+    env, network, eps = build(seed)
     total = 0
     for size in sizes:
         eps["a"].send("b", "DATA", size_bytes=size or 1)
         total += size or 1
     env.run()
     assert network.stats.total_bytes() == total
-
-
-@given(
-    count=st.integers(min_value=2, max_value=40),
-    seed=st.integers(min_value=0, max_value=1000),
-)
-@settings(max_examples=60, deadline=None)
-def test_fifo_horizon_ties_keep_send_order(count, seed):
-    """Three whole-ms delays: most messages are held back to an earlier
-    one's arrival instant, and messages tied there keep send order."""
-    env, _network, eps = build(
-        seed, fifo=True, latency=EmpiricalLatency([1.0, 2.0, 3.0])
-    )
-    received = []
-
-    eps["b"].serve(
-        ("SEQ",), None, lambda msg: received.append((msg.payload, env.now))
-    )
-    for index in range(count):
-        eps["a"].send("b", "SEQ", index)
-    env.run()
-    assert [payload for payload, _at in received] == list(range(count))
-    assert len({at for _payload, at in received}) <= 3
 
 
 @given(
@@ -112,7 +70,7 @@ def test_serve_preserves_fifo(items, spaced):
     """One serve over three kinds takes its messages in arrival order
     across the kinds, whether a message found the server idle or queued
     behind a service (``item % 3`` ms, so some take none)."""
-    env, _network, eps = build(0, fifo=False, latency=ConstantLatency(1.0))
+    env, _network, eps = build(0, latency=ConstantLatency(1.0))
     kinds = ("K0", "K1", "K2")
     handled = []
     eps["b"].serve(
@@ -136,11 +94,10 @@ def test_serve_preserves_fifo(items, spaced):
     count=st.integers(min_value=0, max_value=30),
     self_sends=st.integers(min_value=0, max_value=5),
     seed=st.integers(min_value=0, max_value=1000),
-    fifo=st.booleans(),
 )
 @settings(max_examples=60, deadline=None)
-def test_every_message_is_one_scheduled_event(count, self_sends, seed, fifo):
-    env, network, eps = build(seed, fifo)
+def test_every_message_is_one_scheduled_event(count, self_sends, seed):
+    env, network, eps = build(seed)
     for index in range(count):
         eps["a"].send("b", "SEQ", index)
     for index in range(self_sends):
@@ -167,7 +124,7 @@ _payloads = st.recursive(
 @settings(max_examples=60, deadline=None)
 def test_broadcast_bytes_equal_per_destination_sizing(payload, include_self):
     hosts = ("a", "b", "c", "d")
-    env, network, eps = build(0, fifo=False, hosts=hosts)
+    env, network, eps = build(0, hosts=hosts)
     sent = eps["a"].broadcast("DATA", payload, include_self=include_self)
     assert len(sent) == len(hosts) - (0 if include_self else 1)
     assert all(
