@@ -65,18 +65,22 @@ SMOKE_PROTOCOL = "primary-copy"  # the fast bulk plane; MARP-rate runs
 #: re-encoding the suitcase) — the headroom ratio the earlier 220 s
 #: budget was set at.
 DELTA_WALL_BUDGET_S = 140.0
-#: peak-RSS budget (MB) for the fixed-seed N=150 delta-view tour.
-DELTA_RSS_BUDGET_MB = 500.0
+#: peak-RSS budget (MB) for the fixed-seed N=150 delta-view tour: about
+#: 2.4x the ~106 MB it peaks at on the 2-core reference host (118 MB
+#: while every delta-patched view copied its base's finished set).
+DELTA_RSS_BUDGET_MB = 250.0
 DELTA_REPLICAS = 150
 DELTA_REQUESTS = 1  # per client; one client per replica
 
 #: writes per client (x5 replicas) of the full-record MARP run, in
 #: marp_contended_n5's regime: 16 Zipf-0.9 keys, 60 ms gaps, seed 3.
 MARP_FULL_REQUESTS = 480
-#: peak-RSS budget (MB) for that run. A run holds its records, its
-#: replica histories and the agents in flight; while it also kept every
-#: finished agent's Locking Table this run peaked at ~609 MB.
-MARP_FULL_RSS_BUDGET_MB = 160.0
+#: peak-RSS budget (MB) for that run: about 2x the ~59 MB it peaks at.
+#: A run holds its records, its replica histories and the agents in
+#: flight; while every delta-patched view copied its base's finished set
+#: this run peaked at ~81 MB, and while it also kept every finished
+#: agent's Locking Table, at ~609 MB.
+MARP_FULL_RSS_BUDGET_MB = 120.0
 
 _CHILD = """\
 import json

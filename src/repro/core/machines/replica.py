@@ -441,7 +441,8 @@ class ReplicaMachine:
         self, payload: Dict[str, Any], src: str, now: float
     ) -> List[Effect]:
         self.store.install_snapshot(payload["snapshot"], now)
-        self.updated_list.merge(payload["updated"], at=now)
+        for agent_id in payload["updated"]:
+            self.updated_list.add(agent_id, at=now)
         self.recoveries += 1
         # Stale lock entries from agents that finished while we were down
         # would wedge our LL top forever; clear them.

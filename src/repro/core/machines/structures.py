@@ -26,10 +26,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from itertools import repeat
-from typing import (
-    AbstractSet, Any, Callable, Deque, Dict, List, Optional, Tuple,
-)
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import ProtocolError
 from repro.agents.identity import AgentId
@@ -160,9 +157,9 @@ class UpdatedList:
     memory grow with total completed agents (quadratic wall time over a
     run). A :class:`~repro.core.machines.replica.ReplicaMachine`
     therefore builds its UL with ``retention = UL_WINDOW_FACTOR *
-    grant_ttl`` and entries older than ``now - retention`` are pruned;
-    an agent's own UAL (``retention=None``) lives only as long as the
-    agent and is never pruned.
+    grant_ttl`` and entries older than ``now - retention`` are pruned.
+    An agent's own UAL is a plain set in its Locking Table: it lives
+    only as long as the agent and is never pruned.
 
     Pruning is safe but not free: the UAL is an optimisation that lets
     deciders disregard stale LL entries of completed agents. A pruned id
@@ -176,36 +173,15 @@ class UpdatedList:
     case vanishingly rare.
     """
 
-    def __init__(self, retention: Optional[float] = None) -> None:
+    def __init__(self, retention: float) -> None:
         #: the ids in nondecreasing completion time, and those times, in
-        #: step (two flat deques: no per-entry object to allocate when a
-        #: whole window of ids is absorbed at once)
+        #: step (two flat deques: no per-entry object per id)
         self._order: Deque[AgentId] = deque()
         self._times: Deque[float] = deque()
         self._members: set = set()
         self._frozen: Optional[frozenset] = None
         self.retention = retention
         self.pruned_total = 0
-
-    # The pickled form stays one deque of (id, time) pairs, so the bytes
-    # the live backend ships per hop (an agent's UAL rides inside its
-    # Locking Table) do not depend on the in-memory layout.
-
-    def __getstate__(self):
-        return {
-            "_entries": deque(zip(self._order, self._times)),
-            "_members": self._members,
-            "_frozen": self._frozen,
-            "retention": self.retention,
-            "pruned_total": self.pruned_total,
-        }
-
-    def __setstate__(self, state) -> None:
-        entries = state.pop("_entries")
-        self.__dict__.update(state)
-        order, times = zip(*entries) if entries else ((), ())
-        self._order = deque(order)
-        self._times = deque(times)
 
     def __len__(self) -> int:
         return len(self._order)
@@ -223,38 +199,13 @@ class UpdatedList:
         self._frozen = None
         return True
 
-    def merge(self, other_ids, at: float = 0.0) -> int:
-        """Union in another UL/UAL; returns number of new entries."""
-        return sum(self.add(agent_id, at) for agent_id in other_ids)
-
-    def absorb(self, ids: AbstractSet, at: float = 0.0) -> AbstractSet:
-        """Union in a *set* of finished ids; returns the ones that were
-        new.
-
-        One set difference instead of a probe per id: an agent merges
-        the whole Updated List window of every server it visits, and
-        after the first visit nearly all of it is already known. The
-        new ids join in the set's iteration order, which carries no
-        meaning (they share one completion time).
-        """
-        new = ids - self._members
-        if new:
-            self._members |= new
-            self._order.extend(new)
-            self._times.extend(repeat(at, len(new)))
-            self._frozen = None
-        return new
-
     def prune(self, now: float) -> int:
-        """Drop entries older than the retention window (no-op when
-        ``retention`` is None). Returns the number pruned."""
-        retention = self.retention
-        if retention is None:
-            return 0
+        """Drop entries older than the retention window. Returns the
+        number pruned."""
         times = self._times
         if not times:
             return 0
-        cutoff = now - retention
+        cutoff = now - self.retention
         order = self._order
         members = self._members
         dropped = 0

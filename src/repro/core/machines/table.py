@@ -29,10 +29,14 @@ over ``views``/``ual`` (rebuilt on unpickle, never serialised), so the
 wire and replay formats are unchanged.
 
 Ingestion costs what a view *adds*, not what it repeats: the finished
-ids of a view are merged as one set difference against the UAL, an id
-that is only ever known as finished (the common case — a completed
-agent has left every queue) is never interned, and :meth:`wire_size`
-reads totals kept up to date as ids, queues and version cells arrive.
+ids of a view are merged as one set difference against the UAL (a
+plain set), an id that is only ever known as finished (the common
+case — a completed agent has left every queue) is never interned, and
+:meth:`wire_size` reads totals kept up to date as ids, queues and
+version cells arrive. A delta-patched view does not copy its base's
+finished set either: its ``updated`` is a
+:class:`~repro.core.machines.wire.SharedSet` over the stored view's
+set plus the delta's ids, merged part by part.
 """
 
 from __future__ import annotations
@@ -43,8 +47,7 @@ from typing import AbstractSet, Dict, List, Optional, Set, Tuple
 from repro.errors import ProtocolError
 from repro.agents.identity import AgentId, ids_wire_size
 from repro.core.machines.intern import Interner
-from repro.core.machines.structures import UpdatedList
-from repro.core.machines.wire import SharedView, SharedViewDelta
+from repro.core.machines.wire import SharedSet, SharedView, SharedViewDelta
 
 __all__ = ["LockingTable"]
 
@@ -54,7 +57,8 @@ class LockingTable:
 
     def __init__(self) -> None:
         self.views: Dict[str, SharedView] = {}
-        self.ual = UpdatedList()
+        #: the UAL: every id a merged view or delta knew finished
+        self.ual: Set[AgentId] = set()
         # The committed-version cells of every ingested view (even stale
         # ones) that no stored view covers: an unstamped view, a stamped
         # view merged but not adopted, and a stored view replaced by one
@@ -325,8 +329,9 @@ class LockingTable:
                     self._charge(view.host, +1)
                     return True
                 return False
-        new_ids = self.ual.absorb(view.updated)
+        new_ids = view.updated - self.ual
         if new_ids:
+            self.ual |= new_ids
             self._finish(new_ids)
         host = view.host
         stored = self.views.get(host)
@@ -373,10 +378,11 @@ class LockingTable:
         packed slot list is edited rather than re-packed. The stored
         :class:`SharedView` is rebuilt to exactly what the server's full
         snapshot at ``delta.seq`` would have been (queue reconstruction
-        is exact because LL appends land strictly at the tail), so
-        everything downstream — bulletin deposits, freshness checks,
-        pickled suitcases — is indistinguishable from having merged the
-        full snapshot.
+        is exact because LL appends land strictly at the tail; its
+        ``updated`` is the stored set plus ``finished``, shared rather
+        than copied), so everything downstream — bulletin deposits,
+        freshness checks, pickled suitcases — is indistinguishable from
+        having merged the full snapshot.
 
         Returns True if anything changed.
         """
@@ -393,11 +399,10 @@ class LockingTable:
         changed = False
         new_updated = stored.updated
         if delta.finished:
-            # Hashed once, for the UAL and for the rebuilt snapshot.
-            finished = frozenset(delta.finished)
-            new_updated = new_updated | finished
-            new_ids = self.ual.absorb(finished)
+            new_updated = SharedSet.grow(new_updated, delta.finished)
+            new_ids = set(delta.finished) - self.ual
             if new_ids:
+                self.ual |= new_ids
                 self._finish(new_ids)
                 changed = True
         new_versions = stored.versions
@@ -493,37 +498,6 @@ class LockingTable:
     def known_hosts(self) -> List[str]:
         """Sorted hosts with a known view."""
         return sorted(self.views)
-
-    def view_of(self, host: str) -> Optional[SharedView]:
-        return self.views.get(host)
-
-    def effective_top(
-        self, host: str, extra_done: frozenset = frozenset()
-    ) -> Optional[AgentId]:
-        """First queued agent at ``host`` not known to have finished.
-
-        ``extra_done`` treats additional agents as finished — used by the
-        lock-pipelining extension to predict successive winners.
-        """
-        packed = self._packed.get(host)
-        if packed is None:
-            return None
-        done = self._done
-        if extra_done:
-            index_of = self._ids.index_of
-            extra = {
-                slot
-                for slot in map(index_of, extra_done)
-                if slot is not None
-            }
-            for slot in packed:
-                if not done[slot] and slot not in extra:
-                    return self._ids.value(slot)
-            return None
-        for slot in packed:
-            if not done[slot]:
-                return self._ids.value(slot)
-        return None
 
     def tops(
         self, extra_done: frozenset = frozenset()

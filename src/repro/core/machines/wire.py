@@ -17,9 +17,67 @@ from repro.agents.identity import AgentId
 from repro.core.machines.structures import LockView
 
 __all__ = [
-    "SharedView", "SharedViewDelta", "WriteOp", "UpdatePayload",
-    "Transform", "VisitData",
+    "SharedSet", "SharedView", "SharedViewDelta", "WriteOp",
+    "UpdatePayload", "Transform", "VisitData",
 ]
+
+
+@dataclass(slots=True, eq=False, repr=False)
+class SharedSet:
+    """A delta-patched view's finished set: ``parent`` (the patched
+    view's set — a frozenset *root* or another :class:`SharedSet`) plus
+    ``added`` (the delta's ``finished`` tuple), so a patch keeps its own
+    ids, not a copy of its base. ``budget`` is the root's size minus the
+    ids added since; once they outnumber the root's, :meth:`grow` folds
+    the chain into one frozenset. It equals, and pickles as, the
+    frozenset it spells: a suitcase ships a plain frozenset.
+    """
+
+    parent: frozenset | SharedSet
+    added: Tuple[AgentId, ...]
+    budget: int
+
+    @staticmethod
+    def grow(base, added: Tuple[AgentId, ...]):
+        """``base | set(added)``: a :class:`SharedSet` over ``base``, or
+        one frozenset once the chain's budget is spent."""
+        if type(base) is not SharedSet:
+            return SharedSet(base, added, len(base) - len(added))
+        if base.budget >= 0:
+            return SharedSet(base, added, base.budget - len(added))
+        root, below = base.split()
+        # Merging a set sizes the table once; adding ids one by one
+        # would grow it up to 8x what they fill.
+        return frozenset(root) | frozenset().union(added, *below)
+
+    def split(self):
+        """``(root, added tuples)``, the newest tuple first."""
+        added = []
+        node = self
+        while type(node) is SharedSet:
+            added.append(node.added)
+            node = node.parent
+        return node, added
+
+    def frozen(self) -> frozenset:
+        root, added = self.split()
+        return root.union(*added)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is SharedSet:
+            other = other.frozen()
+        return self.frozen() == other
+
+    def __sub__(self, other) -> frozenset:
+        # The root's difference first: no copy of the root.
+        root, added = self.split()
+        return (root - other).union(*added) - other
+
+    def __iter__(self):
+        return iter(self.frozen())
+
+    def __reduce__(self):
+        return frozenset, (tuple(self.frozen()),)
 
 
 @dataclass(slots=True)
@@ -46,7 +104,9 @@ class SharedView:
     host: str
     as_of: float
     view: LockView
-    updated: frozenset  # agent ids known to have completed
+    #: agent ids known to have completed: a frozenset, or a SharedSet on
+    #: a view a Locking Table patched from a delta (read-only either way)
+    updated: frozenset | SharedSet
     versions: Optional[Dict[str, int]] = None
     seq: int = -1
 

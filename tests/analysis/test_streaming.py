@@ -324,15 +324,6 @@ class TestULRetention:
         assert old not in ul and fresh in ul
         assert ul.pruned_total == 1
 
-    def test_no_retention_never_prunes(self):
-        from repro.agents.identity import AgentId
-        from repro.core.machines.structures import UpdatedList
-
-        ul = UpdatedList()
-        ul.add(AgentId("h", 1.0, 0), at=0.0)
-        ul.prune(now=1e12)
-        assert len(ul) == 1
-
     def test_run_with_retention_stays_consistent(self):
         # A streaming run with 25 s of arrivals against the derived 15 s
         # window (1.5 x the 10 s grant_ttl): every replica prunes, the

@@ -31,7 +31,7 @@ class TestIngestion:
         table = LockingTable()
         table.update(view("s1", 2.0, [aid(1)]))
         assert not table.update(view("s1", 1.0, [aid(2)]))
-        assert table.view_of("s1").view == (aid(1),)
+        assert table.views["s1"].view == (aid(1),)
 
     def test_stale_view_still_feeds_ual(self):
         table = LockingTable()
@@ -60,20 +60,20 @@ class TestTops:
         table = LockingTable()
         table.update(view("s1", 1.0, [aid(1), aid(2)]))
         table.update(view("s2", 1.0, updated=[aid(1)]))
-        assert table.effective_top("s1") == aid(2)
+        assert table.tops().get("s1") == aid(2)
 
     def test_effective_top_empty_list_is_none(self):
         table = LockingTable()
         table.update(view("s1", 1.0, []))
-        assert table.effective_top("s1") is None
+        assert table.tops().get("s1") is None
 
     def test_effective_top_unknown_host_is_none(self):
-        assert LockingTable().effective_top("ghost") is None
+        assert LockingTable().tops().get("ghost") is None
 
     def test_effective_top_all_finished_is_none(self):
         table = LockingTable()
         table.update(view("s1", 1.0, [aid(1)], updated=[aid(1)]))
-        assert table.effective_top("s1") is None
+        assert table.tops().get("s1") is None
 
     def test_top_counts(self):
         table = LockingTable()

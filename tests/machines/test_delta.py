@@ -168,7 +168,7 @@ class TestApplyDelta:
         assert aid(2) in table.ual
         assert table.max_versions == {"x": 2, "y": 1}
         # effective top skips nothing new; queue order is preserved
-        assert table.effective_top("s1") == aid(1)
+        assert table.tops().get("s1") == aid(1)
 
     def test_base_mismatch_raises(self):
         table = self._seeded_table()
@@ -191,8 +191,8 @@ class TestApplyDelta:
         assert table.ingest(SharedViewDelta(
             host="s1", as_of=2.0, base_seq=3, seq=4, finished=(aid(1),)
         ))
-        assert table.effective_top("s1") == aid(2)
-        assert table.effective_top("s2") == aid(5)
+        assert table.tops().get("s1") == aid(2)
+        assert table.tops().get("s2") == aid(5)
 
     def test_seq_skip_discards_already_acked_views(self):
         table = self._seeded_table()
@@ -230,7 +230,7 @@ class TestUpdateEdgeCases:
         assert table.views["s1"].as_of == 5.0
         assert aid(1) in table.ual
         assert table.max_versions == {"x": 2}
-        assert table.effective_top("s1") == aid(2)
+        assert table.tops().get("s1") == aid(2)
 
     def test_equal_as_of_view_is_not_adopted(self):
         table = LockingTable()

@@ -475,8 +475,8 @@ def test_decide_memo_survives_further_mutation(data):
     newcomer = aid(99)
     table.update(SharedView(
         host="s1", as_of=99.0,
-        view=(newcomer,) + (table.view_of("s1").view if
-                            table.view_of("s1") else ()),
+        view=(newcomer,) + (table.views.get("s1").view if
+                            table.views.get("s1") else ()),
         updated=frozenset(), versions={},
     ))
     for agent in agents:
@@ -544,7 +544,7 @@ def test_finished_only_ids_are_charged_but_not_interned():
         updated=frozenset({aid(3)}), versions={"x": 1},
     ))
     reference.check(table)
-    assert table.effective_top("s2") == aid(1)
+    assert table.tops().get("s2") == aid(1)
     # aid(1) finishes while queued at both hosts.
     table.update(SharedView(
         host="s3", as_of=3.0, view=(),
@@ -564,7 +564,7 @@ def test_pickle_round_trip_rebuilds_packed_index(data):
     n_hosts, agents, table, _views, extra_done, _unavail = data
     clone = pickle.loads(pickle.dumps(table))
     assert clone.views == table.views
-    assert set(clone.ual.as_set()) == set(table.ual.as_set())
+    assert clone.ual == table.ual
     assert clone.max_versions == table.max_versions
     assert clone.tops(extra_done) == table.tops(extra_done)
     assert clone.top_counts() == table.top_counts()
@@ -684,7 +684,7 @@ def test_locking_list_matches_model(ops):
 )
 @settings(max_examples=150, deadline=None)
 def test_updated_list_matches_model(ops):
-    ul = UpdatedList()
+    ul = UpdatedList(retention=15.0)
     model = []  # insertion-ordered unique ids
     for op, arg in ops:
         if op == "add":
@@ -695,7 +695,7 @@ def test_updated_list_matches_model(ops):
         else:
             batch = [aid(n) for n in arg]
             expected_new = len({a for a in batch if a not in model})
-            assert ul.merge(batch) == expected_new
+            assert sum(ul.add(a) for a in batch) == expected_new
             for agent_id in batch:
                 if agent_id not in model:
                     model.append(agent_id)

@@ -43,6 +43,7 @@ from repro.core.machines.config import ProtocolTunables
 from repro.core.machines.replica import ReplicaMachine
 from repro.core.machines.table import LockingTable
 from repro.core.machines.wire import SharedView, UpdatePayload, WriteOp
+from repro.runtime.shipping import LiveAgentState, ship, unship
 from tests.machines.test_flat_structures import ReferenceSuitcase
 
 TUNABLES = ProtocolTunables()
@@ -79,7 +80,7 @@ def payload_for(n: int, writes=()):
 
 def assert_tables_agree(full: LockingTable, delta: LockingTable) -> None:
     assert delta.views == full.views
-    assert delta.ual.as_set() == full.ual.as_set()
+    assert delta.ual == full.ual
     assert delta.max_versions == full.max_versions
     assert delta.known_hosts == full.known_hosts
     assert delta.tops() == full.tops()
@@ -226,9 +227,83 @@ def test_merge_bulletin_prechecks_equal_update_on_every_entry(pool, boards):
         assert all(
             merged.views[host] is plain.views[host] for host in plain.views
         )
-        assert merged.ual.as_set() == plain.ual.as_set()
+        assert merged.ual == plain.ual
         assert merged.max_versions == plain.max_versions
         assert merged.acked == plain.acked
         assert merged._dirty == plain._dirty
         assert merged.wire_size() == plain.wire_size()
         assert merged.tops() == plain.tops()
+
+
+# -- a shared finished set is the frozenset it spells -------------------------
+
+
+@given(
+    warm=st.integers(1, 6),
+    ops=st.lists(
+        st.one_of(
+            st.tuples(st.just("enq"), st.integers(0, 14)),
+            st.tuples(st.just("abort"), st.integers(0, 14)),
+            st.tuples(st.just("sync"), st.just(0)),
+            st.tuples(st.just("reset"), st.just(0)),
+        ),
+        min_size=1,
+        max_size=60,
+    ),
+)
+@settings(max_examples=150, deadline=None)
+def test_shared_finished_sets_equal_compare_and_ship_flat(warm, ops):
+    """A delta-patched view's ``updated`` shares the stored view's set
+    (a :class:`SharedSet`). Whatever chain the deltas grow, it equals the
+    frozenset it spells, pickles to that frozenset, and an agent whose
+    table holds such sets ships and unships to equal views and UAL —
+    with plain frozensets on the far side, as the live suitcase needs."""
+    machine = ReplicaMachine("s1", ["s1", "s2", "s3"], TUNABLES)
+    table = LockingTable()
+    # Agents finished before first contact give the deltas a root to
+    # share (an empty root folds on the first patch).
+    for n in range(100, 100 + warm):
+        machine.on_message("ABORT", payload_for(n), src="s1", now=0.0)
+    table.update(machine.lock_view(0.0))
+    now = 0.0
+    for op, arg in ops + [("sync", 0)]:
+        now += 1.0
+        agent = aid(arg)
+        if op == "enq":
+            if (
+                agent not in machine.updated_list
+                and agent not in machine.locking_list
+            ):
+                machine.request_lock(agent, arg, now)
+        elif op == "abort":
+            if agent not in machine.updated_list:
+                machine.on_message(
+                    "ABORT", payload_for(arg), src="s1", now=now
+                )
+        elif op == "reset":
+            machine.on_message(
+                "SYNC_REPLY",
+                {
+                    "snapshot": machine.store.snapshot(),
+                    "updated": tuple(machine.updated_list.ids()),
+                },
+                src="s2",
+                now=now,
+            )
+        else:
+            patch = machine.delta_view(now, table.acked_seq("s1"))
+            table.ingest(patch if patch is not None else machine.lock_view(now))
+            updated = table.views["s1"].updated
+            flat = frozenset(updated)
+            assert updated == flat and flat == updated
+            assert flat <= table.ual
+            shipped = pickle.loads(pickle.dumps(updated))
+            assert type(shipped) is frozenset and shipped == flat
+    state = LiveAgentState(
+        agent_id=aid(0), home="s1", batch_id=0, requests=[], table=table,
+    )
+    back = unship(ship(state)).table
+    assert back.views == table.views
+    assert back.ual == table.ual
+    assert all(type(v.updated) is frozenset for v in back.views.values())
+    assert back.tops() == table.tops()

@@ -47,14 +47,13 @@ def test_locking_list_top_is_first_surviving_entry(numbers, removals):
 def test_updated_list_merge_is_idempotent_and_commutative_as_sets(
     first, second
 ):
-    a = UpdatedList()
-    a.merge(aid(n) for n in first)
-    a.merge(aid(n) for n in second)
-    a.merge(aid(n) for n in second)  # idempotent
+    a = UpdatedList(retention=15.0)
+    for n in first + second + second:  # second twice: idempotent
+        a.add(aid(n))
 
-    b = UpdatedList()
-    b.merge(aid(n) for n in second)
-    b.merge(aid(n) for n in first)
+    b = UpdatedList(retention=15.0)
+    for n in second + first:
+        b.add(aid(n))
 
     assert a.as_set() == b.as_set()
     assert len(a.as_set()) == len(set(first) | set(second))

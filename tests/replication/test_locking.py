@@ -93,36 +93,37 @@ class TestLockingList:
 
 class TestUpdatedList:
     def test_add_preserves_order(self):
-        ul = UpdatedList()
+        ul = UpdatedList(retention=15.0)
         ul.add(aid(2))
         ul.add(aid(1))
         assert ul.ids() == (aid(2), aid(1))
 
     def test_add_idempotent(self):
-        ul = UpdatedList()
+        ul = UpdatedList(retention=15.0)
         assert ul.add(aid(1))
         assert not ul.add(aid(1))
         assert len(ul) == 1
 
     def test_contains(self):
-        ul = UpdatedList()
+        ul = UpdatedList(retention=15.0)
         ul.add(aid(1))
         assert aid(1) in ul
         assert aid(2) not in ul
 
-    def test_merge_counts_new(self):
-        ul = UpdatedList()
+    def test_add_counts_new(self):
+        # A recovering replica adds the donor's UL id by id.
+        ul = UpdatedList(retention=15.0)
         ul.add(aid(1))
-        assert ul.merge([aid(1), aid(2), aid(3)]) == 2
+        assert sum(ul.add(a) for a in (aid(1), aid(2), aid(3))) == 2
         assert len(ul) == 3
 
     def test_as_set(self):
-        ul = UpdatedList()
+        ul = UpdatedList(retention=15.0)
         ul.add(aid(1))
         assert ul.as_set() == frozenset([aid(1)])
 
     def test_iter_in_order(self):
-        ul = UpdatedList()
+        ul = UpdatedList(retention=15.0)
         for n in (3, 1, 2):
             ul.add(aid(n))
         assert list(ul) == [aid(3), aid(1), aid(2)]
