@@ -1,14 +1,13 @@
 """Message-passing baseline protocols (the comparators for T1/T2)."""
 
 from repro.baselines.available_copies import AvailableCopies
-from repro.baselines.base import BaselineDaemon, QuorumProtocol
+from repro.baselines.base import QuorumProtocol
 from repro.baselines.mcv import MajorityConsensusVoting
 from repro.baselines.primary_copy import PrimaryCopy
 from repro.baselines.weighted_voting import WeightedVoting
 
 __all__ = [
     "QuorumProtocol",
-    "BaselineDaemon",
     "MajorityConsensusVoting",
     "WeightedVoting",
     "AvailableCopies",

@@ -6,13 +6,16 @@ all available replicas. If all available replicas participated in the
 last update, an application can read from any replica ... The AC
 protocol is vulnerable to communication partitions."
 
-Implementation: strict two-phase locking with *blocking* (queueing) lock
-daemons, acquired sequentially in a fixed global host order so writers
-cannot deadlock. A replica that does not grant within the detection
-timeout is declared unavailable and skipped — timeouts are the failure
-detector — and catches up later through the recovery sync (the ladder is
-:class:`~repro.core.machines.coordinators.LadderMachine`). Reads are
-local (read-one).
+Implementation: strict two-phase locking with *blocking* locks,
+acquired sequentially in a fixed global host order so writers cannot
+deadlock (the ladder is
+:class:`~repro.core.machines.coordinators.LadderMachine`). Each host's
+:class:`~repro.core.machines.participants.LockKeeper` queues a LOCK for
+a busy key and hands the grant on, FIFO, at the holder's APPLY or
+ABORT. A replica that does not grant within the detection timeout is
+declared unavailable and skipped — timeouts are the failure detector —
+and catches up later through the recovery sync. Reads are local
+(read-one).
 
 Because availability is judged per-coordinator with no quorum
 intersection, partitions (and aggressive timeouts under load) let
@@ -22,75 +25,12 @@ the integration tests.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, Optional
-
-from repro.baselines.base import BaselineDaemon, QuorumProtocol
+from repro.baselines.base import QuorumProtocol
 from repro.core.machines import LadderMachine
-from repro.net.message import Message
 from repro.replication.deployment import Deployment
 from repro.replication.requests import RequestRecord
 
-__all__ = ["AvailableCopies", "QueueingDaemon"]
-
-
-class QueueingDaemon(BaselineDaemon):
-    """Lock daemon that queues conflicting requests instead of NACKing.
-
-    This is strict 2PL at one replica: the grant moves to the next
-    waiter when the holder's APPLY or ABORT releases the key.
-    """
-
-    def __init__(self, protocol: "AvailableCopies", host: str) -> None:
-        self.waiters: Dict[str, Deque[dict]] = {}
-        super().__init__(protocol, host)
-
-    def _on_lock(self, msg: Message) -> None:
-        p = msg.payload
-        key = p["key"]
-        if self._lock_is_free(key, p["rid"]):
-            self._grant(key, p)
-        else:
-            queue = self.waiters.setdefault(key, deque())
-            if all(w["rid"] != p["rid"] for w in queue):
-                queue.append(p)
-
-    def _grant(self, key: str, p: dict) -> None:
-        self.locks[key] = (
-            p["rid"], p["epoch"], self.env.now + self.protocol.lock_ttl,
-        )
-        self.grants_given += 1
-        self.endpoint.send(
-            p["reply_to"],
-            f"{self.protocol.prefix}_GRANT",
-            payload={
-                "rid": p["rid"],
-                "epoch": p["epoch"],
-                "from": self.host,
-                "votes": self.protocol.votes_of(self.host),
-                "version": self.server.store.version_of(key),
-            },
-        )
-
-    def _release(self, rid: int, up_to_epoch: Optional[int] = None) -> None:
-        for key, (holder, epoch, _expires) in list(self.locks.items()):
-            if holder != rid:
-                continue
-            if up_to_epoch is not None and epoch > up_to_epoch:
-                continue
-            del self.locks[key]
-            queue = self.waiters.get(key)
-            if queue:
-                self._grant(key, queue.popleft())
-
-    def _on_abort(self, msg: Message) -> None:
-        rid = msg.payload["rid"]
-        # Dequeue any waiting request of this rid, then release held keys.
-        for queue in self.waiters.values():
-            for waiter in list(queue):
-                if waiter["rid"] == rid:
-                    queue.remove(waiter)
-        self._release(rid, up_to_epoch=msg.payload.get("epoch"))
+__all__ = ["AvailableCopies"]
 
 
 class AvailableCopies(QuorumProtocol):
@@ -98,7 +38,7 @@ class AvailableCopies(QuorumProtocol):
 
     name = "available-copies"
     prefix = "AC"
-    daemon_class = QueueingDaemon
+    queue_locks = True
 
     def __init__(
         self,

@@ -13,7 +13,10 @@ execution backend:
   voting baselines' reads reuse;
 * :mod:`~repro.core.machines.coordinators` — the message-passing
   baselines' write coordinators (the voting round, the Available Copies
-  ladder, primary copy's forward), run through the same claim table;
+  ladder, primary copy's forward), run through the same claim table,
+  and :mod:`~repro.core.machines.participants` — their per-host
+  participants (:class:`LockKeeper`, :class:`CopyKeeper`), attached to
+  the same interpreter;
 * :mod:`~repro.core.machines.events` / :mod:`~repro.core.machines.effects`
   — the typed inputs the machines consume and the typed effects they
   emit;
@@ -117,6 +120,7 @@ from repro.core.machines.coordinators import (
     LadderMachine,
     VotingMachine,
 )
+from repro.core.machines.participants import CopyKeeper, LockKeeper
 from repro.core.machines.agent import AgentCoreState, AgentMachine
 from repro.core.machines.interpreter import (
     EffectInterpreter,
@@ -173,6 +177,7 @@ __all__ = [
     # machines + interpreter + harness
     "ReplicaMachine", "ReaderMachine", "AgentCoreState", "AgentMachine",
     "VotingMachine", "LadderMachine", "ForwardMachine",
+    "LockKeeper", "CopyKeeper",
     "EffectInterpreter", "Resident", "Substrate",
     "KernelHarness", "replay", "EventBudgetExceeded", "DROPPABLE_KINDS",
     # adversary

@@ -8,7 +8,7 @@ replies to its request from the claim table, runs its timers, and the
 machine ends with ``Done`` — the request's final status; what it found
 stays on the machine. Message kinds carry the protocol's ``prefix``
 (``MCV_LOCK``, ``AC_GRANT``, ``PC_WRITE``, ...), and every payload is
-what the participant daemons read.
+what the participants (:mod:`~repro.core.machines.participants`) read.
 
 * :class:`VotingMachine` — the voting round of ``QuorumProtocol`` (MCV,
   weighted voting): LOCK to every replica, GRANT/NACK votes tallied per

@@ -8,14 +8,18 @@ table it touches, which milestone it marks. A backend supplies the rest
 :class:`Substrate`, and is otherwise free of protocol control flow.
 
 One :class:`EffectInterpreter` serves one host: its
-:class:`~repro.core.machines.replica.ReplicaMachine` and whatever
-agents are currently there. It owns
+:class:`~repro.core.machines.replica.ReplicaMachine`, a baseline's
+participant there if one is attached
+(:mod:`~repro.core.machines.participants`), and whatever agents are
+currently there. It owns
 
 * the dispatch of every agent, replica and coordinator effect (a handler
   table keyed by effect class; an effect without a handler is a
   :class:`~repro.errors.ProtocolError`, never a silent skip);
 * the **parked table** ([D2]) — insertion-ordered, so a lock release
   wakes agents in the order they parked, on every backend;
+* the **message routes** — a message goes to the replica, or to the
+  participant that declared its kind; a reply goes to the claim table;
 * the **claim table** — ACK/NACK/READR replies are routed to the
   claiming agent by batch id; a coordinator (a quorum read, a baseline's
   write) takes its replies under its request id;
@@ -30,15 +34,15 @@ agents are currently there. It owns
 
 The substrate calls in through :meth:`~EffectInterpreter.launch`,
 :meth:`~EffectInterpreter.arrived`, :meth:`~EffectInterpreter.unreachable`,
-:meth:`~EffectInterpreter.deliver`, :meth:`~EffectInterpreter.reply` and
-:meth:`~EffectInterpreter.coordinate`, and through the ``fire`` callables
-it was handed with each timer.
+:meth:`~EffectInterpreter.deliver`, :meth:`~EffectInterpreter.reply`,
+:meth:`~EffectInterpreter.coordinate` and :meth:`~EffectInterpreter.attach`,
+and through the ``fire`` callables it was handed with each timer.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Dict, Iterable, Optional
+from typing import Any, Callable, Dict, Iterable, Optional, Set
 
 from repro.errors import ProtocolError
 from repro.agents.identity import AgentId
@@ -73,8 +77,8 @@ from repro.core.machines.replica import ReplicaMachine
 __all__ = ["EffectInterpreter", "Resident", "Substrate"]
 
 #: Replies a replica addresses to a claim or a quorum read at a host,
-#: not to that host's replica. (A baseline serves its own reply kinds
-#: and hands each to :meth:`EffectInterpreter.reply` itself.)
+#: not to that host's replica. (A baseline's participant declares the
+#: reply kinds of its protocol, see :meth:`EffectInterpreter.attach`.)
 AGENT_BOUND = ("ACK", "NACK", "READR")
 
 Fire = Callable[[], None]
@@ -221,6 +225,10 @@ class EffectInterpreter:
         #: batch (or coordinator's request) id -> who takes its replies
         #: at this host
         self.claims: Dict[int, Resident] = {}
+        #: message kind -> the participant here that takes it
+        self.participants: Dict[str, Any] = {}
+        #: kinds of the replies a coordinator here claims by ``rid``
+        self.reply_kinds: Set[str] = set()
         self._sent_at: Optional[float] = None
         self._handlers = _Handlers({
             Migrate: self._migrate,
@@ -328,6 +336,14 @@ class EffectInterpreter:
             ReplicaDown(dst, self.substrate.now())
         ))
 
+    def attach(self, participant) -> None:
+        """Host a baseline's participant: the messages of its ``kinds``
+        go to its ``on_message``, and the replies of its
+        ``reply_kinds`` to the claim table under their ``rid``."""
+        for kind in participant.kinds:
+            self.participants[kind] = participant
+        self.reply_kinds.update(participant.reply_kinds)
+
     def deliver(self, kind: str, payload: Any, src: str = "",
                 sent_at: Optional[float] = None) -> None:
         """A protocol message reached this host."""
@@ -336,9 +352,12 @@ class EffectInterpreter:
             if taker.__class__ is tuple:  # an RMW fetch's (batch, epoch, key)
                 taker = taker[0]
             self.reply(taker, kind, payload)
+        elif kind in self.reply_kinds:
+            self.reply(payload["rid"], kind, payload)
         elif not self.down:
             self._sent_at = sent_at
-            self.run_replica(self.replica.on_message(
+            taker = self.participants.get(kind, self.replica)
+            self.run_replica(taker.on_message(
                 kind, payload, src=src, now=self.substrate.now()
             ))
 
@@ -388,7 +407,8 @@ class EffectInterpreter:
             agent.batch = None
 
     def run_replica(self, effects: Iterable[Effect]) -> None:
-        """Interpret effects of this host's replica machine."""
+        """Interpret effects of this host's replica machine (or of a
+        participant)."""
         handlers = self._handlers
         for effect in effects:
             handlers[effect.__class__](None, effect)

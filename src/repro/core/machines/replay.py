@@ -41,6 +41,10 @@ randomizes over, all of them deterministic:
   mid-flight, leaving its lock entries and any unreleased grants behind
   (the grant-TTL expiry path exists exactly for this).
 
+The message-passing baselines run here too: attach a participant
+(:mod:`~repro.core.machines.participants`) to each host's interpreter
+and start coordinators with :meth:`KernelHarness.coordinate`.
+
 The harness is *not* a third execution backend for experiments; it
 exists so protocol edge cases and cross-machine races are testable
 without booting either real backend.
@@ -160,6 +164,9 @@ class _Port(Substrate):
         agent.writes = effect.writes
         self.harness.results[agent.machine.state.batch_id] = effect.status
 
+    def done(self, coordinator, effect) -> None:
+        self.harness.results[effect.request_id] = effect.status
+
     def emit(self, kind, agent_id, request_id, detail, host) -> None:
         run = self.harness.agents.get(agent_id)
         if run is not None:
@@ -246,6 +253,13 @@ class KernelHarness:
         self.agents[agent_id] = run
         self._schedule(at, self._start, run)
         return agent_id
+
+    def coordinate(self, home: str, machine, at: float = 0.0) -> None:
+        """Start a baseline's coordinator at ``home`` at ``at`` (its
+        participants attached to :attr:`interpreters` beforehand); its
+        final status lands in :attr:`results` under its request id."""
+        self._schedule(at, self.interpreters[home].coordinate,
+                       Resident(machine))
 
     def crash(self, host: str, at: Optional[float] = None) -> None:
         if at is None:

@@ -55,6 +55,7 @@ from repro.core.machines.wire import (
     SharedViewDelta,
     UpdatePayload,
     VisitData,
+    WriteOp,
 )
 
 __all__ = ["ReplicaMachine"]
@@ -257,6 +258,18 @@ class ReplicaMachine:
                 posted += 1
         return posted
 
+    def apply_write(self, write: WriteOp, origin: str, now: float) -> bool:
+        """Install one committed write in the store and, if it was news
+        (not a duplicate or superseded), record it in the history. Every
+        protocol's commit lands here, the baselines' participants too."""
+        if not self.store.apply(write.key, write.value, write.version, now):
+            return False
+        self.history.append(CommitRecord(
+            request_id=write.request_id, key=write.key, value=write.value,
+            version=write.version, committed_at=now, origin=origin,
+        ))
+        return True
+
     def read(self, key: str):
         """Local read — the paper's fast read path (not guaranteed fresh)."""
         return self.store.read(key)
@@ -372,20 +385,7 @@ class ReplicaMachine:
         effects: List[Effect] = []
         journal = self.journal
         for write in payload.writes:
-            applied = self.store.apply(
-                write.key, write.value, write.version, now
-            )
-            if applied:
-                self.history.append(
-                    CommitRecord(
-                        request_id=write.request_id,
-                        key=write.key,
-                        value=write.value,
-                        version=write.version,
-                        committed_at=now,
-                        origin=payload.origin,
-                    )
-                )
+            if self.apply_write(write, payload.origin, now):
                 self.commits_applied += 1
                 journal.bump("ver", (write.key, write.version))
                 effects.append(

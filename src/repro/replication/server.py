@@ -7,10 +7,10 @@ interpreter. It supplies only what a simulated host is made of:
 
 * the clock (``env.now``) and the network endpoint: sends, the
   single-server queue that serialises UPDATE and COMMIT processing
-  behind ``update_apply_time``, and the claim and quorum-read replies,
-  which the endpoint pushes at the interpreter as they arrive (what the
-  live transport does; a baseline pushes its own replies at the same
-  claim table);
+  behind ``update_apply_time`` (and one such queue for a baseline's
+  participant, :meth:`ReplicaServer.attach`), and the replies to claims
+  and coordinators, which the endpoint pushes at the interpreter as
+  they arrive (what the live transport does);
 * timers as heap callbacks (``env.call_in``) for visits, back-off,
   claim-round deadlines and parks (a release wakes the parked agent in
   a step of its own);
@@ -37,9 +37,9 @@ from repro.core.machines.config import DES_TUNABLES
 from repro.core.machines.interpreter import (
     AGENT_BOUND, EffectInterpreter, Substrate,
 )
-from repro.core.machines.replica import ReplicaMachine
+from repro.core.machines.replica import HANDLED_KINDS, ReplicaMachine
 from repro.core.machines.wire import SharedView, UpdatePayload, WriteOp
-from repro.net.message import Message
+from repro.net.message import HEADER_BYTES, Message, estimate_size
 from repro.net.network import Endpoint, Network
 from repro.sim.core import Environment
 
@@ -120,11 +120,6 @@ class ReplicaServer(Substrate):
     server's interpreter. ``obs`` is an enabled hub or ``None``.
     """
 
-    _HANDLED_KINDS = (
-        "UPDATE", "COMMIT", "ABORT", "RELEASE",
-        "SYNC_REQUEST", "SYNC_REPLY", "READQ",
-    )
-
     def __init__(
         self,
         env: Environment,
@@ -155,10 +150,13 @@ class ReplicaServer(Substrate):
         self.id_factory = AgentIdFactory(host)
         self.migrations_out = 0
         self.migrations_failed = 0
+        #: the payload :meth:`send` sized last, and its size
+        self._sized: object = None
+        self._size = 0
 
         # The replica takes every kind it handles one at a time, in
         # arrival order across kinds.
-        endpoint.serve(self._HANDLED_KINDS, self._service_time, self._handle)
+        endpoint.serve(HANDLED_KINDS, self._service_time, self._handle)
         # Replies to a claim or a quorum read from here wait for nothing.
         endpoint.serve(AGENT_BOUND, None, self._handle)
 
@@ -210,6 +208,18 @@ class ReplicaServer(Substrate):
 
     def _handle(self, msg: Message) -> None:
         self.interpreter.deliver(msg.kind, msg.payload, msg.src, msg.sent_at)
+
+    def _apply_time(self, _msg: Message) -> float:
+        return self.config.update_apply_time
+
+    def attach(self, participant) -> None:
+        """Host a baseline's participant: its kinds one at a time, each
+        behind ``update_apply_time``, in one queue of their own; the
+        replies to its protocol's coordinators in no time."""
+        self.interpreter.attach(participant)
+        self.endpoint.serve(tuple(participant.kinds), self._apply_time,
+                            self._handle)
+        self.endpoint.serve(participant.reply_kinds, None, self._handle)
 
     # ------------------------------------------------------------------
     # Agents
@@ -265,7 +275,12 @@ class ReplicaServer(Substrate):
         return self.env.now
 
     def send(self, dst, kind, payload, category) -> None:
-        self.endpoint.send(dst, kind, payload=payload, category=category)
+        # Sends of one payload in a row (a primary's write to each
+        # backup) are sized once, as a multicast sizes its copies.
+        if payload is not self._sized:
+            self._sized = payload
+            self._size = HEADER_BYTES + estimate_size(payload)
+        self.endpoint.send(dst, kind, payload, category, self._size)
 
     def broadcast(self, kind, payload) -> None:
         self.endpoint.broadcast(kind, payload, include_self=True)

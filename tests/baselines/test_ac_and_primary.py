@@ -119,7 +119,8 @@ class TestPrimaryCopy:
         report = audit(dep)
         assert report.consistent
         assert report.identical_histories
-        assert pc.writes_serialized == 3
+        primary = dep.server(pc.primary).interpreter.participants["PC_WRITE"]
+        assert primary.writes_serialized == 3
 
     def test_custom_primary(self):
         dep = Deployment(n_replicas=3, seed=0)

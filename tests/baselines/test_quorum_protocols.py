@@ -128,6 +128,13 @@ class TestQuorumEngineEdgeCases:
         with pytest.raises(ValueError, match="lock_timeout"):
             MajorityConsensusVoting(dep, lock_timeout=lock_timeout)
 
+    @pytest.mark.parametrize("lock_ttl", [0, -5.0])
+    def test_a_lease_that_is_not_positive_is_rejected(self, dep, lock_ttl):
+        """A lease of no length is expired as it is granted: every LOCK
+        would find its key free, and mutual exclusion would be gone."""
+        with pytest.raises(ValueError, match="lock_ttl"):
+            MajorityConsensusVoting(dep, lock_ttl=lock_ttl)
+
     def test_fewer_than_one_round_is_rejected(self, dep):
         with pytest.raises(ValueError, match="max_rounds"):
             MajorityConsensusVoting(dep, max_rounds=0)
@@ -199,5 +206,8 @@ class TestQuorumEngineEdgeCases:
         for host in dep.hosts:
             mcv.submit_write(host, "x", 1)
         dep.run(until=1_000_000)
-        grants = sum(d.grants_given for d in mcv.daemons.values())
+        grants = sum(
+            dep.server(host).interpreter.participants["MCV_LOCK"].grants_given
+            for host in dep.hosts
+        )
         assert grants >= 3  # at least one full write quorum granted
