@@ -1,65 +1,28 @@
-"""Post-run consistency audits (DESIGN.md §5).
+"""Post-run consistency audits of a DES deployment (DESIGN.md §5).
 
-The auditor inspects every replica's store and commit history after a
-run and checks, in decreasing order of strength:
-
-* **identical histories** — every replica committed exactly the same
-  sequence (the paper's "order preserving" claim; can legitimately be
-  weakened by in-flight COMMIT reordering on heavy-tailed links, where a
-  replica skips a superseded version);
-* **divergence-free** — the same ``(key, version)`` never maps to
-  different requests/values at different replicas (the single-copy
-  illusion; violated e.g. by Available Copies under partition);
-* **monotone** — each replica applied strictly increasing versions per
-  key;
-* **complete** — every replica holds every committed version (write-all
-  application; gaps arise from crashes or skipped superseded versions);
-* **final-state equality** — all stores agree at quiescence.
-
-``consistent`` (the invariant every run must satisfy) requires
-divergence-free + monotone + final-state equality.
+:func:`audit` runs the kernel's one checker,
+:func:`repro.core.machines.audit.check_histories`, over every replica's
+commit history and final store. Streaming runs keep no histories:
+:class:`ChainDigest` folds each commit into rolling chain digests as it
+applies, and :func:`streaming_audit` reads the same report off them.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
+from repro.core.machines.audit import (
+    AuditReport, check_histories, commits_of, store_cells,
+)
 from repro.errors import ConsistencyViolation
 from repro.replication.deployment import Deployment
 
 __all__ = [
-    "AuditReport", "audit", "assert_consistent", "commit_slots",
+    "AuditReport", "audit", "assert_consistent",
     "ChainDigest", "commit_token", "streaming_audit",
 ]
-
-
-@dataclass
-class AuditReport:
-    """Outcome of one consistency audit."""
-
-    final_state_equal: bool
-    divergence_free: bool
-    monotone: bool
-    complete: bool
-    identical_histories: bool
-    total_commits: int
-    problems: List[str] = field(default_factory=list)
-
-    @property
-    def consistent(self) -> bool:
-        """The invariants every (failure-free or recovered) run must hold."""
-        return self.final_state_equal and self.divergence_free and self.monotone
-
-    def __repr__(self) -> str:
-        return (
-            f"<AuditReport consistent={self.consistent} "
-            f"final={self.final_state_equal} divergence_free={self.divergence_free} "
-            f"monotone={self.monotone} complete={self.complete} "
-            f"identical={self.identical_histories} commits={self.total_commits}>"
-        )
 
 
 _quote = json.encoder.encode_basestring_ascii
@@ -190,55 +153,42 @@ def streaming_audit(
     merely non-identical histories (e.g. a benignly skipped superseded
     version) reports all three False here, with a problem entry saying
     so. Fault-free scale runs — the streaming mode's use case — always
-    produce identical chains.
+    produce identical chains. The final stores go through the checker;
+    ``gapless`` and the commit map are left at their defaults.
     """
     excluded = set(exclude)
     hosts = [h for h in deployment.hosts if h not in excluded]
-    problems: List[str] = []
-
-    finals = {}
-    for host in hosts:
-        snapshot = deployment.server(host).store.snapshot()
-        finals[host] = tuple(
-            sorted(
-                (key, vv.version, repr(vv.value))
-                for key, vv in snapshot.items()
-            )
-        )
-    final_state_equal = len(set(finals.values())) <= 1
-    if not final_state_equal:
-        problems.append(
-            "final states differ: "
-            + "; ".join(f"{h}={finals[h]}" for h in hosts)
-        )
+    final = check_histories(
+        {}, {host: store_cells(deployment.server(host).store) for host in hosts}
+    )
 
     audited = [digests[host] for host in hosts if host in digests]
-    monotone = all(digest.monotone for digest in audited)
-    for digest in audited:
-        problems.extend(digest.problems)
+    monotone = [p for digest in audited for p in digest.problems]
 
     whole = {digest.whole_digest() for digest in audited}
-    identical_histories = len(whole) <= 1
     chains_equal = (
         len({digest.fingerprint() for digest in audited}) <= 1
     )
-    if not chains_equal:
-        problems.append(
-            "per-key chain digests differ across replicas (streaming "
-            "audit cannot distinguish divergence from benign history "
-            "gaps; rerun with full records to classify)"
-        )
+    chains = [] if chains_equal else [
+        "per-key chain digests differ across replicas (streaming "
+        "audit cannot distinguish divergence from benign history "
+        "gaps; rerun with full records to classify)"
+    ]
 
     return AuditReport(
-        final_state_equal=final_state_equal,
+        final_state_equal=final.final_state_equal,
         divergence_free=chains_equal,
-        monotone=monotone,
+        monotone=all(digest.monotone for digest in audited),
         complete=chains_equal,
-        identical_histories=identical_histories,
+        identical_histories=len(whole) <= 1,
         total_commits=max(
             (digest.commits for digest in audited), default=0
         ),
-        problems=problems,
+        findings={
+            "final_state_equal": final.findings["final_state_equal"],
+            "monotone": monotone,
+            "divergence_free": chains,
+        },
     )
 
 
@@ -251,114 +201,13 @@ def audit(deployment: Deployment, exclude=()) -> AuditReport:
     availability experiment).
     """
     excluded = set(exclude)
-    hosts = [h for h in deployment.hosts if h not in excluded]
-    problems: List[str] = []
-
-    # --- final-state equality ------------------------------------------------
-    finals = {}
-    for host in hosts:
-        snapshot = deployment.server(host).store.snapshot()
-        finals[host] = tuple(
-            sorted(
-                (key, vv.version, repr(vv.value))
-                for key, vv in snapshot.items()
-            )
-        )
-    final_state_equal = len(set(finals.values())) <= 1
-    if not final_state_equal:
-        problems.append(
-            "final states differ: "
-            + "; ".join(f"{h}={finals[h]}" for h in hosts)
-        )
-
-    # --- per-replica monotonicity ------------------------------------------
-    monotone = True
-    for host in hosts:
-        last_version: Dict[str, int] = {}
-        for record in deployment.server(host).history:
-            prev = last_version.get(record.key, 0)
-            if record.version <= prev:
-                monotone = False
-                problems.append(
-                    f"{host}: non-monotone version {record.version} <= "
-                    f"{prev} for key {record.key!r}"
-                )
-            last_version[record.key] = record.version
-
-    # --- divergence: (key, version) -> (request, value) must be global ----
-    divergence_free = True
-    seen: Dict[Tuple[str, int], Tuple[int, str, str]] = {}
-    for host in hosts:
-        for record in deployment.server(host).history:
-            slot = (record.key, record.version)
-            claim = (record.request_id, repr(record.value), host)
-            prior = seen.get(slot)
-            if prior is None:
-                seen[slot] = claim
-            elif prior[:2] != claim[:2]:
-                divergence_free = False
-                problems.append(
-                    f"divergent commit at {slot}: {prior} vs {claim}"
-                )
-
-    # --- completeness: every replica has every committed version ----------
-    committed_slots = set(seen)
-    complete = True
-    for host in hosts:
-        have = {
-            (r.key, r.version) for r in deployment.server(host).history
-        }
-        missing = committed_slots - have
-        if missing:
-            complete = False
-            problems.append(
-                f"{host} missing {len(missing)} committed versions "
-                f"(e.g. {sorted(missing)[:3]})"
-            )
-
-    # --- identical full histories ------------------------------------------
-    identities = {
-        host: tuple(deployment.server(host).history.identities())
-        for host in hosts
-    }
-    identical_histories = len(set(identities.values())) <= 1
-
-    return AuditReport(
-        final_state_equal=final_state_equal,
-        divergence_free=divergence_free,
-        monotone=monotone,
-        complete=complete,
-        identical_histories=identical_histories,
-        total_commits=len(committed_slots),
-        problems=problems,
-    )
-
-
-def commit_slots(deployment: Deployment) -> Tuple[Tuple[str, int, int, str], ...]:
-    """The global commit map: one ``(key, version, request_id, value)``
-    per committed version slot, deduplicated across replicas and sorted.
-
-    Under the paper's Theorems 1/2 every conflict round elects exactly
-    one winner, so each ``(key, version)`` slot is owned by exactly one
-    request — the property-test suite asserts this on the returned
-    tuple. Unlike a live :class:`Deployment`, the tuple is plain data:
-    it survives pickling across process-pool workers and the result
-    cache, so theorem checks run identically on serial, parallel and
-    cached results.
-    """
-    claims: Dict[Tuple[str, int], set] = {}
-    for host in deployment.hosts:
-        for record in deployment.server(host).history:
-            slot = (record.key, record.version)
-            claims.setdefault(slot, set()).add(
-                (record.request_id, repr(record.value))
-            )
-    # A divergent run (two owners for one slot) yields one tuple entry
-    # per claimed owner, so uniqueness violations stay visible.
-    return tuple(
-        (key, version, request_id, value)
-        for (key, version), owners in sorted(claims.items())
-        for request_id, value in sorted(owners)
+    servers = [
+        (host, deployment.server(host))
+        for host in deployment.hosts if host not in excluded
+    ]
+    return check_histories(
+        {host: commits_of(server.history) for host, server in servers},
+        {host: store_cells(server.store) for host, server in servers},
     )
 
 

@@ -37,6 +37,9 @@ execution backend:
   harness that runs whole protocol scenarios with no simulator, no
   threads and no randomness, including fault primitives (partitions,
   per-message drop/duplicate/delay, agent churn);
+* :mod:`~repro.core.machines.audit` — the one consistency checker
+  (:func:`check_histories`), over plain commit records and store
+  cells, that the DES audit, the live audit and the adversary share;
 * :mod:`~repro.core.machines.adversary` — a seeded, property-based
   schedule adversary over the harness: a JSON-serializable fault DSL,
   safety/liveness checkers, a generator, a shrinker and campaign
@@ -127,6 +130,7 @@ from repro.core.machines.interpreter import (
     Resident,
     Substrate,
 )
+from repro.core.machines.audit import AuditReport, check_histories
 from repro.core.machines.replay import (
     DROPPABLE_KINDS,
     EventBudgetExceeded,
@@ -180,6 +184,8 @@ __all__ = [
     "LockKeeper", "CopyKeeper",
     "EffectInterpreter", "Resident", "Substrate",
     "KernelHarness", "replay", "EventBudgetExceeded", "DROPPABLE_KINDS",
+    # the one consistency checker
+    "AuditReport", "check_histories",
     # adversary
     "Schedule", "ScheduleOutcome", "InvariantViolation",
     "SubmitOp", "CrashOp", "RestartOp", "PartitionOp", "HealOp",

@@ -13,7 +13,8 @@ properties the paper's correctness argument rests on:
 round: every committed ``(key, version)`` cell holds exactly one
 ``(request, value)`` across all replica histories, version chains per
 key are gapless from 1, and only committed (or churned-away) agents
-own cells.
+own cells — the divergence, gap and ownership checks of the kernel's
+one consistency checker (:mod:`~repro.core.machines.audit`).
 
 **Liveness under heal.** Once faults stop — `run` heals partitions and
 restarts every crashed replica at the schedule horizon — every
@@ -46,7 +47,7 @@ import json
 import os
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.machines.config import ProtocolTunables
 from repro.core.machines.replay import EventBudgetExceeded, KernelHarness
@@ -439,51 +440,6 @@ def run_schedule(
     return harness, agent_ids
 
 
-def _safety_violations(harness: KernelHarness) -> List[str]:
-    """The [D1] one-copy checks over the union of replica histories."""
-    violations: List[str] = []
-    # (key, version) -> set of (request_id, rendered value)
-    cells: Dict[Tuple[str, int], Set[Tuple[int, str]]] = {}
-    for replica in harness.replicas.values():
-        for record in replica.history:
-            cells.setdefault((record.key, record.version), set()).add(
-                (record.request_id, repr(record.value))
-            )
-    for (key, version), owners in sorted(cells.items()):
-        if len(owners) > 1:
-            violations.append(
-                f"two committed winners for round ({key!r}, v{version}): "
-                f"{sorted(owners)}"
-            )
-    by_key: Dict[str, Set[int]] = {}
-    for key, version in cells:
-        by_key.setdefault(key, set()).add(version)
-    for key, versions in sorted(by_key.items()):
-        expected = set(range(1, max(versions) + 1))
-        if versions != expected:
-            violations.append(
-                f"commit chain for {key!r} has gaps: "
-                f"{sorted(versions)} (expected 1..{max(versions)})"
-            )
-    # Cell ownership must reconcile with agent dispositions.
-    owners_by_request: Dict[int, Set[Tuple[str, int]]] = {}
-    for cell, owners in cells.items():
-        for request_id, _value in owners:
-            owners_by_request.setdefault(request_id, set()).add(cell)
-    for request_id, status in sorted(harness.results.items()):
-        if status == "committed" and request_id not in owners_by_request:
-            violations.append(
-                f"request {request_id} reported committed but owns no "
-                f"(key, version) cell on any replica"
-            )
-        if status == "failed" and request_id in owners_by_request:
-            violations.append(
-                f"request {request_id} aborted yet owns committed cells "
-                f"{sorted(owners_by_request[request_id])}"
-            )
-    return violations
-
-
 def _liveness_violations(
     harness: KernelHarness, schedule: Schedule
 ) -> List[str]:
@@ -516,7 +472,12 @@ def check_schedule(
         harness, _agent_ids = run_schedule(schedule, max_events=max_events)
     except EventBudgetExceeded as exc:
         raise InvariantViolation("livelock", str(exc), schedule) from exc
-    safety = _safety_violations(harness)
+    report = harness.audit()
+    safety = [
+        problem
+        for check in ("divergence_free", "gapless", "statuses_match")
+        for problem in report.findings[check]
+    ]
     liveness = _liveness_violations(harness, schedule)
     if safety or liveness:
         kind = "safety" if safety else "liveness"

@@ -57,6 +57,9 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.agents.identity import AgentId
 from repro.core.machines.agent import AgentCoreState, AgentMachine
+from repro.core.machines.audit import (
+    AuditReport, check_histories, commits_of, store_cells,
+)
 from repro.core.machines.config import DES_TUNABLES
 from repro.core.machines.interpreter import (
     EffectInterpreter,
@@ -450,6 +453,16 @@ class KernelHarness:
             self.interpreters[dst].arrived(run)
 
     # -- inspection --------------------------------------------------------
+
+    def audit(self) -> AuditReport:
+        """The kernel's consistency checker over every replica's history
+        and store, with each request's final status."""
+        replicas = self.replicas.items()
+        return check_histories(
+            {host: commits_of(r.history) for host, r in replicas},
+            {host: store_cells(r.store) for host, r in replicas},
+            statuses=self.results,
+        )
 
     def commit_chains(self) -> Dict[str, List[Tuple[int, Any]]]:
         """Per-key ``[(version, value), ...]`` from the union of histories."""

@@ -49,7 +49,7 @@ __all__ = [
 
 #: Bump when the cached RunResult surface changes shape; invalidates
 #: every existing entry (alongside the package version).
-CACHE_SCHEMA_VERSION = 5
+CACHE_SCHEMA_VERSION = 6
 
 
 def code_version() -> str:

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.errors import ExperimentError
 from repro.analysis.consistency import (
-    AuditReport, ChainDigest, audit, commit_slots, streaming_audit,
+    AuditReport, ChainDigest, audit, streaming_audit,
 )
 from repro.analysis.metrics import StreamingMetrics, alt, att, prk, throughput
 from repro.baselines import PROTOCOLS
@@ -118,10 +118,6 @@ class RunResult:
     audit: AuditReport
     sim_time: float
     deployment: Optional[Deployment] = None
-    #: global commit map — one (key, version, request_id, value-repr)
-    #: per committed slot; plain data, so theorem checks survive
-    #: pickling (see :func:`repro.analysis.consistency.commit_slots`).
-    commit_slots: Tuple[Tuple[str, int, int, str], ...] = ()
     #: audit without ``config.audit_exclude`` hosts (None if unset)
     audit_excluded: Optional[AuditReport] = None
     #: ATT percentiles: exact (numpy) in full-record mode, P² estimates
@@ -131,6 +127,11 @@ class RunResult:
     #: streaming runs: (host, whole-history chain digest) per replica —
     #: plain data, so streaming determinism checks survive pickling.
     chain_digests: Tuple[Tuple[str, str], ...] = ()
+
+    @property
+    def commit_slots(self) -> Tuple[Tuple[str, int, int, str], ...]:
+        """The audit's global commit map (empty for a streaming run)."""
+        return self.audit.commit_slots
 
     def audit_excluding(self, exclude) -> AuditReport:
         """Re-audit without the named hosts (e.g. permanently crashed).
@@ -306,7 +307,6 @@ def _measure(config: RunConfig) -> RunResult:
             audit=streaming_audit(deployment, digests),
             sim_time=deployment.env.now,
             deployment=deployment,
-            commit_slots=(),
             audit_excluded=(
                 streaming_audit(
                     deployment, digests, exclude=config.audit_exclude
@@ -347,7 +347,6 @@ def _measure(config: RunConfig) -> RunResult:
             audit=audit(deployment),
             sim_time=deployment.env.now,
             deployment=deployment,
-            commit_slots=commit_slots(deployment),
             audit_excluded=(
                 audit(deployment, exclude=config.audit_exclude)
                 if config.audit_exclude else None

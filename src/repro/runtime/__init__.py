@@ -2,7 +2,7 @@
 agents migrating as pickled state over latency-injected queues
 (the Aglets-prototype-shaped half of the reproduction)."""
 
-from repro.runtime.cluster import LiveAudit, LiveCluster
+from repro.runtime.cluster import LiveCluster
 from repro.runtime.host import HostRuntime, LiveConfig, now_ms
 from repro.runtime.shipping import LiveAgentState, ship, unship
 from repro.runtime.transport import LiveMessage, LiveTransport
@@ -12,7 +12,6 @@ __all__ = [
     "LiveWorkloadDriver",
     "records_from_dicts",
     "LiveCluster",
-    "LiveAudit",
     "HostRuntime",
     "LiveConfig",
     "LiveTransport",

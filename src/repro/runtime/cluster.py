@@ -12,28 +12,14 @@ import multiprocessing
 import queue
 import threading
 import time
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.core.machines.audit import AuditReport, check_histories
 from repro.errors import ReplicationError
 from repro.runtime.host import HostRuntime, LiveConfig, now_ms
 from repro.runtime.transport import LiveMessage, LiveTransport
 
-__all__ = ["LiveCluster", "LiveAudit"]
-
-
-@dataclass
-class LiveAudit:
-    """Consistency audit over the final dumps of all live hosts."""
-
-    final_state_equal: bool
-    divergence_free: bool
-    total_commits: int
-    problems: List[str] = field(default_factory=list)
-
-    @property
-    def consistent(self) -> bool:
-        return self.final_state_equal and self.divergence_free
+__all__ = ["LiveCluster"]
 
 
 class LiveCluster:
@@ -172,40 +158,20 @@ class LiveCluster:
             worker.join(timeout=2.0)
         return dict(self._finals)
 
-    def audit(self) -> LiveAudit:
-        """Compare final stores and histories across hosts."""
-        finals = self._finals
-        problems: List[str] = []
-        stores = {
-            host: tuple(sorted(final["store"].items()))
-            for host, final in finals.items()
-        }
-        final_state_equal = len(set(stores.values())) <= 1
-        if not final_state_equal:
-            problems.append(f"final stores differ: {stores}")
-
-        seen: Dict[Tuple[str, int], Tuple[int, str]] = {}
-        divergence_free = True
-        commits = set()
-        for host, final in finals.items():
-            for request_id, key, version in final["history"]:
-                commits.add((key, version))
-                slot = (key, version)
-                claim = (request_id, host)
-                prior = seen.get(slot)
-                if prior is None:
-                    seen[slot] = claim
-                elif prior[0] != request_id:
-                    divergence_free = False
-                    problems.append(
-                        f"divergent commit at {slot}: {prior} vs {claim}"
-                    )
-        return LiveAudit(
-            final_state_equal=final_state_equal,
-            divergence_free=divergence_free,
-            total_commits=len(commits),
-            problems=problems,
-        )
+    def audit(self) -> AuditReport:
+        """Run the kernel's consistency checker over every host's final
+        dump. A host whose dump never arrived (it was still wedged at
+        the shutdown deadline) has no final state, so the audit cannot
+        read consistent."""
+        histories, stores = {}, {}
+        for host in self.hosts:
+            dump = self._finals.get(host)
+            histories[host] = dump["history"] if dump else ()
+            stores[host] = [
+                (key, version, value)
+                for key, (value, version) in dump["store"].items()
+            ] if dump else None
+        return check_histories(histories, stores)
 
     def __repr__(self) -> str:
         return (

@@ -30,6 +30,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.agents.identity import AgentId
 from repro.core.machines.agent import AgentMachine
+from repro.core.machines.audit import commits_of
 from repro.core.machines.config import LIVE_TUNABLES
 from repro.core.machines.effects import Dispose
 from repro.core.machines.interpreter import (
@@ -273,7 +274,7 @@ class HostRuntime(Substrate):
                     key: (repr(entry.value), entry.version)
                     for key, entry in self.machine.store.snapshot().items()
                 },
-                "history": self.machine.history.identities(),
+                "history": list(commits_of(self.machine.history)),
                 "locking_list_len": len(self.machine.locking_list),
                 "parked": len(self.interpreter.parked),
             }

@@ -1,11 +1,15 @@
 """Unit tests for the consistency auditor (crafted good and bad states)."""
 
+from collections import Counter
+from unittest import mock
+
 import pytest
 
 from repro.errors import ConsistencyViolation
 from repro.analysis.consistency import assert_consistent, audit
+from repro.experiments.runner import RunConfig, run_once
 from repro.replication.deployment import Deployment
-from repro.core.machines.structures import CommitRecord
+from repro.core.machines.structures import CommitRecord, HistoryLog
 
 
 def commit(rid, key, value, version, at, origin="s1"):
@@ -109,3 +113,36 @@ class TestViolations:
         report = audit(dep)
         assert not report.identical_histories
         assert report.consistent  # per-key invariants all hold
+
+
+class TestOneWalkPerHistory:
+    """A full-record run_once audits every replica's history with one
+    walk per audit computed, and never asks for a second copy."""
+
+    @staticmethod
+    def walks(config):
+        counts = Counter()
+        iterate = HistoryLog.__iter__
+
+        def counted(log):
+            counts[log.host] += 1
+            return iterate(log)
+
+        def identities(log):
+            raise AssertionError("the audit copies a history")
+
+        with mock.patch.object(HistoryLog, "__iter__", counted), \
+                mock.patch.object(HistoryLog, "identities", identities):
+            result = run_once(config)
+        assert result.audit.consistent and result.commit_slots
+        return dict(counts)
+
+    def test_one_walk_per_host(self):
+        walks = self.walks(RunConfig(seed=3, requests_per_client=5))
+        assert walks == {f"s{i}": 1 for i in range(1, 6)}
+
+    def test_an_excluded_host_is_walked_by_one_audit_only(self):
+        walks = self.walks(RunConfig(
+            seed=3, requests_per_client=5, audit_exclude=("s5",),
+        ))
+        assert walks == {"s1": 2, "s2": 2, "s3": 2, "s4": 2, "s5": 1}

@@ -163,8 +163,13 @@ class TestResultCache:
     def test_schema_4_envelope_is_a_miss(self, tmp_path):
         # Schema 4 pickled kernel records with a __dict__; the slotted
         # classes cannot load them.
-        assert CACHE_SCHEMA_VERSION == 5
         self._assert_old_schema_is_a_miss(tmp_path, 4)
+
+    def test_schema_5_envelope_is_a_miss(self, tmp_path):
+        # Schema 5 pickled the commit map beside the audit report, whose
+        # problems were a plain list; the report now carries both.
+        assert CACHE_SCHEMA_VERSION == 6
+        self._assert_old_schema_is_a_miss(tmp_path, 5)
 
     def test_uncacheable_config_is_silently_skipped(self, tmp_path):
         cache = ResultCache(tmp_path)

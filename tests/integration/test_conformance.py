@@ -189,7 +189,7 @@ def run_live(scenario: Scenario) -> Dict[str, List[Tuple[int, int]]]:
     ]
     merged: Dict[str, Dict[int, int]] = {}
     for host in observers:
-        for request_id, key, version in finals[host]["history"]:
+        for key, version, request_id, *_ in finals[host]["history"]:
             merged.setdefault(key, {})[version] = rid_to_index[request_id]
     return {key: sorted(v.items()) for key, v in merged.items()}
 

@@ -215,19 +215,10 @@ class TestCopyKeeper:
 
 def one_owner_per_version(harness):
     """Every (key, version) has exactly one request; chains gapless."""
-    owners = {}
-    for machine in harness.replicas.values():
-        for record in machine.history:
-            owners.setdefault((record.key, record.version), set()).add(
-                record.request_id
-            )
-    assert all(len(rids) == 1 for rids in owners.values()), owners
-    chains = harness.commit_chains()
-    for key, chain in chains.items():
-        assert [version for version, _value in chain] == list(
-            range(1, len(chain) + 1)
-        ), (key, chain)
-    return chains
+    report = harness.audit()
+    assert report.divergence_free, report.problems
+    assert report.gapless, report.problems
+    return harness.commit_chains()
 
 
 def voting_world(prefix="MCV", queue=False):

@@ -194,6 +194,42 @@ class TestLiveClusterProcess:
         assert report.total_commits == 6
 
 
+def final_dump(host, history):
+    """A host's final dump after committing ``history`` in order."""
+    store = {}
+    for key, version, _rid, value, _origin in history:
+        store[key] = (value, version)
+    return {"type": "final", "host": host, "store": store,
+            "history": list(history)}
+
+
+class TestLiveAudit:
+    """The live audit is the kernel's checker over the final dumps
+    (nothing is started: the dumps are set by hand)."""
+
+    CHAIN = [("x", 1, 1, "1", "h1"), ("x", 2, 2, "2", "h2")]
+
+    def test_a_host_that_never_reported_fails_the_audit(self):
+        cluster = LiveCluster(n_replicas=3)
+        for host in ("h1", "h2"):
+            cluster._finals[host] = final_dump(host, [])
+        report = cluster.audit()
+        assert not report.final_state_equal and not report.consistent
+        assert "h3 reported no final state" in report.problems
+
+    def test_a_non_monotone_dump_is_flagged(self):
+        cluster = LiveCluster(n_replicas=3)
+        for host in cluster.hosts:
+            cluster._finals[host] = final_dump(host, self.CHAIN)
+        cluster._finals["h2"]["history"].reverse()
+        report = cluster.audit()
+        assert report.final_state_equal and report.divergence_free
+        assert not report.monotone and not report.consistent
+        assert report.problems == [
+            "h2: non-monotone version 1 <= 2 for key 'x'"
+        ]
+
+
 class TestShutdown:
     def test_the_work_count_loses_no_update(self):
         """Threads and forked processes share one count: a lost update
@@ -242,7 +278,7 @@ class TestShutdown:
         assert set(finals) == set(cluster.hosts)
         assert elapsed < 5.0  # every dump arrived, not the timeout
         for final in finals.values():
-            assert {rid for rid, _, _ in final["history"]} == submitted
+            assert {rid for _k, _v, rid, *_ in final["history"]} == submitted
         report = cluster.audit()  # final stores equal, no divergence
         assert report.consistent and report.total_commits == 3
 
