@@ -310,14 +310,21 @@ class AgentMachine:
         s.fetch_plan = []
         s.fetch_key = None
         s.base_values = {}
+        # The UPDATE names the keys the batch will write: each ACK
+        # reports its server's versions of exactly those ([D3]).
+        keys = tuple(dict.fromkeys(req[1] for req in s.requests))
         return [
             ClaimStarted(s.epoch),
             Note("claim", f"epoch {s.epoch}"),
-            Broadcast("UPDATE", self._payload()),
+            Broadcast("UPDATE", self._payload(keys=keys)),
             SetTimer("ack", self.tunables.ack_timeout),
         ]
 
-    def _payload(self, writes: Tuple[WriteOp, ...] = ()) -> UpdatePayload:
+    def _payload(
+        self,
+        writes: Tuple[WriteOp, ...] = (),
+        keys: Optional[Tuple[str, ...]] = None,
+    ) -> UpdatePayload:
         s = self.state
         return UpdatePayload(
             batch_id=s.batch_id,
@@ -327,6 +334,7 @@ class AgentMachine:
             reply_to=s.location,
             epoch=s.epoch,
             trace_id=s.trace_id,
+            keys=keys,
         )
 
     def on_message(
@@ -441,11 +449,12 @@ class AgentMachine:
     def _assign_versions(self) -> Tuple[WriteOp, ...]:
         """[D3]: next versions above everything known committed.
 
-        The ceiling folds (a) the Locking Table's monotone committed-max
-        and (b) the version vectors reported in this claim's ACKs. Any
-        previous winner's grant at an ACKing server was released by the
-        processing of its COMMIT, so the ACK quorum always reports every
-        previously committed version — the ceiling is collision-free.
+        The ceiling is the highest version this claim's ACKs report for
+        the key. Any previous winner's grant at an ACKing server was
+        released by the processing of its COMMIT, and its majority
+        meets this one's, so the ACK quorum always reports every
+        previously committed version — the ceiling is collision-free
+        (docs/protocol.md §3 gives the premises).
 
         RMW requests chain: within a batch, each Transform sees the
         value produced by the previous write to the same key.
@@ -457,10 +466,10 @@ class AgentMachine:
         for req in s.requests:
             request_id, key, value = req[0], req[1], req[2]
             if key not in next_version:
-                ceiling = s.table.version_ceiling(key)
-                for versions in s.acked_versions.values():
-                    ceiling = max(ceiling, versions.get(key, 0))
-                next_version[key] = ceiling + 1
+                next_version[key] = 1 + max(
+                    versions.get(key, 0)
+                    for versions in s.acked_versions.values()
+                )
             if isinstance(value, Transform):
                 value = value(current_value.get(key))
             current_value[key] = value

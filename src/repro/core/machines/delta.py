@@ -3,7 +3,7 @@
 Every migrating agent carries one :class:`~repro.core.machines.wire
 .SharedView` per known server, and every visit re-merges all of them —
 so both the suitcase wire size and the per-tour merge cost grow as
-O(replicas × agents × keys) even when almost nothing changed between
+O(replicas × agents) even when almost nothing changed between
 visits. The view exchange replaces the repeat traffic with "ship only
 what the receiver hasn't seen": each :class:`ReplicaMachine` keeps a
 monotone sequence number plus a bounded changelog of its lock-state
@@ -16,8 +16,10 @@ Journal events (``kind``, ``payload``):
 * ``"enq"``, *agent_id* — appended to the Locking List (always at the
   tail);
 * ``"deq"``, *agent_id* — removed from the Locking List;
-* ``"fin"``, *agent_id* — added to the Updated List;
-* ``"ver"``, *(key, version)* — a version-vector cell advanced.
+* ``"fin"``, *agent_id* — added to the Updated List.
+
+Committed versions are not lock state and are not journalled: a COMMIT
+bumps the sequence only through the ``"deq"`` / ``"fin"`` it causes.
 
 The changelog is bounded (:data:`DEFAULT_CAPACITY` events): when the
 receiver's base falls off the retained window — first contact, a long
@@ -95,16 +97,14 @@ class DeltaJournal:
 
         Replays the retained events after ``base_seq`` into the net
         locking-list edit (an id enqueued and dequeued inside the window
-        cancels out; a requeue becomes remove + re-append), the newly
-        finished ids, and the changed version cells at their newest
-        values, in one forward pass over those events.
+        cancels out; a requeue becomes remove + re-append) and the newly
+        finished ids, in one forward pass over those events.
         """
         if not self.can_delta(base_seq):
             return None
         removed: List[Any] = []
         appended: Dict[Any, None] = {}  # insertion-ordered set
         finished: List[Any] = []
-        versions = None
         # Sequence numbers in the window are consecutive, so the events
         # after the base are exactly the newest ``seq - base_seq``:
         # taken from the right, so the older ones are never walked.
@@ -118,14 +118,8 @@ class DeltaJournal:
                     del appended[payload]
                 else:
                     removed.append(payload)
-            elif kind == "fin":
+            else:  # "fin"
                 finished.append(payload)
-            else:  # "ver"
-                key, version = payload
-                if versions is None:
-                    versions = {}
-                if version > versions.get(key, 0):
-                    versions[key] = version
         return SharedViewDelta(
             host=self.host,
             as_of=as_of,
@@ -134,7 +128,6 @@ class DeltaJournal:
             removed=tuple(removed),
             appended=tuple(appended),
             finished=tuple(finished),
-            versions=versions,
         )
 
     def __repr__(self) -> str:

@@ -213,7 +213,6 @@ class ReplicaMachine:
             as_of=now,
             view=self.locking_list.view(),
             updated=self.updated_list.as_set(),
-            versions=self.store.version_vector(),
             seq=self.journal.seq,
         )
 
@@ -330,13 +329,14 @@ class ReplicaMachine:
         self.grant_expires_at = float("-inf")
 
     def _on_update(self, payload: UpdatePayload, now: float) -> List[Effect]:
-        """Grant request: ACK (with our version vector) or NACK.
+        """Grant request: ACK (with our versions of the UPDATE's keys)
+        or NACK.
 
-        The ACK's version vector is what lets the winner pick versions
-        above everything previously committed ([D3]): any earlier
-        winner's grant here was released by processing its COMMIT, i.e.
-        *after* applying its writes, so an ACK never predates a commit
-        this server participated in.
+        The ACK's versions are what lets the winner pick versions above
+        everything previously committed ([D3]): any earlier winner's
+        grant here was released by processing its COMMIT, i.e. *after*
+        applying its writes, so an ACK never predates a commit this
+        server participated in.
         """
         if payload.agent_id == self.grant_holder or self.grant_is_free(now):
             if self.grant_holder == payload.agent_id:
@@ -358,7 +358,10 @@ class ReplicaMachine:
                         "batch_id": payload.batch_id,
                         "epoch": payload.epoch,
                         "from": self.host,
-                        "versions": self.store.version_vector(),
+                        "versions": {
+                            key: self.store.version_of(key)
+                            for key in payload.keys or ()
+                        },
                     },
                 ),
             ]
@@ -387,7 +390,6 @@ class ReplicaMachine:
         for write in payload.writes:
             if self.apply_write(write, payload.origin, now):
                 self.commits_applied += 1
-                journal.bump("ver", (write.key, write.version))
                 effects.append(
                     CommitApplied(
                         payload.agent_id, write.request_id,

@@ -33,7 +33,7 @@ from repro.agents.identity import AgentId
 
 __all__ = [
     "LockEntry", "LockingList", "UpdatedList", "LockView",
-    "VersionedValue", "VersionVector", "VersionedStore",
+    "VersionedValue", "VersionedStore",
     "CommitRecord", "HistoryLog",
 ]
 
@@ -250,44 +250,28 @@ class VersionedValue:
         return f"VersionedValue(v{self.version}={self.value!r} @ {self.updated_at:g})"
 
 
-class VersionVector(dict):
-    """A ``key -> version`` snapshot that knows its own wire size.
-
-    The size is the structural estimate of the plain dict (16 B of
-    container, each key at its UTF-8 length plus 8 B per version),
-    kept up to date by the store as keys appear, so sizing a message
-    that carries the vector does not walk it. Treat as read-only.
-    """
-
-    __slots__ = ("_wire_size",)
-
-    def wire_size(self) -> int:
-        return self._wire_size
-
-
 class VersionedStore:
     """Per-replica key/value store with per-key version ordering.
 
     Versions are per-key, assigned by the replication protocol, and
     strictly increasing at every replica: an arriving update older than
     the installed version is *stale* and ignored (the installed value
-    already supersedes it).
+    already supersedes it). No lock view carries these versions: a
+    claim learns them from its ACKs, which report only the keys its
+    UPDATE names ([D3]).
     """
 
     # Flat-state backing: three parallel plain dicts (value / version /
     # updated-at) instead of a dict of frozen ``VersionedValue``s. The
-    # hot paths — ``version_of`` per priority probe, ``version_vector``
-    # per SharedView snapshot and per ACK — become single dict lookups
-    # and a dict copy; ``VersionedValue`` objects are materialised only
-    # at the API boundary (``read``/``snapshot``), whose callers are the
-    # cold read/recovery/audit paths.
+    # hot path — ``version_of`` per ACKed key — is a single dict lookup;
+    # ``VersionedValue`` objects are materialised only at the API
+    # boundary (``read``/``snapshot``), whose callers are the cold
+    # read/recovery/audit paths.
 
     def __init__(self) -> None:
         self._values: Dict[str, Any] = {}
         self._versions: Dict[str, int] = {}
         self._times: Dict[str, float] = {}
-        #: wire bytes of the version vector (see VersionVector)
-        self._vector_bytes = 16
         #: versions applied, in application order, per key (for audits)
         self.applied_log: List[Tuple[str, int, float]] = []
         self.stale_rejections = 0
@@ -334,12 +318,6 @@ class VersionedStore:
             for key, version in self._versions.items()
         }
 
-    def version_vector(self) -> VersionVector:
-        """``key -> version`` for every key present."""
-        vector = VersionVector(self._versions)
-        vector._wire_size = self._vector_bytes
-        return vector
-
     # -- writes -------------------------------------------------------------
 
     def apply(
@@ -356,8 +334,6 @@ class VersionedStore:
         if current is not None and version <= current:
             self.stale_rejections += 1
             return False
-        if current is None:
-            self._vector_bytes += len(key.encode("utf-8")) + 8
         self._values[key] = value
         self._versions[key] = version
         self._times[key] = timestamp

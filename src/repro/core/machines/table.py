@@ -32,8 +32,8 @@ Ingestion costs what a view *adds*, not what it repeats: the finished
 ids of a view are merged as one set difference against the UAL (a
 plain set), an id that is only ever known as finished (the common
 case — a completed agent has left every queue) is never interned, and
-:meth:`wire_size` reads totals kept up to date as ids, queues and
-version cells arrive. A delta-patched view does not copy its base's
+:meth:`wire_size` reads totals kept up to date as ids and queues
+arrive. A delta-patched view does not copy its base's
 finished set either: its ``updated`` is a
 :class:`~repro.core.machines.wire.SharedSet` over the stored view's
 set plus the delta's ids, merged part by part.
@@ -59,24 +59,10 @@ class LockingTable:
         self.views: Dict[str, SharedView] = {}
         #: the UAL: every id a merged view or delta knew finished
         self.ual: Set[AgentId] = set()
-        # The committed-version cells of every ingested view (even stale
-        # ones) that no stored view covers: an unstamped view, a stamped
-        # view merged but not adopted, and a stored view replaced by one
-        # that does not succeed it. A stored view covers its own vector,
-        # and a successor covers its predecessor's, because one server's
-        # vector only grows with its journal ``seq``; so the floor plus
-        # the stored vectors is :attr:`max_versions` without folding
-        # every relayed view cell by cell.
-        self._ver_floor: Dict[str, int] = {}
-        #: the keys of :attr:`max_versions`, for :meth:`wire_size`
-        self._ver_keys: Set[str] = set()
         #: highest server sequence fully merged, per host. Advanced only
         #: when this table holds the complete state at that sequence
         #: (an adopted full view, or an applied delta).
         self.acked: Dict[str, int] = {}
-        #: per host, the wire cells of the last version payload merged —
-        #: :meth:`wire_size`'s cost model for per-host version deviations.
-        self._ver_dev: Dict[str, int] = {}
         self._init_packed()
 
     def _init_packed(self) -> None:
@@ -91,13 +77,11 @@ class LockingTable:
         self._done = bytearray()
         # :meth:`wire_size` totals, maintained as state arrives: the
         # distinct ids known (queued or finished) with their summed id
-        # bytes, and the per-view host-name / queue-slot / version-cell
-        # sums.
+        # bytes, and the per-view host-name / queue-slot sums.
         self._n_ids = 0
         self._id_bytes = 0
         self._host_chars = 0
         self._queue_slots = 0
-        self._ver_cells = 0
         # The tally. Invariant: ``_topped`` is exactly ``_tops``
         # inverted (its non-None values), and for every host *not* in
         # ``_dirty``, ``_tops[host]`` is the first unflagged slot of
@@ -128,18 +112,13 @@ class LockingTable:
         return {
             "views": self.views,
             "ual": self.ual,
-            "ver_floor": self._ver_floor,
             "acked": self.acked,
-            "ver_dev": self._ver_dev,
         }
 
     def __setstate__(self, state) -> None:
         self.views = state["views"]
         self.ual = state["ual"]
-        self._ver_floor = state["ver_floor"]
         self.acked = state["acked"]
-        self._ver_dev = state["ver_dev"]
-        self._ver_keys = set(self.max_versions)
         self._init_packed()
         self._n_ids = len(self.ual)
         self._id_bytes = ids_wire_size(self.ual)
@@ -192,29 +171,11 @@ class LockingTable:
         self._n_ids += len(new_ids)
         self._id_bytes += ids_wire_size(new_ids)
 
-    def _cells(self, host: str) -> int:
-        """Version cells :meth:`wire_size` charges for ``host``'s view:
-        the last merged deviation, else the stored vector."""
-        cells = self._ver_dev.get(host)
-        if cells is None:
-            versions = self.views[host].versions
-            cells = len(versions) if versions else 0
-        return cells
-
     def _charge(self, host: str, sign: int) -> None:
         """Add (+1) ``host``'s stored view to the :meth:`wire_size`
         totals, or take it out (-1) before it is replaced."""
         self._host_chars += sign * len(host)
         self._queue_slots += sign * len(self._packed[host])
-        self._ver_cells += sign * self._cells(host)
-
-    def _fold(self, versions: Dict[str, int]) -> None:
-        """Fold a vector no stored view will cover into the floor."""
-        floor = self._ver_floor
-        for key, version in versions.items():
-            if version > floor.get(key, 0):
-                floor[key] = version
-                self._ver_keys.add(key)
 
     def _settle(self) -> None:
         """Rescan the dirty hosts and move their tally entries.
@@ -302,14 +263,12 @@ class LockingTable:
         This is the flattened LL/UL->LT merge: one pass marks newly
         finished agents in both the UAL and the flag slab, and an
         adopted view is interned into its packed form immediately —
-        nothing is re-materialised later. A stamped view that succeeds
-        the stored one folds no version cells: it covers its own vector
-        (see ``_ver_floor``).
+        nothing is re-materialised later.
 
         A view stamped with a server sequence number at or below this
         table's acknowledged sequence for that host is discarded in
         O(1) — both its queue (``as_of`` cannot be fresher)
-        and its updated/version knowledge (monotone in ``seq``) are
+        and its updated knowledge (monotone in ``seq``) are
         subsets of what was already merged. This is what turns the
         per-visit bulletin re-merge from O(hosts × agents) into O(hosts).
         """
@@ -319,10 +278,10 @@ class LockingTable:
             if seq < acked:
                 return False
             if seq == acked:
-                # Same sequence → identical queue/updated/versions
-                # content; only the timestamp can differ. Adopt a
-                # fresher one without re-merging (the packed index and
-                # the tally stay valid — no effective top can move).
+                # Same sequence → identical queue/updated content;
+                # only the timestamp can differ. Adopt a fresher one
+                # without re-merging (the packed index and the tally
+                # stay valid — no effective top can move).
                 if view.is_newer_than(self.views.get(view.host)):
                     self._charge(view.host, -1)
                     self.views[view.host] = view
@@ -335,26 +294,9 @@ class LockingTable:
             self._finish(new_ids)
         host = view.host
         stored = self.views.get(host)
-        adopt = view.is_newer_than(stored)
-        versions = view.versions
-        if versions and (seq < 0 or not adopt):
-            # Nothing certifies that what replaces (or outlives) this
-            # view covers its vector.
-            self._fold(versions)
-        if adopt:
+        if view.is_newer_than(stored):
             if stored is not None:
                 self._charge(host, -1)
-                if stored.seq > seq and stored.versions:
-                    # A stamped view replaced by one that does not
-                    # succeed it.
-                    self._fold(stored.versions)
-            if seq >= 0 and versions and (
-                stored is None or stored.seq < 0
-                or len(versions) > len(stored.versions or ())
-            ):
-                # A successor's keys are its predecessor's unless its
-                # vector grew.
-                self._ver_keys.update(versions)
             self.views[host] = view
             self._packed[host] = self._pack(view.view)
             self._scan_from.pop(host, None)
@@ -363,9 +305,6 @@ class LockingTable:
                 # A full snapshot at seq was adopted wholesale: this
                 # table now holds the complete state at that sequence.
                 self.acked[host] = seq
-                self._ver_dev[host] = (
-                    len(view.versions) if view.versions else 0
-                )
             self._charge(host, +1)
             return True
         return False
@@ -374,8 +313,7 @@ class LockingTable:
         """Patch one host's state in place from a server delta.
 
         O(changed entries): only newly finished ids touch the UAL flag
-        slab, only changed cells are copied into the vector, and the
-        packed slot list is edited rather than re-packed. The stored
+        slab, and the packed slot list is edited rather than re-packed. The stored
         :class:`SharedView` is rebuilt to exactly what the server's full
         snapshot at ``delta.seq`` would have been (queue reconstruction
         is exact because LL appends land strictly at the tail; its
@@ -405,16 +343,6 @@ class LockingTable:
                 self.ual |= new_ids
                 self._finish(new_ids)
                 changed = True
-        new_versions = stored.versions
-        if delta.versions:
-            # The cells only grow, so the rebuilt vector covers the
-            # stored one.
-            new_versions = dict(new_versions or ())
-            known = len(new_versions)
-            new_versions.update(delta.versions)
-            if len(new_versions) > known:
-                self._ver_keys.update(delta.versions)
-            self._ver_dev[host] = len(delta.versions)
         # Rebuild this host's queue at delta.seq. The packed list
         # mirrors the stored one position for position, so an id to
         # drop is located as an int and deleted from both.
@@ -443,7 +371,6 @@ class LockingTable:
             as_of=delta.as_of,
             view=queue,
             updated=new_updated,
-            versions=new_versions,
             seq=delta.seq,
         )
         self.acked[host] = delta.seq
@@ -518,37 +445,6 @@ class LockingTable:
             {value(slot): len(hosts) for slot, hosts in topped.items()}
         )
 
-    @property
-    def max_versions(self) -> Dict[str, int]:
-        """Highest committed version per key over every view ingested,
-        even stale ones (built on each read).
-
-        Knowledge of a finished agent always arrives inside a view whose
-        version vector already reflects that agent's commit at the
-        snapshotting server, so this map dominates every commit the UAL
-        knows about — the property that makes version assignment ([D3])
-        collision-free.
-        """
-        best = dict(self._ver_floor)
-        for view in self.views.values():
-            if view.versions:
-                for key, version in view.versions.items():
-                    if version > best.get(key, 0):
-                        best[key] = version
-        return best
-
-    def version_ceiling(self, key: str) -> int:
-        """Highest version of ``key`` this agent knows committed ([D3]):
-        ``max_versions[key]``, from the floor and the stored views."""
-        best = self._ver_floor.get(key, 0)
-        for view in self.views.values():
-            versions = view.versions
-            if versions:
-                version = versions.get(key, 0)
-                if version > best:
-                    best = version
-        return best
-
     def wire_size(self) -> int:
         """Approximate bytes the LT adds to the agent's migrations.
 
@@ -556,9 +452,7 @@ class LockingTable:
         table has seen (queued or finished) ships once, every per-host
         queue is 4-byte indices into it, and the UAL plus each view's
         finished set are dense bitsets over it — instead of repeating
-        the full AgentId tuple for every occurrence in every view.
-        Version vectors are charged at their last-merged deviation per
-        host (the full vector travels once via ``max_versions``). Every
+        the full AgentId tuple for every occurrence in every view. Every
         term is a running total, so this is O(1).
         """
         hosts = len(self.views)
@@ -566,12 +460,10 @@ class LockingTable:
         return (
             16 + bitset  # container + global UAL bitset
             + self._id_bytes
-            + 16 * len(self._ver_keys)
             # per view: host + as_of + seq, queue slots, the view's
-            # updated-set bitset, version cells
+            # updated-set bitset
             + (16 + 8 + 8 + bitset) * hosts + self._host_chars
             + 4 * self._queue_slots
-            + 16 * self._ver_cells
         )
 
     def __repr__(self) -> str:

@@ -11,7 +11,7 @@ convention: nothing changes a field once the record is built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from repro.agents.identity import AgentId
 from repro.core.machines.structures import LockView
@@ -85,11 +85,10 @@ class SharedView:
     """A (possibly stale) snapshot of one server's lock state.
 
     Carried by agents in their Locking Tables and deposited on server
-    bulletin boards for other agents. ``versions`` is the server's
-    per-key version vector at snapshot time — this is how a winner
-    "checks the time of last update of all the quorum members" ([D3]):
-    a view that certifies the winner as top also certifies which commits
-    that server had applied.
+    bulletin boards for other agents. It is lock state only: no
+    committed versions. A winner "checks the time of last update of all
+    the quorum members" ([D3]) in its claim's ACKs, which report the
+    versions of exactly the keys its UPDATE names.
 
     ``seq`` is the server's monotone mutation sequence number at
     snapshot time (``-1`` = unstamped: a hand-built view with no
@@ -107,7 +106,6 @@ class SharedView:
     #: agent ids known to have completed: a frozenset, or a SharedSet on
     #: a view a Locking Table patched from a delta (read-only either way)
     updated: frozenset | SharedSet
-    versions: Optional[Dict[str, int]] = None
     seq: int = -1
 
     def is_newer_than(self, other: Optional["SharedView"]) -> bool:
@@ -119,8 +117,8 @@ class SharedViewDelta:
     """What changed at one server since the receiver's acked sequence.
 
     The returning-visitor wire format: instead of a full
-    :class:`SharedView` (whole locking list, whole updated set, whole
-    version vector — O(agents + keys) per snapshot), a server hands a
+    :class:`SharedView` (whole locking list, whole updated set —
+    O(agents) per snapshot), a server hands a
     returning visitor only the mutations logged between the visitor's
     acknowledged sequence ``base_seq`` and the current ``seq``:
 
@@ -130,8 +128,6 @@ class SharedViewDelta:
       reconstruction is exact:
       ``[a for a in base if a not in removed] + appended``.
     * ``finished`` — agent ids newly added to the server's Updated List.
-    * ``versions`` — only the version-vector cells that changed, each at
-      its newest value.
 
     A delta is only valid against the precise base it was cut for; on
     first contact, after a journal gap (bounded changelog evicted the
@@ -146,7 +142,6 @@ class SharedViewDelta:
     removed: Tuple[AgentId, ...] = ()
     appended: Tuple[AgentId, ...] = ()
     finished: Tuple[AgentId, ...] = ()
-    versions: Optional[Dict[str, int]] = None
 
     def wire_size(self) -> int:
         # Structural, like the generic estimate: ids at their own wire
@@ -157,12 +152,6 @@ class SharedViewDelta:
             + 16 + sum(a.wire_size() for a in self.removed)
             + 16 + sum(a.wire_size() for a in self.appended)
             + 16 + sum(a.wire_size() for a in self.finished)
-            + (
-                0 if self.versions is None
-                else 16 + sum(
-                    len(k.encode("utf-8")) + 8 for k in self.versions
-                )
-            )
         )
 
 
@@ -196,6 +185,8 @@ class UpdatePayload:
     same agent so stale acknowledgements from an abandoned claim cannot
     be counted toward a later one. UPDATE and RELEASE carry no writes;
     COMMIT carries the full Request List with the final versions.
+    ``keys`` is set on UPDATE only: the keys the batch will write, whose
+    versions each ACK reports ([D3]); ``None`` on every other kind.
 
     ``trace_id`` is the sender's causal trace context (see
     :mod:`repro.obs.journeys`): purely observational, never consulted by
@@ -210,6 +201,7 @@ class UpdatePayload:
     reply_to: str = ""
     epoch: int = 0
     trace_id: Optional[str] = None
+    keys: Optional[Tuple[str, ...]] = None
 
     def wire_size(self) -> int:
         # Equals the generic structural estimate exactly (see WriteOp).
@@ -221,6 +213,8 @@ class UpdatePayload:
             + len(self.reply_to.encode("utf-8")) + 8
             + (0 if self.trace_id is None
                else len(self.trace_id.encode("utf-8")))
+            + (0 if self.keys is None
+               else 16 + sum(len(k.encode("utf-8")) for k in self.keys))
         )
 
 

@@ -47,9 +47,11 @@ __all__ = [
     "result_payload",
 ]
 
-#: Bump when the cached RunResult surface changes shape; invalidates
-#: every existing entry (alongside the package version).
-CACHE_SCHEMA_VERSION = 6
+#: Bump when the cached RunResult surface changes shape, or when the
+#: simulated numbers it caches move (7: lock views dropped their version
+#: vectors); invalidates every existing entry (alongside the package
+#: version).
+CACHE_SCHEMA_VERSION = 7
 
 
 def code_version() -> str:

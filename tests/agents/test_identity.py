@@ -118,7 +118,7 @@ class TestTupleIdentity:
             table.update(SharedView(
                 host=host, as_of=1.0 + index,
                 view=tuple(ids[index:index + 4]),
-                updated=frozenset(ids[:index + 1]), versions={"k": index},
+                updated=frozenset(ids[:index + 1]),
             ))
         expected = {
             "set_members": True,

@@ -11,13 +11,12 @@ def aid(n: int) -> AgentId:
     return AgentId("h", float(n), 0)
 
 
-def view(host: str, as_of: float, queued=(), updated=(), versions=None):
+def view(host: str, as_of: float, queued=(), updated=()):
     return SharedView(
         host=host,
         as_of=as_of,
         view=tuple(queued),
         updated=frozenset(updated),
-        versions=dict(versions or {}),
     )
 
 
@@ -38,12 +37,6 @@ class TestIngestion:
         table.update(view("s1", 2.0, [aid(1)]))
         table.update(view("s1", 1.0, updated=[aid(9)]))
         assert aid(9) in table.ual
-
-    def test_stale_view_still_feeds_max_versions(self):
-        table = LockingTable()
-        table.update(view("s1", 2.0, versions={"x": 1}))
-        table.update(view("s1", 1.0, versions={"x": 5}))
-        assert table.version_ceiling("x") == 5
 
     def test_merge_bulletin_counts_adoptions(self):
         table = LockingTable()
@@ -92,21 +85,6 @@ class TestTops:
 
 
 class TestVersionsAndSharing:
-    def test_version_ceiling_monotone_max(self):
-        table = LockingTable()
-        table.update(view("s1", 1.0, versions={"x": 2}))
-        table.update(view("s2", 1.0, versions={"x": 7, "y": 1}))
-        assert table.version_ceiling("x") == 7
-        assert table.version_ceiling("y") == 1
-        assert table.version_ceiling("missing") == 0
-
-    def test_version_ceiling_includes_quorum_hosts(self):
-        # every stored view counts, the quorum's among them
-        table = LockingTable()
-        table.update(view("s1", 1.0, versions={"x": 3}))
-        table.update(view("s2", 1.0, versions={"x": 1}))
-        assert table.version_ceiling("x") == 3
-
     def test_posted_table_skips_the_servers_own_entry(self):
         # An agent posts its table's own dict (PostBulletin carries no
         # filtered copy); the visited server drops the entry about itself.
@@ -124,6 +102,5 @@ class TestVersionsAndSharing:
     def test_wire_size_grows_with_content(self):
         table = LockingTable()
         empty = table.wire_size()
-        table.update(view("s1", 1.0, [aid(n) for n in range(10)],
-                          versions={"x": 1}))
+        table.update(view("s1", 1.0, [aid(n) for n in range(10)]))
         assert table.wire_size() > empty

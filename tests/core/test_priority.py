@@ -22,7 +22,6 @@ def table_from(queues: dict, updated=()) -> LockingTable:
                 as_of=1.0,
                 view=tuple(aid(n) for n in agents),
                 updated=frozenset(aid(n) for n in updated),
-                versions={},
             )
         )
     return table

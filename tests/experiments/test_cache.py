@@ -168,8 +168,13 @@ class TestResultCache:
     def test_schema_5_envelope_is_a_miss(self, tmp_path):
         # Schema 5 pickled the commit map beside the audit report, whose
         # problems were a plain list; the report now carries both.
-        assert CACHE_SCHEMA_VERSION == 6
         self._assert_old_schema_is_a_miss(tmp_path, 5)
+
+    def test_schema_6_envelope_is_a_miss(self, tmp_path):
+        # Schema 6 cached MARP runs whose lock views carried version
+        # vectors; their simulated numbers are not today's.
+        assert CACHE_SCHEMA_VERSION == 7
+        self._assert_old_schema_is_a_miss(tmp_path, 6)
 
     def test_uncacheable_config_is_silently_skipped(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -4,7 +4,10 @@ and the read-modify-write base fetch.
 Both reach their taker through the home host's claim table. The
 values were measured while the quorum read was still a network
 conversation of its own, and a move of the reader must not change
-them: same records, same messages, same bytes.
+them: same records, same messages, same bytes. They were re-pinned
+once, when lock views stopped carrying version vectors and every
+UPDATE began to name its keys (smaller suitcases, slightly larger
+UPDATEs: the same commit and read counts, other timings and bytes).
 """
 
 import hashlib
@@ -30,10 +33,11 @@ def quorum_run(seed, write_fraction, **overrides):
 
 
 @pytest.mark.parametrize("seed,write_fraction,prefix,commits,reads", [
-    (1, 0.5, "cd975657145ce8f4", 152, 148),
-    (1, 0.1, "608e9c76b38c2358", 23, 277),
-    (2, 0.5, "4be3afb7adde7908", 146, 154),
-    (2, 0.1, "7641495c339705d6", 29, 271),
+    # ids name the inputs only, so a re-pin keeps the test's name
+    pytest.param(1, 0.5, "ee9d77b944a0d549", 152, 148, id="seed1-w0.5"),
+    pytest.param(1, 0.1, "e6877417106a57e6", 23, 277, id="seed1-w0.1"),
+    pytest.param(2, 0.5, "f984f19005483185", 146, 154, id="seed2-w0.5"),
+    pytest.param(2, 0.1, "826649815f14249c", 29, 271, id="seed2-w0.1"),
 ])
 def test_quorum_read_runs_are_pinned(seed, write_fraction, prefix, commits,
                                      reads):
@@ -66,11 +70,11 @@ def test_concurrent_rmw_then_quorum_reads_are_pinned():
     )
     assert [row[:2] for row in rows[15:]] == [("read-done", "15")] * 5
     assert (stats.total_messages("control"),
-            stats.total_bytes("control")) == (303, 45014)
+            stats.total_bytes("control")) == (303, 46494)
     text = json.dumps([rows, stats.total_messages("control"),
                        stats.total_bytes("control")])
     assert hashlib.sha256(text.encode()).hexdigest().startswith(
-        "e7aee1a10fca2ef6"
+        "a2b2798609d2dcba"
     )
 
 

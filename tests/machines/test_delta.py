@@ -26,13 +26,12 @@ def aid(n: int) -> AgentId:
     return AgentId("h", float(n), 0)
 
 
-def view(host, as_of, ids=(), updated=(), versions=None, seq=-1):
+def view(host, as_of, ids=(), updated=(), seq=-1):
     return SharedView(
         host=host,
         as_of=as_of,
         view=tuple(ids),
         updated=frozenset(updated),
-        versions=versions,
         seq=seq,
     )
 
@@ -46,15 +45,12 @@ class TestDeltaJournal:
         j.bump("enq", aid(1))
         j.bump("enq", aid(2))
         j.bump("fin", aid(3))
-        j.bump("ver", ("x", 4))
-        j.bump("ver", ("x", 2))  # stale cell write: newest value wins
         d = j.delta_since(0, as_of=10.0)
         assert d is not None
-        assert d.base_seq == 0 and d.seq == 5
+        assert d.base_seq == 0 and d.seq == 3
         assert d.appended == (aid(1), aid(2))
         assert d.removed == ()
         assert d.finished == (aid(3),)
-        assert d.versions == {"x": 4}
 
     def test_enqueue_then_dequeue_inside_window_cancels_out(self):
         j = DeltaJournal("s1")
@@ -79,7 +75,6 @@ class TestDeltaJournal:
         d = j.delta_since(j.seq, as_of=5.0)
         assert d is not None
         assert d.removed == d.appended == d.finished == ()
-        assert d.versions is None
         assert d.base_seq == d.seq == j.seq
 
     def test_evicted_base_declines_delta(self):
@@ -145,8 +140,7 @@ class TestApplyDelta:
     def _seeded_table(self):
         table = LockingTable()
         table.update(view(
-            "s1", 1.0, ids=[aid(1), aid(2), aid(3)],
-            versions={"x": 1}, seq=3,
+            "s1", 1.0, ids=[aid(1), aid(2), aid(3)], seq=3,
         ))
         assert table.acked_seq("s1") == 3
         return table
@@ -156,17 +150,16 @@ class TestApplyDelta:
         delta = SharedViewDelta(
             host="s1", as_of=2.0, base_seq=3, seq=7,
             removed=(aid(2),), appended=(aid(4),),
-            finished=(aid(2),), versions={"x": 2, "y": 1},
+            finished=(aid(2),),
         )
         assert table.apply_delta(delta)
         # What a full snapshot at seq 7 would have said:
         assert table.views["s1"] == view(
             "s1", 2.0, ids=[aid(1), aid(3), aid(4)],
-            updated=[aid(2)], versions={"x": 2, "y": 1}, seq=7,
+            updated=[aid(2)], seq=7,
         )
         assert table.acked_seq("s1") == 7
         assert aid(2) in table.ual
-        assert table.max_versions == {"x": 2, "y": 1}
         # effective top skips nothing new; queue order is preserved
         assert table.tops().get("s1") == aid(1)
 
@@ -226,10 +219,9 @@ class TestUpdateEdgeCases:
         # Older snapshot, but it knows aid(1) finished: the UAL must
         # grow even though the queue snapshot is not adopted.
         assert not table.update(view("s1", 1.0, ids=[aid(1)],
-                                     updated=[aid(1)], versions={"x": 2}))
+                                     updated=[aid(1)]))
         assert table.views["s1"].as_of == 5.0
         assert aid(1) in table.ual
-        assert table.max_versions == {"x": 2}
         assert table.tops().get("s1") == aid(2)
 
     def test_equal_as_of_view_is_not_adopted(self):
@@ -265,16 +257,14 @@ class TestDeltaWireSize:
                 f"s{h}", 1.0,
                 ids=[aid(n) for n in range(50)],
                 updated=[aid(n) for n in range(25)],
-                versions={f"k{i}": 1 for i in range(10)},
                 seq=h,
             ))
         # What shipping every view structurally would cost: each
-        # AgentId repeated per occurrence, each version vector whole.
+        # AgentId repeated per occurrence.
         repeated = 16 + sum(a.wire_size() for a in table.ual) + sum(
             16 + len(v.host) + 8
             + sum(a.wire_size() for a in v.view)
             + sum(a.wire_size() for a in v.updated)
-            + 16 * len(v.versions)
             for v in table.views.values()
         )
         # The shared id dictionary + slot/bitset encoding beats that 2×
@@ -283,14 +273,12 @@ class TestDeltaWireSize:
 
     def test_table_wire_size_pins_the_compact_encoding(self):
         table = LockingTable()
-        table.update(view("s1", 1.0, ids=[aid(1)], versions={"x": 1}))
+        table.update(view("s1", 1.0, ids=[aid(1)]))
         expected = (
             16 + 1  # table container + UAL bitset (1 slot)
             + aid(1).wire_size()  # id dictionary
-            + 16 * 1  # max_versions cell
             + 16 + len("s1") + 8 + 8  # host + as_of + seq
             + 4 * 1  # queue entry as a slot index
             + 1  # the view's updated-set bitset
-            + 16 * 1  # version cell
         )
         assert table.wire_size() == expected

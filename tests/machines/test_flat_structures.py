@@ -19,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.agents.identity import AgentId
-from repro.net.message import estimate_size
 from repro.core.machines import (
     DES_TUNABLES,
     Interner,
@@ -73,28 +72,15 @@ class ReferenceSuitcase:
         bitset = (slots + 7) // 8
         total = 16 + bitset  # container + global UAL bitset
         total += sum(agent_id.wire_size() for agent_id in self.ever_seen)
-        total += 16 * len(table.max_versions)
         for host, view in table.views.items():
             total += 16 + len(host) + 8 + 8  # host + as_of + seq
             total += 4 * len(view.view)
             total += bitset  # the view's updated-set bitset
-            total += 16 * table._ver_dev.get(
-                host, len(view.versions) if view.versions else 0
-            )
         return total
 
     def check(self, table: LockingTable) -> None:
         self.observe(table)
         assert table.wire_size() == self.wire_size(table)
-
-
-def reference_vector_size(vector) -> int:
-    """The recursive structural estimate of a ``key -> version`` dict,
-    as ``estimate_size`` computed it by walking every cell."""
-    return 16 + sum(
-        estimate_size(key) + estimate_size(version)
-        for key, version in vector.items()
-    )
 
 
 def reference_tops(table: LockingTable, extra_done=frozenset()):
@@ -157,13 +143,6 @@ def lock_tables(draw, max_hosts=7, max_agents=8):
                 as_of=float(draw(st.integers(min_value=0, max_value=4))),
                 view=tuple(aid(n) for n in queue),
                 updated=frozenset(aid(n) for n in finished),
-                versions=draw(
-                    st.dictionaries(
-                        st.sampled_from(["x", "y"]),
-                        st.integers(min_value=1, max_value=9),
-                        max_size=2,
-                    )
-                ),
             )
             views.append(view)
             table.update(view)
@@ -384,12 +363,12 @@ def test_a_top_that_finishes_elsewhere_moves_every_host_it_topped():
     for host in ("s1", "s2"):
         table.update(SharedView(
             host=host, as_of=1.0, view=(aid(1), aid(2)),
-            updated=frozenset(), versions={},
+            updated=frozenset(),
         ))
     assert table.top_counts() == {aid(1): 2}
     table.update(SharedView(
         host="s3", as_of=1.0, view=(aid(2),),
-        updated=frozenset({aid(1)}), versions={},
+        updated=frozenset({aid(1)}),
     ))
     assert_tally_is_a_recompute(table, 3)
     assert table.tops() == {"s1": aid(2), "s2": aid(2), "s3": aid(2)}
@@ -397,7 +376,6 @@ def test_a_top_that_finishes_elsewhere_moves_every_host_it_topped():
     # a stale view, not adopted, that only adds to the finished set
     table.update(SharedView(
         host="s1", as_of=0.5, view=(), updated=frozenset({aid(2)}),
-        versions={},
     ))
     assert_tally_is_a_recompute(table, 3)
     assert table.tops() == {"s1": None, "s2": None, "s3": None}
@@ -454,7 +432,7 @@ def test_weights_decide_the_outcome():
     for host, top in (("s1", 1), ("s2", 2), ("s3", 2)):
         table.update(SharedView(
             host=host, as_of=1.0, view=(aid(top),),
-            updated=frozenset(), versions={},
+            updated=frozenset(),
         ))
     votes = {"s1": 3, "s2": 1, "s3": 1}
     assert decide(table, 3, aid(1)).winner == aid(2)
@@ -477,7 +455,7 @@ def test_decide_memo_survives_further_mutation(data):
         host="s1", as_of=99.0,
         view=(newcomer,) + (table.views.get("s1").view if
                             table.views.get("s1") else ()),
-        updated=frozenset(), versions={},
+        updated=frozenset(),
     ))
     for agent in agents:
         assert decide(table, n_hosts, aid(agent)) == decide_reference(
@@ -533,7 +511,7 @@ def test_finished_only_ids_are_charged_but_not_interned():
     reference = ReferenceSuitcase()
     table.update(SharedView(
         host="s1", as_of=1.0, view=(aid(1),),
-        updated=frozenset({aid(2), aid(3)}), versions={"x": 1},
+        updated=frozenset({aid(2), aid(3)}),
     ))
     reference.check(table)
     assert len(table._ids) == 1  # aid(1); the finished two hold no slot
@@ -541,14 +519,14 @@ def test_finished_only_ids_are_charged_but_not_interned():
     # arrival, not charged twice, never an effective top.
     table.update(SharedView(
         host="s2", as_of=2.0, view=(aid(2), aid(1)),
-        updated=frozenset({aid(3)}), versions={"x": 1},
+        updated=frozenset({aid(3)}),
     ))
     reference.check(table)
     assert table.tops().get("s2") == aid(1)
     # aid(1) finishes while queued at both hosts.
     table.update(SharedView(
         host="s3", as_of=3.0, view=(),
-        updated=frozenset({aid(1)}), versions=None,
+        updated=frozenset({aid(1)}),
     ))
     reference.check(table)
     assert table.tops() == {"s1": None, "s2": None, "s3": None}
@@ -565,7 +543,6 @@ def test_pickle_round_trip_rebuilds_packed_index(data):
     clone = pickle.loads(pickle.dumps(table))
     assert clone.views == table.views
     assert clone.ual == table.ual
-    assert clone.max_versions == table.max_versions
     assert clone.tops(extra_done) == table.tops(extra_done)
     assert clone.top_counts() == table.top_counts()
     # The id dictionary is rebuilt from what views and UAL still
@@ -608,7 +585,6 @@ def test_intern_order_never_changes_a_decision(data, seed):
         other.update(view)
     assert other.tops() == table.tops()
     assert other.top_counts() == table.top_counts()
-    assert other.max_versions == table.max_versions
     for agent in agents:
         assert decide(other, n_hosts, aid(agent)) == decide(
             table, n_hosts, aid(agent)
@@ -717,7 +693,6 @@ def test_updated_list_matches_model(ops):
 @settings(max_examples=150, deadline=None)
 def test_versioned_store_matches_model(writes):
     store = VersionedStore()
-    assert estimate_size(store.version_vector()) == estimate_size({})
     model = {}  # key -> (value, version, time)
     applied = []
     stale = 0
@@ -733,17 +708,6 @@ def test_versioned_store_matches_model(writes):
         else:
             stale += 1
         assert store.version_of(key) == model.get(key, (None, 0, 0.0))[1]
-        # an ACK is sized without walking the vector, at the same bytes
-        vector = store.version_vector()
-        assert vector.wire_size() == reference_vector_size(vector)
-        assert estimate_size(vector) == estimate_size(dict(vector))
-        ack = {"batch_id": 1, "epoch": 1, "from": "s1", "versions": vector}
-        assert estimate_size(ack) == estimate_size(
-            {**ack, "versions": dict(vector)}
-        )
-    assert store.version_vector() == {
-        key: version for key, (_v, version, _t) in model.items()
-    }
     assert store.keys() == sorted(model)
     assert store.applied_log == applied
     assert store.stale_rejections == stale

@@ -15,8 +15,13 @@ Covered here:
 * a duplicated COMMIT landing after its target crashed, resynced and
   rejoined (schedule-DSL expressible since the adversary);
 * a partition heal delivering a buffered COMMIT *after* the grant that
-  certified it expired on the far side.
+  certified it expired on the far side;
+* [D3] resting on the ACK quorum alone: a claimer whose tour predates
+  the commit it must follow takes its version from the ACKs, and the
+  same script with the ACKs' versions stubbed out is convicted.
 """
+
+import pytest
 
 from repro.agents.identity import AgentId
 from repro.core.machines import (
@@ -32,17 +37,27 @@ from repro.core.machines import (
     Nacked,
     ProtocolTunables,
     ReplicaMachine,
+    Send,
     SharedView,
     UpdatePayload,
     WriteOp,
     decide,
+)
+from repro.core.machines.adversary import (
+    DelayOp,
+    InvariantViolation,
+    Schedule,
+    SubmitOp,
+    check_schedule,
+    run_schedule,
 )
 from repro.core.machines.priority import STALEMATE
 
 HOSTS = ["s1", "s2", "s3"]
 
 
-def update_msg(agent_id, batch_id, epoch, now, writes=(), reply_to="client"):
+def update_msg(agent_id, batch_id, epoch, now, writes=(), reply_to="client",
+               keys=None):
     payload = UpdatePayload(
         batch_id=batch_id,
         agent_id=agent_id,
@@ -50,6 +65,7 @@ def update_msg(agent_id, batch_id, epoch, now, writes=(), reply_to="client"):
         writes=tuple(writes),
         reply_to=reply_to,
         epoch=epoch,
+        keys=keys,
     )
     return MsgReceived("UPDATE", payload, now)
 
@@ -123,9 +139,10 @@ class TestCommitOvertakesAckRound:
         assert a in replica.updated_list
 
         # The overtaken UPDATE straggles in afterwards. The server still
-        # answers; its ACK's version vector already includes the commit,
-        # which is exactly the [D3] version ceiling a later winner needs.
-        effects = replica.on(update_msg(a, 7, 1, now=6.0))
+        # answers; its ACK's version of the named key already includes
+        # the commit, which is exactly the [D3] ceiling a later winner
+        # needs.
+        effects = replica.on(update_msg(a, 7, 1, now=6.0, keys=("x",)))
         ack = effects[1]
         assert ack.kind == "ACK"
         assert ack.payload["versions"] == {"x": 1}
@@ -210,7 +227,7 @@ class TestMWayTieBreak:
         for host, agent in zip(HOSTS, agents):
             table.update(SharedView(
                 host=host, as_of=1.0, view=(agent,),
-                updated=frozenset(), versions={},
+                updated=frozenset(),
             ))
         return table, agents
 
@@ -237,7 +254,7 @@ class TestMWayTieBreak:
         for host, top in tops.items():
             table.update(SharedView(
                 host=host, as_of=1.0, view=(top,),
-                updated=frozenset(), versions={},
+                updated=frozenset(),
             ))
         decision = decide(table, 5, a)
         assert decision.outcome == STALEMATE
@@ -360,3 +377,67 @@ class TestPartitionHealRacesGrantExpiry:
             for r in harness.replicas["s3"].history
         )
         check_schedule(self.schedule())
+
+
+class TestAckQuorumCarriesD3:
+    """[D3] rests on the claim's ACK quorum alone: no lock view carries
+    a committed version, so the ACKs are the winner's only source.
+
+    B tours all three servers (t = 0.5 .. 2.5) before A's COMMIT lands
+    (t = 4), parks, and claims when that COMMIT wakes it. A's COMMIT to
+    s3 is delayed past B's round, so s3 still holds A's grant and NACKs
+    B: B's majority is {s1, s2}, both of which applied ``x@1``.
+    """
+
+    #: send index of A's COMMIT to s3 (UPDATE x3, ACK x3, COMMIT to s1,
+    #: s2, then s3), delayed past B's whole round
+    COMMIT_TO_S3 = 8
+
+    def schedule(self):
+        return Schedule(
+            n_hosts=3,
+            submits=(
+                SubmitOp("s1", 1, "x", "a", at=0.0),
+                SubmitOp("s3", 2, "x", "b", at=0.5),
+            ),
+            ops=(DelayOp(self.COMMIT_TO_S3, 20.0),),
+        )
+
+    def test_the_claim_takes_its_version_from_the_acks(self):
+        harness, (a, b) = run_schedule(self.schedule())
+        first_apply = min(
+            when for when, kind, _ in harness.agents[a].notes
+            if kind == "apply"
+        )
+        visits = [
+            when for when, kind, _ in harness.agents[b].notes
+            if kind == "visit"
+        ]
+        assert visits[:3] == [0.5, 1.5, 2.5]  # the tour
+        assert max(visits[:3]) < first_apply
+        assert harness.commit_chains() == {"x": [(1, "a"), (2, "b")]}
+        # s3 took B's x@2 before A's delayed x@1, which it then refused
+        # as stale; the chain over all hosts is still gapless.
+        assert [(c.version, c.request_id)
+                for c in harness.replicas["s3"].history] == [(2, 2)]
+        report = harness.audit()
+        assert report.gapless and report.divergence_free
+        assert report.statuses_match
+        check_schedule(self.schedule())
+
+    def test_stubbed_ack_versions_are_convicted(self, monkeypatch):
+        serve = ReplicaMachine._on_update
+
+        def no_versions(self, payload, now):
+            effects = serve(self, payload, now)
+            for effect in effects:
+                if isinstance(effect, Send) and effect.kind == "ACK":
+                    effect.payload["versions"] = {}
+            return effects
+
+        monkeypatch.setattr(ReplicaMachine, "_on_update", no_versions)
+        with pytest.raises(
+            InvariantViolation,
+            match=r"two committed winners for round \('x', v1\)",
+        ):
+            check_schedule(self.schedule())

@@ -28,7 +28,7 @@ def full_view(n_finished: int) -> SharedView:
     return SharedView(
         host="s1", as_of=0.0, view=(aid(-1),),
         updated=frozenset(aid(n) for n in range(n_finished)),
-        versions={"x": 1}, seq=0,
+        seq=0,
     )
 
 

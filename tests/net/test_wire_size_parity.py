@@ -11,6 +11,10 @@ The reference is computed field-by-field with
 :func:`repro.net.message.estimate_size` — exactly what the generic
 dataclass walk (16 B container + per-public-attribute sizes) would
 charge if the class had no ``wire_size`` hook.
+
+The UPDATE names the keys its batch will write (``UpdatePayload.keys``,
+``None`` on every other kind), and an ACK reports versions for exactly
+those keys: both are pinned here too.
 """
 
 import dataclasses
@@ -18,6 +22,15 @@ import dataclasses
 import pytest
 
 from repro.agents.identity import AgentId
+from repro.core.machines import (
+    AgentCoreState,
+    AgentMachine,
+    Broadcast,
+    MsgReceived,
+    ProtocolTunables,
+    ReplicaMachine,
+    Send,
+)
 from repro.core.machines.wire import SharedViewDelta, UpdatePayload, WriteOp
 from repro.net.message import estimate_size
 
@@ -66,6 +79,31 @@ PAYLOADS = [
         reply_to="s2",
         trace_id="0123456789abcdef",
     ),
+    # Keyed UPDATEs: the keys the batch will write, ACKed by version.
+    UpdatePayload(
+        batch_id=4,
+        agent_id=AgentId("s1", 2.0, 0),
+        origin="s1",
+        reply_to="s1",
+        epoch=1,
+        keys=("x",),
+    ),
+    UpdatePayload(
+        batch_id=5,
+        agent_id=AgentId("server-9", 7.25, 2),
+        origin="server-9",
+        reply_to="server-9",
+        epoch=3,
+        trace_id="0123456789abcdef",
+        keys=("x", "a-longer-key", "κλειδί"),
+    ),
+    UpdatePayload(
+        batch_id=6,
+        agent_id=AgentId("s3", 4.0, 1),
+        origin="s3",
+        reply_to="s3",
+        keys=(),
+    ),
 ]
 
 
@@ -90,7 +128,6 @@ DELTAS = [
         removed=(AgentId("s1", 1.0, 0),),
         appended=(AgentId("s2", 2.0, 1), AgentId("s3", 3.0, 0)),
         finished=(AgentId("s1", 1.0, 0),),
-        versions={"x": 4, "longer-key": 2},
     ),
 ]
 
@@ -99,3 +136,71 @@ DELTAS = [
 def test_shared_view_delta_wire_size_equals_structural_estimate(delta):
     assert delta.wire_size() == structural_estimate(delta)
     assert estimate_size(delta) == delta.wire_size()
+
+
+@pytest.mark.parametrize(
+    "payload", PAYLOADS, ids=lambda p: f"batch{p.batch_id}"
+)
+def test_an_ack_reports_versions_of_exactly_the_update_keys(payload):
+    host = payload.origin
+    replica = ReplicaMachine(host, [host], ProtocolTunables())
+    for version, key in enumerate(("x", "other", "κλειδί"), start=1):
+        replica.apply_write(
+            WriteOp(request_id=version, key=key, value=key, version=version),
+            origin=host, now=0.0,
+        )
+    effects = replica.on(MsgReceived("UPDATE", payload, 1.0))
+    ack = next(e for e in effects if isinstance(e, Send))
+    assert ack.kind == "ACK"
+    assert list(ack.payload["versions"]) == list(payload.keys or ())
+    for key, version in ack.payload["versions"].items():
+        assert version == replica.version_of(key)
+
+
+def test_the_claim_names_its_keys_and_commits_from_the_acks():
+    """The claim's UPDATE names the batch's distinct keys, and an ACK
+    answers with the replica's version of each — 0 for a key it never
+    applied — and of no other key it holds."""
+    hosts = ["s1", "s2", "s3"]
+    tunables = ProtocolTunables()
+    replica = ReplicaMachine("s2", hosts, tunables)
+    for version, key in enumerate(("x", "y", "z", "w"), start=1):
+        replica.apply_write(
+            WriteOp(request_id=version, key=key, value=key, version=version),
+            origin="s2", now=0.0,
+        )
+    agent = AgentId("s1", 1.0, 0)
+    machine = AgentMachine(
+        AgentCoreState(
+            agent_id=agent, home="s1", batch_id=11, location="s1",
+            requests=[(11, "y", 1), (12, "new", 2), (13, "y", 3)],
+        ),
+        hosts, tunables,
+    )
+    update = next(
+        e.payload for e in machine.start_claim(now=1.0)
+        if isinstance(e, Broadcast) and e.kind == "UPDATE"
+    )
+    assert update.keys == ("y", "new")
+    effects = replica.on(MsgReceived("UPDATE", update, 2.0, src="s1"))
+    ack = next(e for e in effects if isinstance(e, Send))
+    assert ack.kind == "ACK"
+    assert ack.payload["versions"] == {"y": 2, "new": 0}
+    # The ACKs are the versions' only source, and COMMIT (like RELEASE
+    # and ABORT) names no keys: its bytes do not move.
+    other = ReplicaMachine("s3", hosts, tunables)
+    effects = machine.on_message("ACK", ack.payload, 3.0)
+    effects += machine.on_message(
+        "ACK",
+        next(e for e in other.on(MsgReceived("UPDATE", update, 2.0))
+             if isinstance(e, Send)).payload,
+        3.0,
+    )
+    commit = next(
+        e.payload for e in effects
+        if isinstance(e, Broadcast) and e.kind == "COMMIT"
+    )
+    assert commit.keys is None
+    assert [(w.key, w.version) for w in commit.writes] == [
+        ("y", 3), ("new", 1), ("y", 4),
+    ]

@@ -159,7 +159,9 @@ class TestTracingRegression:
         """The visit note's text is formatted by whoever records it
         (``effects.Text``), and the rank behind it comes from the
         Locking List's arrival index, not a scan: the recorded lines
-        are those of ac0e213, strings included."""
+        are those of ac0e213, strings included, but for the last three
+        times, which moved when every UPDATE began to name its keys
+        (a few bytes more per claim round)."""
         trace = self.run_traced(None)
         assert all(type(e.detail) is str for e in trace.events)
         visits = [
@@ -176,9 +178,9 @@ class TestTracingRegression:
             (8.882205, "s3", "s2@0#0", "rank 1 of 2"),
             (11.091028, "s2", "s3@0#0", "rank 2 of 3"),
             (11.492601, "s3", "s1@0#0", "rank 2 of 3"),
-            (17.962294, "s3", "s2@0#0", "rank 1 of 2"),
-            (19.115761, "s2", "s3@0#0", "rank 1 of 2"),
-            (25.121775, "s2", "s3@0#0", "rank 0 of 1"),
+            (17.964894, "s3", "s2@0#0", "rank 1 of 2"),
+            (19.118361, "s2", "s3@0#0", "rank 1 of 2"),
+            (25.126075, "s2", "s3@0#0", "rank 0 of 1"),
         ]
 
     def test_trace_events_join_hub_stream(self):

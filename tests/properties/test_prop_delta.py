@@ -13,11 +13,10 @@ resets — while two agent-side :class:`LockingTable`\\ s observe it:
   post-reset).
 
 After every sync point both tables must agree on *everything*
-decision-relevant: stored views (queue, updated set, versions, as_of,
-seq), the merged UAL, the version ceilings, effective tops and host
-lists. Stale re-deliveries of previously seen snapshots (the bulletin
-path) are interleaved too — both tables drop them via the O(1)
-seq-skip, and they must still agree.
+decision-relevant: stored views (queue, updated set, as_of, seq), the
+merged UAL, effective tops and host lists. Stale re-deliveries of
+previously seen snapshots (the bulletin path) are interleaved too —
+both tables drop them via the O(1) seq-skip, and they must still agree.
 
 Journal capacity is drawn small on purpose so eviction-forced fallbacks
 actually happen inside the window of a few dozen operations.
@@ -81,12 +80,9 @@ def payload_for(n: int, writes=()):
 def assert_tables_agree(full: LockingTable, delta: LockingTable) -> None:
     assert delta.views == full.views
     assert delta.ual == full.ual
-    assert delta.max_versions == full.max_versions
     assert delta.known_hosts == full.known_hosts
     assert delta.tops() == full.tops()
     assert delta.top_counts() == full.top_counts()
-    for key in KEYS:
-        assert delta.version_ceiling(key) == full.version_ceiling(key)
 
 
 @given(ops=OPS, capacity=st.sampled_from([2, 8, 1024]))
@@ -185,14 +181,13 @@ def board_views(draw):
                 pool.append(SharedView(
                     host=host, as_of=float(10 * seq + as_of), view=queue,
                     updated=frozenset(aid(n) for n in range(seq)),
-                    versions={"x": seq + 1}, seq=seq,
+                    seq=seq,
                 ))
         for as_of in draw(st.lists(st.integers(0, 50), max_size=2)):
             pool.append(SharedView(
                 host=host, as_of=float(as_of),
                 view=(aid(draw(st.integers(0, 6))),),
                 updated=frozenset({aid(draw(st.integers(0, 6)))}),
-                versions={"y": draw(st.integers(1, 5))},
             ))
     return pool
 
@@ -228,7 +223,6 @@ def test_merge_bulletin_prechecks_equal_update_on_every_entry(pool, boards):
             merged.views[host] is plain.views[host] for host in plain.views
         )
         assert merged.ual == plain.ual
-        assert merged.max_versions == plain.max_versions
         assert merged.acked == plain.acked
         assert merged._dirty == plain._dirty
         assert merged.wire_size() == plain.wire_size()

@@ -48,7 +48,6 @@ def lock_tables(draw, max_hosts=7, max_agents=8):
                 as_of=1.0,
                 view=tuple(aid(n) for n in queue),
                 updated=frozenset(aid(n) for n in finished),
-                versions={},
             )
         )
     return n_hosts, agents, table

@@ -96,7 +96,8 @@ class TestLocalInterface:
         view = server.machine.lock_view(dep.env.now)
         assert view.host == "s1"
         assert view.view == (aid(1),)
-        assert view.versions == {"x": 3}
+        # Lock state only: committed versions travel in ACKs alone.
+        assert not hasattr(view, "versions")
 
     def test_requeue_lock_moves_to_tail(self, dep):
         server = dep.server("s1")
@@ -107,8 +108,8 @@ class TestLocalInterface:
 
     def test_bulletin_keeps_freshest(self, dep):
         server = dep.server("s1")
-        old = SharedView("s2", 1.0, (), frozenset(), {})
-        new = SharedView("s2", 2.0, (aid(1),), frozenset(), {})
+        old = SharedView("s2", 1.0, (), frozenset())
+        new = SharedView("s2", 2.0, (aid(1),), frozenset())
         assert server.machine.post_bulletin({"s2": old}) == 1
         assert server.machine.post_bulletin({"s2": new}) == 1
         assert server.machine.post_bulletin({"s2": old}) == 0
@@ -116,13 +117,13 @@ class TestLocalInterface:
 
     def test_bulletin_ignores_own_host(self, dep):
         server = dep.server("s1")
-        own = SharedView("s1", 1.0, (), frozenset(), {})
+        own = SharedView("s1", 1.0, (), frozenset())
         assert server.machine.post_bulletin({"s1": own}) == 0
 
     def test_bulletin_disabled(self, dep):
         server = dep.server("s1")
         server.config.enable_bulletin = False
-        view = SharedView("s2", 1.0, (), frozenset(), {})
+        view = SharedView("s2", 1.0, (), frozenset())
         assert server.machine.post_bulletin({"s2": view}) == 0
         assert server.machine.read_bulletin() == {}
 
@@ -150,9 +151,13 @@ class TestGrantMachinery:
     def test_update_grants_and_acks_with_versions(self, watched):
         env, server, watch = watched
         server.store.apply("x", "old", 4, 0.0)
-        watch.send("s1", "UPDATE", payload(1, reply_to="watch"))
+        server.store.apply("y", "other", 2, 0.0)
+        update = payload(1, reply_to="watch")
+        update.keys = ("x",)
+        watch.send("s1", "UPDATE", update)
         env.run(until=100)
         (ack,) = watch.replies
+        # The versions of exactly the keys the UPDATE names.
         assert ack.kind == "ACK" and ack.payload["versions"] == {"x": 4}
         assert server.machine.grant_holder == aid(1)
 

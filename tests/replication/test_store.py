@@ -95,11 +95,11 @@ class TestSnapshots:
         assert target.install_snapshot(source.snapshot(), timestamp=5.0) == 0
         assert target.read("x").value == "new"
 
-    def test_version_vector(self):
+    def test_version_of(self):
         store = VersionedStore()
         store.apply("a", 1, 2, 0.0)
         store.apply("b", 1, 7, 0.0)
-        assert store.version_vector() == {"a": 2, "b": 7}
+        assert [store.version_of(k) for k in ("a", "b", "c")] == [2, 7, 0]
 
     def test_keys_sorted(self):
         store = VersionedStore()

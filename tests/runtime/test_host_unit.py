@@ -62,11 +62,11 @@ def msg(kind, payload, src="h2", dst="h1"):
     return LiveMessage(kind=kind, src=src, dst=dst, payload=payload)
 
 
-def update(batch_id, agent_id, epoch=1, reply_to="h2"):
+def update(batch_id, agent_id, epoch=1, reply_to="h2", keys=None):
     """An UPDATE/RELEASE body."""
     return UpdatePayload(
         batch_id=batch_id, agent_id=agent_id, origin=agent_id.host,
-        reply_to=reply_to, epoch=epoch,
+        reply_to=reply_to, epoch=epoch, keys=keys,
     )
 
 
@@ -83,7 +83,7 @@ def topping_everywhere(state):
     for other in ("h2", "h3"):
         state.table.update(SharedView(
             host=other, as_of=1.0, view=(state.agent_id,),
-            updated=frozenset(), versions={},
+            updated=frozenset(),
         ))
     state.tour_remaining = []
     return state
@@ -127,8 +127,10 @@ class TestWriteAndAgentArrival:
 class TestGrantHandlers:
     def test_update_grants_and_reports_versions(self, host, transport):
         host.machine.store.apply("x", "old", 4, 0.0)
+        host.machine.store.apply("y", "other", 2, 0.0)
         host._dispatch(
-            msg("UPDATE", update(1, AgentId("h2", 1.0, 0))), now=10.0
+            msg("UPDATE", update(1, AgentId("h2", 1.0, 0), keys=("x",))),
+            now=10.0,
         )
         acks = [m for m in drain(transport, "h2") if m.kind == "ACK"]
         assert len(acks) == 1
