@@ -36,7 +36,6 @@ def test_decide_scales_with_table_width(benchmark, n_servers):
                 host=f"s{index + 1}",
                 as_of=1.0,
                 view=tuple(agents[index % 5:] + agents[:index % 5]),
-                updated=frozenset(agents[:3]),
             )
         )
 
@@ -53,14 +52,13 @@ def test_decide_scales_with_table_width(benchmark, n_servers):
 @pytest.mark.benchmark(group="kernel")
 def test_table_merge_throughput(benchmark):
     """The flattened LL/UL->LT merge: fold a tour's worth of fresh
-    views (interning, UAL flags, packed adoption)."""
+    views (interning, reference counts, packed adoption)."""
     agents = [AgentId("h", float(n), 0) for n in range(30)]
     tour = [
         SharedView(
             host=f"s{index + 1}",
             as_of=float(round_ + 1),
             view=tuple(agents[(index + round_) % 10:]),
-            updated=frozenset(agents[:round_ % 5]),
         )
         for round_ in range(10)
         for index in range(10)

@@ -202,8 +202,7 @@ class AgentMachine:
         woke = s.phase == PARKED
         s.phase = TOURING
         s.location = event.host
-        s.table.ingest(event.view)
-        s.table.merge_bulletin(event.bulletin)
+        s.table.absorb(event.view, event.finished, event.bulletin)
         # The table's own dict, not a copy (see PostBulletin): the
         # replica skips its own entry.
         effects: List[Effect] = [PostBulletin(s.table.views)]

@@ -11,8 +11,8 @@ Input vocabulary
 ``Arrived``
     The agent completed a local visit at a replica (arrival — or wake-up
     at the current host — plus the synchronous information exchange):
-    the replica's fresh lock view, its bulletin board, and the agent's
-    rank in the Locking List.
+    the replica's fresh lock view (with its Updated List beside a full
+    view), its bulletin board, and the agent's rank in the Locking List.
 ``ReplicaDown``
     A migration attempt to ``host`` failed permanently for this round
     (paper §2's unavailability declaration).
@@ -47,6 +47,7 @@ class Arrived:
     bulletin: Dict[str, SharedView] = field(default_factory=dict)
     rank: Optional[int] = None
     ll_len: int = 0
+    finished: frozenset = frozenset()
 
 
 @dataclass(slots=True)

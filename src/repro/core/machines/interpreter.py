@@ -439,7 +439,7 @@ class EffectInterpreter:
         self.run_replica(effects)
         self._run(agent, machine.on_arrived(Arrived(
             host=self.host, now=now, view=data.view, bulletin=data.bulletin,
-            rank=data.rank, ll_len=data.ll_len,
+            rank=data.rank, ll_len=data.ll_len, finished=data.finished,
         )))
 
     def _visit_again(self, agent: Resident, effect: Visit) -> None:

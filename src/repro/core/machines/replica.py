@@ -149,12 +149,14 @@ class ReplicaMachine:
             effects.extend(self.request_lock(agent_id, request_id, now))
             enqueued = True
         view: Any = self.delta_view(now, acked)
+        finished = frozenset()
         if view is not None:
             self.deltas_served += 1
         else:
             if acked >= 0:
                 self.fallbacks_served += 1
             view = self.lock_view(now)
+            finished = self.updated_list.as_set()
         data = VisitData(
             view=view,
             # The board itself, not a copy: the visitor only reads it,
@@ -163,6 +165,7 @@ class ReplicaMachine:
             rank=self.locking_list.rank(agent_id),
             ll_len=len(self.locking_list),
             enqueued=enqueued,
+            finished=finished,
         )
         return data, effects
 
@@ -206,13 +209,13 @@ class ReplicaMachine:
         return [ReleaseNotify()]
 
     def lock_view(self, now: float) -> SharedView:
-        """Fresh snapshot of this server's lock state."""
+        """Fresh snapshot of this server's Locking List (the Updated
+        List, pruned to its window here, is read beside it)."""
         self.updated_list.prune(now)
         return SharedView(
             host=self.host,
             as_of=now,
             view=self.locking_list.view(),
-            updated=self.updated_list.as_set(),
             seq=self.journal.seq,
         )
 
@@ -222,9 +225,9 @@ class ReplicaMachine:
         """Delta since ``base_seq``, or None when only a full snapshot
         will do (first contact, base evicted/reset).
 
-        The receiver's reconstructed ``updated`` set is a monotone
-        *superset* of this server's UL once the window has pruned it —
-        safe: finished is monotone knowledge, pruning only forgets.
+        The delta's ``finished`` may name ids the window has since
+        pruned from this server's UL — safe: finished is monotone
+        knowledge, pruning only forgets.
         """
         self.updated_list.prune(now)
         return self.journal.delta_since(base_seq, now)

@@ -152,14 +152,17 @@ class UpdatedList:
     Retention
     ---------
     The paper keeps the UL forever. A server cannot afford that: its UL
-    is carried in every ``SharedView`` and merged into every visiting
-    agent's Locking Table, so an unbounded UL makes per-event cost *and*
-    memory grow with total completed agents (quadratic wall time over a
-    run). A :class:`~repro.core.machines.replica.ReplicaMachine`
+    is handed beside every full view (first contact, or a visitor whose
+    base left the journal window) and merged into that agent's Locking
+    Table, so an unbounded UL makes per-event
+    cost *and* memory grow with total completed agents (quadratic wall
+    time over a run). A :class:`~repro.core.machines.replica.ReplicaMachine`
     therefore builds its UL with ``retention = UL_WINDOW_FACTOR *
     grant_ttl`` and entries older than ``now - retention`` are pruned.
-    An agent's own UAL is a plain set in its Locking Table: it lives
-    only as long as the agent and is never pruned.
+    An agent's own UAL is a plain set in its Locking Table, pruned
+    harder still: at the end of every visit it keeps only the ids some
+    stored queue names (:meth:`LockingTable.absorb`), the only ids
+    whose entries it could otherwise mistake for live ones.
 
     Pruning is safe but not free: the UAL is an optimisation that lets
     deciders disregard stale LL entries of completed agents. A pruned id

@@ -12,13 +12,21 @@ Paper §3.2: the agent carries
 The *effective top* of a server is the first agent in its known locking
 list that is not in the UAL — stale entries of finished agents must not
 count ("Other mobile agents will then be able to change their priorities
-in their locking tables").
+in their locking tables"). That is the UAL's only use, so the table
+keeps only the finished ids some stored queue names:
+:meth:`LockingTable.absorb` merges a visit's queues first, then the
+server's Updated List (handed beside a full view, or as a delta's
+``finished``) for the ids those queues name, and forgets every UAL id
+whose last stored queue entry left. Forgetting can only make a finished
+id look live again in a stale view adopted later, which takes tops
+*away* from the agents queued behind it: a liveness cost, never a false
+majority (docs/protocol.md §2).
 
 Flat-state backing (see ``docs/architecture.md``, "Kernel internals"):
 alongside the wire-format ``views`` dict the table keeps each known
-locking list *packed* as a list of interned integer ids and, for the
-ids that appear in some locking list, a finished flag in a
-``bytearray`` indexed by interned id. The effective-top scan —
+locking list *packed* as a list of interned integer ids, a finished
+flag per interned id in a ``bytearray`` and, per id, how many stored
+queue entries name it. The effective-top scan —
 the inner loop of every priority evaluation — thereby probes a byte
 slab instead of hashing ``AgentId`` tuples, and the top-per-host
 map and its tally are *maintained*, not recomputed: a change marks the
@@ -28,26 +36,21 @@ each from where its last scan stopped (see
 over ``views``/``ual`` (rebuilt on unpickle, never serialised), so the
 wire and replay formats are unchanged.
 
-Ingestion costs what a view *adds*, not what it repeats: the finished
-ids of a view are merged as one set difference against the UAL (a
-plain set), an id that is only ever known as finished (the common
-case — a completed agent has left every queue) is never interned, and
-:meth:`wire_size` reads totals kept up to date as ids and queues
-arrive. A delta-patched view does not copy its base's
-finished set either: its ``updated`` is a
-:class:`~repro.core.machines.wire.SharedSet` over the stored view's
-set plus the delta's ids, merged part by part.
+Ingestion costs what a visit *adds*, not what it repeats: reference
+counts move by the difference between a host's old and new queue (or
+by a delta's edit), forgetting walks only the slots that lost their
+last queue entry, and :meth:`wire_size` reads totals kept as they move.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import AbstractSet, Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import ProtocolError
-from repro.agents.identity import AgentId, ids_wire_size
+from repro.agents.identity import AgentId
 from repro.core.machines.intern import Interner
-from repro.core.machines.wire import SharedSet, SharedView, SharedViewDelta
+from repro.core.machines.wire import SharedView, SharedViewDelta
 
 __all__ = ["LockingTable"]
 
@@ -57,7 +60,7 @@ class LockingTable:
 
     def __init__(self) -> None:
         self.views: Dict[str, SharedView] = {}
-        #: the UAL: every id a merged view or delta knew finished
+        #: the UAL: ids known finished that some stored queue names
         self.ual: Set[AgentId] = set()
         #: highest server sequence fully merged, per host. Advanced only
         #: when this table holds the complete state at that sequence
@@ -73,11 +76,16 @@ class LockingTable:
         self._ids = Interner()
         #: per host, the known locking list as interned slots, queue order
         self._packed: Dict[str, List[int]] = {}
-        #: finished flag per slot (the UAL restricted to queued ids)
+        #: finished flag per slot: exactly "the slot's id is in the UAL"
         self._done = bytearray()
-        # :meth:`wire_size` totals, maintained as state arrives: the
-        # distinct ids known (queued or finished) with their summed id
-        # bytes, and the per-view host-name / queue-slot sums.
+        #: per slot, the stored queue entries that name it
+        self._refs: List[int] = []
+        #: flagged slots whose last stored queue entry left;
+        #: :meth:`absorb` forgets the ones still unnamed at its end
+        self._loose: List[int] = []
+        # :meth:`wire_size` totals, maintained as state moves: the ids
+        # some stored queue names with their summed id bytes, and the
+        # per-view host-name / queue-slot sums.
         self._n_ids = 0
         self._id_bytes = 0
         self._host_chars = 0
@@ -94,9 +102,10 @@ class LockingTable:
         #: a finished top dirties just its own hosts
         self._topped: Dict[int, Set[str]] = {}
         #: host -> where its next rescan starts: every slot of
-        #: ``_packed[host]`` before it is flagged. Flags only go 0 -> 1,
-        #: so this holds until the queue is replaced or loses entries,
-        #: which drop the host's entry (a scan from 0).
+        #: ``_packed[host]`` before it is flagged. A flag is cleared
+        #: only on a slot no stored queue names, so this holds until
+        #: the queue is replaced or loses entries, which drop the
+        #: host's entry (a scan from 0).
         self._scan_from: Dict[str, int] = {}
         self._dirty: set = set()
 
@@ -120,11 +129,9 @@ class LockingTable:
         self.ual = state["ual"]
         self.acked = state["acked"]
         self._init_packed()
-        self._n_ids = len(self.ual)
-        self._id_bytes = ids_wire_size(self.ual)
         for host, view in self.views.items():
-            self._packed[host] = self._pack(view.view)
-            self._charge(host, +1)
+            self._host_chars += len(host)
+            self._store(host, self._pack(view.view))
         self._dirty.update(self._packed)
 
     # -- packed-index plumbing ---------------------------------------------
@@ -134,12 +141,8 @@ class LockingTable:
         if new (an id already known finished starts out flagged)."""
         slot = self._ids.intern(agent_id)
         if slot == len(self._done):
-            if agent_id in self.ual:
-                self._done.append(1)
-            else:
-                self._done.append(0)
-                self._n_ids += 1
-                self._id_bytes += agent_id.wire_size()
+            self._done.append(agent_id in self.ual)
+            self._refs.append(0)
         return slot
 
     def _pack(self, view_ids) -> List[int]:
@@ -152,30 +155,75 @@ class LockingTable:
                     packed[at] = self._slot(view_ids[at])
         return packed
 
-    def _finish(self, new_ids: AbstractSet) -> None:
-        """Ids that just joined the UAL: flag the queued ones, account
-        the rest — they appear in no stored locking list, so no effective
-        top can depend on them and they need no slot."""
-        queued = self._ids.known(new_ids)
-        if queued:
-            index_of = self._ids.index_of
-            topped = self._topped
-            for agent_id in queued:
-                slot = index_of(agent_id)
+    def _store(self, host: str, packed: List[int]) -> None:
+        """Make ``packed`` the stored queue of ``host``, moving the
+        reference counts by the difference from the queue it replaces."""
+        gone = self._packed.get(host, ())
+        came = self._packed[host] = packed
+        self._queue_slots += len(came) - len(gone)
+        if gone:
+            olds, news = set(gone), set(came)
+            if len(olds) == len(gone) and len(news) == len(came):
+                # No id queued twice (a Locking List never is): the
+                # entries both queues hold keep their counts.
+                gone, came = olds - news, news - olds
+            self._unref(gone)
+        self._ref(came)
+
+    def _ref(self, slots: Iterable[int]) -> None:
+        refs = self._refs
+        value = self._ids.value
+        for slot in slots:
+            count = refs[slot]
+            if not count:
+                self._n_ids += 1
+                self._id_bytes += value(slot).wire_size()
+            refs[slot] = count + 1
+
+    def _unref(self, slots: Iterable[int]) -> None:
+        refs = self._refs
+        done = self._done
+        value = self._ids.value
+        for slot in slots:
+            count = refs[slot] - 1
+            refs[slot] = count
+            if not count:
+                self._n_ids -= 1
+                self._id_bytes -= value(slot).wire_size()
+                if done[slot]:
+                    self._loose.append(slot)
+
+    def _finish(self, finished: Iterable[AgentId]) -> None:
+        """Merge finished ids: the ones some stored queue names join the
+        UAL, flagged, dirtying the hosts each of them tops; the rest
+        could move no top and are not kept."""
+        # frozenset() of a frozenset (a server's cached UL) is no copy
+        new_ids = frozenset(finished) - self.ual
+        if not new_ids:
+            return
+        index_of = self._ids.index_of
+        for agent_id in self._ids.known(new_ids):
+            slot = index_of(agent_id)
+            if self._refs[slot]:
+                self.ual.add(agent_id)
                 self._done[slot] = 1
-                hosts = topped.get(slot)
+                hosts = self._topped.get(slot)
                 if hosts:
                     # A current top finished: its hosts need a rescan.
                     self._dirty.update(hosts)
-            new_ids = new_ids - queued
-        self._n_ids += len(new_ids)
-        self._id_bytes += ids_wire_size(new_ids)
 
-    def _charge(self, host: str, sign: int) -> None:
-        """Add (+1) ``host``'s stored view to the :meth:`wire_size`
-        totals, or take it out (-1) before it is replaced."""
-        self._host_chars += sign * len(host)
-        self._queue_slots += sign * len(self._packed[host])
+    def _forget(self) -> None:
+        """Drop the UAL ids whose last stored queue entry left, clearing
+        their flags: a flag that outlived its UAL entry would keep, in a
+        table that never ships, what a pickle hop loses."""
+        refs = self._refs
+        done = self._done
+        value = self._ids.value
+        for slot in self._loose:
+            if done[slot] and not refs[slot]:
+                self.ual.discard(value(slot))
+                done[slot] = 0
+        self._loose.clear()
 
     def _settle(self) -> None:
         """Rescan the dirty hosts and move their tally entries.
@@ -253,76 +301,83 @@ class LockingTable:
 
     # -- ingestion --------------------------------------------------------
 
+    def absorb(
+        self,
+        view,
+        finished: Iterable[AgentId] = (),
+        bulletin: Optional[Dict[str, SharedView]] = None,
+    ) -> None:
+        """One visit's merge, the LL/UL -> LT/UAL step of Algorithm 1.
+
+        ``view`` is the visited server's full :class:`SharedView` with
+        its Updated List as ``finished``, or a :class:`SharedViewDelta`
+        (which carries its own ``finished``); ``bulletin`` is the
+        server's board. The finished ids are merged once every queue
+        the visit brings is stored, so afterwards the UAL holds only
+        ids some stored queue names.
+        """
+        if type(view) is SharedViewDelta:
+            self.apply_delta(view)
+            finished = view.finished
+        else:
+            self.update(view)
+        if bulletin:
+            self.merge_bulletin(bulletin)
+        self._finish(finished)
+        self._forget()
+
     def update(self, view: SharedView) -> bool:
-        """Merge a server view; keeps only the freshest per host.
+        """Adopt a server view if it is fresher than the stored one
+        (packed at once); True if it replaced the stored one.
 
-        The view's ``updated`` set is always merged into the UAL (finished
-        is monotone knowledge even from an older snapshot).
-        Returns True if the view replaced the stored one.
-
-        This is the flattened LL/UL->LT merge: one pass marks newly
-        finished agents in both the UAL and the flag slab, and an
-        adopted view is interned into its packed form immediately —
-        nothing is re-materialised later.
-
-        A view stamped with a server sequence number at or below this
-        table's acknowledged sequence for that host is discarded in
-        O(1) — both its queue (``as_of`` cannot be fresher)
-        and its updated knowledge (monotone in ``seq``) are
-        subsets of what was already merged. This is what turns the
-        per-visit bulletin re-merge from O(hosts × agents) into O(hosts).
+        A view stamped below this table's acknowledged sequence for its
+        host is discarded in O(1): its queue is no fresher than what was
+        merged. That turns the per-visit bulletin re-merge from
+        O(hosts × agents) into O(hosts).
         """
         seq = view.seq
+        host = view.host
+        stored = self.views.get(host)
         if seq >= 0:
-            acked = self.acked.get(view.host, -1)
+            acked = self.acked.get(host, -1)
             if seq < acked:
                 return False
             if seq == acked:
-                # Same sequence → identical queue/updated content;
-                # only the timestamp can differ. Adopt a fresher one
-                # without re-merging (the packed index and the tally
-                # stay valid — no effective top can move).
-                if view.is_newer_than(self.views.get(view.host)):
-                    self._charge(view.host, -1)
-                    self.views[view.host] = view
-                    self._charge(view.host, +1)
+                # Same sequence → identical queue; only the timestamp
+                # can differ. Adopt a fresher one without re-merging
+                # (the packed index and the tally stay valid — no
+                # effective top can move).
+                if view.is_newer_than(stored):
+                    self.views[host] = view
                     return True
                 return False
-        new_ids = view.updated - self.ual
-        if new_ids:
-            self.ual |= new_ids
-            self._finish(new_ids)
-        host = view.host
-        stored = self.views.get(host)
         if view.is_newer_than(stored):
-            if stored is not None:
-                self._charge(host, -1)
+            if stored is None:
+                self._host_chars += len(host)
             self.views[host] = view
-            self._packed[host] = self._pack(view.view)
+            self._store(host, self._pack(view.view))
             self._scan_from.pop(host, None)
             self._dirty.add(host)
             if seq >= 0:
                 # A full snapshot at seq was adopted wholesale: this
                 # table now holds the complete state at that sequence.
                 self.acked[host] = seq
-            self._charge(host, +1)
             return True
         return False
 
     def apply_delta(self, delta: SharedViewDelta) -> bool:
         """Patch one host's state in place from a server delta.
 
-        O(changed entries): only newly finished ids touch the UAL flag
-        slab, and the packed slot list is edited rather than re-packed. The stored
-        :class:`SharedView` is rebuilt to exactly what the server's full
-        snapshot at ``delta.seq`` would have been (queue reconstruction
-        is exact because LL appends land strictly at the tail; its
-        ``updated`` is the stored set plus ``finished``, shared rather
-        than copied), so everything downstream — bulletin deposits,
-        freshness checks, pickled suitcases — is indistinguishable from
-        having merged the full snapshot.
+        The packed slot list is edited rather than re-packed, and the
+        stored :class:`SharedView` is rebuilt to exactly what the
+        server's full snapshot at ``delta.seq`` would have been (queue
+        reconstruction is exact because LL appends land strictly at the
+        tail), so everything downstream — bulletin deposits, freshness
+        checks, pickled suitcases — is indistinguishable from having
+        merged the full snapshot. Its ``finished`` ids are
+        :meth:`absorb`'s to merge.
 
-        Returns True if anything changed.
+        Returns True if the queue changed.
         """
         host = delta.host
         stored = self.views.get(host)
@@ -333,21 +388,12 @@ class LockingTable:
                 f"{self.acked.get(host, -1)} (view "
                 f"{'present' if stored is not None else 'missing'})"
             )
-        self._charge(host, -1)
-        changed = False
-        new_updated = stored.updated
-        if delta.finished:
-            new_updated = SharedSet.grow(new_updated, delta.finished)
-            new_ids = set(delta.finished) - self.ual
-            if new_ids:
-                self.ual |= new_ids
-                self._finish(new_ids)
-                changed = True
         # Rebuild this host's queue at delta.seq. The packed list
         # mirrors the stored one position for position, so an id to
         # drop is located as an int and deleted from both.
         queue = stored.view
-        if delta.removed or delta.appended:
+        changed = bool(delta.removed or delta.appended)
+        if changed:
             packed = self._packed[host].copy()
             if delta.removed:
                 ids = list(queue)
@@ -359,29 +405,21 @@ class LockingTable:
                     del packed[at]
                     del ids[at]
                     self._scan_from.pop(host, None)
+                    self._unref((slot,))
                 queue = tuple(ids)
             if delta.appended:
                 queue += delta.appended
-                packed.extend(self._pack(delta.appended))
+                added = self._pack(delta.appended)
+                packed.extend(added)
+                self._ref(added)
+            self._queue_slots += len(packed) - len(self._packed[host])
             self._packed[host] = packed
             self._dirty.add(host)
-            changed = True
         self.views[host] = SharedView(
-            host=host,
-            as_of=delta.as_of,
-            view=queue,
-            updated=new_updated,
-            seq=delta.seq,
+            host=host, as_of=delta.as_of, view=queue, seq=delta.seq,
         )
         self.acked[host] = delta.seq
-        self._charge(host, +1)
         return changed
-
-    def ingest(self, view) -> bool:
-        """Merge a visit's view, whichever encoding the server chose."""
-        if type(view) is SharedViewDelta:
-            return self.apply_delta(view)
-        return self.update(view)
 
     def acked_seq(self, host: str) -> int:
         """The server sequence this table acknowledges for ``host``
@@ -448,21 +486,17 @@ class LockingTable:
     def wire_size(self) -> int:
         """Approximate bytes the LT adds to the agent's migrations.
 
-        Compact suitcase encoding: the dictionary of every id this
-        table has seen (queued or finished) ships once, every per-host
-        queue is 4-byte indices into it, and the UAL plus each view's
-        finished set are dense bitsets over it — instead of repeating
-        the full AgentId tuple for every occurrence in every view. Every
-        term is a running total, so this is O(1).
+        Compact suitcase encoding: the dictionary of the ids some stored
+        queue names ships once, every per-host queue is 4-byte indices
+        into it, and the UAL is a dense bitset over it — instead of
+        repeating the full AgentId tuple for every occurrence in every
+        view. Every term is a running total, so this is O(1).
         """
-        hosts = len(self.views)
-        bitset = (self._n_ids + 7) // 8
         return (
-            16 + bitset  # container + global UAL bitset
+            16 + (self._n_ids + 7) // 8  # container + UAL bitset
             + self._id_bytes
-            # per view: host + as_of + seq, queue slots, the view's
-            # updated-set bitset
-            + (16 + 8 + 8 + bitset) * hosts + self._host_chars
+            # per view: host + as_of + seq, queue slots
+            + (16 + 8 + 8) * len(self.views) + self._host_chars
             + 4 * self._queue_slots
         )
 

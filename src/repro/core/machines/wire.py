@@ -17,67 +17,9 @@ from repro.agents.identity import AgentId
 from repro.core.machines.structures import LockView
 
 __all__ = [
-    "SharedSet", "SharedView", "SharedViewDelta", "WriteOp",
+    "SharedView", "SharedViewDelta", "WriteOp",
     "UpdatePayload", "Transform", "VisitData",
 ]
-
-
-@dataclass(slots=True, eq=False, repr=False)
-class SharedSet:
-    """A delta-patched view's finished set: ``parent`` (the patched
-    view's set — a frozenset *root* or another :class:`SharedSet`) plus
-    ``added`` (the delta's ``finished`` tuple), so a patch keeps its own
-    ids, not a copy of its base. ``budget`` is the root's size minus the
-    ids added since; once they outnumber the root's, :meth:`grow` folds
-    the chain into one frozenset. It equals, and pickles as, the
-    frozenset it spells: a suitcase ships a plain frozenset.
-    """
-
-    parent: frozenset | SharedSet
-    added: Tuple[AgentId, ...]
-    budget: int
-
-    @staticmethod
-    def grow(base, added: Tuple[AgentId, ...]):
-        """``base | set(added)``: a :class:`SharedSet` over ``base``, or
-        one frozenset once the chain's budget is spent."""
-        if type(base) is not SharedSet:
-            return SharedSet(base, added, len(base) - len(added))
-        if base.budget >= 0:
-            return SharedSet(base, added, base.budget - len(added))
-        root, below = base.split()
-        # Merging a set sizes the table once; adding ids one by one
-        # would grow it up to 8x what they fill.
-        return frozenset(root) | frozenset().union(added, *below)
-
-    def split(self):
-        """``(root, added tuples)``, the newest tuple first."""
-        added = []
-        node = self
-        while type(node) is SharedSet:
-            added.append(node.added)
-            node = node.parent
-        return node, added
-
-    def frozen(self) -> frozenset:
-        root, added = self.split()
-        return root.union(*added)
-
-    def __eq__(self, other) -> bool:
-        if type(other) is SharedSet:
-            other = other.frozen()
-        return self.frozen() == other
-
-    def __sub__(self, other) -> frozenset:
-        # The root's difference first: no copy of the root.
-        root, added = self.split()
-        return (root - other).union(*added) - other
-
-    def __iter__(self):
-        return iter(self.frozen())
-
-    def __reduce__(self):
-        return frozenset, (tuple(self.frozen()),)
 
 
 @dataclass(slots=True)
@@ -85,27 +27,24 @@ class SharedView:
     """A (possibly stale) snapshot of one server's lock state.
 
     Carried by agents in their Locking Tables and deposited on server
-    bulletin boards for other agents. It is lock state only: no
-    committed versions. A winner "checks the time of last update of all
-    the quorum members" ([D3]) in its claim's ACKs, which report the
-    versions of exactly the keys its UPDATE names.
+    bulletin boards for other agents. It is the Locking List only: no
+    Updated List (a visit hands that once, beside the view, in
+    :class:`VisitData`) and no committed versions. A winner "checks the
+    time of last update of all the quorum members" ([D3]) in its
+    claim's ACKs, which report the versions of exactly the keys its
+    UPDATE names.
 
     ``seq`` is the server's monotone mutation sequence number at
     snapshot time (``-1`` = unstamped: a hand-built view with no
     journal behind it, always merged in full). A receiver that has
     already merged this server's state through ``seq`` can discard
-    the whole view in O(1): everything a lower-or-equal-seq snapshot
-    knows is a subset of what the receiver merged, bar finished ids the
-    server's Updated List window pruned in between — and forgetting
-    those is the window's own, liveness-only, cost.
+    the whole view in O(1): a lower-or-equal-seq snapshot's queue is
+    no fresher than the one merged.
     """
 
     host: str
     as_of: float
     view: LockView
-    #: agent ids known to have completed: a frozenset, or a SharedSet on
-    #: a view a Locking Table patched from a delta (read-only either way)
-    updated: frozenset | SharedSet
     seq: int = -1
 
     def is_newer_than(self, other: Optional["SharedView"]) -> bool:
@@ -117,8 +56,8 @@ class SharedViewDelta:
     """What changed at one server since the receiver's acked sequence.
 
     The returning-visitor wire format: instead of a full
-    :class:`SharedView` (whole locking list, whole updated set —
-    O(agents) per snapshot), a server hands a
+    :class:`SharedView` and the Updated List beside it (O(agents) per
+    snapshot), a server hands a
     returning visitor only the mutations logged between the visitor's
     acknowledged sequence ``base_seq`` and the current ``seq``:
 
@@ -256,7 +195,8 @@ class VisitData:
     in the Locking List (for tracing). ``view`` is a
     :class:`SharedViewDelta` whenever the visitor's acked sequence is
     inside the server's journal window, a full :class:`SharedView`
-    otherwise.
+    otherwise; ``finished`` is the server's Updated List beside a full
+    view, empty beside a delta (which carries its own ``finished``).
     """
 
     view: Any  # SharedView | SharedViewDelta
@@ -264,3 +204,4 @@ class VisitData:
     rank: Optional[int]
     ll_len: int
     enqueued: bool
+    finished: frozenset

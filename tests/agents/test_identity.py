@@ -115,11 +115,13 @@ class TestTupleIdentity:
         ids = [AgentId(f"s{n % 3 + 1}", float(n), n) for n in range(8)]
         table = LockingTable()
         for index, host in enumerate(("s1", "s2", "s3")):
-            table.update(SharedView(
-                host=host, as_of=1.0 + index,
-                view=tuple(ids[index:index + 4]),
-                updated=frozenset(ids[:index + 1]),
-            ))
+            table.absorb(
+                SharedView(
+                    host=host, as_of=1.0 + index,
+                    view=tuple(ids[index:index + 4]),
+                ),
+                finished=ids[:index + 1],
+            )
         expected = {
             "set_members": True,
             "dict_keys": list(range(len(ids))),

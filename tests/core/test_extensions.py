@@ -172,7 +172,7 @@ class TestWeightedVoting:
 
         table = LockingTable()
         a = AgentId("h", 1.0, 0)
-        table.update(SharedView("s1", 1.0, (a,), frozenset()))
+        table.update(SharedView("s1", 1.0, (a,)))
         # unweighted: 1 of 3 tops is not a majority
         assert decide(table, 3, a).outcome != WIN
         # weighted: s1 carries 3 of 5 votes -> majority

@@ -11,13 +11,8 @@ def aid(n: int) -> AgentId:
     return AgentId("h", float(n), 0)
 
 
-def view(host: str, as_of: float, queued=(), updated=()):
-    return SharedView(
-        host=host,
-        as_of=as_of,
-        view=tuple(queued),
-        updated=frozenset(updated),
-    )
+def view(host: str, as_of: float, queued=()):
+    return SharedView(host=host, as_of=as_of, view=tuple(queued))
 
 
 class TestIngestion:
@@ -34,9 +29,21 @@ class TestIngestion:
 
     def test_stale_view_still_feeds_ual(self):
         table = LockingTable()
-        table.update(view("s1", 2.0, [aid(1)]))
-        table.update(view("s1", 1.0, updated=[aid(9)]))
+        table.update(view("s1", 2.0, [aid(9), aid(1)]))
+        table.absorb(view("s1", 1.0), finished=[aid(9)])
         assert aid(9) in table.ual
+        assert table.tops() == {"s1": aid(1)}
+
+    def test_ual_keeps_only_queued_ids(self):
+        # A finished id no stored queue names cannot move a top: the
+        # visit that reports it forgets it again.
+        table = LockingTable()
+        table.absorb(view("s1", 1.0, [aid(1), aid(2)]),
+                     finished=[aid(1), aid(8), aid(9)])
+        assert table.ual == {aid(1)}
+        table.absorb(view("s1", 2.0, [aid(2)]))
+        assert table.ual == set()
+        assert table.tops() == {"s1": aid(2)}
 
     def test_merge_bulletin_counts_adoptions(self):
         table = LockingTable()
@@ -52,7 +59,7 @@ class TestTops:
     def test_effective_top_skips_finished_agents(self):
         table = LockingTable()
         table.update(view("s1", 1.0, [aid(1), aid(2)]))
-        table.update(view("s2", 1.0, updated=[aid(1)]))
+        table.absorb(view("s2", 1.0), finished=[aid(1)])
         assert table.tops().get("s1") == aid(2)
 
     def test_effective_top_empty_list_is_none(self):
@@ -65,7 +72,7 @@ class TestTops:
 
     def test_effective_top_all_finished_is_none(self):
         table = LockingTable()
-        table.update(view("s1", 1.0, [aid(1)], updated=[aid(1)]))
+        table.absorb(view("s1", 1.0, [aid(1)]), finished=[aid(1)])
         assert table.tops().get("s1") is None
 
     def test_top_counts(self):

@@ -16,13 +16,13 @@ def aid(n: int) -> AgentId:
 def table_from(queues: dict, updated=()) -> LockingTable:
     table = LockingTable()
     for host, agents in queues.items():
-        table.update(
+        table.absorb(
             SharedView(
                 host=host,
                 as_of=1.0,
                 view=tuple(aid(n) for n in agents),
-                updated=frozenset(aid(n) for n in updated),
-            )
+            ),
+            finished=[aid(n) for n in updated],
         )
     return table
 

@@ -173,8 +173,14 @@ class TestResultCache:
     def test_schema_6_envelope_is_a_miss(self, tmp_path):
         # Schema 6 cached MARP runs whose lock views carried version
         # vectors; their simulated numbers are not today's.
-        assert CACHE_SCHEMA_VERSION == 7
         self._assert_old_schema_is_a_miss(tmp_path, 6)
+
+    def test_schema_7_envelope_is_a_miss(self, tmp_path):
+        # Schema 7 cached MARP runs whose suitcases charged every
+        # finished id a table had met; their simulated numbers are not
+        # today's.
+        assert CACHE_SCHEMA_VERSION == 8
+        self._assert_old_schema_is_a_miss(tmp_path, 7)
 
     def test_uncacheable_config_is_silently_skipped(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -98,8 +98,15 @@ def _prune_horizon(machine, grant_ttl):
     done = AgentId("elsewhere", 1.0, 0)
     machine.updated_list.add(done, at=0.0)
     horizon = UL_WINDOW_FACTOR * grant_ttl
-    assert done in machine.lock_view(horizon).updated
-    assert done not in machine.lock_view(horizon + 1.0).updated
+    visitor = AgentId("visitor", 0.5, 0)
+
+    def served(now):
+        """The Updated List a first-contact visit is handed."""
+        data, _effects = machine.begin_visit(visitor, 1, now, acked=-1)
+        return data.finished
+
+    assert done in served(horizon)
+    assert done not in served(horizon + 1.0)
 
 
 class TestWindowsTrackGrantTTL:

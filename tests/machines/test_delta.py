@@ -4,13 +4,13 @@ Three layers:
 
 * :class:`DeltaJournal` — event replay, requeue cancellation, window
   eviction and reset-forced fallback;
-* :meth:`LockingTable.apply_delta` / :meth:`LockingTable.ingest` — exact
+* :meth:`LockingTable.apply_delta` / :meth:`LockingTable.absorb` — exact
   snapshot reconstruction, base-mismatch rejection, and the O(1)
   seq-skip in :meth:`LockingTable.update`;
-* the :meth:`LockingTable.update` edge cases the delta path must
-  preserve: monotone merge of ``updated`` knowledge from stale views,
-  no adoption at equal ``as_of``, and the tally following UAL-only
-  changes (plus ``known_hosts``).
+* the merge edge cases the delta path must preserve: a visit's
+  finished ids merge even beside a stale view, no adoption at equal
+  ``as_of``, and the tally following UAL-only changes (plus
+  ``known_hosts``).
 """
 
 import pytest
@@ -26,14 +26,8 @@ def aid(n: int) -> AgentId:
     return AgentId("h", float(n), 0)
 
 
-def view(host, as_of, ids=(), updated=(), seq=-1):
-    return SharedView(
-        host=host,
-        as_of=as_of,
-        view=tuple(ids),
-        updated=frozenset(updated),
-        seq=seq,
-    )
+def view(host, as_of, ids=(), seq=-1):
+    return SharedView(host=host, as_of=as_of, view=tuple(ids), seq=seq)
 
 
 # -- DeltaJournal ------------------------------------------------------------
@@ -155,11 +149,12 @@ class TestApplyDelta:
         assert table.apply_delta(delta)
         # What a full snapshot at seq 7 would have said:
         assert table.views["s1"] == view(
-            "s1", 2.0, ids=[aid(1), aid(3), aid(4)],
-            updated=[aid(2)], seq=7,
+            "s1", 2.0, ids=[aid(1), aid(3), aid(4)], seq=7,
         )
         assert table.acked_seq("s1") == 7
-        assert aid(2) in table.ual
+        # finished ids are absorb's to merge, and aid(2) left the only
+        # queue naming it anyway
+        assert table.ual == set()
         # effective top skips nothing new; queue order is preserved
         assert table.tops().get("s1") == aid(1)
 
@@ -180,10 +175,11 @@ class TestApplyDelta:
 
     def test_ingest_dispatches_on_type(self):
         table = self._seeded_table()
-        assert table.ingest(view("s2", 1.0, ids=[aid(5)], seq=1))
-        assert table.ingest(SharedViewDelta(
+        table.absorb(view("s2", 1.0, ids=[aid(5)], seq=1))
+        table.absorb(SharedViewDelta(
             host="s1", as_of=2.0, base_seq=3, seq=4, finished=(aid(1),)
         ))
+        assert table.acked == {"s1": 4, "s2": 1}
         assert table.tops().get("s1") == aid(2)
         assert table.tops().get("s2") == aid(5)
 
@@ -192,15 +188,12 @@ class TestApplyDelta:
         table.tops()  # settles the tally
         # A replayed/bulletin copy at or below the acked sequence is
         # dropped in O(1) — no merge, no host to rescan.
-        assert not table.update(view(
-            "s1", 0.5, ids=[aid(1)], updated=[aid(9)], seq=3,
-        ))
-        assert aid(9) not in table.ual
+        assert not table.update(view("s1", 0.5, ids=[aid(9)], seq=3))
         assert not table._dirty
-        # An unstamped (hand-built) copy still merges knowledge.
-        assert not table.update(view("s1", 0.5, ids=[aid(1)],
-                                     updated=[aid(9)]))
-        assert aid(9) in table.ual
+        assert table.views["s1"].view == (aid(1), aid(2), aid(3))
+        # An unstamped (hand-built) copy is judged by its timestamp.
+        assert table.update(view("s1", 1.5, ids=[aid(9)]))
+        assert table.views["s1"].view == (aid(9),)
 
     def test_empty_delta_refreshes_freshness_and_ack(self):
         table = self._seeded_table()
@@ -216,10 +209,9 @@ class TestUpdateEdgeCases:
     def test_stale_view_with_new_updated_knowledge_merges_monotonically(self):
         table = LockingTable()
         assert table.update(view("s1", 5.0, ids=[aid(1), aid(2)]))
-        # Older snapshot, but it knows aid(1) finished: the UAL must
-        # grow even though the queue snapshot is not adopted.
-        assert not table.update(view("s1", 1.0, ids=[aid(1)],
-                                     updated=[aid(1)]))
+        # Older snapshot, but its visit reports aid(1) finished: the
+        # UAL must grow even though the queue snapshot is not adopted.
+        table.absorb(view("s1", 1.0, ids=[aid(1)]), finished=[aid(1)])
         assert table.views["s1"].as_of == 5.0
         assert aid(1) in table.ual
         assert table.tops().get("s1") == aid(2)
@@ -235,7 +227,7 @@ class TestUpdateEdgeCases:
         table.update(view("s1", 1.0, ids=[aid(1), aid(2)]))
         assert table.tops() == {"s1": aid(1)}  # settles the tally
         # Stale view, no adoption — only the UAL changes.
-        table.update(view("s1", 0.5, updated=[aid(1)]))
+        table.absorb(view("s1", 0.5), finished=[aid(1)])
         assert table.tops() == {"s1": aid(2)}
 
     def test_known_hosts_stay_sorted_as_new_hosts_land(self):
@@ -253,18 +245,16 @@ class TestDeltaWireSize:
     def test_delta_tables_report_smaller_suitcases(self):
         table = LockingTable()
         for h in range(20):
-            table.update(view(
-                f"s{h}", 1.0,
-                ids=[aid(n) for n in range(50)],
-                updated=[aid(n) for n in range(25)],
-                seq=h,
-            ))
+            table.absorb(
+                view(f"s{h}", 1.0, ids=[aid(n) for n in range(50)], seq=h),
+                finished=[aid(n) for n in range(25)],
+            )
+        assert len(table.ual) == 25
         # What shipping every view structurally would cost: each
         # AgentId repeated per occurrence.
         repeated = 16 + sum(a.wire_size() for a in table.ual) + sum(
             16 + len(v.host) + 8
             + sum(a.wire_size() for a in v.view)
-            + sum(a.wire_size() for a in v.updated)
             for v in table.views.values()
         )
         # The shared id dictionary + slot/bitset encoding beats that 2×
@@ -279,6 +269,5 @@ class TestDeltaWireSize:
             + aid(1).wire_size()  # id dictionary
             + 16 + len("s1") + 8 + 8  # host + as_of + seq
             + 4 * 1  # queue entry as a slot index
-            + 1  # the view's updated-set bitset
         )
         assert table.wire_size() == expected

@@ -18,7 +18,9 @@ Covered here:
   certified it expired on the far side;
 * [D3] resting on the ACK quorum alone: a claimer whose tour predates
   the commit it must follow takes its version from the ACKs, and the
-  same script with the ACKs' versions stubbed out is convicted.
+  same script with the ACKs' versions stubbed out is convicted;
+* forgetting a finished id no stored queue names: it costs an agent one
+  hop when a server still queues that id, and nothing else.
 """
 
 import pytest
@@ -227,7 +229,6 @@ class TestMWayTieBreak:
         for host, agent in zip(HOSTS, agents):
             table.update(SharedView(
                 host=host, as_of=1.0, view=(agent,),
-                updated=frozenset(),
             ))
         return table, agents
 
@@ -254,7 +255,6 @@ class TestMWayTieBreak:
         for host, top in tops.items():
             table.update(SharedView(
                 host=host, as_of=1.0, view=(top,),
-                updated=frozenset(),
             ))
         decision = decide(table, 5, a)
         assert decision.outcome == STALEMATE
@@ -441,3 +441,79 @@ class TestAckQuorumCarriesD3:
             match=r"two committed winners for round \('x', v1\)",
         ):
             check_schedule(self.schedule())
+
+
+class TestForgottenFinishedIdCostsAHop:
+    """The UAL keeps only finished ids some stored queue names — the
+    liveness-only price, pinned on adversary campaign schedule 178 at
+    seed 0 (its one schedule that moved).
+
+    A = ``s1@7.4#3`` commits x@1 first, but its COMMIT to s1 is delayed
+    (send 6, by 24.3). B = ``s3@30.5#0`` starts at its home s3, whose
+    Updated List names A: no queue B stores names A, so B forgets it at
+    the end of that visit. At s1 (t=31.5) A's stale entry still heads
+    the queue, so B tops only s3 and tours on to s2 (t=32.5), whose
+    Updated List names A again — now kept, since s1's stored queue
+    names it — and B wins its majority there. Keeping every finished
+    id, B won at s1 one hop earlier. Every request still commits, in the
+    same order.
+    """
+
+    def schedule(self):
+        from repro.core.machines import CrashOp, RestartOp
+
+        return Schedule(
+            n_hosts=3,
+            tunables={
+                "ack_timeout": 18.3, "claim_backoff": 1.3,
+                "grant_ttl": 1271.6, "max_claims": 10, "park_timeout": 7.6,
+            },
+            submits=(
+                SubmitOp("s3", 1, "x", "v1", at=30.5),
+                SubmitOp("s3", 2, "x", "v2", at=44.6),
+                SubmitOp("s2", 3, "x", "v3", at=156.1),
+                SubmitOp("s1", 4, "x", "v4", at=7.4),
+                SubmitOp("s3", 5, "x", "v5", at=49.0),
+                SubmitOp("s1", 6, "x", "v6", at=136.1),
+            ),
+            ops=(
+                CrashOp("s1", at=133.5),
+                RestartOp("s1", at=173.6),
+                DelayOp(6, 24.3),
+                DelayOp(27, 14.7),
+            ),
+            horizon=300.0,
+        )
+
+    def test_it_is_campaign_schedule_178(self):
+        from repro.core.machines.adversary import (
+            campaign_rng,
+            generate_schedule,
+        )
+
+        assert generate_schedule(campaign_rng(0, 178)) == self.schedule()
+
+    def test_a_stale_head_entry_costs_one_hop(self):
+        harness, ids = run_schedule(self.schedule())
+        b = ids[0]
+        notes = [
+            (when, kind, text)
+            for when, kind, text in harness.agents[b].notes
+            if kind in ("visit", "migrate", "lock-won")
+        ]
+        assert notes[:6] == [
+            (30.5, "visit", "rank 0 of 1"),
+            (30.5, "migrate", "-> s1"),
+            (31.5, "visit", "rank 1 of 2"),  # behind A's stale entry
+            (31.5, "migrate", "-> s2"),
+            (32.5, "visit", "rank 0 of 1"),
+            (32.5, "lock-won", "majority after 3 visits"),
+        ]
+        assert harness.statuses() == dict.fromkeys(range(1, 7), "committed")
+        assert harness.commit_chains() == {"x": [
+            (1, "v4"), (2, "v1"), (3, "v2"), (4, "v5"), (5, "v6"), (6, "v3"),
+        ]}
+        outcome = check_schedule(self.schedule())
+        assert (outcome.events, outcome.deltas, outcome.fallbacks) == (
+            75, 2, 0,
+        )

@@ -159,9 +159,11 @@ class TestTracingRegression:
         """The visit note's text is formatted by whoever records it
         (``effects.Text``), and the rank behind it comes from the
         Locking List's arrival index, not a scan: the recorded lines
-        are those of ac0e213, strings included, but for the last three
-        times, which moved when every UPDATE began to name its keys
-        (a few bytes more per claim round)."""
+        are those of ac0e213, strings included, but for the times after
+        the first three. Those moved when every UPDATE began to name its
+        keys (a few bytes more per claim round), and again, each a few
+        hundred nanoseconds earlier, when suitcases stopped carrying a
+        finished-set bitset per view."""
         trace = self.run_traced(None)
         assert all(type(e.detail) is str for e in trace.events)
         visits = [
@@ -172,15 +174,15 @@ class TestTracingRegression:
             (2.0, "s1", "s1@0#0", "rank 0 of 1"),
             (2.0, "s2", "s2@0#0", "rank 0 of 1"),
             (2.0, "s3", "s3@0#0", "rank 0 of 1"),
-            (5.2568, "s1", "s2@0#0", "rank 1 of 2"),
-            (6.773214, "s2", "s1@0#0", "rank 1 of 2"),
-            (6.885413, "s1", "s3@0#0", "rank 2 of 3"),
-            (8.882205, "s3", "s2@0#0", "rank 1 of 2"),
-            (11.091028, "s2", "s3@0#0", "rank 2 of 3"),
-            (11.492601, "s3", "s1@0#0", "rank 2 of 3"),
-            (17.964894, "s3", "s2@0#0", "rank 1 of 2"),
-            (19.118361, "s2", "s3@0#0", "rank 1 of 2"),
-            (25.126075, "s2", "s3@0#0", "rank 0 of 1"),
+            (5.2567, "s1", "s2@0#0", "rank 1 of 2"),
+            (6.773114, "s2", "s1@0#0", "rank 1 of 2"),
+            (6.885313, "s1", "s3@0#0", "rank 2 of 3"),
+            (8.881905, "s3", "s2@0#0", "rank 1 of 2"),
+            (11.090528, "s2", "s3@0#0", "rank 2 of 3"),
+            (11.492301, "s3", "s1@0#0", "rank 2 of 3"),
+            (17.964594, "s3", "s2@0#0", "rank 1 of 2"),
+            (19.118061, "s2", "s3@0#0", "rank 1 of 2"),
+            (25.125775, "s2", "s3@0#0", "rank 0 of 1"),
         ]
 
     def test_trace_events_join_hub_stream(self):

@@ -13,10 +13,11 @@ resets — while two agent-side :class:`LockingTable`\\ s observe it:
   post-reset).
 
 After every sync point both tables must agree on *everything*
-decision-relevant: stored views (queue, updated set, as_of, seq), the
-merged UAL, effective tops and host lists. Stale re-deliveries of
-previously seen snapshots (the bulletin path) are interleaved too —
-both tables drop them via the O(1) seq-skip, and they must still agree.
+decision-relevant: stored views (queue, as_of, seq), the UAL (the
+finished ids the stored queues name), effective tops and host lists.
+Stale re-deliveries of previously seen snapshots (the bulletin path)
+are interleaved too — both tables drop them via the O(1) seq-skip, and
+they must still agree.
 
 Journal capacity is drawn small on purpose so eviction-forced fallbacks
 actually happen inside the window of a few dozen operations.
@@ -42,7 +43,6 @@ from repro.core.machines.config import ProtocolTunables
 from repro.core.machines.replica import ReplicaMachine
 from repro.core.machines.table import LockingTable
 from repro.core.machines.wire import SharedView, UpdatePayload, WriteOp
-from repro.runtime.shipping import LiveAgentState, ship, unship
 from tests.machines.test_flat_structures import ReferenceSuitcase
 
 TUNABLES = ProtocolTunables()
@@ -93,27 +93,28 @@ def test_delta_and_full_merge_sequences_agree(ops, capacity):
 
     full = LockingTable()
     delta = LockingTable()
-    full_size = ReferenceSuitcase()
-    delta_size = ReferenceSuitcase()
     seen_snapshots = []  # history for stale bulletin re-deliveries
     now = 0.0
     next_version = {key: 0 for key in KEYS}
 
     def sync(at: float) -> None:
         snapshot = machine.lock_view(at)
-        full.update(snapshot)
+        finished = machine.updated_list.as_set()
+        full.absorb(snapshot, finished)
         seen_snapshots.append(snapshot)
         patch = machine.delta_view(at, delta.acked_seq("s1"))
-        delta.ingest(patch if patch is not None else snapshot)
+        if patch is None:
+            delta.absorb(snapshot, finished)
+        else:
+            delta.absorb(patch)
         assert_tables_agree(full, delta)
-        full_size.check(full)
-        delta_size.check(delta)
+        ReferenceSuitcase.check(full)
+        ReferenceSuitcase.check(delta)
 
     for step, (op, arg) in enumerate(ops):
         if step == len(ops) // 2:
             delta = pickle.loads(pickle.dumps(delta))
-            delta_size.after_pickle_hop(delta)
-            delta_size.check(delta)
+            ReferenceSuitcase.check(delta)
         now += 1.0
         agent = aid(arg)
         if op == "enq":
@@ -151,8 +152,8 @@ def test_delta_and_full_merge_sequences_agree(ops, capacity):
             full.update(stale)
             delta.update(stale)
             assert_tables_agree(full, delta)
-            full_size.check(full)
-            delta_size.check(delta)
+            ReferenceSuitcase.check(full)
+            ReferenceSuitcase.check(delta)
         else:
             sync(now)
 
@@ -179,15 +180,13 @@ def board_views(draw):
                          unique=True)
             ):
                 pool.append(SharedView(
-                    host=host, as_of=float(10 * seq + as_of), view=queue,
-                    updated=frozenset(aid(n) for n in range(seq)),
-                    seq=seq,
-                ))
+                host=host, as_of=float(10 * seq + as_of), view=queue,
+                seq=seq,
+            ))
         for as_of in draw(st.lists(st.integers(0, 50), max_size=2)):
             pool.append(SharedView(
                 host=host, as_of=float(as_of),
                 view=(aid(draw(st.integers(0, 6))),),
-                updated=frozenset({aid(draw(st.integers(0, 6)))}),
             ))
     return pool
 
@@ -227,77 +226,3 @@ def test_merge_bulletin_prechecks_equal_update_on_every_entry(pool, boards):
         assert merged._dirty == plain._dirty
         assert merged.wire_size() == plain.wire_size()
         assert merged.tops() == plain.tops()
-
-
-# -- a shared finished set is the frozenset it spells -------------------------
-
-
-@given(
-    warm=st.integers(1, 6),
-    ops=st.lists(
-        st.one_of(
-            st.tuples(st.just("enq"), st.integers(0, 14)),
-            st.tuples(st.just("abort"), st.integers(0, 14)),
-            st.tuples(st.just("sync"), st.just(0)),
-            st.tuples(st.just("reset"), st.just(0)),
-        ),
-        min_size=1,
-        max_size=60,
-    ),
-)
-@settings(max_examples=150, deadline=None)
-def test_shared_finished_sets_equal_compare_and_ship_flat(warm, ops):
-    """A delta-patched view's ``updated`` shares the stored view's set
-    (a :class:`SharedSet`). Whatever chain the deltas grow, it equals the
-    frozenset it spells, pickles to that frozenset, and an agent whose
-    table holds such sets ships and unships to equal views and UAL —
-    with plain frozensets on the far side, as the live suitcase needs."""
-    machine = ReplicaMachine("s1", ["s1", "s2", "s3"], TUNABLES)
-    table = LockingTable()
-    # Agents finished before first contact give the deltas a root to
-    # share (an empty root folds on the first patch).
-    for n in range(100, 100 + warm):
-        machine.on_message("ABORT", payload_for(n), src="s1", now=0.0)
-    table.update(machine.lock_view(0.0))
-    now = 0.0
-    for op, arg in ops + [("sync", 0)]:
-        now += 1.0
-        agent = aid(arg)
-        if op == "enq":
-            if (
-                agent not in machine.updated_list
-                and agent not in machine.locking_list
-            ):
-                machine.request_lock(agent, arg, now)
-        elif op == "abort":
-            if agent not in machine.updated_list:
-                machine.on_message(
-                    "ABORT", payload_for(arg), src="s1", now=now
-                )
-        elif op == "reset":
-            machine.on_message(
-                "SYNC_REPLY",
-                {
-                    "snapshot": machine.store.snapshot(),
-                    "updated": tuple(machine.updated_list.ids()),
-                },
-                src="s2",
-                now=now,
-            )
-        else:
-            patch = machine.delta_view(now, table.acked_seq("s1"))
-            table.ingest(patch if patch is not None else machine.lock_view(now))
-            updated = table.views["s1"].updated
-            flat = frozenset(updated)
-            assert updated == flat and flat == updated
-            assert flat <= table.ual
-            shipped = pickle.loads(pickle.dumps(updated))
-            assert type(shipped) is frozenset and shipped == flat
-    state = LiveAgentState(
-        agent_id=aid(0), home="s1", batch_id=0, requests=[], table=table,
-    )
-    back = unship(ship(state)).table
-    assert back.views == table.views
-    assert back.ual == table.ual
-    assert all(type(v.updated) is frozenset for v in back.views.values())
-    assert back.tops() == table.tops()

@@ -42,13 +42,13 @@ def lock_tables(draw, max_hosts=7, max_agents=8):
     )
     table = LockingTable()
     for host, queue in queues.items():
-        table.update(
+        table.absorb(
             SharedView(
                 host=host,
                 as_of=1.0,
                 view=tuple(aid(n) for n in queue),
-                updated=frozenset(aid(n) for n in finished),
-            )
+            ),
+            finished=[aid(n) for n in finished],
         )
     return n_hosts, agents, table
 

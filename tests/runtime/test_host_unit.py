@@ -83,7 +83,6 @@ def topping_everywhere(state):
     for other in ("h2", "h3"):
         state.table.update(SharedView(
             host=other, as_of=1.0, view=(state.agent_id,),
-            updated=frozenset(),
         ))
     state.tour_remaining = []
     return state
