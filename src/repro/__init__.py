@@ -21,10 +21,10 @@ Subpackages
 ``repro.replication``
     Replica servers (Algorithm 2), stores, locking lists, clients.
 ``repro.core``
-    The MARP protocol (Algorithm 1, priority calculation, batching).
-``repro.baselines``
-    Message-passing comparators (MCV, weighted voting, ROWA-AC,
-    primary copy).
+    The MARP protocol (Algorithm 1, priority calculation, batching), and
+    in ``repro.core.machines.protocols`` the message-passing comparators
+    as rows of one table (MCV, weighted voting, ROWA-AC, primary copy),
+    which ``repro.replication.protocol.Baseline`` drives.
 ``repro.runtime``
     Live threaded backend with real pickled agent migration.
 ``repro.workload`` / ``repro.analysis`` / ``repro.experiments``

@@ -16,7 +16,8 @@ execution backend:
   ladder, primary copy's forward), run through the same claim table,
   and :mod:`~repro.core.machines.participants` — their per-host
   participants (:class:`LockKeeper`, :class:`CopyKeeper`), attached to
-  the same interpreter;
+  the same interpreter; :mod:`~repro.core.machines.protocols` — the
+  table (:data:`ROWS`) of which of them each baseline runs, and how;
 * :mod:`~repro.core.machines.events` / :mod:`~repro.core.machines.effects`
   — the typed inputs the machines consume and the typed effects they
   emit;
@@ -124,6 +125,9 @@ from repro.core.machines.coordinators import (
     VotingMachine,
 )
 from repro.core.machines.participants import CopyKeeper, LockKeeper
+from repro.core.machines.protocols import (
+    ROWS, ProtocolRow, check_votes, protocol_row,
+)
 from repro.core.machines.agent import AgentCoreState, AgentMachine
 from repro.core.machines.interpreter import (
     EffectInterpreter,
@@ -182,6 +186,8 @@ __all__ = [
     "ReplicaMachine", "ReaderMachine", "AgentCoreState", "AgentMachine",
     "VotingMachine", "LadderMachine", "ForwardMachine",
     "LockKeeper", "CopyKeeper",
+    # the baselines as rows
+    "ProtocolRow", "ROWS", "protocol_row", "check_votes",
     "EffectInterpreter", "Resident", "Substrate",
     "KernelHarness", "replay", "EventBudgetExceeded", "DROPPABLE_KINDS",
     # the one consistency checker

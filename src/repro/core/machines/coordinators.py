@@ -10,8 +10,8 @@ stays on the machine. Message kinds carry the protocol's ``prefix``
 (``MCV_LOCK``, ``AC_GRANT``, ``PC_WRITE``, ...), and every payload is
 what the participants (:mod:`~repro.core.machines.participants`) read.
 
-* :class:`VotingMachine` — the voting round of ``QuorumProtocol`` (MCV,
-  weighted voting): LOCK to every replica, GRANT/NACK votes tallied per
+* :class:`VotingMachine` — the voting round of MCV and weighted
+  voting: LOCK to every replica, GRANT/NACK votes tallied per
   epoch until a write quorum, the impossibility of one or the deadline;
   then APPLY to all, or ABORT and a back-off growing with the attempt,
   up to ``max_rounds`` rounds.
@@ -23,7 +23,9 @@ what the participants (:mod:`~repro.core.machines.participants`) read.
   primary, done at its acknowledgement or failed at the write timeout.
 
 The quorum read of the voting baselines is
-:class:`~repro.core.machines.reader.ReaderMachine`.
+:class:`~repro.core.machines.reader.ReaderMachine`; which of these
+machines each baseline runs is its row in
+:mod:`~repro.core.machines.protocols`.
 """
 
 from __future__ import annotations

@@ -41,9 +41,10 @@ randomizes over, all of them deterministic:
   mid-flight, leaving its lock entries and any unreleased grants behind
   (the grant-TTL expiry path exists exactly for this).
 
-The message-passing baselines run here too: attach a participant
-(:mod:`~repro.core.machines.participants`) to each host's interpreter
-and start coordinators with :meth:`KernelHarness.coordinate`.
+The message-passing baselines run here too: :meth:`KernelHarness.attach`
+attaches a row's participants (:mod:`~repro.core.machines.protocols`)
+at every host, and :meth:`KernelHarness.coordinate` starts the row's
+writes (``row.write(...)``) and quorum reads.
 
 The harness is *not* a third execution backend for experiments; it
 exists so protocol edge cases and cross-machine races are testable
@@ -257,10 +258,19 @@ class KernelHarness:
         self._schedule(at, self._start, run)
         return agent_id
 
+    def attach(self, row) -> None:
+        """Run ``row``'s participant at every host (a
+        :class:`~repro.core.machines.protocols.ProtocolRow` over
+        :attr:`hosts`)."""
+        for host in self.hosts:
+            self.interpreters[host].attach(
+                row.participant(host, self.replicas[host])
+            )
+
     def coordinate(self, home: str, machine, at: float = 0.0) -> None:
         """Start a baseline's coordinator at ``home`` at ``at`` (its
-        participants attached to :attr:`interpreters` beforehand); its
-        final status lands in :attr:`results` under its request id."""
+        row attached beforehand, :meth:`attach`); its final status
+        lands in :attr:`results` under its request id."""
         self._schedule(at, self.interpreters[home].coordinate,
                        Resident(machine))
 

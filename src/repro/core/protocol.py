@@ -21,35 +21,13 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.batching import BatchDispatcher
 from repro.core.config import MARPConfig
-from repro.core.machines import Broadcast, Done, ReaderMachine, Resident
+from repro.core.machines import Broadcast, ReaderMachine, check_votes
 from repro.core.update_agent import UpdateAgent
-from repro.errors import ProtocolError
 from repro.replication.deployment import Deployment
-from repro.replication.protocol import ReplicationProtocol
+from repro.replication.protocol import Coordinator, ReplicationProtocol
 from repro.replication.requests import RequestRecord, Transform
 
 __all__ = ["MARP"]
-
-
-class _QuorumRead(Resident):
-    """A quorum read as the DES holds it: the reader and its record."""
-
-    def __init__(self, record: RequestRecord, majority: int,
-                 timeout: float) -> None:
-        rid = record.request_id
-        super().__init__(ReaderMachine(
-            rid, Broadcast("READQ", {"request_id": rid, "key": record.key}),
-            majority, timeout,
-        ))
-        self.record = record
-
-    def finished(self, effect: Done, now: float) -> None:
-        reader, record = self.machine, self.record
-        record.value = reader.value
-        record.extra.update(version=reader.version, read_strategy="quorum",
-                            replies=len(reader.replied))
-        record.completed_at = now
-        record.status = effect.status
 
 
 class MARP(ReplicationProtocol):
@@ -78,17 +56,11 @@ class MARP(ReplicationProtocol):
     ) -> None:
         super().__init__(deployment)
         self.config = config or MARPConfig()
-        if votes is not None:
-            unknown = set(votes) - set(deployment.hosts)
-            if unknown:
-                raise ProtocolError(f"votes for unknown hosts: {unknown}")
-            if any(v < 0 for v in votes.values()):
-                raise ProtocolError("vote weights must be >= 0")
-            if sum(votes.values()) < 1:
-                raise ProtocolError("total vote weight must be >= 1")
+        # None is one vote per host, which decide's tie guard relies on
         self.votes = votes
         self.total_votes = (
-            sum(votes.values()) if votes else deployment.n_replicas
+            check_votes(votes, deployment.hosts) if votes is not None
+            else deployment.n_replicas
         )
         self.vote_majority = self.total_votes // 2 + 1
         #: the agents in flight; a finished one leaves (see
@@ -115,9 +87,13 @@ class MARP(ReplicationProtocol):
 
     def _start_read(self, record: RequestRecord) -> None:
         if self.config.read_strategy == "quorum":
+            rid = record.request_id
             self.deployment.server(record.home).interpreter.coordinate(
-                _QuorumRead(record, self.deployment.majority,
-                            self.config.ack_timeout)
+                Coordinator(ReaderMachine(
+                    rid,
+                    Broadcast("READQ", {"request_id": rid, "key": record.key}),
+                    self.deployment.majority, self.config.ack_timeout,
+                ), record, close=_quorum_read)
             )
         else:
             record.extra["read_strategy"] = "local"
@@ -171,3 +147,10 @@ class MARP(ReplicationProtocol):
     @property
     def batcher(self) -> Optional[BatchDispatcher]:
         return self._batcher
+
+
+def _quorum_read(record: RequestRecord, reader: ReaderMachine,
+                 now: float) -> None:
+    record.value = reader.value
+    record.extra.update(version=reader.version, read_strategy="quorum",
+                        replies=len(reader.replied))

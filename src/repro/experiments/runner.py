@@ -20,14 +20,15 @@ from repro.analysis.consistency import (
     AuditReport, ChainDigest, audit, streaming_audit,
 )
 from repro.analysis.metrics import StreamingMetrics, alt, att, prk, throughput
-from repro.baselines import PROTOCOLS
 from repro.core.config import MARPConfig
+from repro.core.machines import ROWS
 from repro.core.protocol import MARP
 from repro.net.faults import FaultPlan
 from repro.net.latency import hybrid_profile, lan_profile, wan_profile
 from repro.net.topology import Topology
 from repro.replication.client import attach_clients
 from repro.replication.deployment import Deployment
+from repro.replication.protocol import Baseline
 from repro.replication.requests import RequestRecord, new_request_id
 from repro.replication.server import ReplicaConfig
 from repro.sim.rng import RandomStreams, spawn_seed
@@ -203,13 +204,12 @@ def build_protocol(deployment: Deployment, config: RunConfig):
             read_strategy=config.read_strategy,
         )
         return MARP(deployment, config=marp_config)
-    cls = PROTOCOLS.get(config.protocol)
-    if cls is None:
+    if config.protocol not in ROWS:
         raise ExperimentError(
             f"unknown protocol {config.protocol!r}; expected 'marp' or one "
-            f"of {sorted(PROTOCOLS)}"
+            f"of {sorted(ROWS)}"
         )
-    return cls(deployment, **config.protocol_kwargs)
+    return Baseline(deployment, config.protocol, **config.protocol_kwargs)
 
 
 def run_once(config: RunConfig) -> RunResult:

@@ -1,19 +1,46 @@
-"""Abstract replication-protocol interface.
+"""The replication-protocol interface, and the DES driver of the baselines.
 
 MARP and every message-passing baseline implement this interface over a
 shared :class:`~repro.replication.deployment.Deployment`, so workloads,
-metrics and consistency audits are protocol-agnostic.
+metrics and consistency audits are protocol-agnostic. :class:`Baseline`
+drives any row of the kernel's table (:mod:`~repro.core.machines.protocols`).
 """
 
 from __future__ import annotations
 
 from typing import Any, List, Optional
 
+from repro.core.machines import (
+    Done, LadderMachine, ReaderMachine, Resident, VotingMachine,
+    protocol_row,
+)
 from repro.errors import ReplicationError
 from repro.replication.deployment import Deployment
 from repro.replication.requests import READ, WRITE, RequestRecord, new_request_id
 
-__all__ = ["ReplicationProtocol"]
+__all__ = ["ReplicationProtocol", "Baseline", "Coordinator"]
+
+
+class Coordinator(Resident):
+    """A coordinator (a baseline's write, any quorum read) as its home
+    host holds it: the machine, the request's record and the protocol's
+    back-off stream (the DES substrate draws a ``Backoff`` from
+    ``stream``). At ``Done``, ``close(record, machine, now)``, if given,
+    records what the machine found, and the record closes."""
+
+    def __init__(self, machine, record: RequestRecord, stream=None,
+                 close=None) -> None:
+        super().__init__(machine)
+        self.record = record
+        self.stream = stream
+        self.close = close
+
+    def finished(self, effect: Done, now: float) -> None:
+        record = self.record
+        if self.close is not None:
+            self.close(record, self.machine, now)
+        record.completed_at = now
+        record.status = effect.status
 
 
 class ReplicationProtocol:
@@ -176,3 +203,68 @@ class ReplicationProtocol:
             f"<{type(self).__name__} requests={len(self.records)} "
             f"open={self.open_requests()}>"
         )
+
+
+class Baseline(ReplicationProtocol):
+    """The row called ``name`` (``"mcv"``, ``"weighted-voting"``,
+    ``"available-copies"``, ``"primary-copy"``) with ``settings``, on the
+    DES: the row's participant attached at every server
+    (:meth:`~repro.replication.server.ReplicaServer.attach`), each write
+    and quorum read a :class:`Coordinator` at its home host, and a local
+    read where the row has no reader. Stores and histories are MARP's,
+    so the consistency auditor applies unchanged."""
+
+    def __init__(self, deployment: Deployment, name: str, **settings) -> None:
+        super().__init__(deployment)
+        self.name = name
+        self.row = row = protocol_row(name, deployment.hosts, **settings)
+        for host in deployment.hosts:
+            server = deployment.server(host)
+            server.attach(row.participant(host, server.machine))
+        self._stream = deployment.streams.stream(f"{row.prefix}.backoff")
+
+    def _coordinate(self, machine, record: RequestRecord) -> None:
+        """Run ``machine`` for ``record`` at its home host."""
+        record.dispatched_at = self.env.now
+        self.deployment.server(record.home).interpreter.coordinate(
+            Coordinator(machine, record, self._stream,
+                        _CLOSE.get(machine.__class__))
+        )
+
+    def _start_write(self, record: RequestRecord) -> None:
+        self._coordinate(self.row.write(
+            record.request_id, record.key, record.value, record.home,
+        ), record)
+
+    def _start_read(self, record: RequestRecord) -> None:
+        if self.row.reader is None:
+            record.dispatched_at = self.env.now
+            self._read_local(record)
+        else:
+            self._coordinate(self.row.reader(
+                record.request_id, record.key, record.home,
+            ), record)
+
+
+def _voted(record: RequestRecord, machine: VotingMachine, now: float) -> None:
+    if machine.writes:
+        record.lock_acquired_at = now
+    record.extra["lock_rounds"] = machine.attempt
+
+
+def _climbed(record: RequestRecord, machine: LadderMachine,
+             now: float) -> None:
+    if machine.writes:
+        record.lock_acquired_at = now
+        record.extra["available_copies"] = sorted(machine.grants)
+    record.extra["skipped"] = machine.skipped
+
+
+def _read(record: RequestRecord, machine: ReaderMachine, now: float) -> None:
+    record.value = machine.value
+    record.extra["version"] = machine.version
+
+
+#: What a baseline's record keeps of what its coordinator found, by the
+#: machine's class (primary copy's forward finds nothing more).
+_CLOSE = {VotingMachine: _voted, LadderMachine: _climbed, ReaderMachine: _read}

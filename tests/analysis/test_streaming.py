@@ -224,11 +224,11 @@ class TestCommitToken:
 
 class TestProtocolSweep:
     def _protocol(self):
-        from repro.baselines import PrimaryCopy
         from repro.replication.deployment import Deployment
+        from repro.replication.protocol import Baseline
 
         deployment = Deployment(n_replicas=3, seed=2)
-        return deployment, PrimaryCopy(deployment)
+        return deployment, Baseline(deployment, "primary-copy")
 
     def test_sweep_bounds_record_list(self):
         deployment, protocol = self._protocol()

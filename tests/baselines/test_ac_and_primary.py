@@ -3,17 +3,16 @@
 import pytest
 
 from repro.analysis.consistency import audit
-from repro.baselines.available_copies import AvailableCopies
-from repro.baselines.primary_copy import PrimaryCopy
 from repro.net.faults import CrashSchedule, FaultPlan, TransientLinkFaults
 from repro.replication.deployment import Deployment
+from repro.replication.protocol import Baseline
 from repro.replication.server import WriteOp
 
 
 class TestAvailableCopies:
     def test_single_write_reaches_all(self):
         dep = Deployment(n_replicas=3, seed=0)
-        ac = AvailableCopies(dep)
+        ac = Baseline(dep, "available-copies")
         record = ac.submit_write("s1", "x", 1)
         dep.run(until=100_000)
         assert record.status == "committed"
@@ -23,7 +22,7 @@ class TestAvailableCopies:
 
     def test_concurrent_writes_queue_without_livelock(self):
         dep = Deployment(n_replicas=3, seed=0)
-        ac = AvailableCopies(dep)
+        ac = Baseline(dep, "available-copies")
         records = [
             ac.submit_write(host, "x", index)
             for index, host in enumerate(dep.hosts)
@@ -35,7 +34,7 @@ class TestAvailableCopies:
     def test_skips_crashed_replica(self):
         faults = FaultPlan(crashes=CrashSchedule().add("s3", 0, 1_000_000))
         dep = Deployment(n_replicas=3, seed=0, faults=faults)
-        ac = AvailableCopies(dep, detection_timeout=50.0)
+        ac = Baseline(dep, "available-copies", detection_timeout=50.0)
         record = ac.submit_write("s1", "x", 1)
         dep.run(until=1_000_000)
         assert record.status == "committed"
@@ -51,7 +50,7 @@ class TestAvailableCopies:
         crashes.add("s3", 0, 1_000_000)
         dep = Deployment(n_replicas=3, seed=0,
                          faults=FaultPlan(crashes=crashes))
-        ac = AvailableCopies(dep, detection_timeout=50.0)
+        ac = Baseline(dep, "available-copies", detection_timeout=50.0)
         record = ac.submit_write("s1", "x", 1)
         endpoint = dep.network.endpoints["s1"]
         grant = {"rid": record.request_id, "epoch": 1, "from": "s2",
@@ -68,7 +67,7 @@ class TestAvailableCopies:
 
     def test_local_reads(self):
         dep = Deployment(n_replicas=3, seed=0)
-        ac = AvailableCopies(dep)
+        ac = Baseline(dep, "available-copies")
         ac.submit_write("s1", "x", "v")
         dep.run(until=100_000)
         record = ac.submit_read("s2", "x")
@@ -79,7 +78,7 @@ class TestAvailableCopies:
     def test_detection_timeout_validation(self):
         dep = Deployment(n_replicas=3, seed=0)
         with pytest.raises(ValueError):
-            AvailableCopies(dep, detection_timeout=0)
+            Baseline(dep, "available-copies", detection_timeout=0)
 
     def test_partition_causes_divergence(self):
         """The AC weakness the paper cites: a partition that cuts one
@@ -91,7 +90,7 @@ class TestAvailableCopies:
         dep = Deployment(
             n_replicas=3, seed=0, faults=FaultPlan(links=links),
         )
-        ac = AvailableCopies(dep, detection_timeout=40.0)
+        ac = Baseline(dep, "available-copies", detection_timeout=40.0)
         record = ac.submit_write("s1", "x", "partitioned-write")
         dep.run(until=1_000_000)
         assert record.status == "committed"
@@ -103,7 +102,7 @@ class TestAvailableCopies:
 class TestPrimaryCopy:
     def test_single_write_commits_everywhere(self):
         dep = Deployment(n_replicas=3, seed=0)
-        pc = PrimaryCopy(dep)
+        pc = Baseline(dep, "primary-copy")
         record = pc.submit_write("s2", "x", 9)
         dep.run(until=100_000)
         assert record.status == "committed"
@@ -112,19 +111,20 @@ class TestPrimaryCopy:
 
     def test_primary_serialises_global_order(self):
         dep = Deployment(n_replicas=3, seed=0)
-        pc = PrimaryCopy(dep)
+        pc = Baseline(dep, "primary-copy")
         for index, host in enumerate(dep.hosts):
             pc.submit_write(host, "x", index)
         dep.run(until=1_000_000)
         report = audit(dep)
         assert report.consistent
         assert report.identical_histories
-        primary = dep.server(pc.primary).interpreter.participants["PC_WRITE"]
+        primary = dep.server(pc.row.settings["primary"]).interpreter
+        primary = primary.participants["PC_WRITE"]
         assert primary.writes_serialized == 3
 
     def test_custom_primary(self):
         dep = Deployment(n_replicas=3, seed=0)
-        pc = PrimaryCopy(dep, primary="s2")
+        pc = Baseline(dep, "primary-copy", primary="s2")
         record = pc.submit_write("s1", "x", 1)
         dep.run(until=100_000)
         assert record.status == "committed"
@@ -132,19 +132,19 @@ class TestPrimaryCopy:
     def test_unknown_primary_rejected(self):
         dep = Deployment(n_replicas=3, seed=0)
         with pytest.raises(ValueError):
-            PrimaryCopy(dep, primary="zz")
+            Baseline(dep, "primary-copy", primary="zz")
 
     def test_crashed_primary_fails_writes(self):
         faults = FaultPlan(crashes=CrashSchedule().add("s1", 0, 1_000_000))
         dep = Deployment(n_replicas=3, seed=0, faults=faults)
-        pc = PrimaryCopy(dep, write_timeout=200.0)
+        pc = Baseline(dep, "primary-copy", write_timeout=200.0)
         record = pc.submit_write("s2", "x", 1)
         dep.run(until=1_000_000)
         assert record.status == "failed"
 
     def test_local_read(self):
         dep = Deployment(n_replicas=3, seed=0)
-        pc = PrimaryCopy(dep)
+        pc = Baseline(dep, "primary-copy")
         pc.submit_write("s1", "x", "val")
         dep.run(until=100_000)
         record = pc.submit_read("s3", "x")
@@ -155,7 +155,7 @@ class TestPrimaryCopy:
     def test_write_timeout_validation(self):
         dep = Deployment(n_replicas=3, seed=0)
         with pytest.raises(ValueError):
-            PrimaryCopy(dep, write_timeout=0)
+            Baseline(dep, "primary-copy", write_timeout=0)
 
 
 class TestPrimaryCopyLogShipping:
@@ -167,7 +167,8 @@ class TestPrimaryCopyLogShipping:
     @staticmethod
     def _ship(dep, pc, schedule):
         """``schedule``: [(backup, key, version)] shipped GAP ms apart."""
-        endpoint = dep.network.endpoints[pc.primary]
+        origin = pc.row.settings["primary"]
+        endpoint = dep.network.endpoints[origin]
 
         def ship(step):
             rid, (backup, key, version) = step
@@ -177,7 +178,7 @@ class TestPrimaryCopyLogShipping:
             )
             endpoint.send(
                 backup, "PC_APPLY",
-                payload={"writes": (write,), "origin": pc.primary},
+                payload={"writes": (write,), "origin": origin},
             )
 
         for index, step in enumerate(enumerate(schedule, 1)):
@@ -193,7 +194,7 @@ class TestPrimaryCopyLogShipping:
 
     def test_out_of_order_versions_apply_in_order_per_key(self):
         dep = Deployment(n_replicas=3, seed=0)
-        pc = PrimaryCopy(dep)
+        pc = Baseline(dep, "primary-copy")
         # s2 sees a: 3, 1, 2 with b's version 2 gapped throughout;
         # s3 sees everything in order. b@1 reaches both last.
         self._ship(dep, pc, [
@@ -221,14 +222,14 @@ class TestPrimaryCopyLogShipping:
         """A SYNC snapshot moves the store under the reorder buffer: the
         version it unblocks applies with the next PC_APPLY of *any* key."""
         dep = Deployment(n_replicas=3, seed=0)
-        pc = PrimaryCopy(dep)
-        primary = dep.server(pc.primary)
+        pc = Baseline(dep, "primary-copy")
+        primary = dep.server(pc.row.settings["primary"])
         for version in (1, 2):  # s3 missed these while it was down
             primary.store.apply("a", f"a{version}", version, 0.0)
         self._ship(dep, pc, [("s3", "a", 3)])
         dep.run(until=self.GAP)
         assert dep.server("s3").store.version_of("a") == 0
-        dep.server("s3").request_sync(pc.primary)
+        dep.server("s3").request_sync(pc.row.settings["primary"])
         dep.run(until=2 * self.GAP)
         assert dep.server("s3").store.version_of("a") == 2
         self._ship(dep, pc, [("s3", "b", 1)])

@@ -10,15 +10,13 @@ it ended is dropped there. The network only carries the messages.
 
 import pytest
 
-from repro.baselines.base import Coordinator
-from repro.baselines.mcv import MajorityConsensusVoting
-from repro.baselines.primary_copy import PrimaryCopy
 from repro.core.machines import ForwardMachine
 from repro.experiments.cache import result_fingerprint
 from repro.experiments.runner import RunConfig, run_once
 from repro.net.faults import CrashSchedule, FaultPlan
 from repro.net.latency import ConstantLatency
 from repro.replication.deployment import Deployment
+from repro.replication.protocol import Baseline, Coordinator
 from repro.replication.requests import WRITE, RequestRecord
 
 FOREVER = 10_000_000
@@ -40,7 +38,7 @@ class TestForwardReplies:
     @pytest.fixture
     def dep(self):
         dep = deployment("s1")
-        PrimaryCopy(dep, write_timeout=50.0)
+        Baseline(dep, "primary-copy", write_timeout=50.0)
         return dep
 
     @staticmethod
@@ -100,8 +98,8 @@ class TestVotingReplies:
     @staticmethod
     def write(grant_at=None):
         dep = deployment("s1", "s3")
-        mcv = MajorityConsensusVoting(dep, lock_timeout=100.0,
-                                      retry_backoff=0, max_rounds=1)
+        mcv = Baseline(dep, "mcv", lock_timeout=100.0, retry_backoff=0,
+                       max_rounds=1)
         record = mcv.submit_write("s2", "x", 1)
         if grant_at is not None:
             endpoint = dep.network.endpoints["s2"]

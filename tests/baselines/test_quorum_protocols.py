@@ -3,9 +3,8 @@
 import pytest
 
 from repro.analysis.consistency import audit
-from repro.baselines.mcv import MajorityConsensusVoting
-from repro.baselines.weighted_voting import WeightedVoting
 from repro.replication.deployment import Deployment
+from repro.replication.protocol import Baseline
 from repro.replication.requests import READ
 
 
@@ -16,7 +15,7 @@ def dep():
 
 class TestMCV:
     def test_single_write_commits_everywhere(self, dep):
-        mcv = MajorityConsensusVoting(dep)
+        mcv = Baseline(dep, "mcv")
         record = mcv.submit_write("s1", "x", 7)
         dep.run(until=100_000)
         assert record.status == "committed"
@@ -24,7 +23,7 @@ class TestMCV:
             assert dep.server(host).store.read("x").value == 7
 
     def test_lock_acquired_before_completion(self, dep):
-        mcv = MajorityConsensusVoting(dep)
+        mcv = Baseline(dep, "mcv")
         record = mcv.submit_write("s1", "x", 7)
         dep.run(until=100_000)
         assert record.lock_acquired_at is not None
@@ -32,7 +31,7 @@ class TestMCV:
         assert record.extra["lock_rounds"] == 1
 
     def test_concurrent_writes_stay_consistent(self, dep):
-        mcv = MajorityConsensusVoting(dep)
+        mcv = Baseline(dep, "mcv")
         records = [
             mcv.submit_write(host, "x", index)
             for index, host in enumerate(dep.hosts)
@@ -44,7 +43,7 @@ class TestMCV:
         assert report.divergence_free
 
     def test_conflicting_writes_need_retries(self, dep):
-        mcv = MajorityConsensusVoting(dep)
+        mcv = Baseline(dep, "mcv")
         records = [
             mcv.submit_write(host, "x", index)
             for index, host in enumerate(dep.hosts)
@@ -54,7 +53,7 @@ class TestMCV:
         assert max(rounds) > 1  # contention forces at least one retry
 
     def test_quorum_read_sees_committed_value(self, dep):
-        mcv = MajorityConsensusVoting(dep)
+        mcv = Baseline(dep, "mcv")
         mcv.submit_write("s1", "x", "fresh")
         dep.run(until=100_000)
         record = mcv.submit_read("s3", "x")
@@ -64,7 +63,7 @@ class TestMCV:
         assert record.extra["version"] == 1
 
     def test_versions_strictly_increase(self, dep):
-        mcv = MajorityConsensusVoting(dep)
+        mcv = Baseline(dep, "mcv")
         for index, host in enumerate(dep.hosts):
             mcv.submit_write(host, "x", index)
         dep.run(until=1_000_000)
@@ -74,13 +73,13 @@ class TestMCV:
 
 class TestWeightedVoting:
     def test_default_is_majority(self, dep):
-        wv = WeightedVoting(dep)
-        assert wv.write_quorum == 3
-        assert wv.read_quorum == 3
+        wv = Baseline(dep, "weighted-voting")
+        assert wv.row.settings["write_quorum"] == 3
+        assert wv.row.settings["read_quorum"] == 3
 
     def test_custom_votes_and_quorums(self, dep):
-        wv = WeightedVoting(
-            dep,
+        wv = Baseline(
+            dep, "weighted-voting",
             votes={"s1": 3, "s2": 1, "s3": 1, "s4": 1, "s5": 1},
             read_quorum=2,
             write_quorum=6,
@@ -91,30 +90,33 @@ class TestWeightedVoting:
 
     def test_quorum_intersection_enforced(self, dep):
         with pytest.raises(ValueError):
-            WeightedVoting(dep, read_quorum=1, write_quorum=3)  # r+w <= 5
+            # r+w <= 5
+            Baseline(dep, "weighted-voting", read_quorum=1, write_quorum=3)
 
     def test_write_quorum_must_exceed_half(self, dep):
         with pytest.raises(ValueError):
-            WeightedVoting(dep, read_quorum=4, write_quorum=2)
+            Baseline(dep, "weighted-voting", read_quorum=4, write_quorum=2)
 
     def test_votes_for_a_host_not_deployed_are_rejected(self, dep):
         with pytest.raises(ValueError, match="zz"):
-            WeightedVoting(dep, votes={"s1": 1, "s2": 1, "s3": 1, "zz": 5})
+            Baseline(dep, "weighted-voting",
+                     votes={"s1": 1, "s2": 1, "s3": 1, "zz": 5})
 
     def test_a_negative_vote_is_rejected(self, dep):
         with pytest.raises(ValueError, match=">= 0"):
-            WeightedVoting(
-                dep, votes={"s1": 3, "s2": 1, "s3": 1, "s4": 1, "s5": -1},
+            Baseline(
+                dep, "weighted-voting",
+                votes={"s1": 3, "s2": 1, "s3": 1, "s4": 1, "s5": -1},
                 read_quorum=3, write_quorum=4,
             )
 
     def test_no_votes_at_all_are_rejected(self, dep):
         with pytest.raises(ValueError, match=">= 1"):
-            WeightedVoting(dep, votes={"s1": 0, "s2": 0}, read_quorum=0,
-                           write_quorum=1)
+            Baseline(dep, "weighted-voting", votes={"s1": 0, "s2": 0},
+                     read_quorum=0, write_quorum=1)
 
     def test_read_with_quorum_one_is_local(self, dep):
-        wv = WeightedVoting(dep, read_quorum=3, write_quorum=3)
+        wv = Baseline(dep, "weighted-voting", read_quorum=3, write_quorum=3)
         record = wv.submit(dep.hosts[0], READ, "x")
         dep.run(until=100_000)
         assert record.status == "read-done"
@@ -126,18 +128,18 @@ class TestQuorumEngineEdgeCases:
         self, dep, lock_timeout
     ):
         with pytest.raises(ValueError, match="lock_timeout"):
-            MajorityConsensusVoting(dep, lock_timeout=lock_timeout)
+            Baseline(dep, "mcv", lock_timeout=lock_timeout)
 
     @pytest.mark.parametrize("lock_ttl", [0, -5.0])
     def test_a_lease_that_is_not_positive_is_rejected(self, dep, lock_ttl):
         """A lease of no length is expired as it is granted: every LOCK
         would find its key free, and mutual exclusion would be gone."""
         with pytest.raises(ValueError, match="lock_ttl"):
-            MajorityConsensusVoting(dep, lock_ttl=lock_ttl)
+            Baseline(dep, "mcv", lock_ttl=lock_ttl)
 
     def test_fewer_than_one_round_is_rejected(self, dep):
         with pytest.raises(ValueError, match="max_rounds"):
-            MajorityConsensusVoting(dep, max_rounds=0)
+            Baseline(dep, "mcv", max_rounds=0)
 
     def test_failed_after_max_rounds(self):
         # A write against a majority-crashed cluster cannot assemble a
@@ -149,7 +151,7 @@ class TestQuorumEngineEdgeCases:
             crashes.add(host, 0, 10_000_000)
         dep = Deployment(n_replicas=5, seed=0,
                          faults=FaultPlan(crashes=crashes))
-        mcv = MajorityConsensusVoting(dep, max_rounds=2, lock_timeout=100)
+        mcv = Baseline(dep, "mcv", max_rounds=2, lock_timeout=100)
         record = mcv.submit_write("s1", "x", 1)
         dep.run(until=1_000_000)
         assert record.status == "failed"
@@ -162,7 +164,7 @@ class TestQuorumEngineEdgeCases:
             crashes.add(host, 0, 10_000_000)
         dep = Deployment(n_replicas=5, seed=0,
                          faults=FaultPlan(crashes=crashes))
-        mcv = MajorityConsensusVoting(dep, lock_timeout=100)
+        mcv = Baseline(dep, "mcv", lock_timeout=100)
         record = mcv.submit_read("s1", "x")
         dep.run(until=1_000_000)
         assert record.status == "failed"
@@ -182,8 +184,8 @@ class TestQuorumEngineEdgeCases:
         crashes.add("s3", 0, 10_000_000)
         dep = Deployment(n_replicas=3, seed=0,
                          faults=FaultPlan(crashes=crashes))
-        mcv = MajorityConsensusVoting(
-            dep, lock_timeout=100, retry_backoff=0, max_rounds=2,
+        mcv = Baseline(
+            dep, "mcv", lock_timeout=100, retry_backoff=0, max_rounds=2,
         )
         record = mcv.submit_write("s1", "x", 1)
         endpoint = dep.network.endpoints["s1"]
@@ -202,7 +204,7 @@ class TestQuorumEngineEdgeCases:
 
     def test_daemon_counts_grants_and_nacks(self):
         dep = Deployment(n_replicas=3, seed=0)
-        mcv = MajorityConsensusVoting(dep)
+        mcv = Baseline(dep, "mcv")
         for host in dep.hosts:
             mcv.submit_write(host, "x", 1)
         dep.run(until=1_000_000)

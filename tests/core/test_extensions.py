@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.errors import ProtocolError
 from repro.analysis import assert_consistent
 from repro.analysis.tracelog import ProtocolTrace
 from repro.core.protocol import MARP
@@ -126,11 +125,11 @@ class TestReadModifyWrite:
 
 class TestWeightedVoting:
     def test_vote_validation(self, deployment):
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ValueError):
             MARP(deployment, votes={"nope": 1})
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ValueError):
             MARP(deployment, votes={"s1": -1, "s2": 1, "s3": 1})
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ValueError):
             MARP(deployment, votes={"s1": 0, "s2": 0, "s3": 0})
 
     def test_default_votes_match_count_majority(self, deployment5):

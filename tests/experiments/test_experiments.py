@@ -89,7 +89,7 @@ class TestRunner:
             RunConfig(protocol="primary-copy",
                       protocol_kwargs={"primary": "s2"}),
         )
-        assert protocol.primary == "s2"
+        assert protocol.row.settings["primary"] == "s2"
 
 
 class TestSweeps:

@@ -5,6 +5,7 @@ from repro.core.protocol import MARP
 from repro.net.faults import CrashSchedule, FaultPlan, TransientLinkFaults
 from repro.replication.client import attach_clients
 from repro.replication.deployment import Deployment
+from repro.replication.protocol import Baseline
 from repro.workload.arrivals import ExponentialArrivals
 from repro.workload.mix import OperationMix
 
@@ -84,13 +85,11 @@ class TestLinkFaults:
 
 class TestBaselineFailures:
     def test_mcv_commits_with_minority_down(self):
-        from repro.baselines.mcv import MajorityConsensusVoting
-
         faults = FaultPlan(
             crashes=CrashSchedule().add("s5", 0, 10_000_000)
         )
         dep = Deployment(n_replicas=5, seed=36, faults=faults)
-        mcv = MajorityConsensusVoting(dep)
+        mcv = Baseline(dep, "mcv")
         record = mcv.submit_write("s1", "x", 1)
         dep.run(until=10_000_000)
         assert record.status == "committed"

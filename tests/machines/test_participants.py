@@ -5,23 +5,23 @@ effect interpreter: a :class:`LockKeeper` (MCV, weighted voting,
 Available Copies) or a :class:`CopyKeeper` (primary copy). The scripts
 feed messages by hand and pin the effects, payloads included, since a
 payload's size feeds the latency model; the last class runs whole
-baseline writes on the :class:`KernelHarness`.
+baseline writes on the :class:`KernelHarness`, each baseline attached
+from its row of the protocol table.
 """
 
 import pytest
 
 from repro.core.machines import (
     DES_TUNABLES,
+    ROWS,
     CopyKeeper,
-    ForwardMachine,
     KernelHarness,
-    LadderMachine,
     LockKeeper,
     MsgReceived,
     ReplicaMachine,
     Send,
-    VotingMachine,
     WriteOp,
+    protocol_row,
     replay,
 )
 from repro.errors import ProtocolError
@@ -221,27 +221,30 @@ def one_owner_per_version(harness):
     return harness.commit_chains()
 
 
-def voting_world(prefix="MCV", queue=False):
+def world(name, **settings):
+    """A harness over HOSTS running the row ``name``; the row."""
     harness = KernelHarness(HOSTS)
-    for host in HOSTS:
-        harness.interpreters[host].attach(LockKeeper(
-            prefix, host, harness.replicas[host], 1, 10_000.0, queue=queue,
-        ))
-    return harness
+    row = protocol_row(name, harness.hosts, **settings)
+    harness.attach(row)
+    return harness, row
 
 
-def voter(rid, home):
-    return VotingMachine("MCV", rid, "x", f"v{rid}", home, 3, 2, 50.0,
-                         25.0, 20)
+def voting_world():
+    """MCV with one-vote hosts; ``voter`` starts its writes."""
+    return world("mcv", lock_timeout=50.0)
+
+
+def voter(harness, row, rid, home):
+    harness.coordinate(home, row.write(rid, "x", f"v{rid}", home))
 
 
 class TestBaselinesOnTheHarness:
     """Whole baseline writes, delivered in the harness's fixed order."""
 
     def test_two_concurrent_mcv_writers(self):
-        harness = voting_world()
-        harness.coordinate("s1", voter(1, "s1"))
-        harness.coordinate("s2", voter(2, "s2"))
+        harness, row = voting_world()
+        voter(harness, row, 1, "s1")
+        voter(harness, row, 2, "s2")
         harness.run()
         assert harness.statuses() == {1: "committed", 2: "committed"}
         chains = one_owner_per_version(harness)
@@ -251,24 +254,17 @@ class TestBaselinesOnTheHarness:
             assert harness.interpreters[host].claims == {}
 
     def test_one_available_copies_writer(self):
-        harness = voting_world("AC", queue=True)
-        harness.coordinate("s2", LadderMachine("AC", 1, "x", "a", "s2",
-                                               HOSTS, 400.0))
+        harness, row = world("available-copies")
+        harness.coordinate("s2", row.write(1, "x", "a", "s2"))
         harness.run()
         assert harness.statuses() == {1: "committed"}
         assert one_owner_per_version(harness) == {"x": [(1, "a")]}
         assert all(len(r.history) == 1 for r in harness.replicas.values())
 
     def test_one_primary_copy_run(self):
-        harness = KernelHarness(HOSTS)
-        for host in HOSTS:
-            harness.interpreters[host].attach(CopyKeeper(
-                "PC", host, harness.replicas[host], "s1", ("s2", "s3"),
-            ))
+        harness, row = world("primary-copy", write_timeout=100.0)
         for rid, home in enumerate(HOSTS, start=1):
-            harness.coordinate(home, ForwardMachine(
-                "PC", rid, "x", f"v{rid}", home, "s1", 100.0,
-            ))
+            harness.coordinate(home, row.write(rid, "x", f"v{rid}", home))
         harness.run()
         assert harness.statuses() == {1: "committed", 2: "committed",
                                       3: "committed"}
@@ -278,11 +274,24 @@ class TestBaselinesOnTheHarness:
     def test_mcv_with_one_host_crashed(self):
         """s3 is down: its participant takes nothing, and the two live
         votes are still a majority of three."""
-        harness = voting_world()
+        harness, row = voting_world()
         harness.crash("s3")
-        harness.coordinate("s1", voter(1, "s1"))
-        harness.coordinate("s2", voter(2, "s2"))
+        voter(harness, row, 1, "s1")
+        voter(harness, row, 2, "s2")
         harness.run()
         assert harness.statuses() == {1: "committed", 2: "committed"}
         assert len(one_owner_per_version(harness)["x"]) == 2
         assert len(harness.replicas["s3"].history) == 0
+
+    @pytest.mark.parametrize("name", sorted(ROWS))
+    def test_one_write_per_home_commits_under_every_row(self, name):
+        harness, row = world(name)
+        for rid, home in enumerate(HOSTS, start=1):
+            harness.coordinate(home, row.write(rid, "x", f"v{rid}", home))
+        harness.run()
+        assert harness.statuses() == {
+            rid: "committed" for rid in range(1, len(HOSTS) + 1)
+        }
+        assert len(one_owner_per_version(harness)["x"]) == len(HOSTS)
+        for interpreter in harness.interpreters.values():
+            assert interpreter.claims == {}

@@ -1,5 +1,6 @@
 """Package-level quality gates: imports, docstrings, public API."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -18,10 +19,51 @@ ALL_MODULES = [
 ]
 
 
+def _module_level_imports(tree):
+    """The modules a parsed file imports outside its functions and
+    classes (a relative import keeps its leading dots)."""
+    pending = list(tree.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield "." * node.level + (node.module or "")
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                   ast.ClassDef)):
+            pending.extend(child for child in ast.iter_child_nodes(node)
+                           if isinstance(child, ast.stmt))
+
+
 class TestImports:
     @pytest.mark.parametrize("module_name", ALL_MODULES)
     def test_every_module_imports(self, module_name):
         importlib.import_module(module_name)
+
+    def test_the_kernel_imports_only_itself_errors_and_identity(self):
+        """Every backend imports ``repro.core.machines`` (the DES, the
+        live runtime, the replay harness), so at module level the kernel
+        imports nothing of the package but itself, ``repro.errors`` and
+        ``repro.agents.identity``. An import inside a function binds at
+        call time and is not a kernel import."""
+        kernel = os.path.join(os.path.dirname(repro.__file__), "core",
+                              "machines")
+        allowed = ("repro.core.machines", "repro.errors",
+                   "repro.agents.identity")
+        impure = {}
+        for name in sorted(os.listdir(kernel)):
+            if name.endswith(".py"):
+                with open(os.path.join(kernel, name), encoding="utf-8") as f:
+                    modules = _module_level_imports(ast.parse(f.read()))
+                impure[name] = [
+                    module for module in modules
+                    if module.startswith((".", "repro")) and not any(
+                        module == a or module.startswith(a + ".")
+                        for a in allowed
+                    )
+                ]
+        assert "protocols.py" in impure
+        assert {name: bad for name, bad in impure.items() if bad} == {}
 
     def test_package_has_version(self):
         assert repro.__version__
@@ -78,7 +120,7 @@ class TestPublicAPI:
     def test_subpackage_exports_resolve(self):
         for subpackage in (
             "repro.sim", "repro.net", "repro.agents", "repro.replication",
-            "repro.core", "repro.baselines", "repro.runtime",
+            "repro.core", "repro.core.machines", "repro.runtime",
             "repro.workload", "repro.analysis", "repro.experiments",
         ):
             module = importlib.import_module(subpackage)

@@ -3,10 +3,10 @@
 import pytest
 
 from repro.analysis.consistency import audit
-from repro.baselines.mcv import MajorityConsensusVoting
 from repro.core.protocol import MARP
 from repro.errors import WorkloadError
 from repro.replication.deployment import Deployment
+from repro.replication.protocol import Baseline
 from repro.replication.requests import WRITE
 from repro.workload import (
     ExponentialArrivals,
@@ -41,9 +41,9 @@ class TestReplay:
     def test_same_trace_on_two_protocols_gives_same_state(self):
         trace = small_trace()
 
-        def final_state(protocol_cls):
+        def final_state(protocol):
             dep = Deployment(n_replicas=3, seed=0)
-            protocol = protocol_cls(dep)
+            protocol = protocol(dep)
             replay_onto(protocol, trace, horizon=200_000)
             assert audit(dep).consistent
             return {
@@ -51,7 +51,9 @@ class TestReplay:
                 for key, vv in dep.server("s1").store.snapshot().items()
             }
 
-        assert final_state(MARP) == final_state(MajorityConsensusVoting)
+        assert final_state(MARP) == final_state(
+            lambda dep: Baseline(dep, "mcv")
+        )
 
     def test_record_then_replay_reproduces_commits(self):
         dep = Deployment(n_replicas=3, seed=4)
