@@ -137,6 +137,7 @@ from repro.core.machines.interpreter import (
 from repro.core.machines.audit import AuditReport, check_histories
 from repro.core.machines.replay import (
     DROPPABLE_KINDS,
+    RELIABLE_KINDS,
     EventBudgetExceeded,
     KernelHarness,
     replay,
@@ -190,6 +191,7 @@ __all__ = [
     "ProtocolRow", "ROWS", "protocol_row", "check_votes",
     "EffectInterpreter", "Resident", "Substrate",
     "KernelHarness", "replay", "EventBudgetExceeded", "DROPPABLE_KINDS",
+    "RELIABLE_KINDS",
     # the one consistency checker
     "AuditReport", "check_histories",
     # adversary

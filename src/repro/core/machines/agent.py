@@ -5,7 +5,9 @@ the replicas merging Locking Lists and Updated Lists into the carried
 Locking Table, evaluate the distributed priority after every visit,
 park when the tour is exhausted ([D2]), and — holding the lock — run
 the claim round (UPDATE broadcast → majority of grants → version
-assignment [D3] → COMMIT → dispose).
+assignment [D3] → COMMIT → dispose). An agent that met no rival takes
+grants on its visits, and a majority of them lets it commit with no
+UPDATE round at all (:meth:`AgentMachine.start_claim`).
 
 The machine operates over an :class:`AgentCoreState` record (picklable;
 the live backend ships it between hosts and rebuilds a machine at every
@@ -107,6 +109,12 @@ class AgentCoreState:
     # The kernel never reads either beyond copying them into payloads.
     trace_id: Optional[str] = None
     trace_root: Optional[int] = None
+    #: grants taken on visits, held until the claim spends them or the
+    #: agent gives them back: host -> (that server's versions of the
+    #: batch's keys, when the grant was taken there)
+    visit_grants: Dict[str, Tuple[Dict[str, int], float]] = field(
+        default_factory=dict
+    )
     #: "acks" | "fetch" | None — what reply the claim round is blocked on.
     awaiting: Optional[str] = None
     # -- claim-round transients (reset by start_claim) -----------------
@@ -181,6 +189,18 @@ class AgentMachine:
     def awaiting(self) -> Optional[str]:
         return self.state.awaiting
 
+    def grant_keys(self) -> Optional[Tuple[str, ...]]:
+        """What the next visit asks the replica for: the batch's keys
+        (take the grant for me) while this agent's table shows no other
+        live agent queued anywhere, else None (no grant)."""
+        s = self.state
+        if not s.table.alone(s.agent_id):
+            return None
+        return self._keys()
+
+    def _keys(self) -> Tuple[str, ...]:
+        return tuple(dict.fromkeys(req[1] for req in self.state.requests))
+
     # -- input dispatch -------------------------------------------------
 
     def on(self, event) -> List[Effect]:
@@ -202,6 +222,8 @@ class AgentMachine:
         woke = s.phase == PARKED
         s.phase = TOURING
         s.location = event.host
+        if event.grant is not None:
+            s.visit_grants[event.host] = event.grant
         s.table.absorb(event.view, event.finished, event.bulletin)
         # The table's own dict, not a copy (see PostBulletin): the
         # replica skips its own entry.
@@ -216,6 +238,11 @@ class AgentMachine:
         decision = self._decide()
         if self._holds_lock(decision):
             return effects + self._win_and_claim(decision, event.now)
+        if s.visit_grants and any(
+            agent != s.agent_id for agent in s.table.top_counts()
+        ):
+            # A rival tops a known server: it may need these grants.
+            effects += self._drop_visit_grants()
         if woke and decision.outcome != OTHER:
             # Still unclear after the park refresh: start a new tour over
             # all other servers; previously unavailable replicas get
@@ -273,7 +300,22 @@ class AgentMachine:
             return [Migrate(frozenset(candidates))]
         s.park_count += 1
         s.phase = PARKED
-        return [Note("park"), Park(self.tunables.park_timeout)]
+        effects = self._drop_visit_grants() if s.visit_grants else []
+        effects += [Note("park"), Park(self.tunables.park_timeout)]
+        return effects
+
+    def _drop_visit_grants(self) -> List[Effect]:
+        """Give back every visit grant, then bump the epoch: the grants
+        were taken at the current epoch, so a RELEASE that straggles in
+        after a later visit's grant cannot free that one."""
+        s = self.state
+        release = self._payload()
+        effects: List[Effect] = [
+            Send(host, "RELEASE", release) for host in s.visit_grants
+        ]
+        s.visit_grants = {}
+        s.epoch += 1
+        return effects
 
     # -- the claim round (step 3: UPDATE / ACK / COMMIT) ---------------
 
@@ -292,7 +334,14 @@ class AgentMachine:
         return effects + self.start_claim(now)
 
     def start_claim(self, now: float) -> List[Effect]:
-        """Open a claim round: broadcast UPDATE, await a grant majority.
+        """Open a claim: on visit grants, or by an UPDATE round.
+
+        Visit grants that already hold a vote majority, none taken more
+        than ``ack_timeout`` ago — no older than a round's ACKs are when
+        its majority forms — are the claim's ACKs: the agent commits
+        with no UPDATE sent. Otherwise it broadcasts UPDATE and awaits a
+        grant majority; a server that granted on the visit renews the
+        grant with its ACK.
 
         Public so the live backend can drive a claim directly; the epoch
         bump makes acknowledgements of an abandoned earlier round
@@ -301,7 +350,6 @@ class AgentMachine:
         s = self.state
         s.epoch += 1
         s.phase = CLAIMING
-        s.awaiting = "acks"
         s.acked_versions = {}
         s.acked_votes = 0
         s.nack_votes = 0
@@ -309,15 +357,37 @@ class AgentMachine:
         s.fetch_plan = []
         s.fetch_key = None
         s.base_values = {}
+        grants, s.visit_grants = s.visit_grants, {}
+        if self._grants_suffice(grants, now):
+            s.acked_versions = {
+                host: versions for host, (versions, _taken) in grants.items()
+            }
+            return [
+                ClaimStarted(s.epoch, "visit"),
+                Note("claim", f"epoch {s.epoch} on visit grants"),
+            ] + self._majority_reached(now)
+        s.awaiting = "acks"
         # The UPDATE names the keys the batch will write: each ACK
         # reports its server's versions of exactly those ([D3]).
-        keys = tuple(dict.fromkeys(req[1] for req in s.requests))
         return [
-            ClaimStarted(s.epoch),
+            ClaimStarted(s.epoch, "round"),
             Note("claim", f"epoch {s.epoch}"),
-            Broadcast("UPDATE", self._payload(keys=keys)),
+            Broadcast("UPDATE", self._payload(keys=self._keys())),
             SetTimer("ack", self.tunables.ack_timeout),
         ]
+
+    def _grants_suffice(
+        self, grants: Dict[str, Tuple[Dict[str, int], float]], now: float
+    ) -> bool:
+        """Visit grants certify the claim: a vote majority of them, none
+        older than ``ack_timeout``. The fetches and the COMMIT then
+        leave no later after the grants were taken than a round's do
+        after its ACKs were, so the TTL floor that covers rounds covers
+        this claim too."""
+        if sum(map(self.vote_of, grants)) < self.vote_majority:
+            return False
+        oldest = now - self.tunables.ack_timeout
+        return all(taken_at >= oldest for _versions, taken_at in grants.values())
 
     def _payload(
         self,
@@ -354,7 +424,7 @@ class AgentMachine:
                 s.acked_versions[sender] = payload["versions"]
                 s.acked_votes += self.vote_of(sender)
                 if s.acked_votes >= self.vote_majority:
-                    return self._majority_reached(now)
+                    return [CancelTimer("ack")] + self._majority_reached(now)
                 return []
             if sender in s.nack_hosts:
                 return []
@@ -393,7 +463,6 @@ class AgentMachine:
     def _majority_reached(self, now: float) -> List[Effect]:
         """Grant majority assembled: fetch RMW bases, then COMMIT."""
         s = self.state
-        effects: List[Effect] = [CancelTimer("ack")]
         # The base-value source for each RMW key is the acknowledger
         # reporting the highest version — it holds "the most recent
         # copy" the quorum knows (paper §3.1).
@@ -413,9 +482,9 @@ class AgentMachine:
         s.fetch_plan = plan
         if plan:
             s.awaiting = "fetch"
-            return effects + self._next_fetch()
+            return self._next_fetch()
         s.awaiting = None
-        return effects + self._finalize()
+        return self._finalize()
 
     def _next_fetch(self) -> List[Effect]:
         s = self.state
@@ -499,6 +568,9 @@ class AgentMachine:
             effects.append(CancelTimer("fetch"))
         effects.append(Broadcast("RELEASE", self._payload()))
         effects.append(ClaimResolved(outcome, s.epoch))
+        # Later visits take grants at a fresh epoch, out of this
+        # RELEASE's reach.
+        s.epoch += 1
         if outcome == "conflict":
             # Another claimer holds grants: genuine contention counts
             # toward the abort budget.

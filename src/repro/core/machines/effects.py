@@ -37,7 +37,8 @@ Effect vocabulary (agent machine)
 Effect vocabulary (replica machine)
 -----------------------------------
 ``Send``          reply/forward a protocol message.
-``Granted``/``Nacked``    the grant decision taken for an UPDATE.
+``Granted``/``Nacked``    the grant decision taken for an UPDATE (or a
+                  grant taken on a visit).
 ``CommitApplied`` one write of a COMMIT was applied to the store.
 ``ReleaseNotify`` wake agents parked at this replica ([D2]).
 ``QueueChanged``  the Locking List length changed (gauge refresh).
@@ -189,9 +190,11 @@ class LockWon(Effect):
 
 @dataclass(slots=True)
 class ClaimStarted(Effect):
-    """A claim round (UPDATE broadcast) is beginning."""
+    """A claim is beginning: ``path`` is ``"round"`` (UPDATE broadcast)
+    or ``"visit"`` (a majority of visit grants; no UPDATE is sent)."""
 
     epoch: int
+    path: str
 
 
 @dataclass(slots=True)
@@ -212,11 +215,13 @@ class Dispose(Effect):
 
 @dataclass(slots=True)
 class Granted(Effect):
-    """Replica issued its exclusive update grant (an ACK follows)."""
+    """Replica issued its exclusive update grant: to an UPDATE (an ACK
+    follows), or on a visit (``visit``; it rides back in the visit)."""
 
     agent_id: AgentId
     batch_id: int
     epoch: int
+    visit: bool = False
 
 
 @dataclass(slots=True)

@@ -12,7 +12,8 @@ Input vocabulary
     The agent completed a local visit at a replica (arrival — or wake-up
     at the current host — plus the synchronous information exchange):
     the replica's fresh lock view (with its Updated List beside a full
-    view), its bulletin board, and the agent's rank in the Locking List.
+    view), its bulletin board, the agent's rank in the Locking List, and
+    the grant the visit took for the agent, if any.
 ``ReplicaDown``
     A migration attempt to ``host`` failed permanently for this round
     (paper §2's unavailability declaration).
@@ -30,7 +31,7 @@ Input vocabulary
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from repro.core.machines.wire import SharedView
 
@@ -48,6 +49,7 @@ class Arrived:
     rank: Optional[int] = None
     ll_len: int = 0
     finished: frozenset = frozenset()
+    grant: Optional[Tuple[Dict[str, int], float]] = None
 
 
 @dataclass(slots=True)

@@ -69,6 +69,7 @@ from repro.core.machines.effects import (
     ReleaseNotify,
     Send,
     SetTimer,
+    Text,
     Visit,
 )
 from repro.core.machines.events import Arrived, ReplicaDown, TimerFired
@@ -102,6 +103,8 @@ class Resident:
         #: cuts the current park short (from :meth:`Substrate.park`)
         self.release: Optional[Fire] = None
         self.claim_started_at = 0.0
+        #: how the open claim runs: "round" (UPDATE) or "visit" (grants)
+        self.claim_path = ""
         #: the journey's root span, while this object has not been shipped
         self.root_span: Any = None
 
@@ -209,9 +212,12 @@ class EffectInterpreter:
     the kernel still imports nothing outside itself); ``backend`` labels
     the journeys this interpreter roots. ``down`` makes the host
     fail-stop: its replica neither exchanges nor answers, and a visit
-    yields ``ReplicaDown`` — the replay harness's crash model (the DES
-    models crashes in its network instead and never sets it).
+    yields ``ReplicaDown``. The replay harness sets it on a crash; the
+    DES reads it from its fault plan's crash schedule (its network
+    drops the messages).
     """
+
+    down = False
 
     def __init__(self, host: str, replica: ReplicaMachine,
                  substrate: Substrate, obs=None, backend: str = "") -> None:
@@ -219,7 +225,6 @@ class EffectInterpreter:
         self.replica = replica
         self.substrate = substrate
         self.backend = backend
-        self.down = False
         #: agents parked here awaiting a release, in park order ([D2])
         self.parked: Dict[AgentId, Resident] = {}
         #: batch (or coordinator's request) id -> who takes its replies
@@ -262,7 +267,9 @@ class EffectInterpreter:
             "marp_requests_total", "update requests finished", ("status",)
         )
         self._m_claims = obs.counter(
-            "marp_claims_total", "claim rounds", ("outcome",)
+            "marp_claims_total", "claims, by outcome and by path: an "
+            "UPDATE round, or a majority of visit grants",
+            ("outcome", "path"),
         )
         self._m_migrations = obs.counter(
             "marp_migrations_total", "agent migrations", ("outcome",)
@@ -289,7 +296,8 @@ class EffectInterpreter:
             "latency from UPDATE send to grant (ACK) issued", ("host",),
         )
         self._m_grants = obs.counter(
-            "replica_grants_total", "grant decisions on UPDATE messages",
+            "replica_grants_total",
+            "grant decisions: ack/nack on an UPDATE, or a grant on a visit",
             ("host", "outcome"),
         )
         self._m_applies = obs.counter(
@@ -435,11 +443,13 @@ class EffectInterpreter:
         data, effects = self.replica.begin_visit(
             state.agent_id, state.batch_id, now,
             acked=state.table.acked_seq(self.host),
+            keys=machine.grant_keys(), epoch=state.epoch,
         )
         self.run_replica(effects)
         self._run(agent, machine.on_arrived(Arrived(
             host=self.host, now=now, view=data.view, bulletin=data.bulletin,
             rank=data.rank, ll_len=data.ll_len, finished=data.finished,
+            grant=data.grant,
         )))
 
     def _visit_again(self, agent: Resident, effect: Visit) -> None:
@@ -610,6 +620,7 @@ class EffectInterpreter:
     def _claim_started(self, agent: Resident, effect: ClaimStarted) -> None:
         self.claims[agent.machine.state.batch_id] = agent
         agent.claim_started_at = self.substrate.now()
+        agent.claim_path = effect.path
 
     def _claim_resolved(self, agent: Resident,
                         effect: ClaimResolved) -> None:
@@ -619,8 +630,9 @@ class EffectInterpreter:
             self._span(
                 state, "claim", agent.claim_started_at,
                 self.substrate.now(), effect.outcome, epoch=effect.epoch,
+                path=agent.claim_path,
             )
-            self._m_claims.inc(outcome=effect.outcome)
+            self._m_claims.inc(outcome=effect.outcome, path=agent.claim_path)
         if effect.outcome != "committed":
             self._emit(
                 state, "claim-failed",
@@ -656,14 +668,18 @@ class EffectInterpreter:
 
     def _granted(self, _agent, effect: Granted) -> None:
         if self._obs is not None:
-            self._m_grants.inc(host=self.host, outcome="ack")
-            if self._sent_at is not None:
-                self._m_grant_latency.observe(
-                    self.substrate.now() - self._sent_at, host=self.host
-                )
+            if effect.visit:
+                self._m_grants.inc(host=self.host, outcome="visit")
+            else:
+                self._m_grants.inc(host=self.host, outcome="ack")
+                if self._sent_at is not None:
+                    self._m_grant_latency.observe(
+                        self.substrate.now() - self._sent_at, host=self.host
+                    )
         self.substrate.emit(
             "grant", effect.agent_id, effect.batch_id,
-            f"epoch {effect.epoch}", None,
+            Text("epoch %s on visit", effect.epoch) if effect.visit
+            else Text("epoch %s", effect.epoch), None,
         )
 
     def _nacked(self, _agent, effect: Nacked) -> None:

@@ -74,6 +74,7 @@ __all__ = [
     "KernelHarness",
     "EventBudgetExceeded",
     "DROPPABLE_KINDS",
+    "RELIABLE_KINDS",
 ]
 
 #: Message kinds a ``drop_message`` directive may actually lose. These
@@ -85,6 +86,10 @@ __all__ = [
 DROPPABLE_KINDS = frozenset(
     ("UPDATE", "ACK", "NACK", "RELEASE", "READQ", "READR")
 )
+#: The kinds that fault model makes reliable. The DES network sends
+#: them over a reliable channel: a transmission a random link loss drops
+#: is retransmitted.
+RELIABLE_KINDS = frozenset(("COMMIT", "ABORT", "SYNC_REQUEST", "SYNC_REPLY"))
 
 
 class EventBudgetExceeded(RuntimeError):

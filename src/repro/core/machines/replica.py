@@ -2,7 +2,8 @@
 
 A :class:`ReplicaMachine` is the *logic* of one replicated server: the
 versioned store, the Locking List and Updated List, the bulletin board,
-and the exclusive update grant behind every acknowledgement. It is a
+and the exclusive update grant behind every acknowledgement (or taken
+on a visit). It is a
 pure state machine — time enters only through ``now`` arguments, every
 outward action is returned as a typed effect, and nothing in here knows
 whether it runs under the discrete-event simulator, a live thread, or a
@@ -123,6 +124,7 @@ class ReplicaMachine:
 
     def begin_visit(
         self, agent_id: AgentId, request_id: int, now: float, acked: int,
+        keys: Optional[Tuple[str, ...]] = None, epoch: int = 0,
     ) -> Tuple[VisitData, List[Effect]]:
         """One agent visit: guarded lock enqueue + information exchange.
 
@@ -139,6 +141,12 @@ class ReplicaMachine:
         enqueue, exactly like the full snapshot would. First contact
         (``acked`` = -1) or an evicted/reset base fall back to the full
         snapshot.
+
+        ``keys`` (the keys the visitor's batch writes) asks for the
+        grant: it is taken, stamped with ``epoch``, when the Locking
+        List holds the visitor alone and the grant is free or already
+        the visitor's — the same exclusive grant an UPDATE takes, so
+        the visitor may count it toward its claim's majority.
         """
         effects: List[Effect] = []
         enqueued = False
@@ -148,6 +156,11 @@ class ReplicaMachine:
         ):
             effects.extend(self.request_lock(agent_id, request_id, now))
             enqueued = True
+        grant = None
+        if keys is not None and self._grants_on_visit(agent_id, now):
+            self._take_grant(agent_id, request_id, epoch, now)
+            grant = (self._versions(keys), now)
+            effects.append(Granted(agent_id, request_id, epoch, visit=True))
         view: Any = self.delta_view(now, acked)
         finished = frozenset()
         if view is not None:
@@ -166,6 +179,7 @@ class ReplicaMachine:
             ll_len=len(self.locking_list),
             enqueued=enqueued,
             finished=finished,
+            grant=grant,
         )
         return data, effects
 
@@ -331,6 +345,29 @@ class ReplicaMachine:
         self.grant_epoch = 0
         self.grant_expires_at = float("-inf")
 
+    def _grants_on_visit(self, agent_id: AgentId, now: float) -> bool:
+        """The visitor stands alone in the Locking List, and the grant
+        is free or already the visitor's."""
+        return (
+            len(self.locking_list) == 1
+            and agent_id in self.locking_list
+            and (agent_id == self.grant_holder or self.grant_is_free(now))
+        )
+
+    def _take_grant(self, agent_id: AgentId, batch_id: int, epoch: int,
+                    now: float) -> None:
+        if self.grant_holder == agent_id:
+            # A stale request must not roll the epoch backwards.
+            self.grant_epoch = max(self.grant_epoch, epoch)
+        else:
+            self.grant_epoch = epoch
+        self.grant_holder = agent_id
+        self.grant_batch = batch_id
+        self.grant_expires_at = now + self.tunables.grant_ttl
+
+    def _versions(self, keys) -> Dict[str, int]:
+        return {key: self.store.version_of(key) for key in keys}
+
     def _on_update(self, payload: UpdatePayload, now: float) -> List[Effect]:
         """Grant request: ACK (with our versions of the UPDATE's keys)
         or NACK.
@@ -340,17 +377,17 @@ class ReplicaMachine:
         grant here was released by processing its COMMIT, i.e. *after*
         applying its writes, so an ACK never predates a commit this
         server participated in.
+
+        An UPDATE from an agent this server already saw finish (its
+        COMMIT overtook it) is answered as any other, but takes no
+        grant: a finished agent will never release one.
         """
         if payload.agent_id == self.grant_holder or self.grant_is_free(now):
-            if self.grant_holder == payload.agent_id:
-                # A stale UPDATE must not roll the epoch backwards.
-                self.grant_epoch = max(self.grant_epoch, payload.epoch)
-            else:
-                self.grant_epoch = payload.epoch
-            self.grant_holder = payload.agent_id
-            self.grant_batch = payload.batch_id
-            self.grant_expires_at = now + self.tunables.grant_ttl
-            self.pending_updates[payload.batch_id] = payload
+            if payload.agent_id not in self.updated_list:
+                self._take_grant(
+                    payload.agent_id, payload.batch_id, payload.epoch, now
+                )
+                self.pending_updates[payload.batch_id] = payload
             self.acks_sent += 1
             return [
                 Granted(payload.agent_id, payload.batch_id, payload.epoch),
@@ -361,10 +398,7 @@ class ReplicaMachine:
                         "batch_id": payload.batch_id,
                         "epoch": payload.epoch,
                         "from": self.host,
-                        "versions": {
-                            key: self.store.version_of(key)
-                            for key in payload.keys or ()
-                        },
+                        "versions": self._versions(payload.keys or ()),
                     },
                 ),
             ]

@@ -475,6 +475,22 @@ class LockingTable:
             for host, slot in tops_slots.items()
         }
 
+    def alone(self, agent_id: AgentId) -> bool:
+        """True when no stored queue names a live agent but ``agent_id``.
+
+        Exact between visits: :meth:`absorb` ends with the UAL holding
+        exactly the finished ids some stored queue names, so the live
+        named ids are the named ids less the UAL.
+        """
+        live = self._n_ids - len(self.ual)
+        if live != 1:
+            return live == 0
+        slot = self._ids.index_of(agent_id)
+        return (
+            slot is not None and self._refs[slot] > 0
+            and not self._done[slot]
+        )
+
     def top_counts(self, extra_done: frozenset = frozenset()) -> Counter:
         """How many known servers each agent currently tops."""
         _tops, topped = self._tops_slots(extra_done)

@@ -11,7 +11,7 @@ convention: nothing changes a field once the record is built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.agents.identity import AgentId
 from repro.core.machines.structures import LockView
@@ -197,6 +197,10 @@ class VisitData:
     inside the server's journal window, a full :class:`SharedView`
     otherwise; ``finished`` is the server's Updated List beside a full
     view, empty beside a delta (which carries its own ``finished``).
+    ``grant`` is set when the visit took the server's exclusive grant
+    for the visitor (it asked, and stood alone in the Locking List):
+    ``(versions of the visitor's keys, taken_at)``, what an ACK to
+    its UPDATE would have reported, and when the grant was taken.
     """
 
     view: Any  # SharedView | SharedViewDelta
@@ -205,3 +209,4 @@ class VisitData:
     ll_len: int
     enqueued: bool
     finished: frozenset
+    grant: Optional[Tuple[Dict[str, int], float]] = None

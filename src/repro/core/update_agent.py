@@ -100,7 +100,10 @@ class UpdateAgent(Resident):
 
     def state(self) -> Dict[str, Any]:
         """Everything packed in the suitcase — the specification of
-        :meth:`suitcase_size`, which is what sizes a migration."""
+        :meth:`suitcase_size`, which is what sizes a migration. It is
+        the paper's suitcase (identifier, Request List, Un-visited
+        Servers List, Locking Table); the claim bookkeeping — epoch,
+        visited set, visit grants — is not charged."""
         return {
             "agent_id": self.agent_id,
             "requests": [

@@ -48,10 +48,10 @@ __all__ = [
 ]
 
 #: Bump when the cached RunResult surface changes shape, or when the
-#: simulated numbers it caches move (8: lock views dropped their
-#: finished sets and suitcases charge queued ids only); invalidates
-#: every existing entry (alongside the package version).
-CACHE_SCHEMA_VERSION = 8
+#: simulated numbers it caches move (9: an agent that met no rival
+#: commits on grants taken on its visits, with no UPDATE round);
+#: invalidates every existing entry (alongside the package version).
+CACHE_SCHEMA_VERSION = 9
 
 
 def code_version() -> str:

@@ -135,15 +135,21 @@ class TransientLinkFaults:
                 self.add_outage(a, b, start, end)
         return self
 
-    def transmission_fails(
-        self, src: str, dst: str, time: float, stream: Stream
-    ) -> bool:
-        """Decide the fate of one transmission attempt."""
+    def cut(self, src: str, dst: str, time: float) -> bool:
+        """Is the (src, dst) link inside an outage window at ``time``?"""
         windows = self._outages.get((src, dst))
         if windows:
             for start, end in windows:
                 if start <= time < end:
                     return True
+        return False
+
+    def transmission_fails(
+        self, src: str, dst: str, time: float, stream: Stream
+    ) -> bool:
+        """Decide the fate of one transmission attempt."""
+        if self.cut(src, dst, time):
+            return True
         if self.drop_probability and stream.random() < self.drop_probability:
             return True
         return False

@@ -12,7 +12,10 @@ fail-stop. Concretely:
 * Transient link faults drop individual transmissions; reliable unicast
   for control traffic is approximated by the protocols' own
   timeout-and-retry logic, and agent *migrations* surface failures to the
-  platform's retry policy (paper §2).
+  platform's retry policy (paper §2). Kinds a protocol never retries
+  (``reliable_kinds``) ride a reliable channel instead: a transmission
+  of one that a random loss drops is sent again a round trip later. A
+  cut link (an outage window) or a crashed end still loses it.
 
 Every host gets an :class:`Endpoint`, and a delivered message is
 dispatched the moment it arrives; nothing is filed for later. The
@@ -223,6 +226,8 @@ class Network:
         Crash windows and link faults; default none.
     streams:
         Random streams (for latency jitter and fault draws).
+    reliable_kinds:
+        Message kinds retransmitted after a random loss; default none.
 
     Sampled delays are multiplied by the topology's (src, dst) cost,
     making "distant" hosts slower. Links do not keep send order: the
@@ -237,6 +242,7 @@ class Network:
         latency: Optional[LatencyModel] = None,
         faults: Optional[FaultPlan] = None,
         streams: Optional[RandomStreams] = None,
+        reliable_kinds: Iterable[str] = (),
     ) -> None:
         self.env = env
         self.topology = topology
@@ -249,6 +255,8 @@ class Network:
         self.endpoints: Dict[str, Endpoint] = {}
         self._latency_stream = self.streams.stream("net.latency")
         self._fault_stream = self.streams.stream("net.faults")
+        #: kinds retransmitted after a random loss (see the module doc)
+        self.reliable_kinds = frozenset(reliable_kinds)
 
     # -- observability -----------------------------------------------------
 
@@ -315,6 +323,15 @@ class Network:
             src, dst, now, self._fault_stream
         ):
             self.stats.record_drop(msg.category, msg.kind)
+            if (
+                msg.kind in self.reliable_kinds
+                and not self.faults.links.cut(src, dst, now)
+            ):
+                # No acknowledgement within a round trip: send again.
+                env.call_in(
+                    2 * self.sample_delay(src, dst, msg.size_bytes),
+                    self.send, msg,
+                )
             return
 
         delay = self.sample_delay(src, dst, msg.size_bytes)

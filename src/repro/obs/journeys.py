@@ -13,7 +13,10 @@ talks about:
 and local processing).
 
 ``ATT`` (agent total time, dispatch → dispose) = ``ALT`` + ``commit``
-(the winning claim round) + ``tail`` (post-commit bookkeeping).
+(the winning claim) + ``tail`` (post-commit bookkeeping). The path
+names how the winning claim ran: an UPDATE round, or a majority of
+grants taken on the agent's visits (``visit``: no round, so its
+``commit`` is the RMW fetches at most).
 
 The two identities hold *exactly* by construction — ``service`` and
 ``tail`` are residuals — so a journey's decomposition always sums to
@@ -60,7 +63,9 @@ class CriticalPath:
 
     ``travel + park + retry + service == alt`` and
     ``alt + commit + tail == att`` hold exactly; ``service`` and
-    ``tail`` are defined as the residuals.
+    ``tail`` are defined as the residuals. ``claim`` is how the
+    committed claim ran: ``"round"`` (UPDATE broadcast), ``"visit"``
+    (on visit grants) or ``""`` (none committed).
     """
 
     travel_ms: float
@@ -71,6 +76,7 @@ class CriticalPath:
     commit_ms: float
     tail_ms: float
     att_ms: float
+    claim: str = ""
 
     @property
     def dominant(self) -> str:
@@ -225,13 +231,15 @@ def critical_path(journey: Journey) -> CriticalPath:
     park = float(sum(s.duration for s in _closed(journey.named("park"))))
     claims = _closed(journey.named("claim"))
     retry = float(sum(s.duration for s in claims if s.status != "committed"))
-    commit = float(sum(s.duration for s in claims if s.status == "committed"))
+    won = [s for s in claims if s.status == "committed"]
+    commit = float(sum(s.duration for s in won))
     # Residuals make the identities exact (see module docstring).
     service = alt - travel - park - retry
     tail = att - alt - commit
     return CriticalPath(
         travel_ms=travel, park_ms=park, retry_ms=retry, service_ms=service,
         alt_ms=alt, commit_ms=commit, tail_ms=tail, att_ms=att,
+        claim=str(won[-1].attrs.get("path", "")) if won else "",
     )
 
 
@@ -254,16 +262,16 @@ def format_journey_report(
             totals[index] += value
         rows.append([
             journey.agent, journey.backend, journey.status,
-            len(journey.hops), path.dominant,
+            len(journey.hops), path.claim or "-", path.dominant,
             *(round(value, 3) for value in cells),
         ])
     count = len(journeys)
     rows.append([
-        f"mean/{count}", "-", "-", "-", "-",
+        f"mean/{count}", "-", "-", "-", "-", "-",
         *(round(value / count, 3) for value in totals),
     ])
     return format_table(
-        ["agent", "backend", "status", "hops", "dominant",
+        ["agent", "backend", "status", "hops", "claim", "dominant",
          "travel", "park", "retry", "service", "alt", "att"],
         rows, title=title,
     )

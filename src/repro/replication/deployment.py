@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.errors import ReplicationError
+from repro.core.machines.replay import RELIABLE_KINDS
 from repro.net.faults import FaultPlan
 from repro.net.latency import LatencyModel, lan_profile
 from repro.net.network import Network
@@ -86,6 +87,7 @@ class Deployment:
             latency=latency if latency is not None else lan_profile(),
             faults=self.faults,
             streams=self.streams,
+            reliable_kinds=RELIABLE_KINDS,
         )
         if self.obs is not None:
             self.network.attach_observability(self.obs)

@@ -70,6 +70,18 @@ def _call(fire) -> None:
     fire()
 
 
+class _Interpreter(EffectInterpreter):
+    """The DES host's interpreter: down exactly while the network's
+    fault plan has the host crashed, windows added after construction
+    included. A crashed host thus does no local exchange either — a
+    visit there yields ``ReplicaDown`` — and an agent cannot commit
+    from it on grants taken there."""
+
+    @property
+    def down(self) -> bool:
+        return not self.substrate.network.host_up(self.host)
+
+
 @dataclass
 class ReplicaConfig:
     """Tunables of a replica server.
@@ -142,7 +154,7 @@ class ReplicaServer(Substrate):
         self.servers = servers if servers is not None else {host: self}
         #: the sans-IO protocol kernel; the config doubles as tunables
         self.machine = ReplicaMachine(host, self.peers, self.config)
-        self.interpreter = EffectInterpreter(
+        self.interpreter = _Interpreter(
             host, self.machine, self, obs=obs, backend="des"
         )
         #: optional ProtocolTrace, injected by Deployment.enable_tracing

@@ -179,8 +179,13 @@ class TestResultCache:
         # Schema 7 cached MARP runs whose suitcases charged every
         # finished id a table had met; their simulated numbers are not
         # today's.
-        assert CACHE_SCHEMA_VERSION == 8
         self._assert_old_schema_is_a_miss(tmp_path, 7)
+
+    def test_schema_8_envelope_is_a_miss(self, tmp_path):
+        # Schema 8 cached MARP runs in which every claim ran an UPDATE
+        # round; their simulated numbers are not today's.
+        assert CACHE_SCHEMA_VERSION == 9
+        self._assert_old_schema_is_a_miss(tmp_path, 8)
 
     def test_uncacheable_config_is_silently_skipped(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -1,5 +1,7 @@
 """Failure-injection integration tests: crashes, recovery, link faults."""
 
+import pytest
+
 from repro.analysis.consistency import audit
 from repro.core.protocol import MARP
 from repro.net.faults import CrashSchedule, FaultPlan, TransientLinkFaults
@@ -43,6 +45,42 @@ class TestCrashRecovery:
         assert dep.server("s3").recoveries == 2
         assert audit(dep).consistent
 
+    @pytest.mark.parametrize("late", [False, True])
+    def test_a_crashed_host_does_no_exchange(self, late):
+        """A lone writer reaches s2 and would commit on its two visit
+        grants when its exchange there ends (2 ms later). s2 crashes in
+        between: the exchange yields ReplicaDown, so the agent cannot
+        commit from a host whose COMMIT the network would drop. It
+        commits after the crash window, and every replica applies it —
+        also when the window joins the fault plan after the deployment
+        was built (``late``)."""
+
+        def run(window=None):
+            crashes = CrashSchedule()
+            if window is not None and not late:
+                crashes.add(*window)
+            dep = Deployment(
+                n_replicas=3, seed=5, faults=FaultPlan(crashes=crashes)
+            )
+            if window is not None and late:
+                crashes.add(*window)
+            marp = MARP(dep)
+            record = marp.submit_write("s1", "x", 1)
+            agent = marp.agents[0]
+            dep.run(until=1_000_000)
+            return dep, record, agent
+
+        _dep, probe, agent = run()
+        (_t0, home), (arrived, host) = agent.travel_log
+        assert (home, host) == ("s1", "s2")
+        assert probe.completed_at == arrived + 2.0
+        dep, record, agent = run((host, arrived + 1.0, arrived + 500.0))
+        assert record.status == "committed"
+        assert record.completed_at > arrived + 500.0
+        report = audit(dep)
+        assert report.consistent and report.complete
+        assert all(len(dep.server(h).history) == 1 for h in dep.hosts)
+
     def test_agent_declares_crashed_replica_unavailable(self):
         faults = FaultPlan(
             crashes=CrashSchedule().add("s2", 0, 1_000_000)
@@ -71,6 +109,22 @@ class TestLinkFaults:
         report = audit(dep)
         assert report.divergence_free
         assert report.monotone
+
+    def test_a_commit_lost_to_link_loss_is_sent_again(self):
+        """COMMIT rides the reliable channel: a transmission the link
+        loses is retransmitted, so every replica applies every commit
+        (the protocol has no timer that would resend it)."""
+        faults = FaultPlan(links=TransientLinkFaults(drop_probability=0.05))
+        dep = Deployment(n_replicas=5, seed=36, faults=faults)
+        marp = MARP(dep)
+        attach_clients(
+            marp, ExponentialArrivals(120.0), OperationMix(1.0),
+            max_requests_per_client=5,
+        )
+        dep.run(until=10_000_000)
+        assert dep.network.stats.dropped[("control", "COMMIT")] > 0
+        report = audit(dep)
+        assert report.consistent and report.complete
 
     def test_temporary_link_outage_heals(self):
         links = TransientLinkFaults().add_outage("s1", "s2", 0, 500)

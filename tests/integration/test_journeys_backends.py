@@ -102,6 +102,8 @@ class TestDesBackend:
             assert len(committed) == (
                 1 if journey.status == "committed" else 0
             )
+            for claim in journey.named("claim"):
+                assert claim.attrs["path"] in ("round", "visit")
 
     def test_decomposition_matches_measured_alt_att(self, des):
         hub, result = des
@@ -239,14 +241,14 @@ class TestBackendParity:
         for hub, writes in committed.items():
             registry = hub.registry
             # every committed write is applied once per replica, and took
-            # at least a majority of grants
+            # at least a majority of grants (ACKs or grants on visits)
             assert registry.get(
                 "replica_commits_applied_total"
             ).total() == 3 * writes
             grants = registry.get("replica_grants_total")
             assert sum(
-                grants.value(host=host, outcome="ack")
-                for host in hosts_of(hub)
+                grants.value(host=host, outcome=outcome)
+                for host in hosts_of(hub) for outcome in ("ack", "visit")
             ) >= 2 * writes
 
 

@@ -10,7 +10,9 @@ began to name its keys (smaller suitcases, slightly larger UPDATEs:
 the same commit and read counts, other timings and bytes), and again
 when views stopped carrying finished sets and the UAL kept only queued
 ids (smaller suitcases: the same counts and control traffic, other
-completion times).
+completion times), and again when an agent that met no rival began to
+commit on its visit grants (the same commit and read counts; fewer
+UPDATE rounds, RELEASEs of visit grants given back, other timings).
 """
 
 import hashlib
@@ -37,10 +39,10 @@ def quorum_run(seed, write_fraction, **overrides):
 
 @pytest.mark.parametrize("seed,write_fraction,prefix,commits,reads", [
     # ids name the inputs only, so a re-pin keeps the test's name
-    pytest.param(1, 0.5, "164f1713b58ad614", 152, 148, id="seed1-w0.5"),
-    pytest.param(1, 0.1, "c22a7ef50a3df58e", 23, 277, id="seed1-w0.1"),
-    pytest.param(2, 0.5, "3fe4cf9882a16124", 146, 154, id="seed2-w0.5"),
-    pytest.param(2, 0.1, "610db52a0ad3379a", 29, 271, id="seed2-w0.1"),
+    pytest.param(1, 0.5, "30d041f52eecb4f2", 152, 148, id="seed1-w0.5"),
+    pytest.param(1, 0.1, "acf8f49aedc12ce7", 23, 277, id="seed1-w0.1"),
+    pytest.param(2, 0.5, "3c0585ee4a2eb684", 146, 154, id="seed2-w0.5"),
+    pytest.param(2, 0.1, "31bae360fd2719b2", 29, 271, id="seed2-w0.1"),
 ])
 def test_quorum_read_runs_are_pinned(seed, write_fraction, prefix, commits,
                                      reads):
@@ -73,11 +75,11 @@ def test_concurrent_rmw_then_quorum_reads_are_pinned():
     )
     assert [row[:2] for row in rows[15:]] == [("read-done", "15")] * 5
     assert (stats.total_messages("control"),
-            stats.total_bytes("control")) == (303, 46494)
+            stats.total_bytes("control")) == (308, 47174)
     text = json.dumps([rows, stats.total_messages("control"),
                        stats.total_bytes("control")])
     assert hashlib.sha256(text.encode()).hexdigest().startswith(
-        "14b5d3917cd07699"
+        "bc5e1157965b1fd1"
     )
 
 

@@ -39,9 +39,13 @@ class RecordingHarness(KernelHarness):
         super()._deliver_later(dst, kind, payload, src)
 
 
-def run_one_update(harness_cls=KernelHarness, **kwargs):
+def run_one_update(harness_cls=KernelHarness, rival=False, **kwargs):
     harness = harness_cls(HOSTS, **kwargs)
     harness.submit("s1", 1, "x", "v1", at=0.0)
+    if rival:
+        # A second agent queued first at s2: agent 1 meets it there and
+        # gives back its visit grant, so both claims are UPDATE rounds.
+        harness.submit("s2", 2, "x", "v2", at=0.0, created_seq=1)
     return harness
 
 
@@ -51,7 +55,7 @@ class TestPartition:
         # Cut the lone writer's side off from s3 for the whole claim.
         harness.set_partition([["s1", "s2"], ["s3"]], at=0.0)
         harness.run(until=5_000)
-        # The round resolves on the majority side; s3 saw nothing.
+        # The claim resolves on the majority side; s3 saw nothing.
         assert harness.statuses() == {1: "committed"}
         assert len(harness.replicas["s3"].history) == 0
         assert harness._partition_buffer  # COMMIT (at least) is waiting
@@ -86,7 +90,7 @@ class TestPartition:
 
 class TestMessageDirectives:
     def test_drop_only_touches_droppable_kinds(self):
-        probe = run_one_update(RecordingHarness)
+        probe = run_one_update(RecordingHarness, rival=True)
         probe.run(until=10_000)
         kinds = {kind for _i, kind, _s, _d in probe.sends}
         assert "COMMIT" in kinds and "UPDATE" in kinds
@@ -94,8 +98,8 @@ class TestMessageDirectives:
         # Blanket-drop directives: only retryable kinds may be lost.
         # Dropped claim rounds read as silence, and silence is retried
         # forever (a timeout is not a conflict, so it never burns a
-        # claim attempt) — the update neither resolves nor diverges.
-        harness = run_one_update()
+        # claim attempt) — no update resolves, none diverges.
+        harness = run_one_update(rival=True)
         for nth in range(len(probe.sends) * 40):
             harness.drop_message(nth)
         harness.run(until=20_000)
@@ -107,24 +111,24 @@ class TestMessageDirectives:
         assert harness.commit_chains() == {}
 
     def test_finite_drops_are_retried_through(self):
-        # A drop set that blankets the first claim round but nothing
-        # after it: the ack-timeout retry goes through and commits.
-        probe = run_one_update(RecordingHarness)
+        # A drop set that blankets the first claim rounds but nothing
+        # after them: the ack-timeout retries go through and commit.
+        probe = run_one_update(RecordingHarness, rival=True)
         probe.run(until=10_000)
-        harness = run_one_update()
+        harness = run_one_update(rival=True)
         for nth in range(len(probe.sends)):
             harness.drop_message(nth)
         harness.run(until=100_000)
-        assert harness.statuses() == {1: "committed"}
+        assert harness.statuses() == {1: "committed", 2: "committed"}
 
     def test_dropped_ack_is_retried_and_still_commits(self):
-        probe = run_one_update(RecordingHarness)
+        probe = run_one_update(RecordingHarness, rival=True)
         probe.run(until=10_000)
         first_ack = next(i for i, k, _s, _d in probe.sends if k == "ACK")
-        harness = run_one_update()
+        harness = run_one_update(rival=True)
         harness.drop_message(first_ack)
         harness.run(until=100_000)
-        assert harness.statuses() == {1: "committed"}
+        assert harness.statuses() == {1: "committed", 2: "committed"}
         assert [(s, d, k) for _t, s, d, k in harness.dropped] == [
             (probe.sends[first_ack][2], probe.sends[first_ack][3], "ACK")
         ]
@@ -192,15 +196,19 @@ class TestKill:
         # tolerance to the platform — and exactly why the adversary
         # exempts kill schedules from the liveness check while still
         # holding them to safety.
+        # Hops (10 ms) outlast the ack timeout (5 ms): the grant the
+        # victim took on its first visit is too old to skip the round
+        # when it wins at s2, so it claims by UPDATE.
         harness = KernelHarness(
-            HOSTS, tunables=ProtocolTunables(grant_ttl=50.0)
+            HOSTS, tunables=ProtocolTunables(grant_ttl=50.0, ack_timeout=5.0),
+            hop_latency=10.0,
         )
         victim = harness.submit("s1", 1, "x", "dead", at=0.0)
-        # t=2: the UPDATE round is under way and every replica holds a
-        # grant for the victim; the COMMIT broadcast would fire at t=3.
-        harness.run(until=2.5)
+        # t=11: the UPDATE round is under way and every replica holds a
+        # grant for the victim; the COMMIT broadcast would fire at t=12.
+        harness.run(until=11.5)
         harness.kill(victim)
-        survivor = harness.submit("s2", 2, "x", "alive", at=10.0)
+        survivor = harness.submit("s2", 2, "x", "alive", at=20.0)
         harness.run(until=100_000)
         # Wedged, not diverged: no resolution, but nothing committed
         # under the dead agent's name either.

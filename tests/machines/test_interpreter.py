@@ -24,6 +24,7 @@ from repro.core.machines.config import ProtocolTunables
 from repro.core.machines.coordinators import VotingMachine
 from repro.core.machines.effects import Broadcast, Done, Effect
 from repro.core.machines.reader import ReaderMachine
+from repro.core.machines.wire import SharedView
 from repro.core.machines.interpreter import (
     EffectInterpreter,
     Resident,
@@ -92,12 +93,18 @@ class World:
             for host in HOSTS
         }
 
-    def agent(self, home, n):
+    def agent(self, home, n, rival=False):
         state = AgentCoreState(
             agent_id=AgentId(home, float(n), n), home=home, batch_id=n,
             requests=[(n, "x", f"v{n}")],
             tour_remaining=set(HOSTS) - {home}, location=home,
         )
+        if rival:
+            # A live rival queued at s3, known second-hand: the agent
+            # asks for no visit grant, so its claim is an UPDATE round.
+            state.table.update(
+                SharedView("s3", 0.0, (AgentId("s3", 9.0, 9),))
+            )
         return Resident(AgentMachine(state, HOSTS, TUNABLES))
 
     def land(self):
@@ -129,14 +136,14 @@ class TestScripts:
         world.hosts["s1"].launch(agent)
         assert [dst for _s, _a, dst in world.shipped] == ["s2"]
         world.land()
-        # Topping s1 and s2 is a majority of three: the claim opens at s2.
-        assert 1 in world.hosts["s2"].claims
-        assert len(kinds(world, "UPDATE")) == 3
-        assert set(agent.timers) == {"ack"}
-        world.flush()
+        # Topping s1 and s2 is a majority of three, and both granted on
+        # the visit: the agent commits at s2 with no UPDATE round.
+        assert kinds(world, "UPDATE") == []
+        assert len(kinds(world, "COMMIT")) == 3
         assert world.disposed == [(agent, "committed")]
         assert world.hosts["s2"].claims == {}
         assert agent.timers == {}
+        world.flush()
         for host in HOSTS:
             entry = world.hosts[host].replica.read("x")
             assert (entry.value, entry.version) == ("v1", 1)
@@ -184,9 +191,23 @@ class TestScripts:
         assert s1.parked == {}
         assert world.shipped[-1][1] is loser
 
+    def test_claim_round_opens_at_the_majority(self):
+        world = World()
+        agent = world.agent("s1", 1, rival=True)
+        world.hosts["s1"].launch(agent)
+        world.land()
+        # Topping s1 and s2 is a majority of three: the claim opens at s2.
+        assert 1 in world.hosts["s2"].claims
+        assert len(kinds(world, "UPDATE")) == 3
+        assert set(agent.timers) == {"ack"}
+        world.flush()
+        assert world.disposed == [(agent, "committed")]
+        assert world.hosts["s2"].claims == {}
+        assert agent.timers == {}
+
     def test_lost_claim_backs_off_then_revisits(self):
         world = World()
-        agent = world.agent("s1", 1)
+        agent = world.agent("s1", 1, rival=True)
         world.hosts["s1"].launch(agent)
         world.land()
         del world.sent[:]  # every UPDATE is lost
@@ -204,7 +225,8 @@ class TestScripts:
         )
         world.fire()
         assert 1 in world.hosts["s2"].claims  # re-visited, won, re-claimed
-        assert agent.machine.state.epoch == 2
+        # epoch 1 failed and was bumped past its RELEASE: the retry is 3
+        assert agent.machine.state.epoch == 3
 
     def test_unreachable_host_is_skipped_for_the_round(self):
         world = World()
@@ -220,7 +242,7 @@ class TestScripts:
 
     def test_superseded_and_cancelled_timers_fire_into_nothing(self):
         world = World()
-        agent = world.agent("s1", 1)
+        agent = world.agent("s1", 1, rival=True)
         world.hosts["s1"].launch(agent)
         world.land()
         (_deadline, stale_ack), = world.timers
@@ -244,7 +266,7 @@ class TestScripts:
 
     def test_evicted_agent_is_deaf_to_timers_and_replies(self):
         world = World()
-        agent = world.agent("s1", 1)
+        agent = world.agent("s1", 1, rival=True)
         world.hosts["s1"].launch(agent)
         world.land()
         world.hosts["s2"].evict(agent)

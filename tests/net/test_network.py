@@ -12,7 +12,7 @@ from repro.sim.rng import RandomStreams
 
 
 def make_network(env, hosts=("a", "b", "c"), latency=None, faults=None,
-                 cost=1.0):
+                 cost=1.0, reliable_kinds=()):
     topo = Topology.full_mesh(list(hosts), cost=cost)
     network = Network(
         env,
@@ -20,6 +20,7 @@ def make_network(env, hosts=("a", "b", "c"), latency=None, faults=None,
         latency=latency or ConstantLatency(2.0),
         faults=faults,
         streams=RandomStreams(0),
+        reliable_kinds=reliable_kinds,
     )
     endpoints = {h: network.register(h) for h in hosts}
     return network, endpoints
@@ -255,6 +256,42 @@ class TestFaultsAndStats:
         eps["a"].send("b", "PING")
         env.run()
         assert eps["b"].pending == 0
+
+    def test_reliable_kind_is_retransmitted_after_a_random_loss(self, env):
+        faults = FaultPlan(links=TransientLinkFaults(drop_probability=0.5))
+        network, eps = make_network(
+            env, faults=faults, reliable_kinds=("COMMIT",)
+        )
+        commits = pushed(env, eps["b"], ("COMMIT", "PING"))
+        for _ in range(20):
+            eps["a"].send("b", "COMMIT")
+            eps["a"].send("b", "PING")
+        env.run()
+        kinds = [msg.kind for _t, msg in commits]
+        assert kinds.count("COMMIT") == 20
+        assert kinds.count("PING") < 20
+        dropped = network.stats.dropped
+        assert dropped[("control", "COMMIT")] > 0
+        # each loss costs a retransmission, and a retransmission is a
+        # transmission
+        assert network.stats.messages[("control", "COMMIT")] == (
+            20 + dropped[("control", "COMMIT")]
+        )
+        # a retransmission waits a round trip (2 x 2 ms) before its leg
+        assert max(t for t, msg in commits if msg.kind == "COMMIT") > 2.0
+
+    def test_a_cut_link_still_loses_a_reliable_kind(self, env):
+        faults = FaultPlan(
+            links=TransientLinkFaults().add_outage("a", "b", 0, 10)
+        )
+        network, eps = make_network(
+            env, faults=faults, reliable_kinds=("COMMIT",)
+        )
+        commits = pushed(env, eps["b"], ("COMMIT",))
+        eps["a"].send("b", "COMMIT")
+        env.run()
+        assert commits == []
+        assert network.stats.total_dropped() == 1
 
     def test_stats_count_messages_and_bytes(self, env):
         network, eps = make_network(env)

@@ -58,6 +58,21 @@ class TestInstrumentedRun:
             == result.committed
         )
 
+    def test_claims_count_by_path(self, instrumented_run):
+        """Every claim is labelled with how it ran, and each committed
+        write committed by exactly one claim, whichever path it took."""
+        hub, result = instrumented_run
+        claims = hub.registry.get("marp_claims_total")
+        assert {s.labels["path"] for s in claims.samples()} <= {
+            "round", "visit",
+        }
+        assert sum(
+            s.value for s in claims.samples()
+            if s.labels["outcome"] == "committed"
+        ) == result.committed
+        for span in hub.tracer.spans_named("claim"):
+            assert span.attrs["path"] in ("round", "visit")
+
     def test_span_families_present(self, instrumented_run):
         hub, result = instrumented_run
         tracer = hub.tracer
@@ -161,9 +176,11 @@ class TestTracingRegression:
         Locking List's arrival index, not a scan: the recorded lines
         are those of ac0e213, strings included, but for the times after
         the first three. Those moved when every UPDATE began to name its
-        keys (a few bytes more per claim round), and again, each a few
+        keys (a few bytes more per claim round), again, each a few
         hundred nanoseconds earlier, when suitcases stopped carrying a
-        finished-set bitset per view."""
+        finished-set bitset per view, and again, after the sixth, when
+        the three writers began to take and give back grants on their
+        visits (their RELEASEs join the traffic)."""
         trace = self.run_traced(None)
         assert all(type(e.detail) is str for e in trace.events)
         visits = [
@@ -177,12 +194,12 @@ class TestTracingRegression:
             (5.2567, "s1", "s2@0#0", "rank 1 of 2"),
             (6.773114, "s2", "s1@0#0", "rank 1 of 2"),
             (6.885313, "s1", "s3@0#0", "rank 2 of 3"),
-            (8.881905, "s3", "s2@0#0", "rank 1 of 2"),
-            (11.090528, "s2", "s3@0#0", "rank 2 of 3"),
-            (11.492301, "s3", "s1@0#0", "rank 2 of 3"),
-            (17.964594, "s3", "s2@0#0", "rank 1 of 2"),
-            (19.118061, "s2", "s3@0#0", "rank 1 of 2"),
-            (25.125775, "s2", "s3@0#0", "rank 0 of 1"),
+            (9.975888, "s3", "s2@0#0", "rank 1 of 2"),
+            (10.673033, "s2", "s3@0#0", "rank 2 of 3"),
+            (11.102324, "s3", "s1@0#0", "rank 2 of 3"),
+            (17.615092, "s3", "s2@0#0", "rank 1 of 2"),
+            (18.733758, "s2", "s3@0#0", "rank 1 of 2"),
+            (25.403656, "s2", "s3@0#0", "rank 0 of 1"),
         ]
 
     def test_trace_events_join_hub_stream(self):

@@ -14,7 +14,8 @@ from repro.obs.journeys import (
 from repro.obs.tracing import SpanTracer
 
 
-def _journey(tracer, trace_id, offset=0.0, fail_first_claim=False):
+def _journey(tracer, trace_id, offset=0.0, fail_first_claim=False,
+             path="round"):
     """Record one synthetic agent journey starting at ``offset`` ms."""
     root = tracer.start_span(
         "request", start=offset, trace_id=trace_id, agent=trace_id,
@@ -44,6 +45,7 @@ def _journey(tracer, trace_id, offset=0.0, fail_first_claim=False):
         wait.finish(end=offset + 10.0)
     tracer.start_span(
         "claim", parent=root, start=offset + 10.0, trace_id=trace_id,
+        path=path,
     ).finish(end=offset + 13.0, status="committed")
     root.finish(end=offset + 14.0, status="committed")
     return root
@@ -143,6 +145,15 @@ class TestCriticalPath:
                 + path.service_ms) == pytest.approx(path.alt_ms)
         assert (path.alt_ms + path.commit_ms
                 + path.tail_ms) == pytest.approx(path.att_ms)
+
+    def test_names_how_the_committed_claim_ran(self):
+        tracer = SpanTracer()
+        _journey(tracer, "a#0")
+        _journey(tracer, "b#0", offset=20.0, path="visit")
+        paths = [j.path for j in reconstruct_journeys(tracer)]
+        assert [p.claim for p in paths] == ["round", "visit"]
+        text = format_journey_report(reconstruct_journeys(tracer))
+        assert "claim" in text and "visit" in text
 
     def test_dominant_component(self):
         tracer = SpanTracer()
