@@ -13,7 +13,7 @@ nothing in CI runs this file.
 
 import pytest
 
-from repro.agents.identity import AgentId
+from repro.core.machines.identity import AgentId
 from repro.core.machines.priority import decide
 from repro.core.machines.table import LockingTable
 from repro.replication.server import SharedView

@@ -16,15 +16,16 @@ Subpackages
     Deterministic discrete-event kernel (SimPy-like).
 ``repro.net``
     Wide-area network: topologies, latency models, fault injection.
-``repro.agents``
-    Mobile-agent platform (the Aglets stand-in).
 ``repro.replication``
-    Replica servers (Algorithm 2), stores, locking lists, clients.
+    Replica servers (the DES substrate of one host), stores, locking
+    lists, clients, and the one DES driver
+    (``repro.replication.protocol.ReplicationProtocol``) of every
+    protocol.
 ``repro.core``
-    The MARP protocol (Algorithm 1, priority calculation, batching), and
-    in ``repro.core.machines.protocols`` the message-passing comparators
-    as rows of one table (MCV, weighted voting, ROWA-AC, primary copy),
-    which ``repro.replication.protocol.Baseline`` drives.
+    The sans-IO protocol kernel: MARP's agent and replica (Algorithms 1
+    and 2), agent identity, the priority calculation, and in
+    ``repro.core.machines.protocols`` every protocol as one row of a
+    table (MARP, MCV, weighted voting, ROWA-AC, primary copy).
 ``repro.runtime``
     Live threaded backend with real pickled agent migration.
 ``repro.workload`` / ``repro.analysis`` / ``repro.experiments``
@@ -33,16 +34,14 @@ Subpackages
 """
 
 from repro._version import __version__
-from repro.core.config import MARPConfig
-from repro.core.protocol import MARP
 from repro.replication.deployment import Deployment
+from repro.replication.protocol import MARP
 from repro.replication.requests import READ, WRITE, RequestRecord
 
 __all__ = [
     "__version__",
     "Deployment",
     "MARP",
-    "MARPConfig",
     "RequestRecord",
     "READ",
     "WRITE",

@@ -1,29 +1,6 @@
-"""MARP — the paper's contribution: mobile-agent replication control."""
+"""MARP — the paper's contribution: mobile-agent replication control.
 
-from repro.core.config import MARPConfig
-from repro.core.machines.priority import (
-    OTHER,
-    STALEMATE,
-    UNDECIDED,
-    WIN,
-    Decision,
-    decide,
-    rank_queue,
-)
-from repro.core.machines.table import LockingTable
-from repro.core.protocol import MARP
-from repro.core.update_agent import UpdateAgent
-
-__all__ = [
-    "MARP",
-    "MARPConfig",
-    "UpdateAgent",
-    "LockingTable",
-    "Decision",
-    "decide",
-    "rank_queue",
-    "WIN",
-    "OTHER",
-    "STALEMATE",
-    "UNDECIDED",
-]
+The protocol lives in the sans-IO kernel, :mod:`repro.core.machines`;
+:mod:`repro.replication.protocol` runs it on the DES and
+:mod:`repro.runtime` on threads.
+"""

@@ -17,7 +17,10 @@ execution backend:
   and :mod:`~repro.core.machines.participants` — their per-host
   participants (:class:`LockKeeper`, :class:`CopyKeeper`), attached to
   the same interpreter; :mod:`~repro.core.machines.protocols` — the
-  table (:data:`ROWS`) of which of them each baseline runs, and how;
+  table (:data:`ROWS`) of which of them each protocol, MARP included,
+  runs, and how;
+* :mod:`~repro.core.machines.identity` — :class:`AgentId`, totally
+  ordered (the priority tie-break), and its per-host factory;
 * :mod:`~repro.core.machines.events` / :mod:`~repro.core.machines.effects`
   — the typed inputs the machines consume and the typed effects they
   emit;
@@ -46,14 +49,13 @@ execution backend:
   safety/liveness checkers, a generator, a shrinker and campaign
   tooling (see ``docs/fault-campaigns.md``).
 
-The kernel imports nothing from :mod:`repro.core` (outside this
-package), :mod:`repro.replication`, :mod:`repro.sim`, :mod:`repro.net`
-or :mod:`repro.runtime` — only :mod:`repro.errors` and
-:mod:`repro.agents.identity`. (The adversary's campaign runner binds
-to :mod:`repro.obs` lazily, for counters, without dragging it into
-kernel imports.) See ``docs/architecture.md``.
+The kernel imports nothing of the package outside itself but
+:mod:`repro.errors`. (The adversary's campaign runner binds to
+:mod:`repro.obs` lazily, for counters, without dragging it into kernel
+imports.) See ``docs/architecture.md``.
 """
 
+from repro.core.machines.identity import AgentId, AgentIdFactory
 from repro.core.machines.intern import Interner
 from repro.core.machines.structures import (
     CommitRecord,
@@ -126,9 +128,11 @@ from repro.core.machines.coordinators import (
 )
 from repro.core.machines.participants import CopyKeeper, LockKeeper
 from repro.core.machines.protocols import (
-    ROWS, ProtocolRow, check_votes, protocol_row,
+    ITINERARIES, ROWS, ProtocolRow, check_votes, protocol_row,
 )
-from repro.core.machines.agent import AgentCoreState, AgentMachine
+from repro.core.machines.agent import (
+    AgentCoreState, AgentMachine, suitcase_size,
+)
 from repro.core.machines.interpreter import (
     EffectInterpreter,
     Resident,
@@ -165,6 +169,8 @@ from repro.core.machines.adversary import (
 )
 
 __all__ = [
+    # identity
+    "AgentId", "AgentIdFactory",
     # structures
     "CommitRecord", "HistoryLog", "Interner", "LockEntry", "LockingList",
     "LockView", "UpdatedList", "VersionedStore", "VersionedValue",
@@ -185,10 +191,11 @@ __all__ = [
     "Recovered", "ReleaseNotify", "Send", "SetTimer", "Visit",
     # machines + interpreter + harness
     "ReplicaMachine", "ReaderMachine", "AgentCoreState", "AgentMachine",
+    "suitcase_size",
     "VotingMachine", "LadderMachine", "ForwardMachine",
     "LockKeeper", "CopyKeeper",
-    # the baselines as rows
-    "ProtocolRow", "ROWS", "protocol_row", "check_votes",
+    # every protocol as a row
+    "ProtocolRow", "ROWS", "ITINERARIES", "protocol_row", "check_votes",
     "EffectInterpreter", "Resident", "Substrate",
     "KernelHarness", "replay", "EventBudgetExceeded", "DROPPABLE_KINDS",
     "RELIABLE_KINDS",

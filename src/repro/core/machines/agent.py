@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.agents.identity import AgentId
+from repro.core.machines.identity import AgentId, host_bytes
 from repro.core.machines.effects import (
     Backoff,
     Broadcast,
@@ -60,7 +60,7 @@ from repro.core.machines.priority import OTHER, STALEMATE, WIN, Decision, decide
 from repro.core.machines.table import LockingTable
 from repro.core.machines.wire import Transform, UpdatePayload, WriteOp
 
-__all__ = ["AgentCoreState", "AgentMachine"]
+__all__ = ["AgentCoreState", "AgentMachine", "suitcase_size"]
 
 #: Lifecycle phases of the agent machine.
 TOURING = "touring"
@@ -142,6 +142,26 @@ class AgentCoreState:
     parked_since: Optional[float] = None
     migrate_sent_at: Optional[float] = None
     migrate_src: Optional[str] = None
+
+
+#: What the suitcase's description spends beyond its contents: the
+#: container, its four key names and the un-visited list's container.
+_SUITCASE_BASE = (
+    16 + len("agent_id") + len("requests") + len("unvisited") + len("table")
+    + 16
+)
+
+
+def suitcase_size(state: AgentCoreState, requests_size: int) -> int:
+    """Bytes a migration charges for ``state``: ``estimate_size`` of
+    the paper's suitcase ``{"agent_id", "requests", "unvisited":
+    sorted(tour_remaining), "table"}``, given the Request List's size,
+    which does not change while the agent travels."""
+    return (
+        _SUITCASE_BASE + state.agent_id.wire_size() + requests_size
+        + sum(map(host_bytes, state.tour_remaining))
+        + state.table.wire_size()
+    )
 
 
 class AgentMachine:

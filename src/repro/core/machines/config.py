@@ -1,22 +1,18 @@
 """One kernel-level home for every protocol tunable.
 
-Both execution backends used to restate the same timer/tunable fields
-(``MARPConfig`` + ``ReplicaConfig`` for the DES, ``LiveConfig`` for the
-live runtime) with independently maintained defaults — a drift hazard.
-The machines consume only a :class:`ProtocolTunables`, and the two
-backend config dataclasses now *source their defaults from here*:
+The machines consume only a :class:`ProtocolTunables`. The DES's MARP
+agents run on :data:`DES_TUNABLES` itself, and the backend config
+dataclasses (``ReplicaConfig`` for the DES, ``LiveConfig`` for the live
+runtime) *source their defaults from here*:
 
 * :data:`DES_TUNABLES` — the paper-evaluation scale (simulated ms).
 * :data:`LIVE_TUNABLES` — wall-clock scale for the threaded runtime,
   where a whole experiment runs in a couple of real seconds.
 
-The scale difference between the backends is intentional and now
-explicit in one file instead of scattered across three dataclasses.
-
 ``ProtocolTunables`` is duck-typed on purpose: the machines only read
-the attributes, so any object exposing them (``MARPConfig``,
-``ReplicaConfig``, ``LiveConfig``, or a ``ProtocolTunables`` itself)
-can drive a machine — including configs mutated after construction.
+the attributes, so any object exposing them (``ReplicaConfig``,
+``LiveConfig``, or a ``ProtocolTunables`` itself) can drive a machine —
+including configs mutated after construction.
 """
 
 from __future__ import annotations

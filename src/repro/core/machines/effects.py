@@ -57,7 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, Optional, Tuple
 
-from repro.agents.identity import AgentId
+from repro.core.machines.identity import AgentId
 from repro.core.machines.wire import SharedView, WriteOp
 
 __all__ = [

@@ -3,7 +3,7 @@
 The flat-state kernel (see ``docs/architecture.md``, "Kernel internals")
 stores protocol state — locking-list queues, Updated-List membership,
 priority tallies — as preallocated flat arrays indexed by *interned*
-ids: each distinct :class:`~repro.agents.identity.AgentId` (or host
+ids: each distinct :class:`~repro.core.machines.identity.AgentId` (or host
 name) a structure encounters is assigned the next dense integer slot,
 first-seen order. Interning turns the dataclass hashing that dominated
 ``decide`` profiles (one ``AgentId.__hash__`` per membership probe)

@@ -45,7 +45,7 @@ from collections import deque
 from typing import Any, Callable, Dict, Iterable, Optional, Set
 
 from repro.errors import ProtocolError
-from repro.agents.identity import AgentId
+from repro.core.machines.identity import AgentId
 from repro.core.machines.agent import AgentCoreState, AgentMachine
 from repro.core.machines.effects import (
     Backoff,

@@ -1,17 +1,16 @@
-"""The message-passing baselines as data: one row per protocol.
+"""Every protocol as data: one row per protocol.
 
-The paper argues (§1) that conventional replication protocols are
-expensive because "multiple local processes need to participate in
-sessions of passing messages and waiting for replies". To measure that
-(T1/T2 in DESIGN.md), each protocol it cites runs over MARP's substrate
-as three kernel machines, which its :class:`ProtocolRow` names: the
-participant every host runs, the write coordinator at the request's
-home, and the quorum read on ``{prefix}_READV`` or none (read-one). Its
-prefix (``MCV_LOCK``, ``WV_GRANT``, …) keeps its kinds from the MARP
-replica's. :func:`protocol_row` builds a row of :data:`ROWS`, which
-rejects another row's setting with ``TypeError``; the DES driver
-(:class:`~repro.replication.protocol.Baseline`) and the replay harness
-(:meth:`~repro.core.machines.replay.KernelHarness.attach`) read it.
+MARP and the protocols the paper measures it against (§1 builds it on
+MCV; T1/T2 compare them) each run as three kernel machines, which its
+:class:`ProtocolRow` names: the participant every host runs (MARP's is
+the replica itself, Algorithm 2), the write at the request's home
+(MARP's an update agent, Algorithm 1) and the quorum read, or none
+(read-one). A baseline's prefix (``MCV_LOCK``, ``WV_GRANT``, …) keeps
+its kinds from the MARP replica's. :func:`protocol_row` builds a row of
+:data:`ROWS`, which rejects another row's setting with ``TypeError``;
+the DES driver (:class:`~repro.replication.protocol.ReplicationProtocol`)
+and the replay harness (:meth:`~repro.core.machines.replay.KernelHarness.attach`)
+read it.
 """
 
 from __future__ import annotations
@@ -19,27 +18,39 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Mapping, Optional, Sequence
 
+from repro.core.machines.agent import AgentCoreState, AgentMachine
+from repro.core.machines.config import DES_TUNABLES
 from repro.core.machines.coordinators import (
     ForwardMachine, LadderMachine, VotingMachine,
 )
 from repro.core.machines.effects import Broadcast
+from repro.core.machines.identity import AgentId
 from repro.core.machines.participants import CopyKeeper, LockKeeper
 from repro.core.machines.reader import ReaderMachine
 
-__all__ = ["ProtocolRow", "ROWS", "protocol_row", "check_votes"]
+__all__ = [
+    "ProtocolRow", "ROWS", "ITINERARIES", "protocol_row", "check_votes",
+]
+
+#: The itinerary policies a MARP agent may follow (the substrate's
+#: ``choose``): the paper's, and the A1 ablation's.
+ITINERARIES = (
+    "cost-sorted", "initial-cost-order", "static-order", "random-order",
+)
 
 
 @dataclass(frozen=True)
 class ProtocolRow:
-    """One baseline over a set of hosts: its name, the prefix of its
+    """One protocol over a set of hosts: its name, the prefix of its
     message kinds, its settings (validated, defaults filled in) and the
     three machines it builds."""
 
     name: str
     prefix: str
     settings: Dict[str, Any]
-    #: ``(host, replica)`` -> the participant ``host`` runs
-    participant: Callable[[str, Any], Any]
+    #: ``(host, replica)`` -> the participant ``host`` runs; ``None``:
+    #: the replica itself (MARP)
+    participant: Optional[Callable[[str, Any], Any]]
     #: ``(request_id, key, value, home)`` -> the write's coordinator
     write: Callable[[int, str, Any, str], Any]
     #: ``(request_id, key, home)`` -> the quorum read; ``None``: read-one
@@ -57,6 +68,52 @@ def check_votes(votes: Mapping[str, int], hosts: Sequence[str]) -> int:
     if total < 1:
         raise ValueError(f"total votes must be >= 1: {total}")
     return total
+
+
+def marp(hosts: Sequence[str], votes: Optional[Dict[str, int]] = None,
+         itinerary: str = "cost-sorted", read_strategy: str = "local",
+         batch_size: int = 1) -> ProtocolRow:
+    """MARP, the paper's protocol: each write travels as an update agent,
+    carrying one request or ``batch_size`` of them (§3.2), around the
+    hosts in ``itinerary`` order until it tops a majority of Locking
+    Lists, by count or by ``votes`` (§5's "generic method"). A read is
+    local or, with ``read_strategy="quorum"``, a majority ``READQ``
+    round ([D5]). Its agents run on :data:`DES_TUNABLES`."""
+    if votes is not None:
+        check_votes(votes, hosts)
+    if itinerary not in ITINERARIES:
+        raise ValueError(f"unknown itinerary strategy {itinerary!r}")
+    if read_strategy not in ("local", "quorum"):
+        raise ValueError(f"unknown read strategy {read_strategy!r}")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1: {batch_size}")
+
+    def write(request_id, key, value, home, agent_id: Optional[AgentId] = None,
+              requests=None) -> AgentMachine:
+        # A batch names its agent by its first request; a substrate
+        # passes the agent's id and the whole Request List.
+        if requests is None:
+            requests = [(request_id, key, value)]
+        elif not requests:
+            raise ValueError("an update agent needs at least one request")
+        return AgentMachine(AgentCoreState(
+            agent_id=agent_id or AgentId(home, 0.0, request_id),
+            home=home,
+            batch_id=request_id,
+            requests=requests,
+            tour_remaining=set(hosts) - {home},
+            location=home,
+        ), hosts, DES_TUNABLES, votes=votes)
+
+    def reader(request_id, key, home) -> ReaderMachine:
+        return ReaderMachine(request_id, Broadcast("READQ", {
+            "request_id": request_id, "key": key,
+        }), len(hosts) // 2 + 1, DES_TUNABLES.ack_timeout)
+
+    return ProtocolRow("marp", "", dict(
+        votes=votes, itinerary=itinerary, read_strategy=read_strategy,
+        batch_size=batch_size,
+    ), None, write, reader if read_strategy == "quorum" else None)
 
 
 def _voting_row(name: str, prefix: str, hosts: Sequence[str],
@@ -233,8 +290,9 @@ def primary_copy(hosts: Sequence[str], primary: Optional[str] = None,
     ), participant, write, None)
 
 
-#: Every baseline, by the name a run configuration gives it.
+#: Every protocol, by the name a run configuration gives it.
 ROWS: Dict[str, Callable[..., ProtocolRow]] = {
+    "marp": marp,
     "mcv": mcv,
     "weighted-voting": weighted_voting,
     "available-copies": available_copies,

@@ -41,10 +41,11 @@ randomizes over, all of them deterministic:
   mid-flight, leaving its lock entries and any unreleased grants behind
   (the grant-TTL expiry path exists exactly for this).
 
-The message-passing baselines run here too: :meth:`KernelHarness.attach`
-attaches a row's participants (:mod:`~repro.core.machines.protocols`)
-at every host, and :meth:`KernelHarness.coordinate` starts the row's
-writes (``row.write(...)``) and quorum reads.
+Every row of the protocol table runs here
+(:mod:`~repro.core.machines.protocols`): :meth:`KernelHarness.attach`
+attaches a row's participants at every host, and
+:meth:`KernelHarness.coordinate` starts the row's writes
+(``row.write(...)``, a MARP agent included) and quorum reads.
 
 The harness is *not* a third execution backend for experiments; it
 exists so protocol edge cases and cross-machine races are testable
@@ -56,7 +57,7 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from repro.agents.identity import AgentId
+from repro.core.machines.identity import AgentId
 from repro.core.machines.agent import AgentCoreState, AgentMachine
 from repro.core.machines.audit import (
     AuditReport, check_histories, commits_of, store_cells,
@@ -246,38 +247,42 @@ class KernelHarness:
         at: float = 0.0,
         created_seq: int = 0,
     ) -> AgentId:
-        """Create one update agent at ``home``; it starts touring at ``at``."""
-        agent_id = AgentId(home, at, created_seq)
-        state = AgentCoreState(
-            agent_id=agent_id,
+        """Create one update agent at ``home``, over the harness's
+        tunables; it starts touring at ``at``."""
+        machine = AgentMachine(AgentCoreState(
+            agent_id=AgentId(home, at, created_seq),
             home=home,
             batch_id=request_id,
             requests=[(request_id, key, value)],
             tour_remaining=set(self.hosts) - {home},
             location=home,
-        )
-        run = _AgentRun(
-            AgentMachine(state, self.hosts, self.tunables), host=home
-        )
-        self.agents[agent_id] = run
-        self._schedule(at, self._start, run)
-        return agent_id
+        ), self.hosts, self.tunables)
+        self.coordinate(home, machine, at)
+        return machine.state.agent_id
 
     def attach(self, row) -> None:
         """Run ``row``'s participant at every host (a
         :class:`~repro.core.machines.protocols.ProtocolRow` over
-        :attr:`hosts`)."""
+        :attr:`hosts`); MARP's is the replica, already there."""
+        if row.participant is None:
+            return
         for host in self.hosts:
             self.interpreters[host].attach(
                 row.participant(host, self.replicas[host])
             )
 
     def coordinate(self, home: str, machine, at: float = 0.0) -> None:
-        """Start a baseline's coordinator at ``home`` at ``at`` (its
+        """Start a row's write or quorum read at ``home`` at ``at`` (its
         row attached beforehand, :meth:`attach`); its final status
-        lands in :attr:`results` under its request id."""
-        self._schedule(at, self.interpreters[home].coordinate,
-                       Resident(machine))
+        lands in :attr:`results` under its request id. MARP's write is
+        an agent, which tours from there."""
+        if isinstance(machine, AgentMachine):
+            run = _AgentRun(machine, host=home)
+            self.agents[machine.state.agent_id] = run
+            self._schedule(at, self._start, run)
+        else:
+            self._schedule(at, self.interpreters[home].coordinate,
+                           Resident(machine))
 
     def crash(self, host: str, at: Optional[float] = None) -> None:
         if at is None:

@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ProtocolError
-from repro.agents.identity import AgentId
+from repro.core.machines.identity import AgentId
 from repro.core.machines.effects import (
     CommitApplied,
     Effect,

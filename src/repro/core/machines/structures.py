@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import ProtocolError
-from repro.agents.identity import AgentId
+from repro.core.machines.identity import AgentId
 
 __all__ = [
     "LockEntry", "LockingList", "UpdatedList", "LockView",

@@ -48,7 +48,7 @@ from collections import Counter
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import ProtocolError
-from repro.agents.identity import AgentId
+from repro.core.machines.identity import AgentId
 from repro.core.machines.intern import Interner
 from repro.core.machines.wire import SharedView, SharedViewDelta
 

@@ -132,15 +132,18 @@ def _variant_table(
     repeats: int,
     runner=None,
 ) -> AblationTable:
+    # ``param`` is a RunConfig field or else a setting of the MARP row.
     runner = runner if runner is not None else get_default_runner()
     table = AblationTable(
         title=title,
         headers=[param, "committed", "ALT(ms)", "ATT(ms)", "agent hops",
                  "ctl msgs", "consistent"],
     )
-    grouped = runner.run_repeats_many(
-        [base.with_(**{param: variant}) for variant in variants], repeats
-    )
+    grouped = runner.run_repeats_many([
+        base.with_(**{param: variant}) if hasattr(base, param)
+        else base.with_(protocol_kwargs={param: variant})
+        for variant in variants
+    ], repeats)
     for variant, results in zip(variants, grouped):
         agg = _aggregate(results)
         table.rows.append(

@@ -20,15 +20,13 @@ from repro.analysis.consistency import (
     AuditReport, ChainDigest, audit, streaming_audit,
 )
 from repro.analysis.metrics import StreamingMetrics, alt, att, prk, throughput
-from repro.core.config import MARPConfig
 from repro.core.machines import ROWS
-from repro.core.protocol import MARP
 from repro.net.faults import FaultPlan
 from repro.net.latency import hybrid_profile, lan_profile, wan_profile
 from repro.net.topology import Topology
 from repro.replication.client import attach_clients
 from repro.replication.deployment import Deployment
-from repro.replication.protocol import Baseline
+from repro.replication.protocol import ReplicationProtocol
 from repro.replication.requests import RequestRecord, new_request_id
 from repro.replication.server import ReplicaConfig
 from repro.sim.rng import RandomStreams, spawn_seed
@@ -65,14 +63,13 @@ class RunConfig:
     topology: str = "mesh"  # "mesh" | "random-costs"
     horizon: float = 5_000_000.0
     faults: Optional[FaultPlan] = None
-    # MARP-specific knobs (ignored by baselines)
-    itinerary: str = "cost-sorted"
-    batch_size: int = 1
-    read_strategy: str = "local"
     # substrate knobs
     agent_service_time: float = 2.0
     update_apply_time: float = 0.5
     enable_bulletin: bool = True
+    #: the protocol row's settings (MARP's ``itinerary``,
+    #: ``read_strategy``, ``batch_size``, ``votes``; a baseline's quorums
+    #: and timeouts): another row's setting is a ``TypeError``
     protocol_kwargs: Dict[str, Any] = field(default_factory=dict)
     # Hosts to leave out of a *second* audit computed at run time (the
     # availability experiment excludes permanently crashed replicas).
@@ -197,19 +194,14 @@ def _build_deployment(config: RunConfig) -> Deployment:
 
 def build_protocol(deployment: Deployment, config: RunConfig):
     """Instantiate the configured protocol over a deployment."""
-    if config.protocol == "marp":
-        marp_config = MARPConfig(
-            itinerary=config.itinerary,
-            batch_size=config.batch_size,
-            read_strategy=config.read_strategy,
-        )
-        return MARP(deployment, config=marp_config)
     if config.protocol not in ROWS:
         raise ExperimentError(
-            f"unknown protocol {config.protocol!r}; expected 'marp' or one "
-            f"of {sorted(ROWS)}"
+            f"unknown protocol {config.protocol!r}; expected one of "
+            f"{sorted(ROWS)}"
         )
-    return Baseline(deployment, config.protocol, **config.protocol_kwargs)
+    return ReplicationProtocol(
+        deployment, config.protocol, **config.protocol_kwargs
+    )
 
 
 def run_once(config: RunConfig) -> RunResult:

@@ -115,8 +115,8 @@ def self_check(verbose: bool = False) -> SelfCheckReport:
     run_hub = ObservabilityHub()
 
     def instrumented_run() -> None:
-        from repro.core.protocol import MARP
         from repro.replication.deployment import Deployment
+        from repro.replication.protocol import MARP
 
         deployment = Deployment(n_replicas=3, seed=0, obs=run_hub)
         deployment.enable_tracing()  # protocol.* events join the hub

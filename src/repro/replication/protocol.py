@@ -1,62 +1,120 @@
-"""The replication-protocol interface, and the DES driver of the baselines.
+"""The DES driver of every protocol, and the paper's :func:`MARP`::
 
-MARP and every message-passing baseline implement this interface over a
-shared :class:`~repro.replication.deployment.Deployment`, so workloads,
-metrics and consistency audits are protocol-agnostic. :class:`Baseline`
-drives any row of the kernel's table (:mod:`~repro.core.machines.protocols`).
+    from repro import Deployment, MARP
+
+    deployment = Deployment(n_replicas=5, seed=42)
+    marp = MARP(deployment)
+    record = marp.submit_write("s1", "x", 7)
+    deployment.run()
+    assert record.status == "committed"
+
+MARP and its baselines are rows of :mod:`~repro.core.machines.protocols`
+over a shared :class:`~repro.replication.deployment.Deployment`, so
+workloads, metrics and consistency audits are protocol-agnostic.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from operator import attrgetter
+from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.core.machines import (
-    Done, LadderMachine, ReaderMachine, Resident, VotingMachine,
-    protocol_row,
+    AgentMachine, LadderMachine, ReaderMachine, Resident, VotingMachine,
+    protocol_row, suitcase_size,
 )
 from repro.errors import ReplicationError
+from repro.net.message import estimate_size
 from repro.replication.deployment import Deployment
-from repro.replication.requests import READ, WRITE, RequestRecord, new_request_id
+from repro.replication.requests import (
+    READ, WRITE, RequestRecord, Transform, new_request_id,
+)
 
-__all__ = ["ReplicationProtocol", "Baseline", "Coordinator"]
+__all__ = ["ReplicationProtocol", "Coordinator", "MARP"]
+
+#: Ms after which a partial batch of writes leaves as an agent (paper
+#: §3.2: "after a pre-defined number of requests have been received or
+#: periodically").
+BATCH_FLUSH_INTERVAL = 100.0
 
 
 class Coordinator(Resident):
-    """A coordinator (a baseline's write, any quorum read) as its home
-    host holds it: the machine, the request's record and the protocol's
-    back-off stream (the DES substrate draws a ``Backoff`` from
-    ``stream``). At ``Done``, ``close(record, machine, now)``, if given,
-    records what the machine found, and the record closes."""
+    """A machine as its home host holds it (a MARP agent, a baseline's
+    write, a quorum read), with the records it fills in and the driver
+    that made it. Random draws come from ``stream``: a baseline's shared
+    back-off stream, or an agent's own ``agent.{id}``, derived at its
+    first draw (most agents never draw)."""
 
-    def __init__(self, machine, record: RequestRecord, stream=None,
-                 close=None) -> None:
+    def __init__(self, machine, records: List[RequestRecord],
+                 protocol: Optional["ReplicationProtocol"], stream=None,
+                 requests_size: int = 0) -> None:
         super().__init__(machine)
-        self.record = record
-        self.stream = stream
-        self.close = close
+        self.records = records
+        self.protocol = protocol
+        self._stream = stream
+        #: bytes of an agent's Request List (see :func:`suitcase_size`)
+        self.requests_size = requests_size
+        #: ``(time, host)`` per arrival of an agent, launch included
+        self.travel_log: List = []
+        #: the hosts by cost from home (``initial-cost-order``)
+        self.plan: Optional[List[str]] = None
+        self.disposed = False
 
-    def finished(self, effect: Done, now: float) -> None:
-        record = self.record
-        if self.close is not None:
-            self.close(record, self.machine, now)
-        record.completed_at = now
-        record.status = effect.status
+    @property
+    def stream(self):
+        if self._stream is None:
+            self._stream = self.protocol.deployment.streams.stream(
+                f"agent.{self.agent_id}"
+            )
+        return self._stream
+
+    #: an agent's carried state (its suitcase, and the claim's), and
+    #: what the DES reads of it
+    core = property(attrgetter("machine.state"))
+    agent_id = property(attrgetter("machine.state.agent_id"))
+    table = property(attrgetter("machine.state.table"))
+    hops = property(attrgetter("machine.state.hops"))
+
+    def suitcase_size(self) -> int:
+        """Bytes an agent's migration charges for what it carries."""
+        return suitcase_size(self.machine.state, self.requests_size)
+
+    # -- record keeping (called by the hosting server) ----------------------
+
+    def lock_won(self, effect, now: float) -> None:
+        """ALT inputs (overwritten if the claim round fails and the lock
+        has to be re-acquired)."""
+        for record in self.records:
+            record.lock_acquired_at = now
+            record.visits_to_lock = effect.visits
+            record.extra["visit_events_to_lock"] = effect.visit_events
+            record.extra["win_reason"] = effect.reason
+            record.extra["parks"] = effect.parks
+
+    def finished(self, effect, now: float) -> None:
+        """A coordinator's ``Done`` or an agent's ``Dispose``: the
+        records keep what the machine found and take its status."""
+        close = _CLOSE.get(self.machine.__class__)
+        if close is not None:
+            close(self, effect, now)
+        for record in self.records:
+            record.completed_at = now
+            record.status = effect.status
 
 
 class ReplicationProtocol:
-    """Base class for replication control protocols.
+    """The row called ``name`` with ``settings``, on the DES: a
+    baseline's participant attached at every server (MARP's is the
+    replica), each write a :class:`Coordinator` at its home host (MARP's
+    an agent, launched there, in batches above ``batch_size=1``), each
+    quorum read one too, and a read without one local. Each request
+    runs asynchronously and ends by setting ``record.status``."""
 
-    Subclasses implement :meth:`_start_write` and :meth:`_start_read`,
-    which must *asynchronously* process the request (scheduling
-    simulation events) and fill in the record's timeline fields, finally
-    setting ``record.status``.
-    """
-
-    name = "abstract"
-
-    def __init__(self, deployment: Deployment) -> None:
+    def __init__(self, deployment: Deployment, name: str,
+                 **settings) -> None:
         self.deployment = deployment
         self.env = deployment.env
+        self.name = name
+        self.row = row = protocol_row(name, deployment.hosts, **settings)
         self.records: List[RequestRecord] = []
         # Streaming mode (enable_streaming): terminal records are swept
         # out of self.records into the sink, so memory stays O(in-flight)
@@ -65,6 +123,25 @@ class ReplicationProtocol:
         self._sweep_every = 0
         self._since_sweep = 0
         self.swept = 0
+        #: MARP's agents in flight (a finished one leaves, see
+        #: :meth:`retire_agent`); None for a row whose writes stay home
+        self.agents: Optional[List[Coordinator]] = None
+        self._retired_hops = 0
+        self._buffers: Optional[Dict[str, List[RequestRecord]]] = None
+        self._stream = None
+        if row.participant is None:
+            self.agents = []
+            self.itinerary = row.settings["itinerary"]
+            self._batch_size = row.settings["batch_size"]
+            if self._batch_size > 1:
+                self._buffers = {}
+                #: homes whose flush timer is armed
+                self._flushing: Set[str] = set()
+        else:
+            for host in deployment.hosts:
+                server = deployment.server(host)
+                server.attach(row.participant(host, server.machine))
+            self._stream = deployment.streams.stream(f"{row.prefix}.backoff")
 
     # -- submission API (used by clients and examples) ----------------------
 
@@ -81,47 +158,128 @@ class ReplicationProtocol:
         raise ReplicationError(f"unknown operation {op!r}")
 
     def submit_write(self, home: str, key: str, value: Any) -> RequestRecord:
+        if isinstance(value, Transform) and self.agents is None:
+            # Only an agent fetches the freshest committed copy first.
+            raise ReplicationError(
+                f"{self.name} cannot apply a read-modify-write"
+            )
+        return self._submit(home, WRITE, key, value)
+
+    def submit_rmw(
+        self, home: str, key: str, fn: Callable[[Any], Any],
+        description: str = "",
+    ) -> RequestRecord:
+        """Submit an atomic read-modify-write: ``value = fn(current)``.
+
+        The winning agent fetches the freshest committed copy from its
+        acknowledgement quorum before applying ``fn`` ("uses the most
+        recent copy", paper §3.1), so concurrent RMWs compose without
+        lost updates. A baseline refuses it (``ReplicationError``).
+        """
+        return self.submit_write(home, key, Transform(fn, description))
+
+    def submit_read(self, home: str, key: str) -> RequestRecord:
+        return self._submit(home, READ, key)
+
+    def _submit(self, home: str, op: str, key: str,
+                value: Any = None) -> RequestRecord:
         record = RequestRecord(
             request_id=new_request_id(),
             home=home,
-            op=WRITE,
+            op=op,
             key=key,
             value=value,
             created_at=self.env.now,
         )
         self.records.append(record)
-        self._start_write(record)
+        if op == READ:
+            self._read(record)
+        elif self._buffers is not None:
+            self._buffer(record)
+        else:
+            self._dispatch(home, [record])
         if self._stream_sink is not None:
             self._maybe_sweep()
         return record
 
-    def submit_read(self, home: str, key: str) -> RequestRecord:
-        record = RequestRecord(
-            request_id=new_request_id(),
-            home=home,
-            op=READ,
-            key=key,
-            created_at=self.env.now,
+    # -- writes ---------------------------------------------------------------
+
+    def _dispatch(self, home: str, records: List[RequestRecord]) -> None:
+        """Start the write of ``records`` at ``home``: MARP's agent
+        carrying all of them, or a baseline's coordinator of one."""
+        first, now = records[0], self.env.now
+        server = self.deployment.server(home)
+        for record in records:
+            record.dispatched_at = now
+        if self.agents is None:
+            server.interpreter.coordinate(Coordinator(self.row.write(
+                first.request_id, first.key, first.value, home,
+            ), records, self, self._stream))
+            return
+        agent_id = server.id_factory.new(now)
+        requests = [(r.request_id, r.key, r.value) for r in records]
+        for record in records:
+            record.agent_id = str(agent_id)
+        agent = Coordinator(self.row.write(
+            first.request_id, first.key, first.value, home, agent_id,
+            requests,
+        ), records, self, requests_size=estimate_size(requests))
+        self.agents.append(agent)
+        server.launch(agent)
+
+    def _buffer(self, record: RequestRecord) -> None:
+        """Buffer one write at its home: the batch leaves when it fills,
+        or when the flush timer armed by its first write fires."""
+        home = record.home
+        buffer = self._buffers.setdefault(home, [])
+        buffer.append(record)
+        if len(buffer) >= self._batch_size:
+            self._flush(home)
+        elif home not in self._flushing:
+            self._flushing.add(home)
+            self.env.call_in(BATCH_FLUSH_INTERVAL, self._flush_timer, home)
+
+    def _flush(self, home: str) -> None:
+        records = self._buffers.pop(home, None)
+        if records:
+            self._dispatch(home, records)
+
+    def _flush_timer(self, home: str) -> None:
+        self._flushing.discard(home)
+        self._flush(home)
+
+    def retire_agent(self, agent: Coordinator) -> None:
+        """A finished agent reports in, right after its records close,
+        and leaves the run ("broadcasts COMMIT, disposes").
+
+        Only its hop count is kept. An agent holds its Locking Table and
+        a view per known host, so keeping every one would make a run's
+        memory grow with its length; to inspect a finished agent, hold a
+        reference to it before it finishes, or read the trace.
+        """
+        self._retired_hops += agent.hops
+        self.agents.remove(agent)
+
+    def total_agent_hops(self) -> int:
+        """Migrations completed by every agent ever launched."""
+        return self._retired_hops + sum(
+            agent.hops for agent in self.agents or ()
         )
-        self.records.append(record)
-        self._start_read(record)
-        if self._stream_sink is not None:
-            self._maybe_sweep()
-        return record
 
-    # -- protocol hooks ---------------------------------------------------------
+    # -- reads ----------------------------------------------------------------
 
-    def _start_write(self, record: RequestRecord) -> None:  # pragma: no cover
-        raise NotImplementedError
-
-    def _start_read(self, record: RequestRecord) -> None:  # pragma: no cover
-        raise NotImplementedError
-
-    def _read_local(self, record: RequestRecord) -> None:
-        """Serve ``record`` from its home replica's copy once the
-        server's ``read_service_time`` has passed — the read-one path
-        (fast, not guaranteed fresh)."""
+    def _read(self, record: RequestRecord) -> None:
+        """The row's quorum read, or else a local read: served from the
+        home replica's copy once the server's ``read_service_time`` has
+        passed — the read-one path (fast, not guaranteed fresh)."""
+        record.dispatched_at = self.env.now
         server = self.deployment.server(record.home)
+        if self.row.reader is not None:
+            server.interpreter.coordinate(Coordinator(self.row.reader(
+                record.request_id, record.key, record.home,
+            ), [record], self))
+            return
+        record.extra["read_strategy"] = "local"
 
         def read(_arg: None = None) -> None:
             entry = server.read(record.key)
@@ -200,71 +358,56 @@ class ReplicationProtocol:
 
     def __repr__(self) -> str:
         return (
-            f"<{type(self).__name__} requests={len(self.records)} "
+            f"<{self.name} requests={len(self.records)} "
             f"open={self.open_requests()}>"
         )
 
 
-class Baseline(ReplicationProtocol):
-    """The row called ``name`` (``"mcv"``, ``"weighted-voting"``,
-    ``"available-copies"``, ``"primary-copy"``) with ``settings``, on the
-    DES: the row's participant attached at every server
-    (:meth:`~repro.replication.server.ReplicaServer.attach`), each write
-    and quorum read a :class:`Coordinator` at its home host, and a local
-    read where the row has no reader. Stores and histories are MARP's,
-    so the consistency auditor applies unchanged."""
-
-    def __init__(self, deployment: Deployment, name: str, **settings) -> None:
-        super().__init__(deployment)
-        self.name = name
-        self.row = row = protocol_row(name, deployment.hosts, **settings)
-        for host in deployment.hosts:
-            server = deployment.server(host)
-            server.attach(row.participant(host, server.machine))
-        self._stream = deployment.streams.stream(f"{row.prefix}.backoff")
-
-    def _coordinate(self, machine, record: RequestRecord) -> None:
-        """Run ``machine`` for ``record`` at its home host."""
-        record.dispatched_at = self.env.now
-        self.deployment.server(record.home).interpreter.coordinate(
-            Coordinator(machine, record, self._stream,
-                        _CLOSE.get(machine.__class__))
-        )
-
-    def _start_write(self, record: RequestRecord) -> None:
-        self._coordinate(self.row.write(
-            record.request_id, record.key, record.value, record.home,
-        ), record)
-
-    def _start_read(self, record: RequestRecord) -> None:
-        if self.row.reader is None:
-            record.dispatched_at = self.env.now
-            self._read_local(record)
-        else:
-            self._coordinate(self.row.reader(
-                record.request_id, record.key, record.home,
-            ), record)
+def MARP(deployment: Deployment, **settings) -> ReplicationProtocol:
+    """The paper's protocol over ``deployment``: the ``marp`` row with
+    ``settings`` (``votes``, ``itinerary``, ``read_strategy``,
+    ``batch_size``; see :func:`~repro.core.machines.protocols.marp`)."""
+    return ReplicationProtocol(deployment, "marp", **settings)
 
 
-def _voted(record: RequestRecord, machine: VotingMachine, now: float) -> None:
+def _carried(agent: Coordinator, effect, now: float) -> None:
+    # RMW records report the final (transformed) value.
+    state = agent.machine.state
+    for record in agent.records:
+        for write in effect.writes:
+            if write.request_id == record.request_id:
+                record.value = write.value
+        record.total_visits = state.visit_events
+        record.extra["failed_claims"] = state.failed_claims
+    agent.disposed = True
+    agent.protocol.retire_agent(agent)
+
+
+def _voted(coordinator: Coordinator, effect, now: float) -> None:
+    machine, record = coordinator.machine, coordinator.records[0]
     if machine.writes:
         record.lock_acquired_at = now
     record.extra["lock_rounds"] = machine.attempt
 
 
-def _climbed(record: RequestRecord, machine: LadderMachine,
-             now: float) -> None:
+def _climbed(coordinator: Coordinator, effect, now: float) -> None:
+    machine, record = coordinator.machine, coordinator.records[0]
     if machine.writes:
         record.lock_acquired_at = now
         record.extra["available_copies"] = sorted(machine.grants)
     record.extra["skipped"] = machine.skipped
 
 
-def _read(record: RequestRecord, machine: ReaderMachine, now: float) -> None:
+def _read(coordinator: Coordinator, effect, now: float) -> None:
+    machine, record = coordinator.machine, coordinator.records[0]
     record.value = machine.value
-    record.extra["version"] = machine.version
+    record.extra.update(version=machine.version, read_strategy="quorum",
+                        replies=len(machine.replied))
 
 
-#: What a baseline's record keeps of what its coordinator found, by the
-#: machine's class (primary copy's forward finds nothing more).
-_CLOSE = {VotingMachine: _voted, LadderMachine: _climbed, ReaderMachine: _read}
+#: What a record keeps of what its machine found, by the machine's
+#: class (primary copy's forward finds nothing more).
+_CLOSE = {
+    AgentMachine: _carried, VotingMachine: _voted, LadderMachine: _climbed,
+    ReaderMachine: _read,
+}

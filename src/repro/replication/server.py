@@ -18,8 +18,9 @@ interpreter. It supplies only what a simulated host is made of:
   does not complete within :data:`MIGRATION_TIMEOUT` is retried, and
   after :data:`MAX_ATTEMPTS` the destination is declared unavailable
   for the round;
-* the visiting agent's own randomness (itinerary choice, back-off
-  draw) and the protocol trace.
+* the itinerary policy (:meth:`ReplicaServer.choose`, selected by the
+  MARP row's ``itinerary``), the visiting agent's own randomness
+  (random itinerary choice, back-off draw) and the protocol trace.
 
 Visiting agents interact with the server **locally** ("taking the
 advantage of being in the same site as the peer process"): the
@@ -32,8 +33,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.errors import MigrationError, ProtocolError
-from repro.agents.identity import AgentId, AgentIdFactory
 from repro.core.machines.config import DES_TUNABLES
+from repro.core.machines.identity import AgentIdFactory
 from repro.core.machines.interpreter import (
     AGENT_BOUND, EffectInterpreter, Substrate,
 )
@@ -237,19 +238,12 @@ class ReplicaServer(Substrate):
     # Agents
     # ------------------------------------------------------------------
 
-    def new_agent_id(self) -> AgentId:
-        return self.id_factory.new(self.env.now)
-
     def launch(self, agent) -> None:
         """Start a freshly created agent here. Its first step runs in
         the urgent tier: after the creating step, before every ordinary
         event of the instant."""
         agent.travel_log.append((self.env.now, self.host))
-        self.env.call_urgent(self._start, agent)
-
-    def _start(self, agent) -> None:
-        agent.dispatched(self.env.now)
-        self.interpreter.launch(agent)
+        self.env.call_urgent(self.interpreter.launch, agent)
 
     def ship_agent(self, agent, dst: str) -> None:
         """Ship ``agent`` to ``dst`` under the §2 migration policy."""
@@ -311,10 +305,24 @@ class ReplicaServer(Substrate):
         return self.config.agent_service_time
 
     def choose(self, agent, candidates) -> str:
-        itinerary = agent.itinerary
-        return itinerary.next_host(
-            self.host, candidates, self.network.topology,
-            agent.stream if itinerary.draws else None,
+        """The itinerary policy, by the MARP row's ``itinerary``: the
+        paper's cheapest candidate from *here* (``cost-sorted``,
+        re-evaluated at every hop), or for the A1 ablation a tour sorted
+        once by cost from home, name order, or a uniform draw."""
+        itinerary = agent.protocol.itinerary
+        if itinerary == "cost-sorted":
+            return self.network.topology.nearest(self.host, candidates)
+        if itinerary == "static-order":
+            return min(candidates)
+        if itinerary == "random-order":
+            return agent.stream.choice(sorted(candidates))
+        if agent.plan is None:
+            agent.plan = self.network.topology.neighbors_by_cost(
+                agent.machine.state.home, candidates
+            )
+        return next(
+            (host for host in agent.plan if host in candidates),
+            min(candidates),
         )
 
     def sample_backoff(self, agent, mean) -> float:

@@ -28,7 +28,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-from repro.agents.identity import AgentId
+from repro.core.machines.identity import AgentId
 from repro.core.machines.agent import AgentMachine
 from repro.core.machines.audit import commits_of
 from repro.core.machines.config import LIVE_TUNABLES

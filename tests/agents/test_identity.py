@@ -7,7 +7,7 @@ import subprocess
 import sys
 
 import repro
-from repro.agents.identity import AgentId, AgentIdFactory, ids_wire_size
+from repro.core.machines.identity import AgentId, AgentIdFactory, ids_wire_size
 from repro.core.machines import LockingTable, SharedView, decide
 
 
@@ -61,7 +61,7 @@ class TestAgentIdOrdering:
 # key, and report the decisions taken over the shipped table.
 _CHILD = """
 import json, pickle, sys
-from repro.agents.identity import AgentId
+from repro.core.machines.identity import AgentId
 from repro.core.machines import decide
 
 ids, table = pickle.loads(sys.stdin.buffer.read())

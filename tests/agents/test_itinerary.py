@@ -1,16 +1,11 @@
-"""Unit tests for itinerary strategies."""
+"""Unit tests for the itinerary policy (``ReplicaServer.choose``)."""
 
 import pytest
 
-from repro.agents.itinerary import (
-    CostSorted,
-    InitialCostOrder,
-    RandomOrder,
-    StaticOrder,
-    make_itinerary,
-)
+from repro.core.machines import protocol_row
 from repro.net.topology import Topology
-from repro.sim.rng import RandomStreams
+from repro.replication.deployment import Deployment
+from repro.replication.protocol import MARP
 
 
 @pytest.fixture
@@ -25,71 +20,88 @@ def topo():
     ])
 
 
-@pytest.fixture
-def stream():
-    return RandomStreams(0).stream("itinerary")
+def agent_at_home(topo, itinerary):
+    """A not-yet-started agent from ``home`` following ``itinerary``,
+    and a ``choose(current, unvisited)`` asking the server at
+    ``current`` where it goes next."""
+    dep = Deployment(seed=0, topology=topo)
+    marp = MARP(dep, itinerary=itinerary)
+    marp.submit_write("home", "x", 1)
+    (agent,) = marp.agents
+
+    def choose(current, unvisited):
+        return dep.server(current).choose(agent, frozenset(unvisited))
+
+    return dep, agent, choose
 
 
 class TestCostSorted:
     def test_picks_cheapest_from_current(self, topo):
-        strategy = CostSorted()
-        assert strategy.next_host("home", {"near", "mid", "far"}, topo) == "near"
+        _dep, _agent, choose = agent_at_home(topo, "cost-sorted")
+        assert choose("home", {"near", "mid", "far"}) == "near"
 
     def test_reevaluates_after_moving(self, topo):
-        strategy = CostSorted()
+        _dep, _agent, choose = agent_at_home(topo, "cost-sorted")
         # from `near`, `mid` (0.5) is now cheaper than `far` (0.7)
-        assert strategy.next_host("near", {"mid", "far"}, topo) == "mid"
+        assert choose("near", {"mid", "far"}) == "mid"
 
     def test_empty_unvisited_rejected(self, topo):
+        _dep, _agent, choose = agent_at_home(topo, "cost-sorted")
         with pytest.raises(ValueError):
-            CostSorted().next_host("home", [], topo)
+            choose("home", [])
 
 
 class TestInitialCostOrder:
     def test_plans_once_from_home(self, topo):
-        strategy = InitialCostOrder("home")
+        _dep, agent, choose = agent_at_home(topo, "initial-cost-order")
         order = []
         unvisited = {"near", "mid", "far"}
         current = "home"
         while unvisited:
-            nxt = strategy.next_host(current, unvisited, topo)
+            nxt = choose(current, unvisited)
             order.append(nxt)
             unvisited.discard(nxt)
             current = nxt
         # cost from home: near(1) < mid(2) < far(5); the plan never adapts
         assert order == ["near", "mid", "far"]
+        assert agent.plan == ["near", "mid", "far"]
 
     def test_empty_rejected(self, topo):
+        _dep, _agent, choose = agent_at_home(topo, "initial-cost-order")
         with pytest.raises(ValueError):
-            InitialCostOrder("home").next_host("home", [], topo)
+            choose("home", [])
 
 
 class TestStaticOrder:
     def test_alphabetical(self, topo):
-        strategy = StaticOrder()
-        assert strategy.next_host("home", {"mid", "far", "near"}, topo) == "far"
+        _dep, _agent, choose = agent_at_home(topo, "static-order")
+        assert choose("home", {"mid", "far", "near"}) == "far"
 
     def test_empty_rejected(self, topo):
+        _dep, _agent, choose = agent_at_home(topo, "static-order")
         with pytest.raises(ValueError):
-            StaticOrder().next_host("home", [], topo)
+            choose("home", [])
 
 
 class TestRandomOrder:
     def test_requires_stream(self, topo):
-        with pytest.raises(ValueError):
-            RandomOrder().next_host("home", {"near"}, topo)
+        """A random choice draws from the agent's own named stream, and
+        only a random choice does."""
+        for itinerary in ("cost-sorted", "random-order"):
+            dep, agent, choose = agent_at_home(topo, itinerary)
+            choose("home", {"near"})
+            drawn = f"agent.{agent.agent_id}" in dep.streams
+            assert drawn == (itinerary == "random-order")
 
-    def test_only_picks_unvisited(self, topo, stream):
-        strategy = RandomOrder()
-        picks = {
-            strategy.next_host("home", {"near", "mid"}, topo, stream)
-            for _ in range(50)
-        }
+    def test_only_picks_unvisited(self, topo):
+        _dep, _agent, choose = agent_at_home(topo, "random-order")
+        picks = {choose("home", {"near", "mid"}) for _ in range(50)}
         assert picks == {"near", "mid"}
 
-    def test_empty_rejected(self, topo, stream):
+    def test_empty_rejected(self, topo):
+        _dep, _agent, choose = agent_at_home(topo, "random-order")
         with pytest.raises(ValueError):
-            RandomOrder().next_host("home", [], topo, stream)
+            choose("home", [])
 
 
 class TestFactory:
@@ -98,8 +110,9 @@ class TestFactory:
             "cost-sorted", "initial-cost-order", "static-order",
             "random-order",
         ):
-            assert make_itinerary(name, home="h").name == name
+            row = protocol_row("marp", ("h", "g"), itinerary=name)
+            assert row.settings["itinerary"] == name
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
-            make_itinerary("teleport")
+            protocol_row("marp", ("h", "g"), itinerary="teleport")

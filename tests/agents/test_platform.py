@@ -95,7 +95,7 @@ class TestLaunchAndMigration:
     def test_resident_sets_updated(self):
         """Where an agent is held moves with it: mid-claim it is in the
         claim table of the host it claims from, and of no other."""
-        from repro.core.protocol import MARP
+        from repro.replication.protocol import MARP
         from repro.replication.deployment import Deployment
 
         dep = Deployment(n_replicas=3, seed=0)

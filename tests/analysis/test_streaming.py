@@ -225,10 +225,10 @@ class TestCommitToken:
 class TestProtocolSweep:
     def _protocol(self):
         from repro.replication.deployment import Deployment
-        from repro.replication.protocol import Baseline
+        from repro.replication.protocol import ReplicationProtocol
 
         deployment = Deployment(n_replicas=3, seed=2)
-        return deployment, Baseline(deployment, "primary-copy")
+        return deployment, ReplicationProtocol(deployment, "primary-copy")
 
     def test_sweep_bounds_record_list(self):
         deployment, protocol = self._protocol()
@@ -257,7 +257,7 @@ class TestStreamingRetiresAgents:
     WRITES = 30
 
     def _marp(self, streaming):
-        from repro.core.protocol import MARP
+        from repro.replication.protocol import MARP
         from repro.replication.deployment import Deployment
 
         deployment = Deployment(n_replicas=3, seed=7)
@@ -313,7 +313,7 @@ class TestHistoryLogStreaming:
 
 class TestULRetention:
     def test_prune_drops_only_stale_entries(self):
-        from repro.agents.identity import AgentId
+        from repro.core.machines.identity import AgentId
         from repro.core.machines.structures import UpdatedList
 
         ul = UpdatedList(retention=100.0)

@@ -5,14 +5,14 @@ import pytest
 from repro.analysis.consistency import audit
 from repro.net.faults import CrashSchedule, FaultPlan, TransientLinkFaults
 from repro.replication.deployment import Deployment
-from repro.replication.protocol import Baseline
+from repro.replication.protocol import ReplicationProtocol
 from repro.replication.server import WriteOp
 
 
 class TestAvailableCopies:
     def test_single_write_reaches_all(self):
         dep = Deployment(n_replicas=3, seed=0)
-        ac = Baseline(dep, "available-copies")
+        ac = ReplicationProtocol(dep, "available-copies")
         record = ac.submit_write("s1", "x", 1)
         dep.run(until=100_000)
         assert record.status == "committed"
@@ -22,7 +22,7 @@ class TestAvailableCopies:
 
     def test_concurrent_writes_queue_without_livelock(self):
         dep = Deployment(n_replicas=3, seed=0)
-        ac = Baseline(dep, "available-copies")
+        ac = ReplicationProtocol(dep, "available-copies")
         records = [
             ac.submit_write(host, "x", index)
             for index, host in enumerate(dep.hosts)
@@ -34,7 +34,7 @@ class TestAvailableCopies:
     def test_skips_crashed_replica(self):
         faults = FaultPlan(crashes=CrashSchedule().add("s3", 0, 1_000_000))
         dep = Deployment(n_replicas=3, seed=0, faults=faults)
-        ac = Baseline(dep, "available-copies", detection_timeout=50.0)
+        ac = ReplicationProtocol(dep, "available-copies", detection_timeout=50.0)
         record = ac.submit_write("s1", "x", 1)
         dep.run(until=1_000_000)
         assert record.status == "committed"
@@ -50,7 +50,7 @@ class TestAvailableCopies:
         crashes.add("s3", 0, 1_000_000)
         dep = Deployment(n_replicas=3, seed=0,
                          faults=FaultPlan(crashes=crashes))
-        ac = Baseline(dep, "available-copies", detection_timeout=50.0)
+        ac = ReplicationProtocol(dep, "available-copies", detection_timeout=50.0)
         record = ac.submit_write("s1", "x", 1)
         endpoint = dep.network.endpoints["s1"]
         grant = {"rid": record.request_id, "epoch": 1, "from": "s2",
@@ -67,7 +67,7 @@ class TestAvailableCopies:
 
     def test_local_reads(self):
         dep = Deployment(n_replicas=3, seed=0)
-        ac = Baseline(dep, "available-copies")
+        ac = ReplicationProtocol(dep, "available-copies")
         ac.submit_write("s1", "x", "v")
         dep.run(until=100_000)
         record = ac.submit_read("s2", "x")
@@ -78,7 +78,7 @@ class TestAvailableCopies:
     def test_detection_timeout_validation(self):
         dep = Deployment(n_replicas=3, seed=0)
         with pytest.raises(ValueError):
-            Baseline(dep, "available-copies", detection_timeout=0)
+            ReplicationProtocol(dep, "available-copies", detection_timeout=0)
 
     def test_partition_causes_divergence(self):
         """The AC weakness the paper cites: a partition that cuts one
@@ -90,7 +90,7 @@ class TestAvailableCopies:
         dep = Deployment(
             n_replicas=3, seed=0, faults=FaultPlan(links=links),
         )
-        ac = Baseline(dep, "available-copies", detection_timeout=40.0)
+        ac = ReplicationProtocol(dep, "available-copies", detection_timeout=40.0)
         record = ac.submit_write("s1", "x", "partitioned-write")
         dep.run(until=1_000_000)
         assert record.status == "committed"
@@ -102,7 +102,7 @@ class TestAvailableCopies:
 class TestPrimaryCopy:
     def test_single_write_commits_everywhere(self):
         dep = Deployment(n_replicas=3, seed=0)
-        pc = Baseline(dep, "primary-copy")
+        pc = ReplicationProtocol(dep, "primary-copy")
         record = pc.submit_write("s2", "x", 9)
         dep.run(until=100_000)
         assert record.status == "committed"
@@ -111,7 +111,7 @@ class TestPrimaryCopy:
 
     def test_primary_serialises_global_order(self):
         dep = Deployment(n_replicas=3, seed=0)
-        pc = Baseline(dep, "primary-copy")
+        pc = ReplicationProtocol(dep, "primary-copy")
         for index, host in enumerate(dep.hosts):
             pc.submit_write(host, "x", index)
         dep.run(until=1_000_000)
@@ -124,7 +124,7 @@ class TestPrimaryCopy:
 
     def test_custom_primary(self):
         dep = Deployment(n_replicas=3, seed=0)
-        pc = Baseline(dep, "primary-copy", primary="s2")
+        pc = ReplicationProtocol(dep, "primary-copy", primary="s2")
         record = pc.submit_write("s1", "x", 1)
         dep.run(until=100_000)
         assert record.status == "committed"
@@ -132,19 +132,19 @@ class TestPrimaryCopy:
     def test_unknown_primary_rejected(self):
         dep = Deployment(n_replicas=3, seed=0)
         with pytest.raises(ValueError):
-            Baseline(dep, "primary-copy", primary="zz")
+            ReplicationProtocol(dep, "primary-copy", primary="zz")
 
     def test_crashed_primary_fails_writes(self):
         faults = FaultPlan(crashes=CrashSchedule().add("s1", 0, 1_000_000))
         dep = Deployment(n_replicas=3, seed=0, faults=faults)
-        pc = Baseline(dep, "primary-copy", write_timeout=200.0)
+        pc = ReplicationProtocol(dep, "primary-copy", write_timeout=200.0)
         record = pc.submit_write("s2", "x", 1)
         dep.run(until=1_000_000)
         assert record.status == "failed"
 
     def test_local_read(self):
         dep = Deployment(n_replicas=3, seed=0)
-        pc = Baseline(dep, "primary-copy")
+        pc = ReplicationProtocol(dep, "primary-copy")
         pc.submit_write("s1", "x", "val")
         dep.run(until=100_000)
         record = pc.submit_read("s3", "x")
@@ -155,7 +155,7 @@ class TestPrimaryCopy:
     def test_write_timeout_validation(self):
         dep = Deployment(n_replicas=3, seed=0)
         with pytest.raises(ValueError):
-            Baseline(dep, "primary-copy", write_timeout=0)
+            ReplicationProtocol(dep, "primary-copy", write_timeout=0)
 
 
 class TestPrimaryCopyLogShipping:
@@ -194,7 +194,7 @@ class TestPrimaryCopyLogShipping:
 
     def test_out_of_order_versions_apply_in_order_per_key(self):
         dep = Deployment(n_replicas=3, seed=0)
-        pc = Baseline(dep, "primary-copy")
+        pc = ReplicationProtocol(dep, "primary-copy")
         # s2 sees a: 3, 1, 2 with b's version 2 gapped throughout;
         # s3 sees everything in order. b@1 reaches both last.
         self._ship(dep, pc, [
@@ -222,7 +222,7 @@ class TestPrimaryCopyLogShipping:
         """A SYNC snapshot moves the store under the reorder buffer: the
         version it unblocks applies with the next PC_APPLY of *any* key."""
         dep = Deployment(n_replicas=3, seed=0)
-        pc = Baseline(dep, "primary-copy")
+        pc = ReplicationProtocol(dep, "primary-copy")
         primary = dep.server(pc.row.settings["primary"])
         for version in (1, 2):  # s3 missed these while it was down
             primary.store.apply("a", f"a{version}", version, 0.0)

@@ -16,7 +16,7 @@ from repro.experiments.runner import RunConfig, run_once
 from repro.net.faults import CrashSchedule, FaultPlan
 from repro.net.latency import ConstantLatency
 from repro.replication.deployment import Deployment
-from repro.replication.protocol import Baseline, Coordinator
+from repro.replication.protocol import Coordinator, ReplicationProtocol
 from repro.replication.requests import WRITE, RequestRecord
 
 FOREVER = 10_000_000
@@ -38,7 +38,7 @@ class TestForwardReplies:
     @pytest.fixture
     def dep(self):
         dep = deployment("s1")
-        Baseline(dep, "primary-copy", write_timeout=50.0)
+        ReplicationProtocol(dep, "primary-copy", write_timeout=50.0)
         return dep
 
     @staticmethod
@@ -49,7 +49,7 @@ class TestForwardReplies:
         machine = ForwardMachine("PC", rid, "x", 1, "s2", "s1", 50.0)
         interpreter = dep.server("s2").interpreter
         dep.env.call_in(at, lambda _arg: interpreter.coordinate(
-            Coordinator(machine, record)
+            Coordinator(machine, [record], None)
         ))
         return record
 
@@ -98,7 +98,7 @@ class TestVotingReplies:
     @staticmethod
     def write(grant_at=None):
         dep = deployment("s1", "s3")
-        mcv = Baseline(dep, "mcv", lock_timeout=100.0, retry_backoff=0,
+        mcv = ReplicationProtocol(dep, "mcv", lock_timeout=100.0, retry_backoff=0,
                        max_rounds=1)
         record = mcv.submit_write("s2", "x", 1)
         if grant_at is not None:
@@ -148,27 +148,27 @@ def test_every_claim_table_is_empty_after_a_drained_baseline_run():
 PINS = [
     (dict(protocol="mcv", seed=1, n_keys=4, key_skew=0.9,
           requests_per_client=40, mean_interarrival=10.0),
-     "6a072ae89cc34077", 200, 0),
+     "e1ac835d9a687c3c", 200, 0),
     (dict(protocol="mcv", seed=2, write_fraction=0.5, n_keys=8,
           requests_per_client=40, mean_interarrival=20.0),
-     "4e00211c5383d2cd", 105, 0),
+     "5d656136930609ae", 105, 0),
     (dict(protocol="weighted-voting", seed=3, write_fraction=0.5, n_keys=4,
           requests_per_client=40, mean_interarrival=15.0,
           protocol_kwargs={
               "votes": {"s1": 3, "s2": 1, "s3": 1, "s4": 1, "s5": 1},
               "read_quorum": 3, "write_quorum": 5,
           }),
-     "3683bb5047ff57ee", 103, 0),
+     "e97056dd58e35222", 103, 0),
     # s3 misses the writes of its crash window, so this run's audit
     # reports inconsistent: pinned as it is
     (dict(protocol="available-copies", seed=4, n_keys=4,
           requests_per_client=30, mean_interarrival=25.0,
           faults=FaultPlan(crashes=CrashSchedule().add("s3", 200.0, 2200.0))),
-     "7ef64b5660109a1b", 126, 24),
+     "450771e2ef2a070d", 126, 24),
     (dict(protocol="primary-copy", seed=5, n_keys=8, requests_per_client=40,
           mean_interarrival=20.0,
           faults=FaultPlan(crashes=CrashSchedule().add("s1", 300.0, 1800.0))),
-     "1a17f18875115379", 66, 134),
+     "698a365ea63fd4f0", 66, 134),
 ]
 
 

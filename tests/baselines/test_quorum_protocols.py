@@ -3,9 +3,10 @@
 import pytest
 
 from repro.analysis.consistency import audit
+from repro.errors import ReplicationError
 from repro.replication.deployment import Deployment
-from repro.replication.protocol import Baseline
-from repro.replication.requests import READ
+from repro.replication.protocol import ReplicationProtocol
+from repro.replication.requests import READ, Transform
 
 
 @pytest.fixture
@@ -15,7 +16,7 @@ def dep():
 
 class TestMCV:
     def test_single_write_commits_everywhere(self, dep):
-        mcv = Baseline(dep, "mcv")
+        mcv = ReplicationProtocol(dep, "mcv")
         record = mcv.submit_write("s1", "x", 7)
         dep.run(until=100_000)
         assert record.status == "committed"
@@ -23,7 +24,7 @@ class TestMCV:
             assert dep.server(host).store.read("x").value == 7
 
     def test_lock_acquired_before_completion(self, dep):
-        mcv = Baseline(dep, "mcv")
+        mcv = ReplicationProtocol(dep, "mcv")
         record = mcv.submit_write("s1", "x", 7)
         dep.run(until=100_000)
         assert record.lock_acquired_at is not None
@@ -31,7 +32,7 @@ class TestMCV:
         assert record.extra["lock_rounds"] == 1
 
     def test_concurrent_writes_stay_consistent(self, dep):
-        mcv = Baseline(dep, "mcv")
+        mcv = ReplicationProtocol(dep, "mcv")
         records = [
             mcv.submit_write(host, "x", index)
             for index, host in enumerate(dep.hosts)
@@ -43,7 +44,7 @@ class TestMCV:
         assert report.divergence_free
 
     def test_conflicting_writes_need_retries(self, dep):
-        mcv = Baseline(dep, "mcv")
+        mcv = ReplicationProtocol(dep, "mcv")
         records = [
             mcv.submit_write(host, "x", index)
             for index, host in enumerate(dep.hosts)
@@ -53,7 +54,7 @@ class TestMCV:
         assert max(rounds) > 1  # contention forces at least one retry
 
     def test_quorum_read_sees_committed_value(self, dep):
-        mcv = Baseline(dep, "mcv")
+        mcv = ReplicationProtocol(dep, "mcv")
         mcv.submit_write("s1", "x", "fresh")
         dep.run(until=100_000)
         record = mcv.submit_read("s3", "x")
@@ -63,7 +64,7 @@ class TestMCV:
         assert record.extra["version"] == 1
 
     def test_versions_strictly_increase(self, dep):
-        mcv = Baseline(dep, "mcv")
+        mcv = ReplicationProtocol(dep, "mcv")
         for index, host in enumerate(dep.hosts):
             mcv.submit_write(host, "x", index)
         dep.run(until=1_000_000)
@@ -73,12 +74,12 @@ class TestMCV:
 
 class TestWeightedVoting:
     def test_default_is_majority(self, dep):
-        wv = Baseline(dep, "weighted-voting")
+        wv = ReplicationProtocol(dep, "weighted-voting")
         assert wv.row.settings["write_quorum"] == 3
         assert wv.row.settings["read_quorum"] == 3
 
     def test_custom_votes_and_quorums(self, dep):
-        wv = Baseline(
+        wv = ReplicationProtocol(
             dep, "weighted-voting",
             votes={"s1": 3, "s2": 1, "s3": 1, "s4": 1, "s5": 1},
             read_quorum=2,
@@ -91,20 +92,20 @@ class TestWeightedVoting:
     def test_quorum_intersection_enforced(self, dep):
         with pytest.raises(ValueError):
             # r+w <= 5
-            Baseline(dep, "weighted-voting", read_quorum=1, write_quorum=3)
+            ReplicationProtocol(dep, "weighted-voting", read_quorum=1, write_quorum=3)
 
     def test_write_quorum_must_exceed_half(self, dep):
         with pytest.raises(ValueError):
-            Baseline(dep, "weighted-voting", read_quorum=4, write_quorum=2)
+            ReplicationProtocol(dep, "weighted-voting", read_quorum=4, write_quorum=2)
 
     def test_votes_for_a_host_not_deployed_are_rejected(self, dep):
         with pytest.raises(ValueError, match="zz"):
-            Baseline(dep, "weighted-voting",
+            ReplicationProtocol(dep, "weighted-voting",
                      votes={"s1": 1, "s2": 1, "s3": 1, "zz": 5})
 
     def test_a_negative_vote_is_rejected(self, dep):
         with pytest.raises(ValueError, match=">= 0"):
-            Baseline(
+            ReplicationProtocol(
                 dep, "weighted-voting",
                 votes={"s1": 3, "s2": 1, "s3": 1, "s4": 1, "s5": -1},
                 read_quorum=3, write_quorum=4,
@@ -112,11 +113,11 @@ class TestWeightedVoting:
 
     def test_no_votes_at_all_are_rejected(self, dep):
         with pytest.raises(ValueError, match=">= 1"):
-            Baseline(dep, "weighted-voting", votes={"s1": 0, "s2": 0},
+            ReplicationProtocol(dep, "weighted-voting", votes={"s1": 0, "s2": 0},
                      read_quorum=0, write_quorum=1)
 
     def test_read_with_quorum_one_is_local(self, dep):
-        wv = Baseline(dep, "weighted-voting", read_quorum=3, write_quorum=3)
+        wv = ReplicationProtocol(dep, "weighted-voting", read_quorum=3, write_quorum=3)
         record = wv.submit(dep.hosts[0], READ, "x")
         dep.run(until=100_000)
         assert record.status == "read-done"
@@ -128,18 +129,18 @@ class TestQuorumEngineEdgeCases:
         self, dep, lock_timeout
     ):
         with pytest.raises(ValueError, match="lock_timeout"):
-            Baseline(dep, "mcv", lock_timeout=lock_timeout)
+            ReplicationProtocol(dep, "mcv", lock_timeout=lock_timeout)
 
     @pytest.mark.parametrize("lock_ttl", [0, -5.0])
     def test_a_lease_that_is_not_positive_is_rejected(self, dep, lock_ttl):
         """A lease of no length is expired as it is granted: every LOCK
         would find its key free, and mutual exclusion would be gone."""
         with pytest.raises(ValueError, match="lock_ttl"):
-            Baseline(dep, "mcv", lock_ttl=lock_ttl)
+            ReplicationProtocol(dep, "mcv", lock_ttl=lock_ttl)
 
     def test_fewer_than_one_round_is_rejected(self, dep):
         with pytest.raises(ValueError, match="max_rounds"):
-            Baseline(dep, "mcv", max_rounds=0)
+            ReplicationProtocol(dep, "mcv", max_rounds=0)
 
     def test_failed_after_max_rounds(self):
         # A write against a majority-crashed cluster cannot assemble a
@@ -151,7 +152,7 @@ class TestQuorumEngineEdgeCases:
             crashes.add(host, 0, 10_000_000)
         dep = Deployment(n_replicas=5, seed=0,
                          faults=FaultPlan(crashes=crashes))
-        mcv = Baseline(dep, "mcv", max_rounds=2, lock_timeout=100)
+        mcv = ReplicationProtocol(dep, "mcv", max_rounds=2, lock_timeout=100)
         record = mcv.submit_write("s1", "x", 1)
         dep.run(until=1_000_000)
         assert record.status == "failed"
@@ -164,7 +165,7 @@ class TestQuorumEngineEdgeCases:
             crashes.add(host, 0, 10_000_000)
         dep = Deployment(n_replicas=5, seed=0,
                          faults=FaultPlan(crashes=crashes))
-        mcv = Baseline(dep, "mcv", lock_timeout=100)
+        mcv = ReplicationProtocol(dep, "mcv", lock_timeout=100)
         record = mcv.submit_read("s1", "x")
         dep.run(until=1_000_000)
         assert record.status == "failed"
@@ -184,7 +185,7 @@ class TestQuorumEngineEdgeCases:
         crashes.add("s3", 0, 10_000_000)
         dep = Deployment(n_replicas=3, seed=0,
                          faults=FaultPlan(crashes=crashes))
-        mcv = Baseline(
+        mcv = ReplicationProtocol(
             dep, "mcv", lock_timeout=100, retry_backoff=0, max_rounds=2,
         )
         record = mcv.submit_write("s1", "x", 1)
@@ -204,7 +205,7 @@ class TestQuorumEngineEdgeCases:
 
     def test_daemon_counts_grants_and_nacks(self):
         dep = Deployment(n_replicas=3, seed=0)
-        mcv = Baseline(dep, "mcv")
+        mcv = ReplicationProtocol(dep, "mcv")
         for host in dep.hosts:
             mcv.submit_write(host, "x", 1)
         dep.run(until=1_000_000)
@@ -213,3 +214,18 @@ class TestQuorumEngineEdgeCases:
             for host in dep.hosts
         )
         assert grants >= 3  # at least one full write quorum granted
+
+
+@pytest.mark.parametrize("name", ["mcv", "primary-copy"])
+def test_a_baseline_refuses_a_read_modify_write(name):
+    """Only a MARP agent fetches the freshest copy before it applies a
+    ``Transform``; a baseline's write would store the object itself."""
+    dep = Deployment(n_replicas=3, seed=0)
+    protocol = ReplicationProtocol(dep, name)
+    with pytest.raises(ReplicationError, match="read-modify-write"):
+        protocol.submit_write("s1", "x", Transform(lambda v: v + 1, "incr"))
+    with pytest.raises(ReplicationError, match="read-modify-write"):
+        protocol.submit_rmw("s1", "x", lambda v: v + 1)
+    assert protocol.records == []
+    dep.run(until=100_000)
+    assert all(dep.server(host).store.read("x") is None for host in dep.hosts)

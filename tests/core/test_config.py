@@ -1,50 +1,37 @@
-"""Unit tests for MARP configuration validation."""
+"""Unit tests for MARP's settings: the marp row validates them."""
 
 import pytest
 
-from repro.errors import ProtocolError
-from repro.core.config import MARPConfig
+from repro.core.machines import protocol_row
+
+HOSTS = ("s1", "s2", "s3", "s4", "s5")
+
+
+def marp(**settings):
+    return protocol_row("marp", HOSTS, **settings)
 
 
 class TestMARPConfig:
     def test_defaults_are_valid(self):
-        config = MARPConfig()
-        assert config.itinerary == "cost-sorted"
-        assert config.read_strategy == "local"
-        assert config.batch_size == 1
+        settings = marp().settings
+        assert settings["itinerary"] == "cost-sorted"
+        assert settings["read_strategy"] == "local"
+        assert settings["batch_size"] == 1
 
     def test_bad_read_strategy(self):
-        with pytest.raises(ProtocolError):
-            MARPConfig(read_strategy="psychic")
+        with pytest.raises(ValueError):
+            marp(read_strategy="psychic")
 
     def test_bad_itinerary(self):
         # refused at construction, not by the first write mid-run
-        with pytest.raises(ProtocolError, match="psychic"):
-            MARPConfig(itinerary="psychic")
+        with pytest.raises(ValueError, match="psychic"):
+            marp(itinerary="psychic")
 
     def test_bad_batch_size(self):
-        with pytest.raises(ProtocolError):
-            MARPConfig(batch_size=0)
-
-    def test_bad_flush_interval(self):
-        with pytest.raises(ProtocolError):
-            MARPConfig(batch_flush_interval=0)
-
-    def test_bad_park_timeout(self):
-        with pytest.raises(ProtocolError):
-            MARPConfig(park_timeout=0)
-
-    def test_bad_ack_timeout(self):
-        with pytest.raises(ProtocolError):
-            MARPConfig(ack_timeout=-1)
-
-    def test_bad_max_claims(self):
-        with pytest.raises(ProtocolError):
-            MARPConfig(max_claims=0)
-
-    def test_bad_claim_backoff(self):
-        with pytest.raises(ProtocolError):
-            MARPConfig(claim_backoff=-1)
+        with pytest.raises(ValueError):
+            marp(batch_size=0)
 
     def test_quorum_read_accepted(self):
-        assert MARPConfig(read_strategy="quorum").read_strategy == "quorum"
+        assert marp(read_strategy="quorum").settings["read_strategy"] == (
+            "quorum"
+        )

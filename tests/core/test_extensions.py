@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis import assert_consistent
 from repro.analysis.tracelog import ProtocolTrace
-from repro.core.protocol import MARP
+from repro.replication.protocol import MARP
 from repro.replication.deployment import Deployment
 from repro.replication.requests import Transform
 
@@ -110,9 +110,7 @@ class TestReadModifyWrite:
         assert_consistent(deployment5)
 
     def test_rmw_chains_within_a_batch(self, deployment5):
-        from repro.core.config import MARPConfig
-
-        marp = MARP(deployment5, config=MARPConfig(batch_size=2))
+        marp = MARP(deployment5, batch_size=2)
         marp.submit_write("s1", "x", 10)
         deployment5.run(until=30_000)
         first = marp.submit_rmw("s2", "x", lambda v: v * 2)
@@ -133,17 +131,17 @@ class TestWeightedVoting:
             MARP(deployment, votes={"s1": 0, "s2": 0, "s3": 0})
 
     def test_default_votes_match_count_majority(self, deployment5):
-        marp = MARP(deployment5)
-        assert marp.total_votes == 5
-        assert marp.vote_majority == 3
-        assert marp.vote_of("s1") == 1
+        agent = MARP(deployment5).row.write(1, "x", 1, "s1")
+        assert agent.total_votes == 5
+        assert agent.vote_majority == 3
+        assert agent.vote_of("s1") == 1
 
     def test_weighted_deployment_commits_consistently(self, deployment5):
         marp = MARP(
             deployment5,
             votes={"s1": 3, "s2": 1, "s3": 1, "s4": 1, "s5": 1},
         )
-        assert marp.vote_majority == 4
+        assert marp.row.write(1, "x", 1, "s1").vote_majority == 4
         records = [
             marp.submit_write(host, "x", index)
             for index, host in enumerate(deployment5.hosts)
@@ -164,7 +162,7 @@ class TestWeightedVoting:
         assert record.visits_to_lock == 1  # home visit sufficed
 
     def test_weighted_decide_unit(self):
-        from repro.agents.identity import AgentId
+        from repro.core.machines.identity import AgentId
         from repro.core.machines.table import LockingTable
         from repro.core.machines.priority import WIN, decide
         from repro.replication.server import SharedView

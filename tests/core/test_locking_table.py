@@ -1,6 +1,6 @@
 """Unit tests for the agent's Locking Table."""
 
-from repro.agents.identity import AgentId
+from repro.core.machines.identity import AgentId
 from repro.core.machines.config import DES_TUNABLES
 from repro.core.machines.replica import ReplicaMachine
 from repro.core.machines.table import LockingTable

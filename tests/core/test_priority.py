@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.agents.identity import AgentId
+from repro.core.machines.identity import AgentId
 from repro.core.machines.table import LockingTable
 from repro.core.machines.priority import OTHER, STALEMATE, UNDECIDED, WIN, decide
 from repro.replication.server import SharedView

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.agents.identity import AgentId
+from repro.core.machines.identity import AgentId
 from repro.core.machines.table import LockingTable
 from repro.core.machines.priority import rank_queue
 from repro.replication.server import SharedView

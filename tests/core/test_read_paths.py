@@ -1,7 +1,6 @@
 """Focused tests for the read paths, including failure cases."""
 
-from repro.core.config import MARPConfig
-from repro.core.protocol import MARP
+from repro.replication.protocol import MARP
 from repro.net.faults import CrashSchedule, FaultPlan
 from repro.replication.deployment import Deployment
 
@@ -38,7 +37,7 @@ class TestLocalReadSemantics:
             n_replicas=5, seed=71, faults=faults,
             replica_config=ReplicaConfig(recover_on_restart=False),
         )
-        marp = MARP(dep, config=MARPConfig(read_strategy="quorum"))
+        marp = MARP(dep, read_strategy="quorum")
         marp.submit_write("s1", "x", "fresh")
         dep.run(until=60_000)
         record = marp.submit_read("s3", "x")
@@ -52,8 +51,7 @@ class TestLocalReadSemantics:
             crashes.add(host, 0, 10_000_000)
         dep = Deployment(n_replicas=5, seed=72,
                          faults=FaultPlan(crashes=crashes))
-        marp = MARP(dep, config=MARPConfig(read_strategy="quorum",
-                                           ack_timeout=200.0))
+        marp = MARP(dep, read_strategy="quorum")
         record = marp.submit_read("s1", "x")
         dep.run(until=100_000)
         assert record.status == "failed"
@@ -62,17 +60,15 @@ class TestLocalReadSemantics:
 
 class TestAgentStateAndIdentity:
     def test_agent_state_sizes_grow_with_table(self):
-        from repro.net.message import estimate_size
-
         dep = Deployment(n_replicas=5, seed=73)
         marp = MARP(dep)
         record = marp.submit_write("s1", "x", 1)
         agent = marp.agents[0]
-        initial = estimate_size(agent.state())
+        initial = agent.suitcase_size()
         dep.run(until=100_000)
         assert record.status == "committed"
         # after touring, the Locking Table adds to the carried state
-        assert estimate_size(agent.state()) > initial
+        assert agent.suitcase_size() > initial
 
     def test_travel_log_matches_visits(self):
         dep = Deployment(n_replicas=3, seed=74)

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.core.config import MARPConfig
-from repro.core.protocol import MARP
+from repro.replication.protocol import MARP
 from repro.net.faults import CrashSchedule, FaultPlan
 from repro.replication.deployment import Deployment
 
@@ -62,12 +61,11 @@ class TestSingleUpdate:
         assert marp.total_agent_hops() >= 2
 
     def test_empty_batch_rejected(self, deployment5):
-        from repro.agents.identity import AgentId
-        from repro.core.update_agent import UpdateAgent
+        from repro.core.machines import AgentId
 
         marp = MARP(deployment5)
         with pytest.raises(ValueError):
-            UpdateAgent(AgentId("s1", 0.0, 0), marp, [])
+            marp.row.write(1, "x", 1, "s1", AgentId("s1", 0.0, 0), [])
 
 
 class TestFinishedAgentsLeave:
@@ -75,11 +73,11 @@ class TestFinishedAgentsLeave:
         """An agent leaves the run when it finishes, in every accounting
         mode: marp_contended_n5's regime (N=5, 16 Zipf-0.9 keys, 60 ms
         gaps), full records, 40 writes a client. Keeping them held one
-        ``UpdateAgent`` and one ``LockingTable`` per write."""
+        ``Coordinator`` and one ``LockingTable`` per write."""
         import gc
 
         from repro.core.machines.table import LockingTable
-        from repro.core.update_agent import UpdateAgent
+        from repro.replication.protocol import Coordinator
         from repro.replication.client import attach_clients
         from repro.workload.arrivals import ExponentialArrivals
         from repro.workload.mix import OperationMix
@@ -87,7 +85,7 @@ class TestFinishedAgentsLeave:
         def census():
             objects = gc.get_objects()
             return (
-                sum(isinstance(o, UpdateAgent) for o in objects),
+                sum(isinstance(o, Coordinator) for o in objects),
                 sum(isinstance(o, LockingTable) for o in objects),
             )
 
@@ -185,8 +183,7 @@ class TestReadPaths:
         assert record.value is None
 
     def test_quorum_read_sees_majority_freshness(self, deployment5):
-        config = MARPConfig(read_strategy="quorum")
-        marp = MARP(deployment5, config=config)
+        marp = MARP(deployment5, read_strategy="quorum")
         marp.submit_write("s1", "x", "committed")
         deployment5.run(until=50_000)
         record = marp.submit_read("s2", "x")
@@ -199,8 +196,7 @@ class TestReadPaths:
 
 class TestBatching:
     def test_batched_writes_share_one_agent(self, deployment5):
-        config = MARPConfig(batch_size=3)
-        marp = MARP(deployment5, config=config)
+        marp = MARP(deployment5, batch_size=3)
         records = [marp.submit_write("s1", "x", i) for i in range(3)]
         assert len(marp.agents) == 1
         deployment5.run(until=100_000)
@@ -209,16 +205,17 @@ class TestBatching:
         assert len({r.agent_id for r in records}) == 1
 
     def test_partial_batch_flushed_by_timer(self, deployment5):
-        config = MARPConfig(batch_size=4, batch_flush_interval=50.0)
-        marp = MARP(deployment5, config=config)
+        from repro.replication.protocol import BATCH_FLUSH_INTERVAL
+
+        marp = MARP(deployment5, batch_size=4)
         record = marp.submit_write("s1", "x", 1)
         deployment5.run(until=100_000)
         assert record.status == "committed"
-        assert marp.batcher.timer_flushes == 1
+        # the partial batch left once, when the flush timer fired
+        assert record.dispatched_at == BATCH_FLUSH_INTERVAL
 
     def test_batched_versions_sequential(self, deployment5):
-        config = MARPConfig(batch_size=2)
-        marp = MARP(deployment5, config=config)
+        marp = MARP(deployment5, batch_size=2)
         marp.submit_write("s1", "x", "a")
         marp.submit_write("s1", "x", "b")
         deployment5.run(until=100_000)
@@ -269,23 +266,31 @@ class TestSuitcaseSizing:
         self, monkeypatch
     ):
         """A migration is sized from ``suitcase_size()``, which must be
-        ``estimate_size(state())`` — the executable description of the
-        suitcase — whenever it is asked: on first tours, and after a
-        park has reset the un-visited list for a refresh tour. N=12,
-        every host writing the same key at once."""
-        from repro.core.update_agent import UpdateAgent
+        ``estimate_size`` of the suitcase's executable description —
+        identifier, Request List, sorted un-visited list, Locking Table
+        — whenever it is asked: on first tours, and after a park has
+        reset the un-visited list for a refresh tour. N=12, every host
+        writing the same key at once."""
         from repro.net.message import estimate_size
+        from repro.replication.protocol import Coordinator
 
-        running = UpdateAgent.suitcase_size
+        running = Coordinator.suitcase_size
         asked = []
 
         def checked(agent):
             size = running(agent)
-            assert size == estimate_size(agent.state())
+            assert size == estimate_size({
+                "agent_id": agent.agent_id,
+                "requests": [
+                    (r.request_id, r.key, r.value) for r in agent.records
+                ],
+                "unvisited": sorted(agent.core.tour_remaining),
+                "table": agent.core.table,
+            })
             asked.append((agent.core.park_count, len(agent.core.tour_remaining)))
             return size
 
-        monkeypatch.setattr(UpdateAgent, "suitcase_size", checked)
+        monkeypatch.setattr(Coordinator, "suitcase_size", checked)
         deployment = Deployment(n_replicas=12, seed=23)
         marp = MARP(deployment)
         records = [

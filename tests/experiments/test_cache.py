@@ -42,9 +42,6 @@ FIELD_CHANGES = {
     "topology": "random-costs",
     "horizon": 4_000_000.0,
     "faults": FaultPlan(crashes=CrashSchedule().add("s1", 10.0, 20.0)),
-    "itinerary": "random-order",
-    "batch_size": 2,
-    "read_strategy": "remote-majority",
     "agent_service_time": 2.5,
     "update_apply_time": 0.75,
     "enable_bulletin": False,

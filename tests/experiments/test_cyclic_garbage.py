@@ -32,10 +32,13 @@ MODES = {
     "marp-streaming": ({"protocol": "marp", "streaming": True}, False),
     "marp-obs": ({"protocol": "marp"}, True),
     "marp-quorum-reads": (
-        {"protocol": "marp", "read_strategy": "quorum", **READS}, False,
+        {"protocol": "marp", "protocol_kwargs": {"read_strategy": "quorum"},
+         **READS}, False,
     ),
     "marp-local-reads": ({"protocol": "marp", **READS}, False),
-    "marp-batched": ({"protocol": "marp", "batch_size": 3}, False),
+    "marp-batched": (
+        {"protocol": "marp", "protocol_kwargs": {"batch_size": 3}}, False,
+    ),
     "marp-random-costs": (
         {"protocol": "marp", "topology": "random-costs"}, False,
     ),

@@ -31,7 +31,7 @@ from typing import Dict, List, Tuple
 
 import pytest
 
-from repro.core.protocol import MARP
+from repro.replication.protocol import MARP
 from repro.net.faults import CrashSchedule, FaultPlan
 from repro.replication.deployment import Deployment
 from repro.runtime import LiveCluster

@@ -2,7 +2,7 @@
 protocol logic and must exhibit the same qualitative behaviour."""
 
 from repro.analysis.consistency import audit
-from repro.core.protocol import MARP
+from repro.replication.protocol import MARP
 from repro.replication.deployment import Deployment
 from repro.runtime import LiveCluster
 

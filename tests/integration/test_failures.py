@@ -3,11 +3,11 @@
 import pytest
 
 from repro.analysis.consistency import audit
-from repro.core.protocol import MARP
+from repro.replication.protocol import MARP
 from repro.net.faults import CrashSchedule, FaultPlan, TransientLinkFaults
 from repro.replication.client import attach_clients
 from repro.replication.deployment import Deployment
-from repro.replication.protocol import Baseline
+from repro.replication.protocol import ReplicationProtocol
 from repro.workload.arrivals import ExponentialArrivals
 from repro.workload.mix import OperationMix
 
@@ -143,7 +143,7 @@ class TestBaselineFailures:
             crashes=CrashSchedule().add("s5", 0, 10_000_000)
         )
         dep = Deployment(n_replicas=5, seed=36, faults=faults)
-        mcv = Baseline(dep, "mcv")
+        mcv = ReplicationProtocol(dep, "mcv")
         record = mcv.submit_write("s1", "x", 1)
         dep.run(until=10_000_000)
         assert record.status == "committed"

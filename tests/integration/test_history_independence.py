@@ -35,10 +35,10 @@ import sys
 
 import pytest
 
-from repro.core.protocol import MARP
+from repro.replication.protocol import MARP
 from repro.replication.client import attach_clients
 from repro.replication.deployment import Deployment
-from repro.replication.protocol import Baseline
+from repro.replication.protocol import ReplicationProtocol
 from repro.workload.arrivals import ExponentialArrivals
 from repro.workload.mix import OperationMix
 
@@ -125,7 +125,7 @@ def _backup_version_lookups_per_apply(n_keys, writes_per_client=40):
     """bulk_primary_n5's regime in small: ``VersionedStore.version_of``
     calls on backup s2's store, per PC_APPLY delivered to s2."""
     deployment = Deployment(n_replicas=3, seed=7)
-    protocol = Baseline(deployment, "primary-copy")
+    protocol = ReplicationProtocol(deployment, "primary-copy")
     attach_clients(
         protocol,
         ExponentialArrivals(20.0),
@@ -262,7 +262,7 @@ class TestRoutedMailboxOrdering:
         server.machine.on_message = spy
         sender = cluster.network.endpoints["s2"]  # zero-delay self-sends
 
-        from repro.agents.identity import AgentId
+        from repro.core.machines.identity import AgentId
         from repro.core.machines.wire import UpdatePayload
 
         def payload(batch):

@@ -9,7 +9,7 @@ at its destination's claim table is dropped the moment it arrives.
 
 import pytest
 
-from repro.agents.identity import AgentId
+from repro.core.machines.identity import AgentId
 from repro.core.machines.config import (
     DES_TUNABLES,
     LIVE_TUNABLES,

@@ -4,8 +4,7 @@ import pytest
 
 from repro.analysis.consistency import assert_consistent, audit
 from repro.analysis.metrics import alt, att, prk
-from repro.core.config import MARPConfig
-from repro.core.protocol import MARP
+from repro.replication.protocol import MARP
 from repro.net.latency import wan_profile
 from repro.replication.client import attach_clients
 from repro.replication.deployment import Deployment
@@ -138,7 +137,7 @@ class TestItineraryVariants:
     )
     def test_all_itineraries_commit_consistently(self, strategy):
         dep = Deployment(n_replicas=5, seed=21)
-        marp = MARP(dep, config=MARPConfig(itinerary=strategy))
+        marp = MARP(dep, itinerary=strategy)
         run_workload(dep, marp, per_client=5)
         assert marp.open_requests() == 0
         assert_consistent(dep)

@@ -6,10 +6,10 @@ both sides of that contrast plus partition healing.
 """
 
 from repro.analysis.consistency import audit
-from repro.core.protocol import MARP
+from repro.replication.protocol import MARP
 from repro.net.faults import FaultPlan, TransientLinkFaults
 from repro.replication.deployment import Deployment
-from repro.replication.protocol import Baseline
+from repro.replication.protocol import ReplicationProtocol
 
 FOREVER = 100_000_000.0
 
@@ -85,7 +85,7 @@ class TestMARPUnderPartition:
             seed=62, majority_side=["s1", "s2", "s3"],
             minority_side=["s4", "s5"],
         )
-        mcv = Baseline(dep, "mcv")
+        mcv = ReplicationProtocol(dep, "mcv")
         majority_write = mcv.submit_write("s2", "x", 1)
         dep.run(until=200_000)
         assert majority_write.status == "committed"
@@ -100,7 +100,7 @@ class TestAvailableCopiesPartitionVulnerability:
         dep = partitioned_deployment(
             seed=63, majority_side=["s1", "s2"], minority_side=["s3"],
         )
-        ac = Baseline(dep, "available-copies", detection_timeout=50.0)
+        ac = ReplicationProtocol(dep, "available-copies", detection_timeout=50.0)
         left = ac.submit_write("s1", "x", "left-value")
         right = ac.submit_write("s3", "x", "right-value")
         dep.run(until=1_000_000)

@@ -9,7 +9,7 @@ this one over randomized tables, weighted and unweighted.
 from collections import Counter
 from typing import Mapping, Optional
 
-from repro.agents.identity import AgentId
+from repro.core.machines.identity import AgentId
 from repro.core.machines.priority import OTHER, STALEMATE, UNDECIDED, WIN, Decision
 from repro.core.machines.table import LockingTable
 

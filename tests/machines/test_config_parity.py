@@ -1,17 +1,18 @@
 """The kernel tunables are the single source of protocol defaults.
 
-Each backend config dataclass (``MARPConfig``/``ReplicaConfig`` for the
-DES, ``LiveConfig`` for the live runtime) must agree field-for-field
-with the kernel-level :data:`DES_TUNABLES` / :data:`LIVE_TUNABLES` it
-sources its defaults from — the drift these tests prevent is exactly
-the duplication the sans-IO refactor removed.
+The DES's MARP agents run on :data:`DES_TUNABLES` itself, and each
+backend config dataclass (``ReplicaConfig`` for the DES, ``LiveConfig``
+for the live runtime) must agree field-for-field with the kernel-level
+:data:`DES_TUNABLES` / :data:`LIVE_TUNABLES` it sources its defaults
+from — the drift these tests prevent is exactly the duplication the
+sans-IO refactor removed.
 """
 
 import dataclasses
 
 import pytest
 
-from repro.core.config import MARPConfig
+from repro.core.machines import protocol_row
 from repro.core.machines.config import (
     AGENT_TUNABLE_FIELDS,
     DES_TUNABLES,
@@ -26,7 +27,8 @@ from repro.runtime.host import LiveConfig
 
 class TestDefaultsParity:
     def test_marp_config_agent_fields_match_des_tunables(self):
-        config = MARPConfig()
+        row = protocol_row("marp", ("s1", "s2", "s3"))
+        config = row.write(1, "x", 1, "s1").tunables
         for name in AGENT_TUNABLE_FIELDS:
             assert getattr(config, name) == getattr(DES_TUNABLES, name), name
 

@@ -16,7 +16,7 @@ Three layers:
 import pytest
 
 from repro.errors import ProtocolError
-from repro.agents.identity import AgentId
+from repro.core.machines.identity import AgentId
 from repro.core.machines.delta import DeltaJournal
 from repro.core.machines.table import LockingTable
 from repro.core.machines.wire import SharedView, SharedViewDelta

@@ -18,7 +18,7 @@ import random
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.agents.identity import AgentId
+from repro.core.machines.identity import AgentId
 from repro.core.machines import (
     DES_TUNABLES,
     Interner,

@@ -11,7 +11,7 @@ silently passing.
 
 import pytest
 
-from repro.agents.identity import AgentId
+from repro.core.machines.identity import AgentId
 from repro.core.machines import (
     DROPPABLE_KINDS,
     EventBudgetExceeded,

@@ -17,7 +17,7 @@ import sys
 import pytest
 
 import repro
-from repro.agents.identity import AgentId
+from repro.core.machines.identity import AgentId
 from repro.core.machines import effects as effects_mod
 from repro.core.machines.agent import AgentCoreState, AgentMachine
 from repro.core.machines.config import ProtocolTunables

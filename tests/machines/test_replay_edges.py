@@ -34,7 +34,7 @@ import dataclasses
 
 import pytest
 
-from repro.agents.identity import AgentId
+from repro.core.machines.identity import AgentId
 from repro.core.machines import (
     AgentCoreState,
     AgentMachine,

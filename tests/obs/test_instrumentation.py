@@ -8,7 +8,7 @@ ATT numbers computed independently by :mod:`repro.analysis.metrics`.
 
 import pytest
 
-from repro.core.protocol import MARP
+from repro.replication.protocol import MARP
 from repro.experiments.runner import RunConfig, run_once
 from repro.obs import hub as hub_mod
 from repro.obs.hub import ObservabilityHub, set_hub

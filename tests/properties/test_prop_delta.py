@@ -38,7 +38,7 @@ import pickle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.agents.identity import AgentId
+from repro.core.machines.identity import AgentId
 from repro.core.machines.config import ProtocolTunables
 from repro.core.machines.replica import ReplicaMachine
 from repro.core.machines.table import LockingTable

@@ -9,7 +9,7 @@ one agent can ever conclude that it holds the lock.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.agents.identity import AgentId
+from repro.core.machines.identity import AgentId
 from repro.core.machines.table import LockingTable
 from repro.core.machines.priority import OTHER, STALEMATE, UNDECIDED, WIN, decide
 from repro.replication.server import SharedView

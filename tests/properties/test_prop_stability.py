@@ -11,7 +11,7 @@ lock-queue operations.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.agents.identity import AgentId
+from repro.core.machines.identity import AgentId
 from repro.core.machines.structures import LockEntry, LockingList
 
 

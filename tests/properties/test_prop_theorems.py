@@ -35,10 +35,12 @@ ITINERARIES = ("cost-sorted", "static-order", "random-order")
 CONTENTION = dict(mean_interarrival=15.0, requests_per_client=4)
 
 
-def _config(n, seed, itinerary="cost-sorted", **overrides):
+def _config(n, seed, itinerary="cost-sorted", batch_size=1, **overrides):
     params = {**CONTENTION, **overrides}
     return RunConfig(
-        n_replicas=n, seed=seed, itinerary=itinerary, **params
+        n_replicas=n, seed=seed, **params, protocol_kwargs={
+            "itinerary": itinerary, "batch_size": batch_size,
+        },
     )
 
 

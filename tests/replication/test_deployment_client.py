@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ReplicationError, WorkloadError
-from repro.core.protocol import MARP
+from repro.replication.protocol import MARP
 from repro.net.faults import CrashSchedule, FaultPlan
 from repro.replication.client import Client, attach_clients
 from repro.replication.deployment import Deployment

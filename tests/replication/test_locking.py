@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ProtocolError
-from repro.agents.identity import AgentId
+from repro.core.machines.identity import AgentId
 from repro.core.machines.structures import LockEntry, LockingList, UpdatedList
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ProtocolError
-from repro.agents.identity import AgentId
+from repro.core.machines.identity import AgentId
 from repro.core.machines.interpreter import Resident
 from repro.net.network import Network
 from repro.net.topology import Topology

@@ -14,7 +14,7 @@ import threading
 
 import pytest
 
-from repro.agents.identity import AgentId
+from repro.core.machines.identity import AgentId
 from repro.core.machines.structures import LockEntry
 from repro.core.machines.wire import SharedView, UpdatePayload, WriteOp
 from repro.runtime.host import HostRuntime, LiveConfig, now_ms

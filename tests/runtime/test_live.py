@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from repro.agents.identity import AgentId
+from repro.core.machines.identity import AgentId
 from repro.errors import NetworkError, ReplicationError
 from repro.runtime.cluster import LiveCluster
 from repro.runtime.shipping import LiveAgentState, ship, unship

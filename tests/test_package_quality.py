@@ -43,13 +43,12 @@ class TestImports:
     def test_the_kernel_imports_only_itself_errors_and_identity(self):
         """Every backend imports ``repro.core.machines`` (the DES, the
         live runtime, the replay harness), so at module level the kernel
-        imports nothing of the package but itself, ``repro.errors`` and
-        ``repro.agents.identity``. An import inside a function binds at
-        call time and is not a kernel import."""
+        imports nothing of the package but itself and ``repro.errors``
+        (agent identity is the kernel's own). An import inside a
+        function binds at call time and is not a kernel import."""
         kernel = os.path.join(os.path.dirname(repro.__file__), "core",
                               "machines")
-        allowed = ("repro.core.machines", "repro.errors",
-                   "repro.agents.identity")
+        allowed = ("repro.core.machines", "repro.errors")
         impure = {}
         for name in sorted(os.listdir(kernel)):
             if name.endswith(".py"):
@@ -62,7 +61,7 @@ class TestImports:
                         for a in allowed
                     )
                 ]
-        assert "protocols.py" in impure
+        assert {"protocols.py", "identity.py"} <= set(impure)
         assert {name: bad for name, bad in impure.items() if bad} == {}
 
     def test_package_has_version(self):
@@ -119,8 +118,8 @@ class TestPublicAPI:
 
     def test_subpackage_exports_resolve(self):
         for subpackage in (
-            "repro.sim", "repro.net", "repro.agents", "repro.replication",
-            "repro.core", "repro.core.machines", "repro.runtime",
+            "repro.sim", "repro.net", "repro.replication",
+            "repro.core.machines", "repro.runtime",
             "repro.workload", "repro.analysis", "repro.experiments",
         ):
             module = importlib.import_module(subpackage)

@@ -3,10 +3,10 @@
 import pytest
 
 from repro.analysis.consistency import audit
-from repro.core.protocol import MARP
+from repro.replication.protocol import MARP
 from repro.errors import WorkloadError
 from repro.replication.deployment import Deployment
-from repro.replication.protocol import Baseline
+from repro.replication.protocol import ReplicationProtocol
 from repro.replication.requests import WRITE
 from repro.workload import (
     ExponentialArrivals,
@@ -52,7 +52,7 @@ class TestReplay:
             }
 
         assert final_state(MARP) == final_state(
-            lambda dep: Baseline(dep, "mcv")
+            lambda dep: ReplicationProtocol(dep, "mcv")
         )
 
     def test_record_then_replay_reproduces_commits(self):
