@@ -12,9 +12,11 @@ properties the paper's correctness argument rests on:
 **Safety ([D1], Theorems 1-2).** Never two committed winners per
 round: every committed ``(key, version)`` cell holds exactly one
 ``(request, value)`` across all replica histories, version chains per
-key are gapless from 1, and only committed (or churned-away) agents
-own cells — the divergence, gap and ownership checks of the kernel's
-one consistency checker (:mod:`~repro.core.machines.audit`).
+key are gapless from 1, only committed (or churned-away) agents
+own cells, and every replica ends on the same store ("write-all
+applied": a restarted replica has caught up) — the divergence, gap,
+ownership and convergence checks of the kernel's one consistency
+checker (:mod:`~repro.core.machines.audit`).
 
 **Liveness under heal.** Once faults stop — `run` heals partitions and
 restarts every crashed replica at the schedule horizon — every
@@ -122,7 +124,8 @@ class CrashOp:
 
 @dataclass(frozen=True)
 class RestartOp:
-    """Bring ``host`` back at ``at`` with an atomic peer resync."""
+    """Bring ``host`` back at ``at``; it catches up from a majority of
+    its peers before it serves again."""
 
     host: str
     at: float
@@ -410,7 +413,7 @@ def run_schedule(
         if isinstance(op, CrashOp):
             harness.crash(op.host, at=op.at)
         elif isinstance(op, RestartOp):
-            harness.restart(op.host, at=op.at, atomic=True)
+            harness.restart(op.host, at=op.at)
         elif isinstance(op, PartitionOp):
             harness.set_partition(op.groups, at=op.at)
         elif isinstance(op, HealOp):
@@ -431,7 +434,7 @@ def run_schedule(
     # Faults stop: heal the partition, restart every crashed replica.
     harness.heal_partition()
     for host in sorted(harness.down):
-        harness.restart(host, atomic=True)
+        harness.restart(host)
     # Settle phase: liveness-under-heal must resolve inside this window.
     deadline = schedule.horizon + _settle_window(
         schedule.protocol_tunables(), schedule.msg_latency
@@ -475,7 +478,10 @@ def check_schedule(
     report = harness.audit()
     safety = [
         problem
-        for check in ("divergence_free", "gapless", "statuses_match")
+        for check in (
+            "divergence_free", "gapless", "statuses_match",
+            "final_state_equal",
+        )
         for problem in report.findings[check]
     ]
     liveness = _liveness_violations(harness, schedule)

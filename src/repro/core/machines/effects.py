@@ -42,7 +42,7 @@ Effect vocabulary (replica machine)
 ``CommitApplied`` one write of a COMMIT was applied to the store.
 ``ReleaseNotify`` wake agents parked at this replica ([D2]).
 ``QueueChanged``  the Locking List length changed (gauge refresh).
-``Recovered``     a crash-recovery snapshot was installed.
+``Recovered``     a restarted replica caught up and rejoined.
 
 Effect vocabulary (coordinators)
 --------------------------------
@@ -255,9 +255,10 @@ class QueueChanged(Effect):
 
 @dataclass(slots=True)
 class Recovered(Effect):
-    """A recovery snapshot from ``src`` was installed."""
+    """The replica caught up from the snapshots of ``sources`` and
+    rejoined."""
 
-    src: str
+    sources: Tuple[str, ...]
 
 
 @dataclass(slots=True)

@@ -35,6 +35,7 @@ currently there. It owns
 The substrate calls in through :meth:`~EffectInterpreter.launch`,
 :meth:`~EffectInterpreter.arrived`, :meth:`~EffectInterpreter.unreachable`,
 :meth:`~EffectInterpreter.deliver`, :meth:`~EffectInterpreter.reply`,
+:meth:`~EffectInterpreter.restarted`,
 :meth:`~EffectInterpreter.coordinate` and :meth:`~EffectInterpreter.attach`,
 and through the ``fire`` callables it was handed with each timer.
 """
@@ -214,7 +215,9 @@ class EffectInterpreter:
     fail-stop: its replica neither exchanges nor answers, and a visit
     yields ``ReplicaDown``. The replay harness sets it on a crash; the
     DES reads it from its fault plan's crash schedule (its network
-    drops the messages).
+    drops the messages). When the host comes back, the substrate calls
+    :meth:`restarted`; a visit yields ``ReplicaDown`` until the replica
+    has caught up.
     """
 
     down = False
@@ -369,6 +372,11 @@ class EffectInterpreter:
                 kind, payload, src=src, now=self.substrate.now()
             ))
 
+    def restarted(self) -> None:
+        """The host came back up: its replica catches up from its peers
+        (:meth:`ReplicaMachine.restarted`) before it serves again."""
+        self.run_replica(self.replica.restarted(self.substrate.now()))
+
     def reply(self, taker: int, kind: str, payload: Any) -> None:
         """A reply to whoever claimed ``taker`` here: a claiming agent's
         batch, a coordinator's request. One nobody claims (any more) is
@@ -435,7 +443,7 @@ class EffectInterpreter:
         machine = agent.machine
         state = machine.state
         now = self.substrate.now()
-        if self.down:
+        if self.down or self.replica.catching_up:
             self._run(agent, machine.on_replica_down(
                 ReplicaDown(self.host, now)
             ))
@@ -700,7 +708,8 @@ class EffectInterpreter:
 
     def _recovered(self, _agent, effect: Recovered) -> None:
         self.substrate.emit(
-            "recover", None, None, f"snapshot from {effect.src}", None
+            "recover", None, None,
+            "caught up from " + ", ".join(effect.sources), None,
         )
 
     def _queue_changed(self, _agent, effect: QueueChanged) -> None:

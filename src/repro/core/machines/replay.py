@@ -190,7 +190,8 @@ class KernelHarness:
     per message) and the back-off "sample" is exactly its mean, so the
     whole run is reproducible from the call sequence alone. Hosts can be
     crashed and restarted (fail-stop: a down replica machine receives
-    nothing, and visiting it yields a ``ReplicaDown`` input).
+    nothing, and visiting it yields a ``ReplicaDown`` input, as it does
+    while a restarted replica catches up).
     """
 
     def __init__(
@@ -290,42 +291,16 @@ class KernelHarness:
         else:
             self._schedule(at, self.crash, host)
 
-    def restart(
-        self,
-        host: str,
-        at: Optional[float] = None,
-        sync_from: Optional[str] = None,
-        atomic: bool = False,
-    ) -> None:
-        """Bring a crashed replica back, optionally resyncing from a peer.
-
-        ``atomic=True`` models the backends' recovery discipline (the
-        server completes its catch-up *before* rejoining): the snapshot
-        is pulled synchronously from ``sync_from`` — or, when omitted,
-        from the lowest-named live peer — instead of via a SYNC message
-        round-trip during which the stale replica could already answer
-        claims.
-        """
+    def restart(self, host: str, at: Optional[float] = None) -> None:
+        """Bring a crashed replica back: it catches up from a majority
+        of its peers (:meth:`ReplicaMachine.restarted`) before it
+        serves again, exactly as on the DES."""
         if at is not None:
-            self._schedule(at, self.restart, host, None, sync_from, atomic)
+            self._schedule(at, self.restart, host)
             return
-        self.interpreters[host].down = False
-        if atomic:
-            down = self.down
-            peer = sync_from or min(
-                (h for h in self.hosts if h not in down and h != host),
-                default=None,
-            )
-            if peer is None:
-                return  # no live peer: rejoin on durable state alone
-            (reply,) = self.replicas[peer].on_message(
-                "SYNC_REQUEST", {}, src=host, now=self.now
-            )
-            self.interpreters[host].deliver(
-                "SYNC_REPLY", reply.payload, src=peer
-            )
-        elif sync_from is not None:
-            self._deliver_later(sync_from, "SYNC_REQUEST", {}, src=host)
+        interpreter = self.interpreters[host]
+        interpreter.down = False
+        interpreter.restarted()
 
     def kill(self, agent_id: AgentId, at: Optional[float] = None) -> None:
         """Remove an agent from the world (mid-flight churn).

@@ -19,14 +19,14 @@ Two kinds of entry points:
   UPDATE / COMMIT / ABORT / RELEASE / SYNC_REQUEST / SYNC_REPLY / READQ,
   each returning the effects the driver must perform.
 
-Crash behaviour stays driver-side: a crashed server simply stops
-feeding its machine (fail-stop), and recovery is a SYNC_REQUEST /
-SYNC_REPLY exchange driven from outside.
+A crash stays driver-side: a crashed server simply stops feeding its
+machine (fail-stop). Recovery is one input every substrate feeds when
+the host comes back, :meth:`ReplicaMachine.restarted`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.errors import ProtocolError
 from repro.core.machines.identity import AgentId
@@ -103,6 +103,10 @@ class ReplicaMachine:
         #: visitors only what changed since their acknowledged sequence.
         self.journal = DeltaJournal(host)
 
+        #: while catching up after a restart, the peers whose
+        #: SYNC_REPLY is in; None while the replica serves
+        self.synced_from: Optional[Set[str]] = None
+
         self.acks_sent = 0
         self.nacks_sent = 0
         self.commits_applied = 0
@@ -117,6 +121,22 @@ class ReplicaMachine:
     @property
     def n_replicas(self) -> int:
         return len(self.peers)
+
+    @property
+    def catching_up(self) -> bool:
+        """Restarted, and not yet answered by enough peers to rejoin."""
+        return self.synced_from is not None
+
+    def restarted(self, now: float) -> List[Effect]:
+        """The host came back up: ask every other host for its state,
+        and serve again once ``N//2 + 1`` of them (at most all) have
+        answered (docs/protocol.md §4, "Recovery"). Until then visits
+        are refused and UPDATE and READQ go unanswered."""
+        self.synced_from = set()
+        return [
+            Send(host, "SYNC_REQUEST", {})
+            for host in self.peers if host != self.host
+        ] or self._rejoin()
 
     # ------------------------------------------------------------------
     # Local interface used by co-located mobile agents
@@ -309,6 +329,8 @@ class ReplicaMachine:
         self, kind: str, payload: Any, src: str = "", now: float = 0.0
     ) -> List[Effect]:
         if kind == "UPDATE":
+            if self.synced_from is not None:
+                return []
             return self._on_update(payload, now)
         if kind == "COMMIT":
             return self._on_commit(payload, now)
@@ -321,6 +343,8 @@ class ReplicaMachine:
         if kind == "SYNC_REPLY":
             return self._on_sync_reply(payload, src, now)
         if kind == "READQ":
+            if self.synced_from is not None:
+                return []
             return self._on_read_query(payload, src)
         raise ProtocolError(f"replica machine cannot handle {kind!r}")
 
@@ -464,24 +488,35 @@ class ReplicaMachine:
         return []
 
     def _on_sync_request(self, src: str) -> List[Effect]:
-        return [
-            Send(
-                src,
-                "SYNC_REPLY",
-                {
-                    "snapshot": self.store.snapshot(),
-                    "updated": tuple(self.updated_list.ids()),
-                },
-                category="data",
-            )
-        ]
+        reply = Send(src, "SYNC_REPLY", {
+            "snapshot": self.store.snapshot(),
+            "updated": tuple(self.updated_list.ids()),
+        }, category="data")
+        # A peer that asks is up: if it has not answered us, our own
+        # request may have reached it while it was down.
+        if self.synced_from is not None and src not in self.synced_from:
+            return [reply, Send(src, "SYNC_REQUEST", {})]
+        return [reply]
 
     def _on_sync_reply(
         self, payload: Dict[str, Any], src: str, now: float
     ) -> List[Effect]:
+        synced_from = self.synced_from
+        if synced_from is None:
+            return []  # the catch-up it answers is over
+        # The snapshot keeps the higher version of each key.
         self.store.install_snapshot(payload["snapshot"], now)
         for agent_id in payload["updated"]:
             self.updated_list.add(agent_id, at=now)
+        synced_from.add(src)
+        if len(synced_from) < min(self.n_replicas // 2 + 1,
+                                  self.n_replicas - 1):
+            return []
+        return self._rejoin()
+
+    def _rejoin(self) -> List[Effect]:
+        sources = tuple(sorted(self.synced_from))
+        self.synced_from = None
         self.recoveries += 1
         # Stale lock entries from agents that finished while we were down
         # would wedge our LL top forever; clear them.
@@ -490,11 +525,11 @@ class ReplicaMachine:
                 self.locking_list.remove(agent_id)
         if self.grant_holder is not None and self.grant_holder in self.updated_list:
             self.release_grant(self.grant_holder)
-        # Recovery rewrote store/UL/LL state in one stroke; rather than
+        # The catch-up rewrote store/UL/LL state in bulk; rather than
         # journal a bulk diff, invalidate the window so every visitor
         # takes the full-snapshot fallback once.
         self.journal.reset()
-        return [Recovered(src), QueueChanged(), ReleaseNotify()]
+        return [Recovered(sources), QueueChanged(), ReleaseNotify()]
 
     def _on_read_query(
         self, payload: Dict[str, Any], src: str

@@ -48,10 +48,10 @@ __all__ = [
 ]
 
 #: Bump when the cached RunResult surface changes shape, or when the
-#: simulated numbers it caches move (9: an agent that met no rival
-#: commits on grants taken on its visits, with no UPDATE round);
+#: simulated numbers it caches move (10: a restarted replica catches
+#: up from a majority of its peers before it serves again);
 #: invalidates every existing entry (alongside the package version).
-CACHE_SCHEMA_VERSION = 9
+CACHE_SCHEMA_VERSION = 10
 
 
 def code_version() -> str:

@@ -17,7 +17,7 @@ retry-then-declare-unavailable policy.
 from __future__ import annotations
 
 import bisect
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import NetworkError
 from repro.sim.rng import Stream
@@ -73,9 +73,6 @@ class CrashSchedule:
             if down_at <= time < up_at:
                 return up_at
         return None
-
-    def hosts_with_faults(self) -> List[str]:
-        return sorted(self._windows)
 
     def windows(self, host: str) -> List[Tuple[float, float]]:
         """All crash windows scheduled for ``host`` (sorted)."""
@@ -135,6 +132,13 @@ class TransientLinkFaults:
                 self.add_outage(a, b, start, end)
         return self
 
+    def outage_ends(self, host: str) -> Set[float]:
+        """When the outages of the links at ``host`` end."""
+        return {
+            end for (src, _dst), windows in self._outages.items()
+            if src == host for _start, end in windows
+        }
+
     def cut(self, src: str, dst: str, time: float) -> bool:
         """Is the (src, dst) link inside an outage window at ``time``?"""
         windows = self._outages.get((src, dst))
@@ -189,6 +193,13 @@ class FaultPlan:
 
     def host_up(self, host: str, time: float) -> bool:
         return self.crashes.is_up(host, time)
+
+    def rejoin_times(self, host: str) -> List[float]:
+        """When ``host`` must catch up: the end of each of its crash
+        windows and of each link outage it is on (sorted, once each)."""
+        return sorted(self.links.outage_ends(host).union(
+            up_at for _down_at, up_at in self.crashes.windows(host)
+        ))
 
     def transmission_fails(
         self, src: str, dst: str, time: float, stream: Stream

@@ -1,10 +1,10 @@
 """Deployment wiring: one call builds a complete replicated system.
 
 A :class:`Deployment` owns the environment, random streams, topology,
-network, one replica server (with its effect interpreter) per host, and
-the post-crash recovery processes. Protocols (MARP and the
-message-passing baselines) are constructed *on top of* a deployment, so
-every protocol runs over the identical substrate.
+network and one replica server (with its effect interpreter) per host,
+and feeds each host's restart input from the fault plan. Protocols
+(MARP and the message-passing baselines) are constructed *on top of* a
+deployment, so every protocol runs over the identical substrate.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.errors import ReplicationError
+from repro.core.machines.interpreter import EffectInterpreter
 from repro.core.machines.replay import RELIABLE_KINDS
 from repro.net.faults import FaultPlan
 from repro.net.latency import LatencyModel, lan_profile
@@ -102,8 +103,15 @@ class Deployment:
         #: optional structured protocol trace (see enable_tracing)
         self.trace = None
 
-        if self.replica_config.recover_on_restart:
-            self._start_recovery_processes()
+        # A host that comes back catches up before it serves again
+        # (docs/protocol.md, "Recovery"): at the end of each of its
+        # crash windows, and of each link outage it was on.
+        for host, server in self.servers.items():
+            for up_at in self.faults.rejoin_times(host):
+                self.env.call_in(
+                    up_at - self.env.now, EffectInterpreter.restarted,
+                    server.interpreter,
+                )
 
     # ------------------------------------------------------------------
 
@@ -130,43 +138,6 @@ class Deployment:
                 server.trace = self.trace
         return self.trace
 
-    def enable_anti_entropy(self, mean_interval: float = 5_000.0) -> None:
-        """Start background store reconciliation (paper §2: replicas
-        "perform operations such as failure recovery ... and background
-        information transfer").
-
-        Each server periodically (exponential intervals) pulls a store
-        snapshot from a random peer. This is what heals the data gaps
-        left by *dropped* COMMITs — message loss during link outages or
-        partitions — which the crash-recovery sync cannot see.
-        """
-        if mean_interval <= 0:
-            raise ReplicationError(
-                f"anti-entropy interval must be > 0: {mean_interval}"
-            )
-        if getattr(self, "_anti_entropy_running", False):
-            return
-        self._anti_entropy_running = True
-        for host in self.hosts:
-            peers = [h for h in self.hosts if h != host]
-            if peers:
-                self._anti_entropy(host, mean_interval, peers)
-
-    def _anti_entropy(self, host: str, mean_interval: float, peers) -> None:
-        """``host`` pulls from a random peer, forever, at exponential
-        intervals: each pull arms the next."""
-        stream = self.streams.stream(f"anti-entropy.{host}")
-
-        def arm() -> None:
-            self.env.call_in(stream.exponential(mean_interval), pull)
-
-        def pull(_arg: None) -> None:
-            if self.network.host_up(host):
-                self.servers[host].request_sync(stream.choice(peers))
-            arm()
-
-        arm()
-
     def server(self, host: str) -> ReplicaServer:
         try:
             return self.servers[host]
@@ -182,23 +153,6 @@ class Deployment:
         return [h for h in self.hosts if self.network.host_up(h)]
 
     # ------------------------------------------------------------------
-
-    def _start_recovery_processes(self) -> None:
-        """After each crash window, resync the store from a live peer."""
-        grace = 1.0  # let the clock pass the exact boundary instant
-        for host in self.faults.crashes.hosts_with_faults():
-            if host not in self.servers:
-                continue
-            for _down_at, up_at in self.faults.crashes.windows(host):
-                self.env.call_in(
-                    max(0.0, up_at + grace - self.env.now),
-                    self._recover, host,
-                )
-
-    def _recover(self, host: str) -> None:
-        peers = [h for h in self.alive_hosts() if h != host]
-        if peers:
-            self.servers[host].request_sync(peers[0])
 
     def run(self, until=None):
         """Convenience passthrough to the environment's run loop."""

@@ -106,8 +106,6 @@ class ReplicaConfig:
         Paper §3.1: agents "exchange their locking information by leaving
         the information at the servers they visited". Off for the A2
         ablation.
-    recover_on_restart:
-        Run the post-crash resynchronisation process.
     grant_ttl:
         Ms after which an unreleased update grant expires. A grant is
         the server-side exclusive promise behind an UPDATE
@@ -121,7 +119,6 @@ class ReplicaConfig:
     update_apply_time: float = 0.5
     read_service_time: float = 0.5
     enable_bulletin: bool = DES_TUNABLES.enable_bulletin
-    recover_on_restart: bool = True
     grant_ttl: float = DES_TUNABLES.grant_ttl
 
 
@@ -205,10 +202,6 @@ class ReplicaServer(Substrate):
     def read(self, key: str):
         """Local read — the paper's fast read path (not guaranteed fresh)."""
         return self.machine.read(key)
-
-    def request_sync(self, peer: str) -> None:
-        """Ask ``peer`` for a store snapshot (post-crash catch-up)."""
-        self.endpoint.send(peer, "SYNC_REQUEST", payload={})
 
     # ------------------------------------------------------------------
     # Message handling (Algorithm 2's message clauses)

@@ -229,7 +229,7 @@ class TestPrimaryCopyLogShipping:
         self._ship(dep, pc, [("s3", "a", 3)])
         dep.run(until=self.GAP)
         assert dep.server("s3").store.version_of("a") == 0
-        dep.server("s3").request_sync(pc.row.settings["primary"])
+        dep.server("s3").interpreter.restarted()  # s1 and s2 answer
         dep.run(until=2 * self.GAP)
         assert dep.server("s3").store.version_of("a") == 2
         self._ship(dep, pc, [("s3", "b", 1)])

@@ -181,8 +181,14 @@ class TestResultCache:
     def test_schema_8_envelope_is_a_miss(self, tmp_path):
         # Schema 8 cached MARP runs in which every claim ran an UPDATE
         # round; their simulated numbers are not today's.
-        assert CACHE_SCHEMA_VERSION == 9
         self._assert_old_schema_is_a_miss(tmp_path, 8)
+
+    def test_schema_9_envelope_is_a_miss(self, tmp_path):
+        # Schema 9 cached crash runs whose restarted replica served at
+        # once and pulled one peer's snapshot; their simulated numbers
+        # are not today's.
+        assert CACHE_SCHEMA_VERSION == 10
+        self._assert_old_schema_is_a_miss(tmp_path, 9)
 
     def test_uncacheable_config_is_silently_skipped(self, tmp_path):
         cache = ResultCache(tmp_path)

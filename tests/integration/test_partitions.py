@@ -63,9 +63,6 @@ class TestMARPUnderPartition:
             minority_side=["s4", "s5"],
             start=0.0, end=30_000.0,
         )
-        # COMMITs dropped by the partition are healed by the background
-        # information transfer (anti-entropy), not by crash recovery.
-        dep.enable_anti_entropy(mean_interval=10_000.0)
         marp = MARP(dep)
         during = marp.submit_write("s1", "x", "during-partition")
         minority = marp.submit_write("s4", "y", "from-minority")
@@ -77,7 +74,8 @@ class TestMARPUnderPartition:
         assert report.consistent
         assert report.final_state_equal
         # the minority's *histories* legitimately lack the dropped COMMIT
-        # (anti-entropy transfers state, not the commit log), so
+        # (the catch-up at the partition's end transfers state, not the
+        # commit log), so
         # `complete` may be false while every store agrees.
 
     def test_mcv_also_partition_safe(self):

@@ -133,12 +133,13 @@ class TestKnownOutcomes:
         assert versions == [1, 2]
 
 
-#: Schedules whose restarted replica ends stale: shrunk from the
+#: Schedules whose restarted replica once ended stale: shrunk from the
 #: 1,000-schedule campaigns at seeds 1-5 (``--seed 1 --index 542``,
 #: ``2/628``, ``3/99``, ``4/496``, ``5/373``). A host is down while a
-#: write commits, so its COMMIT is lost; ``restart(atomic=True)`` then
-#: snapshots the lowest-named live peer, which has not applied that
-#: COMMIT yet (it is delayed, or buffered behind a partition).
+#: write commits, so its COMMIT is lost. An atomic restart from the
+#: lowest-named live peer, which had not applied that COMMIT yet
+#: (delayed, or buffered behind a partition), left it stale for good; a
+#: restart that catches up from a majority of its peers converges.
 STALE_RESTARTS = sorted(
     (pathlib.Path(__file__).parent / "stale_restarts").glob("*.json")
 )
@@ -150,12 +151,6 @@ def test_the_stale_restarts_uphold_safety_and_liveness():
         check_schedule(Schedule.load(str(path)))
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP 20: an atomic restart snapshots a peer that has not yet "
-    "applied the COMMIT the restarted host missed, and nothing re-pulls; "
-    "check_schedule does not check convergence until recovery is one "
-    "replica input"
-))
 @pytest.mark.parametrize("path", STALE_RESTARTS, ids=corpus_ids)
 def test_a_restarted_replica_converges(path):
     harness, _agent_ids = run_schedule(Schedule.load(str(path)))

@@ -4,9 +4,9 @@ The schedule adversary leans on these behaviors being exact; each one
 is pinned here in isolation: partitions buffer (never lose) messages
 until heal, drop directives only touch retryable kinds, duplicates and
 delays act on the deterministic send index, killed agents vanish but
-leave their lock entries behind, atomic restarts resync before the
-replica answers anything, and a livelocked run raises instead of
-silently passing.
+leave their lock entries behind, a restarted replica catches up from
+a majority of its peers before it serves again, and a livelocked run
+raises instead of silently passing.
 """
 
 import pytest
@@ -14,9 +14,18 @@ import pytest
 from repro.core.machines.identity import AgentId
 from repro.core.machines import (
     DROPPABLE_KINDS,
+    CrashOp,
+    DelayOp,
     EventBudgetExceeded,
+    InvariantViolation,
     KernelHarness,
     ProtocolTunables,
+    RestartOp,
+    Schedule,
+    SubmitOp,
+    UpdatePayload,
+    WriteOp,
+    check_schedule,
 )
 
 HOSTS = ["s1", "s2", "s3"]
@@ -222,29 +231,149 @@ class TestKill:
         assert harness.killed == set()
 
 
-class TestAtomicRestart:
-    def test_atomic_restart_resyncs_before_answering(self):
-        harness = KernelHarness(HOSTS)
-        harness.submit("s1", 1, "x", "v1", at=0.0)
-        harness.crash("s3", at=0.5)
-        harness.run(until=5_000)
-        assert harness.statuses() == {1: "committed"}
-        assert len(harness.replicas["s3"].history) == 0
-        harness.restart("s3", atomic=True)
-        # No further events needed: the resync happened synchronously.
-        # The store and updated-list transfer; the history log is each
-        # replica's own append-only record (commit-chain completeness
-        # comes from the union over live replicas).
-        assert harness.replicas["s3"].read("x").value == "v1"
-        assert len(harness.replicas["s3"].history) == 0
+FIVE = ["s1", "s2", "s3", "s4", "s5"]
 
-    def test_atomic_restart_without_live_peer_keeps_durable_state(self):
-        harness = KernelHarness(HOSTS)
-        for host in HOSTS:
+
+class TestCatchUp:
+    """A restarted replica asks every peer for its state and serves
+    again once three of its four peers (``N//2 + 1``) have answered."""
+
+    def stalled(self):
+        """s3 restarts at t=0 while s4 and s5 are down: s1 and s2
+        answer, one reply short of a rejoin."""
+        harness = RecordingHarness(FIVE)
+        for host in ("s3", "s4", "s5"):
             harness.crash(host)
-        harness.restart("s1", atomic=True)
-        assert "s1" not in harness.down
-        assert len(harness.replicas["s1"].history) == 0
+        harness.restart("s3")
+        harness.run(until=10.0)
+        return harness
+
+    def test_it_asks_every_peer_and_waits_for_a_majority(self):
+        harness = self.stalled()
+        assert [(kind, src, dst) for _i, kind, src, dst in harness.sends] == [
+            ("SYNC_REQUEST", "s3", peer) for peer in ("s1", "s2", "s4", "s5")
+        ] + [("SYNC_REPLY", "s1", "s3"), ("SYNC_REPLY", "s2", "s3")]
+        replica = harness.replicas["s3"]
+        assert replica.catching_up and replica.synced_from == {"s1", "s2"}
+        assert replica.recoveries == 0
+
+    def test_refuses_visit_update_readq_applies_commit(self):
+        harness = self.stalled()
+        agent = harness.submit("s3", 1, "x", "v1", at=10.0)
+        port = harness.interpreters["s1"].substrate
+        update = UpdatePayload(
+            batch_id=7, agent_id=AgentId("s1", 0.0, 9), origin="s1",
+            reply_to="s1", epoch=1, keys=("y",),
+        )
+        port.send("s3", "UPDATE", update)
+        port.send("s3", "READQ", {"request_id": 8, "key": "y"})
+        port.send("s3", "COMMIT", UpdatePayload(
+            batch_id=7, agent_id=update.agent_id, origin="s1",
+            writes=(WriteOp(7, "y", "y1", 1),),
+        ))
+        harness.run(until=12.0)
+        replica = harness.replicas["s3"]
+        # The visit at its home yielded ReplicaDown: no lock entry there.
+        assert (10.0, "unavailable", "") in harness.agents[agent].notes
+        assert agent not in replica.locking_list
+        # Neither the UPDATE nor the READQ got a reply ...
+        assert {
+            kind for _i, kind, src, _dst in harness.sends if src == "s3"
+        } == {"SYNC_REQUEST"}
+        assert replica.grant_holder is None
+        # ... but the COMMIT applied.
+        assert replica.read("y").value == "y1"
+        assert replica.commits_applied == 1
+        assert replica.catching_up
+
+    def test_it_rejoins_at_the_third_reply(self):
+        harness = self.stalled()
+        harness.restart("s4", at=10.0)  # s3 answers it, and asks again
+        harness.run(until=12.5)
+        replica = harness.replicas["s3"]
+        assert replica.synced_from == {"s1", "s2"}
+        harness.run(until=13.0)  # s4's reply lands
+        assert not replica.catching_up
+        assert replica.recoveries == 1 and replica.journal.resets == 1
+        assert not harness.replicas["s4"].catching_up
+        agent = harness.submit("s3", 1, "x", "v1", at=20.0)
+        harness.run(until=20.0)
+        assert agent in replica.locking_list
+
+    def test_with_every_peer_down_it_stalls_then_resumes(self):
+        """What ROADMAP 2(b) needs of a majority crash: s1 restarts
+        while every peer is down and refuses visits until three of
+        them are back; then it rejoins, and the waiting write commits."""
+        harness = KernelHarness(FIVE)
+        for host in FIVE:
+            harness.crash(host)
+        harness.restart("s1")
+        harness.submit("s1", 1, "x", "v1", at=1.0)
+        harness.restart("s2", at=100.0)
+        harness.restart("s3", at=200.0)
+        harness.run(until=299.0)
+        s1 = harness.replicas["s1"]
+        assert s1.catching_up and s1.synced_from == {"s2", "s3"}
+        assert harness.statuses() == {}
+        harness.restart("s4", at=300.0)
+        harness.run(until=310.0)
+        for host in ("s1", "s2", "s3", "s4"):
+            assert not harness.replicas[host].catching_up, host
+            assert harness.replicas[host].recoveries == 1, host
+        harness.run(until=10_000.0)
+        assert harness.statuses() == {1: "committed"}
+        for host in ("s1", "s2", "s3", "s4"):
+            assert harness.replicas[host].read("x").value == "v1", host
+
+    def test_a_restart_into_a_bare_majority_waits_for_one_more_host(self):
+        """The price of never counting itself (docs/protocol.md §4,
+        "Recovery"): with N=3 and s2 down, a restarted s3 hears only
+        s1, one reply short, so writes stall although two of three
+        hosts are up; once s2 is back, both rejoin and the write
+        commits."""
+        harness = KernelHarness(HOSTS)
+        harness.crash("s2")
+        harness.crash("s3")
+        harness.restart("s3", at=1.0)
+        harness.submit("s1", 1, "x", "v1", at=2.0)
+        harness.run(until=1_000.0)
+        s3 = harness.replicas["s3"]
+        assert s3.catching_up and s3.synced_from == {"s1"}
+        assert harness.statuses() == {}
+        harness.restart("s2", at=1_000.0)
+        harness.run(until=10_000.0)
+        for host in ("s2", "s3"):
+            assert not harness.replicas[host].catching_up, host
+            assert harness.replicas[host].recoveries == 1, host
+        assert harness.statuses() == {1: "committed"}
+        for host in HOSTS:
+            assert harness.replicas[host].read("x").value == "v1", host
+
+
+#: The shape ROADMAP 2(a) repairs. The lone writer at s1 commits on its
+#: visit grants at s1 and s2 (t=1); s2 crashes before the COMMIT it
+#: sent itself lands, and restarts at t=3. Its SYNC replies leave s1 and
+#: s3 at t=4, but the COMMITs to them (sends 0 and 2) are delayed until
+#: t=12. s2 installs two snapshots without the write and rejoins.
+GRANTED_THEN_CRASHED = Schedule(
+    n_hosts=3,
+    submits=(SubmitOp("s1", 1, "x", "v1", at=0.0),),
+    ops=(
+        CrashOp("s2", at=1.5),
+        RestartOp("s2", at=3.0),
+        DelayOp(0, 10.0),
+        DelayOp(2, 10.0),
+    ),
+)
+
+
+@pytest.mark.xfail(strict=True, raises=InvariantViolation, reason=(
+    "ROADMAP 2(a): a replica that granted the write and crashed before "
+    "its COMMIT catches up from peers that have not applied that COMMIT "
+    "yet, and nothing re-pulls, so it ends stale"
+))
+def test_a_granting_replica_that_misses_the_commit_converges():
+    check_schedule(GRANTED_THEN_CRASHED)
 
 
 class TestEventBudget:

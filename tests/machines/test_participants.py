@@ -204,9 +204,11 @@ class TestCopyKeeper:
         replay(backup, [ship(2, "x", 2)])
         donor = replica("s1")
         donor.apply_write(WriteOp(1, "x", "x1", 1), "s3", 0.5)
-        (sync,) = donor.on_message("SYNC_REQUEST", {}, src="s2", now=3.0)
-        backup.replica.on_message("SYNC_REPLY", sync.payload, src="s1",
-                                  now=4.0)
+        backup.replica.restarted(3.0)
+        for peer in (donor, replica("s3")):  # the two peers it waits for
+            (sync,) = peer.on_message("SYNC_REQUEST", {}, src="s2", now=3.0)
+            backup.replica.on_message("SYNC_REPLY", sync.payload,
+                                      src=peer.host, now=4.0)
         assert applied(backup) == [] and backup.replica.version_of("x") == 1
         replay(backup, [ship(5, "y", 1, now=5.0)])
         assert applied(backup) == [("x", 2, 2), ("y", 1, 5)]

@@ -358,7 +358,7 @@ class TestDuplicateCommitAfterRestart:
         harness, _ids = run_schedule(self.schedule())
         assert harness.statuses() == {1: "committed"}
         replica = harness.replicas["s3"]
-        # The value came in through the atomic resync; the straggling
+        # The value came in through the catch-up; the straggling
         # duplicate COMMIT found version 1 already present and applied
         # nothing.
         assert replica.read("x").value == "v1"
@@ -580,8 +580,10 @@ class TestForgottenFinishedIdCostsAHop:
             (1, "v4"), (2, "v1"), (3, "v2"), (4, "v5"), (5, "v6"), (6, "v3"),
         ]}
         outcome = check_schedule(self.delayed_commit())
+        # A restart is a SYNC round trip: s1 asks both peers and
+        # installs both replies.
         assert (outcome.events, outcome.deltas, outcome.fallbacks) == (
-            43, 2, 0,
+            47, 2, 0,
         )
 
 

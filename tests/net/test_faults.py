@@ -51,10 +51,6 @@ class TestCrashSchedule:
         assert schedule.windows("s1") == [(10, 20), (30, 40)]
         assert schedule.windows("unknown") == []
 
-    def test_hosts_with_faults(self):
-        schedule = CrashSchedule().add("b", 1, 2).add("a", 1, 2)
-        assert schedule.hosts_with_faults() == ["a", "b"]
-
 
 class TestTransientLinkFaults:
     def test_no_faults_by_default(self, stream):
@@ -101,3 +97,14 @@ class TestFaultPlan:
         assert not plan.host_up("s1", 5)
         assert plan.host_up("s1", 11)
         assert plan.transmission_fails("a", "b", 5.5, stream)
+
+    def test_rejoin_times_end_crash_windows_and_outages_once_each(self):
+        plan = FaultPlan(
+            crashes=CrashSchedule().add("a", 0, 10).add("a", 20, 30),
+            links=TransientLinkFaults()
+            .add_partition(["a"], ["b", "c"], 5, 30)
+            .add_outage("b", "c", 1, 2),
+        )
+        assert plan.rejoin_times("a") == [10, 30]
+        assert plan.rejoin_times("b") == [2, 30]
+        assert plan.rejoin_times("d") == []

@@ -138,15 +138,22 @@ def test_delta_and_full_merge_sequences_agree(ops, capacity):
             if agent in machine.locking_list:
                 machine.requeue_lock(agent, arg, now)
         elif op == "reset":
-            machine.on_message(
-                "SYNC_REPLY",
-                {
-                    "snapshot": machine.store.snapshot(),
-                    "updated": tuple(machine.updated_list.ids()),
-                },
-                src="s2",
-                now=now,
-            )
+            # A restart: catch up from both peers (N=3 rejoins at the
+            # second reply), which ends in one journal reset.
+            resets = machine.journal.resets
+            machine.restarted(now)
+            for peer in ("s2", "s3"):
+                machine.on_message(
+                    "SYNC_REPLY",
+                    {
+                        "snapshot": machine.store.snapshot(),
+                        "updated": tuple(machine.updated_list.ids()),
+                    },
+                    src=peer,
+                    now=now,
+                )
+            assert not machine.catching_up
+            assert machine.journal.resets == resets + 1
         elif op == "redeliver" and seen_snapshots:
             stale = seen_snapshots[arg % len(seen_snapshots)]
             full.update(stale)

@@ -325,7 +325,7 @@ class TestReadQueryAndSync:
 
         target = dep.server("s1")
         request_lock(target, 1, 1)  # stale entry of a finished agent
-        target.request_sync("s2")
+        target.interpreter.restarted()  # asks s2 and s3, waits for both
         dep.run(until=200)
         assert target.store.read("x").value == "fresh"
         assert aid(1) not in target.locking_list
