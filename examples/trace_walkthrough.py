@@ -7,9 +7,12 @@ ranks at each visit, the majority win, the grant-certified claim round,
 and the COMMIT fan-out — the textual equivalent of the visualisation
 interface the paper's prototype provided.
 
-Also demonstrates the lock-pipelining extension (paper §3.3): predicting
-the full grant order from one agent's Locking Table, read while that
-agent is parked.
+Also demonstrates the lock-pipelining extension (paper §3.3): the agent
+that has to wait sees the winner's majority, predicts that it comes
+next, and claims behind the winner instead of parking; the replicas
+answer that claim as the winner's COMMIT frees their grants. The full
+grant order is predicted from that agent's Locking Table, read when it
+opens its claim.
 
 Run:  python examples/trace_walkthrough.py
 """
@@ -30,11 +33,13 @@ def main() -> None:
     agents = list(marp.agents)  # held: a finished agent leaves marp.agents
 
     # The pipelining extension: any agent's Locking Table predicts the
-    # grant order. Ask the agent that has to wait, when it parks: it is
-    # still in flight, and its table has seen every server by then.
-    while not any(agent.core.park_count for agent in agents):
+    # grant order. Ask the agent that has to wait, when it opens its
+    # claim behind the winner: it is still in flight, and its table has
+    # seen a majority of servers by then.
+    while not any(agent.core.behind for agent in agents):
         deployment.env.step()
-    waiting = next(agent for agent in agents if agent.core.park_count)
+    waiting = next(agent for agent in agents if agent.core.behind)
+    winner = waiting.core.behind
     predicted = rank_queue(waiting.table, deployment.n_replicas, limit=3)
     deployment.run(until=100_000)
 
@@ -55,8 +60,9 @@ def main() -> None:
         f"{deployment.server('s3').store.read('x').value!r} (v2)"
     )
 
-    print(f"grant-order prediction from {waiting.agent_id}'s table "
-          f"when it parked:", [str(agent_id) for agent_id in predicted])
+    print(f"{waiting.agent_id} claimed behind {winner}; grant-order "
+          f"prediction from its table then:",
+          [str(agent_id) for agent_id in predicted])
 
 
 if __name__ == "__main__":

@@ -48,6 +48,7 @@ from __future__ import annotations
 import json
 import os
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -372,6 +373,8 @@ class ScheduleOutcome:
     #: visitors served a full snapshot (journal reset or base evicted)
     deltas: int = 0
     fallbacks: int = 0
+    #: claims opened, by path ("round", "visit", "behind")
+    claims: Dict[str, int] = field(default_factory=dict)
 
 
 def _settle_window(tunables: ProtocolTunables, msg_latency: float) -> float:
@@ -476,6 +479,9 @@ def check_schedule(
     except EventBudgetExceeded as exc:
         raise InvariantViolation("livelock", str(exc), schedule) from exc
     report = harness.audit()
+    claims: Dict[str, int] = Counter()
+    for interpreter in harness.interpreters.values():
+        claims.update(interpreter.claim_paths)
     safety = [
         problem
         for check in (
@@ -497,6 +503,7 @@ def check_schedule(
         events=harness.events_processed,
         deltas=sum(r.deltas_served for r in harness.replicas.values()),
         fallbacks=sum(r.fallbacks_served for r in harness.replicas.values()),
+        claims=claims,
     )
 
 
@@ -715,6 +722,8 @@ class CampaignReport:
     events: int
     deltas: int = 0
     fallbacks: int = 0
+    #: claims opened across the campaign, by path
+    claims: Dict[str, int] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -727,8 +736,12 @@ class CampaignReport:
             f"adversary campaign: {self.passed}/{self.schedules} schedules "
             f"ok, {len(self.failures)} violations, "
             f"{self.events} harness events, {self.deltas} deltas + "
-            f"{self.fallbacks} snapshot fallbacks served "
-            f"(seed {self.seed})"
+            f"{self.fallbacks} snapshot fallbacks served, claims "
+            + " / ".join(
+                f"{self.claims.get(path, 0)} {path}"
+                for path in ("round", "visit", "behind")
+            )
+            + f" (seed {self.seed})"
         )
 
 
@@ -792,6 +805,7 @@ def run_campaign(
 
     passed = 0
     events = deltas = fallbacks = 0
+    claims: Dict[str, int] = Counter()
     failures: List[CampaignFailure] = []
     for index in range(n_schedules):
         schedule = generate_schedule(
@@ -804,6 +818,7 @@ def run_campaign(
                 events += outcome.events
                 deltas += outcome.deltas
                 fallbacks += outcome.fallbacks
+                claims.update(outcome.claims)
                 if c_events is not None:
                     c_events.inc(outcome.events)
             if c_schedules is not None:
@@ -850,4 +865,5 @@ def run_campaign(
         events=events,
         deltas=deltas,
         fallbacks=fallbacks,
+        claims=claims,
     )

@@ -7,7 +7,12 @@ park when the tour is exhausted ([D2]), and — holding the lock — run
 the claim round (UPDATE broadcast → majority of grants → version
 assignment [D3] → COMMIT → dispose). An agent that met no rival takes
 grants on its visits, and a majority of them lets it commit with no
-UPDATE round at all (:meth:`AgentMachine.start_claim`).
+UPDATE round at all (:meth:`AgentMachine.start_claim`). An agent that
+sees a rival W win by majority, and itself win once W is done (one
+step of the paper's §3.3 pipelining,
+:func:`~repro.core.machines.priority.rank_queue`), does not park: it
+claims behind W at once, and each replica answers that claim when W's
+COMMIT frees the grant there.
 
 The machine operates over an :class:`AgentCoreState` record (picklable;
 the live backend ships it between hosts and rebuilds a machine at every
@@ -118,6 +123,8 @@ class AgentCoreState:
     #: "acks" | "fetch" | None — what reply the claim round is blocked on.
     awaiting: Optional[str] = None
     # -- claim-round transients (reset by start_claim) -----------------
+    #: the majority winner a pipelined claim queues behind, or None
+    behind: Optional[AgentId] = None
     acked_versions: Dict[str, Dict[str, int]] = field(default_factory=dict)
     acked_votes: int = 0
     nack_votes: int = 0
@@ -256,8 +263,9 @@ class AgentMachine:
         )
 
         decision = self._decide()
-        if self._holds_lock(decision):
-            return effects + self._win_and_claim(decision, event.now)
+        claim = self._claim(decision, event.now)
+        if claim is not None:
+            return effects + claim
         if s.visit_grants and any(
             agent != s.agent_id for agent in s.table.top_counts()
         ):
@@ -285,30 +293,43 @@ class AgentMachine:
         s.unavailable.add(event.host)
         effects: List[Effect] = [Note("unavailable", host=event.host)]
         decision = self._decide()
-        if self._holds_lock(decision):
-            return effects + self._win_and_claim(decision, event.now)
+        claim = self._claim(decision, event.now)
+        if claim is not None:
+            return effects + claim
         return effects + self._advance()
 
-    def _decide(self) -> Decision:
+    def _decide(self, extra_done: frozenset = _NO_HOSTS) -> Decision:
         s = self.state
         return decide(
             s.table,
             self.n_replicas,
             s.agent_id,
             votes=self.votes,
+            extra_done=extra_done,
             unavailable=(
                 frozenset(s.unavailable) if s.unavailable else _NO_HOSTS
             ),
         )
 
-    def _holds_lock(self, decision: Decision) -> bool:
-        """Paper rule: majority of top-ranks, or the identifier tie-break."""
-        if decision.outcome == WIN:
-            return True
-        return (
+    def _claim(
+        self, decision: Decision, now: float
+    ) -> Optional[List[Effect]]:
+        """Claim the lock if the rules give it to this agent: a majority
+        of top-ranks or the identifier tie-break; or, when another agent
+        W holds a majority, a majority once W is done — one step of
+        :func:`~repro.core.machines.priority.rank_queue` — which makes
+        this agent next in line, and it claims behind W."""
+        if decision.outcome == WIN or (
             decision.outcome == STALEMATE
             and decision.winner == self.state.agent_id
-        )
+        ):
+            return self._win_and_claim(decision, now)
+        if decision.outcome == OTHER:
+            winner = decision.winner
+            second = self._decide(frozenset((winner,)))
+            if second.outcome == WIN:
+                return self._win_and_claim(second, now, behind=winner)
+        return None
 
     def _advance(self) -> List[Effect]:
         """One movement step: tour onward, or park and refresh ([D2])."""
@@ -340,7 +361,8 @@ class AgentMachine:
     # -- the claim round (step 3: UPDATE / ACK / COMMIT) ---------------
 
     def _win_and_claim(
-        self, decision: Decision, now: float
+        self, decision: Decision, now: float,
+        behind: Optional[AgentId] = None,
     ) -> List[Effect]:
         s = self.state
         effects: List[Effect] = [
@@ -351,9 +373,11 @@ class AgentMachine:
                 parks=s.park_count,
             )
         ]
-        return effects + self.start_claim(now)
+        return effects + self.start_claim(now, behind)
 
-    def start_claim(self, now: float) -> List[Effect]:
+    def start_claim(
+        self, now: float, behind: Optional[AgentId] = None
+    ) -> List[Effect]:
         """Open a claim: on visit grants, or by an UPDATE round.
 
         Visit grants that already hold a vote majority, none taken more
@@ -363,11 +387,21 @@ class AgentMachine:
         grant majority; a server that granted on the visit renews the
         grant with its ACK.
 
+        A claim ``behind`` a majority winner W gives its visit grants
+        back and always runs the round: its UPDATE and COMMIT name W,
+        and a replica holds each until W has left its Locking List (and
+        the UPDATE until the grant is free), so the ACKs report W's
+        writes and the COMMIT applies after them.
+
         Public so the live backend can drive a claim directly; the epoch
         bump makes acknowledgements of an abandoned earlier round
         uncountable toward this one.
         """
         s = self.state
+        effects: List[Effect] = (
+            self._drop_visit_grants()
+            if behind is not None and s.visit_grants else []
+        )
         s.epoch += 1
         s.phase = CLAIMING
         s.acked_versions = {}
@@ -377,8 +411,9 @@ class AgentMachine:
         s.fetch_plan = []
         s.fetch_key = None
         s.base_values = {}
+        s.behind = behind
         grants, s.visit_grants = s.visit_grants, {}
-        if self._grants_suffice(grants, now):
+        if behind is None and self._grants_suffice(grants, now):
             s.acked_versions = {
                 host: versions for host, (versions, _taken) in grants.items()
             }
@@ -389,10 +424,20 @@ class AgentMachine:
         s.awaiting = "acks"
         # The UPDATE names the keys the batch will write: each ACK
         # reports its server's versions of exactly those ([D3]).
-        return [
-            ClaimStarted(s.epoch, "round"),
-            Note("claim", f"epoch {s.epoch}"),
-            Broadcast("UPDATE", self._payload(keys=self._keys())),
+        if behind is None:
+            effects += [
+                ClaimStarted(s.epoch, "round"),
+                Note("claim", f"epoch {s.epoch}"),
+            ]
+        else:
+            effects += [
+                ClaimStarted(s.epoch, "behind"),
+                Note("claim", Text("epoch %s behind %s", s.epoch, behind)),
+            ]
+        return effects + [
+            Broadcast("UPDATE", self._payload(
+                keys=self._keys(), behind=behind
+            )),
             SetTimer("ack", self.tunables.ack_timeout),
         ]
 
@@ -413,6 +458,7 @@ class AgentMachine:
         self,
         writes: Tuple[WriteOp, ...] = (),
         keys: Optional[Tuple[str, ...]] = None,
+        behind: Optional[AgentId] = None,
     ) -> UpdatePayload:
         s = self.state
         return UpdatePayload(
@@ -424,6 +470,7 @@ class AgentMachine:
             epoch=s.epoch,
             trace_id=s.trace_id,
             keys=keys,
+            behind=behind,
         )
 
     def on_message(
@@ -525,7 +572,7 @@ class AgentMachine:
         writes = self._assign_versions()
         s.phase = DONE
         return [
-            Broadcast("COMMIT", self._payload(writes)),
+            Broadcast("COMMIT", self._payload(writes, behind=s.behind)),
             Note(
                 "commit",
                 ", ".join(f"{w.key}=v{w.version}" for w in writes),

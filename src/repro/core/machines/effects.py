@@ -190,8 +190,10 @@ class LockWon(Effect):
 
 @dataclass(slots=True)
 class ClaimStarted(Effect):
-    """A claim is beginning: ``path`` is ``"round"`` (UPDATE broadcast)
-    or ``"visit"`` (a majority of visit grants; no UPDATE is sent)."""
+    """A claim is beginning: ``path`` is ``"round"`` (UPDATE broadcast),
+    ``"visit"`` (a majority of visit grants; no UPDATE is sent) or
+    ``"behind"`` (an UPDATE broadcast pipelined behind the majority
+    winner, answered as that winner's COMMIT frees each grant)."""
 
     epoch: int
     path: str

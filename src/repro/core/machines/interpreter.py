@@ -104,7 +104,8 @@ class Resident:
         #: cuts the current park short (from :meth:`Substrate.park`)
         self.release: Optional[Fire] = None
         self.claim_started_at = 0.0
-        #: how the open claim runs: "round" (UPDATE) or "visit" (grants)
+        #: how the open claim runs: "round" (UPDATE), "visit" (grants)
+        #: or "behind" (UPDATE pipelined behind the majority winner)
         self.claim_path = ""
         #: the journey's root span, while this object has not been shipped
         self.root_span: Any = None
@@ -237,6 +238,8 @@ class EffectInterpreter:
         self.participants: Dict[str, Any] = {}
         #: kinds of the replies a coordinator here claims by ``rid``
         self.reply_kinds: Set[str] = set()
+        #: claims opened here, by ``ClaimStarted.path``
+        self.claim_paths: Dict[str, int] = {}
         self._sent_at: Optional[float] = None
         self._handlers = _Handlers({
             Migrate: self._migrate,
@@ -271,7 +274,8 @@ class EffectInterpreter:
         )
         self._m_claims = obs.counter(
             "marp_claims_total", "claims, by outcome and by path: an "
-            "UPDATE round, or a majority of visit grants",
+            "UPDATE round, a majority of visit grants, or a round "
+            "pipelined behind the majority winner",
             ("outcome", "path"),
         )
         self._m_migrations = obs.counter(
@@ -296,7 +300,8 @@ class EffectInterpreter:
         )
         self._m_grant_latency = obs.histogram(
             "replica_grant_latency_ms",
-            "latency from UPDATE send to grant (ACK) issued", ("host",),
+            "latency from UPDATE send to grant (ACK) issued, for UPDATEs "
+            "answered on arrival", ("host",),
         )
         self._m_grants = obs.counter(
             "replica_grants_total",
@@ -366,7 +371,9 @@ class EffectInterpreter:
         elif kind in self.reply_kinds:
             self.reply(payload["rid"], kind, payload)
         elif not self.down:
-            self._sent_at = sent_at
+            # Grant latency is an UPDATE's: a held one answered in a
+            # COMMIT, ABORT or RELEASE step is not timed.
+            self._sent_at = sent_at if kind == "UPDATE" else None
             taker = self.participants.get(kind, self.replica)
             self.run_replica(taker.on_message(
                 kind, payload, src=src, now=self.substrate.now()
@@ -628,7 +635,8 @@ class EffectInterpreter:
     def _claim_started(self, agent: Resident, effect: ClaimStarted) -> None:
         self.claims[agent.machine.state.batch_id] = agent
         agent.claim_started_at = self.substrate.now()
-        agent.claim_path = effect.path
+        agent.claim_path = path = effect.path
+        self.claim_paths[path] = self.claim_paths.get(path, 0) + 1
 
     def _claim_resolved(self, agent: Resident,
                         effect: ClaimResolved) -> None:

@@ -88,7 +88,11 @@ class ReplicaMachine:
         )
         self.history = HistoryLog(host)
         self.bulletin: Dict[str, SharedView] = {}
-        self.pending_updates: Dict[int, UpdatePayload] = {}
+        #: pipelined UPDATEs and COMMITs waiting here for the winner
+        #: they name in ``behind`` (batch id -> payload; see
+        #: :meth:`_waits` and :meth:`_serve_held`)
+        self.held_updates: Dict[int, UpdatePayload] = {}
+        self.held_commits: Dict[int, UpdatePayload] = {}
         # Exclusive update grant: the server-side promise behind an ACK.
         # While held (and unexpired), UPDATEs from other agents are
         # NACKed, which is what makes a majority of ACKs an exclusive
@@ -131,12 +135,14 @@ class ReplicaMachine:
         """The host came back up: ask every other host for its state,
         and serve again once ``N//2 + 1`` of them (at most all) have
         answered (docs/protocol.md §4, "Recovery"). Until then visits
-        are refused and UPDATE and READQ go unanswered."""
+        are refused and UPDATE and READQ go unanswered, held ones too:
+        their claimers' ack timers settle them."""
         self.synced_from = set()
+        self.held_updates.clear()
         return [
             Send(host, "SYNC_REQUEST", {})
             for host in self.peers if host != self.host
-        ] or self._rejoin()
+        ] or self._rejoin(now)
 
     # ------------------------------------------------------------------
     # Local interface used by co-located mobile agents
@@ -331,13 +337,16 @@ class ReplicaMachine:
         if kind == "UPDATE":
             if self.synced_from is not None:
                 return []
+            if self._waits(payload, now):
+                self.held_updates[payload.batch_id] = payload
+                return []
             return self._on_update(payload, now)
         if kind == "COMMIT":
             return self._on_commit(payload, now)
         if kind == "ABORT":
             return self._on_abort(payload, now)
         if kind == "RELEASE":
-            return self._on_release(payload)
+            return self._on_release(payload, now)
         if kind == "SYNC_REQUEST":
             return self._on_sync_request(src)
         if kind == "SYNC_REPLY":
@@ -407,25 +416,7 @@ class ReplicaMachine:
         grant: a finished agent will never release one.
         """
         if payload.agent_id == self.grant_holder or self.grant_is_free(now):
-            if payload.agent_id not in self.updated_list:
-                self._take_grant(
-                    payload.agent_id, payload.batch_id, payload.epoch, now
-                )
-                self.pending_updates[payload.batch_id] = payload
-            self.acks_sent += 1
-            return [
-                Granted(payload.agent_id, payload.batch_id, payload.epoch),
-                Send(
-                    payload.reply_to,
-                    "ACK",
-                    {
-                        "batch_id": payload.batch_id,
-                        "epoch": payload.epoch,
-                        "from": self.host,
-                        "versions": self._versions(payload.keys or ()),
-                    },
-                ),
-            ]
+            return self._ack(payload, now)
         self.nacks_sent += 1
         holder = self.grant_holder
         return [
@@ -442,10 +433,80 @@ class ReplicaMachine:
             ),
         ]
 
+    def _ack(self, payload: UpdatePayload, now: float) -> List[Effect]:
+        """Take the grant (unless the sender finished) and ACK with this
+        server's versions of the UPDATE's keys, as they are now."""
+        if payload.agent_id not in self.updated_list:
+            self._take_grant(
+                payload.agent_id, payload.batch_id, payload.epoch, now
+            )
+        self.acks_sent += 1
+        return [
+            Granted(payload.agent_id, payload.batch_id, payload.epoch),
+            Send(
+                payload.reply_to,
+                "ACK",
+                {
+                    "batch_id": payload.batch_id,
+                    "epoch": payload.epoch,
+                    "from": self.host,
+                    "versions": self._versions(payload.keys or ()),
+                },
+            ),
+        ]
+
+    def _waits(self, payload: UpdatePayload, now: float) -> bool:
+        """A pipelined UPDATE (one naming the winner W it is ``behind``)
+        is held, not answered, while W is still queued here or another
+        agent holds the grant."""
+        behind = payload.behind
+        return behind is not None and (
+            behind in self.locking_list
+            or not (
+                payload.agent_id == self.grant_holder
+                or self.grant_is_free(now)
+            )
+        )
+
+    def _serve_held(self, now: float) -> List[Effect]:
+        """After a step that may have freed the grant or dequeued a
+        winner: apply each held COMMIT whose winner has left the Locking
+        List (in turn, so a chain of them applies in order), then answer
+        each held UPDATE that no longer waits, exactly as an UPDATE
+        arriving now would be ACKed."""
+        effects: List[Effect] = []
+        held = self.held_commits
+        while held:
+            ready = [
+                batch_id for batch_id, payload in held.items()
+                if payload.behind not in self.locking_list
+            ]
+            if not ready:
+                break
+            for batch_id in ready:
+                effects += self._apply_commit(held.pop(batch_id), now)
+        if self.held_updates:
+            for batch_id, payload in list(self.held_updates.items()):
+                if not self._waits(payload, now):
+                    del self.held_updates[batch_id]
+                    effects += self._ack(payload, now)
+        return effects
+
     def _on_commit(self, payload: UpdatePayload, now: float) -> List[Effect]:
+        """Apply a COMMIT, unless it is pipelined behind a winner still
+        queued here: then it is held whole until that winner leaves, so
+        its writes never overtake the winner's."""
+        self.held_updates.pop(payload.batch_id, None)
+        if payload.behind is not None and payload.behind in self.locking_list:
+            self.held_commits[payload.batch_id] = payload
+            return []
+        return self._apply_commit(payload, now) + self._serve_held(now)
+
+    def _apply_commit(
+        self, payload: UpdatePayload, now: float
+    ) -> List[Effect]:
         # COMMIT is self-contained: even if our UPDATE was lost (e.g. we
         # were briefly down), the commit can still be applied.
-        self.pending_updates.pop(payload.batch_id, None)
         effects: List[Effect] = []
         journal = self.journal
         for write in payload.writes:
@@ -471,7 +532,7 @@ class ReplicaMachine:
 
     def _on_abort(self, payload: UpdatePayload, now: float) -> List[Effect]:
         """An agent gave up on its request entirely: forget it."""
-        self.pending_updates.pop(payload.batch_id, None)
+        self.held_updates.pop(payload.batch_id, None)
         self.release_grant(payload.agent_id)
         removed = self.locking_list.remove(payload.agent_id)
         finished = self.updated_list.add(payload.agent_id, at=now)
@@ -479,13 +540,16 @@ class ReplicaMachine:
             self.journal.bump("deq", payload.agent_id)
         if finished:
             self.journal.bump("fin", payload.agent_id)
-        return [QueueChanged(), ReleaseNotify()]
+        return [QueueChanged(), ReleaseNotify()] + self._serve_held(now)
 
-    def _on_release(self, payload: UpdatePayload) -> List[Effect]:
-        """A claim failed: give back the grant, keep the lock entry."""
-        self.pending_updates.pop(payload.batch_id, None)
+    def _on_release(self, payload: UpdatePayload, now: float) -> List[Effect]:
+        """A claim failed: give back the grant, keep the lock entry; a
+        held UPDATE of the same or an earlier epoch is dropped."""
+        held = self.held_updates.get(payload.batch_id)
+        if held is not None and held.epoch <= payload.epoch:
+            del self.held_updates[payload.batch_id]
         self.release_grant(payload.agent_id, up_to_epoch=payload.epoch)
-        return []
+        return self._serve_held(now)
 
     def _on_sync_request(self, src: str) -> List[Effect]:
         reply = Send(src, "SYNC_REPLY", {
@@ -512,9 +576,9 @@ class ReplicaMachine:
         if len(synced_from) < min(self.n_replicas // 2 + 1,
                                   self.n_replicas - 1):
             return []
-        return self._rejoin()
+        return self._rejoin(now)
 
-    def _rejoin(self) -> List[Effect]:
+    def _rejoin(self, now: float) -> List[Effect]:
         sources = tuple(sorted(self.synced_from))
         self.synced_from = None
         self.recoveries += 1
@@ -529,7 +593,9 @@ class ReplicaMachine:
         # journal a bulk diff, invalidate the window so every visitor
         # takes the full-snapshot fallback once.
         self.journal.reset()
-        return [Recovered(sources), QueueChanged(), ReleaseNotify()]
+        return [
+            Recovered(sources), QueueChanged(), ReleaseNotify(),
+        ] + self._serve_held(now)
 
     def _on_read_query(
         self, payload: Dict[str, Any], src: str

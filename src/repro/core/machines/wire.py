@@ -126,6 +126,10 @@ class UpdatePayload:
     COMMIT carries the full Request List with the final versions.
     ``keys`` is set on UPDATE only: the keys the batch will write, whose
     versions each ACK reports ([D3]); ``None`` on every other kind.
+    ``behind`` names the winner W a pipelined claim queues behind, on
+    its UPDATE and its COMMIT (docs/protocol.md §2, "Pipelined
+    hand-off"): a replica holds either while W is queued there, and the
+    UPDATE also while another agent holds the grant. ``None`` otherwise.
 
     ``trace_id`` is the sender's causal trace context (see
     :mod:`repro.obs.journeys`): purely observational, never consulted by
@@ -141,6 +145,7 @@ class UpdatePayload:
     epoch: int = 0
     trace_id: Optional[str] = None
     keys: Optional[Tuple[str, ...]] = None
+    behind: Optional[AgentId] = None
 
     def wire_size(self) -> int:
         # Equals the generic structural estimate exactly (see WriteOp).
@@ -154,6 +159,7 @@ class UpdatePayload:
                else len(self.trace_id.encode("utf-8")))
             + (0 if self.keys is None
                else 16 + sum(len(k.encode("utf-8")) for k in self.keys))
+            + (0 if self.behind is None else self.behind.wire_size())
         )
 
 

@@ -48,10 +48,10 @@ __all__ = [
 ]
 
 #: Bump when the cached RunResult surface changes shape, or when the
-#: simulated numbers it caches move (10: a restarted replica catches
-#: up from a majority of its peers before it serves again);
+#: simulated numbers it caches move (11: the agent next in line claims
+#: behind the majority winner instead of parking);
 #: invalidates every existing entry (alongside the package version).
-CACHE_SCHEMA_VERSION = 10
+CACHE_SCHEMA_VERSION = 11
 
 
 def code_version() -> str:

@@ -65,7 +65,8 @@ class CriticalPath:
     ``alt + commit + tail == att`` hold exactly; ``service`` and
     ``tail`` are defined as the residuals. ``claim`` is how the
     committed claim ran: ``"round"`` (UPDATE broadcast), ``"visit"``
-    (on visit grants) or ``""`` (none committed).
+    (on visit grants), ``"behind"`` (a round pipelined behind the
+    majority winner) or ``""`` (none committed).
     """
 
     travel_ms: float

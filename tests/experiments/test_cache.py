@@ -187,8 +187,14 @@ class TestResultCache:
         # Schema 9 cached crash runs whose restarted replica served at
         # once and pulled one peer's snapshot; their simulated numbers
         # are not today's.
-        assert CACHE_SCHEMA_VERSION == 10
         self._assert_old_schema_is_a_miss(tmp_path, 9)
+
+    def test_schema_10_envelope_is_a_miss(self, tmp_path):
+        # Schema 10 cached MARP runs whose agent next in line parked
+        # until the winner's COMMIT woke it; their simulated numbers are
+        # not today's.
+        assert CACHE_SCHEMA_VERSION == 11
+        self._assert_old_schema_is_a_miss(tmp_path, 10)
 
     def test_uncacheable_config_is_silently_skipped(self, tmp_path):
         cache = ResultCache(tmp_path)

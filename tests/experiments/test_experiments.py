@@ -267,9 +267,11 @@ class TestAblationsAndThroughput:
 
     def test_throughput_saturates_at_the_lock_handoff_rate(self):
         """X1: the two highest offered loads achieve the same
-        throughput; the lightest one is served almost in full."""
+        throughput; the lightest one is served almost in full. (The
+        grid moved from 10/30 ms when the agent next in line began to
+        claim behind the winner: the ceiling rose past 30 ms's load.)"""
         table = run_throughput(
-            interarrivals=(10.0, 30.0, 160.0), requests_per_client=10,
+            interarrivals=(5.0, 10.0, 160.0), requests_per_client=10,
             repeats=1,
         )
         offered, achieved = table.offered(), table.achieved()

@@ -42,11 +42,12 @@ class TestExamples:
         out = run_example("trace_walkthrough.py")
         assert "protocol trace" in out
         assert "[commit]" in out
-        # read from the parked agent's table while it was in flight:
-        # both agents, winner first
+        # read from the waiting agent's table as it claimed behind the
+        # winner: both agents, winner first
+        assert "epoch 2 behind s1@0#0" in out
         assert (
-            "grant-order prediction from s2@0#0's table when it parked: "
-            "['s1@0#0', 's2@0#0']"
+            "s2@0#0 claimed behind s1@0#0; grant-order prediction from "
+            "its table then: ['s1@0#0', 's2@0#0']"
         ) in out
 
     def test_live_runtime(self):

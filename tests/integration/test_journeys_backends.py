@@ -103,7 +103,7 @@ class TestDesBackend:
                 1 if journey.status == "committed" else 0
             )
             for claim in journey.named("claim"):
-                assert claim.attrs["path"] in ("round", "visit")
+                assert claim.attrs["path"] in ("round", "visit", "behind")
 
     def test_decomposition_matches_measured_alt_att(self, des):
         hub, result = des

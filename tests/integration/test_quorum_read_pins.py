@@ -12,7 +12,11 @@ when views stopped carrying finished sets and the UAL kept only queued
 ids (smaller suitcases: the same counts and control traffic, other
 completion times), and again when an agent that met no rival began to
 commit on its visit grants (the same commit and read counts; fewer
-UPDATE rounds, RELEASEs of visit grants given back, other timings).
+UPDATE rounds, RELEASEs of visit grants given back, other timings),
+and again when the agent next in line began to claim behind the
+winner instead of parking (the same commit, read and message counts;
+the UPDATE and COMMIT of such a claim name the winner, 420 B more over
+the RMW run, and other timings; the two w0.1 runs did not move).
 """
 
 import hashlib
@@ -39,9 +43,9 @@ def quorum_run(seed, write_fraction, **overrides):
 
 @pytest.mark.parametrize("seed,write_fraction,prefix,commits,reads", [
     # ids name the inputs only, so a re-pin keeps the test's name
-    pytest.param(1, 0.5, "6c25d3587c0a54a0", 152, 148, id="seed1-w0.5"),
+    pytest.param(1, 0.5, "467b0f9998bd0b42", 152, 148, id="seed1-w0.5"),
     pytest.param(1, 0.1, "79eeedb7815555ae", 23, 277, id="seed1-w0.1"),
-    pytest.param(2, 0.5, "341d4a841a67688b", 146, 154, id="seed2-w0.5"),
+    pytest.param(2, 0.5, "1bb07dc55013ad46", 146, 154, id="seed2-w0.5"),
     pytest.param(2, 0.1, "188373836112399a", 29, 271, id="seed2-w0.1"),
 ])
 def test_quorum_read_runs_are_pinned(seed, write_fraction, prefix, commits,
@@ -75,11 +79,11 @@ def test_concurrent_rmw_then_quorum_reads_are_pinned():
     )
     assert [row[:2] for row in rows[15:]] == [("read-done", "15")] * 5
     assert (stats.total_messages("control"),
-            stats.total_bytes("control")) == (308, 47174)
+            stats.total_bytes("control")) == (308, 47594)
     text = json.dumps([rows, stats.total_messages("control"),
                        stats.total_bytes("control")])
     assert hashlib.sha256(text.encode()).hexdigest().startswith(
-        "bc5e1157965b1fd1"
+        "e3a149e37f33d1fa"
     )
 
 
@@ -87,7 +91,9 @@ def test_concurrent_rmw_then_quorum_reads_are_pinned():
 def test_a_quorum_read_run_leaves_no_claim_behind(crash):
     """Every read and every claim round resolved, on time or not, takes
     itself out of the claim table: nothing is left once the run drains
-    (and a surplus READR found no taker, rather than an old one)."""
+    (and a surplus READR found no taker, rather than an old one). No
+    replica still holds a pipelined UPDATE or COMMIT either, and some
+    claim here did run behind its winner."""
     faults = None
     if crash:
         crashes = CrashSchedule()
@@ -97,5 +103,9 @@ def test_a_quorum_read_run_leaves_no_claim_behind(crash):
     result = quorum_run(3, 0.5, requests_per_client=20, faults=faults)
     statuses = {r.status for r in result.records if r.op == "read"}
     assert statuses == ({"read-done", "failed"} if crash else {"read-done"})
+    behind = 0
     for server in result.deployment.servers.values():
         assert server.interpreter.claims == {}
+        assert server.machine.held_updates == {} == server.machine.held_commits
+        behind += server.interpreter.claim_paths.get("behind", 0)
+    assert behind > 0

@@ -27,10 +27,18 @@ Covered here:
   grant stays exclusive and a skip needs a vote majority of them (each
   pinned with a mutation the checker convicts), a late RELEASE cannot
   free a grant taken again, and a grant older than the ack timeout
-  forces the round.
+  forces the round;
+* the pipelined hand-off: the agent next in line claims behind the
+  winner; each replica holds that UPDATE until the winner's COMMIT
+  frees the grant and answers it in that step, and holds its COMMIT
+  while the winner is still queued. Three mutations are pinned: serving
+  over another agent's grant (convicted by ``check_schedule`` on a
+  corpus schedule), serving after the claim's RELEASE, and applying a
+  COMMIT ahead of its winner's.
 """
 
 import dataclasses
+import pathlib
 
 import pytest
 
@@ -73,7 +81,7 @@ HOSTS = ["s1", "s2", "s3"]
 
 
 def update_msg(agent_id, batch_id, epoch, now, writes=(), reply_to="client",
-               keys=None):
+               keys=None, behind=None):
     payload = UpdatePayload(
         batch_id=batch_id,
         agent_id=agent_id,
@@ -82,17 +90,19 @@ def update_msg(agent_id, batch_id, epoch, now, writes=(), reply_to="client",
         reply_to=reply_to,
         epoch=epoch,
         keys=keys,
+        behind=behind,
     )
     return MsgReceived("UPDATE", payload, now)
 
 
-def commit_msg(agent_id, batch_id, now, writes):
+def commit_msg(agent_id, batch_id, now, writes, behind=None):
     payload = UpdatePayload(
         batch_id=batch_id,
         agent_id=agent_id,
         origin=agent_id.host,
         writes=tuple(writes),
         epoch=0,
+        behind=behind,
     )
     return MsgReceived("COMMIT", payload, now)
 
@@ -176,22 +186,27 @@ class TestCommitOvertakesAckRound:
     def test_straggling_update_of_a_finished_agent_takes_no_grant(self):
         """A's UPDATE to s1 (send 2: after the two RELEASEs of the visit
         grants A and B gave back when they met) is delayed to t=5.5,
-        past A's COMMIT there (t=5). s1 still answers it, but A is in
-        its Updated List, so the grant stays free and B's UPDATE (t=6)
-        is ACKed at s1 too."""
+        past A's COMMIT there (t=5). B claims behind A (sends 5-7), and
+        its UPDATE to s1 is delayed to t=6, so that s1 holds none of
+        B's when the straggler lands. s1 still answers the straggler,
+        but A is in its Updated List, so the grant stays free and B's
+        UPDATE (t=6) is ACKed at s1 too."""
         harness = KernelHarness(HOSTS)
         a = harness.submit("s1", 1, "x", "a", at=0.0)
         b = harness.submit("s2", 2, "x", "b", at=0.5, created_seq=1)
         harness.delay_message(2, 2.5)
+        harness.delay_message(5, 2.5)
         harness.run(until=5.75)
         s1 = harness.replicas["s1"]
         assert a in s1.updated_list and s1.grant_holder is None
+        assert s1.held_updates == {}
         assert (5.5, "grant", "epoch 2") in harness.agents[a].notes
         harness.run(until=10_000)
         assert harness.commit_chains() == {"x": [(1, "a"), (2, "b")]}
         notes = harness.agents[b].notes
+        # s2 and s3 answer B's held UPDATE at A's COMMIT; s1 on arrival
         assert [when for when, kind, _ in notes if kind == "grant"
-                and when > 5] == [6.0, 6.0, 6.0]
+                and when > 2.5] == [5.0, 5.0, 6.0]
         assert not any(kind == "nack" for _w, kind, _t in notes)
         check_schedule(Schedule(
             n_hosts=3,
@@ -199,7 +214,7 @@ class TestCommitOvertakesAckRound:
                 SubmitOp("s1", 1, "x", "a", at=0.0),
                 SubmitOp("s2", 2, "x", "b", at=0.5),
             ),
-            ops=(DelayOp(2, 2.5),),
+            ops=(DelayOp(2, 2.5), DelayOp(5, 2.5)),
         ))
 
     def test_agent_ignores_acks_after_round_resolved(self):
@@ -431,15 +446,17 @@ class TestAckQuorumCarriesD3:
     B is queued first at s2 (t = 0.5), where A meets it at t = 1: each
     gives back the grant its first visit took, so both claims are
     UPDATE rounds. B tours all three servers (t = 0.5 .. 2.5) before
-    A's COMMIT lands (t = 5), parks at s3, and claims when that COMMIT
-    wakes it. A's COMMIT to s1 is delayed past B's round, so s1 still
-    holds A's grant and NACKs B: B's majority is {s2, s3}, both of
-    which applied ``x@1``.
+    A's COMMIT lands (t = 5), and at s3 it claims behind A, whose
+    majority it sees. A's COMMIT to s1 is delayed past B's round, so
+    s1 still queues A and holds B's UPDATE: B's majority is {s2, s3},
+    which answered it when they applied ``x@1``. s1 holds B's COMMIT
+    too, until A's lands there.
     """
 
     #: send index of A's COMMIT to s1 (two RELEASEs of visit grants,
-    #: UPDATE x3, ACK x3, then COMMIT to s1), delayed past B's round
-    COMMIT_TO_S1 = 8
+    #: A's UPDATE x3, B's UPDATE x3, A's ACK x3, then COMMIT to s1),
+    #: delayed past B's round
+    COMMIT_TO_S1 = 11
 
     def schedule(self):
         return Schedule(
@@ -461,27 +478,33 @@ class TestAckQuorumCarriesD3:
             when for when, kind, _ in harness.agents[b].notes
             if kind == "visit"
         ]
-        assert visits[:3] == [0.5, 1.5, 2.5]  # the tour
-        assert max(visits[:3]) < first_apply
+        assert visits == [0.5, 1.5, 2.5]  # the tour, and no other visit
+        assert max(visits) < first_apply
         assert harness.commit_chains() == {"x": [(1, "a"), (2, "b")]}
-        # Both claims ran the UPDATE round (a claim on visit grants
-        # notes "epoch N on visit grants"), and s1 NACKed B's.
-        for agent in (a, b):
-            assert [text for _t, kind, text in harness.agents[agent].notes
-                    if kind == "claim"] == ["epoch 2"]
-        assert [text for _t, kind, text in harness.agents[b].notes
-                if kind == "nack"] == [f"held by {a}"]
-        # s1 took B's x@2 before A's delayed x@1, which it then refused
-        # as stale; the chain over all hosts is still gapless.
-        assert [(c.version, c.request_id)
-                for c in harness.replicas["s1"].history] == [(2, 2)]
+        # Both claims ran an UPDATE round (a claim on visit grants
+        # notes "epoch N on visit grants"), B's behind A; nobody NACKed.
+        claims = {
+            agent: [text for _t, kind, text in harness.agents[agent].notes
+                    if kind == "claim"]
+            for agent in (a, b)
+        }
+        assert claims == {a: ["epoch 2"], b: [f"epoch 2 behind {a}"]}
+        assert not any(kind == "nack" for agent in (a, b)
+                       for _t, kind, _x in harness.agents[agent].notes)
+        # s1 applied A's delayed x@1 and then the COMMIT of B it held.
+        assert [(c.version, c.request_id, c.committed_at)
+                for c in harness.replicas["s1"].history] == [
+            (1, 1, 25.0), (2, 2, 25.0),
+        ]
         report = harness.audit()
         assert report.gapless and report.divergence_free
         assert report.statuses_match
         check_schedule(self.schedule())
 
     def test_stubbed_ack_versions_are_convicted(self, monkeypatch):
-        serve = ReplicaMachine._on_update
+        # Every ACK, of an UPDATE answered on arrival or held, is built
+        # by _ack.
+        serve = ReplicaMachine._ack
 
         def no_versions(self, payload, now):
             effects = serve(self, payload, now)
@@ -490,10 +513,13 @@ class TestAckQuorumCarriesD3:
                     effect.payload["versions"] = {}
             return effects
 
-        monkeypatch.setattr(ReplicaMachine, "_on_update", no_versions)
+        monkeypatch.setattr(ReplicaMachine, "_ack", no_versions)
+        # B picks x@1 again. Every replica applies A's x@1 first (s1
+        # holds B's COMMIT until A's lands), so B's write is refused as
+        # stale everywhere: committed, and lost.
         with pytest.raises(
             InvariantViolation,
-            match=r"two committed winners for round \('x', v1\)",
+            match=r"request 2 reported committed but owns no \(key, version\)",
         ):
             check_schedule(self.schedule())
 
@@ -758,3 +784,258 @@ class TestVisitGrants:
                 if kind == "claim"] == [claim]
         assert harness.statuses() == {1: "committed"}
         check_schedule(self.old_grant(hop))
+
+
+class TestPipelinedHandoff:
+    """The agent next in line (it wins once the majority winner W is
+    done: one step of ``rank_queue``) claims behind W instead of
+    parking. A replica holds its UPDATE while W is queued there or
+    another agent holds the grant, and answers it at the first COMMIT,
+    ABORT or RELEASE step that leaves the grant free with W gone; it
+    holds its COMMIT while W is queued there."""
+
+    W = AgentId("s2", 1.0, 0)
+    B = AgentId("s3", 2.0, 0)
+    C = AgentId("s1", 3.0, 0)
+
+    def replica_behind_w(self):
+        """s1 queues W then B; W holds the grant; B's UPDATE behind W
+        (epoch 2) is held."""
+        replica = ReplicaMachine("s1", HOSTS, ProtocolTunables())
+        replica.request_lock(self.W, 1, 0.0)
+        replica.request_lock(self.B, 2, 0.5)
+        replica.on(update_msg(self.W, 1, 1, now=1.0, keys=("x",)))
+        held = replica.on(update_msg(
+            self.B, 2, 2, now=1.5, reply_to="s3", keys=("x",), behind=self.W,
+        ))
+        assert held == [] and list(replica.held_updates) == [2]
+        assert replica.grant_holder == self.W
+        return replica
+
+    def w_commits(self, replica, now=2.0):
+        return replica.on(commit_msg(
+            self.W, 1, now, (WriteOp(request_id=1, key="x", value="w",
+                                     version=1),),
+        ))
+
+    def test_a_held_update_is_acked_in_the_step_of_the_winners_commit(self):
+        replica = self.replica_behind_w()
+        effects = self.w_commits(replica)
+        applied = next(
+            i for i, e in enumerate(effects) if isinstance(e, CommitApplied)
+        )
+        granted = next(
+            i for i, e in enumerate(effects) if isinstance(e, Granted)
+        )
+        assert applied < granted  # W's write first, then B's grant
+        (ack,) = [e for e in effects if isinstance(e, Send)]
+        assert (ack.dst, ack.kind) == ("s3", "ACK")
+        assert ack.payload["versions"] == {"x": 1}  # W's write
+        assert replica.grant_holder == self.B
+        assert replica.held_updates == {}
+
+    def test_on_the_harness_the_claim_behind_commits_with_no_nack(self):
+        """A (s1) and B (s2) meet on their first tours. A claims by the
+        round at s3 (t=2); B, at s3 half a hop later, sees A's majority,
+        tops every server once A is done, and claims behind A instead of
+        parking. Each server ACKs B at t=5, in the step that applies A's
+        COMMIT, reporting A's ``x@1``; B commits x@2 at t=6."""
+
+        class AckLog(KernelHarness):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.acks = []
+
+            def _deliver_later(self, dst, kind, payload, src):
+                if kind == "ACK":
+                    self.acks.append((self.now, src, payload["batch_id"],
+                                      payload["versions"]))
+                super()._deliver_later(dst, kind, payload, src)
+
+        harness = AckLog(HOSTS)
+        a = harness.submit("s1", 1, "x", "a", at=0.0)
+        b = harness.submit("s2", 2, "x", "b", at=0.5, created_seq=1)
+        harness.run(until=10_000)
+        assert [ack for ack in harness.acks if ack[2] == 2] == [
+            (5.0, host, 2, {"x": 1}) for host in HOSTS
+        ]
+        assert [(when, kind, text) for when, kind, text
+                in harness.agents[b].notes
+                if kind in ("claim", "grant", "nack", "park", "commit")] == [
+            (0.5, "grant", "epoch 0 on visit"),
+            (2.5, "claim", f"epoch 2 behind {a}"),
+            (5.0, "grant", "epoch 2"),
+            (5.0, "grant", "epoch 2"),
+            (5.0, "grant", "epoch 2"),
+            (6.0, "commit", "x=v2"),
+        ]
+        assert harness.commit_chains() == {"x": [(1, "a"), (2, "b")]}
+        assert sum(
+            i.claim_paths.get("behind", 0)
+            for i in harness.interpreters.values()
+        ) == 1
+        for replica in harness.replicas.values():
+            assert replica.held_updates == {} == replica.held_commits
+
+    def test_a_commit_behind_a_queued_winner_waits_for_it(self):
+        replica = self.replica_behind_w()
+        b_writes = (WriteOp(request_id=2, key="x", value="b", version=2),)
+        assert replica.on(commit_msg(
+            self.B, 2, 3.0, b_writes, behind=self.W,
+        )) == []
+        assert list(replica.held_commits) == [2]
+        assert replica.held_updates == {}  # B's own COMMIT drops it
+        effects = self.w_commits(replica, now=4.0)
+        assert [(e.agent_id, e.version) for e in effects
+                if isinstance(e, CommitApplied)] == [(self.W, 1), (self.B, 2)]
+        assert not any(isinstance(e, Granted) for e in effects)
+        assert replica.held_commits == {} and replica.grant_holder is None
+        assert [r.version for r in replica.history] == [1, 2]
+
+    # -- mutations ----------------------------------------------------------
+
+    CORPUS = (
+        pathlib.Path(__file__).parent / "corpus"
+        / "pipelined_update_waits_out_a_held_grant.json"
+    )
+
+    def test_an_update_waits_out_another_agents_grant(self):
+        """Five hosts, s1 cut off from t=1 to t=41. W (``s3@0.3#2``)
+        commits x@1 with s2..s5; its COMMIT to s1 waits for the heal.
+        C (``s1@1#1``), alone at s1, wins by complete information and
+        takes s1's grant; its UPDATEs wait for the heal too. B
+        (``s2@2#0``) claims behind W; s2 and s4 answer it at W's COMMIT
+        (t=7.3), its UPDATEs to s3 and s5 are delayed to t=46, and the
+        one to s1 lands after the heal (t=42) while C holds s1's grant:
+        held. W's COMMIT lands at s1 in the same instant and leaves C's
+        grant in place, so s1 answers B only after C's COMMIT (t=44),
+        with C's x@2: B commits x@3."""
+        schedule = Schedule.load(str(self.CORPUS))
+        harness, (b, c, w) = run_schedule(schedule)
+        assert [text for _t, kind, text in harness.agents[b].notes
+                if kind == "claim"] == [f"epoch 2 behind {w}"]
+        assert [text for _t, kind, text in harness.agents[c].notes
+                if kind == "lock-won"] == ["complete-info after 1 visits"]
+        assert [when for when, kind, _x in harness.agents[b].notes
+                if kind == "grant" and when > 40] == [44.0, 47.0, 47.0]
+        assert harness.commit_chains() == {
+            "x": [(1, "v3"), (2, "v2"), (3, "v1")],
+        }
+        check_schedule(schedule)
+
+    def test_serving_over_another_agents_grant_is_convicted(
+        self, monkeypatch
+    ):
+        serve = ReplicaMachine._serve_held
+
+        def as_if_the_grant_were_free(self, now):
+            holder, self.grant_holder = self.grant_holder, None
+            try:
+                return serve(self, now)
+            finally:
+                if self.grant_holder is None:
+                    self.grant_holder = holder
+
+        monkeypatch.setattr(
+            ReplicaMachine, "_serve_held", as_if_the_grant_were_free
+        )
+        # s1 ACKs B at W's COMMIT (t=42) over C's grant; B and C both
+        # assemble majorities and both pick x@2: C's lands first, B's
+        # is refused as stale everywhere.
+        with pytest.raises(
+            InvariantViolation,
+            match=r"request 1 reported committed but owns no",
+        ):
+            check_schedule(Schedule.load(str(self.CORPUS)))
+
+    def release_then_commit(self):
+        """B's held UPDATE, then B's RELEASE of that epoch (its ack timer
+        fired), then W's COMMIT, then C's UPDATE."""
+        replica = self.replica_behind_w()
+        release = UpdatePayload(
+            batch_id=2, agent_id=self.B, origin="s3", epoch=2,
+        )
+        assert replica.on(MsgReceived("RELEASE", release, 1.8)) == []
+        on_commit = self.w_commits(replica)
+        on_update = replica.on(update_msg(self.C, 3, 1, now=2.5,
+                                          keys=("x",)))
+        return replica, on_commit, on_update
+
+    def test_the_release_of_its_epoch_drops_a_held_update(self):
+        replica, on_commit, on_update = self.release_then_commit()
+        assert not any(isinstance(e, Granted) for e in on_commit)
+        assert replica.held_updates == {}
+        assert isinstance(on_update[0], Granted)  # C is ACKed
+        assert replica.grant_holder == self.C
+
+    def test_serving_after_the_release_of_its_epoch_is_convicted(
+        self, monkeypatch
+    ):
+        def keeps_the_held_update(self, payload, now):
+            self.release_grant(payload.agent_id, up_to_epoch=payload.epoch)
+            return self._serve_held(now)
+
+        monkeypatch.setattr(
+            ReplicaMachine, "_on_release", keeps_the_held_update
+        )
+        replica, on_commit, on_update = self.release_then_commit()
+        # B's abandoned claim takes the grant, and C is refused for it.
+        assert any(isinstance(e, Granted) for e in on_commit)
+        assert isinstance(on_update[0], Nacked)
+        assert replica.grant_holder == self.B
+
+    def test_applying_a_commit_ahead_of_its_winner_is_convicted(
+        self, monkeypatch
+    ):
+        """On :class:`TestAckQuorumCarriesD3`'s schedule s1 holds B's
+        COMMIT until A's delayed one lands, so every host's history has
+        both writes. Applied at once, B's x@2 makes s1 refuse A's x@1 as
+        stale, and the audit finds s1's history incomplete (the check
+        the DES audits run)."""
+        schedule = TestAckQuorumCarriesD3().schedule()
+        harness, _ids = run_schedule(schedule)
+        assert harness.audit().complete
+
+        def never_held(self, payload, now):
+            self.held_updates.pop(payload.batch_id, None)
+            return self._apply_commit(payload, now) + self._serve_held(now)
+
+        monkeypatch.setattr(ReplicaMachine, "_on_commit", never_held)
+        harness, _ids = run_schedule(schedule)
+        assert harness.audit().findings["complete"] == [
+            "s1 missing 1 committed versions (e.g. [('x', 1)])"
+        ]
+
+    def test_a_host_that_lost_the_winners_commit_holds_until_it_catches_up(
+        self,
+    ):
+        """The trade-off of in-order apply (docs/protocol.md §4): s1
+        never got W's COMMIT, so W stays queued there and s1 holds B's
+        COMMIT behind it, while a COMMIT behind nobody still applies.
+        Only the catch-up releases it: s1's peers report W finished, the
+        rejoin purges W's entry, and B's writes apply. A live host has
+        no catch-up yet (ROADMAP 17), so there it would wait for good."""
+        replica = self.replica_behind_w()
+        b_writes = (WriteOp(request_id=2, key="x", value="b", version=2),)
+        replica.on(commit_msg(self.B, 2, 3.0, b_writes, behind=self.W))
+        other = (WriteOp(request_id=3, key="y", value="c", version=1),)
+        replica.on(commit_msg(self.C, 3, 4.0, other))
+        assert [(r.key, r.version) for r in replica.history] == [("y", 1)]
+        assert list(replica.held_commits) == [2]
+
+        peers = {host: ReplicaMachine(host, HOSTS, ProtocolTunables())
+                 for host in ("s2", "s3")}
+        for peer in peers.values():
+            self.w_commits(peer, now=2.0)
+        assert len(replica.restarted(5.0)) == 2  # a SYNC_REQUEST to each
+        effects = []
+        for host, peer in peers.items():
+            (reply,) = peer.on(MsgReceived("SYNC_REQUEST", {}, 6.0, src="s1"))
+            effects += replica.on(MsgReceived(
+                "SYNC_REPLY", reply.payload, 7.0, src=host,
+            ))
+        assert [(e.agent_id, e.version) for e in effects
+                if isinstance(e, CommitApplied)] == [(self.B, 2)]
+        assert replica.held_commits == {}
+        assert self.W not in replica.locking_list
+        assert replica.read("x").value == "b"

@@ -104,6 +104,25 @@ PAYLOADS = [
         reply_to="s3",
         keys=(),
     ),
+    # A pipelined claim's UPDATE and COMMIT name the winner ahead.
+    UpdatePayload(
+        batch_id=7,
+        agent_id=AgentId("s2", 9.5, 4),
+        origin="s2",
+        reply_to="s4",
+        epoch=2,
+        keys=("x",),
+        behind=AgentId("server-9", 7.25, 2),
+    ),
+    UpdatePayload(
+        batch_id=8,
+        agent_id=AgentId("s2", 9.5, 4),
+        origin="s2",
+        writes=(WRITE_OPS[0],),
+        reply_to="s4",
+        epoch=2,
+        behind=AgentId("s1", 0.0, 0),
+    ),
 ]
 
 

@@ -64,14 +64,14 @@ class TestInstrumentedRun:
         hub, result = instrumented_run
         claims = hub.registry.get("marp_claims_total")
         assert {s.labels["path"] for s in claims.samples()} <= {
-            "round", "visit",
+            "round", "visit", "behind",
         }
         assert sum(
             s.value for s in claims.samples()
             if s.labels["outcome"] == "committed"
         ) == result.committed
         for span in hub.tracer.spans_named("claim"):
-            assert span.attrs["path"] in ("round", "visit")
+            assert span.attrs["path"] in ("round", "visit", "behind")
 
     def test_span_families_present(self, instrumented_run):
         hub, result = instrumented_run
@@ -180,7 +180,10 @@ class TestTracingRegression:
         hundred nanoseconds earlier, when suitcases stopped carrying a
         finished-set bitset per view, and again, after the sixth, when
         the three writers began to take and give back grants on their
-        visits (their RELEASEs join the traffic)."""
+        visits (their RELEASEs join the traffic). The twelfth line went
+        when the third writer began to claim behind the second at its
+        eleventh visit (18.73 ms) instead of parking and visiting once
+        more."""
         trace = self.run_traced(None)
         assert all(type(e.detail) is str for e in trace.events)
         visits = [
@@ -199,7 +202,6 @@ class TestTracingRegression:
             (11.102324, "s3", "s1@0#0", "rank 2 of 3"),
             (17.615092, "s3", "s2@0#0", "rank 1 of 2"),
             (18.733758, "s2", "s3@0#0", "rank 1 of 2"),
-            (25.403656, "s2", "s3@0#0", "rank 0 of 1"),
         ]
 
     def test_trace_events_join_hub_stream(self):

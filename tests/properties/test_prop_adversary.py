@@ -208,6 +208,10 @@ def test_campaign_runs_clean_on_the_real_kernel():
     # deltas were served, and recoveries forced snapshot fallbacks.
     assert report.deltas >= 1, report.summary()
     assert report.fallbacks >= 1, report.summary()
+    # Every claim path ran, pipelined claims behind a winner included,
+    # and the summary line counts them.
+    assert set(report.claims) == {"round", "visit", "behind"}
+    assert f"{report.claims['behind']} behind" in report.summary()
 
 
 # ---------------------------------------------------------------------------
