@@ -5,7 +5,7 @@ Five replicas on a heavy-tailed WAN with non-uniform "distances"
 (random link costs), transient link faults, and one replica that crashes
 mid-run and recovers. Clients at every site generate an update-dominated
 workload. The cost-sorted itinerary makes agents prefer nearby replicas,
-the retry policy declares unreachable replicas temporarily unavailable,
+the failure policy declares unreachable replicas temporarily unavailable,
 and the recovery sync catches the crashed replica up.
 
 Run:  python examples/internet_replication.py

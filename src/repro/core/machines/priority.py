@@ -13,7 +13,8 @@ rules, in order:
    ``S + (N − M·S) < ⌈(N+1)/2⌉`` no tied agent can ever reach a
    majority; the tie is resolved by agent identifier (smallest wins).
 3. **Complete-information tie-break ([D1])** — when views of *all* N
-   servers are known and every locking list is non-empty but no majority
+   servers are known (or the servers are declared unavailable) and the
+   locking list of every available server is non-empty but no majority
    exists, the frozen tie is again resolved by identifier.
 
 Crucially (deviation [D1], documented in DESIGN.md): a tie-break winner
@@ -100,12 +101,14 @@ def decide(
     (Theorem 1/2's agreement property — covered by property tests).
 
     ``unavailable`` lists replicas the agent has declared unavailable
-    after repeated failed migrations (paper §2). They count toward the
-    completeness requirement of the tie-break rules — with a replica
-    down for good, no agent could ever assemble all N views and a
-    top-rank split among the survivors would deadlock. Acting on a
-    tie-break is grant-certified either way, so a wrong unavailability
-    suspicion can cost a failed claim but never consistency.
+    for this round after a failed migration (paper §2). They count
+    toward the completeness requirement of the tie-break rules — with a
+    replica down for good, no agent could ever assemble all N views and
+    a top-rank split among the survivors would deadlock — and an empty
+    locking list learned at one of them does not block Rule 3: nobody
+    can join a list at a host that is down. Acting on a tie-break is
+    grant-certified either way, so a wrong unavailability suspicion can
+    cost a failed claim but never consistency.
 
     ``votes`` generalises the scheme to Gifford-style weighted voting
     (the paper's §5 "generic method" claim): topping a server earns that
@@ -200,12 +203,13 @@ def _decide_core(
     if votes is None and m_tied > 1 and top_score + unclaimed < majority:
         return ("paper-tie-break", value(winner_slot), counts, ())
 
-    # Rule 3 ([D1]): complete information, every list non-empty, no
-    # majority -> frozen stalemate; designate by identifier.
-    # (Some locking list empty: tops can still change freely — a new
-    # arrival becomes top there — so keep gathering.)
-    for top in tops_slots.values():
-        if top is None:
+    # Rule 3 ([D1]): complete information, every list of an available
+    # host non-empty, no majority -> frozen stalemate; designate by
+    # identifier. An empty list at an available host can still gain a
+    # top (a new arrival), so keep gathering; nobody joins one at a
+    # host declared down for the round.
+    for host, top in tops_slots.items():
+        if top is None and host not in unavailable:
             return ("", None, counts, ())
     return ("complete-info", value(winner_slot), counts, ())
 

@@ -48,10 +48,11 @@ __all__ = [
 ]
 
 #: Bump when the cached RunResult surface changes shape, or when the
-#: simulated numbers it caches move (11: the agent next in line claims
-#: behind the majority winner instead of parking);
+#: simulated numbers it caches move (12: a failed migration declares its
+#: destination unavailable at once, and a down replica's empty Locking
+#: List no longer vetoes the complete-info stalemate);
 #: invalidates every existing entry (alongside the package version).
-CACHE_SCHEMA_VERSION = 11
+CACHE_SCHEMA_VERSION = 12
 
 
 def code_version() -> str:

@@ -10,8 +10,9 @@ transient failures". We model
   agent migration) independently fails with a configurable probability,
   or during scheduled link outage windows.
 
-Failed migrations surface to the agent platform which applies the paper's
-retry-then-declare-unavailable policy.
+A failed migration surfaces to the sending host, which declares the
+destination unavailable for the agent's round (the paper's §2 policy;
+the agent's next round is the next attempt).
 """
 
 from __future__ import annotations

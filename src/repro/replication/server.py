@@ -14,10 +14,11 @@ interpreter. It supplies only what a simulated host is made of:
 * timers as heap callbacks (``env.call_in``) for visits, back-off,
   claim-round deadlines and parks (a release wakes the parked agent in
   a step of its own);
-* agent shipping with the paper's §2 failure policy: an attempt that
-  does not complete within :data:`MIGRATION_TIMEOUT` is retried, and
-  after :data:`MAX_ATTEMPTS` the destination is declared unavailable
-  for the round;
+* agent shipping with the paper's §2 failure policy, the same on all
+  three substrates: a migration that does not complete within
+  :data:`MIGRATION_TIMEOUT` declares the destination unavailable for
+  the agent's round at once; the agent's next round (its refresh tour)
+  is the next attempt;
 * the itinerary policy (:meth:`ReplicaServer.choose`, selected by the
   MARP row's ``itinerary``), the visiting agent's own randomness
   (random itinerary choice, back-off draw) and the protocol trace.
@@ -52,13 +53,10 @@ __all__ = [
 # Paper §2: "If a mobile agent cannot migrate ... after certain amount of
 # time, the protocol assumes that the replica process at the host has
 # temporarily failed ... After certain number of such unsuccessful
-# attempts, the protocol declares the replica unavailable."
+# attempts, the protocol declares the replica unavailable." Here each
+# round of the agent is one attempt.
 #: Ms after which an in-flight migration is presumed failed.
 MIGRATION_TIMEOUT = 500.0
-#: Attempts before the destination is declared unavailable.
-MAX_ATTEMPTS = 3
-#: Extra ms between attempts, multiplied by the attempt number.
-RETRY_BACKOFF = 50.0
 #: Fixed bytes of a shipped agent's code + runtime envelope (the Aglets
 #: prototype shipped Java bytecode with each aglet).
 BASE_BYTES = 2048
@@ -239,14 +237,10 @@ class ReplicaServer(Substrate):
         self.env.call_urgent(self.interpreter.launch, agent)
 
     def ship_agent(self, agent, dst: str) -> None:
-        """Ship ``agent`` to ``dst`` under the §2 migration policy."""
-        size = int(BASE_BYTES + SERIALIZATION_OVERHEAD * agent.suitcase_size())
-        self._attempt(agent, dst, size, 1)
-
-    def _attempt(self, agent, dst: str, size: int, attempt: int) -> None:
-        """Migration attempt number ``attempt``; a failed one is retried
-        after a back-off until :data:`MAX_ATTEMPTS` have failed."""
+        """Ship ``agent`` to ``dst`` under the §2 migration policy: a
+        failed attempt declares ``dst`` unreachable."""
         self.migrations_out += 1
+        size = int(BASE_BYTES + SERIALIZATION_OVERHEAD * agent.suitcase_size())
 
         def landed(failure: Optional[MigrationError]) -> None:
             if failure is None:
@@ -254,13 +248,7 @@ class ReplicaServer(Substrate):
                 self.servers[dst].interpreter.arrived(agent)
                 return
             self.migrations_failed += 1
-            if attempt < MAX_ATTEMPTS:
-                self.env.call_in(
-                    RETRY_BACKOFF * attempt,
-                    lambda _arg: self._attempt(agent, dst, size, attempt + 1),
-                )
-            else:
-                self.interpreter.unreachable(agent, dst)
+            self.interpreter.unreachable(agent, dst)
 
         self.network.attempt_transfer(
             self.host, dst, size, MIGRATION_TIMEOUT, landed, kind="AGENT"

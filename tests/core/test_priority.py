@@ -151,6 +151,26 @@ class TestUnavailableReplicas:
         )
         assert decision.outcome == UNDECIDED
 
+    def test_empty_list_at_unavailable_host_does_not_block(self):
+        # s2's list was learned empty before s2 went down: nobody can
+        # join it while s2 is declared unavailable, so the 2/1/1 split
+        # among the others is frozen and complete-info designates.
+        table = table_from(
+            {"s1": [1], "s2": [], "s3": [2], "s4": [1], "s5": [3]}
+        )
+        assert decide(table, 5, aid(1)).outcome == UNDECIDED
+        decision = decide(table, 5, aid(2), unavailable=frozenset({"s2"}))
+        assert decision.outcome == STALEMATE
+        assert decision.reason == "complete-info"
+        assert decision.winner == aid(1)
+
+    def test_empty_list_at_available_host_still_blocks(self):
+        # s5 is down but s2 is up and empty: a newcomer can still top
+        # s2, so the tie is not frozen.
+        table = table_from({"s1": [1], "s2": [], "s3": [2], "s4": [1]})
+        decision = decide(table, 5, aid(1), unavailable=frozenset({"s5"}))
+        assert decision.outcome == UNDECIDED
+
     def test_majority_rule_unaffected_by_unavailability(self):
         table = table_from({"s1": [1], "s2": [1], "s3": [1]})
         decision = decide(

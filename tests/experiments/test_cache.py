@@ -193,8 +193,15 @@ class TestResultCache:
         # Schema 10 cached MARP runs whose agent next in line parked
         # until the winner's COMMIT woke it; their simulated numbers are
         # not today's.
-        assert CACHE_SCHEMA_VERSION == 11
         self._assert_old_schema_is_a_miss(tmp_path, 10)
+
+    def test_schema_11_envelope_is_a_miss(self, tmp_path):
+        # Schema 11 cached crash runs whose agents retried a failed
+        # migration three times and let a down replica's empty Locking
+        # List veto the complete-info stalemate; their simulated numbers
+        # are not today's.
+        assert CACHE_SCHEMA_VERSION == 12
+        self._assert_old_schema_is_a_miss(tmp_path, 11)
 
     def test_uncacheable_config_is_silently_skipped(self, tmp_path):
         cache = ResultCache(tmp_path)

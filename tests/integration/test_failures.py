@@ -81,6 +81,30 @@ class TestCrashRecovery:
         assert report.consistent and report.complete
         assert all(len(dep.server(h).history) == 1 for h in dep.hosts)
 
+    def test_a_minority_crash_does_not_stall_writes(self):
+        """s2 of five is down for 2 s. A write before the crash leaves
+        s2's empty Locking List in the bulletins, so three writers on
+        one key, born on live homes inside the window, learn it. Each
+        declares s2 unavailable at its first failed hop; their tops
+        split 2/1/1 over the other four, and complete-info designates
+        a winner although s2's list is empty, because nobody can join
+        it. All three commit inside the window, less than a second
+        after they start: one 500 ms detection timeout toward s2, not a
+        ladder of retries, and no wait for s2 to come back."""
+        faults = FaultPlan(crashes=CrashSchedule().add("s2", 2_000, 4_000))
+        dep = Deployment(n_replicas=5, seed=0, faults=faults)
+        marp = MARP(dep)
+        marp.submit_write("s1", "x", 0)
+        dep.run(until=2_100)
+        records = [
+            marp.submit_write(home, "x", n)
+            for n, home in enumerate(("s1", "s3", "s5"), start=1)
+        ]
+        dep.run(until=1_000_000)
+        assert [r.status for r in records] == ["committed"] * 3
+        assert max(r.completed_at for r in records) < 3_000
+        assert audit(dep).consistent
+
     def test_agent_declares_crashed_replica_unavailable(self):
         faults = FaultPlan(
             crashes=CrashSchedule().add("s2", 0, 1_000_000)

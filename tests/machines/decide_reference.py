@@ -76,9 +76,13 @@ def decide_reference(
             top_counts=dict(counts),
         )
 
-    # Rule 3 ([D1]): complete information, every list non-empty, no
-    # majority -> frozen stalemate; designate by identifier.
-    if all(top is not None for top in tops.values()):
+    # Rule 3 ([D1]): complete information, every list of an available
+    # host non-empty, no majority -> frozen stalemate; designate by
+    # identifier. A host declared down for the round takes no arrivals,
+    # so its empty list cannot change and does not block.
+    if all(
+        top is not None or host in unavailable for host, top in tops.items()
+    ):
         return Decision(
             outcome=STALEMATE,
             winner=tied[0],
@@ -86,6 +90,6 @@ def decide_reference(
             top_counts=dict(counts),
         )
 
-    # Some locking list is empty: tops can still change freely (a new
-    # arrival becomes top there), so keep gathering.
+    # The locking list of an available host is empty: tops can still
+    # change freely (a new arrival becomes top there), so keep gathering.
     return Decision(outcome=UNDECIDED, top_counts=dict(counts))

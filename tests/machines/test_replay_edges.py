@@ -12,6 +12,8 @@ Covered here:
   agent-side mirror (an ACK straggling in after the round resolved);
 * a park-timeout wakeup racing the lock-release notification;
 * the paper's M-way identifier tie-break guard ``S + (N − M·S) < ⌈(N+1)/2⌉``;
+* complete information with one host down: an empty Locking List the
+  agents learned before the crash does not veto the stalemate;
 * a duplicated COMMIT landing after its target crashed, resynced and
   rejoined (schedule-DSL expressible since the adversary);
 * a partition heal delivering a buffered COMMIT *after* the grant that
@@ -69,6 +71,7 @@ from repro.core.machines.adversary import (
     HealOp,
     InvariantViolation,
     PartitionOp,
+    RestartOp,
     Schedule,
     SubmitOp,
     check_schedule,
@@ -332,6 +335,39 @@ class TestMWayTieBreak:
         # The identifier tie-break designates the smallest id: it claims
         # first and therefore takes version 1.
         assert chains["x"][0] == (1, f"v-{min(ids).host}")
+
+
+class TestDownHostEmptyListDoesNotBlockStalemate:
+    """Rule 3 with a minority down. A write before the crash leaves
+    s2's empty Locking List in every bulletin; s2 crashes at t=10 and
+    three writers on one key are born on s1, s3 and s5 at t=15. Each
+    declares s2 unavailable at its first hop there. Their tops split
+    over the four live hosts with no majority, and s2's stale empty
+    list must not keep the tie open: nobody can join it while s2 is
+    down. The harness already declares a failed hop at once, so this
+    pins the kernel's half of the change alone."""
+
+    RESTART = 2_000.0
+
+    def schedule(self):
+        writers = tuple(
+            SubmitOp(home, n, "x", f"v-{home}", at=15.0)
+            for n, home in enumerate(("s1", "s3", "s5"), start=2)
+        )
+        return Schedule(
+            n_hosts=5,
+            submits=(SubmitOp("s1", 1, "x", "w"),) + writers,
+            ops=(CrashOp("s2", at=10.0), RestartOp("s2", at=self.RESTART)),
+            horizon=3 * self.RESTART,
+        )
+
+    def test_the_writers_commit_while_s2_is_down(self):
+        harness, _ids = run_schedule(self.schedule())
+        assert set(harness.statuses().values()) == {"committed"}
+        history = harness.replicas["s1"].history
+        assert [r.value for r in history] == ["w", "v-s1", "v-s3", "v-s5"]
+        assert max(r.committed_at for r in history) < self.RESTART
+        check_schedule(self.schedule())
 
 
 class TestDuplicateCommitAfterRestart:
