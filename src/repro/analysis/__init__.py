@@ -10,15 +10,8 @@ from repro.analysis.metrics import (
     throughput,
     visit_counts,
 )
-from repro.analysis.export import (
-    ablation_to_csv,
-    comparison_to_csv,
-    comparison_to_json,
-    figure_to_csv,
-    figure_to_json,
-)
 from repro.analysis.stats import Summary, confidence_interval, summarize
-from repro.analysis.tables import format_series, format_table
+from repro.analysis.tables import Table, format_series, format_table
 from repro.analysis.tracelog import ProtocolTrace, TraceEvent
 
 __all__ = [
@@ -35,13 +28,9 @@ __all__ = [
     "Summary",
     "summarize",
     "confidence_interval",
+    "Table",
     "format_table",
     "format_series",
     "ProtocolTrace",
     "TraceEvent",
-    "figure_to_csv",
-    "figure_to_json",
-    "comparison_to_csv",
-    "comparison_to_json",
-    "ablation_to_csv",
 ]

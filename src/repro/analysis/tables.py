@@ -1,16 +1,124 @@
-"""Plain-text rendering of experiment tables and figure series.
+"""Experiment tables: one :class:`Table` type and its renderings.
 
-The benchmark harness prints the regenerated figures as aligned text
-tables (one row per x-value, one column per series) so ``pytest
-benchmarks/ --benchmark-only`` reproduces the paper's evaluation
-artefacts without any plotting dependency.
+Every claim of :mod:`repro.experiments.claims` (and the scale family)
+projects its runs to one :class:`Table`; the CLI renders it as an
+aligned text table, CSV or JSON, and :attr:`Table.chart` draws its
+numeric columns, so every output format reads the same rows.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence
+import csv
+import io
+import json
+import math
+from dataclasses import dataclass, field
+from typing import Any, Dict, List, Optional, Sequence
 
-__all__ = ["format_table", "format_series", "format_cell"]
+__all__ = ["Table", "format_table", "format_series", "format_cell"]
+
+
+@dataclass
+class Table:
+    """A titled grid: ``headers`` over ``rows`` of raw (unrounded) cells.
+
+    ``keys`` leading columns identify a row (``row`` / ``value`` look
+    rows up by them); ``note`` is a line printed under the text table.
+    """
+
+    title: str
+    headers: List[str]
+    rows: List[List[Any]] = field(default_factory=list)
+    keys: int = 1
+    note: str = ""
+
+    def row(self, *key: Any) -> List[Any]:
+        """The row whose first ``len(key)`` cells equal ``key``."""
+        for row in self.rows:
+            if tuple(row[:len(key)]) == key:
+                return row
+        raise KeyError(f"{self.title}: no row {key!r}")
+
+    def value(self, key: Any, header: str) -> Any:
+        """One cell: ``key`` is a row key (a tuple for several columns)."""
+        key = key if isinstance(key, tuple) else (key,)
+        return self.row(*key)[self.headers.index(header)]
+
+    def column(self, header: str) -> List[Any]:
+        """Every row's cell under ``header``, in row order."""
+        index = self.headers.index(header)
+        return [row[index] for row in self.rows]
+
+    def series(self, header: str, where: Any = None) -> Dict[Any, Any]:
+        """``{last key cell: cell under header}``, for the rows whose
+        first key cell is ``where`` (every row when ``where`` is None)."""
+        index = self.headers.index(header)
+        return {
+            row[self.keys - 1]: row[index] for row in self.rows
+            if where is None or row[0] == where
+        }
+
+    @property
+    def text(self) -> str:
+        body = format_table(self.headers, self.rows, title=self.title)
+        return body + ("\n" + self.note if self.note else "")
+
+    @property
+    def csv(self) -> str:
+        """Header row plus one CSV row per table row (raw values)."""
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(self.headers)
+        writer.writerows(self.rows)
+        return buffer.getvalue()
+
+    def payload(self) -> Dict[str, Any]:
+        """JSON-ready form: one object per row, NaN as ``null``."""
+        return {
+            "title": self.title,
+            "headers": list(self.headers),
+            "rows": [
+                {header: _json_cell(cell)
+                 for header, cell in zip(self.headers, row)}
+                for row in self.rows
+            ],
+            "note": self.note,
+        }
+
+    def render(self, fmt: str = "text") -> str:
+        """The table as ``text``, ``csv`` or ``json``."""
+        if fmt == "json":
+            return json.dumps(self.payload(), indent=2)
+        return self.csv if fmt == "csv" else self.text
+
+    @property
+    def chart(self) -> str:
+        """ASCII chart: the first column as x, every other all-numeric
+        column as a series."""
+        from repro.analysis.charts import ascii_chart
+
+        numeric = [
+            index for index, header in enumerate(self.headers)
+            if all(_is_number(row[index]) for row in self.rows)
+        ]
+        if not numeric or numeric[0] != 0:
+            return "(no data)"
+        return ascii_chart(
+            self.column(self.headers[0]),
+            {self.headers[i]: [row[i] for row in self.rows]
+             for i in numeric[1:]},
+            x_label=self.headers[0], title=self.title,
+        )
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _json_cell(value: Any) -> Any:
+    if isinstance(value, float) and math.isnan(value):
+        return None
+    return value
 
 
 def format_cell(value: Any, precision: int = 1) -> str:

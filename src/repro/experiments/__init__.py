@@ -1,43 +1,24 @@
-"""Experiment harness: one module per paper figure/table + ablations."""
+"""Experiment harness: the run engine, the scale family and the paper's
+claims as rows (:mod:`repro.experiments.claims`)."""
 
-from repro.experiments.ablations import (
-    AblationTable,
-    Theorem3Report,
-    run_batching_ablation,
-    run_bulletin_ablation,
-    run_itinerary_ablation,
-    theorem3_bounds,
-)
-from repro.experiments.availability import AvailabilityTable, run_availability
-from repro.experiments.common import (
-    DEFAULT_INTERARRIVALS,
-    DEFAULT_SERVER_COUNTS,
-    FigureData,
-    latency_sweep,
-)
 from repro.experiments.cache import (
     ResultCache,
     config_key,
     result_fingerprint,
+)
+from repro.experiments.claims import (
+    CLAIMS,
+    Claim,
+    ClaimsReport,
+    Verdict,
+    aggregate,
+    measure_claims,
 )
 from repro.experiments.parallel import (
     ParallelRunner,
     get_default_runner,
     set_default_runner,
 )
-from repro.experiments.scalability import ScalabilityTable, run_scalability
-from repro.experiments.scale import (
-    ScaleCurve,
-    ScaleFamily,
-    ScalePoint,
-    ScaleVariant,
-    default_variants,
-    run_scale,
-)
-from repro.experiments.throughput import ThroughputTable, run_throughput
-from repro.experiments.fig2_alt import project_fig2, run_fig2
-from repro.experiments.fig3_att import project_fig3, run_fig3
-from repro.experiments.fig4_prk import run_fig4
 from repro.experiments.runner import (
     RunConfig,
     RunResult,
@@ -47,11 +28,13 @@ from repro.experiments.runner import (
     run_once,
     run_repeats,
 )
-from repro.experiments.sweeps import SweepPoint, sweep
-from repro.experiments.table_comparison import (
-    ComparisonRow,
-    ComparisonTable,
-    run_comparison,
+from repro.experiments.scale import (
+    ScaleCurve,
+    ScaleFamily,
+    ScalePoint,
+    ScaleVariant,
+    default_variants,
+    run_scale,
 )
 
 __all__ = [
@@ -68,36 +51,16 @@ __all__ = [
     "result_fingerprint",
     "get_default_runner",
     "set_default_runner",
-    "sweep",
-    "SweepPoint",
-    "FigureData",
-    "latency_sweep",
-    "DEFAULT_INTERARRIVALS",
-    "DEFAULT_SERVER_COUNTS",
-    "run_fig2",
-    "project_fig2",
-    "run_fig3",
-    "project_fig3",
-    "run_fig4",
-    "run_comparison",
-    "ComparisonTable",
-    "ComparisonRow",
-    "theorem3_bounds",
-    "Theorem3Report",
-    "run_itinerary_ablation",
-    "run_bulletin_ablation",
-    "run_batching_ablation",
-    "AblationTable",
-    "run_scalability",
-    "ScalabilityTable",
+    "CLAIMS",
+    "Claim",
+    "ClaimsReport",
+    "Verdict",
+    "aggregate",
+    "measure_claims",
     "run_scale",
     "default_variants",
     "ScaleFamily",
     "ScaleCurve",
     "ScalePoint",
     "ScaleVariant",
-    "run_availability",
-    "AvailabilityTable",
-    "run_throughput",
-    "ThroughputTable",
 ]

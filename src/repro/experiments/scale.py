@@ -1,7 +1,7 @@
 """Scale family: saturation curves at large request counts.
 
-Where :mod:`repro.experiments.scalability` (S1) fixes the offered load
-and grows the cluster, this family fixes a cluster variant and **sweeps
+Where the S1 claim (:mod:`repro.experiments.claims`) fixes the offered
+load and grows the cluster, this family fixes a cluster variant and **sweeps
 the offered load** until each protocol saturates: committed throughput
 stops tracking the offered rate and tail latency (p99 ATT) bends
 upward. Curves are produced for MARP against the quorum baselines over
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.stats import summarize
-from repro.analysis.tables import format_table
+from repro.analysis.tables import Table
 from repro.experiments.parallel import get_default_runner
 from repro.experiments.runner import RunConfig
 
@@ -124,27 +124,22 @@ class ScaleFamily:
     curves: List[ScaleCurve] = field(default_factory=list)
 
     @property
-    def text(self) -> str:
-        headers = [
-            "protocol", "variant", "gap(ms)", "offered/s", "committed",
-            "tput/s", "ATT(ms)", "p50", "p99", "consistent",
-        ]
-        rows: List[List[Any]] = []
-        for curve in self.curves:
-            for point in curve.points:
-                rows.append([
-                    curve.protocol,
-                    curve.variant.label,
-                    point.mean_interarrival,
-                    round(point.offered_load, 1),
-                    point.committed,
-                    round(point.throughput, 1),
-                    round(point.att, 2),
-                    round(point.att_p50, 2),
-                    round(point.att_p99, 2),
-                    point.consistent,
-                ])
-        return format_table(headers, rows, title=self.title)
+    def table(self) -> Table:
+        """One row per curve point (the X2 claim's table)."""
+        return Table(
+            self.title,
+            ["protocol", "variant", "gap(ms)", "offered/s", "committed",
+             "tput/s", "ATT(ms)", "p50", "p99", "consistent"],
+            [
+                [curve.protocol, curve.variant.label,
+                 point.mean_interarrival, round(point.offered_load, 1),
+                 point.committed, round(point.throughput, 1),
+                 round(point.att, 2), round(point.att_p50, 2),
+                 round(point.att_p99, 2), point.consistent]
+                for curve in self.curves for point in curve.points
+            ],
+            keys=3,
+        )
 
     def curve(self, protocol: str, variant_label: str) -> ScaleCurve:
         for curve in self.curves:

@@ -12,7 +12,7 @@ Typical use::
     from repro import obs
 
     hub = obs.enable()                  # instrument everything built next
-    table = run_comparison(...)         # any experiment entry point
+    report = measure_claims(["T1"])     # any experiment entry point
     print(obs.format_report(hub))
     obs.write_jsonl(hub, "metrics.jsonl")
 """

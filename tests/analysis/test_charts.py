@@ -53,10 +53,9 @@ class TestAsciiChart:
         assert "o a" in chart
 
     def test_figure_chart_property(self):
-        from repro.experiments.common import FigureData
+        from repro.analysis.tables import Table
 
-        figure = FigureData(
-            title="t", x_label="x", x_values=[1.0, 2.0],
-            series={"s": [3.0, 4.0]},
-        )
+        figure = Table("t", ["x", "s", "label"],
+                       [[1.0, 3.0, "a"], [2.0, 4.0, "b"]])
         assert "o s" in figure.chart
+        assert "label" not in figure.chart  # only numeric columns plot

@@ -6,81 +6,68 @@ import json
 
 import pytest
 
-from repro.analysis.export import (
-    ablation_to_csv,
-    comparison_to_csv,
-    comparison_to_json,
-    figure_to_csv,
-    figure_to_json,
-    figure_to_rows,
-)
+from repro.analysis.tables import Table
 from repro.analysis.tracelog import ProtocolTrace
-from repro.experiments.ablations import AblationTable
-from repro.experiments.common import FigureData
-from repro.experiments.table_comparison import ComparisonRow, ComparisonTable
 
 
 @pytest.fixture
 def figure():
-    return FigureData(
-        title="Figure X",
-        x_label="gap",
-        x_values=[10.0, 20.0],
-        series={"3 servers": [5.0, 3.0], "5 servers": [9.0, 6.0]},
+    return Table(
+        "Figure X", ["gap", "3 servers", "5 servers"],
+        [[10.0, 5.0, 9.0], [20.0, 3.0, 6.0]],
+        note="consistency audit: all runs consistent",
     )
 
 
 @pytest.fixture
 def comparison():
-    table = ComparisonTable(title="T")
-    table.rows.append(
-        ComparisonRow(
-            protocol="marp", latency="lan", mean_interarrival=30.0,
-            committed=10.0, failed=0.0, att=12.5, control_messages=100.0,
-            control_bytes=4096.0, agent_migrations=30.0,
-            agent_bytes=2048.0, msgs_per_commit=13.0, consistent=True,
-        )
+    return Table(
+        "T",
+        ["protocol", "net", "ATT(ms)", "msgs/commit", "consistent"],
+        [["marp", "lan", 12.5, 13.0, True],
+         ["mcv", "lan", float("nan"), 20.0, True]],
+        keys=2,
     )
-    return table
 
 
 class TestFigureExport:
     def test_rows_shape(self, figure):
-        header, rows = figure_to_rows(figure)
-        assert header == ["gap", "3 servers", "5 servers"]
-        assert rows == [[10.0, 5.0, 9.0], [20.0, 3.0, 6.0]]
+        assert figure.headers == ["gap", "3 servers", "5 servers"]
+        assert figure.rows == [[10.0, 5.0, 9.0], [20.0, 3.0, 6.0]]
+        assert figure.series("5 servers") == {10.0: 9.0, 20.0: 6.0}
 
     def test_csv_round_trip(self, figure):
-        parsed = list(csv.reader(io.StringIO(figure_to_csv(figure))))
+        parsed = list(csv.reader(io.StringIO(figure.csv)))
         assert parsed[0] == ["gap", "3 servers", "5 servers"]
         assert parsed[1] == ["10.0", "5.0", "9.0"]
 
     def test_json_fields(self, figure):
-        data = json.loads(figure_to_json(figure))
+        data = json.loads(json.dumps(figure.payload()))
         assert data["title"] == "Figure X"
-        assert data["series"]["5 servers"] == [9.0, 6.0]
-        assert data["all_consistent"] is True
+        assert [row["5 servers"] for row in data["rows"]] == [9.0, 6.0]
+        assert data["note"] == "consistency audit: all runs consistent"
 
 
 class TestComparisonExport:
     def test_csv(self, comparison):
-        parsed = list(csv.reader(io.StringIO(comparison_to_csv(comparison))))
+        parsed = list(csv.reader(io.StringIO(comparison.csv)))
         assert parsed[0][0] == "protocol"
         assert parsed[1][0] == "marp"
 
     def test_json(self, comparison):
-        data = json.loads(comparison_to_json(comparison))
+        data = json.loads(json.dumps(comparison.payload(), allow_nan=False))
         assert data["rows"][0]["protocol"] == "marp"
-        assert data["rows"][0]["att"] == 12.5
+        assert data["rows"][0]["ATT(ms)"] == 12.5
+        assert data["rows"][1]["ATT(ms)"] is None  # NaN is not JSON
+        assert comparison.value(("marp", "lan"), "msgs/commit") == 13.0
+        with pytest.raises(KeyError):
+            comparison.row("primary-copy")
 
 
 class TestAblationExport:
     def test_csv(self):
-        table = AblationTable(
-            title="A", headers=["variant", "metric"],
-            rows=[["a", 1.0], ["b", 2.0]],
-        )
-        parsed = list(csv.reader(io.StringIO(ablation_to_csv(table))))
+        table = Table("A", ["variant", "metric"], [["a", 1.0], ["b", 2.0]])
+        parsed = list(csv.reader(io.StringIO(table.csv)))
         assert parsed == [["variant", "metric"], ["a", "1.0"], ["b", "2.0"]]
 
 

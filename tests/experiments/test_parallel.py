@@ -24,7 +24,7 @@ from repro.experiments.runner import (
     run_once,
     run_repeats,
 )
-from repro.experiments.sweeps import sweep
+from repro.experiments.claims import figure
 from repro.obs.hub import ObservabilityHub, set_hub
 from repro.sim.rng import spawn_seed
 
@@ -172,16 +172,28 @@ class TestEngineTelemetry:
 
 class TestSweepThroughEngine:
     def test_sweep_accepts_runner(self, tmp_path):
-        serial = sweep(QUICK, "n_replicas", [3, 5], repeats=2)
+        class Recording:
+            """The engine, keeping every result it hands a grid."""
+
+            def __init__(self, runner):
+                self.runner, self.results = runner, []
+
+            def run_repeats_many(self, configs, repeats):
+                grouped = self.runner.run_repeats_many(configs, repeats)
+                self.results += [r for rs in grouped for r in rs]
+                return grouped
+
+        grid = dict(title="t", metric="att", server_counts=(3, 5),
+                    gaps=(80.0,), requests=3, repeats=2, seed=0)
+        serial = Recording(ParallelRunner())
+        serial_table = figure(serial, **grid)
         with ParallelRunner(jobs=2, cache=ResultCache(tmp_path)) as runner:
-            pooled = sweep(
-                QUICK, "n_replicas", [3, 5], repeats=2, runner=runner
-            )
-        assert [p.x for p in pooled] == [p.x for p in serial]
-        for a, b in zip(serial, pooled):
-            assert [result_fingerprint(r) for r in a.results] == [
-                result_fingerprint(r) for r in b.results
-            ]
+            pooled = Recording(runner)
+            assert figure(pooled, **grid) == serial_table
+            assert len(runner.cache) == 4  # every run went through it
+        assert [result_fingerprint(r) for r in pooled.results] == [
+            result_fingerprint(r) for r in serial.results
+        ]
 
 
 class TestCLIFlags:
@@ -189,7 +201,7 @@ class TestCLIFlags:
         from repro.cli import build_parser
 
         args = build_parser().parse_args(
-            ["fig4", "--quick", "-j", "2", "--cache-dir", "/tmp/c",
+            ["claims", "F4", "--quick", "-j", "2", "--cache-dir", "/tmp/c",
              "--no-cache"]
         )
         assert args.jobs == 2
@@ -200,13 +212,15 @@ class TestCLIFlags:
         from repro.cli import _build_runner, build_parser
 
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-        args = build_parser().parse_args(["fig4", "--quick"])
+        args = build_parser().parse_args(["claims", "F4", "--quick"])
         assert _build_runner(args) is None
 
     def test_build_runner_rejects_bad_jobs(self):
         from repro.cli import _build_runner, build_parser
 
-        args = build_parser().parse_args(["fig4", "--quick", "-j", "0"])
+        args = build_parser().parse_args(
+            ["claims", "F4", "--quick", "-j", "0"]
+        )
         with pytest.raises(SystemExit):
             _build_runner(args)
 
@@ -215,7 +229,7 @@ class TestCLIFlags:
 
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
         args = build_parser().parse_args(
-            ["fig4", "--quick", "--cache-dir", str(tmp_path)]
+            ["claims", "F4", "--quick", "--cache-dir", str(tmp_path)]
         )
         runner = _build_runner(args)
         assert runner is not None and runner.cache is not None
@@ -226,27 +240,31 @@ class TestCLIFlags:
         from repro.cli import _build_runner, build_parser
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        args = build_parser().parse_args(["fig4", "--quick"])
+        args = build_parser().parse_args(["claims", "F4", "--quick"])
         runner = _build_runner(args)
         assert runner is not None and runner.cache is not None
         runner.close()
-        args = build_parser().parse_args(["fig4", "--quick", "--no-cache"])
+        args = build_parser().parse_args(
+            ["claims", "F4", "--quick", "--no-cache"]
+        )
         assert _build_runner(args) is None
 
     def test_cli_jobs_output_matches_serial(self, tmp_path, capsys):
         from repro.cli import main
 
-        assert main(["fig4", "--quick"]) == 0
+        assert main(["claims", "F4", "--quick"]) == 0
         serial_out = capsys.readouterr().out
-        assert main(["fig4", "--quick", "-j", "2"]) == 0
+        assert main(["claims", "F4", "--quick", "-j", "2"]) == 0
         assert capsys.readouterr().out == serial_out
         assert (
-            main(["fig4", "--quick", "--cache-dir", str(tmp_path)]) == 0
+            main(["claims", "F4", "--quick", "--cache-dir", str(tmp_path)])
+            == 0
         )
         assert capsys.readouterr().out == serial_out
         # warm: served entirely from cache, same bytes
         assert (
-            main(["fig4", "--quick", "--cache-dir", str(tmp_path)]) == 0
+            main(["claims", "F4", "--quick", "--cache-dir", str(tmp_path)])
+            == 0
         )
         assert capsys.readouterr().out == serial_out
         assert len(ResultCache(tmp_path)) > 0

@@ -176,8 +176,9 @@ class TestMiniatureSweep:
                 )
 
     def test_text_table_mentions_every_protocol(self, family):
-        assert "marp" in family.text and "primary-copy" in family.text
-        assert "offered/s" in family.text
+        text = family.table.text
+        assert "marp" in text and "primary-copy" in text
+        assert "offered/s" in text
 
     def test_deterministic_rerun(self, family):
         again = run_scale(**MINI_KW)

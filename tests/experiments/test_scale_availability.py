@@ -1,17 +1,18 @@
-"""Tests for the scalability (S1) and availability (F1) experiments."""
+"""Tests for the scalability (S1) and availability (F1) claims' grid
+runners, on each test's own small grid."""
 
 import pytest
 
-from repro.experiments.availability import run_availability
-from repro.experiments.scalability import run_scalability
+from repro.experiments.claims import CLAIMS, availability, scalability
+
+ONCE = dict(repeats=1, seed=0)
 
 
 class TestScalability:
     @pytest.fixture(scope="class")
     def table(self):
-        return run_scalability(
-            protocols=("marp",), replica_counts=(3, 5),
-            requests_per_client=4, repeats=1,
+        return scalability(
+            protocols=("marp",), replica_counts=(3, 5), requests=4, **ONCE
         )
 
     def test_rows_per_protocol_and_n(self, table):
@@ -24,28 +25,28 @@ class TestScalability:
             assert row[-1] is True
 
     def test_cost_grows_with_n(self, table):
-        att = table.series("marp", "ATT(ms)")
+        att = table.series("ATT(ms)", "marp")
         assert att[5] > att[3]
 
     def test_voting_degrades_faster_than_marp(self):
         """S1 with the voting baseline beside MARP: per-commit cost grows
         with N for both, and MCV's latency grows faster from 5 to 7
         (bigger quorums mean more conflicting vote rounds)."""
-        table = run_scalability(
-            protocols=("marp", "mcv"), replica_counts=(3, 5, 7),
-            requests_per_client=4, repeats=1,
+        table = scalability(
+            protocols=("marp", "mcv"), replica_counts=(3, 5, 7), requests=4,
+            **ONCE,
         )
         growth = {}
         for protocol in ("marp", "mcv"):
-            att = table.series(protocol, "ATT(ms)")
-            msgs = table.series(protocol, "msgs/commit")
+            att = table.series("ATT(ms)", protocol)
+            msgs = table.series("msgs/commit", protocol)
             assert att[7] > att[3]
             assert msgs[7] > msgs[3]
             growth[protocol] = att[7] / att[5]
         assert growth["mcv"] > growth["marp"]
 
     def test_series_accessor(self, table):
-        msgs = table.series("marp", "msgs/commit")
+        msgs = table.series("msgs/commit", "marp")
         assert set(msgs) == {3, 5}
 
     def test_text_renders(self, table):
@@ -55,34 +56,35 @@ class TestScalability:
 class TestAvailability:
     @pytest.fixture(scope="class")
     def table(self):
-        return run_availability(
-            protocols=("marp",), crash_counts=(0, 2),
-            requests_per_client=3, repeats=1, horizon=200_000.0,
+        return availability(
+            protocols=("marp",), crash_counts=(0, 2), requests=3,
+            horizon=200_000.0, **ONCE,
         )
 
     def test_full_availability_without_crashes(self, table):
-        assert table.availability("marp")[0] == 100.0
+        assert table.series("committed %", "marp")[0] == 100.0
 
     def test_graceful_degradation_with_minority_down(self, table):
         # 2 of 5 homes are dead: only their clients are denied.
-        assert table.availability("marp")[2] == pytest.approx(60.0)
+        assert table.series("committed %", "marp")[2] == pytest.approx(60.0)
 
     def test_availability_steps_down_to_the_quorum_bound(self):
         """F1: each crashed home costs its own clients only while a
         majority lives; below it nothing commits. Primary-copy dies
         with its primary, the first crash victim."""
-        table = run_availability(
+        table = availability(
             protocols=("marp", "primary-copy"), crash_counts=(0, 1, 2, 3),
-            requests_per_client=3, repeats=1, horizon=200_000.0,
+            requests=3, horizon=200_000.0, **ONCE,
         )
-        marp = table.availability("marp")
+        marp = table.series("committed %", "marp")
         assert marp[0] == 100.0
         assert marp[1] == pytest.approx(80.0)
         assert marp[2] == pytest.approx(60.0)
         assert marp[3] == 0.0
-        primary = table.availability("primary-copy")
+        primary = table.series("committed %", "primary-copy")
         assert primary[0] == 100.0
         assert primary[1] == 0.0
+        assert CLAIMS["F1"].verdict(table).holds
 
     def test_survivors_stay_consistent(self, table):
         for row in table.rows:
