@@ -20,11 +20,8 @@ checker (:mod:`~repro.core.machines.audit`).
 
 **Liveness under heal.** Once faults stop — `run` heals partitions and
 restarts every crashed replica at the schedule horizon — every
-submitted update either commits or aborts within a bounded settle
-window. Schedules that kill agents are exempt from the completion
-check (a vanished agent's stale lock entries can legitimately park the
-survivors; the paper delegates agent fault tolerance to the platform)
-but still assert safety and bounded execution.
+submitted update whose agent was not killed either commits or aborts
+within a bounded settle window.
 
 Failures raise :class:`InvariantViolation` carrying the full schedule
 JSON, so a Hypothesis falsifying example — or a long random campaign
@@ -239,11 +236,6 @@ class Schedule:
         """The host names, ``s1..sN``."""
         return tuple(f"s{i}" for i in range(1, self.n_hosts + 1))
 
-    @property
-    def has_kills(self) -> bool:
-        """True when the schedule churns agents (liveness-exempt)."""
-        return any(isinstance(op, KillOp) for op in self.ops)
-
     def protocol_tunables(self) -> ProtocolTunables:
         """The tunables object the harness machines will read."""
         return ProtocolTunables(**self.tunables)
@@ -373,6 +365,8 @@ class ScheduleOutcome:
     #: visitors served a full snapshot (journal reset or base evicted)
     deltas: int = 0
     fallbacks: int = 0
+    #: Locking-List entries that lapsed (their agent fell silent)
+    evicted: int = 0
     #: claims opened, by path ("round", "visit", "behind")
     claims: Dict[str, int] = field(default_factory=dict)
 
@@ -447,13 +441,14 @@ def run_schedule(
 
 
 def _liveness_violations(
-    harness: KernelHarness, schedule: Schedule
+    harness: KernelHarness, schedule: Schedule, agent_ids: Tuple
 ) -> List[str]:
-    """Liveness under heal: every surviving update commits or aborts."""
-    if schedule.has_kills:
-        return []
+    """Liveness under heal: every surviving agent's update commits or
+    aborts."""
     violations = []
-    for submit in schedule.submits:
+    for submit, agent_id in zip(schedule.submits, agent_ids, strict=True):
+        if agent_id in harness.killed:
+            continue
         status = harness.results.get(submit.request_id)
         if status not in ("committed", "failed"):
             violations.append(
@@ -475,7 +470,7 @@ def check_schedule(
     event budget (livelock).
     """
     try:
-        harness, _agent_ids = run_schedule(schedule, max_events=max_events)
+        harness, agent_ids = run_schedule(schedule, max_events=max_events)
     except EventBudgetExceeded as exc:
         raise InvariantViolation("livelock", str(exc), schedule) from exc
     report = harness.audit()
@@ -490,7 +485,7 @@ def check_schedule(
         )
         for problem in report.findings[check]
     ]
-    liveness = _liveness_violations(harness, schedule)
+    liveness = _liveness_violations(harness, schedule, agent_ids)
     if safety or liveness:
         kind = "safety" if safety else "liveness"
         raise InvariantViolation(
@@ -503,6 +498,7 @@ def check_schedule(
         events=harness.events_processed,
         deltas=sum(r.deltas_served for r in harness.replicas.values()),
         fallbacks=sum(r.fallbacks_served for r in harness.replicas.values()),
+        evicted=sum(r.evicted for r in harness.replicas.values()),
         claims=claims,
     )
 
@@ -722,6 +718,7 @@ class CampaignReport:
     events: int
     deltas: int = 0
     fallbacks: int = 0
+    evicted: int = 0
     #: claims opened across the campaign, by path
     claims: Dict[str, int] = field(default_factory=dict)
 
@@ -736,7 +733,8 @@ class CampaignReport:
             f"adversary campaign: {self.passed}/{self.schedules} schedules "
             f"ok, {len(self.failures)} violations, "
             f"{self.events} harness events, {self.deltas} deltas + "
-            f"{self.fallbacks} snapshot fallbacks served, claims "
+            f"{self.fallbacks} snapshot fallbacks served, "
+            f"{self.evicted} evicted, claims "
             + " / ".join(
                 f"{self.claims.get(path, 0)} {path}"
                 for path in ("round", "visit", "behind")
@@ -804,7 +802,7 @@ def run_campaign(
         )
 
     passed = 0
-    events = deltas = fallbacks = 0
+    events = deltas = fallbacks = evicted = 0
     claims: Dict[str, int] = Counter()
     failures: List[CampaignFailure] = []
     for index in range(n_schedules):
@@ -818,6 +816,7 @@ def run_campaign(
                 events += outcome.events
                 deltas += outcome.deltas
                 fallbacks += outcome.fallbacks
+                evicted += outcome.evicted
                 claims.update(outcome.claims)
                 if c_events is not None:
                     c_events.inc(outcome.events)
@@ -865,5 +864,6 @@ def run_campaign(
         events=events,
         deltas=deltas,
         fallbacks=fallbacks,
+        evicted=evicted,
         claims=claims,
     )

@@ -4,11 +4,12 @@ Every agent evaluates :func:`decide` over its own Locking Table. The
 rules, in order:
 
 1. **Majority** — an agent that is effective-top at more than N/2 known
-   servers holds the lock. Acting on this is *unconditionally safe* even
-   with stale views: an agent's set of topped servers can only grow until
-   it commits (appends go to the tail; removals only delete finished
-   agents), so two simultaneous self-observed majorities would have to
-   intersect at a server topped by both — impossible.
+   servers holds the lock. Acting on this is safe even with stale views:
+   an agent's set of topped servers only grows until it commits or its
+   own entry lapses (appends go to the tail; removals delete finished or
+   lapsed agents), so two self-observed majorities would intersect at a
+   server topped by both — impossible, but for a lapsed agent, whose
+   claim then meets the grants ([D1]).
 2. **Paper tie-break** — with M agents tied at S top-ranks each and
    ``S + (N − M·S) < ⌈(N+1)/2⌉`` no tied agent can ever reach a
    majority; the tie is resolved by agent identifier (smallest wins).
@@ -18,11 +19,11 @@ rules, in order:
    exists, the frozen tie is again resolved by identifier.
 
 Crucially (deviation [D1], documented in DESIGN.md): a tie-break winner
-does **not** act directly — with stale views two agents could crown
-different winners. Instead the decision is returned as a ``STALEMATE``
-and the protocol has tie-break *losers* re-queue their lock entries
-(back-off), which lets the designated winner rise to a genuine, safely
-actionable majority. Rules 2–3 therefore drive liveness, never safety.
+does **not** act on its own authority — with stale views two agents
+could crown different winners. The decision is returned as a
+``STALEMATE`` naming the designee, who claims; the claim round's
+exclusive grants admit at most one claimer. Rules 2–3 therefore drive
+liveness, never safety.
 
 Implementation: :func:`decide` evaluates the rule cascade over the
 Locking Table's *packed* state (interned integer slots and a flag slab,

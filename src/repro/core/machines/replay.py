@@ -307,8 +307,8 @@ class KernelHarness:
 
         The agent simply vanishes: its lock entries and any grant it
         holds stay behind at the replicas, exactly as when a mobile
-        agent's host platform dies. Grant-TTL expiry is what unwedges
-        the servers it claimed at.
+        agent's host platform dies. Its grants expire, and its entries
+        lapse one hygiene window after it fell silent.
         """
         if at is not None:
             self._schedule(at, self.kill, agent_id)

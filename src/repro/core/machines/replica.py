@@ -114,6 +114,8 @@ class ReplicaMachine:
         self.acks_sent = 0
         self.nacks_sent = 0
         self.commits_applied = 0
+        #: Locking-List entries that lapsed (:meth:`_lapse`)
+        self.evicted = 0
         self.recoveries = 0
         #: visits answered with a :class:`SharedViewDelta`
         self.deltas_served = 0
@@ -156,9 +158,9 @@ class ReplicaMachine:
 
         Returns the :class:`VisitData` the agent machine needs (fresh
         lock view, bulletin board, post-enqueue rank) plus any effects
-        (a ``QueueChanged`` when the visit appended a lock entry). The
-        agent's answering ``PostBulletin`` effect is routed back to
-        :meth:`post_bulletin` by the driver.
+        (a ``QueueChanged`` when the visit appended a lock entry, and
+        those of :meth:`_lapse`). The agent's answering ``PostBulletin``
+        effect is routed back to :meth:`post_bulletin` by the driver.
 
         ``acked`` is the visitor's acknowledged sequence for this server
         (:meth:`LockingTable.acked_seq`). While the journal still
@@ -174,11 +176,11 @@ class ReplicaMachine:
         the visitor's — the same exclusive grant an UPDATE takes, so
         the visitor may count it toward its claim's majority.
         """
-        effects: List[Effect] = []
+        effects = self._lapse(now)
         enqueued = False
         if (
-            agent_id not in self.updated_list
-            and agent_id not in self.locking_list
+            not self.locking_list.heard(agent_id, now)
+            and agent_id not in self.updated_list
         ):
             effects.extend(self.request_lock(agent_id, request_id, now))
             enqueued = True
@@ -221,32 +223,10 @@ class ReplicaMachine:
                 "not re-request the lock"
             )
         self.locking_list.append(
-            LockEntry(agent_id=agent_id, request_id=request_id,
-                      enqueued_at=now)
+            LockEntry(agent_id=agent_id, request_id=request_id, heard_at=now)
         )
         self.journal.bump("enq", agent_id)
         return [QueueChanged()]
-
-    def requeue_lock(
-        self, agent_id: AgentId, request_id: int, now: float
-    ) -> List[Effect]:
-        """Move the agent's lock entry to the tail of the Locking List.
-
-        A voluntary back-off primitive: withdrawing and immediately
-        re-appending one's *own* entry can only demote oneself, so
-        mutual exclusion is unaffected. The current protocol resolves
-        stalemates through grant-certified claims instead ([D1]), but
-        the primitive remains available to alternative policies.
-        """
-        removed = self.locking_list.remove(agent_id)
-        self.locking_list.append(
-            LockEntry(agent_id=agent_id, request_id=request_id,
-                      enqueued_at=now)
-        )
-        if removed:
-            self.journal.bump("deq", agent_id)
-        self.journal.bump("enq", agent_id)
-        return [ReleaseNotify()]
 
     def lock_view(self, now: float) -> SharedView:
         """Fresh snapshot of this server's Locking List (the Updated
@@ -337,12 +317,14 @@ class ReplicaMachine:
         if kind == "UPDATE":
             if self.synced_from is not None:
                 return []
+            effects = self._lapse(now)
+            self.locking_list.heard(payload.agent_id, now)
             if self._waits(payload, now):
                 self.held_updates[payload.batch_id] = payload
-                return []
-            return self._on_update(payload, now)
+                return effects
+            return effects + self._on_update(payload, now)
         if kind == "COMMIT":
-            return self._on_commit(payload, now)
+            return self._lapse(now) + self._on_commit(payload, now)
         if kind == "ABORT":
             return self._on_abort(payload, now)
         if kind == "RELEASE":
@@ -397,6 +379,7 @@ class ReplicaMachine:
         self.grant_holder = agent_id
         self.grant_batch = batch_id
         self.grant_expires_at = now + self.tunables.grant_ttl
+        self.locking_list.heard(agent_id, now)
 
     def _versions(self, keys) -> Dict[str, int]:
         return {key: self.store.version_of(key) for key in keys}
@@ -468,6 +451,17 @@ class ReplicaMachine:
             )
         )
 
+    def _lapse(self, now: float) -> List[Effect]:
+        """Evict each Locking-List head silent for one hygiene window
+        (docs/protocol.md §2); any grant its agent took here is over."""
+        lapsed = self.locking_list.lapse(now - self.updated_list.retention)
+        if not lapsed:
+            return []
+        for agent_id in lapsed:
+            self.journal.bump("deq", agent_id)
+        self.evicted += len(lapsed)
+        return [QueueChanged(), ReleaseNotify()] + self._serve_held(now)
+
     def _serve_held(self, now: float) -> List[Effect]:
         """After a step that may have freed the grant or dequeued a
         winner: apply each held COMMIT whose winner has left the Locking
@@ -508,7 +502,6 @@ class ReplicaMachine:
         # COMMIT is self-contained: even if our UPDATE was lost (e.g. we
         # were briefly down), the commit can still be applied.
         effects: List[Effect] = []
-        journal = self.journal
         for write in payload.writes:
             if self.apply_write(write, payload.origin, now):
                 self.commits_applied += 1
@@ -519,28 +512,22 @@ class ReplicaMachine:
                     )
                 )
         # Locks from this agent are removed regardless of staleness.
-        self.release_grant(payload.agent_id)
-        removed = self.locking_list.remove(payload.agent_id)
-        finished = self.updated_list.add(payload.agent_id, at=now)
-        if removed:
-            journal.bump("deq", payload.agent_id)
-        if finished:
-            journal.bump("fin", payload.agent_id)
-        effects.append(QueueChanged())
-        effects.append(ReleaseNotify())
-        return effects
+        return effects + self._finish(payload.agent_id, now)
 
     def _on_abort(self, payload: UpdatePayload, now: float) -> List[Effect]:
         """An agent gave up on its request entirely: forget it."""
         self.held_updates.pop(payload.batch_id, None)
-        self.release_grant(payload.agent_id)
-        removed = self.locking_list.remove(payload.agent_id)
-        finished = self.updated_list.add(payload.agent_id, at=now)
-        if removed:
-            self.journal.bump("deq", payload.agent_id)
-        if finished:
-            self.journal.bump("fin", payload.agent_id)
-        return [QueueChanged(), ReleaseNotify()] + self._serve_held(now)
+        return self._finish(payload.agent_id, now) + self._serve_held(now)
+
+    def _finish(self, agent_id: AgentId, now: float) -> List[Effect]:
+        """The agent is done here: free its grant, dequeue it, and list
+        it in the Updated List."""
+        self.release_grant(agent_id)
+        if self.locking_list.remove(agent_id):
+            self.journal.bump("deq", agent_id)
+        if self.updated_list.add(agent_id, at=now):
+            self.journal.bump("fin", agent_id)
+        return [QueueChanged(), ReleaseNotify()]
 
     def _on_release(self, payload: UpdatePayload, now: float) -> List[Effect]:
         """A claim failed: give back the grant, keep the lock entry; a

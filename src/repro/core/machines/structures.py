@@ -18,7 +18,8 @@ They live here (rather than in :mod:`repro.replication`) so the kernel
 has no import edge back into any execution backend.
 
 The records among them (:class:`LockEntry`, :class:`VersionedValue`,
-:class:`CommitRecord`) are slotted dataclasses, read-only by convention.
+:class:`CommitRecord`) are slotted dataclasses, read-only by convention
+but for a lock entry's ``heard_at``, which its list renews.
 """
 
 from __future__ import annotations
@@ -40,11 +41,12 @@ __all__ = [
 
 @dataclass(slots=True)
 class LockEntry:
-    """One agent's pending lock request at one server."""
+    """One agent's pending lock request at one server; ``heard_at`` is
+    when the server last heard from it (enqueue, visit, UPDATE, grant)."""
 
     agent_id: AgentId
     request_id: int
-    enqueued_at: float
+    heard_at: float
 
 
 #: An immutable view of a server's LL at a point in time: the ordered
@@ -88,7 +90,7 @@ class LockingList:
                 f"agent {entry.agent_id} already holds a lock entry at "
                 f"{self.host}"
             )
-        if self._entries and entry.enqueued_at < self._entries[-1].enqueued_at:
+        if self._entries and entry.heard_at < self._entries[-1].heard_at:
             raise ProtocolError(
                 f"lock entries at {self.host} must be appended in time order"
             )
@@ -119,6 +121,22 @@ class LockingList:
         del self._arrivals[index]
         self._view_cache = None
         return True
+
+    def heard(self, agent_id: AgentId, now: float) -> bool:
+        """Renew the agent's entry's stamp; False if it has none here."""
+        arrival = self._members.get(agent_id)
+        if arrival is None:
+            return False
+        self._entries[bisect_left(self._arrivals, arrival)].heard_at = now
+        return True
+
+    def lapse(self, cutoff: float) -> List[AgentId]:
+        """Remove and return the head entries last heard before ``cutoff``."""
+        lapsed = []
+        while self._entries and self._entries[0].heard_at < cutoff:
+            lapsed.append(self._entries[0].agent_id)
+            self.remove(lapsed[-1])
+        return lapsed
 
     def view(self) -> LockView:
         """Immutable ordered snapshot of the queued agent ids."""

@@ -63,9 +63,6 @@ class RunConfig:
     topology: str = "mesh"  # "mesh" | "random-costs"
     horizon: float = 5_000_000.0
     faults: Optional[FaultPlan] = None
-    # substrate knobs
-    agent_service_time: float = 2.0
-    update_apply_time: float = 0.5
     enable_bulletin: bool = True
     #: the protocol row's settings (MARP's ``itinerary``,
     #: ``read_strategy``, ``batch_size``, ``votes``; a baseline's quorums
@@ -170,11 +167,7 @@ def _build_deployment(config: RunConfig) -> Deployment:
     }.get(config.latency)
     if latency is None:
         raise ExperimentError(f"unknown latency profile {config.latency!r}")
-    replica_config = ReplicaConfig(
-        agent_service_time=config.agent_service_time,
-        update_apply_time=config.update_apply_time,
-        enable_bulletin=config.enable_bulletin,
-    )
+    replica_config = ReplicaConfig(enable_bulletin=config.enable_bulletin)
     topology = None
     if config.topology == "random-costs":
         streams = RandomStreams(config.seed)

@@ -132,6 +132,16 @@ class TestKnownOutcomes:
         versions = [v for v, _ in harness.commit_chains()["x"]]
         assert versions == [1, 2]
 
+    def test_a_killed_rivals_entries_lapse_and_the_survivors_resolve(self):
+        """``killed_rival_seed{S}_{I}``: shrunk from the 1,000-schedule
+        campaigns (``--seed S --index I``). An agent dies at the head of
+        a Locking List, and a survivor waited behind its entry for good
+        until entries lapsed; each one now resolves through a lapse."""
+        paths = sorted(CORPUS_DIR.glob("killed_rival_*.json"))
+        assert len(paths) == 6
+        for path in paths:
+            assert check_schedule(Schedule.load(str(path))).evicted, path
+
 
 #: Schedules whose restarted replica once ended stale: shrunk from the
 #: 1,000-schedule campaigns at seeds 1-5 (``--seed 1 --index 542``,

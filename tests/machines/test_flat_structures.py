@@ -184,7 +184,7 @@ TALLY_OPS = st.lists(
     st.tuples(
         st.sampled_from([
             "enq", "enq", "visit", "visit",
-            "commit", "requeue", "bulletin", "stale", "hop",
+            "commit", "lapse", "bulletin", "stale", "hop",
         ]),
         st.integers(min_value=0, max_value=len(TALLY_HOSTS) - 1),
         st.integers(min_value=0, max_value=TALLY_AGENTS - 1),
@@ -192,6 +192,16 @@ TALLY_OPS = st.lists(
     min_size=1,
     max_size=40,
 )
+
+
+def lapse_and_visit(machine, agent, n, now):
+    """A queued agent falls silent past the lease, then visits again:
+    every head entry lapses (deq) and the agent re-appends (enq).
+    Returns the new clock."""
+    if agent in machine.locking_list:
+        now += machine.updated_list.retention + 1.0
+        machine.begin_visit(agent, n, now, acked=-1)
+    return now
 
 
 def assert_tally_is_a_recompute(table, n_hosts, extra_done=frozenset()):
@@ -246,9 +256,8 @@ def test_incremental_tally_matches_a_recompute(ops, extra):
                     UpdatePayload(batch_id=n, agent_id=agent, origin="s1"),
                     src="s1", now=now,
                 )
-        elif op == "requeue":
-            if agent in machine.locking_list:
-                machine.requeue_lock(agent, n, now)
+        elif op == "lapse":
+            now = lapse_and_visit(machine, agent, n, now)
         elif op == "visit":
             patch = machine.delta_view(now, table.acked_seq(machine.host))
             snapshot = machine.lock_view(now)
@@ -566,7 +575,7 @@ def test_a_forgotten_id_is_live_again_with_or_without_a_pickle_hop():
 FORGET_OPS = st.lists(
     st.tuples(
         st.sampled_from([
-            "enq", "enq", "visit", "visit", "commit", "requeue", "stale",
+            "enq", "enq", "visit", "visit", "commit", "lapse", "stale",
         ]),
         st.integers(min_value=0, max_value=len(TALLY_HOSTS) - 1),
         st.integers(min_value=0, max_value=TALLY_AGENTS - 1),
@@ -622,9 +631,8 @@ def test_absorb_keeps_only_queued_finished_ids(ops):
                     src="s1", now=now,
                 )
             continue
-        if op == "requeue":
-            if agent in machine.locking_list:
-                machine.requeue_lock(agent, n, now)
+        if op == "lapse":
+            now = lapse_and_visit(machine, agent, n, now)
             continue
         board = machine.bulletin
         if op == "stale" and old_snapshots:

@@ -3,10 +3,11 @@
 The schedule adversary leans on these behaviors being exact; each one
 is pinned here in isolation: partitions buffer (never lose) messages
 until heal, drop directives only touch retryable kinds, duplicates and
-delays act on the deterministic send index, killed agents vanish but
-leave their lock entries behind, a restarted replica catches up from
-a majority of its peers before it serves again, and a livelocked run
-raises instead of silently passing.
+delays act on the deterministic send index, killed agents vanish and
+their lock entries lapse one hygiene window after they fall silent (a
+live agent's do too, if it is silent that long), a restarted replica
+catches up from a majority of its peers before it serves again, and a
+livelocked run raises instead of silently passing.
 """
 
 import pytest
@@ -19,7 +20,9 @@ from repro.core.machines import (
     EventBudgetExceeded,
     InvariantViolation,
     KernelHarness,
+    MsgReceived,
     ProtocolTunables,
+    ReplicaMachine,
     RestartOp,
     Schedule,
     SubmitOp,
@@ -197,21 +200,18 @@ class TestKill:
         assert harness.statuses() == {}
         assert harness.commit_chains() == {}
 
-    def test_killed_rival_wedges_survivor_behind_phantom_entry(self):
-        # The victim dies mid-claim. Grant TTLs free the *grants*, but
-        # the victim's LockingList entries stay, so a later agent keeps
-        # ranking behind a phantom and parks forever. This is the real
-        # protocol behaviour — the paper delegates agent fault
-        # tolerance to the platform — and exactly why the adversary
-        # exempts kill schedules from the liveness check while still
-        # holding them to safety.
+    def test_killed_rivals_entries_lapse_and_the_survivor_commits(self):
+        # The victim dies mid-claim. Its grants expire after grant_ttl
+        # and its Locking-List entries lapse one hygiene window (the
+        # lease, 1.5 x grant_ttl) after it was last heard, so the
+        # survivor, which claimed behind the phantom and then parked,
+        # wins on its next refresh tour. Without the lease it claims
+        # behind the dead winner every ~105 ms, for good.
         # Hops (10 ms) outlast the ack timeout (5 ms): the grant the
         # victim took on its first visit is too old to skip the round
         # when it wins at s2, so it claims by UPDATE.
-        harness = KernelHarness(
-            HOSTS, tunables=ProtocolTunables(grant_ttl=50.0, ack_timeout=5.0),
-            hop_latency=10.0,
-        )
+        tunables = ProtocolTunables(grant_ttl=50.0, ack_timeout=5.0)
+        harness = KernelHarness(HOSTS, tunables=tunables, hop_latency=10.0)
         victim = harness.submit("s1", 1, "x", "dead", at=0.0)
         # t=11: the UPDATE round is under way and every replica holds a
         # grant for the victim; the COMMIT broadcast would fire at t=12.
@@ -219,11 +219,18 @@ class TestKill:
         harness.kill(victim)
         survivor = harness.submit("s2", 2, "x", "alive", at=20.0)
         harness.run(until=100_000)
-        # Wedged, not diverged: no resolution, but nothing committed
-        # under the dead agent's name either.
-        assert harness.statuses() == {}
-        assert harness.commit_chains() == {}
-        assert harness.agents[survivor].status is None
+        assert harness.statuses() == {2: "committed"}
+        assert harness.commit_chains() == {"x": [(1, "alive")]}
+        assert harness.audit().consistent
+        assert victim not in harness.replicas["s1"].locking_list
+        # One lease after the kill, then one park-and-claim cycle: a
+        # park timeout, a refresh tour of the other hosts, a claim.
+        lease = harness.replicas["s1"].updated_list.retention
+        cycle = tunables.park_timeout + 2 * 10.0 + tunables.ack_timeout
+        (committed_at,) = [when for when, kind, _text
+                           in harness.agents[survivor].notes
+                           if kind == "commit"]
+        assert committed_at <= 11.5 + lease + cycle
 
     def test_kill_unknown_agent_is_a_noop(self):
         harness = KernelHarness(HOSTS)
@@ -231,6 +238,74 @@ class TestKill:
         assert harness.killed == set()
 
 
+class TestLease:
+    """A Locking-List entry lapses once its agent has been silent for
+    one hygiene window (1.5 x grant_ttl): no visit, UPDATE or grant.
+    That costs a slow live agent its place, never agreement."""
+
+    class SlowHops(KernelHarness):
+        """One agent's hops take ``extra`` ms longer than the rest's."""
+
+        slow = None
+        extra = 0.0
+
+        def _schedule(self, when, action, *args):
+            if action == self._land and args[0].machine.state.agent_id == self.slow:
+                when += self.extra
+            super()._schedule(when, action, *args)
+
+    def test_a_live_agent_slower_than_the_lease_re_appends_at_the_tail(self):
+        # Lease 75 ms, park timeout 100 ms. A tours with 51 ms hops; C,
+        # with 1 ms hops, parks at s4 at t=80, undecided, and is not
+        # heard there again until A's visit at t=178 evicts it. The
+        # eviction wakes C, which visits s4 again and queues behind A.
+        harness = self.SlowHops(FOUR, tunables=ProtocolTunables(
+            grant_ttl=50.0, park_timeout=100.0,
+        ))
+        a = harness.submit("s1", 1, "x", "a", at=25.0)
+        c = harness.submit("s2", 2, "x", "c", at=77.0, created_seq=1)
+        harness.slow, harness.extra = a, 50.0
+        s4 = harness.replicas["s4"]
+        harness.run(until=177.0)
+        assert s4.locking_list.view() == (c,) and s4.evicted == 0
+        harness.run(until=178.0)
+        assert s4.locking_list.view() == (a, c) and s4.evicted == 1
+        assert (80.0, "park", "") in harness.agents[c].notes
+        assert (178.0, "visit", "rank 1 of 2") in harness.agents[c].notes
+        harness.run(until=100_000)
+        assert harness.statuses() == {1: "committed", 2: "committed"}
+        assert harness.commit_chains() == {"x": [(1, "a"), (2, "c")]}
+        assert harness.audit().consistent
+
+    def test_a_held_update_acked_late_keeps_its_entry_while_granted(self):
+        # B's UPDATE behind W arrives at t=1.5, B's last word here. W's
+        # COMMIT is late (t=6000) and ACKs B's held UPDATE in its step:
+        # the grant B takes then, until t=16000, renews its entry, so a
+        # visit at t=15002 (past B's UPDATE + lease) finds B queued.
+        w, b, c = (AgentId(host, at, 0) for host, at in
+                   (("s2", 1.0), ("s3", 2.0), ("s1", 3.0)))
+        replica = ReplicaMachine("s1", HOSTS, ProtocolTunables())
+        replica.request_lock(w, 1, 0.0)
+        replica.request_lock(b, 2, 0.5)
+        for agent, batch, at, behind in ((w, 1, 1.0, None), (b, 2, 1.5, w)):
+            replica.on(MsgReceived("UPDATE", UpdatePayload(
+                batch_id=batch, agent_id=agent, origin=agent.host,
+                reply_to=agent.host, epoch=1, keys=("x",), behind=behind,
+            ), at))
+        assert list(replica.held_updates) == [2]
+        replica.on(MsgReceived("COMMIT", UpdatePayload(
+            batch_id=1, agent_id=w, origin="s2",
+            writes=(WriteOp(1, "x", "w", 1),),
+        ), 6000.0))
+        assert replica.grant_holder == b
+        assert replica.grant_expires_at == 16_000.0
+        lease = replica.updated_list.retention
+        replica.begin_visit(c, 3, 1.5 + lease + 0.5, acked=-1)
+        assert replica.locking_list.view() == (b, c)
+        assert replica.evicted == 0
+
+
+FOUR = ["s1", "s2", "s3", "s4"]
 FIVE = ["s1", "s2", "s3", "s4", "s5"]
 
 

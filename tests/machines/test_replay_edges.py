@@ -1048,9 +1048,9 @@ class TestPipelinedHandoff:
         """The trade-off of in-order apply (docs/protocol.md §4): s1
         never got W's COMMIT, so W stays queued there and s1 holds B's
         COMMIT behind it, while a COMMIT behind nobody still applies.
-        Only the catch-up releases it: s1's peers report W finished, the
-        rejoin purges W's entry, and B's writes apply. A live host has
-        no catch-up yet (ROADMAP 17), so there it would wait for good."""
+        The catch-up releases it: s1's peers report W finished, the
+        rejoin purges W's entry, and B's writes apply. With no restart,
+        W's entry lapsing does (next test)."""
         replica = self.replica_behind_w()
         b_writes = (WriteOp(request_id=2, key="x", value="b", version=2),)
         replica.on(commit_msg(self.B, 2, 3.0, b_writes, behind=self.W))
@@ -1074,4 +1074,23 @@ class TestPipelinedHandoff:
                 if isinstance(e, CommitApplied)] == [(self.B, 2)]
         assert replica.held_commits == {}
         assert self.W not in replica.locking_list
+        assert replica.read("x").value == "b"
+
+    def test_with_no_restart_the_held_commit_applies_once_w_lapses(self):
+        """s1 last heard from W at t=1 (its UPDATE). Its entry lapses at
+        the first visit, UPDATE or COMMIT more than one lease later, and
+        B's held COMMIT applies in that step; until then it is held."""
+        replica = self.replica_behind_w()
+        b_writes = (WriteOp(request_id=2, key="x", value="b", version=2),)
+        replica.on(commit_msg(self.B, 2, 3.0, b_writes, behind=self.W))
+        lease = replica.updated_list.retention
+        _data, effects = replica.begin_visit(self.C, 3, 1.0 + lease,
+                                             acked=-1)
+        assert list(replica.held_commits) == [2] and replica.evicted == 0
+        _data, effects = replica.begin_visit(self.C, 3, 1.2 + lease,
+                                             acked=-1)
+        assert [(e.agent_id, e.version) for e in effects
+                if isinstance(e, CommitApplied)] == [(self.B, 2)]
+        assert replica.held_commits == {} and replica.evicted == 1
+        assert replica.locking_list.view() == (self.C,)
         assert replica.read("x").value == "b"

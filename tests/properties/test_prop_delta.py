@@ -2,7 +2,7 @@
 
 The executable spec of the full-snapshot fallback. One seeded
 :class:`ReplicaMachine` is driven through an arbitrary interleaving of
-lock-state mutations — enqueues, commits, aborts, requeues, recovery
+lock-state mutations — enqueues, commits, aborts, lapses, recovery
 resets — while two agent-side :class:`LockingTable`\\ s observe it:
 
 * the **full** table is handed a full ``lock_view`` snapshot at every
@@ -43,7 +43,9 @@ from repro.core.machines.config import ProtocolTunables
 from repro.core.machines.replica import ReplicaMachine
 from repro.core.machines.table import LockingTable
 from repro.core.machines.wire import SharedView, UpdatePayload, WriteOp
-from tests.machines.test_flat_structures import ReferenceSuitcase
+from tests.machines.test_flat_structures import (
+    ReferenceSuitcase, lapse_and_visit,
+)
 
 TUNABLES = ProtocolTunables()
 
@@ -60,7 +62,7 @@ OPS = st.lists(
         st.tuples(st.just("enq"), st.integers(0, 14)),
         st.tuples(st.just("commit"), st.integers(0, 14)),
         st.tuples(st.just("abort"), st.integers(0, 14)),
-        st.tuples(st.just("requeue"), st.integers(0, 14)),
+        st.tuples(st.just("lapse"), st.integers(0, 14)),
         st.tuples(st.just("reset"), st.just(0)),
         st.tuples(st.just("sync"), st.just(0)),
         st.tuples(st.just("redeliver"), st.integers(0, 200)),
@@ -134,9 +136,8 @@ def test_delta_and_full_merge_sequences_agree(ops, capacity):
             machine.on_message(
                 op.upper(), payload_for(arg, writes), src="s1", now=now
             )
-        elif op == "requeue":
-            if agent in machine.locking_list:
-                machine.requeue_lock(agent, arg, now)
+        elif op == "lapse":
+            now = lapse_and_visit(machine, agent, arg, now)
         elif op == "reset":
             # A restart: catch up from both peers (N=3 rejoins at the
             # second reply), which ends in one journal reset.

@@ -13,7 +13,7 @@ def aid(n: int) -> AgentId:
 
 def entry(n: int, at: float = None) -> LockEntry:
     return LockEntry(agent_id=aid(n), request_id=n,
-                     enqueued_at=at if at is not None else float(n))
+                     heard_at=at if at is not None else float(n))
 
 
 class TestLockingList:
@@ -81,6 +81,25 @@ class TestLockingList:
         ll = LockingList("s1")
         ll.append(entry(1))
         ll.clear()
+        assert len(ll) == 0
+
+    def test_heard_renews_only_a_queued_entry(self):
+        ll = LockingList("s1")
+        ll.append(entry(1, at=0.0))
+        assert ll.heard(aid(1), 7.0)
+        assert not ll.heard(aid(2), 7.0)
+        assert ll.entries()[0].heard_at == 7.0
+
+    def test_lapse_evicts_only_silent_heads(self):
+        ll = LockingList("s1")
+        for n, at in ((1, 0.0), (2, 1.0), (3, 2.0), (4, 3.0)):
+            ll.append(entry(n, at=at))
+        ll.heard(aid(2), 9.0)
+        # 1 is silent but 3 behind the fresh 2 waits for its turn.
+        assert ll.lapse(cutoff=5.0) == [aid(1)]
+        assert ll.view() == (aid(2), aid(3), aid(4))
+        assert ll.lapse(cutoff=5.0) == []
+        assert ll.lapse(cutoff=9.5) == [aid(2), aid(3), aid(4)]
         assert len(ll) == 0
 
     def test_entries_copy(self):

@@ -25,12 +25,6 @@ def request_lock(server, n: int, request_id: int) -> None:
     )
 
 
-def requeue_lock(server, n: int, request_id: int) -> None:
-    server.interpreter.run_replica(
-        server.machine.requeue_lock(aid(n), request_id, server.env.now)
-    )
-
-
 def payload(agent_n: int, version: int = 1, value="v", epoch: int = 1,
             reply_to: str = "s1", batch: int = None) -> UpdatePayload:
     batch_id = batch if batch is not None else agent_n
@@ -98,13 +92,6 @@ class TestLocalInterface:
         assert view.view == (aid(1),)
         # Lock state only: committed versions travel in ACKs alone.
         assert not hasattr(view, "versions")
-
-    def test_requeue_lock_moves_to_tail(self, dep):
-        server = dep.server("s1")
-        request_lock(server, 1, 101)
-        request_lock(server, 2, 102)
-        requeue_lock(server, 1, 101)
-        assert server.locking_list.view() == (aid(2), aid(1))
 
     def test_bulletin_keeps_freshest(self, dep):
         server = dep.server("s1")

@@ -185,7 +185,7 @@ class TestCommitPath:
     def test_commit_removes_lock_and_wakes_parked(self, host, transport):
         winner = AgentId("h2", 1.0, 0)
         host.machine.locking_list.append(
-            LockEntry(agent_id=winner, request_id=1, enqueued_at=0.0)
+            LockEntry(agent_id=winner, request_id=1, heard_at=0.0)
         )
         # A second agent arrives with nowhere left to go and parks
         # behind the winner.
