@@ -16,7 +16,7 @@ import pytest
 from repro.core.machines.identity import AgentId
 from repro.core.machines.priority import decide
 from repro.core.machines.table import LockingTable
-from repro.replication.server import SharedView
+from repro.core.machines.wire import SharedView
 from repro.sim.core import Environment
 
 

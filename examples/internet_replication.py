@@ -12,13 +12,16 @@ Run:  python examples/internet_replication.py
 """
 
 from repro import MARP, Deployment
-from repro.analysis import alt, att, audit, format_table, prk
+from repro.analysis.consistency import audit
+from repro.analysis.metrics import alt, att, prk
+from repro.analysis.tables import format_table
 from repro.net.faults import CrashSchedule, FaultPlan, TransientLinkFaults
 from repro.net.latency import wan_profile
 from repro.net.topology import Topology
 from repro.replication.client import attach_clients
 from repro.sim.rng import RandomStreams
-from repro.workload import ExponentialArrivals, OperationMix
+from repro.workload.arrivals import ExponentialArrivals
+from repro.workload.mix import OperationMix
 
 
 def main() -> None:

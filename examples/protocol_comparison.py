@@ -10,8 +10,8 @@ DESIGN.md).
 Run:  python examples/protocol_comparison.py
 """
 
-from repro.analysis import format_table
-from repro.experiments import RunConfig, run_once
+from repro.analysis.tables import format_table
+from repro.experiments.runner import RunConfig, run_once
 
 
 def main() -> None:

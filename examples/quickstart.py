@@ -10,7 +10,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro import Deployment, MARP
-from repro.analysis import assert_consistent
+from repro.analysis.consistency import assert_consistent
 
 
 def main() -> None:

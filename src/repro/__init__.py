@@ -30,19 +30,36 @@ Subpackages
     Live threaded backend with real pickled agent migration.
 ``repro.workload`` / ``repro.analysis`` / ``repro.experiments``
     Workload generation, metrics (ALT/ATT/PRK), consistency audits and
-    the per-figure experiment harness.
+    the run engine and the paper's claims as rows.
+
+The subpackages export nothing (``repro.runtime`` and ``repro.obs``
+keep ``LiveCluster`` and the hub API): import each name from the module
+that defines it. The DES names above load on first access, so a live
+host (``import repro.runtime``) never loads the simulator.
 """
 
 from repro._version import __version__
-from repro.replication.deployment import Deployment
-from repro.replication.protocol import MARP
-from repro.replication.requests import READ, WRITE, RequestRecord
 
-__all__ = [
-    "__version__",
-    "Deployment",
-    "MARP",
-    "RequestRecord",
-    "READ",
-    "WRITE",
-]
+#: Where each lazily loaded public name is defined.
+_DEFINED_IN = {
+    "Deployment": "repro.replication.deployment",
+    "MARP": "repro.replication.protocol",
+    "RequestRecord": "repro.replication.requests",
+    "READ": "repro.replication.requests",
+    "WRITE": "repro.replication.requests",
+}
+
+__all__ = ["__version__", *_DEFINED_IN]
+
+
+def __getattr__(name):
+    """Import a DES name's defining module the first time it is asked for."""
+    try:
+        module = _DEFINED_IN[name]
+    except KeyError:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}") from None
+    from importlib import import_module
+
+    value = getattr(import_module(module), name)
+    globals()[name] = value
+    return value

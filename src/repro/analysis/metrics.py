@@ -31,6 +31,7 @@ __all__ = [
     "visit_counts",
     "response_times",
     "throughput",
+    "arrival_rate",
     "StreamingMetrics",
 ]
 
@@ -107,16 +108,34 @@ def response_times(records: Iterable[RequestRecord]) -> np.ndarray:
     )
 
 
+def _per_second(count: int, span_ms: float) -> float:
+    """``count`` events over ``span_ms`` as ``(count-1)/span`` per second
+    (0 when fewer than two, or no time between them)."""
+    if count < 2 or span_ms <= 0:
+        return 0.0
+    return (count - 1) / (span_ms / 1000.0)
+
+
 def throughput(records: Iterable[RequestRecord]) -> float:
     """Committed updates per second of simulated time (0 when < 2)."""
     commits = committed_writes(records)
     if len(commits) < 2:
         return 0.0
     times = np.asarray([r.completed_at for r in commits], dtype=float)
-    span_ms = float(times.max() - times.min())
-    if span_ms <= 0:
+    return _per_second(len(commits), float(times.max() - times.min()))
+
+
+def arrival_rate(records: Iterable[RequestRecord]) -> float:
+    """Update arrivals per second of simulated time (0 when < 2).
+
+    Measured as :func:`throughput` measures commits, ``(n-1)/span``
+    over the writes' creation times, so a run that serves every update
+    as it arrives has a throughput equal to it, up to latency jitter.
+    """
+    times = [r.created_at for r in records if r.is_write]
+    if len(times) < 2:
         return 0.0
-    return (len(commits) - 1) / (span_ms / 1000.0)
+    return _per_second(len(times), max(times) - min(times))
 
 
 class StreamingMetrics:
@@ -128,8 +147,9 @@ class StreamingMetrics:
     record list. Exactness contract, pinned by the parity tests:
 
     * :meth:`alt` / :meth:`att` / mean response time — exact (Welford);
-    * :meth:`prk` / counts / :meth:`throughput` — exact (counters and
-      the identical ``(n-1)/span`` formula);
+    * :meth:`prk` / counts / :meth:`throughput` / :meth:`arrival_rate`
+      — exact (counters and the identical ``(n-1)/span`` formulas; the
+      arrivals are those of the writes that reached a terminal status);
     * ATT / response-time p50 and p99 — P² estimates, within the
       documented error bounds of the batch percentiles.
     """
@@ -149,10 +169,20 @@ class StreamingMetrics:
         self.reads_done = 0
         self._first_commit_at = float("inf")
         self._last_commit_at = float("-inf")
+        self._writes = 0
+        self._first_write_at = float("inf")
+        self._last_write_at = float("-inf")
 
     def observe(self, record: RequestRecord) -> None:
         """Fold one *terminal* record into the accumulators."""
         self.observed += 1
+        if record.is_write:
+            self._writes += 1
+            created_at = record.created_at
+            if created_at < self._first_write_at:
+                self._first_write_at = created_at
+            if created_at > self._last_write_at:
+                self._last_write_at = created_at
         status = record.status
         if status == "failed":
             self.failed += 1
@@ -216,12 +246,15 @@ class StreamingMetrics:
 
     def throughput(self) -> float:
         """Committed updates per second (same formula as the batch fn)."""
-        if self.committed < 2:
-            return 0.0
-        span_ms = self._last_commit_at - self._first_commit_at
-        if span_ms <= 0:
-            return 0.0
-        return (self.committed - 1) / (span_ms / 1000.0)
+        return _per_second(
+            self.committed, self._last_commit_at - self._first_commit_at
+        )
+
+    def arrival_rate(self) -> float:
+        """Update arrivals per second (same formula as the batch fn)."""
+        return _per_second(
+            self._writes, self._last_write_at - self._first_write_at
+        )
 
     def __repr__(self) -> str:
         return (

@@ -242,7 +242,7 @@ def _obs(args, hub) -> List[str]:
 
 
 def _obs_self_check() -> int:
-    from repro.obs import self_check
+    from repro.obs.selfcheck import self_check
 
     report = self_check(verbose=True)
     for failure in report.failed:

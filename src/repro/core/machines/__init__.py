@@ -54,157 +54,3 @@ The kernel imports nothing of the package outside itself but
 :mod:`repro.obs` lazily, for counters, without dragging it into kernel
 imports.) See ``docs/architecture.md``.
 """
-
-from repro.core.machines.identity import AgentId, AgentIdFactory
-from repro.core.machines.intern import Interner
-from repro.core.machines.structures import (
-    CommitRecord,
-    HistoryLog,
-    LockEntry,
-    LockingList,
-    LockView,
-    UpdatedList,
-    VersionedStore,
-    VersionedValue,
-)
-from repro.core.machines.wire import (
-    SharedView,
-    Transform,
-    UpdatePayload,
-    VisitData,
-    WriteOp,
-)
-from repro.core.machines.table import LockingTable
-from repro.core.machines.priority import (
-    OTHER,
-    STALEMATE,
-    UNDECIDED,
-    WIN,
-    Decision,
-    decide,
-    rank_queue,
-)
-from repro.core.machines.config import (
-    DES_TUNABLES,
-    LIVE_TUNABLES,
-    ProtocolTunables,
-)
-from repro.core.machines.events import (
-    Arrived,
-    MsgReceived,
-    ReplicaDown,
-    TimerFired,
-)
-from repro.core.machines.effects import (
-    Backoff,
-    Broadcast,
-    CancelTimer,
-    ClaimResolved,
-    ClaimStarted,
-    CommitApplied,
-    Dispose,
-    Done,
-    Effect,
-    Granted,
-    LockWon,
-    Migrate,
-    Nacked,
-    Note,
-    Park,
-    PostBulletin,
-    QueueChanged,
-    Recovered,
-    ReleaseNotify,
-    Send,
-    SetTimer,
-    Visit,
-)
-from repro.core.machines.replica import ReplicaMachine
-from repro.core.machines.reader import ReaderMachine
-from repro.core.machines.coordinators import (
-    ForwardMachine,
-    LadderMachine,
-    VotingMachine,
-)
-from repro.core.machines.participants import CopyKeeper, LockKeeper
-from repro.core.machines.protocols import (
-    ITINERARIES, ROWS, ProtocolRow, check_votes, protocol_row,
-)
-from repro.core.machines.agent import (
-    AgentCoreState, AgentMachine, suitcase_size,
-)
-from repro.core.machines.interpreter import (
-    EffectInterpreter,
-    Resident,
-    Substrate,
-)
-from repro.core.machines.audit import AuditReport, check_histories
-from repro.core.machines.replay import (
-    DROPPABLE_KINDS,
-    RELIABLE_KINDS,
-    EventBudgetExceeded,
-    KernelHarness,
-    replay,
-)
-from repro.core.machines.adversary import (
-    CampaignFailure,
-    CampaignReport,
-    CrashOp,
-    DelayOp,
-    DropOp,
-    DuplicateOp,
-    HealOp,
-    InvariantViolation,
-    KillOp,
-    PartitionOp,
-    RestartOp,
-    Schedule,
-    ScheduleOutcome,
-    SubmitOp,
-    check_schedule,
-    generate_schedule,
-    run_campaign,
-    run_schedule,
-    shrink_schedule,
-)
-
-__all__ = [
-    # identity
-    "AgentId", "AgentIdFactory",
-    # structures
-    "CommitRecord", "HistoryLog", "Interner", "LockEntry", "LockingList",
-    "LockView", "UpdatedList", "VersionedStore", "VersionedValue",
-    # wire
-    "SharedView", "Transform", "UpdatePayload", "VisitData", "WriteOp",
-    # table + priority
-    "LockingTable",
-    "OTHER", "STALEMATE", "UNDECIDED", "WIN",
-    "Decision", "decide", "rank_queue",
-    # config
-    "DES_TUNABLES", "LIVE_TUNABLES", "ProtocolTunables",
-    # events
-    "Arrived", "MsgReceived", "ReplicaDown", "TimerFired",
-    # effects
-    "Backoff", "Broadcast", "CancelTimer", "ClaimResolved", "ClaimStarted",
-    "CommitApplied", "Dispose", "Done", "Effect", "Granted", "LockWon",
-    "Migrate", "Nacked", "Note", "Park", "PostBulletin", "QueueChanged",
-    "Recovered", "ReleaseNotify", "Send", "SetTimer", "Visit",
-    # machines + interpreter + harness
-    "ReplicaMachine", "ReaderMachine", "AgentCoreState", "AgentMachine",
-    "suitcase_size",
-    "VotingMachine", "LadderMachine", "ForwardMachine",
-    "LockKeeper", "CopyKeeper",
-    # every protocol as a row
-    "ProtocolRow", "ROWS", "ITINERARIES", "protocol_row", "check_votes",
-    "EffectInterpreter", "Resident", "Substrate",
-    "KernelHarness", "replay", "EventBudgetExceeded", "DROPPABLE_KINDS",
-    "RELIABLE_KINDS",
-    # the one consistency checker
-    "AuditReport", "check_histories",
-    # adversary
-    "Schedule", "ScheduleOutcome", "InvariantViolation",
-    "SubmitOp", "CrashOp", "RestartOp", "PartitionOp", "HealOp",
-    "DropOp", "DuplicateOp", "DelayOp", "KillOp",
-    "run_schedule", "check_schedule", "generate_schedule",
-    "shrink_schedule", "run_campaign", "CampaignFailure", "CampaignReport",
-]

@@ -75,7 +75,6 @@ __all__ = [
     "KernelHarness",
     "EventBudgetExceeded",
     "DROPPABLE_KINDS",
-    "RELIABLE_KINDS",
 ]
 
 #: Message kinds a ``drop_message`` directive may actually lose. These
@@ -83,14 +82,11 @@ __all__ = [
 #: its own timers. COMMIT/ABORT (write-all propagation) and the
 #: SYNC pair (crash recovery) are reliable in the paper's fault model —
 #: losing them silently would manufacture divergence the protocol never
-#: claims to survive — so drop directives aimed at them are no-ops.
+#: claims to survive — so drop directives aimed at them are no-ops. (The
+#: DES network retransmits them: ``repro.replication.deployment.RELIABLE_KINDS``.)
 DROPPABLE_KINDS = frozenset(
     ("UPDATE", "ACK", "NACK", "RELEASE", "READQ", "READR")
 )
-#: The kinds that fault model makes reliable. The DES network sends
-#: them over a reliable channel: a transmission a random link loss drops
-#: is retransmitted.
-RELIABLE_KINDS = frozenset(("COMMIT", "ABORT", "SYNC_REQUEST", "SYNC_REPLY"))
 
 
 class EventBudgetExceeded(RuntimeError):

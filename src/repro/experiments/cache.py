@@ -16,9 +16,10 @@ treated as a miss with a warning, never a crash.
 This module also defines the **result fingerprint**: a stable JSON
 serialisation of everything a run measures (metrics, per-request
 timelines, message/byte counts, audit verdicts, commit slots), with
-process-global identifiers normalised out. Two runs are "the same run"
-iff their fingerprints are byte-identical — the contract the
-determinism and serial-vs-parallel equivalence tests pin down.
+process-global identifiers normalised out and the config left out. Two
+runs are "the same run" iff their fingerprints are byte-identical — the
+contract the determinism and serial-vs-parallel equivalence tests pin
+down.
 """
 
 from __future__ import annotations
@@ -50,9 +51,10 @@ __all__ = [
 #: Bump when the cached RunResult surface changes shape, or when the
 #: simulated numbers it caches move (12: a failed migration declares its
 #: destination unavailable at once, and a down replica's empty Locking
-#: List no longer vetoes the complete-info stalemate);
-#: invalidates every existing entry (alongside the package version).
-CACHE_SCHEMA_VERSION = 12
+#: List no longer vetoes the complete-info stalemate; 13: a result
+#: carries its realised ``arrival_rate``); invalidates every existing
+#: entry (alongside the package version).
+CACHE_SCHEMA_VERSION = 13
 
 
 def code_version() -> str:
@@ -94,6 +96,9 @@ def config_key(config: RunConfig, version: Optional[str] = None) -> str:
 def result_payload(result: RunResult) -> Dict[str, Any]:
     """The measurable surface of a run as plain data.
 
+    The config is not part of it: a config field that moves no simulated
+    number leaves the payload, and so the fingerprint, as it was.
+
     Request identifiers come from a process-global counter, so their
     absolute values depend on how many runs the process executed before
     this one; they are normalised relative to the run's smallest id,
@@ -123,7 +128,6 @@ def result_payload(result: RunResult) -> Dict[str, Any]:
     ]
     audit = result.audit
     return {
-        "config": config_payload(result.config),
         "protocol": result.protocol_name,
         "committed": result.committed,
         "failed": result.failed,

@@ -19,8 +19,10 @@ from repro.errors import ExperimentError
 from repro.analysis.consistency import (
     AuditReport, ChainDigest, audit, streaming_audit,
 )
-from repro.analysis.metrics import StreamingMetrics, alt, att, prk, throughput
-from repro.core.machines import ROWS
+from repro.analysis.metrics import (
+    StreamingMetrics, alt, arrival_rate, att, prk, throughput,
+)
+from repro.core.machines.protocols import ROWS
 from repro.net.faults import FaultPlan
 from repro.net.latency import hybrid_profile, lan_profile, wan_profile
 from repro.net.topology import Topology
@@ -122,6 +124,9 @@ class RunResult:
     #: streaming runs: (host, whole-history chain digest) per replica —
     #: plain data, so streaming determinism checks survive pickling.
     chain_digests: Tuple[Tuple[str, str], ...] = ()
+    #: update arrivals per second of simulated time, measured as
+    #: ``throughput`` measures commits (the scale knee's yardstick)
+    arrival_rate: float = float("nan")
 
     @property
     def commit_slots(self) -> Tuple[Tuple[str, int, int, str], ...]:
@@ -284,6 +289,7 @@ def _measure(config: RunConfig) -> RunResult:
             att=stream_metrics.att(),
             prk=stream_metrics.prk(config.n_replicas),
             throughput=stream_metrics.throughput(),
+            arrival_rate=stream_metrics.arrival_rate(),
             control_messages=stats.total_messages("control"),
             control_bytes=stats.total_bytes("control"),
             agent_migrations=stats.total_messages("agent"),
@@ -324,6 +330,7 @@ def _measure(config: RunConfig) -> RunResult:
             att=att(records),
             prk=prk(records, config.n_replicas),
             throughput=throughput(records),
+            arrival_rate=arrival_rate(records),
             control_messages=stats.total_messages("control"),
             control_bytes=stats.total_bytes("control"),
             agent_migrations=stats.total_messages("agent"),

@@ -3,7 +3,7 @@
 Where the S1 claim (:mod:`repro.experiments.claims`) fixes the offered
 load and grows the cluster, this family fixes a cluster variant and **sweeps
 the offered load** until each protocol saturates: committed throughput
-stops tracking the offered rate and tail latency (p99 ATT) bends
+stops tracking the arrival rate and tail latency (p99 ATT) bends
 upward. Curves are produced for MARP against the quorum baselines over
 four axes — replica count, key-population size, Zipf skew and WAN
 latency — so the first MARP-vs-quorum bend is visible per axis.
@@ -22,7 +22,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.stats import summarize
 from repro.analysis.tables import Table
-from repro.experiments.parallel import get_default_runner
 from repro.experiments.runner import RunConfig
 
 __all__ = [
@@ -67,7 +66,8 @@ class ScalePoint:
     """One offered-load point of one curve (mean over repeats)."""
 
     mean_interarrival: float
-    offered_load: float  # requests/s across the whole cluster
+    offered_load: float  # nominal requests/s across the whole cluster
+    arrival_rate: float  # realised update arrivals/s, measured as throughput
     committed: float
     throughput: float  # committed writes/s of simulated time
     att: float
@@ -79,6 +79,7 @@ class ScalePoint:
         return {
             "mean_interarrival": self.mean_interarrival,
             "offered_load": self.offered_load,
+            "arrival_rate": self.arrival_rate,
             "committed": self.committed,
             "throughput": self.throughput,
             "att": self.att,
@@ -98,12 +99,18 @@ class ScaleCurve:
 
     def saturation_load(self, efficiency: float = 0.9) -> Optional[float]:
         """Offered load (req/s) at the first point where committed
-        throughput drops below ``efficiency`` × offered — the knee of
-        the curve — or ``None`` if the sweep never saturates."""
+        throughput drops below ``efficiency`` × the realised arrival
+        rate — the knee of the curve — or ``None`` if the sweep never
+        saturates.
+
+        Both rates are ``(n-1)/span`` over the same run: a short sweep's
+        arrivals span longer than the nominal rate implies, so the
+        nominal offered load would name a knee where every update was
+        served as it came."""
         for point in self.points:
-            if point.offered_load <= 0:
+            if point.arrival_rate <= 0:
                 continue
-            if point.throughput < efficiency * point.offered_load:
+            if point.throughput < efficiency * point.arrival_rate:
                 return point.offered_load
         return None
 
@@ -128,14 +135,15 @@ class ScaleFamily:
         """One row per curve point (the X2 claim's table)."""
         return Table(
             self.title,
-            ["protocol", "variant", "gap(ms)", "offered/s", "committed",
-             "tput/s", "ATT(ms)", "p50", "p99", "consistent"],
+            ["protocol", "variant", "gap(ms)", "offered/s", "arrived/s",
+             "committed", "tput/s", "ATT(ms)", "p50", "p99", "consistent"],
             [
                 [curve.protocol, curve.variant.label,
                  point.mean_interarrival, round(point.offered_load, 1),
-                 point.committed, round(point.throughput, 1),
-                 round(point.att, 2), round(point.att_p50, 2),
-                 round(point.att_p99, 2), point.consistent]
+                 round(point.arrival_rate, 1), point.committed,
+                 round(point.throughput, 1), round(point.att, 2),
+                 round(point.att_p50, 2), round(point.att_p99, 2),
+                 point.consistent]
                 for curve in self.curves for point in curve.points
             ],
             keys=3,
@@ -292,6 +300,8 @@ def run_scale(
     The whole ``protocols × variants × loads × repeats`` batch goes to
     the runner at once, so ``-j`` parallelism spans the entire family.
     """
+    from repro.experiments.parallel import get_default_runner
+
     runner = runner if runner is not None else get_default_runner()
     variants = list(variants) if variants is not None else default_variants()
     cells = [
@@ -324,6 +334,7 @@ def run_scale(
         curve.points.append(ScalePoint(
             mean_interarrival=gap,
             offered_load=offered,
+            arrival_rate=summarize([r.arrival_rate for r in results]).mean,
             committed=summarize(
                 [float(r.committed) for r in results]
             ).mean,

@@ -5,46 +5,3 @@ Hosts, weighted topologies with routing tables, pluggable latency models
 message delivery and traffic accounting. Simulated time is in
 **milliseconds** throughout.
 """
-
-from repro.net.faults import CrashSchedule, FaultPlan, TransientLinkFaults
-from repro.net.latency import (
-    BandwidthLatency,
-    ConstantLatency,
-    EmpiricalLatency,
-    ExponentialLatency,
-    LatencyModel,
-    LogNormalLatency,
-    PairwiseLatency,
-    ScaledLatency,
-    UniformLatency,
-    lan_profile,
-    wan_profile,
-)
-from repro.net.message import HEADER_BYTES, Message, estimate_size
-from repro.net.network import Endpoint, Network
-from repro.net.stats import NetworkStats
-from repro.net.topology import Topology
-
-__all__ = [
-    "Message",
-    "estimate_size",
-    "HEADER_BYTES",
-    "LatencyModel",
-    "ConstantLatency",
-    "UniformLatency",
-    "ExponentialLatency",
-    "LogNormalLatency",
-    "EmpiricalLatency",
-    "BandwidthLatency",
-    "ScaledLatency",
-    "PairwiseLatency",
-    "lan_profile",
-    "wan_profile",
-    "Topology",
-    "CrashSchedule",
-    "TransientLinkFaults",
-    "FaultPlan",
-    "Network",
-    "Endpoint",
-    "NetworkStats",
-]

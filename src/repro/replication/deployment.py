@@ -13,16 +13,22 @@ from typing import Dict, List, Optional
 
 from repro.errors import ReplicationError
 from repro.core.machines.interpreter import EffectInterpreter
-from repro.core.machines.replay import RELIABLE_KINDS
 from repro.net.faults import FaultPlan
 from repro.net.latency import LatencyModel, lan_profile
 from repro.net.network import Network
 from repro.net.topology import Topology
+from repro.obs.hub import get_hub
 from repro.replication.server import ReplicaConfig, ReplicaServer
 from repro.sim.core import Environment
 from repro.sim.rng import RandomStreams
 
-__all__ = ["Deployment"]
+__all__ = ["Deployment", "RELIABLE_KINDS"]
+
+#: The kinds the paper's fault model makes reliable (write-all
+#: propagation and crash recovery). The DES network sends them over a
+#: reliable channel: a transmission a random link loss drops is
+#: retransmitted. The replay harness never drops them either.
+RELIABLE_KINDS = frozenset(("COMMIT", "ABORT", "SYNC_REQUEST", "SYNC_REPLY"))
 
 
 class Deployment:
@@ -61,8 +67,6 @@ class Deployment:
         host_prefix: str = "s",
         obs=None,
     ) -> None:
-        from repro.obs.hub import get_hub
-
         hub = obs if obs is not None else get_hub()
         #: the observability hub, or None when telemetry is off
         self.obs = hub if (hub is not None and hub.enabled) else None

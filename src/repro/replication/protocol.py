@@ -18,10 +18,11 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import Any, Callable, Dict, List, Optional, Set
 
-from repro.core.machines import (
-    AgentMachine, LadderMachine, ReaderMachine, Resident, VotingMachine,
-    protocol_row, suitcase_size,
-)
+from repro.core.machines.agent import AgentMachine, suitcase_size
+from repro.core.machines.coordinators import LadderMachine, VotingMachine
+from repro.core.machines.interpreter import Resident
+from repro.core.machines.protocols import protocol_row
+from repro.core.machines.reader import ReaderMachine
 from repro.errors import ReplicationError
 from repro.net.message import estimate_size
 from repro.replication.deployment import Deployment

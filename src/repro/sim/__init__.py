@@ -7,7 +7,7 @@ a heap of callbacks (``call_in`` / ``call_urgent``), and
 
 Quick example::
 
-    from repro.sim import Environment
+    from repro.sim.core import Environment
 
     def clock(env, name, tick):
         def fire(_arg):
@@ -19,14 +19,3 @@ Quick example::
     clock(env, "fast", 1)
     env.run(until=5)
 """
-
-from repro.sim.core import NORMAL, URGENT, Environment
-from repro.sim.rng import RandomStreams, Stream
-
-__all__ = [
-    "Environment",
-    "RandomStreams",
-    "Stream",
-    "URGENT",
-    "NORMAL",
-]

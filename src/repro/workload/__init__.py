@@ -1,26 +1,1 @@
 """Workload generation: arrival processes, operation mixes, traces."""
-
-from repro.workload.arrivals import (
-    ArrivalProcess,
-    DeterministicArrivals,
-    ExponentialArrivals,
-    UniformArrivals,
-    make_arrivals,
-)
-from repro.workload.mix import OperationMix
-from repro.workload.replay import TraceReplayer, record_workload, replay_onto
-from repro.workload.trace import TraceEntry, WorkloadTrace
-
-__all__ = [
-    "ArrivalProcess",
-    "ExponentialArrivals",
-    "UniformArrivals",
-    "DeterministicArrivals",
-    "make_arrivals",
-    "OperationMix",
-    "TraceEntry",
-    "WorkloadTrace",
-    "TraceReplayer",
-    "record_workload",
-    "replay_onto",
-]

@@ -8,7 +8,9 @@ import sys
 
 import repro
 from repro.core.machines.identity import AgentId, AgentIdFactory, ids_wire_size
-from repro.core.machines import LockingTable, SharedView, decide
+from repro.core.machines.priority import decide
+from repro.core.machines.table import LockingTable
+from repro.core.machines.wire import SharedView
 
 
 class TestAgentIdOrdering:
@@ -62,7 +64,7 @@ class TestAgentIdOrdering:
 _CHILD = """
 import json, pickle, sys
 from repro.core.machines.identity import AgentId
-from repro.core.machines import decide
+from repro.core.machines.priority import decide
 
 ids, table = pickle.loads(sys.stdin.buffer.read())
 fresh = [AgentId(a.host, a.created_at, a.seq) for a in ids]

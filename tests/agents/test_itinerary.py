@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.machines import protocol_row
+from repro.core.machines.protocols import protocol_row
 from repro.net.topology import Topology
 from repro.replication.deployment import Deployment
 from repro.replication.protocol import MARP

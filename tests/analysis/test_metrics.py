@@ -6,6 +6,7 @@ import pytest
 
 from repro.analysis.metrics import (
     alt,
+    arrival_rate,
     att,
     committed_writes,
     prk,
@@ -17,9 +18,9 @@ from repro.replication.requests import READ, WRITE, RequestRecord
 
 
 def write(n, dispatched=0.0, locked=None, completed=None, visits=None,
-          status="committed"):
+          status="committed", created=0.0):
     return RequestRecord(
-        request_id=n, home="s1", op=WRITE, key="x", created_at=0.0,
+        request_id=n, home="s1", op=WRITE, key="x", created_at=created,
         dispatched_at=dispatched, lock_acquired_at=locked,
         completed_at=completed, visits_to_lock=visits, status=status,
     )
@@ -109,3 +110,15 @@ class TestOtherMetrics:
     def test_throughput_degenerate(self):
         assert throughput([]) == 0.0
         assert throughput([write(1, completed=5.0)]) == 0.0
+
+    def test_arrival_rate_counts_every_write_like_throughput(self):
+        records = [
+            write(1, created=1000.0, completed=1010.0),
+            write(2, created=3000.0, status="failed"),
+            write(3, created=5000.0, status="pending"),
+            RequestRecord(request_id=4, home="s1", op=READ, key="x",
+                          created_at=9000.0),
+        ]
+        # 2 intervals over 4 seconds, the read left out
+        assert arrival_rate(records) == pytest.approx(0.5)
+        assert arrival_rate(records[:1]) == 0.0

@@ -99,6 +99,9 @@ class TestStreamingBatchParity:
         assert streaming.throughput == pytest.approx(
             batch.throughput, rel=1e-12
         )
+        assert streaming.arrival_rate == pytest.approx(
+            batch.arrival_rate, rel=1e-12
+        )
         assert set(streaming.prk) == set(batch.prk)
         for k, fraction in batch.prk.items():
             assert streaming.prk[k] == pytest.approx(fraction, rel=1e-12)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.machines import protocol_row
+from repro.core.machines.protocols import protocol_row
 
 HOSTS = ("s1", "s2", "s3", "s4", "s5")
 

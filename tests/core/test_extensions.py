@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import assert_consistent
+from repro.analysis.consistency import assert_consistent
 from repro.analysis.tracelog import ProtocolTrace
 from repro.replication.protocol import MARP
 from repro.replication.deployment import Deployment

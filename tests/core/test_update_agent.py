@@ -61,7 +61,7 @@ class TestSingleUpdate:
         assert marp.total_agent_hops() >= 2
 
     def test_empty_batch_rejected(self, deployment5):
-        from repro.core.machines import AgentId
+        from repro.core.machines.identity import AgentId
 
         marp = MARP(deployment5)
         with pytest.raises(ValueError):

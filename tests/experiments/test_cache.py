@@ -198,8 +198,13 @@ class TestResultCache:
         # migration three times and let a down replica's empty Locking
         # List veto the complete-info stalemate; their simulated numbers
         # are not today's.
-        assert CACHE_SCHEMA_VERSION == 12
         self._assert_old_schema_is_a_miss(tmp_path, 11)
+
+    def test_schema_12_envelope_is_a_miss(self, tmp_path):
+        # Schema 12 cached results without their realised arrival rate,
+        # which the scale knee compares throughput with.
+        assert CACHE_SCHEMA_VERSION == 13
+        self._assert_old_schema_is_a_miss(tmp_path, 12)
 
     def test_uncacheable_config_is_silently_skipped(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -162,7 +162,7 @@ class TestObsCommand:
 
     def test_obs_self_check_reports_failures(self, capsys, monkeypatch):
         """A failing check yields passed<total and a nonzero exit."""
-        import repro.obs
+        import repro.obs.selfcheck
         from repro.obs.selfcheck import SelfCheckReport
 
         def broken(verbose=False):
@@ -170,7 +170,7 @@ class TestObsCommand:
                 passed=["a", "b"], failed=["c: boom"]
             )
 
-        monkeypatch.setattr(repro.obs, "self_check", broken)
+        monkeypatch.setattr(repro.obs.selfcheck, "self_check", broken)
         code = main(["obs", "--self-check"])
         captured = capsys.readouterr()
         assert code == 1
@@ -232,7 +232,8 @@ class TestAdversaryCommand:
         # the shrunk JSON for corpus promotion.
         from unittest import mock
 
-        from repro.core.machines import AgentMachine, Schedule
+        from repro.core.machines.adversary import Schedule
+        from repro.core.machines.agent import AgentMachine
 
         with mock.patch.object(
             AgentMachine, "vote_majority", property(lambda self: 1)

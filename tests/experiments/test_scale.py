@@ -26,9 +26,10 @@ from repro.experiments.scale import (
 )
 
 
-def _point(gap, offered, throughput, consistent=True):
+def _point(gap, offered, throughput, consistent=True, arrived=None):
     return ScalePoint(
-        mean_interarrival=gap, offered_load=offered, committed=100.0,
+        mean_interarrival=gap, offered_load=offered,
+        arrival_rate=offered if arrived is None else arrived, committed=100.0,
         throughput=throughput, att=50.0, att_p50=40.0, att_p99=90.0,
         consistent=consistent,
     )
@@ -109,6 +110,15 @@ class TestSaturation:
         ])
         assert curve.saturation_load() is None
 
+    def test_knee_compares_with_the_realised_arrival_rate(self):
+        # a short sweep's arrivals come slower than nominal: 86 % of the
+        # offered rate is every update served as it arrived
+        curve = ScaleCurve("marp", ScaleVariant(label="base"), points=[
+            _point(120.0, 41.7, 35.8, arrived=36.0),
+            _point(15.0, 333.3, 171.1, arrived=290.0),
+        ])
+        assert curve.saturation_load() == 333.3
+
     def test_family_bends_group_by_variant_then_protocol(self):
         family = ScaleFamily(title="t", curves=[
             ScaleCurve("marp", ScaleVariant(label="base"),
@@ -174,6 +184,22 @@ class TestMiniatureSweep:
                 assert point.offered_load == pytest.approx(
                     3 * 1000.0 / point.mean_interarrival
                 )
+
+    def test_a_sweep_served_in_full_reports_no_knee(self):
+        # 20 updates per client at light loads: every point commits all
+        # it was sent at the rate it arrived, yet its commit rate is
+        # below 90 % of the nominal offered rate
+        family = run_scale(
+            protocols=("marp", "mcv"), interarrivals=(120.0, 40.0),
+            variants=[ScaleVariant(label="base")], requests_per_client=20,
+        )
+        for curve in family.curves:
+            for point in curve.points:
+                assert point.committed == 5 * 20
+                assert point.throughput >= 0.9 * point.arrival_rate
+            assert any(p.throughput < 0.9 * p.offered_load
+                       for p in curve.points)
+            assert curve.saturation_load() is None
 
     def test_text_table_mentions_every_protocol(self, family):
         text = family.table.text

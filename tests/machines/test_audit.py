@@ -5,7 +5,7 @@ Each case breaks exactly one check (or none) over plain commit tuples
 ``(key, version, value repr)``, the shapes every substrate hands in.
 """
 
-from repro.core.machines import KernelHarness
+from repro.core.machines.replay import KernelHarness
 from repro.core.machines.audit import check_histories, commits_of, store_cells
 from repro.core.machines.structures import CommitRecord, HistoryLog
 

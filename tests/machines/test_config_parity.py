@@ -12,7 +12,7 @@ import dataclasses
 
 import pytest
 
-from repro.core.machines import protocol_row
+from repro.core.machines.protocols import protocol_row
 from repro.core.machines.config import (
     AGENT_TUNABLE_FIELDS,
     DES_TUNABLES,

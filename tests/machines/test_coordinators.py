@@ -8,21 +8,22 @@ effects, payloads included, since a payload's size feeds the latency
 model.
 """
 
-from repro.core.machines import (
+from repro.core.machines.coordinators import (
+    ForwardMachine,
+    LadderMachine,
+    VotingMachine,
+)
+from repro.core.machines.effects import (
     Backoff,
     Broadcast,
     CancelTimer,
     Done,
-    ForwardMachine,
-    LadderMachine,
-    MsgReceived,
     Send,
     SetTimer,
-    TimerFired,
-    VotingMachine,
-    WriteOp,
-    replay,
 )
+from repro.core.machines.events import MsgReceived, TimerFired
+from repro.core.machines.replay import replay
+from repro.core.machines.wire import WriteOp
 
 VOTES = {"s1": 3, "s2": 1, "s3": 1, "s4": 1, "s5": 1}
 

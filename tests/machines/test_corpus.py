@@ -18,7 +18,7 @@ import pathlib
 
 import pytest
 
-from repro.core.machines import Schedule, check_schedule, run_schedule
+from repro.core.machines.adversary import Schedule, check_schedule, run_schedule
 
 CORPUS_DIR = pathlib.Path(__file__).parent / "corpus"
 CORPUS = sorted(CORPUS_DIR.glob("*.json"))

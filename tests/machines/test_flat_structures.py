@@ -19,20 +19,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.machines.identity import AgentId
-from repro.core.machines import (
-    DES_TUNABLES,
-    Interner,
+from repro.core.machines.config import DES_TUNABLES
+from repro.core.machines.intern import Interner
+from repro.core.machines.priority import decide, rank_queue
+from repro.core.machines.replica import ReplicaMachine
+from repro.core.machines.structures import (
     LockEntry,
     LockingList,
-    LockingTable,
-    ReplicaMachine,
-    SharedView,
-    UpdatePayload,
     UpdatedList,
     VersionedStore,
-    decide,
-    rank_queue,
 )
+from repro.core.machines.table import LockingTable
+from repro.core.machines.wire import SharedView, UpdatePayload
 from repro.core.machines.wire import SharedViewDelta
 from tests.machines.decide_reference import decide_reference
 
@@ -874,7 +872,7 @@ def test_schedule_json_round_trip_reaches_identical_outcomes():
     replay format)."""
     import pathlib
 
-    from repro.core.machines import Schedule, check_schedule
+    from repro.core.machines.adversary import Schedule, check_schedule
 
     corpus = sorted(
         (pathlib.Path(__file__).parent / "corpus").glob("*.json")

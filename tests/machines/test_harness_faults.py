@@ -13,23 +13,24 @@ livelocked run raises instead of silently passing.
 import pytest
 
 from repro.core.machines.identity import AgentId
-from repro.core.machines import (
-    DROPPABLE_KINDS,
+from repro.core.machines.adversary import (
     CrashOp,
     DelayOp,
-    EventBudgetExceeded,
     InvariantViolation,
-    KernelHarness,
-    MsgReceived,
-    ProtocolTunables,
-    ReplicaMachine,
     RestartOp,
     Schedule,
     SubmitOp,
-    UpdatePayload,
-    WriteOp,
     check_schedule,
 )
+from repro.core.machines.config import ProtocolTunables
+from repro.core.machines.events import MsgReceived
+from repro.core.machines.replay import (
+    DROPPABLE_KINDS,
+    EventBudgetExceeded,
+    KernelHarness,
+)
+from repro.core.machines.replica import ReplicaMachine
+from repro.core.machines.wire import UpdatePayload, WriteOp
 
 HOSTS = ["s1", "s2", "s3"]
 

@@ -386,7 +386,7 @@ class TestVocabulary:
 # What each differently salted child of TestCampaignIsPinned runs.
 _CHILD = """
 import json
-from repro.core.machines import run_campaign
+from repro.core.machines.adversary import run_campaign
 
 report = run_campaign(60, seed=0)
 print(json.dumps([

@@ -11,19 +11,14 @@ from its row of the protocol table.
 
 import pytest
 
-from repro.core.machines import (
-    DES_TUNABLES,
-    ROWS,
-    CopyKeeper,
-    KernelHarness,
-    LockKeeper,
-    MsgReceived,
-    ReplicaMachine,
-    Send,
-    WriteOp,
-    protocol_row,
-    replay,
-)
+from repro.core.machines.config import DES_TUNABLES
+from repro.core.machines.effects import Send
+from repro.core.machines.events import MsgReceived
+from repro.core.machines.participants import CopyKeeper, LockKeeper
+from repro.core.machines.protocols import ROWS, protocol_row
+from repro.core.machines.replay import KernelHarness, replay
+from repro.core.machines.replica import ReplicaMachine
+from repro.core.machines.wire import WriteOp
 from repro.errors import ProtocolError
 
 HOSTS = ("s1", "s2", "s3")

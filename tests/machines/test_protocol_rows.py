@@ -9,20 +9,17 @@ agent. The rows' runs are in ``tests/baselines`` and ``tests/core``
 
 import pytest
 
-from repro.core.machines import (
-    DES_TUNABLES,
-    ITINERARIES,
-    ROWS,
-    AgentMachine,
-    CopyKeeper,
+from repro.core.machines.agent import AgentMachine
+from repro.core.machines.config import DES_TUNABLES
+from repro.core.machines.coordinators import (
     ForwardMachine,
     LadderMachine,
-    LockKeeper,
-    ReaderMachine,
-    ReplicaMachine,
     VotingMachine,
-    protocol_row,
 )
+from repro.core.machines.participants import CopyKeeper, LockKeeper
+from repro.core.machines.protocols import ITINERARIES, ROWS, protocol_row
+from repro.core.machines.reader import ReaderMachine
+from repro.core.machines.replica import ReplicaMachine
 from repro.replication.protocol import MARP
 from repro.experiments.runner import RunConfig, run_once
 from repro.replication.deployment import Deployment

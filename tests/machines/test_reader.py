@@ -11,16 +11,10 @@ from itertools import permutations
 
 import pytest
 
-from repro.core.machines import (
-    Broadcast,
-    CancelTimer,
-    Done,
-    MsgReceived,
-    ReaderMachine,
-    SetTimer,
-    TimerFired,
-    replay,
-)
+from repro.core.machines.effects import Broadcast, CancelTimer, Done, SetTimer
+from repro.core.machines.events import MsgReceived, TimerFired
+from repro.core.machines.reader import ReaderMachine
+from repro.core.machines.replay import replay
 
 
 def readr(src, version, value, request_id=7, now=1.0):

@@ -45,26 +45,22 @@ import pathlib
 import pytest
 
 from repro.core.machines.identity import AgentId
-from repro.core.machines import (
-    AgentCoreState,
-    AgentMachine,
-    Arrived,
+from repro.core.machines.agent import AgentCoreState, AgentMachine
+from repro.core.machines.config import ProtocolTunables
+from repro.core.machines.effects import (
     Broadcast,
     CommitApplied,
     Dispose,
     Granted,
-    KernelHarness,
-    LockingTable,
-    MsgReceived,
     Nacked,
-    ProtocolTunables,
-    ReplicaMachine,
     Send,
-    SharedView,
-    UpdatePayload,
-    WriteOp,
-    decide,
 )
+from repro.core.machines.events import Arrived, MsgReceived
+from repro.core.machines.priority import decide
+from repro.core.machines.replay import KernelHarness
+from repro.core.machines.replica import ReplicaMachine
+from repro.core.machines.table import LockingTable
+from repro.core.machines.wire import SharedView, UpdatePayload, WriteOp
 from repro.core.machines.adversary import (
     CrashOp,
     DelayOp,
@@ -383,7 +379,7 @@ class TestDuplicateCommitAfterRestart:
     """
 
     def schedule(self):
-        from repro.core.machines import (
+        from repro.core.machines.adversary import (
             CrashOp,
             DuplicateOp,
             RestartOp,
@@ -404,7 +400,7 @@ class TestDuplicateCommitAfterRestart:
         )
 
     def test_duplicate_is_idempotent_against_synced_state(self):
-        from repro.core.machines import check_schedule, run_schedule
+        from repro.core.machines.adversary import check_schedule, run_schedule
 
         harness, _ids = run_schedule(self.schedule())
         assert harness.statuses() == {1: "committed"}
@@ -434,7 +430,7 @@ class TestPartitionHealRacesGrantExpiry:
     """
 
     def schedule(self):
-        from repro.core.machines import (
+        from repro.core.machines.adversary import (
             HealOp,
             PartitionOp,
             Schedule,
@@ -456,7 +452,7 @@ class TestPartitionHealRacesGrantExpiry:
         )
 
     def test_ceiling_serializes_across_the_heal(self):
-        from repro.core.machines import check_schedule, run_schedule
+        from repro.core.machines.adversary import check_schedule, run_schedule
 
         harness, _ids = run_schedule(self.schedule())
         assert harness.statuses() == {1: "committed", 2: "committed"}
@@ -579,7 +575,7 @@ class TestForgottenFinishedIdCostsAHop:
     """
 
     def schedule(self):
-        from repro.core.machines import CrashOp, RestartOp
+        from repro.core.machines.adversary import CrashOp, RestartOp
 
         return Schedule(
             n_hosts=3,

@@ -22,15 +22,11 @@ import dataclasses
 import pytest
 
 from repro.core.machines.identity import AgentId
-from repro.core.machines import (
-    AgentCoreState,
-    AgentMachine,
-    Broadcast,
-    MsgReceived,
-    ProtocolTunables,
-    ReplicaMachine,
-    Send,
-)
+from repro.core.machines.agent import AgentCoreState, AgentMachine
+from repro.core.machines.config import ProtocolTunables
+from repro.core.machines.effects import Broadcast, Send
+from repro.core.machines.events import MsgReceived
+from repro.core.machines.replica import ReplicaMachine
 from repro.core.machines.wire import SharedViewDelta, UpdatePayload, WriteOp
 from repro.net.message import estimate_size
 

@@ -22,8 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.machines import (
-    AgentMachine,
+from repro.core.machines.adversary import (
     CrashOp,
     DelayOp,
     DropOp,
@@ -39,6 +38,7 @@ from repro.core.machines import (
     generate_schedule,
     shrink_schedule,
 )
+from repro.core.machines.agent import AgentMachine
 from repro.core.machines.adversary import (
     HORIZON,
     MAX_EXTRA_DELAY,

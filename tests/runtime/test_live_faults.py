@@ -2,7 +2,8 @@
 
 import time
 
-from repro.runtime import LiveCluster, LiveMessage, LiveTransport
+from repro.runtime import LiveCluster
+from repro.runtime.transport import LiveMessage, LiveTransport
 
 
 class TestTransportBlocking:

@@ -4,7 +4,8 @@ import pytest
 
 from repro.errors import WorkloadError
 from repro.analysis.metrics import alt, att, committed_writes
-from repro.runtime import LiveCluster, LiveWorkloadDriver, records_from_dicts
+from repro.runtime import LiveCluster
+from repro.runtime.workload import LiveWorkloadDriver, records_from_dicts
 
 
 class TestRecordsFromDicts:

@@ -117,13 +117,23 @@ class TestPublicAPI:
             assert getattr(repro, name) is not None
 
     def test_subpackage_exports_resolve(self):
+        """A subpackage re-exports nothing, but for the two the
+        benchmark reaches through a package: the live cluster and the
+        hub API."""
+        kept = {
+            "repro.runtime": {"LiveCluster"},
+            "repro.obs": {"ObservabilityHub", "enable", "disable",
+                          "get_hub", "set_hub"},
+        }
         for subpackage in (
             "repro.sim", "repro.net", "repro.replication",
-            "repro.core.machines", "repro.runtime",
+            "repro.core.machines", "repro.runtime", "repro.obs",
             "repro.workload", "repro.analysis", "repro.experiments",
         ):
             module = importlib.import_module(subpackage)
-            for name in module.__all__:
+            exported = getattr(module, "__all__", [])
+            assert set(exported) == kept.get(subpackage, set()), subpackage
+            for name in exported:
                 assert getattr(module, name) is not None, (
                     f"{subpackage}.{name} missing"
                 )

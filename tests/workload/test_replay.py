@@ -8,15 +8,10 @@ from repro.errors import WorkloadError
 from repro.replication.deployment import Deployment
 from repro.replication.protocol import ReplicationProtocol
 from repro.replication.requests import WRITE
-from repro.workload import (
-    ExponentialArrivals,
-    OperationMix,
-    TraceEntry,
-    TraceReplayer,
-    WorkloadTrace,
-    record_workload,
-    replay_onto,
-)
+from repro.workload.arrivals import ExponentialArrivals
+from repro.workload.mix import OperationMix
+from repro.workload.replay import TraceReplayer, record_workload, replay_onto
+from repro.workload.trace import TraceEntry, WorkloadTrace
 
 
 def small_trace():
