@@ -72,7 +72,7 @@ class ChainDigest:
     (the run's first request id, supplied by the runner) normalises
     them — digests of the same seeded run are then byte-identical in
     the serial path, a pool worker and a fresh interpreter, exactly
-    like :func:`~repro.experiments.cache.result_payload` records. Two
+    like :func:`~repro.experiments.runner.result_payload` records. Two
     replicas that committed the same chains therefore produce identical
     digests, and replaying a *stored* history through a fresh
     ``ChainDigest`` with the same ``id_base`` reproduces the in-run

@@ -27,8 +27,8 @@ spans+events only, respectively), with an end-of-run summary line.
 
 ``claims`` and ``scale`` also accept ``--jobs/-j N`` to fan their runs
 out over N worker processes (bit-identical results, see
-docs/experiments.md) and ``--cache-dir DIR`` / ``--no-cache`` to serve
-repeated configs from the on-disk result cache.
+docs/experiments.md). Every number they print comes from a run made by
+that invocation.
 
 Installed as the ``repro-marp`` console script as well.
 """
@@ -74,21 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "fan runs out over N worker processes (default 1: serial); "
             "results are bit-identical to the serial path"
-        ),
-    )
-    parser.add_argument(
-        "--cache-dir", metavar="DIR", default=None,
-        help=(
-            "cache run results on disk under DIR so identical configs "
-            "are served from cache on re-runs (also enabled by setting "
-            "$REPRO_CACHE_DIR)"
-        ),
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help=(
-            "disable the result cache even when --cache-dir or "
-            "$REPRO_CACHE_DIR is set"
         ),
     )
     parser.add_argument(
@@ -358,25 +343,15 @@ def _write_obs_exports(args, hub) -> List[str]:
 def _build_runner(args):
     """The experiment engine for this invocation, or None for defaults.
 
-    Caching is opt-in: ``--cache-dir DIR`` or ``$REPRO_CACHE_DIR``
-    enables it, ``--no-cache`` wins over both. ``--jobs N`` (N >= 2)
-    fans runs out over a process pool.
+    ``--jobs N`` (N >= 2) fans runs out over a process pool.
     """
-    import os
-
-    from repro.experiments.cache import ResultCache, default_cache_dir
     from repro.experiments.parallel import ParallelRunner
 
     if args.jobs < 1:
         raise SystemExit(f"repro-marp: error: --jobs must be >= 1: {args.jobs}")
-    cache = None
-    if not args.no_cache and (
-        args.cache_dir or os.environ.get("REPRO_CACHE_DIR")
-    ):
-        cache = ResultCache(args.cache_dir or default_cache_dir())
-    if args.jobs == 1 and cache is None:
+    if args.jobs == 1:
         return None
-    return ParallelRunner(jobs=args.jobs, cache=cache)
+    return ParallelRunner(jobs=args.jobs)
 
 
 def _parse(argv: Optional[List[str]]) -> argparse.Namespace:
@@ -440,7 +415,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.experiments.parallel import set_default_runner
 
         # Every experiment command routes its runs through the default
-        # engine, so installing one here parallelises/caches them all.
+        # engine, so installing one here parallelises them all.
         previous_runner = set_default_runner(runner)
     try:
         code, notes = 0, []

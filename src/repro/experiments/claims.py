@@ -13,9 +13,8 @@ that starts to hold.
 
 Every run goes through the experiment engine
 (:meth:`~repro.experiments.parallel.ParallelRunner.run_repeats_many`),
-one batch per claim, so ``-j`` and the result cache serve the claims;
-a config two claims share (Figs 2–4 sweep the same grid) runs once per
-invocation.
+one batch per claim, so ``-j`` fans the claims' runs out; a config two
+claims share (Figs 2–4 sweep the same grid) runs once per invocation.
 """
 
 from __future__ import annotations
@@ -28,9 +27,8 @@ import numpy as np
 
 from repro.analysis.metrics import visit_counts
 from repro.analysis.tables import Table
-from repro.experiments.cache import config_key
 from repro.experiments.parallel import get_default_runner
-from repro.experiments.runner import RunConfig, RunResult
+from repro.experiments.runner import RunConfig, RunResult, config_key
 from repro.experiments.scale import (
     DEFAULT_INTERARRIVALS as SCALE_INTERARRIVALS,
     QUICK_INTERARRIVALS as SCALE_QUICK_INTERARRIVALS,
@@ -314,7 +312,7 @@ def availability(
             requests_per_client=requests, faults=FaultPlan(crashes=schedule),
             horizon=horizon, seed=seed,
             # the dead cannot converge: audit the survivors, inside the
-            # run, so the report travels through workers and the cache
+            # run, so the report travels through pool workers
             audit_exclude=dead,
         ))
     total = float(n_replicas * requests)

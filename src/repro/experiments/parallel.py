@@ -15,16 +15,10 @@ are derived by stream splitting (:func:`repro.sim.rng.spawn_seed`) from
 the base seed alone. Output is therefore a pure function of the config
 batch — independent of worker count, scheduling order and pool warmth.
 
-**Result cache.** With a :class:`~repro.experiments.cache.ResultCache`
-attached, each config is first looked up by content key; only misses
-are dispatched, and fresh results are written back (deployment
-stripped) for the next sweep.
-
 **Observability.** When a process-wide hub is enabled
 (:func:`repro.obs.enable`), the engine records ``experiment_engine_runs_total``
-(labelled serial/pool), an ``experiment_run_wall_ms`` histogram of
-per-run wall time, and the cache records
-``experiment_cache_lookups_total`` hit/miss counters.
+(labelled serial/pool) and an ``experiment_run_wall_ms`` histogram of
+per-run wall time.
 """
 
 from __future__ import annotations
@@ -34,7 +28,6 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import ExperimentError
-from repro.experiments.cache import ResultCache
 from repro.experiments.runner import (
     RunConfig,
     RunResult,
@@ -63,7 +56,7 @@ def _pool_run(config: RunConfig) -> Tuple[RunResult, float]:
 
 
 class ParallelRunner:
-    """Executes batches of runs, optionally in parallel and cached.
+    """Executes batches of runs, serially or over a process pool.
 
     Parameters
     ----------
@@ -74,21 +67,14 @@ class ParallelRunner:
         lazily created, reused process pool. Pool results have their
         deployment stripped — everything measured survives, but
         post-hoc re-audits need ``RunConfig.audit_exclude``.
-    cache:
-        A :class:`ResultCache`; hits skip the run entirely.
 
     The runner is a context manager; :meth:`close` shuts the pool down.
     """
 
-    def __init__(
-        self,
-        jobs: Optional[int] = None,
-        cache: Optional[ResultCache] = None,
-    ) -> None:
+    def __init__(self, jobs: Optional[int] = None) -> None:
         if jobs is not None and jobs < 1:
             raise ExperimentError(f"jobs must be >= 1: {jobs}")
         self.jobs = jobs
-        self.cache = cache
         self._pool: Optional[ProcessPoolExecutor] = None
 
     # -- execution ---------------------------------------------------------
@@ -100,28 +86,14 @@ class ParallelRunner:
     def run_many(self, configs: Sequence[RunConfig]) -> List[RunResult]:
         """Run every config; results in config order (index-sharded)."""
         configs = list(configs)
-        results: List[Optional[RunResult]] = [None] * len(configs)
-        miss_indices: List[int] = []
-        for index, config in enumerate(configs):
-            cached = self.cache.get(config) if self.cache is not None else None
-            if cached is not None:
-                results[index] = cached
-            else:
-                miss_indices.append(index)
-        if miss_indices:
-            missing = [configs[i] for i in miss_indices]
-            fresh = (
-                self._run_pool(missing) if self.parallel
-                else self._run_serial(missing)
-            )
-            for index, result in zip(miss_indices, fresh):
-                if self.cache is not None:
-                    self.cache.put(configs[index], result)
-                results[index] = result
-        return results  # type: ignore[return-value]
+        if not configs:
+            return []
+        if self.parallel:
+            return self._run_pool(configs)
+        return self._run_serial(configs)
 
     def run_one(self, config: RunConfig) -> RunResult:
-        """One run through the engine (cache + pool included)."""
+        """One run through the engine (pool included)."""
         return self.run_many([config])[0]
 
     def run_repeats_many(
@@ -152,8 +124,6 @@ class ParallelRunner:
             start = time.perf_counter()
             result = run_once(config)
             self._record("serial", time.perf_counter() - start)
-            # A cached copy must be deployment-free; the caller still
-            # gets the live deployment (cache.put strips its own copy).
             out.append(result)
         return out
 
@@ -211,18 +181,15 @@ class ParallelRunner:
             ).observe(wall_seconds * 1000.0)
 
     def __repr__(self) -> str:
-        return (
-            f"<ParallelRunner jobs={self.jobs or 1} "
-            f"cache={self.cache!r}>"
-        )
+        return f"<ParallelRunner jobs={self.jobs or 1}>"
 
 
-#: The engine used when no explicit runner is passed: serial, uncached.
+#: The engine used when no explicit runner is passed: serial.
 _default_runner: Optional[ParallelRunner] = None
 
 
 def get_default_runner() -> ParallelRunner:
-    """The process-wide engine (created serial/uncached on first use)."""
+    """The process-wide engine (created serial on first use)."""
     global _default_runner
     if _default_runner is None:
         _default_runner = ParallelRunner()
@@ -234,9 +201,9 @@ def set_default_runner(
 ) -> Optional[ParallelRunner]:
     """Install the process-wide engine; returns the previous one.
 
-    The CLI's ``--jobs``/``--cache-dir`` flags parallelise existing
-    experiment commands this way, without threading a runner parameter
-    through every figure function.
+    The CLI's ``--jobs`` flag parallelises existing experiment commands
+    this way, without threading a runner parameter through every figure
+    function.
     """
     global _default_runner
     previous = _default_runner

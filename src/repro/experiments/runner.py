@@ -5,12 +5,22 @@ Every figure/table module and every benchmark goes through
 protocol, attaches the paper's per-server open-loop clients, runs to
 quiescence (bounded by a horizon), audits consistency and computes the
 paper's metrics.
+
+:func:`result_fingerprint` hashes everything a run measures (metrics,
+per-request timelines, message/byte counts, audit verdicts, commit
+slots), with process-global identifiers normalised out and the config
+left out. Two runs are "the same run" iff their fingerprints are
+byte-identical — the contract the determinism and serial-vs-parallel
+equivalence tests pin down. :func:`config_key` hashes a config; the
+claims table memoises its grid cells by it.
 """
 
 from __future__ import annotations
 
 import gc
-from dataclasses import dataclass, field, replace
+import hashlib
+import json
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -24,7 +34,7 @@ from repro.analysis.metrics import (
 )
 from repro.core.machines.protocols import ROWS
 from repro.net.faults import FaultPlan
-from repro.net.latency import hybrid_profile, lan_profile, wan_profile
+from repro.net.latency import lan_profile, wan_profile
 from repro.net.topology import Topology
 from repro.replication.client import attach_clients
 from repro.replication.deployment import Deployment
@@ -43,6 +53,10 @@ __all__ = [
     "repeat_seeds",
     "repeat_configs",
     "build_protocol",
+    "config_key",
+    "config_payload",
+    "result_fingerprint",
+    "result_payload",
 ]
 
 
@@ -61,7 +75,7 @@ class RunConfig:
     requests_per_client: int = 20
     write_fraction: float = 1.0
     keys: Tuple[str, ...] = ("x",)
-    latency: str = "lan"  # "lan" | "wan" | "hybrid"
+    latency: str = "lan"  # "lan" | "wan"
     topology: str = "mesh"  # "mesh" | "random-costs"
     horizon: float = 5_000_000.0
     faults: Optional[FaultPlan] = None
@@ -73,8 +87,8 @@ class RunConfig:
     # Hosts to leave out of a *second* audit computed at run time (the
     # availability experiment excludes permanently crashed replicas).
     # Part of the config so the excluded audit travels with the result
-    # through process-pool workers and the result cache, neither of
-    # which can carry the live deployment.
+    # through process-pool workers, which cannot carry the live
+    # deployment.
     audit_exclude: Tuple[str, ...] = ()
     # -- million-request data plane --------------------------------------
     #: Streaming accounting: terminal records sweep into constant-memory
@@ -137,7 +151,7 @@ class RunResult:
         """Re-audit without the named hosts (e.g. permanently crashed).
 
         Falls back to the precomputed ``audit_excluded`` report when the
-        deployment was stripped (pool worker / cached result) and the
+        deployment was stripped (a pool worker's result) and the
         exclusion matches ``config.audit_exclude``.
         """
         if self.deployment is None:
@@ -152,7 +166,7 @@ class RunResult:
         return audit(self.deployment, exclude=exclude)
 
     def without_deployment(self) -> "RunResult":
-        """A copy safe to pickle across processes / cache on disk."""
+        """A copy safe to pickle across processes."""
         if self.deployment is None:
             return self
         return replace(self, deployment=None)
@@ -166,10 +180,124 @@ class RunResult:
         return self.control_bytes + self.agent_bytes
 
 
+def config_payload(config: RunConfig) -> Dict[str, Any]:
+    """Every field of a config as plain JSON-serialisable data."""
+    payload: Dict[str, Any] = {}
+    for item in fields(config):
+        value = getattr(config, item.name)
+        if item.name == "faults":
+            value = value.payload() if value is not None else None
+        elif isinstance(value, tuple):
+            value = list(value)
+        payload[item.name] = value
+    return payload
+
+
+def config_key(config: RunConfig) -> str:
+    """Content hash of a config: the claims memo key (hex).
+
+    Identical configs map to identical keys, and changing any field
+    changes the key. Raises ``TypeError`` when ``protocol_kwargs`` holds
+    values without a stable JSON form.
+    """
+    text = json.dumps(
+        config_payload(config),
+        sort_keys=True,
+        separators=(",", ":"),
+        allow_nan=False,
+    )
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def result_payload(result: RunResult) -> Dict[str, Any]:
+    """The measurable surface of a run as plain data.
+
+    The config is not part of it: a config field that moves no simulated
+    number leaves the payload, and so the fingerprint, as it was.
+
+    Request identifiers come from a process-global counter, so their
+    absolute values depend on how many runs the process executed before
+    this one; they are normalised relative to the run's smallest id,
+    making the payload identical in-process, in a pool worker and in a
+    fresh interpreter.
+    """
+    ids = [r.request_id for r in result.records]
+    base = min(ids) if ids else 0
+    records: List[Dict[str, Any]] = [
+        {
+            "id": r.request_id - base,
+            "home": r.home,
+            "op": r.op,
+            "key": r.key,
+            "value": repr(r.value),
+            "created_at": r.created_at,
+            "dispatched_at": r.dispatched_at,
+            "lock_acquired_at": r.lock_acquired_at,
+            "completed_at": r.completed_at,
+            "visits_to_lock": r.visits_to_lock,
+            "total_visits": r.total_visits,
+            "agent_id": r.agent_id,
+            "status": r.status,
+            "extra": {k: r.extra[k] for k in sorted(r.extra)},
+        }
+        for r in result.records
+    ]
+    audit = result.audit
+    return {
+        "protocol": result.protocol_name,
+        "committed": result.committed,
+        "failed": result.failed,
+        "open": result.open,
+        "alt": result.alt,
+        "att": result.att,
+        "prk": {str(k): v for k, v in sorted(result.prk.items())},
+        "throughput": result.throughput,
+        "control_messages": result.control_messages,
+        "control_bytes": result.control_bytes,
+        "agent_migrations": result.agent_migrations,
+        "agent_bytes": result.agent_bytes,
+        "dropped": result.dropped,
+        "sim_time": result.sim_time,
+        "audit": {
+            "final_state_equal": audit.final_state_equal,
+            "divergence_free": audit.divergence_free,
+            "monotone": audit.monotone,
+            "complete": audit.complete,
+            "identical_histories": audit.identical_histories,
+            "total_commits": audit.total_commits,
+        },
+        "commit_slots": [
+            [key, version, request_id - base, value]
+            for key, version, request_id, value in result.commit_slots
+        ],
+        "records": records,
+        # Streaming runs carry no records/commit slots; their measured
+        # surface is the percentile estimates + rolling chain digests.
+        "att_p50": result.att_p50,
+        "att_p99": result.att_p99,
+        "chain_digests": [
+            [host, digest] for host, digest in result.chain_digests
+        ],
+    }
+
+
+def result_fingerprint(result: RunResult) -> str:
+    """Stable content hash of :func:`result_payload`.
+
+    Byte-identical fingerprints ⇔ identical measured runs; NaN metrics
+    (e.g. ALT of a run with zero commits) serialise stably via repr.
+    """
+    text = json.dumps(
+        result_payload(result),
+        sort_keys=True,
+        separators=(",", ":"),
+        default=repr,
+    )
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def _build_deployment(config: RunConfig) -> Deployment:
-    latency = {
-        "lan": lan_profile, "wan": wan_profile, "hybrid": hybrid_profile,
-    }.get(config.latency)
+    latency = {"lan": lan_profile, "wan": wan_profile}.get(config.latency)
     if latency is None:
         raise ExperimentError(f"unknown latency profile {config.latency!r}")
     replica_config = ReplicaConfig(enable_bulletin=config.enable_bulletin)
@@ -247,7 +375,7 @@ def _measure(config: RunConfig) -> RunResult:
         # Request ids come from a process-global counter; burn one to
         # learn the run's first id so the rolling digests fold
         # *run-relative* ids and stay process-independent (the same
-        # normalisation result_payload applies to stored records).
+        # normalisation result_payload applies to the records).
         id_base = new_request_id() + 1
         for host in deployment.hosts:
             server = deployment.server(host)
@@ -412,7 +540,7 @@ def run_repeats(
 
     Routed through the (default or given) experiment engine — see
     :mod:`repro.experiments.parallel` — so repeats fan out over worker
-    processes and hit the result cache when one is configured.
+    processes when it has them.
     """
     from repro.experiments.parallel import get_default_runner
 

@@ -11,8 +11,8 @@ latency — so the first MARP-vs-quorum bend is visible per axis.
 Every run uses the million-request data plane: streaming accounting
 (constant-memory Welford/P² reservoirs + rolling chain digests) and a
 bounded Updated-List retention window. Runs dispatch through the
-parallel runner, so ``-j``/the result cache apply, and results are
-bit-deterministic per seed like every other family.
+parallel runner, so ``-j`` applies, and results are bit-deterministic
+per seed like every other family.
 """
 
 from __future__ import annotations
@@ -30,8 +30,6 @@ __all__ = [
     "ScaleCurve",
     "ScaleFamily",
     "default_variants",
-    "replica_sweep_variants",
-    "geo_variants",
     "run_scale",
 ]
 
@@ -217,44 +215,6 @@ def default_variants(
             key_skew=base.key_skew, latency="wan",
         ))
     return variants
-
-
-def replica_sweep_variants(
-    counts: Sequence[int] = (100, 150, 200, 300),
-    n_keys: int = 256,
-    key_skew: float = 0.9,
-    latency: str = "lan",
-) -> List[ScaleVariant]:
-    """The hundreds-of-replicas axis: one variant per cluster size."""
-    return [
-        ScaleVariant(
-            label=f"N={n}", n_replicas=n, n_keys=n_keys,
-            key_skew=key_skew, latency=latency,
-        )
-        for n in counts
-    ]
-
-
-def geo_variants(
-    n_replicas: int = 100,
-    n_keys: int = 256,
-    key_skew: float = 0.9,
-    profiles: Sequence[str] = ("lan", "wan", "hybrid"),
-) -> List[ScaleVariant]:
-    """The geo-topology axis at one cluster size: lan / wan / hybrid.
-
-    ``hybrid`` splits the replicas round-robin into a few regions with
-    LAN-like latency inside a region and WAN-like latency across (see
-    :func:`repro.net.latency.hybrid_profile`).
-    """
-    return [
-        ScaleVariant(
-            label=f"geo={profile}",
-            n_replicas=n_replicas, n_keys=n_keys, key_skew=key_skew,
-            latency=profile,
-        )
-        for profile in profiles
-    ]
 
 
 def scale_config(

@@ -80,7 +80,7 @@ class CrashSchedule:
         return list(self._windows.get(host, ()))
 
     def payload(self) -> Dict[str, List[List[float]]]:
-        """Stable JSON-serialisable description (for cache keys)."""
+        """Stable JSON-serialisable description (for memo keys)."""
         return {
             host: [[down_at, up_at] for down_at, up_at in windows]
             for host, windows in sorted(self._windows.items())
@@ -160,7 +160,7 @@ class TransientLinkFaults:
         return False
 
     def payload(self) -> Dict:
-        """Stable JSON-serialisable description (for cache keys)."""
+        """Stable JSON-serialisable description (for memo keys)."""
         return {
             "drop_probability": self.drop_probability,
             "outages": {
@@ -212,8 +212,8 @@ class FaultPlan:
 
         Two plans with identical crash windows and link faults produce
         identical payloads; any change to any window, probability or
-        outage changes the payload. The experiment result cache keys on
-        this.
+        outage changes the payload. The claims memo key
+        (:func:`~repro.experiments.runner.config_key`) hashes this.
         """
         return {
             "crashes": self.crashes.payload(),

@@ -16,7 +16,6 @@ Two calibrated profiles bracket the paper's settings:
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Tuple
 
 from repro.errors import NetworkError
 from repro.sim.rng import Stream
@@ -25,16 +24,10 @@ __all__ = [
     "LatencyModel",
     "ConstantLatency",
     "UniformLatency",
-    "ExponentialLatency",
     "LogNormalLatency",
-    "EmpiricalLatency",
     "BandwidthLatency",
-    "ScaledLatency",
-    "PairwiseLatency",
-    "RegionalLatency",
     "lan_profile",
     "wan_profile",
-    "hybrid_profile",
 ]
 
 
@@ -97,22 +90,6 @@ class UniformLatency(LatencyModel):
         return f"UniformLatency({self.low}, {self.high})"
 
 
-class ExponentialLatency(LatencyModel):
-    """Minimum delay plus an exponential tail."""
-
-    def __init__(self, mean: float, minimum: float = 0.0) -> None:
-        if mean < 0 or minimum < 0:
-            raise NetworkError("exponential latency parameters must be >= 0")
-        self.mean = mean
-        self.minimum = minimum
-
-    def sample(self, src, dst, size_bytes, stream) -> float:
-        return self.minimum + stream.exponential(self.mean)
-
-    def __repr__(self) -> str:
-        return f"ExponentialLatency(mean={self.mean}, min={self.minimum})"
-
-
 class LogNormalLatency(LatencyModel):
     """Heavy-tailed delay typical of wide-area paths.
 
@@ -139,32 +116,6 @@ class LogNormalLatency(LatencyModel):
         )
 
 
-class EmpiricalLatency(LatencyModel):
-    """Trace-driven delays: resample from measured one-way latencies.
-
-    Feed it RTT/2 samples from real probes (ping logs, King/RIPE-style
-    datasets) and the simulation reproduces their full distribution —
-    multimodality, tails and all — rather than a parametric fit.
-    """
-
-    def __init__(self, samples) -> None:
-        import numpy as np
-
-        data = np.asarray(list(samples), dtype=float)
-        if data.size == 0:
-            raise NetworkError("empirical latency needs at least one sample")
-        if np.any(data < 0) or np.any(~np.isfinite(data)):
-            raise NetworkError("latency samples must be finite and >= 0")
-        self.samples = data
-
-    def sample(self, src, dst, size_bytes, stream) -> float:
-        index = stream.integers(0, len(self.samples))
-        return float(self.samples[index])
-
-    def __repr__(self) -> str:
-        return f"EmpiricalLatency(n={len(self.samples)})"
-
-
 class BandwidthLatency(LatencyModel):
     """Size-dependent transfer time: ``size_bytes / bandwidth``.
 
@@ -182,74 +133,6 @@ class BandwidthLatency(LatencyModel):
 
     def __repr__(self) -> str:
         return f"BandwidthLatency({self.bandwidth} B/ms)"
-
-
-class ScaledLatency(LatencyModel):
-    """Scales another model by a per-call factor function.
-
-    Used by :class:`~repro.net.network.Network` to scale base latency by
-    the topology's link cost, so "distant" replicas really are slower —
-    the property the paper's cost-sorted itineraries exploit.
-    """
-
-    def __init__(self, base: LatencyModel, scale) -> None:
-        self.base = base
-        self.scale = scale  # callable (src, dst) -> float
-
-    def sample(self, src, dst, size_bytes, stream) -> float:
-        return self.base.sample(src, dst, size_bytes, stream) * float(
-            self.scale(src, dst)
-        )
-
-    def __repr__(self) -> str:
-        return f"ScaledLatency({self.base!r})"
-
-
-class PairwiseLatency(LatencyModel):
-    """Explicit per-(src, dst) models with a default fallback."""
-
-    def __init__(
-        self,
-        default: LatencyModel,
-        overrides: Optional[Dict[Tuple[str, str], LatencyModel]] = None,
-    ) -> None:
-        self.default = default
-        self.overrides = dict(overrides or {})
-
-    def set(self, src: str, dst: str, model: LatencyModel) -> None:
-        self.overrides[(src, dst)] = model
-
-    def sample(self, src, dst, size_bytes, stream) -> float:
-        model = self.overrides.get((src, dst), self.default)
-        return model.sample(src, dst, size_bytes, stream)
-
-    def __repr__(self) -> str:
-        return f"PairwiseLatency(default={self.default!r}, n_overrides={len(self.overrides)})"
-
-
-class RegionalLatency(LatencyModel):
-    """Region-aware delays: LAN-like within a region, WAN-like across.
-
-    ``region_of`` maps a host name to a region label; a pair in the same
-    region samples ``intra``, any other pair samples ``inter``. This is
-    the geo-topology building block for hundreds-of-replicas sweeps: a
-    handful of datacenters, cheap inside, expensive between.
-    """
-
-    def __init__(
-        self, region_of, intra: LatencyModel, inter: LatencyModel
-    ) -> None:
-        self.region_of = region_of  # callable (host) -> hashable label
-        self.intra = intra
-        self.inter = inter
-
-    def sample(self, src, dst, size_bytes, stream) -> float:
-        region_of = self.region_of
-        model = self.intra if region_of(src) == region_of(dst) else self.inter
-        return model.sample(src, dst, size_bytes, stream)
-
-    def __repr__(self) -> str:
-        return f"RegionalLatency(intra={self.intra!r}, inter={self.inter!r})"
 
 
 def lan_profile() -> LatencyModel:
@@ -270,36 +153,4 @@ def wan_profile() -> LatencyModel:
     """
     return LogNormalLatency(median=40.0, sigma=0.5, minimum=5.0) + (
         BandwidthLatency(1e3)
-    )
-
-
-#: Regions a :func:`hybrid_profile` deployment is split into.
-HYBRID_REGIONS = 3
-
-
-def _hybrid_region(host: str) -> int:
-    """Region of a ``s<N>`` host: round-robin over :data:`HYBRID_REGIONS`.
-
-    Hosts without a numeric suffix hash by name, so arbitrary host sets
-    still split deterministically.
-    """
-    digits = "".join(ch for ch in host if ch.isdigit())
-    if digits:
-        return int(digits) % HYBRID_REGIONS
-    return sum(host.encode("utf-8")) % HYBRID_REGIONS
-
-
-def hybrid_profile() -> LatencyModel:
-    """Geo-distributed hybrid: LAN inside a region, WAN across regions.
-
-    Replicas ``s1..sN`` round-robin into :data:`HYBRID_REGIONS` regions
-    (so region peers are spread, not clustered, across the numeric
-    range); intra-region pairs see the :func:`lan_profile` character,
-    cross-region pairs the :func:`wan_profile` one.
-    """
-    return RegionalLatency(
-        _hybrid_region,
-        intra=UniformLatency(1.0, 3.0) + BandwidthLatency(1e4),
-        inter=LogNormalLatency(median=40.0, sigma=0.5, minimum=5.0)
-        + BandwidthLatency(1e3),
     )

@@ -1,1 +1,1 @@
-"""Workload generation: arrival processes, operation mixes, traces."""
+"""Workload generation: arrival processes and operation mixes."""

@@ -21,7 +21,7 @@ from repro.analysis.consistency import (
 )
 from repro.analysis.stats import P2Quantile, Welford
 from repro.errors import ProtocolError, ReplicationError
-from repro.experiments.runner import RunConfig, run_once
+from repro.experiments.runner import RunConfig, result_fingerprint, run_once
 
 BASE = RunConfig(
     n_replicas=5, seed=13, mean_interarrival=30.0,
@@ -125,7 +125,6 @@ class TestStreamingBatchParity:
         # starts over; the id-base normalisation inside ChainDigest must
         # make the streaming fingerprint (which folds the digests)
         # process-independent.
-        from repro.experiments.cache import result_fingerprint
         from repro.experiments.parallel import ParallelRunner
 
         config = BASE.with_(streaming=True)

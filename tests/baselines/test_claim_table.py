@@ -11,8 +11,7 @@ it ended is dropped there. The network only carries the messages.
 import pytest
 
 from repro.core.machines.coordinators import ForwardMachine
-from repro.experiments.cache import result_fingerprint
-from repro.experiments.runner import RunConfig, run_once
+from repro.experiments.runner import RunConfig, result_fingerprint, run_once
 from repro.net.faults import CrashSchedule, FaultPlan
 from repro.net.latency import ConstantLatency
 from repro.replication.deployment import Deployment

@@ -4,7 +4,6 @@ import os
 
 import pytest
 
-from repro.experiments.cache import ResultCache
 from repro.experiments.parallel import ParallelRunner
 from repro.replication.deployment import Deployment
 from repro.sim.core import Environment
@@ -37,19 +36,12 @@ def deployment5() -> Deployment:
 def engine_runner():
     """The experiment engine the determinism/theorem suites run under.
 
-    Environment-switchable so CI exercises the same assertions on every
-    execution path:
-
-    * ``REPRO_TEST_JOBS=N`` (N >= 2) — fan runs out over a process pool;
-    * ``REPRO_TEST_CACHE_DIR=DIR`` — attach the on-disk result cache
-      (run the suite twice against one DIR for cold + warm coverage).
-
-    Unset, this is the serial, uncached engine — identical to calling
-    ``run_once`` directly.
+    ``REPRO_TEST_JOBS=N`` (N >= 2) fans runs out over a process pool, so
+    CI exercises the same assertions on both execution paths. Unset,
+    this is the serial engine — identical to calling ``run_once``
+    directly.
     """
     jobs = int(os.environ.get("REPRO_TEST_JOBS", "0") or 0) or None
-    cache_dir = os.environ.get("REPRO_TEST_CACHE_DIR")
-    cache = ResultCache(cache_dir) if cache_dir else None
-    runner = ParallelRunner(jobs=jobs, cache=cache)
+    runner = ParallelRunner(jobs=jobs)
     yield runner
     runner.close()

@@ -10,6 +10,8 @@ import pytest
 from repro.analysis.tables import Table
 from repro.cli import main
 from repro.experiments import claims
+from repro.experiments.runner import RunConfig, config_key, config_payload
+from repro.net.faults import CrashSchedule, FaultPlan, TransientLinkFaults
 
 IDS = ["F2", "F3", "F4", "T1", "T2", "T3", "A1", "A2", "A3", "S1", "F1",
        "X1", "X2"]
@@ -133,16 +135,15 @@ class TestRunning:
         assert calls == [9, 0, 0]
         assert len(report.tables) == 3
 
-    def test_every_claim_renders_csv_and_json(self, tmp_path, capsys):
-        argv = ["claims", "--quick", "--requests", "2",
-                "--cache-dir", str(tmp_path)]
+    def test_every_claim_renders_csv_and_json(self, capsys):
+        argv = ["claims", "--quick", "--requests", "2"]
         main(argv + ["--format", "csv"])
         blocks = capsys.readouterr().out.strip("\n").split("\n\n")
         assert [b.splitlines()[0] for b in blocks] == IDS + ["verdicts"]
         for block in blocks:
             label, header, *rows = list(csv.reader(io.StringIO(block)))
             assert rows and all(len(row) == len(header) for row in rows)
-        # the same runs, served from the cache, as one JSON document
+        # the same runs, as one JSON document
         main(argv + ["--format", "json"])
         document = json.loads(capsys.readouterr().out)
         assert [c["id"] for c in document["claims"]] == IDS
@@ -154,3 +155,84 @@ class TestRunning:
     def test_unknown_format_rejected(self):
         with pytest.raises(SystemExit):
             main(["claims", "--format", "xml"])
+
+
+BASE = RunConfig(
+    n_replicas=3, seed=5, mean_interarrival=80.0, requests_per_client=3
+)
+
+#: One changed value per RunConfig field (all different from BASE).
+FIELD_CHANGES = {
+    "protocol": "primary-copy",
+    "n_replicas": 5,
+    "seed": 6,
+    "mean_interarrival": 80.5,
+    "requests_per_client": 4,
+    "write_fraction": 0.9,
+    "keys": ("x", "y"),
+    "latency": "wan",
+    "topology": "random-costs",
+    "horizon": 4_000_000.0,
+    "faults": FaultPlan(crashes=CrashSchedule().add("s1", 10.0, 20.0)),
+    "enable_bulletin": False,
+    "protocol_kwargs": {"quorum": 2},
+    "audit_exclude": ("s1",),
+    "streaming": True,
+    "key_skew": 0.8,
+    "n_keys": 32,
+}
+
+
+def _fault_plan(drop=0.0, crash_window=(10.0, 20.0), outage=None):
+    crashes = CrashSchedule().add("s1", *crash_window)
+    links = TransientLinkFaults(drop_probability=drop)
+    if outage is not None:
+        links.add_outage("s1", "s2", *outage)
+    return FaultPlan(crashes=crashes, links=links)
+
+
+class TestMemoKey:
+    """The memo runs a grid cell once per distinct config: the key must
+    tell every two configs apart that could measure differently."""
+
+    def test_identical_configs_same_key(self):
+        assert config_key(BASE) == config_key(BASE.with_())
+
+    def test_every_field_is_in_the_payload_even_at_its_default(self):
+        payload = config_payload(RunConfig())
+        assert set(payload) == {
+            f.name for f in dataclasses.fields(RunConfig)
+        }
+
+    def test_every_field_change_changes_key(self):
+        field_names = {f.name for f in dataclasses.fields(RunConfig)}
+        assert field_names == set(FIELD_CHANGES), (
+            "FIELD_CHANGES out of sync with RunConfig — add the new "
+            "field so its memo-key sensitivity is covered"
+        )
+        base_key = config_key(BASE)
+        keys = {base_key}
+        for name, value in FIELD_CHANGES.items():
+            key = config_key(BASE.with_(**{name: value}))
+            assert key != base_key, f"changing {name!r} did not change the key"
+            keys.add(key)
+        # and all changes are mutually distinct
+        assert len(keys) == len(FIELD_CHANGES) + 1
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda: _fault_plan(crash_window=(10.0, 25.0)),
+            lambda: _fault_plan(drop=0.05),
+            lambda: _fault_plan(outage=(50.0, 60.0)),
+        ],
+        ids=["crash-window", "drop-probability", "link-outage"],
+    )
+    def test_nested_fault_plan_fields_change_key(self, mutate):
+        base = config_key(BASE.with_(faults=_fault_plan()))
+        assert config_key(BASE.with_(faults=mutate())) != base
+
+    def test_protocol_kwargs_without_json_form_raise(self):
+        bad = BASE.with_(protocol_kwargs={"hook": lambda: None})
+        with pytest.raises(TypeError):
+            config_key(bad)

@@ -6,12 +6,11 @@
 * twice in the same interpreter (process-global request-id counters
   advance between runs — the fingerprint normalizes them away);
 * in a ``ProcessPoolExecutor`` worker via :class:`ParallelRunner`;
-* in a fresh interpreter (``python -c``), the way a cold CI shard or a
-  cache written yesterday would see it.
+* in a fresh interpreter (``python -c``), the way a cold CI shard would
+  see it.
 
-This is the contract the result cache and the parallel engine both
-stand on: a cache hit is only sound if a worker-produced result is
-byte-equivalent to the serial one.
+This is the contract the parallel engine stands on: ``-j N`` is only
+sound if a worker-produced result is byte-equivalent to the serial one.
 """
 
 import os
@@ -23,9 +22,10 @@ import pytest
 
 import repro
 
-from repro.experiments.cache import result_fingerprint
 from repro.experiments.parallel import ParallelRunner
-from repro.experiments.runner import RunConfig, run_once, run_repeats
+from repro.experiments.runner import (
+    RunConfig, result_fingerprint, run_once, run_repeats,
+)
 
 CONFIG = RunConfig(
     n_replicas=5, seed=42, mean_interarrival=40.0, requests_per_client=5
@@ -33,8 +33,7 @@ CONFIG = RunConfig(
 
 #: Reconstructs CONFIG in a fresh interpreter and prints its fingerprint.
 _FRESH_SCRIPT = """
-from repro.experiments.cache import result_fingerprint
-from repro.experiments.runner import RunConfig, run_once
+from repro.experiments.runner import RunConfig, result_fingerprint, run_once
 
 config = RunConfig(
     n_replicas=5, seed=42, mean_interarrival=40.0, requests_per_client=5

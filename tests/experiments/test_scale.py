@@ -4,7 +4,7 @@ The family sweeps offered load per (protocol, variant) pair through the
 parallel runner with the streaming data plane. These tests
 pin the pure shape logic (variant matrix, saturation-knee detection,
 JSON artifact schema) without simulation, then run one real miniature
-sweep end-to-end: determinism, cache interaction, consistency and the
+sweep end-to-end: determinism, consistency and the
 ``repro scale`` artifact path.
 """
 
@@ -12,15 +12,12 @@ import json
 
 import pytest
 
-from repro.experiments.parallel import ParallelRunner
 from repro.experiments.scale import (
     ScaleCurve,
     ScaleFamily,
     ScalePoint,
     ScaleVariant,
     default_variants,
-    geo_variants,
-    replica_sweep_variants,
     run_scale,
     scale_config,
 )
@@ -64,17 +61,6 @@ class TestVariants:
         variant = ScaleVariant(label="wan", latency="wan")
         assert json.loads(json.dumps(variant.payload()))["latency"] == "wan"
 
-    def test_replica_sweep_covers_hundreds_with_delta_plane(self):
-        variants = replica_sweep_variants()
-        assert [v.n_replicas for v in variants] == [100, 150, 200, 300]
-        assert [v.label for v in variants] == [
-            "N=100", "N=150", "N=200", "N=300",
-        ]
-
-    def test_geo_matrix_spans_lan_wan_hybrid(self):
-        variants = geo_variants()
-        assert [v.latency for v in variants] == ["lan", "wan", "hybrid"]
-        assert len({v.label for v in variants}) == 3
 
 
 class TestScaleConfig:
@@ -209,22 +195,5 @@ class TestMiniatureSweep:
     def test_deterministic_rerun(self, family):
         again = run_scale(**MINI_KW)
         assert json.dumps(again.payload(), sort_keys=True) == json.dumps(
-            family.payload(), sort_keys=True
-        )
-
-    def test_sweep_is_served_from_cache_on_rerun(self, tmp_path, family):
-        from repro.experiments.cache import ResultCache
-
-        cache = ResultCache(tmp_path)
-        with ParallelRunner(cache=cache) as runner:
-            cold = run_scale(runner=runner, **MINI_KW)
-        assert cache.misses > 0 and cache.hits == 0
-        with ParallelRunner(cache=cache) as runner:
-            warm = run_scale(runner=runner, **MINI_KW)
-        assert cache.hits == cache.misses  # every cell re-served
-        assert json.dumps(warm.payload(), sort_keys=True) == json.dumps(
-            cold.payload(), sort_keys=True
-        )
-        assert json.dumps(cold.payload(), sort_keys=True) == json.dumps(
             family.payload(), sort_keys=True
         )

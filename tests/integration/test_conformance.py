@@ -12,7 +12,7 @@ by the workload — version ``i`` belongs to the ``i``-th write of that
 key on *any* correct backend, regardless of scheduling, latency jitter,
 or when exactly a fault lands. Chains are normalized to
 ``{key: [(version, submission_index), ...]}`` and hashed with the same
-canonical-JSON + sha256 recipe as ``repro.experiments.cache
+canonical-JSON + sha256 recipe as ``repro.experiments.runner
 .result_fingerprint``.
 
 Both backends exchange lock views by the acked-sequence protocol

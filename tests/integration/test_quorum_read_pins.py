@@ -25,8 +25,7 @@ import json
 import pytest
 
 from repro.replication.protocol import MARP
-from repro.experiments.cache import result_fingerprint
-from repro.experiments.runner import RunConfig, run_once
+from repro.experiments.runner import RunConfig, result_fingerprint, run_once
 from repro.net.faults import CrashSchedule, FaultPlan
 from repro.replication.deployment import Deployment
 

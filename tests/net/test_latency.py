@@ -6,15 +6,8 @@ from repro.errors import NetworkError
 from repro.net.latency import (
     BandwidthLatency,
     ConstantLatency,
-    EmpiricalLatency,
-    ExponentialLatency,
     LogNormalLatency,
-    PairwiseLatency,
-    RegionalLatency,
-    ScaledLatency,
     UniformLatency,
-    _hybrid_region,
-    hybrid_profile,
     lan_profile,
     wan_profile,
 )
@@ -44,15 +37,6 @@ class TestModels:
         with pytest.raises(NetworkError):
             UniformLatency(3.0, 1.0)
 
-    def test_exponential_above_minimum(self, stream):
-        model = ExponentialLatency(mean=2.0, minimum=1.0)
-        for _ in range(100):
-            assert model.sample("a", "b", 0, stream) >= 1.0
-
-    def test_exponential_invalid(self):
-        with pytest.raises(NetworkError):
-            ExponentialLatency(mean=-1)
-
     def test_lognormal_positive(self, stream):
         model = LogNormalLatency(median=40.0, sigma=0.5, minimum=5.0)
         for _ in range(100):
@@ -72,54 +56,10 @@ class TestModels:
             BandwidthLatency(0)
 
 
-class TestEmpirical:
-    def test_samples_only_from_trace(self, stream):
-        model = EmpiricalLatency([5.0, 10.0, 15.0])
-        draws = {model.sample("a", "b", 0, stream) for _ in range(200)}
-        assert draws == {5.0, 10.0, 15.0}
-
-    def test_distribution_reproduced(self, stream):
-        # heavily skewed trace: 90% fast, 10% slow
-        trace = [1.0] * 90 + [100.0] * 10
-        model = EmpiricalLatency(trace)
-        draws = [model.sample("a", "b", 0, stream) for _ in range(2000)]
-        slow_rate = sum(1 for d in draws if d == 100.0) / len(draws)
-        assert 0.05 < slow_rate < 0.15
-
-    def test_empty_trace_rejected(self):
-        with pytest.raises(NetworkError):
-            EmpiricalLatency([])
-
-    def test_invalid_samples_rejected(self):
-        with pytest.raises(NetworkError):
-            EmpiricalLatency([1.0, -2.0])
-        with pytest.raises(NetworkError):
-            EmpiricalLatency([float("nan")])
-
-
 class TestComposition:
     def test_sum_adds_components(self, stream):
         model = ConstantLatency(2.0) + BandwidthLatency(10.0)
         assert model.sample("a", "b", 100, stream) == 2.0 + 10.0
-
-    def test_scaled_multiplies(self, stream):
-        model = ScaledLatency(ConstantLatency(4.0), lambda s, d: 2.5)
-        assert model.sample("a", "b", 0, stream) == 10.0
-
-    def test_pairwise_override(self, stream):
-        model = PairwiseLatency(ConstantLatency(1.0))
-        model.set("a", "b", ConstantLatency(9.0))
-        assert model.sample("a", "b", 0, stream) == 9.0
-        assert model.sample("b", "a", 0, stream) == 1.0
-
-    def test_regional_routes_by_region_equality(self, stream):
-        model = RegionalLatency(
-            lambda host: host[0],
-            intra=ConstantLatency(1.0),
-            inter=ConstantLatency(50.0),
-        )
-        assert model.sample("a1", "a2", 0, stream) == 1.0
-        assert model.sample("a1", "b1", 0, stream) == 50.0
 
 
 class TestProfiles:
@@ -138,18 +78,3 @@ class TestProfiles:
     def test_wan_profile_has_minimum(self, stream):
         wan = wan_profile()
         assert all(wan.sample("a", "b", 0, stream) >= 5.0 for _ in range(100))
-
-    def test_hybrid_region_split_is_deterministic_round_robin(self):
-        regions = {_hybrid_region(f"s{i}") for i in range(1, 10)}
-        assert len(regions) == 3  # all regions populated
-        assert _hybrid_region("s1") == _hybrid_region("s4")
-        assert _hybrid_region("no-digits") == _hybrid_region("no-digits")
-
-    def test_hybrid_profile_is_lan_within_and_wan_across(self, stream):
-        model = hybrid_profile()
-        # s3/s6 share a region, s3/s4 do not.
-        intra = [model.sample("s3", "s6", 256, stream) for _ in range(300)]
-        inter = [model.sample("s3", "s4", 256, stream) for _ in range(300)]
-        assert all(d <= 4.0 for d in intra)
-        assert all(d >= 5.0 for d in inter)
-        assert sum(inter) / 300 > 5 * (sum(intra) / 300)

@@ -5,7 +5,7 @@
   slot ``(key, version)`` is owned by exactly one request, versions per
   key are gapless from 1, and each committed request owns exactly one
   slot. Checked on ``RunResult.commit_slots`` — plain data that
-  survives process-pool workers and the result cache — across
+  survives process-pool workers — across
   randomized cluster sizes N ∈ {3, 5, 7}, arrival orders (seeds) and
   itinerary strategies.
 * **Theorem 3 (migration bound)** — the winning agent learns the
@@ -15,7 +15,7 @@
 
 The whole suite routes through the env-configured engine
 (``engine_runner`` fixture), so CI runs the same assertions serially
-and under ``-j 2`` with cold and warm caches.
+and under ``-j 2``.
 """
 
 import math

@@ -10,7 +10,6 @@ from repro.replication.deployment import Deployment
 from repro.replication.requests import WRITE
 from repro.workload.arrivals import DeterministicArrivals
 from repro.workload.mix import OperationMix
-from repro.workload.trace import WorkloadTrace
 
 
 class TestDeployment:
@@ -89,18 +88,6 @@ class TestClient:
         )
         dep.run(until=10_000)
         assert len(client.submitted) == 3  # t=10,20,30
-
-    def test_trace_recording(self):
-        dep = Deployment(n_replicas=3)
-        marp = MARP(dep)
-        trace = WorkloadTrace()
-        Client(
-            marp, "s1", DeterministicArrivals(5), OperationMix(1.0),
-            max_requests=3, trace=trace,
-        )
-        dep.run(until=10_000)
-        assert len(trace) == 3
-        assert all(e.home == "s1" for e in trace)
 
     def test_attach_clients_one_per_host(self):
         dep = Deployment(n_replicas=3)

@@ -54,7 +54,7 @@ def test_a_des_pass_loads_no_harness_claims_or_pool():
     )
     assert found["committed"] > 0
     for absent in ("repro.core.machines.adversary", "repro.core.machines.replay",
-                   "repro.experiments.claims", "repro.experiments.cache",
+                   "repro.experiments.claims",
                    "repro.experiments.parallel", "repro.obs.export",
                    "repro.obs.journeys", "repro.obs.selfcheck",
                    "repro.analysis.tracelog", "multiprocessing"):

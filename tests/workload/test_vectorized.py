@@ -12,9 +12,8 @@ and ``OperationMix.sample_batch`` (clients only ever draw
 
 import numpy as np
 
-from repro.experiments.cache import result_fingerprint
 from repro.experiments.parallel import ParallelRunner
-from repro.experiments.runner import RunConfig, run_once
+from repro.experiments.runner import RunConfig, result_fingerprint, run_once
 from repro.replication import client as client_module
 from repro.sim.rng import RandomStreams
 from repro.workload.arrivals import ExponentialArrivals, UniformArrivals

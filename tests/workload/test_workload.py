@@ -1,4 +1,4 @@
-"""Unit tests for arrival processes, operation mixes and traces."""
+"""Unit tests for arrival processes and operation mixes."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from repro.workload.arrivals import (
     make_arrivals,
 )
 from repro.workload.mix import OperationMix
-from repro.workload.trace import TraceEntry, WorkloadTrace
 
 
 @pytest.fixture
@@ -115,44 +114,3 @@ class TestOperationMix:
             OperationMix(key_skew=-1)
         with pytest.raises(WorkloadError):
             OperationMix(keys=[])
-
-
-class TestWorkloadTrace:
-    def test_record_in_order(self):
-        trace = WorkloadTrace()
-        trace.record(TraceEntry(1.0, "s1", WRITE, "x", 1))
-        trace.record(TraceEntry(2.0, "s2", READ, "x"))
-        assert len(trace) == 2
-
-    def test_out_of_order_rejected(self):
-        trace = WorkloadTrace()
-        trace.record(TraceEntry(5.0, "s1", WRITE, "x", 1))
-        with pytest.raises(WorkloadError):
-            trace.record(TraceEntry(1.0, "s1", WRITE, "x", 2))
-
-    def test_constructor_validates_order(self):
-        with pytest.raises(WorkloadError):
-            WorkloadTrace([
-                TraceEntry(5.0, "s1", WRITE, "x", 1),
-                TraceEntry(1.0, "s1", WRITE, "x", 2),
-            ])
-
-    def test_serialisation_round_trip(self):
-        trace = WorkloadTrace([
-            TraceEntry(1.0, "s1", WRITE, "x", 7),
-            TraceEntry(2.5, "s2", READ, "y", None),
-        ])
-        restored = WorkloadTrace.loads(trace.dumps())
-        assert restored.entries == trace.entries
-
-    def test_loads_malformed(self):
-        with pytest.raises(WorkloadError):
-            WorkloadTrace.loads("not json at all {{")
-
-    def test_for_home(self):
-        trace = WorkloadTrace([
-            TraceEntry(1.0, "s1", WRITE, "x", 1),
-            TraceEntry(2.0, "s2", WRITE, "x", 2),
-            TraceEntry(3.0, "s1", READ, "x"),
-        ])
-        assert len(trace.for_home("s1")) == 2
