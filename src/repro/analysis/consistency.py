@@ -1,27 +1,28 @@
-"""Post-run consistency audits of a DES deployment (DESIGN.md §5).
+"""Consistency audits of a DES deployment (DESIGN.md §5).
 
-:func:`audit` runs the kernel's one checker,
-:func:`repro.core.machines.audit.check_histories`, over every replica's
-commit history and final store. Streaming runs keep no histories:
-:class:`ChainDigest` folds each commit into rolling chain digests as it
-applies, and :func:`streaming_audit` reads the same report off them.
+Every audit runs the kernel's one checker,
+:class:`repro.core.machines.audit.HistoryCheck`. :func:`audit` feeds it
+every replica's stored commit history after the run, through
+:func:`~repro.core.machines.audit.check_histories`. A streaming run
+keeps no histories: :func:`stream_histories` feeds the checker at every
+apply, and folds each replica's commits into a :class:`ChainDigest`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, List
+from typing import Dict, Optional, Tuple
 
 from repro.core.machines.audit import (
-    AuditReport, check_histories, commits_of, store_cells,
+    AuditReport, HistoryCheck, check_histories, commits_of, store_cells,
 )
 from repro.errors import ConsistencyViolation
 from repro.replication.deployment import Deployment
 
 __all__ = [
     "AuditReport", "audit", "assert_consistent",
-    "ChainDigest", "commit_token", "streaming_audit",
+    "ChainDigest", "commit_token", "final_cells", "stream_histories",
 ]
 
 
@@ -56,140 +57,73 @@ def commit_token(key, version, offset, value_repr, origin) -> bytes:
 
 
 class ChainDigest:
-    """Incremental sha256 commit-chain fingerprint for one replica.
+    """A streaming replica's history sink: a sha256 digest of its whole
+    commit chain (what :attr:`RunResult.chain_digests` carries), which
+    hands each commit on to the run's checkers. No chain is stored.
 
-    Attached as a :meth:`HistoryLog.stream_to` sink, it folds each
-    :class:`~repro.core.machines.structures.CommitRecord` into a rolling
-    whole-history digest and per-key chain digests the moment the commit
-    applies — no chain is ever stored, so streaming runs audit
-    consistency in O(keys) memory instead of O(commits).
-
-    Each commit contributes the canonical token
+    Each commit folds the canonical token
     ``[key, version, request_id - id_base, repr(value), origin]``.
-    ``committed_at`` is deliberately excluded: apply times legitimately
-    differ across replicas (and backends), while the token fields must
-    not. Request ids come from a process-global counter, so ``id_base``
-    (the run's first request id, supplied by the runner) normalises
-    them — digests of the same seeded run are then byte-identical in
-    the serial path, a pool worker and a fresh interpreter, exactly
-    like :func:`~repro.experiments.runner.result_payload` records. Two
-    replicas that committed the same chains therefore produce identical
-    digests, and replaying a *stored* history through a fresh
-    ``ChainDigest`` with the same ``id_base`` reproduces the in-run
-    incremental digest exactly — the parity property the streaming
-    tests pin.
+    ``committed_at`` is left out: apply times legitimately differ across
+    replicas and backends. Request ids come from a process-global
+    counter, so ``id_base`` (the run's first request id, supplied by
+    the runner) normalises them, as
+    :func:`~repro.experiments.runner.result_payload` does: the digests
+    of a seeded run are byte-identical in the serial path, a pool worker
+    and a fresh interpreter, and replaying a stored history through a
+    fresh ``ChainDigest`` with the same ``id_base`` reproduces them.
     """
 
-    def __init__(self, host: str, id_base: int = 0) -> None:
+    def __init__(self, host: str, id_base: int = 0, checks=()) -> None:
         self.host = host
         self.id_base = id_base
         self._whole = hashlib.sha256()
-        self._per_key: Dict[str, "hashlib._Hash"] = {}
-        self._last_version: Dict[str, int] = {}
-        self.commits = 0
-        self.monotone = True
-        self.problems: List[str] = []
+        self._feeds = [check.applied for check in checks]
 
     def observe(self, record) -> None:
         """Fold one commit (call in local apply order)."""
-        key = record.key
-        version = record.version
-        prev = self._last_version.get(key, 0)
-        if version <= prev:
-            self.monotone = False
-            if len(self.problems) < 8:
-                self.problems.append(
-                    f"{self.host}: non-monotone version {version} <= "
-                    f"{prev} for key {key!r}"
-                )
-        self._last_version[key] = version
-        token = commit_token(
-            key, version, record.request_id - self.id_base,
-            repr(record.value), record.origin,
-        )
-        self._whole.update(token)
-        per_key = self._per_key.get(key)
-        if per_key is None:
-            per_key = self._per_key[key] = hashlib.sha256()
-        per_key.update(token)
-        self.commits += 1
-
-    # Also usable directly as a HistoryLog sink.
-    __call__ = observe
+        value = repr(record.value)
+        self._whole.update(commit_token(
+            record.key, record.version, record.request_id - self.id_base,
+            value, record.origin,
+        ))
+        for applied in self._feeds:
+            applied(self.host, record.key, record.version,
+                    record.request_id, value, record.origin)
 
     def whole_digest(self) -> str:
         """Rolling digest of the full commit sequence (order-sensitive)."""
         return self._whole.hexdigest()
 
-    def per_key_digests(self) -> Dict[str, str]:
-        return {key: h.hexdigest() for key, h in self._per_key.items()}
 
-    def fingerprint(self) -> str:
-        """Canonical fingerprint over the per-key chain digests."""
-        text = json.dumps(
-            self.per_key_digests(), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-    def __repr__(self) -> str:
-        return (
-            f"<ChainDigest {self.host!r} commits={self.commits} "
-            f"monotone={self.monotone}>"
-        )
-
-
-def streaming_audit(
-    deployment: Deployment, digests: Dict[str, ChainDigest], exclude=()
-) -> AuditReport:
-    """Audit a streaming run from rolling chain digests. Never raises.
-
-    Same report shape as :func:`audit`, computed without stored
-    histories. ``final_state_equal`` and ``monotone`` are exact (stores
-    are O(keys) and stay resident; monotonicity was checked per-commit
-    by each digest). ``identical_histories``, ``divergence_free`` and
-    ``complete`` are all derived from digest equality, which is a
-    *stricter* approximation: identical per-key chains imply all three,
-    but a run the batch auditor would classify as divergence-free with
-    merely non-identical histories (e.g. a benignly skipped superseded
-    version) reports all three False here, with a problem entry saying
-    so. Fault-free scale runs — the streaming mode's use case — always
-    produce identical chains. The final stores go through the checker;
-    ``gapless`` and the commit map are left at their defaults.
+def stream_histories(
+    deployment: Deployment, id_base: int, exclude=(),
+) -> Tuple[Dict[str, ChainDigest], HistoryCheck, Optional[HistoryCheck]]:
+    """Audit a run as it applies: each replica's history streams its
+    commits into a :class:`ChainDigest`, which feeds one
+    :class:`HistoryCheck` over all hosts and, when ``exclude`` names
+    hosts, a second one over the rest. Call before the first commit.
+    The store's applied log, the last O(requests) retainer, is bounded
+    too: no audit reads it.
     """
-    excluded = set(exclude)
-    hosts = [h for h in deployment.hosts if h not in excluded]
-    final = check_histories(
-        {}, {host: store_cells(deployment.server(host).store) for host in hosts}
-    )
+    check = HistoryCheck(deployment.hosts)
+    rest = HistoryCheck(
+        host for host in deployment.hosts if host not in exclude
+    ) if exclude else None
+    digests: Dict[str, ChainDigest] = {}
+    for host in deployment.hosts:
+        digest = digests[host] = ChainDigest(host, id_base, [
+            audit for audit in (check, rest)
+            if audit is not None and host in audit.hosts
+        ])
+        server = deployment.server(host)
+        server.history.stream_to(digest.observe)
+        server.store.bound_applied_log()
+    return digests, check, rest
 
-    audited = [digests[host] for host in hosts if host in digests]
-    monotone = [p for digest in audited for p in digest.problems]
 
-    whole = {digest.whole_digest() for digest in audited}
-    chains_equal = (
-        len({digest.fingerprint() for digest in audited}) <= 1
-    )
-    chains = [] if chains_equal else [
-        "per-key chain digests differ across replicas (streaming "
-        "audit cannot distinguish divergence from benign history "
-        "gaps; rerun with full records to classify)"
-    ]
-
-    return AuditReport(
-        final_state_equal=final.final_state_equal,
-        divergence_free=chains_equal,
-        monotone=all(digest.monotone for digest in audited),
-        complete=chains_equal,
-        identical_histories=len(whole) <= 1,
-        total_commits=max(
-            (digest.commits for digest in audited), default=0
-        ),
-        findings={
-            "final_state_equal": final.findings["final_state_equal"],
-            "monotone": monotone,
-            "divergence_free": chains,
-        },
-    )
+def final_cells(deployment: Deployment, hosts) -> Dict[str, Tuple]:
+    """The named replicas' final store cells, by host."""
+    return {host: store_cells(deployment.server(host).store) for host in hosts}
 
 
 def audit(deployment: Deployment, exclude=()) -> AuditReport:
@@ -200,14 +134,10 @@ def audit(deployment: Deployment, exclude=()) -> AuditReport:
     happen within the run (e.g. the permanently crashed replicas of the
     availability experiment).
     """
-    excluded = set(exclude)
-    servers = [
-        (host, deployment.server(host))
-        for host in deployment.hosts if host not in excluded
-    ]
+    hosts = [host for host in deployment.hosts if host not in exclude]
     return check_histories(
-        {host: commits_of(server.history) for host, server in servers},
-        {host: store_cells(server.store) for host, server in servers},
+        {host: commits_of(deployment.server(host).history) for host in hosts},
+        final_cells(deployment, hosts),
     )
 
 

@@ -427,10 +427,6 @@ class HistoryLog:
             )
         self._sink = sink
 
-    @property
-    def streaming(self) -> bool:
-        return self._sink is not None
-
     def append(self, record: CommitRecord) -> None:
         last = self._last
         if last is not None and record.committed_at < last.committed_at:

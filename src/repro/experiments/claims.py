@@ -511,11 +511,10 @@ class Claim:
     ``full`` grid, or at ``--quick`` the full grid updated with
     ``quick``. A grid's ``requests`` fixes the requests per client; its
     ``max_requests`` caps the CLI's ``--requests``.
-    ``predicate(table)`` returns ``(holds, measured)``; with ``audited``
-    the claim holds only if every run behind the table passed the
-    consistency audit. A row that fails today names the measured reason
-    in ``fails_because`` (an expected failure: the run is wrong if it
-    starts to hold).
+    ``predicate(table)`` returns ``(holds, measured)``; the claim holds
+    only if every run behind the table passed the consistency audit. A
+    row that fails today names the measured reason in ``fails_because``
+    (an expected failure: the run is wrong if it starts to hold).
     """
 
     id: str
@@ -526,7 +525,6 @@ class Claim:
     bound: str
     quick: Mapping[str, Any] = field(default_factory=dict)
     fails_because: str = ""
-    audited: bool = True
 
     def grid(self, *, quick: bool, requests: int) -> Dict[str, Any]:
         """The ``measure`` arguments of the full or ``quick`` grid, with
@@ -544,7 +542,7 @@ class Claim:
 
     def verdict(self, table: Table) -> "Verdict":
         holds, measured = self.predicate(table)
-        consistent = not self.audited or _consistent(table)
+        consistent = _consistent(table)
         if not consistent:
             measured += "; consistency audit VIOLATED"
         return Verdict(self, holds and consistent, measured, consistent)
@@ -735,9 +733,6 @@ CLAIMS: Dict[str, Claim] = {claim.id: claim for claim in (
                 replica_counts=(), key_counts=(), skews=(0.99,), wan=False,
             )),
         ),
-        # the streaming audit of scale runs flags a WAN replica that only
-        # missed a committed version as inconsistent (see CHANGES.md)
-        audited=False,
     ),
 )}
 

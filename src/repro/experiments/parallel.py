@@ -65,8 +65,8 @@ class ParallelRunner:
         (and retains each result's live deployment, exactly like
         calling :func:`run_once` directly); ``>= 2`` fans out over a
         lazily created, reused process pool. Pool results have their
-        deployment stripped — everything measured survives, but
-        post-hoc re-audits need ``RunConfig.audit_exclude``.
+        deployment stripped — everything measured survives, the
+        audits (``audit``, ``audit_excluded``) included.
 
     The runner is a context manager; :meth:`close` shuts the pool down.
     """

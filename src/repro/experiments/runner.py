@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.errors import ExperimentError
 from repro.analysis.consistency import (
-    AuditReport, ChainDigest, audit, streaming_audit,
+    AuditReport, audit, final_cells, stream_histories,
 )
 from repro.analysis.metrics import (
     StreamingMetrics, alt, arrival_rate, att, prk, throughput,
@@ -92,8 +92,8 @@ class RunConfig:
     audit_exclude: Tuple[str, ...] = ()
     # -- million-request data plane --------------------------------------
     #: Streaming accounting: terminal records sweep into constant-memory
-    #: reservoirs (Welford/P²) and rolling chain digests instead of
-    #: accumulating; RunResult.records comes back empty. Figure modules
+    #: reservoirs (Welford/P²), commits into the online audit and rolling
+    #: chain digests; RunResult.records comes back empty. Figure modules
     #: and exact-percentile runs need the records (False); the scale
     #: family must not keep them (True).
     streaming: bool = False
@@ -146,24 +146,6 @@ class RunResult:
     def commit_slots(self) -> Tuple[Tuple[str, int, int, str], ...]:
         """The audit's global commit map (empty for a streaming run)."""
         return self.audit.commit_slots
-
-    def audit_excluding(self, exclude) -> AuditReport:
-        """Re-audit without the named hosts (e.g. permanently crashed).
-
-        Falls back to the precomputed ``audit_excluded`` report when the
-        deployment was stripped (a pool worker's result) and the
-        exclusion matches ``config.audit_exclude``.
-        """
-        if self.deployment is None:
-            if not set(exclude):
-                return self.audit
-            if (
-                self.audit_excluded is not None
-                and set(exclude) == set(self.config.audit_exclude)
-            ):
-                return self.audit_excluded
-            raise ExperimentError("deployment not retained for this result")
-        return audit(self.deployment, exclude=exclude)
 
     def without_deployment(self) -> "RunResult":
         """A copy safe to pickle across processes."""
@@ -369,22 +351,15 @@ def _measure(config: RunConfig) -> RunResult:
         )
     streaming = config.streaming
     stream_metrics: Optional[StreamingMetrics] = None
-    digests: Dict[str, ChainDigest] = {}
     if streaming:
         stream_metrics = StreamingMetrics()
         # Request ids come from a process-global counter; burn one to
         # learn the run's first id so the rolling digests fold
         # *run-relative* ids and stay process-independent (the same
         # normalisation result_payload applies to the records).
-        id_base = new_request_id() + 1
-        for host in deployment.hosts:
-            server = deployment.server(host)
-            digest = ChainDigest(host, id_base=id_base)
-            digests[host] = digest
-            server.history.stream_to(digest)
-            # The per-store applied log is the last O(requests) retainer
-            # in streaming mode; no audit path reads it here.
-            server.store.bound_applied_log()
+        digests, check, check_rest = stream_histories(
+            deployment, new_request_id() + 1, config.audit_exclude,
+        )
         protocol.enable_streaming(stream_metrics.observe)
 
     keys = config.keys
@@ -423,14 +398,12 @@ def _measure(config: RunConfig) -> RunResult:
             agent_migrations=stats.total_messages("agent"),
             agent_bytes=stats.total_bytes("agent"),
             dropped=stats.total_dropped(),
-            audit=streaming_audit(deployment, digests),
+            audit=check.report(final_cells(deployment, check.hosts)),
             sim_time=deployment.env.now,
             deployment=deployment,
             audit_excluded=(
-                streaming_audit(
-                    deployment, digests, exclude=config.audit_exclude
-                )
-                if config.audit_exclude else None
+                check_rest.report(final_cells(deployment, check_rest.hosts))
+                if check_rest is not None else None
             ),
             att_p50=stream_metrics.att_p50.result(),
             att_p99=stream_metrics.att_p99.result(),

@@ -9,8 +9,8 @@ four axes — replica count, key-population size, Zipf skew and WAN
 latency — so the first MARP-vs-quorum bend is visible per axis.
 
 Every run uses the million-request data plane: streaming accounting
-(constant-memory Welford/P² reservoirs + rolling chain digests) and a
-bounded Updated-List retention window. Runs dispatch through the
+(constant-memory Welford/P² reservoirs, and the consistency checker fed
+at every apply) and a bounded Updated-List retention window. Runs dispatch through the
 parallel runner, so ``-j`` applies, and results are bit-deterministic
 per seed like every other family.
 """

@@ -1,10 +1,11 @@
-"""Streaming accounting: reservoir parity, chain digests, sweeps.
+"""Streaming accounting: reservoir parity, online audit, sweeps.
 
 The streaming data plane must be an *accounting* change only: a
 streaming run simulates the exact same events as its full-record twin,
 so every exact metric (ALT/ATT means, PRK, throughput, counts) must be
 byte-equal, the P² quantiles must land within their documented error
-bound, and the incremental chain digests must equal a replay of the
+bound, the checker fed at every apply must give the stored twin's
+verdicts, and the incremental chain digests must equal a replay of the
 stored histories.
 """
 
@@ -16,12 +17,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.consistency import (
-    ChainDigest, audit, commit_token, streaming_audit,
-)
+from repro.analysis.consistency import ChainDigest, audit, commit_token
 from repro.analysis.stats import P2Quantile, Welford
 from repro.errors import ProtocolError, ReplicationError
-from repro.experiments.runner import RunConfig, result_fingerprint, run_once
+from repro.experiments import runner
+from repro.experiments.runner import (
+    RunConfig, repeat_configs, result_fingerprint, run_once,
+)
+from repro.experiments.scale import ScaleVariant, scale_config
 
 BASE = RunConfig(
     n_replicas=5, seed=13, mean_interarrival=30.0,
@@ -138,13 +141,56 @@ class TestStreamingBatchParity:
         batch, streaming = twin_runs
         full = audit(batch.deployment)
         assert full.consistent and full.identical_histories
-        report = streaming.audit
-        for flag in (
-            "final_state_equal", "divergence_free", "monotone",
-            "complete", "identical_histories",
-        ):
-            assert getattr(report, flag) == getattr(full, flag), flag
-        assert report.total_commits == full.total_commits
+        _assert_same_verdicts(streaming.audit, full)
+
+
+VERDICTS = (
+    "final_state_equal", "divergence_free", "monotone", "complete",
+    "identical_histories", "gapless", "consistent", "total_commits",
+)
+
+
+def _assert_same_verdicts(online, batch):
+    for verdict in VERDICTS:
+        assert getattr(online, verdict) == getattr(batch, verdict), verdict
+
+
+class TestOnlineAudit:
+    @pytest.mark.parametrize("protocol, gap", [("marp", 40.0), ("mcv", 160.0)])
+    def test_a_skipped_version_is_not_divergence(self, protocol, gap):
+        # Second repeat of X2's WAN points: a replica misses a committed
+        # version, which leaves it incomplete, not divergent.
+        config = repeat_configs(scale_config(
+            protocol, ScaleVariant("wan", latency="wan"), gap, 20,
+        ), 2)[1]
+        streamed = run_once(config).audit
+        stored = run_once(config.with_(streaming=False)).audit
+        assert (streamed.divergence_free, streamed.complete,
+                streamed.consistent) == (True, False, True)
+        _assert_same_verdicts(streamed, stored)
+        assert streamed.findings["complete"] == stored.findings["complete"]
+
+    def test_a_fault_free_run_leaves_no_open_slot(self, monkeypatch):
+        checks = []
+
+        def capture(*args):
+            streamed = stream_histories(*args)
+            checks.append(streamed[1])
+            return streamed
+
+        stream_histories = runner.stream_histories
+        monkeypatch.setattr(runner, "stream_histories", capture)
+        result = run_once(BASE.with_(streaming=True))
+        [check] = checks
+        assert result.audit.consistent and result.audit.complete
+        assert check.total_commits == result.committed > 0
+        assert check.open_slots() == 0
+
+    def test_the_excluded_audit_streams_too(self):
+        config = BASE.with_(audit_exclude=("s5",))
+        streamed = run_once(config.with_(streaming=True))
+        stored = run_once(config)
+        _assert_same_verdicts(streamed.audit_excluded, stored.audit_excluded)
 
 
 class TestChainDigestReplay:
@@ -160,34 +206,6 @@ class TestChainDigestReplay:
             for record in batch.deployment.server(host).history:
                 replay.observe(record)
             assert replay.whole_digest() == incremental[host], host
-            assert replay.monotone
-
-    def test_streaming_audit_from_replayed_digests(self, twin_runs):
-        batch, _ = twin_runs
-        digests = {}
-        for host in batch.deployment.hosts:
-            digest = ChainDigest(host)
-            for record in batch.deployment.server(host).history:
-                digest.observe(record)
-            digests[host] = digest
-        report = streaming_audit(batch.deployment, digests)
-        assert report.consistent
-        assert report.identical_histories
-
-    def test_digest_flags_non_monotone(self):
-        class FakeRecord:
-            def __init__(self, version):
-                self.key = "x"
-                self.version = version
-                self.request_id = version
-                self.value = version
-                self.origin = "s1"
-
-        digest = ChainDigest("s1")
-        digest.observe(FakeRecord(1))
-        digest.observe(FakeRecord(1))  # repeat version
-        assert not digest.monotone
-        assert digest.problems
 
 
 #: Text the digest token must quote exactly as json.dumps does: non-ASCII,
@@ -294,8 +312,8 @@ class TestHistoryLogStreaming:
         deployment, protocol = (
             TestProtocolSweep()._protocol()
         )
-        sink = ChainDigest("s1")
-        deployment.server("s1").history.stream_to(sink)
+        seen = []
+        deployment.server("s1").history.stream_to(seen.append)
         for index in range(5):
             protocol.submit_write("s1", "x", index)
             deployment.run()
@@ -303,7 +321,7 @@ class TestHistoryLogStreaming:
         assert len(history) == 5
         assert list(history) == []  # nothing retained
         assert history.last() is not None
-        assert sink.commits == 5
+        assert [record.version for record in seen] == [1, 2, 3, 4, 5]
 
     def test_stream_to_after_append_rejected(self):
         deployment, protocol = TestProtocolSweep()._protocol()
@@ -329,7 +347,7 @@ class TestULRetention:
     def test_run_with_retention_stays_consistent(self):
         # A streaming run with 25 s of arrivals against the derived 15 s
         # window (1.5 x the 10 s grant_ttl): every replica prunes, the
-        # chain-digest audit still holds and nothing is lost.
+        # online audit still holds and nothing is lost.
         result = run_once(BASE.with_(
             streaming=True, mean_interarrival=250.0, requests_per_client=100,
         ))

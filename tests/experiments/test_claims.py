@@ -103,9 +103,21 @@ class TestRows:
         figure.note = "consistency audit: VIOLATIONS"
         assert not claims.CLAIMS["F2"].verdict(figure).holds
 
-    def test_every_claim_but_x2_is_audited(self):
-        assert [c.id for c in claims.CLAIMS.values()
-                if not c.audited] == ["X2"]
+    def test_an_inconsistent_scale_run_fails_x2(self):
+        def x2(consistent):
+            return Table(
+                "X2", ["protocol", "variant", "gap(ms)", "tput/s",
+                       "consistent"],
+                [["marp", "wan", 10.0, 80.0, consistent],
+                 ["marp", "wan", 40.0, 60.0, True],
+                 ["mcv", "wan", 10.0, 120.0, True],
+                 ["mcv", "wan", 40.0, 70.0, True]],
+                keys=3,
+            )
+
+        assert claims.CLAIMS["X2"].verdict(x2(True)).holds
+        verdict = claims.CLAIMS["X2"].verdict(x2(False))
+        assert not verdict.holds and not verdict.consistent
 
 
 class TestRunning:

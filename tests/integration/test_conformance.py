@@ -26,7 +26,7 @@ This file is the ``runtime-parity`` CI job's workload.
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import pytest
