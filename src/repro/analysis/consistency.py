@@ -17,7 +17,7 @@ from typing import Dict, Optional, Tuple
 from repro.core.machines.audit import (
     AuditReport, HistoryCheck, check_histories, commits_of, store_cells,
 )
-from repro.errors import ConsistencyViolation
+from repro.errors import ConsistencyViolation, ReplicationError
 from repro.replication.deployment import Deployment
 
 __all__ = [
@@ -127,14 +127,26 @@ def final_cells(deployment: Deployment, hosts) -> Dict[str, Tuple]:
 
 
 def audit(deployment: Deployment, exclude=()) -> AuditReport:
-    """Audit the replicas of a deployment. Never raises.
+    """Audit the stored histories of a deployment's replicas.
 
     ``exclude`` names replicas to leave out — hosts that are down at
     audit time and will only converge after a recovery sync that cannot
     happen within the run (e.g. the permanently crashed replicas of the
     availability experiment).
+
+    Raises :class:`ReplicationError` when a replica streamed its history
+    instead of storing it (:func:`stream_histories`): there is nothing
+    here to audit, and that run's audit is its ``RunResult.audit``.
     """
     hosts = [host for host in deployment.hosts if host not in exclude]
+    streamed = [
+        host for host in hosts if deployment.server(host).history.streaming
+    ]
+    if streamed:
+        raise ReplicationError(
+            f"{', '.join(streamed)} streamed their histories, which were "
+            "audited as they applied: read RunResult.audit"
+        )
     return check_histories(
         {host: commits_of(deployment.server(host).history) for host in hosts},
         final_cells(deployment, hosts),

@@ -36,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
+from repro.errors import ProtocolError
 from repro.core.machines.identity import AgentId, host_bytes
 from repro.core.machines.effects import (
     Backoff,
@@ -171,6 +172,19 @@ def suitcase_size(state: AgentCoreState, requests_size: int) -> int:
     )
 
 
+def _one_key(requests: List[Tuple]) -> str:
+    """The key every request of a batch writes; a batch of two keys is
+    refused (ordered multi-key locking is not implemented)."""
+    key = requests[0][1]
+    for request in requests:
+        if request[1] != key:
+            raise ProtocolError(
+                f"an agent writes one key; this batch names {key!r} and "
+                f"{request[1]!r}"
+            )
+    return key
+
+
 class AgentMachine:
     """Pure Algorithm 1 over an :class:`AgentCoreState`."""
 
@@ -187,6 +201,9 @@ class AgentMachine:
         #: claim_backoff are read per-use.
         self.tunables = tunables
         self.votes = dict(votes) if votes else None
+        #: the one key the batch writes: an agent locks, parks and
+        #: claims on it alone (docs/protocol.md §2, "One lock per key")
+        self.key = _one_key(state.requests)
         # Normalise containers: the live backend historically carried
         # tour_remaining as a list; the kernel reasons over sets.
         state.visited = set(state.visited)
@@ -216,17 +233,12 @@ class AgentMachine:
     def awaiting(self) -> Optional[str]:
         return self.state.awaiting
 
-    def grant_keys(self) -> Optional[Tuple[str, ...]]:
-        """What the next visit asks the replica for: the batch's keys
-        (take the grant for me) while this agent's table shows no other
-        live agent queued anywhere, else None (no grant)."""
+    def asks_grant(self) -> bool:
+        """Whether the next visit asks the replica for the key's grant:
+        while this agent's table shows no other live agent queued
+        anywhere."""
         s = self.state
-        if not s.table.alone(s.agent_id):
-            return None
-        return self._keys()
-
-    def _keys(self) -> Tuple[str, ...]:
-        return tuple(dict.fromkeys(req[1] for req in self.state.requests))
+        return s.table.alone(s.agent_id)
 
     # -- input dispatch -------------------------------------------------
 
@@ -436,7 +448,7 @@ class AgentMachine:
             ]
         return effects + [
             Broadcast("UPDATE", self._payload(
-                keys=self._keys(), behind=behind
+                keys=(self.key,), behind=behind
             )),
             SetTimer("ack", self.tunables.ack_timeout),
         ]

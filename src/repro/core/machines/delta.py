@@ -11,12 +11,16 @@ mutations, and a returning visitor that acknowledges sequence ``s``
 receives a :class:`~repro.core.machines.wire.SharedViewDelta` replaying
 only the events after ``s``.
 
-Journal events (``kind``, ``payload``):
+Journal events (``kind``, ``payload``, ``key``):
 
-* ``"enq"``, *agent_id* — appended to the Locking List (always at the
-  tail);
-* ``"deq"``, *agent_id* — removed from the Locking List;
-* ``"fin"``, *agent_id* — added to the Updated List.
+* ``"enq"``, *agent_id*, *key* — appended to the key's Locking List
+  (always at the tail);
+* ``"deq"``, *agent_id*, *key* — removed from the key's Locking List;
+* ``"fin"``, *agent_id*, ``None`` — added to the Updated List.
+
+A replica keeps one journal and one sequence for all of its keys
+(docs/protocol.md §2, "One lock per key"). A delta is cut for one key:
+it replays that key's events and the key-free ones.
 
 Committed versions are not lock state and are not journalled: a COMMIT
 bumps the sequence only through the ``"deq"`` / ``"fin"`` it causes.
@@ -58,11 +62,13 @@ class DeltaJournal:
         self._reset_floor = 0
         self.resets = 0
 
-    def bump(self, kind: str, payload: Any) -> int:
-        """Log one mutation; returns the new sequence number."""
+    def bump(self, kind: str, payload: Any, key: Optional[str] = None) -> int:
+        """Log one mutation of ``key``'s lock state (``None``: of every
+        key's, like an Updated-List addition); returns the new sequence
+        number."""
         self.seq += 1
         log = self._log
-        log.append((self.seq, kind, payload))
+        log.append((self.seq, kind, payload, key))
         if len(log) > self.capacity:
             log.popleft()
         return self.seq
@@ -91,14 +97,16 @@ class DeltaJournal:
         return self.floor <= base_seq <= self.seq
 
     def delta_since(
-        self, base_seq: int, as_of: float
+        self, base_seq: int, as_of: float, key: Optional[str] = None
     ) -> Optional[SharedViewDelta]:
-        """Cut a delta against ``base_seq``, or None (full fallback).
+        """Cut a delta of ``key``'s lock state against ``base_seq``, or
+        None (full fallback).
 
-        Replays the retained events after ``base_seq`` into the net
-        locking-list edit (an id enqueued and dequeued inside the window
-        cancels out; a requeue becomes remove + re-append) and the newly
-        finished ids, in one forward pass over those events.
+        Replays the retained events after ``base_seq`` that are
+        ``key``'s or key-free into the net locking-list edit (an id
+        enqueued and dequeued inside the window cancels out; a requeue
+        becomes remove + re-append) and the newly finished ids, in one
+        forward pass over those events.
         """
         if not self.can_delta(base_seq):
             return None
@@ -110,7 +118,9 @@ class DeltaJournal:
         # taken from the right, so the older ones are never walked.
         newest = list(islice(reversed(self._log), self.seq - base_seq))
         newest.reverse()
-        for _seq, kind, payload in newest:
+        for _seq, kind, payload, of in newest:
+            if of is not None and of != key:
+                continue
             if kind == "enq":
                 appended[payload] = None
             elif kind == "deq":

@@ -40,7 +40,7 @@ Effect vocabulary (replica machine)
 ``Granted``/``Nacked``    the grant decision taken for an UPDATE (or a
                   grant taken on a visit).
 ``CommitApplied`` one write of a COMMIT was applied to the store.
-``ReleaseNotify`` wake agents parked at this replica ([D2]).
+``ReleaseNotify`` wake the agents parked on a key at this replica ([D2]).
 ``QueueChanged``  the Locking List length changed (gauge refresh).
 ``Recovered``     a restarted replica caught up and rejoined.
 
@@ -247,7 +247,10 @@ class CommitApplied(Effect):
 
 @dataclass(slots=True)
 class ReleaseNotify(Effect):
-    """A lock release happened here: wake parked agents ([D2])."""
+    """A lock release on ``key`` happened here: wake the agents parked
+    on it ([D2]); ``None`` wakes the agents parked on every key."""
+
+    key: Optional[str]
 
 
 @dataclass(slots=True)

@@ -16,8 +16,9 @@ currently there. It owns
 * the dispatch of every agent, replica and coordinator effect (a handler
   table keyed by effect class; an effect without a handler is a
   :class:`~repro.errors.ProtocolError`, never a silent skip);
-* the **parked table** ([D2]) — insertion-ordered, so a lock release
-  wakes agents in the order they parked, on every backend;
+* the **parked table** ([D2]) — per key, insertion-ordered, so a lock
+  release on a key wakes the agents parked on it in the order they
+  parked, on every backend;
 * the **message routes** — a message goes to the replica, or to the
   participant that declared its kind; a reply goes to the claim table;
 * the **claim table** — ACK/NACK/READR replies are routed to the
@@ -229,8 +230,9 @@ class EffectInterpreter:
         self.replica = replica
         self.substrate = substrate
         self.backend = backend
-        #: agents parked here awaiting a release, in park order ([D2])
-        self.parked: Dict[AgentId, Resident] = {}
+        #: key -> the agents parked here awaiting a release on it, in
+        #: park order ([D2]); a key with none has no entry
+        self.parked: Dict[str, Dict[AgentId, Resident]] = {}
         #: batch (or coordinator's request) id -> who takes its replies
         #: at this host
         self.claims: Dict[int, Resident] = {}
@@ -312,7 +314,7 @@ class EffectInterpreter:
             "replica_commits_applied_total", "committed writes applied",
             ("host",),
         )
-        self._m_ll.set(len(self.replica.locking_list), host=self.host)
+        self._m_ll.set(self.replica.queued, host=self.host)
 
     # -- inputs from the substrate ------------------------------------------
 
@@ -405,7 +407,7 @@ class EffectInterpreter:
     def evict(self, agent: Resident) -> None:
         """Forget an agent that vanished mid-flight (harness churn)."""
         state = agent.machine.state
-        self.parked.pop(state.agent_id, None)
+        self._unpark(agent)
         self.claims.pop(state.batch_id, None)
         for kind in list(agent.timers):
             self._disarm(agent, kind)
@@ -457,8 +459,8 @@ class EffectInterpreter:
             return
         data, effects = self.replica.begin_visit(
             state.agent_id, state.batch_id, now,
-            acked=state.table.acked_seq(self.host),
-            keys=machine.grant_keys(), epoch=state.epoch,
+            acked=state.table.acked_seq(self.host), key=machine.key,
+            grant=machine.asks_grant(), epoch=state.epoch,
         )
         self.run_replica(effects)
         self._run(agent, machine.on_arrived(Arrived(
@@ -546,7 +548,7 @@ class EffectInterpreter:
         state.parked_since = self.substrate.now()
         if self._obs is not None:
             self._m_parks.inc(host=self.host)
-        self.parked[state.agent_id] = agent
+        self.parked.setdefault(agent.machine.key, {})[state.agent_id] = agent
         agent.release = self._arm(
             agent, "park", effect.timeout, self.substrate.park
         )
@@ -554,7 +556,7 @@ class EffectInterpreter:
     def _wake(self, agent: Resident) -> None:
         """A release or the park timeout: refresh the local view ([D2])."""
         state = agent.machine.state
-        self.parked.pop(state.agent_id, None)
+        self._unpark(agent)
         agent.release = None
         if self._obs is not None:
             self._span(
@@ -565,10 +567,22 @@ class EffectInterpreter:
         self._emit(state, "wake")
         self._visit(agent)
 
+    def _unpark(self, agent: Resident) -> None:
+        key = agent.machine.key
+        parked = self.parked.get(key)
+        if parked is not None and parked.pop(
+            agent.machine.state.agent_id, None
+        ) is not None and not parked:
+            del self.parked[key]
+
     def _release_notify(self, _agent, effect: ReleaseNotify) -> None:
-        woken, self.parked = self.parked, {}
-        for agent in woken.values():
-            agent.release()
+        if effect.key is None:
+            woken, self.parked = list(self.parked.values()), {}
+        else:
+            woken = [self.parked.pop(effect.key, {})]
+        for parked in woken:
+            for agent in parked.values():
+                agent.release()
 
     # -- messages -----------------------------------------------------------
 
@@ -583,7 +597,7 @@ class EffectInterpreter:
 
     def _post_bulletin(self, agent: Resident, effect: PostBulletin) -> None:
         if not self.down:
-            self.replica.post_bulletin(effect.views)
+            self.replica.post_bulletin(effect.views, agent.machine.key)
 
     # -- agent milestones ---------------------------------------------------
 
@@ -722,4 +736,4 @@ class EffectInterpreter:
 
     def _queue_changed(self, _agent, effect: QueueChanged) -> None:
         if self._obs is not None:
-            self._m_ll.set(len(self.replica.locking_list), host=self.host)
+            self._m_ll.set(self.replica.queued, host=self.host)

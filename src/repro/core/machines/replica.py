@@ -1,9 +1,10 @@
 """The replica protocol kernel — the paper's Algorithm 2, sans-IO.
 
 A :class:`ReplicaMachine` is the *logic* of one replicated server: the
-versioned store, the Locking List and Updated List, the bulletin board,
-and the exclusive update grant behind every acknowledgement (or taken
-on a visit). It is a
+versioned store, the Updated List, the bulletin board and, per key, a
+:class:`KeyLock` — the key's Locking List, the exclusive update grant
+behind every acknowledgement (or taken on a visit) and the messages
+held for a winner (docs/protocol.md §2, "One lock per key"). It is a
 pure state machine — time enters only through ``now`` arguments, every
 outward action is returned as a typed effect, and nothing in here knows
 whether it runs under the discrete-event simulator, a live thread, or a
@@ -59,7 +60,7 @@ from repro.core.machines.wire import (
     WriteOp,
 )
 
-__all__ = ["ReplicaMachine"]
+__all__ = ["KeyLock", "ReplicaMachine"]
 
 #: Message kinds the replica machine consumes.
 HANDLED_KINDS = (
@@ -68,8 +69,70 @@ HANDLED_KINDS = (
 )
 
 
+class KeyLock:
+    """One key's lock state at one replica: its Locking List, its
+    exclusive update grant, and the pipelined UPDATEs and COMMITs held
+    there for a winner on the key (batch id -> payload; see
+    :meth:`ReplicaMachine._waits` and :meth:`ReplicaMachine._serve_held`).
+
+    While the grant is held (and unexpired), UPDATEs for the key from
+    other agents are NACKed, which is what makes a majority of ACKs an
+    exclusive critical section for the key regardless of how stale the
+    claimer's Locking Table was. A replica keeps a key's lock only
+    while it is not :meth:`idle`: a released grant resets every field,
+    so a lock dropped and made again is indistinguishable from one kept.
+    """
+
+    __slots__ = ("queue", "holder", "batch", "epoch", "expires_at",
+                 "held_updates", "held_commits")
+
+    def __init__(self, host: str) -> None:
+        self.queue = LockingList(host)
+        self.holder: Optional[AgentId] = None
+        self.batch: Optional[int] = None
+        self.epoch = 0
+        self.expires_at = float("-inf")
+        self.held_updates: Dict[int, UpdatePayload] = {}
+        self.held_commits: Dict[int, UpdatePayload] = {}
+
+    def is_free(self, now: float) -> bool:
+        return self.holder is None or now > self.expires_at
+
+    def idle(self) -> bool:
+        """Nothing queued, granted or held: the replica drops it."""
+        return not (
+            self.queue or self.holder is not None
+            or self.held_updates or self.held_commits
+        )
+
+    def release(
+        self, agent_id: AgentId, up_to_epoch: Optional[int] = None
+    ) -> None:
+        """Free the grant if held by ``agent_id``.
+
+        ``up_to_epoch`` (RELEASE/ABORT messages) guards against the race
+        where a re-claim's UPDATE overtakes the failed claim's RELEASE:
+        a release must not clear a grant issued for a *later* epoch.
+        """
+        if self.holder != agent_id:
+            return
+        if up_to_epoch is not None and self.epoch > up_to_epoch:
+            return
+        self.holder = None
+        self.batch = None
+        self.epoch = 0
+        self.expires_at = float("-inf")
+
+    def __repr__(self) -> str:
+        return (
+            f"<KeyLock ll={len(self.queue)} holder={self.holder} "
+            f"held={len(self.held_updates)}+{len(self.held_commits)}>"
+        )
+
+
 class ReplicaMachine:
-    """Pure Algorithm 2 state: store, LL, UL, history, bulletin, grant."""
+    """Pure Algorithm 2 state: store, UL, history, journal, bulletin
+    board, and a :class:`KeyLock` per key."""
 
     def __init__(self, host: str, peers, tunables) -> None:
         if host not in peers:
@@ -82,29 +145,30 @@ class ReplicaMachine:
         self.tunables = tunables
 
         self.store = VersionedStore()
-        self.locking_list = LockingList(host)
+        #: key -> its lock state, for the keys with an agent queued, a
+        #: grant or a held message here (:meth:`_drop_if_idle`)
+        self.locks: Dict[str, KeyLock] = {}
+        #: agent -> the key it writes, from its first enqueue or UPDATE
+        #: here to its COMMIT or ABORT: RELEASE and ABORT name no key
+        self._key_of: Dict[AgentId, str] = {}
+        #: Locking-List entries over all keys (the gauge's reading)
+        self.queued = 0
         self.updated_list = UpdatedList(
             retention=UL_WINDOW_FACTOR * tunables.grant_ttl
         )
         self.history = HistoryLog(host)
-        self.bulletin: Dict[str, SharedView] = {}
-        #: pipelined UPDATEs and COMMITs waiting here for the winner
-        #: they name in ``behind`` (batch id -> payload; see
-        #: :meth:`_waits` and :meth:`_serve_held`)
-        self.held_updates: Dict[int, UpdatePayload] = {}
-        self.held_commits: Dict[int, UpdatePayload] = {}
-        # Exclusive update grant: the server-side promise behind an ACK.
-        # While held (and unexpired), UPDATEs from other agents are
-        # NACKed, which is what makes a majority of ACKs an exclusive
-        # critical section regardless of how stale the claimer's Locking
-        # Table was.
-        self.grant_holder: Optional[AgentId] = None
-        self.grant_batch: Optional[int] = None
-        self.grant_epoch: int = 0
-        self.grant_expires_at: float = float("-inf")
+        #: the bulletin board: other server -> the freshest view of a
+        #: Locking List there that a visitor deposited, of whichever key
+        #: the visitor writes; a visitor reads its own key's views
+        self.board: Dict[str, SharedView] = {}
+        #: other server -> the key of its view on the board
+        self._board_keys: Dict[str, str] = {}
+        #: key -> how many of the board's views are that key's
+        self._board_count: Dict[str, int] = {}
 
         #: mutation journal that lets :meth:`begin_visit` hand returning
-        #: visitors only what changed since their acknowledged sequence.
+        #: visitors only what changed since their acknowledged sequence:
+        #: one sequence for every key
         self.journal = DeltaJournal(host)
 
         #: while catching up after a restart, the peers whose
@@ -124,6 +188,23 @@ class ReplicaMachine:
         #: journal window
         self.fallbacks_served = 0
 
+    def lock(self, key: str) -> KeyLock:
+        """``key``'s lock state here; an idle one is a fresh, unstored
+        :class:`KeyLock` (read it; changing it changes nothing)."""
+        lock = self.locks.get(key)
+        return lock if lock is not None else KeyLock(self.host)
+
+    def _open(self, key: str) -> KeyLock:
+        lock = self.locks.get(key)
+        if lock is None:
+            lock = self.locks[key] = KeyLock(self.host)
+        return lock
+
+    def _drop_if_idle(self, key: Optional[str]) -> None:
+        lock = self.locks.get(key)
+        if lock is not None and lock.idle():
+            del self.locks[key]
+
     @property
     def n_replicas(self) -> int:
         return len(self.peers)
@@ -140,7 +221,9 @@ class ReplicaMachine:
         are refused and UPDATE and READQ go unanswered, held ones too:
         their claimers' ack timers settle them."""
         self.synced_from = set()
-        self.held_updates.clear()
+        for key, lock in list(self.locks.items()):
+            lock.held_updates.clear()
+            self._drop_if_idle(key)
         return [
             Send(host, "SYNC_REQUEST", {})
             for host in self.peers if host != self.host
@@ -152,15 +235,17 @@ class ReplicaMachine:
 
     def begin_visit(
         self, agent_id: AgentId, request_id: int, now: float, acked: int,
-        keys: Optional[Tuple[str, ...]] = None, epoch: int = 0,
+        key: str, grant: bool = False, epoch: int = 0,
     ) -> Tuple[VisitData, List[Effect]]:
-        """One agent visit: guarded lock enqueue + information exchange.
+        """One agent visit: guarded lock enqueue + information exchange,
+        on ``key``, the one key the visitor's batch writes.
 
         Returns the :class:`VisitData` the agent machine needs (fresh
-        lock view, bulletin board, post-enqueue rank) plus any effects
-        (a ``QueueChanged`` when the visit appended a lock entry, and
-        those of :meth:`_lapse`). The agent's answering ``PostBulletin``
-        effect is routed back to :meth:`post_bulletin` by the driver.
+        view of the key's lock, the board's views of the key, post-enqueue
+        rank) plus any effects (a ``QueueChanged`` when the visit
+        appended a lock entry, and those of :meth:`_lapse`). The agent's
+        answering ``PostBulletin`` effect is routed back to
+        :meth:`post_bulletin` by the driver.
 
         ``acked`` is the visitor's acknowledged sequence for this server
         (:meth:`LockingTable.acked_seq`). While the journal still
@@ -170,96 +255,117 @@ class ReplicaMachine:
         (``acked`` = -1) or an evicted/reset base fall back to the full
         snapshot.
 
-        ``keys`` (the keys the visitor's batch writes) asks for the
-        grant: it is taken, stamped with ``epoch``, when the Locking
-        List holds the visitor alone and the grant is free or already
-        the visitor's — the same exclusive grant an UPDATE takes, so
-        the visitor may count it toward its claim's majority.
+        ``grant`` asks for the key's grant: it is taken, stamped with
+        ``epoch``, when the key's Locking List holds the visitor alone
+        and the grant is free or already the visitor's — the same
+        exclusive grant an UPDATE takes, so the visitor may count it
+        toward its claim's majority.
         """
-        effects = self._lapse(now)
+        effects = self._lapse(key, now)
+        lock = self.locks.get(key)
         enqueued = False
         if (
-            not self.locking_list.heard(agent_id, now)
+            (lock is None or not lock.queue.heard(agent_id, now))
             and agent_id not in self.updated_list
         ):
-            effects.extend(self.request_lock(agent_id, request_id, now))
+            effects.extend(self.request_lock(agent_id, request_id, now, key))
             enqueued = True
-        grant = None
-        if keys is not None and self._grants_on_visit(agent_id, now):
-            self._take_grant(agent_id, request_id, epoch, now)
-            grant = (self._versions(keys), now)
+            lock = self.locks[key]
+        granted = None
+        if grant and lock is not None and self._grants_on_visit(
+            lock, agent_id, now
+        ):
+            self._take_grant(lock, agent_id, request_id, epoch, now)
+            granted = ({key: self.store.version_of(key)}, now)
             effects.append(Granted(agent_id, request_id, epoch, visit=True))
-        view: Any = self.delta_view(now, acked)
+        view: Any = self.delta_view(now, acked, key)
         finished = frozenset()
         if view is not None:
             self.deltas_served += 1
         else:
             if acked >= 0:
                 self.fallbacks_served += 1
-            view = self.lock_view(now)
+            view = self.lock_view(now, key)
             finished = self.updated_list.as_set()
         data = VisitData(
             view=view,
-            # The board itself, not a copy: the visitor only reads it,
-            # and posts back after it has.
-            bulletin=self.bulletin if self.tunables.enable_bulletin else {},
-            rank=self.locking_list.rank(agent_id),
-            ll_len=len(self.locking_list),
+            bulletin=self.read_bulletin(key),
+            rank=None if lock is None else lock.queue.rank(agent_id),
+            ll_len=0 if lock is None else len(lock.queue),
             enqueued=enqueued,
             finished=finished,
-            grant=grant,
+            grant=granted,
         )
         return data, effects
 
     def request_lock(
-        self, agent_id: AgentId, request_id: int, now: float
+        self, agent_id: AgentId, request_id: int, now: float, key: str
     ) -> List[Effect]:
-        """Append the visiting agent to the Locking List (idempotent)."""
-        if agent_id in self.locking_list:
+        """Append the visiting agent to ``key``'s Locking List
+        (idempotent)."""
+        lock = self.locks.get(key)
+        if lock is not None and agent_id in lock.queue:
             return []
         if agent_id in self.updated_list:
             raise ProtocolError(
                 f"agent {agent_id} already completed its update; it must "
                 "not re-request the lock"
             )
-        self.locking_list.append(
+        self._open(key).queue.append(
             LockEntry(agent_id=agent_id, request_id=request_id, heard_at=now)
         )
-        self.journal.bump("enq", agent_id)
+        self.queued += 1
+        self._key_of[agent_id] = key
+        self.journal.bump("enq", agent_id, key)
         return [QueueChanged()]
 
-    def lock_view(self, now: float) -> SharedView:
-        """Fresh snapshot of this server's Locking List (the Updated
-        List, pruned to its window here, is read beside it)."""
+    def lock_view(self, now: float, key: str) -> SharedView:
+        """Fresh snapshot of this server's Locking List for ``key`` (the
+        Updated List, pruned to its window here, is read beside it)."""
         self.updated_list.prune(now)
+        lock = self.locks.get(key)
         return SharedView(
             host=self.host,
             as_of=now,
-            view=self.locking_list.view(),
+            view=() if lock is None else lock.queue.view(),
             seq=self.journal.seq,
         )
 
     def delta_view(
-        self, now: float, base_seq: int
+        self, now: float, base_seq: int, key: str
     ) -> Optional[SharedViewDelta]:
-        """Delta since ``base_seq``, or None when only a full snapshot
-        will do (first contact, base evicted/reset).
+        """Delta of ``key``'s lock state since ``base_seq``, or None
+        when only a full snapshot will do (first contact, base
+        evicted/reset).
 
         The delta's ``finished`` may name ids the window has since
         pruned from this server's UL — safe: finished is monotone
         knowledge, pruning only forgets.
         """
         self.updated_list.prune(now)
-        return self.journal.delta_since(base_seq, now)
+        return self.journal.delta_since(base_seq, now, key)
 
-    def read_bulletin(self) -> Dict[str, SharedView]:
-        """Views of *other* servers deposited by previous visitors."""
+    def read_bulletin(self, key: str) -> Dict[str, SharedView]:
+        """The board's views of *other* servers' lists for ``key``.
+
+        The board itself when every view on it is ``key``'s (always, at
+        one key), not a copy: the visitor only reads it, and posts back
+        after it has."""
         if not self.tunables.enable_bulletin:
             return {}
-        return dict(self.bulletin)
+        board = self.board
+        mine = self._board_count.get(key, 0)
+        if mine == len(board):
+            return board
+        if not mine:
+            return {}
+        keys = self._board_keys
+        return {host: view for host, view in board.items()
+                if keys[host] == key}
 
-    def post_bulletin(self, views: Dict[str, SharedView]) -> int:
-        """Deposit lock views; keeps only the freshest per server.
+    def post_bulletin(self, views: Dict[str, SharedView], key: str) -> int:
+        """Deposit a visitor's views of ``key``'s lists; the board keeps
+        only the freshest view per server, of whichever key.
 
         ``views`` may be a visitor's whole table, this server's own
         entry included (ignored: our own state is always fresher
@@ -269,7 +375,9 @@ class ReplicaMachine:
         if not self.tunables.enable_bulletin:
             return 0
         posted = 0
-        board = self.bulletin
+        board = self.board
+        keys = self._board_keys
+        count = self._board_count
         own = self.host
         for host, view in views.items():
             current = board.get(host)
@@ -278,6 +386,12 @@ class ReplicaMachine:
             if current is None or view.as_of > current.as_of:
                 board[host] = view
                 posted += 1
+                was = keys.get(host)
+                if was != key:
+                    keys[host] = key
+                    count[key] = count.get(key, 0) + 1
+                    if was is not None:
+                        count[was] -= 1
         return posted
 
     def apply_write(self, write: WriteOp, origin: str, now: float) -> bool:
@@ -317,14 +431,30 @@ class ReplicaMachine:
         if kind == "UPDATE":
             if self.synced_from is not None:
                 return []
-            effects = self._lapse(now)
-            self.locking_list.heard(payload.agent_id, now)
-            if self._waits(payload, now):
-                self.held_updates[payload.batch_id] = payload
+            keys = payload.keys
+            if keys is None or len(keys) != 1:
+                raise ProtocolError(
+                    f"an UPDATE names the one key its agent writes: {keys!r}"
+                )
+            key = keys[0]
+            effects = self._lapse(key, now)
+            agent_id = payload.agent_id
+            if agent_id not in self.updated_list:
+                self._key_of[agent_id] = key
+            lock = self._open(key)
+            lock.queue.heard(agent_id, now)
+            if self._waits(lock, payload, now):
+                lock.held_updates[payload.batch_id] = payload
                 return effects
-            return effects + self._on_update(payload, now)
+            effects += self._on_update(lock, key, payload, now)
+            self._drop_if_idle(key)
+            return effects
         if kind == "COMMIT":
-            return self._lapse(now) + self._on_commit(payload, now)
+            key = (
+                payload.writes[0].key if payload.writes
+                else self._key_of.get(payload.agent_id)
+            )
+            return self._lapse(key, now) + self._on_commit(key, payload, now)
         if kind == "ABORT":
             return self._on_abort(payload, now)
         if kind == "RELEASE":
@@ -339,69 +469,47 @@ class ReplicaMachine:
             return self._on_read_query(payload, src)
         raise ProtocolError(f"replica machine cannot handle {kind!r}")
 
-    def grant_is_free(self, now: float) -> bool:
-        return self.grant_holder is None or now > self.grant_expires_at
-
-    def release_grant(
-        self, agent_id: AgentId, up_to_epoch: Optional[int] = None
-    ) -> None:
-        """Free the grant if held by ``agent_id``.
-
-        ``up_to_epoch`` (RELEASE/ABORT messages) guards against the race
-        where a re-claim's UPDATE overtakes the failed claim's RELEASE:
-        a release must not clear a grant issued for a *later* epoch.
-        """
-        if self.grant_holder != agent_id:
-            return
-        if up_to_epoch is not None and self.grant_epoch > up_to_epoch:
-            return
-        self.grant_holder = None
-        self.grant_batch = None
-        self.grant_epoch = 0
-        self.grant_expires_at = float("-inf")
-
-    def _grants_on_visit(self, agent_id: AgentId, now: float) -> bool:
-        """The visitor stands alone in the Locking List, and the grant
-        is free or already the visitor's."""
+    def _grants_on_visit(self, lock: KeyLock, agent_id: AgentId,
+                         now: float) -> bool:
+        """The visitor stands alone in the key's Locking List, and the
+        key's grant is free or already the visitor's."""
         return (
-            len(self.locking_list) == 1
-            and agent_id in self.locking_list
-            and (agent_id == self.grant_holder or self.grant_is_free(now))
+            len(lock.queue) == 1
+            and agent_id in lock.queue
+            and (agent_id == lock.holder or lock.is_free(now))
         )
 
-    def _take_grant(self, agent_id: AgentId, batch_id: int, epoch: int,
-                    now: float) -> None:
-        if self.grant_holder == agent_id:
+    def _take_grant(self, lock: KeyLock, agent_id: AgentId, batch_id: int,
+                    epoch: int, now: float) -> None:
+        if lock.holder == agent_id:
             # A stale request must not roll the epoch backwards.
-            self.grant_epoch = max(self.grant_epoch, epoch)
+            lock.epoch = max(lock.epoch, epoch)
         else:
-            self.grant_epoch = epoch
-        self.grant_holder = agent_id
-        self.grant_batch = batch_id
-        self.grant_expires_at = now + self.tunables.grant_ttl
-        self.locking_list.heard(agent_id, now)
+            lock.epoch = epoch
+        lock.holder = agent_id
+        lock.batch = batch_id
+        lock.expires_at = now + self.tunables.grant_ttl
+        lock.queue.heard(agent_id, now)
 
-    def _versions(self, keys) -> Dict[str, int]:
-        return {key: self.store.version_of(key) for key in keys}
-
-    def _on_update(self, payload: UpdatePayload, now: float) -> List[Effect]:
-        """Grant request: ACK (with our versions of the UPDATE's keys)
+    def _on_update(self, lock: KeyLock, key: str, payload: UpdatePayload,
+                   now: float) -> List[Effect]:
+        """Grant request: ACK (with our version of the UPDATE's key)
         or NACK.
 
-        The ACK's versions are what lets the winner pick versions above
+        The ACK's version is what lets the winner pick one above
         everything previously committed ([D3]): any earlier winner's
-        grant here was released by processing its COMMIT, i.e. *after*
-        applying its writes, so an ACK never predates a commit this
-        server participated in.
+        grant on the key here was released by processing its COMMIT,
+        i.e. *after* applying its writes, so an ACK never predates a
+        commit on the key this server participated in.
 
         An UPDATE from an agent this server already saw finish (its
         COMMIT overtook it) is answered as any other, but takes no
         grant: a finished agent will never release one.
         """
-        if payload.agent_id == self.grant_holder or self.grant_is_free(now):
-            return self._ack(payload, now)
+        if payload.agent_id == lock.holder or lock.is_free(now):
+            return self._ack(lock, key, payload, now)
         self.nacks_sent += 1
-        holder = self.grant_holder
+        holder = lock.holder
         return [
             Nacked(payload.agent_id, payload.batch_id, holder),
             Send(
@@ -416,12 +524,13 @@ class ReplicaMachine:
             ),
         ]
 
-    def _ack(self, payload: UpdatePayload, now: float) -> List[Effect]:
+    def _ack(self, lock: KeyLock, key: str, payload: UpdatePayload,
+             now: float) -> List[Effect]:
         """Take the grant (unless the sender finished) and ACK with this
-        server's versions of the UPDATE's keys, as they are now."""
+        server's version of the UPDATE's key, as it is now."""
         if payload.agent_id not in self.updated_list:
             self._take_grant(
-                payload.agent_id, payload.batch_id, payload.epoch, now
+                lock, payload.agent_id, payload.batch_id, payload.epoch, now
             )
         self.acks_sent += 1
         return [
@@ -433,71 +542,86 @@ class ReplicaMachine:
                     "batch_id": payload.batch_id,
                     "epoch": payload.epoch,
                     "from": self.host,
-                    "versions": self._versions(payload.keys or ()),
+                    "versions": {key: self.store.version_of(key)},
                 },
             ),
         ]
 
-    def _waits(self, payload: UpdatePayload, now: float) -> bool:
-        """A pipelined UPDATE (one naming the winner W it is ``behind``)
-        is held, not answered, while W is still queued here or another
-        agent holds the grant."""
+    def _waits(self, lock: KeyLock, payload: UpdatePayload,
+               now: float) -> bool:
+        """A pipelined UPDATE (one naming the winner W it is ``behind``,
+        a writer of the same key) is held, not answered, while W is
+        still queued in the key's list or another agent holds the key's
+        grant."""
         behind = payload.behind
         return behind is not None and (
-            behind in self.locking_list
-            or not (
-                payload.agent_id == self.grant_holder
-                or self.grant_is_free(now)
-            )
+            behind in lock.queue
+            or not (payload.agent_id == lock.holder or lock.is_free(now))
         )
 
-    def _lapse(self, now: float) -> List[Effect]:
-        """Evict each Locking-List head silent for one hygiene window
-        (docs/protocol.md §2); any grant its agent took here is over."""
-        lapsed = self.locking_list.lapse(now - self.updated_list.retention)
+    def _lapse(self, key: Optional[str], now: float) -> List[Effect]:
+        """Evict each head of ``key``'s Locking List silent for one
+        hygiene window (docs/protocol.md §2); any grant its agent took
+        here is over."""
+        lock = self.locks.get(key)
+        if lock is None:
+            return []
+        lapsed = lock.queue.lapse(now - self.updated_list.retention)
         if not lapsed:
             return []
         for agent_id in lapsed:
-            self.journal.bump("deq", agent_id)
+            self.journal.bump("deq", agent_id, key)
+        self.queued -= len(lapsed)
         self.evicted += len(lapsed)
-        return [QueueChanged(), ReleaseNotify()] + self._serve_held(now)
+        effects = [QueueChanged(), ReleaseNotify(key)]
+        effects += self._serve_held(lock, key, now)
+        self._drop_if_idle(key)
+        return effects
 
-    def _serve_held(self, now: float) -> List[Effect]:
-        """After a step that may have freed the grant or dequeued a
-        winner: apply each held COMMIT whose winner has left the Locking
-        List (in turn, so a chain of them applies in order), then answer
-        each held UPDATE that no longer waits, exactly as an UPDATE
-        arriving now would be ACKed."""
+    def _serve_held(self, lock: KeyLock, key: str,
+                    now: float) -> List[Effect]:
+        """After a step that may have freed the key's grant or dequeued
+        a winner on it: apply each held COMMIT whose winner has left the
+        key's Locking List (in turn, so a chain of them applies in
+        order), then answer each held UPDATE that no longer waits,
+        exactly as an UPDATE arriving now would be ACKed."""
         effects: List[Effect] = []
-        held = self.held_commits
+        held = lock.held_commits
         while held:
             ready = [
                 batch_id for batch_id, payload in held.items()
-                if payload.behind not in self.locking_list
+                if payload.behind not in lock.queue
             ]
             if not ready:
                 break
             for batch_id in ready:
-                effects += self._apply_commit(held.pop(batch_id), now)
-        if self.held_updates:
-            for batch_id, payload in list(self.held_updates.items()):
-                if not self._waits(payload, now):
-                    del self.held_updates[batch_id]
-                    effects += self._ack(payload, now)
+                effects += self._apply_commit(key, held.pop(batch_id), now)
+        if lock.held_updates:
+            for batch_id, payload in list(lock.held_updates.items()):
+                if not self._waits(lock, payload, now):
+                    del lock.held_updates[batch_id]
+                    effects += self._ack(lock, key, payload, now)
         return effects
 
-    def _on_commit(self, payload: UpdatePayload, now: float) -> List[Effect]:
+    def _on_commit(self, key: Optional[str], payload: UpdatePayload,
+                   now: float) -> List[Effect]:
         """Apply a COMMIT, unless it is pipelined behind a winner still
-        queued here: then it is held whole until that winner leaves, so
-        its writes never overtake the winner's."""
-        self.held_updates.pop(payload.batch_id, None)
-        if payload.behind is not None and payload.behind in self.locking_list:
-            self.held_commits[payload.batch_id] = payload
+        queued in the key's list: then it is held whole until that
+        winner leaves, so its writes never overtake the winner's."""
+        lock = self.locks.get(key)
+        if lock is None:
+            return self._apply_commit(key, payload, now)
+        lock.held_updates.pop(payload.batch_id, None)
+        if payload.behind is not None and payload.behind in lock.queue:
+            lock.held_commits[payload.batch_id] = payload
             return []
-        return self._apply_commit(payload, now) + self._serve_held(now)
+        effects = self._apply_commit(key, payload, now)
+        effects += self._serve_held(lock, key, now)
+        self._drop_if_idle(key)
+        return effects
 
     def _apply_commit(
-        self, payload: UpdatePayload, now: float
+        self, key: Optional[str], payload: UpdatePayload, now: float
     ) -> List[Effect]:
         # COMMIT is self-contained: even if our UPDATE was lost (e.g. we
         # were briefly down), the commit can still be applied.
@@ -512,31 +636,65 @@ class ReplicaMachine:
                     )
                 )
         # Locks from this agent are removed regardless of staleness.
-        return effects + self._finish(payload.agent_id, now)
+        return effects + self._finish(payload.agent_id, key, now)
 
     def _on_abort(self, payload: UpdatePayload, now: float) -> List[Effect]:
         """An agent gave up on its request entirely: forget it."""
-        self.held_updates.pop(payload.batch_id, None)
-        return self._finish(payload.agent_id, now) + self._serve_held(now)
+        key = self._key_of.get(payload.agent_id)
+        lock = self.locks.get(key)
+        if lock is None:
+            # Nothing of it here, so no key: the release is every key's.
+            return self._finish(payload.agent_id, None, now) + (
+                self._serve_every_key(now)
+            )
+        lock.held_updates.pop(payload.batch_id, None)
+        effects = self._finish(payload.agent_id, key, now)
+        effects += self._serve_held(lock, key, now)
+        self._drop_if_idle(key)
+        return effects
 
-    def _finish(self, agent_id: AgentId, now: float) -> List[Effect]:
-        """The agent is done here: free its grant, dequeue it, and list
-        it in the Updated List."""
-        self.release_grant(agent_id)
-        if self.locking_list.remove(agent_id):
-            self.journal.bump("deq", agent_id)
+    def _finish(self, agent_id: AgentId, key: Optional[str],
+                now: float) -> List[Effect]:
+        """The agent is done here: free its grant on ``key``, dequeue
+        it, and list it in the Updated List."""
+        self._key_of.pop(agent_id, None)
+        lock = self.locks.get(key)
+        if lock is not None:
+            lock.release(agent_id)
+            if lock.queue.remove(agent_id):
+                self.queued -= 1
+                self.journal.bump("deq", agent_id, key)
         if self.updated_list.add(agent_id, at=now):
             self.journal.bump("fin", agent_id)
-        return [QueueChanged(), ReleaseNotify()]
+        return [QueueChanged(), ReleaseNotify(key)]
 
     def _on_release(self, payload: UpdatePayload, now: float) -> List[Effect]:
         """A claim failed: give back the grant, keep the lock entry; a
-        held UPDATE of the same or an earlier epoch is dropped."""
-        held = self.held_updates.get(payload.batch_id)
+        held UPDATE of the same or an earlier epoch is dropped. (A
+        RELEASE names no key: the replica knows it from the agent's
+        UPDATE, visit or grant here; without one, nothing here is the
+        agent's, and the step serves every key's held messages.)"""
+        key = self._key_of.get(payload.agent_id)
+        lock = self.locks.get(key)
+        if lock is None:
+            return self._serve_every_key(now)
+        held = lock.held_updates.get(payload.batch_id)
         if held is not None and held.epoch <= payload.epoch:
-            del self.held_updates[payload.batch_id]
-        self.release_grant(payload.agent_id, up_to_epoch=payload.epoch)
-        return self._serve_held(now)
+            del lock.held_updates[payload.batch_id]
+        lock.release(payload.agent_id, up_to_epoch=payload.epoch)
+        effects = self._serve_held(lock, key, now)
+        self._drop_if_idle(key)
+        return effects
+
+    def _serve_every_key(self, now: float) -> List[Effect]:
+        """:meth:`_serve_held` on every stored key (each has a queued
+        agent, a grant or a held message, so they are as many as the
+        agents in flight at most)."""
+        effects: List[Effect] = []
+        for key, lock in list(self.locks.items()):
+            effects += self._serve_held(lock, key, now)
+            self._drop_if_idle(key)
+        return effects
 
     def _on_sync_request(self, src: str) -> List[Effect]:
         reply = Send(src, "SYNC_REPLY", {
@@ -569,20 +727,25 @@ class ReplicaMachine:
         sources = tuple(sorted(self.synced_from))
         self.synced_from = None
         self.recoveries += 1
+        finished = self.updated_list
         # Stale lock entries from agents that finished while we were down
-        # would wedge our LL top forever; clear them.
-        for agent_id in list(self.locking_list.view()):
-            if agent_id in self.updated_list:
-                self.locking_list.remove(agent_id)
-        if self.grant_holder is not None and self.grant_holder in self.updated_list:
-            self.release_grant(self.grant_holder)
+        # would wedge their key's LL top forever; clear them.
+        for lock in self.locks.values():
+            for agent_id in list(lock.queue.view()):
+                if agent_id in finished:
+                    lock.queue.remove(agent_id)
+                    self.queued -= 1
+            if lock.holder is not None and lock.holder in finished:
+                lock.release(lock.holder)
+        for agent_id in [a for a in self._key_of if a in finished]:
+            del self._key_of[agent_id]
         # The catch-up rewrote store/UL/LL state in bulk; rather than
         # journal a bulk diff, invalidate the window so every visitor
         # takes the full-snapshot fallback once.
         self.journal.reset()
         return [
-            Recovered(sources), QueueChanged(), ReleaseNotify(),
-        ] + self._serve_held(now)
+            Recovered(sources), QueueChanged(), ReleaseNotify(None),
+        ] + self._serve_every_key(now)
 
     def _on_read_query(
         self, payload: Dict[str, Any], src: str
@@ -606,6 +769,6 @@ class ReplicaMachine:
 
     def __repr__(self) -> str:
         return (
-            f"<ReplicaMachine {self.host!r} ll={len(self.locking_list)} "
+            f"<ReplicaMachine {self.host!r} ll={self.queued} "
             f"ul={len(self.updated_list)} commits={self.commits_applied}>"
         )

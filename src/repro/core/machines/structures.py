@@ -427,6 +427,11 @@ class HistoryLog:
             )
         self._sink = sink
 
+    @property
+    def streaming(self) -> bool:
+        """Commits go to a sink (:meth:`stream_to`), not to this log."""
+        return self._sink is not None
+
     def append(self, record: CommitRecord) -> None:
         last = self._last
         if last is not None and record.committed_at < last.committed_at:

@@ -494,9 +494,9 @@ def _x2(table: Table) -> Tuple[bool, str]:
     labels = sorted({label for _, label in at_peak})
     ratios = [at_peak["marp", label] / at_peak["mcv", label]
               for label in labels]
-    return all(ratio < 1.0 for ratio in ratios), (
-        f"MARP/MCV throughput at {heaviest:g} ms gaps ≤ {max(ratios):.2f} "
-        f"over {len(labels)} variants"
+    return all(ratio >= 0.95 for ratio in ratios), (
+        f"MARP/MCV throughput at {heaviest:g} ms gaps "
+        f"{min(ratios):.2f}–{max(ratios):.2f} over {len(labels)} variants"
     )
 
 
@@ -720,13 +720,14 @@ CLAIMS: Dict[str, Claim] = {claim.id: claim for claim in (
     ),
     Claim(
         "X2",
-        "extension: MARP's throughput plateaus at the single-lock "
-        "hand-off ceiling, below the quorum baseline's",
+        "extension: with a lock per key, MARP's throughput no longer "
+        "plateaus below the quorum baseline's: at the heaviest load it "
+        "keeps up with MCV's in every variant",
         scale_family,
         dict(interarrivals=SCALE_INTERARRIVALS,
              variants=tuple(default_variants())),
         _x2,
-        "MARP throughput < MCV's at the heaviest load, every variant",
+        "MARP throughput ≥ 0.95 × MCV's at the heaviest load, every variant",
         quick=dict(
             interarrivals=SCALE_QUICK_INTERARRIVALS, max_requests=40,
             variants=tuple(default_variants(

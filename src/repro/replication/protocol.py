@@ -16,7 +16,7 @@ workloads, metrics and consistency audits are protocol-agnostic.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.machines.agent import AgentMachine, suitcase_size
 from repro.core.machines.coordinators import LadderMachine, VotingMachine
@@ -128,16 +128,20 @@ class ReplicationProtocol:
         #: :meth:`retire_agent`); None for a row whose writes stay home
         self.agents: Optional[List[Coordinator]] = None
         self._retired_hops = 0
-        self._buffers: Optional[Dict[str, List[RequestRecord]]] = None
+        self._buffers: Optional[
+            Dict[Tuple[str, str], List[RequestRecord]]
+        ] = None
         self._stream = None
         if row.participant is None:
             self.agents = []
             self.itinerary = row.settings["itinerary"]
             self._batch_size = row.settings["batch_size"]
             if self._batch_size > 1:
+                #: (home, key) -> the writes waiting there: an agent
+                #: writes one key
                 self._buffers = {}
-                #: homes whose flush timer is armed
-                self._flushing: Set[str] = set()
+                #: the (home, key) buffers whose flush timer is armed
+                self._flushing: Set[Tuple[str, str]] = set()
         else:
             for host in deployment.hosts:
                 server = deployment.server(host)
@@ -229,25 +233,26 @@ class ReplicationProtocol:
         server.launch(agent)
 
     def _buffer(self, record: RequestRecord) -> None:
-        """Buffer one write at its home: the batch leaves when it fills,
-        or when the flush timer armed by its first write fires."""
-        home = record.home
-        buffer = self._buffers.setdefault(home, [])
+        """Buffer one write at its home, beside the other writes of its
+        key there: the batch leaves when it fills, or when the flush
+        timer armed by its first write fires."""
+        where = (record.home, record.key)
+        buffer = self._buffers.setdefault(where, [])
         buffer.append(record)
         if len(buffer) >= self._batch_size:
-            self._flush(home)
-        elif home not in self._flushing:
-            self._flushing.add(home)
-            self.env.call_in(BATCH_FLUSH_INTERVAL, self._flush_timer, home)
+            self._flush(where)
+        elif where not in self._flushing:
+            self._flushing.add(where)
+            self.env.call_in(BATCH_FLUSH_INTERVAL, self._flush_timer, where)
 
-    def _flush(self, home: str) -> None:
-        records = self._buffers.pop(home, None)
+    def _flush(self, where: Tuple[str, str]) -> None:
+        records = self._buffers.pop(where, None)
         if records:
-            self._dispatch(home, records)
+            self._dispatch(where[0], records)
 
-    def _flush_timer(self, home: str) -> None:
-        self._flushing.discard(home)
-        self._flush(home)
+    def _flush_timer(self, where: Tuple[str, str]) -> None:
+        self._flushing.discard(where)
+        self._flush(where)
 
     def retire_agent(self, agent: Coordinator) -> None:
         """A finished agent reports in, right after its records close,

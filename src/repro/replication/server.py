@@ -178,10 +178,6 @@ class ReplicaServer(Substrate):
         return self.machine.store
 
     @property
-    def locking_list(self):
-        return self.machine.locking_list
-
-    @property
     def updated_list(self):
         return self.machine.updated_list
 
@@ -329,6 +325,6 @@ class ReplicaServer(Substrate):
 
     def __repr__(self) -> str:
         return (
-            f"<ReplicaServer {self.host!r} ll={len(self.locking_list)} "
+            f"<ReplicaServer {self.host!r} ll={self.machine.queued} "
             f"ul={len(self.updated_list)} commits={self.commits_applied}>"
         )

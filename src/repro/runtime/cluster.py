@@ -8,7 +8,6 @@ consistency audit at shutdown.
 
 from __future__ import annotations
 
-import multiprocessing
 import queue
 import threading
 import time
@@ -72,6 +71,8 @@ class LiveCluster:
                     target=runtime.run, name=f"live-{host}", daemon=True
                 )
             else:
+                import multiprocessing
+
                 ctx = multiprocessing.get_context("fork")
                 worker = ctx.Process(
                     target=runtime.run, name=f"live-{host}", daemon=True

@@ -275,7 +275,7 @@ class HostRuntime(Substrate):
                     for key, entry in self.machine.store.snapshot().items()
                 },
                 "history": list(commits_of(self.machine.history)),
-                "locking_list_len": len(self.machine.locking_list),
-                "parked": len(self.interpreter.parked),
+                "locking_list_len": self.machine.queued,
+                "parked": sum(map(len, self.interpreter.parked.values())),
             }
         )

@@ -21,7 +21,6 @@ how a stopping host knows nothing is left in flight (see
 from __future__ import annotations
 
 import heapq
-import multiprocessing
 import os
 import queue
 import random
@@ -99,6 +98,15 @@ def _fresh_courier() -> None:
 os.register_at_fork(after_in_child=_fresh_courier)
 
 
+class _Count:
+    """The thread backend's work count (``value``, as a shared cell's)."""
+
+    __slots__ = ("value",)
+
+    def __init__(self) -> None:
+        self.value = 0
+
+
 class LiveTransport:
     """Mailbox fabric shared by all hosts of one live cluster."""
 
@@ -119,21 +127,27 @@ class LiveTransport:
         self.hosts = list(hosts)
         self.latency_range = (low, high)
         self.bandwidth = bandwidth_bytes_per_ms
-        ctx = multiprocessing.get_context("fork")
+        # Outstanding work of the whole cluster: messages sent and not
+        # yet dispatched, plus agents launched and not yet disposed. An
+        # int under a lock for threads; for processes one shared-memory
+        # cell, so forked hosts count into it too (the only start-up
+        # that loads multiprocessing).
         if backend == "thread":
             self.mailboxes: Dict[str, Any] = {
                 h: queue.Queue() for h in self.hosts
             }
             self.results: Any = queue.Queue()
+            self._work_lock: Any = threading.Lock()
+            self._work: Any = _Count()
         else:
+            import multiprocessing
+
+            ctx = multiprocessing.get_context("fork")
             self.mailboxes = {h: ctx.Queue() for h in self.hosts}
             self.results = ctx.Queue()
-        # Outstanding work of the whole cluster: messages sent and not
-        # yet dispatched, plus agents launched and not yet disposed. One
-        # shared-memory cell, so forked hosts count into it too.
-        work = ctx.Value("q", 0)
-        self._work_lock = work.get_lock()
-        self._work = work.get_obj()
+            work = ctx.Value("q", 0)
+            self._work_lock = work.get_lock()
+            self._work = work.get_obj()
         # stdlib RNG: picklable-free per-runtime usage; each runtime gets
         # its own child seed in practice, here one shared lock suffices
         # for the thread backend and each forked process re-seeds.

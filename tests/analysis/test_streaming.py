@@ -140,7 +140,9 @@ class TestStreamingBatchParity:
     def test_audits_agree_on_clean_run(self, twin_runs):
         batch, streaming = twin_runs
         full = audit(batch.deployment)
-        assert full.consistent and full.identical_histories
+        # Writes to different keys are not ordered with each other, so
+        # replicas may interleave the keys' histories differently.
+        assert full.consistent and full.gapless
         _assert_same_verdicts(streaming.audit, full)
 
 
@@ -156,7 +158,7 @@ def _assert_same_verdicts(online, batch):
 
 
 class TestOnlineAudit:
-    @pytest.mark.parametrize("protocol, gap", [("marp", 40.0), ("mcv", 160.0)])
+    @pytest.mark.parametrize("protocol, gap", [("marp", 15.0), ("mcv", 160.0)])
     def test_a_skipped_version_is_not_divergence(self, protocol, gap):
         # Second repeat of X2's WAN points: a replica misses a committed
         # version, which leaves it incomplete, not divergent.
@@ -169,6 +171,19 @@ class TestOnlineAudit:
                 streamed.consistent) == (True, False, True)
         _assert_same_verdicts(streamed, stored)
         assert streamed.findings["complete"] == stored.findings["complete"]
+
+    def test_a_streamed_deployment_is_not_audited_again(self):
+        # Its histories were checked as they applied and never stored:
+        # auditing the deployment afterwards would read empty chains as
+        # consistent.
+        result = run_once(RunConfig(
+            n_replicas=5, seed=13, requests_per_client=10, streaming=True,
+        ))
+        assert result.audit.total_commits == result.committed == 50
+        with pytest.raises(ReplicationError, match=(
+            r"s1, s2, s3, s4, s5 streamed their histories.*RunResult\.audit"
+        )):
+            audit(result.deployment)
 
     def test_a_fault_free_run_leaves_no_open_slot(self, monkeypatch):
         checks = []

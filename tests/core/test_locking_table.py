@@ -99,12 +99,12 @@ class TestVersionsAndSharing:
         table.update(view("s1", 1.0))
         table.update(view("s2", 1.0))
         replica = ReplicaMachine("s1", ["s1", "s2"], DES_TUNABLES)
-        assert replica.post_bulletin(table.views) == 1
-        assert set(replica.bulletin) == {"s2"}
-        assert replica.bulletin["s2"] is table.views["s2"]
+        assert replica.post_bulletin(table.views, "x") == 1
+        assert set(replica.board) == {"s2"}
+        assert replica.board["s2"] is table.views["s2"]
         # ... and keeps the view objects, never the dict it was handed.
         table.update(view("s3", 1.0))
-        assert set(replica.bulletin) == {"s2"}
+        assert set(replica.board) == {"s2"}
 
     def test_wire_size_grows_with_content(self):
         table = LockingTable()

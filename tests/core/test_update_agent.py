@@ -107,9 +107,10 @@ class TestFinishedAgentsLeave:
         assert marp.agents == []
         assert census() == before
         # the hops of every agent are still counted (pinned: the value
-        # since the agent next in line claims behind the winner instead
-        # of parking and touring again; 654 while it did)
-        assert marp.total_agent_hops() == 536
+        # since each key has its own lock at every replica; 536 while one
+        # lock served every key, 654 before the agent next in line
+        # claimed behind the winner instead of parking and touring again)
+        assert marp.total_agent_hops() == 418
 
 
 class TestContention:

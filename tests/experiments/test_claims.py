@@ -108,9 +108,9 @@ class TestRows:
             return Table(
                 "X2", ["protocol", "variant", "gap(ms)", "tput/s",
                        "consistent"],
-                [["marp", "wan", 10.0, 80.0, consistent],
+                [["marp", "wan", 10.0, 120.0, consistent],
                  ["marp", "wan", 40.0, 60.0, True],
-                 ["mcv", "wan", 10.0, 120.0, True],
+                 ["mcv", "wan", 10.0, 80.0, True],
                  ["mcv", "wan", 40.0, 70.0, True]],
                 keys=3,
             )
@@ -118,6 +118,25 @@ class TestRows:
         assert claims.CLAIMS["X2"].verdict(x2(True)).holds
         verdict = claims.CLAIMS["X2"].verdict(x2(False))
         assert not verdict.holds and not verdict.consistent
+
+    def test_x2_fails_where_marp_falls_behind_the_quorum_baseline(self):
+        def x2(marp_tput):
+            return Table(
+                "X2", ["protocol", "variant", "gap(ms)", "tput/s",
+                       "consistent"],
+                [["marp", "base", 10.0, marp_tput, True],
+                 ["marp", "wan", 10.0, 30.0, True],
+                 ["mcv", "base", 10.0, 300.0, True],
+                 ["mcv", "wan", 10.0, 10.0, True]],
+                keys=3,
+            )
+
+        held = claims.CLAIMS["X2"].verdict(x2(285.0))
+        assert held.holds
+        assert held.measured == (
+            "MARP/MCV throughput at 10 ms gaps 0.95–3.00 over 2 variants"
+        )
+        assert not claims.CLAIMS["X2"].verdict(x2(284.0)).holds
 
 
 class TestRunning:

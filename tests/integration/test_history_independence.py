@@ -268,7 +268,7 @@ class TestRoutedMailboxOrdering:
         def payload(batch):
             return UpdatePayload(
                 batch_id=batch, agent_id=AgentId("s2", 0.0, batch),
-                origin="s2", reply_to="s2", epoch=1,
+                origin="s2", reply_to="s2", epoch=1, keys=("k",),
             )
 
         def behind(_arg):

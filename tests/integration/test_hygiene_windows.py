@@ -102,7 +102,8 @@ def _prune_horizon(machine, grant_ttl):
 
     def served(now):
         """The Updated List a first-contact visit is handed."""
-        data, _effects = machine.begin_visit(visitor, 1, now, acked=-1)
+        data, _effects = machine.begin_visit(visitor, 1, now, acked=-1,
+                                             key="x")
         return data.finished
 
     assert done in served(horizon)

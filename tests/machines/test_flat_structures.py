@@ -196,9 +196,9 @@ def lapse_and_visit(machine, agent, n, now):
     """A queued agent falls silent past the lease, then visits again:
     every head entry lapses (deq) and the agent re-appends (enq).
     Returns the new clock."""
-    if agent in machine.locking_list:
+    if agent in machine.lock("x").queue:
         now += machine.updated_list.retention + 1.0
-        machine.begin_visit(agent, n, now, acked=-1)
+        machine.begin_visit(agent, n, now, acked=-1, key="x")
     return now
 
 
@@ -243,9 +243,9 @@ def test_incremental_tally_matches_a_recompute(ops, extra):
         if op == "enq":
             if (
                 agent not in machine.updated_list
-                and agent not in machine.locking_list
+                and agent not in machine.lock("x").queue
             ):
-                machine.request_lock(agent, n, now)
+                machine.request_lock(agent, n, now, "x")
         elif op == "commit":
             # a COMMIT reaches every replica, as the broadcast does
             for each in machines:
@@ -257,15 +257,15 @@ def test_incremental_tally_matches_a_recompute(ops, extra):
         elif op == "lapse":
             now = lapse_and_visit(machine, agent, n, now)
         elif op == "visit":
-            patch = machine.delta_view(now, table.acked_seq(machine.host))
-            snapshot = machine.lock_view(now)
+            patch = machine.delta_view(now, table.acked_seq(machine.host), "x")
+            snapshot = machine.lock_view(now, "x")
             old_snapshots.append(snapshot)
             if patch is None:
                 table.absorb(snapshot, machine.updated_list.as_set())
             else:
                 table.absorb(patch)
         elif op == "bulletin":
-            board = {each.host: each.lock_view(now) for each in machines}
+            board = {each.host: each.lock_view(now, "x") for each in machines}
             old_snapshots.extend(board.values())
             del board[machine.host]
             table.merge_bulletin(board)
@@ -616,10 +616,10 @@ def test_absorb_keeps_only_queued_finished_ids(ops):
         if op == "enq":
             if (
                 agent not in machine.updated_list
-                and agent not in machine.locking_list
+                and agent not in machine.lock("x").queue
             ):
-                machine.request_lock(agent, n, now)
-                old_snapshots.append(machine.lock_view(now))
+                machine.request_lock(agent, n, now, "x")
+                old_snapshots.append(machine.lock_view(now, "x"))
             continue
         if op == "commit":
             for each in machines:
@@ -632,22 +632,22 @@ def test_absorb_keeps_only_queued_finished_ids(ops):
         if op == "lapse":
             now = lapse_and_visit(machine, agent, n, now)
             continue
-        board = machine.bulletin
+        board = machine.read_bulletin("x")
         if op == "stale" and old_snapshots:
             pick = old_snapshots[n % len(old_snapshots)]
             if pick.host != machine.host:
                 board = {pick.host: pick}
-        patch = machine.delta_view(now, des.acked_seq(machine.host))
+        patch = machine.delta_view(now, des.acked_seq(machine.host), "x")
         assert live.acked_seq(machine.host) == des.acked_seq(machine.host)
         if patch is None:
-            view = machine.lock_view(now)
+            view = machine.lock_view(now, "x")
             finished = machine.updated_list.as_set()
             old_snapshots.append(view)
         else:
             view, finished = patch, frozenset(patch.finished)
         for table in (des, live):
             table.absorb(view, finished, board)
-        machine.post_bulletin(des.views)
+        machine.post_bulletin(des.views, "x")
         live = pickle.loads(pickle.dumps(live))
         model = (model | finished) & named_ids(des)
         for table in (des, live):

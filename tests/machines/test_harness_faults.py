@@ -195,7 +195,7 @@ class TestKill:
         harness.kill(victim)
         assert victim in harness.killed
         assert victim not in harness.agents
-        assert victim in harness.replicas["s1"].locking_list
+        assert victim in harness.replicas["s1"].lock("x").queue
         harness.run(until=10_000)
         # Nobody commits on the dead agent's behalf.
         assert harness.statuses() == {}
@@ -223,7 +223,7 @@ class TestKill:
         assert harness.statuses() == {2: "committed"}
         assert harness.commit_chains() == {"x": [(1, "alive")]}
         assert harness.audit().consistent
-        assert victim not in harness.replicas["s1"].locking_list
+        assert victim not in harness.replicas["s1"].lock("x").queue
         # One lease after the kill, then one park-and-claim cycle: a
         # park timeout, a refresh tour of the other hosts, a claim.
         lease = harness.replicas["s1"].updated_list.retention
@@ -268,9 +268,9 @@ class TestLease:
         harness.slow, harness.extra = a, 50.0
         s4 = harness.replicas["s4"]
         harness.run(until=177.0)
-        assert s4.locking_list.view() == (c,) and s4.evicted == 0
+        assert s4.lock("x").queue.view() == (c,) and s4.evicted == 0
         harness.run(until=178.0)
-        assert s4.locking_list.view() == (a, c) and s4.evicted == 1
+        assert s4.lock("x").queue.view() == (a, c) and s4.evicted == 1
         assert (80.0, "park", "") in harness.agents[c].notes
         assert (178.0, "visit", "rank 1 of 2") in harness.agents[c].notes
         harness.run(until=100_000)
@@ -286,23 +286,23 @@ class TestLease:
         w, b, c = (AgentId(host, at, 0) for host, at in
                    (("s2", 1.0), ("s3", 2.0), ("s1", 3.0)))
         replica = ReplicaMachine("s1", HOSTS, ProtocolTunables())
-        replica.request_lock(w, 1, 0.0)
-        replica.request_lock(b, 2, 0.5)
+        replica.request_lock(w, 1, 0.0, "x")
+        replica.request_lock(b, 2, 0.5, "x")
         for agent, batch, at, behind in ((w, 1, 1.0, None), (b, 2, 1.5, w)):
             replica.on(MsgReceived("UPDATE", UpdatePayload(
                 batch_id=batch, agent_id=agent, origin=agent.host,
                 reply_to=agent.host, epoch=1, keys=("x",), behind=behind,
             ), at))
-        assert list(replica.held_updates) == [2]
+        assert list(replica.lock("x").held_updates) == [2]
         replica.on(MsgReceived("COMMIT", UpdatePayload(
             batch_id=1, agent_id=w, origin="s2",
             writes=(WriteOp(1, "x", "w", 1),),
         ), 6000.0))
-        assert replica.grant_holder == b
-        assert replica.grant_expires_at == 16_000.0
+        assert replica.lock("x").holder == b
+        assert replica.lock("x").expires_at == 16_000.0
         lease = replica.updated_list.retention
-        replica.begin_visit(c, 3, 1.5 + lease + 0.5, acked=-1)
-        assert replica.locking_list.view() == (b, c)
+        replica.begin_visit(c, 3, 1.5 + lease + 0.5, acked=-1, key="x")
+        assert replica.lock("x").queue.view() == (b, c)
         assert replica.evicted == 0
 
 
@@ -351,12 +351,12 @@ class TestCatchUp:
         replica = harness.replicas["s3"]
         # The visit at its home yielded ReplicaDown: no lock entry there.
         assert (10.0, "unavailable", "") in harness.agents[agent].notes
-        assert agent not in replica.locking_list
+        assert agent not in replica.lock("x").queue
         # Neither the UPDATE nor the READQ got a reply ...
         assert {
             kind for _i, kind, src, _dst in harness.sends if src == "s3"
         } == {"SYNC_REQUEST"}
-        assert replica.grant_holder is None
+        assert replica.lock("x").holder is None
         # ... but the COMMIT applied.
         assert replica.read("y").value == "y1"
         assert replica.commits_applied == 1
@@ -374,7 +374,7 @@ class TestCatchUp:
         assert not harness.replicas["s4"].catching_up
         agent = harness.submit("s3", 1, "x", "v1", at=20.0)
         harness.run(until=20.0)
-        assert agent in replica.locking_list
+        assert agent in replica.lock("x").queue
 
     def test_with_every_peer_down_it_stalls_then_resumes(self):
         """What ROADMAP 2(b) needs of a majority crash: s1 restarts

@@ -160,7 +160,7 @@ class TestScripts:
         for loser in losers:
             loser.machine.state.tour_remaining = set()
             s1.launch(loser)
-        assert list(s1.parked) == [
+        assert list(s1.parked["x"]) == [
             loser.machine.state.agent_id for loser in losers
         ]
         woken = []
@@ -183,7 +183,7 @@ class TestScripts:
         loser = world.agent("s1", 2)
         loser.machine.state.tour_remaining = set()
         s1.launch(loser)
-        assert list(s1.parked) == [loser.machine.state.agent_id]
+        assert list(s1.parked["x"]) == [loser.machine.state.agent_id]
         (deadline, _fire), = world.timers
         assert deadline == TUNABLES.park_timeout
         world.fire()

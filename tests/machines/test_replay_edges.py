@@ -80,7 +80,7 @@ HOSTS = ["s1", "s2", "s3"]
 
 
 def update_msg(agent_id, batch_id, epoch, now, writes=(), reply_to="client",
-               keys=None, behind=None):
+               keys=("x",), behind=None):
     payload = UpdatePayload(
         batch_id=batch_id,
         agent_id=agent_id,
@@ -123,12 +123,12 @@ class TestGrantTTLExpiryDuringClaim:
         # Within the TTL the grant is exclusive: B is NACKed.
         effects = self.replica.on(update_msg(self.b, 2, 1, now=10.0))
         assert isinstance(effects[0], Nacked)
-        assert self.replica.grant_holder == self.a
+        assert self.replica.lock("x").holder == self.a
 
         # Past the TTL, A's (presumably dead) claim no longer blocks B.
         effects = self.replica.on(update_msg(self.b, 2, 1, now=61.0))
         assert isinstance(effects[0], Granted)
-        assert self.replica.grant_holder == self.b
+        assert self.replica.lock("x").holder == self.b
 
     def test_stale_release_cannot_evict_the_new_holder(self):
         self.replica.on(update_msg(self.a, 1, 1, now=0.0))
@@ -137,7 +137,7 @@ class TestGrantTTLExpiryDuringClaim:
             batch_id=1, agent_id=self.a, origin=self.a.host, epoch=1
         )
         assert self.replica.on(MsgReceived("RELEASE", release, 62.0)) == []
-        assert self.replica.grant_holder == self.b
+        assert self.replica.lock("x").holder == self.b
 
     def test_late_commit_after_expiry_still_applies(self):
         # A's round actually *succeeded* elsewhere: its COMMIT must apply
@@ -148,7 +148,7 @@ class TestGrantTTLExpiryDuringClaim:
         effects = self.replica.on(commit_msg(self.a, 1, 70.0, writes))
         assert any(isinstance(e, CommitApplied) for e in effects)
         assert self.replica.read("x").value == "av"
-        assert self.replica.grant_holder == self.b
+        assert self.replica.lock("x").holder == self.b
 
 
 class TestCommitOvertakesAckRound:
@@ -197,8 +197,8 @@ class TestCommitOvertakesAckRound:
         harness.delay_message(5, 2.5)
         harness.run(until=5.75)
         s1 = harness.replicas["s1"]
-        assert a in s1.updated_list and s1.grant_holder is None
-        assert s1.held_updates == {}
+        assert a in s1.updated_list and s1.lock("x").holder is None
+        assert s1.lock("x").held_updates == {}
         assert (5.5, "grant", "epoch 2") in harness.agents[a].notes
         harness.run(until=10_000)
         assert harness.commit_chains() == {"x": [(1, "a"), (2, "b")]}
@@ -538,8 +538,8 @@ class TestAckQuorumCarriesD3:
         # by _ack.
         serve = ReplicaMachine._ack
 
-        def no_versions(self, payload, now):
-            effects = serve(self, payload, now)
+        def no_versions(self, lock, key, payload, now):
+            effects = serve(self, lock, key, payload, now)
             for effect in effects:
                 if isinstance(effect, Send) and effect.kind == "ACK":
                     effect.payload["versions"] = {}
@@ -699,10 +699,8 @@ class TestVisitGrants:
         check_schedule(self.holder_not_queued())
 
     def test_granting_over_a_held_grant_is_convicted(self, monkeypatch):
-        def ignores_the_holder(self, agent_id, now):
-            return (
-                len(self.locking_list) == 1 and agent_id in self.locking_list
-            )
+        def ignores_the_holder(self, lock, agent_id, now):
+            return len(lock.queue) == 1 and agent_id in lock.queue
 
         monkeypatch.setattr(
             ReplicaMachine, "_grants_on_visit", ignores_the_holder
@@ -766,7 +764,7 @@ class TestVisitGrants:
         def visit(replica, now):
             data, _effects = replica.begin_visit(
                 a, 1, now, acked=state.table.acked_seq(replica.host),
-                keys=machine.grant_keys(), epoch=state.epoch,
+                key="x", grant=machine.asks_grant(), epoch=state.epoch,
             )
             return machine.on_arrived(Arrived(
                 host=replica.host, now=now, view=data.view,
@@ -775,9 +773,9 @@ class TestVisitGrants:
             ))
 
         visit(s1, 0.0)
-        assert (s1.grant_holder, s1.grant_epoch) == (a, 0)
+        assert (s1.lock("x").holder, s1.lock("x").epoch) == (a, 0)
         assert set(state.visit_grants) == {"s1"}
-        s2.begin_visit(rival, 2, 0.5, acked=-1)
+        s2.begin_visit(rival, 2, 0.5, acked=-1, key="x")
         (release,) = [
             effect for effect in visit(s2, 1.0)
             if isinstance(effect, Send) and effect.kind == "RELEASE"
@@ -785,14 +783,14 @@ class TestVisitGrants:
         assert (release.dst, release.payload.epoch) == ("s1", 0)
         assert state.visit_grants == {} and state.epoch == 1
         # The rival commits; A learns it at s2 and is alone again.
-        s2.on(commit_msg(rival, 2, 2.0, (WriteOp(2, "y", "r", 1),)))
+        s2.on(commit_msg(rival, 2, 2.0, (WriteOp(2, "x", "r", 1),)))
         visit(s2, 3.0)
-        assert machine.grant_keys() == ("x",)
+        assert machine.asks_grant()
         visit(s1, 4.0)
-        assert (s1.grant_holder, s1.grant_epoch) == (a, 1)
+        assert (s1.lock("x").holder, s1.lock("x").epoch) == (a, 1)
         assert set(state.visit_grants) == {"s1"}
         assert s1.on(MsgReceived("RELEASE", release.payload, 5.0)) == []
-        assert (s1.grant_holder, s1.grant_epoch) == (a, 1)
+        assert (s1.lock("x").holder, s1.lock("x").epoch) == (a, 1)
 
     def old_grant(self, hop):
         """A lone agent whose second visit lands ``hop`` ms after its
@@ -834,14 +832,14 @@ class TestPipelinedHandoff:
         """s1 queues W then B; W holds the grant; B's UPDATE behind W
         (epoch 2) is held."""
         replica = ReplicaMachine("s1", HOSTS, ProtocolTunables())
-        replica.request_lock(self.W, 1, 0.0)
-        replica.request_lock(self.B, 2, 0.5)
+        replica.request_lock(self.W, 1, 0.0, "x")
+        replica.request_lock(self.B, 2, 0.5, "x")
         replica.on(update_msg(self.W, 1, 1, now=1.0, keys=("x",)))
         held = replica.on(update_msg(
             self.B, 2, 2, now=1.5, reply_to="s3", keys=("x",), behind=self.W,
         ))
-        assert held == [] and list(replica.held_updates) == [2]
-        assert replica.grant_holder == self.W
+        assert held == [] and list(replica.lock("x").held_updates) == [2]
+        assert replica.lock("x").holder == self.W
         return replica
 
     def w_commits(self, replica, now=2.0):
@@ -863,8 +861,8 @@ class TestPipelinedHandoff:
         (ack,) = [e for e in effects if isinstance(e, Send)]
         assert (ack.dst, ack.kind) == ("s3", "ACK")
         assert ack.payload["versions"] == {"x": 1}  # W's write
-        assert replica.grant_holder == self.B
-        assert replica.held_updates == {}
+        assert replica.lock("x").holder == self.B
+        assert replica.lock("x").held_updates == {}
 
     def test_on_the_harness_the_claim_behind_commits_with_no_nack(self):
         """A (s1) and B (s2) meet on their first tours. A claims by the
@@ -907,7 +905,8 @@ class TestPipelinedHandoff:
             for i in harness.interpreters.values()
         ) == 1
         for replica in harness.replicas.values():
-            assert replica.held_updates == {} == replica.held_commits
+            lock = replica.lock("x")
+            assert lock.held_updates == {} == lock.held_commits
 
     def test_a_commit_behind_a_queued_winner_waits_for_it(self):
         replica = self.replica_behind_w()
@@ -915,13 +914,14 @@ class TestPipelinedHandoff:
         assert replica.on(commit_msg(
             self.B, 2, 3.0, b_writes, behind=self.W,
         )) == []
-        assert list(replica.held_commits) == [2]
-        assert replica.held_updates == {}  # B's own COMMIT drops it
+        assert list(replica.lock("x").held_commits) == [2]
+        assert replica.lock("x").held_updates == {}  # B's own COMMIT drops it
         effects = self.w_commits(replica, now=4.0)
         assert [(e.agent_id, e.version) for e in effects
                 if isinstance(e, CommitApplied)] == [(self.W, 1), (self.B, 2)]
         assert not any(isinstance(e, Granted) for e in effects)
-        assert replica.held_commits == {} and replica.grant_holder is None
+        lock = replica.lock("x")
+        assert lock.held_commits == {} and lock.holder is None
         assert [r.version for r in replica.history] == [1, 2]
 
     # -- mutations ----------------------------------------------------------
@@ -960,13 +960,13 @@ class TestPipelinedHandoff:
     ):
         serve = ReplicaMachine._serve_held
 
-        def as_if_the_grant_were_free(self, now):
-            holder, self.grant_holder = self.grant_holder, None
+        def as_if_the_grant_were_free(self, lock, key, now):
+            holder, lock.holder = lock.holder, None
             try:
-                return serve(self, now)
+                return serve(self, lock, key, now)
             finally:
-                if self.grant_holder is None:
-                    self.grant_holder = holder
+                if lock.holder is None:
+                    lock.holder = holder
 
         monkeypatch.setattr(
             ReplicaMachine, "_serve_held", as_if_the_grant_were_free
@@ -996,16 +996,18 @@ class TestPipelinedHandoff:
     def test_the_release_of_its_epoch_drops_a_held_update(self):
         replica, on_commit, on_update = self.release_then_commit()
         assert not any(isinstance(e, Granted) for e in on_commit)
-        assert replica.held_updates == {}
+        assert replica.lock("x").held_updates == {}
         assert isinstance(on_update[0], Granted)  # C is ACKed
-        assert replica.grant_holder == self.C
+        assert replica.lock("x").holder == self.C
 
     def test_serving_after_the_release_of_its_epoch_is_convicted(
         self, monkeypatch
     ):
         def keeps_the_held_update(self, payload, now):
-            self.release_grant(payload.agent_id, up_to_epoch=payload.epoch)
-            return self._serve_held(now)
+            key = self._key_of[payload.agent_id]
+            lock = self.locks[key]
+            lock.release(payload.agent_id, up_to_epoch=payload.epoch)
+            return self._serve_held(lock, key, now)
 
         monkeypatch.setattr(
             ReplicaMachine, "_on_release", keeps_the_held_update
@@ -1014,7 +1016,7 @@ class TestPipelinedHandoff:
         # B's abandoned claim takes the grant, and C is refused for it.
         assert any(isinstance(e, Granted) for e in on_commit)
         assert isinstance(on_update[0], Nacked)
-        assert replica.grant_holder == self.B
+        assert replica.lock("x").holder == self.B
 
     def test_applying_a_commit_ahead_of_its_winner_is_convicted(
         self, monkeypatch
@@ -1028,9 +1030,12 @@ class TestPipelinedHandoff:
         harness, _ids = run_schedule(schedule)
         assert harness.audit().complete
 
-        def never_held(self, payload, now):
-            self.held_updates.pop(payload.batch_id, None)
-            return self._apply_commit(payload, now) + self._serve_held(now)
+        def never_held(self, key, payload, now):
+            lock = self._open(key)
+            lock.held_updates.pop(payload.batch_id, None)
+            return self._apply_commit(key, payload, now) + self._serve_held(
+                lock, key, now
+            )
 
         monkeypatch.setattr(ReplicaMachine, "_on_commit", never_held)
         harness, _ids = run_schedule(schedule)
@@ -1053,7 +1058,7 @@ class TestPipelinedHandoff:
         other = (WriteOp(request_id=3, key="y", value="c", version=1),)
         replica.on(commit_msg(self.C, 3, 4.0, other))
         assert [(r.key, r.version) for r in replica.history] == [("y", 1)]
-        assert list(replica.held_commits) == [2]
+        assert list(replica.lock("x").held_commits) == [2]
 
         peers = {host: ReplicaMachine(host, HOSTS, ProtocolTunables())
                  for host in ("s2", "s3")}
@@ -1068,8 +1073,8 @@ class TestPipelinedHandoff:
             ))
         assert [(e.agent_id, e.version) for e in effects
                 if isinstance(e, CommitApplied)] == [(self.B, 2)]
-        assert replica.held_commits == {}
-        assert self.W not in replica.locking_list
+        assert replica.lock("x").held_commits == {}
+        assert self.W not in replica.lock("x").queue
         assert replica.read("x").value == "b"
 
     def test_with_no_restart_the_held_commit_applies_once_w_lapses(self):
@@ -1081,12 +1086,123 @@ class TestPipelinedHandoff:
         replica.on(commit_msg(self.B, 2, 3.0, b_writes, behind=self.W))
         lease = replica.updated_list.retention
         _data, effects = replica.begin_visit(self.C, 3, 1.0 + lease,
-                                             acked=-1)
-        assert list(replica.held_commits) == [2] and replica.evicted == 0
+                                             acked=-1, key="x")
+        assert list(replica.lock("x").held_commits) == [2] and replica.evicted == 0
         _data, effects = replica.begin_visit(self.C, 3, 1.2 + lease,
-                                             acked=-1)
+                                             acked=-1, key="x")
         assert [(e.agent_id, e.version) for e in effects
                 if isinstance(e, CommitApplied)] == [(self.B, 2)]
-        assert replica.held_commits == {} and replica.evicted == 1
-        assert replica.locking_list.view() == (self.C,)
+        assert replica.lock("x").held_commits == {} and replica.evicted == 1
+        assert replica.lock("x").queue.view() == (self.C,)
         assert replica.read("x").value == "b"
+
+
+class TestOneLockPerKey:
+    """Each key has its own Locking List and grant at every replica
+    (docs/protocol.md §2, "One lock per key"): writers of different keys
+    never wait for each other, writers of one key serialise as they
+    always did, and a release wakes only the agents parked on its key."""
+
+    def race(self, first, second):
+        """A writes ``first`` from s1 at t=0, B writes ``second`` from
+        s2 half a hop later: they cross on their first tours."""
+        harness = KernelHarness(HOSTS)
+        a = harness.submit("s1", 1, first, "a", at=0.0)
+        b = harness.submit("s2", 2, second, "b", at=0.5, created_seq=1)
+        harness.run(until=10_000)
+        return harness, a, [
+            [(when, kind, text) for when, kind, text
+             in harness.agents[agent].notes
+             if kind in ("claim", "park", "nack", "commit")]
+            for agent in (a, b)
+        ]
+
+    def test_writers_of_two_keys_commit_on_their_first_tours(self):
+        """Each is alone in its key's lists, takes its grants on its
+        visits and commits on them, without an UPDATE round and without
+        waiting for the other's COMMIT. (With one lock for both keys, B
+        claimed behind A and committed at t=6, after A's COMMIT.)"""
+        harness, _a, (a, b) = self.race("x", "y")
+        assert a == [(1.0, "claim", "epoch 1 on visit grants"),
+                     (1.0, "commit", "x=v1")]
+        assert b == [(1.5, "claim", "epoch 1 on visit grants"),
+                     (1.5, "commit", "y=v1")]
+        assert harness.commit_chains() == {"x": [(1, "a")], "y": [(1, "b")]}
+
+    def test_writers_of_one_key_serialise_as_before(self):
+        harness, first, (a, b) = self.race("x", "x")
+        assert a == [(2.0, "claim", "epoch 2"), (4.0, "commit", "x=v1")]
+        assert b == [(2.5, "claim", f"epoch 2 behind {first}"),
+                     (6.0, "commit", "x=v2")]
+        assert harness.commit_chains() == {"x": [(1, "a"), (2, "b")]}
+
+    def test_a_release_on_y_wakes_no_agent_parked_on_x(self):
+        """Three writers of x split s1..s3; the tie-break crowns the
+        first and the other two park at t=2. A writer of y, born at
+        t=2.5, commits on its visit grants at t=3.5, and every replica
+        applies it at t=4.5: the agents parked on x sleep on, and wake
+        at t=5, when x's winner's COMMIT lands."""
+        harness = KernelHarness(HOSTS)
+        xs = [harness.submit(home, n, "x", f"x{n}", at=0.0, created_seq=n)
+              for n, home in enumerate(HOSTS, start=1)]
+        y = harness.submit("s3", 9, "y", "y", at=2.5, created_seq=9)
+        harness.run(until=4.75)
+        assert all(
+            replica.version_of("y") == 1
+            for replica in harness.replicas.values()
+        )
+        parked = {
+            agent for interpreter in harness.interpreters.values()
+            for agent in interpreter.parked.get("x", ())
+        }
+        assert parked == set(xs[1:])
+        assert not any(interpreter.parked.get("y")
+                       for interpreter in harness.interpreters.values())
+        harness.run(until=10_000)
+        for agent in xs[1:]:
+            notes = harness.agents[agent].notes
+            assert [when for when, kind, _text in notes
+                    if kind in ("park", "wake")] == [2.0, 5.0]
+        assert [text for _when, kind, text in harness.agents[y].notes
+                if kind == "commit"] == ["y=v1"]
+        assert harness.commit_chains() == {
+            "x": [(1, "x1"), (2, "x2"), (3, "x3")], "y": [(1, "y")],
+        }
+
+    def two_keys_and_a_held_grant(self):
+        """:meth:`TestVisitGrants.holder_not_queued` (B holds the grants
+        of x at s1 and s3, where A, writing x, then visits alone), with
+        a writer of y that commits first."""
+        schedule = TestVisitGrants().holder_not_queued()
+        return dataclasses.replace(
+            schedule,
+            submits=(SubmitOp("s1", 3, "y", "c", at=0.0),) + schedule.submits,
+        )
+
+    def test_the_script_holds(self):
+        harness, _ids = run_schedule(self.two_keys_and_a_held_grant())
+        assert harness.commit_chains() == {
+            "x": [(1, "b"), (2, "a")], "y": [(1, "c")],
+        }
+        check_schedule(self.two_keys_and_a_held_grant())
+
+    def test_granting_on_the_grant_of_another_key_is_convicted(
+        self, monkeypatch
+    ):
+        def reads_the_grant_of_y(self, lock, agent_id, now):
+            other = self.lock("y")
+            return (
+                len(lock.queue) == 1 and agent_id in lock.queue
+                and (agent_id == other.holder or other.is_free(now))
+            )
+
+        monkeypatch.setattr(
+            ReplicaMachine, "_grants_on_visit", reads_the_grant_of_y
+        )
+        # A is granted x on its visits over B's grant of x, and both
+        # claim x@1: B's lands first, A's is refused as stale.
+        with pytest.raises(
+            InvariantViolation,
+            match=r"request 2 reported committed but owns no",
+        ):
+            check_schedule(self.two_keys_and_a_held_grant())

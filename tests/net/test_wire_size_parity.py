@@ -21,6 +21,7 @@ import dataclasses
 
 import pytest
 
+from repro.errors import ProtocolError
 from repro.core.machines.identity import AgentId
 from repro.core.machines.agent import AgentCoreState, AgentMachine
 from repro.core.machines.config import ProtocolTunables
@@ -164,6 +165,11 @@ def test_an_ack_reports_versions_of_exactly_the_update_keys(payload):
             WriteOp(request_id=version, key=key, value=key, version=version),
             origin=host, now=0.0,
         )
+    if payload.keys is None or len(payload.keys) != 1:
+        # An agent writes one key, and its UPDATE names it.
+        with pytest.raises(ProtocolError, match="one key"):
+            replica.on(MsgReceived("UPDATE", payload, 1.0))
+        return
     effects = replica.on(MsgReceived("UPDATE", payload, 1.0))
     ack = next(e for e in effects if isinstance(e, Send))
     assert ack.kind == "ACK"
@@ -173,9 +179,9 @@ def test_an_ack_reports_versions_of_exactly_the_update_keys(payload):
 
 
 def test_the_claim_names_its_keys_and_commits_from_the_acks():
-    """The claim's UPDATE names the batch's distinct keys, and an ACK
-    answers with the replica's version of each — 0 for a key it never
-    applied — and of no other key it holds."""
+    """The claim's UPDATE names the batch's one key, and an ACK answers
+    with the replica's version of it and of no other key it holds; a
+    batch of two keys is refused."""
     hosts = ["s1", "s2", "s3"]
     tunables = ProtocolTunables()
     replica = ReplicaMachine("s2", hosts, tunables)
@@ -185,10 +191,18 @@ def test_the_claim_names_its_keys_and_commits_from_the_acks():
             origin="s2", now=0.0,
         )
     agent = AgentId("s1", 1.0, 0)
+    with pytest.raises(ProtocolError, match="writes one key"):
+        AgentMachine(
+            AgentCoreState(
+                agent_id=agent, home="s1", batch_id=11, location="s1",
+                requests=[(11, "y", 1), (12, "new", 2)],
+            ),
+            hosts, tunables,
+        )
     machine = AgentMachine(
         AgentCoreState(
             agent_id=agent, home="s1", batch_id=11, location="s1",
-            requests=[(11, "y", 1), (12, "new", 2), (13, "y", 3)],
+            requests=[(11, "y", 1), (12, "y", 2), (13, "y", 3)],
         ),
         hosts, tunables,
     )
@@ -196,11 +210,11 @@ def test_the_claim_names_its_keys_and_commits_from_the_acks():
         e.payload for e in machine.start_claim(now=1.0)
         if isinstance(e, Broadcast) and e.kind == "UPDATE"
     )
-    assert update.keys == ("y", "new")
+    assert update.keys == ("y",)
     effects = replica.on(MsgReceived("UPDATE", update, 2.0, src="s1"))
     ack = next(e for e in effects if isinstance(e, Send))
     assert ack.kind == "ACK"
-    assert ack.payload["versions"] == {"y": 2, "new": 0}
+    assert ack.payload["versions"] == {"y": 2}
     # The ACKs are the versions' only source, and COMMIT (like RELEASE
     # and ABORT) names no keys: its bytes do not move.
     other = ReplicaMachine("s3", hosts, tunables)
@@ -217,5 +231,5 @@ def test_the_claim_names_its_keys_and_commits_from_the_acks():
     )
     assert commit.keys is None
     assert [(w.key, w.version) for w in commit.writes] == [
-        ("y", 3), ("new", 1), ("y", 4),
+        ("y", 3), ("y", 4), ("y", 5),
     ]

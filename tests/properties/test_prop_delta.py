@@ -19,6 +19,10 @@ Stale re-deliveries of previously seen snapshots (the bulletin path)
 are interleaved too — both tables drop them via the O(1) seq-skip, and
 they must still agree.
 
+Each agent writes one of three keys and queues on it; both tables
+watch key ``x``, so a delta must replay ``x``'s events out of a journal
+that logs all three.
+
 Journal capacity is drawn small on purpose so eviction-forced fallbacks
 actually happen inside the window of a few dozen operations.
 
@@ -100,11 +104,11 @@ def test_delta_and_full_merge_sequences_agree(ops, capacity):
     next_version = {key: 0 for key in KEYS}
 
     def sync(at: float) -> None:
-        snapshot = machine.lock_view(at)
+        snapshot = machine.lock_view(at, "x")
         finished = machine.updated_list.as_set()
         full.absorb(snapshot, finished)
         seen_snapshots.append(snapshot)
-        patch = machine.delta_view(at, delta.acked_seq("s1"))
+        patch = machine.delta_view(at, delta.acked_seq("s1"), "x")
         if patch is None:
             delta.absorb(snapshot, finished)
         else:
@@ -120,11 +124,12 @@ def test_delta_and_full_merge_sequences_agree(ops, capacity):
         now += 1.0
         agent = aid(arg)
         if op == "enq":
+            key = KEYS[arg % len(KEYS)]
             if (
                 agent not in machine.updated_list
-                and agent not in machine.locking_list
+                and agent not in machine.lock(key).queue
             ):
-                machine.request_lock(agent, arg, now)
+                machine.request_lock(agent, arg, now, key)
         elif op in ("commit", "abort"):
             if agent in machine.updated_list:
                 continue

@@ -21,7 +21,7 @@ def aid(n: int) -> AgentId:
 def request_lock(server, n: int, request_id: int) -> None:
     """Append agent ``n`` to the server's Locking List, as a visit does."""
     server.interpreter.run_replica(
-        server.machine.request_lock(aid(n), request_id, server.env.now)
+        server.machine.request_lock(aid(n), request_id, server.env.now, "x")
     )
 
 
@@ -35,6 +35,7 @@ def payload(agent_n: int, version: int = 1, value="v", epoch: int = 1,
         writes=(WriteOp(batch_id, "x", value, version),),
         reply_to=reply_to,
         epoch=epoch,
+        keys=("x",),
     )
 
 
@@ -69,13 +70,13 @@ class TestLocalInterface:
     def test_request_lock_appends(self, dep):
         server = dep.server("s1")
         request_lock(server, 1, 101)
-        assert server.locking_list.top() == aid(1)
+        assert server.machine.lock("x").queue.top() == aid(1)
 
     def test_request_lock_idempotent(self, dep):
         server = dep.server("s1")
         request_lock(server, 1, 101)
         request_lock(server, 1, 101)
-        assert len(server.locking_list) == 1
+        assert len(server.machine.lock("x").queue) == 1
 
     def test_request_lock_after_completion_rejected(self, dep):
         server = dep.server("s1")
@@ -87,7 +88,7 @@ class TestLocalInterface:
         server = dep.server("s1")
         request_lock(server, 1, 101)
         server.store.apply("x", "v", 3, 0.0)
-        view = server.machine.lock_view(dep.env.now)
+        view = server.machine.lock_view(dep.env.now, "x")
         assert view.host == "s1"
         assert view.view == (aid(1),)
         # Lock state only: committed versions travel in ACKs alone.
@@ -97,22 +98,22 @@ class TestLocalInterface:
         server = dep.server("s1")
         old = SharedView("s2", 1.0, (), frozenset())
         new = SharedView("s2", 2.0, (aid(1),), frozenset())
-        assert server.machine.post_bulletin({"s2": old}) == 1
-        assert server.machine.post_bulletin({"s2": new}) == 1
-        assert server.machine.post_bulletin({"s2": old}) == 0
-        assert server.machine.read_bulletin()["s2"].as_of == 2.0
+        assert server.machine.post_bulletin({"s2": old}, "x") == 1
+        assert server.machine.post_bulletin({"s2": new}, "x") == 1
+        assert server.machine.post_bulletin({"s2": old}, "x") == 0
+        assert server.machine.read_bulletin("x")["s2"].as_of == 2.0
 
     def test_bulletin_ignores_own_host(self, dep):
         server = dep.server("s1")
         own = SharedView("s1", 1.0, (), frozenset())
-        assert server.machine.post_bulletin({"s1": own}) == 0
+        assert server.machine.post_bulletin({"s1": own}, "x") == 0
 
     def test_bulletin_disabled(self, dep):
         server = dep.server("s1")
         server.config.enable_bulletin = False
         view = SharedView("s2", 1.0, (), frozenset())
-        assert server.machine.post_bulletin({"s2": view}) == 0
-        assert server.machine.read_bulletin() == {}
+        assert server.machine.post_bulletin({"s2": view}, "x") == 0
+        assert server.machine.read_bulletin("x") == {}
 
     def test_wait_release_fires_on_commit(self, dep):
         server = dep.server("s1")
@@ -126,12 +127,12 @@ class TestLocalInterface:
                 server.park(1e6, lambda: woken.append(dep.env.now))
             )
 
-        server.interpreter.parked[aid(2)] = Waiter
+        server.interpreter.parked["x"] = {aid(2): Waiter}
         dep.network.endpoints["s2"].send("s1", "COMMIT", payload(1))
         dep.run(until=100)
         assert len(woken) == 1  # by the commit, long before the timeout
         assert server.interpreter.parked == {}
-        assert server.locking_list.top() is None
+        assert server.machine.lock("x").queue.top() is None
 
 
 class TestGrantMachinery:
@@ -146,7 +147,7 @@ class TestGrantMachinery:
         (ack,) = watch.replies
         # The versions of exactly the keys the UPDATE names.
         assert ack.kind == "ACK" and ack.payload["versions"] == {"x": 4}
-        assert server.machine.grant_holder == aid(1)
+        assert server.machine.lock("x").holder == aid(1)
 
     def test_second_agent_nacked_while_granted(self, watched):
         env, server, watch = watched
@@ -168,10 +169,10 @@ class TestGrantMachinery:
         sender = dep.network.endpoints["s2"]
         sender.send("s1", "UPDATE", payload(1, reply_to="s2"))
         dep.run(until=50)
-        assert server.machine.grant_holder == aid(1)
+        assert server.machine.lock("x").holder == aid(1)
         sender.send("s1", "RELEASE", payload(1, reply_to="s2"))
         dep.run(until=100)
-        assert server.machine.grant_holder is None
+        assert server.machine.lock("x").holder is None
         # lock entry survives a RELEASE (the agent is still queued)
         assert server.updated_list.as_set() == frozenset()
 
@@ -184,15 +185,15 @@ class TestGrantMachinery:
         sender = dep.network.endpoints["s2"]
         sender.send("s1", "UPDATE", payload(1, reply_to="s2", epoch=2))
         dep.run(until=50)
-        assert server.machine.grant_holder == aid(1)
-        assert server.machine.grant_epoch == 2
+        assert server.machine.lock("x").holder == aid(1)
+        assert server.machine.lock("x").epoch == 2
         sender.send("s1", "RELEASE", payload(1, reply_to="s2", epoch=1))
         dep.run(until=100)
-        assert server.machine.grant_holder == aid(1)  # survived the stale release
+        assert server.machine.lock("x").holder == aid(1)  # survived the stale release
         # An in-order release (same epoch) does clear it.
         sender.send("s1", "RELEASE", payload(1, reply_to="s2", epoch=2))
         dep.run(until=150)
-        assert server.machine.grant_holder is None
+        assert server.machine.lock("x").holder is None
 
     def test_stale_update_does_not_roll_epoch_back(self, dep):
         server = dep.server("s1")
@@ -201,7 +202,7 @@ class TestGrantMachinery:
         dep.run(until=50)
         sender.send("s1", "UPDATE", payload(1, reply_to="s2", epoch=2))
         dep.run(until=100)
-        assert server.machine.grant_epoch == 3
+        assert server.machine.lock("x").epoch == 3
 
     def test_grant_expires_after_ttl(self, watched):
         env, server, watch = watched
@@ -215,7 +216,7 @@ class TestGrantMachinery:
         ))
         env.run(until=200)
         assert [m.kind for m in watch.replies] == ["ACK", "ACK"]
-        assert server.machine.grant_holder == aid(2)
+        assert server.machine.lock("x").holder == aid(2)
 
 
 class TestCommitAndAbort:
@@ -229,7 +230,7 @@ class TestCommitAndAbort:
         assert server.store.read("x").value == "committed"
         assert server.history.identities() == [(1, "x", 1)]
         assert aid(1) in server.updated_list
-        assert aid(1) not in server.locking_list
+        assert aid(1) not in server.machine.lock("x").queue
 
     def test_commit_is_idempotent_on_redelivery(self, dep):
         server = dep.server("s1")
@@ -258,8 +259,8 @@ class TestCommitAndAbort:
         dep.run(until=50)
         endpoint.send("s1", "ABORT", payload(1, reply_to="s2"))
         dep.run(until=100)
-        assert server.machine.grant_holder is None
-        assert aid(1) not in server.locking_list
+        assert server.machine.lock("x").holder is None
+        assert aid(1) not in server.machine.lock("x").queue
         assert aid(1) in server.updated_list
         assert len(server.store) == 0
 
@@ -315,6 +316,6 @@ class TestReadQueryAndSync:
         target.interpreter.restarted()  # asks s2 and s3, waits for both
         dep.run(until=200)
         assert target.store.read("x").value == "fresh"
-        assert aid(1) not in target.locking_list
+        assert aid(1) not in target.machine.lock("x").queue
         assert aid(1) in target.updated_list
         assert target.recoveries == 1

@@ -15,7 +15,6 @@ import threading
 import pytest
 
 from repro.core.machines.identity import AgentId
-from repro.core.machines.structures import LockEntry
 from repro.core.machines.wire import SharedView, UpdatePayload, WriteOp
 from repro.runtime.host import HostRuntime, LiveConfig, now_ms
 from repro.runtime.shipping import LiveAgentState, ship
@@ -62,7 +61,7 @@ def msg(kind, payload, src="h2", dst="h1"):
     return LiveMessage(kind=kind, src=src, dst=dst, payload=payload)
 
 
-def update(batch_id, agent_id, epoch=1, reply_to="h2", keys=None):
+def update(batch_id, agent_id, epoch=1, reply_to="h2", keys=("x",)):
     """An UPDATE/RELEASE body."""
     return UpdatePayload(
         batch_id=batch_id, agent_id=agent_id, origin=agent_id.host,
@@ -96,7 +95,7 @@ class TestWriteAndAgentArrival:
             now=100.0,
         )
         # the agent enqueued locally and migrated onward
-        assert len(host.machine.locking_list) == 1
+        assert len(host.machine.lock("x").queue) == 1
         outbound = drain(transport, "h2") + drain(transport, "h3")
         assert any(m.kind == "AGENT" for m in outbound)
 
@@ -105,7 +104,7 @@ class TestWriteAndAgentArrival:
         host._dispatch(
             msg("AGENT", ship(state), src="h2"), now=10.0,
         )
-        assert state.agent_id in host.machine.locking_list
+        assert state.agent_id in host.machine.lock("x").queue
         # it still has h3 to visit
         forwarded = drain(transport, "h3")
         assert len(forwarded) == 1
@@ -134,7 +133,7 @@ class TestGrantHandlers:
         acks = [m for m in drain(transport, "h2") if m.kind == "ACK"]
         assert len(acks) == 1
         assert acks[0].payload["versions"] == {"x": 4}
-        assert host.machine.grant_holder == AgentId("h2", 1.0, 0)
+        assert host.machine.lock("x").holder == AgentId("h2", 1.0, 0)
 
     def test_second_claimer_nacked(self, host, transport):
         a, b = AgentId("h2", 1.0, 0), AgentId("h3", 2.0, 0)
@@ -144,15 +143,15 @@ class TestGrantHandlers:
         )
         nacks = [m for m in drain(transport, "h3") if m.kind == "NACK"]
         assert len(nacks) == 1
-        assert host.machine.grant_holder == a
+        assert host.machine.lock("x").holder == a
 
     def test_stale_release_epoch_guarded(self, host, transport):
         a = AgentId("h2", 1.0, 0)
         host._dispatch(msg("UPDATE", update(1, a, epoch=2)), now=10.0)
         host._dispatch(msg("RELEASE", update(1, a, epoch=1)), now=11.0)
-        assert host.machine.grant_holder == a  # stale release ignored
+        assert host.machine.lock("x").holder == a  # stale release ignored
         host._dispatch(msg("RELEASE", update(1, a, epoch=2)), now=12.0)
-        assert host.machine.grant_holder is None
+        assert host.machine.lock("x").holder is None
 
     def test_grant_ttl_expiry(self, transport):
         config = LiveConfig(grant_ttl=100.0)
@@ -163,7 +162,7 @@ class TestGrantHandlers:
             msg("UPDATE", update(2, b, reply_to="h3"), src="h3"),
             now=200.0,  # past the TTL
         )
-        assert host.machine.grant_holder == b
+        assert host.machine.lock("x").holder == b
 
 
 class TestCommitPath:
@@ -184,23 +183,21 @@ class TestCommitPath:
 
     def test_commit_removes_lock_and_wakes_parked(self, host, transport):
         winner = AgentId("h2", 1.0, 0)
-        host.machine.locking_list.append(
-            LockEntry(agent_id=winner, request_id=1, heard_at=0.0)
-        )
+        host.machine.request_lock(winner, 1, 0.0, "x")
         # A second agent arrives with nowhere left to go and parks
         # behind the winner.
         parked = agent_state(9, home="h3")
         parked.tour_remaining = []
         host._dispatch(msg("AGENT", ship(parked), src="h3"), now=5.0)
-        assert parked.agent_id in host.interpreter.parked
+        assert parked.agent_id in host.interpreter.parked["x"]
         host._dispatch(
             msg("COMMIT", commit(1, winner, (1, "x", "v", 1))), now=10.0
         )
-        assert winner not in host.machine.locking_list
+        assert winner not in host.machine.lock("x").queue
         assert winner in host.machine.updated_list
         # woken by the release, it refreshed its view and set off on a
         # new tour ([D2])
-        assert parked.agent_id not in host.interpreter.parked
+        assert "x" not in host.interpreter.parked
         outbound = drain(transport, "h2") + drain(transport, "h3")
         assert any(m.kind == "AGENT" for m in outbound)
 

@@ -75,6 +75,33 @@ class TestTransport:
         with pytest.raises(NetworkError):
             LiveTransport(["a"], latency_range=(5.0, 1.0))
 
+    def test_the_thread_work_count_loses_no_update(self):
+        """More threads than cores begin and end work at once, switching
+        every few microseconds: the count must come back to zero."""
+        transport = LiveTransport(["a"])
+
+        def churn():
+            for _ in range(2_000):
+                transport.work_began()
+                transport.work_done()
+            transport.work_began()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=churn) for _ in range(8)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30.0)
+                assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not transport.quiescent()
+        for _ in workers:
+            transport.work_done()
+        assert transport.quiescent()
+
 
 def exact_delays(backend="thread"):
     """A transport whose delay is exactly ``size_bytes / 1000`` ms."""

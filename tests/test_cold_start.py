@@ -36,7 +36,7 @@ def test_a_live_host_loads_no_simulator():
     )
     for absent in ("numpy", "repro.sim", "repro.net",
                    "repro.replication.deployment", "repro.experiments",
-                   "repro.analysis"):
+                   "repro.analysis", "multiprocessing"):
         assert absent not in loaded, absent
 
 
